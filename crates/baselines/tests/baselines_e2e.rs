@@ -3,7 +3,7 @@
 //! FatTree.
 
 use sv2p_baselines::{Bluebird, Direct, GwCache, LocalLearning, NoCache, OnDemand};
-use sv2p_netsim::{FlowKind, FlowSpec, SimConfig, Simulation};
+use sv2p_netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use sv2p_simcore::SimTime;
 use sv2p_topology::FatTreeConfig;
 use sv2p_traces::{hadoop, HadoopConfig};
@@ -28,8 +28,8 @@ fn workload(vms: usize, flows: usize) -> Vec<FlowSpec> {
 
 fn run(strategy: &dyn Strategy, cache: usize, flows: usize) -> sv2p_metrics::RunSummary {
     let ft = FatTreeConfig::scaled_ft8(2);
-    let mut sim = Simulation::new(SimConfig::default(), &ft, strategy, cache, 4);
-    let vms = sim.placement.len();
+    let mut sim = Engine::new(SimConfig::default(), &ft, strategy, cache, 4, 1);
+    let vms = sim.placement().len();
     sim.add_flows(workload(vms, flows));
     sim.run();
     sim.summary()

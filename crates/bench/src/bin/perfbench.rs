@@ -2,11 +2,10 @@
 //! throughput across {FT8 seed-scale, FT16 seed-scale} topologies and
 //! {NoCache, SwitchV2P, Bluebird} translation schemes.
 //!
-//! Each cell runs the full simulation once per shard count — always on the
-//! single-threaded engine (`shards=1`), and additionally on the pod-sharded
-//! multi-core engine when `--shards N` (N > 1) is given — and reports
-//! events/sec, wall-clock, speedup over the single-threaded run of the same
-//! cell, peak calendar-queue length and peak packet-arena occupancy (summed
+//! Each cell runs the full simulation once per shard count — always on one
+//! shard, and additionally on N pod shards when `--shards N` (N > 1) is
+//! given — and reports events/sec, wall-clock, speedup over the one-shard
+//! run of the same cell, peak calendar-queue length and peak packet-arena occupancy (summed
 //! across shard arenas), all lifted from the same run-manifest plumbing
 //! every other bench binary uses. The sweep is written to
 //! `BENCH_netsim.json` — committed at the repo root so the perf trajectory
@@ -256,8 +255,8 @@ fn main() {
     }
 
     // FT32 million-VM tier (--huge): one streamed SwitchV2P run on the
-    // 32-ary fat-tree, single-threaded (replicating 1M-VM state per shard
-    // would multiply exactly the memory this cell exists to measure). The
+    // 32-ary fat-tree, on one shard (memory per shard count is what
+    // `sv2p-scale-smoke` measures, one fresh process each). The
     // workload never materializes — the engine pulls flows from the
     // source — so the cell's RSS is dominated by per-VM state, which is
     // the regression surface `bytes_per_vm` gates.

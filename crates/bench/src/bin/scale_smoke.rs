@@ -1,33 +1,65 @@
 //! CI guard for the million-VM tier: a trimmed FT32-1M slice that must
-//! (a) complete under a hard peak-RSS ceiling, and (b) produce
-//! byte-identical results on the single-threaded and 4-shard engines.
+//! (a) complete under a hard peak-RSS ceiling, (b) produce byte-identical
+//! results on 1, 2 and 4 shards, and (c) cost about the same to set up and
+//! hold in memory on 4 shards as on 1 — the world, the placement and the
+//! mapping database exist once per engine, not once per shard.
 //!
 //! The full 32-pod fat-tree and the full 1 048 576-VM placement are built
 //! — memory scaling is exactly what this smoke test guards — but the
 //! streamed workload is cut to a few thousand flows so the run finishes
-//! in CI time. A regression that reintroduces O(VMs) HashMap state or
-//! materializes the trace blows through the ceiling and fails the job.
+//! in CI time. A regression that reintroduces O(VMs) HashMap state,
+//! materializes the trace, or copies per-VM state per shard blows through
+//! a bound and fails the job.
+//!
+//! Each shard count runs in a fresh process (the binary re-executes
+//! itself), so no count inherits heap the allocator kept from another and
+//! `VmHWM` is that run's alone.
 //!
 //! ```sh
 //! cargo run --release -p sv2p-bench --bin sv2p-scale-smoke
 //! ```
 
+use std::process::Command;
+use std::time::Instant;
+
 use sv2p_bench::cli;
-use sv2p_bench::harness::{run_spec, ExperimentSpec, StrategyKind};
+use sv2p_bench::harness::{ExperimentSpec, StrategyKind};
 use sv2p_bench::Scale;
 use sv2p_traces::{FlowSource, HadoopConfig};
 
 /// Hard per-run peak-RSS ceiling. The compact-state engine holds the
-/// 1M-VM FT32 slice well under 1 GB even at 4 shards (driver + replica
-/// fleet); 2 GiB leaves headroom for allocator noise without letting a
-/// per-VM HashMap regression (~50 KB/VM ≈ 50 GB) anywhere near passing.
+/// 1M-VM FT32 slice well under 1 GB at any shard count; 2 GiB leaves
+/// headroom for allocator noise without letting a per-VM HashMap
+/// regression (~50 KB/VM ≈ 50 GB) anywhere near passing.
 const RSS_CEILING_BYTES: u64 = 2 << 30;
+
+/// What 4 shards may cost relative to 1 shard: RSS after set-up, peak RSS,
+/// set-up seconds. Shards add their own links, agents and calendars, not
+/// copies of the shared state (which would be ~5x, ~2x and ~5x).
+const MAX_RATIO: [(&str, f64); 3] = [
+    ("RSS after set-up", 2.5),
+    ("peak RSS", 1.5),
+    ("set-up s", 2.0),
+];
 
 /// Trimmed flow count (the huge perfbench cell runs the full 20 000).
 const SMOKE_FLOWS: usize = 2_000;
 
-fn run(shards: u16, seed: u64) -> (String, u64) {
-    cli::reset_peak_rss();
+/// The argument that turns the process into the run of one shard count.
+const CHILD_ARG: &str = "--scale-smoke-shards=";
+
+/// What the run of one shard count reports, as one tab-separated line.
+struct Cell {
+    setup_s: f64,
+    setup_rss: u64,
+    peak_rss: u64,
+    manifest: String,
+    summary: String,
+}
+
+/// Runs one shard count in this process and prints its [`Cell`].
+fn run_child(shards: u16) {
+    let seed = cli::init("scale_smoke").seed();
     let cfg = HadoopConfig {
         flows: SMOKE_FLOWS,
         ..Scale::Huge.huge_hadoop()
@@ -40,39 +72,121 @@ fn run(shards: u16, seed: u64) -> (String, u64) {
         .shards(shards)
         .label(format!("scale-smoke-x{shards}"))
         .build();
-    let summary = run_spec(&spec);
-    (format!("{summary:?}"), cli::peak_rss_bytes())
+    let start = Instant::now();
+    let mut sim = spec.build();
+    let setup_s = start.elapsed().as_secs_f64();
+    let setup_rss = cli::rss_bytes();
+    let start = Instant::now();
+    sim.run();
+    let wall = start.elapsed().as_secs_f64();
+    let summary = sim.summary();
+    let manifest = cli::manifest_for_sim(
+        spec.strategy.name(),
+        &spec.topology,
+        &spec.label,
+        seed,
+        spec.cache_entries as u64,
+        &sim,
+        &summary,
+        wall,
+    );
+    println!(
+        "{setup_s}\t{setup_rss}\t{}\t{}\t{summary:?}",
+        manifest.peak_rss_bytes,
+        manifest.to_json()
+    );
+}
+
+/// Re-executes this binary for one shard count and parses what it printed.
+fn run_cell(shards: u16) -> Cell {
+    let exe = std::env::current_exe().expect("own path");
+    let out = Command::new(exe)
+        .args(std::env::args().skip(1))
+        .arg(format!("{CHILD_ARG}{shards}"))
+        .output()
+        .expect("re-exec");
+    assert!(
+        out.status.success(),
+        "shards {shards} run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = String::from_utf8(out.stdout).expect("utf-8 report");
+    let mut f = line.trim_end().splitn(5, '\t');
+    let mut next = || f.next().expect("five fields").to_string();
+    Cell {
+        setup_s: next().parse().expect("set-up seconds"),
+        setup_rss: next().parse().expect("set-up RSS"),
+        peak_rss: next().parse().expect("peak RSS"),
+        manifest: next(),
+        summary: next(),
+    }
 }
 
 fn main() {
+    let child = std::env::args().find_map(|a| a.strip_prefix(CHILD_ARG).map(str::to_string));
+    if let Some(shards) = child {
+        return run_child(shards.parse().expect("shard count"));
+    }
     let args = cli::init("scale_smoke");
     println!(
-        "FT32-1M scale smoke: {} VMs placed, {} streamed flows, seed {}",
-        1_048_576, SMOKE_FLOWS, args.seed(),
+        "FT32-1M scale smoke: {} VMs placed, {} streamed flows, seed {}, one process per shard count",
+        1_048_576,
+        SMOKE_FLOWS,
+        args.seed(),
     );
 
     let mut failed = false;
-    let (digest1, rss1) = run(1, args.seed());
-    println!("  shards 1: peak RSS {rss1} bytes ({:.1} B/VM)", rss1 as f64 / 1_048_576.0);
-    let (digest4, rss4) = run(4, args.seed());
-    println!("  shards 4: peak RSS {rss4} bytes ({:.1} B/VM)", rss4 as f64 / 1_048_576.0);
-
-    for (label, rss) in [("shards 1", rss1), ("shards 4", rss4)] {
-        if rss > RSS_CEILING_BYTES {
-            eprintln!("FAIL: {label} peak RSS {rss} exceeds ceiling {RSS_CEILING_BYTES}");
+    let cells: Vec<(u16, Cell)> = [1, 2, 4].into_iter().map(|s| (s, run_cell(s))).collect();
+    println!("  shards   set-up s   RSS after set-up       peak RSS   peak B/VM");
+    for (shards, c) in &cells {
+        println!(
+            "  {shards:>6} {:>10.3} {:>18} {:>14} {:>11.1}",
+            c.setup_s,
+            c.setup_rss,
+            c.peak_rss,
+            c.peak_rss as f64 / 1_048_576.0
+        );
+        if c.peak_rss > RSS_CEILING_BYTES {
+            eprintln!(
+                "FAIL: shards {shards} peak RSS {} exceeds ceiling {RSS_CEILING_BYTES}",
+                c.peak_rss
+            );
             failed = true;
         }
     }
-    if digest1 == digest4 {
-        println!("  shards 1 vs 4: summaries byte-identical");
-    } else {
-        eprintln!("FAIL: sharded run diverged from single-threaded run");
-        eprintln!("  shards 1: {digest1}");
-        eprintln!("  shards 4: {digest4}");
-        failed = true;
+    let (one, four) = (&cells[0].1, &cells[2].1);
+    let ratios = [
+        four.setup_rss as f64 / one.setup_rss as f64,
+        four.peak_rss as f64 / one.peak_rss as f64,
+        four.setup_s / one.setup_s,
+    ];
+    for ((what, max), ratio) in MAX_RATIO.into_iter().zip(ratios) {
+        println!("  shards 4 / shards 1, {what}: {ratio:.2}x (at most {max}x)");
+        if ratio > max {
+            eprintln!("FAIL: {what} on 4 shards is {ratio:.2}x that on 1 shard, above {max}x");
+            failed = true;
+        }
+    }
+    for (shards, c) in &cells[1..] {
+        if c.summary == one.summary {
+            println!("  shards 1 vs {shards}: summaries byte-identical");
+        } else {
+            eprintln!("FAIL: the {shards}-shard run diverged from the 1-shard run");
+            eprintln!("  shards 1: {}", one.summary);
+            eprintln!("  shards {shards}: {}", c.summary);
+            failed = true;
+        }
     }
 
-    cli::finish();
+    let path = "results/scale_smoke.manifest.jsonl";
+    let rows: String = cells
+        .iter()
+        .map(|(_, c)| format!("{}\n", c.manifest))
+        .collect();
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, rows)) {
+        Ok(()) => eprintln!("[manifest] {} run(s) -> {path}", cells.len()),
+        Err(e) => eprintln!("[manifest] write failed for {path}: {e}"),
+    }
     if failed {
         std::process::exit(1);
     }

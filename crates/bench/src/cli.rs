@@ -13,9 +13,9 @@
 //! * `--huge` — the million-VM FT32 tier (perfbench memory cell; figure
 //!   bins fall back to quick-sized traffic);
 //! * `--seed N` — RNG seed override (default: 1);
-//! * `--shards N` — run every simulation on the pod-sharded multi-core
-//!   engine with N shards (default: 1, the single-threaded engine; results
-//!   are byte-identical either way);
+//! * `--shards N` — run every simulation on N pod shards, one worker
+//!   thread each (default: 1, the caller's thread; results are
+//!   byte-identical either way);
 //! * `--telemetry DIR` — enable structured tracing and write
 //!   `<label>.events.jsonl` / `<label>.samples.jsonl` per run into DIR;
 //! * `--profile DIR` — enable engine self-profiling and write
@@ -188,8 +188,7 @@ impl BenchArgs {
         self.seed.unwrap_or(1)
     }
 
-    /// The requested shard count: `--shards N` if given, else 1 (the
-    /// single-threaded engine).
+    /// The requested shard count: `--shards N` if given, else 1.
     pub fn shards(&self) -> u16 {
         self.shard.shards.unwrap_or(1)
     }
@@ -284,27 +283,24 @@ pub fn reset_peak_rss() {
 /// last [`reset_peak_rss`] (or process start), so a bin's later runs report
 /// the running maximum unless they reset the watermark per span.
 pub fn peak_rss_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    let kb: u64 = rest
-                        .trim()
-                        .trim_end_matches("kB")
-                        .trim()
-                        .parse()
-                        .unwrap_or(0);
-                    return kb * 1024;
-                }
-            }
-        }
-        0
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        0
-    }
+    proc_status_bytes("VmHWM:")
+}
+
+/// Process resident set size right now (`VmRSS`), 0 where unavailable.
+pub fn rss_bytes() -> u64 {
+    proc_status_bytes("VmRSS:")
+}
+
+/// A `kB` field of `/proc/self/status`, in bytes.
+fn proc_status_bytes(field: &str) -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix(field))
+        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .map_or(0, |kb| kb * 1024)
 }
 
 /// Builds a manifest row for a hand-driven simulation.
@@ -364,7 +360,7 @@ pub fn write_traces(sim: &Engine, label: &str) {
 
 /// Records a completed simulation: one manifest line, plus trace files when
 /// `--telemetry DIR` was given. Called by `run_spec`; call it directly for
-/// bins that drive a [`Simulation`] by hand.
+/// bins that drive an [`Engine`] by hand.
 pub fn record_run(
     spec: &ExperimentSpec,
     sim: &Engine,

@@ -10,7 +10,7 @@
 //! show up here as a diff in the serialized stream.
 
 use sv2p_bench::harness::{to_flow_specs, StrategyKind};
-use sv2p_netsim::{ChurnPlan, ChurnSpec, SimConfig, Simulation};
+use sv2p_netsim::{ChurnPlan, ChurnSpec, SimConfig, Engine};
 use sv2p_simcore::SimTime;
 use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::FatTreeConfig;
@@ -40,8 +40,8 @@ fn run_once(seed: u64) -> (u64, String, String) {
     };
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = StrategyKind::SwitchV2P.build();
-    let mut sim = Simulation::new(cfg, &ft, strategy.as_ref(), 128, 16);
-    let n_vms = sim.placement.len();
+    let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), 128, 16, 1);
+    let n_vms = sim.placement().len();
     sim.add_flows(to_flow_specs(&flows(), n_vms));
     sim.run();
 
@@ -91,11 +91,11 @@ fn run_once_churned(seed: u64) -> (u64, String, String) {
     cfg.gateway.queue_cap = 32;
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = StrategyKind::SwitchV2P.build();
-    let mut sim = Simulation::new(cfg, &ft, strategy.as_ref(), 128, 8);
-    let n_vms = sim.placement.len();
+    let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), 128, 8, 1);
+    let n_vms = sim.placement().len();
     sim.add_flows(to_flow_specs(&flows(), n_vms));
     let servers: Vec<_> = sim.topology().servers().map(|n| (n.id, n.pip)).collect();
-    let plan = ChurnPlan::generate(&ChurnSpec::medium(seed, 8_000), &sim.placement, &servers);
+    let plan = ChurnPlan::generate(&ChurnSpec::medium(seed, 8_000), sim.placement(), &servers);
     sim.apply_churn_plan(&plan);
     sim.run();
 

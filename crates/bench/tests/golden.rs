@@ -1,0 +1,586 @@
+//! Cross-commit golden digests: what the engine computes, pinned as
+//! numbers recorded on the commit *before* the one-engine refactor.
+//!
+//! Every other equivalence test compares a run with another run of the
+//! same build (`determinism.rs` with itself, `sharded_equiv.rs` shards N
+//! with shards 1), so none of them can tell when a refactor changes what
+//! both sides compute. This table can: each row is
+//! `(events executed, FNV-1a of {summary:?}, FNV-1a of the telemetry
+//! JSONL, FNV-1a of the profile report's deterministic projection at
+//! shards 1 and at shards 4)` for the ten `sharded_equiv` scenarios (the
+//! two proptests pinned to one fixed plan each), `determinism.rs`'s two
+//! and `profiling.rs`'s. The first three are independent of the shard
+//! count; the projection is not (one shard attributes per event class,
+//! several attribute per driver phase), so it has one column each.
+//!
+//! To re-record after an intended semantic change, run with
+//! `GOLDEN_PRINT=1 cargo test -p sv2p-bench --test golden -- --nocapture`
+//! and paste the printed rows.
+
+use sv2p_baselines::NoCache;
+use sv2p_bench::harness::{to_flow_specs, StrategyKind};
+use sv2p_netsim::faults::{FaultEvent, FaultPlan};
+use sv2p_netsim::{ChurnPlan, ChurnSpec, Engine, FlowKind, FlowSpec, SimConfig};
+use sv2p_simcore::{SimDuration, SimTime};
+use sv2p_telemetry::{deterministic_projection, ProfileMeta, TelemetryConfig};
+use sv2p_topology::{FatTreeConfig, LinkId};
+use sv2p_traces::{hadoop, FlowProfile, HadoopConfig, TraceFlow};
+use sv2p_transport::UdpSchedule;
+use sv2p_vnet::{Migration, Strategy};
+use switchv2p::{SwitchV2P, SwitchV2PConfig};
+
+/// `(scenario, events, summary, telemetry, projection@1, projection@4)`.
+type Row = (&'static str, u64, u64, u64, u64, u64);
+
+/// Recorded at commit a67cdc1 (PR 12), before the refactor.
+const GOLDEN: &[Row] = &[
+    (
+        "switchv2p",
+        25386,
+        0x6ba0fbb75c118cba,
+        0xb9987297abc32610,
+        0xa993fa12be77b93e,
+        0xa88b6d0f6fe8af27,
+    ),
+    (
+        "nocache-untraced",
+        43182,
+        0xef78fff289969a57,
+        0xcbf29ce484222325,
+        0x8ff84b5a63b05742,
+        0x27838c69a01b2de3,
+    ),
+    (
+        "faulted",
+        25265,
+        0x2ea9926491e94bfc,
+        0x4629002f755a0bae,
+        0x2e0e2c9c90cfd5e7,
+        0xf1479cb95d42d552,
+    ),
+    (
+        "migrated",
+        25389,
+        0x743db0ed51aaa4ed,
+        0x47245a2981067cfa,
+        0x3984852ca3e87de0,
+        0x2c992ff27d396128,
+    ),
+    (
+        "churned",
+        125442,
+        0x95d2b850c851299a,
+        0xf5c3302a3e463c74,
+        0x47d2e26adaaa720f,
+        0x037c0fc2b1e29b71,
+    ),
+    (
+        "one-shard-mix",
+        12682,
+        0x5d56c2b57d218e05,
+        0xcbf29ce484222325,
+        0x656d921a1a03572e,
+        0x54aaef9600078023,
+    ),
+    (
+        "midrun-storm",
+        19042,
+        0x889c7e534c9b42eb,
+        0x966cabac443bacff,
+        0x7fa4718e55c35642,
+        0xc14ac091c338978d,
+    ),
+    (
+        "fixed-fault-plan",
+        42998,
+        0xd3834290bb716421,
+        0xcbf29ce484222325,
+        0xf551d13dae96a05a,
+        0xa539442d2e85d322,
+    ),
+    (
+        "fixed-migration-plan",
+        43507,
+        0x6f6374c4271b479f,
+        0xcbf29ce484222325,
+        0xca7a0d96f9fb11d3,
+        0x8802381f9c952490,
+    ),
+    (
+        "observables",
+        8100,
+        0x532e5e9f7479d96a,
+        0x1101e160b10fb1a1,
+        0x2d726952ded693bf,
+        0xfa387ac6f28229b6,
+    ),
+    (
+        "determinism-steady",
+        63133,
+        0x32ee73b49a9fadc2,
+        0x5d4eeaae0ac0dc7b,
+        0xeb99ad4203bd861c,
+        0x17c30838d1da71c7,
+    ),
+    (
+        "determinism-churned",
+        200074,
+        0x0ee1a014621ed1e4,
+        0x2ed047e2d0ca05c4,
+        0x73bf6ed3f3cec30c,
+        0xca4eef9d490cc6b7,
+    ),
+    (
+        "profiling-hadoop",
+        379488,
+        0xd7d51046efb7658b,
+        0x89771cbc00445ddb,
+        0x7967c62fb86f07d9,
+        0x4c74c3c9bb030a9d,
+    ),
+];
+
+fn fnv1a(text: &str) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Runs `sim` through `drive` and digests every observable surface.
+fn digest(name: &str, mut sim: Engine, drive: impl FnOnce(&mut Engine)) -> (u64, u64, u64, u64) {
+    drive(&mut sim);
+    let mut jsonl = sim.tracer().render_events_jsonl();
+    jsonl.push_str(&sim.tracer().render_samples_jsonl());
+    let summary = format!("{:?}", sim.summary());
+    let meta = ProfileMeta {
+        bin: "golden".into(),
+        label: name.into(),
+        engine: if sim.shards() > 1 {
+            "sharded"
+        } else {
+            "single"
+        }
+        .into(),
+        shards: sim.shards() as u64,
+        seed: 0,
+        events_executed: sim.events_executed(),
+        host_cores: 1,
+        peak_rss_bytes: 0,
+    };
+    let report = sim.profiler().render_report(&meta);
+    let projection = deterministic_projection(&report).expect("profile report projects");
+    (
+        sim.events_executed(),
+        fnv1a(&summary),
+        fnv1a(&jsonl),
+        fnv1a(&projection),
+    )
+}
+
+// ----------------------------------------------------------------------
+// The `sharded_equiv.rs` scenarios (scaled FT8, 4 VMs per server).
+// ----------------------------------------------------------------------
+
+fn tcp_udp_mix(vms: usize, n: usize) -> Vec<FlowSpec> {
+    (0..n)
+        .map(|i| FlowSpec {
+            src_vm: (i * 7) % vms,
+            dst_vm: (i * 13 + 29) % vms,
+            start: SimTime::from_micros(2 * i as u64),
+            kind: if i % 3 == 0 {
+                FlowKind::Udp {
+                    schedule: UdpSchedule::cbr(
+                        SimTime::from_micros(2 * i as u64),
+                        SimDuration::from_micros(40),
+                        48_000_000,
+                        1000,
+                    ),
+                }
+            } else {
+                FlowKind::Tcp { bytes: 60_000 }
+            },
+        })
+        .filter(|f| f.src_vm != f.dst_vm)
+        .collect()
+}
+
+fn telemetry_cfg() -> SimConfig {
+    SimConfig {
+        telemetry: TelemetryConfig::enabled(),
+        ..SimConfig::default()
+    }
+}
+
+/// What a netsim-level scenario registers besides its flow mix.
+#[derive(Default)]
+struct Extras {
+    faults: Option<FaultPlan>,
+    /// `(vm, server index, at µs)`, resolved like `sharded_equiv`'s
+    /// `migration_for`.
+    migrations: Vec<(usize, usize, u64)>,
+    churn: Option<ChurnSpec>,
+    /// Run to this instant, reboot every switch, then finish.
+    storm_at_us: Option<u64>,
+}
+
+fn equiv_engine(
+    mut cfg: SimConfig,
+    strategy: &dyn Strategy,
+    cache: usize,
+    mix: usize,
+    extras: &Extras,
+    shards: u16,
+) -> Engine {
+    cfg.profile = true;
+    let ft = FatTreeConfig::scaled_ft8(2);
+    let mut sim = Engine::new(cfg, &ft, strategy, cache, 4, shards);
+    let servers: Vec<_> = sim.topology().servers().map(|n| (n.id, n.pip)).collect();
+    let flows = tcp_udp_mix(sim.placement().len(), mix);
+    if let Some(p) = &extras.faults {
+        sim.apply_fault_plan(p.clone());
+    }
+    sim.add_flows(flows);
+    for &(vm, srv, at_us) in &extras.migrations {
+        let vm = vm % sim.placement().len();
+        let mut pick = servers[srv % servers.len()];
+        if pick.0 == sim.placement().node_of(vm) {
+            pick = servers[(srv + 1) % servers.len()];
+        }
+        let vip = sim.placement().vip_of(vm);
+        sim.add_migration(Migration::new(
+            SimTime::from_micros(at_us),
+            vip,
+            pick.0,
+            pick.1,
+        ));
+    }
+    if let Some(spec) = &extras.churn {
+        let plan = ChurnPlan::generate(spec, sim.placement(), &servers);
+        assert!(
+            !plan.migrations.is_empty(),
+            "medium churn must produce waves"
+        );
+        sim.apply_churn_plan(&plan);
+    }
+    sim
+}
+
+fn fixed_fault_plan(ft: &FatTreeConfig, with_outage: bool) -> FaultPlan {
+    let topo = ft.build();
+    let tor = topo
+        .switches()
+        .next()
+        .map(|n| n.id)
+        .expect("switches exist");
+    let uplink = topo.out_links[tor.0 as usize][0];
+    let mut plan = FaultPlan::from_events([
+        FaultEvent::SwitchReboot {
+            node: tor,
+            at: SimTime::from_micros(100),
+            blackout: SimDuration::from_micros(50),
+        },
+        FaultEvent::LinkDown {
+            link: uplink,
+            at: SimTime::from_micros(120),
+            up_at: SimTime::from_micros(400),
+        },
+        FaultEvent::LossRate {
+            link: None,
+            rate: 0.002,
+            from: SimTime::from_micros(50),
+            until: SimTime::from_micros(600),
+        },
+    ])
+    .expect("well-formed plan");
+    if with_outage {
+        // The proptest's other two shapes: a gateway outage and a second
+        // link fault overlapping the loss window.
+        let gw = topo
+            .gateways()
+            .next()
+            .map(|n| n.id)
+            .expect("gateways exist");
+        plan.push(FaultEvent::GatewayOutage {
+            node: gw,
+            at: SimTime::from_micros(30),
+            up_at: SimTime::from_micros(260),
+        })
+        .expect("well-formed");
+        plan.push(FaultEvent::LinkDown {
+            link: LinkId((topo.links.len() / 2) as u32),
+            at: SimTime::from_micros(0),
+            up_at: SimTime::from_micros(199),
+        })
+        .expect("well-formed");
+    }
+    plan
+}
+
+type Scenario = (&'static str, Box<dyn Fn(u16) -> (u64, u64, u64, u64)>);
+
+fn equiv_scenario(
+    name: &'static str,
+    cfg: SimConfig,
+    switchv2p: bool,
+    cache: usize,
+    mix: usize,
+    extras: Extras,
+) -> Scenario {
+    (
+        name,
+        Box::new(move |shards| {
+            let sv2p = SwitchV2P::new(SwitchV2PConfig::default());
+            let strategy: &dyn Strategy = if switchv2p { &sv2p } else { &NoCache };
+            let sim = equiv_engine(cfg, strategy, cache, mix, &extras, shards);
+            digest(name, sim, |sim| {
+                if let Some(us) = extras.storm_at_us {
+                    sim.run_until(SimTime::from_micros(us));
+                    sim.fail_all_switches();
+                }
+                sim.run();
+            })
+        }),
+    )
+}
+
+// ----------------------------------------------------------------------
+// The `determinism.rs` and `profiling.rs` scenarios.
+// ----------------------------------------------------------------------
+
+fn steady_tcp() -> Vec<TraceFlow> {
+    (0..120)
+        .map(|i| TraceFlow {
+            src_vm: i * 7 + 1,
+            dst_vm: i * 13 + 29,
+            start_ns: (i as u64) * 9_000,
+            profile: FlowProfile::Tcp { bytes: 20_000 },
+        })
+        .collect()
+}
+
+#[allow(clippy::too_many_arguments)]
+fn bench_scenario(
+    name: &'static str,
+    seed: u64,
+    end_us: u64,
+    queue_cap: u32,
+    cache: usize,
+    vms_per_server: u32,
+    flows: fn() -> Vec<TraceFlow>,
+    churn_horizon_us: Option<u64>,
+) -> Scenario {
+    (
+        name,
+        Box::new(move |shards| {
+            let mut cfg = SimConfig {
+                seed,
+                end_of_time: Some(SimTime::from_micros(end_us)),
+                telemetry: TelemetryConfig::enabled(),
+                profile: true,
+                ..SimConfig::default()
+            };
+            cfg.gateway.queue_cap = queue_cap;
+            let ft = FatTreeConfig::scaled_ft8(2);
+            let strategy = StrategyKind::SwitchV2P.build();
+            let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), cache, vms_per_server, shards);
+            let n_vms = sim.placement().len();
+            sim.add_flows(to_flow_specs(&flows(), n_vms));
+            if let Some(h) = churn_horizon_us {
+                let servers: Vec<_> = sim.topology().servers().map(|n| (n.id, n.pip)).collect();
+                let plan =
+                    ChurnPlan::generate(&ChurnSpec::medium(seed, h), sim.placement(), &servers);
+                sim.apply_churn_plan(&plan);
+            }
+            digest(name, sim, |sim| sim.run())
+        }),
+    )
+}
+
+fn scenarios() -> Vec<Scenario> {
+    let ft = FatTreeConfig::scaled_ft8(2);
+    let n_servers = ft.build().servers().count();
+    let mut churn_cfg = telemetry_cfg();
+    churn_cfg.gateway.queue_cap = 16;
+    vec![
+        equiv_scenario(
+            "switchv2p",
+            telemetry_cfg(),
+            true,
+            4096,
+            30,
+            Extras::default(),
+        ),
+        equiv_scenario(
+            "nocache-untraced",
+            SimConfig::default(),
+            false,
+            0,
+            30,
+            Extras::default(),
+        ),
+        equiv_scenario(
+            "faulted",
+            telemetry_cfg(),
+            true,
+            4096,
+            30,
+            Extras {
+                faults: Some(fixed_fault_plan(&ft, false)),
+                ..Extras::default()
+            },
+        ),
+        equiv_scenario(
+            "migrated",
+            telemetry_cfg(),
+            true,
+            4096,
+            30,
+            Extras {
+                migrations: vec![
+                    (1, n_servers - 1, 150),
+                    (9, n_servers / 2, 300),
+                    (29, n_servers - 3, 450),
+                ],
+                ..Extras::default()
+            },
+        ),
+        equiv_scenario(
+            "churned",
+            churn_cfg,
+            true,
+            1024,
+            30,
+            Extras {
+                churn: Some(ChurnSpec::medium(7, 2_000)),
+                ..Extras::default()
+            },
+        ),
+        equiv_scenario(
+            "one-shard-mix",
+            SimConfig::default(),
+            false,
+            0,
+            10,
+            Extras::default(),
+        ),
+        equiv_scenario(
+            "midrun-storm",
+            telemetry_cfg(),
+            true,
+            4096,
+            24,
+            Extras {
+                storm_at_us: Some(150),
+                ..Extras::default()
+            },
+        ),
+        equiv_scenario(
+            "fixed-fault-plan",
+            SimConfig::default(),
+            false,
+            0,
+            30,
+            Extras {
+                faults: Some(fixed_fault_plan(&ft, true)),
+                ..Extras::default()
+            },
+        ),
+        equiv_scenario(
+            "fixed-migration-plan",
+            SimConfig::default(),
+            false,
+            0,
+            30,
+            Extras {
+                // Repeat migrations of one VM, a same-instant pair, and a
+                // move back towards the first pod.
+                migrations: vec![
+                    (7, n_servers - 1, 60),
+                    (7, 3, 210),
+                    (36, n_servers / 2 + 1, 210),
+                    (58, 0, 333),
+                    (7, n_servers - 2, 480),
+                ],
+                ..Extras::default()
+            },
+        ),
+        equiv_scenario(
+            "observables",
+            telemetry_cfg(),
+            true,
+            1024,
+            12,
+            Extras::default(),
+        ),
+        bench_scenario(
+            "determinism-steady",
+            7,
+            50_000,
+            0,
+            128,
+            16,
+            steady_tcp,
+            None,
+        ),
+        bench_scenario(
+            "determinism-churned",
+            7,
+            40_000,
+            32,
+            128,
+            8,
+            steady_tcp,
+            Some(8_000),
+        ),
+        bench_scenario(
+            "profiling-hadoop",
+            1,
+            50_000,
+            0,
+            256,
+            16,
+            || {
+                hadoop(&HadoopConfig {
+                    flows: 200,
+                    ..Default::default()
+                })
+            },
+            None,
+        ),
+    ]
+}
+
+#[test]
+fn golden_digests_hold_at_shards_1_and_4() {
+    let mut rows: Vec<Row> = Vec::new();
+    for (name, run) in scenarios() {
+        let one = run(1);
+        let four = run(4);
+        assert_eq!(
+            (one.0, one.1, one.2),
+            (four.0, four.1, four.2),
+            "{name}: shards 4 diverged from shards 1"
+        );
+        rows.push((name, one.0, one.1, one.2, one.3, four.3));
+    }
+    if std::env::var_os("GOLDEN_PRINT").is_some() {
+        for (name, ev, s, t, p1, p4) in &rows {
+            println!("    (\"{name}\", {ev}, {s:#018x}, {t:#018x}, {p1:#018x}, {p4:#018x}),");
+        }
+    }
+    assert_eq!(
+        rows.len(),
+        GOLDEN.len(),
+        "scenario count changed; re-record"
+    );
+    for (got, want) in rows.iter().zip(GOLDEN) {
+        assert_eq!(
+            got, want,
+            "{}: digest differs from the recorded one",
+            want.0
+        );
+    }
+}

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use sv2p_bench::harness::{to_flow_specs, ExperimentSpec, StrategyKind};
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
-use sv2p_netsim::{Engine, SimConfig, Simulation};
+use sv2p_netsim::{Engine, SimConfig};
 use sv2p_simcore::{SimDuration, SimTime};
 use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::{FatTreeConfig, LinkId, NodeId};
@@ -95,12 +95,13 @@ proptest! {
         ),
     ) {
         let ft = FatTreeConfig::scaled_ft8(2);
-        let probe = Simulation::new(
+        let probe = Engine::new(
             SimConfig::default(),
             &ft,
             StrategyKind::NoCache.build().as_ref(),
             0,
             2,
+            1,
         );
         let switches: Vec<NodeId> = probe.topology().switches().map(|n| n.id).collect();
         let gateways: Vec<NodeId> = probe.topology().gateways().map(|n| n.id).collect();

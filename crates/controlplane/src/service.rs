@@ -6,7 +6,7 @@
 //! get [`ReplyBatch`]es. Two implementations exist:
 //!
 //! * [`LocalControlPlane`] — single-writer, zero-synchronization. This is
-//!   what `sv2p-netsim`'s `Simulation` embeds: the simulator is just one
+//!   what `sv2p-netsim`'s `Engine` embeds: the simulator is just one
 //!   more client of the same service a deployment would run.
 //! * [`crate::StripedControlPlane`] — `RwLock`-striped concurrent state for
 //!   the TCP server, where many connections execute batches in parallel.

@@ -214,8 +214,8 @@ pub struct Metrics {
     /// [`Metrics::summary`] for the exposure percentiles.
     pub stale_age_ns: Vec<u64>,
     /// Every migration with its stale-exposure accounting, in registration
-    /// order (index-aligned across sharded replicas so the driver can
-    /// zip-merge them).
+    /// order (index-aligned between the master recorder and every shard's,
+    /// so the fold zip-merges them).
     pub migration_events: Vec<MigrationEvent>,
     /// VIP key → index of its latest entry in `migration_events`, for
     /// attributing stale hits.
@@ -359,9 +359,8 @@ impl Metrics {
         }
     }
 
-    /// Records that `vip_key` migrated at `at` (its scheduled instant, so
-    /// sharded replicas and the single-threaded oracle agree on the
-    /// timestamp). Later stale hits on the VIP attribute to this entry.
+    /// Records that `vip_key` migrated at `at` (its scheduled instant, the
+    /// same on every recorder whatever the shard count). Later stale hits on the VIP attribute to this entry.
     pub fn record_migration(&mut self, vip_key: u32, at: SimTime) {
         let idx = self.migration_events.len();
         self.migration_events.push(MigrationEvent {
@@ -519,8 +518,8 @@ impl Metrics {
         self.promotion_inserts += other.promotion_inserts;
         self.stale_cache_hits += other.stale_cache_hits;
         self.stale_age_ns.extend_from_slice(&other.stale_age_ns);
-        // Migration tables are mirrored into every replica in the same
-        // order, so per-migration exposure merges index-wise.
+        // Every shard's recorder opens one entry per migration, in the
+        // same order, so per-migration exposure merges index-wise.
         debug_assert!(other.migration_events.len() <= self.migration_events.len());
         for (ev, o) in self.migration_events.iter_mut().zip(&other.migration_events) {
             ev.stale_hits += o.stale_hits;

@@ -11,8 +11,8 @@
 //! [`ChurnSpec`] into plain flow specs, a migration table and a timeline of
 //! [`ChurnMark`]s before the simulation starts. The simulator replays the
 //! plan; it never samples randomness at run time. That keeps churn runs
-//! byte-identical across seeds-equal runs and across the sharded engine
-//! (the plan is registered identically on the driver and every replica),
+//! byte-identical across seeds-equal runs and across shard counts (the
+//! plan's tables are control state, registered once),
 //! and makes churn freely composable with a
 //! [`crate::faults::FaultPlan`] — the two are independent event sources on
 //! the same calendar.

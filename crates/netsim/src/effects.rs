@@ -1,0 +1,283 @@
+//! The effects sink: where a handler's order-sensitive side effects go.
+//!
+//! Handlers mutate the state of the shard they run on directly. What must
+//! happen in *global* `(time, seq)` order — scheduling, packet-id
+//! allocation, the four flow-lifecycle metric operations and trace
+//! records — goes through [`Effects`], which has two implementations:
+//! [`Master`] applies each effect on the spot (one shard, the caller's
+//! thread), and `sharded::Journal` writes it down for the driver to replay
+//! in global order after the window. The sink is a type parameter of the
+//! run loop, so neither costs the other anything.
+
+use std::time::Instant;
+
+use sv2p_metrics::Metrics;
+use sv2p_packet::{FlowId, Packet, PacketId};
+use sv2p_simcore::{EventQueue, SimDuration, SimTime};
+use sv2p_telemetry::profile::{HistKind, Phase, Profiler};
+use sv2p_telemetry::{TraceEvent, Tracer};
+use sv2p_topology::{LinkId, NodeId};
+
+use crate::arena::{PacketArena, PacketRef};
+
+/// Simulator events. Packet-carrying events hold an arena handle, so an
+/// event is a few machine words no matter how fat `TunnelOptions` get.
+#[derive(Debug)]
+pub(crate) enum Event {
+    FlowStart(usize),
+    UdpSend {
+        flow: usize,
+        idx: usize,
+    },
+    LinkFree(LinkId),
+    LinkArrival {
+        link: LinkId,
+        pkt: PacketRef,
+    },
+    RtoTimer {
+        flow: usize,
+        gen: u64,
+    },
+    GatewayDone {
+        node: NodeId,
+        pkt: PacketRef,
+    },
+    ReInject {
+        node: NodeId,
+        pkt: PacketRef,
+    },
+    HostForward {
+        node: NodeId,
+        pkt: PacketRef,
+    },
+    Migrate(usize),
+    FaultStart(usize),
+    FaultEnd(usize),
+    /// A churn-timeline annotation (tenant arrival/departure, migration
+    /// wave): counters and telemetry only, no simulation state change.
+    ChurnMark(usize),
+    /// Periodic telemetry snapshot; reschedules itself while other events
+    /// remain pending (so it never keeps an otherwise-finished run alive).
+    TelemetrySample,
+}
+
+impl Event {
+    /// Global events write control state, so the driver executes them
+    /// itself, between windows, at every shard count.
+    pub fn is_global(&self) -> bool {
+        matches!(
+            self,
+            Event::Migrate(_)
+                | Event::FaultStart(_)
+                | Event::FaultEnd(_)
+                | Event::ChurnMark(_)
+                | Event::TelemetrySample
+        )
+    }
+
+    /// The profiling phase charged with this event's handler.
+    pub fn phase(&self) -> Phase {
+        match self {
+            Event::FlowStart(_) => Phase::FlowStart,
+            Event::UdpSend { .. } => Phase::UdpSend,
+            Event::LinkFree(_) => Phase::LinkFree,
+            Event::LinkArrival { .. } => Phase::LinkArrival,
+            Event::RtoTimer { .. } => Phase::RtoTimer,
+            Event::GatewayDone { .. } => Phase::Gateway,
+            Event::ReInject { .. } => Phase::ReInject,
+            Event::HostForward { .. } => Phase::HostForward,
+            Event::Migrate(_) => Phase::Migrate,
+            Event::FaultStart(_) | Event::FaultEnd(_) => Phase::Fault,
+            Event::ChurnMark(_) => Phase::ChurnMark,
+            Event::TelemetrySample => Phase::TelemetrySample,
+        }
+    }
+}
+
+/// An order-sensitive metric update. Only the four flow-lifecycle
+/// operations are order-sensitive (they push to per-flow latency/FCT
+/// accumulators whose vector order the summary preserves); plain counters
+/// accumulate shard-locally and are summed once at the end of the run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MetricOp {
+    FlowStarted(FlowId),
+    FlowCompleted(FlowId),
+    FirstPacketDelivered(FlowId),
+    Delivery { sent_ns: u64, hops: u16 },
+}
+
+impl MetricOp {
+    /// Applies the update to the master recorder at instant `now`.
+    pub fn apply(self, m: &mut Metrics, now: SimTime) {
+        match self {
+            MetricOp::FlowStarted(f) => m.flow_started(f, now),
+            MetricOp::FlowCompleted(f) => m.flow_completed(f, now),
+            MetricOp::FirstPacketDelivered(f) => m.first_packet_delivered(f, now),
+            MetricOp::Delivery { sent_ns, hops } => {
+                m.record_delivery(SimTime::from_nanos(sent_ns), now, hops)
+            }
+        }
+    }
+}
+
+/// The sink for everything a handler does that is order-sensitive.
+pub(crate) trait Effects {
+    /// True when other shards run beside this one, so an event may have to
+    /// leave it. A constant: the one-shard build of every handler has no
+    /// ownership test in it.
+    const SHARDED: bool;
+
+    /// The calendar this shard's events live on.
+    fn calendar(&mut self) -> &mut EventQueue<Event>;
+
+    /// Current virtual time: the instant of the event being executed.
+    fn now(&self) -> SimTime;
+
+    /// Schedules a follow-up event on this shard.
+    fn schedule(&mut self, at: SimTime, ev: Event);
+
+    /// Hands a packet arriving over a cut link to the shard owning the far
+    /// end, by value.
+    fn schedule_cut(&mut self, to: usize, at: SimTime, link: LinkId, pkt: Packet);
+
+    fn alloc_pkt_id(&mut self) -> PacketId;
+
+    fn metric(&mut self, op: MetricOp);
+
+    /// Whether trace records are wanted at all (one branch per emission
+    /// point when they are not).
+    fn tracing(&self) -> bool;
+
+    fn trace(&mut self, ev: TraceEvent);
+
+    /// The event popped under key `(time, seq)` finished executing.
+    fn executed(&mut self, time: SimTime, seq: u64);
+
+    /// Schedules a follow-up event `d` from now.
+    fn schedule_in(&mut self, d: SimDuration, ev: Event) {
+        let at = self.now() + d;
+        self.schedule(at, ev);
+    }
+}
+
+/// The driver's own state: the global calendar and the recorders whose
+/// content depends on global event order. It is also the apply-directly
+/// sink — with one shard, the shard's events share the driver's calendar
+/// and every effect lands here as it happens.
+pub(crate) struct Master {
+    /// Global events, and the `(time, seq)` authority for all events.
+    pub events: EventQueue<Event>,
+    /// Order-sensitive streams and driver-only counters; shard-local
+    /// counters are folded in by `Engine::summary`.
+    pub metrics: Metrics,
+    pub tracer: Tracer,
+    pub next_pkt_id: u64,
+}
+
+impl Effects for Master {
+    const SHARDED: bool = false;
+
+    fn calendar(&mut self) -> &mut EventQueue<Event> {
+        &mut self.events
+    }
+
+    fn now(&self) -> SimTime {
+        self.events.now()
+    }
+
+    fn schedule(&mut self, at: SimTime, ev: Event) {
+        self.events.schedule_at(at, ev);
+    }
+
+    fn schedule_cut(&mut self, _to: usize, _at: SimTime, _link: LinkId, _pkt: Packet) {
+        unreachable!("one shard has no cut links")
+    }
+
+    fn alloc_pkt_id(&mut self) -> PacketId {
+        let id = PacketId(self.next_pkt_id);
+        self.next_pkt_id += 1;
+        id
+    }
+
+    fn metric(&mut self, op: MetricOp) {
+        op.apply(&mut self.metrics, self.events.now());
+    }
+
+    fn tracing(&self) -> bool {
+        self.tracer.enabled()
+    }
+
+    fn trace(&mut self, ev: TraceEvent) {
+        self.tracer.record(ev);
+    }
+
+    fn executed(&mut self, _time: SimTime, _seq: u64) {}
+}
+
+/// What the run loop tells about each event it executes. [`NoProbe`] is
+/// empty, so the unprofiled loop compiles to the bare pop-and-dispatch.
+pub(crate) trait Probe {
+    /// About to pop.
+    fn begin(&mut self);
+    /// Popped; dispatch starts.
+    fn popped(&mut self);
+    /// The handler charged to `phase` returned.
+    fn dispatched(&mut self, phase: Phase, cal: &EventQueue<Event>, arena: &PacketArena);
+}
+
+/// The probe of an unprofiled run.
+pub(crate) struct NoProbe;
+
+impl Probe for NoProbe {
+    #[inline(always)]
+    fn begin(&mut self) {}
+    #[inline(always)]
+    fn popped(&mut self) {}
+    #[inline(always)]
+    fn dispatched(&mut self, _: Phase, _: &EventQueue<Event>, _: &PacketArena) {}
+}
+
+/// Wall-clock attribution per event class, plus deterministic occupancy
+/// samples every 1024 executed events (keyed off the calendar's event
+/// counter, so two same-seed profiled runs sample at identical points).
+pub(crate) struct PhaseProbe<'a> {
+    pub prof: &'a mut Profiler,
+    t0: Instant,
+    t1: Instant,
+}
+
+impl<'a> PhaseProbe<'a> {
+    pub fn new(prof: &'a mut Profiler) -> Self {
+        let now = Instant::now();
+        PhaseProbe {
+            prof,
+            t0: now,
+            t1: now,
+        }
+    }
+}
+
+impl Probe for PhaseProbe<'_> {
+    fn begin(&mut self) {
+        self.t0 = Instant::now();
+    }
+
+    fn popped(&mut self) {
+        self.t1 = Instant::now();
+        self.prof
+            .phase_add(Phase::Pop, (self.t1 - self.t0).as_nanos() as u64);
+    }
+
+    fn dispatched(&mut self, phase: Phase, cal: &EventQueue<Event>, arena: &PacketArena) {
+        self.prof
+            .phase_add(phase, self.t1.elapsed().as_nanos() as u64);
+        if cal.events_executed() & 1023 == 0 {
+            let (ready, wheel, overflow) = cal.occupancy_breakdown();
+            self.prof
+                .record(HistKind::CalendarLen, (ready + wheel + overflow) as u64);
+            self.prof
+                .record(HistKind::CalendarOverflow, overflow as u64);
+            self.prof.record(HistKind::ArenaLive, arena.live() as u64);
+        }
+    }
+}

@@ -2,7 +2,7 @@
 //! stochastic loss.
 //!
 //! A [`FaultPlan`] is a time-ordered list of [`FaultEvent`]s that the
-//! [`crate::Simulation`] consumes through its normal event queue (alongside
+//! [`crate::Engine`] consumes through its normal event queue (alongside
 //! migrations): every fault has an explicit start and end instant, so a plan
 //! can never wedge a run — once the last fault window closes, the network is
 //! healthy again and in-flight recovery (TCP RTOs, gateway re-resolution,
@@ -16,7 +16,7 @@
 //!   cold: its [`sv2p_vnet::SwitchAgent`] is reset, and if it is a ToR the
 //!   [`sv2p_vnet::HostAgent`]s of its attached servers are reset too (their
 //!   vswitches restarted with the rack). This generalizes the instantaneous
-//!   [`crate::Simulation::fail_switch`] into a scheduled, windowed event.
+//!   [`crate::Engine::fail_switch`] into a scheduled, windowed event.
 //! * [`FaultEvent::LinkDown`] — the directed link is excluded from ECMP
 //!   next-hop selection; flows rehash onto surviving ports, and a packet
 //!   with no surviving port is dropped as

@@ -33,52 +33,43 @@ pub struct FlowSpec {
     pub kind: FlowKind,
 }
 
-/// Runtime state of a flow inside the simulator.
-#[derive(Debug)]
-pub(crate) struct FlowState {
-    pub id: FlowId,
-    pub spec: FlowSpec,
-    /// TCP sender machine (None for UDP flows).
+impl FlowSpec {
+    pub(crate) fn is_tcp(&self) -> bool {
+        matches!(self.kind, FlowKind::Tcp { .. })
+    }
+
+    /// Datagrams in the UDP schedule (0 for TCP flows).
+    pub(crate) fn udp_total(&self) -> usize {
+        match &self.kind {
+            FlowKind::Udp { schedule } => schedule.len(),
+            FlowKind::Tcp { .. } => 0,
+        }
+    }
+}
+
+/// Source port of flow `flow` (gives distinct ECMP keys per flow).
+pub(crate) fn src_port(flow: FlowId) -> u16 {
+    1024 + (flow.0 % 50_000) as u16
+}
+
+/// A flow's transport state as one shard holds it. The sender side evolves
+/// where ACKs are delivered (the source VM's host), the receiver side on
+/// the destination VM's host, so a flow is live on at most two shards;
+/// when a migration re-homes an endpoint the state moves with it.
+#[derive(Debug, Default)]
+pub(crate) struct FlowXport {
+    /// TCP sender machine (None for UDP flows, and before the flow starts).
     pub tcp_tx: Option<TcpSender>,
     /// TCP receiver machine.
     pub tcp_rx: TcpReceiver,
     /// Retransmission-timer generation: each arm bumps it, and a pending
     /// `RtoTimer` event only fires if it still carries the current value.
-    /// A plain counter (rather than a `TimerWheel` handle) so the whole
-    /// timer state travels with the flow when a migration moves it to
-    /// another shard's replica.
+    /// A plain counter, so the whole timer state travels with the flow
+    /// when a migration moves it to another shard.
     pub rto_gen: u64,
     /// Datagrams delivered so far (UDP completion tracking).
     pub udp_delivered: usize,
-    /// Total datagrams in the UDP schedule.
-    pub udp_total: usize,
     pub completed: bool,
-    /// Source port (gives distinct ECMP keys per flow).
-    pub src_port: u16,
-}
-
-impl FlowState {
-    pub fn new(id: FlowId, spec: FlowSpec) -> Self {
-        let udp_total = match &spec.kind {
-            FlowKind::Udp { schedule } => schedule.len(),
-            FlowKind::Tcp { .. } => 0,
-        };
-        FlowState {
-            id,
-            spec,
-            tcp_tx: None,
-            tcp_rx: TcpReceiver::new(),
-            rto_gen: 0,
-            udp_delivered: 0,
-            udp_total,
-            completed: false,
-            src_port: 1024 + (id.0 % 50_000) as u16,
-        }
-    }
-
-    pub fn is_tcp(&self) -> bool {
-        matches!(self.spec.kind, FlowKind::Tcp { .. })
-    }
 }
 
 #[cfg(test)]
@@ -95,32 +86,18 @@ mod tests {
             1000,
         );
         let n = schedule.len();
-        let f = FlowState::new(
-            FlowId(3),
-            FlowSpec {
-                src_vm: 0,
-                dst_vm: 1,
-                start: SimTime::ZERO,
-                kind: FlowKind::Udp { schedule },
-            },
-        );
+        let f = FlowSpec {
+            src_vm: 0,
+            dst_vm: 1,
+            start: SimTime::ZERO,
+            kind: FlowKind::Udp { schedule },
+        };
         assert!(!f.is_tcp());
-        assert_eq!(f.udp_total, n);
+        assert_eq!(f.udp_total(), n);
     }
 
     #[test]
     fn ports_are_flow_distinct() {
-        let mk = |id| {
-            FlowState::new(
-                FlowId(id),
-                FlowSpec {
-                    src_vm: 0,
-                    dst_vm: 1,
-                    start: SimTime::ZERO,
-                    kind: FlowKind::Tcp { bytes: 1 },
-                },
-            )
-        };
-        assert_ne!(mk(1).src_port, mk(2).src_port);
+        assert_ne!(src_port(FlowId(1)), src_port(FlowId(2)));
     }
 }

@@ -1,6 +1,6 @@
 //! The packet-level network data plane: what NS3 provided for the paper.
 //!
-//! A [`Simulation`] wires together:
+//! An [`Engine`] wires together:
 //!
 //! * the FatTree topology and ECMP routing (`sv2p-topology`);
 //! * store-and-forward links with per-egress-port drop-tail queues
@@ -16,6 +16,28 @@
 //!
 //! The simulator is strategy-agnostic: nothing in this crate knows how
 //! SwitchV2P caches — it only honors the [`sv2p_vnet::AgentOutput`] verdicts.
+//!
+//! # One engine
+//!
+//! [`Engine`] is the only engine. It holds
+//!
+//! * the immutable **world** (`world::World`: topology, routing, gateway
+//!   directory, switch tags, caching flags, strategy name and misdelivery
+//!   policy, partition), built once and shared behind an `Arc`;
+//! * one copy of the **control state** (`world::Control`: mapping database,
+//!   placement, follow-me rules, roles, fault flags, flow specs and the
+//!   migration/fault/churn tables), which only global events and
+//!   between-run interventions write;
+//! * a `Vec` of shard-owned **state** (`sim::Shard`: links, agents, RNG
+//!   streams, arena, transport machines, gateway queues, order-free
+//!   counters), one per shard of the pod partition.
+//!
+//! Handlers (`sim`) take the world and the control state by reference and
+//! send every order-sensitive side effect through one **effects sink**
+//! (`effects::Effects`). With one shard the sink applies effects directly
+//! on the caller's thread; with several (`sharded`) it journals them on
+//! scoped worker threads and the driver replays the journals in global
+//! `(time, seq)` order. `shards` is the only selector.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,13 +45,14 @@
 pub mod arena;
 pub mod churn;
 pub mod config;
+mod effects;
 pub mod engine;
 pub mod faults;
 pub mod flows;
 pub mod link;
-pub mod sharded;
-pub mod sim;
-mod wire;
+mod sharded;
+mod sim;
+mod world;
 
 pub use arena::{PacketArena, PacketRef};
 pub use churn::{ChurnMark, ChurnPlan, ChurnSpec};
@@ -37,5 +60,3 @@ pub use config::SimConfig;
 pub use engine::Engine;
 pub use faults::{FaultEvent, FaultPlan};
 pub use flows::{FlowKind, FlowSpec};
-pub use sharded::ShardedSimulation;
-pub use sim::Simulation;

@@ -35,9 +35,6 @@ pub struct LinkState {
     busy: bool,
     /// Drops due to a full buffer.
     pub drops: u64,
-    /// Injected loss probability per enqueued packet (sum of the active
-    /// `LossRate` faults covering this link; 0 when healthy).
-    pub loss_rate: f64,
     /// Drops due to injected stochastic loss.
     pub losses: u64,
 }
@@ -70,7 +67,6 @@ impl LinkState {
             queued_bytes: 0,
             busy: false,
             drops: 0,
-            loss_rate: 0.0,
             losses: 0,
         }
     }
@@ -81,17 +77,19 @@ impl LinkState {
     }
 
     /// Offers a packet to the egress port, first exposing it to the link's
-    /// injected loss. `draw` is a uniform sample in `[0, 1)` from the
-    /// simulation's dedicated fault RNG stream; a draw below the active
-    /// loss rate discards the packet before it reaches the queue (the
+    /// injected loss (`loss_rate`, the sum of the active `LossRate` faults
+    /// covering this link). `draw` is a uniform sample in `[0, 1)` from
+    /// the link's dedicated fault RNG stream; a draw below the loss rate
+    /// discards the packet before it reaches the queue (the
     /// corruption/loss point of a real wire).
     pub fn enqueue_with_loss(
         &mut self,
         pkt: PacketRef,
         wire_bytes: u32,
+        loss_rate: f64,
         draw: f64,
     ) -> EnqueueOutcome {
-        if self.loss_rate > 0.0 && draw < self.loss_rate {
+        if draw < loss_rate {
             self.losses += 1;
             return EnqueueOutcome::Lost;
         }
@@ -221,18 +219,17 @@ mod tests {
         let mut l = link();
         // Healthy link: the draw is irrelevant.
         assert!(matches!(
-            l.enqueue_with_loss(PacketRef(0), MSS_WIRE, 0.0),
+            l.enqueue_with_loss(PacketRef(0), MSS_WIRE, 0.0, 0.0),
             EnqueueOutcome::StartTx(_)
         ));
         l.tx_done();
-        l.loss_rate = 0.01;
         assert_eq!(
-            l.enqueue_with_loss(PacketRef(1), MSS_WIRE, 0.005),
+            l.enqueue_with_loss(PacketRef(1), MSS_WIRE, 0.01, 0.005),
             EnqueueOutcome::Lost
         );
         assert_eq!(l.losses, 1);
         assert!(matches!(
-            l.enqueue_with_loss(PacketRef(2), MSS_WIRE, 0.5),
+            l.enqueue_with_loss(PacketRef(2), MSS_WIRE, 0.01, 0.5),
             EnqueueOutcome::StartTx(_)
         ));
         // Loss drops never consume buffer space.

@@ -1,0 +1,75 @@
+//! What every shard sees but none of them owns: the immutable [`World`]
+//! and the [`Control`] state that only global events and between-run
+//! interventions write.
+
+use sv2p_packet::{Pip, SwitchTag, Vip};
+use sv2p_simcore::FxHashMap;
+use sv2p_topology::{NodeId, PodPartition, RoleMap, Routing, Topology};
+use sv2p_vnet::{GatewayDirectory, Migration, MisdeliveryPolicy, Placement};
+use v2p_controlplane::LocalControlPlane;
+
+use crate::churn::ChurnMark;
+use crate::config::SimConfig;
+use crate::faults::FaultEvent;
+use crate::flows::FlowSpec;
+
+/// Everything fixed at construction, built once per engine and shared by
+/// the driver and every shard behind an `Arc`.
+pub(crate) struct World {
+    pub cfg: SimConfig,
+    pub topo: Topology,
+    pub routing: Routing,
+    pub dir: GatewayDirectory,
+    /// Dense switch tags; `tags[node] == None` for hosts.
+    pub tags: Vec<Option<SwitchTag>>,
+    pub tag_pips: Vec<Pip>,
+    /// Per-node flag: a switch that actually holds cache lines (gates
+    /// `CacheLookup` trace events, so non-caching switches stay silent).
+    pub caching: Vec<bool>,
+    pub misdelivery_policy: MisdeliveryPolicy,
+    pub strategy_name: String,
+    /// Which shard owns each node: one shard when the topology has a
+    /// single pod group or a zero-delay cut (no lookahead to window by).
+    pub partition: PodPartition,
+}
+
+impl World {
+    /// The switch tag of `node` (panics for hosts).
+    pub fn tag(&self, node: NodeId) -> SwitchTag {
+        self.tags[node.0 as usize].expect("switch tag")
+    }
+
+    /// The shard owning `node`.
+    pub fn shard_of(&self, node: NodeId) -> usize {
+        self.partition.shard_of(node) as usize
+    }
+}
+
+/// The one copy of the state that handlers read and never write. Workers
+/// read it inside a window; the driver writes it between windows (global
+/// events) and between runs (interventions) — never both at once.
+pub(crate) struct Control {
+    /// The embedded control plane owning the ground-truth V2P database
+    /// (the simulator is one in-process client of `v2p-controlplane`).
+    pub plane: LocalControlPlane,
+    /// VM placement (kept in sync with the database across migrations).
+    pub placement: Placement,
+    /// Follow-me rules at old hosts: (old node, vip) -> new pip.
+    pub follow_me: FxHashMap<(NodeId, Vip), Pip>,
+    pub roles: RoleMap,
+    /// Per-node blackout flag (rebooting switches, out gateways).
+    pub blackout: Vec<bool>,
+    /// Per-link up flag; downed links are masked out of ECMP.
+    pub link_up: Vec<bool>,
+    /// Per-link injected loss probability (sum of the active `LossRate`
+    /// faults covering the link; 0 when healthy).
+    pub loss_rate: Vec<f64>,
+    /// The workload, indexed by flow id.
+    pub flows: Vec<FlowSpec>,
+    /// Indexed by `Event::Migrate`.
+    pub migrations: Vec<Migration>,
+    /// Indexed by `Event::FaultStart`/`FaultEnd`.
+    pub fault_plan: Vec<FaultEvent>,
+    /// Indexed by `Event::ChurnMark`.
+    pub churn_marks: Vec<ChurnMark>,
+}

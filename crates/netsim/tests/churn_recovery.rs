@@ -2,7 +2,7 @@
 //! entries behind, and SwitchV2P's misdelivery-driven invalidation must
 //! correct every one of them while traffic keeps flowing.
 
-use sv2p_netsim::{ChurnPlan, ChurnSpec, FlowKind, FlowSpec, SimConfig, Simulation};
+use sv2p_netsim::{ChurnPlan, ChurnSpec, FlowKind, FlowSpec, SimConfig, Engine};
 use sv2p_simcore::SimTime;
 use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::FatTreeConfig;
@@ -30,7 +30,7 @@ fn convergent_flows(vms: usize, dsts: &[usize], n: usize, base_us: u64, bytes: u
 fn no_stale_entry_survives_a_migration_wave() {
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
     let ft = FatTreeConfig::scaled_ft8(2);
-    let mut sim = Simulation::new(SimConfig::default(), &ft, &strategy, 4096, 4);
+    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 4096, 4, 1);
 
     let n_servers = sim.topology().servers().count();
     let servers: Vec<_> = sim.topology().servers().map(|n| (n.id, n.pip)).collect();
@@ -39,17 +39,17 @@ fn no_stale_entry_survives_a_migration_wave() {
     // unresolved, hit the now-stale switch entries, and trigger the
     // misdelivery → invalidation machinery. The wide post-wave fan-in keeps
     // correcting until every switch the earlier traffic touched is clean.
-    sim.add_flows(convergent_flows(sim.placement.len(), &dsts, 24, 0, 120_000));
-    sim.add_flows(convergent_flows(sim.placement.len(), &dsts, 96, 600, 60_000));
+    sim.add_flows(convergent_flows(sim.placement().len(), &dsts, 24, 0, 120_000));
+    sim.add_flows(convergent_flows(sim.placement().len(), &dsts, 96, 600, 60_000));
 
     // The wave: every hot destination moves to the far end of the fabric at
     // 400 µs, while its flows are mid-transfer.
     for (i, &vm) in dsts.iter().enumerate() {
         let target = servers[(n_servers - 1 - i) % n_servers];
-        assert_ne!(target.0, sim.placement.node_of(vm), "wave must move the VM");
+        assert_ne!(target.0, sim.placement().node_of(vm), "wave must move the VM");
         sim.add_migration(sv2p_vnet::Migration::new(
             SimTime::from_micros(400 + 5 * i as u64),
-            sim.placement.vip_of(vm),
+            sim.placement().vip_of(vm),
             target.0,
             target.1,
         ));
@@ -83,10 +83,10 @@ fn churn_marks_hit_metrics_and_telemetry() {
         telemetry: TelemetryConfig::enabled(),
         ..SimConfig::default()
     };
-    let mut sim = Simulation::new(cfg, &ft, &strategy, 1024, 4);
+    let mut sim = Engine::new(cfg, &ft, &strategy, 1024, 4, 1);
     let servers: Vec<_> = sim.topology().servers().map(|n| (n.id, n.pip)).collect();
     let spec = ChurnSpec::medium(3, 2_000);
-    let plan = ChurnPlan::generate(&spec, &sim.placement, &servers);
+    let plan = ChurnPlan::generate(&spec, sim.placement(), &servers);
     let arrivals = plan
         .marks
         .iter()

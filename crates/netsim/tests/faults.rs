@@ -4,20 +4,20 @@
 use proptest::prelude::*;
 use sv2p_baselines::NoCache;
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
-use sv2p_netsim::{FlowKind, FlowSpec, SimConfig, Simulation};
+use sv2p_netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use sv2p_simcore::{SimDuration, SimTime};
 use sv2p_topology::{FatTreeConfig, LinkId, NodeId, SwitchRole};
 use sv2p_vnet::Strategy;
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
-fn sim_with(strategy: &dyn Strategy, cache_entries: usize) -> Simulation {
+fn sim_with(strategy: &dyn Strategy, cache_entries: usize) -> Engine {
     let ft = FatTreeConfig::scaled_ft8(2);
-    Simulation::new(SimConfig::default(), &ft, strategy, cache_entries, 4)
+    Engine::new(SimConfig::default(), &ft, strategy, cache_entries, 4, 1)
 }
 
 /// `n` TCP flows spread over distinct VM pairs and start times.
-fn tcp_flows(sim: &Simulation, n: usize, bytes: u64) -> Vec<FlowSpec> {
-    let vms = sim.placement.len();
+fn tcp_flows(sim: &Engine, n: usize, bytes: u64) -> Vec<FlowSpec> {
+    let vms = sim.placement().len();
     (0..n)
         .map(|i| FlowSpec {
             src_vm: (i * 7) % vms,
@@ -144,7 +144,7 @@ fn downed_uplink_rehashes_onto_surviving_port() {
 #[test]
 fn host_uplink_down_drops_unroutable_then_recovers() {
     let mut sim = sim_with(&NoCache, 0);
-    let src = sim.placement.node_of(0);
+    let src = sim.placement().node_of(0);
     let uplink = sim.topology().out_links[src.0 as usize][0];
     let plan = FaultPlan::from_events([FaultEvent::LinkDown {
         link: uplink,
@@ -155,7 +155,7 @@ fn host_uplink_down_drops_unroutable_then_recovers() {
     sim.apply_fault_plan(plan);
     sim.add_flows([FlowSpec {
         src_vm: 0,
-        dst_vm: sim.placement.len() - 1,
+        dst_vm: sim.placement().len() - 1,
         start: SimTime::ZERO,
         kind: FlowKind::Tcp { bytes: 20_000 },
     }]);

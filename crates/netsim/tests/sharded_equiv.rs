@@ -1,15 +1,17 @@
-//! The sharded engine's determinism contract: every observable — summary,
-//! telemetry samples, trace stream, per-switch counters — is byte-identical
-//! to the single-threaded oracle, for any shard count.
+//! The engine's determinism contract across shard counts: every observable
+//! — summary, telemetry samples, trace stream, per-switch counters — at
+//! shards 2/4/8 is byte-identical to shards 1 of the same engine. (What
+//! shards 1 itself computes is pinned across commits by
+//! `crates/bench/tests/golden.rs`.)
 
 use proptest::prelude::*;
 use sv2p_baselines::NoCache;
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
-use sv2p_netsim::{ChurnPlan, ChurnSpec, FlowKind, FlowSpec, ShardedSimulation, SimConfig, Simulation};
+use sv2p_netsim::{ChurnPlan, ChurnSpec, Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::{SimDuration, SimTime};
-use sv2p_transport::UdpSchedule;
 use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::{FatTreeConfig, LinkId, NodeId};
+use sv2p_transport::UdpSchedule;
 use sv2p_vnet::{Migration, Strategy};
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
@@ -43,8 +45,8 @@ fn tcp_udp_mix(vms: usize, n: usize) -> Vec<FlowSpec> {
         .collect()
 }
 
-/// Runs the oracle and the sharded engine on the same workload and asserts
-/// every observable matches.
+/// Runs the same workload on one shard (the oracle) and on `shards`, and
+/// asserts every observable matches.
 fn assert_equivalent(
     cfg: SimConfig,
     strategy: &dyn Strategy,
@@ -67,8 +69,8 @@ fn assert_equivalent_full(
 ) {
     let ft = FatTreeConfig::scaled_ft8(2);
 
-    let mut oracle = Simulation::new(cfg, &ft, strategy, cache_entries, 4);
-    let flows = tcp_udp_mix(oracle.placement.len(), 30);
+    let mut oracle = Engine::new(cfg, &ft, strategy, cache_entries, 4, 1);
+    let flows = tcp_udp_mix(oracle.placement().len(), 30);
     if let Some(p) = plan.clone() {
         oracle.apply_fault_plan(p);
     }
@@ -81,12 +83,11 @@ fn assert_equivalent_full(
     }
     oracle.run();
 
-    let mut sharded = ShardedSimulation::new(cfg, &ft, strategy, cache_entries, 4, shards);
+    let mut sharded = Engine::new(cfg, &ft, strategy, cache_entries, 4, shards);
     assert!(
-        !sharded.is_fallback(),
+        sharded.shards() >= 2,
         "this topology must support real sharding"
     );
-    assert!(sharded.partition().shards() >= 2);
     if let Some(p) = plan {
         sharded.apply_fault_plan(p);
     }
@@ -111,12 +112,13 @@ fn assert_equivalent_full(
         "trace streams must match byte-for-byte"
     );
     assert_eq!(oracle.events_executed(), sharded.events_executed());
-    assert_eq!(oracle.traffic_matrix(), &sharded.traffic_matrix());
+    assert_eq!(oracle.traffic_matrix(), sharded.traffic_matrix());
     let sum_o = format!("{:?}", oracle.summary());
     let sum_s = format!("{:?}", sharded.summary());
     assert_eq!(sum_o, sum_s, "summaries must match byte-for-byte");
     assert_eq!(oracle.per_switch_bytes(), sharded.per_switch_bytes());
     assert_eq!(oracle.cache_occupancy(), sharded.cache_occupancy());
+    assert!(sharded.window_count() > 0 && oracle.window_count() == 0);
 }
 
 #[test]
@@ -136,7 +138,7 @@ fn nocache_matches_oracle_without_telemetry() {
 fn faulted_run_matches_oracle() {
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
     let ft = FatTreeConfig::scaled_ft8(2);
-    let probe = Simulation::new(SimConfig::default(), &ft, &NoCache, 0, 4);
+    let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
     let tor = probe
         .topology()
         .switches()
@@ -169,29 +171,29 @@ fn faulted_run_matches_oracle() {
 /// Builds a migration for placement VM `vm` to server `srv` (shifted to the
 /// next server when `srv` already hosts the VM, so every migration actually
 /// moves) at `at_us`, against a probe simulation's topology.
-fn migration_for(probe: &Simulation, vm: usize, srv: usize, at_us: u64) -> Migration {
+fn migration_for(probe: &Engine, vm: usize, srv: usize, at_us: u64) -> Migration {
     let servers: Vec<_> = probe.topology().servers().map(|n| (n.id, n.pip)).collect();
-    let vm = vm % probe.placement.len();
+    let vm = vm % probe.placement().len();
     let mut pick = servers[srv % servers.len()];
-    if pick.0 == probe.placement.node_of(vm) {
+    if pick.0 == probe.placement().node_of(vm) {
         pick = servers[(srv + 1) % servers.len()];
     }
     Migration::new(
         SimTime::from_micros(at_us),
-        probe.placement.vip_of(vm),
+        probe.placement().vip_of(vm),
         pick.0,
         pick.1,
     )
 }
 
-/// Migrations are global events on the sharded engine: mapping state updates
-/// fleet-wide and live flow transport state moves between owner shards. The
+/// Migrations are global events: the driver rewrites the mapping state once
+/// and live flow transport state moves between owner shards. The
 /// result must still be byte-identical to the oracle.
 #[test]
 fn migrated_run_matches_oracle() {
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
     let ft = FatTreeConfig::scaled_ft8(2);
-    let probe = Simulation::new(SimConfig::default(), &ft, &NoCache, 0, 4);
+    let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
     let n_servers = probe.topology().servers().count();
     // Cross-pod moves (far server indices) so flow state crosses shards.
     let migrations = vec![
@@ -221,29 +223,34 @@ fn churned_run_matches_oracle() {
     let ft = FatTreeConfig::scaled_ft8(2);
     let mut cfg = cfg_with_telemetry();
     cfg.gateway.queue_cap = 16;
-    let probe = Simulation::new(cfg, &ft, &strategy, 1024, 4);
+    let probe = Engine::new(cfg, &ft, &strategy, 1024, 4, 1);
     let servers: Vec<_> = probe.topology().servers().map(|n| (n.id, n.pip)).collect();
     let spec = ChurnSpec::medium(7, 2_000);
-    let plan = ChurnPlan::generate(&spec, &probe.placement, &servers);
-    assert!(!plan.migrations.is_empty(), "medium churn must produce waves");
+    let plan = ChurnPlan::generate(&spec, probe.placement(), &servers);
+    assert!(
+        !plan.migrations.is_empty(),
+        "medium churn must produce waves"
+    );
     assert_equivalent_full(cfg, &strategy, 1024, 4, None, Vec::new(), Some(&plan));
 }
 
+/// `shards` is the only selector, and 0 means what 1 means: one shard on
+/// the caller's thread, no windows, no cut.
 #[test]
-fn one_shard_request_falls_back_to_oracle() {
+fn zero_or_one_shard_runs_on_the_callers_thread() {
     let ft = FatTreeConfig::scaled_ft8(2);
-    let mut sharded = ShardedSimulation::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
-    assert!(sharded.is_fallback());
-    let flows = tcp_udp_mix(sharded.placement().len(), 10);
-    sharded.add_flows(flows.clone());
-    sharded.run();
-
-    let mut oracle = Simulation::new(SimConfig::default(), &ft, &NoCache, 0, 4);
-    oracle.add_flows(flows);
-    oracle.run();
+    let mut zero = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 0);
+    let mut one = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
+    let flows = tcp_udp_mix(one.placement().len(), 10);
+    for sim in [&mut zero, &mut one] {
+        assert_eq!(sim.shards(), 1);
+        sim.add_flows(flows.clone());
+        sim.run();
+        assert_eq!((sim.window_count(), sim.cut_events()), (0, 0));
+    }
     assert_eq!(
-        format!("{:?}", oracle.summary()),
-        format!("{:?}", sharded.summary())
+        format!("{:?}", zero.summary()),
+        format!("{:?}", one.summary())
     );
 }
 
@@ -255,14 +262,14 @@ fn midrun_interventions_match_oracle() {
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
     let ft = FatTreeConfig::scaled_ft8(2);
 
-    let mut oracle = Simulation::new(cfg_with_telemetry(), &ft, &strategy, 4096, 4);
-    let flows = tcp_udp_mix(oracle.placement.len(), 24);
+    let mut oracle = Engine::new(cfg_with_telemetry(), &ft, &strategy, 4096, 4, 1);
+    let flows = tcp_udp_mix(oracle.placement().len(), 24);
     oracle.add_flows(flows.clone());
     oracle.run_until(SimTime::from_micros(150));
     oracle.fail_all_switches();
     oracle.run();
 
-    let mut sharded = ShardedSimulation::new(cfg_with_telemetry(), &ft, &strategy, 4096, 4, 4);
+    let mut sharded = Engine::new(cfg_with_telemetry(), &ft, &strategy, 4096, 4, 4);
     sharded.add_flows(flows);
     sharded.run_until(SimTime::from_micros(150));
     sharded.fail_all_switches();
@@ -290,7 +297,7 @@ proptest! {
         shards in 2u16..6,
     ) {
         let ft = FatTreeConfig::scaled_ft8(2);
-        let probe = Simulation::new(SimConfig::default(), &ft, &NoCache, 0, 4);
+        let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
         let switches: Vec<NodeId> = probe.topology().switches().map(|n| n.id).collect();
         let gateways: Vec<NodeId> = probe.topology().gateways().map(|n| n.id).collect();
         let n_links = probe.topology().links.len();
@@ -333,7 +340,7 @@ proptest! {
         shards in 2u16..6,
     ) {
         let ft = FatTreeConfig::scaled_ft8(2);
-        let probe = Simulation::new(SimConfig::default(), &ft, &NoCache, 0, 4);
+        let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
         let n_servers = probe.topology().servers().count();
         let migrations: Vec<Migration> = moves
             .iter()
@@ -362,13 +369,12 @@ fn switch_observables_follow_ascending_node_id_order() {
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
 
-    let mut oracle = Simulation::new(cfg_with_telemetry(), &ft, &strategy, 1024, 4);
-    let flows = tcp_udp_mix(oracle.placement.len(), 12);
+    let mut oracle = Engine::new(cfg_with_telemetry(), &ft, &strategy, 1024, 4, 1);
+    let flows = tcp_udp_mix(oracle.placement().len(), 12);
     oracle.add_flows(flows.clone());
     oracle.run();
 
-    let mut sharded =
-        ShardedSimulation::new(cfg_with_telemetry(), &ft, &strategy, 1024, 4, 4);
+    let mut sharded = Engine::new(cfg_with_telemetry(), &ft, &strategy, 1024, 4, 4);
     sharded.add_flows(flows);
     sharded.run();
 

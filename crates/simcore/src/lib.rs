@@ -9,16 +9,14 @@
 //! * [`FxHashMap`] / [`FxHashSet`] — seedless deterministic fast hashing
 //!   for hot per-packet maps (std's SipHash + random seed is the wrong
 //!   trade inside a simulator).
-//! * [`TimerWheel`] — cancellable timers layered on top of the calendar
-//!   (used by TCP retransmission and the control plane).
 //! * [`SimRng`] — a seedable, splittable pseudo-random stream so that every
 //!   component draws from an independent, reproducible sequence.
 //!
 //! The core calendar is synchronous; parallelism enters one level up.
 //! [`shard`] provides the per-shard state and deterministic journal-merge
-//! machinery for the windowed multi-core engine (`sv2p-netsim`'s
-//! `ShardedSimulation`), which partitions a run by topology pod yet
-//! reproduces the single-threaded `(time, seq)` execution order exactly.
+//! machinery for running several shards of `sv2p-netsim`'s `Engine` side by
+//! side: the run is partitioned by topology pod yet reproduces the
+//! one-shard `(time, seq)` execution order exactly.
 //! Parameter sweeps additionally parallelize across runs — see the
 //! `sv2p-bench` crate.
 //!
@@ -42,11 +40,9 @@ pub mod rng;
 pub mod shard;
 pub mod stats;
 pub mod time;
-pub mod timer;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::SimRng;
 pub use shard::{merge_journals, JournalBlock, SeqRef, ShardState};
 pub use time::{SimDuration, SimTime};
-pub use timer::{TimerHandle, TimerWheel};

@@ -1,8 +1,8 @@
-//! Property tests: the event calendar's ordering contract and the timer
-//! wheel's exactly-once firing, under arbitrary interleavings.
+//! Property tests: the event calendar's ordering contract under arbitrary
+//! interleavings.
 
 use proptest::prelude::*;
-use sv2p_simcore::{EventQueue, SimTime, TimerWheel};
+use sv2p_simcore::{EventQueue, SimTime};
 
 proptest! {
     #[test]
@@ -44,40 +44,6 @@ proptest! {
                 q.schedule_in(sv2p_simcore::SimDuration::from_nanos(delay), ());
             }
             prop_assert_eq!(q.now(), clock);
-        }
-    }
-
-    #[test]
-    fn timers_fire_exactly_once_per_live_arming(
-        ops in proptest::collection::vec((0u8..3, 0usize..4), 1..200),
-    ) {
-        // ops: (action, timer index) where action 0=arm, 1=cancel, 2=fire
-        // the latest token of that timer.
-        let mut wheel = TimerWheel::new();
-        let handles: Vec<_> = (0..4).map(|_| wheel.register()).collect();
-        let mut latest = [None; 4];
-        let mut armed = [false; 4];
-        for (i, (action, t)) in ops.into_iter().enumerate() {
-            match action {
-                0 => {
-                    let tok = wheel.arm(handles[t], SimTime::from_nanos(i as u64));
-                    latest[t] = Some(tok);
-                    armed[t] = true;
-                }
-                1 => {
-                    wheel.cancel(handles[t]);
-                    armed[t] = false;
-                }
-                _ => {
-                    if let Some(tok) = latest[t].take() {
-                        let fired = wheel.should_fire(tok);
-                        prop_assert_eq!(fired, armed[t], "timer {} state", t);
-                        armed[t] = false;
-                        // Firing again with the same token must be a no-op.
-                        prop_assert!(!wheel.should_fire(tok));
-                    }
-                }
-            }
         }
     }
 }

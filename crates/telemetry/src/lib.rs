@@ -20,7 +20,7 @@
 //!   exclusively, which is what makes same-seed runs byte-identical.
 //!
 //! * **Profiles** — engine self-profiling reports ([`profile`]): wall-clock
-//!   phase accounting and log-linear histograms for both engines, emitted
+//!   phase accounting and log-linear histograms at every shard count, emitted
 //!   as `*.profile.json` by `--profile DIR`. Like manifests, wall-clock
 //!   lives only here; the deterministic counter sections are pinned by the
 //!   same byte-identity discipline as traces.

@@ -36,7 +36,7 @@ pub struct RunManifest {
     pub flows_completed: u64,
     /// End-of-run hit rate.
     pub hit_rate: f64,
-    /// Host wall-clock spent inside `Simulation::run`, seconds.
+    /// Host wall-clock spent inside `Engine::run`, seconds.
     pub wall_clock_s: f64,
     /// Calendar events executed.
     pub events_processed: u64,
@@ -52,8 +52,8 @@ pub struct RunManifest {
     /// Logical cores on the host that ran the experiment (context for
     /// sharded events/sec; 0 when unknown).
     pub host_cores: u64,
-    /// Shards the engine actually executed in parallel (1 for the
-    /// single-threaded engine, including sharded-engine fallback).
+    /// Shards the engine actually executed in parallel (1: the caller's
+    /// thread, also when the topology could not be partitioned).
     pub shards: u64,
     /// Process peak resident set size at manifest time (`VmHWM` from
     /// `/proc/self/status` on Linux; 0 where unknown). Monotonic per

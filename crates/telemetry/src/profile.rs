@@ -5,7 +5,8 @@
 //! exchange, worker barriers, journal merge, and global-event execution —
 //! are invisible to virtual-time telemetry; this module attributes the
 //! wall-clock so coordination cost is a tracked regression surface. The
-//! emission points live in `sv2p-netsim` (both engines) and the
+//! emission points live in `sv2p-netsim` (the run loop and the driver of
+//! several shards) and the
 //! `--profile DIR` plumbing in `sv2p-bench`.
 //!
 //! # Determinism segregation rule
@@ -164,12 +165,13 @@ impl Histogram {
 
 /// One engine phase: where a profiled run's wall-clock went.
 ///
-/// The first block is the single-threaded `Simulation` loop — `Pop` plus
-/// one class per event handler, so "telemetry cost" is visible as the
+/// The first block is the engine's run loop on one shard — `Pop` plus one
+/// class per event handler, so "telemetry cost" is visible as the
 /// `TelemetrySample` class and per-packet work is split by event kind.
-/// The second block is the sharded driver: window-boundary computation,
-/// the parallel section, and the synchronization overheads around it
-/// (cut-link exchange, barrier wait, journal merge, global events).
+/// The second block is the driver of several shards: window-boundary
+/// computation, the parallel section, and the synchronization overheads
+/// around it (cut-link exchange, barrier wait, journal merge, global
+/// events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Calendar pop (single-threaded loop).

@@ -11,7 +11,7 @@
 
 use switchv2p_repro::baselines::{GwCache, NoCache};
 use switchv2p_repro::core::SwitchV2P;
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Simulation};
+use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{alibaba, AlibabaConfig};
@@ -56,7 +56,7 @@ fn main() {
         } else {
             0
         };
-        let mut sim = Simulation::new(SimConfig::default(), &ft, strategy, budget, vms_per_server);
+        let mut sim = Engine::new(SimConfig::default(), &ft, strategy, budget, vms_per_server, 1);
         sim.add_flows(flows.clone());
         sim.run();
         let s = sim.summary();

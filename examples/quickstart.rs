@@ -7,7 +7,7 @@
 
 use switchv2p_repro::baselines::NoCache;
 use switchv2p_repro::core::SwitchV2P;
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Simulation};
+use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{hadoop, HadoopConfig};
@@ -45,7 +45,7 @@ fn main() {
         "scheme", "hit rate", "avg FCT", "first packet", "gw packets", "stretch"
     );
     for strategy in [&NoCache as &dyn Strategy, &SwitchV2P::default()] {
-        let mut sim = Simulation::new(
+        let mut sim = Engine::new(
             SimConfig::default(),
             &ft,
             strategy,
@@ -55,6 +55,7 @@ fn main() {
                 0
             },
             vms_per_server,
+            1,
         );
         sim.add_flows(flows.clone());
         sim.run();

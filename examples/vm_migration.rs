@@ -11,7 +11,7 @@
 
 use switchv2p_repro::baselines::{NoCache, OnDemand};
 use switchv2p_repro::core::{SwitchV2P, SwitchV2PConfig};
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Simulation};
+use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{incast, IncastConfig};
@@ -20,7 +20,7 @@ use switchv2p_repro::vnet::{Migration, Strategy};
 
 fn run_variant(strategy: &dyn Strategy, cache: usize) -> switchv2p_repro::metrics::RunSummary {
     let ft = FatTreeConfig::ft8_10k();
-    let mut sim = Simulation::new(SimConfig::default(), &ft, strategy, cache, 80);
+    let mut sim = Engine::new(SimConfig::default(), &ft, strategy, cache, 80, 1);
 
     // 64 senders on distinct servers (VM i*80 lives on server i), one victim.
     let dst_vm = 0usize;
@@ -56,7 +56,7 @@ fn run_variant(strategy: &dyn Strategy, cache: usize) -> switchv2p_repro::metric
     sim.add_flows(flows);
 
     // Migrate the victim to the last server at t = 500 µs.
-    let vip = sim.placement.vips[dst_vm];
+    let vip = sim.placement().vips[dst_vm];
     let target = sim.topology().servers().last().map(|n| (n.id, n.pip)).unwrap();
     sim.add_migration(Migration::new(
         SimTime::from_micros(500),

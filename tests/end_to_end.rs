@@ -5,7 +5,7 @@
 use switchv2p_repro::baselines::{Direct, GwCache, LocalLearning, NoCache, OnDemand};
 use switchv2p_repro::core::{SwitchV2P, SwitchV2PConfig};
 use switchv2p_repro::metrics::RunSummary;
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Simulation};
+use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{hadoop, HadoopConfig};
@@ -33,8 +33,8 @@ fn mini_hadoop(vms: usize, flows: usize) -> Vec<FlowSpec> {
 /// Runs `strategy` over the mini workload and returns the summary.
 fn run(strategy: &dyn Strategy, total_cache: usize) -> RunSummary {
     let ft = FatTreeConfig::scaled_ft8(2);
-    let mut sim = Simulation::new(SimConfig::default(), &ft, strategy, total_cache, 4);
-    let vms = sim.placement.len();
+    let mut sim = Engine::new(SimConfig::default(), &ft, strategy, total_cache, 4, 1);
+    let vms = sim.placement().len();
     sim.add_flows(mini_hadoop(vms, 1200));
     sim.run();
     sim.summary()

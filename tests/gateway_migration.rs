@@ -8,7 +8,7 @@
 //! simulator and check the behavioral switch-over.
 
 use switchv2p_repro::core::{SwitchV2P, SwitchV2PConfig};
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Simulation};
+use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::{FatTreeConfig, SwitchRole};
 use switchv2p_repro::traces::{hadoop, HadoopConfig};
@@ -35,8 +35,8 @@ fn workload(vms: usize, flows: usize) -> Vec<FlowSpec> {
 fn role_swap_mid_run_keeps_the_network_correct() {
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = SwitchV2P::default();
-    let mut sim = Simulation::new(SimConfig::default(), &ft, &strategy, 256, 4);
-    let vms = sim.placement.len();
+    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4, 1);
+    let vms = sim.placement().len();
     sim.add_flows(workload(vms, 500));
 
     // Identify the gateway ToR and a plain ToR.

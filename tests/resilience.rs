@@ -5,7 +5,7 @@
 
 use switchv2p_repro::baselines::NoCache;
 use switchv2p_repro::core::SwitchV2P;
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Simulation};
+use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use switchv2p_repro::simcore::{SimDuration, SimTime};
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{hadoop, HadoopConfig};
@@ -37,8 +37,8 @@ fn reboot_storm_does_not_affect_correctness() {
     let strategy = SwitchV2P::default();
 
     let run = |reboots: bool| {
-        let mut sim = Simulation::new(SimConfig::default(), &ft, &strategy, 256, 4);
-        let vms = sim.placement.len();
+        let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4, 1);
+        let vms = sim.placement().len();
         sim.add_flows(workload(vms, 600));
         if reboots {
             let mut t = SimTime::from_micros(200);
@@ -68,8 +68,8 @@ fn reboot_storm_does_not_affect_correctness() {
 fn single_switch_failure_is_invisible_to_tenants() {
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = SwitchV2P::default();
-    let mut sim = Simulation::new(SimConfig::default(), &ft, &strategy, 256, 4);
-    let vms = sim.placement.len();
+    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4, 1);
+    let vms = sim.placement().len();
     sim.add_flows(workload(vms, 300));
     sim.run_until(SimTime::from_micros(300));
     let victims: Vec<_> = sim.topology().switches().map(|n| n.id).take(4).collect();
@@ -88,9 +88,9 @@ fn migration_under_switchv2p_loses_no_packets_with_tcp() {
     // fills any gaps, and every byte lands exactly once.
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = SwitchV2P::default();
-    let mut sim = Simulation::new(SimConfig::default(), &ft, &strategy, 256, 4);
+    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4, 1);
     let dst_vm = 3usize;
-    let vip = sim.placement.vips[dst_vm];
+    let vip = sim.placement().vips[dst_vm];
     let target = sim
         .topology()
         .servers()
@@ -98,7 +98,7 @@ fn migration_under_switchv2p_loses_no_packets_with_tcp() {
         .map(|n| (n.id, n.pip))
         .unwrap();
     sim.add_flows([FlowSpec {
-        src_vm: sim.placement.len() - 1,
+        src_vm: sim.placement().len() - 1,
         dst_vm,
         start: SimTime::ZERO,
         kind: FlowKind::Tcp { bytes: 2_000_000 },
@@ -122,8 +122,8 @@ fn smaller_caches_mean_more_reordering() {
     let ft = FatTreeConfig::scaled_ft8(2);
     let run = |cache: usize| {
         let strategy = SwitchV2P::default();
-        let mut sim = Simulation::new(SimConfig::default(), &ft, &strategy, cache, 4);
-        let vms = sim.placement.len();
+        let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, cache, 4, 1);
+        let vms = sim.placement().len();
         sim.add_flows(workload(vms, 800));
         sim.run();
         let s = sim.summary();
@@ -149,8 +149,8 @@ fn nocache_and_switchv2p_deliver_identical_byte_counts() {
     // Translation schemes must be invisible at the transport layer.
     let ft = FatTreeConfig::scaled_ft8(2);
     let deliver = |strategy: &dyn Strategy, cache: usize| {
-        let mut sim = Simulation::new(SimConfig::default(), &ft, strategy, cache, 4);
-        let vms = sim.placement.len();
+        let mut sim = Engine::new(SimConfig::default(), &ft, strategy, cache, 4, 1);
+        let vms = sim.placement().len();
         sim.add_flows(workload(vms, 400));
         sim.run();
         let s = sim.summary();

@@ -4,7 +4,7 @@
 //! in-network cache hit, delivery — from the rendered trace alone.
 
 use switchv2p_repro::core::SwitchV2P;
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Simulation};
+use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::telemetry::inspect::{kind_counts, parse_events, reconstruct_path};
 use switchv2p_repro::telemetry::{EventKind, TelemetryConfig};
@@ -22,8 +22,8 @@ fn traced_run(seed: u64) -> (String, String) {
         ..SimConfig::default()
     };
     let strategy = SwitchV2P::default();
-    let mut sim = Simulation::new(cfg, &ft, &strategy, 256, 4);
-    let vms = sim.placement.len();
+    let mut sim = Engine::new(cfg, &ft, &strategy, 256, 4, 1);
+    let vms = sim.placement().len();
     let flows: Vec<FlowSpec> = hadoop(&HadoopConfig {
         vms,
         flows: 600,
