@@ -64,7 +64,7 @@ fn run_scenario(intensity: &str, strategy: StrategyKind, horizon_us: u64, queue_
         .vms_per_server(8)
         .flows(background_flows(120, horizon_us, 20_000))
         .cache_entries(match cli::args().scale {
-            Scale::Quick | Scale::Huge => 128,
+            Scale::Quick => 128,
             Scale::Full => 2_048,
         })
         .churn(churn_spec(intensity, seed, horizon_us))
@@ -107,7 +107,7 @@ fn run_scenario(intensity: &str, strategy: StrategyKind, horizon_us: u64, queue_
 fn main() {
     let a = cli::init("churn");
     let horizon_us = a.churn.horizon_us.unwrap_or(match a.scale {
-        Scale::Quick | Scale::Huge => 20_000,
+        Scale::Quick => 20_000,
         Scale::Full => 80_000,
     });
     let queue_cap = a.churn.queue_cap.unwrap_or(DEFAULT_QUEUE_CAP);

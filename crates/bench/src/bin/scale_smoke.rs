@@ -42,11 +42,12 @@ const MAX_RATIO: [(&str, f64); 3] = [
     ("set-up s", 2.0),
 ];
 
-/// Trimmed flow count (the huge perfbench cell runs the full 20 000).
+/// Trimmed flow count (`Scale::huge_hadoop` streams the full 20 000).
 const SMOKE_FLOWS: usize = 2_000;
 
-/// The argument that turns the process into the run of one shard count.
-const CHILD_ARG: &str = "--scale-smoke-shards=";
+/// The sub-command that turns the process into the run of one shard count,
+/// the one given by `--shards`.
+const CHILD: &str = "cell";
 
 /// What the run of one shard count reports, as one tab-separated line.
 struct Cell {
@@ -58,16 +59,16 @@ struct Cell {
 }
 
 /// Runs one shard count in this process and prints its [`Cell`].
-fn run_child(shards: u16) {
-    let seed = cli::init("scale_smoke").seed();
+fn run_child(seed: u64, shards: u16) {
+    let scale = Scale::Quick;
     let cfg = HadoopConfig {
         flows: SMOKE_FLOWS,
-        ..Scale::Huge.huge_hadoop()
+        ..scale.huge_hadoop()
     };
-    let spec = ExperimentSpec::builder(Scale::Huge.ft32(), StrategyKind::SwitchV2P)
+    let spec = ExperimentSpec::builder(scale.ft32(), StrategyKind::SwitchV2P)
         .vms_per_server(32)
         .flow_source(FlowSource::hadoop(&cfg))
-        .cache_entries(Scale::Huge.analysis_cache_entries(""))
+        .cache_entries(scale.analysis_cache_entries(""))
         .seed(seed)
         .shards(shards)
         .label(format!("scale-smoke-x{shards}"))
@@ -102,7 +103,7 @@ fn run_cell(shards: u16) -> Cell {
     let exe = std::env::current_exe().expect("own path");
     let out = Command::new(exe)
         .args(std::env::args().skip(1))
-        .arg(format!("{CHILD_ARG}{shards}"))
+        .args(["--shards", &shards.to_string(), CHILD])
         .output()
         .expect("re-exec");
     assert!(
@@ -123,11 +124,10 @@ fn run_cell(shards: u16) -> Cell {
 }
 
 fn main() {
-    let child = std::env::args().find_map(|a| a.strip_prefix(CHILD_ARG).map(str::to_string));
-    if let Some(shards) = child {
-        return run_child(shards.parse().expect("shard count"));
-    }
     let args = cli::init("scale_smoke");
+    if args.dataset.as_deref() == Some(CHILD) {
+        return run_child(args.seed(), args.shards());
+    }
     println!(
         "FT32-1M scale smoke: {} VMs placed, {} streamed flows, seed {}, one process per shard count",
         1_048_576,

@@ -37,9 +37,9 @@ fn describe(name: &str, flows: &[TraceFlow], dump: bool) {
 }
 
 fn main() {
-    let args = cli::init("tracegen");
+    let args = cli::init_with("tracegen", &["--dump"]);
     let scale = args.scale;
-    let dump = std::env::args().any(|a| a == "--dump");
+    let dump = args.has("--dump");
     let which = args.dataset_or("all").to_string();
 
     let run = |name: &str, dump: bool| match name {

@@ -10,8 +10,6 @@
 //! Common flags (accepted anywhere on the command line):
 //!
 //! * `--full` — paper-scale parameters (default: quick);
-//! * `--huge` — the million-VM FT32 tier (perfbench memory cell; figure
-//!   bins fall back to quick-sized traffic);
 //! * `--seed N` — RNG seed override (default: 1);
 //! * `--shards N` — run every simulation on N pod shards, one worker
 //!   thread each (default: 1, the caller's thread; results are
@@ -31,8 +29,13 @@
 //! * `--churn-queue-cap N` — gateway bounded-queue capacity (0 = legacy
 //!   unbounded gateway, no shedding).
 //!
-//! The first argument that is not one of these flags is the dataset /
-//! sub-command selector (`fig5 -- hadoop`, `fig6 -- all`, …).
+//! A bin with a switch of its own (`tracegen --dump`) names it to
+//! [`init_with`] and reads it back with [`BenchArgs::has`].
+//!
+//! The one argument that is not a flag is the dataset / sub-command
+//! selector (`fig5 -- hadoop`, `fig6 -- all`, …). Any other `--flag`, or a
+//! second selector, exits 2 with the usage line: `run_all.sh` forwards its
+//! arguments to every binary, so a mistyped flag must not run on defaults.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
@@ -76,11 +79,11 @@ pub struct OutputArgs {
 }
 
 /// Arguments shared by every bench binary, grouped by concern.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// Quick or paper-scale parameters (`--full`).
     pub scale: Scale,
-    /// First positional argument (dataset or sub-command), if any.
+    /// The positional argument (dataset or sub-command), if any.
     pub dataset: Option<String>,
     /// `--seed N` override.
     pub seed: Option<u64>,
@@ -90,96 +93,61 @@ pub struct BenchArgs {
     pub churn: ChurnArgs,
     /// Side outputs (telemetry traces, self-profiles).
     pub output: OutputArgs,
+    /// The bin's own switches (see [`init_with`]) that were given.
+    own: Vec<String>,
+}
+
+const USAGE: &str = "[DATASET] [--full] [--seed N] [--shards N] \
+    [--telemetry DIR] [--profile DIR] [--churn-horizon-us N] [--churn-waves N] \
+    [--churn-wave-fraction F] [--churn-queue-cap N]";
+
+/// The value after `flag`, parsed; `what` names it in the error.
+fn value<T: std::str::FromStr>(
+    argv: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    argv.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs {what}"))
 }
 
 impl BenchArgs {
-    /// Parses the process's command line. The one public entry point —
-    /// every bin reaches it through [`init`]/[`args`], which parse once
-    /// and cache.
-    pub fn parse() -> BenchArgs {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    fn parse_from(argv: impl Iterator<Item = String>) -> BenchArgs {
-        let mut out = BenchArgs {
-            scale: Scale::Quick,
-            dataset: None,
-            seed: None,
-            shard: ShardArgs::default(),
-            churn: ChurnArgs::default(),
-            output: OutputArgs::default(),
-        };
-        let mut it = argv.peekable();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                // --huge wins regardless of flag order, so a forwarded
-                // "--full --huge" sweep stays at the million-VM tier.
-                "--full" if out.scale != Scale::Huge => out.scale = Scale::Full,
-                "--full" => {}
-                "--huge" => out.scale = Scale::Huge,
-                "--seed" => {
-                    let v = it.next().unwrap_or_else(|| die("--seed needs a value"));
-                    out.seed =
-                        Some(v.parse().unwrap_or_else(|_| die("--seed needs an integer")));
-                }
-                "--shards" => {
-                    let v = it.next().unwrap_or_else(|| die("--shards needs a value"));
-                    out.shard.shards =
-                        Some(v.parse().unwrap_or_else(|_| die("--shards needs an integer")));
-                }
+    /// Parses a command line (without the program name); `own` lists the
+    /// switches only this bin takes. Every bin reaches it through [`init`],
+    /// which parses the process's once and caches it.
+    fn parse_from(
+        mut argv: impl Iterator<Item = String>,
+        own: &[&str],
+    ) -> Result<BenchArgs, String> {
+        let mut out = BenchArgs::default();
+        while let Some(arg) = argv.next() {
+            let flag = arg.as_str();
+            match flag {
+                "--full" => out.scale = Scale::Full,
+                "--seed" => out.seed = Some(value(&mut argv, flag, "an integer")?),
+                "--shards" => out.shard.shards = Some(value(&mut argv, flag, "an integer")?),
                 "--telemetry" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| die("--telemetry needs a directory"));
-                    out.output.telemetry = Some(PathBuf::from(v));
+                    out.output.telemetry = Some(value(&mut argv, flag, "a directory")?)
                 }
-                "--profile" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| die("--profile needs a directory"));
-                    out.output.profile = Some(PathBuf::from(v));
-                }
+                "--profile" => out.output.profile = Some(value(&mut argv, flag, "a directory")?),
                 "--churn-horizon-us" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| die("--churn-horizon-us needs a value"));
-                    out.churn.horizon_us = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| die("--churn-horizon-us needs an integer")),
-                    );
+                    out.churn.horizon_us = Some(value(&mut argv, flag, "an integer")?)
                 }
-                "--churn-waves" => {
-                    let v = it.next().unwrap_or_else(|| die("--churn-waves needs a value"));
-                    out.churn.waves = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| die("--churn-waves needs an integer")),
-                    );
-                }
+                "--churn-waves" => out.churn.waves = Some(value(&mut argv, flag, "an integer")?),
                 "--churn-wave-fraction" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| die("--churn-wave-fraction needs a value"));
-                    out.churn.wave_fraction = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| die("--churn-wave-fraction needs a number")),
-                    );
+                    out.churn.wave_fraction = Some(value(&mut argv, flag, "a number")?)
                 }
                 "--churn-queue-cap" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| die("--churn-queue-cap needs a value"));
-                    out.churn.queue_cap = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| die("--churn-queue-cap needs an integer")),
-                    );
+                    out.churn.queue_cap = Some(value(&mut argv, flag, "an integer")?)
                 }
-                other if !other.starts_with("--") && out.dataset.is_none() => {
-                    out.dataset = Some(other.to_string());
-                }
-                _ => {}
+                _ if own.contains(&flag) => out.own.push(arg),
+                _ if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+                _ if out.dataset.is_some() => return Err(format!("surplus argument {flag}")),
+                _ => out.dataset = Some(arg),
             }
         }
-        out
+        Ok(out)
     }
 
     /// The effective seed: `--seed N` if given, else 1 (the historical
@@ -193,30 +161,47 @@ impl BenchArgs {
         self.shard.shards.unwrap_or(1)
     }
 
+    /// Whether `flag`, one of the bin's own switches, was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.own.iter().any(|f| f == flag)
+    }
+
     /// The dataset selector, defaulting to `fallback`.
     pub fn dataset_or<'a>(&'a self, fallback: &'a str) -> &'a str {
         self.dataset.as_deref().unwrap_or(fallback)
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
 static ARGS: OnceLock<BenchArgs> = OnceLock::new();
 static BIN: OnceLock<String> = OnceLock::new();
 static SINK: Mutex<Vec<RunManifest>> = Mutex::new(Vec::new());
 
-/// Parses (once) and returns the process's bench arguments.
+/// The process's bench arguments: what [`init`] parsed, or the defaults in
+/// a process that is not a bench binary (a test, `benchmark/`), whose
+/// command line is its own.
 pub fn args() -> &'static BenchArgs {
-    ARGS.get_or_init(BenchArgs::parse)
+    ARGS.get_or_init(BenchArgs::default)
 }
 
 /// Registers the binary's name (used for the manifest path and trace-file
-/// labels) and returns the parsed arguments. Call first in every `main`.
+/// labels), parses the command line — exiting 2 with the usage line on an
+/// argument it does not know — and returns the result. Call first in every
+/// `main`.
 pub fn init(bin: &str) -> &'static BenchArgs {
+    init_with(bin, &[])
+}
+
+/// [`init`] for a bin that takes the switches `own` (valueless `--flags`)
+/// besides the shared ones; read them with [`BenchArgs::has`].
+pub fn init_with(bin: &str, own: &[&str]) -> &'static BenchArgs {
     let _ = BIN.set(bin.to_string());
+    let parsed = BenchArgs::parse_from(std::env::args().skip(1), own).unwrap_or_else(|e| {
+        let own: String = own.iter().map(|f| format!(" [{f}]")).collect();
+        eprintln!("{bin}: {e}\nusage: {bin} {USAGE}{own}");
+        std::process::exit(2);
+    });
+    ARGS.set(parsed)
+        .expect("cli::init runs once, before anything reads cli::args");
     args()
 }
 
@@ -240,12 +225,11 @@ pub fn telemetry_cfg() -> sv2p_telemetry::TelemetryConfig {
     }
 }
 
-/// "quick", "full" or "huge", for manifest rows.
+/// "quick" or "full", for manifest rows.
 pub fn scale_str() -> &'static str {
     match args().scale {
         Scale::Quick => "quick",
         Scale::Full => "full",
-        Scale::Huge => "huge",
     }
 }
 
@@ -267,21 +251,9 @@ pub fn host_cores() -> u64 {
         .unwrap_or(0)
 }
 
-/// Resets the kernel's peak-RSS watermark (`VmHWM`) to the current RSS by
-/// writing `5` to `/proc/self/clear_refs`, so a measurement that follows
-/// reports the peak of that span alone instead of the process-lifetime
-/// maximum. Best-effort no-op where unsupported.
-pub fn reset_peak_rss() {
-    #[cfg(target_os = "linux")]
-    {
-        let _ = std::fs::write("/proc/self/clear_refs", "5");
-    }
-}
-
 /// Process peak resident set size in bytes: `VmHWM` from
-/// `/proc/self/status` on Linux, 0 where unavailable. Monotonic since the
-/// last [`reset_peak_rss`] (or process start), so a bin's later runs report
-/// the running maximum unless they reset the watermark per span.
+/// `/proc/self/status` on Linux, 0 where unavailable. Monotonic over the
+/// process's life, so a bin's later runs report the running maximum.
 pub fn peak_rss_bytes() -> u64 {
     proc_status_bytes("VmHWM:")
 }
@@ -455,19 +427,11 @@ pub fn analytic_manifest(config: &str, wall_clock_s: f64) -> RunManifest {
         config: config.into(),
         scale: scale_str().into(),
         seed: args().seed(),
-        cache_entries: 0,
-        flows: 0,
-        flows_completed: 0,
-        hit_rate: 0.0,
         wall_clock_s,
-        events_processed: 0,
-        events_per_sec: 0.0,
-        peak_queue: 0,
-        peak_arena: 0,
-        telemetry_enabled: false,
         host_cores: host_cores(),
         shards: 1,
         peak_rss_bytes: peak_rss_bytes(),
+        ..RunManifest::default()
     }
 }
 
@@ -476,7 +440,11 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> BenchArgs {
-        BenchArgs::parse_from(args.iter().map(|s| s.to_string()))
+        BenchArgs::parse_from(args.iter().map(|s| s.to_string()), &[]).expect("valid arguments")
+    }
+
+    fn parse_err(args: &[&str]) -> String {
+        BenchArgs::parse_from(args.iter().map(|s| s.to_string()), &[]).expect_err("rejected")
     }
 
     #[test]
@@ -502,11 +470,42 @@ mod tests {
     }
 
     #[test]
-    fn huge_scale_wins_over_full_in_any_order() {
-        assert_eq!(parse(&["--huge"]).scale, Scale::Huge);
-        assert_eq!(parse(&["--huge", "--full"]).scale, Scale::Huge);
-        assert_eq!(parse(&["--full", "--huge"]).scale, Scale::Huge);
-        assert_eq!(parse(&["--full"]).scale, Scale::Full);
+    fn unknown_flags_are_rejected() {
+        assert_eq!(parse_err(&["--shard", "4"]), "unknown flag --shard");
+        assert_eq!(parse_err(&["hadoop", "--sed", "7"]), "unknown flag --sed");
+        assert_eq!(parse_err(&["--seed"]), "--seed needs an integer");
+        assert_eq!(parse_err(&["--seed", "x"]), "--seed needs an integer");
+    }
+
+    #[test]
+    fn a_second_positional_is_rejected() {
+        assert_eq!(parse_err(&["hadoop", "video"]), "surplus argument video");
+        assert_eq!(parse_err(&["--seed", "7", "a", "b"]), "surplus argument b");
+    }
+
+    #[test]
+    fn a_bin_own_switch_is_accepted_only_where_declared() {
+        let argv = || ["hadoop", "--dump", "--full"].into_iter().map(String::from);
+        let a = BenchArgs::parse_from(argv(), &["--dump"]).expect("declared switch");
+        assert!(a.has("--dump"));
+        assert_eq!(a.scale, Scale::Full);
+        assert_eq!(a.dataset.as_deref(), Some("hadoop"));
+        assert!(!parse(&["hadoop"]).has("--dump"));
+        assert_eq!(parse_err(&["hadoop", "--dump"]), "unknown flag --dump");
+    }
+
+    /// [`args`] falls back to the defaults when [`init`] has not run, so a
+    /// bin that skipped it would ignore its whole command line.
+    #[test]
+    fn every_bin_main_begins_with_init() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for entry in std::fs::read_dir(dir).expect("src/bin") {
+            let path = entry.expect("entry").path();
+            let src = std::fs::read_to_string(&path).expect("source");
+            let (_, body) = src.split_once("\nfn main() {\n").expect("a bin has a main");
+            let first = body.lines().next().unwrap_or_default();
+            assert!(first.contains("cli::init"), "{}: {first}", path.display());
+        }
     }
 
     #[test]

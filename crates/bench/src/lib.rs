@@ -10,8 +10,6 @@
 //!   parameter sets; every binary takes `--full` and per-knob overrides;
 //! * [`cli`] — shared argument parsing (`--full`, `--seed`, `--telemetry`),
 //!   the run-manifest sink, and per-run trace writing.
-//!
-//! Criterion micro-benchmarks of the primitives are under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

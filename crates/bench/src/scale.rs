@@ -12,36 +12,23 @@ use sv2p_traces::{
 };
 
 /// Experiment scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Single-core-friendly (minutes per figure).
+    #[default]
     Quick,
     /// The paper's §5 parameters (hours).
     Full,
-    /// The million-VM FT32 tier (1 048 576 VMs, streamed workload).
-    /// Figure bins treat it as quick-sized traffic; `perfbench` adds the
-    /// dedicated FT32 memory cell.
-    Huge,
 }
 
 impl Scale {
-    /// Parses `--full` / `--huge` from CLI args (`--huge` wins).
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--huge") {
-            Scale::Huge
-        } else if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
-
-    /// The FT32-1M topology of the huge tier.
+    /// The FT32-1M topology of the million-VM tier (1 048 576 VMs; the
+    /// same at both scales).
     pub fn ft32(self) -> FatTreeConfig {
         FatTreeConfig::ft32_1m()
     }
 
-    /// The huge tier's streamed Hadoop-style workload: the full
+    /// The million-VM tier's streamed Hadoop-style workload: the full
     /// million-VM pool with a 4096-VM active subset (preserving the
     /// flows-per-destination reuse ratio) and load matched to the active
     /// servers. Pair with [`Self::ft32`] at 32 VMs per server.
@@ -70,7 +57,6 @@ impl Scale {
                 ..Default::default()
             },
             Scale::Full => HadoopConfig::default(),
-            Scale::Huge => Scale::Quick.hadoop(),
         }
     }
 
@@ -83,7 +69,6 @@ impl Scale {
                 ..Default::default()
             },
             Scale::Full => WebSearchConfig::default(),
-            Scale::Huge => Scale::Quick.websearch(),
         }
     }
 
@@ -99,7 +84,6 @@ impl Scale {
                 ..Default::default()
             },
             Scale::Full => MicroburstsConfig::default(),
-            Scale::Huge => Scale::Quick.microbursts(),
         }
     }
 
@@ -111,7 +95,6 @@ impl Scale {
                 ..Default::default()
             },
             Scale::Full => VideoConfig::default(),
-            Scale::Huge => Scale::Quick.video(),
         }
     }
 
@@ -137,7 +120,6 @@ impl Scale {
                 },
                 32,
             ),
-            Scale::Huge => Scale::Quick.alibaba(),
         }
     }
 
@@ -149,12 +131,12 @@ impl Scale {
     /// The active address count the cache fraction is measured against.
     pub fn active_addresses(self, dataset: &str) -> usize {
         match (self, dataset) {
-            (Scale::Quick | Scale::Huge, "hadoop") => 512,
-            (Scale::Quick | Scale::Huge, "websearch") => 512,
-            (Scale::Quick | Scale::Huge, "microbursts") => 1_024,
+            (Scale::Quick, "hadoop") => 512,
+            (Scale::Quick, "websearch") => 512,
+            (Scale::Quick, "microbursts") => 1_024,
             (_, "alibaba") => 409_600,
             (Scale::Full, _) => 10_240,
-            (Scale::Quick | Scale::Huge, _) => 10_240,
+            (Scale::Quick, _) => 10_240,
         }
     }
 
@@ -170,7 +152,7 @@ impl Scale {
     /// quantity these analyses actually depend on.
     pub fn analysis_cache_entries(self, _dataset: &str) -> usize {
         match self {
-            Scale::Quick | Scale::Huge => 64 * 80,
+            Scale::Quick => 64 * 80,
             Scale::Full => 10_240 / 2,
         }
     }
@@ -178,7 +160,7 @@ impl Scale {
     /// The cache-size axis (fractions of the active address space).
     pub fn cache_fracs(self) -> Vec<f64> {
         match self {
-            Scale::Quick | Scale::Huge => vec![0.01, 0.1, 0.5, 1.0, 4.0, 15.0],
+            Scale::Quick => vec![0.01, 0.1, 0.5, 1.0, 4.0, 15.0],
             Scale::Full => vec![0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 4.0, 100.0, 1500.0],
         }
     }

@@ -1,41 +1,36 @@
 //! `sv2p-ctlbench` — closed-loop load generator for the V2P control plane.
 //!
 //! Drives batched lookups with a configurable invalidation fraction
-//! against either an in-process loopback server (default) or an external
-//! `sv2p-ctld` (`--addr`). Every invalidation is immediately followed, in
-//! the same batch, by a reinstall of the same VIP, so the table holds a
-//! steady `--mappings` entries for the whole run.
+//! against a freshly started `sv2p-ctld` at `--addr`. Every invalidation is
+//! immediately followed, in the same batch, by a reinstall of the same VIP,
+//! so the table holds a steady size for the whole run.
 //!
 //! ```text
 //! sv2p-ctlbench [--addr HOST:PORT] [--mappings N] [--ops N] [--batch N]
-//!               [--conns N] [--invalidate-pct P] [--stripes N] [--seed S]
-//!               [--json PATH]
+//!               [--conns N] [--invalidate-pct P] [--seed S]
 //! ```
 //!
-//! Prints a human summary and, with `--json PATH`, writes a
-//! `sv2p-ctlbench/v1` report (the `BENCH_ctl.json` schema validated by
-//! `scripts/check_perf.py --ctl`).
+//! Prints a human summary and exits 2 unless the daemon's own counters
+//! equal what was sent, no write was rejected, the table kept its size and
+//! (on one connection) every lookup hit. (Host-time numbers for the served path come from the
+//! `ctl-mixed` workload of `benchmark/run.sh`.)
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use sv2p_simcore::SimRng;
 use sv2p_telemetry::profile::Histogram;
 use v2p_controlplane::{
-    seed_pip, seed_vip, CtlClient, CtlOp, CtlReply, CtlServer, RequestBatch, ServiceStats,
-    StripedControlPlane, DEFAULT_STRIPES,
+    seed_pip, seed_vip, CtlClient, CtlOp, CtlReply, RequestBatch, ServiceStats, DEFAULT_ADDR,
 };
 
 struct Args {
-    addr: Option<String>,
+    addr: String,
     mappings: u32,
     ops: u64,
     batch: usize,
     conns: usize,
     invalidate_pct: f64,
-    stripes: usize,
     seed: u64,
-    json: Option<String>,
 }
 
 fn die(msg: &str) -> ! {
@@ -43,64 +38,42 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value after `flag`, parsed; `what` names it in the error.
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
+}
+
 fn parse_args() -> Args {
     let mut out = Args {
-        addr: None,
+        addr: DEFAULT_ADDR.to_string(),
         mappings: 1_000_000,
         ops: 2_000_000,
         batch: 256,
         conns: 1,
         invalidate_pct: 5.0,
-        stripes: DEFAULT_STRIPES,
         seed: 1,
-        json: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut take = |flag: &str| it.next().unwrap_or_else(|| die(&format!("{flag} needs a value")));
-        match arg.as_str() {
-            "--addr" => out.addr = Some(take("--addr")),
-            "--mappings" => {
-                out.mappings = take("--mappings")
-                    .parse()
-                    .unwrap_or_else(|_| die("--mappings needs an integer"))
-            }
-            "--ops" => {
-                out.ops = take("--ops")
-                    .parse()
-                    .unwrap_or_else(|_| die("--ops needs an integer"))
-            }
-            "--batch" => {
-                out.batch = take("--batch")
-                    .parse()
-                    .unwrap_or_else(|_| die("--batch needs an integer"))
-            }
-            "--conns" => {
-                out.conns = take("--conns")
-                    .parse()
-                    .unwrap_or_else(|_| die("--conns needs an integer"))
-            }
-            "--invalidate-pct" => {
-                out.invalidate_pct = take("--invalidate-pct")
-                    .parse()
-                    .unwrap_or_else(|_| die("--invalidate-pct needs a number"))
-            }
-            "--stripes" => {
-                out.stripes = take("--stripes")
-                    .parse()
-                    .unwrap_or_else(|_| die("--stripes needs an integer"))
-            }
-            "--seed" => {
-                out.seed = take("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--seed needs an integer"))
-            }
-            "--json" => out.json = Some(take("--json")),
+        let flag = arg.as_str();
+        match flag {
+            "--addr" => out.addr = value(&mut it, flag, "HOST:PORT"),
+            "--mappings" => out.mappings = value(&mut it, flag, "an integer"),
+            "--ops" => out.ops = value(&mut it, flag, "an integer"),
+            "--batch" => out.batch = value(&mut it, flag, "an integer"),
+            "--conns" => out.conns = value(&mut it, flag, "an integer"),
+            "--invalidate-pct" => out.invalidate_pct = value(&mut it, flag, "a number"),
+            "--seed" => out.seed = value(&mut it, flag, "an integer"),
             "--help" | "-h" => {
                 println!(
                     "usage: sv2p-ctlbench [--addr HOST:PORT] [--mappings N] [--ops N] \
-                     [--batch N] [--conns N] [--invalidate-pct P] [--stripes N] \
-                     [--seed S] [--json PATH]"
+                     [--batch N] [--conns N] [--invalidate-pct P] [--seed S]"
                 );
                 std::process::exit(0);
             }
@@ -127,7 +100,6 @@ struct ConnTally {
     hits: u64,
     invalidates: u64,
     installs: u64,
-    batches: u64,
     rtt_ns: Histogram,
 }
 
@@ -169,7 +141,6 @@ fn run_conn(
             .unwrap_or_else(|e| die(&format!("call: {e}")));
         tally.rtt_ns.record(start.elapsed().as_nanos() as u64);
         tally.ops += req.ops.len() as u64;
-        tally.batches += 1;
         for r in &rep.replies {
             if matches!(r, CtlReply::Found { .. }) {
                 tally.hits += 1;
@@ -193,7 +164,7 @@ fn fetch_stats(addr: std::net::SocketAddr) -> ServiceStats {
     }
 }
 
-/// Installs the seed table over the wire (external servers started empty).
+/// Installs the seed table over the wire (for a daemon started with fewer).
 fn preload_remote(addr: std::net::SocketAddr, mappings: u32, batch: usize) -> u64 {
     let mut client = CtlClient::connect(addr).unwrap_or_else(|e| die(&format!("connect: {e}")));
     let mut installed = 0u64;
@@ -212,48 +183,22 @@ fn preload_remote(addr: std::net::SocketAddr, mappings: u32, batch: usize) -> u6
     installed
 }
 
-fn json_escape_free(s: &str) -> &str {
-    // Paths with quotes/backslashes would need escaping; refuse rather
-    // than emit broken JSON.
-    if s.contains('"') || s.contains('\\') {
-        die("--json path must not contain quotes or backslashes");
-    }
-    s
-}
-
 fn main() {
     let args = parse_args();
+    let addr = args
+        .addr
+        .parse()
+        .unwrap_or_else(|_| die("--addr must be HOST:PORT"));
 
-    // Default mode: spin up the server in-process on an ephemeral loopback
-    // port and preload it directly (uncounted, like ctld's --mappings).
-    let mut _local: Option<(Arc<StripedControlPlane>, CtlServer)> = None;
-    let (addr, mode) = match &args.addr {
-        Some(a) => {
-            let addr = a
-                .parse()
-                .unwrap_or_else(|_| die("--addr must be HOST:PORT"));
-            (addr, "external")
-        }
-        None => {
-            let state = Arc::new(StripedControlPlane::new(args.stripes));
-            state.preload((0..args.mappings).map(|i| (seed_vip(i), seed_pip(i))));
-            let server = CtlServer::spawn("127.0.0.1:0", Arc::clone(&state))
-                .unwrap_or_else(|e| die(&format!("bind loopback: {e}")));
-            let addr = server.addr();
-            _local = Some((state, server));
-            (addr, "loopback")
-        }
+    // The daemon may have started with fewer mappings than the lookups
+    // draw from; top the table up over the wire before timing anything.
+    let have = fetch_stats(addr).mappings;
+    let steady = have.max(u64::from(args.mappings));
+    let preload_installs = if have < steady {
+        preload_remote(addr, args.mappings, args.batch.max(256))
+    } else {
+        0
     };
-
-    // External servers may have started empty; top the table up over the
-    // wire before timing anything.
-    let mut preload_installs = 0u64;
-    if mode == "external" {
-        let have = fetch_stats(addr).mappings;
-        if have < u64::from(args.mappings) {
-            preload_installs = preload_remote(addr, args.mappings, args.batch.max(256));
-        }
-    }
 
     let per_conn = args.ops.div_ceil(args.conns as u64);
     let master = SimRng::new(args.seed);
@@ -271,7 +216,6 @@ fn main() {
     });
     let wall_s = wall.elapsed().as_secs_f64();
 
-    let mut rtt = Histogram::new();
     let mut total = ConnTally::default();
     for t in &tallies {
         total.ops += t.ops;
@@ -279,8 +223,7 @@ fn main() {
         total.hits += t.hits;
         total.invalidates += t.invalidates;
         total.installs += t.installs;
-        total.batches += t.batches;
-        rtt.merge(&t.rtt_ns);
+        total.rtt_ns.merge(&t.rtt_ns);
     }
     let stats = fetch_stats(addr);
 
@@ -288,33 +231,46 @@ fn main() {
     // codec or accounting bug shows up as a mismatch here.
     let client_installs = total.installs + preload_installs;
     if stats.lookups != total.lookups
+        || stats.hits != total.hits
         || stats.invalidates != total.invalidates
         || stats.installs != client_installs
     {
         die(&format!(
             "server counters disagree with client tallies: \
-             server lookups={} invalidates={} installs={}, \
-             client lookups={} invalidates={} installs={}",
-            stats.lookups, stats.invalidates, stats.installs,
-            total.lookups, total.invalidates, client_installs,
+             server lookups={} hits={} invalidates={} installs={}, \
+             client lookups={} hits={} invalidates={} installs={}",
+            stats.lookups, stats.hits, stats.invalidates, stats.installs,
+            total.lookups, total.hits, total.invalidates, client_installs,
+        ));
+    }
+    if stats.rejected != 0 {
+        die(&format!("{} writes rejected", stats.rejected));
+    }
+    // Every invalidate travels with its reinstall, so the table ends the
+    // size it started (after the top-up).
+    if stats.mappings != steady {
+        die(&format!(
+            "table drifted: {} mappings, expected {steady}",
+            stats.mappings
+        ));
+    }
+    // One connection sees its own reinstall before its next lookup, so every
+    // lookup hits. Several can look a VIP up between another connection's
+    // invalidate and reinstall; there the counter cross-check above is the
+    // whole claim.
+    if args.conns == 1 && total.hits != total.lookups {
+        die(&format!(
+            "{} of {} lookups hit on a steady table",
+            total.hits, total.lookups
         ));
     }
 
     let ops_per_sec = total.ops as f64 / wall_s.max(1e-9);
     let lookups_per_sec = total.lookups as f64 / wall_s.max(1e-9);
-    let hit_rate = if total.lookups > 0 {
-        total.hits as f64 / total.lookups as f64
-    } else {
-        0.0
-    };
-    let (rtt_p50, rtt_p99) = if rtt.count() > 0 {
-        (rtt.percentile(50.0), rtt.percentile(99.0))
-    } else {
-        (0, 0)
-    };
+    let hit_rate = total.hits as f64 / total.lookups.max(1) as f64;
 
     println!(
-        "sv2p-ctlbench: {mode} server, {} mappings, {} conns x batch {}",
+        "sv2p-ctlbench: {addr}, {} mappings, {} conns x batch {}",
         args.mappings, args.conns, args.batch
     );
     println!(
@@ -323,89 +279,13 @@ fn main() {
     );
     println!(
         "  batch RTT p50 {} ns  p99 {} ns   server exec p50 {} ns  p99 {} ns",
-        rtt_p50, rtt_p99, stats.exec_p50_ns, stats.exec_p99_ns
+        total.rtt_ns.percentile(50.0),
+        total.rtt_ns.percentile(99.0),
+        stats.exec_p50_ns,
+        stats.exec_p99_ns
     );
     println!(
         "  server: epoch {}  mappings {}  rejected {}",
         stats.epoch, stats.mappings, stats.rejected
     );
-
-    if let Some(path) = &args.json {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"schema\": \"sv2p-ctlbench/v1\",\n",
-                "  \"mode\": \"{mode}\",\n",
-                "  \"mappings\": {mappings},\n",
-                "  \"conns\": {conns},\n",
-                "  \"batch\": {batch},\n",
-                "  \"invalidate_pct\": {inv_pct},\n",
-                "  \"stripes\": {stripes},\n",
-                "  \"seed\": {seed},\n",
-                "  \"wall_s\": {wall_s:.6},\n",
-                "  \"ops\": {ops},\n",
-                "  \"lookups\": {lookups},\n",
-                "  \"hits\": {hits},\n",
-                "  \"invalidates\": {invalidates},\n",
-                "  \"installs\": {installs},\n",
-                "  \"batches\": {batches},\n",
-                "  \"ops_per_sec\": {ops_per_sec:.1},\n",
-                "  \"lookups_per_sec\": {lookups_per_sec:.1},\n",
-                "  \"hit_rate\": {hit_rate:.6},\n",
-                "  \"rtt_p50_ns\": {rtt_p50},\n",
-                "  \"rtt_p99_ns\": {rtt_p99},\n",
-                "  \"server\": {{\n",
-                "    \"batches\": {s_batches},\n",
-                "    \"ops\": {s_ops},\n",
-                "    \"lookups\": {s_lookups},\n",
-                "    \"hits\": {s_hits},\n",
-                "    \"installs\": {s_installs},\n",
-                "    \"invalidates\": {s_invalidates},\n",
-                "    \"migrates\": {s_migrates},\n",
-                "    \"rejected\": {s_rejected},\n",
-                "    \"snapshots\": {s_snapshots},\n",
-                "    \"epoch\": {s_epoch},\n",
-                "    \"mappings\": {s_mappings},\n",
-                "    \"exec_p50_ns\": {s_p50},\n",
-                "    \"exec_p99_ns\": {s_p99}\n",
-                "  }}\n",
-                "}}\n"
-            ),
-            mode = mode,
-            mappings = args.mappings,
-            conns = args.conns,
-            batch = args.batch,
-            inv_pct = args.invalidate_pct,
-            stripes = args.stripes,
-            seed = args.seed,
-            wall_s = wall_s,
-            ops = total.ops,
-            lookups = total.lookups,
-            hits = total.hits,
-            invalidates = total.invalidates,
-            installs = client_installs,
-            batches = total.batches,
-            ops_per_sec = ops_per_sec,
-            lookups_per_sec = lookups_per_sec,
-            hit_rate = hit_rate,
-            rtt_p50 = rtt_p50,
-            rtt_p99 = rtt_p99,
-            s_batches = stats.batches,
-            s_ops = stats.ops,
-            s_lookups = stats.lookups,
-            s_hits = stats.hits,
-            s_installs = stats.installs,
-            s_invalidates = stats.invalidates,
-            s_migrates = stats.migrates,
-            s_rejected = stats.rejected,
-            s_snapshots = stats.snapshots,
-            s_epoch = stats.epoch,
-            s_mappings = stats.mappings,
-            s_p50 = stats.exec_p50_ns,
-            s_p99 = stats.exec_p99_ns,
-        );
-        std::fs::write(json_escape_free(path), json)
-            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        println!("  report -> {path}");
-    }
 }

@@ -11,7 +11,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use v2p_controlplane::{seed_pip, seed_vip, CtlServer, StripedControlPlane, DEFAULT_STRIPES};
+use v2p_controlplane::{
+    seed_pip, seed_vip, CtlServer, StripedControlPlane, DEFAULT_ADDR, DEFAULT_STRIPES,
+};
 
 struct Args {
     addr: String,
@@ -24,30 +26,30 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value after `flag`, parsed; `what` names it in the error.
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
+}
+
 fn parse_args() -> Args {
     let mut out = Args {
-        addr: "127.0.0.1:5770".to_string(),
+        addr: DEFAULT_ADDR.to_string(),
         mappings: 0,
         stripes: DEFAULT_STRIPES,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                out.addr = it.next().unwrap_or_else(|| die("--addr needs HOST:PORT"));
-            }
-            "--mappings" => {
-                let v = it.next().unwrap_or_else(|| die("--mappings needs a value"));
-                out.mappings = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--mappings needs an integer"));
-            }
-            "--stripes" => {
-                let v = it.next().unwrap_or_else(|| die("--stripes needs a value"));
-                out.stripes = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--stripes needs an integer"));
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--addr" => out.addr = value(&mut it, flag, "HOST:PORT"),
+            "--mappings" => out.mappings = value(&mut it, flag, "an integer"),
+            "--stripes" => out.stripes = value(&mut it, flag, "an integer"),
             "--help" | "-h" => {
                 println!("usage: sv2p-ctld [--addr HOST:PORT] [--mappings N] [--stripes N]");
                 std::process::exit(0);

@@ -18,8 +18,8 @@
 //!   client ([`CtlClient`]).
 //!
 //! Two binaries front the library: `sv2p-ctld` (the daemon) and
-//! `sv2p-ctlbench` (a closed-loop load generator that emits
-//! `BENCH_ctl.json`).
+//! `sv2p-ctlbench` (a closed-loop load generator that checks the daemon's
+//! counters against its own).
 //!
 //! The design invariant: the simulator path and the served path execute
 //! the **same** service logic over the **same** [`sv2p_vnet::MappingDb`]
@@ -41,6 +41,10 @@ pub use state::{StripedControlPlane, DEFAULT_STRIPES};
 pub use transport::{CtlClient, CtlServer};
 
 use sv2p_packet::{Pip, Vip};
+
+/// Where `sv2p-ctld` listens and `sv2p-ctlbench` connects unless told
+/// otherwise with `--addr`.
+pub const DEFAULT_ADDR: &str = "127.0.0.1:5770";
 
 /// The deterministic VIP for seeded-table slot `i` (shared by `sv2p-ctld`
 /// and `sv2p-ctlbench` so a preloaded server answers the bench's keys).

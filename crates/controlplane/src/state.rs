@@ -192,11 +192,7 @@ impl StripedControlPlane {
     pub fn stats(&self) -> ServiceStats {
         let (p50, p99) = {
             let h = self.exec_ns.lock().expect("hist poisoned");
-            if h.count() == 0 {
-                (0, 0)
-            } else {
-                (h.percentile(50.0), h.percentile(99.0))
-            }
+            (h.percentile(50.0), h.percentile(99.0))
         };
         counts_to_stats(
             &self.counts.load(),

@@ -14,7 +14,7 @@ use std::path::Path;
 use crate::json::JsonObj;
 
 /// The record of one experiment run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunManifest {
     /// Bench binary that ran it ("fig5", "table4", …).
     pub experiment: String,

@@ -373,8 +373,9 @@ impl MappingDb {
 
     /// Approximate resident bytes of the mapping state: the flat table
     /// (keys + values + both bitmaps at current capacity) plus the sparse
-    /// migration-instant side table. Feeds the perfbench `mapping_bytes`
-    /// column so table capacity vs resident memory stays a tracked surface.
+    /// migration-instant side table. Feeds the benchmark's
+    /// `vnet.v2p_state_mb` metric so table capacity vs resident memory
+    /// stays a tracked surface.
     pub fn resident_bytes(&self) -> usize {
         let cap = self.keys.len();
         let table = cap * (std::mem::size_of::<Vip>() + std::mem::size_of::<Pip>())

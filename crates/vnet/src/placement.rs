@@ -115,8 +115,8 @@ impl Placement {
         out
     }
 
-    /// Resident bytes of the three parallel columns (perfbench
-    /// `mapping_bytes` accounting).
+    /// Resident bytes of the three parallel columns (the other half of
+    /// the benchmark's `vnet.v2p_state_mb`).
     pub fn resident_bytes(&self) -> usize {
         self.vips.capacity() * std::mem::size_of::<Vip>()
             + self.pips.capacity() * std::mem::size_of::<Pip>()
