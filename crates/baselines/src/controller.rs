@@ -140,8 +140,12 @@ impl ControllerDriver {
             .map(|(i, &n)| (n, i))
             .collect();
 
+        // The greedy solver breaks ties by first appearance, so the demands
+        // go in (src, dst) order, not in the map's iteration order.
+        let mut pairs: Vec<_> = traffic.iter().map(|(&pair, &weight)| (pair, weight)).collect();
+        pairs.sort_unstable();
         let mut demands = Vec::new();
-        for (&(src, dst), &weight) in traffic {
+        for ((src, dst), weight) in pairs {
             let (src, dst) = (src as usize, dst as usize);
             if src >= placement.len() || dst >= placement.len() {
                 continue;

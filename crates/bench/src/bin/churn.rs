@@ -11,7 +11,7 @@
 //!
 //! ```sh
 //! cargo run --release -p sv2p-bench --bin churn
-//! cargo run --release -p sv2p-bench --bin churn -- --churn-queue-cap 16
+//! cargo run --release -p sv2p-bench --bin churn -- --churn-horizon-us 40000
 //! ```
 //!
 //! Stdout carries no wall-clock times, so a rerun — at any `--shards` count —
@@ -24,9 +24,8 @@ use sv2p_netsim::ChurnSpec;
 use sv2p_topology::FatTreeConfig;
 use sv2p_traces::{FlowProfile, TraceFlow};
 
-/// Default gateway bounded-queue capacity (`--churn-queue-cap` overrides;
-/// 0 restores the legacy unbounded gateway).
-const DEFAULT_QUEUE_CAP: u32 = 32;
+/// Gateway bounded-queue capacity: beyond it an overloaded gateway sheds.
+const QUEUE_CAP: u32 = 32;
 
 /// A steady background workload so caches carry state between churn events.
 fn background_flows(n: usize, horizon_us: u64, bytes: u64) -> Vec<TraceFlow> {
@@ -40,25 +39,16 @@ fn background_flows(n: usize, horizon_us: u64, bytes: u64) -> Vec<TraceFlow> {
         .collect()
 }
 
-/// The scenario's churn timeline, CLI overrides applied.
 fn churn_spec(intensity: &str, seed: u64, horizon_us: u64) -> ChurnSpec {
-    let mut spec = match intensity {
+    match intensity {
         "light" => ChurnSpec::light(seed, horizon_us),
         "medium" => ChurnSpec::medium(seed, horizon_us),
         "heavy" => ChurnSpec::heavy(seed, horizon_us),
         other => panic!("unknown intensity {other}"),
-    };
-    let a = cli::args();
-    if let Some(w) = a.churn.waves {
-        spec.waves = w;
     }
-    if let Some(f) = a.churn.wave_fraction {
-        spec.wave_fraction = f;
-    }
-    spec
 }
 
-fn run_scenario(intensity: &str, strategy: StrategyKind, horizon_us: u64, queue_cap: u32) {
+fn run_scenario(intensity: &str, strategy: StrategyKind, horizon_us: u64) {
     let seed = cli::args().seed();
     let spec = ExperimentSpec::builder(FatTreeConfig::scaled_ft8(2), strategy)
         .vms_per_server(8)
@@ -68,7 +58,7 @@ fn run_scenario(intensity: &str, strategy: StrategyKind, horizon_us: u64, queue_
             Scale::Full => 2_048,
         })
         .churn(churn_spec(intensity, seed, horizon_us))
-        .gateway_queue_cap(queue_cap)
+        .gateway_queue_cap(QUEUE_CAP)
         .end_of_time_us(horizon_us * 5)
         .seed(seed)
         .label(intensity)
@@ -106,19 +96,18 @@ fn run_scenario(intensity: &str, strategy: StrategyKind, horizon_us: u64, queue_
 
 fn main() {
     let a = cli::init("churn");
-    let horizon_us = a.churn.horizon_us.unwrap_or(match a.scale {
+    let horizon_us = a.churn_horizon_us.unwrap_or(match a.scale {
         Scale::Quick => 20_000,
         Scale::Full => 80_000,
     });
-    let queue_cap = a.churn.queue_cap.unwrap_or(DEFAULT_QUEUE_CAP);
     for intensity in ["light", "medium", "heavy"] {
         println!(
             "\nContinuous churn — {intensity} (horizon {horizon_us} us, \
-             gateway queue cap {queue_cap}, seed {})",
+             gateway queue cap {QUEUE_CAP}, seed {})",
             a.seed()
         );
         for &strategy in &StrategyKind::figure5_set() {
-            run_scenario(intensity, strategy, horizon_us, queue_cap);
+            run_scenario(intensity, strategy, horizon_us);
         }
     }
     cli::finish();

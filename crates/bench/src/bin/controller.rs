@@ -10,95 +10,10 @@
 //! cargo run --release -p sv2p-bench --bin controller [-- --full]
 //! ```
 
-use sv2p_baselines::{Controller, ControllerDriver};
 use sv2p_bench::cli;
-use sv2p_bench::harness::{run_spec, to_flow_specs, ExperimentSpec, StrategyKind};
-use sv2p_bench::Scale;
-use sv2p_netsim::{Engine, SimConfig};
-use sv2p_simcore::{SimDuration, SimTime};
-use sv2p_topology::NodeId;
+use sv2p_bench::harness::{run_controller_spec, run_spec, ExperimentSpec, StrategyKind};
+use sv2p_simcore::SimDuration;
 use sv2p_traces::websearch;
-use sv2p_vnet::GatewayDirectory;
-
-fn run_controller(
-    scale: Scale,
-    period: SimDuration,
-    cache_frac: f64,
-    label: &str,
-) -> sv2p_metrics::RunSummary {
-    let ft = scale.ft8();
-    let strategy = Controller;
-    let active = scale.active_addresses("websearch");
-    let total_entries = ((cache_frac * active as f64) as usize).max(1);
-    let n_switches = ft.characteristics().total_switches as usize;
-    let per_switch = (total_entries / n_switches).max(1);
-
-    let cfg = SimConfig {
-        record_traffic_matrix: true,
-        telemetry: cli::telemetry_cfg(),
-        ..SimConfig::default()
-    };
-    let mut sim = Engine::new(cfg, &ft, &strategy, total_entries, 80, cli::args().shards());
-    let n_vms = sim.placement().len();
-    let specs = to_flow_specs(&websearch(&scale.websearch()), n_vms);
-    let expected_flows = specs.len();
-    sim.add_flows(specs);
-
-    let driver = ControllerDriver {
-        capacity_per_switch: per_switch,
-        gateway_cost_hops: 20.0,
-    };
-    let switch_nodes: Vec<NodeId> = sim.topology().switches().map(|n| n.id).collect();
-    let dir: GatewayDirectory = sim.gateway_directory().clone();
-
-    // Epoch loop: run a period, replan from the observed matrix, install.
-    let start = std::time::Instant::now();
-    let mut t = SimTime::ZERO;
-    loop {
-        t += period;
-        sim.run_until(t);
-        if sim.metrics().flows_completed() >= expected_flows {
-            break;
-        }
-        let plan = {
-            let tm = sim.traffic_matrix();
-            driver.plan(
-                sim.topology(),
-                sim.routing(),
-                &dir,
-                sim.placement(),
-                &tm,
-                &switch_nodes,
-            )
-        };
-        sim.clear_traffic_matrix();
-        // Install the epoch's allocation (clearing the previous one).
-        for &node in &switch_nodes {
-            sim.install_cache_entries(node, true, &[]);
-        }
-        for (node, entries) in plan {
-            sim.install_cache_entries(node, false, &entries);
-        }
-        if t > SimTime::from_millis(200) {
-            break; // runaway guard
-        }
-    }
-    sim.run();
-    let wall = start.elapsed().as_secs_f64();
-    let s = sim.summary();
-    cli::record_manifest(cli::manifest_for_sim(
-        "Controller",
-        &ft,
-        label,
-        cli::args().seed(),
-        total_entries as u64,
-        &sim,
-        &s,
-        wall,
-    ));
-    cli::write_traces(&sim, &format!("controller.Controller.{label}"));
-    s
-}
 
 fn main() {
     let args = cli::init("controller");
@@ -109,7 +24,9 @@ fn main() {
         "{:<22} {:>7} {:>10} {:>12} {:>14}",
         "system", "cache", "hit rate", "avg FCT us", "first pkt us"
     );
+    let flows = websearch(&scale.websearch());
     for &frac in &fracs {
+        let cache_entries = ((frac * scale.active_addresses("websearch") as f64) as usize).max(1);
         for (label, period) in [
             ("Controller @150us", SimDuration::from_micros(150)),
             ("Controller @300us", SimDuration::from_micros(300)),
@@ -119,7 +36,13 @@ fn main() {
                 period.as_nanos() / 1_000,
                 (frac * 100.0) as u32
             );
-            let s = run_controller(scale, period, frac, &run_label);
+            let spec = ExperimentSpec::builder(scale.ft8(), StrategyKind::Controller)
+                .flows(flows.clone())
+                .cache_entries(cache_entries)
+                .seed(args.seed())
+                .label(run_label)
+                .build();
+            let s = run_controller_spec(&spec, period);
             println!(
                 "{:<22} {:>6}% {:>9.1}% {:>12.1} {:>14.1}",
                 label,
@@ -131,10 +54,8 @@ fn main() {
         }
         // Data-plane comparison point.
         let spec = ExperimentSpec::builder(scale.ft8(), StrategyKind::SwitchV2P)
-            .flows(websearch(&scale.websearch()))
-            .cache_entries(
-                ((frac * scale.active_addresses("websearch") as f64) as usize).max(1),
-            )
+            .flows(flows.clone())
+            .cache_entries(cache_entries)
             .seed(args.seed())
             .label(format!("c{}", (frac * 100.0) as u32))
             .build();

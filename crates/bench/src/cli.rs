@@ -17,17 +17,11 @@
 //! * `--telemetry DIR` — enable structured tracing and write
 //!   `<label>.events.jsonl` / `<label>.samples.jsonl` per run into DIR;
 //! * `--profile DIR` — enable engine self-profiling and write
-//!   `<label>.profile.json` per run into DIR (phase wall-clock breakdown,
+//!   `<label>.profile.jsonl` per run into DIR (phase wall-clock breakdown,
 //!   shard-imbalance accounting, occupancy histograms; inspect with
-//!   `sv2p-profile`). Simulation output stays byte-identical.
-//!
-//! The `churn` bin additionally honours:
-//!
-//! * `--churn-horizon-us N` — churn timeline length (default scale-based);
-//! * `--churn-waves N` — migration-wave count override for every intensity;
-//! * `--churn-wave-fraction F` — fraction of live VMs each wave migrates;
-//! * `--churn-queue-cap N` — gateway bounded-queue capacity (0 = legacy
-//!   unbounded gateway, no shedding).
+//!   `sv2p profile`). Simulation output stays byte-identical;
+//! * `--churn-horizon-us N` — churn timeline length, honoured by the
+//!   `churn` bin (default scale-based).
 //!
 //! A bin with a switch of its own (`tracegen --dump`) names it to
 //! [`init_with`] and reads it back with [`BenchArgs::has`].
@@ -56,19 +50,6 @@ pub struct ShardArgs {
     pub shards: Option<u16>,
 }
 
-/// Churn-experiment overrides (`--churn-*`; honoured by the `churn` bin).
-#[derive(Debug, Clone, Default)]
-pub struct ChurnArgs {
-    /// `--churn-horizon-us N`: churn timeline length override.
-    pub horizon_us: Option<u64>,
-    /// `--churn-waves N`: migration-wave count override.
-    pub waves: Option<u32>,
-    /// `--churn-wave-fraction F`: per-wave migrated fraction override.
-    pub wave_fraction: Option<f64>,
-    /// `--churn-queue-cap N`: gateway bounded-queue capacity override.
-    pub queue_cap: Option<u32>,
-}
-
 /// Side-output arguments (`--telemetry`, `--profile`).
 #[derive(Debug, Clone, Default)]
 pub struct OutputArgs {
@@ -89,8 +70,8 @@ pub struct BenchArgs {
     pub seed: Option<u64>,
     /// Engine selection.
     pub shard: ShardArgs,
-    /// Churn-experiment overrides.
-    pub churn: ChurnArgs,
+    /// `--churn-horizon-us N`: churn timeline length override.
+    pub churn_horizon_us: Option<u64>,
     /// Side outputs (telemetry traces, self-profiles).
     pub output: OutputArgs,
     /// The bin's own switches (see [`init_with`]) that were given.
@@ -98,8 +79,7 @@ pub struct BenchArgs {
 }
 
 const USAGE: &str = "[DATASET] [--full] [--seed N] [--shards N] \
-    [--telemetry DIR] [--profile DIR] [--churn-horizon-us N] [--churn-waves N] \
-    [--churn-wave-fraction F] [--churn-queue-cap N]";
+    [--telemetry DIR] [--profile DIR] [--churn-horizon-us N]";
 
 /// The value after `flag`, parsed; `what` names it in the error.
 fn value<T: std::str::FromStr>(
@@ -132,14 +112,7 @@ impl BenchArgs {
                 }
                 "--profile" => out.output.profile = Some(value(&mut argv, flag, "a directory")?),
                 "--churn-horizon-us" => {
-                    out.churn.horizon_us = Some(value(&mut argv, flag, "an integer")?)
-                }
-                "--churn-waves" => out.churn.waves = Some(value(&mut argv, flag, "an integer")?),
-                "--churn-wave-fraction" => {
-                    out.churn.wave_fraction = Some(value(&mut argv, flag, "a number")?)
-                }
-                "--churn-queue-cap" => {
-                    out.churn.queue_cap = Some(value(&mut argv, flag, "an integer")?)
+                    out.churn_horizon_us = Some(value(&mut argv, flag, "an integer")?)
                 }
                 _ if own.contains(&flag) => out.own.push(arg),
                 _ if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
@@ -215,8 +188,8 @@ pub fn profile_dir() -> Option<&'static Path> {
     args().output.profile.as_deref()
 }
 
-/// The telemetry configuration implied by the CLI (for bins that build
-/// their own [`sv2p_netsim::SimConfig`]).
+/// The telemetry configuration implied by the CLI: tracing on exactly when
+/// `--telemetry DIR` was given.
 pub fn telemetry_cfg() -> sv2p_telemetry::TelemetryConfig {
     if telemetry_dir().is_some() {
         sv2p_telemetry::TelemetryConfig::enabled()
@@ -308,6 +281,7 @@ pub fn manifest_for_sim(
         host_cores: host_cores(),
         shards: sim.shards() as u64,
         peak_rss_bytes: peak_rss_bytes(),
+        trace_events_dropped: sim.tracer().dropped(),
     }
 }
 
@@ -318,14 +292,23 @@ pub fn write_traces(sim: &Engine, label: &str) {
     if !sim.tracer().enabled() {
         return;
     }
-    match sim.tracer().write_to_dir(dir, label) {
-        Ok((ev, _)) => eprintln!(
-            "[telemetry] {} events ({} dropped), {} samples -> {}",
-            sim.tracer().total_recorded(),
-            sim.tracer().dropped(),
-            sim.tracer().samples.len(),
-            ev.display()
-        ),
+    let tracer = sim.tracer();
+    match tracer.write_to_dir(dir, label) {
+        Ok((ev, _)) => {
+            eprintln!(
+                "[telemetry] {} events, {} samples -> {}",
+                tracer.total_recorded(),
+                tracer.samples.len(),
+                ev.display()
+            );
+            if tracer.dropped() > 0 {
+                eprintln!(
+                    "WARNING: [telemetry] {} is truncated: the ring overwrote the oldest {} events",
+                    ev.display(),
+                    tracer.dropped()
+                );
+            }
+        }
         Err(e) => eprintln!("[telemetry] write failed: {e}"),
     }
 }
@@ -371,7 +354,7 @@ pub fn write_profile(sim: &Engine, label: &str, seed: u64) {
         peak_rss_bytes: peak_rss_bytes(),
     };
     let report = sim.profiler().render_report(&meta);
-    let path = dir.join(format!("{label}.profile.json"));
+    let path = dir.join(format!("{label}.profile.jsonl"));
     let res = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, report));
     match res {
         Ok(()) => eprintln!("[profile] {}", path.display()),
@@ -460,7 +443,10 @@ mod tests {
             "4",
             "--profile",
             "prof",
+            "--churn-horizon-us",
+            "30000",
         ]);
+        assert_eq!(a.churn_horizon_us, Some(30_000));
         assert_eq!(a.scale, Scale::Full);
         assert_eq!(a.dataset.as_deref(), Some("hadoop"));
         assert_eq!(a.seed(), 7);
@@ -506,24 +492,6 @@ mod tests {
             let first = body.lines().next().unwrap_or_default();
             assert!(first.contains("cli::init"), "{}: {first}", path.display());
         }
-    }
-
-    #[test]
-    fn parses_churn_knobs() {
-        let a = parse(&[
-            "--churn-horizon-us",
-            "30000",
-            "--churn-waves",
-            "5",
-            "--churn-wave-fraction",
-            "0.4",
-            "--churn-queue-cap",
-            "32",
-        ]);
-        assert_eq!(a.churn.horizon_us, Some(30_000));
-        assert_eq!(a.churn.waves, Some(5));
-        assert_eq!(a.churn.wave_fraction, Some(0.4));
-        assert_eq!(a.churn.queue_cap, Some(32));
     }
 
     #[test]

@@ -9,7 +9,9 @@ use sv2p_transport::UdpSchedule;
 use sv2p_vnet::{Migration, Strategy};
 use switchv2p::{InvalidationMode, SwitchV2P, SwitchV2PConfig};
 
-use sv2p_baselines::{Bluebird, Controller, Direct, GwCache, LocalLearning, NoCache, OnDemand};
+use sv2p_baselines::{
+    Bluebird, Controller, ControllerDriver, Direct, GwCache, LocalLearning, NoCache, OnDemand,
+};
 
 /// Which translation scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,7 +28,7 @@ pub enum StrategyKind {
     OnDemand,
     /// Preprogrammed host-driven.
     Direct,
-    /// Centralized ILP allocation (driven externally).
+    /// Centralized ILP allocation (driven by [`run_controller_spec`]).
     Controller,
     /// The paper's system.
     SwitchV2P,
@@ -241,16 +243,12 @@ impl ExperimentSpec {
     /// with `--telemetry DIR` (see [`crate::cli`]).
     pub fn build(&self) -> Engine {
         let strategy = self.strategy.build();
-        let telemetry = if crate::cli::telemetry_dir().is_some() {
-            sv2p_telemetry::TelemetryConfig::enabled()
-        } else {
-            sv2p_telemetry::TelemetryConfig::disabled()
-        };
         let mut cfg = SimConfig {
             seed: self.seed,
             end_of_time: self.end_of_time_us.map(SimTime::from_micros),
-            telemetry,
+            telemetry: crate::cli::telemetry_cfg(),
             profile: self.profile,
+            record_traffic_matrix: self.strategy == StrategyKind::Controller,
             ..SimConfig::default()
         };
         cfg.gateway.queue_cap = self.gateway_queue_cap;
@@ -448,6 +446,52 @@ fn trace_flow_to_spec(f: &TraceFlow, n_vms: usize) -> Option<FlowSpec> {
 pub fn run_spec(spec: &ExperimentSpec) -> RunSummary {
     let mut sim = spec.build();
     let start = std::time::Instant::now();
+    sim.run();
+    let wall = start.elapsed().as_secs_f64();
+    let summary = sim.summary();
+    crate::cli::record_run(spec, &sim, &summary, wall);
+    summary
+}
+
+/// Runs a [`StrategyKind::Controller`] experiment and records it like
+/// [`run_spec`]. Every `period` of virtual time the controller halts the
+/// run, plans a placement from the traffic matrix observed since the last
+/// epoch, and replaces the switches' installed entries with it.
+pub fn run_controller_spec(spec: &ExperimentSpec, period: SimDuration) -> RunSummary {
+    let mut sim = spec.build();
+    let expected_flows = to_flow_specs(&spec.flows, sim.placement().len()).len();
+    let switch_nodes: Vec<_> = sim.topology().switches().map(|n| n.id).collect();
+    let driver = ControllerDriver {
+        capacity_per_switch: (spec.cache_entries / switch_nodes.len()).max(1),
+        gateway_cost_hops: 20.0,
+    };
+    let start = std::time::Instant::now();
+    let mut t = SimTime::ZERO;
+    loop {
+        t += period;
+        sim.run_until(t);
+        if sim.metrics().flows_completed() >= expected_flows {
+            break;
+        }
+        let plan = driver.plan(
+            sim.topology(),
+            sim.routing(),
+            sim.gateway_directory(),
+            sim.placement(),
+            &sim.traffic_matrix(),
+            &switch_nodes,
+        );
+        sim.clear_traffic_matrix();
+        for &node in &switch_nodes {
+            sim.install_cache_entries(node, true, &[]);
+        }
+        for (node, entries) in plan {
+            sim.install_cache_entries(node, false, &entries);
+        }
+        if t > SimTime::from_millis(200) {
+            break; // runaway guard
+        }
+    }
     sim.run();
     let wall = start.elapsed().as_secs_f64();
     let summary = sim.summary();

@@ -40,6 +40,21 @@ fn engine(shards: u16, profile: bool) -> Engine {
     sim
 }
 
+/// The run's profile report, stamped the way `cli::write_profile` does.
+fn render_report(sim: &Engine) -> String {
+    let meta = ProfileMeta {
+        bin: "profiling-test".into(),
+        label: "ft8-hadoop".into(),
+        engine: if sim.shards() > 1 { "sharded" } else { "single" }.into(),
+        shards: sim.shards() as u64,
+        seed: 1,
+        events_executed: sim.events_executed(),
+        host_cores: 1,
+        peak_rss_bytes: 0,
+    };
+    sim.profiler().render_report(&meta)
+}
+
 /// Every byte-comparable simulation surface of a finished run, plus the
 /// rendered profile report (empty string when profiling is off).
 fn run_bundle(mut sim: Engine) -> (u64, String, String, String) {
@@ -47,17 +62,7 @@ fn run_bundle(mut sim: Engine) -> (u64, String, String, String) {
     let events_jsonl = sim.tracer().render_events_jsonl();
     let summary = format!("{:?}", sim.summary());
     let report = if sim.profiler().enabled() {
-        let meta = ProfileMeta {
-            bin: "profiling-test".into(),
-            label: "ft8-hadoop".into(),
-            engine: if sim.shards() > 1 { "sharded" } else { "single" }.into(),
-            shards: sim.shards() as u64,
-            seed: 1,
-            events_executed: sim.events_executed(),
-            host_cores: 1,
-            peak_rss_bytes: 0,
-        };
-        sim.profiler().render_report(&meta)
+        render_report(&sim)
     } else {
         String::new()
     };
@@ -128,18 +133,8 @@ fn sharded_report_parses_with_sane_phase_fractions() {
         "one shard accumulator per executing shard"
     );
 
-    let meta = ProfileMeta {
-        bin: "profiling-test".into(),
-        label: "ft8-hadoop".into(),
-        engine: "sharded".into(),
-        shards: sim.shards() as u64,
-        seed: 1,
-        events_executed: sim.events_executed(),
-        host_cores: 1,
-        peak_rss_bytes: 0,
-    };
-    let report = prof.render_report(&meta);
-    let doc = ProfileDoc::parse(&report).expect("report parses as sv2p-profile/v1");
+    let report = render_report(&sim);
+    let doc = ProfileDoc::parse(&report).expect("report parses as sv2p-profile/v2");
     assert!(!doc.phases.is_empty(), "report has no phase rows");
     assert_eq!(doc.shards.len(), sim.shards() as usize);
     assert!(!doc.summary.is_empty(), "report has no summary row");

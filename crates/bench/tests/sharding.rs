@@ -9,13 +9,13 @@
 //! construction, flow conversion, and the JSONL surfaces the bins write.
 
 use proptest::prelude::*;
-use sv2p_bench::harness::{to_flow_specs, ExperimentSpec, StrategyKind};
+use sv2p_bench::harness::{run_controller_spec, to_flow_specs, ExperimentSpec, StrategyKind};
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::{Engine, SimConfig};
 use sv2p_simcore::{SimDuration, SimTime};
 use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::{FatTreeConfig, LinkId, NodeId};
-use sv2p_traces::{hadoop, HadoopConfig};
+use sv2p_traces::{hadoop, FlowProfile, HadoopConfig, TraceFlow};
 
 /// Builds the engine the way `ExperimentSpec::build` does — same config
 /// fields, same flow conversion — but with telemetry forced on (the spec
@@ -79,6 +79,35 @@ fn spec_builder_threads_shards_into_the_engine() {
         .build()
         .build();
     assert_eq!(single.shards(), 1);
+}
+
+/// The Controller's epoch loop replans from the traffic matrix, a hash map
+/// summed over the shards whose iteration order depends on the shard count
+/// and on how large the map has ever been. A burst of short flows grows it;
+/// the equal flows that follow tie for the one cache line per switch, so the
+/// plan — and the run — shows any dependence on that order.
+#[test]
+fn controller_epochs_are_identical_at_shards_1_and_4() {
+    let flow = |i: usize, start_ns: u64, bytes: u64| TraceFlow {
+        src_vm: i * 7 + 1,
+        dst_vm: i * 13 + 5,
+        start_ns,
+        profile: FlowProfile::Tcp { bytes },
+    };
+    let flows: Vec<TraceFlow> = (0..600)
+        .map(|i| flow(i, 0, 3_000))
+        .chain((0..100).map(|i| flow(i, 2_000_000, 30_000)))
+        .collect();
+    let run = |shards| {
+        let spec = ExperimentSpec::builder(FatTreeConfig::scaled_ft8(2), StrategyKind::Controller)
+            .vms_per_server(16)
+            .flows(flows.clone())
+            .cache_entries(40)
+            .shards(shards)
+            .build();
+        format!("{:?}", run_controller_spec(&spec, SimDuration::from_micros(150)))
+    };
+    assert_eq!(run(1), run(4));
 }
 
 proptest! {

@@ -37,11 +37,9 @@
 pub mod agent;
 pub mod cache;
 pub mod config;
-pub mod multitenant;
 pub mod strategy;
 
 pub use agent::SwitchV2PAgent;
 pub use cache::{Admission, DirectMappedCache, InsertOutcome};
 pub use config::{InvalidationMode, SwitchV2PConfig};
-pub use multitenant::{AdmissionPolicy, PartitionedCache, VpcId};
 pub use strategy::SwitchV2P;

@@ -26,7 +26,7 @@ use sv2p_topology::{
     FatTreeConfig, NodeId, NodeKind, PodPartition, RoleMap, Routing, SwitchRole, Topology,
 };
 use sv2p_vnet::{
-    GatewayDirectory, MappingDb, MappingOp, Migration, Placement, Strategy, SwitchAgent,
+    CacheOp, GatewayDirectory, MappingDb, MappingOp, Migration, Placement, Strategy, SwitchAgent,
 };
 use v2p_controlplane::LocalControlPlane;
 
@@ -36,7 +36,7 @@ use crate::effects::{Event, Master, NoProbe, PhaseProbe, Probe};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::flows::{FlowSpec, FlowXport};
 use crate::sharded::{run_windows, Lane, WindowStats};
-use crate::sim::{layer_name, recorder, Shard, ShardSnapshot};
+use crate::sim::{cache_op_event, recorder, wire_layer, Shard, ShardSnapshot};
 use crate::world::{Control, World};
 
 /// A complete, runnable experiment instance.
@@ -252,11 +252,6 @@ impl Engine {
     /// The telemetry tracer (read events/samples after a run).
     pub fn tracer(&self) -> &Tracer {
         &self.master.tracer
-    }
-
-    /// Mutable tracer access (harnesses that write trace files).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.master.tracer
     }
 
     /// The engine self-profiler (disabled unless `SimConfig::profile`).
@@ -507,13 +502,9 @@ impl Engine {
         }
         if self.master.tracer.enabled() {
             let t = self.now().as_nanos();
-            let layer = layer_name(&self.ctl.roles, node);
+            let layer = wire_layer(&self.ctl.roles, node);
             for &(vip, pip) in entries {
-                let mut ev = TraceEvent::new(t, EventKind::CacheOp).at_node(node.0);
-                ev.op = Some("install");
-                ev.vip = Some(vip.0);
-                ev.pip = Some(pip.0);
-                ev.layer = Some(layer);
+                let ev = cache_op_event(t, node, layer, CacheOp::Install { vip, pip });
                 self.master.tracer.record(ev);
             }
         }
@@ -561,12 +552,8 @@ impl Engine {
     /// counted where they execute; requires
     /// `SimConfig::record_traffic_matrix`).
     pub fn traffic_matrix(&self) -> FxHashMap<(u32, u32), u64> {
-        // Starting from a clone keeps the first shard's iteration order —
-        // with one shard, exactly the order the counts were recorded in,
-        // which the Controller's greedy planner breaks ties by.
-        let (first, rest) = self.shards.split_first().expect("a shard");
-        let mut out = first.traffic_matrix.clone();
-        for shard in rest {
+        let mut out = FxHashMap::default();
+        for shard in &self.shards {
             for (&k, &v) in &shard.traffic_matrix {
                 *out.entry(k).or_insert(0) += v;
             }

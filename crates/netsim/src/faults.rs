@@ -168,16 +168,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// The instant the last fault clears (`SimTime::ZERO` for an empty
-    /// plan) — the earliest moment the network is guaranteed healthy.
-    pub fn all_clear_at(&self) -> SimTime {
-        self.events
-            .iter()
-            .map(|e| e.end())
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +203,6 @@ mod tests {
         // Same-instant events keep insertion order.
         assert!(matches!(plan.events()[0], FaultEvent::SwitchReboot { .. }));
         assert!(matches!(plan.events()[1], FaultEvent::GatewayOutage { .. }));
-        assert_eq!(plan.all_clear_at(), us(60));
     }
 
     #[test]
@@ -271,6 +260,5 @@ mod tests {
         }])
         .unwrap();
         assert_eq!(plan.len(), 1);
-        assert_eq!(plan.all_clear_at(), us(10));
     }
 }

@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use sv2p_simcore::{SimDuration, SimTime};
+use sv2p_simcore::SimDuration;
 
 use crate::arena::PacketRef;
 
@@ -133,19 +133,9 @@ impl LinkState {
         }
     }
 
-    /// Arrival time of a packet whose transmission starts at `now`.
-    pub fn arrival_after(&self, ser: SimDuration) -> SimDuration {
-        ser + self.delay
-    }
-
     /// Queue depth in packets (excludes the in-flight one).
     pub fn queue_len(&self) -> usize {
         self.queue.len().saturating_sub(self.busy as usize)
-    }
-
-    /// Arrival instant helper for tests.
-    pub fn arrival_at(&self, now: SimTime, ser: SimDuration) -> SimTime {
-        now + self.arrival_after(ser)
     }
 }
 
@@ -174,7 +164,6 @@ mod tests {
             EnqueueOutcome::StartTx(ser) => {
                 // 1060 B at 100G = 84.8 -> 85 ns.
                 assert_eq!(ser.as_nanos(), 85);
-                assert_eq!(l.arrival_after(ser).as_nanos(), 1085);
             }
             other => panic!("{other:?}"),
         }

@@ -18,11 +18,12 @@ use sv2p_packet::{
     FlowId, InnerHeader, OuterHeader, Packet, PacketKind, Pip, SwitchTag, TcpFlags, TunnelOptions,
 };
 use sv2p_simcore::{FxHashMap, SimRng, SimTime};
-use sv2p_telemetry::{EventKind, LayerName, TraceEvent};
-use sv2p_topology::{LinkId, NodeId, NodeKind, RoleMap};
+use sv2p_telemetry::{Cause, EventKind, Layer, Op, TraceEvent};
+use sv2p_topology::{LinkId, NodeId, NodeKind, RoleMap, SwitchRole};
 use sv2p_transport::{SenderOps, TcpSender};
 use sv2p_vnet::{
-    AgentOutput, HostAgent, HostResolution, MisdeliveryPolicy, PacketAction, SwitchAgent, SwitchCtx,
+    AgentOutput, CacheOp, HostAgent, HostResolution, MisdeliveryPolicy, PacketAction, SwitchAgent,
+    SwitchCtx,
 };
 
 use crate::arena::{PacketArena, PacketRef};
@@ -32,13 +33,50 @@ use crate::flows::{src_port, FlowKind, FlowXport};
 use crate::link::{EnqueueOutcome, LinkState};
 use crate::world::{Control, World};
 
-/// Lowercase wire name of a switch's layer.
-pub(crate) fn layer_name(roles: &RoleMap, node: NodeId) -> LayerName {
-    match roles.role(node).map(|r| r.layer()) {
-        Some("ToR") => "tor",
-        Some("Spine") => "spine",
-        _ => "core",
+// The simulator's enums onto the trace vocabulary of `sv2p_telemetry::event`.
+// These three exhaustive matches are the only mappings: a variant added to
+// `SwitchRole`, `DropCause` or `CacheOp` fails to compile until it has a
+// wire name.
+
+/// Trace layer of the switch at `node`.
+pub(crate) fn wire_layer(roles: &RoleMap, node: NodeId) -> Layer {
+    match roles.role(node) {
+        Some(SwitchRole::GatewayTor | SwitchRole::Tor) => Layer::Tor,
+        Some(SwitchRole::GatewaySpine | SwitchRole::Spine) => Layer::Spine,
+        Some(SwitchRole::Core) | None => Layer::Core,
     }
+}
+
+fn wire_cause(cause: DropCause) -> Cause {
+    match cause {
+        DropCause::Queue => Cause::Queue,
+        DropCause::Unroutable => Cause::Unroutable,
+        DropCause::Blackout => Cause::Blackout,
+        DropCause::Loss => Cause::Loss,
+        DropCause::GatewayShed => Cause::GatewayShed,
+    }
+}
+
+fn wire_op(op: CacheOp) -> Op {
+    match op {
+        CacheOp::Insert { .. } => Op::Insert,
+        CacheOp::Update { .. } => Op::Update,
+        CacheOp::Evict { .. } => Op::Evict,
+        CacheOp::Invalidate { .. } => Op::Invalidate,
+        CacheOp::Spill { .. } => Op::Spill,
+        CacheOp::Promote { .. } => Op::Promote,
+        CacheOp::Install { .. } => Op::Install,
+    }
+}
+
+/// The trace record of one cache mutation at the switch `node`.
+pub(crate) fn cache_op_event(t_ns: u64, node: NodeId, layer: Layer, op: CacheOp) -> TraceEvent {
+    let mut ev = TraceEvent::new(t_ns, EventKind::CacheOp).at_node(node.0);
+    ev.op = Some(wire_op(op));
+    ev.vip = Some(op.vip().0);
+    ev.pip = op.pip().map(|p| p.0);
+    ev.layer = Some(layer);
+    ev
 }
 
 /// A recorder with every switch registered, in tag order.
@@ -279,7 +317,6 @@ impl Shard {
         h: PacketRef,
         node: NodeId,
         cause: DropCause,
-        label: &'static str,
     ) {
         let (is_data, flow, id) = {
             let p = self.arena.get(h);
@@ -291,7 +328,7 @@ impl Shard {
                 let mut ev = TraceEvent::new(fx.now().as_nanos(), EventKind::Drop)
                     .packet(flow, id)
                     .at_node(node.0);
-                ev.cause = Some(label);
+                ev.cause = Some(wire_cause(cause));
                 fx.trace(ev);
             }
         }
@@ -506,7 +543,7 @@ impl Shard {
             .expect("host has an uplink");
         if !ctl.link_up[uplink.0 as usize] {
             // The host's only uplink is down: nowhere to go.
-            self.drop_packet(fx, pkt, node, DropCause::Unroutable, "unroutable");
+            self.drop_packet(fx, pkt, node, DropCause::Unroutable);
             return;
         }
         self.enqueue_on_link(ctl, fx, uplink, pkt);
@@ -535,10 +572,10 @@ impl Shard {
             EnqueueOutcome::StartTx(ser) => fx.schedule_in(ser, Event::LinkFree(link)),
             EnqueueOutcome::Queued => {}
             EnqueueOutcome::Dropped => {
-                self.drop_packet(fx, pkt, from_node, DropCause::Queue, "queue");
+                self.drop_packet(fx, pkt, from_node, DropCause::Queue);
             }
             EnqueueOutcome::Lost => {
-                self.drop_packet(fx, pkt, from_node, DropCause::Loss, "loss");
+                self.drop_packet(fx, pkt, from_node, DropCause::Loss);
             }
         }
     }
@@ -603,7 +640,7 @@ impl Shard {
         let now = fx.now();
         if ctl.blackout[idx] {
             // A rebooting switch drops everything that traverses it.
-            self.drop_packet(fx, pkt, node, DropCause::Blackout, "blackout");
+            self.drop_packet(fx, pkt, node, DropCause::Blackout);
             return;
         }
         let tag = self.world.tag(node);
@@ -688,7 +725,7 @@ impl Shard {
                             .at_node(node.0);
                         ev.vip = Some(vip.0);
                         ev.pip = Some(cur_dst.0);
-                        ev.layer = Some(layer_name(&ctl.roles, node));
+                        ev.layer = Some(wire_layer(&ctl.roles, node));
                         ev.latency_ns = age;
                         fx.trace(ev);
                     }
@@ -709,21 +746,16 @@ impl Shard {
                     .packet(flow_id, pkt_id)
                     .at_node(node.0);
                 ev.hit = Some(output.cache_hit);
-                ev.layer = Some(layer_name(&ctl.roles, node));
+                ev.layer = Some(wire_layer(&ctl.roles, node));
                 fx.trace(ev);
             }
             if !output.cache_ops.is_empty() {
-                let layer = layer_name(&ctl.roles, node);
-                for op in &output.cache_ops {
-                    let mut ev =
-                        TraceEvent::new(now.as_nanos(), EventKind::CacheOp).at_node(node.0);
+                let layer = wire_layer(&ctl.roles, node);
+                for &op in &output.cache_ops {
+                    let mut ev = cache_op_event(now.as_nanos(), node, layer, op);
                     if is_data {
                         ev = ev.packet(flow_id, pkt_id);
                     }
-                    ev.op = Some(op.name());
-                    ev.vip = Some(op.vip().0);
-                    ev.pip = op.pip().map(|p| p.0);
-                    ev.layer = Some(layer);
                     fx.trace(ev);
                 }
             }
@@ -743,7 +775,7 @@ impl Shard {
             PacketAction::Forward => self.route_from_switch(ctl, fx, node, pkt),
             PacketAction::Delay(d) => fx.schedule_in(d, Event::ReInject { node, pkt }),
             PacketAction::Drop => {
-                self.drop_packet(fx, pkt, node, DropCause::Queue, "queue");
+                self.drop_packet(fx, pkt, node, DropCause::Queue);
             }
             PacketAction::Consume => self.arena.free(pkt),
         }
@@ -762,7 +794,7 @@ impl Shard {
         };
         let Some(dst_node) = self.world.topo.node_by_pip(dst_pip) else {
             // Unroutable (e.g. a Bluebird packet no ToR translated): drop.
-            self.drop_packet(fx, pkt, node, DropCause::Unroutable, "unroutable");
+            self.drop_packet(fx, pkt, node, DropCause::Unroutable);
             return;
         };
         if dst_node == node {
@@ -783,7 +815,7 @@ impl Shard {
             Some(link) => self.enqueue_on_link(ctl, fx, link, pkt),
             None => {
                 // No route, or every candidate port is down.
-                self.drop_packet(fx, pkt, node, DropCause::Unroutable, "unroutable");
+                self.drop_packet(fx, pkt, node, DropCause::Unroutable);
             }
         }
     }
@@ -813,7 +845,7 @@ impl Shard {
         let idx = node.0 as usize;
         if ctl.blackout[idx] {
             // An out gateway answers nothing; senders ride their RTO.
-            self.drop_packet(fx, pkt, node, DropCause::Blackout, "blackout");
+            self.drop_packet(fx, pkt, node, DropCause::Blackout);
             return;
         }
         let (translatable, flow, id) = {
@@ -827,7 +859,7 @@ impl Shard {
         if !translatable {
             // Resolved tenant traffic or protocol packets have no business
             // at a gateway.
-            self.drop_packet(fx, pkt, node, DropCause::Unroutable, "unroutable");
+            self.drop_packet(fx, pkt, node, DropCause::Unroutable);
             return;
         }
         self.metrics.record_gateway_packet(now);
@@ -851,7 +883,7 @@ impl Shard {
             self.gw_queue[idx].push_back(pkt);
         } else {
             // Overloaded: the bounded queue sheds the arrival.
-            self.drop_packet(fx, pkt, node, DropCause::GatewayShed, "gateway-shed");
+            self.drop_packet(fx, pkt, node, DropCause::GatewayShed);
         }
     }
 
@@ -879,7 +911,7 @@ impl Shard {
     ) {
         if ctl.blackout[node.0 as usize] {
             // The outage began while this packet was in processing.
-            self.drop_packet(fx, pkt, node, DropCause::Blackout, "blackout");
+            self.drop_packet(fx, pkt, node, DropCause::Blackout);
             self.gateway_pop_next(fx, node);
             return;
         }
@@ -908,7 +940,7 @@ impl Shard {
                 self.transmit_from_host(ctl, fx, node, pkt);
             }
             None => {
-                self.drop_packet(fx, pkt, node, DropCause::Unroutable, "unroutable");
+                self.drop_packet(fx, pkt, node, DropCause::Unroutable);
             }
         }
         self.gateway_pop_next(fx, node);
@@ -1045,7 +1077,7 @@ impl Shard {
                     }
                     None => {
                         // No rule: the VM is simply gone; drop.
-                        self.drop_packet(fx, pkt, node, DropCause::Unroutable, "unroutable");
+                        self.drop_packet(fx, pkt, node, DropCause::Unroutable);
                         return;
                     }
                 }

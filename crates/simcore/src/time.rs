@@ -60,11 +60,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked duration since `earlier`; `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -267,10 +262,6 @@ mod tests {
         assert_eq!(
             SimTime::from_nanos(5).saturating_since(SimTime::from_nanos(9)),
             SimDuration::ZERO
-        );
-        assert_eq!(
-            SimTime::from_nanos(5).checked_since(SimTime::from_nanos(9)),
-            None
         );
     }
 

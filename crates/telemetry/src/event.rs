@@ -6,105 +6,120 @@
 
 use crate::json::JsonObj;
 
-/// Switch-layer label carried on switch-side events.
-///
-/// Kept as a `&'static str` ("tor"/"spine"/"core") so this crate stays
-/// dependency-free; the simulator maps its `Layer` enum at emission time.
-pub type LayerName = &'static str;
+/// Defines one wire vocabulary: the enum, its `ALL` list in wire order,
+/// `as_str`, and `parse` as the inverse over `ALL`. Every name a trace line
+/// can carry is written down exactly once, here; the simulator maps its own
+/// enums onto these with exhaustive matches (`sv2p-netsim`'s `sim.rs`).
+macro_rules! wire_names {
+    ($(#[$doc:meta])* $name:ident { $($(#[$vdoc:meta])* $variant:ident => $wire:literal,)+ }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $($(#[$vdoc])* $variant,)+
+        }
 
-/// What happened. One discriminant per packet-lifecycle or cache-mutation
-/// point; the per-kind payload rides in [`TraceEvent`]'s optional fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// A tenant data packet entered the network at its source host.
-    PacketSent,
-    /// A packet arrived at a switch.
-    SwitchIngress,
-    /// A caching switch looked the packet's destination up (`hit` says
-    /// whether its cache resolved it).
-    CacheLookup,
-    /// A cache mutated (`op` = insert/update/evict/invalidate/spill/promote).
-    CacheOp,
-    /// An unresolved packet reached a translation gateway (the detour).
-    GatewayIngress,
-    /// The gateway finished translating and re-emitted the packet.
-    GatewayDone,
-    /// A packet arrived at a host that no longer hosts the destination VM.
-    Misdelivery,
-    /// A data packet reached its (correct) destination VM.
-    Delivery,
-    /// A data packet was dropped (`cause` = queue/unroutable/blackout/loss/
-    /// gateway-shed).
-    Drop,
-    /// A churn tenant arrived (`vip` = tenant id, `hops` = VMs claimed).
-    ChurnArrival,
-    /// A churn tenant departed (`vip` = tenant id, `hops` = VMs released).
-    ChurnDeparture,
-    /// A rolling migration wave started (`hops` = migrations in the wave).
-    MigrationWave,
-    /// A cache hit served a mapping that disagrees with the ground-truth
-    /// database (`vip`/`pip` = the stale entry, `latency_ns` = entry age
-    /// since the migration that invalidated it).
-    StaleHit,
+        impl $name {
+            /// Every value, in wire order (inspector summaries iterate this
+            /// so output order never depends on hash-map iteration).
+            pub const ALL: [$name; [$($wire),+].len()] = [$($name::$variant),+];
+
+            /// Stable wire name.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $wire,)+
+                }
+            }
+
+            /// Inverse of [`Self::as_str`].
+            pub fn parse(s: &str) -> Option<$name> {
+                Self::ALL.into_iter().find(|v| v.as_str() == s)
+            }
+        }
+    };
 }
 
-impl EventKind {
-    /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EventKind::PacketSent => "send",
-            EventKind::SwitchIngress => "switch_ingress",
-            EventKind::CacheLookup => "cache_lookup",
-            EventKind::CacheOp => "cache_op",
-            EventKind::GatewayIngress => "gateway_ingress",
-            EventKind::GatewayDone => "gateway_done",
-            EventKind::Misdelivery => "misdelivery",
-            EventKind::Delivery => "delivery",
-            EventKind::Drop => "drop",
-            EventKind::ChurnArrival => "churn_arrival",
-            EventKind::ChurnDeparture => "churn_departure",
-            EventKind::MigrationWave => "migration_wave",
-            EventKind::StaleHit => "stale_hit",
-        }
+wire_names! {
+    /// What happened. One discriminant per packet-lifecycle or cache-mutation
+    /// point; the per-kind payload rides in [`TraceEvent`]'s optional fields.
+    EventKind {
+        /// A tenant data packet entered the network at its source host.
+        PacketSent => "send",
+        /// A packet arrived at a switch.
+        SwitchIngress => "switch_ingress",
+        /// A caching switch looked the packet's destination up (`hit` says
+        /// whether its cache resolved it).
+        CacheLookup => "cache_lookup",
+        /// A cache mutated (`op` says how).
+        CacheOp => "cache_op",
+        /// An unresolved packet reached a translation gateway (the detour).
+        GatewayIngress => "gateway_ingress",
+        /// The gateway finished translating and re-emitted the packet.
+        GatewayDone => "gateway_done",
+        /// A packet arrived at a host that no longer hosts the destination VM.
+        Misdelivery => "misdelivery",
+        /// A data packet reached its (correct) destination VM.
+        Delivery => "delivery",
+        /// A data packet was dropped (`cause` says why).
+        Drop => "drop",
+        /// A churn tenant arrived (`vip` = tenant id, `hops` = VMs claimed).
+        ChurnArrival => "churn_arrival",
+        /// A churn tenant departed (`vip` = tenant id, `hops` = VMs released).
+        ChurnDeparture => "churn_departure",
+        /// A rolling migration wave started (`hops` = migrations in the wave).
+        MigrationWave => "migration_wave",
+        /// A cache hit served a mapping that disagrees with the ground-truth
+        /// database (`vip`/`pip` = the stale entry, `latency_ns` = entry age
+        /// since the migration that invalidated it).
+        StaleHit => "stale_hit",
     }
+}
 
-    /// Inverse of [`Self::as_str`].
-    pub fn parse(s: &str) -> Option<EventKind> {
-        Some(match s {
-            "send" => EventKind::PacketSent,
-            "switch_ingress" => EventKind::SwitchIngress,
-            "cache_lookup" => EventKind::CacheLookup,
-            "cache_op" => EventKind::CacheOp,
-            "gateway_ingress" => EventKind::GatewayIngress,
-            "gateway_done" => EventKind::GatewayDone,
-            "misdelivery" => EventKind::Misdelivery,
-            "delivery" => EventKind::Delivery,
-            "drop" => EventKind::Drop,
-            "churn_arrival" => EventKind::ChurnArrival,
-            "churn_departure" => EventKind::ChurnDeparture,
-            "migration_wave" => EventKind::MigrationWave,
-            "stale_hit" => EventKind::StaleHit,
-            _ => return None,
-        })
+wire_names! {
+    /// Switch layer carried on switch-side events.
+    Layer {
+        /// Top-of-rack switch (gateway ToRs included).
+        Tor => "tor",
+        /// Pod switch (gateway spines included).
+        Spine => "spine",
+        /// Core switch.
+        Core => "core",
     }
+}
 
-    /// Every kind, in wire order (inspector summaries iterate this so
-    /// output order never depends on hash-map iteration).
-    pub const ALL: [EventKind; 13] = [
-        EventKind::PacketSent,
-        EventKind::SwitchIngress,
-        EventKind::CacheLookup,
-        EventKind::CacheOp,
-        EventKind::GatewayIngress,
-        EventKind::GatewayDone,
-        EventKind::Misdelivery,
-        EventKind::Delivery,
-        EventKind::Drop,
-        EventKind::ChurnArrival,
-        EventKind::ChurnDeparture,
-        EventKind::MigrationWave,
-        EventKind::StaleHit,
-    ];
+wire_names! {
+    /// How a cache mutated ([`EventKind::CacheOp`]).
+    Op {
+        /// A mapping was inserted into an invalid line.
+        Insert => "insert",
+        /// A line's mapping was overwritten in place.
+        Update => "update",
+        /// A valid mapping was evicted to make room.
+        Evict => "evict",
+        /// A mapping was invalidated.
+        Invalidate => "invalidate",
+        /// A spillover option riding on a packet was accepted.
+        Spill => "spill",
+        /// A promotion option was accepted into a core switch.
+        Promote => "promote",
+        /// A control plane installed the mapping directly (Controller).
+        Install => "install",
+    }
+}
+
+wire_names! {
+    /// Why a data packet was dropped ([`EventKind::Drop`]).
+    Cause {
+        /// Drop-tail queue overflow.
+        Queue => "queue",
+        /// No usable route to the destination.
+        Unroutable => "unroutable",
+        /// The packet traversed a node during its blackout window.
+        Blackout => "blackout",
+        /// Stochastic loss injected by a fault.
+        Loss => "loss",
+        /// Shed by an overloaded gateway whose bounded ingress queue was full.
+        GatewayShed => "gateway-shed",
+    }
 }
 
 /// One structured trace record. Flat on purpose: a fixed field order
@@ -123,8 +138,8 @@ pub struct TraceEvent {
     pub pkt: Option<u64>,
     /// Node id where it happened (switch, gateway, or host).
     pub node: Option<u32>,
-    /// Switch layer ("tor"/"spine"/"core"), switch-side events only.
-    pub layer: Option<LayerName>,
+    /// Switch layer, switch-side events only.
+    pub layer: Option<Layer>,
     /// Cache-lookup outcome.
     pub hit: Option<bool>,
     /// Whether the packet was outer-resolved (send events).
@@ -133,10 +148,10 @@ pub struct TraceEvent {
     pub vip: Option<u32>,
     /// Physical address involved in a cache op / gateway translation.
     pub pip: Option<u32>,
-    /// Cache-op name ("insert"/"update"/"evict"/"invalidate"/"spill"/"promote").
-    pub op: Option<&'static str>,
-    /// Drop cause ("queue"/"unroutable"/"blackout"/"loss").
-    pub cause: Option<&'static str>,
+    /// How the cache mutated (cache-op events).
+    pub op: Option<Op>,
+    /// Why the packet was dropped (drop events).
+    pub cause: Option<Cause>,
     /// Switch hops traversed (delivery events).
     pub hops: Option<u16>,
     /// End-to-end latency, nanoseconds (delivery events).
@@ -191,7 +206,7 @@ impl TraceEvent {
             o.u64("node", v as u64);
         }
         if let Some(v) = self.layer {
-            o.str("layer", v);
+            o.str("layer", v.as_str());
         }
         if let Some(v) = self.hit {
             o.bool("hit", v);
@@ -206,10 +221,10 @@ impl TraceEvent {
             o.u64("pip", v as u64);
         }
         if let Some(v) = self.op {
-            o.str("op", v);
+            o.str("op", v.as_str());
         }
         if let Some(v) = self.cause {
-            o.str("cause", v);
+            o.str("cause", v.as_str());
         }
         if let Some(v) = self.hops {
             o.u64("hops", v as u64);
@@ -458,17 +473,9 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_round_trip() {
-        for k in EventKind::ALL {
-            assert_eq!(EventKind::parse(k.as_str()), Some(k));
-        }
-        assert_eq!(EventKind::parse("nope"), None);
-    }
-
-    #[test]
     fn event_json_has_fixed_field_order() {
         let mut e = TraceEvent::new(5, EventKind::CacheLookup).packet(7, 9).at_node(3);
-        e.layer = Some("tor");
+        e.layer = Some(Layer::Tor);
         e.hit = Some(true);
         assert_eq!(
             e.to_json(),

@@ -1,63 +1,32 @@
 //! Trace inspection: parsing trace JSONL back into [`TraceEvent`]s,
 //! filtering, and hop-by-hop path reconstruction.
 //!
-//! This is the library behind the `sv2p-trace` binary, kept separate so
-//! integration tests can drive reconstruction without spawning a process.
+//! This is the library behind `sv2p trace`, kept separate so integration
+//! tests can drive reconstruction without spawning a process.
 
 use std::collections::HashMap;
 
-use crate::event::{EventKind, Sample, TraceEvent};
+use crate::event::{Cause, EventKind, Layer, Op, TraceEvent};
 use crate::json::{parse_flat, JsonValue};
-
-fn intern_layer(s: &str) -> Option<&'static str> {
-    match s {
-        "tor" => Some("tor"),
-        "spine" => Some("spine"),
-        "core" => Some("core"),
-        _ => None,
-    }
-}
-
-fn intern_op(s: &str) -> Option<&'static str> {
-    match s {
-        "insert" => Some("insert"),
-        "update" => Some("update"),
-        "evict" => Some("evict"),
-        "invalidate" => Some("invalidate"),
-        "spill" => Some("spill"),
-        "promote" => Some("promote"),
-        "install" => Some("install"),
-        _ => None,
-    }
-}
-
-fn intern_cause(s: &str) -> Option<&'static str> {
-    match s {
-        "queue" => Some("queue"),
-        "unroutable" => Some("unroutable"),
-        "blackout" => Some("blackout"),
-        "loss" => Some("loss"),
-        _ => None,
-    }
-}
 
 /// Parses one trace line; `None` for malformed or foreign lines.
 pub fn parse_event(line: &str) -> Option<TraceEvent> {
     let m = parse_flat(line)?;
     let get_u64 = |k: &str| m.get(k).and_then(JsonValue::as_u64);
     let get_bool = |k: &str| m.get(k).and_then(JsonValue::as_bool);
-    let kind = EventKind::parse(m.get("kind")?.as_str()?)?;
+    let get_str = |k: &str| m.get(k).and_then(JsonValue::as_str);
+    let kind = EventKind::parse(get_str("kind")?)?;
     let mut ev = TraceEvent::new(get_u64("t_ns")?, kind);
     ev.flow = get_u64("flow");
     ev.pkt = get_u64("pkt");
     ev.node = get_u64("node").map(|v| v as u32);
-    ev.layer = m.get("layer").and_then(|v| v.as_str()).and_then(intern_layer);
+    ev.layer = get_str("layer").and_then(Layer::parse);
     ev.hit = get_bool("hit");
     ev.resolved = get_bool("resolved");
     ev.vip = get_u64("vip").map(|v| v as u32);
     ev.pip = get_u64("pip").map(|v| v as u32);
-    ev.op = m.get("op").and_then(|v| v.as_str()).and_then(intern_op);
-    ev.cause = m.get("cause").and_then(|v| v.as_str()).and_then(intern_cause);
+    ev.op = get_str("op").and_then(Op::parse);
+    ev.cause = get_str("cause").and_then(Cause::parse);
     ev.hops = get_u64("hops").map(|v| v as u16);
     ev.latency_ns = get_u64("latency_ns");
     Some(ev)
@@ -66,32 +35,6 @@ pub fn parse_event(line: &str) -> Option<TraceEvent> {
 /// Parses a whole trace file, silently skipping unparseable lines.
 pub fn parse_events(text: &str) -> Vec<TraceEvent> {
     text.lines().filter_map(parse_event).collect()
-}
-
-/// Parses a samples file (only the fields path analysis uses).
-pub fn parse_samples(text: &str) -> Vec<Sample> {
-    text.lines()
-        .filter_map(|line| {
-            let m = parse_flat(line)?;
-            let g = |k: &str| m.get(k).and_then(JsonValue::as_u64);
-            Some(Sample {
-                t_ns: g("t_ns")?,
-                events_executed: g("events_executed").unwrap_or(0),
-                pending_events: g("pending_events").unwrap_or(0),
-                queue_pkts_total: g("queue_pkts_total").unwrap_or(0),
-                queue_pkts_max: g("queue_pkts_max").unwrap_or(0),
-                occ_tor: g("occ_tor").unwrap_or(0),
-                occ_spine: g("occ_spine").unwrap_or(0),
-                occ_core: g("occ_core").unwrap_or(0),
-                hit_rate_window: m.get("hit_rate_window").and_then(JsonValue::as_f64),
-                hit_rate_cum: m
-                    .get("hit_rate_cum")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0),
-                gateway_pkts_cum: g("gateway_pkts_cum").unwrap_or(0),
-            })
-        })
-        .collect()
 }
 
 /// Per-kind event counts in wire order (stable output).
@@ -202,7 +145,7 @@ pub fn reconstruct_path(events: &[TraceEvent], flow: u64, pkt: Option<u64>) -> O
     })
 }
 
-/// Renders a [`PathReport`] as the human-readable listing `sv2p-trace
+/// Renders a [`PathReport`] as the human-readable listing `sv2p trace
 /// --path` prints.
 pub fn format_path(r: &PathReport) -> String {
     let mut out = String::new();
@@ -222,19 +165,19 @@ pub fn format_path(r: &PathReport) -> String {
         let e = &h.event;
         let mut extra = String::new();
         if let Some(l) = e.layer {
-            extra.push_str(&format!(" layer={l}"));
+            extra.push_str(&format!(" layer={}", l.as_str()));
         }
         if let Some(hit) = e.hit {
             extra.push_str(&format!(" hit={hit}"));
         }
         if let Some(op) = e.op {
-            extra.push_str(&format!(" op={op}"));
+            extra.push_str(&format!(" op={}", op.as_str()));
         }
         if let Some(r) = e.resolved {
             extra.push_str(&format!(" resolved={r}"));
         }
         if let Some(c) = e.cause {
-            extra.push_str(&format!(" cause={c}"));
+            extra.push_str(&format!(" cause={}", c.as_str()));
         }
         if let Some(hops) = e.hops {
             extra.push_str(&format!(" switch_hops={hops}"));
@@ -307,9 +250,24 @@ mod tests {
         assert!(reconstruct_path(&trace(), 7, Some(999)).is_none());
     }
 
+    /// `to_json` and `parse_event` are inverses over every name of every
+    /// wire vocabulary, so a name cannot exist on the writing side only.
     #[test]
     fn events_round_trip_through_jsonl() {
-        let events = trace();
+        let mut events = trace();
+        events.extend(EventKind::ALL.map(|k| TraceEvent::new(1, k)));
+        events.extend(Layer::ALL.map(|l| TraceEvent {
+            layer: Some(l),
+            ..TraceEvent::new(2, EventKind::CacheLookup)
+        }));
+        events.extend(Op::ALL.map(|op| TraceEvent {
+            op: Some(op),
+            ..TraceEvent::new(3, EventKind::CacheOp)
+        }));
+        events.extend(Cause::ALL.map(|c| TraceEvent {
+            cause: Some(c),
+            ..TraceEvent::new(4, EventKind::Drop)
+        }));
         let text: String = events.iter().map(|e| e.to_json() + "\n").collect();
         let back = parse_events(&text);
         assert_eq!(back, events);

@@ -1,6 +1,6 @@
 //! Observability layer for the SwitchV2P reproduction.
 //!
-//! Three machine-readable surfaces, all JSONL (one JSON object per line,
+//! Four machine-readable surfaces, all JSONL (one JSON object per line,
 //! hand-rolled because the vendored `serde` is a marker-only stub):
 //!
 //! * **Traces** — [`TraceEvent`]s recorded by the simulator at every
@@ -21,15 +21,15 @@
 //!
 //! * **Profiles** — engine self-profiling reports ([`profile`]): wall-clock
 //!   phase accounting and log-linear histograms at every shard count, emitted
-//!   as `*.profile.json` by `--profile DIR`. Like manifests, wall-clock
+//!   as `*.profile.jsonl` by `--profile DIR`. Like manifests, wall-clock
 //!   lives only here; the deterministic counter sections are pinned by the
 //!   same byte-identity discipline as traces.
 //!
-//! The `sv2p-trace` binary (this crate's `src/bin/`) filters trace files by
-//! flow/switch/kind and reconstructs a packet's hop-by-hop path with
-//! per-hop latency; the reusable logic lives in [`inspect`]. The
-//! `sv2p-profile` binary renders a profile report as a phase-breakdown
-//! table with a shard-imbalance summary.
+//! The `sv2p` binary (this crate's `src/bin/`) inspects them: `sv2p trace`
+//! filters trace files by flow/switch/kind and reconstructs a packet's
+//! hop-by-hop path with per-hop latency (the reusable logic lives in
+//! [`inspect`]); `sv2p profile` renders a profile report as a
+//! phase-breakdown table with a shard-imbalance summary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,8 +40,8 @@ pub mod json;
 pub mod manifest;
 pub mod profile;
 
-pub use event::{EventKind, LayerName, Sample, TelemetryConfig, TraceEvent, Tracer};
-pub use inspect::{parse_events, parse_samples, reconstruct_path, Hop, PathReport};
+pub use event::{Cause, EventKind, Layer, Op, Sample, TelemetryConfig, TraceEvent, Tracer};
+pub use inspect::{parse_events, reconstruct_path, Hop, PathReport};
 pub use manifest::RunManifest;
 pub use profile::{
     deterministic_projection, HistKind, Histogram, Phase, ProfileDoc, ProfileMeta, Profiler,

@@ -59,6 +59,9 @@ pub struct RunManifest {
     /// `/proc/self/status` on Linux; 0 where unknown). Monotonic per
     /// process, so later runs in one bin report the running maximum.
     pub peak_rss_bytes: u64,
+    /// Trace events the tracer's ring overwrote (`Tracer::dropped`): when
+    /// non-zero the run's `events.jsonl` holds only the newest events.
+    pub trace_events_dropped: u64,
 }
 
 impl RunManifest {
@@ -83,7 +86,8 @@ impl RunManifest {
             .bool("telemetry_enabled", self.telemetry_enabled)
             .u64("host_cores", self.host_cores)
             .u64("shards", self.shards)
-            .u64("peak_rss_bytes", self.peak_rss_bytes);
+            .u64("peak_rss_bytes", self.peak_rss_bytes)
+            .u64("trace_events_dropped", self.trace_events_dropped);
         o.finish()
     }
 
@@ -139,6 +143,7 @@ mod tests {
             host_cores: 1,
             shards: 1,
             peak_rss_bytes: 2048 * 1024,
+            trace_events_dropped: 3,
         }
     }
 
@@ -153,6 +158,7 @@ mod tests {
         assert_eq!(m["host_cores"].as_u64(), Some(1));
         assert_eq!(m["shards"].as_u64(), Some(1));
         assert_eq!(m["peak_rss_bytes"].as_u64(), Some(2048 * 1024));
+        assert_eq!(m["trace_events_dropped"].as_u64(), Some(3));
     }
 
     #[test]

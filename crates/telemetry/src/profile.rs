@@ -1,5 +1,5 @@
 //! Engine self-profiling: phase accounting, log-linear histograms, and the
-//! `*.profile.json` report.
+//! `*.profile.jsonl` report.
 //!
 //! Parallel-engine overheads — window-boundary bookkeeping, cut-link
 //! exchange, worker barriers, journal merge, and global-event execution —
@@ -413,18 +413,6 @@ impl Profiler {
         acc.total_ns += ns;
     }
 
-    /// Adds `calls` untimed-count-only calls plus one aggregate duration to
-    /// `phase` (batch loops that time a span covering many events).
-    #[inline]
-    pub fn phase_add_span(&mut self, phase: Phase, calls: u64, ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        let acc = &mut self.phases[phase as usize];
-        acc.calls += calls;
-        acc.total_ns += ns;
-    }
-
     /// Records one value into histogram `kind`.
     #[inline]
     pub fn record(&mut self, kind: HistKind, v: u64) {
@@ -432,11 +420,6 @@ impl Profiler {
             return;
         }
         self.hists[kind as usize].record(v);
-    }
-
-    /// Read access to histogram `kind` (empty histogram when disabled).
-    pub fn hist(&self, kind: HistKind) -> Option<&Histogram> {
-        self.hists.get(kind as usize)
     }
 
     /// One shard's contribution to one window.
@@ -516,15 +499,17 @@ impl Profiler {
         var.sqrt() / mean
     }
 
-    /// Renders the `*.profile.json` report. Every leaf object sits on its
-    /// own line and is flat, so the inspector parses the file line-wise
-    /// with the workspace's minimal flat parser; each leaf carries a
-    /// `"row"` discriminator.
+    /// Renders the `*.profile.jsonl` report: one flat object per line, each
+    /// carrying a `"row"` discriminator — a `meta` row (with the schema
+    /// tag), then `phase`, `shard` and `hist` rows, then one `summary` row.
     pub fn render_report(&self, meta: &ProfileMeta) -> String {
-        let mut out = String::new();
-        out.push_str("{\n\"schema\": \"sv2p-profile/v1\",\n\"meta\": ");
-        let mut m = JsonObj::new();
-        m.str("row", "meta")
+        fn row<'a>(rows: &'a mut Vec<JsonObj>, kind: &str) -> &'a mut JsonObj {
+            rows.push(JsonObj::new());
+            rows.last_mut().expect("just pushed").str("row", kind)
+        }
+        let mut rows = Vec::new();
+        row(&mut rows, "meta")
+            .str("schema", SCHEMA)
             .str("bin", &meta.bin)
             .str("label", &meta.label)
             .str("engine", &meta.engine)
@@ -534,57 +519,30 @@ impl Profiler {
             .u64("host_cores", meta.host_cores)
             .u64("peak_rss_bytes", meta.peak_rss_bytes)
             .u64("run_wall_ns", self.run_ns);
-        out.push_str(&m.finish());
-        out.push_str(",\n\"phases\": [\n");
-        let mut first = true;
         for p in Phase::ALL {
             let acc = self.phases[p as usize];
             if acc.calls == 0 && acc.total_ns == 0 {
                 continue;
             }
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let mut o = JsonObj::new();
-            o.str("row", "phase")
+            row(&mut rows, "phase")
                 .str("name", p.as_str())
                 .u64("calls", acc.calls)
                 .u64("total_ns", acc.total_ns)
                 .f64("frac", self.frac(p));
-            out.push_str(&o.finish());
         }
-        out.push_str("\n],\n\"shards\": [\n");
-        let mut first = true;
         for (s, acc) in self.shards.iter().enumerate() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let mut o = JsonObj::new();
-            o.str("row", "shard")
+            row(&mut rows, "shard")
                 .u64("shard", s as u64)
                 .u64("blocks", acc.blocks)
                 .u64("windows", acc.windows)
                 .u64("replay_ns", acc.replay_ns)
                 .u64("barrier_wait_ns", acc.barrier_wait_ns);
-            out.push_str(&o.finish());
         }
-        out.push_str("\n],\n\"histograms\": [\n");
-        let mut first = true;
         for k in HistKind::ALL {
-            let Some(h) = self.hists.get(k as usize) else {
+            let Some(h) = self.hists.get(k as usize).filter(|h| h.count() > 0) else {
                 continue;
             };
-            if h.count() == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let mut o = JsonObj::new();
-            o.str("row", "hist")
+            row(&mut rows, "hist")
                 .str("name", k.as_str())
                 .bool("deterministic", k.deterministic())
                 .u64("count", h.count())
@@ -594,11 +552,8 @@ impl Profiler {
                 .u64("p90", h.percentile(90.0))
                 .u64("p99", h.percentile(99.0))
                 .u64("max", h.max());
-            out.push_str(&o.finish());
         }
-        out.push_str("\n],\n\"summary\": ");
-        let mut o = JsonObj::new();
-        o.str("row", "summary")
+        row(&mut rows, "summary")
             .u64("windows", self.windows)
             .u64("global_events", self.global_events)
             .u64("journal_blocks", self.journal_blocks)
@@ -609,11 +564,12 @@ impl Profiler {
             .f64("merge_frac", self.frac(Phase::JournalMerge))
             .f64("global_frac", self.frac(Phase::GlobalExec))
             .f64("imbalance_cv", self.imbalance_cv());
-        out.push_str(&o.finish());
-        out.push_str("\n}\n");
-        out
+        rows.into_iter().map(|o| o.finish() + "\n").collect()
     }
 }
+
+/// Schema tag carried by a report's `meta` row.
+pub const SCHEMA: &str = "sv2p-profile/v2";
 
 /// Run identity stamped into a report header by the harness.
 #[derive(Debug, Clone)]
@@ -639,7 +595,7 @@ pub struct ProfileMeta {
 /// One parsed report row: a flat field map.
 pub type Row = HashMap<String, JsonValue>;
 
-/// A parsed `*.profile.json` report.
+/// A parsed `*.profile.jsonl` report.
 #[derive(Debug, Default)]
 pub struct ProfileDoc {
     /// The `meta` header row.
@@ -655,26 +611,13 @@ pub struct ProfileDoc {
 }
 
 impl ProfileDoc {
-    /// Parses a rendered report. Line-oriented: every flat object line
-    /// carrying a `"row"` discriminator is classified; anything else is
-    /// structural. Returns `None` if the schema marker is missing or no
-    /// rows parse.
+    /// Parses a rendered report, classifying each line by its `"row"`
+    /// discriminator and skipping lines that are not flat objects. `None`
+    /// unless a `meta` row carries this version's [`SCHEMA`] tag.
     pub fn parse(text: &str) -> Option<ProfileDoc> {
-        if !text.contains("\"schema\": \"sv2p-profile/v1\"") {
-            return None;
-        }
         let mut doc = ProfileDoc::default();
-        for line in text.lines() {
-            let mut s = line.trim();
-            // Header rows ride on structural lines ("\"meta\": {...},").
-            if let Some(i) = s.find('{') {
-                s = &s[i..];
-            } else {
-                continue;
-            }
-            let s = s.trim_end_matches(',');
-            let Some(obj) = parse_flat(s) else { continue };
-            match obj.get("row").and_then(|v| v.as_str()) {
+        for obj in text.lines().filter_map(parse_flat) {
+            match obj.get("row").and_then(JsonValue::as_str) {
                 Some("meta") => doc.meta = obj,
                 Some("phase") => doc.phases.push(obj),
                 Some("shard") => doc.shards.push(obj),
@@ -683,10 +626,7 @@ impl ProfileDoc {
                 _ => {}
             }
         }
-        if doc.meta.is_empty() && doc.phases.is_empty() {
-            return None;
-        }
-        Some(doc)
+        (doc.meta.get("schema").and_then(JsonValue::as_str) == Some(SCHEMA)).then_some(doc)
     }
 }
 
@@ -848,8 +788,10 @@ mod tests {
 
     fn sample_profiler() -> Profiler {
         let mut p = Profiler::new(true);
-        p.phase_add_span(Phase::WindowAdvance, 10, 4_000);
-        p.phase_add_span(Phase::CutExchange, 10, 1_000);
+        for _ in 0..10 {
+            p.phase_add(Phase::WindowAdvance, 400);
+            p.phase_add(Phase::CutExchange, 100);
+        }
         p.phase_add(Phase::WorkerReplay, 2_000);
         p.phase_add(Phase::BarrierWait, 2_500);
         p.phase_add(Phase::JournalMerge, 500);

@@ -145,11 +145,6 @@ impl TcpSender {
         self.next_seq - self.una
     }
 
-    /// Current congestion window in bytes.
-    pub fn cwnd_bytes(&self) -> u64 {
-        self.cwnd as u64
-    }
-
     /// Current RTO.
     pub fn rto(&self) -> SimDuration {
         self.rto
@@ -347,11 +342,6 @@ impl TcpReceiver {
     /// A fresh receiver.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The cumulative ACK value to send right now.
-    pub fn ack_value(&self) -> u64 {
-        self.rcv_nxt
     }
 
     /// Accepts a data segment; returns the cumulative ACK to emit.
@@ -568,8 +558,8 @@ mod tests {
         let mut rx = TcpReceiver::new();
         rx.on_data(3000, 1000);
         rx.on_data(1000, 1000);
-        rx.on_data(1500, 2000); // overlaps both neighbors, bridges the gap
-        assert_eq!(rx.ack_value(), 0);
+        // Overlaps both neighbors and bridges the gap; byte 0 is still missing.
+        assert_eq!(rx.on_data(1500, 2000), 0);
         assert_eq!(rx.on_data(0, 1000), 4000);
         assert_eq!(rx.bytes_delivered, 4000);
     }

@@ -58,11 +58,6 @@ impl UdpSchedule {
     pub fn is_empty(&self) -> bool {
         self.sends.is_empty()
     }
-
-    /// Completion instant: the last send time (None if empty).
-    pub fn last_send(&self) -> Option<SimTime> {
-        self.sends.last().map(|&(t, _)| t)
-    }
 }
 
 #[cfg(test)]
@@ -106,14 +101,13 @@ mod tests {
         let gap = s.sends[1].0 - s.sends[0].0;
         // (1000+60) B at 100G = 84.8 ns, rounded up.
         assert_eq!(gap.as_nanos(), 85);
-        assert_eq!(s.last_send().unwrap(), SimTime::from_micros(5) + gap * 9);
+        assert_eq!(s.sends[9].0, SimTime::from_micros(5) + gap * 9);
     }
 
     #[test]
     fn empty_schedule() {
         let s = UdpSchedule::default();
         assert!(s.is_empty());
-        assert_eq!(s.last_send(), None);
         assert_eq!(s.total_bytes(), 0);
     }
 }

@@ -113,19 +113,6 @@ pub enum CacheOp {
 }
 
 impl CacheOp {
-    /// Stable wire name of the operation.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheOp::Insert { .. } => "insert",
-            CacheOp::Update { .. } => "update",
-            CacheOp::Evict { .. } => "evict",
-            CacheOp::Invalidate { .. } => "invalidate",
-            CacheOp::Spill { .. } => "spill",
-            CacheOp::Promote { .. } => "promote",
-            CacheOp::Install { .. } => "install",
-        }
-    }
-
     /// The virtual address the operation touched.
     pub fn vip(self) -> Vip {
         match self {

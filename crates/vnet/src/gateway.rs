@@ -84,11 +84,6 @@ impl GatewayDirectory {
         self.gateways[(h % self.gateways.len() as u64) as usize].1
     }
 
-    /// True if `pip` addresses a gateway.
-    pub fn is_gateway(&self, pip: Pip) -> bool {
-        self.gateways.iter().any(|&(_, p)| p == pip)
-    }
-
     /// Iterates over the fleet.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, Pip)> + '_ {
         self.gateways.iter().copied()
@@ -105,9 +100,6 @@ mod tests {
         let topo = FatTreeConfig::ft8_10k().build();
         let dir = GatewayDirectory::from_topology(&topo);
         assert_eq!(dir.len(), 40);
-        for (_, pip) in dir.iter() {
-            assert!(dir.is_gateway(pip));
-        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`metrics`] — measurement and summaries;
 //! * [`packet`] — packet model and wire format;
 //! * [`simcore`] — the discrete-event engine;
-//! * [`telemetry`] — event tracing, sampling, run manifests, `sv2p-trace`;
+//! * [`telemetry`] — event tracing, sampling, run manifests, self-profiles
+//!   (`*.profile.jsonl`), and the `sv2p trace|profile` inspector;
 //! * [`ilp`] — cache-placement optimization (Controller baseline);
 //! * [`p4model`] — the Tofino resource model (Table 6).
 //!

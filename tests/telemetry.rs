@@ -60,7 +60,7 @@ fn same_seed_runs_render_identical_jsonl() {
 
 #[test]
 fn inspector_reconstructs_detour_and_cache_hit_paths() {
-    // Go through the rendered JSONL, exactly as `sv2p-trace` would.
+    // Go through the rendered JSONL, exactly as `sv2p trace` would.
     let (text, _) = traced_run(1);
     let events = parse_events(&text);
     assert!(!events.is_empty());
