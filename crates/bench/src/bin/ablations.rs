@@ -37,7 +37,7 @@ fn main() {
         println!("Ablations on {dataset} (cache 50%)\n");
         println!(
             "{:<22} {:>10} {:>12} {:>14} {:>10} {:>10}",
-            "variant", "hit rate", "avg FCT us", "first pkt us", "learn pkts", "spills"
+            "variant", "hit rate", "avg FCT us", "first pkt us", "learn pkts", "retx"
         );
         for (name, cfg) in &variants {
             let spec = ExperimentSpec::builder(scale.ft8(), StrategyKind::SwitchV2PWith(*cfg))

@@ -1,7 +1,8 @@
 //! The control-plane request/response vocabulary.
 //!
-//! Every interaction with the V2P control plane — from the simulator's
-//! in-process client, from `sv2p-ctld`'s TCP front-end, from tests — is a
+//! Every interaction with the served V2P control plane — over
+//! `sv2p-ctld`'s TCP front-end or in-process against
+//! [`crate::StripedControlPlane`] — is a
 //! [`RequestBatch`] of [`CtlOp`]s answered by a [`ReplyBatch`] of
 //! [`CtlReply`]s, one reply per op in order. Responses are *epoch-versioned*:
 //! the batch carries the database epoch observed after the last op executed,
@@ -56,18 +57,6 @@ impl CtlOp {
                 Some(MappingOp::Migrate { vip, to_pip, at_ns })
             }
             CtlOp::Lookup { .. } | CtlOp::Snapshot | CtlOp::Stats => None,
-        }
-    }
-}
-
-impl From<MappingOp> for CtlOp {
-    fn from(op: MappingOp) -> Self {
-        match op {
-            MappingOp::Install { vip, pip } => CtlOp::Install { vip, pip },
-            MappingOp::Invalidate { vip } => CtlOp::Invalidate { vip },
-            MappingOp::Migrate { vip, to_pip, at_ns } => {
-                CtlOp::Migrate { vip, to_pip, at_ns }
-            }
         }
     }
 }
@@ -201,15 +190,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ctlop_mapping_op_round_trip() {
-        let ops = [
-            MappingOp::Install { vip: Vip(1), pip: Pip(2) },
-            MappingOp::Invalidate { vip: Vip(3) },
-            MappingOp::Migrate { vip: Vip(4), to_pip: Pip(5), at_ns: Some(6) },
-        ];
-        for op in ops {
-            assert_eq!(CtlOp::from(op).as_mapping_op(), Some(op));
-        }
+    fn writes_map_onto_mapping_ops_and_reads_do_not() {
+        assert_eq!(
+            CtlOp::Install { vip: Vip(1), pip: Pip(2) }.as_mapping_op(),
+            Some(MappingOp::Install { vip: Vip(1), pip: Pip(2) })
+        );
+        assert_eq!(
+            CtlOp::Invalidate { vip: Vip(3) }.as_mapping_op(),
+            Some(MappingOp::Invalidate { vip: Vip(3) })
+        );
+        assert_eq!(
+            CtlOp::Migrate { vip: Vip(4), to_pip: Pip(5), at_ns: Some(6) }.as_mapping_op(),
+            Some(MappingOp::Migrate { vip: Vip(4), to_pip: Pip(5), at_ns: Some(6) })
+        );
         assert_eq!(CtlOp::Lookup { vip: Vip(1) }.as_mapping_op(), None);
         assert_eq!(CtlOp::Snapshot.as_mapping_op(), None);
         assert_eq!(CtlOp::Stats.as_mapping_op(), None);

@@ -2,16 +2,16 @@
 //!
 //! SwitchV2P's premise is that the *data plane* caches V2P mappings in
 //! network switches — but every cache needs an authority to fill and
-//! invalidate it. This crate extracts that authority out of the simulator
-//! into a standalone, transport-agnostic library:
+//! invalidate it. This crate is that authority, as a servable library:
 //!
 //! * [`api`] — the batched, epoch-versioned request/reply vocabulary
 //!   ([`CtlOp`]: `Lookup` / `Install` / `Invalidate` / `Migrate` /
 //!   `Snapshot` / `Stats`).
-//! * [`service`] — [`ControlPlaneService`] and the single-threaded
-//!   [`LocalControlPlane`] the simulator embeds (the in-process transport).
 //! * [`state`] — [`StripedControlPlane`], `RwLock`-striped concurrent state
-//!   for serving many connections.
+//!   for serving many connections; its `execute_shared` is the one batch
+//!   interpreter.
+//! * [`service`] — [`LocalControlPlane`], the mapping table the simulator
+//!   embeds: read by reference, written through `apply`.
 //! * [`wire`] — a hand-rolled, deterministic, length-prefixed wire codec
 //!   (no serde; canonical little-endian encoding, property-tested).
 //! * [`transport`] — a `std::net` TCP server ([`CtlServer`]) and blocking
@@ -21,10 +21,10 @@
 //! `sv2p-ctlbench` (a closed-loop load generator that checks the daemon's
 //! counters against its own).
 //!
-//! The design invariant: the simulator path and the served path execute
-//! the **same** service logic over the **same** [`sv2p_vnet::MappingDb`]
-//! semantics, so an op log replayed through either produces identical end
-//! states and epochs (asserted by `tests/served_equiv.rs`).
+//! The design invariant: the simulator and the served path keep their
+//! mappings in the **same** [`sv2p_vnet::MappingDb`], so an op log sent
+//! through the server ends in the state, epoch and counters that folding
+//! it over one `MappingDb` gives (asserted by `tests/served_equiv.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +36,7 @@ pub mod transport;
 pub mod wire;
 
 pub use api::{CtlOp, CtlReply, RejectReason, ReplyBatch, RequestBatch, ServiceStats};
-pub use service::{ControlPlaneService, LocalControlPlane, OpCounts};
+pub use service::LocalControlPlane;
 pub use state::{StripedControlPlane, DEFAULT_STRIPES};
 pub use transport::{CtlClient, CtlServer};
 

@@ -13,7 +13,7 @@
 //! instant where no write is in flight.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 use sv2p_packet::{Pip, Vip};
@@ -21,7 +21,6 @@ use sv2p_telemetry::profile::Histogram;
 use sv2p_vnet::{MappingDb, MappingOp};
 
 use crate::api::{CtlOp, CtlReply, ReplyBatch, RequestBatch, ServiceStats};
-use crate::service::{counts_to_stats, sorted_entries, ControlPlaneService, OpCounts};
 
 /// Default stripe count for servers (16 spreads writers well past the
 /// connection counts a loopback bench drives).
@@ -41,8 +40,10 @@ struct AtomicCounts {
 }
 
 impl AtomicCounts {
-    fn load(&self) -> OpCounts {
-        OpCounts {
+    /// The counters as a [`ServiceStats`]; the caller fills in the state
+    /// dimensions (`epoch`, `mappings`) and the exec-time percentiles.
+    fn load(&self) -> ServiceStats {
+        ServiceStats {
             batches: self.batches.load(Ordering::Relaxed),
             ops: self.ops.load(Ordering::Relaxed),
             lookups: self.lookups.load(Ordering::Relaxed),
@@ -52,6 +53,7 @@ impl AtomicCounts {
             migrates: self.migrates.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             snapshots: self.snapshots.load(Ordering::Relaxed),
+            ..ServiceStats::default()
         }
     }
 }
@@ -96,8 +98,7 @@ impl StripedControlPlane {
     }
 
     /// Seeds mappings without touching the op counters (each entry still
-    /// advances the epoch, mirroring `LocalControlPlane::with_db` over a
-    /// `seed_db()`).
+    /// advances the epoch, as a `MappingDb` seeded by `apply` would).
     pub fn preload(&self, entries: impl IntoIterator<Item = (Vip, Pip)>) {
         for (vip, pip) in entries {
             let stripe = self.stripe_of(vip);
@@ -180,31 +181,30 @@ impl StripedControlPlane {
             .iter()
             .map(|s| s.read().expect("stripe poisoned"))
             .collect();
-        let mut entries = Vec::new();
-        for g in &guards {
-            entries.extend(sorted_entries(g));
-        }
+        let mut entries: Vec<(Vip, Pip)> = guards.iter().flat_map(|g| g.iter()).collect();
         entries.sort_unstable_by_key(|&(v, _)| v.0);
         entries
     }
 
     /// Cumulative counters plus per-batch service-time percentiles.
     pub fn stats(&self) -> ServiceStats {
-        let (p50, p99) = {
+        let (exec_p50_ns, exec_p99_ns) = {
             let h = self.exec_ns.lock().expect("hist poisoned");
             (h.percentile(50.0), h.percentile(99.0))
         };
-        counts_to_stats(
-            &self.counts.load(),
-            self.epoch(),
-            self.len() as u64,
-            p50,
-            p99,
-        )
+        ServiceStats {
+            epoch: self.epoch(),
+            mappings: self.len() as u64,
+            exec_p50_ns,
+            exec_p99_ns,
+            ..self.counts.load()
+        }
     }
 
-    /// Executes one batch (shared-reference flavor of
-    /// [`ControlPlaneService::execute`], used directly by server threads).
+    /// Executes every op in order and returns one reply per op; the reply
+    /// batch's `epoch` is the global epoch after the last op. The one batch
+    /// interpreter: every server thread and every in-process caller runs
+    /// this through a shared reference.
     pub fn execute_shared(&self, req: &RequestBatch) -> ReplyBatch {
         let start = Instant::now();
         self.counts.batches.fetch_add(1, Ordering::Relaxed);
@@ -242,16 +242,11 @@ impl StripedControlPlane {
     }
 }
 
-impl ControlPlaneService for Arc<StripedControlPlane> {
-    fn execute(&mut self, req: &RequestBatch) -> ReplyBatch {
-        self.execute_shared(req)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::RejectReason;
+    use std::sync::Arc;
 
     #[test]
     fn striped_basic_ops_and_epoch() {

@@ -1,27 +1,30 @@
-//! The design invariant of the control-plane extraction: an op log
-//! replayed through the simulator's in-process transport
-//! ([`LocalControlPlane`]) and through the TCP-served concurrent
-//! transport ([`StripedControlPlane`] behind [`CtlServer`]) produces
-//! identical `MappingDb` end states — same sorted entries, same epoch,
-//! same per-op replies.
+//! The served path against the data structure's own semantics: an op log
+//! sent over TCP to a [`CtlServer`] (the striped concurrent state behind
+//! the one batch interpreter) must give the replies, epochs, end state and
+//! counters of folding the same log, one op at a time, over a single
+//! [`MappingDb`]. The fold is written here and calls nothing in
+//! `v2p_controlplane`; `MappingDb` itself is certified against a HashMap
+//! oracle in `sv2p-vnet`'s `proptest_vnet`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use sv2p_packet::{Pip, Vip};
 use sv2p_simcore::SimRng;
+use sv2p_vnet::{ApplyError, MappingDb, MappingOp};
 use v2p_controlplane::{
-    ControlPlaneService, CtlClient, CtlOp, CtlServer, LocalControlPlane, RequestBatch,
-    StripedControlPlane,
+    CtlClient, CtlOp, CtlReply, CtlServer, RejectReason, ReplyBatch, RequestBatch,
+    ServiceStats, StripedControlPlane,
 };
 
-/// A deterministic mixed op log: installs, lookups, migrations (with and
-/// without timestamps), invalidations — including migrations of
-/// never-placed VIPs that must be rejected identically by both paths.
-fn synth_ops(seed: u64, n: usize) -> Vec<CtlOp> {
+/// A deterministic mixed op log over VIPs `vip_base..vip_base + 200`:
+/// installs, lookups, migrations (with and without timestamps),
+/// invalidations — including migrations of never-placed VIPs, which must
+/// be rejected.
+fn synth_ops(seed: u64, n: usize, vip_base: u32) -> Vec<CtlOp> {
     let mut rng = SimRng::new(seed);
     let mut ops = Vec::with_capacity(n);
     for _ in 0..n {
-        let vip = Vip(rng.gen_range(0u32..200));
+        let vip = Vip(vip_base + rng.gen_range(0u32..200));
         ops.push(match rng.gen_range(0u32..10) {
             0..=2 => CtlOp::Install { vip, pip: Pip(rng.gen_range(0u32..1000)) },
             3..=5 => CtlOp::Lookup { vip },
@@ -51,96 +54,203 @@ fn batches(ops: &[CtlOp], batch: usize) -> Vec<RequestBatch> {
         .collect()
 }
 
+/// The reference: one `MappingDb`, one op at a time, counters kept by hand.
+#[derive(Default)]
+struct Fold {
+    db: MappingDb,
+    counts: ServiceStats,
+}
+
+impl Fold {
+    fn over(reqs: &[RequestBatch]) -> (Fold, Vec<ReplyBatch>) {
+        let mut fold = Fold::default();
+        let reps = reqs.iter().map(|r| fold.execute(r)).collect();
+        (fold, reps)
+    }
+
+    fn execute(&mut self, req: &RequestBatch) -> ReplyBatch {
+        self.counts.batches += 1;
+        self.counts.ops += req.ops.len() as u64;
+        let replies = req.ops.iter().map(|op| self.step(*op)).collect();
+        ReplyBatch {
+            id: req.id,
+            epoch: self.db.epoch(),
+            replies,
+        }
+    }
+
+    fn step(&mut self, op: CtlOp) -> CtlReply {
+        let c = &mut self.counts;
+        let (write, kind) = match op {
+            CtlOp::Lookup { vip } => {
+                c.lookups += 1;
+                return match self.db.lookup(vip) {
+                    Some(pip) => {
+                        c.hits += 1;
+                        CtlReply::Found { pip }
+                    }
+                    None => CtlReply::NotFound,
+                };
+            }
+            CtlOp::Install { vip, pip } => (MappingOp::Install { vip, pip }, &mut c.installs),
+            CtlOp::Invalidate { vip } => (MappingOp::Invalidate { vip }, &mut c.invalidates),
+            CtlOp::Migrate { vip, to_pip, at_ns } => {
+                (MappingOp::Migrate { vip, to_pip, at_ns }, &mut c.migrates)
+            }
+            CtlOp::Snapshot | CtlOp::Stats => unreachable!("synth_ops emits neither"),
+        };
+        match self.db.try_apply(write) {
+            Ok(delta) => {
+                *kind += 1;
+                CtlReply::Applied {
+                    old: delta.old,
+                    new: delta.new,
+                }
+            }
+            Err(ApplyError::UnknownVip(_)) => {
+                c.rejected += 1;
+                CtlReply::Rejected {
+                    reason: RejectReason::UnknownVip,
+                }
+            }
+        }
+    }
+
+    fn snapshot(&self) -> Vec<(Vip, Pip)> {
+        let mut entries: Vec<_> = self.db.iter().collect();
+        entries.sort_unstable_by_key(|&(v, _)| v.0);
+        entries
+    }
+
+    fn stats(&self) -> ServiceStats {
+        ServiceStats {
+            epoch: self.db.epoch(),
+            mappings: self.db.len() as u64,
+            ..self.counts
+        }
+    }
+}
+
+/// Every counter of the served state; host time (the exec percentiles) is
+/// not part of the contract.
+fn served_stats(state: &StripedControlPlane) -> ServiceStats {
+    ServiceStats {
+        exec_p50_ns: 0,
+        exec_p99_ns: 0,
+        ..state.stats()
+    }
+}
+
+fn serve(stripes: usize) -> (Arc<StripedControlPlane>, CtlServer) {
+    let state = Arc::new(StripedControlPlane::new(stripes));
+    let server = CtlServer::spawn("127.0.0.1:0", Arc::clone(&state)).expect("bind");
+    (state, server)
+}
+
+fn connect(server: &CtlServer) -> CtlClient {
+    CtlClient::connect(server.addr()).expect("connect")
+}
+
+fn replay(client: &mut CtlClient, reqs: &[RequestBatch]) -> Vec<ReplyBatch> {
+    reqs.iter().map(|r| client.call(r).expect("call")).collect()
+}
+
 #[test]
-fn simulator_path_and_served_path_agree() {
-    let ops = synth_ops(42, 3000);
-    let reqs = batches(&ops, 64);
+fn served_replies_epochs_and_end_state_match_the_fold() {
+    let reqs = batches(&synth_ops(42, 3000, 0), 64);
+    let (fold, fold_reps) = Fold::over(&reqs);
 
-    // Path 1: the in-process transport the simulator embeds.
-    let mut local = LocalControlPlane::new();
-    let local_reps: Vec<_> = reqs.iter().map(|r| local.execute(r)).collect();
-
-    // Path 2: the same log over TCP against the striped concurrent state.
-    let state = Arc::new(StripedControlPlane::new(8));
-    let mut server = CtlServer::spawn("127.0.0.1:0", Arc::clone(&state)).expect("bind");
-    let mut client = CtlClient::connect(server.addr()).expect("connect");
-    let served_reps: Vec<_> = reqs
-        .iter()
-        .map(|r| client.call(r).expect("call"))
-        .collect();
+    let (state, mut server) = serve(8);
+    let served_reps = replay(&mut connect(&server), &reqs);
 
     // Per-op replies and per-batch epochs are identical, not just the end
-    // state: both transports run the same service semantics.
-    assert_eq!(local_reps, served_reps);
+    // state.
+    assert_eq!(fold_reps, served_reps);
 
     // End states match entry-for-entry and epoch-for-epoch.
-    let mut local_snap_src = local.clone();
-    assert_eq!(local_snap_src.snapshot(), state.snapshot());
-    assert_eq!(local.epoch(), state.epoch());
-    assert!(local.epoch() > 0, "log must contain accepted writes");
+    assert_eq!(fold.snapshot(), state.snapshot());
+    assert_eq!(fold.db.epoch(), state.epoch());
+    assert!(state.epoch() > 0, "log must contain accepted writes");
 
     server.shutdown();
 }
 
 #[test]
-fn served_path_agrees_for_multiple_seeds_and_batch_sizes() {
+fn served_end_state_matches_for_multiple_seeds_and_batch_sizes() {
     for (seed, batch) in [(1u64, 1usize), (7, 17), (1234, 500)] {
-        let ops = synth_ops(seed, 800);
-        let reqs = batches(&ops, batch);
+        let reqs = batches(&synth_ops(seed, 800, 0), batch);
+        let (fold, _) = Fold::over(&reqs);
 
-        let mut local = LocalControlPlane::new();
-        for r in &reqs {
-            local.execute(r);
-        }
+        let (state, mut server) = serve(4);
+        replay(&mut connect(&server), &reqs);
 
-        let state = Arc::new(StripedControlPlane::new(4));
-        let mut server =
-            CtlServer::spawn("127.0.0.1:0", Arc::clone(&state)).expect("bind");
-        let mut client = CtlClient::connect(server.addr()).expect("connect");
-        for r in &reqs {
-            client.call(r).expect("call");
-        }
-
-        let mut local_for_snap = local.clone();
         assert_eq!(
-            local_for_snap.snapshot(),
+            fold.snapshot(),
             state.snapshot(),
             "end states diverged for seed {seed} batch {batch}"
         );
-        assert_eq!(local.epoch(), state.epoch());
+        assert_eq!(fold.db.epoch(), state.epoch());
         server.shutdown();
     }
 }
 
 #[test]
-fn stats_counters_match_between_transports() {
-    let ops = synth_ops(99, 1000);
-    let reqs = batches(&ops, 50);
+fn served_counters_match_the_fold() {
+    let reqs = batches(&synth_ops(99, 1000, 0), 50);
+    let (fold, _) = Fold::over(&reqs);
 
-    let mut local = LocalControlPlane::new();
-    for r in &reqs {
-        local.execute(r);
+    let (state, mut server) = serve(8);
+    replay(&mut connect(&server), &reqs);
+
+    let want = fold.stats();
+    assert_eq!(want, served_stats(&state));
+    assert!(want.rejected > 0, "log must exercise the rejection path");
+    server.shutdown();
+}
+
+/// Per-VIP linearizability of the striped state, observed through the
+/// transport: four connections write disjoint VIP ranges at once, so each
+/// sees exactly the replies of its own log folded alone, and the table
+/// ends as the fold of the four logs laid end to end.
+#[test]
+fn concurrent_clients_on_disjoint_vips_match_the_fold_of_the_union() {
+    let logs: Vec<Vec<RequestBatch>> = (0..4u32)
+        .map(|k| batches(&synth_ops(100 + u64::from(k), 1500, k * 200), 32))
+        .collect();
+
+    let (state, mut server) = serve(8);
+    // All four are connected before any sends, so the logs overlap.
+    let connected = Barrier::new(logs.len());
+    let served: Vec<Vec<ReplyBatch>> = std::thread::scope(|s| {
+        let (server, connected) = (&server, &connected);
+        let clients: Vec<_> = logs
+            .iter()
+            .map(|reqs| {
+                s.spawn(move || {
+                    let mut client = connect(server);
+                    connected.wait();
+                    replay(&mut client, reqs)
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client")).collect()
+    });
+
+    for (reqs, served_reps) in logs.iter().zip(&served) {
+        let (_, alone) = Fold::over(reqs);
+        for (want, got) in alone.iter().zip(served_reps) {
+            assert_eq!(want.replies, got.replies);
+        }
+        // Other connections' writes interleave, so a batch's epoch is only
+        // bounded: it never runs backwards on one connection.
+        assert!(served_reps.windows(2).all(|w| w[0].epoch <= w[1].epoch));
     }
 
-    let state = Arc::new(StripedControlPlane::new(8));
-    let mut server = CtlServer::spawn("127.0.0.1:0", Arc::clone(&state)).expect("bind");
-    let mut client = CtlClient::connect(server.addr()).expect("connect");
-    for r in &reqs {
-        client.call(r).expect("call");
-    }
-
-    let l = local.stats();
-    let s = state.stats();
-    assert_eq!(l.batches, s.batches);
-    assert_eq!(l.ops, s.ops);
-    assert_eq!(l.lookups, s.lookups);
-    assert_eq!(l.hits, s.hits);
-    assert_eq!(l.installs, s.installs);
-    assert_eq!(l.invalidates, s.invalidates);
-    assert_eq!(l.migrates, s.migrates);
-    assert_eq!(l.rejected, s.rejected);
-    assert_eq!(l.epoch, s.epoch);
-    assert_eq!(l.mappings, s.mappings);
-    assert!(l.rejected > 0, "log must exercise the rejection path");
+    let (union, _) = Fold::over(&logs.concat());
+    let want = union.stats();
+    assert_eq!(want, served_stats(&state));
+    assert_eq!(want.epoch, want.installs + want.invalidates + want.migrates);
+    assert!(want.rejected > 0, "logs must exercise the rejection path");
+    assert_eq!(union.snapshot(), state.snapshot());
     server.shutdown();
 }

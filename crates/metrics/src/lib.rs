@@ -21,16 +21,7 @@ use sv2p_simcore::{FxHashMap, SimTime};
 /// Default recovery-series window: 100 µs of virtual time.
 pub const DEFAULT_WINDOW_NS: u64 = 100_000;
 
-/// Topology layer of a switch, for Table 5 breakdowns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
-pub enum Layer {
-    /// Top-of-rack switches (including gateway ToRs).
-    Tor,
-    /// Pod switches (including gateway spines).
-    Spine,
-    /// Core switches.
-    Core,
-}
+pub use sv2p_topology::Layer;
 
 /// Static description of one switch, registered up front.
 #[derive(Debug, Clone, Copy)]

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use sv2p_metrics::{Layer, Metrics, RunSummary, SwitchInfo, WindowStat};
+use sv2p_metrics::{Metrics, RunSummary, SwitchInfo, WindowStat};
 use sv2p_packet::{Pip, SwitchTag, Vip};
 use sv2p_simcore::{EventQueue, FxHashMap, SimDuration, SimTime};
 use sv2p_telemetry::profile::Profiler;
@@ -92,13 +92,8 @@ impl Engine {
             tags[sw.id.0 as usize] = Some(SwitchTag(tag_pips.len() as u16));
             tag_pips.push(sw.pip);
             let role = roles.role(sw.id).expect("switch role");
-            let layer = match role.layer() {
-                "ToR" => Layer::Tor,
-                "Spine" => Layer::Spine,
-                _ => Layer::Core,
-            };
             switches.push(SwitchInfo {
-                layer,
+                layer: role.layer(),
                 pod: sw.kind.pod(),
             });
             if strategy.caches_at(role) {
@@ -291,8 +286,8 @@ impl Engine {
         &self.ctl.placement
     }
 
-    /// Read view of the ground-truth V2P database (served by the embedded
-    /// control plane; all writes go through `v2p-controlplane`).
+    /// Read view of the ground-truth V2P database (embedded; the only
+    /// writes are `LocalControlPlane::apply` calls made by global events).
     pub fn db(&self) -> &MappingDb {
         self.ctl.plane.db()
     }

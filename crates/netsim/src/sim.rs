@@ -264,7 +264,10 @@ impl Shard {
         if let Some(agent) = self.agents[node.0 as usize].as_mut() {
             agent.reset();
         }
-        let is_tor = ctl.roles.role(node).is_some_and(|r| r.layer() == "ToR");
+        let is_tor = ctl
+            .roles
+            .role(node)
+            .is_some_and(|r| r.layer() == sv2p_topology::Layer::Tor);
         if is_tor {
             for &link in &self.world.topo.out_links[node.0 as usize] {
                 let peer = self.world.topo.link(link).to;
@@ -289,10 +292,10 @@ impl Shard {
             let occ = self.agents[sw.id.0 as usize]
                 .as_ref()
                 .map_or(0, |a| a.occupancy()) as u64;
-            match ctl.roles.role(sw.id).map(|r| r.layer()) {
-                Some("ToR") => s.occ_tor += occ,
-                Some("Spine") => s.occ_spine += occ,
-                _ => s.occ_core += occ,
+            match ctl.roles.role(sw.id).expect("switch role").layer() {
+                sv2p_topology::Layer::Tor => s.occ_tor += occ,
+                sv2p_topology::Layer::Spine => s.occ_spine += occ,
+                sv2p_topology::Layer::Core => s.occ_core += occ,
             }
         }
         if let Some(w) = self.metrics.windows.get(widx) {

@@ -49,8 +49,8 @@ impl World {
 /// read it inside a window; the driver writes it between windows (global
 /// events) and between runs (interventions) — never both at once.
 pub(crate) struct Control {
-    /// The embedded control plane owning the ground-truth V2P database
-    /// (the simulator is one in-process client of `v2p-controlplane`).
+    /// The ground-truth V2P database, embedded: handlers read it by
+    /// reference, the driver writes it through `apply`.
     pub plane: LocalControlPlane,
     /// VM placement (kept in sync with the database across migrations).
     pub placement: Placement,

@@ -39,5 +39,5 @@ pub mod routing;
 pub use fattree::{FatTreeConfig, LinkSpec};
 pub use graph::{LinkId, Node, NodeId, NodeKind, Topology};
 pub use partition::PodPartition;
-pub use roles::{RoleMap, SwitchRole};
+pub use roles::{Layer, RoleMap, SwitchRole};
 pub use routing::Routing;

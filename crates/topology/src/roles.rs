@@ -27,6 +27,18 @@ pub enum SwitchRole {
     Core,
 }
 
+/// Topology layer of a switch, ignoring gateway adjacency — Table 5
+/// reports hit distribution by layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+pub enum Layer {
+    /// Top-of-rack switches (including gateway ToRs).
+    Tor,
+    /// Pod switches (including gateway spines).
+    Spine,
+    /// Core switches.
+    Core,
+}
+
 impl SwitchRole {
     /// Human-readable name as used in the paper's tables.
     pub fn name(self) -> &'static str {
@@ -39,13 +51,12 @@ impl SwitchRole {
         }
     }
 
-    /// The topology layer (ToR/Spine/Core) ignoring gateway adjacency —
-    /// Table 5 reports hit distribution by layer.
-    pub fn layer(self) -> &'static str {
+    /// The topology layer this role sits in.
+    pub fn layer(self) -> Layer {
         match self {
-            SwitchRole::GatewayTor | SwitchRole::Tor => "ToR",
-            SwitchRole::GatewaySpine | SwitchRole::Spine => "Spine",
-            SwitchRole::Core => "Core",
+            SwitchRole::GatewayTor | SwitchRole::Tor => Layer::Tor,
+            SwitchRole::GatewaySpine | SwitchRole::Spine => Layer::Spine,
+            SwitchRole::Core => Layer::Core,
         }
     }
 }
@@ -158,8 +169,8 @@ mod tests {
 
     #[test]
     fn layer_collapses_gateway_variants() {
-        assert_eq!(SwitchRole::GatewayTor.layer(), "ToR");
-        assert_eq!(SwitchRole::GatewaySpine.layer(), "Spine");
-        assert_eq!(SwitchRole::Core.layer(), "Core");
+        assert_eq!(SwitchRole::GatewayTor.layer(), Layer::Tor);
+        assert_eq!(SwitchRole::GatewaySpine.layer(), Layer::Spine);
+        assert_eq!(SwitchRole::Core.layer(), Layer::Core);
     }
 }

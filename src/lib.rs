@@ -18,6 +18,8 @@
 //! * [`simcore`] — the discrete-event engine;
 //! * [`telemetry`] — event tracing, sampling, run manifests, self-profiles
 //!   (`*.profile.jsonl`), and the `sv2p trace|profile` inspector;
+//! * [`controlplane`] — the servable V2P control plane (`sv2p-ctld`) and
+//!   the mapping table the simulator embeds;
 //! * [`ilp`] — cache-placement optimization (Controller baseline);
 //! * [`p4model`] — the Tofino resource model (Table 6).
 //!
@@ -38,3 +40,4 @@ pub use sv2p_traces as traces;
 pub use sv2p_transport as transport;
 pub use sv2p_vnet as vnet;
 pub use switchv2p as core;
+pub use v2p_controlplane as controlplane;

@@ -2,12 +2,14 @@
 //! `--bin NAME` is a binary target, every `--example NAME` an example, and
 //! every repository path (`results/…`, `scripts/…`, `crates/…`,
 //! `benchmark/…`, `vendor/…`, a root `*.json` or `*.sh`) a file in the tree
-//! or one of the listed run outputs. A document that still points
-//! at a deleted binary, script or baseline file fails here.
+//! or one of the listed run outputs, and every CamelCase identifier in
+//! inline backticks a type, trait or enum variant declared under `crates/`,
+//! `src/` or `vendor/`. A document that still points at a deleted binary,
+//! script, baseline file or type fails here.
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 const PATH_ROOTS: [&str; 5] = ["results/", "scripts/", "crates/", "benchmark/", "vendor/"];
@@ -19,6 +21,10 @@ const OUTPUTS: [&str; 4] = [
     "results/scale_smoke.txt",
     "benchmark/out",
 ];
+
+/// CamelCase names the documents use that no file in the tree declares:
+/// `std` types and traits, and a field of Linux's `/proc/<pid>/status`.
+const FOREIGN: [&str; 7] = ["Arc", "AtomicU64", "Box", "BuildHasher", "RwLock", "Vec", "VmHWM"];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -53,12 +59,96 @@ fn bin_targets() -> BTreeSet<String> {
     bins
 }
 
+fn is_camel_case(word: &str) -> bool {
+    word.starts_with(|c: char| c.is_ascii_uppercase())
+        && word.contains(|c: char| c.is_ascii_lowercase())
+        && !word.contains('_')
+}
+
+fn idents(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .filter(|w| !w.is_empty())
+}
+
+/// The CamelCase identifiers a document puts in inline backticks (fenced
+/// blocks are shell transcripts and sample output, not names).
+fn type_names(text: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    let (mut fenced, mut in_code) = (false, false);
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            // A span may wrap, so backtick parity carries over the line end.
+            for (i, part) in line.split('`').enumerate() {
+                in_code ^= i > 0;
+                if in_code {
+                    names.extend(idents(part).filter(|w| is_camel_case(w)));
+                }
+            }
+        }
+    }
+    names
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).into_iter().flatten() {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every name the tree declares with `struct`, `enum`, `trait` or `type`,
+/// plus the variants: lines that open with a CamelCase identifier inside an
+/// `enum` body or a `wire_names!` table.
+fn declared_types() -> BTreeSet<String> {
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "vendor"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    let mut names = BTreeSet::new();
+    for file in files {
+        let text = fs::read_to_string(&file).expect("utf-8 source");
+        // Brace depth inside the enum body being read; 0 outside one.
+        let mut depth = 0usize;
+        for line in text.lines().map(str::trim).filter(|l| !l.starts_with("//")) {
+            let words: Vec<&str> = idents(line).collect();
+            let mut opens_enum = line.contains("wire_names! {");
+            for pair in words.windows(2) {
+                if ["struct", "enum", "trait", "type"].contains(&pair[0])
+                    && is_camel_case(pair[1])
+                {
+                    names.insert(pair[1].to_string());
+                    opens_enum |= pair[0] == "enum";
+                }
+            }
+            if depth > 0 && !opens_enum && words.first().is_some_and(|w| is_camel_case(w)) {
+                names.insert(words[0].to_string());
+            }
+            if depth > 0 || opens_enum {
+                depth += line.matches('{').count();
+                depth = depth.saturating_sub(line.matches('}').count());
+            }
+        }
+    }
+    names
+}
+
 #[test]
 fn documents_name_only_what_exists() {
     let bins = bin_targets();
     assert!(
         bins.contains("table4") && bins.contains("sv2p-ctld") && !bins.contains("ctld"),
         "found {bins:?}"
+    );
+    let types = declared_types();
+    assert!(
+        types.contains("MappingDb") && types.contains("UnknownVip") && types.contains("CacheLookup"),
+        "a struct, an enum variant and a wire_names! variant must all be seen"
     );
     let mut missing = Vec::new();
     for doc in DOCS {
@@ -85,6 +175,11 @@ fn documents_name_only_what_exists() {
             }
             prev = word;
         }
+        for name in type_names(&text) {
+            if !types.contains(name) && !FOREIGN.contains(&name) {
+                missing.push(format!("{doc}: type {name}"));
+            }
+        }
     }
     assert!(
         missing.is_empty(),
@@ -95,8 +190,12 @@ fn documents_name_only_what_exists() {
 
 #[test]
 fn the_scan_sees_a_stale_reference() {
-    let stale = "run `cargo run --bin sv2p-nope`, then read `scripts/gone.py` and `OLD.json`.";
+    let stale = "run `cargo run --bin sv2p-nope`, then read `scripts/gone.py` and `OLD.json`; \
+                 `GoneService::execute(&RequestBatch)` interprets it.";
     let found: Vec<&str> = words(stale).collect();
     assert!(found.windows(2).any(|w| w == ["--bin", "sv2p-nope"]));
     assert!(found.contains(&"scripts/gone.py") && found.contains(&"OLD.json"));
+    assert_eq!(type_names(stale), ["GoneService", "RequestBatch"]);
+    let types = declared_types();
+    assert!(types.contains("RequestBatch") && !types.contains("GoneService"));
 }
