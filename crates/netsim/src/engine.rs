@@ -161,7 +161,7 @@ impl Engine {
         };
 
         let mut master = Master {
-            events: EventQueue::with_capacity(1 << 16),
+            events: EventQueue::new(),
             metrics: recorder(&switches),
             tracer: Tracer::new(cfg.telemetry),
             next_pkt_id: 0,

@@ -33,6 +33,11 @@ pub struct LinkState {
     queued_bytes: u64,
     /// True while a packet is being serialized.
     busy: bool,
+    /// The last `(wire bytes, serialization time)` worked out. A link is
+    /// one direction of a cable, so it carries runs of one size — full
+    /// data packets one way, ACKs the other — and the division repeats.
+    /// Starts at the one answer known without dividing: 0 bytes, 0 ns.
+    last_ser: (u32, SimDuration),
     /// Drops due to a full buffer.
     pub drops: u64,
     /// Drops due to injected stochastic loss.
@@ -66,14 +71,19 @@ impl LinkState {
             queue: VecDeque::new(),
             queued_bytes: 0,
             busy: false,
+            last_ser: (0, SimDuration::ZERO),
             drops: 0,
             losses: 0,
         }
     }
 
     /// Serialization time of `wire_bytes` on this link.
-    pub fn ser_time(&self, wire_bytes: u32) -> SimDuration {
-        SimDuration::serialization(wire_bytes, self.bandwidth_bps)
+    fn ser_time(&mut self, wire_bytes: u32) -> SimDuration {
+        if self.last_ser.0 != wire_bytes {
+            let ser = SimDuration::serialization(wire_bytes, self.bandwidth_bps);
+            self.last_ser = (wire_bytes, ser);
+        }
+        self.last_ser.1
     }
 
     /// Offers a packet to the egress port, first exposing it to the link's
@@ -120,11 +130,10 @@ impl LinkState {
     pub fn tx_done(&mut self) -> (PacketRef, Option<SimDuration>) {
         debug_assert!(self.busy, "tx_done on idle link");
         let (sent, _) = self.queue.pop_front().expect("tx_done with empty queue");
-        match self.queue.front() {
-            Some(&(_, wire)) => {
+        match self.queue.front().copied() {
+            Some((_, wire)) => {
                 self.queued_bytes -= wire as u64;
-                let ser = self.ser_time(wire);
-                (sent, Some(ser))
+                (sent, Some(self.ser_time(wire)))
             }
             None => {
                 self.busy = false;
@@ -201,6 +210,21 @@ mod tests {
             l.enqueue(PacketRef(3), 61),
             EnqueueOutcome::StartTx(_)
         ));
+    }
+
+    #[test]
+    fn serialization_times_stay_exact_across_size_changes() {
+        // Runs of one size, switches between sizes and a return to an
+        // earlier size all give the line-rate figure, on the idle-start
+        // path and on the drain path.
+        let mut l = link();
+        for (i, wire) in [MSS_WIRE, MSS_WIRE, 60, 60, MSS_WIRE, 0, 61, 60].into_iter().enumerate() {
+            let want = SimDuration::serialization(wire, l.bandwidth_bps);
+            assert_eq!(l.enqueue(PacketRef(i as u32), wire), EnqueueOutcome::StartTx(want));
+            assert_eq!(l.enqueue(PacketRef(100 + i as u32), wire), EnqueueOutcome::Queued);
+            assert_eq!(l.tx_done().1, Some(want));
+            assert_eq!(l.tx_done().1, None);
+        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub(crate) struct Lane {
 impl Lane {
     pub fn new() -> Self {
         Lane {
-            events: EventQueue::with_capacity(1 << 16),
+            events: EventQueue::new(),
             ords: ShardState::new(),
             window_end: SimTime::ZERO,
             parked: Vec::new(),

@@ -677,7 +677,13 @@ impl Shard {
         }
         let was_unresolved = is_data && was_unresolved;
         let role = ctl.roles.role(node).expect("switch role");
-        let dst_attached = self.dst_attached(node, dst_pip);
+        // The outer destination is resolved to a node once per hop, here,
+        // and again below only if the agent rewrote it.
+        let dst_node = self.world.topo.node_by_pip(dst_pip);
+        let dst_attached = dst_node.is_some_and(|dst| {
+            let topo = &self.world.topo;
+            topo.node(dst).kind.is_host() && self.world.routing.tor_of(topo, dst) == node
+        });
 
         let output = {
             let world = &*self.world;
@@ -771,11 +777,20 @@ impl Shard {
                 PacketKind::Invalidation(_) => self.metrics.invalidation_packets += 1,
                 PacketKind::Data => {}
             }
+            let extra_dst = self.world.topo.node_by_pip(extra.outer.dst_pip);
             let eh = self.arena.alloc(extra);
-            self.route_from_switch(ctl, fx, node, eh);
+            self.route_from_switch(ctl, fx, node, eh, extra_dst);
         }
         match output.action {
-            PacketAction::Forward => self.route_from_switch(ctl, fx, node, pkt),
+            PacketAction::Forward => {
+                let now_pip = self.arena.get(pkt).outer.dst_pip;
+                let dst_node = if now_pip == dst_pip {
+                    dst_node
+                } else {
+                    self.world.topo.node_by_pip(now_pip)
+                };
+                self.route_from_switch(ctl, fx, node, pkt, dst_node);
+            }
             PacketAction::Delay(d) => fx.schedule_in(d, Event::ReInject { node, pkt }),
             PacketAction::Drop => {
                 self.drop_packet(fx, pkt, node, DropCause::Queue);
@@ -784,18 +799,17 @@ impl Shard {
         }
     }
 
+    /// Sends `pkt` out of switch `node` toward `dst_node`, the node its
+    /// outer destination PIP resolves to (`None`: it addresses nothing).
     fn route_from_switch<F: Effects>(
         &mut self,
         ctl: &Control,
         fx: &mut F,
         node: NodeId,
         pkt: PacketRef,
+        dst_node: Option<NodeId>,
     ) {
-        let (dst_pip, key) = {
-            let p = self.arena.get(pkt);
-            (p.outer.dst_pip, p.ecmp_key())
-        };
-        let Some(dst_node) = self.world.topo.node_by_pip(dst_pip) else {
+        let Some(dst_node) = dst_node else {
             // Unroutable (e.g. a Bluebird packet no ToR translated): drop.
             self.drop_packet(fx, pkt, node, DropCause::Unroutable);
             return;
@@ -805,6 +819,7 @@ impl Shard {
             self.arena.free(pkt);
             return;
         }
+        let key = self.arena.get(pkt).ecmp_key();
         let usable = |l: LinkId| ctl.link_up[l.0 as usize];
         let next = self.world.routing.next_link_filtered_into(
             &self.world.topo,
@@ -820,16 +835,6 @@ impl Shard {
                 // No route, or every candidate port is down.
                 self.drop_packet(fx, pkt, node, DropCause::Unroutable);
             }
-        }
-    }
-
-    fn dst_attached(&self, node: NodeId, dst_pip: Pip) -> bool {
-        let topo = &self.world.topo;
-        match topo.node_by_pip(dst_pip) {
-            Some(dst_node) if topo.node(dst_node).kind.is_host() => {
-                self.world.routing.tor_of(topo, dst_node) == node
-            }
-            _ => false,
         }
     }
 
@@ -965,14 +970,16 @@ impl Shard {
             self.arena.free(pkt);
             return;
         }
-        let vip = self.arena.get(pkt).inner.dst_vip;
-        // Hosting is derived straight from the placement (a per-node
-        // VIP-set map would be O(VMs) of HashSet overhead at million-VM
-        // scale, and `relocate` already keeps placement current).
-        let is_hosted = ctl
-            .placement
-            .index_of(vip)
-            .is_some_and(|vm| ctl.placement.node_of(vm) == node);
+        // A data packet is addressed to one of its flow's two endpoints, so
+        // "hosted here" is read off the flow and the placement (which
+        // `relocate` keeps current) without searching the VIP column.
+        let (vip, spec) = {
+            let p = self.arena.get(pkt);
+            (p.inner.dst_vip, &ctl.flows[p.flow.0 as usize])
+        };
+        let is_hosted = [spec.src_vm, spec.dst_vm]
+            .into_iter()
+            .any(|vm| ctl.placement.vip_of(vm) == vip && ctl.placement.node_of(vm) == node);
         if !is_hosted {
             self.on_misdelivery(fx, node, pkt);
             return;

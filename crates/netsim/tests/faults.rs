@@ -169,6 +169,67 @@ fn host_uplink_down_drops_unroutable_then_recovers() {
 /// The failures-experiment plan in miniature: a reboot, a link failure and a
 /// loss window together. Same seed + same plan must give byte-identical
 /// summaries.
+/// `run_until(t)` parks with the next event just past `t`, in `t`'s own
+/// 128 ns calendar slot. A plan applied then for an instant in
+/// `(now(), t]` that lies a slot earlier is what `apply_fault_plan`'s
+/// "may be called mid-run" invites, and so is a flow added for such an
+/// instant: both must take effect at their instants at every shard
+/// count, never a wheel rotation (1 ms) later, and the clock must not
+/// run backwards.
+#[test]
+fn interventions_behind_a_parked_run_take_effect_on_time() {
+    let run = |shards: u16| {
+        let ft = FatTreeConfig::scaled_ft8(4);
+        let mut sim = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, shards);
+        assert_eq!(sim.shards(), shards);
+        let start = SimTime::from_nanos(10_050);
+        let mut flows = tcp_flows(&sim, 12, 20_000);
+        for f in &mut flows {
+            f.start = start;
+        }
+        let late = FlowSpec {
+            start: SimTime::from_micros(6),
+            ..flows[0].clone()
+        };
+        let n = flows.len() as u64 + 1;
+        sim.add_flows(flows);
+
+        sim.run_until(SimTime::from_nanos(10_010));
+        assert_eq!(sim.events_executed(), 0, "nothing is due before the flows start");
+        let gws: Vec<NodeId> = sim.topology().gateways().map(|g| g.id).collect();
+        let outage = FaultPlan::from_events(gws.iter().map(|&node| FaultEvent::GatewayOutage {
+            node,
+            at: SimTime::from_micros(5),
+            up_at: SimTime::from_micros(300),
+        }))
+        .unwrap();
+        sim.apply_fault_plan(outage);
+        sim.add_flows([late]);
+
+        // The two interventions are the next two events, in time order.
+        sim.run_until(SimTime::from_micros(5));
+        assert_eq!(sim.now(), SimTime::from_micros(5), "the outage starts first");
+        sim.run_until(SimTime::from_micros(6));
+        assert_eq!(sim.now(), SimTime::from_micros(6), "then the added flow");
+
+        let mut last = sim.now();
+        for step in 1..=150 {
+            sim.run_until(SimTime::from_micros(10 * step));
+            assert!(sim.now() >= last, "clock ran backwards: {:?} after {last:?}", sim.now());
+            last = sim.now();
+        }
+        sim.run();
+        let s = sim.summary();
+        assert_eq!(s.flows_completed, n, "{s:?}");
+        assert!(
+            s.drops_blackout > 0,
+            "the outage must be in force when the flows start: {s:?}"
+        );
+        format!("{s:?}")
+    };
+    assert_eq!(run(1), run(4));
+}
+
 #[test]
 fn fault_runs_are_deterministic() {
     let run = || {

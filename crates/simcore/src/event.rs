@@ -1,5 +1,5 @@
-//! The event calendar: a timing-wheel (calendar queue) with deterministic
-//! tie-breaking.
+//! The event calendar: a two-level timing wheel (calendar queue) with
+//! deterministic tie-breaking.
 //!
 //! Two events scheduled for the same instant pop in the order they were
 //! pushed (FIFO), which makes whole simulations reproducible regardless of
@@ -9,38 +9,45 @@
 //!
 //! # Structure
 //!
-//! A binary heap pays `O(log n)` per operation with `n` = *every* pending
-//! event; at FT16-400K scale the calendar holds tens of thousands of events
-//! and those comparisons (each moving a full event payload) dominate the
-//! scheduler. The calendar queue exploits the fact that simulation events
-//! are overwhelmingly near-future (link serializations, per-hop delays) and
-//! sorts only what is about to execute:
+//! A binary heap pays `O(log n)` comparisons per operation, each moving a
+//! full event payload. Simulation events are overwhelmingly near-future
+//! (link serializations, per-hop delays) and dense — the fat-tree runs
+//! execute about two events per simulated nanosecond — so the calendar
+//! buckets by time at two granularities and compares almost nothing:
 //!
-//! * **ready** — a small binary heap holding just the events in the current
-//!   128 ns slot. Only these are ever compared, so the total `(time, seq)`
-//!   order among them is exact — this is what keeps pop order byte-identical
-//!   to the old global heap.
+//! * **lanes** — the open slot, i.e. the 128 ns the clock is in, as one
+//!   FIFO per nanosecond (128 lanes and a 128-bit occupancy mask). Every
+//!   event of a lane fires at the same instant, so a lane is ordered by
+//!   `seq` alone: an event is filed behind every event with a smaller
+//!   `seq`, which is a `push_back` whenever seqs arrive in order (always,
+//!   on a calendar that assigns them itself) and a sorted insert
+//!   otherwise. Pop takes the front of the lowest occupied lane; no two
+//!   events are compared.
 //! * **wheel** — 8192 slots of 128 ns (≈1 ms horizon), each an *unsorted*
 //!   bucket, indexed by absolute slot number modulo the wheel size, with a
-//!   bitmap for O(words) next-occupied-slot scans. Scheduling is O(1).
+//!   bitmap for O(words) next-occupied-slot scans. Scheduling is O(1). A
+//!   bucket hands its allocation back when it is opened, so the wheel's
+//!   memory follows the events *pending*, not the events scheduled per
+//!   rotation.
 //! * **overflow** — a binary heap for the rare events beyond the horizon
 //!   (RTO-scale timers, pre-scheduled flow starts). Each migrates into the
-//!   wheel when the cursor comes within one rotation of it.
+//!   wheel when the clock comes within one rotation of it.
 //!
-//! Pop drains the ready heap; when it empties, the cursor jumps to the next
-//! occupied slot (or the earliest overflow event, whichever is sooner), any
-//! overflow events now within the horizon drop into the wheel, and the new
-//! slot's bucket is dumped into the ready heap. Because an event is only
-//! ever bucketed by a slot ≥ the cursor (scheduling into the past is
-//! clamped), every event is heapified exactly once, in its final slot.
+//! Pop drains the lanes; when they empty, the next occupied slot (or the
+//! earliest overflow event's, whichever is sooner) is opened: overflow
+//! events now within the horizon drop into the wheel and the slot's bucket
+//! is dealt into the lanes. A slot is opened only when one of its events
+//! is about to pop, so the open slot is always the one `now` is in and a
+//! legal schedule (`at >= now`) can never land behind it.
 //!
 //! The old single-heap implementation survives as a `#[cfg(test)]` oracle;
-//! an equivalence proptest checks the two produce identical `(time, seq,
+//! equivalence proptests check the two produce identical `(time, seq,
 //! payload)` pop sequences on random schedules, including same-timestamp
-//! ties and far-future overflow events.
+//! ties, far-future overflow events, externally assigned seqs arriving out
+//! of order, windowed pops and extraction.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -82,6 +89,8 @@ impl<E> Ord for ScheduledEvent<E> {
 /// log2 of the slot width: 128 ns per slot, finer than any link delay in
 /// the fat-tree configs (1 µs) so back-to-back hops land in distinct slots.
 const SLOT_NS_SHIFT: u64 = 7;
+/// Lanes of the open slot: one per nanosecond of a slot.
+const LANES: usize = 1 << SLOT_NS_SHIFT;
 /// log2 of the slot count: 8192 slots × 128 ns ≈ 1.05 ms horizon, wide
 /// enough that only RTO-scale timers and pre-scheduled flow starts overflow.
 const SLOT_BITS: u64 = 13;
@@ -101,17 +110,20 @@ const BITMAP_WORDS: usize = (NSLOTS / 64) as usize;
 ///   (in release it clamps to "now", which keeps long batch sweeps alive).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Events in the current slot, fully ordered by `(time, seq)`.
-    ready: BinaryHeap<ScheduledEvent<E>>,
+    /// The open slot — the one `now` is in — as one FIFO per nanosecond;
+    /// lane = time mod 128, each lane sorted by `seq`.
+    lanes: Box<[VecDeque<ScheduledEvent<E>>; LANES]>,
+    /// One bit per lane: non-empty.
+    lane_bits: u128,
+    /// Events in the lanes.
+    open_len: usize,
     /// Unsorted near-future buckets; index = absolute slot & `SLOT_MASK`.
     slots: Vec<Vec<ScheduledEvent<E>>>,
     /// One bit per wheel slot: bucket non-empty.
     occupied: [u64; BITMAP_WORDS],
-    /// Events at least one rotation ahead of the cursor.
+    /// Events at least one rotation ahead of the open slot.
     overflow: BinaryHeap<ScheduledEvent<E>>,
-    /// Absolute slot number of `now` (not wrapped).
-    cursor: u64,
-    /// Pending events across ready + wheel + overflow.
+    /// Pending events across lanes + wheel + overflow.
     pending: usize,
     next_seq: u64,
     now: SimTime,
@@ -128,18 +140,13 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty calendar positioned at t = 0.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty calendar with pre-allocated capacity (spread over
-    /// the ready and overflow heaps; wheel buckets grow on demand).
-    pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            ready: BinaryHeap::with_capacity(cap / 2),
+            lanes: Box::new(std::array::from_fn(|_| VecDeque::new())),
+            lane_bits: 0,
+            open_len: 0,
             slots: (0..NSLOTS).map(|_| Vec::new()).collect(),
             occupied: [0u64; BITMAP_WORDS],
-            overflow: BinaryHeap::with_capacity(cap / 2),
-            cursor: 0,
+            overflow: BinaryHeap::new(),
             pending: 0,
             next_seq: 0,
             now: SimTime::ZERO,
@@ -175,15 +182,27 @@ impl<E> EventQueue<E> {
     }
 
     /// Where the pending events currently sit: `(ready, wheel, overflow)`.
-    /// `ready` and `overflow` are the two heaps (the only `O(log n)`
-    /// structures); `wheel` is everything parked in `O(1)` slots. The
-    /// profiler samples this to histogram calendar occupancy — a growing
-    /// overflow share would mean the wheel horizon no longer fits the
-    /// workload's timer spread.
+    /// `ready` is the open slot's lanes, `wheel` everything parked in an
+    /// unsorted bucket, `overflow` the one heap (the only `O(log n)`
+    /// structure). The profiler samples this to histogram calendar
+    /// occupancy — a growing overflow share would mean the wheel horizon
+    /// no longer fits the workload's timer spread.
     pub fn occupancy_breakdown(&self) -> (usize, usize, usize) {
-        let ready = self.ready.len();
         let overflow = self.overflow.len();
-        (ready, self.pending - ready - overflow, overflow)
+        (self.open_len, self.pending - self.open_len - overflow, overflow)
+    }
+
+    /// Bytes of event storage the calendar holds right now, counted by
+    /// capacity: the lanes, every wheel bucket and the overflow heap, plus
+    /// the fixed tables that index them.
+    pub fn resident_bytes(&self) -> usize {
+        let events = self.lanes.iter().map(VecDeque::capacity).sum::<usize>()
+            + self.slots.iter().map(Vec::capacity).sum::<usize>()
+            + self.overflow.capacity();
+        events * std::mem::size_of::<ScheduledEvent<E>>()
+            + std::mem::size_of_val(&*self.lanes)
+            + self.slots.capacity() * std::mem::size_of::<Vec<ScheduledEvent<E>>>()
+            + std::mem::size_of::<Self>()
     }
 
     #[inline]
@@ -211,30 +230,9 @@ impl<E> EventQueue<E> {
     /// Returns the sequence number, which uniquely identifies the scheduling
     /// (timers use it for lazy cancellation).
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> u64 {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < now {:?}",
-            self.now
-        );
-        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = ScheduledEvent {
-            time: at,
-            seq,
-            payload,
-        };
-        let slot = Self::slot_of(at);
-        debug_assert!(slot >= self.cursor, "slot behind the cursor");
-        if slot == self.cursor {
-            self.ready.push(ev);
-        } else if slot - self.cursor < NSLOTS {
-            self.put_in_wheel(slot, ev);
-        } else {
-            self.overflow.push(ev);
-        }
-        self.pending += 1;
-        self.peak_len = self.peak_len.max(self.pending);
+        self.schedule_at_seq(at, seq, payload);
         seq
     }
 
@@ -277,23 +275,40 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {at:?} < now {:?}",
             self.now
         );
-        let at = at.max(self.now);
         let ev = ScheduledEvent {
-            time: at,
+            time: at.max(self.now),
             seq,
             payload,
         };
-        let slot = Self::slot_of(at);
-        debug_assert!(slot >= self.cursor, "slot behind the cursor");
-        if slot == self.cursor {
-            self.ready.push(ev);
-        } else if slot - self.cursor < NSLOTS {
+        // `time >= now`, so the event's slot is never behind the open one.
+        let open = Self::slot_of(self.now);
+        let slot = Self::slot_of(ev.time);
+        if slot == open {
+            self.file(ev);
+        } else if slot - open < NSLOTS {
             self.put_in_wheel(slot, ev);
         } else {
             self.overflow.push(ev);
         }
         self.pending += 1;
         self.peak_len = self.peak_len.max(self.pending);
+    }
+
+    /// Files an event of the open slot in its nanosecond's lane, behind
+    /// every event with a smaller seq.
+    #[inline]
+    fn file(&mut self, ev: ScheduledEvent<E>) {
+        let i = ev.time.as_nanos() as usize % LANES;
+        let lane = &mut self.lanes[i];
+        match lane.back() {
+            Some(last) if last.seq > ev.seq => {
+                let at = lane.partition_point(|e| e.seq < ev.seq);
+                lane.insert(at, ev);
+            }
+            _ => lane.push_back(ev),
+        }
+        self.lane_bits |= 1 << i;
+        self.open_len += 1;
     }
 
     #[inline]
@@ -305,76 +320,80 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.ready.is_empty() {
-            if self.pending == 0 {
-                return None;
-            }
-            self.advance();
+        if self.lane_bits == 0 {
+            let target = self.next_slot()?;
+            self.open(target);
         }
-        let ev = self.ready.pop().expect("advance refilled the ready heap");
-        debug_assert!(ev.time >= self.now, "calendar produced an out-of-order event");
-        self.pending -= 1;
-        self.now = ev.time;
-        self.popped += 1;
-        Some(ev)
+        Some(self.take_front())
     }
 
     /// Pops the next event only if its `(time, seq)` key is strictly below
     /// the boundary `(bt, bseq)`; otherwise leaves the calendar untouched
     /// and returns `None`. This is the conservative-PDES window pop: a
-    /// shard drains everything before the boundary, then parks. The cursor
-    /// only advances into slots at or before the boundary's slot, so
-    /// boundary-time inserts arriving between windows never land behind it.
+    /// shard drains everything before the boundary, then parks.
     pub fn pop_before(&mut self, bt: SimTime, bseq: u64) -> Option<ScheduledEvent<E>> {
-        if self.ready.is_empty() {
-            if self.pending == 0 {
+        if self.lane_bits == 0 {
+            // Open the next slot only if one of its events pops right now:
+            // parking with a slot open past `now` would put later, legal
+            // schedules behind it.
+            let target = self.next_slot()?;
+            let boundary = Self::slot_of(bt);
+            if target > boundary || (target == boundary && self.peek_key()? >= (bt, bseq)) {
                 return None;
             }
-            let target = self.next_slot().expect("pending > 0 but no occupied slot");
-            if target > Self::slot_of(bt) {
-                return None;
-            }
-            self.advance_to(target);
+            self.open(target);
         }
-        let top = self.ready.peek().expect("ready refilled or non-empty");
-        if (top.time, top.seq) < (bt, bseq) {
-            let ev = self.ready.pop().expect("peeked");
-            self.pending -= 1;
-            self.now = ev.time;
-            self.popped += 1;
-            Some(ev)
-        } else {
-            None
-        }
+        let front = self.front();
+        ((front.time, front.seq) < (bt, bseq)).then(|| self.take_front())
     }
 
-    /// The absolute slot of the earliest non-ready event (wheel or
-    /// overflow). Precondition for `Some`: `pending > ready.len()` or the
-    /// queue holds at least one non-ready event.
+    /// The lowest occupied lane. Precondition: the lanes are not empty.
+    #[inline]
+    fn front_lane(&self) -> usize {
+        self.lane_bits.trailing_zeros() as usize % LANES
+    }
+
+    /// The earliest event of the open slot. Precondition: lanes not empty.
+    #[inline]
+    fn front(&self) -> &ScheduledEvent<E> {
+        self.lanes[self.front_lane()]
+            .front()
+            .expect("lane bit set on an empty lane")
+    }
+
+    /// Removes the earliest event of the open slot and moves the clock to
+    /// it. Precondition: lanes not empty.
+    #[inline]
+    fn take_front(&mut self) -> ScheduledEvent<E> {
+        let i = self.front_lane();
+        let lane = &mut self.lanes[i];
+        let ev = lane.pop_front().expect("lane bit set on an empty lane");
+        if lane.is_empty() {
+            self.lane_bits &= !(1 << i);
+        }
+        debug_assert!(ev.time >= self.now, "calendar produced an out-of-order event");
+        self.open_len -= 1;
+        self.pending -= 1;
+        self.now = ev.time;
+        self.popped += 1;
+        ev
+    }
+
+    /// The absolute slot of the earliest event outside the open slot (wheel
+    /// or overflow), if there is one.
     fn next_slot(&self) -> Option<u64> {
-        let next_wheel = self.next_occupied_after(self.cursor);
-        let next_over = self.overflow.peek().map(|e| Self::slot_of(e.time));
-        match (next_wheel, next_over) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (Some(w), None) => Some(w),
-            (None, Some(o)) => Some(o),
-            (None, None) => None,
-        }
+        let wheel = self.next_occupied_after(Self::slot_of(self.now));
+        let over = self.overflow.peek().map(|e| Self::slot_of(e.time));
+        wheel.into_iter().chain(over).min()
     }
 
-    /// Jumps the cursor to the next slot holding events and refills the
-    /// ready heap from it. Precondition: ready empty, `pending > 0`.
-    fn advance(&mut self) {
-        let target = self.next_slot().expect("pending > 0 but no occupied slot");
-        self.advance_to(target);
-    }
-
-    /// Moves the cursor to `target` and dumps that slot (plus any overflow
-    /// events coming within a rotation) into the ready heap.
-    fn advance_to(&mut self, target: u64) {
-        self.cursor = target;
+    /// Opens slot `target` — the earliest one holding events — by dealing
+    /// its bucket, plus any overflow events coming within a rotation, into
+    /// the lanes. Precondition: lanes empty; the caller pops from the slot
+    /// at once, which moves `now` into it.
+    fn open(&mut self, target: u64) {
         // Overflow events now within one rotation drop into the wheel (or
-        // straight into ready, for the slot being opened).
+        // straight into the lanes, for the slot being opened).
         while let Some(top) = self.overflow.peek() {
             let slot = Self::slot_of(top.time);
             if slot >= target + NSLOTS {
@@ -382,27 +401,27 @@ impl<E> EventQueue<E> {
             }
             let ev = self.overflow.pop().expect("peeked");
             if slot == target {
-                self.ready.push(ev);
+                self.file(ev);
             } else {
                 self.put_in_wheel(slot, ev);
             }
         }
-        // Dump the target bucket; the bucket keeps its allocation for reuse.
         let ring = (target & SLOT_MASK) as usize;
         if self.bit_is_set(ring) {
             self.clear_bit(ring);
-            let mut bucket = std::mem::take(&mut self.slots[ring]);
-            for ev in bucket.drain(..) {
-                self.ready.push(ev);
+            // The bucket's allocation is dropped with it: kept "for reuse"
+            // it would sit idle for a whole rotation, and every bucket a
+            // run touches would stay as large as its busiest visit.
+            for ev in std::mem::take(&mut self.slots[ring]) {
+                self.file(ev);
             }
-            self.slots[ring] = bucket;
         }
-        debug_assert!(!self.ready.is_empty(), "advance chose an empty slot");
+        debug_assert!(self.lane_bits != 0, "opened an empty slot");
     }
 
     /// The next occupied wheel slot strictly after `cur`, as an absolute
-    /// slot number. The cursor's own bit is always clear (its bucket lives
-    /// in the ready heap), so a full circular scan is safe.
+    /// slot number. The open slot's own bit is always clear (its bucket
+    /// lives in the lanes), so a full circular scan is safe.
     fn next_occupied_after(&self, cur: u64) -> Option<u64> {
         let cur_ring = (cur & SLOT_MASK) as usize;
         let ring = self
@@ -451,30 +470,22 @@ impl<E> EventQueue<E> {
     /// The sharded driver peeks its global calendar through this to decide
     /// whether a window's boundary is a global event or pure lookahead.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        if let Some(e) = self.ready.peek() {
+        if self.lane_bits != 0 {
+            let e = self.front();
             return Some((e.time, e.seq));
         }
-        if self.pending == 0 {
-            return None;
-        }
-        let over = self.overflow.peek().map(|e| (e.time, e.seq));
-        match self.next_occupied_after(self.cursor) {
-            Some(w) if over.is_none_or(|(t, _)| Self::slot_of(t) >= w) => {
-                // Earliest event is in wheel slot `w` (an overflow event in
-                // the same slot may still be sooner — compare keys).
-                let ring = (w & SLOT_MASK) as usize;
-                let bucket_min = self.slots[ring]
+        // Earliest of the next wheel bucket (unsorted: scan it) and the
+        // overflow heap's top, which may share that bucket's slot.
+        let wheel = self
+            .next_occupied_after(Self::slot_of(self.now))
+            .and_then(|w| {
+                self.slots[(w & SLOT_MASK) as usize]
                     .iter()
                     .map(|e| (e.time, e.seq))
                     .min()
-                    .expect("occupied bit set on an empty bucket");
-                match over {
-                    Some(k) if Self::slot_of(k.0) == w => Some(bucket_min.min(k)),
-                    _ => Some(bucket_min),
-                }
-            }
-            _ => over,
-        }
+            });
+        let over = self.overflow.peek().map(|e| (e.time, e.seq));
+        wheel.into_iter().chain(over).min()
     }
 
     /// Removes and returns every pending event whose payload matches
@@ -484,15 +495,18 @@ impl<E> EventQueue<E> {
     /// new owner shard with their global keys intact.
     pub fn extract_if(&mut self, mut pred: impl FnMut(&E) -> bool) -> Vec<ScheduledEvent<E>> {
         let mut out = Vec::new();
-        let mut keep = BinaryHeap::with_capacity(self.ready.len());
-        for ev in std::mem::take(&mut self.ready) {
-            if pred(&ev.payload) {
-                out.push(ev);
-            } else {
-                keep.push(ev);
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            for ev in std::mem::take(lane) {
+                if pred(&ev.payload) {
+                    out.push(ev);
+                } else {
+                    lane.push_back(ev);
+                }
+            }
+            if lane.is_empty() {
+                self.lane_bits &= !(1 << i);
             }
         }
-        self.ready = keep;
         for ring in 0..NSLOTS as usize {
             if !self.bit_is_set(ring) {
                 continue;
@@ -520,6 +534,7 @@ impl<E> EventQueue<E> {
         }
         self.overflow = keep;
         self.pending -= out.len();
+        self.open_len = self.lanes.iter().map(VecDeque::len).sum();
         out.sort_by_key(|a| (a.time, a.seq));
         out
     }
@@ -549,15 +564,18 @@ pub(crate) mod oracle {
         }
 
         pub fn schedule_at(&mut self, at: SimTime, payload: E) -> u64 {
-            let at = at.max(self.now);
             let seq = self.next_seq;
             self.next_seq += 1;
+            self.schedule_at_seq(at, seq, payload);
+            seq
+        }
+
+        pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, payload: E) {
             self.heap.push(ScheduledEvent {
-                time: at,
+                time: at.max(self.now),
                 seq,
                 payload,
             });
-            seq
         }
 
         pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
@@ -566,8 +584,33 @@ pub(crate) mod oracle {
             Some(ev)
         }
 
+        pub fn pop_before(&mut self, bt: SimTime, bseq: u64) -> Option<ScheduledEvent<E>> {
+            if self.peek_key()? < (bt, bseq) {
+                self.pop()
+            } else {
+                None
+            }
+        }
+
+        pub fn extract_if(&mut self, mut pred: impl FnMut(&E) -> bool) -> Vec<ScheduledEvent<E>> {
+            let (mut out, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.heap)
+                .into_iter()
+                .partition(|e| pred(&e.payload));
+            self.heap = keep.into();
+            out.sort_by_key(|e| (e.time, e.seq));
+            out
+        }
+
+        pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+            self.heap.peek().map(|e| (e.time, e.seq))
+        }
+
         pub fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|e| e.time)
+            self.peek_key().map(|(t, _)| t)
+        }
+
+        pub fn len(&self) -> usize {
+            self.heap.len()
         }
 
         pub fn now(&self) -> SimTime {
@@ -658,7 +701,7 @@ mod tests {
     fn occupancy_breakdown_partitions_pending() {
         let mut q = EventQueue::new();
         assert_eq!(q.occupancy_breakdown(), (0, 0, 0));
-        q.schedule_at(SimTime::from_nanos(10), 1); // slot 0: straight to ready
+        q.schedule_at(SimTime::from_nanos(10), 1); // slot 0: straight to a lane
         q.schedule_at(SimTime::from_nanos(500_000), 2); // within horizon: wheel
         q.schedule_at(SimTime::from_millis(50), 3); // beyond horizon: overflow
         let (ready, wheel, overflow) = q.occupancy_breakdown();
@@ -833,6 +876,79 @@ mod tests {
         assert_eq!(back, vec![21, 11, 13]);
     }
 
+    #[test]
+    fn schedule_after_a_parked_pop_before_keeps_the_clock_monotone() {
+        // The window parks at 900 ns with the next event in a later slot;
+        // a schedule between `now` and that event is legal and must pop
+        // first. (Opening the 1000 ns slot while parking used to put the
+        // 500 ns schedule "behind the cursor": a debug assertion, and in
+        // release an event filed a rotation late that popped after 1000.)
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), "a");
+        q.schedule_at(SimTime::from_nanos(1000), "c");
+        let bt = SimTime::from_nanos(900);
+        assert_eq!(q.pop_before(bt, 0).unwrap().payload, "a");
+        assert!(q.pop_before(bt, 0).is_none());
+        q.schedule_at(SimTime::from_nanos(500), "b");
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(500)));
+        let mut last = q.now();
+        let mut order = Vec::new();
+        while let Some(e) = q.pop() {
+            assert!(e.time >= last, "clock ran backwards: {:?} after {last:?}", e.time);
+            last = e.time;
+            order.push(e.payload);
+        }
+        assert_eq!(order, vec!["b", "c"]);
+        assert_eq!(q.now(), SimTime::from_nanos(1000));
+    }
+
+    #[test]
+    fn pop_before_parks_inside_the_boundary_slot_without_opening_it() {
+        // Boundary and next event share a slot, the event at or past the
+        // boundary: the slot stays closed, so a schedule below it is fine.
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(1000), 1u32); // seq 0
+        assert!(q.pop_before(SimTime::from_nanos(1000), 0).is_none());
+        assert!(q.pop_before(SimTime::from_nanos(990), 7).is_none());
+        assert_eq!(q.occupancy_breakdown(), (0, 1, 0));
+        q.schedule_at(SimTime::from_nanos(300), 0);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_drained_bucket_gives_its_memory_back() {
+        // An ft8-shaped load — 2 000 pending events, each pop scheduling a
+        // successor about one link delay ahead, so ~250 events per slot —
+        // run over two wheel rotations: every one of the 8192 buckets is
+        // filled and drained twice. Storage must follow the events
+        // pending, not the millions scheduled.
+        const PENDING: u64 = 2_000;
+        let mut q = EventQueue::new();
+        let fixed = q.resident_bytes();
+        for i in 0..PENDING {
+            q.schedule_at(SimTime::from_nanos(i * 2), i);
+        }
+        let horizon = SimTime::from_nanos(2 * (NSLOTS << SLOT_NS_SHIFT));
+        while q.now() < horizon {
+            let e = q.pop().expect("every pop schedules a successor");
+            let hop = 1_000 + e.payload % 85;
+            q.schedule_at(SimTime::from_nanos(e.time.as_nanos() + hop), e.payload);
+        }
+        assert!(q.events_executed() > 1_000_000);
+        assert_eq!(q.peak_len() as u64, PENDING);
+        let per_event = std::mem::size_of::<ScheduledEvent<u64>>();
+        let held = q.resident_bytes() - fixed;
+        assert!(
+            held <= 4 * q.peak_len() * per_event,
+            "calendar holds {held} B for a peak of {} events of {per_event} B",
+            q.peak_len()
+        );
+        // ... and an idle calendar holds only its lanes' few entries.
+        while q.pop().is_some() {}
+        assert!(q.resident_bytes() - fixed <= 4 * q.peak_len() * per_event);
+    }
+
     /// Replays one op tape against both calendars and compares every
     /// observable: peek, pop sequence (time, seq, payload), now.
     fn check_equivalence(ops: &[(u16, u8)]) {
@@ -876,6 +992,105 @@ mod tests {
         }
     }
 
+    /// The shard-lane tape: both calendars are fed through
+    /// `schedule_at_seq` with real seqs in shuffled order and provisional
+    /// (`1 << 63`-tagged) ones, drained through `pop_before` windows that
+    /// park mid-slot, and have events extracted and re-inserted under
+    /// their keys — everything the `push_back` fast path must not assume.
+    fn check_external_seq_equivalence(ops: &[(u16, u8, u16)]) {
+        const PROV: u64 = 1 << 63;
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapQueue::new();
+        let (mut n_real, mut n_prov, mut payload) = (0u64, 0u64, 0u32);
+        let mut last = SimTime::ZERO;
+        for &(offset, op, r) in ops {
+            // A third of the deltas are 0..4 ns (same-instant and same-lane
+            // ties), a third stay within a few slots (windows that park
+            // beside their next event), the rest reach past the wheel
+            // horizon (65535 << 11 ≈ 134 ms).
+            let delta = match r % 3 {
+                0 => offset as u64 % 4,
+                1 => offset as u64 % 1024,
+                _ => (offset as u64) << (r / 3 % 12),
+            };
+            let at = SimTime::from_nanos(wheel.now().as_nanos() + delta);
+            match op % 8 {
+                0 => {
+                    let (a, b) = (wheel.pop(), heap.pop());
+                    assert_eq!(a.is_some(), b.is_some());
+                    if let (Some(x), Some(y)) = (a, b) {
+                        assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                        assert!(x.time >= last, "clock ran backwards");
+                        last = x.time;
+                    }
+                }
+                1 => {
+                    // A window up to `at`, parked on a real, a provisional
+                    // or the zero seq.
+                    let bseq = [0, r as u64, PROV | (r as u64 % 8)][r as usize % 3];
+                    loop {
+                        let (a, b) = (wheel.pop_before(at, bseq), heap.pop_before(at, bseq));
+                        assert_eq!(a.is_some(), b.is_some());
+                        let (Some(x), Some(y)) = (a, b) else { break };
+                        assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                        assert!(x.time >= last, "clock ran backwards");
+                        last = x.time;
+                    }
+                }
+                2 => {
+                    let k = r as u32 % 5 + 2;
+                    let a = wheel.extract_if(|p| p % k == 0);
+                    let b = heap.extract_if(|p| p % k == 0);
+                    assert_eq!(a.len(), b.len());
+                    for (x, y) in a.into_iter().zip(b) {
+                        assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                        wheel.schedule_at_seq(x.time, x.seq, x.payload);
+                        heap.schedule_at_seq(y.time, y.seq, y.payload);
+                    }
+                }
+                3..=5 => {
+                    // Real seqs, unique but out of order (an odd multiplier
+                    // permutes the low 20 bits).
+                    let seq = n_real.wrapping_mul(0x9_E375) & 0xF_FFFF;
+                    n_real += 1;
+                    wheel.schedule_at_seq(at, seq, payload);
+                    heap.schedule_at_seq(at, seq, payload);
+                    payload += 1;
+                }
+                _ => {
+                    wheel.schedule_at_seq(at, PROV | n_prov, payload);
+                    heap.schedule_at_seq(at, PROV | n_prov, payload);
+                    n_prov += 1;
+                    payload += 1;
+                }
+            }
+            assert_eq!(wheel.peek_key(), heap.peek_key());
+            assert_eq!(wheel.len(), heap.len());
+            assert_eq!(wheel.now(), heap.now());
+            let (ready, parked, overflow) = wheel.occupancy_breakdown();
+            assert_eq!(ready + parked + overflow, wheel.len());
+        }
+        loop {
+            match (wheel.pop(), heap.pop()) {
+                (None, None) => break,
+                (Some(x), Some(y)) => {
+                    assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload))
+                }
+                (a, b) => panic!("drain divergence: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn external_seq_equivalence_on_dense_ties() {
+        // Every op kind in rotation on 0..4 ns deltas: sorted inserts into
+        // occupied lanes, windows parking mid-lane, extraction from lanes.
+        let ops: Vec<(u16, u8, u16)> = (0..600u16)
+            .map(|i| (i % 7, (i % 8 + i / 8 % 3) as u8, (i % 5) * 3))
+            .collect();
+        check_external_seq_equivalence(&ops);
+    }
+
     #[test]
     fn equivalence_on_dense_ties() {
         // Many zero and tiny offsets: every tie-breaking path.
@@ -893,6 +1108,13 @@ mod tests {
             ops in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..300)
         ) {
             check_equivalence(&ops);
+        }
+
+        #[test]
+        fn external_seqs_windows_and_extraction_match_heap_oracle(
+            ops in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u16>()), 0..300)
+        ) {
+            check_external_seq_equivalence(&ops);
         }
 
         #[test]

@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn provisional_keys_round_trip_and_order_after_real_seqs() {
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(8);
+        let mut q: EventQueue<u32> = EventQueue::new();
         let mut s = ShardState::new();
         s.open_window();
         // Pre-window events carry real global seqs.

@@ -1,75 +1,140 @@
 //! Structural ECMP up-down routing.
 //!
-//! Routing is computed from node locations rather than precomputed all-pairs
-//! tables — FT16-400K has ~14 000 nodes and a dense next-hop matrix would
-//! dwarf the caches being studied. The rules are the standard FatTree
-//! up-down ones; among equal-cost choices the flow key picks one
-//! deterministically ("Flows are balanced among multiple paths using ECMP
-//! routing", §5).
+//! Routing is decided from node locations and per-node port tables, not
+//! from an all-pairs next-hop matrix — FT16-400K has ~14 000 nodes and a
+//! dense matrix would dwarf the caches being studied. The port tables are
+//! O(links): each node's egress ports, filed by where they lead (a ToR's
+//! uplinks by spine index, a spine's downlinks by rack, ...), so a hop is
+//! a match on two node kinds and an array index. The rules are the
+//! standard FatTree up-down ones; among equal-cost choices the flow key
+//! picks one deterministically ("Flows are balanced among multiple paths
+//! using ECMP routing", §5).
 //!
 //! Switches are also routable destinations (invalidation packets are
 //! addressed to a switch, §3.3), which adds a few down-then-up cases that
 //! plain host-to-host routing never exercises.
 
-use sv2p_simcore::FxHashMap;
-
 use crate::fattree::FatTreeConfig;
 use crate::graph::{LinkId, NodeId, NodeKind, Topology};
+
+/// Table entries no cable filled (a switch's row in the host table).
+const NO_LINK: LinkId = LinkId(u32::MAX);
+const NO_NODE: NodeId = NodeId(u32::MAX);
 
 /// ECMP router over a built FatTree.
 #[derive(Debug, Clone)]
 pub struct Routing {
-    /// ToR of each (pod, rack).
-    tor: FxHashMap<(u16, u16), NodeId>,
-    /// Spines of each pod, by index.
-    spines: Vec<Vec<NodeId>>,
-    /// Core switches by index.
-    cores: Vec<NodeId>,
+    /// Per node id, for hosts (servers and gateways): the ToR it hangs
+    /// off, its uplink to that ToR and the ToR's downlink to it.
+    host: Vec<HostPorts>,
+    /// ToR uplinks: `[(pod * racks + rack) * spines + spine idx]`.
+    tor_up: Vec<LinkId>,
+    /// Spine downlinks: `[(pod * spines + idx) * racks + rack]`.
+    spine_down: Vec<LinkId>,
+    /// Spine uplinks: `[(pod * spines + idx) * m + offset in core group]`.
+    spine_up: Vec<LinkId>,
+    /// Core downlinks: `[core idx * pods + pod]`, to its group's spine.
+    core_down: Vec<LinkId>,
     /// Cores per spine group.
-    m: u16,
-    racks_per_pod: u16,
+    m: usize,
+    pods: usize,
+    racks_per_pod: usize,
+    spines_per_pod: usize,
+    /// The rack whose ToR a pod's gateways hang off.
+    gateway_rack: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct HostPorts {
+    tor: NodeId,
+    up: LinkId,
+    down: LinkId,
 }
 
 impl Routing {
-    /// Builds the router for `topo` produced by `config.build()`.
+    /// Builds the router for `topo` produced by `config.build()`: one pass
+    /// over the links, each filed under its sender by where it leads.
     pub fn new(config: &FatTreeConfig, topo: &Topology) -> Self {
-        let mut tor = FxHashMap::default();
-        let mut spines = vec![Vec::new(); config.pods as usize];
-        let mut cores = vec![NodeId(0); config.cores as usize];
-        for n in &topo.nodes {
-            match n.kind {
-                NodeKind::Tor { pod, rack } => {
-                    tor.insert((pod, rack), n.id);
+        let pods = config.pods as usize;
+        let racks = config.racks_per_pod as usize;
+        let spines = config.spines_per_pod as usize;
+        let m = config.core_group() as usize;
+        let mut r = Routing {
+            host: vec![
+                HostPorts {
+                    tor: NO_NODE,
+                    up: NO_LINK,
+                    down: NO_LINK,
+                };
+                topo.nodes.len()
+            ],
+            tor_up: vec![NO_LINK; pods * racks * spines],
+            spine_down: vec![NO_LINK; pods * spines * racks],
+            spine_up: vec![NO_LINK; pods * spines * m],
+            core_down: vec![NO_LINK; config.cores as usize * pods],
+            m,
+            pods,
+            racks_per_pod: racks,
+            spines_per_pod: spines,
+            gateway_rack: config.gateway_rack() as usize,
+        };
+        for l in &topo.links {
+            match (topo.node(l.from).kind, topo.node(l.to).kind) {
+                (from, NodeKind::Tor { .. }) if from.is_host() => {
+                    let h = &mut r.host[l.from.0 as usize];
+                    (h.tor, h.up) = (l.to, l.id);
                 }
-                NodeKind::Spine { pod, idx } => {
-                    let v = &mut spines[pod as usize];
-                    if v.len() <= idx as usize {
-                        v.resize(idx as usize + 1, n.id);
-                    }
-                    v[idx as usize] = n.id;
+                (NodeKind::Tor { .. }, to) if to.is_host() => {
+                    r.host[l.to.0 as usize].down = l.id;
                 }
-                NodeKind::Core { idx } => cores[idx as usize] = n.id,
-                _ => {}
+                (NodeKind::Tor { pod, rack }, NodeKind::Spine { idx, .. }) => {
+                    let t = r.tor_row(pod, rack);
+                    r.tor_up[t * spines + idx as usize] = l.id;
+                }
+                (NodeKind::Spine { pod, idx }, NodeKind::Tor { rack, .. }) => {
+                    let s = r.spine_row(pod, idx);
+                    r.spine_down[s * racks + rack as usize] = l.id;
+                }
+                (NodeKind::Spine { pod, idx }, NodeKind::Core { idx: c }) => {
+                    let s = r.spine_row(pod, idx);
+                    r.spine_up[s * m + c as usize % m] = l.id;
+                }
+                (NodeKind::Core { idx: c }, NodeKind::Spine { pod, .. }) => {
+                    r.core_down[c as usize * pods + pod as usize] = l.id;
+                }
+                (from, to) => panic!("not a FatTree cable: {from:?} -> {to:?}"),
             }
         }
-        Routing {
-            tor,
-            spines,
-            cores,
-            m: config.core_group(),
-            racks_per_pod: config.racks_per_pod,
-        }
+        r
+    }
+
+    #[inline]
+    fn tor_row(&self, pod: u16, rack: u16) -> usize {
+        pod as usize * self.racks_per_pod + rack as usize
+    }
+
+    #[inline]
+    fn spine_row(&self, pod: u16, idx: u16) -> usize {
+        pod as usize * self.spines_per_pod + idx as usize
+    }
+
+    /// Every uplink of ToR row `t`, by spine index.
+    #[inline]
+    fn tor_ups(&self, t: usize) -> &[LinkId] {
+        &self.tor_up[t * self.spines_per_pod..][..self.spines_per_pod]
+    }
+
+    /// Every downlink of spine row `s`, by rack.
+    #[inline]
+    fn spine_downs(&self, s: usize) -> &[LinkId] {
+        &self.spine_down[s * self.racks_per_pod..][..self.racks_per_pod]
     }
 
     /// The ToR a host (server or gateway) is attached to.
     pub fn tor_of(&self, topo: &Topology, host: NodeId) -> NodeId {
-        match topo.node(host).kind {
-            NodeKind::Server { pod, rack, .. } => self.tor[&(pod, rack)],
-            NodeKind::Gateway { pod, .. } => {
-                self.tor[&(pod, self.racks_per_pod - 1)]
-            }
-            k => panic!("tor_of on non-host {k:?}"),
-        }
+        let tor = self.host[host.0 as usize].tor;
+        assert!(tor != NO_NODE, "tor_of on non-host {:?}", topo.node(host).kind);
+        tor
     }
 
     /// The equal-cost egress links from `at` toward `dst` (empty iff
@@ -82,7 +147,8 @@ impl Routing {
 
     /// [`Self::candidates`] into a caller-owned buffer — the hot path's
     /// variant. Clears `out` first; a reused scratch `Vec` makes per-hop
-    /// routing allocation-free after warm-up.
+    /// routing allocation-free after warm-up. The order of the links is
+    /// part of the contract: ECMP picks by position.
     pub fn candidates_into(
         &self,
         topo: &Topology,
@@ -94,109 +160,63 @@ impl Routing {
         if at == dst {
             return;
         }
-        let at_kind = topo.node(at).kind;
         let dst_kind = topo.node(dst).kind;
-        match at_kind {
+        match topo.node(at).kind {
             NodeKind::Server { .. } | NodeKind::Gateway { .. } => {
-                let tor = self.tor_of(topo, at);
-                out.push(topo.link_between(at, tor).expect("host uplink"));
+                out.push(self.host[at.0 as usize].up);
             }
             NodeKind::Tor { pod, rack } => {
-                // Directly attached host?
+                let t = self.tor_row(pod, rack);
                 match dst_kind {
-                    NodeKind::Server {
-                        pod: dp, rack: dr, ..
-                    } if dp == pod && dr == rack => {
-                        out.push(topo.link_between(at, dst).expect("rack downlink"));
-                        return;
-                    }
-                    NodeKind::Gateway { pod: dp, .. }
-                        if dp == pod && rack == self.racks_per_pod - 1 =>
+                    // A host directly attached below me.
+                    NodeKind::Server { .. } | NodeKind::Gateway { .. }
+                        if self.host[dst.0 as usize].tor == at =>
                     {
-                        out.push(topo.link_between(at, dst).expect("gateway downlink"));
-                        return;
+                        out.push(self.host[dst.0 as usize].down);
                     }
-                    NodeKind::Spine { pod: dp, .. } if dp == pod => {
-                        out.push(topo.link_between(at, dst).expect("pod spine uplink"));
-                        return;
+                    NodeKind::Spine { pod: dp, idx } if dp == pod => {
+                        out.push(self.tor_ups(t)[idx as usize]);
                     }
-                    NodeKind::Core { idx } => {
-                        // Only the spine of group idx/m reaches that core.
-                        let sp = self.spines[pod as usize][(idx / self.m) as usize];
-                        out.push(topo.link_between(at, sp).expect("spine uplink"));
-                        return;
-                    }
-                    _ => {}
+                    // Only the spine of group idx/m reaches that core.
+                    NodeKind::Core { idx } => out.push(self.tor_ups(t)[idx as usize / self.m]),
+                    // Anywhere else: up to any spine of the pod.
+                    _ => out.extend_from_slice(self.tor_ups(t)),
                 }
-                // Anywhere else: up to any spine of the pod.
-                out.extend(
-                    self.spines[pod as usize]
-                        .iter()
-                        .map(|&sp| topo.link_between(at, sp).expect("spine uplink")),
-                );
             }
             NodeKind::Spine { pod, idx } => {
+                let s = self.spine_row(pod, idx);
                 match dst_kind {
-                    // Down into my pod.
-                    NodeKind::Server {
-                        pod: dp, rack: dr, ..
-                    } if dp == pod => {
-                        let tor = self.tor[&(dp, dr)];
-                        out.push(topo.link_between(at, tor).expect("tor downlink"));
+                    // Down into my pod: to the ToR, or to the host's ToR.
+                    NodeKind::Server { pod: dp, rack, .. } | NodeKind::Tor { pod: dp, rack }
+                        if dp == pod =>
+                    {
+                        out.push(self.spine_downs(s)[rack as usize]);
                     }
                     NodeKind::Gateway { pod: dp, .. } if dp == pod => {
-                        let tor = self.tor[&(dp, self.racks_per_pod - 1)];
-                        out.push(topo.link_between(at, tor).expect("tor downlink"));
-                    }
-                    NodeKind::Tor { pod: dp, rack: dr } if dp == pod => {
-                        out.push(
-                            topo.link_between(at, self.tor[&(dp, dr)]).expect("tor link"),
-                        );
+                        out.push(self.spine_downs(s)[self.gateway_rack]);
                     }
                     // A sibling spine: bounce through any ToR below.
-                    NodeKind::Spine { pod: dp, .. } if dp == pod => out.extend(
-                        (0..self.racks_per_pod).map(|r| {
-                            topo.link_between(at, self.tor[&(pod, r)]).expect("tor link")
-                        }),
-                    ),
-                    // A core I connect to directly; otherwise bounce down.
-                    NodeKind::Core { idx: c } => {
-                        if c / self.m == idx {
-                            out.push(
-                                topo.link_between(at, self.cores[c as usize])
-                                    .expect("core uplink"),
-                            );
-                        } else {
-                            out.extend((0..self.racks_per_pod).map(|r| {
-                                topo.link_between(at, self.tor[&(pod, r)])
-                                    .expect("tor link")
-                            }));
-                        }
+                    NodeKind::Spine { pod: dp, .. } if dp == pod => {
+                        out.extend_from_slice(self.spine_downs(s));
                     }
+                    // A core I connect to directly; otherwise bounce down.
+                    NodeKind::Core { idx: c } if c as usize / self.m == idx as usize => {
+                        out.push(self.spine_up[s * self.m + c as usize % self.m]);
+                    }
+                    NodeKind::Core { .. } => out.extend_from_slice(self.spine_downs(s)),
                     // Another pod: up to my core group.
-                    _ => out.extend((0..self.m).map(|j| {
-                        let c = self.cores[(idx * self.m + j) as usize];
-                        topo.link_between(at, c).expect("core uplink")
-                    })),
+                    _ => out.extend_from_slice(&self.spine_up[s * self.m..][..self.m]),
                 }
             }
             NodeKind::Core { idx } => {
-                // Down to the dst pod through my group's spine there.
-                let group = idx / self.m;
+                let downs = &self.core_down[idx as usize * self.pods..][..self.pods];
                 match dst_kind.pod() {
-                    Some(p) => {
-                        let sp = self.spines[p as usize][group as usize];
-                        out.push(topo.link_between(at, sp).expect("spine downlink"));
-                    }
-                    None => {
-                        // Core-to-core: descend into some pod and re-ascend.
-                        // Rare (only mis-addressed control traffic); pick every
-                        // pod's group spine as candidates.
-                        out.extend(self.spines.iter().map(|pod_spines| {
-                            topo.link_between(at, pod_spines[group as usize])
-                                .expect("spine downlink")
-                        }));
-                    }
+                    // Down to the dst pod through my group's spine there.
+                    Some(p) => out.push(downs[p as usize]),
+                    // Core-to-core: descend into some pod and re-ascend.
+                    // Rare (only mis-addressed control traffic); every
+                    // pod's group spine is a candidate.
+                    None => out.extend_from_slice(downs),
                 }
             }
         }
@@ -244,19 +264,7 @@ impl Routing {
     ) -> Option<LinkId> {
         self.candidates_into(topo, at, dst, scratch);
         scratch.retain(|&l| usable(l));
-        if scratch.is_empty() {
-            None
-        } else {
-            // Mix the switch id into the hash, as real ASICs seed their ECMP
-            // hash per switch — otherwise the same low bits would pick
-            // correlated members at every layer and only a fraction of the
-            // core layer would ever be used.
-            let mut h = key ^ (at.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-            h ^= h >> 33;
-            Some(scratch[(h % scratch.len() as u64) as usize])
-        }
+        ecmp_pick(at, key, scratch)
     }
 
     /// The full node path from `from` to `to` under flow key `key`,
@@ -281,6 +289,210 @@ impl Routing {
             .iter()
             .filter(|&&n| topo.node(n).kind.is_switch())
             .count()
+    }
+}
+
+/// The member of `group` the flow key selects at switch `at` (`None` for
+/// an empty group).
+fn ecmp_pick(at: NodeId, key: u64, group: &[LinkId]) -> Option<LinkId> {
+    if group.is_empty() {
+        return None;
+    }
+    // Mix the switch id into the hash, as real ASICs seed their ECMP
+    // hash per switch — otherwise the same low bits would pick
+    // correlated members at every layer and only a fraction of the
+    // core layer would ever be used.
+    let mut h = key ^ (at.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    Some(group[(h % group.len() as u64) as usize])
+}
+
+/// The router as it was before the port tables: every rule resolves its
+/// next hop through `Topology::link_between`'s adjacency map. Kept as the
+/// test oracle — the tables must emit the same links in the same order.
+#[cfg(test)]
+mod oracle {
+    use sv2p_simcore::FxHashMap;
+
+    use super::*;
+
+    /// Candidate rules answered through `Topology::link_between`.
+    #[derive(Debug, Clone)]
+    pub struct RuleRouting {
+        /// ToR of each (pod, rack).
+        tor: FxHashMap<(u16, u16), NodeId>,
+        /// Spines of each pod, by index.
+        spines: Vec<Vec<NodeId>>,
+        /// Core switches by index.
+        cores: Vec<NodeId>,
+        /// Cores per spine group.
+        m: u16,
+        racks_per_pod: u16,
+    }
+
+    impl RuleRouting {
+        /// Builds the router for `topo` produced by `config.build()`.
+        pub fn new(config: &FatTreeConfig, topo: &Topology) -> Self {
+            let mut tor = FxHashMap::default();
+            let mut spines = vec![Vec::new(); config.pods as usize];
+            let mut cores = vec![NodeId(0); config.cores as usize];
+            for n in &topo.nodes {
+                match n.kind {
+                    NodeKind::Tor { pod, rack } => {
+                        tor.insert((pod, rack), n.id);
+                    }
+                    NodeKind::Spine { pod, idx } => {
+                        let v = &mut spines[pod as usize];
+                        if v.len() <= idx as usize {
+                            v.resize(idx as usize + 1, n.id);
+                        }
+                        v[idx as usize] = n.id;
+                    }
+                    NodeKind::Core { idx } => cores[idx as usize] = n.id,
+                    _ => {}
+                }
+            }
+            RuleRouting {
+                tor,
+                spines,
+                cores,
+                m: config.core_group(),
+                racks_per_pod: config.racks_per_pod,
+            }
+        }
+
+        /// The ToR a host (server or gateway) is attached to.
+        pub fn tor_of(&self, topo: &Topology, host: NodeId) -> NodeId {
+            match topo.node(host).kind {
+                NodeKind::Server { pod, rack, .. } => self.tor[&(pod, rack)],
+                NodeKind::Gateway { pod, .. } => {
+                    self.tor[&(pod, self.racks_per_pod - 1)]
+                }
+                k => panic!("tor_of on non-host {k:?}"),
+            }
+        }
+
+        /// The equal-cost egress links from `at` toward `dst`, in ECMP order.
+        pub fn candidates_into(
+            &self,
+            topo: &Topology,
+            at: NodeId,
+            dst: NodeId,
+            out: &mut Vec<LinkId>,
+        ) {
+            out.clear();
+            if at == dst {
+                return;
+            }
+            let at_kind = topo.node(at).kind;
+            let dst_kind = topo.node(dst).kind;
+            match at_kind {
+                NodeKind::Server { .. } | NodeKind::Gateway { .. } => {
+                    let tor = self.tor_of(topo, at);
+                    out.push(topo.link_between(at, tor).expect("host uplink"));
+                }
+                NodeKind::Tor { pod, rack } => {
+                    // Directly attached host?
+                    match dst_kind {
+                        NodeKind::Server {
+                            pod: dp, rack: dr, ..
+                        } if dp == pod && dr == rack => {
+                            out.push(topo.link_between(at, dst).expect("rack downlink"));
+                            return;
+                        }
+                        NodeKind::Gateway { pod: dp, .. }
+                            if dp == pod && rack == self.racks_per_pod - 1 =>
+                        {
+                            out.push(topo.link_between(at, dst).expect("gateway downlink"));
+                            return;
+                        }
+                        NodeKind::Spine { pod: dp, .. } if dp == pod => {
+                            out.push(topo.link_between(at, dst).expect("pod spine uplink"));
+                            return;
+                        }
+                        NodeKind::Core { idx } => {
+                            // Only the spine of group idx/m reaches that core.
+                            let sp = self.spines[pod as usize][(idx / self.m) as usize];
+                            out.push(topo.link_between(at, sp).expect("spine uplink"));
+                            return;
+                        }
+                        _ => {}
+                    }
+                    // Anywhere else: up to any spine of the pod.
+                    out.extend(
+                        self.spines[pod as usize]
+                            .iter()
+                            .map(|&sp| topo.link_between(at, sp).expect("spine uplink")),
+                    );
+                }
+                NodeKind::Spine { pod, idx } => {
+                    match dst_kind {
+                        // Down into my pod.
+                        NodeKind::Server {
+                            pod: dp, rack: dr, ..
+                        } if dp == pod => {
+                            let tor = self.tor[&(dp, dr)];
+                            out.push(topo.link_between(at, tor).expect("tor downlink"));
+                        }
+                        NodeKind::Gateway { pod: dp, .. } if dp == pod => {
+                            let tor = self.tor[&(dp, self.racks_per_pod - 1)];
+                            out.push(topo.link_between(at, tor).expect("tor downlink"));
+                        }
+                        NodeKind::Tor { pod: dp, rack: dr } if dp == pod => {
+                            out.push(
+                                topo.link_between(at, self.tor[&(dp, dr)]).expect("tor link"),
+                            );
+                        }
+                        // A sibling spine: bounce through any ToR below.
+                        NodeKind::Spine { pod: dp, .. } if dp == pod => out.extend(
+                            (0..self.racks_per_pod).map(|r| {
+                                topo.link_between(at, self.tor[&(pod, r)]).expect("tor link")
+                            }),
+                        ),
+                        // A core I connect to directly; otherwise bounce down.
+                        NodeKind::Core { idx: c } => {
+                            if c / self.m == idx {
+                                out.push(
+                                    topo.link_between(at, self.cores[c as usize])
+                                        .expect("core uplink"),
+                                );
+                            } else {
+                                out.extend((0..self.racks_per_pod).map(|r| {
+                                    topo.link_between(at, self.tor[&(pod, r)])
+                                        .expect("tor link")
+                                }));
+                            }
+                        }
+                        // Another pod: up to my core group.
+                        _ => out.extend((0..self.m).map(|j| {
+                            let c = self.cores[(idx * self.m + j) as usize];
+                            topo.link_between(at, c).expect("core uplink")
+                        })),
+                    }
+                }
+                NodeKind::Core { idx } => {
+                    // Down to the dst pod through my group's spine there.
+                    let group = idx / self.m;
+                    match dst_kind.pod() {
+                        Some(p) => {
+                            let sp = self.spines[p as usize][group as usize];
+                            out.push(topo.link_between(at, sp).expect("spine downlink"));
+                        }
+                        None => {
+                            // Core-to-core: descend into some pod and re-ascend.
+                            // Rare (only mis-addressed control traffic); pick every
+                            // pod's group spine as candidates.
+                            out.extend(self.spines.iter().map(|pod_spines| {
+                                topo.link_between(at, pod_spines[group as usize])
+                                    .expect("spine downlink")
+                            }));
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -457,5 +669,56 @@ mod tests {
             let p = r.path(&topo, a, b, 5);
             assert_eq!(*p.last().unwrap(), b, "pods={pods}");
         }
+    }
+
+    /// Every ordered node pair: the tables and the `link_between` rules
+    /// name the same candidates in the same order and the same ToRs, and
+    /// the filtered ECMP pick agrees under a random link-down mask.
+    fn assert_tables_match_rules(cfg: &FatTreeConfig) {
+        let topo = cfg.build();
+        let tables = Routing::new(cfg, &topo);
+        let rules = oracle::RuleRouting::new(cfg, &topo);
+        let mut rng = sv2p_simcore::SimRng::new(7);
+        let up: Vec<bool> = topo.links.iter().map(|_| rng.chance(0.7)).collect();
+        let usable = |l: LinkId| up[l.0 as usize];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for at in topo.nodes.iter().map(|n| n.id) {
+            if topo.node(at).kind.is_host() {
+                assert_eq!(tables.tor_of(&topo, at), rules.tor_of(&topo, at));
+            }
+            for dst in topo.nodes.iter().map(|n| n.id) {
+                rules.candidates_into(&topo, at, dst, &mut want);
+                tables.candidates_into(&topo, at, dst, &mut got);
+                assert_eq!(got, want, "{:?} -> {:?}", topo.node(at).kind, topo.node(dst).kind);
+                let key = rng.next_u64_raw();
+                want.retain(|&l| usable(l));
+                assert_eq!(
+                    tables.next_link_filtered_into(&topo, at, dst, key, &usable, &mut got),
+                    ecmp_pick(at, key, &want)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tables_match_link_between_rules_on_scaled_ft8() {
+        assert_tables_match_rules(&FatTreeConfig::scaled_ft8(2));
+    }
+
+    #[test]
+    fn tables_match_link_between_rules_on_a_lopsided_fabric() {
+        // Gateways in one pod only, more racks than spines per pod, and a
+        // core group wider than one: no two table strides coincide.
+        let cfg = FatTreeConfig {
+            pods: 3,
+            racks_per_pod: 5,
+            servers_per_rack: 2,
+            spines_per_pod: 2,
+            cores: 6,
+            gateway_pods: vec![1],
+            gateways_per_pod: vec![3],
+            ..FatTreeConfig::ft8_10k()
+        };
+        assert_tables_match_rules(&cfg);
     }
 }
