@@ -42,7 +42,7 @@ fn main() {
         for (name, cfg) in &variants {
             let spec = ExperimentSpec::builder(scale.ft8(), StrategyKind::SwitchV2PWith(*cfg))
                 .flows(flows.clone())
-                .cache_entries(scale.analysis_cache_entries(""))
+                .cache_entries(scale.analysis_cache_entries())
                 .seed(args.seed())
                 .label(format!("{dataset}:{name}"))
                 .build();

@@ -134,12 +134,10 @@ fn run_scenario(scenario: &str, strategy: StrategyKind) {
     let wall = start.elapsed().as_secs_f64();
     let s = sim.summary();
     cli::record_run(&spec, &sim, &s, wall);
-    let r = sim
-        .metrics()
-        .recovery_report(
-            SimTime::from_micros(FAULT_AT_US),
-            SimTime::from_micros(FAULT_END_US),
-        );
+    let r = sim.recovery_report(
+        SimTime::from_micros(FAULT_AT_US),
+        SimTime::from_micros(FAULT_END_US),
+    );
     let ttr = match r.time_to_recover_us {
         Some(us) => format!("{us:.0} us"),
         None => "not recovered".to_string(),

@@ -19,7 +19,7 @@ fn main() {
         StrategyKind::GwCache,
         StrategyKind::SwitchV2P,
     ];
-    let cache = scale.analysis_cache_entries("hadoop");
+    let cache = scale.analysis_cache_entries();
 
     println!("Figure 10: topology scaling (128 servers, Hadoop, cache 50%)\n");
     println!(

@@ -26,7 +26,7 @@ fn main() {
         StrategyKind::SwitchV2P,
         StrategyKind::Direct,
     ];
-    let cache = scale.analysis_cache_entries("hadoop");
+    let cache = scale.analysis_cache_entries();
 
     let mut per_pod: Vec<(&str, Vec<u64>, u64, f64)> = Vec::new();
     let mut pod8: Vec<(&str, Vec<(String, u64)>)> = Vec::new();
@@ -42,10 +42,8 @@ fn main() {
         let start = std::time::Instant::now();
         sim.run();
         let wall = start.elapsed().as_secs_f64();
-        // Summarize first: the sharded engine folds shard-local byte
-        // counters into the master metrics during finalization.
         let summary = sim.summary();
-        let pods: Vec<u64> = (0..8).map(|p| sim.metrics().pod_bytes(p)).collect();
+        let pods: Vec<u64> = (0..8).map(|p| sim.pod_bytes(p)).collect();
         // Pod 8 (index 7) per switch: spines then ToRs then the gateway ToR,
         // matching Figure 8's switch numbering.
         let mut spines = Vec::new();

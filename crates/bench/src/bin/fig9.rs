@@ -19,7 +19,7 @@ fn main() {
         StrategyKind::GwCache,
         StrategyKind::SwitchV2P,
     ];
-    let cache = scale.analysis_cache_entries("hadoop");
+    let cache = scale.analysis_cache_entries();
 
     println!("Figure 9: FCT and first-packet latency vs gateway count");
     println!("(Hadoop, cache 50%; 'drops' flags gateway-link packet loss)\n");

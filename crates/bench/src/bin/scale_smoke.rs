@@ -6,10 +6,9 @@
 //!
 //! The full 32-pod fat-tree and the full 1 048 576-VM placement are built
 //! — memory scaling is exactly what this smoke test guards — but the
-//! streamed workload is cut to a few thousand flows so the run finishes
-//! in CI time. A regression that reintroduces O(VMs) HashMap state,
-//! materializes the trace, or copies per-VM state per shard blows through
-//! a bound and fails the job.
+//! workload is cut to a few thousand flows so the run finishes in CI
+//! time. A regression that reintroduces O(VMs) HashMap state or copies
+//! per-VM state per shard blows through a bound and fails the job.
 //!
 //! Each shard count runs in a fresh process (the binary re-executes
 //! itself), so no count inherits heap the allocator kept from another and
@@ -25,7 +24,7 @@ use std::time::Instant;
 use sv2p_bench::cli;
 use sv2p_bench::harness::{ExperimentSpec, StrategyKind};
 use sv2p_bench::Scale;
-use sv2p_traces::{FlowSource, HadoopConfig};
+use sv2p_traces::{hadoop, HadoopConfig};
 
 /// Hard per-run peak-RSS ceiling. The compact-state engine holds the
 /// 1M-VM FT32 slice well under 1 GB at any shard count; 2 GiB leaves
@@ -42,7 +41,7 @@ const MAX_RATIO: [(&str, f64); 3] = [
     ("set-up s", 2.0),
 ];
 
-/// Trimmed flow count (`Scale::huge_hadoop` streams the full 20 000).
+/// Trimmed flow count (`Scale::huge_hadoop` asks for the full 20 000).
 const SMOKE_FLOWS: usize = 2_000;
 
 /// The sub-command that turns the process into the run of one shard count,
@@ -67,8 +66,8 @@ fn run_child(seed: u64, shards: u16) {
     };
     let spec = ExperimentSpec::builder(scale.ft32(), StrategyKind::SwitchV2P)
         .vms_per_server(32)
-        .flow_source(FlowSource::hadoop(&cfg))
-        .cache_entries(scale.analysis_cache_entries(""))
+        .flows(hadoop(&cfg))
+        .cache_entries(scale.analysis_cache_entries())
         .seed(seed)
         .shards(shards)
         .label(format!("scale-smoke-x{shards}"))
@@ -129,7 +128,7 @@ fn main() {
         return run_child(args.seed(), args.shards());
     }
     println!(
-        "FT32-1M scale smoke: {} VMs placed, {} streamed flows, seed {}, one process per shard count",
+        "FT32-1M scale smoke: {} VMs placed, {} flows, seed {}, one process per shard count",
         1_048_576,
         SMOKE_FLOWS,
         args.seed(),

@@ -24,15 +24,9 @@ fn main() {
         ("Microbursts", microbursts(&scale.microbursts())),
         ("Video", video(&scale.video())),
     ] {
-        let _active = scale.active_addresses(match name {
-            "Hadoop" => "hadoop",
-            "WebSearch" => "websearch",
-            "Microbursts" => "microbursts",
-            _ => "other",
-        });
         let spec = ExperimentSpec::builder(scale.ft8(), StrategyKind::SwitchV2P)
             .flows(flows)
-            .cache_entries(scale.analysis_cache_entries(""))
+            .cache_entries(scale.analysis_cache_entries())
             .seed(args.seed())
             .label(name.to_lowercase())
             .build();

@@ -4,7 +4,7 @@ use sv2p_metrics::RunSummary;
 use sv2p_netsim::{ChurnPlan, ChurnSpec, Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::{FxHashMap, SimDuration, SimTime};
 use sv2p_topology::FatTreeConfig;
-use sv2p_traces::{FlowProfile, FlowSource, TraceFlow};
+use sv2p_traces::{FlowProfile, TraceFlow};
 use sv2p_transport::UdpSchedule;
 use sv2p_vnet::{Migration, Strategy};
 use switchv2p::{InvalidationMode, SwitchV2P, SwitchV2PConfig};
@@ -174,13 +174,8 @@ pub struct ExperimentSpec {
     pub topology: FatTreeConfig,
     /// VMs per server.
     pub vms_per_server: u32,
-    /// The workload (materialized; empty when `flow_source` is set).
+    /// The workload.
     pub flows: Vec<TraceFlow>,
-    /// Streaming workload: pulled flow-by-flow at build time so trace
-    /// memory stays O(in-flight) (million-VM tiers). Yields are converted
-    /// with the same wrap/drop rules as `flows`; both may be set — the
-    /// materialized flows register first.
-    pub flow_source: Option<FlowSource>,
     /// Scheme under test.
     pub strategy: StrategyKind,
     /// Aggregate cache entries across all caching switches.
@@ -223,7 +218,6 @@ impl ExperimentSpec {
                 topology,
                 vms_per_server: 80,
                 flows: Vec::new(),
-                flow_source: None,
                 strategy,
                 cache_entries: 0,
                 migrations: Vec::new(),
@@ -262,11 +256,6 @@ impl ExperimentSpec {
         );
         let n_vms = sim.placement().len();
         sim.add_flows(to_flow_specs(&self.flows, n_vms));
-        if let Some(src) = &self.flow_source {
-            // Clone the source (sweeps build the same spec repeatedly) and
-            // stream it straight into the engine.
-            sim.add_flows(to_flow_spec_iter(src.clone(), n_vms));
-        }
         for &(vm, at_us) in &self.migrations {
             let vip = sim.placement().vips[vm];
             let target = sim
@@ -308,12 +297,6 @@ impl ExperimentSpecBuilder {
     /// The workload.
     pub fn flows(mut self, flows: Vec<TraceFlow>) -> Self {
         self.spec.flows = flows;
-        self
-    }
-
-    /// A streaming workload source (see [`ExperimentSpec::flow_source`]).
-    pub fn flow_source(mut self, src: FlowSource) -> Self {
-        self.spec.flow_source = Some(src);
         self
     }
 
@@ -392,53 +375,39 @@ impl ExperimentSpecBuilder {
 pub fn to_flow_specs(flows: &[TraceFlow], n_vms: usize) -> Vec<FlowSpec> {
     flows
         .iter()
-        .filter_map(|f| trace_flow_to_spec(f, n_vms))
-        .collect()
-}
-
-/// Streaming variant of [`to_flow_specs`]: converts lazily so a
-/// [`FlowSource`] can feed the engine without a materialized `Vec`.
-pub fn to_flow_spec_iter(
-    flows: impl IntoIterator<Item = TraceFlow>,
-    n_vms: usize,
-) -> impl Iterator<Item = FlowSpec> {
-    flows
-        .into_iter()
-        .filter_map(move |f| trace_flow_to_spec(&f, n_vms))
-}
-
-/// Converts one trace flow, wrapping endpoints and dropping self flows.
-fn trace_flow_to_spec(f: &TraceFlow, n_vms: usize) -> Option<FlowSpec> {
-    let src = f.src_vm % n_vms;
-    let dst = f.dst_vm % n_vms;
-    if src == dst {
-        return None;
-    }
-    let start = SimTime::from_nanos(f.start_ns);
-    let kind = match f.profile {
-        FlowProfile::Tcp { bytes } => FlowKind::Tcp { bytes },
-        FlowProfile::UdpCbr {
-            rate_bps,
-            duration_ns,
-            payload,
-        } => FlowKind::Udp {
-            schedule: UdpSchedule::cbr(
+        .filter_map(|f| {
+            let src = f.src_vm % n_vms;
+            let dst = f.dst_vm % n_vms;
+            if src == dst {
+                return None;
+            }
+            let start = SimTime::from_nanos(f.start_ns);
+            let kind = match f.profile {
+                FlowProfile::Tcp { bytes } => FlowKind::Tcp { bytes },
+                FlowProfile::UdpCbr {
+                    rate_bps,
+                    duration_ns,
+                    payload,
+                } => FlowKind::Udp {
+                    schedule: UdpSchedule::cbr(
+                        start,
+                        SimDuration::from_nanos(duration_ns),
+                        rate_bps,
+                        payload,
+                    ),
+                },
+                FlowProfile::UdpBurst { count, payload } => FlowKind::Udp {
+                    schedule: UdpSchedule::burst(start, count, payload, 100_000_000_000),
+                },
+            };
+            Some(FlowSpec {
+                src_vm: src,
+                dst_vm: dst,
                 start,
-                SimDuration::from_nanos(duration_ns),
-                rate_bps,
-                payload,
-            ),
-        },
-        FlowProfile::UdpBurst { count, payload } => FlowKind::Udp {
-            schedule: UdpSchedule::burst(start, count, payload, 100_000_000_000),
-        },
-    };
-    Some(FlowSpec {
-        src_vm: src,
-        dst_vm: dst,
-        start,
-        kind,
-    })
+                kind,
+            })
+        })
+        .collect()
 }
 
 /// Runs one experiment to completion, recording a run manifest (and trace
@@ -459,7 +428,6 @@ pub fn run_spec(spec: &ExperimentSpec) -> RunSummary {
 /// epoch, and replaces the switches' installed entries with it.
 pub fn run_controller_spec(spec: &ExperimentSpec, period: SimDuration) -> RunSummary {
     let mut sim = spec.build();
-    let expected_flows = to_flow_specs(&spec.flows, sim.placement().len()).len();
     let switch_nodes: Vec<_> = sim.topology().switches().map(|n| n.id).collect();
     let driver = ControllerDriver {
         capacity_per_switch: (spec.cache_entries / switch_nodes.len()).max(1),
@@ -470,7 +438,7 @@ pub fn run_controller_spec(spec: &ExperimentSpec, period: SimDuration) -> RunSum
     loop {
         t += period;
         sim.run_until(t);
-        if sim.metrics().flows_completed() >= expected_flows {
+        if sim.flows_outstanding() == 0 {
             break;
         }
         let plan = driver.plan(
@@ -736,7 +704,6 @@ mod tests {
             .build();
         assert_eq!(s.vms_per_server, 80);
         assert!(s.flows.is_empty() && s.migrations.is_empty());
-        assert!(s.flow_source.is_none());
         assert_eq!(s.cache_entries, 0);
         assert!(s.churn.is_none());
         assert_eq!(s.gateway_queue_cap, 0, "legacy gateway model by default");
@@ -745,29 +712,6 @@ mod tests {
         assert_eq!(s.shards, 1, "no --shards flag means single-threaded");
         assert!(!s.profile, "no --profile flag means profiling off");
         assert!(s.label.is_empty());
-    }
-
-    #[test]
-    fn streamed_source_runs_byte_identical_to_materialized() {
-        use sv2p_traces::FlowSource;
-        let cfg = HadoopConfig {
-            vms: 256,
-            flows: 200,
-            hosts: 128,
-            ..Default::default()
-        };
-        let mat = run_spec(&tiny_spec(StrategyKind::SwitchV2P, 128));
-        let streamed_spec = ExperimentSpec::builder(
-            FatTreeConfig::scaled_ft8(2),
-            StrategyKind::SwitchV2P,
-        )
-        .vms_per_server(2)
-        .flow_source(FlowSource::hadoop(&cfg))
-        .cache_entries(128)
-        .label("unit")
-        .build();
-        let streamed = run_spec(&streamed_spec);
-        assert_eq!(format!("{mat:?}"), format!("{streamed:?}"));
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl Scale {
         FatTreeConfig::ft32_1m()
     }
 
-    /// The million-VM tier's streamed Hadoop-style workload: the full
+    /// The million-VM tier's Hadoop-style workload: the full
     /// million-VM pool with a 4096-VM active subset (preserving the
     /// flows-per-destination reuse ratio) and load matched to the active
     /// servers. Pair with [`Self::ft32`] at 32 VMs per server.
@@ -150,7 +150,7 @@ impl Scale {
     /// whose direct-mapped conflicts dominate; instead quick mode matches
     /// the paper's **per-switch capacity** (64 lines x 80 switches), the
     /// quantity these analyses actually depend on.
-    pub fn analysis_cache_entries(self, _dataset: &str) -> usize {
+    pub fn analysis_cache_entries(self) -> usize {
         match self {
             Scale::Quick => 64 * 80,
             Scale::Full => 10_240 / 2,

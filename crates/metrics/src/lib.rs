@@ -7,8 +7,11 @@
 //! invalidation accounting for the migration study (Table 4), and
 //! reordering (§4).
 //!
-//! [`Metrics`] is the recording surface the simulator writes into;
-//! [`RunSummary`] is the derived, serializable result the harness consumes.
+//! The recorder is split by how its fields combine. [`Counters`] is
+//! everything order-free: each shard of a run owns one, and they add up
+//! through [`Counters::merge`]. [`Metrics`] is what depends on global event
+//! order and so exists once, on the master. [`RunSummary`] and
+//! [`RecoveryReport`] are pure functions of one of each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,19 +21,10 @@ use sv2p_packet::{FlowId, SwitchTag};
 use sv2p_simcore::stats::{Percentiles, Running};
 use sv2p_simcore::{FxHashMap, SimTime};
 
-/// Default recovery-series window: 100 µs of virtual time.
-pub const DEFAULT_WINDOW_NS: u64 = 100_000;
+/// Recovery-series window: 100 µs of virtual time.
+pub const WINDOW_NS: u64 = 100_000;
 
 pub use sv2p_topology::Layer;
-
-/// Static description of one switch, registered up front.
-#[derive(Debug, Clone, Copy)]
-pub struct SwitchInfo {
-    /// Its layer.
-    pub layer: Layer,
-    /// Its pod (`None` for cores).
-    pub pod: Option<u16>,
-}
 
 /// Per-flow in-progress record.
 #[derive(Debug, Clone, Copy)]
@@ -40,8 +34,7 @@ struct FlowRecord {
     first_pkt_latency: Option<f64>,
 }
 
-/// Why a tenant data packet was dropped (per-cause breakdown of
-/// [`Metrics::packets_dropped`]).
+/// Why a tenant data packet was dropped (index into [`Counters::drops`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DropCause {
     /// Drop-tail queue overflow (link buffer or an agent's control-plane
@@ -58,22 +51,15 @@ pub enum DropCause {
     GatewayShed,
 }
 
-/// One VM migration and the stale-cache exposure it caused, in migration
-/// order. `last_stale_ns` starts at the migration instant, so a migration
-/// nobody's cache was stale for reports a recovery time of zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct MigrationEvent {
-    /// Raw VIP key of the migrated VM.
-    pub vip: u32,
-    /// When the mapping changed, virtual nanoseconds.
-    pub at_ns: u64,
-    /// Cache hits served from a stale entry for this VIP after this
-    /// migration (and before any later migration of the same VIP).
-    pub stale_hits: u64,
-    /// Virtual time of the last such stale hit — `last_stale_ns - at_ns`
-    /// is the recovery time: how long the network kept acting on the old
-    /// mapping.
-    pub last_stale_ns: u64,
+/// Names one executed migration to [`Counters::record_stale_hit`], as
+/// handed out by [`Metrics::record_migration`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MigrationRef {
+    /// Its position in execution order (index into
+    /// [`Counters::recovery_ns`]).
+    pub idx: usize,
+    /// When the mapping changed.
+    pub at: SimTime,
 }
 
 /// One injected fault, timestamped so experiments can align time series to
@@ -86,21 +72,27 @@ pub struct FaultAnnotation {
     pub label: String,
 }
 
-/// Per-window counters backing the recovery metrics.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct WindowStat {
-    /// Data packets handed to the network in this window.
+/// Tenant traffic counted over a span of the run: one recovery window (the
+/// FCT half of a window is order-sensitive and lives in [`Metrics`]), or
+/// all of it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct Traffic {
+    /// Data packets handed to the network by senders.
     pub data_sent: u64,
-    /// Data packets that reached a gateway in this window.
+    /// Data packets that reached a translation gateway.
     pub gateway: u64,
-    /// Sum of FCTs (µs) of flows completing in this window.
-    pub fct_sum_us: f64,
-    /// Flows completing in this window.
-    pub fct_count: u64,
 }
 
-impl WindowStat {
-    /// Window-local hit rate (1 − gateway share); `None` with no traffic.
+impl Traffic {
+    /// Adds `other`'s traffic to this.
+    pub fn add(&mut self, other: &Traffic) {
+        self.data_sent += other.data_sent;
+        self.gateway += other.gateway;
+    }
+
+    /// Fraction of the data packets that avoided the gateways ("the
+    /// fraction of all sent packets that do not reach the gateways", §5.1);
+    /// `None` with no traffic.
     pub fn hit_rate(&self) -> Option<f64> {
         if self.data_sent == 0 {
             None
@@ -135,51 +127,50 @@ pub struct RecoveryReport {
     pub time_to_recover_us: Option<f64>,
 }
 
-/// The recording surface.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    switches: Vec<SwitchInfo>,
-    /// Bytes processed per switch (a packet counts at every switch it
+/// Grows `v` with defaults to at least `len` entries.
+fn grow<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    if len > v.len() {
+        v.resize(len, T::default());
+    }
+}
+
+/// `v[from..to]`, with both ends clamped to `v`'s length.
+fn span<T>(v: &[T], from: usize, to: usize) -> &[T] {
+    &v[from.min(v.len())..to.min(v.len())]
+}
+
+/// Merges `from[i]` into `into[i]` with `f` for every `i`, growing `into`
+/// to `from`'s length first.
+fn merge_each<T: Clone + Default>(into: &mut Vec<T>, from: &[T], f: impl Fn(&mut T, &T)) {
+    grow(into, from.len());
+    for (a, b) in into.iter_mut().zip(from) {
+        f(a, b);
+    }
+}
+
+fn add_each(into: &mut [u64], from: &[u64]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a += b;
+    }
+}
+
+/// The order-free ledger: every field is a sum, a maximum or a multiset,
+/// so recording an event into any one of several `Counters` and merging
+/// them gives what recording everything into one would have.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Bytes processed per switch tag (a packet counts at every switch it
     /// traverses, matching Figure 7's counting rule).
     pub bytes_by_switch: Vec<u64>,
-    flows: FxHashMap<FlowId, FlowRecord>,
-
-    /// Tenant data packets handed to the network by senders.
-    pub data_packets_sent: u64,
-    /// Tenant data packets delivered to their (correct) destination VM.
-    pub data_packets_delivered: u64,
-    /// Tenant data packets dropped anywhere (sum of the per-cause counters).
-    pub packets_dropped: u64,
-    /// Drops from full queues (link buffers, agent control-plane queues).
-    pub drops_queue: u64,
-    /// Drops for lack of a usable route.
-    pub drops_unroutable: u64,
-    /// Drops inside a switch/gateway blackout window.
-    pub drops_blackout: u64,
-    /// Drops from injected stochastic loss.
-    pub drops_loss: u64,
-    /// Drops shed by overloaded gateways (bounded ingress queue full).
-    pub drops_shed: u64,
-    /// Tenant data packets that were processed by a translation gateway.
-    pub gateway_packets: u64,
-    /// Tenant data packets that a switch cache resolved.
-    pub cache_hits: u64,
-    /// Cache hits by switch layer.
-    pub hits_by_layer: FxHashMap<Layer, u64>,
-    /// Cache hits of flow-first packets, by layer.
-    pub first_hits_by_layer: FxHashMap<Layer, u64>,
-    /// First packets sent (denominator for first-packet hit shares).
-    pub first_packets_sent: u64,
-
-    /// Switch hops per delivered packet (packet stretch, §5.3).
-    pub stretch: Running,
-    /// End-to-end latency per delivered data packet, microseconds.
-    pub packet_latency_us: Running,
-    /// Flow-first-packet end-to-end latency, microseconds.
-    pub first_packet_latency_us: Percentiles,
-    /// Completed-flow FCTs, microseconds.
-    pub fct_us: Percentiles,
-
+    /// Tenant data traffic since t = 0 (the sum of `windows`).
+    pub total: Traffic,
+    /// Tenant data packets dropped anywhere, by [`DropCause`].
+    pub drops: [u64; 5],
+    /// Tenant data packets that a switch cache resolved, by the switch's
+    /// [`Layer`].
+    pub hits_by_layer: [u64; 3],
+    /// Cache hits of flow-first packets, by [`Layer`].
+    pub first_hits_by_layer: [u64; 3],
     /// Packets that arrived at a host that no longer hosts the VM.
     pub misdelivered_packets: u64,
     /// Arrival time of the last misdelivered packet (Table 4).
@@ -192,41 +183,173 @@ pub struct Metrics {
     pub spillover_inserts: u64,
     /// Promotions accepted at core switches.
     pub promotion_inserts: u64,
-    /// Reordered segment observations summed over receivers.
+    /// Reordered segment observations summed over receivers (read off the
+    /// transport machines when the merged view is built).
     pub reordered_segments: u64,
-    /// TCP retransmissions summed over senders.
+    /// TCP retransmissions summed over senders (likewise).
     pub retransmissions: u64,
-
     /// Cache hits that served a mapping disagreeing with the ground-truth
     /// database (misdelivery exposure).
     pub stale_cache_hits: u64,
     /// Age of the stale entry at each attributable stale hit, nanoseconds
-    /// since the migration that invalidated it. Sorted lazily by
-    /// [`Metrics::summary`] for the exposure percentiles.
+    /// since the migration that invalidated it, in no particular order.
     pub stale_age_ns: Vec<u64>,
-    /// Every migration with its stale-exposure accounting, in registration
-    /// order (index-aligned between the master recorder and every shard's,
-    /// so the fold zip-merges them).
-    pub migration_events: Vec<MigrationEvent>,
-    /// VIP key → index of its latest entry in `migration_events`, for
-    /// attributing stale hits.
-    stale_attr: FxHashMap<u32, usize>,
-    /// Churn tenants that arrived (master-only: churn marks execute on the
-    /// driver and are never broadcast).
-    pub churn_arrivals: u64,
-    /// Churn tenants that departed (master-only).
-    pub churn_departures: u64,
-    /// Rolling migration waves that started (master-only).
-    pub migration_waves: u64,
+    /// Per migration, by [`MigrationRef::idx`]: the age of the oldest stale
+    /// entry hit after it (and before any later migration of the same VIP)
+    /// — the recovery time, how long the network kept acting on the old
+    /// mapping. Zero when nobody's cache was stale for it.
+    pub recovery_ns: Vec<u64>,
+    /// Windowed traffic series; window `i` covers
+    /// `[i * WINDOW_NS, (i + 1) * WINDOW_NS)`.
+    pub windows: Vec<Traffic>,
+}
 
+impl Counters {
+    /// A ledger for a fabric of `switches` switches (dense tags).
+    pub fn new(switches: usize) -> Self {
+        Counters {
+            bytes_by_switch: vec![0; switches],
+            ..Counters::default()
+        }
+    }
+
+    /// Adds `other` into this ledger. The argument is destructured without
+    /// `..`: a field added to [`Counters`] does not compile until it is
+    /// merged here.
+    pub fn merge(&mut self, other: &Counters) {
+        let Counters {
+            bytes_by_switch,
+            total,
+            drops,
+            hits_by_layer,
+            first_hits_by_layer,
+            misdelivered_packets,
+            last_misdelivery,
+            invalidation_packets,
+            learning_packets,
+            spillover_inserts,
+            promotion_inserts,
+            reordered_segments,
+            retransmissions,
+            stale_cache_hits,
+            stale_age_ns,
+            recovery_ns,
+            windows,
+        } = other;
+        merge_each(&mut self.bytes_by_switch, bytes_by_switch, |a, b| *a += b);
+        self.total.add(total);
+        add_each(&mut self.drops, drops);
+        add_each(&mut self.hits_by_layer, hits_by_layer);
+        add_each(&mut self.first_hits_by_layer, first_hits_by_layer);
+        self.misdelivered_packets += misdelivered_packets;
+        self.last_misdelivery = self.last_misdelivery.max(*last_misdelivery);
+        self.invalidation_packets += invalidation_packets;
+        self.learning_packets += learning_packets;
+        self.spillover_inserts += spillover_inserts;
+        self.promotion_inserts += promotion_inserts;
+        self.reordered_segments += reordered_segments;
+        self.retransmissions += retransmissions;
+        self.stale_cache_hits += stale_cache_hits;
+        self.stale_age_ns.extend_from_slice(stale_age_ns);
+        merge_each(&mut self.recovery_ns, recovery_ns, |a, b| *a = (*a).max(*b));
+        merge_each(&mut self.windows, windows, Traffic::add);
+    }
+
+    /// A packet of `bytes` traversed switch `tag`.
+    pub fn record_switch_bytes(&mut self, tag: SwitchTag, bytes: u32) {
+        self.bytes_by_switch[tag.0 as usize] += bytes as u64;
+    }
+
+    /// A cache of a switch in `layer` resolved a packet.
+    pub fn record_cache_hit(&mut self, layer: Layer, first_of_flow: bool) {
+        self.hits_by_layer[layer as usize] += 1;
+        if first_of_flow {
+            self.first_hits_by_layer[layer as usize] += 1;
+        }
+    }
+
+    fn window_mut(&mut self, now: SimTime) -> &mut Traffic {
+        let idx = (now.as_nanos() / WINDOW_NS) as usize;
+        grow(&mut self.windows, idx + 1);
+        &mut self.windows[idx]
+    }
+
+    /// A tenant data packet entered the network.
+    pub fn record_data_sent(&mut self, now: SimTime) {
+        self.total.data_sent += 1;
+        self.window_mut(now).data_sent += 1;
+    }
+
+    /// A tenant data packet reached a translation gateway.
+    pub fn record_gateway_packet(&mut self, now: SimTime) {
+        self.total.gateway += 1;
+        self.window_mut(now).gateway += 1;
+    }
+
+    /// A tenant data packet was dropped for `cause`.
+    pub fn record_drop(&mut self, cause: DropCause) {
+        self.drops[cause as usize] += 1;
+    }
+
+    /// A cache hit served a stale mapping at `now`. `migration` is the
+    /// latest migration of the hit VIP, if it ever migrated; the stale
+    /// entry's age (ns since that migration) is recorded and returned.
+    pub fn record_stale_hit(
+        &mut self,
+        migration: Option<MigrationRef>,
+        now: SimTime,
+    ) -> Option<u64> {
+        self.stale_cache_hits += 1;
+        let m = migration?;
+        let age = now.as_nanos().saturating_sub(m.at.as_nanos());
+        grow(&mut self.recovery_ns, m.idx + 1);
+        self.recovery_ns[m.idx] = self.recovery_ns[m.idx].max(age);
+        self.stale_age_ns.push(age);
+        Some(age)
+    }
+
+    /// A packet arrived at a host that no longer hosts the destination VM.
+    pub fn record_misdelivery(&mut self, now: SimTime) {
+        self.misdelivered_packets += 1;
+        self.last_misdelivery = self.last_misdelivery.max(Some(now));
+    }
+}
+
+/// What only the master records: the streams whose content depends on the
+/// global order of events, and the counters of events only the driver
+/// executes.
+#[derive(Debug, Default)]
+pub struct Metrics {
+    /// Pod of each switch by tag (`None` for cores).
+    switch_pods: Vec<Option<u16>>,
+    flows: FxHashMap<FlowId, FlowRecord>,
+
+    /// Flows that completed.
+    pub flows_completed: u64,
+    /// Tenant data packets delivered to their (correct) destination VM.
+    pub data_packets_delivered: u64,
+    /// Switch hops per delivered packet (packet stretch, §5.3).
+    pub stretch: Running,
+    /// End-to-end latency per delivered data packet, microseconds.
+    pub packet_latency_us: Running,
+    /// Flow-first-packet end-to-end latency, microseconds.
+    pub first_packet_latency_us: Percentiles,
+    /// Completed-flow FCTs, microseconds.
+    pub fct_us: Percentiles,
+    /// Per recovery window: sum of the FCTs (µs) of the flows completing
+    /// in it, and their count.
+    fct_windows: Vec<(f64, u64)>,
+
+    /// VM migrations executed.
+    pub migrations: u64,
+    /// Churn tenants that arrived.
+    pub churn_arrivals: u64,
+    /// Churn tenants that departed.
+    pub churn_departures: u64,
+    /// Rolling migration waves that started.
+    pub migration_waves: u64,
     /// Injected faults, in injection order.
     pub fault_events: Vec<FaultAnnotation>,
-    /// Windowed traffic series feeding [`Metrics::recovery_report`];
-    /// window `i` covers `[i*window_ns, (i+1)*window_ns)`.
-    pub windows: Vec<WindowStat>,
-    /// Recovery-series window length in nanoseconds (0 ⇒
-    /// [`DEFAULT_WINDOW_NS`]).
-    pub window_ns: u64,
 }
 
 impl Metrics {
@@ -235,31 +358,11 @@ impl Metrics {
         Self::default()
     }
 
-    /// Registers switch `tag` (tags must be dense, registered in order).
-    pub fn register_switch(&mut self, tag: SwitchTag, info: SwitchInfo) {
-        assert_eq!(tag.0 as usize, self.switches.len(), "tags must be dense");
-        self.switches.push(info);
-        self.bytes_by_switch.push(0);
-    }
-
-    /// Number of registered switches.
-    pub fn switch_count(&self) -> usize {
-        self.switches.len()
-    }
-
-    /// A packet of `bytes` traversed switch `tag`.
-    pub fn record_switch_bytes(&mut self, tag: SwitchTag, bytes: u32) {
-        self.bytes_by_switch[tag.0 as usize] += bytes as u64;
-    }
-
-    /// A switch cache resolved a packet.
-    pub fn record_cache_hit(&mut self, tag: SwitchTag, first_of_flow: bool) {
-        self.cache_hits += 1;
-        let layer = self.switches[tag.0 as usize].layer;
-        *self.hits_by_layer.entry(layer).or_insert(0) += 1;
-        if first_of_flow {
-            *self.first_hits_by_layer.entry(layer).or_insert(0) += 1;
-        }
+    /// Registers switch `tag` (tags must be dense, registered in order) as
+    /// a switch of `pod` (`None` for cores).
+    pub fn register_switch(&mut self, tag: SwitchTag, pod: Option<u16>) {
+        assert_eq!(tag.0 as usize, self.switch_pods.len(), "tags must be dense");
+        self.switch_pods.push(pod);
     }
 
     /// A flow's first packet entered the network.
@@ -272,7 +375,6 @@ impl Metrics {
                 first_pkt_latency: None,
             },
         );
-        self.first_packets_sent += 1;
     }
 
     /// A flow's first packet reached its destination.
@@ -295,10 +397,12 @@ impl Metrics {
             }
             _ => return,
         };
+        self.flows_completed += 1;
         self.fct_us.push(fct);
-        let win = self.window_mut(now);
-        win.fct_sum_us += fct;
-        win.fct_count += 1;
+        let idx = (now.as_nanos() / WINDOW_NS) as usize;
+        grow(&mut self.fct_windows, idx + 1);
+        self.fct_windows[idx].0 += fct;
+        self.fct_windows[idx].1 += 1;
     }
 
     /// A data packet was delivered; records latency and stretch.
@@ -309,72 +413,14 @@ impl Metrics {
         self.stretch.push(switch_hops as f64);
     }
 
-    /// Effective recovery-series window length in nanoseconds.
-    pub fn window_len_ns(&self) -> u64 {
-        if self.window_ns == 0 {
-            DEFAULT_WINDOW_NS
-        } else {
-            self.window_ns
+    /// Records a migration executed at `at` (its scheduled instant) and
+    /// names it for the stale hits that will attribute to it.
+    pub fn record_migration(&mut self, at: SimTime) -> MigrationRef {
+        self.migrations += 1;
+        MigrationRef {
+            idx: self.migrations as usize - 1,
+            at,
         }
-    }
-
-    fn window_mut(&mut self, now: SimTime) -> &mut WindowStat {
-        let idx = (now.as_nanos() / self.window_len_ns()) as usize;
-        if idx >= self.windows.len() {
-            self.windows.resize(idx + 1, WindowStat::default());
-        }
-        &mut self.windows[idx]
-    }
-
-    /// A tenant data packet entered the network.
-    pub fn record_data_sent(&mut self, now: SimTime) {
-        self.data_packets_sent += 1;
-        self.window_mut(now).data_sent += 1;
-    }
-
-    /// A tenant data packet reached a translation gateway.
-    pub fn record_gateway_packet(&mut self, now: SimTime) {
-        self.gateway_packets += 1;
-        self.window_mut(now).gateway += 1;
-    }
-
-    /// A tenant data packet was dropped for `cause`.
-    pub fn record_drop(&mut self, cause: DropCause) {
-        self.packets_dropped += 1;
-        match cause {
-            DropCause::Queue => self.drops_queue += 1,
-            DropCause::Unroutable => self.drops_unroutable += 1,
-            DropCause::Blackout => self.drops_blackout += 1,
-            DropCause::Loss => self.drops_loss += 1,
-            DropCause::GatewayShed => self.drops_shed += 1,
-        }
-    }
-
-    /// Records that `vip_key` migrated at `at` (its scheduled instant, the
-    /// same on every recorder whatever the shard count). Later stale hits on the VIP attribute to this entry.
-    pub fn record_migration(&mut self, vip_key: u32, at: SimTime) {
-        let idx = self.migration_events.len();
-        self.migration_events.push(MigrationEvent {
-            vip: vip_key,
-            at_ns: at.as_nanos(),
-            stale_hits: 0,
-            last_stale_ns: at.as_nanos(),
-        });
-        self.stale_attr.insert(vip_key, idx);
-    }
-
-    /// A cache hit served a stale mapping for `vip_key` at `now`. Returns
-    /// the stale entry's age (ns since the migration that invalidated it)
-    /// when the hit attributes to a recorded migration.
-    pub fn record_stale_hit(&mut self, vip_key: u32, now: SimTime) -> Option<u64> {
-        self.stale_cache_hits += 1;
-        let &idx = self.stale_attr.get(&vip_key)?;
-        let ev = &mut self.migration_events[idx];
-        let age = now.as_nanos().saturating_sub(ev.at_ns);
-        ev.stale_hits += 1;
-        ev.last_stale_ns = ev.last_stale_ns.max(now.as_nanos());
-        self.stale_age_ns.push(age);
-        Some(age)
     }
 
     /// Records an injected fault so time series can be aligned to it.
@@ -386,31 +432,31 @@ impl Metrics {
     }
 
     /// Analyzes recovery relative to the fault window `[fault_at,
-    /// fault_end)` using the windowed series.
-    pub fn recovery_report(&self, fault_at: SimTime, fault_end: SimTime) -> RecoveryReport {
-        let w = self.window_len_ns();
+    /// fault_end)` using the windowed series: traffic from `c`, FCTs from
+    /// this recorder.
+    pub fn recovery_report(
+        &self,
+        c: &Counters,
+        fault_at: SimTime,
+        fault_end: SimTime,
+    ) -> RecoveryReport {
         // Complete windows strictly before the fault.
-        let pre_end = (fault_at.as_nanos() / w) as usize;
+        let pre_end = (fault_at.as_nanos() / WINDOW_NS) as usize;
         // First window entirely after the fault cleared.
-        let post_start = (fault_end.as_nanos().div_ceil(w)) as usize;
+        let post_start = (fault_end.as_nanos().div_ceil(WINDOW_NS)) as usize;
 
-        let mean_hit = |range: &[WindowStat]| -> f64 {
-            let (mut sent, mut gw) = (0u64, 0u64);
-            for s in range {
-                sent += s.data_sent;
-                gw += s.gateway;
+        let mean_hit = |from: usize, to: usize| -> f64 {
+            let mut sum = Traffic::default();
+            for w in span(&c.windows, from, to) {
+                sum.add(w);
             }
-            if sent == 0 {
-                0.0
-            } else {
-                1.0 - gw as f64 / sent as f64
-            }
+            sum.hit_rate().unwrap_or(0.0)
         };
-        let mean_fct = |range: &[WindowStat]| -> f64 {
+        let mean_fct = |from: usize, to: usize| -> f64 {
             let (mut sum, mut n) = (0.0f64, 0u64);
-            for s in range {
-                sum += s.fct_sum_us;
-                n += s.fct_count;
+            for &(fct_sum_us, fct_count) in span(&self.fct_windows, from, to) {
+                sum += fct_sum_us;
+                n += fct_count;
             }
             if n == 0 {
                 0.0
@@ -419,14 +465,9 @@ impl Metrics {
             }
         };
 
-        let all = &self.windows[..];
-        let pre = &all[..pre_end.min(all.len())];
-        let during = &all[pre_end.min(all.len())..post_start.min(all.len())];
-        let post = &all[post_start.min(all.len())..];
-
-        let pre_hit = mean_hit(pre);
-        let pre_fct = mean_fct(pre);
-        let during_fct = mean_fct(during);
+        let pre_hit = mean_hit(0, pre_end);
+        let pre_fct = mean_fct(0, pre_end);
+        let during_fct = mean_fct(pre_end, post_start);
         let fct_degradation = if pre_fct > 0.0 && during_fct > 0.0 {
             during_fct / pre_fct
         } else {
@@ -437,10 +478,10 @@ impl Metrics {
         // rate reaches 95 % of the pre-fault rate.
         let threshold = 0.95 * pre_hit;
         let mut time_to_recover_us = None;
-        for (i, s) in all.iter().enumerate().skip(post_start) {
+        for (i, s) in c.windows.iter().enumerate().skip(post_start) {
             if let Some(h) = s.hit_rate() {
                 if h >= threshold {
-                    let win_start_ns = i as u64 * w;
+                    let win_start_ns = i as u64 * WINDOW_NS;
                     let delta_ns = win_start_ns.saturating_sub(fault_end.as_nanos());
                     time_to_recover_us = Some(delta_ns as f64 / 1_000.0);
                     break;
@@ -450,183 +491,100 @@ impl Metrics {
 
         RecoveryReport {
             pre_fault_hit_rate: pre_hit,
-            during_fault_hit_rate: mean_hit(during),
-            post_fault_hit_rate: mean_hit(post),
+            during_fault_hit_rate: mean_hit(pre_end, post_start),
+            post_fault_hit_rate: mean_hit(post_start, usize::MAX),
             pre_fault_avg_fct_us: pre_fct,
             during_fault_avg_fct_us: during_fct,
-            post_fault_avg_fct_us: mean_fct(post),
+            post_fault_avg_fct_us: mean_fct(post_start, usize::MAX),
             fct_degradation,
             time_to_recover_us,
         }
     }
 
-    /// A packet arrived at a host that no longer hosts the destination VM.
-    pub fn record_misdelivery(&mut self, now: SimTime) {
-        self.misdelivered_packets += 1;
-        self.last_misdelivery = Some(match self.last_misdelivery {
-            Some(t) => t.max(now),
-            None => now,
-        });
-    }
-
-    /// Folds a shard-local recorder into this master recorder.
-    ///
-    /// The sharded engine splits metrics in two: order-sensitive streams
-    /// (deliveries, flow lifecycle, faults) replay on the master in exact
-    /// global order, while order-free counters accumulate shard-locally
-    /// and are summed here at finalization. This method therefore touches
-    /// **only** commutative fields; everything order-sensitive on `other`
-    /// (the flows map, latency/stretch accumulators, fct windows, fault
-    /// annotations) is intentionally ignored — the master already holds
-    /// the authoritative copy.
-    pub fn absorb_shard(&mut self, other: &Metrics) {
-        for (b, &o) in self.bytes_by_switch.iter_mut().zip(&other.bytes_by_switch) {
-            *b += o;
-        }
-        self.data_packets_sent += other.data_packets_sent;
-        self.packets_dropped += other.packets_dropped;
-        self.drops_queue += other.drops_queue;
-        self.drops_unroutable += other.drops_unroutable;
-        self.drops_blackout += other.drops_blackout;
-        self.drops_loss += other.drops_loss;
-        self.drops_shed += other.drops_shed;
-        self.gateway_packets += other.gateway_packets;
-        self.cache_hits += other.cache_hits;
-        for (&l, &n) in &other.hits_by_layer {
-            *self.hits_by_layer.entry(l).or_insert(0) += n;
-        }
-        for (&l, &n) in &other.first_hits_by_layer {
-            *self.first_hits_by_layer.entry(l).or_insert(0) += n;
-        }
-        self.misdelivered_packets += other.misdelivered_packets;
-        self.last_misdelivery = match (self.last_misdelivery, other.last_misdelivery) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.invalidation_packets += other.invalidation_packets;
-        self.learning_packets += other.learning_packets;
-        self.spillover_inserts += other.spillover_inserts;
-        self.promotion_inserts += other.promotion_inserts;
-        self.stale_cache_hits += other.stale_cache_hits;
-        self.stale_age_ns.extend_from_slice(&other.stale_age_ns);
-        // Every shard's recorder opens one entry per migration, in the
-        // same order, so per-migration exposure merges index-wise.
-        debug_assert!(other.migration_events.len() <= self.migration_events.len());
-        for (ev, o) in self.migration_events.iter_mut().zip(&other.migration_events) {
-            ev.stale_hits += o.stale_hits;
-            ev.last_stale_ns = ev.last_stale_ns.max(o.last_stale_ns);
-        }
-        if other.windows.len() > self.windows.len() {
-            self.windows
-                .resize(other.windows.len(), WindowStat::default());
-        }
-        for (w, o) in self.windows.iter_mut().zip(&other.windows) {
-            w.data_sent += o.data_sent;
-            w.gateway += o.gateway;
-        }
-    }
-
-    /// Fraction of data packets that avoided the gateways ("the fraction of
-    /// all sent packets that do not reach the gateways", §5.1).
-    pub fn hit_rate(&self) -> f64 {
-        if self.data_packets_sent == 0 {
-            return 0.0;
-        }
-        1.0 - self.gateway_packets as f64 / self.data_packets_sent as f64
-    }
-
     /// Total bytes processed by all switches in `pod`.
-    pub fn pod_bytes(&self, pod: u16) -> u64 {
-        self.switches
+    pub fn pod_bytes(&self, c: &Counters, pod: u16) -> u64 {
+        self.switch_pods
             .iter()
-            .zip(&self.bytes_by_switch)
-            .filter(|(s, _)| s.pod == Some(pod))
+            .zip(&c.bytes_by_switch)
+            .filter(|(&p, _)| p == Some(pod))
             .map(|(_, &b)| b)
             .sum()
     }
 
-    /// Total bytes processed by all switches (network load proxy, §5.3).
-    pub fn total_switch_bytes(&self) -> u64 {
-        self.bytes_by_switch.iter().sum()
-    }
-
-    /// Completed flow count.
-    pub fn flows_completed(&self) -> usize {
-        self.flows.values().filter(|f| f.completed.is_some()).count()
-    }
-
-    /// Derives the serializable summary.
-    pub fn summary(&mut self, name: &str) -> RunSummary {
-        let layer_share = |map: &FxHashMap<Layer, u64>| {
-            let total: u64 = map.values().sum();
+    /// Derives the serializable summary from this recorder and the merged
+    /// ledger `c`. A pure read: calling it changes nothing, so calling it
+    /// again — now or after more of the run — is always sound.
+    pub fn summary(&self, c: &Counters, name: &str) -> RunSummary {
+        let layer_share = |hits: &[u64; 3]| {
+            let total: u64 = hits.iter().sum();
             let pct = |l: Layer| {
                 if total == 0 {
                     0.0
                 } else {
-                    *map.get(&l).unwrap_or(&0) as f64 / total as f64
+                    hits[l as usize] as f64 / total as f64
                 }
             };
             (pct(Layer::Core), pct(Layer::Spine), pct(Layer::Tor))
         };
-        let (hit_core, hit_spine, hit_tor) = layer_share(&self.hits_by_layer);
-        let (fhit_core, fhit_spine, fhit_tor) = layer_share(&self.first_hits_by_layer);
-        self.stale_age_ns.sort_unstable();
+        let (hit_core, hit_spine, hit_tor) = layer_share(&c.hits_by_layer);
+        let (fhit_core, fhit_spine, fhit_tor) = layer_share(&c.first_hits_by_layer);
+        let mut ages = c.stale_age_ns.clone();
+        ages.sort_unstable();
         let age_q = |q: f64| -> f64 {
-            if self.stale_age_ns.is_empty() {
+            if ages.is_empty() {
                 return 0.0;
             }
-            let idx = ((self.stale_age_ns.len() - 1) as f64 * q).round() as usize;
-            self.stale_age_ns[idx] as f64 / 1_000.0
+            let idx = ((ages.len() - 1) as f64 * q).round() as usize;
+            ages[idx] as f64 / 1_000.0
         };
-        let recoveries = self
-            .migration_events
-            .iter()
-            .map(|ev| ev.last_stale_ns.saturating_sub(ev.at_ns) as f64 / 1_000.0);
+        // Every migration counts, the clean ones (no entry) as zero.
+        let recoveries = (0..self.migrations as usize)
+            .map(|i| c.recovery_ns.get(i).copied().unwrap_or(0) as f64 / 1_000.0);
         let recovery_max_us = recoveries.clone().fold(0.0f64, f64::max);
-        let recovery_avg_us = if self.migration_events.is_empty() {
+        let recovery_avg_us = if self.migrations == 0 {
             0.0
         } else {
-            recoveries.sum::<f64>() / self.migration_events.len() as f64
+            recoveries.sum::<f64>() / self.migrations as f64
         };
         RunSummary {
             name: name.to_string(),
             flows: self.flows.len() as u64,
-            flows_completed: self.flows_completed() as u64,
-            data_packets_sent: self.data_packets_sent,
+            flows_completed: self.flows_completed,
+            data_packets_sent: c.total.data_sent,
             data_packets_delivered: self.data_packets_delivered,
-            packets_dropped: self.packets_dropped,
-            drops_queue: self.drops_queue,
-            drops_unroutable: self.drops_unroutable,
-            drops_blackout: self.drops_blackout,
-            drops_loss: self.drops_loss,
-            drops_shed: self.drops_shed,
+            packets_dropped: c.drops.iter().sum(),
+            drops_queue: c.drops[DropCause::Queue as usize],
+            drops_unroutable: c.drops[DropCause::Unroutable as usize],
+            drops_blackout: c.drops[DropCause::Blackout as usize],
+            drops_loss: c.drops[DropCause::Loss as usize],
+            drops_shed: c.drops[DropCause::GatewayShed as usize],
             fault_count: self.fault_events.len() as u64,
-            gateway_packets: self.gateway_packets,
-            hit_rate: self.hit_rate(),
+            gateway_packets: c.total.gateway,
+            hit_rate: c.total.hit_rate().unwrap_or(0.0),
             avg_fct_us: self.fct_us.mean(),
             p99_fct_us: self.fct_us.quantile(0.99),
             avg_first_packet_latency_us: self.first_packet_latency_us.mean(),
             p99_first_packet_latency_us: self.first_packet_latency_us.quantile(0.99),
             avg_packet_latency_us: self.packet_latency_us.mean(),
             avg_stretch: self.stretch.mean(),
-            total_switch_bytes: self.total_switch_bytes(),
-            misdelivered_packets: self.misdelivered_packets,
-            last_misdelivery_us: self.last_misdelivery.map(|t| t.as_micros_f64()),
-            invalidation_packets: self.invalidation_packets,
-            learning_packets: self.learning_packets,
-            reordered_segments: self.reordered_segments,
-            retransmissions: self.retransmissions,
+            total_switch_bytes: c.bytes_by_switch.iter().sum(),
+            misdelivered_packets: c.misdelivered_packets,
+            last_misdelivery_us: c.last_misdelivery.map(|t| t.as_micros_f64()),
+            invalidation_packets: c.invalidation_packets,
+            learning_packets: c.learning_packets,
+            reordered_segments: c.reordered_segments,
+            retransmissions: c.retransmissions,
             hit_share_core: hit_core,
             hit_share_spine: hit_spine,
             hit_share_tor: hit_tor,
             first_hit_share_core: fhit_core,
             first_hit_share_spine: fhit_spine,
             first_hit_share_tor: fhit_tor,
-            migrations: self.migration_events.len() as u64,
+            migrations: self.migrations,
             churn_arrivals: self.churn_arrivals,
             churn_departures: self.churn_departures,
             migration_waves: self.migration_waves,
-            stale_cache_hits: self.stale_cache_hits,
+            stale_cache_hits: c.stale_cache_hits,
             stale_age_p50_us: age_q(0.50),
             stale_age_p99_us: age_q(0.99),
             recovery_avg_us,
@@ -730,51 +688,29 @@ mod tests {
     use super::*;
     use sv2p_simcore::SimDuration;
 
-    fn recorder_with_switches() -> Metrics {
-        let mut m = Metrics::new();
-        m.register_switch(
-            SwitchTag(0),
-            SwitchInfo {
-                layer: Layer::Tor,
-                pod: Some(0),
-            },
-        );
-        m.register_switch(
-            SwitchTag(1),
-            SwitchInfo {
-                layer: Layer::Spine,
-                pod: Some(0),
-            },
-        );
-        m.register_switch(
-            SwitchTag(2),
-            SwitchInfo {
-                layer: Layer::Core,
-                pod: None,
-            },
-        );
-        m
-    }
-
     #[test]
     fn hit_rate_is_one_minus_gateway_share() {
-        let mut m = Metrics::new();
-        m.data_packets_sent = 100;
-        m.gateway_packets = 25;
-        assert!((m.hit_rate() - 0.75).abs() < 1e-12);
-        let empty = Metrics::new();
-        assert_eq!(empty.hit_rate(), 0.0);
+        let total = Traffic {
+            data_sent: 100,
+            gateway: 25,
+        };
+        assert!((total.hit_rate().unwrap() - 0.75).abs() < 1e-12);
+        let empty = Metrics::new().summary(&Counters::default(), "x");
+        assert_eq!(empty.hit_rate, 0.0);
     }
 
     #[test]
     fn pod_bytes_filters_by_pod() {
-        let mut m = recorder_with_switches();
-        m.record_switch_bytes(SwitchTag(0), 100);
-        m.record_switch_bytes(SwitchTag(1), 200);
-        m.record_switch_bytes(SwitchTag(2), 400);
-        assert_eq!(m.pod_bytes(0), 300);
-        assert_eq!(m.pod_bytes(1), 0);
-        assert_eq!(m.total_switch_bytes(), 700);
+        let (mut m, mut c) = (Metrics::new(), Counters::new(3));
+        m.register_switch(SwitchTag(0), Some(0));
+        m.register_switch(SwitchTag(1), Some(0));
+        m.register_switch(SwitchTag(2), None);
+        c.record_switch_bytes(SwitchTag(0), 100);
+        c.record_switch_bytes(SwitchTag(1), 200);
+        c.record_switch_bytes(SwitchTag(2), 400);
+        assert_eq!(m.pod_bytes(&c, 0), 300);
+        assert_eq!(m.pod_bytes(&c, 1), 0);
+        assert_eq!(m.summary(&c, "x").total_switch_bytes, 700);
     }
 
     #[test]
@@ -787,7 +723,7 @@ mod tests {
         m.first_packet_delivered(f, SimTime::from_micros(60));
         m.flow_completed(f, SimTime::from_micros(110));
         m.flow_completed(f, SimTime::from_micros(500)); // duplicate ignored
-        let s = m.summary("x");
+        let s = m.summary(&Counters::default(), "x");
         assert_eq!(s.flows, 1);
         assert_eq!(s.flows_completed, 1);
         assert!((s.avg_first_packet_latency_us - 15.0).abs() < 1e-9);
@@ -796,15 +732,15 @@ mod tests {
 
     #[test]
     fn layer_shares_sum_to_one() {
-        let mut m = recorder_with_switches();
+        let mut c = Counters::default();
         for _ in 0..7 {
-            m.record_cache_hit(SwitchTag(0), false);
+            c.record_cache_hit(Layer::Tor, false);
         }
         for _ in 0..2 {
-            m.record_cache_hit(SwitchTag(1), true);
+            c.record_cache_hit(Layer::Spine, true);
         }
-        m.record_cache_hit(SwitchTag(2), true);
-        let s = m.summary("x");
+        c.record_cache_hit(Layer::Core, true);
+        let s = Metrics::new().summary(&c, "x");
         assert!((s.hit_share_tor + s.hit_share_spine + s.hit_share_core - 1.0).abs() < 1e-12);
         assert!((s.hit_share_tor - 0.7).abs() < 1e-12);
         assert!((s.first_hit_share_spine - 2.0 / 3.0).abs() < 1e-12);
@@ -813,11 +749,11 @@ mod tests {
 
     #[test]
     fn misdelivery_tracks_latest_arrival() {
-        let mut m = Metrics::new();
-        m.record_misdelivery(SimTime::from_micros(100));
-        m.record_misdelivery(SimTime::from_micros(50));
-        assert_eq!(m.misdelivered_packets, 2);
-        assert_eq!(m.last_misdelivery, Some(SimTime::from_micros(100)));
+        let mut c = Counters::default();
+        c.record_misdelivery(SimTime::from_micros(100));
+        c.record_misdelivery(SimTime::from_micros(50));
+        assert_eq!(c.misdelivered_packets, 2);
+        assert_eq!(c.last_misdelivery, Some(SimTime::from_micros(100)));
     }
 
     #[test]
@@ -833,20 +769,16 @@ mod tests {
 
     #[test]
     fn per_cause_drops_sum_to_total() {
-        let mut m = Metrics::new();
-        m.record_drop(DropCause::Queue);
-        m.record_drop(DropCause::Queue);
-        m.record_drop(DropCause::Unroutable);
-        m.record_drop(DropCause::Blackout);
-        m.record_drop(DropCause::Loss);
-        m.record_drop(DropCause::GatewayShed);
-        assert_eq!(m.packets_dropped, 6);
-        assert_eq!(m.drops_queue, 2);
-        assert_eq!(m.drops_unroutable, 1);
-        assert_eq!(m.drops_blackout, 1);
-        assert_eq!(m.drops_loss, 1);
-        assert_eq!(m.drops_shed, 1);
-        let s = m.summary("x");
+        let mut c = Counters::default();
+        c.record_drop(DropCause::Queue);
+        c.record_drop(DropCause::Queue);
+        c.record_drop(DropCause::Unroutable);
+        c.record_drop(DropCause::Blackout);
+        c.record_drop(DropCause::Loss);
+        c.record_drop(DropCause::GatewayShed);
+        assert_eq!(c.drops, [2, 1, 1, 1, 1]);
+        let s = Metrics::new().summary(&c, "x");
+        assert_eq!(s.packets_dropped, 6);
         assert_eq!(
             s.packets_dropped,
             s.drops_queue + s.drops_unroutable + s.drops_blackout + s.drops_loss + s.drops_shed
@@ -856,20 +788,24 @@ mod tests {
     #[test]
     fn stale_hits_attribute_to_latest_migration() {
         let mut m = Metrics::new();
+        let mut c = Counters::default();
         let us = SimTime::from_micros;
-        m.record_migration(7, us(100));
-        assert_eq!(m.record_stale_hit(7, us(130)), Some(30_000));
-        assert_eq!(m.record_stale_hit(7, us(110)), Some(10_000));
+        // The caller keeps "latest migration of this VIP"; 9 never migrates.
+        let mut latest = FxHashMap::default();
+        latest.insert(7, m.record_migration(us(100)));
+        let hit = |c: &mut Counters, latest: &FxHashMap<u32, MigrationRef>, vip, at| {
+            c.record_stale_hit(latest.get(&vip).copied(), at)
+        };
+        assert_eq!(hit(&mut c, &latest, 7, us(130)), Some(30_000));
+        assert_eq!(hit(&mut c, &latest, 7, us(110)), Some(10_000));
         // A hit on a VIP that never migrated counts but has no age.
-        assert_eq!(m.record_stale_hit(9, us(140)), None);
+        assert_eq!(hit(&mut c, &latest, 9, us(140)), None);
         // A second migration of the same VIP takes over attribution.
-        m.record_migration(7, us(200));
-        assert_eq!(m.record_stale_hit(7, us(250)), Some(50_000));
-        assert_eq!(m.stale_cache_hits, 4);
-        assert_eq!(m.migration_events[0].stale_hits, 2);
-        assert_eq!(m.migration_events[0].last_stale_ns, 130_000);
-        assert_eq!(m.migration_events[1].stale_hits, 1);
-        let s = m.summary("x");
+        latest.insert(7, m.record_migration(us(200)));
+        assert_eq!(hit(&mut c, &latest, 7, us(250)), Some(50_000));
+        assert_eq!(c.stale_cache_hits, 4);
+        assert_eq!(c.recovery_ns, [30_000, 50_000]);
+        let s = m.summary(&c, "x");
         assert_eq!(s.migrations, 2);
         assert_eq!(s.stale_cache_hits, 4);
         // Ages sorted: [10, 30, 50] µs → p50 = 30.
@@ -878,34 +814,19 @@ mod tests {
         // Recoveries: 30 µs and 50 µs.
         assert!((s.recovery_avg_us - 40.0).abs() < 1e-9);
         assert!((s.recovery_max_us - 50.0).abs() < 1e-9);
+        // The summary sorted a copy: the ledger still holds arrival order.
+        assert_eq!(c.stale_age_ns, [30_000, 10_000, 50_000]);
     }
 
     #[test]
     fn clean_migration_reports_zero_recovery() {
         let mut m = Metrics::new();
-        m.record_migration(1, SimTime::from_micros(50));
-        let s = m.summary("x");
+        m.record_migration(SimTime::from_micros(50));
+        let s = m.summary(&Counters::default(), "x");
         assert_eq!(s.migrations, 1);
         assert_eq!(s.stale_cache_hits, 0);
         assert_eq!(s.recovery_avg_us, 0.0);
         assert_eq!(s.recovery_max_us, 0.0);
-    }
-
-    #[test]
-    fn absorb_shard_merges_stale_exposure() {
-        let mut master = Metrics::new();
-        let us = SimTime::from_micros;
-        master.record_migration(7, us(100));
-        let mut shard = Metrics::new();
-        shard.record_migration(7, us(100));
-        shard.record_stale_hit(7, us(160));
-        shard.record_drop(DropCause::GatewayShed);
-        master.absorb_shard(&shard);
-        assert_eq!(master.stale_cache_hits, 1);
-        assert_eq!(master.stale_age_ns, vec![60_000]);
-        assert_eq!(master.migration_events[0].stale_hits, 1);
-        assert_eq!(master.migration_events[0].last_stale_ns, 160_000);
-        assert_eq!(master.drops_shed, 1);
     }
 
     #[test]
@@ -916,55 +837,55 @@ mod tests {
         assert_eq!(m.fault_events.len(), 2);
         assert!((m.fault_events[0].at_us - 250.0).abs() < 1e-9);
         assert_eq!(m.fault_events[1].label, "link_up link=3");
-        assert_eq!(m.summary("x").fault_count, 2);
+        assert_eq!(m.summary(&Counters::default(), "x").fault_count, 2);
     }
 
     #[test]
     fn windowed_series_buckets_by_time() {
-        let mut m = Metrics::new(); // 100us default window
-        m.record_data_sent(SimTime::from_micros(10));
-        m.record_data_sent(SimTime::from_micros(20));
-        m.record_gateway_packet(SimTime::from_micros(30));
-        m.record_data_sent(SimTime::from_micros(150));
-        assert_eq!(m.windows.len(), 2);
-        assert_eq!(m.windows[0].data_sent, 2);
-        assert_eq!(m.windows[0].gateway, 1);
-        assert_eq!(m.windows[0].hit_rate(), Some(0.5));
-        assert_eq!(m.windows[1].data_sent, 1);
-        assert_eq!(m.windows[1].hit_rate(), Some(1.0));
+        let mut c = Counters::default(); // 100us windows
+        c.record_data_sent(SimTime::from_micros(10));
+        c.record_data_sent(SimTime::from_micros(20));
+        c.record_gateway_packet(SimTime::from_micros(30));
+        c.record_data_sent(SimTime::from_micros(150));
+        assert_eq!(c.windows.len(), 2);
+        assert_eq!(c.windows[0].data_sent, 2);
+        assert_eq!(c.windows[0].gateway, 1);
+        assert_eq!(c.windows[0].hit_rate(), Some(0.5));
+        assert_eq!(c.windows[1].data_sent, 1);
+        assert_eq!(c.windows[1].hit_rate(), Some(1.0));
         // Totals stay in sync with the windowed series.
-        assert_eq!(m.data_packets_sent, 3);
-        assert_eq!(m.gateway_packets, 1);
+        assert_eq!(c.total.data_sent, 3);
+        assert_eq!(c.total.gateway, 1);
     }
 
     #[test]
     fn recovery_report_finds_recovery_window() {
-        let mut m = Metrics::new();
+        let mut c = Counters::default();
         let us = SimTime::from_micros;
         // Pre-fault: two windows at hit rate 1.0.
         for t in [10u64, 110] {
             for _ in 0..10 {
-                m.record_data_sent(us(t));
+                c.record_data_sent(us(t));
             }
         }
         // Fault [200us, 400us): everything falls back to the gateway.
         for t in [210u64, 310] {
             for _ in 0..10 {
-                m.record_data_sent(us(t));
-                m.record_gateway_packet(us(t));
+                c.record_data_sent(us(t));
+                c.record_gateway_packet(us(t));
             }
         }
         // Post-fault: one degraded window, then recovered.
         for _ in 0..10 {
-            m.record_data_sent(us(410));
+            c.record_data_sent(us(410));
         }
         for _ in 0..5 {
-            m.record_gateway_packet(us(410));
+            c.record_gateway_packet(us(410));
         }
         for _ in 0..10 {
-            m.record_data_sent(us(510));
+            c.record_data_sent(us(510));
         }
-        let r = m.recovery_report(us(200), us(400));
+        let r = Metrics::new().recovery_report(&c, us(200), us(400));
         assert!((r.pre_fault_hit_rate - 1.0).abs() < 1e-12);
         assert!((r.during_fault_hit_rate - 0.0).abs() < 1e-12);
         // Window [400,500) has hit rate 0.5 < 0.95; window [500,600) hits
@@ -980,7 +901,7 @@ mod tests {
         m.flow_completed(FlowId(0), us(50)); // pre: FCT 50us
         m.flow_started(FlowId(1), us(200));
         m.flow_completed(FlowId(1), us(350)); // during: FCT 150us
-        let r = m.recovery_report(us(300), us(400));
+        let r = m.recovery_report(&Counters::default(), us(300), us(400));
         assert!((r.pre_fault_avg_fct_us - 50.0).abs() < 1e-9);
         assert!((r.during_fault_avg_fct_us - 150.0).abs() < 1e-9);
         assert!((r.fct_degradation - 3.0).abs() < 1e-9);
@@ -989,13 +910,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "dense")]
     fn sparse_switch_tags_panic() {
-        let mut m = Metrics::new();
-        m.register_switch(
-            SwitchTag(3),
-            SwitchInfo {
-                layer: Layer::Tor,
-                pod: None,
-            },
-        );
+        Metrics::new().register_switch(SwitchTag(3), None);
     }
 }

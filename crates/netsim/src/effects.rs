@@ -97,7 +97,7 @@ impl Event {
 /// An order-sensitive metric update. Only the four flow-lifecycle
 /// operations are order-sensitive (they push to per-flow latency/FCT
 /// accumulators whose vector order the summary preserves); plain counters
-/// accumulate shard-locally and are summed once at the end of the run.
+/// accumulate in the shard's `Counters`, which add up in any order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MetricOp {
     FlowStarted(FlowId),
@@ -167,8 +167,8 @@ pub(crate) trait Effects {
 pub(crate) struct Master {
     /// Global events, and the `(time, seq)` authority for all events.
     pub events: EventQueue<Event>,
-    /// Order-sensitive streams and driver-only counters; shard-local
-    /// counters are folded in by `Engine::summary`.
+    /// Order-sensitive streams and driver-only counters. The order-free
+    /// ledger is not here: each shard owns its `Counters`.
     pub metrics: Metrics,
     pub tracer: Tracer,
     pub next_pkt_id: u64,

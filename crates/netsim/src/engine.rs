@@ -13,17 +13,21 @@
 //! Global events — migrations, faults, churn marks, telemetry samples —
 //! write control state, so at every shard count the driver executes them
 //! itself, between windows: `exec_global`.
+//!
+//! Results are read through [`Engine::counters`], which merges the shards'
+//! ledgers anew on every call: nothing is folded into the master, so
+//! every read is a `&self` function of the state as it stands.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use sv2p_metrics::{Metrics, RunSummary, SwitchInfo, WindowStat};
+use sv2p_metrics::{Counters, Metrics, RecoveryReport, RunSummary, WINDOW_NS};
 use sv2p_packet::{Pip, SwitchTag, Vip};
 use sv2p_simcore::{EventQueue, FxHashMap, SimDuration, SimTime};
 use sv2p_telemetry::profile::Profiler;
 use sv2p_telemetry::{EventKind, Sample, TraceEvent, Tracer};
 use sv2p_topology::{
-    FatTreeConfig, NodeId, NodeKind, PodPartition, RoleMap, Routing, SwitchRole, Topology,
+    FatTreeConfig, Layer, NodeId, NodeKind, PodPartition, RoleMap, Routing, SwitchRole, Topology,
 };
 use sv2p_vnet::{
     CacheOp, GatewayDirectory, MappingDb, MappingOp, Migration, Placement, Strategy, SwitchAgent,
@@ -36,7 +40,7 @@ use crate::effects::{Event, Master, NoProbe, PhaseProbe, Probe};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::flows::{FlowSpec, FlowXport};
 use crate::sharded::{run_windows, Lane, WindowStats};
-use crate::sim::{cache_op_event, recorder, wire_layer, Shard, ShardSnapshot};
+use crate::sim::{cache_op_event, wire_layer, Shard, Snapshot};
 use crate::world::{Control, World};
 
 /// A complete, runnable experiment instance.
@@ -52,8 +56,6 @@ pub struct Engine {
     /// Engine self-profiling (wall-clock side channel; never feeds back
     /// into simulation state).
     profiler: Profiler,
-    /// Shard-local counters have been folded into the master metrics.
-    folded: bool,
 }
 
 impl Engine {
@@ -82,20 +84,18 @@ impl Engine {
             partition = PodPartition::new(&topo, 1);
         }
 
-        // Dense switch tags + the switch table every recorder registers.
+        // Dense switch tags + the master recorder's switch table.
         let mut tags = vec![None; topo.nodes.len()];
         let mut tag_pips = Vec::new();
-        let mut switches = Vec::new();
+        let mut metrics = Metrics::new();
         let mut caching_switches = 0usize;
         let mut total_weight = 0.0f64;
         for sw in topo.switches() {
-            tags[sw.id.0 as usize] = Some(SwitchTag(tag_pips.len() as u16));
+            let tag = SwitchTag(tag_pips.len() as u16);
+            tags[sw.id.0 as usize] = Some(tag);
             tag_pips.push(sw.pip);
+            metrics.register_switch(tag, sw.kind.pod());
             let role = roles.role(sw.id).expect("switch role");
-            switches.push(SwitchInfo {
-                layer: role.layer(),
-                pod: sw.kind.pod(),
-            });
             if strategy.caches_at(role) {
                 caching_switches += 1;
                 total_weight += strategy.cache_weight(role);
@@ -133,7 +133,7 @@ impl Engine {
         });
         let n_shards = world.partition.shards() as usize;
         let mut shards: Vec<Shard> = (0..n_shards)
-            .map(|s| Shard::new(s, world.clone(), &switches))
+            .map(|s| Shard::new(s, world.clone()))
             .collect();
         for node in &world.topo.nodes {
             let owner = &mut shards[world.shard_of(node.id)];
@@ -162,7 +162,7 @@ impl Engine {
 
         let mut master = Master {
             events: EventQueue::new(),
-            metrics: recorder(&switches),
+            metrics,
             tracer: Tracer::new(cfg.telemetry),
             next_pkt_id: 0,
         };
@@ -181,6 +181,7 @@ impl Engine {
             plane,
             placement,
             follow_me: FxHashMap::default(),
+            last_migration: FxHashMap::default(),
             roles,
             blackout: vec![false; world.topo.nodes.len()],
             link_up: vec![true; world.topo.links.len()],
@@ -198,7 +199,6 @@ impl Engine {
             master,
             stats: WindowStats::default(),
             profiler,
-            folded: false,
         }
     }
 
@@ -254,13 +254,6 @@ impl Engine {
         &self.profiler
     }
 
-    /// The master metrics. Order-sensitive counters (flow lifecycle) are
-    /// exact at any instant; order-free shard-local counters are folded in
-    /// by [`Self::summary`].
-    pub fn metrics(&self) -> &Metrics {
-        &self.master.metrics
-    }
-
     /// Read-only topology access.
     pub fn topology(&self) -> &Topology {
         &self.world.topo
@@ -301,9 +294,8 @@ impl Engine {
     }
 
     /// Registers the workload. Flow ids are assigned densely in call
-    /// order, one spec at a time so a streaming source is never
-    /// materialized; each start event goes on its owner shard's calendar
-    /// under the next global sequence number.
+    /// order; each start event goes on its owner shard's calendar under
+    /// the next global sequence number.
     pub fn add_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
         for spec in specs {
             let idx = self.ctl.flows.len();
@@ -398,24 +390,47 @@ impl Engine {
         }
     }
 
-    /// Folds the shard-local counters and the receiver/sender statistics
-    /// into the master metrics and returns the summary. Safe to call
-    /// repeatedly; the fold happens once, so call it after the run.
-    pub fn summary(&mut self) -> RunSummary {
-        if !self.folded {
-            self.folded = true;
-            let m = &mut self.master.metrics;
-            for shard in &self.shards {
-                m.absorb_shard(&shard.metrics);
-                for f in &shard.flows {
-                    m.reordered_segments += f.tcp_rx.reordered_segments;
-                    if let Some(tx) = &f.tcp_tx {
-                        m.retransmissions += tx.retransmits;
-                    }
+    /// The merged ledger as of now: every shard's order-free counters
+    /// added up, plus the receiver / sender statistics read off the flows'
+    /// transport machines. Built afresh on each call, so it and the reads
+    /// below are right at any pause of the run and change nothing.
+    pub fn counters(&self) -> Counters {
+        let mut all = Counters::default();
+        for shard in &self.shards {
+            all.merge(&shard.counters);
+            for f in &shard.flows {
+                all.reordered_segments += f.tcp_rx.reordered_segments;
+                if let Some(tx) = &f.tcp_tx {
+                    all.retransmissions += tx.retransmits;
                 }
             }
         }
-        self.master.metrics.summary(&self.world.strategy_name)
+        all
+    }
+
+    /// The run's summary as of now.
+    pub fn summary(&self) -> RunSummary {
+        self.master
+            .metrics
+            .summary(&self.counters(), &self.world.strategy_name)
+    }
+
+    /// Total bytes processed by all switches in `pod` (Figure 7).
+    pub fn pod_bytes(&self, pod: u16) -> u64 {
+        self.master.metrics.pod_bytes(&self.counters(), pod)
+    }
+
+    /// Recovery analysis of the windowed series around the fault window
+    /// `[fault_at, fault_end)`.
+    pub fn recovery_report(&self, fault_at: SimTime, fault_end: SimTime) -> RecoveryReport {
+        self.master
+            .metrics
+            .recovery_report(&self.counters(), fault_at, fault_end)
+    }
+
+    /// Registered flows that have not completed yet.
+    pub fn flows_outstanding(&self) -> u64 {
+        self.ctl.flows.len() as u64 - self.master.metrics.flows_completed
     }
 
     /// The switch agent at `node`, on the shard that owns it.
@@ -432,23 +447,11 @@ impl Engine {
     /// Rows follow `topology().switches()` enumeration order — ascending
     /// `NodeId` — at every shard count.
     pub fn per_switch_bytes(&self) -> Vec<(NodeId, NodeKind, u64)> {
-        let unfolded = if self.folded {
-            &[][..]
-        } else {
-            &self.shards[..]
-        };
+        let bytes = self.counters().bytes_by_switch;
         self.world
             .topo
             .switches()
-            .map(|sw| {
-                let tag = self.world.tag(sw.id).0 as usize;
-                let shard_bytes: u64 = unfolded
-                    .iter()
-                    .map(|s| s.metrics.bytes_by_switch[tag])
-                    .sum();
-                let bytes = self.master.metrics.bytes_by_switch[tag] + shard_bytes;
-                (sw.id, sw.kind, bytes)
-            })
+            .map(|sw| (sw.id, sw.kind, bytes[self.world.tag(sw.id).0 as usize]))
             .collect()
     }
 
@@ -596,10 +599,10 @@ pub(crate) fn exec_global<'s>(
     let now = master.events.now();
     match ev {
         Event::TelemetrySample => {
-            let widx = (now.as_nanos() / master.metrics.window_len_ns()) as usize;
-            let mut s = ShardSnapshot::default();
+            let widx = (now.as_nanos() / WINDOW_NS) as usize;
+            let mut s = Snapshot::default();
             for shard in shards {
-                s.add(shard.snapshot(ctl, widx));
+                shard.snapshot_into(ctl, widx, &mut s);
             }
             let pending_events = master.events.len() as u64 + lanes.1;
             master.tracer.samples.push(Sample {
@@ -608,21 +611,12 @@ pub(crate) fn exec_global<'s>(
                 pending_events,
                 queue_pkts_total: s.q_total,
                 queue_pkts_max: s.q_max,
-                occ_tor: s.occ_tor,
-                occ_spine: s.occ_spine,
-                occ_core: s.occ_core,
-                hit_rate_window: WindowStat {
-                    data_sent: s.win_data_sent,
-                    gateway: s.win_gateway,
-                    ..WindowStat::default()
-                }
-                .hit_rate(),
-                hit_rate_cum: if s.data_sent_cum == 0 {
-                    0.0
-                } else {
-                    1.0 - s.gateway_cum as f64 / s.data_sent_cum as f64
-                },
-                gateway_pkts_cum: s.gateway_cum,
+                occ_tor: s.occ[Layer::Tor as usize],
+                occ_spine: s.occ[Layer::Spine as usize],
+                occ_core: s.occ[Layer::Core as usize],
+                hit_rate_window: s.window.hit_rate(),
+                hit_rate_cum: s.cum.hit_rate().unwrap_or(0.0),
+                gateway_pkts_cum: s.cum.gateway,
             });
             // Re-arm while anything else is pending, so the sampler never
             // keeps an otherwise-finished run alive.
@@ -687,9 +681,10 @@ pub(crate) fn exec_global<'s>(
             ctl.placement.relocate(vm, m.to_node, m.to_pip);
             // Andromeda-style follow-me rule at the old host.
             ctl.follow_me.insert((old_node, m.vip), m.to_pip);
-            // The timestamp is the scheduled instant, on the master and on
-            // every shard's recorder alike.
-            master.metrics.record_migration(m.vip.0, m.at);
+            // The timestamp is the scheduled instant; stale hits on the VIP
+            // attribute to this migration from now on.
+            ctl.last_migration
+                .insert(m.vip, master.metrics.record_migration(m.at));
         }
         Event::ChurnMark(i) => {
             let (kind, tenant, n) = match ctl.churn_marks[i] {

@@ -29,8 +29,9 @@
 //!   migration/fault/churn tables), which only global events and
 //!   between-run interventions write;
 //! * a `Vec` of shard-owned **state** (`sim::Shard`: links, agents, RNG
-//!   streams, arena, transport machines, gateway queues, order-free
-//!   counters), one per shard of the pod partition.
+//!   streams, arena, transport machines, gateway queues, and the shard's
+//!   `sv2p_metrics::Counters` — its share of the order-free ledger), one
+//!   per shard of the pod partition.
 //!
 //! Handlers (`sim`) take the world and the control state by reference and
 //! send every order-sensitive side effect through one **effects sink**
@@ -38,6 +39,11 @@
 //! on the caller's thread; with several (`sharded`) it journals them on
 //! scoped worker threads and the driver replays the journals in global
 //! `(time, seq)` order. `shards` is the only selector.
+//!
+//! [`Engine::counters`] merges the shards' ledgers afresh on each call and
+//! [`Engine::summary`] derives from that and the master's order-sensitive
+//! `sv2p_metrics::Metrics`: reads take `&self`, are valid at any pause of
+//! the run, and never depend on another read having been made first.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

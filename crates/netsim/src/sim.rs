@@ -3,16 +3,18 @@
 //! A [`Shard`] owns what evolves as packets move through its part of the
 //! fabric: link queues, switch and host agents with their RNG streams, the
 //! packet arena, the transport machines of its flows, gateway queues and
-//! the order-free counters. Handlers read the shared [`World`] and the
-//! [`Control`] state by reference, mutate only the shard they run on, and
-//! send every order-sensitive side effect through the [`Effects`] sink —
-//! so one handler body serves the one-shard engine (effects applied on the
-//! spot) and a shard running beside others (effects journaled).
+//! its [`Counters`] — the order-free counts of what happened here, and the
+//! only part of the recorder a shard holds. Handlers read the shared
+//! [`World`] and the [`Control`] state by reference, mutate only the shard
+//! they run on, and send every order-sensitive side effect through the
+//! [`Effects`] sink — so one handler body serves the one-shard engine
+//! (effects applied on the spot) and a shard running beside others
+//! (effects journaled).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sv2p_metrics::{DropCause, Metrics, SwitchInfo};
+use sv2p_metrics::{Counters, DropCause, Traffic};
 use sv2p_packet::packet::Protocol;
 use sv2p_packet::{
     FlowId, InnerHeader, OuterHeader, Packet, PacketKind, Pip, SwitchTag, TcpFlags, TunnelOptions,
@@ -79,41 +81,17 @@ pub(crate) fn cache_op_event(t_ns: u64, node: NodeId, layer: Layer, op: CacheOp)
     ev
 }
 
-/// A recorder with every switch registered, in tag order.
-pub(crate) fn recorder(switches: &[SwitchInfo]) -> Metrics {
-    let mut metrics = Metrics::new();
-    for (i, &info) in switches.iter().enumerate() {
-        metrics.register_switch(SwitchTag(i as u16), info);
-    }
-    metrics
-}
-
-/// A shard's contribution to one telemetry sample; the driver sums these.
+/// What one telemetry sample reads off the shards; each adds its part.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardSnapshot {
+pub(crate) struct Snapshot {
     pub q_total: u64,
     pub q_max: u64,
-    pub occ_tor: u64,
-    pub occ_spine: u64,
-    pub occ_core: u64,
-    pub data_sent_cum: u64,
-    pub gateway_cum: u64,
-    pub win_data_sent: u64,
-    pub win_gateway: u64,
-}
-
-impl ShardSnapshot {
-    pub fn add(&mut self, p: ShardSnapshot) {
-        self.q_total += p.q_total;
-        self.q_max = self.q_max.max(p.q_max);
-        self.occ_tor += p.occ_tor;
-        self.occ_spine += p.occ_spine;
-        self.occ_core += p.occ_core;
-        self.data_sent_cum += p.data_sent_cum;
-        self.gateway_cum += p.gateway_cum;
-        self.win_data_sent += p.win_data_sent;
-        self.win_gateway += p.win_gateway;
-    }
+    /// Valid cache entries, by `sv2p_topology::Layer`.
+    pub occ: [u64; 3],
+    /// Traffic since t = 0.
+    pub cum: Traffic,
+    /// Traffic of the recovery window being sampled.
+    pub window: Traffic,
 }
 
 /// The state one shard owns. Vectors are indexed by global node / link /
@@ -141,15 +119,16 @@ pub(crate) struct Shard {
     gw_busy: Vec<bool>,
     /// Per-gateway bounded packet queue (overload model only).
     gw_queue: Vec<VecDeque<PacketRef>>,
-    /// Order-free counters; `Engine::summary` folds them into the master.
-    pub metrics: Metrics,
+    /// This shard's share of the order-free ledger; `Engine::counters`
+    /// merges the shards' on every read.
+    pub counters: Counters,
     pub traffic_matrix: FxHashMap<(u32, u32), u64>,
 }
 
 impl Shard {
     /// Shard `id` with idle links and no agents yet (the engine installs
     /// an agent on the shard owning its node).
-    pub fn new(id: usize, world: Arc<World>, switches: &[SwitchInfo]) -> Self {
+    pub fn new(id: usize, world: Arc<World>) -> Self {
         let (n_nodes, n_links) = (world.topo.nodes.len(), world.topo.links.len());
         let base_rng = SimRng::new(world.cfg.seed);
         let links = world
@@ -180,7 +159,7 @@ impl Shard {
             flows: Vec::new(),
             gw_busy: vec![false; n_nodes],
             gw_queue: vec![VecDeque::new(); n_nodes],
-            metrics: recorder(switches),
+            counters: Counters::new(world.tag_pips.len()),
             traffic_matrix: FxHashMap::default(),
             world,
         }
@@ -235,23 +214,14 @@ impl Shard {
     // ------------------------------------------------------------------
 
     /// The shard-owned part of a global event the driver just applied to
-    /// the control state: a rebooted switch comes back cold, and a
-    /// migration opens a stale-exposure entry in the shard-local recorder
-    /// (index-aligned with the master's, so the fold merges them).
+    /// the control state: a rebooted switch comes back cold.
     pub fn on_global(&mut self, ctl: &Control, ev: &Event) {
-        match *ev {
-            Event::FaultEnd(i) => {
-                if let FaultEvent::SwitchReboot { node, .. } = ctl.fault_plan[i] {
-                    if self.world.shard_of(node) == self.id {
-                        self.cold_reset_switch(ctl, node);
-                    }
+        if let Event::FaultEnd(i) = *ev {
+            if let FaultEvent::SwitchReboot { node, .. } = ctl.fault_plan[i] {
+                if self.world.shard_of(node) == self.id {
+                    self.cold_reset_switch(ctl, node);
                 }
             }
-            Event::Migrate(i) => {
-                let m = ctl.migrations[i];
-                self.metrics.record_migration(m.vip.0, m.at);
-            }
-            _ => {}
         }
     }
 
@@ -278,11 +248,10 @@ impl Shard {
         }
     }
 
-    /// This shard's contribution to a telemetry sample at recovery-series
-    /// window `widx`. Queue depths, occupancy and traffic counters are
-    /// only non-zero for state this shard owns.
-    pub fn snapshot(&self, ctl: &Control, widx: usize) -> ShardSnapshot {
-        let mut s = ShardSnapshot::default();
+    /// Adds this shard's part to the telemetry sample `s` taken at
+    /// recovery-series window `widx`. Queue depths, occupancy and traffic
+    /// counters are only non-zero for state this shard owns.
+    pub fn snapshot_into(&self, ctl: &Control, widx: usize, s: &mut Snapshot) {
         for l in &self.links {
             let q = l.queue_len() as u64;
             s.q_total += q;
@@ -292,19 +261,12 @@ impl Shard {
             let occ = self.agents[sw.id.0 as usize]
                 .as_ref()
                 .map_or(0, |a| a.occupancy()) as u64;
-            match ctl.roles.role(sw.id).expect("switch role").layer() {
-                sv2p_topology::Layer::Tor => s.occ_tor += occ,
-                sv2p_topology::Layer::Spine => s.occ_spine += occ,
-                sv2p_topology::Layer::Core => s.occ_core += occ,
-            }
+            s.occ[ctl.roles.role(sw.id).expect("switch role").layer() as usize] += occ;
         }
-        if let Some(w) = self.metrics.windows.get(widx) {
-            s.win_data_sent = w.data_sent;
-            s.win_gateway = w.gateway;
+        if let Some(w) = self.counters.windows.get(widx) {
+            s.window.add(w);
         }
-        s.data_sent_cum = self.metrics.data_packets_sent;
-        s.gateway_cum = self.metrics.gateway_packets;
-        s
+        s.cum.add(&self.counters.total);
     }
 
     // ------------------------------------------------------------------
@@ -326,7 +288,7 @@ impl Shard {
             (matches!(p.kind, PacketKind::Data), p.flow.0, p.id.0)
         };
         if is_data {
-            self.metrics.record_drop(cause);
+            self.counters.record_drop(cause);
             if fx.tracing() {
                 let mut ev = TraceEvent::new(fx.now().as_nanos(), EventKind::Drop)
                     .packet(flow, id)
@@ -509,7 +471,7 @@ impl Shard {
             visited_gateway: false,
         };
 
-        self.metrics.record_data_sent(now);
+        self.counters.record_data_sent(now);
         if fx.tracing() {
             let mut ev = TraceEvent::new(now.as_nanos(), EventKind::PacketSent)
                 .packet(flow_id.0, pkt.id.0)
@@ -663,7 +625,7 @@ impl Shard {
             )
         };
         if count {
-            self.metrics.record_switch_bytes(tag, wire);
+            self.counters.record_switch_bytes(tag, wire);
         }
         let trace = fx.tracing();
         // Protocol packets carry the default FlowId(0); tracing them would
@@ -716,7 +678,7 @@ impl Shard {
         };
 
         if output.cache_hit {
-            self.metrics.record_cache_hit(tag, first_of_flow);
+            self.counters.record_cache_hit(role.layer(), first_of_flow);
             if is_data {
                 // A hit that rewrote the packet to a PIP the control plane
                 // has since migrated away from is a *stale* hit: this packet
@@ -727,7 +689,8 @@ impl Shard {
                     (p.inner.dst_vip, p.outer.dst_pip)
                 };
                 if ctl.plane.db().lookup(vip) != Some(cur_dst) {
-                    let age = self.metrics.record_stale_hit(vip.0, now);
+                    let migration = ctl.last_migration.get(&vip).copied();
+                    let age = self.counters.record_stale_hit(migration, now);
                     if trace {
                         let mut ev = TraceEvent::new(now.as_nanos(), EventKind::StaleHit)
                             .packet(flow_id, pkt_id)
@@ -742,10 +705,10 @@ impl Shard {
             }
         }
         if output.spill_inserted {
-            self.metrics.spillover_inserts += 1;
+            self.counters.spillover_inserts += 1;
         }
         if output.promotion_inserted {
-            self.metrics.promotion_inserts += 1;
+            self.counters.promotion_inserts += 1;
         }
         if trace {
             // A data packet that arrived unresolved at a switch holding cache
@@ -773,8 +736,8 @@ impl Shard {
             extra.id = fx.alloc_pkt_id();
             extra.sent_ns = now.as_nanos();
             match extra.kind {
-                PacketKind::Learning(_) => self.metrics.learning_packets += 1,
-                PacketKind::Invalidation(_) => self.metrics.invalidation_packets += 1,
+                PacketKind::Learning(_) => self.counters.learning_packets += 1,
+                PacketKind::Invalidation(_) => self.counters.invalidation_packets += 1,
                 PacketKind::Data => {}
             }
             let extra_dst = self.world.topo.node_by_pip(extra.outer.dst_pip);
@@ -870,7 +833,7 @@ impl Shard {
             self.drop_packet(fx, pkt, node, DropCause::Unroutable);
             return;
         }
-        self.metrics.record_gateway_packet(now);
+        self.counters.record_gateway_packet(now);
         if fx.tracing() {
             fx.trace(
                 TraceEvent::new(now.as_nanos(), EventKind::GatewayIngress)
@@ -1051,7 +1014,7 @@ impl Shard {
 
     fn on_misdelivery<F: Effects>(&mut self, fx: &mut F, node: NodeId, pkt: PacketRef) {
         let now = fx.now();
-        self.metrics.record_misdelivery(now);
+        self.counters.record_misdelivery(now);
         if fx.tracing() {
             let (flow, id) = {
                 let p = self.arena.get(pkt);

@@ -2,6 +2,7 @@
 //! and the [`Control`] state that only global events and between-run
 //! interventions write.
 
+use sv2p_metrics::MigrationRef;
 use sv2p_packet::{Pip, SwitchTag, Vip};
 use sv2p_simcore::FxHashMap;
 use sv2p_topology::{NodeId, PodPartition, RoleMap, Routing, Topology};
@@ -56,6 +57,9 @@ pub(crate) struct Control {
     pub placement: Placement,
     /// Follow-me rules at old hosts: (old node, vip) -> new pip.
     pub follow_me: FxHashMap<(NodeId, Vip), Pip>,
+    /// The latest executed migration of each VIP, written beside
+    /// `follow_me`: a stale cache hit on the VIP attributes to it.
+    pub last_migration: FxHashMap<Vip, MigrationRef>,
     pub roles: RoleMap,
     /// Per-node blackout flag (rebooting switches, out gateways).
     pub blackout: Vec<bool>,

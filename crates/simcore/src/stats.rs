@@ -95,7 +95,8 @@ impl Running {
     }
 }
 
-/// Exact-percentile accumulator: stores samples, sorts on query.
+/// Exact-percentile accumulator: stores samples in arrival order, selects
+/// in a copy on query.
 ///
 /// Simulations here produce at most a few million samples per metric, so
 /// exact percentiles are affordable and avoid sketch error in reported
@@ -103,7 +104,6 @@ impl Running {
 #[derive(Debug, Clone, Default)]
 pub struct Percentiles {
     samples: Vec<f64>,
-    sorted: bool,
 }
 
 impl Percentiles {
@@ -115,7 +115,6 @@ impl Percentiles {
     /// Adds one observation.
     pub fn push(&mut self, x: f64) {
         self.samples.push(x);
-        self.sorted = false;
     }
 
     /// Number of observations.
@@ -123,21 +122,21 @@ impl Percentiles {
         self.samples.len()
     }
 
-    /// The q-quantile (q in [0, 1]) by nearest-rank; 0 if empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
+    /// The q-quantile (q in [0, 1]) by nearest-rank; 0 if empty. A pure
+    /// read: the samples keep their arrival order, so [`Self::mean`] adds
+    /// them in the same order — to the same bits — before and after.
+    pub fn quantile(&self, q: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
         }
         let q = q.clamp(0.0, 1.0);
         let n = self.samples.len();
         // Nearest-rank: the smallest value with at least ceil(q*n) samples <= it.
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        self.samples[rank - 1]
+        let mut copy = self.samples.clone();
+        *copy
+            .select_nth_unstable_by(rank - 1, |a, b| a.partial_cmp(b).expect("NaN sample"))
+            .1
     }
 
     /// Arithmetic mean; 0 if empty.
@@ -230,7 +229,7 @@ mod tests {
 
     #[test]
     fn percentiles_empty_accumulator_is_zero() {
-        let mut p = Percentiles::new();
+        let p = Percentiles::new();
         assert_eq!(p.count(), 0);
         assert_eq!(p.mean(), 0.0);
         for q in [0.0, 0.5, 0.99, 1.0] {
