@@ -206,10 +206,6 @@ impl Strategy for Bluebird {
     fn misdelivery_policy(&self) -> MisdeliveryPolicy {
         MisdeliveryPolicy::FollowMe
     }
-
-    fn uses_gateways(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -355,8 +351,6 @@ mod tests {
 
     #[test]
     fn hosts_defer_to_tor_and_no_gateways() {
-        let b = Bluebird::default();
-        assert!(!b.uses_gateways());
         let mut h = BluebirdHostAgent;
         assert_eq!(
             h.resolve(SimTime::ZERO, &MappingDb::new(), Vip(1), 0),

@@ -60,10 +60,6 @@ impl Strategy for Direct {
     fn misdelivery_policy(&self) -> MisdeliveryPolicy {
         MisdeliveryPolicy::FollowMe
     }
-
-    fn uses_gateways(&self) -> bool {
-        false
-    }
 }
 
 /// OnDemand — host-driven with a first lookup via the gateway: the first
@@ -188,9 +184,7 @@ mod tests {
     #[test]
     fn strategy_wiring() {
         assert_eq!(Direct.name(), "Direct");
-        assert!(!Direct.uses_gateways());
         assert_eq!(OnDemand.name(), "OnDemand");
-        assert!(OnDemand.uses_gateways());
         assert_eq!(OnDemand.misdelivery_policy(), MisdeliveryPolicy::FollowMe);
     }
 }

@@ -77,7 +77,6 @@ mod tests {
             assert!(s.caches_at(role), "{role:?}");
         }
         assert_eq!(s.misdelivery_policy(), MisdeliveryPolicy::ToGateway);
-        assert!(s.uses_gateways());
     }
 
     #[test]

@@ -27,7 +27,8 @@ use sv2p_simcore::{EventQueue, FxHashMap, SimDuration, SimTime};
 use sv2p_telemetry::profile::Profiler;
 use sv2p_telemetry::{EventKind, Sample, TraceEvent, Tracer};
 use sv2p_topology::{
-    FatTreeConfig, Layer, NodeId, NodeKind, PodPartition, RoleMap, Routing, SwitchRole, Topology,
+    FatTreeConfig, Layer, LinkId, NodeId, NodeKind, PodPartition, RoleMap, Routing, SwitchRole,
+    Topology,
 };
 use sv2p_vnet::{
     CacheOp, GatewayDirectory, MappingDb, MappingOp, Migration, Placement, Strategy, SwitchAgent,
@@ -186,6 +187,7 @@ impl Engine {
             blackout: vec![false; world.topo.nodes.len()],
             link_up: vec![true; world.topo.links.len()],
             loss_rate: vec![0.0; world.topo.links.len()],
+            loss_windows: vec![0; world.topo.links.len()],
             flows: Vec::new(),
             migrations: Vec::new(),
             fault_plan: Vec::new(),
@@ -585,6 +587,14 @@ fn run_direct<P: Probe>(
     }
 }
 
+/// The links a `LossRate` fault covers: the one it names, or all `n`.
+fn covered_links(link: Option<LinkId>, n: usize) -> std::ops::Range<usize> {
+    match link {
+        Some(l) => l.0 as usize..l.0 as usize + 1,
+        None => 0..n,
+    }
+}
+
 /// Executes the global event the driver just popped from its calendar:
 /// writes the control state once, then lets every shard apply the part
 /// that concerns state it owns. `lanes` is the shards' private calendars'
@@ -634,10 +644,12 @@ pub(crate) fn exec_global<'s>(
                     ctl.blackout[node.0 as usize] = true;
                 }
                 FaultEvent::LinkDown { link, .. } => ctl.link_up[link.0 as usize] = false,
-                FaultEvent::LossRate { link, rate, .. } => match link {
-                    Some(l) => ctl.loss_rate[l.0 as usize] += rate,
-                    None => ctl.loss_rate.iter_mut().for_each(|lr| *lr += rate),
-                },
+                FaultEvent::LossRate { link, rate, .. } => {
+                    for l in covered_links(link, ctl.loss_rate.len()) {
+                        ctl.loss_rate[l] += rate;
+                        ctl.loss_windows[l] += 1;
+                    }
+                }
             }
         }
         Event::FaultEnd(i) => {
@@ -652,17 +664,19 @@ pub(crate) fn exec_global<'s>(
                     ctl.blackout[node.0 as usize] = false;
                 }
                 FaultEvent::LinkDown { link, .. } => ctl.link_up[link.0 as usize] = true,
-                // Subtract rather than zero so overlapping windows compose.
-                FaultEvent::LossRate { link, rate, .. } => match link {
-                    Some(l) => {
-                        let lr = &mut ctl.loss_rate[l.0 as usize];
-                        *lr = (*lr - rate).max(0.0);
+                // Subtract rather than zero so overlapping windows compose,
+                // but clear exactly when the last one closes: in f64
+                // 0.1 + 0.2 - 0.1 - 0.2 is 2.8e-17, and any rate above zero
+                // makes every enqueue on the link draw from the fault stream.
+                FaultEvent::LossRate { link, rate, .. } => {
+                    for l in covered_links(link, ctl.loss_rate.len()) {
+                        ctl.loss_windows[l] -= 1;
+                        ctl.loss_rate[l] = match ctl.loss_windows[l] {
+                            0 => 0.0,
+                            _ => (ctl.loss_rate[l] - rate).max(0.0),
+                        };
                     }
-                    None => ctl
-                        .loss_rate
-                        .iter_mut()
-                        .for_each(|lr| *lr = (*lr - rate).max(0.0)),
-                },
+                }
             }
         }
         Event::Migrate(i) => {
@@ -1069,5 +1083,30 @@ mod tests {
         assert!(tm.contains_key(&(9, 2)), "ACK direction recorded");
         sim.clear_traffic_matrix();
         assert!(sim.traffic_matrix().is_empty());
+    }
+
+    #[test]
+    fn overlapping_loss_windows_clear_exactly() {
+        let us = SimTime::from_micros;
+        let loss = |link, rate, from, until| FaultEvent::LossRate {
+            link,
+            rate,
+            from: us(from),
+            until: us(until),
+        };
+        // The window that opened first closes first; then the other order,
+        // with the inner window on one link only.
+        for plan in [
+            [loss(None, 0.1, 10, 30), loss(None, 0.2, 20, 40)],
+            [loss(None, 0.1, 10, 40), loss(Some(LinkId(0)), 0.2, 20, 30)],
+        ] {
+            let mut sim = small_sim();
+            sim.apply_fault_plan(FaultPlan::from_events(plan).unwrap());
+            sim.run_until(us(25));
+            assert!(sim.ctl.loss_rate[0] > 0.29, "both windows cover link 0");
+            sim.run_until(us(50));
+            let residue = sim.ctl.loss_rate.iter().fold(0.0, |m: f64, &r| m.max(r));
+            assert_eq!(residue, 0.0, "a rate above zero outlives its windows");
+        }
     }
 }

@@ -38,10 +38,6 @@ pub struct LinkState {
     /// data packets one way, ACKs the other — and the division repeats.
     /// Starts at the one answer known without dividing: 0 bytes, 0 ns.
     last_ser: (u32, SimDuration),
-    /// Drops due to a full buffer.
-    pub drops: u64,
-    /// Drops due to injected stochastic loss.
-    pub losses: u64,
 }
 
 /// What [`LinkState::enqueue`] decided.
@@ -72,8 +68,6 @@ impl LinkState {
             queued_bytes: 0,
             busy: false,
             last_ser: (0, SimDuration::ZERO),
-            drops: 0,
-            losses: 0,
         }
     }
 
@@ -100,7 +94,6 @@ impl LinkState {
         draw: f64,
     ) -> EnqueueOutcome {
         if draw < loss_rate {
-            self.losses += 1;
             return EnqueueOutcome::Lost;
         }
         self.enqueue(pkt, wire_bytes)
@@ -119,7 +112,6 @@ impl LinkState {
             self.queue.push_back((pkt, wire_bytes));
             EnqueueOutcome::Queued
         } else {
-            self.drops += 1;
             EnqueueOutcome::Dropped
         }
     }
@@ -188,7 +180,6 @@ mod tests {
         assert_eq!(l.enqueue(PacketRef(1), MSS_WIRE), EnqueueOutcome::Queued);
         assert_eq!(l.enqueue(PacketRef(2), MSS_WIRE), EnqueueOutcome::Queued);
         assert_eq!(l.enqueue(PacketRef(3), MSS_WIRE), EnqueueOutcome::Dropped);
-        assert_eq!(l.drops, 1);
         assert_eq!(l.queue_len(), 2);
     }
 
@@ -240,7 +231,6 @@ mod tests {
             l.enqueue_with_loss(PacketRef(1), MSS_WIRE, 0.01, 0.005),
             EnqueueOutcome::Lost
         );
-        assert_eq!(l.losses, 1);
         assert!(matches!(
             l.enqueue_with_loss(PacketRef(2), MSS_WIRE, 0.01, 0.5),
             EnqueueOutcome::StartTx(_)

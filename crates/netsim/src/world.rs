@@ -68,6 +68,9 @@ pub(crate) struct Control {
     /// Per-link injected loss probability (sum of the active `LossRate`
     /// faults covering the link; 0 when healthy).
     pub loss_rate: Vec<f64>,
+    /// Per-link count of the `LossRate` windows now open: when it returns
+    /// to 0 the rate is set to exactly 0.0, not to what subtraction left.
+    pub loss_windows: Vec<u32>,
     /// The workload, indexed by flow id.
     pub flows: Vec<FlowSpec>,
     /// Indexed by `Event::Migrate`.

@@ -10,8 +10,9 @@
 //! * [`options`] — the typed tunnel options ([`TunnelOptions`]);
 //! * [`wire`] — a byte-level encode/decode of the full outer + shim + inner
 //!   layout, round-trip property-tested, so every piggybacked field provably
-//!   fits an on-wire representation (the `sv2p-p4model` crate sizes its
-//!   register arrays from the same layout).
+//!   fits an on-wire representation. Only its own property test calls it:
+//!   `sv2p-p4model` sizes its PHV from [`TunnelOptions`] and
+//!   [`packet::HEADER_OVERHEAD`], not from this module.
 //!
 //! The simulator itself passes structured packets (parsing per hop would only
 //! burn cycles), but the wire module keeps the protocol honest.

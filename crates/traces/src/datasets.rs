@@ -1,22 +1,16 @@
 //! The concrete dataset generators.
 //!
-//! Every dataset is produced by a [`FlowSource`] — a deterministic,
-//! cloneable iterator that yields flows one at a time, so the engine can
-//! pull a million-VM workload without ever materializing the whole trace
-//! (O(in-flight) memory instead of O(trace)). The original materializing
-//! entry points ([`hadoop`], [`websearch`], …) remain as thin
-//! `collect()` wrappers and are byte-identical to the pre-streaming
-//! generators (locked by the oracle tests at the bottom of this file).
+//! One plain function per dataset ([`hadoop`], [`websearch`], [`alibaba`],
+//! [`microbursts`], [`video`], [`incast`]), each returning the whole trace
+//! as a `Vec<TraceFlow>` in start order. A trace is about 48 B per flow —
+//! the paper's full Hadoop trace, 99 297 flows, is some 5 MB — and the
+//! engine keeps every flow's spec for the length of the run anyway, so
+//! nothing is gained by yielding flows lazily.
 //!
-//! Streaming preserves the exact RNG draw order of the materialized
-//! generators via a two-stream split: the originals drew *all* Poisson
-//! start gaps first (`poisson_starts`) and then the per-flow body draws
-//! from the same RNG. Each source clones the RNG at that boundary —
-//! `rng_starts` replays the gap draws, while `rng_body` is the same RNG
-//! fast-forwarded past them (each `exponential` with a positive mean
-//! consumes exactly one `uniform` draw), so interleaving one start draw
-//! and one body batch per `next()` reproduces the original sequence
-//! bit-for-bit.
+//! The draw order is part of the output: a generator shuffles its endpoint
+//! pool first, then draws *all* Poisson start gaps (`poisson_starts`), then
+//! makes the per-flow draws from the same RNG. Every `results/*.txt` and
+//! golden digest depends on that order.
 
 use sv2p_simcore::SimRng;
 
@@ -60,452 +54,104 @@ pub fn stats(flows: &[TraceFlow]) -> TraceStats {
     }
 }
 
-/// Picks distinct (src, dst) uniformly.
-fn uniform_pair(vms: usize, rng: &mut SimRng) -> (usize, usize) {
-    let src = rng.gen_range(0..vms);
-    let mut dst = rng.gen_range(0..vms - 1);
-    if dst >= src {
-        dst += 1;
-    }
-    (src, dst)
-}
-
-/// Splits `rng` at the starts/body boundary: returns the start-gap stream
-/// (a clone at the boundary) and fast-forwards `rng` past the `n` gap
-/// draws the materialized generators made up front.
-fn split_starts(rng: &mut SimRng, n: usize, mean_gap: f64) -> SimRng {
-    let starts = rng.clone();
-    for _ in 0..n {
-        rng.exponential(mean_gap);
-    }
-    starts
-}
-
-/// Streaming state shared by the TCP trace sources (Hadoop, WebSearch).
-#[derive(Debug, Clone)]
-pub struct TcpFlowSource {
-    /// Active endpoint subset; `None` means the identity pool `0..vms`
-    /// (no O(vms) permutation is retained in that case).
-    pool: Option<Vec<u32>>,
-    /// Endpoint pool size (`pool.len()` or `vms`).
-    n: usize,
-    remaining: usize,
-    /// Poisson accumulator (seconds).
-    t: f64,
-    mean_gap: f64,
-    rng_starts: SimRng,
-    rng_body: SimRng,
-    cdf: EmpiricalCdf,
-}
-
-impl TcpFlowSource {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        vms: usize,
-        active_vms: Option<usize>,
-        flows: usize,
-        load: f64,
-        hosts: usize,
-        nic_bps: u64,
-        cdf: EmpiricalCdf,
-        seed: u64,
-    ) -> Self {
-        assert!(vms >= 2 && flows > 0 && load > 0.0 && hosts > 0);
-        let mut rng = SimRng::new(seed);
-        // Optionally restrict the endpoints to a random subset of the pool
-        // so a scaled-down flow count keeps the paper's
-        // flows-per-destination reuse ratio; the subset is shuffled, so it
-        // stays spread over all racks.
-        let pool: Option<Vec<u32>> = match active_vms {
-            Some(k) => {
-                assert!(k >= 2 && k <= vms);
-                let mut ids: Vec<u32> = (0..vms as u32).collect();
-                rng.shuffle(&mut ids);
-                ids.truncate(k);
-                ids.shrink_to_fit();
-                Some(ids)
-            }
-            None => None,
-        };
-        let n = pool.as_ref().map_or(vms, Vec::len);
-        // Offered load = load × aggregate host capacity; flow arrival rate
-        // follows from the mean flow size (the HPCC-style load model).
-        let agg_bps = load * hosts as f64 * nic_bps as f64;
-        let mean_bits = cdf.mean() * 8.0;
-        let rate = agg_bps / mean_bits;
-        let mean_gap = 1.0 / rate;
-        let rng_starts = split_starts(&mut rng, flows, mean_gap);
-        TcpFlowSource {
-            pool,
-            n,
-            remaining: flows,
-            t: 0.0,
-            mean_gap,
-            rng_starts,
-            rng_body: rng,
-            cdf,
-        }
+/// A VM drawn uniformly from the `vms - 1` that are not `peer`.
+fn uniform_other(vms: usize, peer: usize, rng: &mut SimRng) -> usize {
+    let vm = rng.gen_range(0..vms - 1);
+    if vm >= peer {
+        vm + 1
+    } else {
+        vm
     }
 }
 
-impl Iterator for TcpFlowSource {
-    type Item = TraceFlow;
+/// The VM ids `0..vms` in an order shuffled by `rng` (u32: 4 bytes per VM,
+/// which matters at a million VMs).
+fn shuffled_ids(vms: usize, rng: &mut SimRng) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..vms as u32).collect();
+    rng.shuffle(&mut ids);
+    ids
+}
 
-    fn next(&mut self) -> Option<TraceFlow> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.t += self.rng_starts.exponential(self.mean_gap);
-        let start_ns = (self.t * 1e9) as u64;
-        let (si, di) = uniform_pair(self.n, &mut self.rng_body);
-        let (src, dst) = match &self.pool {
-            Some(p) => (p[si] as usize, p[di] as usize),
-            None => (si, di),
-        };
-        let bytes = self.cdf.sample(&mut self.rng_body).max(1.0) as u64;
-        Some(TraceFlow {
-            src_vm: src,
-            dst_vm: dst,
-            start_ns,
-            profile: FlowProfile::Tcp { bytes },
+/// Start times (ns) of `n` Poisson arrivals with `mean_gap` seconds between
+/// them. All gaps are drawn here, before any per-flow draw.
+fn poisson_starts(n: usize, mean_gap: f64, rng: &mut SimRng) -> Vec<u64> {
+    let mut t = 0.0;
+    (0..n)
+        .map(|_| {
+            t += rng.exponential(mean_gap);
+            (t * 1e9) as u64
         })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
+        .collect()
 }
 
-/// Streaming Alibaba RPC source.
-#[derive(Debug, Clone)]
-pub struct AlibabaFlowSource {
+/// The TCP traces (Hadoop, WebSearch): uniform endpoint pairs, flow sizes
+/// from `cdf`, Poisson arrivals at the rate that offers `load`.
+#[allow(clippy::too_many_arguments)]
+fn tcp_trace(
     vms: usize,
-    /// Zipf rank → VM id permutation (u32: 4 bytes per VM).
-    perm: Vec<u32>,
-    zipf: Zipf,
-    remaining: usize,
-    t: f64,
-    mean_gap: f64,
-    rng_starts: SimRng,
-    rng_body: SimRng,
-    cdf: EmpiricalCdf,
-}
-
-impl AlibabaFlowSource {
-    fn new(cfg: &AlibabaConfig) -> Self {
-        assert!(cfg.vms >= 2 && cfg.rpcs > 0 && cfg.duration_ns > 0);
-        let zipf = Zipf::new(cfg.vms, cfg.zipf_s);
-        // Permute ranks over VM ids so popular services are spread across
-        // racks.
-        let mut perm: Vec<u32> = (0..cfg.vms as u32).collect();
-        let mut prng = SimRng::new(cfg.seed ^ 0xA11BABA);
-        prng.shuffle(&mut perm);
-        let mut rng = SimRng::new(cfg.seed);
-        let rate = cfg.rpcs as f64 / (cfg.duration_ns as f64 / 1e9);
-        let mean_gap = 1.0 / rate;
-        let rng_starts = split_starts(&mut rng, cfg.rpcs, mean_gap);
-        AlibabaFlowSource {
-            vms: cfg.vms,
-            perm,
-            zipf,
-            remaining: cfg.rpcs,
-            t: 0.0,
-            mean_gap,
-            rng_starts,
-            rng_body: rng,
-            cdf: EmpiricalCdf::alibaba_rpc(),
-        }
-    }
-}
-
-impl Iterator for AlibabaFlowSource {
-    type Item = TraceFlow;
-
-    fn next(&mut self) -> Option<TraceFlow> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.t += self.rng_starts.exponential(self.mean_gap);
-        let start_ns = (self.t * 1e9) as u64;
-        let dst = self.perm[self.zipf.sample(&mut self.rng_body)] as usize;
-        let mut src = self.rng_body.gen_range(0..self.vms - 1);
-        if src >= dst {
-            src += 1;
-        }
-        let bytes = self.cdf.sample(&mut self.rng_body).max(1.0) as u64;
-        Some(TraceFlow {
-            src_vm: src,
-            dst_vm: dst,
-            start_ns,
-            profile: FlowProfile::Tcp { bytes },
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// Streaming Microbursts source.
-#[derive(Debug, Clone)]
-pub struct MicroburstsFlowSource {
-    vms: usize,
-    perm: Vec<u32>,
-    zipf: Zipf,
-    remaining: usize,
-    t: f64,
-    mean_gap: f64,
-    mean_burst_ns: u64,
+    active_vms: Option<usize>,
+    flows: usize,
+    load: f64,
+    hosts: usize,
     nic_bps: u64,
-    payload: u32,
-    rng_starts: SimRng,
-    rng_body: SimRng,
-}
-
-impl MicroburstsFlowSource {
-    fn new(cfg: &MicroburstsConfig) -> Self {
-        let mut rng = SimRng::new(cfg.seed);
-        let zipf = Zipf::new(cfg.vms, cfg.zipf_s);
-        let mut perm: Vec<u32> = (0..cfg.vms as u32).collect();
-        rng.shuffle(&mut perm);
-        let mean_gap = 1.0 / cfg.bursts_per_sec;
-        let rng_starts = split_starts(&mut rng, cfg.bursts, mean_gap);
-        MicroburstsFlowSource {
-            vms: cfg.vms,
-            perm,
-            zipf,
-            remaining: cfg.bursts,
-            t: 0.0,
-            mean_gap,
-            mean_burst_ns: cfg.mean_burst_ns,
-            nic_bps: cfg.nic_bps,
-            payload: cfg.payload,
-            rng_starts,
-            rng_body: rng,
-        }
-    }
-}
-
-impl Iterator for MicroburstsFlowSource {
-    type Item = TraceFlow;
-
-    fn next(&mut self) -> Option<TraceFlow> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.t += self.rng_starts.exponential(self.mean_gap);
-        let start_ns = (self.t * 1e9) as u64;
-        let dst = self.perm[self.zipf.sample(&mut self.rng_body)] as usize;
-        let mut src = self.rng_body.gen_range(0..self.vms - 1);
-        if src >= dst {
-            src += 1;
-        }
-        let duration = self
-            .rng_body
-            .exponential(self.mean_burst_ns as f64)
-            .max(1.0);
-        let bytes = duration * self.nic_bps as f64 / 8.0 / 1e9;
-        let count = (bytes / self.payload as f64).ceil().max(1.0) as u32;
-        Some(TraceFlow {
-            src_vm: src,
-            dst_vm: dst,
-            start_ns,
-            profile: FlowProfile::UdpBurst {
-                count,
-                payload: self.payload,
-            },
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// Streaming 8K-Video source (retains only the `2 × senders` endpoints it
-/// actually uses, not the full shuffled pool).
-#[derive(Debug, Clone)]
-pub struct VideoFlowSource {
-    /// First `2 × senders` ids of the shuffled pool.
-    ids: Vec<u32>,
-    next: usize,
-    senders: usize,
-    rate_bps: u64,
-    duration_ns: u64,
-    payload: u32,
-}
-
-impl VideoFlowSource {
-    fn new(cfg: &VideoConfig) -> Self {
-        assert!(cfg.vms >= 2 * cfg.senders, "need disjoint endpoints");
-        let mut rng = SimRng::new(cfg.seed);
-        let mut ids: Vec<u32> = (0..cfg.vms as u32).collect();
-        rng.shuffle(&mut ids);
-        ids.truncate(2 * cfg.senders);
+    cdf: &EmpiricalCdf,
+    seed: u64,
+) -> Vec<TraceFlow> {
+    assert!(vms >= 2 && flows > 0 && load > 0.0 && hosts > 0);
+    let mut rng = SimRng::new(seed);
+    // Optionally restrict the endpoints to a random subset of the pool so a
+    // scaled-down flow count keeps the paper's flows-per-destination reuse
+    // ratio; the subset is shuffled, so it stays spread over all racks.
+    // `None` means the identity pool `0..vms`, which is never built.
+    let pool: Option<Vec<u32>> = active_vms.map(|k| {
+        assert!(k >= 2 && k <= vms);
+        let mut ids = shuffled_ids(vms, &mut rng);
+        ids.truncate(k);
         ids.shrink_to_fit();
-        VideoFlowSource {
-            ids,
-            next: 0,
-            senders: cfg.senders,
-            rate_bps: cfg.rate_bps,
-            duration_ns: cfg.duration_ns,
-            payload: cfg.payload,
-        }
-    }
-}
-
-impl Iterator for VideoFlowSource {
-    type Item = TraceFlow;
-
-    fn next(&mut self) -> Option<TraceFlow> {
-        if self.next >= self.senders {
-            return None;
-        }
-        let i = self.next;
-        self.next += 1;
-        Some(TraceFlow {
-            src_vm: self.ids[2 * i] as usize,
-            dst_vm: self.ids[2 * i + 1] as usize,
-            start_ns: 0,
-            profile: FlowProfile::UdpCbr {
-                rate_bps: self.rate_bps,
-                duration_ns: self.duration_ns,
-                payload: self.payload,
-            },
+        ids
+    });
+    let n = pool.as_ref().map_or(vms, Vec::len);
+    // Offered load = load × aggregate host capacity; flow arrival rate
+    // follows from the mean flow size (the HPCC-style load model).
+    let agg_bps = load * hosts as f64 * nic_bps as f64;
+    let mean_bits = cdf.mean() * 8.0;
+    let rate = agg_bps / mean_bits;
+    poisson_starts(flows, 1.0 / rate, &mut rng)
+        .into_iter()
+        .map(|start_ns| {
+            let si = rng.gen_range(0..n);
+            let di = uniform_other(n, si, &mut rng);
+            let (src_vm, dst_vm) = match &pool {
+                Some(p) => (p[si] as usize, p[di] as usize),
+                None => (si, di),
+            };
+            let bytes = cdf.sample(&mut rng).max(1.0) as u64;
+            TraceFlow {
+                src_vm,
+                dst_vm,
+                start_ns,
+                profile: FlowProfile::Tcp { bytes },
+            }
         })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.senders - self.next;
-        (left, Some(left))
-    }
+        .collect()
 }
 
-/// Streaming incast source.
-#[derive(Debug, Clone)]
-pub struct IncastFlowSource {
-    sender_vms: Vec<u32>,
-    next: usize,
-    dst_vm: usize,
-    rate_bps: u64,
-    duration_ns: u64,
-    payload: u32,
-}
-
-impl IncastFlowSource {
-    fn new(cfg: &IncastConfig, sender_vms: &[usize], dst_vm: usize) -> Self {
-        assert_eq!(sender_vms.len(), cfg.senders);
-        let per_sender = cfg.total_packets / cfg.senders as u32;
-        let rate_bps = (per_sender as u64 * cfg.payload as u64 * 8) * 1_000_000_000
-            / cfg.duration_ns;
-        IncastFlowSource {
-            sender_vms: sender_vms.iter().map(|&s| s as u32).collect(),
-            next: 0,
-            dst_vm,
-            rate_bps,
-            duration_ns: cfg.duration_ns,
-            payload: cfg.payload,
-        }
-    }
-}
-
-impl Iterator for IncastFlowSource {
-    type Item = TraceFlow;
-
-    fn next(&mut self) -> Option<TraceFlow> {
-        let src = *self.sender_vms.get(self.next)? as usize;
-        self.next += 1;
-        assert_ne!(src, self.dst_vm);
-        Some(TraceFlow {
-            src_vm: src,
-            dst_vm: self.dst_vm,
-            start_ns: 0,
-            profile: FlowProfile::UdpCbr {
-                rate_bps: self.rate_bps,
-                duration_ns: self.duration_ns,
-                payload: self.payload,
-            },
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.sender_vms.len() - self.next;
-        (left, Some(left))
-    }
-}
-
-/// A deterministic streaming flow generator: one variant per dataset, all
-/// cloneable (sweeps re-run the same source) and yielding exactly the flow
-/// sequence the materialized entry points produce.
-#[derive(Debug, Clone)]
-pub enum FlowSource {
-    /// Hadoop / WebSearch-style TCP trace.
-    Tcp(TcpFlowSource),
-    /// Alibaba microservice RPCs.
-    Alibaba(AlibabaFlowSource),
-    /// UDP microbursts.
-    Microbursts(MicroburstsFlowSource),
-    /// 8K-Video CBR streams.
-    Video(VideoFlowSource),
-    /// Migration incast.
-    Incast(IncastFlowSource),
-}
+/// A generated trace as an owning iterator. Kept only for
+/// `benchmark/src/workloads.rs`, which names `FlowSource::{hadoop, alibaba}`
+/// and maps over the result; everything else calls [`hadoop`] and
+/// [`alibaba`] directly.
+#[derive(Debug)]
+pub struct FlowSource(std::vec::IntoIter<TraceFlow>);
 
 impl FlowSource {
-    /// Streaming Hadoop trace (see [`hadoop`]).
+    /// The flows of [`hadoop`].
     pub fn hadoop(cfg: &HadoopConfig) -> Self {
-        FlowSource::Tcp(TcpFlowSource::new(
-            cfg.vms,
-            cfg.active_vms,
-            cfg.flows,
-            cfg.load,
-            cfg.hosts,
-            cfg.nic_bps,
-            EmpiricalCdf::facebook_hadoop(),
-            cfg.seed,
-        ))
+        FlowSource(hadoop(cfg).into_iter())
     }
 
-    /// Streaming WebSearch trace (see [`websearch`]).
-    pub fn websearch(cfg: &WebSearchConfig) -> Self {
-        FlowSource::Tcp(TcpFlowSource::new(
-            cfg.vms,
-            cfg.active_vms,
-            cfg.flows,
-            cfg.load,
-            cfg.hosts,
-            cfg.nic_bps,
-            EmpiricalCdf::dctcp_websearch(),
-            cfg.seed,
-        ))
-    }
-
-    /// Streaming Alibaba trace (see [`alibaba`]).
+    /// The flows of [`alibaba`].
     pub fn alibaba(cfg: &AlibabaConfig) -> Self {
-        FlowSource::Alibaba(AlibabaFlowSource::new(cfg))
-    }
-
-    /// Streaming Microbursts trace (see [`microbursts`]).
-    pub fn microbursts(cfg: &MicroburstsConfig) -> Self {
-        FlowSource::Microbursts(MicroburstsFlowSource::new(cfg))
-    }
-
-    /// Streaming Video trace (see [`video`]).
-    pub fn video(cfg: &VideoConfig) -> Self {
-        FlowSource::Video(VideoFlowSource::new(cfg))
-    }
-
-    /// Streaming incast trace (see [`incast`]).
-    pub fn incast(cfg: &IncastConfig, sender_vms: &[usize], dst_vm: usize) -> Self {
-        FlowSource::Incast(IncastFlowSource::new(cfg, sender_vms, dst_vm))
-    }
-
-    /// Flows left to yield.
-    pub fn remaining(&self) -> usize {
-        self.size_hint().0
+        FlowSource(alibaba(cfg).into_iter())
     }
 }
 
@@ -513,23 +159,11 @@ impl Iterator for FlowSource {
     type Item = TraceFlow;
 
     fn next(&mut self) -> Option<TraceFlow> {
-        match self {
-            FlowSource::Tcp(s) => s.next(),
-            FlowSource::Alibaba(s) => s.next(),
-            FlowSource::Microbursts(s) => s.next(),
-            FlowSource::Video(s) => s.next(),
-            FlowSource::Incast(s) => s.next(),
-        }
+        self.0.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            FlowSource::Tcp(s) => s.size_hint(),
-            FlowSource::Alibaba(s) => s.size_hint(),
-            FlowSource::Microbursts(s) => s.size_hint(),
-            FlowSource::Video(s) => s.size_hint(),
-            FlowSource::Incast(s) => s.size_hint(),
-        }
+        self.0.size_hint()
     }
 }
 
@@ -571,7 +205,16 @@ impl Default for HadoopConfig {
 /// Generates the Hadoop trace: short TCP flows, uniform src/dst, heavy
 /// cross-flow destination reuse at paper scale.
 pub fn hadoop(cfg: &HadoopConfig) -> Vec<TraceFlow> {
-    FlowSource::hadoop(cfg).collect()
+    tcp_trace(
+        cfg.vms,
+        cfg.active_vms,
+        cfg.flows,
+        cfg.load,
+        cfg.hosts,
+        cfg.nic_bps,
+        &EmpiricalCdf::facebook_hadoop(),
+        cfg.seed,
+    )
 }
 
 /// WebSearch trace parameters.
@@ -609,7 +252,16 @@ impl Default for WebSearchConfig {
 
 /// Generates the WebSearch trace: DCTCP flow sizes, minimal reuse.
 pub fn websearch(cfg: &WebSearchConfig) -> Vec<TraceFlow> {
-    FlowSource::websearch(cfg).collect()
+    tcp_trace(
+        cfg.vms,
+        cfg.active_vms,
+        cfg.flows,
+        cfg.load,
+        cfg.hosts,
+        cfg.nic_bps,
+        &EmpiricalCdf::dctcp_websearch(),
+        cfg.seed,
+    )
 }
 
 /// Alibaba microservice trace parameters.
@@ -646,7 +298,28 @@ impl Default for AlibabaConfig {
 /// Generates the Alibaba trace: small TCP RPCs with Zipf-skewed callees,
 /// arriving as a Poisson process over the configured replay window.
 pub fn alibaba(cfg: &AlibabaConfig) -> Vec<TraceFlow> {
-    FlowSource::alibaba(cfg).collect()
+    assert!(cfg.vms >= 2 && cfg.rpcs > 0 && cfg.duration_ns > 0);
+    let zipf = Zipf::new(cfg.vms, cfg.zipf_s);
+    // Permute ranks over VM ids so popular services are spread across
+    // racks.
+    let perm = shuffled_ids(cfg.vms, &mut SimRng::new(cfg.seed ^ 0xA11BABA));
+    let mut rng = SimRng::new(cfg.seed);
+    let rate = cfg.rpcs as f64 / (cfg.duration_ns as f64 / 1e9);
+    let cdf = EmpiricalCdf::alibaba_rpc();
+    poisson_starts(cfg.rpcs, 1.0 / rate, &mut rng)
+        .into_iter()
+        .map(|start_ns| {
+            let dst_vm = perm[zipf.sample(&mut rng)] as usize;
+            let src_vm = uniform_other(cfg.vms, dst_vm, &mut rng);
+            let bytes = cdf.sample(&mut rng).max(1.0) as u64;
+            TraceFlow {
+                src_vm,
+                dst_vm,
+                start_ns,
+                profile: FlowProfile::Tcp { bytes },
+            }
+        })
+        .collect()
 }
 
 /// Microbursts trace parameters.
@@ -688,7 +361,28 @@ impl Default for MicroburstsConfig {
 
 /// Generates the Microbursts trace: UDP bursts to Zipf-popular destinations.
 pub fn microbursts(cfg: &MicroburstsConfig) -> Vec<TraceFlow> {
-    FlowSource::microbursts(cfg).collect()
+    let mut rng = SimRng::new(cfg.seed);
+    let zipf = Zipf::new(cfg.vms, cfg.zipf_s);
+    let perm = shuffled_ids(cfg.vms, &mut rng);
+    poisson_starts(cfg.bursts, 1.0 / cfg.bursts_per_sec, &mut rng)
+        .into_iter()
+        .map(|start_ns| {
+            let dst_vm = perm[zipf.sample(&mut rng)] as usize;
+            let src_vm = uniform_other(cfg.vms, dst_vm, &mut rng);
+            let duration = rng.exponential(cfg.mean_burst_ns as f64).max(1.0);
+            let bytes = duration * cfg.nic_bps as f64 / 8.0 / 1e9;
+            let count = (bytes / cfg.payload as f64).ceil().max(1.0) as u32;
+            TraceFlow {
+                src_vm,
+                dst_vm,
+                start_ns,
+                profile: FlowProfile::UdpBurst {
+                    count,
+                    payload: cfg.payload,
+                },
+            }
+        })
+        .collect()
 }
 
 /// Video trace parameters ("64 senders at 48 Mbps", no destination reuse).
@@ -723,7 +417,21 @@ impl Default for VideoConfig {
 
 /// Generates the 8K-Video trace: disjoint sender → receiver CBR streams.
 pub fn video(cfg: &VideoConfig) -> Vec<TraceFlow> {
-    FlowSource::video(cfg).collect()
+    assert!(cfg.vms >= 2 * cfg.senders, "need disjoint endpoints");
+    let ids = shuffled_ids(cfg.vms, &mut SimRng::new(cfg.seed));
+    ids.chunks_exact(2)
+        .take(cfg.senders)
+        .map(|pair| TraceFlow {
+            src_vm: pair[0] as usize,
+            dst_vm: pair[1] as usize,
+            start_ns: 0,
+            profile: FlowProfile::UdpCbr {
+                rate_bps: cfg.rate_bps,
+                duration_ns: cfg.duration_ns,
+                payload: cfg.payload,
+            },
+        })
+        .collect()
 }
 
 /// Migration incast parameters (§5.2: "64 UDP senders, each running on a
@@ -757,257 +465,31 @@ impl Default for IncastConfig {
 /// Generates the incast trace toward `dst_vm`; `sender_vms` must hold
 /// `senders` distinct VM indices on distinct servers.
 pub fn incast(cfg: &IncastConfig, sender_vms: &[usize], dst_vm: usize) -> Vec<TraceFlow> {
-    FlowSource::incast(cfg, sender_vms, dst_vm).collect()
+    assert_eq!(sender_vms.len(), cfg.senders);
+    let per_sender = cfg.total_packets / cfg.senders as u32;
+    let rate_bps =
+        (per_sender as u64 * cfg.payload as u64 * 8) * 1_000_000_000 / cfg.duration_ns;
+    sender_vms
+        .iter()
+        .map(|&src_vm| {
+            assert_ne!(src_vm, dst_vm);
+            TraceFlow {
+                src_vm,
+                dst_vm,
+                start_ns: 0,
+                profile: FlowProfile::UdpCbr {
+                    rate_bps,
+                    duration_ns: cfg.duration_ns,
+                    payload: cfg.payload,
+                },
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The pre-streaming materializing generators, copied verbatim. They
-    /// are the byte-identity oracle: if a streaming source ever diverges
-    /// from what the original closed-form generators produced, the
-    /// regression tests below catch it.
-    mod oracle {
-        use super::super::*;
-
-        fn poisson_starts(n: usize, rate_per_sec: f64, rng: &mut SimRng) -> Vec<u64> {
-            let mut t = 0.0;
-            (0..n)
-                .map(|_| {
-                    t += rng.exponential(1.0 / rate_per_sec);
-                    (t * 1e9) as u64
-                })
-                .collect()
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        fn tcp_trace(
-            vms: usize,
-            active_vms: Option<usize>,
-            flows: usize,
-            load: f64,
-            hosts: usize,
-            nic_bps: u64,
-            cdf: &EmpiricalCdf,
-            pick_dst: &mut dyn FnMut(&mut SimRng) -> Option<usize>,
-            seed: u64,
-        ) -> Vec<TraceFlow> {
-            assert!(vms >= 2 && flows > 0 && load > 0.0 && hosts > 0);
-            let mut rng = SimRng::new(seed);
-            let pool: Vec<usize> = match active_vms {
-                Some(k) => {
-                    assert!(k >= 2 && k <= vms);
-                    let mut ids: Vec<usize> = (0..vms).collect();
-                    rng.shuffle(&mut ids);
-                    ids.truncate(k);
-                    ids
-                }
-                None => (0..vms).collect(),
-            };
-            let n = pool.len();
-            let agg_bps = load * hosts as f64 * nic_bps as f64;
-            let mean_bits = cdf.mean() * 8.0;
-            let rate = agg_bps / mean_bits;
-            let starts = poisson_starts(flows, rate, &mut rng);
-            starts
-                .into_iter()
-                .map(|start_ns| {
-                    let (src, dst) = match pick_dst(&mut rng) {
-                        Some(d) => {
-                            let mut src = rng.gen_range(0..vms - 1);
-                            if src >= d {
-                                src += 1;
-                            }
-                            (src, d)
-                        }
-                        None => {
-                            let (si, di) = uniform_pair(n, &mut rng);
-                            (pool[si], pool[di])
-                        }
-                    };
-                    let bytes = cdf.sample(&mut rng).max(1.0) as u64;
-                    TraceFlow {
-                        src_vm: src,
-                        dst_vm: dst,
-                        start_ns,
-                        profile: FlowProfile::Tcp { bytes },
-                    }
-                })
-                .collect()
-        }
-
-        pub fn hadoop(cfg: &HadoopConfig) -> Vec<TraceFlow> {
-            tcp_trace(
-                cfg.vms,
-                cfg.active_vms,
-                cfg.flows,
-                cfg.load,
-                cfg.hosts,
-                cfg.nic_bps,
-                &EmpiricalCdf::facebook_hadoop(),
-                &mut |_| None,
-                cfg.seed,
-            )
-        }
-
-        pub fn websearch(cfg: &WebSearchConfig) -> Vec<TraceFlow> {
-            tcp_trace(
-                cfg.vms,
-                cfg.active_vms,
-                cfg.flows,
-                cfg.load,
-                cfg.hosts,
-                cfg.nic_bps,
-                &EmpiricalCdf::dctcp_websearch(),
-                &mut |_| None,
-                cfg.seed,
-            )
-        }
-
-        pub fn alibaba(cfg: &AlibabaConfig) -> Vec<TraceFlow> {
-            assert!(cfg.vms >= 2 && cfg.rpcs > 0 && cfg.duration_ns > 0);
-            let zipf = Zipf::new(cfg.vms, cfg.zipf_s);
-            let mut perm: Vec<usize> = (0..cfg.vms).collect();
-            let mut prng = SimRng::new(cfg.seed ^ 0xA11BABA);
-            prng.shuffle(&mut perm);
-            let mut rng = SimRng::new(cfg.seed);
-            let rate = cfg.rpcs as f64 / (cfg.duration_ns as f64 / 1e9);
-            let cdf = EmpiricalCdf::alibaba_rpc();
-            let starts = poisson_starts(cfg.rpcs, rate, &mut rng);
-            starts
-                .into_iter()
-                .map(|start_ns| {
-                    let dst = perm[zipf.sample(&mut rng)];
-                    let mut src = rng.gen_range(0..cfg.vms - 1);
-                    if src >= dst {
-                        src += 1;
-                    }
-                    let bytes = cdf.sample(&mut rng).max(1.0) as u64;
-                    TraceFlow {
-                        src_vm: src,
-                        dst_vm: dst,
-                        start_ns,
-                        profile: FlowProfile::Tcp { bytes },
-                    }
-                })
-                .collect()
-        }
-
-        pub fn microbursts(cfg: &MicroburstsConfig) -> Vec<TraceFlow> {
-            let mut rng = SimRng::new(cfg.seed);
-            let zipf = Zipf::new(cfg.vms, cfg.zipf_s);
-            let mut perm: Vec<usize> = (0..cfg.vms).collect();
-            rng.shuffle(&mut perm);
-            let starts = poisson_starts(cfg.bursts, cfg.bursts_per_sec, &mut rng);
-            starts
-                .into_iter()
-                .map(|start_ns| {
-                    let dst = perm[zipf.sample(&mut rng)];
-                    let mut src = rng.gen_range(0..cfg.vms - 1);
-                    if src >= dst {
-                        src += 1;
-                    }
-                    let duration = rng.exponential(cfg.mean_burst_ns as f64).max(1.0);
-                    let bytes = duration * cfg.nic_bps as f64 / 8.0 / 1e9;
-                    let count = (bytes / cfg.payload as f64).ceil().max(1.0) as u32;
-                    TraceFlow {
-                        src_vm: src,
-                        dst_vm: dst,
-                        start_ns,
-                        profile: FlowProfile::UdpBurst {
-                            count,
-                            payload: cfg.payload,
-                        },
-                    }
-                })
-                .collect()
-        }
-
-        pub fn video(cfg: &VideoConfig) -> Vec<TraceFlow> {
-            assert!(cfg.vms >= 2 * cfg.senders, "need disjoint endpoints");
-            let mut rng = SimRng::new(cfg.seed);
-            let mut ids: Vec<usize> = (0..cfg.vms).collect();
-            rng.shuffle(&mut ids);
-            (0..cfg.senders)
-                .map(|i| TraceFlow {
-                    src_vm: ids[2 * i],
-                    dst_vm: ids[2 * i + 1],
-                    start_ns: 0,
-                    profile: FlowProfile::UdpCbr {
-                        rate_bps: cfg.rate_bps,
-                        duration_ns: cfg.duration_ns,
-                        payload: cfg.payload,
-                    },
-                })
-                .collect()
-        }
-    }
-
-    #[test]
-    fn streamed_hadoop_matches_materialized_oracle() {
-        let cfg = HadoopConfig {
-            flows: 2_000,
-            ..Default::default()
-        };
-        assert_eq!(hadoop(&cfg), oracle::hadoop(&cfg));
-        // The active-subset path shuffles the pool before the starts.
-        let cfg = HadoopConfig {
-            flows: 2_000,
-            active_vms: Some(512),
-            ..Default::default()
-        };
-        assert_eq!(hadoop(&cfg), oracle::hadoop(&cfg));
-    }
-
-    #[test]
-    fn streamed_websearch_matches_materialized_oracle() {
-        let cfg = WebSearchConfig {
-            flows: 1_000,
-            ..Default::default()
-        };
-        assert_eq!(websearch(&cfg), oracle::websearch(&cfg));
-    }
-
-    #[test]
-    fn streamed_alibaba_matches_materialized_oracle() {
-        let cfg = AlibabaConfig {
-            vms: 20_000,
-            rpcs: 5_000,
-            duration_ns: 1_000_000,
-            ..Default::default()
-        };
-        assert_eq!(alibaba(&cfg), oracle::alibaba(&cfg));
-    }
-
-    #[test]
-    fn streamed_microbursts_matches_materialized_oracle() {
-        let cfg = MicroburstsConfig {
-            bursts: 2_000,
-            ..Default::default()
-        };
-        assert_eq!(microbursts(&cfg), oracle::microbursts(&cfg));
-    }
-
-    #[test]
-    fn streamed_video_matches_materialized_oracle() {
-        let cfg = VideoConfig::default();
-        assert_eq!(video(&cfg), oracle::video(&cfg));
-    }
-
-    #[test]
-    fn source_is_cloneable_and_replays() {
-        let cfg = HadoopConfig {
-            flows: 200,
-            ..Default::default()
-        };
-        let src = FlowSource::hadoop(&cfg);
-        assert_eq!(src.remaining(), 200);
-        let a: Vec<TraceFlow> = src.clone().collect();
-        let b: Vec<TraceFlow> = src.collect();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 200);
-    }
 
     #[test]
     fn hadoop_is_deterministic_and_sorted() {

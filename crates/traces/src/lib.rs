@@ -16,9 +16,10 @@
 //! * **Video** — 64 × 48 Mb/s UDP senders, no destination reuse;
 //! * **Incast** — 64 UDP senders to one VM for the §5.2 migration study.
 //!
-//! Every generator is deterministic in its seed and emits flows at a Poisson
-//! arrival rate matched to the requested network load ("network load of 30%
-//! with 100 Gbps links").
+//! Each dataset is one plain function in [`datasets`] that returns the whole
+//! trace as a `Vec<TraceFlow>` in start order. Every generator is
+//! deterministic in its seed and emits flows at a Poisson arrival rate matched
+//! to the requested network load ("network load of 30% with 100 Gbps links").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -324,11 +324,6 @@ pub trait Strategy {
     fn misdelivery_policy(&self) -> MisdeliveryPolicy {
         MisdeliveryPolicy::ToGateway
     }
-
-    /// False for schemes where gateways take no part (Direct, Bluebird).
-    fn uses_gateways(&self) -> bool {
-        true
-    }
 }
 
 /// The default host behavior of every gateway-driven scheme: always send

@@ -8,8 +8,7 @@
 //! (and its non-panicking sibling [`MappingDb::try_apply`]): the simulator,
 //! the churn engine, and the servable `v2p-controlplane` library mutate
 //! state by submitting a [`MappingOp`] and observing the returned
-//! [`MappingDelta`]. The historical `insert`/`migrate`/`migrate_at` methods
-//! remain as thin deprecated wrappers for one release.
+//! [`MappingDelta`]. There is no other mutator.
 
 use sv2p_packet::{Pip, Vip};
 use sv2p_simcore::FxHashMap;
