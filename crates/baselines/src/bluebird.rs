@@ -5,7 +5,8 @@
 //! cache (route cache); otherwise, the control plane (SFE) forwards packets
 //! and updates the cache. We set the data to control plane bandwidth to
 //! 20 Gbps, the forwarding latency of packets by the control plane to
-//! 8.5 µsec, and the cache insertion latency to 2 msec" (§5).
+//! 8.5 µsec, and the cache insertion latency to 2 msec" (§5) — the three
+//! constants below.
 //!
 //! Hosts send unresolved packets that the first-hop ToR must translate
 //! ([`sv2p_vnet::HostResolution::FirstHopTor`]); there are no translation
@@ -13,9 +14,9 @@
 //! limited control link, which drops when its backlog exceeds the buffer —
 //! the effect behind Bluebird's poor showing under bursts (§5.1).
 
-use sv2p_packet::{Packet, PacketKind, Pip, SwitchTag, Vip};
+use sv2p_packet::{Packet, PacketKind, Pip, Vip};
 use sv2p_simcore::{FxHashMap, SimDuration, SimTime};
-use sv2p_topology::{NodeId, SwitchRole};
+use sv2p_topology::SwitchRole;
 use sv2p_vnet::agents::NoopSwitchAgent;
 use sv2p_vnet::{
     AgentOutput, CacheOp, HostAgent, HostResolution, MappingDb, MisdeliveryPolicy,
@@ -23,16 +24,17 @@ use sv2p_vnet::{
 };
 use switchv2p::cache::{push_insert_ops, Admission, DirectMappedCache};
 
-/// Bluebird model parameters (paper defaults).
+/// Data-plane to control-plane link rate: 20 Gbps (§5).
+const CONTROL_BANDWIDTH_BPS: u64 = 20_000_000_000;
+/// Control-plane forwarding latency per packet: 8.5 µs (§5).
+const CONTROL_LATENCY: SimDuration = SimDuration::from_nanos(8_500);
+/// Delay until a control-plane-resolved mapping appears in the route cache:
+/// 2 ms (§5).
+const INSERTION_LATENCY: SimDuration = SimDuration::from_millis(2);
+
+/// Bluebird model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BluebirdConfig {
-    /// Data-plane to control-plane link rate.
-    pub control_bandwidth_bps: u64,
-    /// Control-plane forwarding latency per packet.
-    pub control_latency: SimDuration,
-    /// Delay until a control-plane-resolved mapping appears in the route
-    /// cache.
-    pub insertion_latency: SimDuration,
     /// Control-link backlog limit; packets beyond it are dropped.
     pub control_buffer_bytes: u64,
 }
@@ -40,9 +42,6 @@ pub struct BluebirdConfig {
 impl Default for BluebirdConfig {
     fn default() -> Self {
         BluebirdConfig {
-            control_bandwidth_bps: 20_000_000_000,
-            control_latency: SimDuration::from_nanos(8_500),
-            insertion_latency: SimDuration::from_millis(2),
             control_buffer_bytes: 1024 * 1024,
         }
     }
@@ -65,8 +64,6 @@ struct BluebirdTorAgent {
     pending: FxHashMap<Vip, (Pip, SimTime)>,
     /// When the control link frees up.
     control_busy_until: SimTime,
-    /// Control-plane packet drops.
-    drops: u64,
 }
 
 impl BluebirdTorAgent {
@@ -110,18 +107,17 @@ impl SwitchAgent for BluebirdTorAgent {
 
         // Miss: the SFE takes over. Model the 20 Gbps control link as a
         // single-server queue with a finite backlog.
-        let ser = SimDuration::serialization(pkt.wire_size(), self.cfg.control_bandwidth_bps);
+        let ser = SimDuration::serialization(pkt.wire_size(), CONTROL_BANDWIDTH_BPS);
         let backlog = self.control_busy_until.saturating_since(ctx.now);
-        let backlog_bytes = (backlog.as_secs_f64() * self.cfg.control_bandwidth_bps as f64
+        let backlog_bytes = (backlog.as_secs_f64() * CONTROL_BANDWIDTH_BPS as f64
             / 8.0) as u64;
         if backlog_bytes > self.cfg.control_buffer_bytes {
-            self.drops += 1;
             out.action = PacketAction::Drop;
             return out;
         }
         let start = self.control_busy_until.max(ctx.now);
         self.control_busy_until = start + ser;
-        let detour = self.control_busy_until.saturating_since(ctx.now) + self.cfg.control_latency;
+        let detour = self.control_busy_until.saturating_since(ctx.now) + CONTROL_LATENCY;
 
         // The SFE holds the full mapping table (installed by the SDN
         // controller); translate and arrange the cache insertion.
@@ -131,7 +127,7 @@ impl SwitchAgent for BluebirdTorAgent {
                 pkt.outer.resolved = true;
                 self.pending
                     .entry(pkt.inner.dst_vip)
-                    .or_insert((pip, ctx.now + self.cfg.insertion_latency));
+                    .or_insert((pip, ctx.now + INSERTION_LATENCY));
                 out.action = PacketAction::Delay(detour);
             }
             None => out.action = PacketAction::Drop,
@@ -159,13 +155,7 @@ impl SwitchAgent for BluebirdTorAgent {
 struct BluebirdHostAgent;
 
 impl HostAgent for BluebirdHostAgent {
-    fn resolve(
-        &mut self,
-        _now: SimTime,
-        _db: &MappingDb,
-        _dst_vip: Vip,
-        _flow_key: u64,
-    ) -> HostResolution {
+    fn resolve(&mut self, _db: &MappingDb, _dst_vip: Vip) -> HostResolution {
         HostResolution::FirstHopTor
     }
 }
@@ -179,27 +169,20 @@ impl Strategy for Bluebird {
         matches!(role, SwitchRole::Tor | SwitchRole::GatewayTor)
     }
 
-    fn make_switch_agent(
-        &self,
-        _node: NodeId,
-        role: SwitchRole,
-        _tag: SwitchTag,
-        lines: usize,
-    ) -> Box<dyn SwitchAgent> {
+    fn make_switch_agent(&self, role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
         if matches!(role, SwitchRole::Tor | SwitchRole::GatewayTor) {
             Box::new(BluebirdTorAgent {
                 cfg: self.config,
                 cache: DirectMappedCache::new(lines),
                 pending: FxHashMap::default(),
                 control_busy_until: SimTime::ZERO,
-                drops: 0,
             })
         } else {
             Box::new(NoopSwitchAgent)
         }
     }
 
-    fn make_host_agent(&self, _node: NodeId, _pip: Pip) -> Box<dyn HostAgent> {
+    fn make_host_agent(&self) -> Box<dyn HostAgent> {
         Box::new(BluebirdHostAgent)
     }
 
@@ -212,14 +195,15 @@ impl Strategy for Bluebird {
 mod tests {
     use super::*;
     use sv2p_packet::packet::Protocol;
-    use sv2p_packet::{FlowId, InnerHeader, OuterHeader, PacketId, TcpFlags, TunnelOptions};
+    use sv2p_packet::{
+        FlowId, InnerHeader, OuterHeader, PacketId, SwitchTag, TcpFlags, TunnelOptions,
+    };
     use sv2p_simcore::SimRng;
     use sv2p_vnet::MappingOp;
 
     fn mk_ctx<'a>(db: &'a MappingDb, rng: &'a mut SimRng, now: SimTime) -> SwitchCtx<'a> {
         SwitchCtx {
             now,
-            node: NodeId(0),
             tag: SwitchTag(0),
             switch_pip: Pip(9000),
             role: SwitchRole::Tor,
@@ -228,7 +212,6 @@ mod tests {
             dst_attached: false,
             db,
             rng,
-            base_rtt: SimDuration::from_micros(12),
             pod_of: &|_| None,
             pip_of_tag: &|_| Pip(0),
             trace_cache_ops: false,
@@ -267,12 +250,7 @@ mod tests {
     fn agent_and_db() -> (Box<dyn SwitchAgent>, MappingDb) {
         let mut db = MappingDb::new();
         db.apply(MappingOp::Install { vip: Vip(5), pip: Pip(55) });
-        let agent = Bluebird::default().make_switch_agent(
-            NodeId(0),
-            SwitchRole::Tor,
-            SwitchTag(0),
-            64,
-        );
+        let agent = Bluebird::default().make_switch_agent(SwitchRole::Tor, 64);
         (agent, db)
     }
 
@@ -312,16 +290,8 @@ mod tests {
 
     #[test]
     fn control_link_backlog_drops() {
-        let cfg = BluebirdConfig {
-            control_buffer_bytes: 3000,
-            ..BluebirdConfig::default()
-        };
-        let mut agent = Bluebird { config: cfg }.make_switch_agent(
-            NodeId(0),
-            SwitchRole::Tor,
-            SwitchTag(0),
-            64,
-        );
+        let cfg = BluebirdConfig { control_buffer_bytes: 3000 };
+        let mut agent = Bluebird { config: cfg }.make_switch_agent(SwitchRole::Tor, 64);
         let mut db = MappingDb::new();
         for v in 0..100 {
             db.apply(MappingOp::Install { vip: Vip(v), pip: Pip(1000 + v) });
@@ -353,7 +323,7 @@ mod tests {
     fn hosts_defer_to_tor_and_no_gateways() {
         let mut h = BluebirdHostAgent;
         assert_eq!(
-            h.resolve(SimTime::ZERO, &MappingDb::new(), Vip(1), 0),
+            h.resolve(&MappingDb::new(), Vip(1)),
             HostResolution::FirstHopTor
         );
     }

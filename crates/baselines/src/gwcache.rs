@@ -4,8 +4,8 @@
 //! not used for caching... unlike the controller-managed cache in Sailfish,
 //! GwCache learns the mappings dynamically in the data plane" (§5).
 
-use sv2p_packet::{Packet, PacketKind, Pip, SwitchTag, Vip};
-use sv2p_topology::{NodeId, SwitchRole};
+use sv2p_packet::{Packet, PacketKind, Pip, Vip};
+use sv2p_topology::SwitchRole;
 use sv2p_vnet::agents::NoopSwitchAgent;
 use sv2p_vnet::{AgentOutput, CacheOp, MisdeliveryPolicy, Strategy, SwitchAgent, SwitchCtx};
 use switchv2p::cache::{push_insert_ops, Admission, DirectMappedCache};
@@ -65,13 +65,7 @@ impl Strategy for GwCache {
         role == SwitchRole::GatewayTor
     }
 
-    fn make_switch_agent(
-        &self,
-        _node: NodeId,
-        role: SwitchRole,
-        _tag: SwitchTag,
-        lines: usize,
-    ) -> Box<dyn SwitchAgent> {
+    fn make_switch_agent(&self, role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
         if role == SwitchRole::GatewayTor {
             Box::new(GwCacheAgent {
                 cache: DirectMappedCache::new(lines),
@@ -107,7 +101,7 @@ mod tests {
     #[test]
     fn non_gateway_agents_are_noops() {
         let s = GwCache;
-        let agent = s.make_switch_agent(NodeId(0), SwitchRole::Spine, SwitchTag(0), 100);
+        let agent = s.make_switch_agent(SwitchRole::Spine, 100);
         assert_eq!(agent.occupancy(), 0);
         assert!(agent.entries().is_empty());
     }

@@ -1,9 +1,9 @@
 //! Host-driven baselines: Direct (preprogrammed) and OnDemand (first lookup
 //! via the gateway, then immediate host-rule offload).
 
-use sv2p_packet::{Pip, SwitchTag, Vip};
-use sv2p_simcore::{FxHashMap, SimTime};
-use sv2p_topology::{NodeId, SwitchRole};
+use sv2p_packet::{Pip, Vip};
+use sv2p_simcore::FxHashMap;
+use sv2p_topology::SwitchRole;
 use sv2p_vnet::agents::NoopSwitchAgent;
 use sv2p_vnet::{
     HostAgent, HostResolution, MappingDb, MisdeliveryPolicy, Strategy, SwitchAgent,
@@ -19,13 +19,7 @@ pub struct Direct;
 struct DirectHostAgent;
 
 impl HostAgent for DirectHostAgent {
-    fn resolve(
-        &mut self,
-        _now: SimTime,
-        db: &MappingDb,
-        dst_vip: Vip,
-        _flow_key: u64,
-    ) -> HostResolution {
+    fn resolve(&mut self, db: &MappingDb, dst_vip: Vip) -> HostResolution {
         match db.lookup(dst_vip) {
             Some(pip) => HostResolution::Direct(pip),
             // An unplaced VIP: fall back to the gateway, which will drop it.
@@ -43,17 +37,11 @@ impl Strategy for Direct {
         false
     }
 
-    fn make_switch_agent(
-        &self,
-        _node: NodeId,
-        _role: SwitchRole,
-        _tag: SwitchTag,
-        _lines: usize,
-    ) -> Box<dyn SwitchAgent> {
+    fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
         Box::new(NoopSwitchAgent)
     }
 
-    fn make_host_agent(&self, _node: NodeId, _pip: Pip) -> Box<dyn HostAgent> {
+    fn make_host_agent(&self) -> Box<dyn HostAgent> {
         Box::new(DirectHostAgent)
     }
 
@@ -80,13 +68,7 @@ struct OnDemandHostAgent {
 }
 
 impl HostAgent for OnDemandHostAgent {
-    fn resolve(
-        &mut self,
-        _now: SimTime,
-        db: &MappingDb,
-        dst_vip: Vip,
-        _flow_key: u64,
-    ) -> HostResolution {
+    fn resolve(&mut self, db: &MappingDb, dst_vip: Vip) -> HostResolution {
         if let Some(&pip) = self.cache.get(&dst_vip) {
             return HostResolution::Direct(pip);
         }
@@ -112,17 +94,11 @@ impl Strategy for OnDemand {
         false
     }
 
-    fn make_switch_agent(
-        &self,
-        _node: NodeId,
-        _role: SwitchRole,
-        _tag: SwitchTag,
-        _lines: usize,
-    ) -> Box<dyn SwitchAgent> {
+    fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
         Box::new(NoopSwitchAgent)
     }
 
-    fn make_host_agent(&self, _node: NodeId, _pip: Pip) -> Box<dyn HostAgent> {
+    fn make_host_agent(&self) -> Box<dyn HostAgent> {
         Box::new(OnDemandHostAgent::default())
     }
 
@@ -148,12 +124,12 @@ mod tests {
         let mut agent = DirectHostAgent;
         for _ in 0..3 {
             assert_eq!(
-                agent.resolve(SimTime::ZERO, &db, Vip(1), 0),
+                agent.resolve(&db, Vip(1)),
                 HostResolution::Direct(Pip(10))
             );
         }
         assert_eq!(
-            agent.resolve(SimTime::ZERO, &db, Vip(99), 0),
+            agent.resolve(&db, Vip(99)),
             HostResolution::Gateway
         );
     }
@@ -163,19 +139,19 @@ mod tests {
         let mut db = db();
         let mut agent = OnDemandHostAgent::default();
         assert_eq!(
-            agent.resolve(SimTime::ZERO, &db, Vip(1), 0),
+            agent.resolve(&db, Vip(1)),
             HostResolution::Gateway,
             "first packet detours"
         );
         assert_eq!(
-            agent.resolve(SimTime::ZERO, &db, Vip(1), 0),
+            agent.resolve(&db, Vip(1)),
             HostResolution::Direct(Pip(10)),
             "subsequent packets go direct"
         );
         // The rule is NOT refreshed on migration: stays stale.
         db.apply(MappingOp::Migrate { vip: Vip(1), to_pip: Pip(20), at_ns: None });
         assert_eq!(
-            agent.resolve(SimTime::ZERO, &db, Vip(1), 0),
+            agent.resolve(&db, Vip(1)),
             HostResolution::Direct(Pip(10)),
             "stale rule after migration"
         );

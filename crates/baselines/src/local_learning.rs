@@ -2,8 +2,8 @@
 //! admits everything, with purely local greedy decisions. No learning
 //! packets, no spillover, no promotion, no role awareness.
 
-use sv2p_packet::{Packet, PacketKind, Pip, SwitchTag, Vip};
-use sv2p_topology::{NodeId, SwitchRole};
+use sv2p_packet::{Packet, PacketKind, Pip, Vip};
+use sv2p_topology::SwitchRole;
 use sv2p_vnet::{AgentOutput, CacheOp, MisdeliveryPolicy, Strategy, SwitchAgent, SwitchCtx};
 use switchv2p::cache::{push_insert_ops, Admission, DirectMappedCache};
 
@@ -63,13 +63,7 @@ impl Strategy for LocalLearning {
         true
     }
 
-    fn make_switch_agent(
-        &self,
-        _node: NodeId,
-        _role: SwitchRole,
-        _tag: SwitchTag,
-        lines: usize,
-    ) -> Box<dyn SwitchAgent> {
+    fn make_switch_agent(&self, _role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
         Box::new(LocalLearningAgent {
             cache: DirectMappedCache::new(lines),
         })
@@ -85,15 +79,14 @@ mod tests {
     use super::*;
     use sv2p_packet::packet::Protocol;
     use sv2p_packet::{
-        FlowId, InnerHeader, OuterHeader, PacketId, TcpFlags, TunnelOptions,
+        FlowId, InnerHeader, OuterHeader, PacketId, SwitchTag, TcpFlags, TunnelOptions,
     };
-    use sv2p_simcore::{SimDuration, SimRng, SimTime};
+    use sv2p_simcore::{SimRng, SimTime};
     use sv2p_vnet::MappingDb;
 
     fn ctx<'a>(db: &'a MappingDb, rng: &'a mut SimRng) -> SwitchCtx<'a> {
         SwitchCtx {
             now: SimTime::ZERO,
-            node: NodeId(0),
             tag: SwitchTag(0),
             switch_pip: Pip(9999),
             role: SwitchRole::Spine,
@@ -102,7 +95,6 @@ mod tests {
             dst_attached: false,
             db,
             rng,
-            base_rtt: SimDuration::from_micros(12),
             pod_of: &|_| None,
             pip_of_tag: &|_| Pip(0),
             trace_cache_ops: false,
@@ -143,7 +135,7 @@ mod tests {
         let db = MappingDb::new();
         let mut rng = SimRng::new(1);
         let s = LocalLearning;
-        let mut agent = s.make_switch_agent(NodeId(0), SwitchRole::Spine, SwitchTag(0), 8);
+        let mut agent = s.make_switch_agent(SwitchRole::Spine, 8);
         // Resolved packet teaches the mapping.
         let mut p1 = pkt(5, 50, true);
         let out = agent.on_packet(&mut ctx(&db, &mut rng), &mut p1);
@@ -161,7 +153,7 @@ mod tests {
         let db = MappingDb::new();
         let mut rng = SimRng::new(1);
         let s = LocalLearning;
-        let mut agent = s.make_switch_agent(NodeId(0), SwitchRole::Tor, SwitchTag(0), 8);
+        let mut agent = s.make_switch_agent(SwitchRole::Tor, 8);
         let mut p = pkt(5, 999, false);
         agent.on_packet(&mut ctx(&db, &mut rng), &mut p);
         assert_eq!(agent.occupancy(), 0);

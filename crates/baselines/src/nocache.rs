@@ -1,8 +1,7 @@
 //! NoCache — the pure gateway design (Andromeda's Hoverboard model without
 //! host offloading): every packet detours through a translation gateway.
 
-use sv2p_packet::SwitchTag;
-use sv2p_topology::{NodeId, SwitchRole};
+use sv2p_topology::SwitchRole;
 use sv2p_vnet::agents::NoopSwitchAgent;
 use sv2p_vnet::{MisdeliveryPolicy, Strategy, SwitchAgent};
 
@@ -19,13 +18,7 @@ impl Strategy for NoCache {
         false
     }
 
-    fn make_switch_agent(
-        &self,
-        _node: NodeId,
-        _role: SwitchRole,
-        _tag: SwitchTag,
-        _lines: usize,
-    ) -> Box<dyn SwitchAgent> {
+    fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
         Box::new(NoopSwitchAgent)
     }
 

@@ -431,7 +431,6 @@ pub fn run_controller_spec(spec: &ExperimentSpec, period: SimDuration) -> RunSum
     let switch_nodes: Vec<_> = sim.topology().switches().map(|n| n.id).collect();
     let driver = ControllerDriver {
         capacity_per_switch: (spec.cache_entries / switch_nodes.len()).max(1),
-        gateway_cost_hops: 20.0,
     };
     let start = std::time::Instant::now();
     let mut t = SimTime::ZERO;

@@ -7,7 +7,7 @@
 //! * [`harness`] — experiment specs, trace → simulator conversion, strategy
 //!   registry, parallel sweeps, improvement-factor normalization;
 //! * [`scale`] — "quick" (single-core-friendly) and "full" (paper-scale)
-//!   parameter sets; every binary takes `--full` and per-knob overrides;
+//!   parameter sets; every binary takes `--full`, which picks between them;
 //! * [`cli`] — shared argument parsing (`--full`, `--seed`, `--telemetry`),
 //!   the run-manifest sink, and per-run trace writing.
 

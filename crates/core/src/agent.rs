@@ -32,17 +32,23 @@ use sv2p_packet::{
     InnerHeader, MappingOption, MisdeliveryTag, OuterHeader, Packet, PacketId, PacketKind, Pip,
     SwitchTag, TcpFlags, TunnelOptions, Vip,
 };
-use sv2p_simcore::{FxHashMap, SimTime};
-use sv2p_topology::SwitchRole;
+use sv2p_simcore::{FxHashMap, SimDuration, SimTime};
+use sv2p_topology::{Layer, SwitchRole};
 use sv2p_vnet::{AgentOutput, CacheOp, SwitchAgent, SwitchCtx};
 
 use crate::cache::{push_insert_ops, Admission, DirectMappedCache, InsertOutcome};
 use crate::config::{InvalidationMode, SwitchV2PConfig};
 
-/// SwitchV2P behavior for one switch.
+/// The network's base RTT, 12 µs (paper §5): a ToR's timestamp vector sends
+/// at most one invalidation packet per target switch within it (§3.3).
+pub const BASE_RTT: SimDuration = SimDuration::from_micros(12);
+
+/// SwitchV2P behavior for one switch. It keeps no copy of the switch's role:
+/// every role-dependent step reads `SwitchCtx::role`, so a control-plane
+/// reassignment (§4 "Gateway migration") takes effect on the next packet
+/// while the cache stays.
 #[derive(Debug)]
 pub struct SwitchV2PAgent {
-    role: SwitchRole,
     cfg: SwitchV2PConfig,
     /// The in-switch mapping cache.
     pub cache: DirectMappedCache,
@@ -56,11 +62,17 @@ pub struct SwitchV2PAgent {
     pub invalidations_suppressed: u64,
 }
 
+fn admission(role: SwitchRole) -> Admission {
+    match role {
+        SwitchRole::Tor | SwitchRole::GatewayTor => Admission::All,
+        SwitchRole::Spine | SwitchRole::GatewaySpine | SwitchRole::Core => Admission::AbitClear,
+    }
+}
+
 impl SwitchV2PAgent {
-    /// An agent for a switch of `role` with `lines` cache lines.
-    pub fn new(role: SwitchRole, lines: usize, cfg: SwitchV2PConfig) -> Self {
+    /// An agent for a switch with `lines` cache lines.
+    pub fn new(lines: usize, cfg: SwitchV2PConfig) -> Self {
         SwitchV2PAgent {
-            role,
             cfg,
             cache: DirectMappedCache::new(lines),
             ts_vector: FxHashMap::default(),
@@ -68,19 +80,6 @@ impl SwitchV2PAgent {
             invalidations_sent: 0,
             invalidations_suppressed: 0,
         }
-    }
-
-    fn admission(&self) -> Admission {
-        match self.role {
-            SwitchRole::Tor | SwitchRole::GatewayTor => Admission::All,
-            SwitchRole::Spine | SwitchRole::GatewaySpine | SwitchRole::Core => {
-                Admission::AbitClear
-            }
-        }
-    }
-
-    fn is_tor(&self) -> bool {
-        matches!(self.role, SwitchRole::Tor | SwitchRole::GatewayTor)
     }
 
     /// Inserts and, on a live eviction, attaches the evictee as spillover if
@@ -128,7 +127,7 @@ impl SwitchV2PAgent {
         let dst_vip = pkt.inner.dst_vip;
 
         // 1. Misdelivery tagging at ToRs (§3.3).
-        if self.is_tor() && !pkt.outer.resolved {
+        if ctx.role.layer() == Layer::Tor && !pkt.outer.resolved {
             if let Some(host_pip) = ctx.ingress_host {
                 if host_pip != pkt.outer.src_pip && pkt.opts.misdelivery.is_none() {
                     let tag = MisdeliveryTag {
@@ -147,7 +146,7 @@ impl SwitchV2PAgent {
                                     let last = self.ts_vector.get(&culprit).copied();
                                     match last {
                                         Some(t)
-                                            if ctx.now.saturating_since(t) < ctx.base_rtt =>
+                                            if ctx.now.saturating_since(t) < BASE_RTT =>
                                         {
                                             false
                                         }
@@ -193,7 +192,7 @@ impl SwitchV2PAgent {
                     // Promotion (§3.2.2): only plain spines, only for
                     // already-hot entries, only when the packet leaves the
                     // pod.
-                    if self.role == SwitchRole::Spine
+                    if ctx.role == SwitchRole::Spine
                         && self.cfg.promotion
                         && was_hot
                         && pkt.opts.promotion.is_none()
@@ -212,7 +211,7 @@ impl SwitchV2PAgent {
         }
 
         // 4. Promotion pickup at cores.
-        if self.role == SwitchRole::Core {
+        if ctx.role == SwitchRole::Core {
             if let Some(m) = pkt.opts.promotion {
                 let outcome = self.cache.insert(m.vip, m.pip, Admission::AbitClear);
                 match outcome {
@@ -238,7 +237,7 @@ impl SwitchV2PAgent {
         // 5. Spillover pickup (entries evicted by an upstream switch).
         if self.cfg.spillover {
             if let Some(m) = pkt.opts.spillover {
-                let outcome = self.cache.insert(m.vip, m.pip, self.admission());
+                let outcome = self.cache.insert(m.vip, m.pip, admission(ctx.role));
                 match outcome {
                     InsertOutcome::Inserted | InsertOutcome::Evicted { .. } => {
                         // Note: accepting a spill may itself evict; that
@@ -263,7 +262,7 @@ impl SwitchV2PAgent {
         }
 
         // 6. Role-based learning (Table 1).
-        match self.role {
+        match ctx.role {
             SwitchRole::GatewayTor => {
                 if pkt.outer.resolved {
                     let pip = pkt.outer.dst_pip;
@@ -315,7 +314,7 @@ impl SwitchAgent for SwitchV2PAgent {
         match pkt.kind {
             PacketKind::Data => self.handle_data(ctx, pkt),
             PacketKind::Learning(m) => {
-                if self.is_tor() && ctx.dst_attached {
+                if ctx.role.layer() == Layer::Tor && ctx.dst_attached {
                     let outcome = self.cache.insert(m.vip, m.pip, Admission::All);
                     let mut out = AgentOutput::consume();
                     if ctx.trace_cache_ops {
@@ -396,9 +395,8 @@ fn protocol_packet(kind: PacketKind, from: Pip, to: Pip, about: Vip) -> Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sv2p_simcore::{SimDuration, SimRng};
+    use sv2p_simcore::SimRng;
     use sv2p_vnet::PacketAction;
-    use sv2p_topology::NodeId;
     use sv2p_vnet::MappingDb;
 
     /// Test fixture: a context whose pod lookup says "VIPs below 100 are in
@@ -436,7 +434,6 @@ mod tests {
         ) -> SwitchCtx<'a> {
             SwitchCtx {
                 now: self.now,
-                node: NodeId(1),
                 tag: SwitchTag(9),
                 switch_pip: Pip(5009),
                 role,
@@ -445,7 +442,6 @@ mod tests {
                 dst_attached,
                 db: &self.db,
                 rng: &mut self.rng,
-                base_rtt: SimDuration::from_micros(12),
                 pod_of: &pod_of,
                 pip_of_tag: &pip_of_tag,
                 trace_cache_ops: self.trace,
@@ -485,7 +481,7 @@ mod tests {
     #[test]
     fn tor_source_learns() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         let mut pkt = data_packet(1, 2, 11, 999, false);
         let mut ctx = fx.ctx(SwitchRole::Tor, Some(Pip(11)), false);
         let out = agent.on_packet(&mut ctx, &mut pkt);
@@ -498,8 +494,7 @@ mod tests {
     #[test]
     fn gateway_tor_destination_learns_resolved_only() {
         let mut fx = Fixture::new();
-        let mut agent =
-            SwitchV2PAgent::new(SwitchRole::GatewayTor, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         // Unresolved (toward gateway): no learning.
         let mut up = data_packet(1, 2, 11, 999, false);
         agent.on_packet(&mut fx.ctx(SwitchRole::GatewayTor, None, false), &mut up);
@@ -512,9 +507,25 @@ mod tests {
     }
 
     #[test]
+    fn a_reassigned_role_takes_effect_on_the_next_packet() {
+        // §4 "Gateway migration": the former gateway ToR keeps its agent and
+        // cache and is a standard ToR from the next packet on.
+        let mut fx = Fixture::new();
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
+        let mut down = data_packet(1, 2, 11, 22, true);
+        agent.on_packet(&mut fx.ctx(SwitchRole::GatewayTor, None, false), &mut down);
+        assert_eq!(agent.cache.peek(Vip(2)), Some(Pip(22)), "gateway ToR dest-learns");
+        let mut up = data_packet(3, 4, 33, 44, true);
+        agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(33)), false), &mut up);
+        assert_eq!(agent.cache.peek(Vip(3)), Some(Pip(33)), "a ToR source-learns");
+        assert_eq!(agent.cache.peek(Vip(4)), None, "and no longer dest-learns");
+        assert_eq!(agent.cache.peek(Vip(2)), Some(Pip(22)), "the cache did not migrate");
+    }
+
+    #[test]
     fn cache_hit_translates_and_tags_switch() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         agent.cache.insert(Vip(2), Pip(22), Admission::All);
         let mut pkt = data_packet(1, 2, 11, 999, false);
         let out = agent.on_packet(&mut fx.ctx(SwitchRole::Tor, None, false), &mut pkt);
@@ -527,7 +538,7 @@ mod tests {
     #[test]
     fn spine_promotes_hot_entries_leaving_the_pod() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Spine, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         // Dst pip 200 => pod 1 (fixture), our pod is 0: leaves the pod.
         agent.cache.insert(Vip(2), Pip(200), Admission::All);
         let mut first = data_packet(1, 2, 11, 999, false);
@@ -551,7 +562,7 @@ mod tests {
     fn spine_does_not_promote_intra_pod_or_when_gateway_spine() {
         let mut fx = Fixture::new();
         // Intra-pod destination (pip 50 => pod 0 == our pod).
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Spine, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         agent.cache.insert(Vip(2), Pip(50), Admission::All);
         let mut p = data_packet(1, 2, 11, 999, false);
         agent.on_packet(&mut fx.ctx(SwitchRole::Spine, None, false), &mut p);
@@ -560,8 +571,7 @@ mod tests {
         assert_eq!(p2.opts.promotion, None, "intra-pod hit must not promote");
 
         // Gateway spines never promote.
-        let mut gw =
-            SwitchV2PAgent::new(SwitchRole::GatewaySpine, 16, SwitchV2PConfig::default());
+        let mut gw = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         gw.cache.insert(Vip(2), Pip(200), Admission::All);
         let mut q1 = data_packet(1, 2, 11, 999, false);
         gw.on_packet(&mut fx.ctx(SwitchRole::GatewaySpine, None, false), &mut q1);
@@ -573,7 +583,7 @@ mod tests {
     #[test]
     fn core_learns_only_from_promotions() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Core, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         // Plain resolved traffic: no learning.
         let mut plain = data_packet(1, 2, 11, 22, true);
         agent.on_packet(&mut fx.ctx(SwitchRole::Core, None, false), &mut plain);
@@ -593,7 +603,7 @@ mod tests {
     #[test]
     fn spillover_rides_until_inserted() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Spine, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         let mut pkt = data_packet(1, 2, 11, 22, true);
         pkt.opts.spillover = Some(MappingOption {
             vip: Vip(7),
@@ -608,7 +618,7 @@ mod tests {
     #[test]
     fn eviction_attaches_spillover() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Tor, 1, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(1, SwitchV2PConfig::default());
         // Fill the single line via source learning.
         let mut p1 = data_packet(1, 2, 11, 999, false);
         agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(11)), false), &mut p1);
@@ -633,7 +643,7 @@ mod tests {
             p_learn: 0.5,
             ..SwitchV2PConfig::default()
         };
-        let mut agent = SwitchV2PAgent::new(SwitchRole::GatewayTor, 64, cfg);
+        let mut agent = SwitchV2PAgent::new(64, cfg);
         let mut emitted = 0;
         let n = 2000;
         for i in 0..n {
@@ -665,7 +675,7 @@ mod tests {
     #[test]
     fn tor_consumes_learning_packets_for_attached_hosts() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         let m = MappingOption {
             vip: Vip(4),
             pip: Pip(40),
@@ -680,7 +690,7 @@ mod tests {
         assert_eq!(out.action, PacketAction::Consume);
         assert_eq!(agent.cache.peek(Vip(4)), Some(Pip(40)));
         // Spines never consume learning packets.
-        let mut spine = SwitchV2PAgent::new(SwitchRole::Spine, 16, SwitchV2PConfig::default());
+        let mut spine = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         let out = spine.on_packet(&mut fx.ctx(SwitchRole::Spine, None, true), &mut lp);
         assert_eq!(out.action, PacketAction::Forward);
     }
@@ -688,7 +698,7 @@ mod tests {
     #[test]
     fn misdelivery_tagging_and_invalidation_emission() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         // The ToR holds the stale mapping too.
         agent.cache.insert(Vip(2), Pip(55), Admission::All);
         // Packet forwarded up by attached host 55, original sender 11:
@@ -715,7 +725,7 @@ mod tests {
     #[test]
     fn timestamp_vector_suppresses_repeat_invalidations() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         let mk = |fx: &mut Fixture, agent: &mut SwitchV2PAgent| {
             let mut pkt = data_packet(1, 2, 11, 999, false);
             pkt.opts.hit_switch = Some(SwitchTag(3));
@@ -735,11 +745,7 @@ mod tests {
     #[test]
     fn no_timestamp_vector_fires_every_time() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(
-            SwitchRole::Tor,
-            16,
-            SwitchV2PConfig::without_timestamp_vector(),
-        );
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::without_timestamp_vector());
         for _ in 0..5 {
             let mut pkt = data_packet(1, 2, 11, 999, false);
             pkt.opts.hit_switch = Some(SwitchTag(3));
@@ -753,8 +759,7 @@ mod tests {
     #[test]
     fn invalidation_mode_none_sends_nothing_but_still_tags() {
         let mut fx = Fixture::new();
-        let mut agent =
-            SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::without_invalidations());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::without_invalidations());
         let mut pkt = data_packet(1, 2, 11, 999, false);
         pkt.opts.hit_switch = Some(SwitchTag(3));
         let out = agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(55)), false), &mut pkt);
@@ -778,19 +783,19 @@ mod tests {
             Vip(2),
         );
         // En-route switch with the stale entry: invalidates and forwards.
-        let mut mid = SwitchV2PAgent::new(SwitchRole::Spine, 16, SwitchV2PConfig::default());
+        let mut mid = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         mid.cache.insert(Vip(2), Pip(55), Admission::All);
         let out = mid.on_packet(&mut fx.ctx(SwitchRole::Spine, None, false), &mut inval);
         assert_eq!(out.action, PacketAction::Forward);
         assert_eq!(mid.cache.peek(Vip(2)), None);
         // A newer mapping survives.
-        let mut newer = SwitchV2PAgent::new(SwitchRole::Spine, 16, SwitchV2PConfig::default());
+        let mut newer = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         newer.cache.insert(Vip(2), Pip(77), Admission::All);
         newer.on_packet(&mut fx.ctx(SwitchRole::Spine, None, false), &mut inval);
         assert_eq!(newer.cache.peek(Vip(2)), Some(Pip(77)));
         // The addressed switch consumes (readdress to the fixture's tag 9).
         inval.outer.dst_pip = pip_of_tag(SwitchTag(9));
-        let mut target = SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::default());
+        let mut target = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         target.cache.insert(Vip(2), Pip(55), Admission::All);
         let out = target.on_packet(&mut fx.ctx(SwitchRole::Tor, None, false), &mut inval);
         assert_eq!(out.action, PacketAction::Consume);
@@ -800,7 +805,7 @@ mod tests {
     #[test]
     fn riding_tag_invalidates_matching_entries_but_newer_survive_and_serve() {
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Spine, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         agent.cache.insert(Vip(2), Pip(77), Admission::All); // newer mapping
         let mut pkt = data_packet(1, 2, 11, 999, false);
         pkt.opts.misdelivery = Some(MisdeliveryTag {
@@ -819,7 +824,7 @@ mod tests {
     fn cache_ops_reported_only_when_traced() {
         // Untraced: mutations happen but cache_ops stays empty.
         let mut fx = Fixture::new();
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         let mut pkt = data_packet(1, 2, 11, 999, false);
         let out = agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(11)), false), &mut pkt);
         assert!(out.cache_ops.is_empty());
@@ -828,7 +833,7 @@ mod tests {
         // Traced: the same source-learning insert is reported.
         let mut fx = Fixture::new();
         fx.trace = true;
-        let mut agent = SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::default());
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         let mut pkt = data_packet(1, 2, 11, 999, false);
         let out = agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(11)), false), &mut pkt);
         assert_eq!(
@@ -840,7 +845,7 @@ mod tests {
         );
 
         // Traced eviction on a 1-line cache: evictee then newcomer.
-        let mut one = SwitchV2PAgent::new(SwitchRole::Tor, 1, SwitchV2PConfig::default());
+        let mut one = SwitchV2PAgent::new(1, SwitchV2PConfig::default());
         let mut p1 = data_packet(1, 2, 11, 999, false);
         one.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(11)), false), &mut p1);
         let mut p2 = data_packet(3, 2, 33, 999, false);
@@ -860,7 +865,7 @@ mod tests {
         );
 
         // Traced misdelivery: the stale entry's invalidation is reported.
-        let mut tor = SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::default());
+        let mut tor = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         tor.cache.insert(Vip(2), Pip(55), Admission::All);
         let mut pkt = data_packet(1, 2, 11, 999, false);
         let out = tor.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(55)), false), &mut pkt);
@@ -871,8 +876,7 @@ mod tests {
     fn ablations_disable_their_mechanisms() {
         let mut fx = Fixture::new();
         // No spillover: evictions disappear silently.
-        let mut agent =
-            SwitchV2PAgent::new(SwitchRole::Tor, 1, SwitchV2PConfig::without_spillover());
+        let mut agent = SwitchV2PAgent::new(1, SwitchV2PConfig::without_spillover());
         let mut p1 = data_packet(1, 2, 11, 999, false);
         agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(11)), false), &mut p1);
         let mut p2 = data_packet(3, 2, 33, 999, false);
@@ -880,8 +884,7 @@ mod tests {
         assert_eq!(p2.opts.spillover, None);
 
         // No promotion: hot spine hits attach nothing.
-        let mut spine =
-            SwitchV2PAgent::new(SwitchRole::Spine, 16, SwitchV2PConfig::without_promotion());
+        let mut spine = SwitchV2PAgent::new(16, SwitchV2PConfig::without_promotion());
         spine.cache.insert(Vip(2), Pip(200), Admission::All);
         let mut q1 = data_packet(1, 2, 11, 999, false);
         spine.on_packet(&mut fx.ctx(SwitchRole::Spine, None, false), &mut q1);
@@ -891,7 +894,6 @@ mod tests {
 
         // No learning packets: gateway ToR stays quiet even at p=1.
         let mut gt = SwitchV2PAgent::new(
-            SwitchRole::GatewayTor,
             16,
             SwitchV2PConfig {
                 p_learn: 1.0,

@@ -1,7 +1,6 @@
 //! The [`SwitchV2P`] strategy: plugs the agent into the simulator.
 
-use sv2p_packet::SwitchTag;
-use sv2p_topology::{NodeId, SwitchRole};
+use sv2p_topology::SwitchRole;
 use sv2p_vnet::{MisdeliveryPolicy, Strategy, SwitchAgent};
 
 use crate::agent::SwitchV2PAgent;
@@ -34,14 +33,8 @@ impl Strategy for SwitchV2P {
         }
     }
 
-    fn make_switch_agent(
-        &self,
-        _node: NodeId,
-        role: SwitchRole,
-        _tag: SwitchTag,
-        lines: usize,
-    ) -> Box<dyn SwitchAgent> {
-        Box::new(SwitchV2PAgent::new(role, lines, self.config))
+    fn make_switch_agent(&self, _role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
+        Box::new(SwitchV2PAgent::new(lines, self.config))
     }
 
     fn cache_weight(&self, role: SwitchRole) -> f64 {
@@ -91,7 +84,7 @@ mod tests {
     #[test]
     fn agents_receive_their_capacity() {
         let s = SwitchV2P::default();
-        let agent = s.make_switch_agent(NodeId(0), SwitchRole::Tor, SwitchTag(0), 8);
+        let agent = s.make_switch_agent(SwitchRole::Tor, 8);
         assert_eq!(agent.occupancy(), 0);
     }
 }

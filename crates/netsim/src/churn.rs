@@ -27,7 +27,21 @@ use sv2p_vnet::{Migration, Placement};
 
 use crate::flows::{FlowKind, FlowSpec};
 
-/// Parameters of a continuous-churn scenario.
+/// Fewest VMs a tenant claims on arrival.
+const VMS_MIN: u32 = 2;
+/// Arrival-rate multipliers over equal slices of the horizon (the
+/// time-of-day curve).
+const DIURNAL: [f64; 4] = [0.5, 1.0, 2.0, 1.0];
+/// Gap between consecutive migrations within one wave (rolling, not
+/// simultaneous).
+const WAVE_STAGGER_US: u64 = 5;
+/// TCP flows each claimed VM sources over its tenant's lifetime.
+const FLOWS_PER_VM: u32 = 2;
+/// Size of each of those flows.
+const FLOW_BYTES: u64 = 20_000;
+
+/// What a continuous-churn scenario varies (the paper has no churn
+/// experiment, so the five constants above are this reproduction's own).
 ///
 /// Rates are in virtual microseconds. The defaults describe a moderate
 /// scenario on the small scaled topologies the experiment bins use; the
@@ -43,26 +57,14 @@ pub struct ChurnSpec {
     pub arrival_mean_us: f64,
     /// Mean tenant lifetime (exponential).
     pub lifetime_mean_us: f64,
-    /// Fewest VMs a tenant claims on arrival.
-    pub vms_min: u32,
     /// Most VMs a tenant claims on arrival.
     pub vms_max: u32,
     /// Chance a tenant scales out mid-life, claiming extra VMs.
     pub autoscale_chance: f64,
-    /// Arrival-rate multipliers over equal slices of the horizon (the
-    /// time-of-day curve). Empty means a flat rate.
-    pub diurnal: Vec<f64>,
     /// Rolling migration waves, spread evenly over the horizon.
     pub waves: u32,
     /// Fraction of currently-claimed VMs each wave migrates.
     pub wave_fraction: f64,
-    /// Gap between consecutive migrations within one wave (rolling, not
-    /// simultaneous).
-    pub wave_stagger_us: u64,
-    /// TCP flows each claimed VM sources over its tenant's lifetime.
-    pub flows_per_vm: u32,
-    /// Size of each of those flows.
-    pub flow_bytes: u64,
 }
 
 impl Default for ChurnSpec {
@@ -72,15 +74,10 @@ impl Default for ChurnSpec {
             horizon_us: 20_000,
             arrival_mean_us: 400.0,
             lifetime_mean_us: 6_000.0,
-            vms_min: 2,
             vms_max: 6,
             autoscale_chance: 0.3,
-            diurnal: vec![0.5, 1.0, 2.0, 1.0],
             waves: 3,
             wave_fraction: 0.25,
-            wave_stagger_us: 5,
-            flows_per_vm: 2,
-            flow_bytes: 20_000,
         }
     }
 }
@@ -120,7 +117,6 @@ impl ChurnSpec {
             autoscale_chance: 0.5,
             waves: 5,
             wave_fraction: 0.5,
-            ..Self::default()
         }
     }
 
@@ -131,13 +127,10 @@ impl ChurnSpec {
 
     /// Arrival-rate multiplier in effect at `t_ns`.
     fn diurnal_factor(&self, t_ns: u64) -> f64 {
-        if self.diurnal.is_empty() {
-            return 1.0;
-        }
         let horizon_ns = self.horizon_us.max(1) * 1_000;
-        let bucket = ((t_ns as u128 * self.diurnal.len() as u128 / horizon_ns as u128) as usize)
-            .min(self.diurnal.len() - 1);
-        self.diurnal[bucket].max(1e-6)
+        let bucket = ((t_ns as u128 * DIURNAL.len() as u128 / horizon_ns as u128) as usize)
+            .min(DIURNAL.len() - 1);
+        DIURNAL[bucket]
     }
 }
 
@@ -218,7 +211,7 @@ impl ChurnPlan {
     /// the wave instants, with a free-list of VM indices — so the exact
     /// same spec always yields the exact same plan, byte for byte.
     pub fn generate(spec: &ChurnSpec, placement: &Placement, servers: &[(NodeId, Pip)]) -> Self {
-        assert!(spec.vms_min >= 1 && spec.vms_min <= spec.vms_max);
+        assert!(VMS_MIN <= spec.vms_max);
         assert!(!servers.is_empty(), "no migration targets");
         let root = SimRng::new(spec.seed);
         let horizon_ns = spec.horizon_us * 1_000;
@@ -257,7 +250,7 @@ impl ChurnPlan {
                 K_ARRIVE => {
                     let tid = tenants.len() as u32;
                     let mut rng = root.fork(1_000 + tid as u64);
-                    let want = rng.gen_range(spec.vms_min..=spec.vms_max) as usize;
+                    let want = rng.gen_range(VMS_MIN..=spec.vms_max) as usize;
                     let claimed: Vec<usize> =
                         (0..want).map_while(|_| free.pop()).collect();
                     let life_ns =
@@ -278,8 +271,8 @@ impl ChurnPlan {
                         vms: claimed.len() as u32,
                     });
                     gen_tenant_flows(
-                        spec, placement, &mut rng, &claimed, &claimed, at_ns, depart_ns,
-                        horizon_ns, &mut plan.flows,
+                        placement, &mut rng, &claimed, &claimed, at_ns, depart_ns, horizon_ns,
+                        &mut plan.flows,
                     );
                     tenants.push(Tenant {
                         vms: claimed,
@@ -306,8 +299,8 @@ impl ChurnPlan {
                     tn.vms.extend_from_slice(&extra);
                     let all = tn.vms.clone();
                     gen_tenant_flows(
-                        spec, placement, &mut rng, &extra, &all, at_ns, depart_ns,
-                        horizon_ns, &mut plan.flows,
+                        placement, &mut rng, &extra, &all, at_ns, depart_ns, horizon_ns,
+                        &mut plan.flows,
                     );
                 }
                 K_DEPART => {
@@ -346,9 +339,7 @@ impl ChurnPlan {
                             let idx = servers.iter().position(|s| s.0 == pick.0).unwrap();
                             pick = servers[(idx + 1) % servers.len()];
                         }
-                        let at = SimTime::from_nanos(
-                            at_ns + i as u64 * spec.wave_stagger_us * 1_000,
-                        );
+                        let at = SimTime::from_nanos(at_ns + i as u64 * WAVE_STAGGER_US * 1_000);
                         plan.migrations.push(Migration::new(
                             at,
                             placement.vip_of(vm),
@@ -363,12 +354,11 @@ impl ChurnPlan {
     }
 }
 
-/// Generates `spec.flows_per_vm` TCP flows sourced by each VM in `srcs`,
+/// Generates [`FLOWS_PER_VM`] TCP flows sourced by each VM in `srcs`,
 /// destined to other VMs of the same tenant (`pool`) when it has more than
 /// one VM, spread uniformly over the tenant's lifetime.
 #[allow(clippy::too_many_arguments)]
 fn gen_tenant_flows(
-    spec: &ChurnSpec,
     placement: &Placement,
     rng: &mut SimRng,
     srcs: &[usize],
@@ -380,7 +370,7 @@ fn gen_tenant_flows(
 ) {
     let end_ns = to_ns.min(horizon_ns).max(from_ns + 1);
     for &src in srcs {
-        for _ in 0..spec.flows_per_vm {
+        for _ in 0..FLOWS_PER_VM {
             let dst = if pool.len() > 1 {
                 // Another VM of the same tenant.
                 let mut d = *rng.choose(pool);
@@ -404,9 +394,7 @@ fn gen_tenant_flows(
                 src_vm: src,
                 dst_vm: dst,
                 start: SimTime::from_nanos(start),
-                kind: FlowKind::Tcp {
-                    bytes: spec.flow_bytes,
-                },
+                kind: FlowKind::Tcp { bytes: FLOW_BYTES },
             });
         }
     }

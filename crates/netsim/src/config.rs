@@ -1,27 +1,19 @@
-//! Simulation-wide knobs.
+//! What an experiment varies. The paper's §5 set-up is not here: each of
+//! its values is a constant beside the code that reads it
+//! (`PORT_BUFFER_BYTES`, `MISDELIVERY_PENALTY` and the TCP profile in `sim`,
+//! `sv2p_vnet::GATEWAY_PROCESSING`, `switchv2p::BASE_RTT`).
 
-use sv2p_simcore::{SimDuration, SimTime};
+use sv2p_simcore::SimTime;
 use sv2p_telemetry::TelemetryConfig;
-use sv2p_transport::TcpConfig;
 use sv2p_vnet::GatewayConfig;
 
-/// Parameters shared by every experiment, defaulted to the paper's §5 setup.
+/// Parameters an experiment sets.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// Experiment seed; forked into independent per-component streams.
     pub seed: u64,
-    /// TCP profile. Defaults to the reordering-tolerant profile the paper
-    /// assumes of modern stacks (§4).
-    pub tcp: TcpConfig,
-    /// Gateway translation latency (40 µs).
+    /// Gateway overload model (the ingress-queue cap).
     pub gateway: GatewayConfig,
-    /// Drop-tail buffer per egress port ("we set the switch buffer size to
-    /// 32 MB").
-    pub port_buffer_bytes: u64,
-    /// Old-host processing per misdelivered packet (10 µs, §5.2).
-    pub misdelivery_penalty: SimDuration,
-    /// Base network RTT (12 µs) — the invalidation timestamp-vector window.
-    pub base_rtt: SimDuration,
     /// Record the per-(src,dst) packet matrix (Controller baseline input).
     pub record_traffic_matrix: bool,
     /// Hard stop; events after this instant are not executed.
@@ -41,11 +33,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 1,
-            tcp: TcpConfig::reorder_tolerant(),
             gateway: GatewayConfig::default(),
-            port_buffer_bytes: 32 * 1024 * 1024,
-            misdelivery_penalty: SimDuration::from_micros(10),
-            base_rtt: SimDuration::from_micros(12),
             record_traffic_matrix: false,
             end_of_time: None,
             telemetry: TelemetryConfig::disabled(),
@@ -57,14 +45,17 @@ impl Default for SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{MISDELIVERY_PENALTY, PORT_BUFFER_BYTES};
+    use sv2p_simcore::SimDuration;
+    use sv2p_transport::TcpConfig;
 
     #[test]
     fn defaults_match_paper_setup() {
-        let c = SimConfig::default();
-        assert_eq!(c.gateway.processing(), SimDuration::from_micros(40));
-        assert_eq!(c.port_buffer_bytes, 32 * 1024 * 1024);
-        assert_eq!(c.base_rtt, SimDuration::from_micros(12));
-        assert_eq!(c.misdelivery_penalty, SimDuration::from_micros(10));
-        assert_eq!(c.tcp.dupack_threshold, 300);
+        assert_eq!(sv2p_vnet::GATEWAY_PROCESSING, SimDuration::from_micros(40));
+        assert_eq!(PORT_BUFFER_BYTES, 32 * 1024 * 1024);
+        assert_eq!(switchv2p::BASE_RTT, SimDuration::from_micros(12));
+        assert_eq!(MISDELIVERY_PENALTY, SimDuration::from_micros(10));
+        assert_eq!(TcpConfig::reorder_tolerant().dupack_threshold, 300);
+        assert_eq!(SimConfig::default().gateway.queue_cap, 0);
     }
 }

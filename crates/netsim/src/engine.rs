@@ -121,6 +121,7 @@ impl Engine {
             .collect();
 
         let world = Arc::new(World {
+            link_slot: World::link_slots(&topo, &partition),
             cfg,
             topo,
             routing,
@@ -141,16 +142,11 @@ impl Engine {
             match node.kind {
                 k if k.is_switch() => {
                     let role = roles.role(node.id).expect("switch role");
-                    owner.agents[node.id.0 as usize] = Some(strategy.make_switch_agent(
-                        node.id,
-                        role,
-                        world.tag(node.id),
-                        lines_for(role),
-                    ));
+                    owner.agents[node.id.0 as usize] =
+                        Some(strategy.make_switch_agent(role, lines_for(role)));
                 }
                 NodeKind::Server { .. } => {
-                    owner.host_agents[node.id.0 as usize] =
-                        Some(strategy.make_host_agent(node.id, node.pip));
+                    owner.host_agents[node.id.0 as usize] = Some(strategy.make_host_agent());
                 }
                 _ => {}
             }
@@ -752,13 +748,7 @@ mod tests {
         fn caches_at(&self, _role: SwitchRole) -> bool {
             false
         }
-        fn make_switch_agent(
-            &self,
-            _node: NodeId,
-            _role: SwitchRole,
-            _tag: SwitchTag,
-            _lines: usize,
-        ) -> Box<dyn SwitchAgent> {
+        fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
             Box::new(NoopSwitchAgent)
         }
         fn misdelivery_policy(&self) -> MisdeliveryPolicy {
@@ -973,13 +963,7 @@ mod tests {
                     _ => 1.0,
                 }
             }
-            fn make_switch_agent(
-                &self,
-                _node: NodeId,
-                _role: SwitchRole,
-                _tag: SwitchTag,
-                lines: usize,
-            ) -> Box<dyn SwitchAgent> {
+            fn make_switch_agent(&self, _role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
                 // Record the capacity through a probe agent.
                 struct Capacity(usize);
                 impl SwitchAgent for Capacity {

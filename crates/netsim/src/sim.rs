@@ -19,13 +19,13 @@ use sv2p_packet::packet::Protocol;
 use sv2p_packet::{
     FlowId, InnerHeader, OuterHeader, Packet, PacketKind, Pip, SwitchTag, TcpFlags, TunnelOptions,
 };
-use sv2p_simcore::{FxHashMap, SimRng, SimTime};
+use sv2p_simcore::{FxHashMap, SimDuration, SimRng, SimTime};
 use sv2p_telemetry::{Cause, EventKind, Layer, Op, TraceEvent};
 use sv2p_topology::{LinkId, NodeId, NodeKind, RoleMap, SwitchRole};
-use sv2p_transport::{SenderOps, TcpSender};
+use sv2p_transport::{SenderOps, TcpConfig, TcpSender};
 use sv2p_vnet::{
     AgentOutput, CacheOp, HostAgent, HostResolution, MisdeliveryPolicy, PacketAction, SwitchAgent,
-    SwitchCtx,
+    SwitchCtx, GATEWAY_PROCESSING,
 };
 
 use crate::arena::{PacketArena, PacketRef};
@@ -34,6 +34,14 @@ use crate::faults::FaultEvent;
 use crate::flows::{src_port, FlowKind, FlowXport};
 use crate::link::{EnqueueOutcome, LinkState};
 use crate::world::{Control, World};
+
+/// Drop-tail buffer per egress port: "we set the switch buffer size to
+/// 32 MB" (§5).
+pub(crate) const PORT_BUFFER_BYTES: u64 = 32 * 1024 * 1024;
+
+/// Old-host processing per misdelivered packet before it is forwarded on:
+/// 10 µs (§5.2).
+pub(crate) const MISDELIVERY_PENALTY: SimDuration = SimDuration::from_micros(10);
 
 // The simulator's enums onto the trace vocabulary of `sv2p_telemetry::event`.
 // These three exhaustive matches are the only mappings: a variant added to
@@ -94,13 +102,15 @@ pub(crate) struct Snapshot {
     pub window: Traffic,
 }
 
-/// The state one shard owns. Vectors are indexed by global node / link /
-/// flow id; agents exist only for the nodes the shard owns, and a link's
-/// queue is only ever used on the shard owning its sending end.
+/// The state one shard owns. Vectors are indexed by global node / flow id
+/// and agents exist only for the nodes the shard owns; `links` and
+/// `fault_rngs` hold only the links whose sending end the shard owns (a
+/// link's queue is never used anywhere else), found through
+/// [`Shard::link_index`].
 pub(crate) struct Shard {
     pub id: usize,
     pub world: Arc<World>,
-    pub links: Vec<LinkState>,
+    links: Vec<LinkState>,
     pub agents: Vec<Option<Box<dyn SwitchAgent>>>,
     agent_rngs: Vec<SimRng>,
     pub host_agents: Vec<Option<Box<dyn HostAgent>>>,
@@ -129,31 +139,31 @@ impl Shard {
     /// Shard `id` with idle links and no agents yet (the engine installs
     /// an agent on the shard owning its node).
     pub fn new(id: usize, world: Arc<World>) -> Self {
-        let (n_nodes, n_links) = (world.topo.nodes.len(), world.topo.links.len());
+        let n_nodes = world.topo.nodes.len();
         let base_rng = SimRng::new(world.cfg.seed);
-        let links = world
-            .topo
-            .links
-            .iter()
-            .map(|l| {
-                LinkState::new(
-                    l.bandwidth_bps,
-                    sv2p_simcore::SimDuration::from_nanos(l.delay_ns),
-                    world.cfg.port_buffer_bytes,
-                )
-            })
-            .collect();
+        // Sized before filling: a `filter().collect()` would grow by
+        // doubling, and at FT32-1M that re-copies megabytes of link state.
+        let owns = |from: NodeId| world.link_slot.is_empty() || world.shard_of(from) == id;
+        let n_owned = world.topo.links.iter().filter(|l| owns(l.from)).count();
+        let mut links = Vec::with_capacity(n_owned);
+        let mut fault_rngs = Vec::with_capacity(n_owned);
+        for l in world.topo.links.iter().filter(|l| owns(l.from)) {
+            links.push(LinkState::new(
+                l.bandwidth_bps,
+                SimDuration::from_nanos(l.delay_ns),
+                PORT_BUFFER_BYTES,
+            ));
+            // Labels far outside the node-id space keep the fault streams
+            // disjoint from every per-agent fork.
+            fault_rngs.push(base_rng.fork((1u64 << 32) + u64::from(l.id.0)));
+        }
         Shard {
             id,
             links,
+            fault_rngs,
             agents: (0..n_nodes).map(|_| None).collect(),
             agent_rngs: (0..n_nodes).map(|n| base_rng.fork(n as u64)).collect(),
             host_agents: (0..n_nodes).map(|_| None).collect(),
-            // Labels far outside the node-id space keep the fault streams
-            // disjoint from every per-agent fork.
-            fault_rngs: (0..n_links)
-                .map(|i| base_rng.fork((1u64 << 32) + i as u64))
-                .collect(),
             arena: PacketArena::new(),
             route_scratch: Vec::new(),
             flows: Vec::new(),
@@ -162,6 +172,18 @@ impl Shard {
             counters: Counters::new(world.tag_pips.len()),
             traffic_matrix: FxHashMap::default(),
             world,
+        }
+    }
+
+    /// Where `link`'s state sits in `links` / `fault_rngs`. The table is
+    /// read only where shards run side by side, so the one-shard build of
+    /// every handler indexes by link id as it always did.
+    #[inline]
+    fn link_index<F: Effects>(&self, link: LinkId) -> usize {
+        if F::SHARDED {
+            self.world.link_slot[link.0 as usize] as usize
+        } else {
+            link.0 as usize
         }
     }
 
@@ -316,7 +338,9 @@ impl Shard {
         fx.metric(MetricOp::FlowStarted(FlowId(idx as u64)));
         match &ctl.flows[idx].kind {
             FlowKind::Tcp { bytes } => {
-                let mut tx = TcpSender::new(self.world.cfg.tcp, *bytes);
+                // Every sender runs the reordering-tolerant profile the
+                // paper assumes of modern stacks (§4).
+                let mut tx = TcpSender::new(TcpConfig::reorder_tolerant(), *bytes);
                 let ops = tx.start(now);
                 self.flows[idx].tcp_tx = Some(tx);
                 self.apply_sender_ops(ctl, fx, idx, ops);
@@ -437,7 +461,7 @@ impl Shard {
         let resolution = self.host_agents[src_node.0 as usize]
             .as_mut()
             .expect("sending node has a host agent")
-            .resolve(now, ctl.plane.db(), dst_vip, gw_key);
+            .resolve(ctl.plane.db(), dst_vip);
         let (dst_pip, resolved) = match resolution {
             HostResolution::Direct(pip) => (pip, true),
             HostResolution::Gateway => (self.world.dir.pick(gw_key), false),
@@ -523,12 +547,13 @@ impl Shard {
     ) {
         let wire = self.arena.get(pkt).wire_size();
         let from_node = self.world.topo.link(link).from;
-        let l = &mut self.links[link.0 as usize];
+        let slot = self.link_index::<F>(link);
+        let l = &mut self.links[slot];
         // Draw from the dedicated fault stream only while loss is active, so
         // a healthy run consumes no fault randomness at all.
         let loss_rate = ctl.loss_rate[link.0 as usize];
         let outcome = if loss_rate > 0.0 {
-            let draw = self.fault_rngs[link.0 as usize].uniform();
+            let draw = self.fault_rngs[slot].uniform();
             l.enqueue_with_loss(pkt, wire, loss_rate, draw)
         } else {
             l.enqueue(pkt, wire)
@@ -546,7 +571,8 @@ impl Shard {
     }
 
     fn on_link_free<F: Effects>(&mut self, fx: &mut F, link: LinkId) {
-        let l = &mut self.links[link.0 as usize];
+        let slot = self.link_index::<F>(link);
+        let l = &mut self.links[slot];
         let (sent, next_ser) = l.tx_done();
         let delay = l.delay;
         if let Some(ser) = next_ser {
@@ -657,7 +683,6 @@ impl Shard {
             let node_info = topo.node(node);
             let mut ctx = SwitchCtx {
                 now,
-                node,
                 tag,
                 switch_pip: node_info.pip,
                 role,
@@ -666,7 +691,6 @@ impl Shard {
                 dst_attached,
                 db: ctl.plane.db(),
                 rng: &mut self.agent_rngs[idx],
-                base_rtt: world.cfg.base_rtt,
                 pod_of: &pod_of,
                 pip_of_tag: &pip_of_tag,
                 trace_cache_ops: trace,
@@ -841,15 +865,14 @@ impl Shard {
                     .at_node(node.0),
             );
         }
-        let gateway = self.world.cfg.gateway;
-        let cap = gateway.queue_cap as usize;
+        let cap = self.world.cfg.gateway.queue_cap as usize;
         if cap == 0 {
             // Legacy unbounded model: every packet is processed
             // concurrently after the fixed service delay.
-            fx.schedule_in(gateway.processing(), Event::GatewayDone { node, pkt });
+            fx.schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt });
         } else if !self.gw_busy[idx] {
             self.gw_busy[idx] = true;
-            fx.schedule_in(gateway.processing(), Event::GatewayDone { node, pkt });
+            fx.schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt });
         } else if self.gw_queue[idx].len() < cap {
             self.gw_queue[idx].push_back(pkt);
         } else {
@@ -862,12 +885,11 @@ impl Shard {
     /// the next queued packet into processing (or clears the busy flag).
     /// No-op in the legacy unbounded model.
     fn gateway_pop_next<F: Effects>(&mut self, fx: &mut F, node: NodeId) {
-        let gateway = self.world.cfg.gateway;
-        if gateway.queue_cap == 0 {
+        if self.world.cfg.gateway.queue_cap == 0 {
             return;
         }
         if let Some(next) = self.gw_queue[node.0 as usize].pop_front() {
-            fx.schedule_in(gateway.processing(), Event::GatewayDone { node, pkt: next });
+            fx.schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt: next });
         } else {
             self.gw_busy[node.0 as usize] = false;
         }
@@ -1026,10 +1048,7 @@ impl Shard {
                     .at_node(node.0),
             );
         }
-        fx.schedule_in(
-            self.world.cfg.misdelivery_penalty,
-            Event::HostForward { node, pkt },
-        );
+        fx.schedule_in(MISDELIVERY_PENALTY, Event::HostForward { node, pkt });
     }
 
     fn on_host_forward<F: Effects>(

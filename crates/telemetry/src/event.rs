@@ -6,38 +6,6 @@
 
 use crate::json::JsonObj;
 
-/// Defines one wire vocabulary: the enum, its `ALL` list in wire order,
-/// `as_str`, and `parse` as the inverse over `ALL`. Every name a trace line
-/// can carry is written down exactly once, here; the simulator maps its own
-/// enums onto these with exhaustive matches (`sv2p-netsim`'s `sim.rs`).
-macro_rules! wire_names {
-    ($(#[$doc:meta])* $name:ident { $($(#[$vdoc:meta])* $variant:ident => $wire:literal,)+ }) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        pub enum $name {
-            $($(#[$vdoc])* $variant,)+
-        }
-
-        impl $name {
-            /// Every value, in wire order (inspector summaries iterate this
-            /// so output order never depends on hash-map iteration).
-            pub const ALL: [$name; [$($wire),+].len()] = [$($name::$variant),+];
-
-            /// Stable wire name.
-            pub fn as_str(self) -> &'static str {
-                match self {
-                    $($name::$variant => $wire,)+
-                }
-            }
-
-            /// Inverse of [`Self::as_str`].
-            pub fn parse(s: &str) -> Option<$name> {
-                Self::ALL.into_iter().find(|v| v.as_str() == s)
-            }
-        }
-    };
-}
-
 wire_names! {
     /// What happened. One discriminant per packet-lifecycle or cache-mutation
     /// point; the per-kind payload rides in [`TraceEvent`]'s optional fields.

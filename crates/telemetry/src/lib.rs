@@ -34,6 +34,39 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Defines one wire vocabulary: the enum, its `ALL` list in wire order,
+/// `as_str`, and `parse` as the inverse over `ALL`. Every name a trace or
+/// profile line can carry is written down exactly once, in one such table
+/// ([`event`]'s four and [`profile`]'s two); the simulator maps its own
+/// enums onto these with exhaustive matches (`sv2p-netsim`'s `sim.rs`).
+macro_rules! wire_names {
+    ($(#[$doc:meta])* $name:ident { $($(#[$vdoc:meta])* $variant:ident => $wire:literal,)+ }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $($(#[$vdoc])* $variant,)+
+        }
+
+        impl $name {
+            /// Every value, in wire order (inspector summaries iterate this
+            /// so output order never depends on hash-map iteration).
+            pub const ALL: [$name; [$($wire),+].len()] = [$($name::$variant),+];
+
+            /// Stable wire name.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $wire,)+
+                }
+            }
+
+            /// Inverse of [`Self::as_str`].
+            pub fn parse(s: &str) -> Option<$name> {
+                Self::ALL.into_iter().find(|v| v.as_str() == s)
+            }
+        }
+    };
+}
+
 pub mod event;
 pub mod inspect;
 pub mod json;

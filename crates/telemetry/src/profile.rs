@@ -163,158 +163,88 @@ impl Histogram {
     }
 }
 
-/// One engine phase: where a profiled run's wall-clock went.
-///
-/// The first block is the engine's run loop on one shard — `Pop` plus one
-/// class per event handler, so "telemetry cost" is visible as the
-/// `TelemetrySample` class and per-packet work is split by event kind.
-/// The second block is the driver of several shards: window-boundary
-/// computation, the parallel section, and the synchronization overheads
-/// around it (cut-link exchange, barrier wait, journal merge, global
-/// events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Calendar pop (single-threaded loop).
-    Pop,
-    /// `FlowStart` handler dispatch.
-    FlowStart,
-    /// `UdpSend` handler dispatch.
-    UdpSend,
-    /// `LinkFree` handler dispatch.
-    LinkFree,
-    /// `LinkArrival` handler dispatch (the per-hop hot path).
-    LinkArrival,
-    /// `RtoTimer` handler dispatch.
-    RtoTimer,
-    /// `GatewayDone` handler dispatch.
-    Gateway,
-    /// `ReInject` handler dispatch.
-    ReInject,
-    /// `HostForward` handler dispatch.
-    HostForward,
-    /// `Migrate` handler dispatch.
-    Migrate,
-    /// `FaultStart`/`FaultEnd` handler dispatch.
-    Fault,
-    /// `ChurnMark` handler dispatch.
-    ChurnMark,
-    /// `TelemetrySample` handler dispatch (the sampler's own cost).
-    TelemetrySample,
-    /// Sharded driver: computing each window's `(time, seq)` boundary from
-    /// the shards' reported next-event bounds and the partition lookahead,
-    /// and dispatching the window commands.
-    WindowAdvance,
-    /// Sharded driver: resolving cut-link events to their granted global
-    /// seqs and delivering them (plus parked-event grants) to the target
-    /// shards — the coordination cost of the conservative exchange.
-    CutExchange,
-    /// Sharded driver: mean per-shard busy time inside the parallel
-    /// section — the useful work the window bought.
-    WorkerReplay,
-    /// Sharded driver: the rest of the blocked-at-the-barrier span — time
-    /// the average shard sat idle while the slowest shard (or the channel
-    /// machinery) finished. This is the imbalance + serialization cost.
-    BarrierWait,
-    /// Sharded driver: k-way journal merge and master-state replay.
-    JournalMerge,
-    /// Sharded driver: global events (faults, migrations, churn marks,
-    /// telemetry snapshots) executed at their exact global position.
-    GlobalExec,
-}
-
-impl Phase {
-    /// Every phase, in report order.
-    pub const ALL: [Phase; 19] = [
-        Phase::Pop,
-        Phase::FlowStart,
-        Phase::UdpSend,
-        Phase::LinkFree,
-        Phase::LinkArrival,
-        Phase::RtoTimer,
-        Phase::Gateway,
-        Phase::ReInject,
-        Phase::HostForward,
-        Phase::Migrate,
-        Phase::Fault,
-        Phase::ChurnMark,
-        Phase::TelemetrySample,
-        Phase::WindowAdvance,
-        Phase::CutExchange,
-        Phase::WorkerReplay,
-        Phase::BarrierWait,
-        Phase::JournalMerge,
-        Phase::GlobalExec,
-    ];
-
-    /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::Pop => "pop",
-            Phase::FlowStart => "flow_start",
-            Phase::UdpSend => "udp_send",
-            Phase::LinkFree => "link_free",
-            Phase::LinkArrival => "link_arrival",
-            Phase::RtoTimer => "rto_timer",
-            Phase::Gateway => "gateway",
-            Phase::ReInject => "reinject",
-            Phase::HostForward => "host_forward",
-            Phase::Migrate => "migrate",
-            Phase::Fault => "fault",
-            Phase::ChurnMark => "churn_mark",
-            Phase::TelemetrySample => "telemetry_sample",
-            Phase::WindowAdvance => "window_advance",
-            Phase::CutExchange => "cut_exchange",
-            Phase::WorkerReplay => "worker_replay",
-            Phase::BarrierWait => "barrier_wait",
-            Phase::JournalMerge => "journal_merge",
-            Phase::GlobalExec => "global_exec",
-        }
+wire_names! {
+    /// One engine phase: where a profiled run's wall-clock went.
+    ///
+    /// The first block is the engine's run loop on one shard — `Pop` plus one
+    /// class per event handler, so "telemetry cost" is visible as the
+    /// `TelemetrySample` class and per-packet work is split by event kind.
+    /// The second block is the driver of several shards: window-boundary
+    /// computation, the parallel section, and the synchronization overheads
+    /// around it (cut-link exchange, barrier wait, journal merge, global
+    /// events).
+    Phase {
+        /// Calendar pop (single-threaded loop).
+        Pop => "pop",
+        /// `FlowStart` handler dispatch.
+        FlowStart => "flow_start",
+        /// `UdpSend` handler dispatch.
+        UdpSend => "udp_send",
+        /// `LinkFree` handler dispatch.
+        LinkFree => "link_free",
+        /// `LinkArrival` handler dispatch (the per-hop hot path).
+        LinkArrival => "link_arrival",
+        /// `RtoTimer` handler dispatch.
+        RtoTimer => "rto_timer",
+        /// `GatewayDone` handler dispatch.
+        Gateway => "gateway",
+        /// `ReInject` handler dispatch.
+        ReInject => "reinject",
+        /// `HostForward` handler dispatch.
+        HostForward => "host_forward",
+        /// `Migrate` handler dispatch.
+        Migrate => "migrate",
+        /// `FaultStart`/`FaultEnd` handler dispatch.
+        Fault => "fault",
+        /// `ChurnMark` handler dispatch.
+        ChurnMark => "churn_mark",
+        /// `TelemetrySample` handler dispatch (the sampler's own cost).
+        TelemetrySample => "telemetry_sample",
+        /// Sharded driver: computing each window's `(time, seq)` boundary from
+        /// the shards' reported next-event bounds and the partition lookahead,
+        /// and dispatching the window commands.
+        WindowAdvance => "window_advance",
+        /// Sharded driver: resolving cut-link events to their granted global
+        /// seqs and delivering them (plus parked-event grants) to the target
+        /// shards — the coordination cost of the conservative exchange.
+        CutExchange => "cut_exchange",
+        /// Sharded driver: mean per-shard busy time inside the parallel
+        /// section — the useful work the window bought.
+        WorkerReplay => "worker_replay",
+        /// Sharded driver: the rest of the blocked-at-the-barrier span — time
+        /// the average shard sat idle while the slowest shard (or the channel
+        /// machinery) finished. This is the imbalance + serialization cost.
+        BarrierWait => "barrier_wait",
+        /// Sharded driver: k-way journal merge and master-state replay.
+        JournalMerge => "journal_merge",
+        /// Sharded driver: global events (faults, migrations, churn marks,
+        /// telemetry snapshots) executed at their exact global position.
+        GlobalExec => "global_exec",
     }
 }
 
-/// A named histogram slot in the profiler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistKind {
-    /// Wall-clock nanoseconds per sharded window (timing).
-    WindowNs,
-    /// Wall-clock nanoseconds of one shard's replay of one window (timing).
-    ShardReplayNs,
-    /// Journal ops per replayed block (deterministic).
-    JournalBlockOps,
-    /// Pending events in the (driver) calendar at each sample point
-    /// (deterministic).
-    CalendarLen,
-    /// Events parked in the calendar's overflow heap — the only `O(log n)`
-    /// part of the timing wheel — at each sample point (deterministic).
-    CalendarOverflow,
-    /// Live packets in the arena at each sample point — the arena
-    /// high-water trajectory, not just its peak (deterministic).
-    ArenaLive,
+wire_names! {
+    /// A named histogram slot in the profiler.
+    HistKind {
+        /// Wall-clock nanoseconds per sharded window (timing).
+        WindowNs => "window_ns",
+        /// Wall-clock nanoseconds of one shard's replay of one window (timing).
+        ShardReplayNs => "shard_replay_ns",
+        /// Journal ops per replayed block (deterministic).
+        JournalBlockOps => "journal_block_ops",
+        /// Pending events in the (driver) calendar at each sample point
+        /// (deterministic).
+        CalendarLen => "calendar_len",
+        /// Events parked in the calendar's overflow heap — the only `O(log n)`
+        /// part of the timing wheel — at each sample point (deterministic).
+        CalendarOverflow => "calendar_overflow",
+        /// Live packets in the arena at each sample point — the arena
+        /// high-water trajectory, not just its peak (deterministic).
+        ArenaLive => "arena_live",
+    }
 }
 
 impl HistKind {
-    /// Every histogram, in report order.
-    pub const ALL: [HistKind; 6] = [
-        HistKind::WindowNs,
-        HistKind::ShardReplayNs,
-        HistKind::JournalBlockOps,
-        HistKind::CalendarLen,
-        HistKind::CalendarOverflow,
-        HistKind::ArenaLive,
-    ];
-
-    /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HistKind::WindowNs => "window_ns",
-            HistKind::ShardReplayNs => "shard_replay_ns",
-            HistKind::JournalBlockOps => "journal_block_ops",
-            HistKind::CalendarLen => "calendar_len",
-            HistKind::CalendarOverflow => "calendar_overflow",
-            HistKind::ArenaLive => "arena_live",
-        }
-    }
-
     /// Whether the recorded values are functions of simulation state alone
     /// (true) or wall-clock durations (false).
     pub fn deterministic(self) -> bool {

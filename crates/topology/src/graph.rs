@@ -122,7 +122,6 @@ pub struct Topology {
     pub links: Vec<DirectedLink>,
     /// Egress ports of each node.
     pub out_links: Vec<Vec<LinkId>>,
-    adjacency: FxHashMap<(NodeId, NodeId), LinkId>,
     pip_to_node: FxHashMap<Pip, NodeId>,
 }
 
@@ -140,6 +139,10 @@ impl Topology {
     /// Adds both directions of a cable between `a` and `b`.
     pub fn add_cable(&mut self, a: NodeId, b: NodeId, bandwidth_bps: u64, delay_ns: u64) {
         for (from, to) in [(a, b), (b, a)] {
+            debug_assert!(
+                self.link_between(from, to).is_none(),
+                "duplicate cable {from:?}->{to:?}"
+            );
             let id = LinkId(self.links.len() as u32);
             self.links.push(DirectedLink {
                 id,
@@ -149,8 +152,6 @@ impl Topology {
                 delay_ns,
             });
             self.out_links[from.0 as usize].push(id);
-            let prev = self.adjacency.insert((from, to), id);
-            assert!(prev.is_none(), "duplicate cable {from:?}->{to:?}");
         }
     }
 
@@ -159,9 +160,14 @@ impl Topology {
         self.pip_to_node.get(&pip).copied()
     }
 
-    /// The directed link from `a` to `b`, if adjacent.
+    /// The directed link from `a` to `b`, if adjacent: a scan of `a`'s
+    /// ports. Forwarding reads [`crate::Routing`]'s port tables, not this;
+    /// its callers are the routing oracle and tests.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.adjacency.get(&(a, b)).copied()
+        self.out_links[a.0 as usize]
+            .iter()
+            .copied()
+            .find(|&l| self.link(l).to == b)
     }
 
     /// Node accessor.

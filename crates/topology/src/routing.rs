@@ -310,8 +310,9 @@ fn ecmp_pick(at: NodeId, key: u64, group: &[LinkId]) -> Option<LinkId> {
 }
 
 /// The router as it was before the port tables: every rule resolves its
-/// next hop through `Topology::link_between`'s adjacency map. Kept as the
-/// test oracle — the tables must emit the same links in the same order.
+/// next hop through `Topology::link_between`, a scan of the sender's ports.
+/// Kept as the test oracle — the tables must emit the same links in the
+/// same order.
 #[cfg(test)]
 mod oracle {
     use sv2p_simcore::FxHashMap;

@@ -7,14 +7,23 @@
 //! in place (translate, tag, attach/strip options) and return an
 //! [`AgentOutput`] describing what the data plane should do next; the
 //! simulator owns queues, links, and the clock.
+//!
+//! The contract carries what an agent reads and nothing else. A factory is
+//! told a switch's role (to pick the agent type) and its cache lines; the
+//! switch's identity — tag, address, pod and *current* role — arrives with
+//! every packet in [`SwitchCtx`], so an agent holds no copy that a
+//! control-plane role reassignment (§4 "Gateway migration") could leave
+//! behind. A value the paper fixes (§5) is a constant beside the agent that
+//! reads it, not a field here.
 
 use sv2p_packet::{Packet, Pip, SwitchTag, Vip};
 use sv2p_simcore::{SimDuration, SimRng, SimTime};
-use sv2p_topology::{NodeId, SwitchRole};
+use sv2p_topology::SwitchRole;
 
 use crate::mapping::MappingDb;
 
-/// Everything a switch agent may consult while processing one packet.
+/// Everything a switch agent may consult while processing one packet:
+/// each field is read by at least one scheme.
 ///
 /// The `db` field is the control-plane ground truth: data-plane designs
 /// (SwitchV2P, GwCache, LocalLearning) never read it; it exists for agents
@@ -23,13 +32,13 @@ use crate::mapping::MappingDb;
 pub struct SwitchCtx<'a> {
     /// Current virtual time.
     pub now: SimTime,
-    /// This switch's node id.
-    pub node: NodeId,
     /// This switch's compact identifier (rides in the hit-switch option).
     pub tag: SwitchTag,
     /// This switch's own physical address (source of generated packets).
     pub switch_pip: Pip,
-    /// Table 1 category.
+    /// Table 1 category as of this packet. The simulator reads it from the
+    /// role map per hop, so it is the only copy: an agent that acts on it
+    /// follows `Engine::reassign_switch_role` from the next packet on.
     pub role: SwitchRole,
     /// Pod of this switch (`None` for cores).
     pub my_pod: Option<u16>,
@@ -43,8 +52,6 @@ pub struct SwitchCtx<'a> {
     pub db: &'a MappingDb,
     /// Per-switch deterministic random stream (learning-packet coin flips).
     pub rng: &'a mut SimRng,
-    /// The network's base RTT (timestamp-vector suppression window, §3.3).
-    pub base_rtt: SimDuration,
     /// Resolves a PIP to its pod, if pod-local (promotion's "leaves the pod"
     /// test).
     pub pod_of: &'a dyn Fn(Pip) -> Option<u16>,
@@ -254,16 +261,10 @@ pub enum HostResolution {
 
 /// Per-server sending behavior.
 pub trait HostAgent: Send {
-    /// Decides how to address a packet for `dst_vip` belonging to the flow
-    /// with key `flow_key`. Called for every outgoing packet (agents cache
-    /// internally if they want per-flow behavior).
-    fn resolve(
-        &mut self,
-        now: SimTime,
-        db: &MappingDb,
-        dst_vip: Vip,
-        flow_key: u64,
-    ) -> HostResolution;
+    /// Decides how to address a packet for `dst_vip`. Called for every
+    /// outgoing packet (agents cache internally if they want per-flow
+    /// behavior).
+    fn resolve(&mut self, db: &MappingDb, dst_vip: Vip) -> HostResolution;
 
     /// Models losing the host's volatile resolution state (e.g. its vswitch
     /// restarting when the rack's ToR reboots). Stateless agents keep the
@@ -304,19 +305,15 @@ pub trait Strategy {
         1.0
     }
 
-    /// Builds the agent for one switch. `lines` is the per-switch
-    /// direct-mapped cache capacity in entries (0 for non-caching switches).
-    fn make_switch_agent(
-        &self,
-        node: NodeId,
-        role: SwitchRole,
-        tag: SwitchTag,
-        lines: usize,
-    ) -> Box<dyn SwitchAgent>;
+    /// Builds the agent for one switch. `role` is the switch's role at
+    /// construction and only selects the agent type; `lines` is the
+    /// per-switch direct-mapped cache capacity in entries (0 for non-caching
+    /// switches).
+    fn make_switch_agent(&self, role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent>;
 
     /// Builds the agent for one sending server. Defaults to the plain
     /// gateway-driven host.
-    fn make_host_agent(&self, _node: NodeId, _pip: Pip) -> Box<dyn HostAgent> {
+    fn make_host_agent(&self) -> Box<dyn HostAgent> {
         Box::new(GatewayHostAgent)
     }
 
@@ -332,13 +329,7 @@ pub trait Strategy {
 pub struct GatewayHostAgent;
 
 impl HostAgent for GatewayHostAgent {
-    fn resolve(
-        &mut self,
-        _now: SimTime,
-        _db: &MappingDb,
-        _dst_vip: Vip,
-        _flow_key: u64,
-    ) -> HostResolution {
+    fn resolve(&mut self, _db: &MappingDb, _dst_vip: Vip) -> HostResolution {
         HostResolution::Gateway
     }
 }
@@ -362,11 +353,8 @@ mod tests {
     fn gateway_host_agent_always_defers() {
         let mut agent = GatewayHostAgent;
         let db = MappingDb::new();
-        for key in 0..5 {
-            assert_eq!(
-                agent.resolve(SimTime::ZERO, &db, Vip(1), key),
-                HostResolution::Gateway
-            );
+        for vip in 0..5 {
+            assert_eq!(agent.resolve(&db, Vip(vip)), HostResolution::Gateway);
         }
     }
 

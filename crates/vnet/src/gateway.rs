@@ -2,7 +2,7 @@
 //!
 //! Gateways are ordinary hosts that hold the full [`crate::MappingDb`] view.
 //! An unresolved packet addressed to a gateway is translated after a fixed
-//! processing delay (40 µs, following Sailfish) and re-emitted toward the
+//! processing delay ([`GATEWAY_PROCESSING`]) and re-emitted toward the
 //! true destination. Senders pick a gateway per flow ("load balancing
 //! performed by each server on a per-flow basis", §5); the pick is sticky
 //! for the flow's lifetime so a flow's packets share fate.
@@ -12,35 +12,21 @@ use sv2p_simcore::SimDuration;
 use sv2p_packet::Pip;
 use sv2p_topology::{NodeId, NodeKind, Topology};
 
+/// Per-packet translation latency: 40 µs, following Sailfish (paper §5, the
+/// evaluation set-up every figure runs).
+pub const GATEWAY_PROCESSING: SimDuration = SimDuration::from_micros(40);
+
 /// Gateway behavior parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GatewayConfig {
-    /// Per-packet translation latency (paper: 40 µs).
-    pub processing_ns: u64,
     /// Bounded ingress queue: how many packets may wait for translation
     /// while one is in service. `0` (the default) models an infinitely
     /// parallel gateway — every packet is translated after exactly
-    /// `processing_ns`, the behaviour all the static sweeps assume. A
+    /// [`GATEWAY_PROCESSING`], the behaviour all the static sweeps assume. A
     /// non-zero cap turns the gateway into a single-server queue that
     /// sheds load (drops with cause `gateway-shed`) once the queue fills,
     /// which is what makes invalidation storms under churn costly.
     pub queue_cap: u32,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            processing_ns: 40_000,
-            queue_cap: 0,
-        }
-    }
-}
-
-impl GatewayConfig {
-    /// Translation latency as a duration.
-    pub fn processing(&self) -> SimDuration {
-        SimDuration::from_nanos(self.processing_ns)
-    }
 }
 
 /// The gateway fleet and the per-flow balancing rule.
@@ -115,14 +101,6 @@ mod tests {
             used.len() >= 38,
             "only {} of 40 gateways used by 4000 flows",
             used.len()
-        );
-    }
-
-    #[test]
-    fn default_processing_is_40us() {
-        assert_eq!(
-            GatewayConfig::default().processing(),
-            SimDuration::from_micros(40)
         );
     }
 

@@ -25,18 +25,19 @@ const SCHEMES: [&str; 7] = [
 
 fn parse_row(line: &str) -> Option<Row> {
     let number = |w: &&str| w.trim_matches(|c| "(),+%x".contains(c)).parse::<f64>().ok();
-    let words: Vec<&str> = line.split_whitespace().collect();
+    let words: Vec<&str> = line.split_whitespace().filter(|w| *w != "|").collect();
     let first = words.iter().position(|w| number(w).is_some())?;
     let cells = words[first..].iter().filter_map(number).collect();
     Some((words[..first].join(" "), cells))
 }
 
 /// The rows of `results/<file>` under the heading line containing `heading`,
-/// down to the next `Figure` / `Section` heading or the manifest note.
+/// down to the next `Figure` / `Section` / `Ablations` heading or the
+/// manifest note.
 fn section(file: &str, heading: &str) -> Vec<Row> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results").join(file);
     let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let next = ["Figure", "Section", "[manifest]"];
+    let next = ["Figure", "Section", "Ablations", "[manifest]"];
     let rows: Vec<Row> = text
         .lines()
         .skip_while(|l| !l.contains(heading))
@@ -152,4 +153,55 @@ fn switchv2p_fct_is_flat_in_the_gateway_count_while_nocache_quadruples() {
     assert!((few / many - 1.0).abs() <= 0.03, "SwitchV2P {few} us at 4, {many} us at 40");
     let growth = fct("NoCache", 4.0) / fct("NoCache", 40.0);
     assert!(growth >= 4.0, "NoCache grows only {growth:.2}x from 40 to 4 gateways");
+}
+
+#[test]
+fn hits_concentrate_at_the_tors_and_first_packets_are_served_higher_up() {
+    let t = section("table5.txt", "Table 5");
+    // Cells: core, spine, ToR share of all hits %, then of first-packet hits.
+    for dataset in ["Hadoop", "WebSearch"] {
+        let tor = cells(&t, dataset)[2];
+        assert!(tor >= 85.0, "{dataset}: ToRs serve only {tor} % of the hits");
+    }
+    let bursts = cells(&t, "Microbursts");
+    assert!(bursts[1] > bursts[2], "Microbursts spine {} % vs ToR {} %", bursts[1], bursts[2]);
+    let hadoop = cells(&t, "Hadoop");
+    assert!(hadoop[3] + hadoop[4] > 50.0, "Hadoop first packets above the ToR: {hadoop:?}");
+    // The one exact value here: the paper's Video row is 0 / 0 / 0 too.
+    assert_eq!(cells(&t, "Video")[3..], [0.0, 0.0, 0.0]);
+}
+
+#[test]
+fn switchv2p_scales_with_the_fabric_while_local_learning_decays() {
+    let t = section("fig10.txt", "Figure 10");
+    // Cells: pods, switches, average FCT us, first packet us, hit rate %.
+    let column = |scheme: &str, i: usize| -> Vec<f64> {
+        t.iter().filter(|(l, _)| l == scheme).map(|(_, c)| c[i]).collect()
+    };
+    let sv = column("SwitchV2P", 2);
+    for other in ["LocalLearning", "GwCache"] {
+        assert!(above(&column(other, 2), &sv), "FCT: {other} vs SwitchV2P {sv:?}");
+    }
+    let ll = column("LocalLearning", 4);
+    assert!(ll.windows(2).all(|w| w[0] > w[1]), "LocalLearning hit rate {ll:?}");
+    let hit = column("SwitchV2P", 4);
+    let max = hit.iter().copied().fold(0.0, f64::max);
+    assert!(hit.iter().all(|h| max - h <= 10.0), "SwitchV2P hit rate {hit:?}");
+}
+
+#[test]
+fn every_mechanism_earns_its_hit_rate_and_spillover_earns_the_most() {
+    let t = section("ablations.txt", "Ablations on Hadoop");
+    // Cells: hit rate %, average FCT us, first packet us, learning packets,
+    // retransmissions.
+    let hit = |variant: &str| cells(&t, variant)[0];
+    let full = hit("full design");
+    for (variant, row) in &t {
+        assert!(row[0] <= full + 0.5, "{variant} {} % vs full design {full} %", row[0]);
+    }
+    let lost = |variant: &str| full - hit(variant);
+    let spill = lost("w/o spillover");
+    assert!(spill > lost("w/o promotion") && spill > lost("w/o learning packets"), "{t:?}");
+    let lowest = t.iter().map(|(_, c)| c[0]).fold(f64::MAX, f64::min);
+    assert_eq!(hit("core-heavy memory (1:1:4)"), lowest, "{t:?}");
 }

@@ -3,9 +3,10 @@
 //! every repository path (`results/…`, `scripts/…`, `crates/…`,
 //! `benchmark/…`, `vendor/…`, a root `*.json` or `*.sh`) a file in the tree
 //! or one of the listed run outputs, and every CamelCase identifier in
-//! inline backticks a type, trait or enum variant declared under `crates/`,
-//! `src/` or `vendor/`. A document that still points at a deleted binary,
-//! script, baseline file or type fails here.
+//! inline backticks a type, trait or enum variant — every `SCREAMING_CASE`
+//! one a `const` or `static` — declared under `crates/`, `src/` or
+//! `vendor/`. A document that still points at a deleted binary, script,
+//! baseline file, type or constant fails here.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -22,9 +23,10 @@ const OUTPUTS: [&str; 4] = [
     "benchmark/out",
 ];
 
-/// CamelCase names the documents use that no file in the tree declares:
-/// `std` types and traits, and a field of Linux's `/proc/<pid>/status`.
-const FOREIGN: [&str; 7] = ["Arc", "AtomicU64", "Box", "BuildHasher", "RwLock", "Vec", "VmHWM"];
+/// Names the documents use that no file in the tree declares: `std` types
+/// and traits, a field of Linux's `/proc/<pid>/status`, a socket option.
+const FOREIGN: [&str; 8] =
+    ["Arc", "AtomicU64", "Box", "BuildHasher", "RwLock", "Vec", "VmHWM", "TCP_NODELAY"];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -65,14 +67,22 @@ fn is_camel_case(word: &str) -> bool {
         && !word.contains('_')
 }
 
+/// `BASE_RTT`, not `TCP` or `W0`: upper case with an underscore in it.
+fn is_screaming_case(word: &str) -> bool {
+    word.starts_with(|c: char| c.is_ascii_uppercase())
+        && word.contains('_')
+        && !word.contains(|c: char| c.is_ascii_lowercase())
+}
+
 fn idents(line: &str) -> impl Iterator<Item = &str> {
     line.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
         .filter(|w| !w.is_empty())
 }
 
-/// The CamelCase identifiers a document puts in inline backticks (fenced
-/// blocks are shell transcripts and sample output, not names).
-fn type_names(text: &str) -> Vec<&str> {
+/// The CamelCase and SCREAMING_CASE identifiers a document puts in inline
+/// backticks (fenced blocks are shell transcripts and sample output, not
+/// names).
+fn code_names(text: &str) -> Vec<&str> {
     let mut names = Vec::new();
     let (mut fenced, mut in_code) = (false, false);
     for line in text.lines() {
@@ -83,7 +93,8 @@ fn type_names(text: &str) -> Vec<&str> {
             for (i, part) in line.split('`').enumerate() {
                 in_code ^= i > 0;
                 if in_code {
-                    names.extend(idents(part).filter(|w| is_camel_case(w)));
+                    let named = |w: &&str| is_camel_case(w) || is_screaming_case(w);
+                    names.extend(idents(part).filter(named));
                 }
             }
         }
@@ -102,10 +113,11 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Every name the tree declares with `struct`, `enum`, `trait` or `type`,
-/// plus the variants: lines that open with a CamelCase identifier inside an
-/// `enum` body or a `wire_names!` table.
-fn declared_types() -> BTreeSet<String> {
+/// Every name the tree declares with `struct`, `enum`, `trait` or `type`
+/// (CamelCase) or with `const` or `static` (SCREAMING_CASE), plus the
+/// variants: lines that open with a CamelCase identifier inside an `enum`
+/// body or a `wire_names!` table.
+fn declared_names() -> BTreeSet<String> {
     let mut files = Vec::new();
     for dir in ["crates", "src", "vendor"] {
         rust_files(&root().join(dir), &mut files);
@@ -119,9 +131,12 @@ fn declared_types() -> BTreeSet<String> {
             let words: Vec<&str> = idents(line).collect();
             let mut opens_enum = line.contains("wire_names! {");
             for pair in words.windows(2) {
-                if ["struct", "enum", "trait", "type"].contains(&pair[0])
-                    && is_camel_case(pair[1])
-                {
+                let declares = match pair[0] {
+                    "struct" | "enum" | "trait" | "type" => is_camel_case(pair[1]),
+                    "const" | "static" => is_screaming_case(pair[1]),
+                    _ => false,
+                };
+                if declares {
                     names.insert(pair[1].to_string());
                     opens_enum |= pair[0] == "enum";
                 }
@@ -145,10 +160,10 @@ fn documents_name_only_what_exists() {
         bins.contains("table4") && bins.contains("sv2p-ctld") && !bins.contains("ctld"),
         "found {bins:?}"
     );
-    let types = declared_types();
+    let declared = declared_names();
     assert!(
-        types.contains("MappingDb") && types.contains("UnknownVip") && types.contains("CacheLookup"),
-        "a struct, an enum variant and a wire_names! variant must all be seen"
+        ["MappingDb", "UnknownVip", "CacheLookup", "BASE_RTT"].iter().all(|n| declared.contains(*n)),
+        "a struct, an enum variant, a wire_names! variant and a const must all be seen"
     );
     let mut missing = Vec::new();
     for doc in DOCS {
@@ -175,9 +190,9 @@ fn documents_name_only_what_exists() {
             }
             prev = word;
         }
-        for name in type_names(&text) {
-            if !types.contains(name) && !FOREIGN.contains(&name) {
-                missing.push(format!("{doc}: type {name}"));
+        for name in code_names(&text) {
+            if !declared.contains(name) && !FOREIGN.contains(&name) {
+                missing.push(format!("{doc}: name {name}"));
             }
         }
     }
@@ -191,11 +206,12 @@ fn documents_name_only_what_exists() {
 #[test]
 fn the_scan_sees_a_stale_reference() {
     let stale = "run `cargo run --bin sv2p-nope`, then read `scripts/gone.py` and `OLD.json`; \
-                 `GoneService::execute(&RequestBatch)` interprets it.";
+                 `GoneService::execute(&RequestBatch)` interprets it after `GONE_KNOB_US`.";
     let found: Vec<&str> = words(stale).collect();
     assert!(found.windows(2).any(|w| w == ["--bin", "sv2p-nope"]));
     assert!(found.contains(&"scripts/gone.py") && found.contains(&"OLD.json"));
-    assert_eq!(type_names(stale), ["GoneService", "RequestBatch"]);
-    let types = declared_types();
-    assert!(types.contains("RequestBatch") && !types.contains("GoneService"));
+    assert_eq!(code_names(stale), ["GoneService", "RequestBatch", "GONE_KNOB_US"]);
+    let declared = declared_names();
+    assert!(declared.contains("RequestBatch") && !declared.contains("GoneService"));
+    assert!(!declared.contains("GONE_KNOB_US"));
 }

@@ -50,16 +50,14 @@ fn role_swap_mid_run_keeps_the_network_correct() {
     }
     let (gw_tor, plain_tor) = (gw_tor.unwrap(), plain_tor.unwrap());
 
-    // Mid-run, the operator migrates the gateway: swap the two ToRs' roles
-    // and rebuild the new gateway ToR's cache cold.
+    // Mid-run, the operator migrates the gateway: swap the two ToRs' roles.
+    // The old gateway ToR keeps its agent and its cache and changes
+    // behaviour through the role alone (agents read it per packet, as they
+    // do the switch's tag); the new gateway ToR's cache is rebuilt cold.
     sim.run_until(SimTime::from_micros(400));
     sim.reassign_switch_role(gw_tor, SwitchRole::Tor);
     sim.reassign_switch_role(plain_tor, SwitchRole::GatewayTor);
-    let tag = switchv2p_repro::packet::SwitchTag(0); // tags only label emissions
-    sim.replace_switch_agent(
-        plain_tor,
-        strategy.make_switch_agent(plain_tor, SwitchRole::GatewayTor, tag, 8),
-    );
+    sim.replace_switch_agent(plain_tor, strategy.make_switch_agent(SwitchRole::GatewayTor, 8));
     sim.run();
     let s = sim.summary();
     assert_eq!(s.flows, s.flows_completed, "{s:?}");
@@ -77,7 +75,7 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
         FlowId, InnerHeader, OuterHeader, Packet, PacketId, PacketKind, Pip, SwitchTag,
         TcpFlags, TunnelOptions, Vip,
     };
-    use switchv2p_repro::simcore::{SimDuration, SimRng};
+    use switchv2p_repro::simcore::SimRng;
     use switchv2p_repro::vnet::{MappingDb, SwitchAgent, SwitchCtx};
 
     let db = MappingDb::new();
@@ -92,7 +90,6 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
     ) -> SwitchCtx<'a> {
         SwitchCtx {
             now: SimTime::ZERO,
-            node: switchv2p_repro::topology::NodeId(0),
             tag: SwitchTag(1),
             switch_pip: Pip(9000),
             role,
@@ -101,7 +98,6 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
             dst_attached: false,
             db,
             rng,
-            base_rtt: SimDuration::from_micros(12),
             pod_of,
             pip_of_tag,
             trace_cache_ops: false,
@@ -136,7 +132,7 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
 
     // As a plain ToR: learns the SOURCE mapping.
     let mut rng = SimRng::new(1);
-    let mut tor = SwitchV2PAgent::new(SwitchRole::Tor, 16, SwitchV2PConfig::default());
+    let mut tor = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
     let mut c = make_ctx(SwitchRole::Tor, &db, &mut rng, &pod_of, &pip_of_tag);
     tor.on_packet(&mut c, &mut resolved_pkt());
     let _ = c;
@@ -145,7 +141,7 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
 
     // The migrated-in gateway ToR (fresh agent, §4: rebuilt cold): learns
     // the DESTINATION mapping.
-    let mut gw = SwitchV2PAgent::new(SwitchRole::GatewayTor, 16, SwitchV2PConfig::default());
+    let mut gw = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
     assert_eq!(gw.occupancy(), 0, "cache starts cold at the destination");
     let mut c = make_ctx(SwitchRole::GatewayTor, &db, &mut rng, &pod_of, &pip_of_tag);
     gw.on_packet(&mut c, &mut resolved_pkt());
