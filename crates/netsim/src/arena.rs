@@ -20,7 +20,8 @@
 //! (delivery, drop, or consumption). Debug builds verify both directions
 //! with a liveness bitmap.
 
-use sv2p_packet::Packet;
+use sv2p_packet::{Packet, Pip};
+use sv2p_topology::{NodeId, Topology};
 
 /// Handle to a live packet in the [`PacketArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +31,9 @@ pub struct PacketRef(pub(crate) u32);
 #[derive(Debug, Default)]
 pub struct PacketArena {
     slots: Vec<Packet>,
+    /// Beside each slot: the outer destination PIP last resolved for its
+    /// packet and the node it addresses (`None` until the first resolve).
+    dst: Vec<Option<(Pip, Option<NodeId>)>>,
     free: Vec<u32>,
     live: usize,
     peak: usize,
@@ -50,6 +54,7 @@ impl PacketArena {
         match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = pkt;
+                self.dst[i as usize] = None;
                 #[cfg(debug_assertions)]
                 {
                     debug_assert!(!self.alive[i as usize], "reusing a live slot");
@@ -60,6 +65,7 @@ impl PacketArena {
             None => {
                 let i = u32::try_from(self.slots.len()).expect("arena overflow");
                 self.slots.push(pkt);
+                self.dst.push(None);
                 #[cfg(debug_assertions)]
                 self.alive.push(true);
                 PacketRef(i)
@@ -81,6 +87,25 @@ impl PacketArena {
         #[cfg(debug_assertions)]
         debug_assert!(self.alive[h.0 as usize], "write to a freed packet");
         &mut self.slots[h.0 as usize]
+    }
+
+    /// The node `h`'s outer destination PIP addresses, if any. A packet
+    /// crosses 5-10 switches and its PIP changes at most twice on the way
+    /// (gateway translation, cache hit), so the answer is kept beside the
+    /// packet and the topology's hash map is probed again only when the
+    /// PIP differs from the one it was given for — whoever rewrote it, and
+    /// however, needs no protocol.
+    #[inline]
+    pub fn dst_node(&mut self, h: PacketRef, topo: &Topology) -> Option<NodeId> {
+        let pip = self.get(h).outer.dst_pip;
+        match self.dst[h.0 as usize] {
+            Some((known, node)) if known == pip => node,
+            _ => {
+                let node = topo.node_by_pip(pip);
+                self.dst[h.0 as usize] = Some((pip, node));
+                node
+            }
+        }
     }
 
     /// Releases a packet at its end of life (delivered, dropped, consumed).
@@ -170,6 +195,33 @@ mod tests {
         assert_eq!(h3, h2);
         assert_eq!(a.peak(), 2, "peak must not drop");
         assert_eq!(a.live(), 1);
+    }
+
+    #[test]
+    fn dst_node_follows_rewrites_and_slot_reuse() {
+        use sv2p_topology::NodeKind;
+        let mut topo = Topology::default();
+        let core = |idx| NodeKind::Core { idx };
+        let (n1, n2) = (topo.add_node(core(0), Pip(1)), topo.add_node(core(1), Pip(2)));
+        let mut a = PacketArena::new();
+        let h = a.alloc(pkt(1)); // addressed to Pip(2)
+        assert_eq!(a.dst_node(h, &topo), Some(n2));
+        // Another topology would answer differently: the second call did
+        // not ask.
+        assert_eq!(a.dst_node(h, &Topology::default()), Some(n2));
+        // A rewrite through `get_mut` is noticed, whoever made it.
+        a.get_mut(h).outer.dst_pip = Pip(1);
+        assert_eq!(a.dst_node(h, &topo), Some(n1));
+        a.get_mut(h).outer.dst_pip = Pip(999);
+        assert_eq!(a.dst_node(h, &topo), None);
+        // A reused slot remembers nothing of its last packet, not even
+        // "Pip(2) addresses nothing" learned from the empty topology.
+        a.get_mut(h).outer.dst_pip = Pip(2);
+        assert_eq!(a.dst_node(h, &Topology::default()), None);
+        a.free(h);
+        let h2 = a.alloc(pkt(2));
+        assert_eq!(h2, h);
+        assert_eq!(a.dst_node(h2, &topo), Some(n2));
     }
 
     #[test]

@@ -272,9 +272,9 @@ impl Probe for PhaseProbe<'_> {
         self.prof
             .phase_add(phase, self.t1.elapsed().as_nanos() as u64);
         if cal.events_executed() & 1023 == 0 {
-            let (ready, wheel, overflow) = cal.occupancy_breakdown();
+            let (near, far, overflow) = cal.occupancy_breakdown();
             self.prof
-                .record(HistKind::CalendarLen, (ready + wheel + overflow) as u64);
+                .record(HistKind::CalendarLen, (near + far + overflow) as u64);
             self.prof
                 .record(HistKind::CalendarOverflow, overflow as u64);
             self.prof.record(HistKind::ArenaLive, arena.live() as u64);

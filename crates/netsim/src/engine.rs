@@ -293,11 +293,13 @@ impl Engine {
 
     /// Registers the workload. Flow ids are assigned densely in call
     /// order; each start event goes on its owner shard's calendar under
-    /// the next global sequence number.
+    /// the next global sequence number. May be called mid-run; instants
+    /// already in the past take effect immediately.
     pub fn add_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
+        let now = self.now();
         for spec in specs {
             let idx = self.ctl.flows.len();
-            let start = spec.start;
+            let start = spec.start.max(now);
             // A flow's driving events execute where its sender is hosted.
             let src = self.ctl.placement.node_of(spec.src_vm);
             self.ctl.flows.push(spec);
@@ -310,26 +312,31 @@ impl Engine {
         }
     }
 
-    /// Registers a VM migration.
+    /// Registers a VM migration. May be called mid-run; an instant already
+    /// in the past takes effect immediately (and is recorded as the instant
+    /// the VM moved: stale hits age from it).
     pub fn add_migration(&mut self, m: Migration) {
         let idx = self.ctl.migrations.len();
-        self.master.events.schedule_at(m.at, Event::Migrate(idx));
-        self.ctl.migrations.push(m);
+        let at = m.at.max(self.now());
+        self.master.events.schedule_at(at, Event::Migrate(idx));
+        self.ctl.migrations.push(Migration { at, ..m });
     }
 
     /// Registers a generated churn plan: its tenant flows, its migration
     /// schedule, and the timeline marks that feed telemetry and the churn
-    /// counters.
+    /// counters. May be called mid-run; instants already in the past take
+    /// effect immediately.
     pub fn apply_churn_plan(&mut self, plan: &ChurnPlan) {
         self.add_flows(plan.flows.iter().cloned());
         for &m in &plan.migrations {
             self.add_migration(m);
         }
+        let now = self.now();
         for &mark in &plan.marks {
             let idx = self.ctl.churn_marks.len();
             self.master
                 .events
-                .schedule_at(mark.at(), Event::ChurnMark(idx));
+                .schedule_at(mark.at().max(now), Event::ChurnMark(idx));
             self.ctl.churn_marks.push(mark);
         }
     }

@@ -502,10 +502,10 @@ pub(crate) fn run_windows(
                 // Deterministic once-per-window occupancy samples,
                 // composed across the fleet: the driver calendar holds
                 // only globals, the lanes hold the workload.
-                let (ready, wheel, overflow) = master.events.occupancy_breakdown();
+                let (near, far, overflow) = master.events.occupancy_breakdown();
                 profiler.record(
                     HistKind::CalendarLen,
-                    (ready + wheel + overflow) as u64 + shard_cal,
+                    (near + far + overflow) as u64 + shard_cal,
                 );
                 profiler.record(HistKind::CalendarOverflow, overflow as u64);
                 profiler.record(HistKind::ArenaLive, shard_arena);

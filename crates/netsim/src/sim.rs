@@ -635,7 +635,7 @@ impl Shard {
             return;
         }
         let tag = self.world.tag(node);
-        let (is_data, wire, flow_id, pkt_id, was_unresolved, first_of_flow, dst_pip) = {
+        let (is_data, wire, flow_id, pkt_id, was_unresolved, first_of_flow) = {
             let p = self.arena.get_mut(pkt);
             if count {
                 p.switch_hops = p.switch_hops.saturating_add(1);
@@ -647,7 +647,6 @@ impl Shard {
                 p.id.0,
                 !p.outer.resolved,
                 p.first_of_flow,
-                p.outer.dst_pip,
             )
         };
         if count {
@@ -665,9 +664,10 @@ impl Shard {
         }
         let was_unresolved = is_data && was_unresolved;
         let role = ctl.roles.role(node).expect("switch role");
-        // The outer destination is resolved to a node once per hop, here,
-        // and again below only if the agent rewrote it.
-        let dst_node = self.world.topo.node_by_pip(dst_pip);
+        // The arena remembers which node the outer destination resolved to
+        // at an earlier hop; it probes the topology again, here or below,
+        // only when the PIP has been rewritten since.
+        let dst_node = self.arena.dst_node(pkt, &self.world.topo);
         let dst_attached = dst_node.is_some_and(|dst| {
             let topo = &self.world.topo;
             topo.node(dst).kind.is_host() && self.world.routing.tor_of(topo, dst) == node
@@ -712,8 +712,17 @@ impl Shard {
                     let p = self.arena.get(pkt);
                     (p.inner.dst_vip, p.outer.dst_pip)
                 };
-                if ctl.plane.db().lookup(vip) != Some(cur_dst) {
-                    let migration = ctl.last_migration.get(&vip).copied();
+                // The migration ledger first. This is exact, not a filter:
+                // `Migrate` is the only write the database sees after set-up
+                // and it records the VIP here in the same global event, while
+                // a cache line is always a mapping the database held (learnt
+                // from a gateway's translation or a packet carrying one, or
+                // installed from the placement, which moves with it) — so a
+                // VIP absent from the ledger cannot be cached stale, and the
+                // cold, up to million-entry table is probed only for the few
+                // that migrated.
+                let migration = ctl.last_migration.get(&vip).copied();
+                if migration.is_some() && ctl.plane.db().lookup(vip) != Some(cur_dst) {
                     let age = self.counters.record_stale_hit(migration, now);
                     if trace {
                         let mut ev = TraceEvent::new(now.as_nanos(), EventKind::StaleHit)
@@ -764,18 +773,13 @@ impl Shard {
                 PacketKind::Invalidation(_) => self.counters.invalidation_packets += 1,
                 PacketKind::Data => {}
             }
-            let extra_dst = self.world.topo.node_by_pip(extra.outer.dst_pip);
             let eh = self.arena.alloc(extra);
+            let extra_dst = self.arena.dst_node(eh, &self.world.topo);
             self.route_from_switch(ctl, fx, node, eh, extra_dst);
         }
         match output.action {
             PacketAction::Forward => {
-                let now_pip = self.arena.get(pkt).outer.dst_pip;
-                let dst_node = if now_pip == dst_pip {
-                    dst_node
-                } else {
-                    self.world.topo.node_by_pip(now_pip)
-                };
+                let dst_node = self.arena.dst_node(pkt, &self.world.topo);
                 self.route_from_switch(ctl, fx, node, pkt, dst_node);
             }
             PacketAction::Delay(d) => fx.schedule_in(d, Event::ReInject { node, pkt }),

@@ -7,7 +7,7 @@ use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use sv2p_simcore::{SimDuration, SimTime};
 use sv2p_topology::{FatTreeConfig, LinkId, NodeId, SwitchRole};
-use sv2p_vnet::Strategy;
+use sv2p_vnet::{Migration, Strategy};
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
 fn sim_with(strategy: &dyn Strategy, cache_entries: usize) -> Engine {
@@ -169,13 +169,13 @@ fn host_uplink_down_drops_unroutable_then_recovers() {
 /// The failures-experiment plan in miniature: a reboot, a link failure and a
 /// loss window together. Same seed + same plan must give byte-identical
 /// summaries.
-/// `run_until(t)` parks with the next event just past `t`, in `t`'s own
-/// 128 ns calendar slot. A plan applied then for an instant in
-/// `(now(), t]` that lies a slot earlier is what `apply_fault_plan`'s
-/// "may be called mid-run" invites, and so is a flow added for such an
-/// instant: both must take effect at their instants at every shard
-/// count, never a wheel rotation (1 ms) later, and the clock must not
-/// run backwards.
+/// `run_until(t)` parks with the next event just past `t`. A plan applied
+/// then for an instant in `(now(), t]` is what `apply_fault_plan`'s "may be
+/// called mid-run" invites, and so is a flow added for such an instant:
+/// both must take effect at their instants at every shard count, never a
+/// calendar rotation later, and the clock must not run backwards. A flow
+/// or a migration dated *before* `now()` takes effect at `now()`, in
+/// either build profile.
 #[test]
 fn interventions_behind_a_parked_run_take_effect_on_time() {
     let run = |shards: u16| {
@@ -191,7 +191,11 @@ fn interventions_behind_a_parked_run_take_effect_on_time() {
             start: SimTime::from_micros(6),
             ..flows[0].clone()
         };
-        let n = flows.len() as u64 + 1;
+        let past = FlowSpec {
+            start: SimTime::from_micros(10),
+            ..flows[1].clone()
+        };
+        let n = flows.len() as u64 + 2;
         sim.add_flows(flows);
 
         sim.run_until(SimTime::from_nanos(10_010));
@@ -217,10 +221,25 @@ fn interventions_behind_a_parked_run_take_effect_on_time() {
             sim.run_until(SimTime::from_micros(10 * step));
             assert!(sim.now() >= last, "clock ran backwards: {:?} after {last:?}", sim.now());
             last = sim.now();
+            if step == 100 {
+                // Interventions dated before `now` (a debug-build panic
+                // once, a profile- and shard-dependent clamp in release)
+                // take effect at once: they are the next two events.
+                assert!(sim.now() > SimTime::from_micros(20));
+                let (before, vip) = (sim.events_executed(), sim.placement().vips[3]);
+                let to = sim.topology().servers().last().expect("servers exist");
+                let (to_node, to_pip) = (to.id, to.pip);
+                sim.add_migration(Migration::new(SimTime::from_micros(20), vip, to_node, to_pip));
+                sim.add_flows([past.clone()]);
+                sim.run_until(last);
+                assert_eq!((sim.now(), sim.events_executed()), (last, before + 2));
+                assert_eq!(sim.placement().pip_of(3), to_pip);
+            }
         }
         sim.run();
         let s = sim.summary();
         assert_eq!(s.flows_completed, n, "{s:?}");
+        assert_eq!(s.migrations, 1, "{s:?}");
         assert!(
             s.drops_blackout > 0,
             "the outage must be in force when the flows start: {s:?}"

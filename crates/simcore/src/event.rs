@@ -1,5 +1,5 @@
-//! The event calendar: a two-level timing wheel (calendar queue) with
-//! deterministic tie-breaking.
+//! The event calendar: a hierarchical timing wheel with deterministic
+//! tie-breaking.
 //!
 //! Two events scheduled for the same instant pop in the order they were
 //! pushed (FIFO), which makes whole simulations reproducible regardless of
@@ -11,34 +11,41 @@
 //!
 //! A binary heap pays `O(log n)` comparisons per operation, each moving a
 //! full event payload. Simulation events are overwhelmingly near-future
-//! (link serializations, per-hop delays) and dense — the fat-tree runs
-//! execute about two events per simulated nanosecond — so the calendar
-//! buckets by time at two granularities and compares almost nothing:
+//! (link serializations, per-hop delays: nine in ten fire within 1.1 µs)
+//! and dense — the fat-tree runs execute about two events per simulated
+//! nanosecond — so the calendar files an event once, where it will be
+//! popped from, and compares almost nothing. Time is cut into *epochs* of
+//! 4096 ns and an event goes to one of three levels by how many epochs
+//! ahead of the clock it is due:
 //!
-//! * **lanes** — the open slot, i.e. the 128 ns the clock is in, as one
-//!   FIFO per nanosecond (128 lanes and a 128-bit occupancy mask). Every
-//!   event of a lane fires at the same instant, so a lane is ordered by
-//!   `seq` alone: an event is filed behind every event with a smaller
-//!   `seq`, which is a `push_back` whenever seqs arrive in order (always,
-//!   on a calendar that assigns them itself) and a sorted insert
-//!   otherwise. Pop takes the front of the lowest occupied lane; no two
-//!   events are compared.
-//! * **wheel** — 8192 slots of 128 ns (≈1 ms horizon), each an *unsorted*
-//!   bucket, indexed by absolute slot number modulo the wheel size, with a
-//!   bitmap for O(words) next-occupied-slot scans. Scheduling is O(1). A
-//!   bucket hands its allocation back when it is opened, so the wheel's
-//!   memory follows the events *pending*, not the events scheduled per
-//!   rotation.
-//! * **overflow** — a binary heap for the rare events beyond the horizon
-//!   (RTO-scale timers, pre-scheduled flow starts). Each migrates into the
-//!   wheel when the clock comes within one rotation of it.
+//! * **near** — the epoch `now` is in and the next one: one slot per
+//!   nanosecond (8192 slots, indexed by time modulo the slot count, with
+//!   an occupancy bitmap), each an intrusive FIFO threaded through one
+//!   node slab with a LIFO free list. Every event of a slot fires at the
+//!   same instant, so a slot is ordered by `seq` alone: an event is linked
+//!   behind every event with a smaller `seq`, which is an append whenever
+//!   seqs arrive in order (always, on a calendar that assigns them itself)
+//!   and a sorted walk from the head otherwise. Pop unlinks the head of
+//!   the first occupied slot at or after `now`, circularly; no two events
+//!   are compared, none is copied, and the slab stops growing once the
+//!   near population has peaked.
+//! * **far** — the 512 epochs after those (≈2.1 ms: gateway service
+//!   times, retransmission timers), one plain *unsorted* `Vec` per epoch,
+//!   indexed by epoch modulo 512. Scheduling is a push. An epoch's `Vec`
+//!   is taken — allocation and all — and linked into the near level when a
+//!   pop carries `now` into the epoch before it. Far events stay out of
+//!   the slab on purpose: most are timers that lie dormant for their whole
+//!   life, and the slab never shrinks.
+//! * **overflow** — a binary heap for the rare events beyond that
+//!   (long timers, pre-scheduled flow starts). Each moves into the far or
+//!   near level when the clock enters an epoch within range of it.
 //!
-//! Pop drains the lanes; when they empty, the next occupied slot (or the
-//! earliest overflow event's, whichever is sooner) is opened: overflow
-//! events now within the horizon drop into the wheel and the slot's bucket
-//! is dealt into the lanes. A slot is opened only when one of its events
-//! is about to pop, so the open slot is always the one `now` is in and a
-//! legal schedule (`at >= now`) can never land behind it.
+//! The clock is the only cursor: the near level always covers the epoch
+//! `now` is in and the next, and `now` moves only when an event pops. When
+//! the near level is empty the next pop jumps to the epoch of the earliest
+//! far or overflow event; a window pop ([`EventQueue::pop_before`]) whose
+//! boundary that event is not below leaves everything where it is, so a
+//! legal schedule (`at >= now`) can never land behind the near level.
 //!
 //! The old single-heap implementation survives as a `#[cfg(test)]` oracle;
 //! equivalence proptests check the two produce identical `(time, seq,
@@ -47,7 +54,7 @@
 //! of order, windowed pops and extraction.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -86,20 +93,54 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// log2 of the slot width: 128 ns per slot, finer than any link delay in
-/// the fat-tree configs (1 µs) so back-to-back hops land in distinct slots.
-const SLOT_NS_SHIFT: u64 = 7;
-/// Lanes of the open slot: one per nanosecond of a slot.
-const LANES: usize = 1 << SLOT_NS_SHIFT;
-/// log2 of the slot count: 8192 slots × 128 ns ≈ 1.05 ms horizon, wide
-/// enough that only RTO-scale timers and pre-scheduled flow starts overflow.
-const SLOT_BITS: u64 = 13;
-/// Number of wheel slots (power of two so modulo is a mask).
-const NSLOTS: u64 = 1 << SLOT_BITS;
-/// Ring-index mask.
-const SLOT_MASK: u64 = NSLOTS - 1;
-/// Bitmap words covering the wheel.
-const BITMAP_WORDS: usize = (NSLOTS / 64) as usize;
+/// log2 of the epoch width: 4096 ns, so a link-scale delay (a
+/// serialization plus the 1 µs propagation) stays within the two epochs of
+/// the near level and is filed exactly once.
+const EPOCH_SHIFT: u32 = 12;
+/// Near-level slots: one per nanosecond of two epochs (a power of two, so
+/// the ring index is a mask).
+const NEAR_SLOTS: usize = 2 << EPOCH_SHIFT;
+/// Ring-index mask of the near level.
+const NEAR_MASK: u64 = NEAR_SLOTS as u64 - 1;
+/// Epochs of the far level: 512 × 4096 ns ≈ 2.1 ms, wide enough that only
+/// long timers and pre-scheduled flow starts overflow.
+const FAR_EPOCHS: u64 = 512;
+/// "No node": an empty slot's head, the end of a chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// The epoch an instant falls in.
+#[inline]
+fn epoch_of(t: SimTime) -> u64 {
+    t.as_nanos() >> EPOCH_SHIFT
+}
+
+/// One slab entry: a pending near-level event in its slot's chain, or a
+/// free entry in the free list (`payload` is `None`).
+#[derive(Debug)]
+struct Node<E> {
+    time: SimTime,
+    seq: u64,
+    /// The next node of the chain (or of the free list), or [`NIL`].
+    next: u32,
+    /// `Option` so a pop can move the payload out of a slab that keeps the
+    /// entry; for an enum payload with a spare tag value it costs no bytes.
+    payload: Option<E>,
+}
+
+/// The first set bit at or after bit `from`, circularly, of a bitmap of
+/// `64 * bits.len()` bits.
+#[inline]
+fn first_set_from(bits: &[u64], from: usize) -> Option<usize> {
+    let (w0, below) = (from / 64, !(!0u64 << (from % 64)));
+    let hit = |w: usize, word: u64| (word != 0).then(|| w * 64 + word.trailing_zeros() as usize);
+    // The starting word is looked at twice: from `from` up, then (after
+    // every other word) the bits under it.
+    hit(w0, bits[w0] & !below)
+        .or_else(|| {
+            (w0 + 1..w0 + bits.len()).find_map(|w| hit(w % bits.len(), bits[w % bits.len()]))
+        })
+        .or_else(|| hit(w0, bits[w0] & below))
+}
 
 /// A deterministic discrete-event calendar.
 ///
@@ -110,20 +151,26 @@ const BITMAP_WORDS: usize = (NSLOTS / 64) as usize;
 ///   (in release it clamps to "now", which keeps long batch sweeps alive).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The open slot — the one `now` is in — as one FIFO per nanosecond;
-    /// lane = time mod 128, each lane sorted by `seq`.
-    lanes: Box<[VecDeque<ScheduledEvent<E>>; LANES]>,
-    /// One bit per lane: non-empty.
-    lane_bits: u128,
-    /// Events in the lanes.
-    open_len: usize,
-    /// Unsorted near-future buckets; index = absolute slot & `SLOT_MASK`.
-    slots: Vec<Vec<ScheduledEvent<E>>>,
-    /// One bit per wheel slot: bucket non-empty.
-    occupied: [u64; BITMAP_WORDS],
-    /// Events at least one rotation ahead of the open slot.
+    /// Near level: `(head, tail)` node of each nanosecond's FIFO, sorted by
+    /// `seq`; index = time & `NEAR_MASK`; head [`NIL`] when empty (the tail
+    /// is then stale).
+    slots: Box<[(u32, u32); NEAR_SLOTS]>,
+    /// One bit per near slot: chain non-empty.
+    near_bits: [u64; NEAR_SLOTS / 64],
+    /// The slab the near level's chains and the free list run through.
+    nodes: Vec<Node<E>>,
+    /// Head of the LIFO free list.
+    free: u32,
+    /// Events in the near level.
+    near_len: usize,
+    /// Far level: the unsorted events of epochs `epoch(now) + 2 ..
+    /// epoch(now) + 2 + FAR_EPOCHS`; index = epoch mod `FAR_EPOCHS`.
+    far: Vec<Vec<ScheduledEvent<E>>>,
+    /// One bit per far epoch: `Vec` non-empty.
+    far_bits: [u64; FAR_EPOCHS as usize / 64],
+    /// Events beyond the far level.
     overflow: BinaryHeap<ScheduledEvent<E>>,
-    /// Pending events across lanes + wheel + overflow.
+    /// Pending events across near + far + overflow.
     pending: usize,
     next_seq: u64,
     now: SimTime,
@@ -141,11 +188,16 @@ impl<E> EventQueue<E> {
     /// Creates an empty calendar positioned at t = 0.
     pub fn new() -> Self {
         EventQueue {
-            lanes: Box::new(std::array::from_fn(|_| VecDeque::new())),
-            lane_bits: 0,
-            open_len: 0,
-            slots: (0..NSLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0u64; BITMAP_WORDS],
+            slots: vec![(NIL, NIL); NEAR_SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .expect("NEAR_SLOTS entries"),
+            near_bits: [0; NEAR_SLOTS / 64],
+            nodes: Vec::new(),
+            free: NIL,
+            near_len: 0,
+            far: (0..FAR_EPOCHS).map(|_| Vec::new()).collect(),
+            far_bits: [0; FAR_EPOCHS as usize / 64],
             overflow: BinaryHeap::new(),
             pending: 0,
             next_seq: 0,
@@ -181,48 +233,27 @@ impl<E> EventQueue<E> {
         self.peak_len
     }
 
-    /// Where the pending events currently sit: `(ready, wheel, overflow)`.
-    /// `ready` is the open slot's lanes, `wheel` everything parked in an
-    /// unsorted bucket, `overflow` the one heap (the only `O(log n)`
-    /// structure). The profiler samples this to histogram calendar
-    /// occupancy — a growing overflow share would mean the wheel horizon
-    /// no longer fits the workload's timer spread.
+    /// Where the pending events currently sit: `(near, far, overflow)`.
+    /// `near` is linked into its final per-nanosecond slot, `far` parked
+    /// in an unsorted per-epoch `Vec`, `overflow` in the one heap (the only
+    /// `O(log n)` structure). The profiler samples this to histogram
+    /// calendar occupancy — a growing overflow share would mean the far
+    /// level no longer spans the workload's timer spread.
     pub fn occupancy_breakdown(&self) -> (usize, usize, usize) {
         let overflow = self.overflow.len();
-        (self.open_len, self.pending - self.open_len - overflow, overflow)
+        (self.near_len, self.pending - self.near_len - overflow, overflow)
     }
 
     /// Bytes of event storage the calendar holds right now, counted by
-    /// capacity: the lanes, every wheel bucket and the overflow heap, plus
+    /// capacity: the node slab, every far `Vec` and the overflow heap, plus
     /// the fixed tables that index them.
     pub fn resident_bytes(&self) -> usize {
-        let events = self.lanes.iter().map(VecDeque::capacity).sum::<usize>()
-            + self.slots.iter().map(Vec::capacity).sum::<usize>()
-            + self.overflow.capacity();
-        events * std::mem::size_of::<ScheduledEvent<E>>()
-            + std::mem::size_of_val(&*self.lanes)
-            + self.slots.capacity() * std::mem::size_of::<Vec<ScheduledEvent<E>>>()
+        let parked = self.far.iter().map(Vec::capacity).sum::<usize>() + self.overflow.capacity();
+        self.nodes.capacity() * std::mem::size_of::<Node<E>>()
+            + parked * std::mem::size_of::<ScheduledEvent<E>>()
+            + std::mem::size_of_val(&*self.slots)
+            + self.far.capacity() * std::mem::size_of::<Vec<ScheduledEvent<E>>>()
             + std::mem::size_of::<Self>()
-    }
-
-    #[inline]
-    fn slot_of(t: SimTime) -> u64 {
-        t.as_nanos() >> SLOT_NS_SHIFT
-    }
-
-    #[inline]
-    fn bit_is_set(&self, ring: usize) -> bool {
-        self.occupied[ring / 64] & (1u64 << (ring % 64)) != 0
-    }
-
-    #[inline]
-    fn set_bit(&mut self, ring: usize) {
-        self.occupied[ring / 64] |= 1u64 << (ring % 64);
-    }
-
-    #[inline]
-    fn clear_bit(&mut self, ring: usize) {
-        self.occupied[ring / 64] &= !(1u64 << (ring % 64));
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -275,56 +306,102 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {at:?} < now {:?}",
             self.now
         );
-        let ev = ScheduledEvent {
+        self.file(ScheduledEvent {
             time: at.max(self.now),
             seq,
             payload,
-        };
-        // `time >= now`, so the event's slot is never behind the open one.
-        let open = Self::slot_of(self.now);
-        let slot = Self::slot_of(ev.time);
-        if slot == open {
-            self.file(ev);
-        } else if slot - open < NSLOTS {
-            self.put_in_wheel(slot, ev);
-        } else {
-            self.overflow.push(ev);
-        }
+        });
         self.pending += 1;
         self.peak_len = self.peak_len.max(self.pending);
     }
 
-    /// Files an event of the open slot in its nanosecond's lane, behind
-    /// every event with a smaller seq.
+    /// Files an event in the level its distance from `now` selects.
+    /// `time >= now`, so its epoch is never behind the near level.
     #[inline]
     fn file(&mut self, ev: ScheduledEvent<E>) {
-        let i = ev.time.as_nanos() as usize % LANES;
-        let lane = &mut self.lanes[i];
-        match lane.back() {
-            Some(last) if last.seq > ev.seq => {
-                let at = lane.partition_point(|e| e.seq < ev.seq);
-                lane.insert(at, ev);
-            }
-            _ => lane.push_back(ev),
+        let epoch = epoch_of(ev.time);
+        let ahead = epoch - epoch_of(self.now);
+        if ahead < 2 {
+            self.link(ev);
+        } else if ahead < 2 + FAR_EPOCHS {
+            let i = (epoch % FAR_EPOCHS) as usize;
+            self.far[i].push(ev);
+            self.far_bits[i / 64] |= 1 << (i % 64);
+        } else {
+            self.overflow.push(ev);
         }
-        self.lane_bits |= 1 << i;
-        self.open_len += 1;
     }
 
+    /// Links a near-level event into its nanosecond's chain, behind every
+    /// event with a smaller seq.
     #[inline]
-    fn put_in_wheel(&mut self, slot: u64, ev: ScheduledEvent<E>) {
-        let ring = (slot & SLOT_MASK) as usize;
-        self.slots[ring].push(ev);
-        self.set_bit(ring);
+    fn link(&mut self, ev: ScheduledEvent<E>) {
+        let s = (ev.time.as_nanos() & NEAR_MASK) as usize;
+        let seq = ev.seq;
+        let node = Node {
+            time: ev.time,
+            seq,
+            next: NIL,
+            payload: Some(ev.payload),
+        };
+        let i = match self.free {
+            NIL => {
+                assert!(self.nodes.len() < NIL as usize, "calendar slab overflow");
+                self.nodes.push(node);
+                self.nodes.len() as u32 - 1
+            }
+            i => {
+                self.free = self.nodes[i as usize].next;
+                self.nodes[i as usize] = node;
+                i
+            }
+        };
+        let (head, tail) = self.slots[s];
+        if head == NIL {
+            self.slots[s] = (i, i);
+            self.near_bits[s / 64] |= 1 << (s % 64);
+        } else if self.nodes[tail as usize].seq <= seq {
+            self.nodes[tail as usize].next = i;
+            self.slots[s].1 = i;
+        } else {
+            // An externally assigned seq arriving out of order: walk to the
+            // first node with a larger one (the tail, at the latest).
+            let (mut prev, mut cur) = (NIL, head);
+            while self.nodes[cur as usize].seq < seq {
+                (prev, cur) = (cur, self.nodes[cur as usize].next);
+            }
+            self.nodes[i as usize].next = cur;
+            match prev {
+                NIL => self.slots[s].0 = i,
+                _ => self.nodes[prev as usize].next = i,
+            }
+        }
+        self.near_len += 1;
+    }
+
+    /// Moves node `i`'s event out of the slab and puts the node on the
+    /// free list; returns the event and the node that followed it.
+    #[inline]
+    fn release(&mut self, i: u32) -> (ScheduledEvent<E>, u32) {
+        let node = &mut self.nodes[i as usize];
+        let ev = ScheduledEvent {
+            time: node.time,
+            seq: node.seq,
+            payload: node.payload.take().expect("a linked node holds an event"),
+        };
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = i;
+        self.near_len -= 1;
+        (ev, next)
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.lane_bits == 0 {
-            let target = self.next_slot()?;
-            self.open(target);
+        if self.near_len == 0 {
+            let (t, _) = self.peek_key()?;
+            self.jump(epoch_of(t));
         }
-        Some(self.take_front())
+        Some(self.take(self.front_slot()))
     }
 
     /// Pops the next event only if its `(time, seq)` key is strictly below
@@ -332,133 +409,97 @@ impl<E> EventQueue<E> {
     /// and returns `None`. This is the conservative-PDES window pop: a
     /// shard drains everything before the boundary, then parks.
     pub fn pop_before(&mut self, bt: SimTime, bseq: u64) -> Option<ScheduledEvent<E>> {
-        if self.lane_bits == 0 {
-            // Open the next slot only if one of its events pops right now:
-            // parking with a slot open past `now` would put later, legal
-            // schedules behind it.
-            let target = self.next_slot()?;
-            let boundary = Self::slot_of(bt);
-            if target > boundary || (target == boundary && self.peek_key()? >= (bt, bseq)) {
+        if self.near_len == 0 {
+            // Jump only if an event pops right now: parking with the near
+            // level moved past `now` would put later, legal schedules
+            // behind it.
+            let key = self.peek_key()?;
+            if key >= (bt, bseq) {
                 return None;
             }
-            self.open(target);
+            self.jump(epoch_of(key.0));
         }
-        let front = self.front();
-        ((front.time, front.seq) < (bt, bseq)).then(|| self.take_front())
+        let s = self.front_slot();
+        let head = &self.nodes[self.slots[s].0 as usize];
+        ((head.time, head.seq) < (bt, bseq)).then(|| self.take(s))
     }
 
-    /// The lowest occupied lane. Precondition: the lanes are not empty.
+    /// The slot of the earliest near-level event: the first occupied one
+    /// at or after `now`, circularly (the half of the ring behind `now`'s
+    /// epoch holds the next epoch). Precondition: near level not empty.
     #[inline]
-    fn front_lane(&self) -> usize {
-        self.lane_bits.trailing_zeros() as usize % LANES
+    fn front_slot(&self) -> usize {
+        first_set_from(&self.near_bits, (self.now.as_nanos() & NEAR_MASK) as usize)
+            .expect("near_len > 0 with no slot occupied")
     }
 
-    /// The earliest event of the open slot. Precondition: lanes not empty.
+    /// Unlinks the head of slot `s` — the earliest pending event — and
+    /// moves the clock to it.
     #[inline]
-    fn front(&self) -> &ScheduledEvent<E> {
-        self.lanes[self.front_lane()]
-            .front()
-            .expect("lane bit set on an empty lane")
-    }
-
-    /// Removes the earliest event of the open slot and moves the clock to
-    /// it. Precondition: lanes not empty.
-    #[inline]
-    fn take_front(&mut self) -> ScheduledEvent<E> {
-        let i = self.front_lane();
-        let lane = &mut self.lanes[i];
-        let ev = lane.pop_front().expect("lane bit set on an empty lane");
-        if lane.is_empty() {
-            self.lane_bits &= !(1 << i);
+    fn take(&mut self, s: usize) -> ScheduledEvent<E> {
+        let (ev, next) = self.release(self.slots[s].0);
+        self.slots[s].0 = next;
+        if next == NIL {
+            self.near_bits[s / 64] &= !(1 << (s % 64));
         }
         debug_assert!(ev.time >= self.now, "calendar produced an out-of-order event");
-        self.open_len -= 1;
         self.pending -= 1;
+        let entered = epoch_of(ev.time) != epoch_of(self.now);
         self.now = ev.time;
         self.popped += 1;
+        if entered {
+            self.enter();
+        }
         ev
     }
 
-    /// The absolute slot of the earliest event outside the open slot (wheel
-    /// or overflow), if there is one.
-    fn next_slot(&self) -> Option<u64> {
-        let wheel = self.next_occupied_after(Self::slot_of(self.now));
-        let over = self.overflow.peek().map(|e| Self::slot_of(e.time));
-        wheel.into_iter().chain(over).min()
-    }
-
-    /// Opens slot `target` — the earliest one holding events — by dealing
-    /// its bucket, plus any overflow events coming within a rotation, into
-    /// the lanes. Precondition: lanes empty; the caller pops from the slot
-    /// at once, which moves `now` into it.
-    fn open(&mut self, target: u64) {
-        // Overflow events now within one rotation drop into the wheel (or
-        // straight into the lanes, for the slot being opened).
+    /// `now` has just entered an epoch: the half of the near ring behind
+    /// it is empty (everything in it popped first) and becomes the next
+    /// epoch, which the far level — and the overflow heap, for events now
+    /// within the far level's range — hand over.
+    fn enter(&mut self) {
+        let e = epoch_of(self.now);
+        // The far level first: its slot for `e + 1` is the one the last
+        // epoch now in range, `e + 1 + FAR_EPOCHS`, is about to share.
+        self.pull(e + 1);
         while let Some(top) = self.overflow.peek() {
-            let slot = Self::slot_of(top.time);
-            if slot >= target + NSLOTS {
+            if epoch_of(top.time) >= e + 2 + FAR_EPOCHS {
                 break;
             }
             let ev = self.overflow.pop().expect("peeked");
-            if slot == target {
-                self.file(ev);
-            } else {
-                self.put_in_wheel(slot, ev);
-            }
+            self.file(ev);
         }
-        let ring = (target & SLOT_MASK) as usize;
-        if self.bit_is_set(ring) {
-            self.clear_bit(ring);
-            // The bucket's allocation is dropped with it: kept "for reuse"
-            // it would sit idle for a whole rotation, and every bucket a
-            // run touches would stay as large as its busiest visit.
-            for ev in std::mem::take(&mut self.slots[ring]) {
-                self.file(ev);
-            }
-        }
-        debug_assert!(self.lane_bits != 0, "opened an empty slot");
     }
 
-    /// The next occupied wheel slot strictly after `cur`, as an absolute
-    /// slot number. The open slot's own bit is always clear (its bucket
-    /// lives in the lanes), so a full circular scan is safe.
-    fn next_occupied_after(&self, cur: u64) -> Option<u64> {
-        let cur_ring = (cur & SLOT_MASK) as usize;
-        let ring = self
-            .scan_bits(cur_ring + 1, NSLOTS as usize)
-            .or_else(|| self.scan_bits(0, cur_ring))?;
-        let dist = if ring > cur_ring {
-            (ring - cur_ring) as u64
-        } else {
-            ring as u64 + NSLOTS - cur_ring as u64
-        };
-        Some(cur + dist)
+    /// The near level is empty and the earliest pending event lies in
+    /// epoch `e`, at least two ahead: moves the clock over the empty
+    /// epochs to the start of `e`. The caller pops from it at once, so
+    /// `now` is never observed between events.
+    fn jump(&mut self, e: u64) {
+        debug_assert!(self.near_len == 0 && e >= epoch_of(self.now) + 2);
+        self.now = SimTime::from_nanos(e << EPOCH_SHIFT);
+        self.pull(e);
+        self.enter();
     }
 
-    /// First set bit with ring index in `[lo, hi)`.
-    fn scan_bits(&self, lo: usize, hi: usize) -> Option<usize> {
-        if lo >= hi {
-            return None;
+    /// Links far epoch `epoch`'s events into the near level.
+    fn pull(&mut self, epoch: u64) {
+        let i = (epoch % FAR_EPOCHS) as usize;
+        self.far_bits[i / 64] &= !(1 << (i % 64));
+        // The allocation is dropped with the `Vec`: kept "for reuse" it
+        // would sit idle for 512 epochs, and every `Vec` a run touches
+        // would stay as large as its busiest visit.
+        for ev in std::mem::take(&mut self.far[i]) {
+            debug_assert_eq!(epoch_of(ev.time), epoch, "far epoch aliased");
+            self.link(ev);
         }
-        let mut w = lo / 64;
-        let last_w = (hi - 1) / 64;
-        let mut word = self.occupied[w] & (!0u64 << (lo % 64));
-        loop {
-            if w == last_w {
-                let keep = hi - w * 64; // 1..=64
-                if keep < 64 {
-                    word &= (1u64 << keep) - 1;
-                }
-            }
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-            if w == last_w {
-                return None;
-            }
-            w += 1;
-            word = self.occupied[w];
-        }
+    }
+
+    /// The earliest occupied far epoch, as an absolute epoch number.
+    fn next_far_epoch(&self) -> Option<u64> {
+        let start = epoch_of(self.now) + 2;
+        let i = first_set_from(&self.far_bits, (start % FAR_EPOCHS) as usize)? as u64;
+        Some(start + (i + FAR_EPOCHS - start % FAR_EPOCHS) % FAR_EPOCHS)
     }
 
     /// The timestamp of the next pending event without popping it.
@@ -470,58 +511,65 @@ impl<E> EventQueue<E> {
     /// The sharded driver peeks its global calendar through this to decide
     /// whether a window's boundary is a global event or pure lookahead.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        if self.lane_bits != 0 {
-            let e = self.front();
-            return Some((e.time, e.seq));
+        if self.near_len != 0 {
+            let head = &self.nodes[self.slots[self.front_slot()].0 as usize];
+            return Some((head.time, head.seq));
         }
-        // Earliest of the next wheel bucket (unsorted: scan it) and the
-        // overflow heap's top, which may share that bucket's slot.
-        let wheel = self
-            .next_occupied_after(Self::slot_of(self.now))
-            .and_then(|w| {
-                self.slots[(w & SLOT_MASK) as usize]
-                    .iter()
-                    .map(|e| (e.time, e.seq))
-                    .min()
-            });
-        let over = self.overflow.peek().map(|e| (e.time, e.seq));
-        wheel.into_iter().chain(over).min()
+        // Earliest of the next far epoch (unsorted: scan it) and the
+        // overflow heap's top, which may be due before it.
+        let far = self.next_far_epoch().and_then(|e| {
+            self.far[(e % FAR_EPOCHS) as usize]
+                .iter()
+                .map(|ev| (ev.time, ev.seq))
+                .min()
+        });
+        let over = self.overflow.peek().map(|ev| (ev.time, ev.seq));
+        far.into_iter().chain(over).min()
     }
 
     /// Removes and returns every pending event whose payload matches
     /// `pred`, sorted by `(time, seq)`; non-matching events stay exactly
-    /// where they were. O(pending + wheel slots) — used only at migration
+    /// where they were. O(pending + slots) — used only at migration
     /// boundaries, where a VM's not-yet-due flow events move to the flow's
     /// new owner shard with their global keys intact.
     pub fn extract_if(&mut self, mut pred: impl FnMut(&E) -> bool) -> Vec<ScheduledEvent<E>> {
         let mut out = Vec::new();
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            for ev in std::mem::take(lane) {
-                if pred(&ev.payload) {
-                    out.push(ev);
-                } else {
-                    lane.push_back(ev);
-                }
-            }
-            if lane.is_empty() {
-                self.lane_bits &= !(1 << i);
-            }
-        }
-        for ring in 0..NSLOTS as usize {
-            if !self.bit_is_set(ring) {
+        for s in 0..NEAR_SLOTS {
+            if self.near_bits[s / 64] & (1 << (s % 64)) == 0 {
                 continue;
             }
-            let bucket = &mut self.slots[ring];
-            let mut i = 0;
-            while i < bucket.len() {
-                if pred(&bucket[i].payload) {
-                    out.push(bucket.swap_remove(i));
+            let (mut prev, mut cur) = (NIL, self.slots[s].0);
+            while cur != NIL {
+                let node = &self.nodes[cur as usize];
+                if !pred(node.payload.as_ref().expect("a linked node holds an event")) {
+                    (prev, cur) = (cur, node.next);
+                    continue;
+                }
+                let (ev, next) = self.release(cur);
+                out.push(ev);
+                match prev {
+                    NIL => self.slots[s].0 = next,
+                    _ => self.nodes[prev as usize].next = next,
+                }
+                cur = next;
+            }
+            if self.slots[s].0 == NIL {
+                self.near_bits[s / 64] &= !(1 << (s % 64));
+            } else {
+                self.slots[s].1 = prev;
+            }
+        }
+        for (i, parked) in self.far.iter_mut().enumerate() {
+            let mut k = 0;
+            while k < parked.len() {
+                if pred(&parked[k].payload) {
+                    out.push(parked.swap_remove(k));
                 } else {
-                    i += 1;
+                    k += 1;
                 }
             }
-            if bucket.is_empty() {
-                self.clear_bit(ring);
+            if parked.is_empty() {
+                self.far_bits[i / 64] &= !(1 << (i % 64));
             }
         }
         let mut keep = BinaryHeap::with_capacity(self.overflow.len());
@@ -534,7 +582,6 @@ impl<E> EventQueue<E> {
         }
         self.overflow = keep;
         self.pending -= out.len();
-        self.open_len = self.lanes.iter().map(VecDeque::len).sum();
         out.sort_by_key(|a| (a.time, a.seq));
         out
     }
@@ -701,14 +748,14 @@ mod tests {
     fn occupancy_breakdown_partitions_pending() {
         let mut q = EventQueue::new();
         assert_eq!(q.occupancy_breakdown(), (0, 0, 0));
-        q.schedule_at(SimTime::from_nanos(10), 1); // slot 0: straight to a lane
-        q.schedule_at(SimTime::from_nanos(500_000), 2); // within horizon: wheel
-        q.schedule_at(SimTime::from_millis(50), 3); // beyond horizon: overflow
-        let (ready, wheel, overflow) = q.occupancy_breakdown();
-        assert_eq!(ready + wheel + overflow, q.len());
+        q.schedule_at(SimTime::from_nanos(10), 1); // epoch 0: straight to its slot
+        q.schedule_at(SimTime::from_nanos(500_000), 2); // within the far span
+        q.schedule_at(SimTime::from_millis(50), 3); // beyond it: overflow
+        let (near, far, overflow) = q.occupancy_breakdown();
+        assert_eq!(near + far + overflow, q.len());
         assert_eq!(overflow, 1);
-        assert_eq!(ready, 1);
-        assert_eq!(wheel, 1);
+        assert_eq!(near, 1);
+        assert_eq!(far, 1);
         q.pop();
         q.pop();
         q.pop();
@@ -910,43 +957,185 @@ mod tests {
         q.schedule_at(SimTime::from_nanos(1000), 1u32); // seq 0
         assert!(q.pop_before(SimTime::from_nanos(1000), 0).is_none());
         assert!(q.pop_before(SimTime::from_nanos(990), 7).is_none());
-        assert_eq!(q.occupancy_breakdown(), (0, 1, 0));
+        assert_eq!((q.occupancy_breakdown(), q.now()), ((1, 0, 0), SimTime::ZERO));
         q.schedule_at(SimTime::from_nanos(300), 0);
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, vec![0, 1]);
     }
 
     #[test]
-    fn a_drained_bucket_gives_its_memory_back() {
+    fn storage_follows_the_events_pending_and_is_flat_at_steady_state() {
         // An ft8-shaped load — 2 000 pending events, each pop scheduling a
-        // successor about one link delay ahead, so ~250 events per slot —
-        // run over two wheel rotations: every one of the 8192 buckets is
-        // filled and drained twice. Storage must follow the events
-        // pending, not the millions scheduled.
+        // successor about one link delay ahead — run over two rotations of
+        // the far level: every near slot is linked and unlinked a thousand
+        // times. The slab must stop growing once the population has peaked.
         const PENDING: u64 = 2_000;
         let mut q = EventQueue::new();
         let fixed = q.resident_bytes();
         for i in 0..PENDING {
             q.schedule_at(SimTime::from_nanos(i * 2), i);
         }
-        let horizon = SimTime::from_nanos(2 * (NSLOTS << SLOT_NS_SHIFT));
-        while q.now() < horizon {
-            let e = q.pop().expect("every pop schedules a successor");
-            let hop = 1_000 + e.payload % 85;
-            q.schedule_at(SimTime::from_nanos(e.time.as_nanos() + hop), e.payload);
-        }
+        let run_to = |q: &mut EventQueue<u64>, t: u64| {
+            while q.now() < SimTime::from_nanos(t) {
+                let e = q.pop().expect("every pop schedules a successor");
+                if e.payload < PENDING {
+                    let hop = 1_000 + e.payload % 85;
+                    q.schedule_at(SimTime::from_nanos(e.time.as_nanos() + hop), e.payload);
+                }
+            }
+        };
+        run_to(&mut q, FAR_SPAN);
+        let after_one = q.resident_bytes();
+        run_to(&mut q, 2 * FAR_SPAN);
         assert!(q.events_executed() > 1_000_000);
         assert_eq!(q.peak_len() as u64, PENDING);
+        assert_eq!(q.resident_bytes(), after_one, "storage moved at a constant population");
         let per_event = std::mem::size_of::<ScheduledEvent<u64>>();
+        let bound = 4 * q.peak_len() * per_event;
         let held = q.resident_bytes() - fixed;
         assert!(
-            held <= 4 * q.peak_len() * per_event,
+            held <= bound,
             "calendar holds {held} B for a peak of {} events of {per_event} B",
             q.peak_len()
         );
-        // ... and an idle calendar holds only its lanes' few entries.
-        while q.pop().is_some() {}
+        // Four times as many dormant timers, forty per epoch, park in the
+        // far level — not in the slab, which never shrinks — and their
+        // storage is gone again once they have fired.
+        let t0 = q.now().as_nanos();
+        for i in 0..4 * PENDING {
+            q.schedule_at(SimTime::from_nanos(t0 + FAR_SPAN / 2 + i * 100), PENDING + i);
+        }
         assert!(q.resident_bytes() - fixed <= 4 * q.peak_len() * per_event);
+        assert_eq!(q.occupancy_breakdown().2, 0);
+        run_to(&mut q, t0 + 2 * FAR_SPAN);
+        assert_eq!(q.len() as u64, PENDING);
+        assert!(q.resident_bytes() - fixed <= bound, "fired timers kept their storage");
+        // ... and an idle calendar holds no more than a busy one.
+        while q.pop().is_some() {}
+        assert!(q.resident_bytes() - fixed <= bound);
+    }
+
+    /// One epoch and the far level's span, in nanoseconds.
+    const EPOCH: u64 = 1 << EPOCH_SHIFT;
+    const FAR_SPAN: u64 = FAR_EPOCHS << EPOCH_SHIFT;
+
+    /// Pops both calendars dry, comparing peek and pop at every step;
+    /// returns the payloads in pop order.
+    fn drain_both(wheel: &mut EventQueue<u32>, heap: &mut HeapQueue<u32>) -> Vec<u32> {
+        let mut order = Vec::new();
+        loop {
+            assert_eq!(wheel.peek_key(), heap.peek_key());
+            match (wheel.pop(), heap.pop()) {
+                (None, None) => return order,
+                (Some(x), Some(y)) => {
+                    assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                    assert_eq!(wheel.now(), heap.now());
+                    order.push(x.payload);
+                }
+                (a, b) => panic!("pop divergence: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn level_boundaries_match_the_heap_oracle_from_every_clock_phase() {
+        // Each delta sits one nanosecond either side of a level boundary
+        // (near | far | overflow; the last pair is where this layout's far
+        // level ends when the clock is at an epoch's start), measured from a
+        // clock at the start, the last nanosecond and the boundary of an
+        // epoch. Scheduled latest first, each twice for a tie, then again
+        // one at a time with a pop between.
+        let deltas = [
+            EPOCH - 1,
+            EPOCH,
+            2 * EPOCH - 1,
+            2 * EPOCH,
+            FAR_SPAN - 1,
+            FAR_SPAN,
+            FAR_SPAN + 2 * EPOCH - 1,
+            FAR_SPAN + 2 * EPOCH,
+        ];
+        for clock in [0, EPOCH - 1, EPOCH] {
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            wheel.schedule_at(SimTime::from_nanos(clock), u32::MAX);
+            heap.schedule_at(SimTime::from_nanos(clock), u32::MAX);
+            assert_eq!(wheel.pop().map(|e| e.time), heap.pop().map(|e| e.time));
+            for (i, &d) in deltas.iter().rev().enumerate() {
+                for tie in 0..2 {
+                    let at = SimTime::from_nanos(clock + d);
+                    wheel.schedule_at(at, 2 * i as u32 + tie);
+                    heap.schedule_at(at, 2 * i as u32 + tie);
+                }
+            }
+            let order = drain_both(&mut wheel, &mut heap);
+            assert_eq!(order, (0..16).rev().map(|p| p ^ 1).collect::<Vec<_>>());
+            for (i, &d) in deltas.iter().enumerate() {
+                let at = SimTime::from_nanos(wheel.now().as_nanos() + d);
+                wheel.schedule_at(at, i as u32);
+                heap.schedule_at(at, i as u32);
+                assert_eq!(drain_both(&mut wheel, &mut heap), vec![i as u32]);
+            }
+        }
+    }
+
+    #[test]
+    fn far_and_direct_schedules_for_one_nanosecond_pop_in_seq_order() {
+        const PROV: u64 = 1 << 63;
+        let t = SimTime::from_nanos(3 * EPOCH + 17);
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapQueue::new();
+        let mut both = |wheel: &mut EventQueue<u32>, at: SimTime, seq: Option<u64>, p: u32| {
+            let seq = match seq {
+                Some(seq) => {
+                    wheel.schedule_at_seq(at, seq, p);
+                    seq
+                }
+                None => wheel.schedule_at(at, p),
+            };
+            heap.schedule_at_seq(at, seq, p);
+        };
+        assert_eq!(wheel.reserve_seqs(8), 0);
+        // Parked in the far level: the calendar's own seq 8, then a smaller
+        // external one behind it in the unsorted `Vec`.
+        both(&mut wheel, t, None, 2);
+        both(&mut wheel, t, Some(5), 1);
+        both(&mut wheel, SimTime::from_nanos(2 * EPOCH + 5), None, 9);
+        assert_eq!(wheel.occupancy_breakdown(), (0, 3, 0));
+        // The stepping stone pops: `now` enters epoch 2 and epoch 3 is
+        // linked into the near level. Later schedules go straight there.
+        assert_eq!(wheel.pop().map(|e| e.payload), Some(9));
+        assert_eq!(wheel.occupancy_breakdown(), (2, 0, 0));
+        both(&mut wheel, t, None, 3); // own seq 10: an append
+        both(&mut wheel, t, Some(2), 0); // smaller than all: new head
+        both(&mut wheel, t, Some(PROV), 5); // provisional: after every real seq
+        both(&mut wheel, t, Some(11), 4); // between own and provisional
+        heap.pop();
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_jump_over_the_whole_far_span_lands_with_the_near_level_under_the_clock() {
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapQueue::new();
+        let far = (FAR_EPOCHS + 100) * EPOCH + 7;
+        for (at, p) in [(0, 0u32), (far, 1), (far + 3 * EPOCH, 4), (far + FAR_SPAN, 5)] {
+            wheel.schedule_at(SimTime::from_nanos(at), p);
+            heap.schedule_at(SimTime::from_nanos(at), p);
+        }
+        assert_eq!(wheel.occupancy_breakdown(), (1, 0, 3));
+        for expect in [0, 1] {
+            assert_eq!(wheel.pop().map(|e| e.payload), Some(expect));
+            heap.pop();
+        }
+        assert_eq!(wheel.now(), SimTime::from_nanos(far));
+        // The overflow events came within the far span on the way.
+        assert_eq!(wheel.occupancy_breakdown(), (0, 2, 0));
+        for (at, p) in [(far + 1, 2u32), (far + EPOCH, 3)] {
+            wheel.schedule_at(SimTime::from_nanos(at), p);
+            heap.schedule_at(SimTime::from_nanos(at), p);
+        }
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![2, 3, 4, 5]);
     }
 
     /// Replays one op tape against both calendars and compares every
@@ -1004,7 +1193,7 @@ mod tests {
         let (mut n_real, mut n_prov, mut payload) = (0u64, 0u64, 0u32);
         let mut last = SimTime::ZERO;
         for &(offset, op, r) in ops {
-            // A third of the deltas are 0..4 ns (same-instant and same-lane
+            // A third of the deltas are 0..4 ns (same-instant and same-slot
             // ties), a third stay within a few slots (windows that park
             // beside their next event), the rest reach past the wheel
             // horizon (65535 << 11 ≈ 134 ms).
@@ -1084,7 +1273,7 @@ mod tests {
     #[test]
     fn external_seq_equivalence_on_dense_ties() {
         // Every op kind in rotation on 0..4 ns deltas: sorted inserts into
-        // occupied lanes, windows parking mid-lane, extraction from lanes.
+        // occupied slots, windows parking mid-slot, extraction from chains.
         let ops: Vec<(u16, u8, u16)> = (0..600u16)
             .map(|i| (i % 7, (i % 8 + i / 8 % 3) as u8, (i % 5) * 3))
             .collect();
