@@ -4,9 +4,10 @@
 //! existed the simulator moved that struct by value through every event — a
 //! switch hop cost two full memcpys (into the calendar, out of the
 //! calendar) plus another pair per link queue transit. The arena fixes a
-//! packet in place for its whole life: events and link queues carry a
-//! 4-byte [`PacketRef`] handle, and only the node logic that actually reads
-//! or rewrites headers touches the packet itself.
+//! packet in place for its whole life: events carry a 4-byte
+//! [`PacketRef`] handle (a link holds nothing: a packet in its queue is
+//! already an arrival event on the calendar), and only the node logic that
+//! actually reads or rewrites headers touches the packet itself.
 //!
 //! Allocation is a free-list slab: slots are reused in LIFO order, so a
 //! steady-state run touches a small, cache-hot region regardless of total
@@ -15,7 +16,7 @@
 //! allocations proxy (`peak_arena`).
 //!
 //! Discipline: every allocated handle has exactly one owner (an event in
-//! the calendar or a slot in a link queue) and must be passed to
+//! the calendar or a slot in a gateway's queue) and must be passed to
 //! [`PacketArena::free`] exactly once, at the packet's end of life
 //! (delivery, drop, or consumption). Debug builds verify both directions
 //! with a liveness bitmap.

@@ -20,23 +20,24 @@ use sv2p_topology::{LinkId, NodeId};
 
 use crate::arena::{PacketArena, PacketRef};
 
-/// Simulator events. Packet-carrying events hold an arena handle, so an
-/// event is a few machine words no matter how fat `TunnelOptions` get.
+/// Simulator events. Packet-carrying events hold an arena handle and
+/// flow / plan events a `u32` index, so an event is twelve bytes — a tag and
+/// two words — no matter how fat `TunnelOptions` get, and the calendar's
+/// slab node around it is 32.
 #[derive(Debug)]
 pub(crate) enum Event {
-    FlowStart(usize),
+    FlowStart(u32),
     UdpSend {
-        flow: usize,
-        idx: usize,
+        flow: u32,
+        idx: u32,
     },
-    LinkFree(LinkId),
     LinkArrival {
         link: LinkId,
         pkt: PacketRef,
     },
     RtoTimer {
-        flow: usize,
-        gen: u64,
+        flow: u32,
+        gen: u32,
     },
     GatewayDone {
         node: NodeId,
@@ -50,18 +51,27 @@ pub(crate) enum Event {
         node: NodeId,
         pkt: PacketRef,
     },
-    Migrate(usize),
-    FaultStart(usize),
-    FaultEnd(usize),
+    Migrate(u32),
+    FaultStart(u32),
+    FaultEnd(u32),
     /// A churn-timeline annotation (tenant arrival/departure, migration
     /// wave): counters and telemetry only, no simulation state change.
-    ChurnMark(usize),
+    ChurnMark(u32),
     /// Periodic telemetry snapshot; reschedules itself while other events
     /// remain pending (so it never keeps an otherwise-finished run alive).
     TelemetrySample,
 }
 
+const _: () = assert!(std::mem::size_of::<Event>() == 12);
+const _: () = assert!(EventQueue::<Event>::NODE_BYTES == 32);
+const _: () = assert!(std::mem::size_of::<sv2p_simcore::ScheduledEvent<Event>>() == 32);
+
 impl Event {
+    /// A flow or plan table index as an event carries it.
+    pub fn index(i: usize) -> u32 {
+        u32::try_from(i).expect("event index fits in u32")
+    }
+
     /// Global events write control state, so the driver executes them
     /// itself, between windows, at every shard count.
     pub fn is_global(&self) -> bool {
@@ -80,7 +90,6 @@ impl Event {
         match self {
             Event::FlowStart(_) => Phase::FlowStart,
             Event::UdpSend { .. } => Phase::UdpSend,
-            Event::LinkFree(_) => Phase::LinkFree,
             Event::LinkArrival { .. } => Phase::LinkArrival,
             Event::RtoTimer { .. } => Phase::RtoTimer,
             Event::GatewayDone { .. } => Phase::Gateway,

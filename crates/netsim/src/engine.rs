@@ -21,7 +21,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use sv2p_metrics::{Counters, Metrics, RecoveryReport, RunSummary, WINDOW_NS};
+use sv2p_metrics::{Counters, Metrics, RecoveryReport, RunSummary};
 use sv2p_packet::{Pip, SwitchTag, Vip};
 use sv2p_simcore::{EventQueue, FxHashMap, SimDuration, SimTime};
 use sv2p_telemetry::profile::Profiler;
@@ -298,7 +298,7 @@ impl Engine {
     pub fn add_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
         let now = self.now();
         for spec in specs {
-            let idx = self.ctl.flows.len();
+            let idx = Event::index(self.ctl.flows.len());
             let start = spec.start.max(now);
             // A flow's driving events execute where its sender is hosted.
             let src = self.ctl.placement.node_of(spec.src_vm);
@@ -316,7 +316,7 @@ impl Engine {
     /// in the past takes effect immediately (and is recorded as the instant
     /// the VM moved: stale hits age from it).
     pub fn add_migration(&mut self, m: Migration) {
-        let idx = self.ctl.migrations.len();
+        let idx = Event::index(self.ctl.migrations.len());
         let at = m.at.max(self.now());
         self.master.events.schedule_at(at, Event::Migrate(idx));
         self.ctl.migrations.push(Migration { at, ..m });
@@ -333,7 +333,7 @@ impl Engine {
         }
         let now = self.now();
         for &mark in &plan.marks {
-            let idx = self.ctl.churn_marks.len();
+            let idx = Event::index(self.ctl.churn_marks.len());
             self.master
                 .events
                 .schedule_at(mark.at().max(now), Event::ChurnMark(idx));
@@ -349,7 +349,7 @@ impl Engine {
     pub fn apply_fault_plan(&mut self, plan: FaultPlan) {
         let now = self.now();
         for ev in plan.events() {
-            let idx = self.ctl.fault_plan.len();
+            let idx = Event::index(self.ctl.fault_plan.len());
             self.master
                 .events
                 .schedule_at(ev.at().max(now), Event::FaultStart(idx));
@@ -612,10 +612,9 @@ pub(crate) fn exec_global<'s>(
     let now = master.events.now();
     match ev {
         Event::TelemetrySample => {
-            let widx = (now.as_nanos() / WINDOW_NS) as usize;
             let mut s = Snapshot::default();
             for shard in shards {
-                shard.snapshot_into(ctl, widx, &mut s);
+                shard.snapshot_into(ctl, now, &mut s);
             }
             let pending_events = master.events.len() as u64 + lanes.1;
             master.tracer.samples.push(Sample {
@@ -640,7 +639,7 @@ pub(crate) fn exec_global<'s>(
             return;
         }
         Event::FaultStart(i) => {
-            let fault = &ctl.fault_plan[i];
+            let fault = &ctl.fault_plan[i as usize];
             master.metrics.record_fault(now, fault.label());
             match *fault {
                 FaultEvent::SwitchReboot { node, .. } | FaultEvent::GatewayOutage { node, .. } => {
@@ -656,7 +655,7 @@ pub(crate) fn exec_global<'s>(
             }
         }
         Event::FaultEnd(i) => {
-            let fault = &ctl.fault_plan[i];
+            let fault = &ctl.fault_plan[i as usize];
             master
                 .metrics
                 .record_fault(now, format!("{} cleared", fault.label()));
@@ -683,7 +682,7 @@ pub(crate) fn exec_global<'s>(
             }
         }
         Event::Migrate(i) => {
-            let m = ctl.migrations[i];
+            let m = ctl.migrations[i as usize];
             let vm = ctl
                 .placement
                 .index_of(m.vip)
@@ -704,7 +703,7 @@ pub(crate) fn exec_global<'s>(
                 .insert(m.vip, master.metrics.record_migration(m.at));
         }
         Event::ChurnMark(i) => {
-            let (kind, tenant, n) = match ctl.churn_marks[i] {
+            let (kind, tenant, n) = match ctl.churn_marks[i as usize] {
                 ChurnMark::Arrival { tenant, vms, .. } => {
                     master.metrics.churn_arrivals += 1;
                     (EventKind::ChurnArrival, tenant, vms)

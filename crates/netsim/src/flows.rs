@@ -65,8 +65,9 @@ pub(crate) struct FlowXport {
     /// Retransmission-timer generation: each arm bumps it, and a pending
     /// `RtoTimer` event only fires if it still carries the current value.
     /// A plain counter, so the whole timer state travels with the flow
-    /// when a migration moves it to another shard.
-    pub rto_gen: u64,
+    /// when a migration moves it to another shard; it may wrap, since only
+    /// equality with the one pending event is ever asked.
+    pub rto_gen: u32,
     /// Datagrams delivered so far (UDP completion tracking).
     pub udp_delivered: usize,
     pub completed: bool,

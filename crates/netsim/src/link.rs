@@ -2,20 +2,31 @@
 //!
 //! Each directed link owns the egress queue of its sending port. A packet
 //! occupies the transmitter for its serialization time and arrives at the
-//! receiver one propagation delay after transmission completes — the classic
-//! output-queued switch model NS3's point-to-point devices use.
+//! receiver one propagation delay after its last bit leaves — the classic
+//! output-queued switch model.
 //!
-//! Links queue [`PacketRef`] handles, not packets: the packet body stays in
-//! the simulation's [`crate::arena::PacketArena`]. The wire size is sampled
-//! once at enqueue (it cannot change while queued — only node logic rewrites
-//! headers, and a queued packet is owned by the link) and carried next to
-//! the handle so serialization math never touches the arena.
+//! The model is *analytic*. Once a packet is in a drop-tail FIFO nothing
+//! can overtake it, abandon it or strand it (`link_up` is read when a
+//! packet is routed, never while it waits), so the instant its last bit
+//! leaves is known the moment it is offered: [`LinkState::enqueue`] answers
+//! with that instant and the caller schedules the packet's one arrival
+//! event. There is no transmission-complete event and the link holds no
+//! packet handles — only when it next falls idle and the wire sizes of the
+//! packets still waiting, which is all the buffer accounting needs. A
+//! packet bound for another shard therefore leaves its sender's arena when
+//! it is offered.
+//!
+//! **The same-instant rule.** A packet whose transmission starts at `now`
+//! has left the queue: its bytes are off the buffer and it no longer counts
+//! toward [`LinkState::queue_len`]; a link whose last bit leaves at `now`
+//! is idle at `now`. It is the rule an event-driven link follows when its
+//! transmission-complete event runs before the offers of the same instant,
+//! and the `#[cfg(test)]` oracle below — that event-driven link, kept as
+//! the calendar keeps its heap — is driven exactly so.
 
 use std::collections::VecDeque;
 
-use sv2p_simcore::SimDuration;
-
-use crate::arena::PacketRef;
+use sv2p_simcore::{SimDuration, SimTime};
 
 /// Runtime state of one directed link.
 #[derive(Debug)]
@@ -26,13 +37,17 @@ pub struct LinkState {
     pub delay: SimDuration,
     /// Buffer limit in bytes (drop-tail beyond it).
     pub buffer_bytes: u64,
-    /// Queued `(packet, wire bytes)` awaiting transmission (the head entry
-    /// is the one on the wire).
-    queue: VecDeque<(PacketRef, u32)>,
-    /// Bytes currently queued.
+    /// When the last bit of the last accepted packet leaves.
+    free_at: SimTime,
+    /// Wire sizes of the accepted packets that had not started
+    /// transmitting when the link was last offered one, oldest first.
+    /// Four bytes a waiting packet: each one's start is the sum of the
+    /// serializations ahead of it, so only the front's is kept.
+    waiting: VecDeque<u32>,
+    /// When the front of `waiting` starts transmitting.
+    head_start: SimTime,
+    /// Bytes in `waiting`.
     queued_bytes: u64,
-    /// True while a packet is being serialized.
-    busy: bool,
     /// The last `(wire bytes, serialization time)` worked out. A link is
     /// one direction of a cable, so it carries runs of one size — full
     /// data packets one way, ACKs the other — and the division repeats.
@@ -43,13 +58,9 @@ pub struct LinkState {
 /// What [`LinkState::enqueue`] decided.
 #[derive(Debug, PartialEq, Eq)]
 pub enum EnqueueOutcome {
-    /// The link was idle: start transmitting now. Contains the serialization
-    /// time; arrival fires after `ser + delay`, the transmitter frees after
-    /// `ser`.
-    StartTx(SimDuration),
-    /// The packet joined the queue; transmission will start when the wire
-    /// frees up.
-    Queued,
+    /// Accepted: the packet's last bit leaves at this instant, and it
+    /// arrives one propagation delay later.
+    Departs(SimTime),
     /// Buffer full; the packet was dropped (the caller frees it).
     Dropped,
     /// The packet was discarded by injected stochastic loss before reaching
@@ -64,9 +75,10 @@ impl LinkState {
             bandwidth_bps,
             delay,
             buffer_bytes,
-            queue: VecDeque::new(),
+            free_at: SimTime::ZERO,
+            waiting: VecDeque::new(),
+            head_start: SimTime::ZERO,
             queued_bytes: 0,
-            busy: false,
             last_ser: (0, SimDuration::ZERO),
         }
     }
@@ -80,15 +92,15 @@ impl LinkState {
         self.last_ser.1
     }
 
-    /// Offers a packet to the egress port, first exposing it to the link's
-    /// injected loss (`loss_rate`, the sum of the active `LossRate` faults
-    /// covering this link). `draw` is a uniform sample in `[0, 1)` from
-    /// the link's dedicated fault RNG stream; a draw below the loss rate
-    /// discards the packet before it reaches the queue (the
+    /// Offers a packet to the egress port at `now`, first exposing it to
+    /// the link's injected loss (`loss_rate`, the sum of the active
+    /// `LossRate` faults covering this link). `draw` is a uniform sample in
+    /// `[0, 1)` from the link's dedicated fault RNG stream; a draw below
+    /// the loss rate discards the packet before it reaches the queue (the
     /// corruption/loss point of a real wire).
     pub fn enqueue_with_loss(
         &mut self,
-        pkt: PacketRef,
+        now: SimTime,
         wire_bytes: u32,
         loss_rate: f64,
         draw: f64,
@@ -96,53 +108,151 @@ impl LinkState {
         if draw < loss_rate {
             return EnqueueOutcome::Lost;
         }
-        self.enqueue(pkt, wire_bytes)
+        self.enqueue(now, wire_bytes)
     }
 
-    /// Offers a packet to the egress port.
-    pub fn enqueue(&mut self, pkt: PacketRef, wire_bytes: u32) -> EnqueueOutcome {
-        if !self.busy {
-            self.busy = true;
-            let ser = self.ser_time(wire_bytes);
-            // The in-flight packet sits at the head.
-            self.queue.push_front((pkt, wire_bytes));
-            EnqueueOutcome::StartTx(ser)
-        } else if self.queued_bytes + wire_bytes as u64 <= self.buffer_bytes {
-            self.queued_bytes += wire_bytes as u64;
-            self.queue.push_back((pkt, wire_bytes));
-            EnqueueOutcome::Queued
+    /// Offers a packet of `wire_bytes` to the egress port at `now` (offers
+    /// come in time order: `now` is the simulation clock).
+    pub fn enqueue(&mut self, now: SimTime, wire_bytes: u32) -> EnqueueOutcome {
+        // Packets whose transmission has started are off the buffer.
+        while let Some(&front) = self.waiting.front() {
+            if self.head_start > now {
+                break;
+            }
+            self.waiting.pop_front();
+            self.queued_bytes -= u64::from(front);
+            let ser = self.ser_time(front);
+            self.head_start += ser;
+        }
+        let start = if self.free_at <= now {
+            // Idle: the wire takes the packet at once, past the buffer.
+            debug_assert!(self.waiting.is_empty(), "a waiting packet starts before `free_at`");
+            now
+        } else if self.queued_bytes + u64::from(wire_bytes) <= self.buffer_bytes {
+            if self.waiting.is_empty() {
+                self.head_start = self.free_at;
+            }
+            self.waiting.push_back(wire_bytes);
+            self.queued_bytes += u64::from(wire_bytes);
+            self.free_at
         } else {
-            EnqueueOutcome::Dropped
-        }
+            return EnqueueOutcome::Dropped;
+        };
+        self.free_at = start + self.ser_time(wire_bytes);
+        EnqueueOutcome::Departs(self.free_at)
     }
 
-    /// Transmission of the head packet finished: returns the transmitted
-    /// packet (to schedule its arrival) and, if more are queued, the
-    /// serialization time of the next one (to schedule the next tx-done).
-    pub fn tx_done(&mut self) -> (PacketRef, Option<SimDuration>) {
-        debug_assert!(self.busy, "tx_done on idle link");
-        let (sent, _) = self.queue.pop_front().expect("tx_done with empty queue");
-        match self.queue.front().copied() {
-            Some((_, wire)) => {
-                self.queued_bytes -= wire as u64;
-                (sent, Some(self.ser_time(wire)))
+    /// Packets accepted and not yet transmitting at `now` (the one on the
+    /// wire is not in the queue, and by the same-instant rule neither is
+    /// one that starts at `now`). A pure read for any `now` at or after the
+    /// last offer: it walks the waiting packets' start instants from
+    /// `head_start`.
+    pub fn queue_len(&self, now: SimTime) -> usize {
+        let mut start = self.head_start;
+        let mut started = 0;
+        for &wire in &self.waiting {
+            if start > now {
+                break;
             }
-            None => {
-                self.busy = false;
-                (sent, None)
-            }
+            started += 1;
+            start += SimDuration::serialization(wire, self.bandwidth_bps);
         }
+        self.waiting.len() - started
+    }
+}
+
+/// The event-driven link this module had before it became analytic, kept
+/// as a test oracle: a queue of packet handles, a `busy` flag and a
+/// `tx_done` the caller must invoke when each serialization ends.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// What [`EventLink::enqueue`] decided.
+    #[derive(Debug, PartialEq, Eq)]
+    pub enum Offer {
+        /// The link was idle: transmission starts now and takes this long.
+        StartTx(SimDuration),
+        /// Joined the queue; starts when the wire frees up.
+        Queued,
+        /// Buffer full.
+        Dropped,
+        /// Injected loss.
+        Lost,
     }
 
-    /// Queue depth in packets (excludes the in-flight one).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len().saturating_sub(self.busy as usize)
+    /// Reference implementation with the event-driven semantics.
+    #[derive(Debug)]
+    pub struct EventLink {
+        bandwidth_bps: u64,
+        buffer_bytes: u64,
+        /// Queued `(packet, wire bytes)`; the head is the one on the wire.
+        queue: VecDeque<(u32, u32)>,
+        queued_bytes: u64,
+        busy: bool,
+    }
+
+    impl EventLink {
+        pub fn new(bandwidth_bps: u64, buffer_bytes: u64) -> Self {
+            EventLink {
+                bandwidth_bps,
+                buffer_bytes,
+                queue: VecDeque::new(),
+                queued_bytes: 0,
+                busy: false,
+            }
+        }
+
+        fn ser_time(&self, wire_bytes: u32) -> SimDuration {
+            SimDuration::serialization(wire_bytes, self.bandwidth_bps)
+        }
+
+        pub fn enqueue_with_loss(&mut self, pkt: u32, wire: u32, loss_rate: f64, draw: f64) -> Offer {
+            if draw < loss_rate {
+                return Offer::Lost;
+            }
+            if !self.busy {
+                self.busy = true;
+                self.queue.push_front((pkt, wire));
+                Offer::StartTx(self.ser_time(wire))
+            } else if self.queued_bytes + wire as u64 <= self.buffer_bytes {
+                self.queued_bytes += wire as u64;
+                self.queue.push_back((pkt, wire));
+                Offer::Queued
+            } else {
+                Offer::Dropped
+            }
+        }
+
+        /// Transmission of the head packet finished: returns it and, if
+        /// more are queued, the serialization time of the next one.
+        pub fn tx_done(&mut self) -> (u32, Option<SimDuration>) {
+            assert!(self.busy, "tx_done on idle link");
+            let (sent, _) = self.queue.pop_front().expect("tx_done with empty queue");
+            match self.queue.front().copied() {
+                Some((_, wire)) => {
+                    self.queued_bytes -= wire as u64;
+                    (sent, Some(self.ser_time(wire)))
+                }
+                None => {
+                    self.busy = false;
+                    (sent, None)
+                }
+            }
+        }
+
+        /// Queue depth in packets (excludes the in-flight one).
+        pub fn queue_len(&self) -> usize {
+            self.queue.len().saturating_sub(self.busy as usize)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{EventLink, Offer};
     use super::*;
+    use proptest::prelude::*;
     use sv2p_packet::packet::MSS;
 
     /// Wire size of an MSS data packet with default tunnel options
@@ -158,63 +268,60 @@ mod tests {
         )
     }
 
+    fn at(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
+    fn departs(ns: u64) -> EnqueueOutcome {
+        EnqueueOutcome::Departs(at(ns))
+    }
+
     #[test]
-    fn idle_link_starts_immediately() {
+    fn idle_link_departs_one_serialization_later() {
         let mut l = link();
-        match l.enqueue(PacketRef(0), MSS_WIRE) {
-            EnqueueOutcome::StartTx(ser) => {
-                // 1060 B at 100G = 84.8 -> 85 ns.
-                assert_eq!(ser.as_nanos(), 85);
-            }
-            other => panic!("{other:?}"),
-        }
+        // 1060 B at 100G = 84.8 -> 85 ns.
+        assert_eq!(l.enqueue(at(1000), MSS_WIRE), departs(1085));
+        assert_eq!(l.queue_len(at(1000)), 0);
     }
 
     #[test]
     fn busy_link_queues_then_drops() {
         let mut l = link();
-        assert!(matches!(
-            l.enqueue(PacketRef(0), MSS_WIRE),
-            EnqueueOutcome::StartTx(_)
-        ));
-        assert_eq!(l.enqueue(PacketRef(1), MSS_WIRE), EnqueueOutcome::Queued);
-        assert_eq!(l.enqueue(PacketRef(2), MSS_WIRE), EnqueueOutcome::Queued);
-        assert_eq!(l.enqueue(PacketRef(3), MSS_WIRE), EnqueueOutcome::Dropped);
-        assert_eq!(l.queue_len(), 2);
+        assert_eq!(l.enqueue(at(0), MSS_WIRE), departs(85));
+        assert_eq!(l.enqueue(at(0), MSS_WIRE), departs(170));
+        assert_eq!(l.enqueue(at(1), MSS_WIRE), departs(255));
+        assert_eq!(l.enqueue(at(2), MSS_WIRE), EnqueueOutcome::Dropped);
+        assert_eq!(l.queue_len(at(2)), 2);
     }
 
     #[test]
-    fn tx_done_drains_fifo() {
+    fn fifo_departures_follow_each_packets_own_size() {
         let mut l = link();
-        l.enqueue(PacketRef(1), MSS_WIRE);
-        l.enqueue(PacketRef(2), 100 + 60);
-        let (sent, next) = l.tx_done();
-        assert_eq!(sent, PacketRef(1));
-        let ser_b = next.expect("second packet pending");
-        // 160 B at 100G = 12.8 -> 13 ns.
-        assert_eq!(ser_b.as_nanos(), 13);
-        let (sent2, next2) = l.tx_done();
-        assert_eq!(sent2, PacketRef(2));
-        assert!(next2.is_none());
-        // Link is idle again.
-        assert!(matches!(
-            l.enqueue(PacketRef(3), 61),
-            EnqueueOutcome::StartTx(_)
-        ));
+        assert_eq!(l.enqueue(at(0), MSS_WIRE), departs(85));
+        // 160 B at 100G = 12.8 -> 13 ns, behind the first packet.
+        assert_eq!(l.enqueue(at(10), 100 + 60), departs(98));
+        assert_eq!(l.queue_len(at(84)), 1);
+        // It starts at 85, so by the same-instant rule it has left.
+        assert_eq!(l.queue_len(at(85)), 0);
+        // At 98 the last bit has left: the link is idle again.
+        assert_eq!(l.enqueue(at(98), 61), departs(98 + 5));
     }
 
     #[test]
     fn serialization_times_stay_exact_across_size_changes() {
         // Runs of one size, switches between sizes and a return to an
-        // earlier size all give the line-rate figure, on the idle-start
-        // path and on the drain path.
+        // earlier size all give the line-rate figure, on the idle path, on
+        // the queued path and where `enqueue` walks started packets off.
         let mut l = link();
-        for (i, wire) in [MSS_WIRE, MSS_WIRE, 60, 60, MSS_WIRE, 0, 61, 60].into_iter().enumerate() {
-            let want = SimDuration::serialization(wire, l.bandwidth_bps);
-            assert_eq!(l.enqueue(PacketRef(i as u32), wire), EnqueueOutcome::StartTx(want));
-            assert_eq!(l.enqueue(PacketRef(100 + i as u32), wire), EnqueueOutcome::Queued);
-            assert_eq!(l.tx_done().1, Some(want));
-            assert_eq!(l.tx_done().1, None);
+        let mut now = at(0);
+        // 70 B at 100G = 5.6 -> 6 ns.
+        let ser_70 = SimDuration::from_nanos(6);
+        for wire in [MSS_WIRE, MSS_WIRE, 60, 60, MSS_WIRE, 0, 61, 60] {
+            let ser = SimDuration::serialization(wire, l.bandwidth_bps);
+            assert_eq!(l.enqueue(now, wire), EnqueueOutcome::Departs(now + ser));
+            assert_eq!(l.enqueue(now, 70), EnqueueOutcome::Departs(now + ser + ser_70));
+            now = now + ser + ser_70 + ser;
+            assert_eq!(l.enqueue(now - ser, wire), EnqueueOutcome::Departs(now));
         }
     }
 
@@ -222,31 +329,133 @@ mod tests {
     fn injected_loss_discards_below_rate_only() {
         let mut l = link();
         // Healthy link: the draw is irrelevant.
-        assert!(matches!(
-            l.enqueue_with_loss(PacketRef(0), MSS_WIRE, 0.0, 0.0),
-            EnqueueOutcome::StartTx(_)
-        ));
-        l.tx_done();
+        assert_eq!(l.enqueue_with_loss(at(0), MSS_WIRE, 0.0, 0.0), departs(85));
         assert_eq!(
-            l.enqueue_with_loss(PacketRef(1), MSS_WIRE, 0.01, 0.005),
+            l.enqueue_with_loss(at(1), MSS_WIRE, 0.01, 0.005),
             EnqueueOutcome::Lost
         );
-        assert!(matches!(
-            l.enqueue_with_loss(PacketRef(2), MSS_WIRE, 0.01, 0.5),
-            EnqueueOutcome::StartTx(_)
-        ));
-        // Loss drops never consume buffer space.
-        assert_eq!(l.queue_len(), 0);
+        // The lost packet took no wire time and no buffer space.
+        assert_eq!(l.queue_len(at(1)), 0);
+        assert_eq!(l.enqueue_with_loss(at(2), MSS_WIRE, 0.01, 0.5), departs(170));
     }
 
     #[test]
     fn freed_buffer_accepts_again() {
         let mut l = link();
-        l.enqueue(PacketRef(0), MSS_WIRE);
-        l.enqueue(PacketRef(1), MSS_WIRE);
-        l.enqueue(PacketRef(2), MSS_WIRE);
-        assert_eq!(l.enqueue(PacketRef(3), MSS_WIRE), EnqueueOutcome::Dropped);
-        l.tx_done(); // frees one queue slot
-        assert_eq!(l.enqueue(PacketRef(4), MSS_WIRE), EnqueueOutcome::Queued);
+        l.enqueue(at(0), MSS_WIRE);
+        l.enqueue(at(0), MSS_WIRE);
+        l.enqueue(at(0), MSS_WIRE);
+        assert_eq!(l.enqueue(at(84), MSS_WIRE), EnqueueOutcome::Dropped);
+        // At 85 the second packet starts transmitting and frees its slot.
+        assert_eq!(l.enqueue(at(85), MSS_WIRE), departs(4 * 85));
+    }
+
+    /// Drives the analytic link and the event-driven oracle from one tape
+    /// of `(gap to the previous offer, wire-size pick, loss draw)` and
+    /// asserts the same outcome per offer, the same departure instant per
+    /// accepted packet and the same queue depth after every offer. The
+    /// oracle's `tx_done`s are its pending events: those due at or before
+    /// an offer's instant run first (the same-instant rule). Returns how
+    /// many offers were `[accepted, dropped, lost, made at exactly a
+    /// tx-done instant]`.
+    fn check_against_oracle(
+        bw: u64,
+        buffer: u64,
+        loss_rate: f64,
+        tape: &[(u16, u8, u8)],
+    ) -> [usize; 4] {
+        const WIRES: [u32; 4] = [60, 70, 1060, 1500];
+        let mut link = LinkState::new(bw, SimDuration::from_micros(1), buffer);
+        let mut oracle = EventLink::new(bw, buffer);
+        // The oracle's one pending tx-done instant, and the departure it
+        // reported for each packet.
+        let mut tx_done_at: Option<SimTime> = None;
+        let mut left_at: Vec<Option<SimTime>> = Vec::new();
+        let mut expect: Vec<Option<SimTime>> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut seen = [0; 4];
+        let run_due = |oracle: &mut EventLink,
+                           tx_done_at: &mut Option<SimTime>,
+                           left_at: &mut Vec<Option<SimTime>>,
+                           until: SimTime| {
+            while let Some(t) = tx_done_at.filter(|&t| t <= until) {
+                let (sent, next) = oracle.tx_done();
+                left_at[sent as usize] = Some(t);
+                *tx_done_at = next.map(|ser| t + ser);
+            }
+        };
+        for (i, &(gap, pick, draw)) in tape.iter().enumerate() {
+            // Every fourth gap lands exactly on the oracle's free instant.
+            now = match tx_done_at {
+                Some(t) if gap % 4 == 3 && t >= now => t,
+                _ => now + SimDuration::from_nanos(u64::from(gap % 301)),
+            };
+            let wire = WIRES[pick as usize % 4];
+            let draw = f64::from(draw) / 256.0;
+            seen[3] += usize::from(tx_done_at == Some(now));
+            run_due(&mut oracle, &mut tx_done_at, &mut left_at, now);
+            left_at.push(None);
+            let got = link.enqueue_with_loss(now, wire, loss_rate, draw);
+            let want = oracle.enqueue_with_loss(i as u32, wire, loss_rate, draw);
+            let (outcome, departs) = match got {
+                EnqueueOutcome::Departs(t) => (0, Some(t)),
+                EnqueueOutcome::Dropped => (1, None),
+                EnqueueOutcome::Lost => (2, None),
+            };
+            seen[outcome] += 1;
+            expect.push(departs);
+            match want {
+                Offer::StartTx(ser) => {
+                    assert_eq!(got, EnqueueOutcome::Departs(now + ser), "offer {i}");
+                    tx_done_at = Some(now + ser);
+                }
+                Offer::Queued => assert!(matches!(got, EnqueueOutcome::Departs(_)), "offer {i}: {got:?}"),
+                Offer::Dropped => assert_eq!(got, EnqueueOutcome::Dropped, "offer {i}"),
+                Offer::Lost => assert_eq!(got, EnqueueOutcome::Lost, "offer {i}"),
+            }
+            assert_eq!(link.queue_len(now), oracle.queue_len(), "depth after offer {i}");
+        }
+        // A later sample reads the depth without another offer.
+        if let Some(t) = tx_done_at {
+            let mid = now + (t - now) / 2 + SimDuration::from_nanos(100);
+            run_due(&mut oracle, &mut tx_done_at, &mut left_at, mid);
+            assert_eq!(link.queue_len(mid), oracle.queue_len(), "depth at a later sample");
+        }
+        run_due(&mut oracle, &mut tx_done_at, &mut left_at, SimTime::MAX);
+        assert_eq!(expect, left_at, "departure instants");
+        assert_eq!(link.queue_len(SimTime::MAX), 0);
+        seen
+    }
+
+    #[test]
+    fn tapes_reach_drops_losses_and_same_instant_offers() {
+        // The property below says nothing about a case its tapes never
+        // produce: one fixed tape of its shape must produce them all.
+        let mut rng = sv2p_simcore::SimRng::new(22);
+        let tape: Vec<(u16, u8, u8)> = (0..400)
+            .map(|_| {
+                let r = rng.next_u64_raw();
+                (r as u16, (r >> 16) as u8, (r >> 24) as u8)
+            })
+            .collect();
+        let seen = check_against_oracle(10_000_000_000, 4_000, 0.05, &tape);
+        assert!(seen.iter().all(|&n| n >= 10), "{seen:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn analytic_link_matches_event_driven_oracle(
+            tape in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..400),
+            rate in 0usize..3,
+            small in any::<bool>(),
+            lossy in any::<bool>(),
+        ) {
+            let bw = [10_000_000_000, 40_000_000_000, 100_000_000_000][rate];
+            let buffer = if small { 4_000 } else { 32 * 1024 * 1024 };
+            let loss_rate = if lossy { 0.05 } else { 0.0 };
+            check_against_oracle(bw, buffer, loss_rate, &tape);
+        }
     }
 }

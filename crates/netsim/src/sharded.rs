@@ -29,9 +29,14 @@
 //!    with the [`Journal`] sink in place of the direct one. Pod-local
 //!    follow-up events that land inside the window execute immediately
 //!    under a provisional key; events past the boundary park, arena
-//!    handles intact. Because the boundary never exceeds the lookahead, no
-//!    cut-link packet emitted inside a window can be *due* inside that
-//!    same window on another shard: shards never communicate mid-window.
+//!    handles intact. A packet bound for another shard leaves its
+//!    sender's arena when it is offered to the cut link — the link already
+//!    knows when its last bit leaves (`link`) — and arrives no earlier
+//!    than the offer plus the link's delay, which is at least one
+//!    lookahead past the window's first event. Because the boundary never
+//!    exceeds the lookahead, no cut-link packet emitted inside a window
+//!    can be *due* inside that same window on another shard: shards never
+//!    communicate mid-window.
 //! 2. The journal holds only the order-sensitive residue of each executed
 //!    event: how many schedulings it performed, any packets bound for
 //!    other shards over a cut link, and the observables (flow-lifecycle
@@ -328,7 +333,7 @@ fn move_vm(ctl: &Control, vm: usize, from: &mut Turn, to: &mut Turn) -> Option<S
     // Flow-addressed events carry no packet, so they move as they are.
     let moved = from.lane.events.extract_if(|ev| match ev {
         Event::FlowStart(i) | Event::UdpSend { flow: i, .. } | Event::RtoTimer { flow: i, .. } => {
-            ctl.flows[*i].src_vm == vm
+            ctl.flows[*i as usize].src_vm == vm
         }
         _ => false,
     });
@@ -593,7 +598,7 @@ pub(crate) fn run_windows(
                 // owner shards before the placement changes.
                 let rehome = match se.payload {
                     Event::Migrate(i) => {
-                        let m = ctl.migrations[i];
+                        let m = ctl.migrations[i as usize];
                         let vm = ctl
                             .placement
                             .index_of(m.vip)

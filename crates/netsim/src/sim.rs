@@ -1,7 +1,7 @@
 //! One shard's state and the event handlers that run on it.
 //!
 //! A [`Shard`] owns what evolves as packets move through its part of the
-//! fabric: link queues, switch and host agents with their RNG streams, the
+//! fabric: link states, switch and host agents with their RNG streams, the
 //! packet arena, the transport machines of its flows, gateway queues and
 //! its [`Counters`] — the order-free counts of what happened here, and the
 //! only part of the recorder a shard holds. Handlers read the shared
@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sv2p_metrics::{Counters, DropCause, Traffic};
+use sv2p_metrics::{Counters, DropCause, Traffic, WINDOW_NS};
 use sv2p_packet::packet::Protocol;
 use sv2p_packet::{
     FlowId, InnerHeader, OuterHeader, Packet, PacketKind, Pip, SwitchTag, TcpFlags, TunnelOptions,
@@ -119,7 +119,7 @@ pub(crate) struct Shard {
     /// makes the draw sequence a function of that link's enqueue order
     /// alone, whatever the interleaving across shards.
     fault_rngs: Vec<SimRng>,
-    /// In-flight packet bodies; events and link queues hold handles.
+    /// In-flight packet bodies; events and gateway queues hold handles.
     pub arena: PacketArena,
     /// Reusable ECMP candidate buffer (avoids a per-hop allocation).
     route_scratch: Vec<LinkId>,
@@ -215,11 +215,10 @@ impl Shard {
 
     fn dispatch<F: Effects>(&mut self, ctl: &Control, fx: &mut F, ev: Event) {
         match ev {
-            Event::FlowStart(idx) => self.on_flow_start(ctl, fx, idx),
-            Event::UdpSend { flow, idx } => self.on_udp_send(ctl, fx, flow, idx),
-            Event::LinkFree(link) => self.on_link_free(fx, link),
+            Event::FlowStart(idx) => self.on_flow_start(ctl, fx, idx as usize),
+            Event::UdpSend { flow, idx } => self.on_udp_send(ctl, fx, flow as usize, idx as usize),
             Event::LinkArrival { link, pkt } => self.on_link_arrival(ctl, fx, link, pkt),
-            Event::RtoTimer { flow, gen } => self.on_rto_timer(ctl, fx, flow, gen),
+            Event::RtoTimer { flow, gen } => self.on_rto_timer(ctl, fx, flow as usize, gen),
             Event::GatewayDone { node, pkt } => self.on_gateway_done(ctl, fx, node, pkt),
             Event::ReInject { node, pkt } => self.handle_at_switch(ctl, fx, node, pkt, None, false),
             Event::HostForward { node, pkt } => self.on_host_forward(ctl, fx, node, pkt),
@@ -239,7 +238,7 @@ impl Shard {
     /// the control state: a rebooted switch comes back cold.
     pub fn on_global(&mut self, ctl: &Control, ev: &Event) {
         if let Event::FaultEnd(i) = *ev {
-            if let FaultEvent::SwitchReboot { node, .. } = ctl.fault_plan[i] {
+            if let FaultEvent::SwitchReboot { node, .. } = ctl.fault_plan[i as usize] {
                 if self.world.shard_of(node) == self.id {
                     self.cold_reset_switch(ctl, node);
                 }
@@ -270,12 +269,12 @@ impl Shard {
         }
     }
 
-    /// Adds this shard's part to the telemetry sample `s` taken at
-    /// recovery-series window `widx`. Queue depths, occupancy and traffic
-    /// counters are only non-zero for state this shard owns.
-    pub fn snapshot_into(&self, ctl: &Control, widx: usize, s: &mut Snapshot) {
+    /// Adds this shard's part to the telemetry sample `s` taken at instant
+    /// `now`. Queue depths, occupancy and traffic counters are only
+    /// non-zero for state this shard owns.
+    pub fn snapshot_into(&self, ctl: &Control, now: SimTime, s: &mut Snapshot) {
         for l in &self.links {
-            let q = l.queue_len() as u64;
+            let q = l.queue_len(now) as u64;
             s.q_total += q;
             s.q_max = s.q_max.max(q);
         }
@@ -285,6 +284,7 @@ impl Shard {
                 .map_or(0, |a| a.occupancy()) as u64;
             s.occ[ctl.roles.role(sw.id).expect("switch role").layer() as usize] += occ;
         }
+        let widx = (now.as_nanos() / WINDOW_NS) as usize;
         if let Some(w) = self.counters.windows.get(widx) {
             s.window.add(w);
         }
@@ -346,8 +346,10 @@ impl Shard {
                 self.apply_sender_ops(ctl, fx, idx, ops);
             }
             FlowKind::Udp { schedule } => {
+                let flow = Event::index(idx);
                 for (i, &(t, _)) in schedule.sends.iter().enumerate() {
-                    fx.schedule(t.max(now), Event::UdpSend { flow: idx, idx: i });
+                    let idx = Event::index(i);
+                    fx.schedule(t.max(now), Event::UdpSend { flow, idx });
                 }
             }
         }
@@ -370,7 +372,7 @@ impl Shard {
         );
     }
 
-    fn on_rto_timer<F: Effects>(&mut self, ctl: &Control, fx: &mut F, flow: usize, gen: u64) {
+    fn on_rto_timer<F: Effects>(&mut self, ctl: &Control, fx: &mut F, flow: usize, gen: u32) {
         // Lazy cancellation: every re-arm bumps the flow's generation, so
         // a superseded timer event fires as a no-op.
         let f = &mut self.flows[flow];
@@ -409,11 +411,13 @@ impl Shard {
         if complete && !f.completed {
             f.completed = true;
             // Invalidate any pending retransmission timer.
-            f.rto_gen += 1;
+            f.rto_gen = f.rto_gen.wrapping_add(1);
             fx.metric(MetricOp::FlowCompleted(FlowId(flow as u64)));
         } else if let Some(deadline) = ops.arm_rto {
-            f.rto_gen += 1;
+            f.rto_gen = f.rto_gen.wrapping_add(1);
             let gen = f.rto_gen;
+            // `add_flows` held every flow index to 32 bits.
+            let flow = flow as u32;
             fx.schedule(deadline, Event::RtoTimer { flow, gen });
         }
     }
@@ -538,6 +542,9 @@ impl Shard {
         self.enqueue_on_link(ctl, fx, uplink, pkt);
     }
 
+    /// Offers `pkt` to `link`'s egress port. An accepted packet's last bit
+    /// leaves at an instant the link already knows, so its arrival — the
+    /// one event of the hop — is scheduled here.
     fn enqueue_on_link<F: Effects>(
         &mut self,
         ctl: &Control,
@@ -546,6 +553,7 @@ impl Shard {
         pkt: PacketRef,
     ) {
         let wire = self.arena.get(pkt).wire_size();
+        let now = fx.now();
         let from_node = self.world.topo.link(link).from;
         let slot = self.link_index::<F>(link);
         let l = &mut self.links[slot];
@@ -554,42 +562,30 @@ impl Shard {
         let loss_rate = ctl.loss_rate[link.0 as usize];
         let outcome = if loss_rate > 0.0 {
             let draw = self.fault_rngs[slot].uniform();
-            l.enqueue_with_loss(pkt, wire, loss_rate, draw)
+            l.enqueue_with_loss(now, wire, loss_rate, draw)
         } else {
-            l.enqueue(pkt, wire)
+            l.enqueue(now, wire)
         };
         match outcome {
-            EnqueueOutcome::StartTx(ser) => fx.schedule_in(ser, Event::LinkFree(link)),
-            EnqueueOutcome::Queued => {}
-            EnqueueOutcome::Dropped => {
-                self.drop_packet(fx, pkt, from_node, DropCause::Queue);
+            EnqueueOutcome::Departs(departs) => {
+                let arrives = departs + l.delay;
+                // The arrival executes where the link ends. Links are the
+                // only way across the partition's cut, so this is the one
+                // event that can belong to another shard; the packet then
+                // travels by value, and leaves this shard's arena now.
+                if F::SHARDED {
+                    let to = self.world.shard_of(self.world.topo.link(link).to);
+                    if to != self.id {
+                        let pkt = self.take_pkt(pkt);
+                        fx.schedule_cut(to, arrives, link, pkt);
+                        return;
+                    }
+                }
+                fx.schedule(arrives, Event::LinkArrival { link, pkt });
             }
-            EnqueueOutcome::Lost => {
-                self.drop_packet(fx, pkt, from_node, DropCause::Loss);
-            }
+            EnqueueOutcome::Dropped => self.drop_packet(fx, pkt, from_node, DropCause::Queue),
+            EnqueueOutcome::Lost => self.drop_packet(fx, pkt, from_node, DropCause::Loss),
         }
-    }
-
-    fn on_link_free<F: Effects>(&mut self, fx: &mut F, link: LinkId) {
-        let slot = self.link_index::<F>(link);
-        let l = &mut self.links[slot];
-        let (sent, next_ser) = l.tx_done();
-        let delay = l.delay;
-        if let Some(ser) = next_ser {
-            fx.schedule_in(ser, Event::LinkFree(link));
-        }
-        // The arrival executes where the link ends. Links are the only way
-        // across the partition's cut, so this is the one event that can
-        // belong to another shard; the packet then travels by value.
-        if F::SHARDED {
-            let to = self.world.shard_of(self.world.topo.link(link).to);
-            if to != self.id {
-                let pkt = self.take_pkt(sent);
-                fx.schedule_cut(to, fx.now() + delay, link, pkt);
-                return;
-            }
-        }
-        fx.schedule_in(delay, Event::LinkArrival { link, pkt: sent });
     }
 
     fn on_link_arrival<F: Effects>(

@@ -185,6 +185,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one near-level event takes in the node slab: key, link and
+    /// payload. A user whose speed rests on it asserts it at compile time.
+    pub const NODE_BYTES: usize = std::mem::size_of::<Node<E>>();
+
     /// Creates an empty calendar positioned at t = 0.
     pub fn new() -> Self {
         EventQueue {
@@ -249,7 +253,7 @@ impl<E> EventQueue<E> {
     /// the fixed tables that index them.
     pub fn resident_bytes(&self) -> usize {
         let parked = self.far.iter().map(Vec::capacity).sum::<usize>() + self.overflow.capacity();
-        self.nodes.capacity() * std::mem::size_of::<Node<E>>()
+        self.nodes.capacity() * Self::NODE_BYTES
             + parked * std::mem::size_of::<ScheduledEvent<E>>()
             + std::mem::size_of_val(&*self.slots)
             + self.far.capacity() * std::mem::size_of::<Vec<ScheduledEvent<E>>>()

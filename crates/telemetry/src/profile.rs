@@ -180,7 +180,10 @@ wire_names! {
         FlowStart => "flow_start",
         /// `UdpSend` handler dispatch.
         UdpSend => "udp_send",
-        /// `LinkFree` handler dispatch.
+        /// Retired, reads 0: the transmission-complete event it timed is
+        /// gone (a link knows at offer time when its packet leaves). The
+        /// name stays because `benchmark/` and `BENCHMARK.json` declare
+        /// `netsim.link_free_ns`; it leaves with them (ROADMAP item 5).
         LinkFree => "link_free",
         /// `LinkArrival` handler dispatch (the per-hop hot path).
         LinkArrival => "link_arrival",

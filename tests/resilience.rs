@@ -120,28 +120,37 @@ fn smaller_caches_mean_more_reordering() {
     // §4: "we observed increased packet reordering in configurations with
     // smaller cache sizes, but it is rare with larger caches."
     let ft = FatTreeConfig::scaled_ft8(2);
-    let run = |cache: usize| {
+    let run = |seed: u64, cache: usize| {
         let strategy = SwitchV2P::default();
-        let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, cache, 4, 1);
+        let cfg = SimConfig {
+            seed,
+            ..SimConfig::default()
+        };
+        let mut sim = Engine::new(cfg, &ft, &strategy, cache, 4, 1);
         let vms = sim.placement().len();
         sim.add_flows(workload(vms, 800));
         sim.run();
         let s = sim.summary();
         assert_eq!(s.flows, s.flows_completed);
-        (s.reordered_segments, s.retransmissions)
+        (s.reordered_segments, s.retransmissions, s.data_packets_sent)
     };
-    let (reorder_small, rtx_small) = run(8);
-    let (reorder_large, _) = run(2048);
-    assert!(
-        reorder_small >= reorder_large,
-        "small-cache reordering {reorder_small} < large-cache {reorder_large}"
-    );
-    // The reorder-tolerant TCP profile must absorb it without (significant)
-    // spurious retransmissions.
-    assert!(
-        rtx_small < 50,
-        "reordering caused {rtx_small} retransmissions despite RACK-style tolerance"
-    );
+    for seed in 1..=8 {
+        let (reorder_small, rtx_small, sent_small) = run(seed, 8);
+        let (reorder_large, _, _) = run(seed, 2048);
+        assert!(
+            reorder_small >= reorder_large,
+            "seed {seed}: small-cache reordering {reorder_small} < large-cache {reorder_large}"
+        );
+        // The reorder-tolerant TCP profile must absorb it without
+        // (significant) spurious retransmissions. They come as one
+        // go-back-N burst of a few dozen segments or not at all, so the
+        // bound is a share of the traffic, held on every seed: 0.1 %.
+        assert!(
+            rtx_small * 1000 < sent_small,
+            "seed {seed}: reordering caused {rtx_small} retransmissions in {sent_small} packets \
+             despite RACK-style tolerance"
+        );
+    }
 }
 
 #[test]

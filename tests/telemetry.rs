@@ -3,11 +3,13 @@
 //! inspector reconstructs a packet's full journey — gateway detour,
 //! in-network cache hit, delivery — from the rendered trace alone.
 
+use std::collections::HashSet;
+
 use switchv2p_repro::core::SwitchV2P;
 use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::telemetry::inspect::{kind_counts, parse_events, reconstruct_path};
-use switchv2p_repro::telemetry::{EventKind, TelemetryConfig};
+use switchv2p_repro::telemetry::{EventKind, TelemetryConfig, TraceEvent};
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{hadoop, HadoopConfig};
 
@@ -66,13 +68,23 @@ fn inspector_reconstructs_detour_and_cache_hit_paths() {
     assert!(!events.is_empty());
     assert!(!kind_counts(&events).is_empty());
 
+    // Both packets below are picked by their own id and from those whose
+    // whole journey, send to delivery, the trace retains: an ACK detours
+    // and hits caches too, but has no delivery record.
+    let pkts_of = |kind: EventKind| -> HashSet<u64> {
+        let of_kind = events.iter().filter(|e| e.kind == kind);
+        of_kind.filter_map(|e| e.pkt).collect()
+    };
+    let (sent, delivered) = (pkts_of(EventKind::PacketSent), pkts_of(EventKind::Delivery));
+    let whole = |e: &&TraceEvent| e.pkt.is_some_and(|p| sent.contains(&p) && delivered.contains(&p));
+
     // A first-sighting packet that detoured through a translation gateway.
-    let gw_flow = events
+    let gw = events
         .iter()
-        .find(|e| e.kind == EventKind::GatewayIngress)
-        .and_then(|e| e.flow)
+        .filter(|e| e.kind == EventKind::GatewayIngress)
+        .find(whole)
         .expect("some first sighting detours via a gateway");
-    let detour = reconstruct_path(&events, gw_flow, None).expect("detour path");
+    let detour = reconstruct_path(&events, gw.flow.unwrap(), gw.pkt).expect("detour path");
     assert!(detour.visited_gateway, "{detour:?}");
     assert!(detour.delivered, "{detour:?}");
     assert!(detour.total_latency_ns.unwrap_or(0) > 0);
@@ -85,7 +97,8 @@ fn inspector_reconstructs_detour_and_cache_hit_paths() {
     // A later packet whose destination an in-network cache resolved.
     let hit = events
         .iter()
-        .find(|e| e.kind == EventKind::CacheLookup && e.hit == Some(true))
+        .filter(|e| e.kind == EventKind::CacheLookup && e.hit == Some(true))
+        .find(whole)
         .expect("a later packet hits an in-network cache");
     let served = reconstruct_path(&events, hit.flow.unwrap(), hit.pkt).expect("hit path");
     assert_eq!(
