@@ -11,14 +11,14 @@
 //!
 //! * `--full` — paper-scale parameters (default: quick);
 //! * `--seed N` — RNG seed override (default: 1);
-//! * `--shards N` — run every simulation on N pod shards, one worker
-//!   thread each (default: 1, the caller's thread; results are
-//!   byte-identical either way);
+//! * `--shards N` — run every simulation cut into N pod shards that take
+//!   turns on the caller's thread: an equivalence check, slower than the
+//!   default of 1, with byte-identical results by contract;
 //! * `--telemetry DIR` — enable structured tracing and write
 //!   `<label>.events.jsonl` / `<label>.samples.jsonl` per run into DIR;
 //! * `--profile DIR` — enable engine self-profiling and write
 //!   `<label>.profile.jsonl` per run into DIR (phase wall-clock breakdown,
-//!   shard-imbalance accounting, occupancy histograms; inspect with
+//!   per-shard replay accounting, occupancy histograms; inspect with
 //!   `sv2p profile`). Simulation output stays byte-identical;
 //! * `--churn-horizon-us N` — churn timeline length, honoured by the
 //!   `churn` bin (default scale-based).

@@ -193,8 +193,8 @@ pub struct ExperimentSpec {
     pub end_of_time_us: Option<u64>,
     /// RNG seed.
     pub seed: u64,
-    /// Shards for the multi-core engine (1 = single-threaded; results are
-    /// byte-identical either way).
+    /// Pod shards the engine is cut into (1 = none; more is an
+    /// equivalence check with byte-identical results).
     pub shards: u16,
     /// Engine self-profiling (wall-clock phase timers + occupancy
     /// histograms; simulation output stays byte-identical). Defaults to
@@ -232,7 +232,7 @@ impl ExperimentSpec {
         }
     }
 
-    /// Builds the engine (single-threaded or sharded, per the spec) and
+    /// Builds the engine (one shard or several, per the spec) and
     /// loads the workload. Tracing is enabled when the process was started
     /// with `--telemetry DIR` (see [`crate::cli`]).
     pub fn build(&self) -> Engine {
@@ -708,7 +708,7 @@ mod tests {
         assert_eq!(s.gateway_queue_cap, 0, "legacy gateway model by default");
         assert_eq!(s.end_of_time_us, None);
         assert_eq!(s.seed, 1);
-        assert_eq!(s.shards, 1, "no --shards flag means single-threaded");
+        assert_eq!(s.shards, 1, "no --shards flag means one shard");
         assert!(!s.profile, "no --profile flag means profiling off");
         assert!(s.label.is_empty());
     }

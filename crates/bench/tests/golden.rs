@@ -13,7 +13,7 @@
 //! count; the projection is not (one shard attributes per event class,
 //! several attribute per driver phase), so it has one column each.
 //!
-//! Re-recorded twice since. PR 21 replaced the calendar and moved the
+//! Re-recorded three times since. PR 21 replaced the calendar and moved the
 //! projection columns only, where timers reach past a millisecond (the
 //! profile's `calendar_overflow` histogram reads the calendar's own heap,
 //! so its horizon).
@@ -39,6 +39,14 @@
 //!   the same nanosecond can swap, and in those four runs a swap reached
 //!   something the summary prints.
 //!
+//! PR 24 re-recorded the `projection@4` column only, once: the shards take
+//! turns on the caller's thread, nothing waits at a barrier, and the two
+//! report rows that described the wait are gone — the `barrier_wait` phase
+//! row (it counted one call per window) and the `window_ns` timing
+//! histogram (likewise one count per window). Every other line of every
+//! projection, and `events`, `summary`, `telemetry` and `projection@1` of
+//! every row, are the parent's.
+//!
 //! Shards 1 and 4 agree in every column they share, as before.
 //!
 //! To re-record after an intended semantic change, run with
@@ -60,8 +68,8 @@ use switchv2p::{SwitchV2P, SwitchV2PConfig};
 /// `(scenario, events, summary, telemetry, projection@1, projection@4)`.
 type Row = (&'static str, u64, u64, u64, u64, u64);
 
-/// Recorded at PR 22 (the analytic link); see the module doc for what
-/// moved against PR 12's table and why.
+/// Recorded at PR 22 (the analytic link), `projection@4` at PR 24; see the
+/// module doc for what moved and why.
 const GOLDEN: &[Row] = &[
     (
         "switchv2p",
@@ -69,7 +77,7 @@ const GOLDEN: &[Row] = &[
         0x6ba0fbb75c118cba,
         0xc3babea485f45122,
         0x387f86e9de9b6cda,
-        0x0e41e2b81533e6d2,
+        0x22b77b80203a3cce,
     ),
     (
         "nocache-untraced",
@@ -77,7 +85,7 @@ const GOLDEN: &[Row] = &[
         0xe47d2ccc4b38f3c0,
         0xcbf29ce484222325,
         0xaddcc32f254ef9e3,
-        0xe7c61cf5c717c164,
+        0x0472687f6538006e,
     ),
     (
         "faulted",
@@ -85,7 +93,7 @@ const GOLDEN: &[Row] = &[
         0x2ea9926491e94bfc,
         0x88b351fb3b770ff1,
         0xb0198f56d24e50d2,
-        0xd10f58231caa2562,
+        0x82082b3cb883ba58,
     ),
     (
         "migrated",
@@ -93,7 +101,7 @@ const GOLDEN: &[Row] = &[
         0x743db0ed51aaa4ed,
         0xdb1e6e6c581861e7,
         0x0fd3f2baa48ecaaf,
-        0xa5eadb4f55333371,
+        0x86896fec12aa4399,
     ),
     (
         "churned",
@@ -101,7 +109,7 @@ const GOLDEN: &[Row] = &[
         0x49574efd2f2740d7,
         0x47a01803c7a1e5f2,
         0x8d27933b3a32bed9,
-        0xeca7b3dd9d05d210,
+        0x1a776fe994730730,
     ),
     (
         "one-shard-mix",
@@ -109,7 +117,7 @@ const GOLDEN: &[Row] = &[
         0x5d56c2b57d218e05,
         0xcbf29ce484222325,
         0x816cf651687f2d3a,
-        0x9a09d4da015e9883,
+        0xd76c17d932fcc94f,
     ),
     (
         "midrun-storm",
@@ -117,7 +125,7 @@ const GOLDEN: &[Row] = &[
         0x889c7e534c9b42eb,
         0x8d49f8f2296fe821,
         0x9460989be5752573,
-        0x6fab2dee6a829175,
+        0xbee8ed2faf01bacb,
     ),
     (
         "fixed-fault-plan",
@@ -125,7 +133,7 @@ const GOLDEN: &[Row] = &[
         0xd3834290bb716421,
         0xcbf29ce484222325,
         0xf6661a7adec7f19b,
-        0x7f874699f60d2e2a,
+        0x8377e6b591f3da68,
     ),
     (
         "fixed-migration-plan",
@@ -133,7 +141,7 @@ const GOLDEN: &[Row] = &[
         0x7ffeb9a44bdbcea6,
         0xcbf29ce484222325,
         0x62686a42ac4c6213,
-        0xe7c3702a6de5630d,
+        0x9b94db2b5d8ab791,
     ),
     (
         "observables",
@@ -141,7 +149,7 @@ const GOLDEN: &[Row] = &[
         0x532e5e9f7479d96a,
         0x45af469bff5ba192,
         0x9a037695ab40fa37,
-        0x2e11f7a4e1760d5e,
+        0x74e15b051e8741e4,
     ),
     (
         "determinism-steady",
@@ -149,7 +157,7 @@ const GOLDEN: &[Row] = &[
         0x32ee73b49a9fadc2,
         0x43391908197edd80,
         0x89f9f08d10db272d,
-        0xc089cafe7f03c0a2,
+        0x33740df9c2a3a142,
     ),
     (
         "determinism-churned",
@@ -157,7 +165,7 @@ const GOLDEN: &[Row] = &[
         0x0ee1a014621ed1e4,
         0xc4815bb8770baeac,
         0x99829968998906fe,
-        0x8c26df75d531e7bf,
+        0x835922acfabe51d9,
     ),
     (
         "profiling-hadoop",
@@ -165,7 +173,7 @@ const GOLDEN: &[Row] = &[
         0x6c4ac54d9c76d130,
         0x6c91d59a98ee11c6,
         0x2c7aab78001bde0e,
-        0x18f7857af0408ca4,
+        0x55a0eed74cae6a88,
     ),
 ];
 

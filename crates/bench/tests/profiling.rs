@@ -134,7 +134,7 @@ fn sharded_report_parses_with_sane_phase_fractions() {
     );
 
     let report = render_report(&sim);
-    let doc = ProfileDoc::parse(&report).expect("report parses as sv2p-profile/v2");
+    let doc = ProfileDoc::parse(&report).expect("report parses as sv2p-profile/v3");
     assert!(!doc.phases.is_empty(), "report has no phase rows");
     assert_eq!(doc.shards.len(), sim.shards() as usize);
     assert!(!doc.summary.is_empty(), "report has no summary row");

@@ -4,8 +4,8 @@
 //! happen in *global* `(time, seq)` order — scheduling, packet-id
 //! allocation, the four flow-lifecycle metric operations and trace
 //! records — goes through [`Effects`], which has two implementations:
-//! [`Master`] applies each effect on the spot (one shard, the caller's
-//! thread), and `sharded::Journal` writes it down for the driver to replay
+//! [`Master`] applies each effect on the spot (one shard), and
+//! `sharded::Journal` writes it down for the driver to replay
 //! in global order after the window. The sink is a type parameter of the
 //! run loop, so neither costs the other anything.
 

@@ -2,13 +2,13 @@
 //! `Vec` of shard-owned state.
 //!
 //! `shards` is the only selector. The partition it yields decides how the
-//! same handlers run: one shard executes on the caller's thread with every
-//! effect applied directly (`effects::Master` is the sink, and the shard's events
-//! share the driver's calendar); several shards execute side by side with
-//! their effects journaled (see `sharded`). Both produce
-//! byte-identical results (`tests/sharded_equiv.rs`,
-//! `bench/tests/golden.rs`), so the choice is purely about wall-clock and
-//! experiment code never branches on it.
+//! same handlers run, always on the caller's thread: one shard executes
+//! with every effect applied directly (`effects::Master` is the sink, and
+//! the shard's events share the driver's calendar); several shards take
+//! turns window by window with their effects journaled (see `sharded`).
+//! Both produce byte-identical results (`tests/sharded_equiv.rs`,
+//! `bench/tests/golden.rs`): more than one shard is an equivalence check
+//! that costs wall-clock, and experiment code never branches on it.
 //!
 //! Global events — migrations, faults, churn marks, telemetry samples —
 //! write control state, so at every shard count the driver executes them
@@ -49,7 +49,7 @@ pub struct Engine {
     world: Arc<World>,
     ctl: Control,
     shards: Vec<Shard>,
-    /// One per shard when shards run side by side; empty with one shard,
+    /// One per shard when there are several; empty with one shard,
     /// whose events share the driver's calendar.
     lanes: Vec<Lane>,
     master: Master,
@@ -200,12 +200,14 @@ impl Engine {
         }
     }
 
-    /// The number of shards executing in parallel (1: the caller's thread).
+    /// The number of shards the fabric is partitioned into (every count
+    /// runs on the caller's thread).
     pub fn shards(&self) -> u16 {
         self.shards.len() as u16
     }
 
-    /// Barrier windows dispatched so far (0 with one shard).
+    /// Lookahead windows in which a shard had work so far (0 with one
+    /// shard).
     pub fn window_count(&self) -> u64 {
         self.stats.windows
     }

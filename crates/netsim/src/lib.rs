@@ -35,10 +35,11 @@
 //!
 //! Handlers (`sim`) take the world and the control state by reference and
 //! send every order-sensitive side effect through one **effects sink**
-//! (`effects::Effects`). With one shard the sink applies effects directly
-//! on the caller's thread; with several (`sharded`) it journals them on
-//! scoped worker threads and the driver replays the journals in global
-//! `(time, seq)` order. `shards` is the only selector.
+//! (`effects::Effects`). With one shard the sink applies effects directly;
+//! with several (`sharded`, an equivalence oracle) it journals them, the
+//! shards taking turns, and the driver replays the journals in global
+//! `(time, seq)` order. Everything runs on the caller's thread. `shards`
+//! is the only selector.
 //!
 //! [`Engine::counters`] merges the shards' ledgers afresh on each call and
 //! [`Engine::summary`] derives from that and the master's order-sensitive

@@ -1,5 +1,13 @@
-//! Several shards side by side: conservative pod-partitioned PDES that
-//! reproduces the one-shard execution bit-for-bit.
+//! Several shards, one thread: conservative pod-partitioned windows that
+//! reproduce the one-shard execution bit-for-bit.
+//!
+//! Sharding is an *equivalence oracle*, not a speed path: it re-executes a
+//! run with the fabric cut into pods and every order-sensitive effect
+//! journaled, and must arrive at the same bytes. An order dependence (a
+//! tie-break on hash-map order, a planner reading shards in the wrong
+//! order) shows as a diff; none of that needs concurrency, so the shards
+//! take turns on the caller's thread (DESIGN.md has the arithmetic and what
+//! would bring threads back).
 //!
 //! # Architecture
 //!
@@ -11,32 +19,24 @@
 //! migrations, churn marks, telemetry samples), and its sequence counter
 //! is the global `(time, seq)` authority.
 //!
-//! One worker thread per shard lives for the duration of a `run_until`
-//! call. A shard's state is never shared: the driver *hands* the worker
-//! `&mut Shard` and `&mut Lane` with the window command and gets them back
-//! with the report, so between windows it reaches every shard directly.
-//! The control state sits behind a lock that workers take once per window
-//! (read) and the driver once per global event (write); the protocol
-//! already keeps the two apart, so it is never contended.
-//!
 //! The run proceeds in conservative lookahead windows:
 //!
-//! 1. The driver computes the window boundary: one lookahead (the
-//!    partition's minimum cut-link delay) past the earliest pending event
-//!    anywhere, clipped to the `(time, seq)` key of the next global event.
-//!    Every shard with work before the boundary drains its own calendar in
-//!    parallel — the same run loop and handlers as the one-shard engine,
-//!    with the [`Journal`] sink in place of the direct one. Pod-local
-//!    follow-up events that land inside the window execute immediately
-//!    under a provisional key; events past the boundary park, arena
-//!    handles intact. A packet bound for another shard leaves its
-//!    sender's arena when it is offered to the cut link — the link already
-//!    knows when its last bit leaves (`link`) — and arrives no earlier
-//!    than the offer plus the link's delay, which is at least one
-//!    lookahead past the window's first event. Because the boundary never
-//!    exceeds the lookahead, no cut-link packet emitted inside a window
-//!    can be *due* inside that same window on another shard: shards never
-//!    communicate mid-window.
+//! 1. The window boundary is one lookahead (the partition's minimum
+//!    cut-link delay) past the earliest pending event anywhere, clipped to
+//!    the `(time, seq)` key of the next global event. Every shard with work
+//!    before the boundary drains its own calendar, in shard order — the
+//!    same run loop and handlers as the one-shard engine, with the
+//!    [`Journal`] sink in place of the direct one. Pod-local follow-up
+//!    events that land inside the window execute immediately under a
+//!    provisional key; events past the boundary park, arena handles
+//!    intact. A packet bound for another shard leaves its sender's arena
+//!    when it is offered to the cut link — the link already knows when its
+//!    last bit leaves (`link`) — and arrives no earlier than the offer plus
+//!    the link's delay, which is at least one lookahead past the window's
+//!    first event. Because the boundary never exceeds the lookahead, no
+//!    cut-link packet emitted inside a window can be *due* inside that
+//!    same window on another shard: the order the shards replay in cannot
+//!    matter.
 //! 2. The journal holds only the order-sensitive residue of each executed
 //!    event: how many schedulings it performed, any packets bound for
 //!    other shards over a cut link, and the observables (flow-lifecycle
@@ -45,12 +45,12 @@
 //!    granting each scheduling the exact global sequence number the
 //!    one-shard engine would have assigned — so summaries and telemetry
 //!    are byte-identical regardless of shard count.
-//! 3. Cut exchange: each shard's grants for its parked events, and the cut
-//!    packets routed to it (resolved to their granted seqs), wait in its
-//!    [`Inbox`]. The worker applies the inbox at the start of the shard's
-//!    next window (in parallel with the others); the driver applies what
-//!    is left before a global event and before `run_until` returns, so
-//!    every calendar is consistent whenever anything but a window looks.
+//! 3. Cut exchange, at once: each shard's parked events go onto its
+//!    calendar under their granted seqs, and the cut packets routed to it
+//!    (resolved to theirs) into its arena and onto its calendar. Between
+//!    windows no state waits anywhere but a calendar, so a pause
+//!    (`run_until` returning), a global event and a read all see every
+//!    pending event where the one-shard engine would have it.
 //! 4. Global events execute at their exact `(time, seq)` position between
 //!    windows: the driver writes the control state once, and each shard
 //!    applies the part that concerns state it owns.
@@ -63,10 +63,8 @@
 //! driver also moves the affected flows' transport state (TCP
 //! sender/receiver machines, RTO generations, UDP delivery counters) *and
 //! their still-pending calendar events* — global `(time, seq)` keys intact
-//! — from the old owner to the new one. Both are in the driver's hands
-//! between windows, so the transfer is a plain move.
+//! — from the old owner to the new one: a plain move.
 
-use std::sync::{mpsc, RwLock};
 use std::time::Instant;
 
 use sv2p_packet::{Packet, PacketId};
@@ -93,8 +91,8 @@ pub(crate) struct Lane {
     /// Boundary time of the current window: follow-up events at or beyond
     /// it park until the merge grants their real seqs.
     window_end: SimTime,
-    /// Past-boundary events of the last window, arena handles intact:
-    /// `(window ordinal, due time, event)`.
+    /// Past-boundary events of the window being executed, arena handles
+    /// intact: `(window ordinal, due time, event)`. Empty between windows.
     parked: Vec<(u32, SimTime, Event)>,
     /// Next provisional packet id.
     prov_next: u64,
@@ -112,10 +110,11 @@ impl Lane {
     }
 }
 
-/// A packet crossing the cut. `ord` is the scheduling's window-wide
-/// ordinal, which the merge resolves to a real global sequence number;
-/// the event reaches shard `to` before its next window opens. Ownership
-/// cannot drift before delivery: placement only changes at global events.
+/// A packet crossing the cut, by value. `ord` is the scheduling's
+/// window-wide ordinal, which the merge resolves to a real global sequence
+/// number; the event reaches shard `to` when the window's merge is done.
+/// Ownership cannot drift before delivery: placement only changes at
+/// global events.
 struct CutEvent {
     to: usize,
     ord: u32,
@@ -124,7 +123,7 @@ struct CutEvent {
     pkt: Packet,
 }
 
-/// A cut packet resolved to its global key, waiting in the target's inbox.
+/// A cut packet resolved to its global key, bound for its target's calendar.
 struct Arrival {
     at: SimTime,
     seq: u64,
@@ -252,65 +251,38 @@ impl Effects for Journal<'_> {
     }
 }
 
-/// A shard and its lane: whoever holds the turn may touch them.
-struct Turn<'a> {
-    shard: &'a mut Shard,
-    lane: &'a mut Lane,
-}
-
-/// What the last merge left for a shard: real global seqs for its parked
-/// events (indexed by window ordinal) and the cut packets bound for it.
-#[derive(Default)]
-struct Inbox {
-    grants: Vec<u64>,
-    arrivals: Vec<Arrival>,
-}
-
-impl Turn<'_> {
-    /// Puts the parked events on the calendar under their granted seqs and
-    /// the arrived cut packets into the arena and onto the calendar, all
-    /// keyed so global `(time, seq)` order is preserved.
-    fn apply(&mut self, inbox: Inbox) {
-        for (ord, at, ev) in self.lane.parked.drain(..) {
-            self.lane
-                .events
-                .schedule_at_seq(at, inbox.grants[ord as usize], ev);
-        }
-        for a in inbox.arrivals {
-            let pkt = self.shard.arena.alloc(a.pkt);
-            let ev = Event::LinkArrival { link: a.link, pkt };
-            self.lane.events.schedule_at_seq(a.at, a.seq, ev);
-        }
-    }
-
-    /// Executes one window: every pending event strictly before the
-    /// boundary key `(bt, bseq)`, plus any causal children that land
-    /// inside the window.
-    fn run_window(&mut self, ctl: &Control, bt: SimTime, bseq: u64) -> Vec<ExecBlock> {
-        self.lane.window_end = bt;
-        self.lane.ords.open_window();
-        let mut journal = Journal {
-            shard: self.shard.id,
-            tracing: self.shard.world.cfg.telemetry.enabled,
-            lane: self.lane,
-            scheds: 0,
-            cuts: Vec::new(),
-            ops: Vec::new(),
-            blocks: Vec::new(),
-        };
-        let global = self.shard.drain(ctl, &mut journal, &mut NoProbe, bt, bseq);
-        debug_assert!(global.is_none(), "global events live on the driver");
-        journal.blocks
-    }
+/// Executes one window of `shard`: every pending event strictly before the
+/// boundary key `(bt, bseq)`, plus any causal children that land inside the
+/// window.
+fn run_window(
+    shard: &mut Shard,
+    lane: &mut Lane,
+    ctl: &Control,
+    bt: SimTime,
+    bseq: u64,
+) -> Vec<ExecBlock> {
+    lane.window_end = bt;
+    lane.ords.open_window();
+    let mut journal = Journal {
+        shard: shard.id,
+        tracing: shard.world.cfg.telemetry.enabled,
+        lane,
+        scheds: 0,
+        cuts: Vec::new(),
+        ops: Vec::new(),
+        blocks: Vec::new(),
+    };
+    let global = shard.drain(ctl, &mut journal, &mut NoProbe, bt, bseq);
+    debug_assert!(global.is_none(), "global events live on the driver");
+    journal.blocks
 }
 
 /// Moves the transport state and the still-pending calendar events of
 /// every flow with an endpoint on VM `vm` from the shard that owned the
-/// VM's old host to the one owning its new host. Returns the earliest
-/// moved event's time.
-fn move_vm(ctl: &Control, vm: usize, from: &mut Turn, to: &mut Turn) -> Option<SimTime> {
+/// VM's old host to the one owning its new host.
+fn move_vm(ctl: &Control, vm: usize, from: (&mut Shard, &mut Lane), to: (&mut Shard, &mut Lane)) {
     for (i, spec) in ctl.flows.iter().enumerate() {
-        let (old, new) = (&mut from.shard.flows[i], &mut to.shard.flows[i]);
+        let (old, new) = (&mut from.0.flows[i], &mut to.0.flows[i]);
         // The sender machine evolves where ACKs are delivered: the source
         // VM's host. Taking it matters: the end-of-run fold sums transport
         // statistics over *all* shards, so a moved machine must not stay
@@ -331,23 +303,21 @@ fn move_vm(ctl: &Control, vm: usize, from: &mut Turn, to: &mut Turn) -> Option<S
         }
     }
     // Flow-addressed events carry no packet, so they move as they are.
-    let moved = from.lane.events.extract_if(|ev| match ev {
+    let moved = from.1.events.extract_if(|ev| match ev {
         Event::FlowStart(i) | Event::UdpSend { flow: i, .. } | Event::RtoTimer { flow: i, .. } => {
             ctl.flows[*i as usize].src_vm == vm
         }
         _ => false,
     });
-    let first = moved.first().map(|e| e.time);
     for e in moved {
-        to.lane.events.schedule_at_seq(e.time, e.seq, e.payload);
+        to.1.events.schedule_at_seq(e.time, e.seq, e.payload);
     }
-    first
 }
 
 /// Driver-side totals of a windowed run that outlive it.
 #[derive(Default)]
 pub(crate) struct WindowStats {
-    /// Barrier windows dispatched.
+    /// Windows in which at least one shard had work.
     pub windows: u64,
     /// Cut-link events exchanged between shards.
     pub cut_events: u64,
@@ -355,10 +325,10 @@ pub(crate) struct WindowStats {
     pkt_map: FxHashMap<u64, u64>,
 }
 
-/// Runs all events up to and including `horizon` on `shards`, one worker
-/// thread each. Resumable: the lanes persist across calls and every inbox
-/// is applied before returning, so interleaving runs with interventions
-/// behaves exactly like the one-shard engine.
+/// Runs all events up to and including `horizon`, the shards taking turns
+/// on the caller's thread. Resumable: between windows every pending event
+/// is on a calendar, so interleaving runs with interventions behaves
+/// exactly like the one-shard engine.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_windows(
     world: &World,
@@ -373,271 +343,188 @@ pub(crate) fn run_windows(
     let n = shards.len();
     let lookahead = world.partition.lookahead_ns();
     let prof = profiler.enabled();
-    let ctl = RwLock::new(ctl);
-    // Earliest pending-event time per shard. Exact at entry (every inbox
-    // was applied before the last run returned), kept current from window
-    // reports and inbox contents. A stale-early bound only costs an empty
-    // window; the protocol never lets a bound go stale-late.
-    let mut next_t: Vec<Option<SimTime>> = lanes.iter().map(|l| l.events.peek_time()).collect();
-    let mut turns: Vec<Option<Turn>> = shards
-        .iter_mut()
-        .zip(lanes.iter_mut())
-        .map(|(shard, lane)| Some(Turn { shard, lane }))
-        .collect();
-    let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::default()).collect();
-
-    std::thread::scope(|scope| {
-        let mut to_workers = Vec::with_capacity(n);
-        let mut from_workers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx_cmd, rx_cmd) = mpsc::sync_channel::<(SimTime, u64, Turn, Inbox)>(1);
-            let (tx_res, rx_res) = mpsc::sync_channel::<(Turn, Vec<ExecBlock>, u64)>(1);
-            to_workers.push(tx_cmd);
-            from_workers.push(rx_res);
-            let ctl = &ctl;
-            scope.spawn(move || {
-                while let Ok((bt, bseq, mut turn, inbox)) = rx_cmd.recv() {
-                    // The worker times itself: the driver's barrier span
-                    // cannot separate one shard's work from another's.
-                    let t0 = prof.then(Instant::now);
-                    turn.apply(inbox);
-                    let blocks = {
-                        let ctl = ctl.read().expect("control lock");
-                        turn.run_window(&ctl, bt, bseq)
-                    };
-                    let replay_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    let _ = tx_res.send((turn, blocks, replay_ns));
-                }
-            });
+    loop {
+        // Window boundary: one lookahead past the earliest pending event
+        // anywhere, clipped so events at exactly `horizon` still run — and
+        // closed early at the next global event's exact (time, seq) key,
+        // which preserves the interleaving of same-instant shard events
+        // around the global.
+        let adv_t0 = prof.then(Instant::now);
+        let gkey = master.events.peek_key();
+        let shard_min = lanes.iter().filter_map(|l| l.events.peek_time()).min();
+        let w0 = match gkey.map(|(gt, _)| gt).into_iter().chain(shard_min).min() {
+            Some(w0) if w0 <= horizon => w0,
+            _ => break,
+        };
+        let w_cap = SimTime::from_nanos(
+            w0.as_nanos()
+                .saturating_add(lookahead)
+                .min(horizon.as_nanos().saturating_add(1)),
+        );
+        let (bt, bseq, global_due) = match gkey {
+            Some((gt, gseq)) if gt < w_cap => (gt, gseq, true),
+            _ => (w_cap, 0, false),
+        };
+        if let Some(t0) = adv_t0 {
+            profiler.phase_add(Phase::WindowAdvance, t0.elapsed().as_nanos() as u64);
         }
 
-        loop {
-            // Window boundary: one lookahead past the earliest pending
-            // event anywhere, clipped so events at exactly `horizon`
-            // still run — and closed early at the next global event's
-            // exact (time, seq) key, which preserves the interleaving
-            // of same-instant shard events around the global.
-            let adv_t0 = prof.then(Instant::now);
-            let gkey = master.events.peek_key();
-            let shard_min = next_t.iter().filter_map(|&t| t).min();
-            let w0 = match (gkey.map(|(gt, _)| gt), shard_min) {
-                (None, None) => break,
-                (g, s) => g.into_iter().chain(s).min().expect("one is some"),
-            };
-            if w0 > horizon {
-                break;
+        // Replay: every shard with an event before the boundary, in shard
+        // order. Shard events at exactly `bt` precede the boundary only
+        // when it is a global event's key (bseq > 0): the global was
+        // scheduled earlier, so same-instant shard children sort after it
+        // only if they are children of this window — which the drain
+        // handles itself.
+        let mut journals: Vec<Vec<ExecBlock>> = Vec::with_capacity(n);
+        let (mut any_busy, mut replay_ns) = (false, 0u64);
+        let (mut shard_cal, mut shard_arena) = (0u64, 0u64);
+        for (s, (shard, lane)) in shards.iter_mut().zip(lanes.iter_mut()).enumerate() {
+            let due = lane.events.peek_time();
+            if !due.is_some_and(|nt| nt < bt || (nt == bt && bseq > 0)) {
+                journals.push(Vec::new());
+                continue;
             }
-            let w_cap = SimTime::from_nanos(
-                w0.as_nanos()
-                    .saturating_add(lookahead)
-                    .min(horizon.as_nanos().saturating_add(1)),
+            any_busy = true;
+            let t0 = prof.then(Instant::now);
+            let blocks = run_window(shard, lane, ctl, bt, bseq);
+            let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            replay_ns += ns;
+            profiler.record(HistKind::ShardReplayNs, ns);
+            profiler.shard_sample(s, ns, blocks.len() as u64);
+            shard_cal += (lane.events.len() + lane.parked.len()) as u64;
+            shard_arena += shard.arena.live() as u64;
+            journals.push(blocks);
+        }
+        if any_busy {
+            stats.windows += 1;
+        }
+        if prof && any_busy {
+            profiler.phase_add(Phase::WorkerReplay, replay_ns);
+            profiler.windows += 1;
+            // Deterministic once-per-window occupancy samples, composed
+            // over the shards that ran: the driver calendar holds only
+            // globals, the lanes hold the workload.
+            let (near, far, overflow) = master.events.occupancy_breakdown();
+            profiler.record(
+                HistKind::CalendarLen,
+                (near + far + overflow) as u64 + shard_cal,
             );
-            let (bt, bseq, global_due) = match gkey {
-                Some((gt, gseq)) if gt < w_cap => (gt, gseq, true),
-                _ => (w_cap, 0, false),
+            profiler.record(HistKind::CalendarOverflow, overflow as u64);
+            profiler.record(HistKind::ArenaLive, shard_arena);
+        }
+
+        // Merge: replay the observables in global (time, seq) order, grant
+        // every scheduling the global sequence number the one-shard engine
+        // would have assigned, and resolve cut events to theirs.
+        let merge_t0 = prof.then(Instant::now);
+        let mut granted = vec![0u64; n];
+        let mut arrivals: Vec<Vec<Arrival>> = (0..n).map(|_| Vec::new()).collect();
+        let grants = merge_journals(journals, |shard, block: ExecBlock| {
+            if prof {
+                profiler.journal_blocks += 1;
+                profiler.journal_ops += block.ops.len() as u64;
+                profiler.record(HistKind::JournalBlockOps, block.ops.len() as u64);
+            }
+            let scheds = block.scheds as u64;
+            let base = master.events.reserve_seqs(scheds);
+            // `granted[shard]` counts this shard's schedulings in earlier
+            // blocks of this window, i.e. the window-wide ordinal of this
+            // block's first scheduling.
+            let k = granted[shard];
+            granted[shard] += scheds;
+            for cut in block.cuts {
+                stats.cut_events += 1;
+                arrivals[cut.to].push(Arrival {
+                    at: cut.at,
+                    seq: base + (cut.ord as u64 - k),
+                    link: cut.link,
+                    pkt: cut.pkt,
+                });
+            }
+            for op in block.ops {
+                match op {
+                    JournalOp::PktAlloc(prov) => {
+                        stats.pkt_map.insert(prov, master.next_pkt_id);
+                        master.next_pkt_id += 1;
+                    }
+                    JournalOp::Metric(m) => m.apply(&mut master.metrics, block.time),
+                    JournalOp::Trace(mut ev) => {
+                        if let Some(p) = ev.pkt {
+                            ev.pkt = Some(*stats.pkt_map.get(&p).unwrap_or(&p));
+                        }
+                        master.tracer.record(ev);
+                    }
+                }
+            }
+            base..base + scheds
+        });
+        if let Some(t0) = merge_t0 {
+            profiler.phase_add(Phase::JournalMerge, t0.elapsed().as_nanos() as u64);
+        }
+
+        // Cut exchange, at once: each shard's parked events go onto its
+        // calendar under their granted seqs (indexed by window ordinal),
+        // then the cut packets routed to it into its arena and onto its
+        // calendar — all keyed so global `(time, seq)` order is preserved,
+        // and nothing is left waiting anywhere but a calendar.
+        let cut_t0 = prof.then(Instant::now);
+        let exchange = shards
+            .iter_mut()
+            .zip(lanes.iter_mut())
+            .zip(grants)
+            .zip(arrivals);
+        for (((shard, lane), grants), arrivals) in exchange {
+            for (ord, at, ev) in lane.parked.drain(..) {
+                lane.events.schedule_at_seq(at, grants[ord as usize], ev);
+            }
+            for a in arrivals {
+                let pkt = shard.arena.alloc(a.pkt);
+                let ev = Event::LinkArrival { link: a.link, pkt };
+                lane.events.schedule_at_seq(a.at, a.seq, ev);
+            }
+        }
+        if let Some(t0) = cut_t0 {
+            profiler.phase_add(Phase::CutExchange, t0.elapsed().as_nanos() as u64);
+        }
+
+        if global_due {
+            let global_t0 = prof.then(Instant::now);
+            let se = master.events.pop().expect("global event due");
+            debug_assert_eq!((se.time, se.seq), (bt, bseq));
+            if prof {
+                profiler.global_events += 1;
+            }
+            // A migration re-homes a VM: resolve the old and new owner
+            // shards before the placement changes.
+            let rehome = match se.payload {
+                Event::Migrate(i) => {
+                    let m = ctl.migrations[i as usize];
+                    let vm = ctl
+                        .placement
+                        .index_of(m.vip)
+                        .expect("migrating unknown VIP");
+                    let old = world.shard_of(ctl.placement.node_of(vm));
+                    Some((vm, old, world.shard_of(m.to_node)))
+                }
+                _ => None,
             };
-            let mut busy = vec![false; n];
-            for (s, tx) in to_workers.iter().enumerate() {
-                // Shard events at exactly `bt` precede the boundary
-                // only when it is a global event's key (bseq > 0): the
-                // global was scheduled earlier, so same-instant shard
-                // children sort after it only if they are children of
-                // this window — which the drain handles itself.
-                if next_t[s].is_some_and(|nt| nt < bt || (nt == bt && bseq > 0)) {
-                    busy[s] = true;
-                    let turn = turns[s].take().expect("turn is home");
-                    let inbox = std::mem::take(&mut inboxes[s]);
-                    tx.send((bt, bseq, turn, inbox)).expect("worker alive");
-                }
+            let lanes_done = lanes.iter().map(|l| l.events.events_executed()).sum();
+            let lanes_pending = lanes.iter().map(|l| l.events.len() as u64).sum();
+            exec_global(
+                ctl,
+                master,
+                shards.iter_mut(),
+                (lanes_done, lanes_pending),
+                se.payload,
+            );
+            if let Some((vm, old, new)) = rehome.filter(|&(_, old, new)| old != new) {
+                let [from, to] = shards.get_disjoint_mut([old, new]).expect("two shards");
+                let [lane_from, lane_to] = lanes.get_disjoint_mut([old, new]).expect("two lanes");
+                move_vm(ctl, vm, (from, lane_from), (to, lane_to));
             }
-            if let Some(t0) = adv_t0 {
-                profiler.phase_add(Phase::WindowAdvance, t0.elapsed().as_nanos() as u64);
-            }
-            let any_busy = busy.iter().any(|&b| b);
-
-            let barrier_t0 = (prof && any_busy).then(Instant::now);
-            let mut journals: Vec<Vec<ExecBlock>> = Vec::with_capacity(n);
-            let mut replay_by_shard = vec![0u64; n];
-            let mut parked = vec![false; n];
-            let mut shard_cal = 0u64;
-            let mut shard_arena = 0u64;
-            for (s, rx) in from_workers.iter().enumerate() {
-                if !busy[s] {
-                    journals.push(Vec::new());
-                    continue;
-                }
-                let (turn, blocks, replay_ns) = rx.recv().expect("worker alive");
-                replay_by_shard[s] = replay_ns;
-                let pending_min = turn.lane.parked.iter().map(|&(_, at, _)| at).min();
-                next_t[s] = turn
-                    .lane
-                    .events
-                    .peek_time()
-                    .into_iter()
-                    .chain(pending_min)
-                    .min();
-                parked[s] = pending_min.is_some();
-                shard_cal += (turn.lane.events.len() + turn.lane.parked.len()) as u64;
-                shard_arena += turn.shard.arena.live() as u64;
-                turns[s] = Some(turn);
-                journals.push(blocks);
-            }
-            if any_busy {
-                stats.windows += 1;
-            }
-            if let Some(t0) = barrier_t0 {
-                // The driver's blocked-at-barrier span splits into the
-                // mean per-shard busy time (useful parallel work) and
-                // the remainder: what the average shard wasted waiting
-                // for the slowest one (imbalance + serialization).
-                let span = t0.elapsed().as_nanos() as u64;
-                let sum_r: u64 = replay_by_shard.iter().sum();
-                let avg_r = (sum_r / n as u64).min(span);
-                let max_r = replay_by_shard.iter().copied().max().unwrap_or(0);
-                profiler.phase_add(Phase::WorkerReplay, avg_r);
-                profiler.phase_add(Phase::BarrierWait, span - avg_r);
-                profiler.record(HistKind::WindowNs, span);
-                for (s, &r) in replay_by_shard.iter().enumerate() {
-                    if busy[s] {
-                        profiler.record(HistKind::ShardReplayNs, r);
-                    }
-                    profiler.shard_sample(s, r, max_r.saturating_sub(r), journals[s].len() as u64);
-                }
-                profiler.windows += 1;
-                // Deterministic once-per-window occupancy samples,
-                // composed across the fleet: the driver calendar holds
-                // only globals, the lanes hold the workload.
-                let (near, far, overflow) = master.events.occupancy_breakdown();
-                profiler.record(
-                    HistKind::CalendarLen,
-                    (near + far + overflow) as u64 + shard_cal,
-                );
-                profiler.record(HistKind::CalendarOverflow, overflow as u64);
-                profiler.record(HistKind::ArenaLive, shard_arena);
-            }
-
-            // Merge: replay the observables in global (time, seq)
-            // order, grant every scheduling the global sequence number
-            // the one-shard engine would have assigned, and resolve cut
-            // events to theirs.
-            let merge_t0 = prof.then(Instant::now);
-            let mut granted = vec![0u64; n];
-            let mut outgoing: Vec<Vec<Arrival>> = (0..n).map(|_| Vec::new()).collect();
-            let grants = merge_journals(&journals, |shard, block: &ExecBlock| {
-                if prof {
-                    profiler.journal_blocks += 1;
-                    profiler.journal_ops += block.ops.len() as u64;
-                    profiler.record(HistKind::JournalBlockOps, block.ops.len() as u64);
-                }
-                let base = master.events.reserve_seqs(block.scheds as u64);
-                // `granted[shard]` counts this shard's schedulings in
-                // earlier blocks of this window, i.e. the window-wide
-                // ordinal of this block's first scheduling.
-                let k = granted[shard];
-                granted[shard] += block.scheds as u64;
-                for cut in &block.cuts {
-                    stats.cut_events += 1;
-                    outgoing[cut.to].push(Arrival {
-                        at: cut.at,
-                        seq: base + (cut.ord as u64 - k),
-                        link: cut.link,
-                        pkt: cut.pkt.clone(),
-                    });
-                }
-                for op in &block.ops {
-                    match op {
-                        JournalOp::PktAlloc(prov) => {
-                            stats.pkt_map.insert(*prov, master.next_pkt_id);
-                            master.next_pkt_id += 1;
-                        }
-                        JournalOp::Metric(m) => m.apply(&mut master.metrics, block.time),
-                        JournalOp::Trace(ev) => {
-                            let mut ev = ev.clone();
-                            if let Some(p) = ev.pkt {
-                                ev.pkt = Some(*stats.pkt_map.get(&p).unwrap_or(&p));
-                            }
-                            master.tracer.record(ev);
-                        }
-                    }
-                }
-                (base..base + block.scheds as u64).collect()
-            });
-            if let Some(t0) = merge_t0 {
-                profiler.phase_add(Phase::JournalMerge, t0.elapsed().as_nanos() as u64);
-            }
-
-            // Cut exchange: leave each shard the grants for its parked
-            // events and the cut packets routed to it.
-            let cut_t0 = prof.then(Instant::now);
-            for (s, (g, arrivals)) in grants.into_iter().zip(outgoing).enumerate() {
-                if let Some(m) = arrivals.iter().map(|a| a.at).min() {
-                    next_t[s] = Some(next_t[s].map_or(m, |nt| nt.min(m)));
-                }
-                if parked[s] {
-                    inboxes[s].grants = g;
-                }
-                inboxes[s].arrivals.extend(arrivals);
-            }
-            if let Some(t0) = cut_t0 {
-                profiler.phase_add(Phase::CutExchange, t0.elapsed().as_nanos() as u64);
-            }
-
-            if global_due {
-                let global_t0 = prof.then(Instant::now);
-                let mut home: Vec<&mut Turn> = turns.iter_mut().flatten().collect();
-                for (turn, inbox) in home.iter_mut().zip(&mut inboxes) {
-                    turn.apply(std::mem::take(inbox));
-                }
-                let se = master.events.pop().expect("global event due");
-                debug_assert_eq!((se.time, se.seq), (bt, bseq));
-                if prof {
-                    profiler.global_events += 1;
-                }
-                let mut ctl = ctl.write().expect("control lock");
-                // A migration re-homes a VM: resolve the old and new
-                // owner shards before the placement changes.
-                let rehome = match se.payload {
-                    Event::Migrate(i) => {
-                        let m = ctl.migrations[i as usize];
-                        let vm = ctl
-                            .placement
-                            .index_of(m.vip)
-                            .expect("migrating unknown VIP");
-                        let old = world.shard_of(ctl.placement.node_of(vm));
-                        Some((vm, old, world.shard_of(m.to_node)))
-                    }
-                    _ => None,
-                };
-                let lanes_done = home.iter().map(|t| t.lane.events.events_executed()).sum();
-                let lanes_pending = home.iter().map(|t| t.lane.events.len() as u64).sum();
-                exec_global(
-                    &mut ctl,
-                    master,
-                    home.iter_mut().map(|t| &mut *t.shard),
-                    (lanes_done, lanes_pending),
-                    se.payload,
-                );
-                if let Some((vm, old, new)) = rehome.filter(|&(_, old, new)| old != new) {
-                    let mut from = turns[old].take().expect("turn is home");
-                    let to = turns[new].as_mut().expect("turn is home");
-                    // The old shard's next-event bound may now be
-                    // stale-early (its earliest event may have moved
-                    // away) — harmless: an empty window refreshes it.
-                    if let Some(first) = move_vm(&ctl, vm, &mut from, to) {
-                        next_t[new] = Some(next_t[new].map_or(first, |nt| nt.min(first)));
-                    }
-                    turns[old] = Some(from);
-                }
-                if let Some(t0) = global_t0 {
-                    profiler.phase_add(Phase::GlobalExec, t0.elapsed().as_nanos() as u64);
-                }
+            if let Some(t0) = global_t0 {
+                profiler.phase_add(Phase::GlobalExec, t0.elapsed().as_nanos() as u64);
             }
         }
-
-        // Dropping the command channels ends the workers.
-        drop(to_workers);
-        for (turn, inbox) in turns.iter_mut().flatten().zip(inboxes) {
-            turn.apply(inbox);
-        }
-    });
+    }
 }

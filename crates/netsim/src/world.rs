@@ -66,9 +66,9 @@ impl World {
     }
 }
 
-/// The one copy of the state that handlers read and never write. Workers
-/// read it inside a window; the driver writes it between windows (global
-/// events) and between runs (interventions) — never both at once.
+/// The one copy of the state that handlers read and never write: the
+/// driver writes it between windows (global events) and between runs
+/// (interventions).
 pub(crate) struct Control {
     /// The ground-truth V2P database, embedded: handlers read it by
     /// reference, the driver writes it through `apply`.

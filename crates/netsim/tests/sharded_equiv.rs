@@ -134,11 +134,9 @@ fn nocache_matches_oracle_without_telemetry() {
     assert_equivalent(SimConfig::default(), &NoCache, 0, 4, None);
 }
 
-#[test]
-fn faulted_run_matches_oracle() {
-    let strategy = SwitchV2P::new(SwitchV2PConfig::default());
-    let ft = FatTreeConfig::scaled_ft8(2);
-    let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
+/// A ToR reboot, one of its uplinks down and fabric-wide loss: six global
+/// events, at 50, 100, 120, 150, 400 and 600 us.
+fn reboot_linkdown_loss_plan(probe: &Engine) -> FaultPlan {
     let tor = probe
         .topology()
         .switches()
@@ -146,7 +144,7 @@ fn faulted_run_matches_oracle() {
         .map(|n| n.id)
         .expect("switches exist");
     let uplink = probe.topology().out_links[tor.0 as usize][0];
-    let plan = FaultPlan::from_events([
+    FaultPlan::from_events([
         FaultEvent::SwitchReboot {
             node: tor,
             at: SimTime::from_micros(100),
@@ -164,7 +162,15 @@ fn faulted_run_matches_oracle() {
             until: SimTime::from_micros(600),
         },
     ])
-    .unwrap();
+    .unwrap()
+}
+
+#[test]
+fn faulted_run_matches_oracle() {
+    let strategy = SwitchV2P::new(SwitchV2PConfig::default());
+    let ft = FatTreeConfig::scaled_ft8(2);
+    let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
+    let plan = reboot_linkdown_loss_plan(&probe);
     assert_equivalent(cfg_with_telemetry(), &strategy, 4096, 4, Some(plan));
 }
 
@@ -234,10 +240,10 @@ fn churned_run_matches_oracle() {
     assert_equivalent_full(cfg, &strategy, 1024, 4, None, Vec::new(), Some(&plan));
 }
 
-/// `shards` is the only selector, and 0 means what 1 means: one shard on
-/// the caller's thread, no windows, no cut.
+/// `shards` is the only selector, and 0 means what 1 means: one shard, no
+/// windows, no cut.
 #[test]
-fn zero_or_one_shard_runs_on_the_callers_thread() {
+fn zero_means_one_shard() {
     let ft = FatTreeConfig::scaled_ft8(2);
     let mut zero = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 0);
     let mut one = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
@@ -283,8 +289,90 @@ fn midrun_interventions_match_oracle() {
     assert_eq!(oracle.cache_occupancy(), sharded.cache_occupancy());
 }
 
+/// What a pause reads: `(summary, events executed)`.
+type Reads = (String, u64);
+
+/// The telemetry-on SwitchV2P scenario with a fixed fault plan and a fixed
+/// cross-pod migration, run to each of `pauses` in turn and then to the end,
+/// reading at every stop; at pause `register_at`, four more flows (due
+/// already or not yet, as the pause falls) and a second migration are
+/// registered. Returns the reads at the pauses, and the final reads with the
+/// telemetry JSONL (events, then samples).
+fn run_with_pauses(
+    shards: u16,
+    pauses: &[SimTime],
+    register_at: usize,
+) -> (Vec<Reads>, Reads, String) {
+    let strategy = SwitchV2P::new(SwitchV2PConfig::default());
+    let ft = FatTreeConfig::scaled_ft8(2);
+    let mut sim = Engine::new(cfg_with_telemetry(), &ft, &strategy, 4096, 4, shards);
+    assert_eq!(sim.shards() > 1, shards > 1, "the fabric must really shard");
+    let (vms, n_servers) = (sim.placement().len(), sim.topology().servers().count());
+    sim.apply_fault_plan(reboot_linkdown_loss_plan(&sim));
+    sim.add_flows(tcp_udp_mix(vms, 30));
+    sim.add_migration(migration_for(&sim, 1, n_servers - 1, 150));
+
+    let reads = |sim: &Engine| (format!("{:?}", sim.summary()), sim.events_executed());
+    let mut at_pauses = Vec::new();
+    let mut peak_arena = 0;
+    for (i, &t) in pauses.iter().enumerate() {
+        sim.run_until(t);
+        if i == register_at {
+            sim.add_flows((0..4).map(|j| FlowSpec {
+                src_vm: (j * 11 + 3) % vms,
+                dst_vm: (j * 17 + 40) % vms,
+                start: SimTime::from_micros(200 + 50 * j as u64),
+                kind: FlowKind::Tcp { bytes: 30_000 },
+            }));
+            sim.add_migration(migration_for(&sim, 9, n_servers / 2, 350));
+        }
+        at_pauses.push(reads(&sim));
+        assert_eq!(at_pauses[i], reads(&sim), "a read changed the next");
+        assert!(sim.peak_arena() >= peak_arena, "a high-water mark fell");
+        peak_arena = sim.peak_arena();
+    }
+    sim.run();
+    let end = reads(&sim);
+    let jsonl = sim.tracer().render_events_jsonl() + &sim.tracer().render_samples_jsonl();
+    (at_pauses, end, jsonl)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A pause sees only calendars: wherever `run_until` stops — at a global
+    /// event's own instant (the plan's are listed; the sampler fires every
+    /// 100 us), or at a nanosecond inside a lookahead window, as almost
+    /// every other instant of the busy first millisecond is — nothing is
+    /// left between the shards, so every read there, a registration there,
+    /// and the rest of the run are the one-shard engine's. Pause-and-resume
+    /// on 1, 2 and 4 shards == one shard straight through (but for the one
+    /// stop a mid-run registration needs).
+    #[test]
+    fn pauses_see_what_one_shard_sees(
+        pauses in proptest::collection::vec((0u64..1_000_000, 0usize..16), 1..=6),
+        register_at in 0usize..6,
+    ) {
+        // Half the pauses snap to a global event's instant.
+        const GLOBALS_US: [u64; 8] = [50, 100, 120, 150, 200, 350, 400, 600];
+        let mut pauses: Vec<SimTime> = pauses
+            .into_iter()
+            .map(|(ns, g)| GLOBALS_US.get(g).map_or(ns, |us| us * 1_000))
+            .map(SimTime::from_nanos)
+            .collect();
+        pauses.sort();
+        let register_at = register_at % pauses.len();
+        let straight = run_with_pauses(1, &pauses[register_at..=register_at], 0);
+        let one = run_with_pauses(1, &pauses, register_at);
+        prop_assert_eq!(&one.1, &straight.1, "one shard, paused: final reads");
+        prop_assert!(one.2 == straight.2, "one shard, paused: telemetry JSONL");
+        for shards in [2, 4] {
+            let sharded = run_with_pauses(shards, &pauses, register_at);
+            prop_assert_eq!(&sharded.0, &one.0, "shards {}: reads at the pauses", shards);
+            prop_assert_eq!(&sharded.1, &one.1, "shards {}: final reads", shards);
+            prop_assert!(sharded.2 == one.2, "shards {}: telemetry JSONL", shards);
+        }
+    }
 
     /// Random fault plans: the sharded engine must track the oracle through
     /// arbitrary reboot/link/outage/loss schedules.

@@ -1,5 +1,4 @@
-//! Generic per-shard bookkeeping for conservative windowed parallel
-//! simulation.
+//! Generic per-shard bookkeeping for conservative windowed simulation.
 //!
 //! The sharded engine splits a run into lookahead windows. Each shard owns
 //! a *persistent* private [`EventQueue`] holding every pending event of its
@@ -71,11 +70,6 @@ impl ShardState {
         self.sched_count = 0;
     }
 
-    /// Number of schedulings recorded so far this window.
-    pub fn sched_count(&self) -> u32 {
-        self.sched_count
-    }
-
     /// Records a local child scheduling: queues `payload` at `at` under a
     /// provisional key and returns the child ordinal.
     pub fn sched_local<E>(
@@ -123,27 +117,31 @@ pub trait JournalBlock {
 ///
 /// `journals[i]` is shard `i`'s execution-ordered journal for one window.
 /// `replay` is called once per block, in global order, with
-/// `(shard, block)`; it must return the global sequence numbers assigned
-/// to the block's schedulings, in scheduling order, so later blocks that
-/// reference those children by ordinal can be positioned. Within a shard,
-/// `(time, resolved seq)` is non-decreasing (local execution follows the
-/// same comparator), which is what makes a streaming merge possible.
+/// `(shard, block)` — by value, so what the block carries moves on; it must
+/// return the global sequence numbers assigned to the block's schedulings,
+/// in scheduling order, so later blocks that reference those children by
+/// ordinal can be positioned. Within a shard, `(time, resolved seq)` is
+/// non-decreasing (local execution follows the same comparator), which is
+/// what makes a streaming merge possible.
 ///
 /// Returns the per-shard grant vectors (global seq of child ordinal `n` at
-/// index `n`): the driver sends shard `i` its `child_seqs[i]` so the shard
-/// can insert its parked past-boundary events under real seqs (provisional
-/// keys never survive a window, so the calendar itself needs no re-keying).
-pub fn merge_journals<B: JournalBlock>(
-    journals: &[Vec<B>],
-    mut replay: impl FnMut(usize, &B) -> Vec<u64>,
+/// index `n`): shard `i` inserts its parked past-boundary events under the
+/// real seqs in `child_seqs[i]` (provisional keys never survive a window, so
+/// the calendar itself needs no re-keying).
+pub fn merge_journals<B: JournalBlock, I: IntoIterator<Item = u64>>(
+    journals: Vec<Vec<B>>,
+    mut replay: impl FnMut(usize, B) -> I,
 ) -> Vec<Vec<u64>> {
-    let mut cursors = vec![0usize; journals.len()];
     // Global seqs of each shard's window children, indexed by ordinal.
     let mut child_seqs: Vec<Vec<u64>> = vec![Vec::new(); journals.len()];
+    let mut heads: Vec<_> = journals
+        .into_iter()
+        .map(|j| j.into_iter().peekable())
+        .collect();
     loop {
         let mut best: Option<(SimTime, u64, usize)> = None;
-        for (shard, j) in journals.iter().enumerate() {
-            let Some(block) = j.get(cursors[shard]) else {
+        for (shard, j) in heads.iter_mut().enumerate() {
+            let Some(block) = j.peek() else {
                 continue;
             };
             let seq = match block.seq_ref() {
@@ -156,10 +154,8 @@ pub fn merge_journals<B: JournalBlock>(
             }
         }
         let Some((_, _, shard)) = best else { break };
-        let block = &journals[shard][cursors[shard]];
-        cursors[shard] += 1;
-        let assigned = replay(shard, block);
-        child_seqs[shard].extend(assigned);
+        let block = heads[shard].next().expect("peeked");
+        child_seqs[shard].extend(replay(shard, block));
     }
     child_seqs
 }
@@ -210,9 +206,9 @@ mod tests {
             b(7, SeqRef::Orig(50), vec![], 2),
         ];
         let mut order = Vec::new();
-        let grants = merge_journals(&[j0, j1], |_, blk| {
+        let grants = merge_journals(vec![j0, j1], |_, blk| {
             order.push(blk.label);
-            blk.scheds.clone()
+            blk.scheds
         });
         assert_eq!(order, vec![0, 1, 2, 3]);
         assert_eq!(grants, vec![vec![100, 101], vec![]]);

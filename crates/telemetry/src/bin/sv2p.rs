@@ -17,9 +17,9 @@
 //!
 //! `trace` filters compose (AND) and print JSONL, so output can be piped
 //! back into `sv2p trace` or any JSON tool. `profile` prints a
-//! phase-breakdown table sorted by wall-clock share, a per-shard imbalance
-//! summary (replay vs barrier-idle time), histogram tails, and a one-line
-//! verdict naming the dominant sharding overhead; `--check` validates what
+//! phase-breakdown table sorted by wall-clock share, a per-shard replay
+//! summary, histogram tails, and a one-line verdict naming the dominant
+//! sharding overhead; `--check` validates what
 //! the CI smoke job needs: the report parses, phase fractions are each in
 //! `[0, 1]`, and they sum to at most 1.05.
 //!
@@ -246,7 +246,6 @@ fn check(args: &Args, doc: &ProfileDoc, out: &mut impl Write) -> std::io::Result
     for k in [
         "window_advance_frac",
         "cut_exchange_frac",
-        "barrier_frac",
         "merge_frac",
         "global_frac",
     ] {
@@ -306,18 +305,17 @@ fn render(doc: &ProfileDoc, top: usize, out: &mut impl Write) -> std::io::Result
     if !doc.shards.is_empty() {
         writeln!(
             out,
-            "\n  {:<6} {:>10} {:>10} {:>12} {:>14}",
-            "shard", "blocks", "windows", "replay", "barrier_idle"
+            "\n  {:<6} {:>10} {:>10} {:>12}",
+            "shard", "blocks", "windows", "replay"
         )?;
         for s in &doc.shards {
             writeln!(
                 out,
-                "  {:<6} {:>10} {:>10} {:>12} {:>14}",
+                "  {:<6} {:>10} {:>10} {:>12}",
                 get_u64(s, "shard"),
                 get_u64(s, "blocks"),
                 get_u64(s, "windows"),
                 fmt_ns(get_u64(s, "replay_ns")),
-                fmt_ns(get_u64(s, "barrier_wait_ns")),
             )?;
         }
         writeln!(
@@ -353,13 +351,12 @@ fn render(doc: &ProfileDoc, top: usize, out: &mut impl Write) -> std::io::Result
         }
     }
 
-    // Verdict: where did the sharding overhead go?
+    // Verdict: what did sharding cost on top of the replays themselves?
     let s = &doc.summary;
     if get_str(m, "engine") == "sharded" {
         let pairs = [
             ("window advance", get_f64(s, "window_advance_frac")),
             ("cut exchange", get_f64(s, "cut_exchange_frac")),
-            ("barrier wait", get_f64(s, "barrier_frac")),
             ("journal merge", get_f64(s, "merge_frac")),
             ("global events", get_f64(s, "global_frac")),
         ];
@@ -372,13 +369,12 @@ fn render(doc: &ProfileDoc, top: usize, out: &mut impl Write) -> std::io::Result
         writeln!(
             out,
             "\nsharding overhead: {:.1}% of wall-clock (advance {:.1}%, cut-xchg {:.1}%, \
-             barrier {:.1}%, merge {:.1}%, global {:.1}%); dominant: {} ({:.1}%)",
+             merge {:.1}%, global {:.1}%); dominant: {} ({:.1}%)",
             overhead * 100.0,
             pairs[0].1 * 100.0,
             pairs[1].1 * 100.0,
             pairs[2].1 * 100.0,
             pairs[3].1 * 100.0,
-            pairs[4].1 * 100.0,
             dominant.0,
             dominant.1 * 100.0,
         )?;

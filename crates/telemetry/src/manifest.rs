@@ -52,8 +52,8 @@ pub struct RunManifest {
     /// Logical cores on the host that ran the experiment (context for
     /// sharded events/sec; 0 when unknown).
     pub host_cores: u64,
-    /// Shards the engine actually executed in parallel (1: the caller's
-    /// thread, also when the topology could not be partitioned).
+    /// Shards the engine was actually partitioned into (1 also when the
+    /// topology could not be partitioned).
     pub shards: u64,
     /// Process peak resident set size at manifest time (`VmHWM` from
     /// `/proc/self/status` on Linux; 0 where unknown). Monotonic per

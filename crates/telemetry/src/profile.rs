@@ -1,13 +1,13 @@
 //! Engine self-profiling: phase accounting, log-linear histograms, and the
 //! `*.profile.jsonl` report.
 //!
-//! Parallel-engine overheads — window-boundary bookkeeping, cut-link
-//! exchange, worker barriers, journal merge, and global-event execution —
-//! are invisible to virtual-time telemetry; this module attributes the
-//! wall-clock so coordination cost is a tracked regression surface. The
-//! emission points live in `sv2p-netsim` (the run loop and the driver of
-//! several shards) and the
-//! `--profile DIR` plumbing in `sv2p-bench`.
+//! What the engine spends per event class — and, on several shards, what
+//! the equivalence oracle costs: window-boundary bookkeeping, journaled
+//! replay, journal merge, cut-link exchange and global-event execution —
+//! is invisible to virtual-time telemetry; this module attributes the
+//! wall-clock so that cost is a tracked regression surface. The emission
+//! points live in `sv2p-netsim` (the run loop and the driver of several
+//! shards) and the `--profile DIR` plumbing in `sv2p-bench`.
 //!
 //! # Determinism segregation rule
 //!
@@ -169,10 +169,9 @@ wire_names! {
     /// The first block is the engine's run loop on one shard — `Pop` plus one
     /// class per event handler, so "telemetry cost" is visible as the
     /// `TelemetrySample` class and per-packet work is split by event kind.
-    /// The second block is the driver of several shards: window-boundary
-    /// computation, the parallel section, and the synchronization overheads
-    /// around it (cut-link exchange, barrier wait, journal merge, global
-    /// events).
+    /// The second block is the driver of several shards, whose phases add
+    /// up to the run: window-boundary computation, the shards' journaled
+    /// replays, journal merge, cut-link exchange and global events.
     Phase {
         /// Calendar pop (single-threaded loop).
         Pop => "pop",
@@ -204,19 +203,23 @@ wire_names! {
         /// `TelemetrySample` handler dispatch (the sampler's own cost).
         TelemetrySample => "telemetry_sample",
         /// Sharded driver: computing each window's `(time, seq)` boundary from
-        /// the shards' reported next-event bounds and the partition lookahead,
-        /// and dispatching the window commands.
+        /// the calendars' next events and the partition lookahead.
         WindowAdvance => "window_advance",
-        /// Sharded driver: resolving cut-link events to their granted global
-        /// seqs and delivering them (plus parked-event grants) to the target
-        /// shards — the coordination cost of the conservative exchange.
+        /// Sharded driver: putting each shard's parked events onto its
+        /// calendar under their granted seqs and the cut packets routed to it
+        /// into its arena and onto its calendar. (About 0.10 of a two-shard
+        /// `ft8-hadoop` run, up from 0.006 when a worker thread applied the
+        /// arrivals at the start of its next window and that time counted as
+        /// replay.)
         CutExchange => "cut_exchange",
-        /// Sharded driver: mean per-shard busy time inside the parallel
-        /// section — the useful work the window bought.
+        /// Sharded driver: the shards' journaled replays of each window, one
+        /// after another, summed.
         WorkerReplay => "worker_replay",
-        /// Sharded driver: the rest of the blocked-at-the-barrier span — time
-        /// the average shard sat idle while the slowest shard (or the channel
-        /// machinery) finished. This is the imbalance + serialization cost.
+        /// Retired, reads 0, as [`Phase::LinkFree`]: the shards take turns on
+        /// one thread, so nothing waits at a barrier. The name stays because
+        /// `benchmark/` and `BENCHMARK.json` declare
+        /// `netsim.sharded.barrier_wait_frac`; it leaves with them (ROADMAP
+        /// item 5).
         BarrierWait => "barrier_wait",
         /// Sharded driver: k-way journal merge and master-state replay.
         JournalMerge => "journal_merge",
@@ -229,8 +232,6 @@ wire_names! {
 wire_names! {
     /// A named histogram slot in the profiler.
     HistKind {
-        /// Wall-clock nanoseconds per sharded window (timing).
-        WindowNs => "window_ns",
         /// Wall-clock nanoseconds of one shard's replay of one window (timing).
         ShardReplayNs => "shard_replay_ns",
         /// Journal ops per replayed block (deterministic).
@@ -251,7 +252,7 @@ impl HistKind {
     /// Whether the recorded values are functions of simulation state alone
     /// (true) or wall-clock durations (false).
     pub fn deterministic(self) -> bool {
-        !matches!(self, HistKind::WindowNs | HistKind::ShardReplayNs)
+        self != HistKind::ShardReplayNs
     }
 }
 
@@ -267,9 +268,6 @@ struct PhaseAcc {
 pub struct ShardAcc {
     /// Wall-clock this shard spent replaying windows.
     pub replay_ns: u64,
-    /// Wall-clock this shard sat idle at window barriers (slowest shard's
-    /// replay minus this shard's, summed over windows).
-    pub barrier_wait_ns: u64,
     /// Journal blocks this shard contributed to merges. Deterministic.
     pub blocks: u64,
     /// Windows in which this shard had work. Deterministic.
@@ -286,7 +284,7 @@ pub struct Profiler {
     phases: Vec<PhaseAcc>,
     hists: Vec<Histogram>,
     shards: Vec<ShardAcc>,
-    /// Windows the sharded driver dispatched to workers. Deterministic.
+    /// Windows in which at least one shard had work. Deterministic.
     pub windows: u64,
     /// Global events the driver executed itself. Deterministic.
     pub global_events: u64,
@@ -356,14 +354,13 @@ impl Profiler {
     }
 
     /// One shard's contribution to one window.
-    pub fn shard_sample(&mut self, shard: usize, replay_ns: u64, idle_ns: u64, blocks: u64) {
+    pub fn shard_sample(&mut self, shard: usize, replay_ns: u64, blocks: u64) {
         if !self.enabled {
             return;
         }
         self.ensure_shards(shard + 1);
         let acc = &mut self.shards[shard];
         acc.replay_ns += replay_ns;
-        acc.barrier_wait_ns += idle_ns;
         if blocks > 0 {
             acc.blocks += blocks;
             acc.windows += 1;
@@ -468,8 +465,7 @@ impl Profiler {
                 .u64("shard", s as u64)
                 .u64("blocks", acc.blocks)
                 .u64("windows", acc.windows)
-                .u64("replay_ns", acc.replay_ns)
-                .u64("barrier_wait_ns", acc.barrier_wait_ns);
+                .u64("replay_ns", acc.replay_ns);
         }
         for k in HistKind::ALL {
             let Some(h) = self.hists.get(k as usize).filter(|h| h.count() > 0) else {
@@ -493,7 +489,6 @@ impl Profiler {
             .u64("journal_ops", self.journal_ops)
             .f64("window_advance_frac", self.frac(Phase::WindowAdvance))
             .f64("cut_exchange_frac", self.frac(Phase::CutExchange))
-            .f64("barrier_frac", self.frac(Phase::BarrierWait))
             .f64("merge_frac", self.frac(Phase::JournalMerge))
             .f64("global_frac", self.frac(Phase::GlobalExec))
             .f64("imbalance_cv", self.imbalance_cv());
@@ -502,7 +497,7 @@ impl Profiler {
 }
 
 /// Schema tag carried by a report's `meta` row.
-pub const SCHEMA: &str = "sv2p-profile/v2";
+pub const SCHEMA: &str = "sv2p-profile/v3";
 
 /// Run identity stamped into a report header by the harness.
 #[derive(Debug, Clone)]
@@ -513,7 +508,7 @@ pub struct ProfileMeta {
     pub label: String,
     /// "single" or "sharded".
     pub engine: String,
-    /// Shards that actually executed in parallel.
+    /// Shards the run was partitioned into.
     pub shards: u64,
     /// RNG seed.
     pub seed: u64,
@@ -712,7 +707,7 @@ mod tests {
         let mut p = Profiler::off();
         p.phase_add(Phase::Pop, 100);
         p.record(HistKind::CalendarLen, 5);
-        p.shard_sample(0, 10, 5, 1);
+        p.shard_sample(0, 10, 1);
         p.add_run_ns(1000);
         assert_eq!(p.run_ns(), 0);
         assert_eq!(p.phase_calls(Phase::Pop), 0);
@@ -725,13 +720,12 @@ mod tests {
             p.phase_add(Phase::WindowAdvance, 400);
             p.phase_add(Phase::CutExchange, 100);
         }
-        p.phase_add(Phase::WorkerReplay, 2_000);
-        p.phase_add(Phase::BarrierWait, 2_500);
+        p.phase_add(Phase::WorkerReplay, 4_000);
         p.phase_add(Phase::JournalMerge, 500);
         p.record(HistKind::JournalBlockOps, 3);
-        p.record(HistKind::WindowNs, 9_000);
-        p.shard_sample(0, 3_000, 0, 6);
-        p.shard_sample(1, 1_000, 2_000, 4);
+        p.record(HistKind::ShardReplayNs, 3_000);
+        p.shard_sample(0, 3_000, 6);
+        p.shard_sample(1, 1_000, 4);
         p.windows = 1;
         p.journal_blocks = 10;
         p.journal_ops = 30;
@@ -759,7 +753,8 @@ mod tests {
         assert!(doc.phases.iter().any(|r| r
             .get("name")
             .and_then(|v| v.as_str())
-            == Some("barrier_wait")));
+            == Some("worker_replay")));
+        assert!(!text.contains("barrier"), "a retired phase has no row");
         let cv = doc
             .summary
             .get("imbalance_cv")
@@ -769,16 +764,19 @@ mod tests {
         let proj = deterministic_projection(&text).expect("projects");
         assert!(proj.contains("phase window_advance calls=10"));
         assert!(proj.contains("hist journal_block_ops count=1 sum=3"));
-        assert!(proj.contains("hist window_ns count=1\n"), "timing hist keeps count only");
+        assert!(
+            proj.contains("hist shard_replay_ns count=1\n"),
+            "timing hist keeps count only"
+        );
         assert!(!proj.contains("_ns="), "no wall-clock leaks: {proj}");
     }
 
     #[test]
     fn imbalance_cv_zero_for_balanced_or_single() {
         let mut p = Profiler::new(true);
-        p.shard_sample(0, 500, 0, 1);
+        p.shard_sample(0, 500, 1);
         assert_eq!(p.imbalance_cv(), 0.0, "one shard has no imbalance");
-        p.shard_sample(1, 500, 0, 1);
+        p.shard_sample(1, 500, 1);
         assert_eq!(p.imbalance_cv(), 0.0, "equal shards have cv 0");
     }
 }

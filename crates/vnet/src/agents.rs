@@ -217,7 +217,7 @@ impl AgentOutput {
 }
 
 /// Per-switch translation behavior.
-pub trait SwitchAgent: Send {
+pub trait SwitchAgent {
     /// Processes one packet entering the switch, before routing.
     fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet) -> AgentOutput;
 
@@ -260,7 +260,7 @@ pub enum HostResolution {
 }
 
 /// Per-server sending behavior.
-pub trait HostAgent: Send {
+pub trait HostAgent {
     /// Decides how to address a packet for `dst_vip`. Called for every
     /// outgoing packet (agents cache internally if they want per-flow
     /// behavior).
