@@ -11,15 +11,16 @@
 //!
 //! * `--full` — paper-scale parameters (default: quick);
 //! * `--seed N` — RNG seed override (default: 1);
-//! * `--shards N` — run every simulation cut into N pod shards that take
-//!   turns on the caller's thread: an equivalence check, slower than the
-//!   default of 1, with byte-identical results by contract;
+//! * `--shards N` — run every simulation cut into N pod shards that
+//!   interleave event by event on the caller's thread: an equivalence
+//!   check, about 1.3x the default of 1, with byte-identical results by
+//!   contract;
 //! * `--telemetry DIR` — enable structured tracing and write
 //!   `<label>.events.jsonl` / `<label>.samples.jsonl` per run into DIR;
 //! * `--profile DIR` — enable engine self-profiling and write
 //!   `<label>.profile.jsonl` per run into DIR (phase wall-clock breakdown,
-//!   per-shard replay accounting, occupancy histograms; inspect with
-//!   `sv2p profile`). Simulation output stays byte-identical;
+//!   occupancy histograms; inspect with `sv2p profile`). Simulation output
+//!   stays byte-identical;
 //! * `--churn-horizon-us N` — churn timeline length, honoured by the
 //!   `churn` bin (default scale-based).
 //!
@@ -346,7 +347,6 @@ pub fn write_profile(sim: &Engine, label: &str, seed: u64) {
     let meta = sv2p_telemetry::ProfileMeta {
         bin: BIN.get().cloned().unwrap_or_else(|| "adhoc".into()),
         label: label.to_string(),
-        engine: if sim.shards() > 1 { "sharded" } else { "single" }.into(),
         shards: sim.shards() as u64,
         seed,
         events_executed: sim.events_executed(),

@@ -6,12 +6,12 @@
 //! with shards 1), so none of them can tell when a refactor changes what
 //! both sides compute. This table can: each row is
 //! `(events executed, FNV-1a of {summary:?}, FNV-1a of the telemetry
-//! JSONL, FNV-1a of the profile report's deterministic projection at
-//! shards 1 and at shards 4)` for the ten `sharded_equiv` scenarios (the
-//! two proptests pinned to one fixed plan each), `determinism.rs`'s two
-//! and `profiling.rs`'s. The first three are independent of the shard
-//! count; the projection is not (one shard attributes per event class,
-//! several attribute per driver phase), so it has one column each.
+//! JSONL, FNV-1a of the profile report's deterministic projection)` for the
+//! ten `sharded_equiv` scenarios (the two proptests pinned to one fixed
+//! plan each), `determinism.rs`'s two and `profiling.rs`'s. Every column is
+//! independent of the shard count, and the test asserts so at shards 1 and
+//! 4: several shards make the one-shard loop's pops in the same order, so
+//! a sharded run's profile is the one-shard profile.
 //!
 //! Re-recorded three times since. PR 21 replaced the calendar and moved the
 //! projection columns only, where timers reach past a millisecond (the
@@ -47,7 +47,15 @@
 //! projection, and `events`, `summary`, `telemetry` and `projection@1` of
 //! every row, are the parent's.
 //!
-//! Shards 1 and 4 agree in every column they share, as before.
+//! Then once more, the projection column only, and the `projection@4`
+//! column went: the shards interleave event by event on one calendar,
+//! and the report lost what only lookahead windows had — the
+//! `meta engine` line (it says nothing `shards` does not), the `summary`
+//! counters of windows, global events and journal blocks and ops (all 0 on
+//! one shard) — while `meta shards` left the projection, the one line that
+//! would tell the shard counts apart. Each new hash is the parent's
+//! `projection@1` with exactly those six lines removed (computed on the
+//! parent). `events`, `summary` and `telemetry` are the parent's.
 //!
 //! To re-record after an intended semantic change, run with
 //! `GOLDEN_PRINT=1 cargo test -p sv2p-bench --test golden -- --nocapture`
@@ -65,115 +73,102 @@ use sv2p_transport::UdpSchedule;
 use sv2p_vnet::{Migration, Strategy};
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
-/// `(scenario, events, summary, telemetry, projection@1, projection@4)`.
-type Row = (&'static str, u64, u64, u64, u64, u64);
+/// `(scenario, events, summary, telemetry, projection)`.
+type Row = (&'static str, u64, u64, u64, u64);
 
-/// Recorded at PR 22 (the analytic link), `projection@4` at PR 24; see the
-/// module doc for what moved and why.
+/// Recorded with the analytic link, the projection when the shards came to
+/// interleave; see the module doc for what moved and why.
 const GOLDEN: &[Row] = &[
     (
         "switchv2p",
         13444,
         0x6ba0fbb75c118cba,
         0xc3babea485f45122,
-        0x387f86e9de9b6cda,
-        0x22b77b80203a3cce,
+        0x2960995bf1207cbe,
     ),
     (
         "nocache-untraced",
         23416,
         0xe47d2ccc4b38f3c0,
         0xcbf29ce484222325,
-        0xaddcc32f254ef9e3,
-        0x0472687f6538006e,
+        0xba59c087adc522a9,
     ),
     (
         "faulted",
         13322,
         0x2ea9926491e94bfc,
         0x88b351fb3b770ff1,
-        0xb0198f56d24e50d2,
-        0x82082b3cb883ba58,
+        0x6c61a48dc07c2bd0,
     ),
     (
         "migrated",
         13447,
         0x743db0ed51aaa4ed,
         0xdb1e6e6c581861e7,
-        0x0fd3f2baa48ecaaf,
-        0x86896fec12aa4399,
+        0x0490508beb1a2537,
     ),
     (
         "churned",
         67806,
         0x49574efd2f2740d7,
         0x47a01803c7a1e5f2,
-        0x8d27933b3a32bed9,
-        0x1a776fe994730730,
+        0xe0f937edc8b793c1,
     ),
     (
         "one-shard-mix",
         6890,
         0x5d56c2b57d218e05,
         0xcbf29ce484222325,
-        0x816cf651687f2d3a,
-        0xd76c17d932fcc94f,
+        0xe1ee6c5e4ab6ca6e,
     ),
     (
         "midrun-storm",
         10127,
         0x889c7e534c9b42eb,
         0x8d49f8f2296fe821,
-        0x9460989be5752573,
-        0xbee8ed2faf01bacb,
+        0xc11035328e46b98b,
     ),
     (
         "fixed-fault-plan",
         23238,
         0xd3834290bb716421,
         0xcbf29ce484222325,
-        0xf6661a7adec7f19b,
-        0x8377e6b591f3da68,
+        0x62c11725ad5b9d53,
     ),
     (
         "fixed-migration-plan",
         23581,
         0x7ffeb9a44bdbcea6,
         0xcbf29ce484222325,
-        0x62686a42ac4c6213,
-        0x9b94db2b5d8ab791,
+        0x8dc853374ca6a2fb,
     ),
     (
         "observables",
         4346,
         0x532e5e9f7479d96a,
         0x45af469bff5ba192,
-        0x9a037695ab40fa37,
-        0x74e15b051e8741e4,
+        0x3f7075a65e69bb95,
     ),
     (
         "determinism-steady",
         33828,
         0x32ee73b49a9fadc2,
         0x43391908197edd80,
-        0x89f9f08d10db272d,
-        0x33740df9c2a3a142,
+        0x6abe9ff74279dc93,
     ),
     (
         "determinism-churned",
         106934,
         0x0ee1a014621ed1e4,
         0xc4815bb8770baeac,
-        0x99829968998906fe,
-        0x835922acfabe51d9,
+        0x52ff3d898299d054,
     ),
     (
         "profiling-hadoop",
         199873,
         0x6c4ac54d9c76d130,
         0x6c91d59a98ee11c6,
-        0x2c7aab78001bde0e,
-        0x55a0eed74cae6a88,
+        0xf3f13e4ab79c01b6,
     ),
 ];
 
@@ -195,12 +190,6 @@ fn digest(name: &str, mut sim: Engine, drive: impl FnOnce(&mut Engine)) -> (u64,
     let meta = ProfileMeta {
         bin: "golden".into(),
         label: name.into(),
-        engine: if sim.shards() > 1 {
-            "sharded"
-        } else {
-            "single"
-        }
-        .into(),
         shards: sim.shards() as u64,
         seed: 0,
         events_executed: sim.events_executed(),
@@ -596,16 +585,12 @@ fn golden_digests_hold_at_shards_1_and_4() {
     for (name, run) in scenarios() {
         let one = run(1);
         let four = run(4);
-        assert_eq!(
-            (one.0, one.1, one.2),
-            (four.0, four.1, four.2),
-            "{name}: shards 4 diverged from shards 1"
-        );
-        rows.push((name, one.0, one.1, one.2, one.3, four.3));
+        assert_eq!(one, four, "{name}: shards 4 diverged from shards 1");
+        rows.push((name, one.0, one.1, one.2, one.3));
     }
     if std::env::var_os("GOLDEN_PRINT").is_some() {
-        for (name, ev, s, t, p1, p4) in &rows {
-            println!("    (\"{name}\", {ev}, {s:#018x}, {t:#018x}, {p1:#018x}, {p4:#018x}),");
+        for (name, ev, s, t, p) in &rows {
+            println!("    (\"{name}\", {ev}, {s:#018x}, {t:#018x}, {p:#018x}),");
         }
     }
     assert_eq!(

@@ -3,11 +3,13 @@
 //! Handlers mutate the state of the shard they run on directly. What must
 //! happen in *global* `(time, seq)` order — scheduling, packet-id
 //! allocation, the four flow-lifecycle metric operations and trace
-//! records — goes through [`Effects`], which has two implementations:
-//! [`Master`] applies each effect on the spot (one shard), and
-//! `sharded::Journal` writes it down for the driver to replay
-//! in global order after the window. The sink is a type parameter of the
-//! run loop, so neither costs the other anything.
+//! records — goes through [`Effects`], and every effect applies on the
+//! spot, to the driver's one calendar and recorders ([`Master`]). The sink
+//! has two implementations that differ in one thing: `Master` itself (one
+//! shard) never sees a packet leave its shard, and `sharded::Crossing`
+//! (several) hands a packet whose link ends on another shard to the
+//! driver. The sink is a type parameter of every handler, so the one-shard
+//! build has no ownership test in it.
 
 use std::time::Instant;
 
@@ -18,7 +20,9 @@ use sv2p_telemetry::profile::{HistKind, Phase, Profiler};
 use sv2p_telemetry::{TraceEvent, Tracer};
 use sv2p_topology::{LinkId, NodeId};
 
-use crate::arena::{PacketArena, PacketRef};
+use crate::arena::PacketRef;
+use crate::sharded::Cut;
+use crate::sim::Shard;
 
 /// Simulator events. Packet-carrying events hold an arena handle and
 /// flow / plan events a `u32` index, so an event is twelve bytes — a tag and
@@ -73,7 +77,7 @@ impl Event {
     }
 
     /// Global events write control state, so the driver executes them
-    /// itself, between windows, at every shard count.
+    /// itself, with every shard in reach, at every shard count.
     pub fn is_global(&self) -> bool {
         matches!(
             self,
@@ -129,98 +133,92 @@ impl MetricOp {
     }
 }
 
-/// The sink for everything a handler does that is order-sensitive.
+/// The sink for everything a handler does that is order-sensitive. Every
+/// effect lands on the driver's [`Master`] as it happens; the two sinks
+/// differ only in [`Effects::SHARDED`] and [`Effects::schedule_cut`].
 pub(crate) trait Effects {
-    /// True when other shards run beside this one, so an event may have to
+    /// True when other shards run beside this one, so a packet may have to
     /// leave it. A constant: the one-shard build of every handler has no
     /// ownership test in it.
     const SHARDED: bool;
 
-    /// The calendar this shard's events live on.
-    fn calendar(&mut self) -> &mut EventQueue<Event>;
+    fn master(&self) -> &Master;
 
-    /// Current virtual time: the instant of the event being executed.
-    fn now(&self) -> SimTime;
-
-    /// Schedules a follow-up event on this shard.
-    fn schedule(&mut self, at: SimTime, ev: Event);
+    fn master_mut(&mut self) -> &mut Master;
 
     /// Hands a packet arriving over a cut link to the shard owning the far
     /// end, by value.
     fn schedule_cut(&mut self, to: usize, at: SimTime, link: LinkId, pkt: Packet);
 
-    fn alloc_pkt_id(&mut self) -> PacketId;
+    /// Current virtual time: the instant of the event being executed.
+    fn now(&self) -> SimTime {
+        self.master().events.now()
+    }
 
-    fn metric(&mut self, op: MetricOp);
-
-    /// Whether trace records are wanted at all (one branch per emission
-    /// point when they are not).
-    fn tracing(&self) -> bool;
-
-    fn trace(&mut self, ev: TraceEvent);
-
-    /// The event popped under key `(time, seq)` finished executing.
-    fn executed(&mut self, time: SimTime, seq: u64);
+    /// Schedules a follow-up event.
+    fn schedule(&mut self, at: SimTime, ev: Event) {
+        self.master_mut().events.schedule_at(at, ev);
+    }
 
     /// Schedules a follow-up event `d` from now.
     fn schedule_in(&mut self, d: SimDuration, ev: Event) {
         let at = self.now() + d;
         self.schedule(at, ev);
     }
+
+    fn alloc_pkt_id(&mut self) -> PacketId {
+        let m = self.master_mut();
+        let id = PacketId(m.next_pkt_id);
+        m.next_pkt_id += 1;
+        id
+    }
+
+    fn metric(&mut self, op: MetricOp) {
+        let m = self.master_mut();
+        op.apply(&mut m.metrics, m.events.now());
+    }
+
+    /// Whether trace records are wanted at all (one branch per emission
+    /// point when they are not).
+    fn tracing(&self) -> bool {
+        self.master().tracer.enabled()
+    }
+
+    fn trace(&mut self, ev: TraceEvent) {
+        self.master_mut().tracer.record(ev);
+    }
 }
 
-/// The driver's own state: the global calendar and the recorders whose
-/// content depends on global event order. It is also the apply-directly
-/// sink — with one shard, the shard's events share the driver's calendar
-/// and every effect lands here as it happens.
+/// The driver's own state: the one calendar every event of the run sits on,
+/// and the recorders whose content depends on global event order. It is
+/// also the sink of one shard.
 pub(crate) struct Master {
-    /// Global events, and the `(time, seq)` authority for all events.
+    /// Every pending event, under its global `(time, seq)` key.
     pub events: EventQueue<Event>,
     /// Order-sensitive streams and driver-only counters. The order-free
     /// ledger is not here: each shard owns its `Counters`.
     pub metrics: Metrics,
     pub tracer: Tracer,
     pub next_pkt_id: u64,
+    /// Packets that crossed the cut during the handler now running, on
+    /// their way to the far shard's arena (several shards only).
+    pub cuts: Vec<Cut>,
 }
 
 impl Effects for Master {
     const SHARDED: bool = false;
 
-    fn calendar(&mut self) -> &mut EventQueue<Event> {
-        &mut self.events
+    fn master(&self) -> &Master {
+        self
     }
 
-    fn now(&self) -> SimTime {
-        self.events.now()
-    }
-
-    fn schedule(&mut self, at: SimTime, ev: Event) {
-        self.events.schedule_at(at, ev);
+    fn master_mut(&mut self) -> &mut Master {
+        self
     }
 
     fn schedule_cut(&mut self, _to: usize, _at: SimTime, _link: LinkId, _pkt: Packet) {
         unreachable!("one shard has no cut links")
     }
-
-    fn alloc_pkt_id(&mut self) -> PacketId {
-        let id = PacketId(self.next_pkt_id);
-        self.next_pkt_id += 1;
-        id
-    }
-
-    fn metric(&mut self, op: MetricOp) {
-        op.apply(&mut self.metrics, self.events.now());
-    }
-
-    fn tracing(&self) -> bool {
-        self.tracer.enabled()
-    }
-
-    fn trace(&mut self, ev: TraceEvent) {
-        self.tracer.record(ev);
-    }
-
-    fn executed(&mut self, _time: SimTime, _seq: u64) {}
 }
 
 /// What the run loop tells about each event it executes. [`NoProbe`] is
@@ -230,8 +228,8 @@ pub(crate) trait Probe {
     fn begin(&mut self);
     /// Popped; dispatch starts.
     fn popped(&mut self);
-    /// The handler charged to `phase` returned.
-    fn dispatched(&mut self, phase: Phase, cal: &EventQueue<Event>, arena: &PacketArena);
+    /// The handler charged to `phase` returned; `shards` are all of them.
+    fn dispatched(&mut self, phase: Phase, cal: &EventQueue<Event>, shards: &[Shard]);
 }
 
 /// The probe of an unprofiled run.
@@ -243,12 +241,13 @@ impl Probe for NoProbe {
     #[inline(always)]
     fn popped(&mut self) {}
     #[inline(always)]
-    fn dispatched(&mut self, _: Phase, _: &EventQueue<Event>, _: &PacketArena) {}
+    fn dispatched(&mut self, _: Phase, _: &EventQueue<Event>, _: &[Shard]) {}
 }
 
 /// Wall-clock attribution per event class, plus deterministic occupancy
 /// samples every 1024 executed events (keyed off the calendar's event
-/// counter, so two same-seed profiled runs sample at identical points).
+/// counter, so two same-seed profiled runs — at any shard count — sample
+/// at identical points and read identical values).
 pub(crate) struct PhaseProbe<'a> {
     pub prof: &'a mut Profiler,
     t0: Instant,
@@ -277,7 +276,7 @@ impl Probe for PhaseProbe<'_> {
             .phase_add(Phase::Pop, (self.t1 - self.t0).as_nanos() as u64);
     }
 
-    fn dispatched(&mut self, phase: Phase, cal: &EventQueue<Event>, arena: &PacketArena) {
+    fn dispatched(&mut self, phase: Phase, cal: &EventQueue<Event>, shards: &[Shard]) {
         self.prof
             .phase_add(phase, self.t1.elapsed().as_nanos() as u64);
         if cal.events_executed() & 1023 == 0 {
@@ -286,7 +285,8 @@ impl Probe for PhaseProbe<'_> {
                 .record(HistKind::CalendarLen, (near + far + overflow) as u64);
             self.prof
                 .record(HistKind::CalendarOverflow, overflow as u64);
-            self.prof.record(HistKind::ArenaLive, arena.live() as u64);
+            let live: usize = shards.iter().map(|s| s.arena.live()).sum();
+            self.prof.record(HistKind::ArenaLive, live as u64);
         }
     }
 }

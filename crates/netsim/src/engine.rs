@@ -1,18 +1,19 @@
 //! The engine: one shared world, one copy of the control state, and a
 //! `Vec` of shard-owned state.
 //!
-//! `shards` is the only selector. The partition it yields decides how the
-//! same handlers run, always on the caller's thread: one shard executes
-//! with every effect applied directly (`effects::Master` is the sink, and
-//! the shard's events share the driver's calendar); several shards take
-//! turns window by window with their effects journaled (see `sharded`).
-//! Both produce byte-identical results (`tests/sharded_equiv.rs`,
+//! `shards` is the only selector. Every pending event of the run sits on
+//! the driver's one calendar, under the same `(time, seq)` key at every
+//! shard count, and every effect applies on the spot; the partition
+//! decides only which shard's state an event's handler runs on, always on
+//! the caller's thread. One shard runs every event through `Shard::drain`;
+//! several interleave event by event (see `sharded`). Both produce
+//! byte-identical results (`tests/sharded_equiv.rs`,
 //! `bench/tests/golden.rs`): more than one shard is an equivalence check
 //! that costs wall-clock, and experiment code never branches on it.
 //!
 //! Global events — migrations, faults, churn marks, telemetry samples —
 //! write control state, so at every shard count the driver executes them
-//! itself, between windows: `exec_global`.
+//! itself, with every shard in reach: `exec_global`.
 //!
 //! Results are read through [`Engine::counters`], which merges the shards'
 //! ledgers anew on every call: nothing is folded into the master, so
@@ -40,7 +41,7 @@ use crate::config::SimConfig;
 use crate::effects::{Event, Master, NoProbe, PhaseProbe, Probe};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::flows::{FlowSpec, FlowXport};
-use crate::sharded::{run_windows, Lane, WindowStats};
+use crate::sharded::{move_vm, run_interleaved, Turns};
 use crate::sim::{cache_op_event, wire_layer, Shard, Snapshot};
 use crate::world::{Control, World};
 
@@ -49,11 +50,8 @@ pub struct Engine {
     world: Arc<World>,
     ctl: Control,
     shards: Vec<Shard>,
-    /// One per shard when there are several; empty with one shard,
-    /// whose events share the driver's calendar.
-    lanes: Vec<Lane>,
     master: Master,
-    stats: WindowStats,
+    turns: Turns,
     /// Engine self-profiling (wall-clock side channel; never feeds back
     /// into simulation state).
     profiler: Profiler,
@@ -79,11 +77,7 @@ impl Engine {
         let placement = Placement::uniform(&topo, vms_per_server);
         let plane = LocalControlPlane::with_db(placement.seed_db());
         let dir = GatewayDirectory::from_topology(&topo);
-        let mut partition = PodPartition::new(&topo, shards);
-        if partition.lookahead_ns() == 0 {
-            // A zero-delay cut leaves no window to run shards apart in.
-            partition = PodPartition::new(&topo, 1);
-        }
+        let partition = PodPartition::new(&topo, shards);
 
         // Dense switch tags + the master recorder's switch table.
         let mut tags = vec![None; topo.nodes.len()];
@@ -151,17 +145,12 @@ impl Engine {
                 _ => {}
             }
         }
-        let lanes = if n_shards > 1 {
-            (0..n_shards).map(|_| Lane::new()).collect()
-        } else {
-            Vec::new()
-        };
-
         let mut master = Master {
             events: EventQueue::new(),
             metrics,
             tracer: Tracer::new(cfg.telemetry),
             next_pkt_id: 0,
+            cuts: Vec::new(),
         };
         if master.tracer.enabled() && master.tracer.config().sample_every_ns > 0 {
             // First snapshot at t = 0; workload events scheduled later at the
@@ -169,10 +158,6 @@ impl Engine {
             master
                 .events
                 .schedule_at(SimTime::ZERO, Event::TelemetrySample);
-        }
-        let mut profiler = Profiler::new(cfg.profile);
-        if profiler.enabled() && n_shards > 1 {
-            profiler.ensure_shards(n_shards);
         }
         let ctl = Control {
             plane,
@@ -193,10 +178,9 @@ impl Engine {
             world,
             ctl,
             shards,
-            lanes,
             master,
-            stats: WindowStats::default(),
-            profiler,
+            turns: Turns::default(),
+            profiler: Profiler::new(cfg.profile),
         }
     }
 
@@ -206,35 +190,30 @@ impl Engine {
         self.shards.len() as u16
     }
 
-    /// Lookahead windows in which a shard had work so far (0 with one
-    /// shard).
+    /// Turns so far: maximal runs of consecutive events on one shard (0
+    /// with one shard).
     pub fn window_count(&self) -> u64 {
-        self.stats.windows
+        self.turns.turns
     }
 
-    /// Cut-link events exchanged between shards so far (0 with one shard).
+    /// Packets that crossed between shards so far (0 with one shard).
     pub fn cut_events(&self) -> u64 {
-        self.stats.cut_events
-    }
-
-    /// Every calendar: the driver's, then the lanes.
-    fn calendars(&self) -> impl Iterator<Item = &EventQueue<Event>> {
-        std::iter::once(&self.master.events).chain(self.lanes.iter().map(|l| &l.events))
+        self.turns.cut_events
     }
 
     /// Current virtual time: the instant of the last executed event.
     pub fn now(&self) -> SimTime {
-        self.calendars().map(|c| c.now()).max().expect("a calendar")
+        self.master.events.now()
     }
 
     /// Events executed so far (identical at every shard count).
     pub fn events_executed(&self) -> u64 {
-        self.calendars().map(|c| c.events_executed()).sum()
+        self.master.events.events_executed()
     }
 
-    /// Pending-event high-water mark, summed over the calendars.
+    /// Pending-event high-water mark (identical at every shard count).
     pub fn peak_queue(&self) -> usize {
-        self.calendars().map(|c| c.peak_len()).sum()
+        self.master.events.peak_len()
     }
 
     /// In-flight packet high-water mark, summed over the shard arenas — a
@@ -285,32 +264,19 @@ impl Engine {
         self.ctl.plane.db()
     }
 
-    /// The calendar holding the events of `node`'s shard.
-    fn calendar_of(&mut self, node: NodeId) -> &mut EventQueue<Event> {
-        match self.lanes.get_mut(self.world.shard_of(node)) {
-            Some(lane) => &mut lane.events,
-            None => &mut self.master.events,
-        }
-    }
-
     /// Registers the workload. Flow ids are assigned densely in call
-    /// order; each start event goes on its owner shard's calendar under
-    /// the next global sequence number. May be called mid-run; instants
-    /// already in the past take effect immediately.
+    /// order. May be called mid-run; instants already in the past take
+    /// effect immediately.
     pub fn add_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
         let now = self.now();
         for spec in specs {
             let idx = Event::index(self.ctl.flows.len());
             let start = spec.start.max(now);
-            // A flow's driving events execute where its sender is hosted.
-            let src = self.ctl.placement.node_of(spec.src_vm);
             self.ctl.flows.push(spec);
             for shard in &mut self.shards {
                 shard.flows.push(FlowXport::default());
             }
-            let seq = self.master.events.reserve_seq();
-            self.calendar_of(src)
-                .schedule_at_seq(start, seq, Event::FlowStart(idx));
+            self.master.events.schedule_at(start, Event::FlowStart(idx));
         }
     }
 
@@ -362,7 +328,7 @@ impl Engine {
         }
     }
 
-    /// Runs until every calendar drains (or `end_of_time`).
+    /// Runs until the calendar drains (or `end_of_time`).
     pub fn run(&mut self) {
         let horizon = self.world.cfg.end_of_time.unwrap_or(SimTime::MAX);
         self.run_until(horizon);
@@ -378,11 +344,9 @@ impl Engine {
             world,
             ctl,
             shards,
-            lanes,
             master,
-            stats,
+            turns,
             profiler,
-            ..
         } = self;
         let run_t0 = profiler.enabled().then(Instant::now);
         match &mut shards[..] {
@@ -390,7 +354,11 @@ impl Engine {
                 run_direct(ctl, shard, master, &mut PhaseProbe::new(profiler), horizon)
             }
             [shard] => run_direct(ctl, shard, master, &mut NoProbe, horizon),
-            shards => run_windows(world, ctl, shards, lanes, master, stats, profiler, horizon),
+            shards if run_t0.is_some() => {
+                let probe = &mut PhaseProbe::new(profiler);
+                run_interleaved(world, ctl, shards, master, turns, probe, horizon)
+            }
+            shards => run_interleaved(world, ctl, shards, master, turns, &mut NoProbe, horizon),
         }
         if let Some(t0) = run_t0 {
             profiler.add_run_ns(t0.elapsed().as_nanos() as u64);
@@ -574,9 +542,8 @@ impl Engine {
     }
 }
 
-/// One shard on the caller's thread: its events and the global ones share
-/// the driver's calendar, effects apply as they happen, and the loop hands
-/// each global event it pops to [`exec_global`].
+/// One shard: it drains the calendar, and the loop hands each global event
+/// it pops to [`exec_global`].
 fn run_direct<P: Probe>(
     ctl: &mut Control,
     shard: &mut Shard,
@@ -585,10 +552,11 @@ fn run_direct<P: Probe>(
     horizon: SimTime,
 ) {
     let bt = SimTime::from_nanos(horizon.as_nanos().saturating_add(1));
-    while let Some(global) = shard.drain(ctl, master, probe, bt, 0) {
+    while let Some(global) = shard.drain(ctl, master, probe, bt) {
         let phase = global.phase();
-        exec_global(ctl, master, std::iter::once(&mut *shard), (0, 0), global);
-        probe.dispatched(phase, &master.events, &shard.arena);
+        let shards = std::slice::from_mut(&mut *shard);
+        exec_global(ctl, master, shards, global);
+        probe.dispatched(phase, &master.events, shards);
     }
 }
 
@@ -602,26 +570,19 @@ fn covered_links(link: Option<LinkId>, n: usize) -> std::ops::Range<usize> {
 
 /// Executes the global event the driver just popped from its calendar:
 /// writes the control state once, then lets every shard apply the part
-/// that concerns state it owns. `lanes` is the shards' private calendars'
-/// `(events executed, events pending)`, `(0, 0)` when they have none.
-pub(crate) fn exec_global<'s>(
-    ctl: &mut Control,
-    master: &mut Master,
-    shards: impl Iterator<Item = &'s mut Shard>,
-    lanes: (u64, u64),
-    ev: Event,
-) {
+/// that concerns state it owns.
+pub(crate) fn exec_global(ctl: &mut Control, master: &mut Master, shards: &mut [Shard], ev: Event) {
     let now = master.events.now();
     match ev {
         Event::TelemetrySample => {
             let mut s = Snapshot::default();
-            for shard in shards {
+            for shard in shards.iter() {
                 shard.snapshot_into(ctl, now, &mut s);
             }
-            let pending_events = master.events.len() as u64 + lanes.1;
+            let pending_events = master.events.len() as u64;
             master.tracer.samples.push(Sample {
                 t_ns: now.as_nanos(),
-                events_executed: master.events.events_executed() + lanes.0,
+                events_executed: master.events.events_executed(),
                 pending_events,
                 queue_pkts_total: s.q_total,
                 queue_pkts_max: s.q_max,
@@ -703,6 +664,13 @@ pub(crate) fn exec_global<'s>(
             // attribute to this migration from now on.
             ctl.last_migration
                 .insert(m.vip, master.metrics.record_migration(m.at));
+            // The VM's flows' events now run on the shard owning its new
+            // host; their transport state follows.
+            let world = &shards[0].world;
+            let (from, to) = (world.shard_of(old_node), world.shard_of(m.to_node));
+            if from != to {
+                move_vm(ctl, vm, shards, from, to);
+            }
         }
         Event::ChurnMark(i) => {
             let (kind, tenant, n) = match ctl.churn_marks[i as usize] {
@@ -730,7 +698,7 @@ pub(crate) fn exec_global<'s>(
         }
         _ => unreachable!("not a global event"),
     }
-    for shard in shards {
+    for shard in shards.iter_mut() {
         shard.on_global(ctl, &ev);
     }
 }

@@ -35,11 +35,12 @@
 //!
 //! Handlers (`sim`) take the world and the control state by reference and
 //! send every order-sensitive side effect through one **effects sink**
-//! (`effects::Effects`). With one shard the sink applies effects directly;
-//! with several (`sharded`, an equivalence oracle) it journals them, the
-//! shards taking turns, and the driver replays the journals in global
-//! `(time, seq)` order. Everything runs on the caller's thread. `shards`
-//! is the only selector.
+//! (`effects::Effects`), which applies it on the spot. Every event sits on
+//! one calendar under the same `(time, seq)` key at every shard count;
+//! with several shards (`sharded`, an equivalence oracle) they interleave
+//! event by event, each event running on the shard that owns it, and a
+//! packet crossing between shards moves from one arena to the other.
+//! Everything runs on the caller's thread. `shards` is the only selector.
 //!
 //! [`Engine::counters`] merges the shards' ledgers afresh on each call and
 //! [`Engine::summary`] derives from that and the master's order-sensitive

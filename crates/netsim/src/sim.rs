@@ -7,9 +7,9 @@
 //! only part of the recorder a shard holds. Handlers read the shared
 //! [`World`] and the [`Control`] state by reference, mutate only the shard
 //! they run on, and send every order-sensitive side effect through the
-//! [`Effects`] sink — so one handler body serves the one-shard engine
-//! (effects applied on the spot) and a shard running beside others
-//! (effects journaled).
+//! [`Effects`] sink — so one handler body serves the one-shard engine and
+//! a shard running beside others, where a packet may leave over a cut
+//! link.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -29,7 +29,7 @@ use sv2p_vnet::{
 };
 
 use crate::arena::{PacketArena, PacketRef};
-use crate::effects::{Effects, Event, MetricOp, Probe};
+use crate::effects::{Effects, Event, Master, MetricOp, Probe};
 use crate::faults::FaultEvent;
 use crate::flows::{src_port, FlowKind, FlowXport};
 use crate::link::{EnqueueOutcome, LinkState};
@@ -187,33 +187,31 @@ impl Shard {
         }
     }
 
-    /// The run loop: pops and dispatches every event on the sink's
-    /// calendar whose `(time, seq)` key is strictly below `(bt, bseq)`.
-    /// Returns early with a global event when one comes up — the driver
-    /// executes those — and `None` once the boundary is reached.
-    pub fn drain<F: Effects, P: Probe>(
+    /// The one-shard run loop: pops and dispatches every event due before
+    /// `bt`. Returns early with a global event when one comes up — the
+    /// driver executes those — and `None` once the bound is reached.
+    pub fn drain<P: Probe>(
         &mut self,
         ctl: &Control,
-        fx: &mut F,
+        master: &mut Master,
         probe: &mut P,
         bt: SimTime,
-        bseq: u64,
     ) -> Option<Event> {
         loop {
             probe.begin();
-            let se = fx.calendar().pop_before(bt, bseq)?;
+            let se = master.events.pop_before(bt)?;
             probe.popped();
             if se.payload.is_global() {
                 return Some(se.payload);
             }
             let phase = se.payload.phase();
-            self.dispatch(ctl, fx, se.payload);
-            fx.executed(se.time, se.seq);
-            probe.dispatched(phase, fx.calendar(), &self.arena);
+            self.dispatch(ctl, master, se.payload);
+            probe.dispatched(phase, &master.events, std::slice::from_ref(&*self));
         }
     }
 
-    fn dispatch<F: Effects>(&mut self, ctl: &Control, fx: &mut F, ev: Event) {
+    /// Runs one (non-global) event's handler.
+    pub fn dispatch<F: Effects>(&mut self, ctl: &Control, fx: &mut F, ev: Event) {
         match ev {
             Event::FlowStart(idx) => self.on_flow_start(ctl, fx, idx as usize),
             Event::UdpSend { flow, idx } => self.on_udp_send(ctl, fx, flow as usize, idx as usize),
@@ -231,7 +229,7 @@ impl Shard {
     }
 
     // ------------------------------------------------------------------
-    // What the driver asks of a shard between windows
+    // What the driver asks of a shard at a global event
     // ------------------------------------------------------------------
 
     /// The shard-owned part of a global event the driver just applied to

@@ -29,8 +29,8 @@ pub(crate) struct World {
     pub caching: Vec<bool>,
     pub misdelivery_policy: MisdeliveryPolicy,
     pub strategy_name: String,
-    /// Which shard owns each node: one shard when the topology has a
-    /// single pod group or a zero-delay cut (no lookahead to window by).
+    /// Which shard owns each node (one shard when the topology has a
+    /// single pod group).
     pub partition: PodPartition,
     /// With several shards, each link's index in the `links` of the shard
     /// owning its sending end; empty with one shard, whose `links` are
@@ -67,8 +67,7 @@ impl World {
 }
 
 /// The one copy of the state that handlers read and never write: the
-/// driver writes it between windows (global events) and between runs
-/// (interventions).
+/// driver writes it at global events and between runs (interventions).
 pub(crate) struct Control {
     /// The ground-truth V2P database, embedded: handlers read it by
     /// reference, the driver writes it through `apply`.

@@ -8,11 +8,13 @@ use proptest::prelude::*;
 use sv2p_baselines::NoCache;
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::{ChurnPlan, ChurnSpec, Engine, FlowKind, FlowSpec, SimConfig};
+use sv2p_packet::{Packet, PacketKind, Pip, Vip};
 use sv2p_simcore::{SimDuration, SimTime};
 use sv2p_telemetry::TelemetryConfig;
-use sv2p_topology::{FatTreeConfig, LinkId, NodeId};
+use sv2p_topology::{FatTreeConfig, LinkId, NodeId, SwitchRole};
 use sv2p_transport::UdpSchedule;
-use sv2p_vnet::{Migration, Strategy};
+use sv2p_vnet::agents::NoopSwitchAgent;
+use sv2p_vnet::{AgentOutput, Migration, MisdeliveryPolicy, Strategy, SwitchAgent, SwitchCtx};
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
 fn cfg_with_telemetry() -> SimConfig {
@@ -134,6 +136,96 @@ fn nocache_matches_oracle_without_telemetry() {
     assert_equivalent(SimConfig::default(), &NoCache, 0, 4, None);
 }
 
+/// The inner destination that marks a copy, so no spine copies it again.
+const COPY_VIP: Vip = Vip(u32::MAX);
+
+/// A spine that sends a same-size copy of every tenant packet it sees to a
+/// server in another pod. The copy is offered before the original, so
+/// where the original goes down to a ToR the copy goes up to a core —
+/// across the cut — and, the two links being alike and idle, both arrive
+/// in the same nanosecond.
+struct CopyUp {
+    /// A server in each pod.
+    servers: [Pip; 2],
+}
+
+impl SwitchAgent for CopyUp {
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet) -> AgentOutput {
+        let mut out = AgentOutput::forward();
+        if matches!(pkt.kind, PacketKind::Data) && pkt.inner.dst_vip != COPY_VIP {
+            let mut copy = pkt.clone();
+            copy.inner.dst_vip = COPY_VIP;
+            copy.outer.dst_pip = *self
+                .servers
+                .iter()
+                .find(|&&pip| (ctx.pod_of)(pip) != ctx.my_pod)
+                .expect("a server in another pod");
+            copy.outer.resolved = true;
+            out.emit.push(copy);
+        }
+        out
+    }
+}
+
+/// NoCache with copying spines; a copy dies at the server it reaches (no
+/// VM there has its VIP, and no follow-me rule knows it).
+struct CopyingSpines(CopyUp);
+
+impl Strategy for CopyingSpines {
+    fn name(&self) -> &'static str {
+        "CopyingSpines"
+    }
+    fn caches_at(&self, _role: SwitchRole) -> bool {
+        false
+    }
+    fn make_switch_agent(&self, role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
+        match role {
+            SwitchRole::Spine | SwitchRole::GatewaySpine => Box::new(CopyUp {
+                servers: self.0.servers,
+            }),
+            _ => Box::new(NoopSwitchAgent),
+        }
+    }
+    fn misdelivery_policy(&self) -> MisdeliveryPolicy {
+        MisdeliveryPolicy::FollowMe
+    }
+}
+
+/// The one ordering interleaved shards add: a packet crossing the cut is
+/// keyed when its link accepts it, not when it reaches the far shard's
+/// calendar after the handler — or the copy's arrival at the core would
+/// run after the original's at the ToR, in the same nanosecond.
+#[test]
+fn a_copy_crossing_the_cut_keeps_its_place_beside_the_original() {
+    let ft = FatTreeConfig::scaled_ft8(2);
+    let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
+    let server_in = |pod| {
+        let mut servers = probe.topology().servers();
+        servers
+            .find(|n| n.kind.pod() == Some(pod))
+            .expect("a server")
+            .pip
+    };
+    let strategy = CopyingSpines(CopyUp {
+        servers: [server_in(0), server_in(1)],
+    });
+    let run = |shards| {
+        let mut sim = Engine::new(cfg_with_telemetry(), &ft, &strategy, 0, 4, shards);
+        assert_eq!(sim.shards() > 1, shards > 1, "the fabric must really shard");
+        sim.add_flows(tcp_udp_mix(sim.placement().len(), 30));
+        sim.run();
+        let events = sim.tracer().render_events_jsonl();
+        (format!("{:?}", sim.summary()), events, sim.cut_events())
+    };
+    let one = run(1);
+    for shards in [2, 4] {
+        let sharded = run(shards);
+        assert!(sharded.2 > 0, "no copy crossed the cut");
+        assert_eq!(sharded.0, one.0, "shards {shards}: summary");
+        assert!(sharded.1 == one.1, "shards {shards}: trace JSONL");
+    }
+}
+
 /// A ToR reboot, one of its uplinks down and fabric-wide loss: six global
 /// events, at 50, 100, 120, 150, 400 and 600 us.
 fn reboot_linkdown_loss_plan(probe: &Engine) -> FaultPlan {
@@ -241,7 +333,7 @@ fn churned_run_matches_oracle() {
 }
 
 /// `shards` is the only selector, and 0 means what 1 means: one shard, no
-/// windows, no cut.
+/// turns, no cut.
 #[test]
 fn zero_means_one_shard() {
     let ft = FatTreeConfig::scaled_ft8(2);
@@ -340,11 +432,11 @@ fn run_with_pauses(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// A pause sees only calendars: wherever `run_until` stops — at a global
-    /// event's own instant (the plan's are listed; the sampler fires every
-    /// 100 us), or at a nanosecond inside a lookahead window, as almost
-    /// every other instant of the busy first millisecond is — nothing is
-    /// left between the shards, so every read there, a registration there,
+    /// A pause sees only the calendar: wherever `run_until` stops — at a
+    /// global event's own instant (the plan's are listed; the sampler fires
+    /// every 100 us), or at any other nanosecond of the busy first
+    /// millisecond — nothing is left between the shards, so every read
+    /// there, a registration there,
     /// and the rest of the run are the one-shard engine's. Pause-and-resume
     /// on 1, 2 and 4 shards == one shard straight through (but for the one
     /// stop a mid-run registration needs).

@@ -43,15 +43,15 @@
 //! The clock is the only cursor: the near level always covers the epoch
 //! `now` is in and the next, and `now` moves only when an event pops. When
 //! the near level is empty the next pop jumps to the epoch of the earliest
-//! far or overflow event; a window pop ([`EventQueue::pop_before`]) whose
-//! boundary that event is not below leaves everything where it is, so a
+//! far or overflow event; a bounded pop ([`EventQueue::pop_before`]) whose
+//! bound that event is not below leaves everything where it is, so a
 //! legal schedule (`at >= now`) can never land behind the near level.
 //!
 //! The old single-heap implementation survives as a `#[cfg(test)]` oracle;
 //! equivalence proptests check the two produce identical `(time, seq,
 //! payload)` pop sequences on random schedules, including same-timestamp
 //! ties, far-future overflow events, externally assigned seqs arriving out
-//! of order, windowed pops and extraction.
+//! of order and bounded pops.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -277,33 +277,21 @@ impl<E> EventQueue<E> {
     }
 
     /// Consumes and returns the next sequence number without scheduling
-    /// anything. The sharded engine uses this to mirror the single-threaded
-    /// calendar's sequence stream for events that a shard already executed
-    /// locally (they never enter this queue, but they did consume a
-    /// sequence number in the reference execution).
+    /// anything: the caller files the event later with
+    /// [`Self::schedule_at_seq`], where it sorts as if scheduled now. The
+    /// sharded engine takes a cut-crossing packet's seq this way when the
+    /// link accepts the packet, and files its arrival once the handler has
+    /// returned.
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
     }
 
-    /// Consumes `n` consecutive sequence numbers and returns the first.
-    /// The sharded driver grants these blocks to shards whose events
-    /// scheduled children during a window, reproducing the single-threaded
-    /// calendar's per-event consecutive seq assignment.
-    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
-        let base = self.next_seq;
-        self.next_seq += n;
-        base
-    }
-
     /// Schedules `payload` at `at` under an externally-assigned sequence
-    /// number, leaving this queue's own seq counter untouched. Shard-local
-    /// calendars are fed exclusively through this: real seqs come from the
-    /// driver's global counter, provisional seqs carry a high tag bit so
-    /// they order after every real seq at the same instant (a child
-    /// scheduled mid-window always has a larger global seq than anything
-    /// scheduled before the window opened).
+    /// number, leaving this queue's own seq counter untouched. The seq may
+    /// be smaller than ones already filed for the same instant (a reserved
+    /// seq filed late); the event still pops in `seq` order among them.
     pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, payload: E) {
         debug_assert!(
             at >= self.now,
@@ -408,24 +396,22 @@ impl<E> EventQueue<E> {
         Some(self.take(self.front_slot()))
     }
 
-    /// Pops the next event only if its `(time, seq)` key is strictly below
-    /// the boundary `(bt, bseq)`; otherwise leaves the calendar untouched
-    /// and returns `None`. This is the conservative-PDES window pop: a
-    /// shard drains everything before the boundary, then parks.
-    pub fn pop_before(&mut self, bt: SimTime, bseq: u64) -> Option<ScheduledEvent<E>> {
+    /// Pops the next event only if it is due strictly before `bt`;
+    /// otherwise leaves the calendar untouched and returns `None`. A run
+    /// to a horizon drains through this and parks, resumable.
+    pub fn pop_before(&mut self, bt: SimTime) -> Option<ScheduledEvent<E>> {
         if self.near_len == 0 {
             // Jump only if an event pops right now: parking with the near
             // level moved past `now` would put later, legal schedules
             // behind it.
-            let key = self.peek_key()?;
-            if key >= (bt, bseq) {
+            let t = self.peek_time()?;
+            if t >= bt {
                 return None;
             }
-            self.jump(epoch_of(key.0));
+            self.jump(epoch_of(t));
         }
         let s = self.front_slot();
-        let head = &self.nodes[self.slots[s].0 as usize];
-        ((head.time, head.seq) < (bt, bseq)).then(|| self.take(s))
+        (self.nodes[self.slots[s].0 as usize].time < bt).then(|| self.take(s))
     }
 
     /// The slot of the earliest near-level event: the first occupied one
@@ -512,8 +498,6 @@ impl<E> EventQueue<E> {
     }
 
     /// The `(time, seq)` key of the next pending event without popping it.
-    /// The sharded driver peeks its global calendar through this to decide
-    /// whether a window's boundary is a global event or pure lookahead.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         if self.near_len != 0 {
             let head = &self.nodes[self.slots[self.front_slot()].0 as usize];
@@ -529,65 +513,6 @@ impl<E> EventQueue<E> {
         });
         let over = self.overflow.peek().map(|ev| (ev.time, ev.seq));
         far.into_iter().chain(over).min()
-    }
-
-    /// Removes and returns every pending event whose payload matches
-    /// `pred`, sorted by `(time, seq)`; non-matching events stay exactly
-    /// where they were. O(pending + slots) — used only at migration
-    /// boundaries, where a VM's not-yet-due flow events move to the flow's
-    /// new owner shard with their global keys intact.
-    pub fn extract_if(&mut self, mut pred: impl FnMut(&E) -> bool) -> Vec<ScheduledEvent<E>> {
-        let mut out = Vec::new();
-        for s in 0..NEAR_SLOTS {
-            if self.near_bits[s / 64] & (1 << (s % 64)) == 0 {
-                continue;
-            }
-            let (mut prev, mut cur) = (NIL, self.slots[s].0);
-            while cur != NIL {
-                let node = &self.nodes[cur as usize];
-                if !pred(node.payload.as_ref().expect("a linked node holds an event")) {
-                    (prev, cur) = (cur, node.next);
-                    continue;
-                }
-                let (ev, next) = self.release(cur);
-                out.push(ev);
-                match prev {
-                    NIL => self.slots[s].0 = next,
-                    _ => self.nodes[prev as usize].next = next,
-                }
-                cur = next;
-            }
-            if self.slots[s].0 == NIL {
-                self.near_bits[s / 64] &= !(1 << (s % 64));
-            } else {
-                self.slots[s].1 = prev;
-            }
-        }
-        for (i, parked) in self.far.iter_mut().enumerate() {
-            let mut k = 0;
-            while k < parked.len() {
-                if pred(&parked[k].payload) {
-                    out.push(parked.swap_remove(k));
-                } else {
-                    k += 1;
-                }
-            }
-            if parked.is_empty() {
-                self.far_bits[i / 64] &= !(1 << (i % 64));
-            }
-        }
-        let mut keep = BinaryHeap::with_capacity(self.overflow.len());
-        for ev in std::mem::take(&mut self.overflow) {
-            if pred(&ev.payload) {
-                out.push(ev);
-            } else {
-                keep.push(ev);
-            }
-        }
-        self.overflow = keep;
-        self.pending -= out.len();
-        out.sort_by_key(|a| (a.time, a.seq));
-        out
     }
 }
 
@@ -635,21 +560,12 @@ pub(crate) mod oracle {
             Some(ev)
         }
 
-        pub fn pop_before(&mut self, bt: SimTime, bseq: u64) -> Option<ScheduledEvent<E>> {
-            if self.peek_key()? < (bt, bseq) {
+        pub fn pop_before(&mut self, bt: SimTime) -> Option<ScheduledEvent<E>> {
+            if self.peek_time()? < bt {
                 self.pop()
             } else {
                 None
             }
-        }
-
-        pub fn extract_if(&mut self, mut pred: impl FnMut(&E) -> bool) -> Vec<ScheduledEvent<E>> {
-            let (mut out, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.heap)
-                .into_iter()
-                .partition(|e| pred(&e.payload));
-            self.heap = keep.into();
-            out.sort_by_key(|e| (e.time, e.seq));
-            out
         }
 
         pub fn peek_key(&self) -> Option<(SimTime, u64)> {
@@ -808,12 +724,18 @@ mod tests {
     }
 
     #[test]
-    fn reserve_seqs_grants_consecutive_blocks() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.reserve_seqs(3), 0);
-        assert_eq!(q.reserve_seq(), 3);
-        assert_eq!(q.reserve_seqs(2), 4);
-        assert_eq!(q.schedule_at(SimTime::from_nanos(1), ()), 6);
+    fn a_reserved_seq_filed_late_pops_where_it_was_taken() {
+        // The seq is taken first, the event filed after two later ones for
+        // the same instant: it still pops first.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        let seq = q.reserve_seq();
+        q.schedule_at(t, "second");
+        q.schedule_at(t, "third");
+        q.schedule_at_seq(t, seq, "first");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, vec!["first", "second", "third"]);
+        assert_eq!(q.schedule_at(t, "fourth"), 3);
     }
 
     #[test]
@@ -832,47 +754,36 @@ mod tests {
     }
 
     #[test]
-    fn provisional_tag_orders_after_real_seqs() {
-        const PROV: u64 = 1 << 63;
+    fn pop_before_respects_the_time_bound() {
         let mut q = EventQueue::new();
-        let t = SimTime::from_nanos(100);
-        q.schedule_at_seq(t, PROV, "child0");
-        q.schedule_at_seq(t, 40, "real");
-        q.schedule_at_seq(t, PROV | 1, "child1");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec!["real", "child0", "child1"]);
-    }
-
-    #[test]
-    fn pop_before_respects_time_and_seq_boundary() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_nanos(10), "a"); // seq 0
-        q.schedule_at(SimTime::from_nanos(20), "b"); // seq 1
-        q.schedule_at(SimTime::from_nanos(20), "c"); // seq 2
-        q.schedule_at(SimTime::from_nanos(30), "d"); // seq 3
-        // Boundary at (20, seq 2): "a" and "b" drain, "c" parks.
-        assert_eq!(q.pop_before(SimTime::from_nanos(20), 2).unwrap().payload, "a");
-        assert_eq!(q.pop_before(SimTime::from_nanos(20), 2).unwrap().payload, "b");
-        assert!(q.pop_before(SimTime::from_nanos(20), 2).is_none());
-        // Next window picks "c" and "d" up where they were left.
-        assert_eq!(q.pop_before(SimTime::from_nanos(100), 0).unwrap().payload, "c");
-        assert_eq!(q.pop_before(SimTime::from_nanos(100), 0).unwrap().payload, "d");
-        assert!(q.pop_before(SimTime::from_nanos(100), 0).is_none());
+        q.schedule_at(SimTime::from_nanos(10), "a");
+        q.schedule_at(SimTime::from_nanos(20), "b");
+        q.schedule_at(SimTime::from_nanos(20), "c");
+        q.schedule_at(SimTime::from_nanos(30), "d");
+        // Bound 20: "a" drains, both events at 20 park.
+        assert_eq!(q.pop_before(SimTime::from_nanos(20)).unwrap().payload, "a");
+        assert!(q.pop_before(SimTime::from_nanos(20)).is_none());
+        // The next bound picks "b", "c" and "d" up where they were left.
+        assert_eq!(q.pop_before(SimTime::from_nanos(100)).unwrap().payload, "b");
+        assert_eq!(q.pop_before(SimTime::from_nanos(100)).unwrap().payload, "c");
+        assert_eq!(q.pop_before(SimTime::from_nanos(100)).unwrap().payload, "d");
+        assert!(q.pop_before(SimTime::from_nanos(100)).is_none());
         assert_eq!(q.events_executed(), 4);
     }
 
     #[test]
     fn pop_before_leaves_cursor_safe_for_boundary_inserts() {
-        // The only pending event is far past the boundary: pop_before must
-        // not advance the cursor to it, so a later insert *at* the boundary
+        // The only pending event is far past the bound: pop_before must
+        // not advance the cursor to it, so a later insert *at* the bound
         // still lands on a slot >= cursor.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_micros(500), "far");
         let bt = SimTime::from_micros(10);
-        assert!(q.pop_before(bt, 0).is_none());
+        assert!(q.pop_before(bt).is_none());
         q.schedule_at_seq(bt, 100, "boundary");
-        assert_eq!(q.pop_before(SimTime::from_micros(600), 0).unwrap().payload, "boundary");
-        assert_eq!(q.pop_before(SimTime::from_micros(600), 0).unwrap().payload, "far");
+        let bt = SimTime::from_micros(600);
+        assert_eq!(q.pop_before(bt).unwrap().payload, "boundary");
+        assert_eq!(q.pop_before(bt).unwrap().payload, "far");
     }
 
     #[test]
@@ -883,7 +794,7 @@ mod tests {
         q.schedule_at(SimTime::from_millis(20), 2); // overflow
         let bt = SimTime::from_millis(30);
         let mut got = Vec::new();
-        while let Some(e) = q.pop_before(bt, 0) {
+        while let Some(e) = q.pop_before(bt) {
             got.push(e.payload);
         }
         assert_eq!(got, vec![0, 1, 2]);
@@ -905,29 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_if_pulls_matches_from_every_structure() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_nanos(3), 10u32); // ready
-        q.schedule_at(SimTime::from_nanos(7), 21); // ready, odd
-        q.schedule_at(SimTime::from_micros(400), 11); // wheel, odd
-        q.schedule_at(SimTime::from_micros(420), 12); // wheel
-        q.schedule_at(SimTime::from_millis(50), 13); // overflow, odd
-        let odd = q.extract_if(|p| p % 2 == 1);
-        let keys: Vec<_> = odd.iter().map(|e| e.payload).collect();
-        assert_eq!(keys, vec![21, 11, 13]); // sorted by (time, seq)
-        assert_eq!(q.len(), 2);
-        let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(rest, vec![10, 12]);
-        // Re-inserting under the original keys restores global order.
-        let mut q2 = EventQueue::new();
-        for e in odd {
-            q2.schedule_at_seq(e.time, e.seq, e.payload);
-        }
-        let back: Vec<_> = std::iter::from_fn(|| q2.pop().map(|e| e.payload)).collect();
-        assert_eq!(back, vec![21, 11, 13]);
-    }
-
-    #[test]
     fn schedule_after_a_parked_pop_before_keeps_the_clock_monotone() {
         // The window parks at 900 ns with the next event in a later slot;
         // a schedule between `now` and that event is legal and must pop
@@ -938,8 +826,8 @@ mod tests {
         q.schedule_at(SimTime::from_nanos(10), "a");
         q.schedule_at(SimTime::from_nanos(1000), "c");
         let bt = SimTime::from_nanos(900);
-        assert_eq!(q.pop_before(bt, 0).unwrap().payload, "a");
-        assert!(q.pop_before(bt, 0).is_none());
+        assert_eq!(q.pop_before(bt).unwrap().payload, "a");
+        assert!(q.pop_before(bt).is_none());
         q.schedule_at(SimTime::from_nanos(500), "b");
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(500)));
         let mut last = q.now();
@@ -955,12 +843,12 @@ mod tests {
 
     #[test]
     fn pop_before_parks_inside_the_boundary_slot_without_opening_it() {
-        // Boundary and next event share a slot, the event at or past the
-        // boundary: the slot stays closed, so a schedule below it is fine.
+        // Bound and next event share a slot, the event at or past the
+        // bound: the slot stays closed, so a schedule below it is fine.
         let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_nanos(1000), 1u32); // seq 0
-        assert!(q.pop_before(SimTime::from_nanos(1000), 0).is_none());
-        assert!(q.pop_before(SimTime::from_nanos(990), 7).is_none());
+        q.schedule_at(SimTime::from_nanos(1000), 1u32);
+        assert!(q.pop_before(SimTime::from_nanos(1000)).is_none());
+        assert!(q.pop_before(SimTime::from_nanos(990)).is_none());
         assert_eq!((q.occupancy_breakdown(), q.now()), ((1, 0, 0), SimTime::ZERO));
         q.schedule_at(SimTime::from_nanos(300), 0);
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
@@ -1085,7 +973,6 @@ mod tests {
 
     #[test]
     fn far_and_direct_schedules_for_one_nanosecond_pop_in_seq_order() {
-        const PROV: u64 = 1 << 63;
         let t = SimTime::from_nanos(3 * EPOCH + 17);
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
@@ -1099,7 +986,9 @@ mod tests {
             };
             heap.schedule_at_seq(at, seq, p);
         };
-        assert_eq!(wheel.reserve_seqs(8), 0);
+        for seq in 0..8 {
+            assert_eq!(wheel.reserve_seq(), seq);
+        }
         // Parked in the far level: the calendar's own seq 8, then a smaller
         // external one behind it in the unsorted `Vec`.
         both(&mut wheel, t, None, 2);
@@ -1112,10 +1001,9 @@ mod tests {
         assert_eq!(wheel.occupancy_breakdown(), (2, 0, 0));
         both(&mut wheel, t, None, 3); // own seq 10: an append
         both(&mut wheel, t, Some(2), 0); // smaller than all: new head
-        both(&mut wheel, t, Some(PROV), 5); // provisional: after every real seq
-        both(&mut wheel, t, Some(11), 4); // between own and provisional
+        both(&mut wheel, t, Some(11), 4); // past the own ones: an append
         heap.pop();
-        assert_eq!(drain_both(&mut wheel, &mut heap), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -1185,20 +1073,19 @@ mod tests {
         }
     }
 
-    /// The shard-lane tape: both calendars are fed through
-    /// `schedule_at_seq` with real seqs in shuffled order and provisional
-    /// (`1 << 63`-tagged) ones, drained through `pop_before` windows that
-    /// park mid-slot, and have events extracted and re-inserted under
-    /// their keys — everything the `push_back` fast path must not assume.
+    /// The external-seq tape: both calendars are fed through
+    /// `schedule_at_seq` with seqs in shuffled order — as a reserved seq
+    /// filed behind later ones is — and drained through `pop_before`
+    /// bounds that park mid-slot: what the append fast path of `link`
+    /// must not assume.
     fn check_external_seq_equivalence(ops: &[(u16, u8, u16)]) {
-        const PROV: u64 = 1 << 63;
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
-        let (mut n_real, mut n_prov, mut payload) = (0u64, 0u64, 0u32);
+        let (mut n_real, mut payload) = (0u64, 0u32);
         let mut last = SimTime::ZERO;
         for &(offset, op, r) in ops {
             // A third of the deltas are 0..4 ns (same-instant and same-slot
-            // ties), a third stay within a few slots (windows that park
+            // ties), a third stay within a few slots (bounded pops that park
             // beside their next event), the rest reach past the wheel
             // horizon (65535 << 11 ≈ 134 ms).
             let delta = match r % 3 {
@@ -1217,43 +1104,22 @@ mod tests {
                         last = x.time;
                     }
                 }
-                1 => {
-                    // A window up to `at`, parked on a real, a provisional
-                    // or the zero seq.
-                    let bseq = [0, r as u64, PROV | (r as u64 % 8)][r as usize % 3];
-                    loop {
-                        let (a, b) = (wheel.pop_before(at, bseq), heap.pop_before(at, bseq));
-                        assert_eq!(a.is_some(), b.is_some());
-                        let (Some(x), Some(y)) = (a, b) else { break };
-                        assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
-                        assert!(x.time >= last, "clock ran backwards");
-                        last = x.time;
-                    }
-                }
-                2 => {
-                    let k = r as u32 % 5 + 2;
-                    let a = wheel.extract_if(|p| p % k == 0);
-                    let b = heap.extract_if(|p| p % k == 0);
-                    assert_eq!(a.len(), b.len());
-                    for (x, y) in a.into_iter().zip(b) {
-                        assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
-                        wheel.schedule_at_seq(x.time, x.seq, x.payload);
-                        heap.schedule_at_seq(y.time, y.seq, y.payload);
-                    }
-                }
-                3..=5 => {
-                    // Real seqs, unique but out of order (an odd multiplier
+                1 => loop {
+                    // Everything due before `at`.
+                    let (a, b) = (wheel.pop_before(at), heap.pop_before(at));
+                    assert_eq!(a.is_some(), b.is_some());
+                    let (Some(x), Some(y)) = (a, b) else { break };
+                    assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                    assert!(x.time >= last, "clock ran backwards");
+                    last = x.time;
+                },
+                _ => {
+                    // Seqs unique but out of order (an odd multiplier
                     // permutes the low 20 bits).
                     let seq = n_real.wrapping_mul(0x9_E375) & 0xF_FFFF;
                     n_real += 1;
                     wheel.schedule_at_seq(at, seq, payload);
                     heap.schedule_at_seq(at, seq, payload);
-                    payload += 1;
-                }
-                _ => {
-                    wheel.schedule_at_seq(at, PROV | n_prov, payload);
-                    heap.schedule_at_seq(at, PROV | n_prov, payload);
-                    n_prov += 1;
                     payload += 1;
                 }
             }
@@ -1277,7 +1143,7 @@ mod tests {
     #[test]
     fn external_seq_equivalence_on_dense_ties() {
         // Every op kind in rotation on 0..4 ns deltas: sorted inserts into
-        // occupied slots, windows parking mid-slot, extraction from chains.
+        // occupied slots, bounded pops parking mid-slot.
         let ops: Vec<(u16, u8, u16)> = (0..600u16)
             .map(|i| (i % 7, (i % 8 + i / 8 % 3) as u8, (i % 5) * 3))
             .collect();
@@ -1304,7 +1170,7 @@ mod tests {
         }
 
         #[test]
-        fn external_seqs_windows_and_extraction_match_heap_oracle(
+        fn external_seqs_and_bounded_pops_match_heap_oracle(
             ops in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u16>()), 0..300)
         ) {
             check_external_seq_equivalence(&ops);
@@ -1329,7 +1195,7 @@ mod tests {
             let mut bt = 0u64;
             while !windowed.is_empty() {
                 bt += window;
-                while let Some(e) = windowed.pop_before(SimTime::from_nanos(bt), 0) {
+                while let Some(e) = windowed.pop_before(SimTime::from_nanos(bt)) {
                     got.push((e.time, e.seq, e.payload));
                 }
             }

@@ -12,13 +12,10 @@
 //! * [`SimRng`] — a seedable, splittable pseudo-random stream so that every
 //!   component draws from an independent, reproducible sequence.
 //!
-//! The core calendar is synchronous; parallelism enters one level up.
-//! [`shard`] provides the per-shard state and deterministic journal-merge
-//! machinery for running several shards of `sv2p-netsim`'s `Engine` side by
-//! side: the run is partitioned by topology pod yet reproduces the
-//! one-shard `(time, seq)` execution order exactly.
-//! Parameter sweeps additionally parallelize across runs — see the
-//! `sv2p-bench` crate.
+//! The calendar is synchronous, and one calendar orders a whole run: the
+//! several shards of `sv2p-netsim`'s `Engine` take their events from it one
+//! at a time, under the same `(time, seq)` keys as one shard. Parallelism
+//! lives one level up, across runs — see the `sv2p-bench` crate.
 //!
 //! ```
 //! use sv2p_simcore::{EventQueue, SimDuration, SimTime};
@@ -37,12 +34,10 @@
 pub mod event;
 pub mod hash;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::SimRng;
-pub use shard::{merge_journals, JournalBlock, SeqRef, ShardState};
 pub use time::{SimDuration, SimTime};

@@ -9,7 +9,7 @@
 //! sv2p trace run.events.jsonl --path 12            # flow 12's first packet,
 //!                                                  # hop by hop with latency
 //! sv2p trace run.events.jsonl --path 12 --pkt 900  # a specific packet
-//! sv2p profile run.profile.jsonl                   # phase table + verdict
+//! sv2p profile run.profile.jsonl                   # phase table + histograms
 //! sv2p profile run.profile.jsonl --top 3           # top-3 histogram tails only
 //! sv2p profile run.profile.jsonl --check           # validate; exit 1 on
 //!                                                  # malformed or insane fracs
@@ -17,10 +17,9 @@
 //!
 //! `trace` filters compose (AND) and print JSONL, so output can be piped
 //! back into `sv2p trace` or any JSON tool. `profile` prints a
-//! phase-breakdown table sorted by wall-clock share, a per-shard replay
-//! summary, histogram tails, and a one-line verdict naming the dominant
-//! sharding overhead; `--check` validates what
-//! the CI smoke job needs: the report parses, phase fractions are each in
+//! phase-breakdown table sorted by wall-clock share and histogram tails;
+//! `--check` validates what the CI smoke job needs: the report is whole
+//! (its summary row counts the rows above it), phase fractions are each in
 //! `[0, 1]`, and they sum to at most 1.05.
 //!
 //! Exit status: 0 on success; 1 when the file is unreadable or foreign, the
@@ -228,6 +227,13 @@ fn check(args: &Args, doc: &ProfileDoc, out: &mut impl Write) -> std::io::Result
     let mut bad = Vec::new();
     if doc.summary.is_empty() {
         bad.push("missing summary row".into());
+    } else {
+        for (k, rows) in [("phases", doc.phases.len()), ("hists", doc.hists.len())] {
+            let said = get_u64(&doc.summary, k);
+            if said != rows as u64 {
+                bad.push(format!("summary counts {said} {k}, the report has {rows}"));
+            }
+        }
     }
     if doc.phases.is_empty() {
         bad.push("no phase rows".into());
@@ -243,20 +249,9 @@ fn check(args: &Args, doc: &ProfileDoc, out: &mut impl Write) -> std::io::Result
     if frac_sum > 1.05 {
         bad.push(format!("phase fracs sum to {frac_sum:.3} > 1.05"));
     }
-    for k in [
-        "window_advance_frac",
-        "cut_exchange_frac",
-        "merge_frac",
-        "global_frac",
-    ] {
-        let f = get_f64(&doc.summary, k);
-        if !(0.0..=1.0).contains(&f) {
-            bad.push(format!("summary {k} {f} outside [0,1]"));
-        }
-    }
     if bad.is_empty() {
-        let (phases, shards) = (doc.phases.len(), doc.shards.len());
-        writeln!(out, "{}: ok ({phases} phases, {shards} shards)", args.file)?;
+        let (phases, hists) = (doc.phases.len(), doc.hists.len());
+        writeln!(out, "{}: ok ({phases} phases, {hists} hists)", args.file)?;
         return Ok(ExitCode::SUCCESS);
     }
     for b in &bad {
@@ -269,10 +264,9 @@ fn render(doc: &ProfileDoc, top: usize, out: &mut impl Write) -> std::io::Result
     let m = &doc.meta;
     writeln!(
         out,
-        "{} [{}] engine={} shards={} seed={} events={} host_cores={} peak_rss={:.1} MiB",
+        "{} [{}] shards={} seed={} events={} host_cores={} peak_rss={:.1} MiB",
         get_str(m, "bin"),
         get_str(m, "label"),
-        get_str(m, "engine"),
         get_u64(m, "shards"),
         get_u64(m, "seed"),
         get_u64(m, "events_executed"),
@@ -301,83 +295,25 @@ fn render(doc: &ProfileDoc, top: usize, out: &mut impl Write) -> std::io::Result
         )?;
     }
 
-    // Shard imbalance summary.
-    if !doc.shards.is_empty() {
-        writeln!(
-            out,
-            "\n  {:<6} {:>10} {:>10} {:>12}",
-            "shard", "blocks", "windows", "replay"
-        )?;
-        for s in &doc.shards {
-            writeln!(
-                out,
-                "  {:<6} {:>10} {:>10} {:>12}",
-                get_u64(s, "shard"),
-                get_u64(s, "blocks"),
-                get_u64(s, "windows"),
-                fmt_ns(get_u64(s, "replay_ns")),
-            )?;
-        }
-        writeln!(
-            out,
-            "  imbalance_cv={:.3} (stddev/mean of per-shard replay time)",
-            get_f64(&doc.summary, "imbalance_cv")
-        )?;
-    }
-
     // Histogram tails.
     if !doc.hists.is_empty() {
         writeln!(
             out,
-            "\n  {:<18} {:>10} {:>10} {:>10} {:>10} {:>10}  det",
+            "\n  {:<18} {:>10} {:>10} {:>10} {:>10} {:>10}",
             "histogram", "count", "p50", "p90", "p99", "max"
         )?;
         for h in doc.hists.iter().take(top) {
             writeln!(
                 out,
-                "  {:<18} {:>10} {:>10} {:>10} {:>10} {:>10}  {}",
+                "  {:<18} {:>10} {:>10} {:>10} {:>10} {:>10}",
                 get_str(h, "name"),
                 get_u64(h, "count"),
                 get_u64(h, "p50"),
                 get_u64(h, "p90"),
                 get_u64(h, "p99"),
                 get_u64(h, "max"),
-                if h.get("deterministic").and_then(JsonValue::as_bool) == Some(true) {
-                    "yes"
-                } else {
-                    "no"
-                },
             )?;
         }
-    }
-
-    // Verdict: what did sharding cost on top of the replays themselves?
-    let s = &doc.summary;
-    if get_str(m, "engine") == "sharded" {
-        let pairs = [
-            ("window advance", get_f64(s, "window_advance_frac")),
-            ("cut exchange", get_f64(s, "cut_exchange_frac")),
-            ("journal merge", get_f64(s, "merge_frac")),
-            ("global events", get_f64(s, "global_frac")),
-        ];
-        let overhead: f64 = pairs.iter().map(|(_, f)| f).sum();
-        let dominant = pairs
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .copied()
-            .unwrap_or(("none", 0.0));
-        writeln!(
-            out,
-            "\nsharding overhead: {:.1}% of wall-clock (advance {:.1}%, cut-xchg {:.1}%, \
-             merge {:.1}%, global {:.1}%); dominant: {} ({:.1}%)",
-            overhead * 100.0,
-            pairs[0].1 * 100.0,
-            pairs[1].1 * 100.0,
-            pairs[2].1 * 100.0,
-            pairs[3].1 * 100.0,
-            dominant.0,
-            dominant.1 * 100.0,
-        )?;
     }
     Ok(())
 }

@@ -20,16 +20,16 @@
 //!   exclusively, which is what makes same-seed runs byte-identical.
 //!
 //! * **Profiles** — engine self-profiling reports ([`profile`]): wall-clock
-//!   phase accounting and log-linear histograms at every shard count, emitted
-//!   as `*.profile.jsonl` by `--profile DIR`. Like manifests, wall-clock
-//!   lives only here; the deterministic counter sections are pinned by the
-//!   same byte-identity discipline as traces.
+//!   phase accounting and log-linear histograms, the same at every shard
+//!   count, emitted as `*.profile.jsonl` by `--profile DIR`. Like
+//!   manifests, wall-clock lives only here; the deterministic counter
+//!   sections are pinned by the same byte-identity discipline as traces.
 //!
 //! The `sv2p` binary (this crate's `src/bin/`) inspects them: `sv2p trace`
 //! filters trace files by flow/switch/kind and reconstructs a packet's
 //! hop-by-hop path with per-hop latency (the reusable logic lives in
 //! [`inspect`]); `sv2p profile` renders a profile report as a
-//! phase-breakdown table with a shard-imbalance summary.
+//! phase-breakdown table with histogram tails.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,27 +1,24 @@
 //! Engine self-profiling: phase accounting, log-linear histograms, and the
 //! `*.profile.jsonl` report.
 //!
-//! What the engine spends per event class — and, on several shards, what
-//! the equivalence oracle costs: window-boundary bookkeeping, journaled
-//! replay, journal merge, cut-link exchange and global-event execution —
-//! is invisible to virtual-time telemetry; this module attributes the
-//! wall-clock so that cost is a tracked regression surface. The emission
-//! points live in `sv2p-netsim` (the run loop and the driver of several
-//! shards) and the `--profile DIR` plumbing in `sv2p-bench`.
+//! What the engine spends per event class is invisible to virtual-time
+//! telemetry; this module attributes the wall-clock so that cost is a
+//! tracked regression surface. The emission points live in `sv2p-netsim`
+//! (the run loop, which is the same pop-and-dispatch at every shard count)
+//! and the `--profile DIR` plumbing in `sv2p-bench`.
 //!
 //! # Determinism segregation rule
 //!
 //! A profile report mixes two kinds of data and keeps them strictly apart:
 //!
-//! * **Deterministic artifacts** — call counts, per-shard journal-block
-//!   counts, and every histogram over *simulation-state* quantities
-//!   (journal block sizes, calendar occupancy, arena occupancy). Two
-//!   same-seed runs agree on these byte-for-byte.
-//! * **Wall-clock timings** — every `*_ns` total, every fraction, and the
-//!   histograms over durations. `Instant`-based values never feed back
-//!   into simulation state; they exist only in this side channel, so a
-//!   profiled run's telemetry and summaries are byte-identical to an
-//!   unprofiled run's.
+//! * **Deterministic artifacts** — call counts and every histogram (each
+//!   is over a *simulation-state* quantity: calendar and arena
+//!   occupancy). Two same-seed runs agree on these byte-for-byte, at any
+//!   shard count.
+//! * **Wall-clock timings** — every `*_ns` total and every fraction.
+//!   `Instant`-based values never feed back into simulation state; they
+//!   exist only in this side channel, so a profiled run's telemetry and
+//!   summaries are byte-identical to an unprofiled run's.
 //!
 //! [`deterministic_projection`] extracts the first kind from a rendered
 //! report; the profiler determinism regression test pins it.
@@ -166,12 +163,13 @@ impl Histogram {
 wire_names! {
     /// One engine phase: where a profiled run's wall-clock went.
     ///
-    /// The first block is the engine's run loop on one shard — `Pop` plus one
-    /// class per event handler, so "telemetry cost" is visible as the
-    /// `TelemetrySample` class and per-packet work is split by event kind.
-    /// The second block is the driver of several shards, whose phases add
-    /// up to the run: window-boundary computation, the shards' journaled
-    /// replays, journal merge, cut-link exchange and global events.
+    /// The first block is the engine's run loop at any shard count — `Pop`
+    /// plus one class per event handler, so "telemetry cost" is visible as
+    /// the `TelemetrySample` class and per-packet work is split by event
+    /// kind. The second block is retired and reads 0: it timed the
+    /// lookahead windows several shards once ran in, which are gone (the
+    /// shards interleave event by event). The names stay because
+    /// `benchmark/` declares them; they leave with it (ROADMAP item 5).
     Phase {
         /// Calendar pop (single-threaded loop).
         Pop => "pop",
@@ -202,57 +200,35 @@ wire_names! {
         ChurnMark => "churn_mark",
         /// `TelemetrySample` handler dispatch (the sampler's own cost).
         TelemetrySample => "telemetry_sample",
-        /// Sharded driver: computing each window's `(time, seq)` boundary from
-        /// the calendars' next events and the partition lookahead.
+        /// Retired, reads 0 (window-boundary computation).
         WindowAdvance => "window_advance",
-        /// Sharded driver: putting each shard's parked events onto its
-        /// calendar under their granted seqs and the cut packets routed to it
-        /// into its arena and onto its calendar. (About 0.10 of a two-shard
-        /// `ft8-hadoop` run, up from 0.006 when a worker thread applied the
-        /// arrivals at the start of its next window and that time counted as
-        /// replay.)
+        /// Retired, reads 0 (cut-packet exchange between windows).
         CutExchange => "cut_exchange",
-        /// Sharded driver: the shards' journaled replays of each window, one
-        /// after another, summed.
+        /// Retired, reads 0 (the shards' journaled replays of a window).
         WorkerReplay => "worker_replay",
-        /// Retired, reads 0, as [`Phase::LinkFree`]: the shards take turns on
-        /// one thread, so nothing waits at a barrier. The name stays because
-        /// `benchmark/` and `BENCHMARK.json` declare
-        /// `netsim.sharded.barrier_wait_frac`; it leaves with them (ROADMAP
-        /// item 5).
+        /// Retired, reads 0 (the wait at a barrier between windows).
         BarrierWait => "barrier_wait",
-        /// Sharded driver: k-way journal merge and master-state replay.
+        /// Retired, reads 0 (the merge of the shards' journals).
         JournalMerge => "journal_merge",
-        /// Sharded driver: global events (faults, migrations, churn marks,
-        /// telemetry snapshots) executed at their exact global position.
+        /// Retired, reads 0 (global events between windows; they are
+        /// charged to their own classes, as on one shard).
         GlobalExec => "global_exec",
     }
 }
 
 wire_names! {
-    /// A named histogram slot in the profiler.
+    /// A named histogram slot in the profiler. Every one is over
+    /// simulation state, sampled every 1024 executed events, so it is
+    /// deterministic.
     HistKind {
-        /// Wall-clock nanoseconds of one shard's replay of one window (timing).
-        ShardReplayNs => "shard_replay_ns",
-        /// Journal ops per replayed block (deterministic).
-        JournalBlockOps => "journal_block_ops",
-        /// Pending events in the (driver) calendar at each sample point
-        /// (deterministic).
+        /// Pending events in the calendar at each sample point.
         CalendarLen => "calendar_len",
         /// Events parked in the calendar's overflow heap — the only `O(log n)`
-        /// part of the timing wheel — at each sample point (deterministic).
+        /// part of the timing wheel — at each sample point.
         CalendarOverflow => "calendar_overflow",
-        /// Live packets in the arena at each sample point — the arena
-        /// high-water trajectory, not just its peak (deterministic).
+        /// Live packets in the arenas at each sample point — the arena
+        /// high-water trajectory, not just its peak.
         ArenaLive => "arena_live",
-    }
-}
-
-impl HistKind {
-    /// Whether the recorded values are functions of simulation state alone
-    /// (true) or wall-clock durations (false).
-    pub fn deterministic(self) -> bool {
-        self != HistKind::ShardReplayNs
     }
 }
 
@@ -261,17 +237,6 @@ impl HistKind {
 struct PhaseAcc {
     calls: u64,
     total_ns: u64,
-}
-
-/// Per-shard accumulator for the sharded driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardAcc {
-    /// Wall-clock this shard spent replaying windows.
-    pub replay_ns: u64,
-    /// Journal blocks this shard contributed to merges. Deterministic.
-    pub blocks: u64,
-    /// Windows in which this shard had work. Deterministic.
-    pub windows: u64,
 }
 
 /// The engine-side profile accumulator: one per engine, enabled by
@@ -283,15 +248,6 @@ pub struct Profiler {
     run_ns: u64,
     phases: Vec<PhaseAcc>,
     hists: Vec<Histogram>,
-    shards: Vec<ShardAcc>,
-    /// Windows in which at least one shard had work. Deterministic.
-    pub windows: u64,
-    /// Global events the driver executed itself. Deterministic.
-    pub global_events: u64,
-    /// Journal blocks replayed onto the master. Deterministic.
-    pub journal_blocks: u64,
-    /// Journal ops replayed onto the master. Deterministic.
-    pub journal_ops: u64,
 }
 
 impl Profiler {
@@ -306,11 +262,6 @@ impl Profiler {
             } else {
                 Vec::new()
             },
-            shards: Vec::new(),
-            windows: 0,
-            global_events: 0,
-            journal_blocks: 0,
-            journal_ops: 0,
         }
     }
 
@@ -324,13 +275,6 @@ impl Profiler {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Grows the per-shard table to `n` entries.
-    pub fn ensure_shards(&mut self, n: usize) {
-        if self.shards.len() < n {
-            self.shards.resize(n, ShardAcc::default());
-        }
     }
 
     /// Adds one timed call to `phase`.
@@ -351,25 +295,6 @@ impl Profiler {
             return;
         }
         self.hists[kind as usize].record(v);
-    }
-
-    /// One shard's contribution to one window.
-    pub fn shard_sample(&mut self, shard: usize, replay_ns: u64, blocks: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.ensure_shards(shard + 1);
-        let acc = &mut self.shards[shard];
-        acc.replay_ns += replay_ns;
-        if blocks > 0 {
-            acc.blocks += blocks;
-            acc.windows += 1;
-        }
-    }
-
-    /// The per-shard accumulators.
-    pub fn shard_accs(&self) -> &[ShardAcc] {
-        &self.shards
     }
 
     /// Accumulates total run wall-clock (the denominator of every
@@ -405,33 +330,17 @@ impl Profiler {
         }
     }
 
-    /// Coefficient of variation (stddev/mean) of per-shard total replay
-    /// time — 0 for perfectly balanced shards, 0 when fewer than two
-    /// shards were profiled.
+    /// Retired, reads 0: the imbalance of the shards' window replays, which
+    /// are gone. The name stays because `benchmark/` declares
+    /// `netsim.sharded.imbalance_cv`; it leaves with it (ROADMAP item 5).
     pub fn imbalance_cv(&self) -> f64 {
-        if self.shards.len() < 2 {
-            return 0.0;
-        }
-        let n = self.shards.len() as f64;
-        let mean = self.shards.iter().map(|s| s.replay_ns as f64).sum::<f64>() / n;
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let var = self
-            .shards
-            .iter()
-            .map(|s| {
-                let d = s.replay_ns as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n;
-        var.sqrt() / mean
+        0.0
     }
 
     /// Renders the `*.profile.jsonl` report: one flat object per line, each
     /// carrying a `"row"` discriminator — a `meta` row (with the schema
-    /// tag), then `phase`, `shard` and `hist` rows, then one `summary` row.
+    /// tag), then `phase` and `hist` rows, then one `summary` row that
+    /// counts them, so a truncated report is told from a whole one.
     pub fn render_report(&self, meta: &ProfileMeta) -> String {
         fn row<'a>(rows: &'a mut Vec<JsonObj>, kind: &str) -> &'a mut JsonObj {
             rows.push(JsonObj::new());
@@ -442,38 +351,33 @@ impl Profiler {
             .str("schema", SCHEMA)
             .str("bin", &meta.bin)
             .str("label", &meta.label)
-            .str("engine", &meta.engine)
             .u64("shards", meta.shards)
             .u64("seed", meta.seed)
             .u64("events_executed", meta.events_executed)
             .u64("host_cores", meta.host_cores)
             .u64("peak_rss_bytes", meta.peak_rss_bytes)
             .u64("run_wall_ns", self.run_ns);
+        let mut phases = 0;
         for p in Phase::ALL {
             let acc = self.phases[p as usize];
             if acc.calls == 0 && acc.total_ns == 0 {
                 continue;
             }
+            phases += 1;
             row(&mut rows, "phase")
                 .str("name", p.as_str())
                 .u64("calls", acc.calls)
                 .u64("total_ns", acc.total_ns)
                 .f64("frac", self.frac(p));
         }
-        for (s, acc) in self.shards.iter().enumerate() {
-            row(&mut rows, "shard")
-                .u64("shard", s as u64)
-                .u64("blocks", acc.blocks)
-                .u64("windows", acc.windows)
-                .u64("replay_ns", acc.replay_ns);
-        }
+        let mut hists = 0;
         for k in HistKind::ALL {
             let Some(h) = self.hists.get(k as usize).filter(|h| h.count() > 0) else {
                 continue;
             };
+            hists += 1;
             row(&mut rows, "hist")
                 .str("name", k.as_str())
-                .bool("deterministic", k.deterministic())
                 .u64("count", h.count())
                 .u64("sum", h.sum())
                 .u64("min", h.min())
@@ -483,21 +387,14 @@ impl Profiler {
                 .u64("max", h.max());
         }
         row(&mut rows, "summary")
-            .u64("windows", self.windows)
-            .u64("global_events", self.global_events)
-            .u64("journal_blocks", self.journal_blocks)
-            .u64("journal_ops", self.journal_ops)
-            .f64("window_advance_frac", self.frac(Phase::WindowAdvance))
-            .f64("cut_exchange_frac", self.frac(Phase::CutExchange))
-            .f64("merge_frac", self.frac(Phase::JournalMerge))
-            .f64("global_frac", self.frac(Phase::GlobalExec))
-            .f64("imbalance_cv", self.imbalance_cv());
+            .u64("phases", phases)
+            .u64("hists", hists);
         rows.into_iter().map(|o| o.finish() + "\n").collect()
     }
 }
 
 /// Schema tag carried by a report's `meta` row.
-pub const SCHEMA: &str = "sv2p-profile/v3";
+pub const SCHEMA: &str = "sv2p-profile/v4";
 
 /// Run identity stamped into a report header by the harness.
 #[derive(Debug, Clone)]
@@ -506,9 +403,8 @@ pub struct ProfileMeta {
     pub bin: String,
     /// Run label (same derivation as trace-file labels).
     pub label: String,
-    /// "single" or "sharded".
-    pub engine: String,
-    /// Shards the run was partitioned into.
+    /// Shards the run was partitioned into (the profile is the same at
+    /// every count).
     pub shards: u64,
     /// RNG seed.
     pub seed: u64,
@@ -530,11 +426,9 @@ pub struct ProfileDoc {
     pub meta: Row,
     /// Phase rows, in file order.
     pub phases: Vec<Row>,
-    /// Per-shard rows, in shard order.
-    pub shards: Vec<Row>,
     /// Histogram rows, in file order.
     pub hists: Vec<Row>,
-    /// The trailing summary row.
+    /// The trailing summary row: how many phase and hist rows precede it.
     pub summary: Row,
 }
 
@@ -548,7 +442,6 @@ impl ProfileDoc {
             match obj.get("row").and_then(JsonValue::as_str) {
                 Some("meta") => doc.meta = obj,
                 Some("phase") => doc.phases.push(obj),
-                Some("shard") => doc.shards.push(obj),
                 Some("hist") => doc.hists.push(obj),
                 Some("summary") => doc.summary = obj,
                 _ => {}
@@ -559,56 +452,38 @@ impl ProfileDoc {
 }
 
 /// Extracts the deterministic projection of a rendered report: run
-/// identity, phase call counts, per-shard block/window counts, full stats
-/// of deterministic histograms, counts alone for timing histograms, and
-/// the deterministic summary counters. Two same-seed profiled runs must
-/// produce byte-identical projections; every `*_ns`, fraction, and RSS
-/// field is stripped.
+/// identity, phase call counts and the full stats of every histogram. Two
+/// same-seed profiled runs must produce byte-identical projections, at any
+/// shard count — so the shard count, like every `*_ns`, fraction and RSS
+/// field, is left out.
 pub fn deterministic_projection(text: &str) -> Option<String> {
     let doc = ProfileDoc::parse(text)?;
     let get = |row: &Row, k: &str| -> String {
         match row.get(k) {
             Some(JsonValue::U64(v)) => v.to_string(),
             Some(JsonValue::Str(s)) => s.clone(),
-            Some(JsonValue::Bool(b)) => b.to_string(),
             _ => "?".into(),
         }
     };
     let mut out = String::new();
-    for k in ["bin", "label", "engine", "shards", "seed", "events_executed"] {
+    for k in ["bin", "label", "seed", "events_executed"] {
         out.push_str(&format!("meta {k}={}\n", get(&doc.meta, k)));
     }
     for p in &doc.phases {
         out.push_str(&format!("phase {} calls={}\n", get(p, "name"), get(p, "calls")));
     }
-    for s in &doc.shards {
-        out.push_str(&format!(
-            "shard {} blocks={} windows={}\n",
-            get(s, "shard"),
-            get(s, "blocks"),
-            get(s, "windows")
-        ));
-    }
     for h in &doc.hists {
-        let det = h.get("deterministic").and_then(|v| v.as_bool()).unwrap_or(false);
-        if det {
-            out.push_str(&format!(
-                "hist {} count={} sum={} min={} p50={} p90={} p99={} max={}\n",
-                get(h, "name"),
-                get(h, "count"),
-                get(h, "sum"),
-                get(h, "min"),
-                get(h, "p50"),
-                get(h, "p90"),
-                get(h, "p99"),
-                get(h, "max")
-            ));
-        } else {
-            out.push_str(&format!("hist {} count={}\n", get(h, "name"), get(h, "count")));
-        }
-    }
-    for k in ["windows", "global_events", "journal_blocks", "journal_ops"] {
-        out.push_str(&format!("summary {k}={}\n", get(&doc.summary, k)));
+        out.push_str(&format!(
+            "hist {} count={} sum={} min={} p50={} p90={} p99={} max={}\n",
+            get(h, "name"),
+            get(h, "count"),
+            get(h, "sum"),
+            get(h, "min"),
+            get(h, "p50"),
+            get(h, "p90"),
+            get(h, "p99"),
+            get(h, "max")
+        ));
     }
     Some(out)
 }
@@ -707,76 +582,46 @@ mod tests {
         let mut p = Profiler::off();
         p.phase_add(Phase::Pop, 100);
         p.record(HistKind::CalendarLen, 5);
-        p.shard_sample(0, 10, 1);
         p.add_run_ns(1000);
         assert_eq!(p.run_ns(), 0);
         assert_eq!(p.phase_calls(Phase::Pop), 0);
-        assert!(p.shard_accs().is_empty());
     }
 
-    fn sample_profiler() -> Profiler {
-        let mut p = Profiler::new(true);
-        for _ in 0..10 {
-            p.phase_add(Phase::WindowAdvance, 400);
-            p.phase_add(Phase::CutExchange, 100);
-        }
-        p.phase_add(Phase::WorkerReplay, 4_000);
-        p.phase_add(Phase::JournalMerge, 500);
-        p.record(HistKind::JournalBlockOps, 3);
-        p.record(HistKind::ShardReplayNs, 3_000);
-        p.shard_sample(0, 3_000, 6);
-        p.shard_sample(1, 1_000, 4);
-        p.windows = 1;
-        p.journal_blocks = 10;
-        p.journal_ops = 30;
-        p.add_run_ns(10_000);
-        p
-    }
-
-    #[test]
-    fn report_round_trips_and_projects() {
-        let p = sample_profiler();
-        let meta = ProfileMeta {
+    fn report(p: &Profiler, shards: u64) -> String {
+        p.render_report(&ProfileMeta {
             bin: "unit".into(),
             label: "unit.SwitchV2P".into(),
-            engine: "sharded".into(),
-            shards: 2,
+            shards,
             seed: 7,
             events_executed: 10,
             host_cores: 4,
             peak_rss_bytes: 1 << 20,
-        };
-        let text = p.render_report(&meta);
-        let doc = ProfileDoc::parse(&text).expect("parses");
-        assert_eq!(doc.meta.get("bin").and_then(|v| v.as_str()), Some("unit"));
-        assert_eq!(doc.shards.len(), 2);
-        assert!(doc.phases.iter().any(|r| r
-            .get("name")
-            .and_then(|v| v.as_str())
-            == Some("worker_replay")));
-        assert!(!text.contains("barrier"), "a retired phase has no row");
-        let cv = doc
-            .summary
-            .get("imbalance_cv")
-            .and_then(|v| v.as_f64())
-            .expect("cv");
-        assert!(cv > 0.4 && cv < 0.6, "cv={cv}"); // (3000,1000): cv = 0.5
-        let proj = deterministic_projection(&text).expect("projects");
-        assert!(proj.contains("phase window_advance calls=10"));
-        assert!(proj.contains("hist journal_block_ops count=1 sum=3"));
-        assert!(
-            proj.contains("hist shard_replay_ns count=1\n"),
-            "timing hist keeps count only"
-        );
-        assert!(!proj.contains("_ns="), "no wall-clock leaks: {proj}");
+        })
     }
 
     #[test]
-    fn imbalance_cv_zero_for_balanced_or_single() {
+    fn report_round_trips_and_projects() {
         let mut p = Profiler::new(true);
-        p.shard_sample(0, 500, 1);
-        assert_eq!(p.imbalance_cv(), 0.0, "one shard has no imbalance");
-        p.shard_sample(1, 500, 1);
-        assert_eq!(p.imbalance_cv(), 0.0, "equal shards have cv 0");
+        for _ in 0..10 {
+            p.phase_add(Phase::Pop, 400);
+            p.phase_add(Phase::LinkArrival, 100);
+        }
+        p.record(HistKind::CalendarLen, 3);
+        p.add_run_ns(10_000);
+        let text = report(&p, 2);
+        let doc = ProfileDoc::parse(&text).expect("parses");
+        assert_eq!(doc.meta.get("bin").and_then(|v| v.as_str()), Some("unit"));
+        assert_eq!((doc.phases.len(), doc.hists.len()), (2, 1));
+        assert_eq!(doc.summary.get("phases").and_then(|v| v.as_u64()), Some(2));
+        assert!(!text.contains("barrier"), "a retired phase has no row");
+        let proj = deterministic_projection(&text).expect("projects");
+        assert!(proj.contains("phase pop calls=10"));
+        assert!(proj.contains("hist calendar_len count=1 sum=3"));
+        assert!(!proj.contains("_ns="), "no wall-clock leaks: {proj}");
+        assert_eq!(
+            deterministic_projection(&report(&p, 1)).as_deref(),
+            Some(proj.as_str()),
+            "the shard count is not part of the projection"
+        );
     }
 }

@@ -44,7 +44,6 @@ fn artifacts(test: &str) -> (PathBuf, PathBuf, PathBuf) {
     let meta = ProfileMeta {
         bin: "smoke".into(),
         label: "smoke.SwitchV2P".into(),
-        engine: "single".into(),
         shards: 1,
         seed: 1,
         events_executed: 6,
@@ -94,13 +93,13 @@ fn both_subcommands_read_what_the_library_writes() {
 
     let (code, out, _) = sv2p(&["profile", arg(&profile)]);
     assert_eq!(code, 0);
-    assert!(out.contains("smoke [smoke.SwitchV2P] engine=single shards=1"), "{out}");
+    assert!(out.contains("smoke [smoke.SwitchV2P] shards=1"), "{out}");
     assert!(out.contains("link_arrival"), "{out}");
     assert!(out.contains("calendar_len"), "{out}");
 
     let (code, out, _) = sv2p(&["profile", arg(&profile), "--check"]);
     assert_eq!(code, 0);
-    assert!(out.contains("ok (2 phases, 0 shards)"), "{out}");
+    assert!(out.contains("ok (2 phases, 1 hists)"), "{out}");
 
     std::fs::remove_dir_all(dir).ok();
 }
@@ -133,7 +132,8 @@ fn a_truncated_or_foreign_file_exits_1() {
     assert_eq!(sv2p(&["trace", arg(&profile)]).0, 1);
     assert_eq!(sv2p(&["trace", arg(&dir.join("absent.jsonl"))]).0, 1);
 
-    // A report cut off before its summary row parses but fails the check.
+    // A report cut off before its summary row parses but fails the check,
+    // and so does one that lost a row above it.
     let text = std::fs::read_to_string(&profile).expect("read the profile");
     let cut = dir.join("cut.profile.jsonl");
     std::fs::write(&cut, &text[..text.rfind("{\"row\":\"summary\"").expect("summary row")])
@@ -141,6 +141,15 @@ fn a_truncated_or_foreign_file_exits_1() {
     let (code, _, err) = sv2p(&["profile", arg(&cut), "--check"]);
     assert_eq!(code, 1);
     assert!(err.contains("missing summary row"), "{err}");
+    let hist = text.find("{\"row\":\"hist\"").expect("hist row");
+    let end = hist + text[hist..].find('\n').expect("a line") + 1;
+    std::fs::write(&cut, format!("{}{}", &text[..hist], &text[end..])).expect("write");
+    let (code, _, err) = sv2p(&["profile", arg(&cut), "--check"]);
+    assert_eq!(code, 1);
+    assert!(
+        err.contains("summary counts 1 hists, the report has 0"),
+        "{err}"
+    );
 
     // A report of another schema is foreign.
     let other = dir.join("other.profile.jsonl");

@@ -5,30 +5,18 @@
 //! and the core switches — which belong to no pod — form the core shard.
 //! Pods are distributed round-robin over the requested shard count, so
 //! `shards = pods + 1` gives the finest cut and `shards = 1` the trivial
-//! one.
-//!
-//! The partition also enumerates the **cut links** (links whose endpoints
-//! live in different shards). In a FatTree every cut link is a
-//! spine-to-core or core-to-spine hop (or a pod-to-pod hop when two pods
-//! share a shard boundary through core), and the minimum propagation delay
-//! over the cut is the engine's conservative lookahead: no shard can
-//! influence another sooner than one cut-link delay.
+//! one. Every link that crosses the cut therefore has a core switch at one
+//! end.
 
-use crate::graph::{LinkId, NodeId, Topology};
+use crate::graph::{NodeId, Topology};
 
-/// A node-to-shard assignment with its cut-edge set and lookahead bound.
+/// A node-to-shard assignment.
 #[derive(Debug, Clone)]
 pub struct PodPartition {
     /// Shard of each node, indexed by `NodeId`.
     shard_of_node: Vec<u16>,
     /// Number of shards actually produced (≤ requested).
     shards: u16,
-    /// Links whose `from` and `to` nodes live in different shards,
-    /// ascending by `LinkId`.
-    cut_links: Vec<LinkId>,
-    /// Minimum propagation delay over the cut links, in nanoseconds
-    /// (`u64::MAX` when the cut is empty, i.e. a single shard).
-    lookahead_ns: u64,
 }
 
 impl PodPartition {
@@ -47,7 +35,7 @@ impl PodPartition {
             .map(|p| p as u32 + 1)
             .unwrap_or(0);
         let shards = shards.max(1).min((max_pod + 1).min(u16::MAX as u32) as u16);
-        let shard_of_node: Vec<u16> = topo
+        let shard_of_node = topo
             .nodes
             .iter()
             .map(|n| match n.kind.pod() {
@@ -55,19 +43,9 @@ impl PodPartition {
                 _ => 0,
             })
             .collect();
-        let mut cut_links = Vec::new();
-        let mut lookahead_ns = u64::MAX;
-        for l in &topo.links {
-            if shard_of_node[l.from.0 as usize] != shard_of_node[l.to.0 as usize] {
-                cut_links.push(l.id);
-                lookahead_ns = lookahead_ns.min(l.delay_ns);
-            }
-        }
         PodPartition {
             shard_of_node,
             shards,
-            cut_links,
-            lookahead_ns,
         }
     }
 
@@ -80,31 +58,6 @@ impl PodPartition {
     pub fn shard_of(&self, node: NodeId) -> u16 {
         self.shard_of_node[node.0 as usize]
     }
-
-    /// Shard of each node, indexed by `NodeId.0`.
-    pub fn shard_map(&self) -> &[u16] {
-        &self.shard_of_node
-    }
-
-    /// Links crossing a shard boundary, ascending by id.
-    pub fn cut_links(&self) -> &[LinkId] {
-        &self.cut_links
-    }
-
-    /// The conservative lookahead: minimum cut-link propagation delay in
-    /// nanoseconds. `u64::MAX` when there is no cut (single shard).
-    pub fn lookahead_ns(&self) -> u64 {
-        self.lookahead_ns
-    }
-
-    /// Number of nodes owned by each shard (diagnostics / load balance).
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.shards as usize];
-        for &s in &self.shard_of_node {
-            sizes[s as usize] += 1;
-        }
-        sizes
-    }
 }
 
 #[cfg(test)]
@@ -113,38 +66,28 @@ mod tests {
     use crate::fattree::FatTreeConfig;
 
     #[test]
-    fn single_shard_has_no_cut() {
+    fn single_shard_owns_everything() {
         let topo = FatTreeConfig::scaled_ft8(2).build();
         let p = PodPartition::new(&topo, 1);
         assert_eq!(p.shards(), 1);
-        assert!(p.cut_links().is_empty());
-        assert_eq!(p.lookahead_ns(), u64::MAX);
-        assert!(p.shard_map().iter().all(|&s| s == 0));
+        assert!(topo.nodes.iter().all(|n| p.shard_of(n.id) == 0));
     }
 
     #[test]
-    fn cut_edges_exactly_cover_inter_shard_links() {
+    fn every_cut_link_touches_the_core_shard() {
+        // In a FatTree all inter-pod paths run through core, so a link
+        // whose ends live in different shards has a podless end.
         let topo = FatTreeConfig::ft8_10k().build();
         for shards in [2u16, 3, 4, 5, 9] {
             let p = PodPartition::new(&topo, shards);
-            for l in &topo.links {
-                let crosses =
-                    p.shard_of(l.from) != p.shard_of(l.to);
-                assert_eq!(
-                    p.cut_links().contains(&l.id),
-                    crosses,
-                    "link {:?} with {shards} shards",
-                    l.id
-                );
-            }
-            // Every cut link touches the core shard or joins two pod
-            // shards; in a FatTree all inter-pod paths run through core,
-            // so each cut link must have a core-side endpoint.
-            for &l in p.cut_links() {
-                let dl = topo.link(l);
-                let podless = topo.node(dl.from).kind.pod().is_none()
-                    || topo.node(dl.to).kind.pod().is_none();
-                assert!(podless, "cut link {l:?} must touch the core shard");
+            for l in topo
+                .links
+                .iter()
+                .filter(|l| p.shard_of(l.from) != p.shard_of(l.to))
+            {
+                let podless =
+                    topo.node(l.from).kind.pod().is_none() || topo.node(l.to).kind.pod().is_none();
+                assert!(podless, "cut link {:?} must touch the core shard", l.id);
             }
         }
     }
@@ -154,14 +97,14 @@ mod tests {
         let topo = FatTreeConfig::ft8_10k().build();
         let p = PodPartition::new(&topo, 5);
         assert_eq!(p.shards(), 5);
+        let mut sizes = [0usize; 5];
         for n in &topo.nodes {
             match n.kind.pod() {
                 None => assert_eq!(p.shard_of(n.id), 0, "core/podless in shard 0"),
                 Some(pod) => assert_eq!(p.shard_of(n.id), 1 + pod % 4),
             }
+            sizes[p.shard_of(n.id) as usize] += 1;
         }
-        let sizes = p.shard_sizes();
-        assert_eq!(sizes.iter().sum::<usize>(), topo.nodes.len());
         assert!(sizes.iter().all(|&s| s > 0), "no empty shard: {sizes:?}");
     }
 
@@ -179,19 +122,5 @@ mod tests {
         assert_eq!(p.shards(), pods + 1);
         let p1 = PodPartition::new(&topo, 0);
         assert_eq!(p1.shards(), 1);
-    }
-
-    #[test]
-    fn lookahead_is_min_cut_delay() {
-        let topo = FatTreeConfig::ft8_10k().build();
-        let p = PodPartition::new(&topo, 4);
-        let min_delay = p
-            .cut_links()
-            .iter()
-            .map(|&l| topo.link(l).delay_ns)
-            .min()
-            .unwrap();
-        assert_eq!(p.lookahead_ns(), min_delay);
-        assert!(p.lookahead_ns() > 0, "zero lookahead would stall windows");
     }
 }

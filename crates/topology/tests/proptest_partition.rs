@@ -1,10 +1,8 @@
 //! Property tests: [`PodPartition`] over randomized FatTree shapes and
-//! shard counts. The conservative sharded engine leans on two guarantees
-//! proved here against brute force — the cut-link set is *exactly* the
-//! inter-shard edge set (a missed cut link would let a packet cross
-//! shards without the exchange protocol seeing it), and the lookahead is
-//! a true lower bound on every cut delay (an overestimate would let a
-//! window outrun causality).
+//! shard counts. The sharded engine leans on two guarantees proved here
+//! against brute force — every node belongs to exactly one shard and a pod
+//! never straddles shards, and every link that crosses the cut has a core
+//! switch at one end (a packet changes shard only on a spine-core hop).
 
 use proptest::prelude::*;
 use sv2p_topology::{FatTreeConfig, LinkSpec, PodPartition};
@@ -33,55 +31,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn cut_set_equals_brute_force_edge_enumeration(
+    fn cut_links_have_a_podless_end(
         cfg in arb_config(),
         shards in 0u16..10,
     ) {
         let topo = cfg.build();
         let p = PodPartition::new(&topo, shards);
-        // Brute force: walk every link, classify by endpoint shards.
-        let expected: Vec<_> = topo
-            .links
-            .iter()
-            .filter(|l| p.shard_of(l.from) != p.shard_of(l.to))
-            .map(|l| l.id)
-            .collect();
-        prop_assert_eq!(
-            p.cut_links(),
-            expected.as_slice(),
-            "cut set must be the exact inter-shard edge set, ascending"
-        );
-        // Ascending by id (the engine relies on deterministic order).
-        for w in p.cut_links().windows(2) {
-            prop_assert!(w[0] < w[1], "cut links out of order: {:?}", w);
-        }
-    }
-
-    #[test]
-    fn lookahead_is_a_true_lower_bound_on_cut_delays(
-        cfg in arb_config(),
-        shards in 0u16..10,
-    ) {
-        let topo = cfg.build();
-        let p = PodPartition::new(&topo, shards);
-        if p.cut_links().is_empty() {
-            // No cut: single shard, infinite lookahead.
-            prop_assert_eq!(p.shards(), 1);
-            prop_assert_eq!(p.lookahead_ns(), u64::MAX);
-        } else {
-            for &l in p.cut_links() {
-                prop_assert!(
-                    topo.link(l).delay_ns >= p.lookahead_ns(),
-                    "cut link {:?} undercuts the lookahead",
-                    l
-                );
-            }
-            // ...and the bound is tight: some cut link attains it.
+        for l in topo.links.iter().filter(|l| p.shard_of(l.from) != p.shard_of(l.to)) {
             prop_assert!(
-                p.cut_links()
-                    .iter()
-                    .any(|&l| topo.link(l).delay_ns == p.lookahead_ns()),
-                "lookahead not attained by any cut link"
+                topo.node(l.from).kind.pod().is_none() || topo.node(l.to).kind.pod().is_none(),
+                "cut link {:?} joins two pods",
+                l.id
             );
         }
     }
@@ -104,13 +64,12 @@ proptest! {
         prop_assert!(p.shards() <= pods + 1, "more shards than pods + core");
         prop_assert!(p.shards() <= shards.max(1), "more shards than requested");
         // Total: every node belongs to exactly one in-range shard, and no
-        // shard is empty (sizes sum back to the node count).
-        prop_assert_eq!(p.shard_map().len(), topo.nodes.len());
+        // shard is empty.
+        let mut sizes = vec![0usize; p.shards() as usize];
         for n in &topo.nodes {
             prop_assert!(p.shard_of(n.id) < p.shards());
+            sizes[p.shard_of(n.id) as usize] += 1;
         }
-        let sizes = p.shard_sizes();
-        prop_assert_eq!(sizes.iter().sum::<usize>(), topo.nodes.len());
         prop_assert!(sizes.iter().all(|&s| s > 0), "empty shard in {:?}", sizes);
         // Pod atomicity: a pod never straddles shards.
         let mut pod_shard = std::collections::HashMap::new();
