@@ -19,8 +19,8 @@ use sv2p_simcore::{FxHashMap, SimDuration, SimTime};
 use sv2p_topology::SwitchRole;
 use sv2p_vnet::agents::NoopSwitchAgent;
 use sv2p_vnet::{
-    AgentOutput, CacheOp, HostAgent, HostResolution, MappingDb, MisdeliveryPolicy,
-    PacketAction, Strategy, SwitchAgent, SwitchCtx,
+    AgentOutput, CacheOp, HostAgent, HostResolution, MisdeliveryPolicy, PacketAction, Placement,
+    Strategy, SwitchAgent, SwitchCtx,
 };
 use switchv2p::cache::{push_insert_ops, Admission, DirectMappedCache};
 
@@ -121,7 +121,7 @@ impl SwitchAgent for BluebirdTorAgent {
 
         // The SFE holds the full mapping table (installed by the SDN
         // controller); translate and arrange the cache insertion.
-        match ctx.db.lookup(pkt.inner.dst_vip) {
+        match ctx.placement.lookup(pkt.inner.dst_vip) {
             Some(pip) => {
                 pkt.outer.dst_pip = pip;
                 pkt.outer.resolved = true;
@@ -155,7 +155,7 @@ impl SwitchAgent for BluebirdTorAgent {
 struct BluebirdHostAgent;
 
 impl HostAgent for BluebirdHostAgent {
-    fn resolve(&mut self, _db: &MappingDb, _dst_vip: Vip) -> HostResolution {
+    fn resolve(&mut self, _placement: &Placement, _dst_vip: Vip) -> HostResolution {
         HostResolution::FirstHopTor
     }
 }
@@ -199,9 +199,9 @@ mod tests {
         FlowId, InnerHeader, OuterHeader, PacketId, SwitchTag, TcpFlags, TunnelOptions,
     };
     use sv2p_simcore::SimRng;
-    use sv2p_vnet::MappingOp;
+    use sv2p_topology::NodeId;
 
-    fn mk_ctx<'a>(db: &'a MappingDb, rng: &'a mut SimRng, now: SimTime) -> SwitchCtx<'a> {
+    fn mk_ctx<'a>(placement: &'a Placement, rng: &'a mut SimRng, now: SimTime) -> SwitchCtx<'a> {
         SwitchCtx {
             now,
             tag: SwitchTag(0),
@@ -210,7 +210,7 @@ mod tests {
             my_pod: Some(0),
             ingress_host: Some(Pip(1)),
             dst_attached: false,
-            db,
+            placement,
             rng,
             pod_of: &|_| None,
             pip_of_tag: &|_| Pip(0),
@@ -218,7 +218,15 @@ mod tests {
         }
     }
 
-    fn unresolved(dst_vip: u32) -> Packet {
+    /// `n` VMs; VM *i* lives on the server with PIP `1000 + i`.
+    fn placement(n: u32) -> Placement {
+        Placement {
+            pips: (0..n).map(|i| Pip(1000 + i)).collect(),
+            nodes: (0..n).map(NodeId).collect(),
+        }
+    }
+
+    fn unresolved(dst_vip: Vip) -> Packet {
         Packet {
             id: PacketId(0),
             flow: FlowId(0),
@@ -230,7 +238,7 @@ mod tests {
             },
             inner: InnerHeader {
                 src_vip: Vip(500),
-                dst_vip: Vip(dst_vip),
+                dst_vip,
                 src_port: 1,
                 dst_port: 2,
                 protocol: Protocol::Udp,
@@ -247,41 +255,40 @@ mod tests {
         }
     }
 
-    fn agent_and_db() -> (Box<dyn SwitchAgent>, MappingDb) {
-        let mut db = MappingDb::new();
-        db.apply(MappingOp::Install { vip: Vip(5), pip: Pip(55) });
+    fn agent_and_placement() -> (Box<dyn SwitchAgent>, Placement) {
         let agent = Bluebird::default().make_switch_agent(SwitchRole::Tor, 64);
-        (agent, db)
+        (agent, placement(6))
     }
 
     #[test]
     fn miss_detours_through_control_plane_then_cache_serves() {
-        let (mut agent, db) = agent_and_db();
+        let (mut agent, placement) = agent_and_placement();
         let mut rng = SimRng::new(1);
-        let mut p = unresolved(5);
-        let out = agent.on_packet(&mut mk_ctx(&db, &mut rng, SimTime::ZERO), &mut p);
+        let vm5 = placement.vip_of(5);
+        let mut p = unresolved(vm5);
+        let out = agent.on_packet(&mut mk_ctx(&placement, &mut rng, SimTime::ZERO), &mut p);
         // Control-plane detour: resolved but delayed >= 8.5us.
         match out.action {
             PacketAction::Delay(d) => assert!(d >= SimDuration::from_nanos(8_500), "{d}"),
             other => panic!("{other:?}"),
         }
         assert!(p.outer.resolved);
-        assert_eq!(p.outer.dst_pip, Pip(55));
+        assert_eq!(p.outer.dst_pip, Pip(1005));
         assert!(!out.cache_hit);
 
         // Before 2ms: still a control-plane miss.
-        let mut p2 = unresolved(5);
+        let mut p2 = unresolved(vm5);
         let out = agent.on_packet(
-            &mut mk_ctx(&db, &mut rng, SimTime::from_millis(1)),
+            &mut mk_ctx(&placement, &mut rng, SimTime::from_millis(1)),
             &mut p2,
         );
         assert!(matches!(out.action, PacketAction::Delay(_)));
         assert!(!out.cache_hit);
 
         // After 2ms: data-plane hit, zero detour.
-        let mut p3 = unresolved(5);
+        let mut p3 = unresolved(vm5);
         let out = agent.on_packet(
-            &mut mk_ctx(&db, &mut rng, SimTime::from_millis(3)),
+            &mut mk_ctx(&placement, &mut rng, SimTime::from_millis(3)),
             &mut p3,
         );
         assert!(out.cache_hit);
@@ -292,16 +299,13 @@ mod tests {
     fn control_link_backlog_drops() {
         let cfg = BluebirdConfig { control_buffer_bytes: 3000 };
         let mut agent = Bluebird { config: cfg }.make_switch_agent(SwitchRole::Tor, 64);
-        let mut db = MappingDb::new();
-        for v in 0..100 {
-            db.apply(MappingOp::Install { vip: Vip(v), pip: Pip(1000 + v) });
-        }
+        let placement = placement(100);
         let mut rng = SimRng::new(1);
         let mut dropped = 0;
         // A burst of misses at the same instant overruns the 20G link.
-        for v in 0..100 {
-            let mut p = unresolved(v);
-            let out = agent.on_packet(&mut mk_ctx(&db, &mut rng, SimTime::ZERO), &mut p);
+        for vm in 0..100 {
+            let mut p = unresolved(placement.vip_of(vm));
+            let out = agent.on_packet(&mut mk_ctx(&placement, &mut rng, SimTime::ZERO), &mut p);
             if out.action == PacketAction::Drop {
                 dropped += 1;
             }
@@ -312,10 +316,10 @@ mod tests {
 
     #[test]
     fn unknown_vip_is_dropped() {
-        let (mut agent, db) = agent_and_db();
+        let (mut agent, placement) = agent_and_placement();
         let mut rng = SimRng::new(1);
-        let mut p = unresolved(999);
-        let out = agent.on_packet(&mut mk_ctx(&db, &mut rng, SimTime::ZERO), &mut p);
+        let mut p = unresolved(Vip(999));
+        let out = agent.on_packet(&mut mk_ctx(&placement, &mut rng, SimTime::ZERO), &mut p);
         assert_eq!(out.action, PacketAction::Drop);
     }
 
@@ -323,7 +327,7 @@ mod tests {
     fn hosts_defer_to_tor_and_no_gateways() {
         let mut h = BluebirdHostAgent;
         assert_eq!(
-            h.resolve(&MappingDb::new(), Vip(1)),
+            h.resolve(&Placement::default(), Vip(1)),
             HostResolution::FirstHopTor
         );
     }

@@ -181,7 +181,7 @@ impl ControllerDriver {
                     .iter()
                     .map(|&vm| {
                         let vm = vm as usize;
-                        (placement.vips[vm], placement.pip_of(vm))
+                        (placement.vip_of(vm), placement.pip_of(vm))
                     })
                     .collect();
                 (switch_nodes[sidx], entries)
@@ -199,7 +199,6 @@ mod tests {
     };
     use sv2p_simcore::{SimRng, SimTime};
     use sv2p_topology::FatTreeConfig;
-    use sv2p_vnet::MappingDb;
 
     #[test]
     fn installed_cache_respects_capacity_and_serves() {
@@ -212,7 +211,7 @@ mod tests {
         agent.install(Vip(3), Pip(30)); // over capacity: ignored
         assert_eq!(agent.occupancy(), 2);
         agent.install(Vip(1), Pip(11)); // update allowed at capacity
-        let db = MappingDb::new();
+        let placement = VmPlacement::default();
         let mut rng = SimRng::new(1);
         let mut ctx = SwitchCtx {
             now: SimTime::ZERO,
@@ -222,7 +221,7 @@ mod tests {
             my_pod: None,
             ingress_host: None,
             dst_attached: false,
-            db: &db,
+            placement: &placement,
             rng: &mut rng,
             pod_of: &|_| None,
             pip_of_tag: &|_| Pip(0),
@@ -286,7 +285,7 @@ mod tests {
             .flat_map(|(_, es)| es.iter().map(|&(v, _)| v))
             .collect();
         assert!(
-            placed_vips.contains(&placement.vips[7]),
+            placed_vips.contains(&placement.vip_of(7)),
             "hot destination must be placed: {plan:?}"
         );
         // Every install maps to the VM's true location.

@@ -5,9 +5,7 @@ use sv2p_packet::{Pip, Vip};
 use sv2p_simcore::FxHashMap;
 use sv2p_topology::SwitchRole;
 use sv2p_vnet::agents::NoopSwitchAgent;
-use sv2p_vnet::{
-    HostAgent, HostResolution, MappingDb, MisdeliveryPolicy, Strategy, SwitchAgent,
-};
+use sv2p_vnet::{HostAgent, HostResolution, MisdeliveryPolicy, Placement, Strategy, SwitchAgent};
 /// Direct — pure host-driven: every host is preprogrammed with all mappings
 /// (the paper's best-network-performance reference; it "ignores the
 /// overheads of mapping updates", §5).
@@ -19,8 +17,8 @@ pub struct Direct;
 struct DirectHostAgent;
 
 impl HostAgent for DirectHostAgent {
-    fn resolve(&mut self, db: &MappingDb, dst_vip: Vip) -> HostResolution {
-        match db.lookup(dst_vip) {
+    fn resolve(&mut self, placement: &Placement, dst_vip: Vip) -> HostResolution {
+        match placement.lookup(dst_vip) {
             Some(pip) => HostResolution::Direct(pip),
             // An unplaced VIP: fall back to the gateway, which will drop it.
             None => HostResolution::Gateway,
@@ -68,13 +66,13 @@ struct OnDemandHostAgent {
 }
 
 impl HostAgent for OnDemandHostAgent {
-    fn resolve(&mut self, db: &MappingDb, dst_vip: Vip) -> HostResolution {
+    fn resolve(&mut self, placement: &Placement, dst_vip: Vip) -> HostResolution {
         if let Some(&pip) = self.cache.get(&dst_vip) {
             return HostResolution::Direct(pip);
         }
         // Miss: this packet pays the gateway detour; the rule is installed
         // for everything after it.
-        if let Some(pip) = db.lookup(dst_vip) {
+        if let Some(pip) = placement.lookup(dst_vip) {
             self.cache.insert(dst_vip, pip);
         }
         HostResolution::Gateway
@@ -110,48 +108,49 @@ impl Strategy for OnDemand {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sv2p_vnet::MappingOp;
+    use sv2p_topology::NodeId;
 
-    fn db() -> MappingDb {
-        let mut db = MappingDb::new();
-        db.apply(MappingOp::Install { vip: Vip(1), pip: Pip(10) });
-        db
+    /// One VM, VM 0, on the server with PIP 10.
+    fn placement() -> Placement {
+        Placement { pips: vec![Pip(10)], nodes: vec![NodeId(1)] }
     }
 
     #[test]
     fn direct_always_resolves_locally() {
-        let db = db();
+        let placement = placement();
+        let vm0 = placement.vip_of(0);
         let mut agent = DirectHostAgent;
         for _ in 0..3 {
             assert_eq!(
-                agent.resolve(&db, Vip(1)),
+                agent.resolve(&placement, vm0),
                 HostResolution::Direct(Pip(10))
             );
         }
         assert_eq!(
-            agent.resolve(&db, Vip(99)),
+            agent.resolve(&placement, Vip(99)),
             HostResolution::Gateway
         );
     }
 
     #[test]
     fn ondemand_first_miss_then_direct() {
-        let mut db = db();
+        let mut placement = placement();
+        let vm0 = placement.vip_of(0);
         let mut agent = OnDemandHostAgent::default();
         assert_eq!(
-            agent.resolve(&db, Vip(1)),
+            agent.resolve(&placement, vm0),
             HostResolution::Gateway,
             "first packet detours"
         );
         assert_eq!(
-            agent.resolve(&db, Vip(1)),
+            agent.resolve(&placement, vm0),
             HostResolution::Direct(Pip(10)),
             "subsequent packets go direct"
         );
         // The rule is NOT refreshed on migration: stays stale.
-        db.apply(MappingOp::Migrate { vip: Vip(1), to_pip: Pip(20), at_ns: None });
+        placement.relocate(0, NodeId(2), Pip(20));
         assert_eq!(
-            agent.resolve(&db, Vip(1)),
+            agent.resolve(&placement, vm0),
             HostResolution::Direct(Pip(10)),
             "stale rule after migration"
         );

@@ -82,9 +82,9 @@ mod tests {
         FlowId, InnerHeader, OuterHeader, PacketId, SwitchTag, TcpFlags, TunnelOptions,
     };
     use sv2p_simcore::{SimRng, SimTime};
-    use sv2p_vnet::MappingDb;
+    use sv2p_vnet::Placement;
 
-    fn ctx<'a>(db: &'a MappingDb, rng: &'a mut SimRng) -> SwitchCtx<'a> {
+    fn ctx<'a>(placement: &'a Placement, rng: &'a mut SimRng) -> SwitchCtx<'a> {
         SwitchCtx {
             now: SimTime::ZERO,
             tag: SwitchTag(0),
@@ -93,7 +93,7 @@ mod tests {
             my_pod: Some(0),
             ingress_host: None,
             dst_attached: false,
-            db,
+            placement,
             rng,
             pod_of: &|_| None,
             pip_of_tag: &|_| Pip(0),
@@ -132,17 +132,17 @@ mod tests {
 
     #[test]
     fn learns_from_resolved_then_serves() {
-        let db = MappingDb::new();
+        let placement = Placement::default();
         let mut rng = SimRng::new(1);
         let s = LocalLearning;
         let mut agent = s.make_switch_agent(SwitchRole::Spine, 8);
         // Resolved packet teaches the mapping.
         let mut p1 = pkt(5, 50, true);
-        let out = agent.on_packet(&mut ctx(&db, &mut rng), &mut p1);
+        let out = agent.on_packet(&mut ctx(&placement, &mut rng), &mut p1);
         assert!(!out.cache_hit);
         // Unresolved packet for the same VIP now hits.
         let mut p2 = pkt(5, 999, false);
-        let out = agent.on_packet(&mut ctx(&db, &mut rng), &mut p2);
+        let out = agent.on_packet(&mut ctx(&placement, &mut rng), &mut p2);
         assert!(out.cache_hit);
         assert_eq!(p2.outer.dst_pip, Pip(50));
         assert!(p2.outer.resolved);
@@ -150,12 +150,12 @@ mod tests {
 
     #[test]
     fn unresolved_miss_learns_nothing() {
-        let db = MappingDb::new();
+        let placement = Placement::default();
         let mut rng = SimRng::new(1);
         let s = LocalLearning;
         let mut agent = s.make_switch_agent(SwitchRole::Tor, 8);
         let mut p = pkt(5, 999, false);
-        agent.on_packet(&mut ctx(&db, &mut rng), &mut p);
+        agent.on_packet(&mut ctx(&placement, &mut rng), &mut p);
         assert_eq!(agent.occupancy(), 0);
     }
 }

@@ -257,7 +257,7 @@ impl ExperimentSpec {
         let n_vms = sim.placement().len();
         sim.add_flows(to_flow_specs(&self.flows, n_vms));
         for &(vm, at_us) in &self.migrations {
-            let vip = sim.placement().vips[vm];
+            let vip = sim.placement().vip_of(vm);
             let target = sim
                 .topology()
                 .servers()

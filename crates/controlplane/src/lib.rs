@@ -10,8 +10,6 @@
 //! * [`state`] — [`StripedControlPlane`], `RwLock`-striped concurrent state
 //!   for serving many connections; its `execute_shared` is the one batch
 //!   interpreter.
-//! * [`service`] — [`LocalControlPlane`], the mapping table the simulator
-//!   embeds: read by reference, written through `apply`.
 //! * [`wire`] — a hand-rolled, deterministic, length-prefixed wire codec
 //!   (no serde; canonical little-endian encoding, property-tested).
 //! * [`transport`] — a `std::net` TCP server ([`CtlServer`]) and blocking
@@ -21,22 +19,21 @@
 //! `sv2p-ctlbench` (a closed-loop load generator that checks the daemon's
 //! counters against its own).
 //!
-//! The design invariant: the simulator and the served path keep their
-//! mappings in the **same** [`sv2p_vnet::MappingDb`], so an op log sent
-//! through the server ends in the state, epoch and counters that folding
-//! it over one `MappingDb` gives (asserted by `tests/served_equiv.rs`).
+//! The design invariant: an op log sent through the server ends in the
+//! state, epoch and counters that folding it over one
+//! [`sv2p_vnet::MappingDb`] gives (asserted by `tests/served_equiv.rs`).
+//! The simulator shares nothing with this crate: its VIPs are dense, so its
+//! ground truth is `sv2p_vnet::Placement`, and it keeps no table to serve.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod service;
 pub mod state;
 pub mod transport;
 pub mod wire;
 
 pub use api::{CtlOp, CtlReply, RejectReason, ReplyBatch, RequestBatch, ServiceStats};
-pub use service::LocalControlPlane;
 pub use state::{StripedControlPlane, DEFAULT_STRIPES};
 pub use transport::{CtlClient, CtlServer};
 

@@ -10,10 +10,12 @@
 //! linearizable (a VIP always lives on exactly one stripe); the global
 //! epoch is monotonic over accepted writes; [`StripedControlPlane::snapshot`]
 //! holds every stripe's read lock simultaneously, so it observes an
-//! instant where no write is in flight.
+//! instant where no write is in flight. A lock poisoned by a panicked
+//! handler is recovered (`write` says why that is sound): one bad batch
+//! must not turn the daemon into one that panics on every request.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use sv2p_packet::{Pip, Vip};
@@ -88,6 +90,32 @@ impl StripedControlPlane {
         self.stripes.len()
     }
 
+    /// Stripe `i`'s read guard, recovered if a writer panicked.
+    fn read(&self, i: usize) -> RwLockReadGuard<'_, MappingDb> {
+        self.stripes[i].read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Stripe `i`'s write guard, recovered if a writer panicked.
+    ///
+    /// Recovery is sound because the table is consistent at every point a
+    /// write under this guard can unwind. The only write is one
+    /// `MappingDb::try_apply`. It probes for its slot before it stores
+    /// anything, and the stores and counter increments after the probe
+    /// cannot panic. Its allocating steps (a rehash, the migration-instant
+    /// side table growing) abort the process on allocation failure rather
+    /// than unwind, and their capacity-overflow panics need a table larger
+    /// than the address space. So a guard is poisoned only by a panic
+    /// between whole ops, never in the middle of one.
+    fn write(&self, i: usize) -> RwLockWriteGuard<'_, MappingDb> {
+        self.stripes[i].write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The service-time histogram, recovered if a recorder panicked (a
+    /// recording is one bucket increment, so there is nothing half-done).
+    fn exec_hist(&self) -> MutexGuard<'_, Histogram> {
+        self.exec_ns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn stripe_of(&self, vip: Vip) -> usize {
         // Avalanche so dense VIP ranges spread across stripes.
         let mut h = (vip.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -101,9 +129,8 @@ impl StripedControlPlane {
     /// advances the epoch, as a `MappingDb` seeded by `apply` would).
     pub fn preload(&self, entries: impl IntoIterator<Item = (Vip, Pip)>) {
         for (vip, pip) in entries {
-            let stripe = self.stripe_of(vip);
-            let mut db = self.stripes[stripe].write().expect("stripe poisoned");
-            db.apply(MappingOp::Install { vip, pip });
+            self.write(self.stripe_of(vip))
+                .apply(MappingOp::Install { vip, pip });
             self.epoch.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -116,10 +143,7 @@ impl StripedControlPlane {
     /// Live mappings, summed across stripes (each stripe locked briefly in
     /// turn; an instantaneous figure only when no writer is active).
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.read().expect("stripe poisoned").len())
-            .sum()
+        (0..self.stripes.len()).map(|i| self.read(i).len()).sum()
     }
 
     /// True when no stripe holds a mapping.
@@ -130,11 +154,7 @@ impl StripedControlPlane {
     /// Counted concurrent lookup.
     pub fn lookup(&self, vip: Vip) -> Option<Pip> {
         self.counts.lookups.fetch_add(1, Ordering::Relaxed);
-        let stripe = self.stripe_of(vip);
-        let hit = self.stripes[stripe]
-            .read()
-            .expect("stripe poisoned")
-            .lookup(vip);
+        let hit = self.read(self.stripe_of(vip)).lookup(vip);
         if hit.is_some() {
             self.counts.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -143,8 +163,7 @@ impl StripedControlPlane {
 
     /// Applies one write; `Err` means rejected (state and epoch unchanged).
     pub fn apply(&self, op: MappingOp) -> Result<CtlReply, CtlReply> {
-        let stripe = self.stripe_of(op.vip());
-        let mut db = self.stripes[stripe].write().expect("stripe poisoned");
+        let mut db = self.write(self.stripe_of(op.vip()));
         match db.try_apply(op) {
             Ok(delta) => {
                 self.epoch.fetch_add(1, Ordering::SeqCst);
@@ -176,11 +195,7 @@ impl StripedControlPlane {
         self.counts.snapshots.fetch_add(1, Ordering::Relaxed);
         // Lock in index order (the only order anyone takes multiple
         // stripes) — no deadlock possible.
-        let guards: Vec<_> = self
-            .stripes
-            .iter()
-            .map(|s| s.read().expect("stripe poisoned"))
-            .collect();
+        let guards: Vec<_> = (0..self.stripes.len()).map(|i| self.read(i)).collect();
         let mut entries: Vec<(Vip, Pip)> = guards.iter().flat_map(|g| g.iter()).collect();
         entries.sort_unstable_by_key(|&(v, _)| v.0);
         entries
@@ -189,7 +204,7 @@ impl StripedControlPlane {
     /// Cumulative counters plus per-batch service-time percentiles.
     pub fn stats(&self) -> ServiceStats {
         let (exec_p50_ns, exec_p99_ns) = {
-            let h = self.exec_ns.lock().expect("hist poisoned");
+            let h = self.exec_hist();
             (h.percentile(50.0), h.percentile(99.0))
         };
         ServiceStats {
@@ -234,10 +249,7 @@ impl StripedControlPlane {
             epoch: self.epoch(),
             replies,
         };
-        self.exec_ns
-            .lock()
-            .expect("hist poisoned")
-            .record(start.elapsed().as_nanos() as u64);
+        self.exec_hist().record(start.elapsed().as_nanos() as u64);
         rep
     }
 }
@@ -320,5 +332,35 @@ mod tests {
         assert_eq!(s.lookups, 1000);
         assert_eq!(s.hits, 1000);
         assert_eq!(s.mappings, 64);
+    }
+
+    #[test]
+    fn a_handler_panic_under_a_lock_leaves_every_call_answering() {
+        let cp = Arc::new(StripedControlPlane::new(4));
+        cp.preload((0..64u32).map(|i| (Vip(i), Pip(100 + i))));
+        let held = Arc::clone(&cp);
+        let died = std::thread::spawn(move || {
+            let _stripe = held.write(0);
+            let _hist = held.exec_hist();
+            panic!("handler panics holding stripe 0 and the histogram");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(cp.stripes[0].is_poisoned() && cp.exec_ns.is_poisoned());
+
+        let vip = (0..64).map(Vip).find(|&v| cp.stripe_of(v) == 0).expect("a VIP on stripe 0");
+        assert_eq!(cp.lookup(vip), Some(Pip(100 + vip.0)));
+        let moved = cp.apply(MappingOp::Migrate { vip, to_pip: Pip(7), at_ns: None });
+        assert_eq!(moved, Ok(CtlReply::Applied { old: Some(Pip(100 + vip.0)), new: Some(Pip(7)) }));
+        let rep = cp.execute_shared(&RequestBatch {
+            id: 1,
+            ops: vec![CtlOp::Lookup { vip }, CtlOp::Install { vip: Vip(64), pip: Pip(1) }],
+        });
+        assert_eq!(rep.replies[0], CtlReply::Found { pip: Pip(7) });
+        assert_eq!(rep.epoch, 66);
+        assert_eq!(cp.snapshot().len(), 65);
+        assert_eq!(cp.len(), 65);
+        let s = cp.stats();
+        assert_eq!((s.epoch, s.mappings, s.batches, s.migrates), (66, 65, 1, 1));
     }
 }

@@ -397,12 +397,12 @@ mod tests {
     use super::*;
     use sv2p_simcore::SimRng;
     use sv2p_vnet::PacketAction;
-    use sv2p_vnet::MappingDb;
+    use sv2p_vnet::Placement;
 
     /// Test fixture: a context whose pod lookup says "VIPs below 100 are in
     /// pod 0, others pod 1" and whose switch tags map to PIP 5000+tag.
     struct Fixture {
-        db: MappingDb,
+        placement: Placement,
         rng: SimRng,
         now: SimTime,
         trace: bool,
@@ -419,7 +419,7 @@ mod tests {
     impl Fixture {
         fn new() -> Self {
             Fixture {
-                db: MappingDb::new(),
+                placement: Placement::default(),
                 rng: SimRng::new(7),
                 now: SimTime::from_micros(100),
                 trace: false,
@@ -440,7 +440,7 @@ mod tests {
                 my_pod: Some(0),
                 ingress_host,
                 dst_attached,
-                db: &self.db,
+                placement: &self.placement,
                 rng: &mut self.rng,
                 pod_of: &pod_of,
                 pip_of_tag: &pip_of_tag,

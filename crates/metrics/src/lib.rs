@@ -188,8 +188,8 @@ pub struct Counters {
     pub reordered_segments: u64,
     /// TCP retransmissions summed over senders (likewise).
     pub retransmissions: u64,
-    /// Cache hits that served a mapping disagreeing with the ground-truth
-    /// database (misdelivery exposure).
+    /// Cache hits that served a mapping disagreeing with the ground truth
+    /// (misdelivery exposure).
     pub stale_cache_hits: u64,
     /// Age of the stale entry at each attributable stale hit, nanoseconds
     /// since the migration that invalidated it, in no particular order.

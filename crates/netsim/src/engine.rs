@@ -31,10 +31,7 @@ use sv2p_topology::{
     FatTreeConfig, Layer, LinkId, NodeId, NodeKind, PodPartition, RoleMap, Routing, SwitchRole,
     Topology,
 };
-use sv2p_vnet::{
-    CacheOp, GatewayDirectory, MappingDb, MappingOp, Migration, Placement, Strategy, SwitchAgent,
-};
-use v2p_controlplane::LocalControlPlane;
+use sv2p_vnet::{CacheOp, GatewayDirectory, Migration, Placement, Strategy, SwitchAgent};
 
 use crate::churn::{ChurnMark, ChurnPlan};
 use crate::config::SimConfig;
@@ -61,8 +58,8 @@ impl Engine {
     /// Builds an experiment: topology, placement, per-switch agents with
     /// the aggregate `total_cache_entries` split among caching switches,
     /// and per-server host agents, over at most `shards` shards (clamped
-    /// by the partitioner to what the topology supports). Topology,
-    /// placement and mapping database are built once whatever the count.
+    /// by the partitioner to what the topology supports). Topology and
+    /// placement are built once whatever the count.
     pub fn new(
         cfg: SimConfig,
         ft: &FatTreeConfig,
@@ -75,7 +72,6 @@ impl Engine {
         let routing = Routing::new(ft, &topo);
         let roles = RoleMap::classify(&topo);
         let placement = Placement::uniform(&topo, vms_per_server);
-        let plane = LocalControlPlane::with_db(placement.seed_db());
         let dir = GatewayDirectory::from_topology(&topo);
         let partition = PodPartition::new(&topo, shards);
 
@@ -160,7 +156,6 @@ impl Engine {
                 .schedule_at(SimTime::ZERO, Event::TelemetrySample);
         }
         let ctl = Control {
-            plane,
             placement,
             follow_me: FxHashMap::default(),
             last_migration: FxHashMap::default(),
@@ -253,15 +248,20 @@ impl Engine {
         &self.world.dir
     }
 
-    /// The VM placement (kept in sync with the database across migrations).
+    /// The VM placement: the ground-truth V2P mapping
+    /// ([`Placement::lookup`]), moved only by migrations.
     pub fn placement(&self) -> &Placement {
         &self.ctl.placement
     }
 
-    /// Read view of the ground-truth V2P database (embedded; the only
-    /// writes are `LocalControlPlane::apply` calls made by global events).
-    pub fn db(&self) -> &MappingDb {
-        self.ctl.plane.db()
+    /// Retired, 0 bytes: an always-empty table, kept only because the
+    /// benchmark harness still adds its `resident_bytes()` to the
+    /// placement's. The engine keeps no `MappingDb`; its V2P truth is
+    /// [`Self::placement`].
+    pub fn db(&self) -> &sv2p_vnet::MappingDb {
+        static RETIRED: std::sync::LazyLock<sv2p_vnet::MappingDb> =
+            std::sync::LazyLock::new(Default::default);
+        &RETIRED
     }
 
     /// Registers the workload. Flow ids are assigned densely in call
@@ -444,15 +444,15 @@ impl Engine {
     }
 
     /// Every cached `(switch, vip, pip)` line that disagrees with the
-    /// ground-truth mapping database — the stale entries a migration left
-    /// behind that no strategy machinery has corrected yet. Rows follow
+    /// ground truth ([`Placement::lookup`]) — the stale entries a migration
+    /// left behind that no strategy machinery has corrected yet. Rows follow
     /// `topology().switches()` order.
     pub fn stale_cache_entries(&self) -> Vec<(NodeId, Vip, Pip)> {
         let mut out = Vec::new();
         for sw in self.world.topo.switches() {
             if let Some(agent) = self.agent(sw.id) {
                 for (vip, pip) in agent.entries() {
-                    if self.db().lookup(vip) != Some(pip) {
+                    if self.ctl.placement.lookup(vip) != Some(pip) {
                         out.push((sw.id, vip, pip));
                     }
                 }
@@ -651,12 +651,6 @@ pub(crate) fn exec_global(ctl: &mut Control, master: &mut Master, shards: &mut [
                 .index_of(m.vip)
                 .expect("migrating unknown VIP");
             let old_node = ctl.placement.node_of(vm);
-            let delta = ctl.plane.apply(MappingOp::Migrate {
-                vip: m.vip,
-                to_pip: m.to_pip,
-                at_ns: Some(m.at.as_nanos()),
-            });
-            debug_assert_eq!(delta.old, Some(ctl.placement.pip_of(vm)));
             ctl.placement.relocate(vm, m.to_node, m.to_pip);
             // Andromeda-style follow-me rule at the old host.
             ctl.follow_me.insert((old_node, m.vip), m.to_pip);
@@ -838,7 +832,7 @@ mod tests {
     fn migration_with_follow_me_redelivers() {
         let mut sim = small_sim();
         let dst_vm = 0usize;
-        let vip = sim.placement().vips[dst_vm];
+        let vip = sim.placement().vip_of(dst_vm);
         // Pick a target server in the other pod.
         let target = sim
             .topology()

@@ -24,10 +24,10 @@
 //! * the immutable **world** (`world::World`: topology, routing, gateway
 //!   directory, switch tags, caching flags, strategy name and misdelivery
 //!   policy, partition), built once and shared behind an `Arc`;
-//! * one copy of the **control state** (`world::Control`: mapping database,
-//!   placement, follow-me rules, roles, fault flags, flow specs and the
-//!   migration/fault/churn tables), which only global events and
-//!   between-run interventions write;
+//! * one copy of the **control state** (`world::Control`: the placement,
+//!   which is the V2P ground truth, follow-me rules, roles, fault flags,
+//!   flow specs and the migration/fault/churn tables), which only global
+//!   events and between-run interventions write;
 //! * a `Vec` of shard-owned **state** (`sim::Shard`: links, agents, RNG
 //!   streams, arena, transport machines, gateway queues, and the shard's
 //!   `sv2p_metrics::Counters` — its share of the order-free ledger), one

@@ -442,8 +442,8 @@ impl Shard {
             (spec.src_vm, spec.dst_vm)
         };
         let placement = &ctl.placement;
-        let src_vip = placement.vips[src_vm];
-        let dst_vip = placement.vips[dst_vm];
+        let src_vip = placement.vip_of(src_vm);
+        let dst_vip = placement.vip_of(dst_vm);
         let src_node = placement.node_of(src_vm);
         let src_pip = placement.pip_of(src_vm);
         let proto = if spec.is_tcp() {
@@ -463,7 +463,7 @@ impl Shard {
         let resolution = self.host_agents[src_node.0 as usize]
             .as_mut()
             .expect("sending node has a host agent")
-            .resolve(ctl.plane.db(), dst_vip);
+            .resolve(placement, dst_vip);
         let (dst_pip, resolved) = match resolution {
             HostResolution::Direct(pip) => (pip, true),
             HostResolution::Gateway => (self.world.dir.pick(gw_key), false),
@@ -683,7 +683,7 @@ impl Shard {
                 my_pod: node_info.kind.pod(),
                 ingress_host: ingress,
                 dst_attached,
-                db: ctl.plane.db(),
+                placement: &ctl.placement,
                 rng: &mut self.agent_rngs[idx],
                 pod_of: &pod_of,
                 pip_of_tag: &pip_of_tag,
@@ -706,17 +706,16 @@ impl Shard {
                     let p = self.arena.get(pkt);
                     (p.inner.dst_vip, p.outer.dst_pip)
                 };
-                // The migration ledger first. This is exact, not a filter:
-                // `Migrate` is the only write the database sees after set-up
-                // and it records the VIP here in the same global event, while
-                // a cache line is always a mapping the database held (learnt
-                // from a gateway's translation or a packet carrying one, or
-                // installed from the placement, which moves with it) — so a
-                // VIP absent from the ledger cannot be cached stale, and the
-                // cold, up to million-entry table is probed only for the few
-                // that migrated.
+                // The migration ledger first: it ages the hit, and it is
+                // exact, not a filter. `Migrate` is the only write the
+                // placement sees after set-up and it records the VIP here in
+                // the same global event, while a cache line is always a
+                // mapping the placement held (learnt from a gateway's
+                // translation or a packet carrying one, or installed from
+                // the placement) — so a VIP absent from the ledger cannot be
+                // cached stale.
                 let migration = ctl.last_migration.get(&vip).copied();
-                if migration.is_some() && ctl.plane.db().lookup(vip) != Some(cur_dst) {
+                if migration.is_some() && ctl.placement.lookup(vip) != Some(cur_dst) {
                     let age = self.counters.record_stale_hit(migration, now);
                     if trace {
                         let mut ev = TraceEvent::new(now.as_nanos(), EventKind::StaleHit)
@@ -907,7 +906,7 @@ impl Shard {
             return;
         }
         let dst_vip = self.arena.get(pkt).inner.dst_vip;
-        match ctl.plane.db().lookup(dst_vip) {
+        match ctl.placement.lookup(dst_vip) {
             Some(pip) => {
                 let (flow, id) = {
                     let p = self.arena.get_mut(pkt);

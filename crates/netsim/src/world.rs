@@ -7,7 +7,6 @@ use sv2p_packet::{Pip, SwitchTag, Vip};
 use sv2p_simcore::FxHashMap;
 use sv2p_topology::{NodeId, PodPartition, RoleMap, Routing, Topology};
 use sv2p_vnet::{GatewayDirectory, Migration, MisdeliveryPolicy, Placement};
-use v2p_controlplane::LocalControlPlane;
 
 use crate::churn::ChurnMark;
 use crate::config::SimConfig;
@@ -69,10 +68,9 @@ impl World {
 /// The one copy of the state that handlers read and never write: the
 /// driver writes it at global events and between runs (interventions).
 pub(crate) struct Control {
-    /// The ground-truth V2P database, embedded: handlers read it by
-    /// reference, the driver writes it through `apply`.
-    pub plane: LocalControlPlane,
-    /// VM placement (kept in sync with the database across migrations).
+    /// VM placement, and so the ground-truth V2P mapping: handlers resolve
+    /// a VIP with `placement.lookup`, and a `Migrate` global event is its
+    /// one write (`relocate`).
     pub placement: Placement,
     /// Follow-me rules at old hosts: (old node, vip) -> new pip.
     pub follow_me: FxHashMap<(NodeId, Vip), Pip>,

@@ -226,7 +226,7 @@ fn interventions_behind_a_parked_run_take_effect_on_time() {
                 // once, a profile- and shard-dependent clamp in release)
                 // take effect at once: they are the next two events.
                 assert!(sim.now() > SimTime::from_micros(20));
-                let (before, vip) = (sim.events_executed(), sim.placement().vips[3]);
+                let (before, vip) = (sim.events_executed(), sim.placement().vip_of(3));
                 let to = sim.topology().servers().last().expect("servers exist");
                 let (to_node, to_pip) = (to.id, to.pip);
                 sim.add_migration(Migration::new(SimTime::from_micros(20), vip, to_node, to_pip));

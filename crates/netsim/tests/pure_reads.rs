@@ -35,7 +35,7 @@ fn engine(shards: u16) -> Engine {
         until: FAULT_END,
     };
     sim.apply_fault_plan(FaultPlan::from_events([loss]).expect("valid plan"));
-    let (at, vip) = (SimTime::from_micros(250), sim.placement().vips[0]);
+    let (at, vip) = (SimTime::from_micros(250), sim.placement().vip_of(0));
     let to = sim.topology().servers().last().expect("servers exist");
     sim.add_migration(Migration::new(at, vip, to.id, to.pip));
     sim

@@ -9,6 +9,7 @@ use sv2p_netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::{SimDuration, SimTime};
 use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::{FatTreeConfig, NodeKind};
+use sv2p_vnet::Migration;
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
 /// When the first flow starts; every fault window below closes before it.
@@ -131,5 +132,42 @@ fn a_plan_closed_before_the_first_flow_is_no_plan() {
             "shards {shards}: summary"
         );
         assert!(faulted.1 == plain.1, "shards {shards}: trace JSONL");
+    }
+}
+
+/// The placement is the simulator's only V2P truth and keeps no epoch, so a
+/// VM moved away and back before its first packet leaves nothing but the
+/// two migrations behind: the run counts them and executes their two
+/// events, and computes the same bytes otherwise.
+#[test]
+fn a_vm_migrated_away_and_back_before_its_first_packet_never_moved() {
+    for shards in [1, 4] {
+        let plain = outcome(engine(shards, false));
+        let mut sim = engine(shards, false);
+        // Flow 0's destination.
+        let vm = 29;
+        let (vip, home, home_pip) = {
+            let p = sim.placement();
+            (p.vip_of(vm), p.node_of(vm), p.pip_of(vm))
+        };
+        let away = sim.topology().servers().last().expect("a server");
+        assert_ne!(away.id, home, "the move must leave the VM's server");
+        let (away, away_pip) = (away.id, away.pip);
+        let us = SimTime::from_micros;
+        sim.add_migration(Migration::new(us(100), vip, away, away_pip));
+        sim.add_migration(Migration::new(us(200), vip, home, home_pip));
+        let moved = outcome(sim);
+        assert_eq!(moved.0.migrations, 2);
+        let moved_summary = RunSummary {
+            migrations: plain.0.migrations,
+            ..moved.0
+        };
+        assert_eq!(
+            format!("{moved_summary:?}"),
+            format!("{:?}", plain.0),
+            "shards {shards}: summary"
+        );
+        assert!(moved.1 == plain.1, "shards {shards}: trace JSONL");
+        assert_eq!(moved.2, plain.2 + 2, "shards {shards}: events executed");
     }
 }

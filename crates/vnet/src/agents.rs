@@ -20,14 +20,14 @@ use sv2p_packet::{Packet, Pip, SwitchTag, Vip};
 use sv2p_simcore::{SimDuration, SimRng, SimTime};
 use sv2p_topology::SwitchRole;
 
-use crate::mapping::MappingDb;
+use crate::placement::Placement;
 
 /// Everything a switch agent may consult while processing one packet:
 /// each field is read by at least one scheme.
 ///
-/// The `db` field is the control-plane ground truth: data-plane designs
-/// (SwitchV2P, GwCache, LocalLearning) never read it; it exists for agents
-/// that model a switch-local control plane (Bluebird's SFE) or an
+/// The `placement` field is the control-plane ground truth: data-plane
+/// designs (SwitchV2P, GwCache, LocalLearning) never read it; it exists for
+/// agents that model a switch-local control plane (Bluebird's SFE) or an
 /// omniscient controller.
 pub struct SwitchCtx<'a> {
     /// Current virtual time.
@@ -48,8 +48,9 @@ pub struct SwitchCtx<'a> {
     /// True if the packet's current outer destination is a host attached to
     /// this switch (used by ToRs to consume learning packets).
     pub dst_attached: bool,
-    /// Control-plane ground truth (see struct docs).
-    pub db: &'a MappingDb,
+    /// Control-plane ground truth: [`Placement::lookup`] is what a VIP
+    /// resolves to now (see struct docs).
+    pub placement: &'a Placement,
     /// Per-switch deterministic random stream (learning-packet coin flips).
     pub rng: &'a mut SimRng,
     /// Resolves a PIP to its pod, if pod-local (promotion's "leaves the pod"
@@ -263,8 +264,9 @@ pub enum HostResolution {
 pub trait HostAgent {
     /// Decides how to address a packet for `dst_vip`. Called for every
     /// outgoing packet (agents cache internally if they want per-flow
-    /// behavior).
-    fn resolve(&mut self, db: &MappingDb, dst_vip: Vip) -> HostResolution;
+    /// behavior). `placement` is the ground truth a host that is
+    /// programmed with mappings resolves against.
+    fn resolve(&mut self, placement: &Placement, dst_vip: Vip) -> HostResolution;
 
     /// Models losing the host's volatile resolution state (e.g. its vswitch
     /// restarting when the rack's ToR reboots). Stateless agents keep the
@@ -329,7 +331,7 @@ pub trait Strategy {
 pub struct GatewayHostAgent;
 
 impl HostAgent for GatewayHostAgent {
-    fn resolve(&mut self, _db: &MappingDb, _dst_vip: Vip) -> HostResolution {
+    fn resolve(&mut self, _placement: &Placement, _dst_vip: Vip) -> HostResolution {
         HostResolution::Gateway
     }
 }
@@ -352,9 +354,9 @@ mod tests {
     #[test]
     fn gateway_host_agent_always_defers() {
         let mut agent = GatewayHostAgent;
-        let db = MappingDb::new();
+        let placement = Placement::default();
         for vip in 0..5 {
-            assert_eq!(agent.resolve(&db, Vip(vip)), HostResolution::Gateway);
+            assert_eq!(agent.resolve(&placement, Vip(vip)), HostResolution::Gateway);
         }
     }
 

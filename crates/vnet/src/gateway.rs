@@ -1,8 +1,9 @@
 //! Translation gateways.
 //!
-//! Gateways are ordinary hosts that hold the full [`crate::MappingDb`] view.
-//! An unresolved packet addressed to a gateway is translated after a fixed
-//! processing delay ([`GATEWAY_PROCESSING`]) and re-emitted toward the
+//! Gateways are ordinary hosts that hold the full V2P view: they translate
+//! with [`crate::Placement::lookup`], the ground truth. An unresolved
+//! packet addressed to a gateway is translated after a fixed processing
+//! delay ([`GATEWAY_PROCESSING`]) and re-emitted toward the
 //! true destination. Senders pick a gateway per flow ("load balancing
 //! performed by each server on a per-flow basis", §5); the pick is sticky
 //! for the flow's lifetime so a flow's packets share fate.

@@ -1,10 +1,13 @@
 //! The virtual-network layer: everything a gateway-driven virtual network
 //! (Andromeda/Zeta-style) needs before any in-network caching exists.
 //!
-//! * [`mapping`] — the V2P [`MappingDb`]: single-writer (control plane),
-//!   many-reader ground truth, with an update epoch for staleness tests;
+//! * [`mapping`] — the V2P [`MappingDb`]: an epoch-versioned table of
+//!   arbitrary VIP → PIP pairs, the served control plane's storage
+//!   (`v2p-controlplane`);
 //! * [`placement`] — VM placement: which VIPs live on which server
-//!   (80 VMs/server in FT8-10K, 32 containers/server in FT16-400K);
+//!   (80 VMs/server in FT8-10K, 32 containers/server in FT16-400K). It is
+//!   also the simulator's one V2P ground truth: a VIP resolves to where its
+//!   VM lives, so gateways and agents read [`Placement::lookup`];
 //! * [`gateway`] — the translation-gateway directory and per-flow gateway
 //!   load balancing ("the gateways are replicated, with load balancing
 //!   performed by each server on a per-flow basis", §5);

@@ -1,14 +1,14 @@
-//! The V2P mapping database — the "ground truth at the gateways" (§3.3).
-//!
-//! A single writer (the virtual-network control plane) updates it; gateways
-//! read it on every translation. In-network caches are *not* kept coherent
-//! with it — that is the whole point of the paper's lazy invalidation design.
+//! The V2P mapping database — the "ground truth at the gateways" (§3.3) as
+//! a served control plane stores it: arbitrary VIP → PIP pairs, installed,
+//! withdrawn and migrated by clients. (The simulator's VIPs are dense, so
+//! its ground truth is the [`crate::Placement`] itself.) In-network caches
+//! are *not* kept coherent with it — that is the whole point of the paper's
+//! lazy invalidation design.
 //!
 //! All mutation flows through one audited entry point, [`MappingDb::apply`]
-//! (and its non-panicking sibling [`MappingDb::try_apply`]): the simulator,
-//! the churn engine, and the servable `v2p-controlplane` library mutate
-//! state by submitting a [`MappingOp`] and observing the returned
-//! [`MappingDelta`]. There is no other mutator.
+//! (and its non-panicking sibling [`MappingDb::try_apply`]): the servable
+//! `v2p-controlplane` library mutates state by submitting a [`MappingOp`]
+//! and observing the returned [`MappingDelta`]. There is no other mutator.
 
 use sv2p_packet::{Pip, Vip};
 use sv2p_simcore::FxHashMap;

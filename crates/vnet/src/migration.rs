@@ -1,8 +1,9 @@
 //! VM migration plans (§5.2).
 //!
 //! A migration moves one VM's VIP to a new server at a given instant. The
-//! control plane updates the [`crate::MappingDb`] immediately (updates at
-//! the gateway are cheap — that is the gateway design's strength) and
+//! control plane updates the ground truth ([`crate::Placement::relocate`])
+//! immediately (updates at the gateway are cheap — that is the gateway
+//! design's strength) and
 //! installs a *follow-me* rule at the old host so packets in flight are
 //! re-forwarded (Andromeda's mechanism). What the in-network caches do about
 //! their now-stale entries is the strategy's problem.

@@ -6,25 +6,26 @@
 //! placement fills servers round-robin so that VIP *i* lives on server
 //! `i / vms_per_server` — uniform draws over VIPs then spread uniformly over
 //! servers and racks.
+//!
+//! The placement is also the simulator's V2P ground truth (§3.3): where a
+//! VM lives *is* what its VIP resolves to, so the gateway translates with
+//! [`Placement::lookup`] and a migration is one [`Placement::relocate`].
+//! A second table holding the same pairs could only ever agree with it.
 
 use sv2p_packet::{Pip, Vip};
 use sv2p_topology::{NodeId, Topology};
 
-/// Where every VM lives.
+/// Where every VM lives, and so what every VIP resolves to.
 ///
-/// The VIP column is index-ordered — [`Placement::uniform`] assigns
-/// `Vip(VIP_BASE + i)` to VM *i* and [`Placement::relocate`] never touches
-/// it — so [`Placement::index_of`] is a binary search over the sorted
-/// column instead of a per-VM HashMap. At million-VM scale the placement is
-/// 12 bytes per VM, all of it in the three parallel vectors.
-#[derive(Debug, Clone)]
+/// VM *i* is `Vip(VIP_BASE + i)` by construction, so the VIP is not stored:
+/// [`Placement::vip_of`] and [`Placement::index_of`] are arithmetic. At
+/// million-VM scale the placement is 8 bytes per VM, all of it in the two
+/// parallel columns.
+#[derive(Debug, Clone, Default)]
 pub struct Placement {
-    /// All VIPs, densely numbered and strictly increasing — `vips[i]` is
-    /// VM *i*.
-    pub vips: Vec<Vip>,
-    /// Server PIP of each VM, parallel to `vips`.
+    /// Server PIP of each VM: `pips[i]` is what `vip_of(i)` resolves to.
     pub pips: Vec<Pip>,
-    /// Host node of each VM, parallel to `vips`.
+    /// Host node of each VM, parallel to `pips`.
     pub nodes: Vec<NodeId>,
 }
 
@@ -36,38 +37,39 @@ impl Placement {
     /// iteration order.
     pub fn uniform(topo: &Topology, vms_per_server: u32) -> Self {
         assert!(vms_per_server > 0);
-        let mut vips = Vec::new();
-        let mut pips = Vec::new();
-        let mut nodes = Vec::new();
-        for server in topo.servers() {
-            for _ in 0..vms_per_server {
-                vips.push(Vip(VIP_BASE + vips.len() as u32));
-                pips.push(server.pip);
-                nodes.push(server.id);
-            }
-        }
-        Placement { vips, pips, nodes }
+        let (pips, nodes) = topo
+            .servers()
+            .flat_map(|s| std::iter::repeat_n((s.pip, s.id), vms_per_server as usize))
+            .unzip();
+        Placement { pips, nodes }
     }
 
     /// Number of VMs.
     pub fn len(&self) -> usize {
-        self.vips.len()
+        self.pips.len()
     }
 
     /// True if no VMs are placed.
     pub fn is_empty(&self) -> bool {
-        self.vips.is_empty()
+        self.pips.is_empty()
     }
 
-    /// VM index of a VIP, if it exists (binary search over the sorted VIP
-    /// column).
+    /// VM index of a VIP, if it was placed.
     pub fn index_of(&self, vip: Vip) -> Option<usize> {
-        self.vips.binary_search(&vip).ok()
+        let i = vip.0.checked_sub(VIP_BASE)? as usize;
+        (i < self.len()).then_some(i)
     }
 
     /// VIP of VM `i`.
     pub fn vip_of(&self, i: usize) -> Vip {
-        self.vips[i]
+        assert!(i < self.len(), "VM {i} of {}", self.len());
+        Vip(VIP_BASE + i as u32)
+    }
+
+    /// The PIP `vip` resolves to now — the gateway's translation. `None`
+    /// for a VIP that was never placed, which the gateway drops.
+    pub fn lookup(&self, vip: Vip) -> Option<Pip> {
+        self.index_of(vip).map(|i| self.pips[i])
     }
 
     /// Current PIP of VM `i`.
@@ -80,20 +82,23 @@ impl Placement {
         self.nodes[i]
     }
 
-    /// Seeds a [`crate::MappingDb`] with the full placement.
+    /// A [`crate::MappingDb`] holding the full placement, one `Install` per
+    /// VM. The simulator never builds one (it reads the placement); this is
+    /// the fixture of the `MappingDb` kernels and of the property test
+    /// certifying that the two answer alike.
     pub fn seed_db(&self) -> crate::MappingDb {
         let mut db = crate::MappingDb::new();
-        for (i, &vip) in self.vips.iter().enumerate() {
+        for (i, &pip) in self.pips.iter().enumerate() {
             db.apply(crate::MappingOp::Install {
-                vip,
-                pip: self.pips[i],
+                vip: self.vip_of(i),
+                pip,
             });
         }
         db
     }
 
-    /// Records a migration of VM `i` to a new host (keeps the placement in
-    /// sync with the mapping database; the caller updates the DB).
+    /// Moves VM `i` to a new host: the migration's one write, after which
+    /// [`Self::lookup`] answers the new PIP.
     pub fn relocate(&mut self, i: usize, node: NodeId, pip: Pip) {
         self.nodes[i] = node;
         self.pips[i] = pip;
@@ -115,11 +120,10 @@ impl Placement {
         out
     }
 
-    /// Resident bytes of the three parallel columns (the other half of
-    /// the benchmark's `vnet.v2p_state_mb`).
+    /// Resident bytes of the two parallel columns: the simulator's whole
+    /// V2P state (the benchmark's `vnet.v2p_state_mb`).
     pub fn resident_bytes(&self) -> usize {
-        self.vips.capacity() * std::mem::size_of::<Vip>()
-            + self.pips.capacity() * std::mem::size_of::<Pip>()
+        self.pips.capacity() * std::mem::size_of::<Pip>()
             + self.nodes.capacity() * std::mem::size_of::<NodeId>()
     }
 }
@@ -135,11 +139,14 @@ mod tests {
         let p = Placement::uniform(&topo, 80);
         assert_eq!(p.len(), 10_240);
         // All VIPs unique and resolvable.
-        for (i, &vip) in p.vips.iter().enumerate() {
-            assert_eq!(p.index_of(vip), Some(i));
+        for i in 0..p.len() {
+            assert_eq!(p.index_of(p.vip_of(i)), Some(i));
+            assert_eq!(p.lookup(p.vip_of(i)), Some(p.pip_of(i)));
         }
-        assert_eq!(p.index_of(Vip(VIP_BASE + 10_240)), None);
-        assert_eq!(p.index_of(Vip(0)), None);
+        for absent in [0, VIP_BASE - 1, VIP_BASE + 10_240, u32::MAX].map(Vip) {
+            assert_eq!(p.index_of(absent), None);
+            assert_eq!(p.lookup(absent), None);
+        }
     }
 
     #[test]
@@ -161,7 +168,7 @@ mod tests {
         let db = p.seed_db();
         assert_eq!(db.len(), p.len());
         for i in 0..p.len() {
-            assert_eq!(db.lookup(p.vips[i]), Some(p.pip_of(i)));
+            assert_eq!(db.lookup(p.vip_of(i)), Some(p.pip_of(i)));
         }
     }
 
@@ -174,7 +181,8 @@ mod tests {
         assert_eq!(p.pip_of(0), target.pip);
         assert_eq!(p.node_of(0), target.id);
         assert!(p.vms_on(target.id).contains(&0));
-        // The VIP column is untouched, so lookups still binary-search.
+        // The VIP stays; what it resolves to moves.
         assert_eq!(p.index_of(p.vip_of(0)), Some(0));
+        assert_eq!(p.lookup(p.vip_of(0)), Some(target.pip));
     }
 }

@@ -1,5 +1,6 @@
-//! Property tests for the virtual-network layer: placement/DB coherence
-//! across arbitrary migration histories, and gateway balancing quality.
+//! Property tests for the virtual-network layer: the placement answers as
+//! a seeded `MappingDb` would across arbitrary migration histories, and
+//! gateway balancing quality.
 
 use proptest::prelude::*;
 use sv2p_topology::FatTreeConfig;
@@ -62,25 +63,40 @@ fn arb_op() -> impl Strategy<Value = MappingOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// The simulator keeps no `MappingDb`: the placement is its V2P truth.
+    /// That is sound because a table seeded with the placement and sent the
+    /// same migrations answers exactly what the placement answers, for
+    /// every placed VIP and for VIPs either side of the placed range.
     #[test]
-    fn db_and_placement_agree_across_migrations(
-        moves in proptest::collection::vec((0usize..64, 0usize..32), 0..60),
+    fn placement_lookup_is_the_seeded_db_across_migrations(
+        pods_log2 in 0u32..3,
+        vms_per_server in 1u32..5,
+        moves in proptest::collection::vec((0usize..1024, 0usize..128), 0..60),
     ) {
-        let topo = FatTreeConfig::scaled_ft8(2).build();
-        let mut placement = Placement::uniform(&topo, 1); // 128 VMs
+        use sv2p_packet::Vip;
+        use sv2p_vnet::placement::VIP_BASE;
+        let topo = FatTreeConfig::scaled_ft8(1 << pods_log2).build();
+        let mut placement = Placement::uniform(&topo, vms_per_server);
         let mut db = placement.seed_db();
         let servers: Vec<_> = topo.servers().map(|n| (n.id, n.pip)).collect();
         for (vm, srv) in moves {
             let vm = vm % placement.len();
             let (node, pip) = servers[srv % servers.len()];
-            db.apply(MappingOp::Migrate { vip: placement.vips[vm], to_pip: pip, at_ns: None });
+            db.apply(MappingOp::Migrate { vip: placement.vip_of(vm), to_pip: pip, at_ns: None });
             placement.relocate(vm, node, pip);
         }
-        // Invariant: the DB and the placement answer identically for every VM.
-        for i in 0..placement.len() {
-            prop_assert_eq!(db.lookup(placement.vips[i]), Some(placement.pip_of(i)));
+        let len = placement.len();
+        for i in 0..len {
+            let vip = placement.vip_of(i);
+            prop_assert_eq!(placement.index_of(vip), Some(i));
+            prop_assert_eq!(placement.lookup(vip), Some(placement.pip_of(i)));
+            prop_assert_eq!(placement.lookup(vip), db.lookup(vip));
         }
-        prop_assert_eq!(db.len(), placement.len());
+        for vip in [Vip(0), Vip(VIP_BASE - 1), Vip(VIP_BASE + len as u32), Vip(u32::MAX)] {
+            prop_assert_eq!(placement.lookup(vip), None);
+            prop_assert_eq!(db.lookup(vip), None);
+        }
+        prop_assert_eq!(db.len(), len);
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn run_variant(strategy: &dyn Strategy, cache: usize) -> switchv2p_repro::metric
     sim.add_flows(flows);
 
     // Migrate the victim to the last server at t = 500 µs.
-    let vip = sim.placement().vips[dst_vm];
+    let vip = sim.placement().vip_of(dst_vm);
     let target = sim.topology().servers().last().map(|n| (n.id, n.pip)).unwrap();
     sim.add_migration(Migration::new(
         SimTime::from_micros(500),

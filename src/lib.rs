@@ -18,8 +18,7 @@
 //! * [`simcore`] — the discrete-event engine;
 //! * [`telemetry`] — event tracing, sampling, run manifests, self-profiles
 //!   (`*.profile.jsonl`), and the `sv2p trace|profile` inspector;
-//! * [`controlplane`] — the servable V2P control plane (`sv2p-ctld`) and
-//!   the mapping table the simulator embeds;
+//! * [`controlplane`] — the servable V2P control plane (`sv2p-ctld`);
 //! * [`ilp`] — cache-placement optimization (Controller baseline);
 //! * [`p4model`] — the Tofino resource model (Table 6).
 //!

@@ -76,14 +76,14 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
         TcpFlags, TunnelOptions, Vip,
     };
     use switchv2p_repro::simcore::SimRng;
-    use switchv2p_repro::vnet::{MappingDb, SwitchAgent, SwitchCtx};
+    use switchv2p_repro::vnet::{Placement, SwitchAgent, SwitchCtx};
 
-    let db = MappingDb::new();
+    let placement = Placement::default();
     let pod_of = |_: Pip| None;
     let pip_of_tag = |_: SwitchTag| Pip(0);
     fn make_ctx<'a>(
         role: SwitchRole,
-        db: &'a MappingDb,
+        placement: &'a Placement,
         rng: &'a mut SimRng,
         pod_of: &'a dyn Fn(Pip) -> Option<u16>,
         pip_of_tag: &'a dyn Fn(SwitchTag) -> Pip,
@@ -96,7 +96,7 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
             my_pod: Some(0),
             ingress_host: None,
             dst_attached: false,
-            db,
+            placement,
             rng,
             pod_of,
             pip_of_tag,
@@ -133,7 +133,7 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
     // As a plain ToR: learns the SOURCE mapping.
     let mut rng = SimRng::new(1);
     let mut tor = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
-    let mut c = make_ctx(SwitchRole::Tor, &db, &mut rng, &pod_of, &pip_of_tag);
+    let mut c = make_ctx(SwitchRole::Tor, &placement, &mut rng, &pod_of, &pip_of_tag);
     tor.on_packet(&mut c, &mut resolved_pkt());
     let _ = c;
     assert_eq!(tor.cache.peek(Vip(1)), Some(Pip(11)));
@@ -143,7 +143,7 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
     // the DESTINATION mapping.
     let mut gw = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
     assert_eq!(gw.occupancy(), 0, "cache starts cold at the destination");
-    let mut c = make_ctx(SwitchRole::GatewayTor, &db, &mut rng, &pod_of, &pip_of_tag);
+    let mut c = make_ctx(SwitchRole::GatewayTor, &placement, &mut rng, &pod_of, &pip_of_tag);
     gw.on_packet(&mut c, &mut resolved_pkt());
     assert_eq!(gw.cache.peek(Vip(2)), Some(Pip(22)));
     assert_eq!(gw.cache.peek(Vip(1)), None);

@@ -90,7 +90,7 @@ fn migration_under_switchv2p_loses_no_packets_with_tcp() {
     let strategy = SwitchV2P::default();
     let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4, 1);
     let dst_vm = 3usize;
-    let vip = sim.placement().vips[dst_vm];
+    let vip = sim.placement().vip_of(dst_vm);
     let target = sim
         .topology()
         .servers()
