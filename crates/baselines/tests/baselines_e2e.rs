@@ -28,7 +28,7 @@ fn workload(vms: usize, flows: usize) -> Vec<FlowSpec> {
 
 fn run(strategy: &dyn Strategy, cache: usize, flows: usize) -> sv2p_metrics::RunSummary {
     let ft = FatTreeConfig::scaled_ft8(2);
-    let mut sim = Engine::new(SimConfig::default(), &ft, strategy, cache, 4, 1);
+    let mut sim = Engine::new(SimConfig::default(), &ft, strategy, cache, 4);
     let vms = sim.placement().len();
     sim.add_flows(workload(vms, flows));
     sim.run();

@@ -14,8 +14,8 @@
 //! cargo run --release -p sv2p-bench --bin churn -- --churn-horizon-us 40000
 //! ```
 //!
-//! Stdout carries no wall-clock times, so a rerun — at any `--shards` count —
-//! is byte-identical for the same seed.
+//! Stdout carries no wall-clock times, so a rerun is byte-identical for the
+//! same seed.
 
 use sv2p_bench::cli;
 use sv2p_bench::harness::{drop_breakdown, ExperimentSpec, StrategyKind};

@@ -11,10 +11,6 @@
 //!
 //! * `--full` — paper-scale parameters (default: quick);
 //! * `--seed N` — RNG seed override (default: 1);
-//! * `--shards N` — run every simulation cut into N pod shards that
-//!   interleave event by event on the caller's thread: an equivalence
-//!   check, about 1.3x the default of 1, with byte-identical results by
-//!   contract;
 //! * `--telemetry DIR` — enable structured tracing and write
 //!   `<label>.events.jsonl` / `<label>.samples.jsonl` per run into DIR;
 //! * `--profile DIR` — enable engine self-profiling and write
@@ -44,13 +40,6 @@ use sv2p_topology::FatTreeConfig;
 use crate::harness::ExperimentSpec;
 use crate::Scale;
 
-/// Engine-selection arguments (`--shards`).
-#[derive(Debug, Clone, Default)]
-pub struct ShardArgs {
-    /// `--shards N`: run simulations on the sharded engine.
-    pub shards: Option<u16>,
-}
-
 /// Side-output arguments (`--telemetry`, `--profile`).
 #[derive(Debug, Clone, Default)]
 pub struct OutputArgs {
@@ -69,8 +58,6 @@ pub struct BenchArgs {
     pub dataset: Option<String>,
     /// `--seed N` override.
     pub seed: Option<u64>,
-    /// Engine selection.
-    pub shard: ShardArgs,
     /// `--churn-horizon-us N`: churn timeline length override.
     pub churn_horizon_us: Option<u64>,
     /// Side outputs (telemetry traces, self-profiles).
@@ -79,7 +66,7 @@ pub struct BenchArgs {
     own: Vec<String>,
 }
 
-const USAGE: &str = "[DATASET] [--full] [--seed N] [--shards N] \
+const USAGE: &str = "[DATASET] [--full] [--seed N] \
     [--telemetry DIR] [--profile DIR] [--churn-horizon-us N]";
 
 /// The value after `flag`, parsed; `what` names it in the error.
@@ -107,7 +94,6 @@ impl BenchArgs {
             match flag {
                 "--full" => out.scale = Scale::Full,
                 "--seed" => out.seed = Some(value(&mut argv, flag, "an integer")?),
-                "--shards" => out.shard.shards = Some(value(&mut argv, flag, "an integer")?),
                 "--telemetry" => {
                     out.output.telemetry = Some(value(&mut argv, flag, "a directory")?)
                 }
@@ -128,11 +114,6 @@ impl BenchArgs {
     /// default every bin hard-coded).
     pub fn seed(&self) -> u64 {
         self.seed.unwrap_or(1)
-    }
-
-    /// The requested shard count: `--shards N` if given, else 1.
-    pub fn shards(&self) -> u16 {
-        self.shard.shards.unwrap_or(1)
     }
 
     /// Whether `flag`, one of the bin's own switches, was given.
@@ -218,7 +199,7 @@ pub fn topology_label(ft: &FatTreeConfig) -> String {
     format!("ft{}p{}r{}s", ft.pods, ft.racks_per_pod, ft.servers_per_rack)
 }
 
-/// Logical cores on this host (manifest context for sharded runs).
+/// Logical cores on this host (manifest context).
 pub fn host_cores() -> u64 {
     std::thread::available_parallelism()
         .map(|n| n.get() as u64)
@@ -280,7 +261,6 @@ pub fn manifest_for_sim(
         peak_arena: sim.peak_arena() as u64,
         telemetry_enabled: sim.tracer().enabled(),
         host_cores: host_cores(),
-        shards: sim.shards() as u64,
         peak_rss_bytes: peak_rss_bytes(),
         trace_events_dropped: sim.tracer().dropped(),
     }
@@ -347,7 +327,6 @@ pub fn write_profile(sim: &Engine, label: &str, seed: u64) {
     let meta = sv2p_telemetry::ProfileMeta {
         bin: BIN.get().cloned().unwrap_or_else(|| "adhoc".into()),
         label: label.to_string(),
-        shards: sim.shards() as u64,
         seed,
         events_executed: sim.events_executed(),
         host_cores: host_cores(),
@@ -412,7 +391,6 @@ pub fn analytic_manifest(config: &str, wall_clock_s: f64) -> RunManifest {
         seed: args().seed(),
         wall_clock_s,
         host_cores: host_cores(),
-        shards: 1,
         peak_rss_bytes: peak_rss_bytes(),
         ..RunManifest::default()
     }
@@ -439,8 +417,6 @@ mod tests {
             "--seed",
             "7",
             "--full",
-            "--shards",
-            "4",
             "--profile",
             "prof",
             "--churn-horizon-us",
@@ -450,7 +426,6 @@ mod tests {
         assert_eq!(a.scale, Scale::Full);
         assert_eq!(a.dataset.as_deref(), Some("hadoop"));
         assert_eq!(a.seed(), 7);
-        assert_eq!(a.shards(), 4);
         assert_eq!(a.output.telemetry.as_deref(), Some(Path::new("out")));
         assert_eq!(a.output.profile.as_deref(), Some(Path::new("prof")));
     }
@@ -499,7 +474,6 @@ mod tests {
         let a = parse(&[]);
         assert_eq!(a.scale, Scale::Quick);
         assert_eq!(a.seed(), 1);
-        assert_eq!(a.shards(), 1);
         assert!(a.dataset.is_none());
         assert!(a.output.telemetry.is_none());
         assert!(a.output.profile.is_none());

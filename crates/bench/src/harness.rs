@@ -193,8 +193,9 @@ pub struct ExperimentSpec {
     pub end_of_time_us: Option<u64>,
     /// RNG seed.
     pub seed: u64,
-    /// Pod shards the engine is cut into (1 = none; more is an
-    /// equivalence check with byte-identical results).
+    /// Pod shards the engine is cut into (1 = none; more is the
+    /// equivalence oracle, with byte-identical results). No bench bin sets
+    /// it; `benchmark/`'s two-shard cell does.
     pub shards: u16,
     /// Engine self-profiling (wall-clock phase timers + occupancy
     /// histograms; simulation output stays byte-identical). Defaults to
@@ -208,10 +209,10 @@ pub struct ExperimentSpec {
 impl ExperimentSpec {
     /// Starts a spec from its two mandatory inputs; everything else has the
     /// historical defaults (80 VMs/server, no flows, no cache, no
-    /// migrations, no time limit, seed 1, empty label, and the process-wide
-    /// `--shards` setting). This is the only way bench bins construct specs
-    /// — field-struct updates on a cloned base silently kept stale labels
-    /// and seeds when new fields grew in.
+    /// migrations, no time limit, seed 1, empty label, one shard). This is
+    /// the only way bench bins construct specs — field-struct updates on a
+    /// cloned base silently kept stale labels and seeds when new fields
+    /// grew in.
     pub fn builder(topology: FatTreeConfig, strategy: StrategyKind) -> ExperimentSpecBuilder {
         ExperimentSpecBuilder {
             spec: ExperimentSpec {
@@ -225,7 +226,7 @@ impl ExperimentSpec {
                 gateway_queue_cap: 0,
                 end_of_time_us: None,
                 seed: 1,
-                shards: crate::cli::args().shards(),
+                shards: 1,
                 profile: crate::cli::profile_dir().is_some(),
                 label: String::new(),
             },
@@ -246,7 +247,7 @@ impl ExperimentSpec {
             ..SimConfig::default()
         };
         cfg.gateway.queue_cap = self.gateway_queue_cap;
-        let mut sim = Engine::new(
+        let mut sim = Engine::sharded(
             cfg,
             &self.topology,
             strategy.as_ref(),
@@ -343,8 +344,8 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Shard count for the multi-core engine (default: the process-wide
-    /// `--shards` flag, which itself defaults to 1).
+    /// Shard count (default 1): more runs the equivalence oracle
+    /// ([`Engine::sharded`]).
     pub fn shards(mut self, shards: u16) -> Self {
         self.spec.shards = shards;
         self
@@ -708,9 +709,24 @@ mod tests {
         assert_eq!(s.gateway_queue_cap, 0, "legacy gateway model by default");
         assert_eq!(s.end_of_time_us, None);
         assert_eq!(s.seed, 1);
-        assert_eq!(s.shards, 1, "no --shards flag means one shard");
+        assert_eq!(s.shards, 1, "one shard by default");
         assert!(!s.profile, "no --profile flag means profiling off");
         assert!(s.label.is_empty());
+    }
+
+    /// `benchmark/`'s two-shard cell reaches the oracle only through here.
+    #[test]
+    fn the_shard_count_reaches_the_engine() {
+        let spec = |shards| {
+            ExperimentSpec::builder(FatTreeConfig::scaled_ft8(2), StrategyKind::NoCache)
+                .vms_per_server(2)
+                .shards(shards)
+                .build()
+        };
+        assert_eq!(spec(1).build().shards(), 1);
+        // Two pods: the partitioner clamps four to the pods plus the
+        // core's shard.
+        assert_eq!(spec(4).build().shards(), 3);
     }
 
     #[test]

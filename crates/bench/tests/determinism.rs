@@ -40,7 +40,7 @@ fn run_once(seed: u64) -> (u64, String, String) {
     };
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = StrategyKind::SwitchV2P.build();
-    let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), 128, 16, 1);
+    let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), 128, 16);
     let n_vms = sim.placement().len();
     sim.add_flows(to_flow_specs(&flows(), n_vms));
     sim.run();
@@ -91,7 +91,7 @@ fn run_once_churned(seed: u64) -> (u64, String, String) {
     cfg.gateway.queue_cap = 32;
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = StrategyKind::SwitchV2P.build();
-    let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), 128, 8, 1);
+    let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), 128, 8);
     let n_vms = sim.placement().len();
     sim.add_flows(to_flow_specs(&flows(), n_vms));
     let servers: Vec<_> = sim.topology().servers().map(|n| (n.id, n.pip)).collect();

@@ -2,16 +2,16 @@
 //! numbers recorded on a commit *before* the change under test.
 //!
 //! Every other equivalence test compares a run with another run of the
-//! same build (`determinism.rs` with itself, `sharded_equiv.rs` shards N
+//! same build (`determinism.rs` with itself, `relations.rs` with a run that
+//! differs in something that must not matter, `sharded_equiv.rs` shards N
 //! with shards 1), so none of them can tell when a refactor changes what
 //! both sides compute. This table can: each row is
 //! `(events executed, FNV-1a of {summary:?}, FNV-1a of the telemetry
 //! JSONL, FNV-1a of the profile report's deterministic projection)` for the
 //! ten `sharded_equiv` scenarios (the two proptests pinned to one fixed
-//! plan each), `determinism.rs`'s two and `profiling.rs`'s. Every column is
-//! independent of the shard count, and the test asserts so at shards 1 and
-//! 4: several shards make the one-shard loop's pops in the same order, so
-//! a sharded run's profile is the one-shard profile.
+//! plan each), `determinism.rs`'s two and `profiling.rs`'s, on one shard.
+//! Every column is independent of the shard count; `sharded_equiv.rs`
+//! holds the other counts to it.
 //!
 //! Re-recorded three times since. PR 21 replaced the calendar and moved the
 //! projection columns only, where timers reach past a millisecond (the
@@ -190,7 +190,6 @@ fn digest(name: &str, mut sim: Engine, drive: impl FnOnce(&mut Engine)) -> (u64,
     let meta = ProfileMeta {
         bin: "golden".into(),
         label: name.into(),
-        shards: sim.shards() as u64,
         seed: 0,
         events_executed: sim.events_executed(),
         host_cores: 1,
@@ -258,11 +257,10 @@ fn equiv_engine(
     cache: usize,
     mix: usize,
     extras: &Extras,
-    shards: u16,
 ) -> Engine {
     cfg.profile = true;
     let ft = FatTreeConfig::scaled_ft8(2);
-    let mut sim = Engine::new(cfg, &ft, strategy, cache, 4, shards);
+    let mut sim = Engine::new(cfg, &ft, strategy, cache, 4);
     let servers: Vec<_> = sim.topology().servers().map(|n| (n.id, n.pip)).collect();
     let flows = tcp_udp_mix(sim.placement().len(), mix);
     if let Some(p) = &extras.faults {
@@ -345,7 +343,7 @@ fn fixed_fault_plan(ft: &FatTreeConfig, with_outage: bool) -> FaultPlan {
     plan
 }
 
-type Scenario = (&'static str, Box<dyn Fn(u16) -> (u64, u64, u64, u64)>);
+type Scenario = (&'static str, Box<dyn Fn() -> (u64, u64, u64, u64)>);
 
 fn equiv_scenario(
     name: &'static str,
@@ -357,10 +355,10 @@ fn equiv_scenario(
 ) -> Scenario {
     (
         name,
-        Box::new(move |shards| {
+        Box::new(move || {
             let sv2p = SwitchV2P::new(SwitchV2PConfig::default());
             let strategy: &dyn Strategy = if switchv2p { &sv2p } else { &NoCache };
-            let sim = equiv_engine(cfg, strategy, cache, mix, &extras, shards);
+            let sim = equiv_engine(cfg, strategy, cache, mix, &extras);
             digest(name, sim, |sim| {
                 if let Some(us) = extras.storm_at_us {
                     sim.run_until(SimTime::from_micros(us));
@@ -400,7 +398,7 @@ fn bench_scenario(
 ) -> Scenario {
     (
         name,
-        Box::new(move |shards| {
+        Box::new(move || {
             let mut cfg = SimConfig {
                 seed,
                 end_of_time: Some(SimTime::from_micros(end_us)),
@@ -411,7 +409,7 @@ fn bench_scenario(
             cfg.gateway.queue_cap = queue_cap;
             let ft = FatTreeConfig::scaled_ft8(2);
             let strategy = StrategyKind::SwitchV2P.build();
-            let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), cache, vms_per_server, shards);
+            let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), cache, vms_per_server);
             let n_vms = sim.placement().len();
             sim.add_flows(to_flow_specs(&flows(), n_vms));
             if let Some(h) = churn_horizon_us {
@@ -580,13 +578,11 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 #[test]
-fn golden_digests_hold_at_shards_1_and_4() {
+fn golden_digests_hold() {
     let mut rows: Vec<Row> = Vec::new();
     for (name, run) in scenarios() {
-        let one = run(1);
-        let four = run(4);
-        assert_eq!(one, four, "{name}: shards 4 diverged from shards 1");
-        rows.push((name, one.0, one.1, one.2, one.3));
+        let (events, summary, telemetry, projection) = run();
+        rows.push((name, events, summary, telemetry, projection));
     }
     if std::env::var_os("GOLDEN_PRINT").is_some() {
         for (name, ev, s, t, p) in &rows {

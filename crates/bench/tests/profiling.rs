@@ -9,8 +9,7 @@
 //! deterministic counters (phase call counts, occupancy histograms); the
 //! deterministic projection of two same-seed reports must agree
 //! byte-for-byte, which catches any accidental leak of timing into what
-//! should be replay-stable state — and at any shard count, since several
-//! shards make the one-shard loop's pops in the same order.
+//! should be replay-stable state.
 
 use sv2p_bench::harness::to_flow_specs;
 use sv2p_bench::harness::StrategyKind;
@@ -20,8 +19,10 @@ use sv2p_telemetry::{deterministic_projection, Phase, ProfileMeta, TelemetryConf
 use sv2p_topology::FatTreeConfig;
 use sv2p_traces::{hadoop, HadoopConfig};
 
-/// Same construction path as `tests/sharding.rs`, plus the profile knob.
-fn engine(shards: u16, profile: bool) -> Engine {
+/// The ft8-hadoop trace on the scaled fabric, built the way
+/// `ExperimentSpec::build` does, with telemetry forced on and the profile
+/// knob.
+fn engine(profile: bool) -> Engine {
     let cfg = SimConfig {
         seed: 1,
         end_of_time: Some(SimTime::from_micros(50_000)),
@@ -31,7 +32,7 @@ fn engine(shards: u16, profile: bool) -> Engine {
     };
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = StrategyKind::SwitchV2P.build();
-    let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), 256, 16, shards);
+    let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), 256, 16);
     let raw = hadoop(&HadoopConfig {
         flows: 200,
         ..Default::default()
@@ -46,7 +47,6 @@ fn render_report(sim: &Engine) -> String {
     let meta = ProfileMeta {
         bin: "profiling-test".into(),
         label: "ft8-hadoop".into(),
-        shards: sim.shards() as u64,
         seed: 1,
         events_executed: sim.events_executed(),
         host_cores: 1,
@@ -71,51 +71,30 @@ fn run_bundle(mut sim: Engine) -> (u64, String, String, String) {
 
 #[test]
 fn profiling_does_not_change_simulation_output() {
-    for shards in [1u16, 4] {
-        let off = run_bundle(engine(shards, false));
-        let on = run_bundle(engine(shards, true));
-        assert!(off.3.is_empty(), "profile-off run produced a report");
-        assert!(!on.3.is_empty(), "profile-on run produced no report");
-        assert_eq!(off.0, on.0, "event counts diverged at shards={shards}");
-        assert_eq!(off.1, on.1, "summaries diverged at shards={shards}");
-        assert_eq!(off.2, on.2, "telemetry JSONL diverged at shards={shards}");
-    }
+    let off = run_bundle(engine(false));
+    let on = run_bundle(engine(true));
+    assert!(off.3.is_empty(), "profile-off run produced a report");
+    assert!(!on.3.is_empty(), "profile-on run produced no report");
+    assert_eq!(off.0, on.0, "event counts diverged");
+    assert_eq!(off.1, on.1, "summaries diverged");
+    assert_eq!(off.2, on.2, "telemetry JSONL diverged");
 }
 
 #[test]
 fn deterministic_projection_is_replay_stable() {
-    for shards in [1u16, 4] {
-        let a = run_bundle(engine(shards, true));
-        let b = run_bundle(engine(shards, true));
-        // The raw reports differ (wall-clock nanoseconds), but the
-        // deterministic projection must agree byte-for-byte.
-        let pa = deterministic_projection(&a.3).expect("report a projects");
-        let pb = deterministic_projection(&b.3).expect("report b projects");
-        assert_eq!(pa, pb, "deterministic projection diverged at shards={shards}");
-        assert!(
-            pa.contains(" calls="),
-            "projection lost phase call counts at shards={shards}"
-        );
-    }
-}
-
-#[test]
-fn a_sharded_profile_is_the_one_shard_profile() {
-    let sharded = engine(4, true);
-    assert!(sharded.shards() > 1, "topology did not shard");
-    let one = run_bundle(engine(1, true));
-    let four = run_bundle(sharded);
-    let p1 = deterministic_projection(&one.3).expect("report at shards=1 projects");
-    let p4 = deterministic_projection(&four.3).expect("report at shards=4 projects");
-    assert_eq!(
-        p4, p1,
-        "the 4-shard projection differs from the 1-shard one"
-    );
+    let a = run_bundle(engine(true));
+    let b = run_bundle(engine(true));
+    // The raw reports differ (wall-clock nanoseconds), but the
+    // deterministic projection must agree byte-for-byte.
+    let pa = deterministic_projection(&a.3).expect("report a projects");
+    let pb = deterministic_projection(&b.3).expect("report b projects");
+    assert_eq!(pa, pb, "deterministic projection diverged");
+    assert!(pa.contains(" calls="), "projection lost phase call counts");
 }
 
 #[test]
 fn single_loop_report_covers_dispatch_phases() {
-    let mut sim = engine(1, true);
+    let mut sim = engine(true);
     sim.run();
     let prof = sim.profiler();
     assert!(prof.enabled());

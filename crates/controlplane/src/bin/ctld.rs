@@ -7,6 +7,10 @@
 //! ```text
 //! sv2p-ctld [--addr HOST:PORT] [--mappings N] [--stripes N]
 //! ```
+//!
+//! A client may idle between requests for as long as it likes; one that
+//! stops for ten seconds part-way through a request, or leaves a reply
+//! unread that long, is disconnected.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,6 +56,8 @@ fn parse_args() -> Args {
             "--stripes" => out.stripes = value(&mut it, flag, "an integer"),
             "--help" | "-h" => {
                 println!("usage: sv2p-ctld [--addr HOST:PORT] [--mappings N] [--stripes N]");
+                println!("Idle clients are kept; a client that stalls 10 s inside a request,");
+                println!("or leaves a reply unread that long, is disconnected.");
                 std::process::exit(0);
             }
             other => die(&format!("unknown argument {other}")),

@@ -8,7 +8,7 @@
 //! strictly request/reply per connection (closed loop) — pipelining is
 //! expressed by batching ops, not by overlapping frames.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,7 +22,21 @@ use crate::wire::{
     FrameError, MAX_FRAME,
 };
 
+/// How long a handler waits for the next bytes of a frame its peer has
+/// begun, or for its peer to take the next bytes of a reply. A peer that
+/// stalls that long inside a frame, or stops reading replies, loses its
+/// connection and the handler thread ends; between frames a peer may idle
+/// for as long as it likes. The bound is per read and per write, not per
+/// frame, so a slow link that keeps bytes moving never trips it. Ten
+/// seconds is a round number far above any pause a sender makes inside a
+/// frame it has begun writing, not a measurement.
+const PEER_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// A blocking control-plane client over one TCP connection.
+///
+/// The connection may sit idle between calls for any length of time. A
+/// server drops it only if a request stops arriving part-way through or
+/// a reply goes unread for ten seconds (`PEER_TIMEOUT`).
 #[derive(Debug)]
 pub struct CtlClient {
     reader: BufReader<TcpStream>,
@@ -148,7 +162,9 @@ fn accept_loop(
 }
 
 /// Serves one connection to completion: frames in, batches executed,
-/// frames out. Returns when the client closes or on the first error.
+/// frames out. Returns when the client closes, on the first error, or when
+/// the peer leaves a begun frame or an unread reply waiting for
+/// `PEER_TIMEOUT`.
 pub fn serve_connection(
     stream: TcpStream,
     state: &StripedControlPlane,
@@ -158,18 +174,40 @@ pub fn serve_connection(
     // not from the nonblocking listener on all platforms, so set it
     // explicitly.
     stream.set_nonblocking(false)?;
+    stream.set_read_timeout(Some(PEER_TIMEOUT))?;
+    stream.set_write_timeout(Some(PEER_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone().map_err(FrameError::Io)?);
     let mut writer = BufWriter::new(stream);
     let mut in_buf = Vec::new();
     let mut out_buf = Vec::new();
-    while read_frame(&mut reader, &mut in_buf, MAX_FRAME)? {
+    loop {
+        // A timeout before the first byte of a frame only means the client
+        // is idle, so wait again; inside `read_frame` it ends the
+        // connection.
+        match reader.fill_buf() {
+            Ok([]) => return Ok(()),
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => continue,
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+        if !read_frame(&mut reader, &mut in_buf, MAX_FRAME)? {
+            return Ok(());
+        }
         let req = decode_request(&in_buf)?;
         let rep = state.execute_shared(&req);
         encode_reply(&rep, &mut out_buf);
         write_frame(&mut writer, &out_buf)?;
         writer.flush()?;
     }
-    Ok(())
+}
+
+/// Whether a read gave up on its timeout (`WouldBlock` on Unix, `TimedOut`
+/// on Windows) or was interrupted, rather than failed.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
 }
 
 #[cfg(test)]

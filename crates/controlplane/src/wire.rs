@@ -30,6 +30,11 @@ pub const KIND_REPLY: u8 = 1;
 /// ~8 MB, so this bounds memory without constraining real use.
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// What [`read_frame`] reserves before a frame's body arrives; beyond it the
+/// buffer grows only as bytes do, so a peer that announces a large frame
+/// and stalls holds no more than this.
+const FRAME_RESERVE: usize = 64 << 10;
+
 const TAG_LOOKUP: u8 = 0;
 const TAG_INSTALL: u8 = 1;
 const TAG_INVALIDATE: u8 = 2;
@@ -405,10 +410,11 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
-/// Reads one length-prefixed frame into `buf` (resized to fit).
+/// Reads one length-prefixed frame into `buf` (replacing its contents).
 ///
 /// Returns `Ok(false)` on clean EOF at a frame boundary; frames larger than
-/// `max` are refused without reading their body.
+/// `max` are refused without reading their body. The announced length is
+/// the peer's claim, so the buffer grows only as the body arrives.
 pub fn read_frame(
     r: &mut impl Read,
     buf: &mut Vec<u8>,
@@ -429,8 +435,13 @@ pub fn read_frame(
     if len > max {
         return Err(FrameError::Wire(WireError::FrameTooLarge(len)));
     }
-    buf.resize(len, 0);
-    r.read_exact(buf).map_err(FrameError::Io)?;
+    buf.clear();
+    buf.reserve(len.min(FRAME_RESERVE));
+    let got = r.take(len as u64).read_to_end(buf).map_err(FrameError::Io)?;
+    if got < len {
+        let eof = io::Error::new(io::ErrorKind::UnexpectedEof, "frame ends early");
+        return Err(FrameError::Io(eof));
+    }
     Ok(true)
 }
 

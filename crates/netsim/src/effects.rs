@@ -203,6 +203,26 @@ pub(crate) struct Master {
     /// Packets that crossed the cut during the handler now running, on
     /// their way to the far shard's arena (several shards only).
     pub cuts: Vec<Cut>,
+    /// The telemetry sampler found nothing else pending and stopped
+    /// re-arming itself; [`Master::wake_sampler`] starts it again.
+    pub sampler_idle: bool,
+}
+
+impl Master {
+    /// Restarts a sampler that stopped when the calendar drained, on its
+    /// grid: at the first period boundary at or after now that it has not
+    /// sampled yet. A run that registers work mid-run is then sampled at
+    /// the instants of one that registered it up front.
+    pub fn wake_sampler(&mut self) {
+        if !std::mem::take(&mut self.sampler_idle) {
+            return;
+        }
+        let period = self.tracer.config().sample_every_ns;
+        let next = self.tracer.samples.last().map_or(0, |s| s.t_ns + period);
+        let now = self.events.now().as_nanos();
+        let at = SimTime::from_nanos(now.next_multiple_of(period).max(next));
+        self.events.schedule_at(at, Event::TelemetrySample);
+    }
 }
 
 impl Effects for Master {

@@ -7,9 +7,10 @@
 //! decides only which shard's state an event's handler runs on, always on
 //! the caller's thread. One shard runs every event through `Shard::drain`;
 //! several interleave event by event (see `sharded`). Both produce
-//! byte-identical results (`tests/sharded_equiv.rs`,
-//! `bench/tests/golden.rs`): more than one shard is an equivalence check
-//! that costs wall-clock, and experiment code never branches on it.
+//! byte-identical results (`tests/sharded_equiv.rs`): more than one shard
+//! is an equivalence oracle that costs wall-clock, built only by
+//! [`Engine::sharded`], which nothing but that suite and `benchmark/`'s
+//! two-shard cell calls.
 //!
 //! Global events — migrations, faults, churn marks, telemetry samples —
 //! write control state, so at every shard count the driver executes them
@@ -57,10 +58,24 @@ pub struct Engine {
 impl Engine {
     /// Builds an experiment: topology, placement, per-switch agents with
     /// the aggregate `total_cache_entries` split among caching switches,
-    /// and per-server host agents, over at most `shards` shards (clamped
-    /// by the partitioner to what the topology supports). Topology and
-    /// placement are built once whatever the count.
+    /// and per-server host agents.
     pub fn new(
+        cfg: SimConfig,
+        ft: &FatTreeConfig,
+        strategy: &dyn Strategy,
+        total_cache_entries: usize,
+        vms_per_server: u32,
+    ) -> Self {
+        Self::sharded(cfg, ft, strategy, total_cache_entries, vms_per_server, 1)
+    }
+
+    /// [`Self::new`] cut into at most `shards` pod shards (clamped by the
+    /// partitioner to what the topology supports): the equivalence oracle,
+    /// with byte-identical results at a wall-clock cost. Topology and
+    /// placement are built once whatever the count. Nothing but its own
+    /// suite and `benchmark/`'s two-shard cell (through
+    /// `ExperimentSpec::shards`) asks for more than one (ROADMAP item 6).
+    pub fn sharded(
         cfg: SimConfig,
         ft: &FatTreeConfig,
         strategy: &dyn Strategy,
@@ -147,6 +162,7 @@ impl Engine {
             tracer: Tracer::new(cfg.telemetry),
             next_pkt_id: 0,
             cuts: Vec::new(),
+            sampler_idle: false,
         };
         if master.tracer.enabled() && master.tracer.config().sample_every_ns > 0 {
             // First snapshot at t = 0; workload events scheduled later at the
@@ -278,6 +294,7 @@ impl Engine {
             }
             self.master.events.schedule_at(start, Event::FlowStart(idx));
         }
+        self.master.wake_sampler();
     }
 
     /// Registers a VM migration. May be called mid-run; an instant already
@@ -288,6 +305,7 @@ impl Engine {
         let at = m.at.max(self.now());
         self.master.events.schedule_at(at, Event::Migrate(idx));
         self.ctl.migrations.push(Migration { at, ..m });
+        self.master.wake_sampler();
     }
 
     /// Registers a generated churn plan: its tenant flows, its migration
@@ -307,6 +325,7 @@ impl Engine {
                 .schedule_at(mark.at().max(now), Event::ChurnMark(idx));
             self.ctl.churn_marks.push(mark);
         }
+        self.master.wake_sampler();
     }
 
     /// Registers a fault plan: every event's start and end are pushed onto
@@ -326,6 +345,7 @@ impl Engine {
                 .schedule_at(ev.end().max(now), Event::FaultEnd(idx));
             self.ctl.fault_plan.push(ev.clone());
         }
+        self.master.wake_sampler();
     }
 
     /// Runs until the calendar drains (or `end_of_time`).
@@ -594,10 +614,13 @@ pub(crate) fn exec_global(ctl: &mut Control, master: &mut Master, shards: &mut [
                 gateway_pkts_cum: s.cum.gateway,
             });
             // Re-arm while anything else is pending, so the sampler never
-            // keeps an otherwise-finished run alive.
+            // keeps an otherwise-finished run alive; a registration wakes
+            // it (`Master::wake_sampler`).
             if pending_events > 0 {
                 let period = SimDuration::from_nanos(master.tracer.config().sample_every_ns);
                 master.events.schedule_in(period, Event::TelemetrySample);
+            } else {
+                master.sampler_idle = true;
             }
             return;
         }
@@ -727,7 +750,7 @@ mod tests {
     }
 
     fn sim_with(cfg: SimConfig) -> Engine {
-        Engine::new(cfg, &FatTreeConfig::scaled_ft8(2), &TestNoCache, 0, 4, 1)
+        Engine::new(cfg, &FatTreeConfig::scaled_ft8(2), &TestNoCache, 0, 4)
     }
 
     fn small_sim() -> Engine {
@@ -952,7 +975,7 @@ mod tests {
             }
         }
         let ft = FatTreeConfig::scaled_ft8(2);
-        let sim = Engine::new(SimConfig::default(), &ft, &Weighted, 3200, 4, 1);
+        let sim = Engine::new(SimConfig::default(), &ft, &Weighted, 3200, 4);
         let mut tor_lines = None;
         let mut core_lines = None;
         for (sw, (_, occ)) in sim.topology().switches().zip(sim.cache_occupancy()) {

@@ -30,7 +30,7 @@ fn convergent_flows(vms: usize, dsts: &[usize], n: usize, base_us: u64, bytes: u
 fn no_stale_entry_survives_a_migration_wave() {
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
     let ft = FatTreeConfig::scaled_ft8(2);
-    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 4096, 4, 1);
+    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 4096, 4);
 
     let n_servers = sim.topology().servers().count();
     let servers: Vec<_> = sim.topology().servers().map(|n| (n.id, n.pip)).collect();
@@ -83,7 +83,7 @@ fn churn_marks_hit_metrics_and_telemetry() {
         telemetry: TelemetryConfig::enabled(),
         ..SimConfig::default()
     };
-    let mut sim = Engine::new(cfg, &ft, &strategy, 1024, 4, 1);
+    let mut sim = Engine::new(cfg, &ft, &strategy, 1024, 4);
     let servers: Vec<_> = sim.topology().servers().map(|n| (n.id, n.pip)).collect();
     let spec = ChurnSpec::medium(3, 2_000);
     let plan = ChurnPlan::generate(&spec, sim.placement(), &servers);

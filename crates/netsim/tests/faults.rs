@@ -12,7 +12,7 @@ use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
 fn sim_with(strategy: &dyn Strategy, cache_entries: usize) -> Engine {
     let ft = FatTreeConfig::scaled_ft8(2);
-    Engine::new(SimConfig::default(), &ft, strategy, cache_entries, 4, 1)
+    Engine::new(SimConfig::default(), &ft, strategy, cache_entries, 4)
 }
 
 /// `n` TCP flows spread over distinct VM pairs and start times.
@@ -166,89 +166,83 @@ fn host_uplink_down_drops_unroutable_then_recovers() {
     assert!(s.retransmissions > 0, "{s:?}");
 }
 
-/// The failures-experiment plan in miniature: a reboot, a link failure and a
-/// loss window together. Same seed + same plan must give byte-identical
-/// summaries.
 /// `run_until(t)` parks with the next event just past `t`. A plan applied
 /// then for an instant in `(now(), t]` is what `apply_fault_plan`'s "may be
 /// called mid-run" invites, and so is a flow added for such an instant:
-/// both must take effect at their instants at every shard count, never a
-/// calendar rotation later, and the clock must not run backwards. A flow
-/// or a migration dated *before* `now()` takes effect at `now()`, in
-/// either build profile.
+/// both must take effect at their instants, never a calendar rotation
+/// later, and the clock must not run backwards. A flow or a migration dated
+/// *before* `now()` takes effect at `now()`, in either build profile.
 #[test]
 fn interventions_behind_a_parked_run_take_effect_on_time() {
-    let run = |shards: u16| {
-        let ft = FatTreeConfig::scaled_ft8(4);
-        let mut sim = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, shards);
-        assert_eq!(sim.shards(), shards);
-        let start = SimTime::from_nanos(10_050);
-        let mut flows = tcp_flows(&sim, 12, 20_000);
-        for f in &mut flows {
-            f.start = start;
-        }
-        let late = FlowSpec {
-            start: SimTime::from_micros(6),
-            ..flows[0].clone()
-        };
-        let past = FlowSpec {
-            start: SimTime::from_micros(10),
-            ..flows[1].clone()
-        };
-        let n = flows.len() as u64 + 2;
-        sim.add_flows(flows);
-
-        sim.run_until(SimTime::from_nanos(10_010));
-        assert_eq!(sim.events_executed(), 0, "nothing is due before the flows start");
-        let gws: Vec<NodeId> = sim.topology().gateways().map(|g| g.id).collect();
-        let outage = FaultPlan::from_events(gws.iter().map(|&node| FaultEvent::GatewayOutage {
-            node,
-            at: SimTime::from_micros(5),
-            up_at: SimTime::from_micros(300),
-        }))
-        .unwrap();
-        sim.apply_fault_plan(outage);
-        sim.add_flows([late]);
-
-        // The two interventions are the next two events, in time order.
-        sim.run_until(SimTime::from_micros(5));
-        assert_eq!(sim.now(), SimTime::from_micros(5), "the outage starts first");
-        sim.run_until(SimTime::from_micros(6));
-        assert_eq!(sim.now(), SimTime::from_micros(6), "then the added flow");
-
-        let mut last = sim.now();
-        for step in 1..=150 {
-            sim.run_until(SimTime::from_micros(10 * step));
-            assert!(sim.now() >= last, "clock ran backwards: {:?} after {last:?}", sim.now());
-            last = sim.now();
-            if step == 100 {
-                // Interventions dated before `now` (a debug-build panic
-                // once, a profile- and shard-dependent clamp in release)
-                // take effect at once: they are the next two events.
-                assert!(sim.now() > SimTime::from_micros(20));
-                let (before, vip) = (sim.events_executed(), sim.placement().vip_of(3));
-                let to = sim.topology().servers().last().expect("servers exist");
-                let (to_node, to_pip) = (to.id, to.pip);
-                sim.add_migration(Migration::new(SimTime::from_micros(20), vip, to_node, to_pip));
-                sim.add_flows([past.clone()]);
-                sim.run_until(last);
-                assert_eq!((sim.now(), sim.events_executed()), (last, before + 2));
-                assert_eq!(sim.placement().pip_of(3), to_pip);
-            }
-        }
-        sim.run();
-        let s = sim.summary();
-        assert_eq!(s.flows_completed, n, "{s:?}");
-        assert_eq!(s.migrations, 1, "{s:?}");
-        assert!(
-            s.drops_blackout > 0,
-            "the outage must be in force when the flows start: {s:?}"
-        );
-        format!("{s:?}")
+    let ft = FatTreeConfig::scaled_ft8(4);
+    let mut sim = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4);
+    let start = SimTime::from_nanos(10_050);
+    let mut flows = tcp_flows(&sim, 12, 20_000);
+    for f in &mut flows {
+        f.start = start;
+    }
+    let late = FlowSpec {
+        start: SimTime::from_micros(6),
+        ..flows[0].clone()
     };
-    assert_eq!(run(1), run(4));
+    let past = FlowSpec {
+        start: SimTime::from_micros(10),
+        ..flows[1].clone()
+    };
+    let n = flows.len() as u64 + 2;
+    sim.add_flows(flows);
+
+    sim.run_until(SimTime::from_nanos(10_010));
+    assert_eq!(sim.events_executed(), 0, "nothing is due before the flows start");
+    let gws: Vec<NodeId> = sim.topology().gateways().map(|g| g.id).collect();
+    let outage = FaultPlan::from_events(gws.iter().map(|&node| FaultEvent::GatewayOutage {
+        node,
+        at: SimTime::from_micros(5),
+        up_at: SimTime::from_micros(300),
+    }))
+    .unwrap();
+    sim.apply_fault_plan(outage);
+    sim.add_flows([late]);
+
+    // The two interventions are the next two events, in time order.
+    sim.run_until(SimTime::from_micros(5));
+    assert_eq!(sim.now(), SimTime::from_micros(5), "the outage starts first");
+    sim.run_until(SimTime::from_micros(6));
+    assert_eq!(sim.now(), SimTime::from_micros(6), "then the added flow");
+
+    let mut last = sim.now();
+    for step in 1..=150 {
+        sim.run_until(SimTime::from_micros(10 * step));
+        assert!(sim.now() >= last, "clock ran backwards: {:?} after {last:?}", sim.now());
+        last = sim.now();
+        if step == 100 {
+            // Interventions dated before `now` (a debug-build panic once,
+            // a profile-dependent clamp in release) take effect at once:
+            // they are the next two events.
+            assert!(sim.now() > SimTime::from_micros(20));
+            let (before, vip) = (sim.events_executed(), sim.placement().vip_of(3));
+            let to = sim.topology().servers().last().expect("servers exist");
+            let (to_node, to_pip) = (to.id, to.pip);
+            sim.add_migration(Migration::new(SimTime::from_micros(20), vip, to_node, to_pip));
+            sim.add_flows([past.clone()]);
+            sim.run_until(last);
+            assert_eq!((sim.now(), sim.events_executed()), (last, before + 2));
+            assert_eq!(sim.placement().pip_of(3), to_pip);
+        }
+    }
+    sim.run();
+    let s = sim.summary();
+    assert_eq!(s.flows_completed, n, "{s:?}");
+    assert_eq!(s.migrations, 1, "{s:?}");
+    assert!(
+        s.drops_blackout > 0,
+        "the outage must be in force when the flows start: {s:?}"
+    );
 }
 
+/// The failures-experiment plan in miniature: a reboot, a link failure and a
+/// loss window together. Same seed + same plan must give byte-identical
+/// summaries.
 #[test]
 fn fault_runs_are_deterministic() {
     let run = || {

@@ -2,7 +2,9 @@
 //! — summary, telemetry samples, trace stream, per-switch counters — at
 //! shards 2/4/8 is byte-identical to shards 1 of the same engine. (What
 //! shards 1 itself computes is pinned across commits by
-//! `crates/bench/tests/golden.rs`.)
+//! `crates/bench/tests/golden.rs`.) This file is the oracle's whole suite:
+//! nothing else runs more than one shard but `benchmark/`'s two-shard cell,
+//! and the oracle goes with that cell (ROADMAP item 6).
 
 use proptest::prelude::*;
 use sv2p_baselines::NoCache;
@@ -71,7 +73,7 @@ fn assert_equivalent_full(
 ) {
     let ft = FatTreeConfig::scaled_ft8(2);
 
-    let mut oracle = Engine::new(cfg, &ft, strategy, cache_entries, 4, 1);
+    let mut oracle = Engine::sharded(cfg, &ft, strategy, cache_entries, 4, 1);
     let flows = tcp_udp_mix(oracle.placement().len(), 30);
     if let Some(p) = plan.clone() {
         oracle.apply_fault_plan(p);
@@ -85,7 +87,7 @@ fn assert_equivalent_full(
     }
     oracle.run();
 
-    let mut sharded = Engine::new(cfg, &ft, strategy, cache_entries, 4, shards);
+    let mut sharded = Engine::sharded(cfg, &ft, strategy, cache_entries, 4, shards);
     assert!(
         sharded.shards() >= 2,
         "this topology must support real sharding"
@@ -198,7 +200,7 @@ impl Strategy for CopyingSpines {
 #[test]
 fn a_copy_crossing_the_cut_keeps_its_place_beside_the_original() {
     let ft = FatTreeConfig::scaled_ft8(2);
-    let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
+    let probe = Engine::sharded(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
     let server_in = |pod| {
         let mut servers = probe.topology().servers();
         servers
@@ -210,7 +212,7 @@ fn a_copy_crossing_the_cut_keeps_its_place_beside_the_original() {
         servers: [server_in(0), server_in(1)],
     });
     let run = |shards| {
-        let mut sim = Engine::new(cfg_with_telemetry(), &ft, &strategy, 0, 4, shards);
+        let mut sim = Engine::sharded(cfg_with_telemetry(), &ft, &strategy, 0, 4, shards);
         assert_eq!(sim.shards() > 1, shards > 1, "the fabric must really shard");
         sim.add_flows(tcp_udp_mix(sim.placement().len(), 30));
         sim.run();
@@ -261,7 +263,7 @@ fn reboot_linkdown_loss_plan(probe: &Engine) -> FaultPlan {
 fn faulted_run_matches_oracle() {
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
     let ft = FatTreeConfig::scaled_ft8(2);
-    let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
+    let probe = Engine::sharded(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
     let plan = reboot_linkdown_loss_plan(&probe);
     assert_equivalent(cfg_with_telemetry(), &strategy, 4096, 4, Some(plan));
 }
@@ -291,7 +293,7 @@ fn migration_for(probe: &Engine, vm: usize, srv: usize, at_us: u64) -> Migration
 fn migrated_run_matches_oracle() {
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
     let ft = FatTreeConfig::scaled_ft8(2);
-    let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
+    let probe = Engine::sharded(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
     let n_servers = probe.topology().servers().count();
     // Cross-pod moves (far server indices) so flow state crosses shards.
     let migrations = vec![
@@ -321,7 +323,7 @@ fn churned_run_matches_oracle() {
     let ft = FatTreeConfig::scaled_ft8(2);
     let mut cfg = cfg_with_telemetry();
     cfg.gateway.queue_cap = 16;
-    let probe = Engine::new(cfg, &ft, &strategy, 1024, 4, 1);
+    let probe = Engine::sharded(cfg, &ft, &strategy, 1024, 4, 1);
     let servers: Vec<_> = probe.topology().servers().map(|n| (n.id, n.pip)).collect();
     let spec = ChurnSpec::medium(7, 2_000);
     let plan = ChurnPlan::generate(&spec, probe.placement(), &servers);
@@ -337,8 +339,8 @@ fn churned_run_matches_oracle() {
 #[test]
 fn zero_means_one_shard() {
     let ft = FatTreeConfig::scaled_ft8(2);
-    let mut zero = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 0);
-    let mut one = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
+    let mut zero = Engine::sharded(SimConfig::default(), &ft, &NoCache, 0, 4, 0);
+    let mut one = Engine::sharded(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
     let flows = tcp_udp_mix(one.placement().len(), 10);
     for sim in [&mut zero, &mut one] {
         assert_eq!(sim.shards(), 1);
@@ -360,14 +362,14 @@ fn midrun_interventions_match_oracle() {
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
     let ft = FatTreeConfig::scaled_ft8(2);
 
-    let mut oracle = Engine::new(cfg_with_telemetry(), &ft, &strategy, 4096, 4, 1);
+    let mut oracle = Engine::sharded(cfg_with_telemetry(), &ft, &strategy, 4096, 4, 1);
     let flows = tcp_udp_mix(oracle.placement().len(), 24);
     oracle.add_flows(flows.clone());
     oracle.run_until(SimTime::from_micros(150));
     oracle.fail_all_switches();
     oracle.run();
 
-    let mut sharded = Engine::new(cfg_with_telemetry(), &ft, &strategy, 4096, 4, 4);
+    let mut sharded = Engine::sharded(cfg_with_telemetry(), &ft, &strategy, 4096, 4, 4);
     sharded.add_flows(flows);
     sharded.run_until(SimTime::from_micros(150));
     sharded.fail_all_switches();
@@ -381,90 +383,8 @@ fn midrun_interventions_match_oracle() {
     assert_eq!(oracle.cache_occupancy(), sharded.cache_occupancy());
 }
 
-/// What a pause reads: `(summary, events executed)`.
-type Reads = (String, u64);
-
-/// The telemetry-on SwitchV2P scenario with a fixed fault plan and a fixed
-/// cross-pod migration, run to each of `pauses` in turn and then to the end,
-/// reading at every stop; at pause `register_at`, four more flows (due
-/// already or not yet, as the pause falls) and a second migration are
-/// registered. Returns the reads at the pauses, and the final reads with the
-/// telemetry JSONL (events, then samples).
-fn run_with_pauses(
-    shards: u16,
-    pauses: &[SimTime],
-    register_at: usize,
-) -> (Vec<Reads>, Reads, String) {
-    let strategy = SwitchV2P::new(SwitchV2PConfig::default());
-    let ft = FatTreeConfig::scaled_ft8(2);
-    let mut sim = Engine::new(cfg_with_telemetry(), &ft, &strategy, 4096, 4, shards);
-    assert_eq!(sim.shards() > 1, shards > 1, "the fabric must really shard");
-    let (vms, n_servers) = (sim.placement().len(), sim.topology().servers().count());
-    sim.apply_fault_plan(reboot_linkdown_loss_plan(&sim));
-    sim.add_flows(tcp_udp_mix(vms, 30));
-    sim.add_migration(migration_for(&sim, 1, n_servers - 1, 150));
-
-    let reads = |sim: &Engine| (format!("{:?}", sim.summary()), sim.events_executed());
-    let mut at_pauses = Vec::new();
-    let mut peak_arena = 0;
-    for (i, &t) in pauses.iter().enumerate() {
-        sim.run_until(t);
-        if i == register_at {
-            sim.add_flows((0..4).map(|j| FlowSpec {
-                src_vm: (j * 11 + 3) % vms,
-                dst_vm: (j * 17 + 40) % vms,
-                start: SimTime::from_micros(200 + 50 * j as u64),
-                kind: FlowKind::Tcp { bytes: 30_000 },
-            }));
-            sim.add_migration(migration_for(&sim, 9, n_servers / 2, 350));
-        }
-        at_pauses.push(reads(&sim));
-        assert_eq!(at_pauses[i], reads(&sim), "a read changed the next");
-        assert!(sim.peak_arena() >= peak_arena, "a high-water mark fell");
-        peak_arena = sim.peak_arena();
-    }
-    sim.run();
-    let end = reads(&sim);
-    let jsonl = sim.tracer().render_events_jsonl() + &sim.tracer().render_samples_jsonl();
-    (at_pauses, end, jsonl)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// A pause sees only the calendar: wherever `run_until` stops — at a
-    /// global event's own instant (the plan's are listed; the sampler fires
-    /// every 100 us), or at any other nanosecond of the busy first
-    /// millisecond — nothing is left between the shards, so every read
-    /// there, a registration there,
-    /// and the rest of the run are the one-shard engine's. Pause-and-resume
-    /// on 1, 2 and 4 shards == one shard straight through (but for the one
-    /// stop a mid-run registration needs).
-    #[test]
-    fn pauses_see_what_one_shard_sees(
-        pauses in proptest::collection::vec((0u64..1_000_000, 0usize..16), 1..=6),
-        register_at in 0usize..6,
-    ) {
-        // Half the pauses snap to a global event's instant.
-        const GLOBALS_US: [u64; 8] = [50, 100, 120, 150, 200, 350, 400, 600];
-        let mut pauses: Vec<SimTime> = pauses
-            .into_iter()
-            .map(|(ns, g)| GLOBALS_US.get(g).map_or(ns, |us| us * 1_000))
-            .map(SimTime::from_nanos)
-            .collect();
-        pauses.sort();
-        let register_at = register_at % pauses.len();
-        let straight = run_with_pauses(1, &pauses[register_at..=register_at], 0);
-        let one = run_with_pauses(1, &pauses, register_at);
-        prop_assert_eq!(&one.1, &straight.1, "one shard, paused: final reads");
-        prop_assert!(one.2 == straight.2, "one shard, paused: telemetry JSONL");
-        for shards in [2, 4] {
-            let sharded = run_with_pauses(shards, &pauses, register_at);
-            prop_assert_eq!(&sharded.0, &one.0, "shards {}: reads at the pauses", shards);
-            prop_assert_eq!(&sharded.1, &one.1, "shards {}: final reads", shards);
-            prop_assert!(sharded.2 == one.2, "shards {}: telemetry JSONL", shards);
-        }
-    }
 
     /// Random fault plans: the sharded engine must track the oracle through
     /// arbitrary reboot/link/outage/loss schedules.
@@ -477,7 +397,7 @@ proptest! {
         shards in 2u16..6,
     ) {
         let ft = FatTreeConfig::scaled_ft8(2);
-        let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
+        let probe = Engine::sharded(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
         let switches: Vec<NodeId> = probe.topology().switches().map(|n| n.id).collect();
         let gateways: Vec<NodeId> = probe.topology().gateways().map(|n| n.id).collect();
         let n_links = probe.topology().links.len();
@@ -520,7 +440,7 @@ proptest! {
         shards in 2u16..6,
     ) {
         let ft = FatTreeConfig::scaled_ft8(2);
-        let probe = Engine::new(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
+        let probe = Engine::sharded(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
         let n_servers = probe.topology().servers().count();
         let migrations: Vec<Migration> = moves
             .iter()
@@ -538,43 +458,4 @@ proptest! {
             None,
         );
     }
-}
-
-/// Pins the ordering contract behind the sharded engine's positional
-/// merges: `per_switch_bytes` and `cache_occupancy` rows follow
-/// `topology().switches()` enumeration order (ascending `NodeId`) on both
-/// engines, so figure output never depends on engine choice or shard count.
-#[test]
-fn switch_observables_follow_ascending_node_id_order() {
-    let ft = FatTreeConfig::scaled_ft8(2);
-    let strategy = SwitchV2P::new(SwitchV2PConfig::default());
-
-    let mut oracle = Engine::new(cfg_with_telemetry(), &ft, &strategy, 1024, 4, 1);
-    let flows = tcp_udp_mix(oracle.placement().len(), 12);
-    oracle.add_flows(flows.clone());
-    oracle.run();
-
-    let mut sharded = Engine::new(cfg_with_telemetry(), &ft, &strategy, 1024, 4, 4);
-    sharded.add_flows(flows);
-    sharded.run();
-
-    for sim_bytes in [oracle.per_switch_bytes(), sharded.per_switch_bytes()] {
-        let ids: Vec<NodeId> = sim_bytes.iter().map(|&(id, _, _)| id).collect();
-        assert!(
-            ids.windows(2).all(|w| w[0].0 < w[1].0),
-            "per_switch_bytes rows must be strictly ascending by NodeId"
-        );
-        let expected: Vec<NodeId> = oracle.topology().switches().map(|n| n.id).collect();
-        assert_eq!(ids, expected, "rows must mirror topology().switches()");
-    }
-    assert_eq!(
-        oracle.cache_occupancy(),
-        sharded.cache_occupancy(),
-        "cache occupancy must agree row-for-row across engines"
-    );
-    assert_eq!(
-        oracle.cache_occupancy().len(),
-        oracle.topology().switches().count(),
-        "one occupancy row per switch, in switches() order"
-    );
 }

@@ -264,10 +264,9 @@ fn render(doc: &ProfileDoc, top: usize, out: &mut impl Write) -> std::io::Result
     let m = &doc.meta;
     writeln!(
         out,
-        "{} [{}] shards={} seed={} events={} host_cores={} peak_rss={:.1} MiB",
+        "{} [{}] seed={} events={} host_cores={} peak_rss={:.1} MiB",
         get_str(m, "bin"),
         get_str(m, "label"),
-        get_u64(m, "shards"),
         get_u64(m, "seed"),
         get_u64(m, "events_executed"),
         get_u64(m, "host_cores"),

@@ -20,9 +20,9 @@
 //!   exclusively, which is what makes same-seed runs byte-identical.
 //!
 //! * **Profiles** — engine self-profiling reports ([`profile`]): wall-clock
-//!   phase accounting and log-linear histograms, the same at every shard
-//!   count, emitted as `*.profile.jsonl` by `--profile DIR`. Like
-//!   manifests, wall-clock lives only here; the deterministic counter
+//!   phase accounting and log-linear histograms, emitted as
+//!   `*.profile.jsonl` by `--profile DIR`. Like manifests, wall-clock
+//!   lives only here; the deterministic counter
 //!   sections are pinned by the same byte-identity discipline as traces.
 //!
 //! The `sv2p` binary (this crate's `src/bin/`) inspects them: `sv2p trace`

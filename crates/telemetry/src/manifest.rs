@@ -50,11 +50,8 @@ pub struct RunManifest {
     /// Whether event tracing was on (overhead context for events/sec).
     pub telemetry_enabled: bool,
     /// Logical cores on the host that ran the experiment (context for
-    /// sharded events/sec; 0 when unknown).
+    /// events/sec; 0 when unknown).
     pub host_cores: u64,
-    /// Shards the engine was actually partitioned into (1 also when the
-    /// topology could not be partitioned).
-    pub shards: u64,
     /// Process peak resident set size at manifest time (`VmHWM` from
     /// `/proc/self/status` on Linux; 0 where unknown). Monotonic per
     /// process, so later runs in one bin report the running maximum.
@@ -85,7 +82,6 @@ impl RunManifest {
             .u64("peak_arena", self.peak_arena)
             .bool("telemetry_enabled", self.telemetry_enabled)
             .u64("host_cores", self.host_cores)
-            .u64("shards", self.shards)
             .u64("peak_rss_bytes", self.peak_rss_bytes)
             .u64("trace_events_dropped", self.trace_events_dropped);
         o.finish()
@@ -141,7 +137,6 @@ mod tests {
             peak_arena: 7,
             telemetry_enabled: false,
             host_cores: 1,
-            shards: 1,
             peak_rss_bytes: 2048 * 1024,
             trace_events_dropped: 3,
         }
@@ -156,7 +151,6 @@ mod tests {
         assert_eq!(m["events_per_sec"].as_f64(), Some(4000.0));
         assert_eq!(m["telemetry_enabled"].as_bool(), Some(false));
         assert_eq!(m["host_cores"].as_u64(), Some(1));
-        assert_eq!(m["shards"].as_u64(), Some(1));
         assert_eq!(m["peak_rss_bytes"].as_u64(), Some(2048 * 1024));
         assert_eq!(m["trace_events_dropped"].as_u64(), Some(3));
     }

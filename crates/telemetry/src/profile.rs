@@ -4,8 +4,8 @@
 //! What the engine spends per event class is invisible to virtual-time
 //! telemetry; this module attributes the wall-clock so that cost is a
 //! tracked regression surface. The emission points live in `sv2p-netsim`
-//! (the run loop, which is the same pop-and-dispatch at every shard count)
-//! and the `--profile DIR` plumbing in `sv2p-bench`.
+//! (the run loop's pop and dispatch) and the `--profile DIR` plumbing in
+//! `sv2p-bench`.
 //!
 //! # Determinism segregation rule
 //!
@@ -13,8 +13,7 @@
 //!
 //! * **Deterministic artifacts** — call counts and every histogram (each
 //!   is over a *simulation-state* quantity: calendar and arena
-//!   occupancy). Two same-seed runs agree on these byte-for-byte, at any
-//!   shard count.
+//!   occupancy). Two same-seed runs agree on these byte-for-byte.
 //! * **Wall-clock timings** — every `*_ns` total and every fraction.
 //!   `Instant`-based values never feed back into simulation state; they
 //!   exist only in this side channel, so a profiled run's telemetry and
@@ -163,13 +162,12 @@ impl Histogram {
 wire_names! {
     /// One engine phase: where a profiled run's wall-clock went.
     ///
-    /// The first block is the engine's run loop at any shard count — `Pop`
-    /// plus one class per event handler, so "telemetry cost" is visible as
-    /// the `TelemetrySample` class and per-packet work is split by event
-    /// kind. The second block is retired and reads 0: it timed the
-    /// lookahead windows several shards once ran in, which are gone (the
-    /// shards interleave event by event). The names stay because
-    /// `benchmark/` declares them; they leave with it (ROADMAP item 5).
+    /// The first block is the engine's run loop — `Pop` plus one class per
+    /// event handler, so "telemetry cost" is visible as the
+    /// `TelemetrySample` class and per-packet work is split by event kind.
+    /// The second block is retired and reads 0: it timed the lookahead
+    /// windows of a parallel engine that is gone. The names stay because
+    /// `benchmark/` declares them; they leave with it (ROADMAP item 6).
     Phase {
         /// Calendar pop (single-threaded loop).
         Pop => "pop",
@@ -180,7 +178,7 @@ wire_names! {
         /// Retired, reads 0: the transmission-complete event it timed is
         /// gone (a link knows at offer time when its packet leaves). The
         /// name stays because `benchmark/` and `BENCHMARK.json` declare
-        /// `netsim.link_free_ns`; it leaves with them (ROADMAP item 5).
+        /// `netsim.link_free_ns`; it leaves with them (ROADMAP item 6).
         LinkFree => "link_free",
         /// `LinkArrival` handler dispatch (the per-hop hot path).
         LinkArrival => "link_arrival",
@@ -204,14 +202,14 @@ wire_names! {
         WindowAdvance => "window_advance",
         /// Retired, reads 0 (cut-packet exchange between windows).
         CutExchange => "cut_exchange",
-        /// Retired, reads 0 (the shards' journaled replays of a window).
+        /// Retired, reads 0 (journaled replays of a window).
         WorkerReplay => "worker_replay",
         /// Retired, reads 0 (the wait at a barrier between windows).
         BarrierWait => "barrier_wait",
-        /// Retired, reads 0 (the merge of the shards' journals).
+        /// Retired, reads 0 (the merge of the replay journals).
         JournalMerge => "journal_merge",
         /// Retired, reads 0 (global events between windows; they are
-        /// charged to their own classes, as on one shard).
+        /// charged to their own classes).
         GlobalExec => "global_exec",
     }
 }
@@ -330,9 +328,9 @@ impl Profiler {
         }
     }
 
-    /// Retired, reads 0: the imbalance of the shards' window replays, which
-    /// are gone. The name stays because `benchmark/` declares
-    /// `netsim.sharded.imbalance_cv`; it leaves with it (ROADMAP item 5).
+    /// Retired, reads 0: the imbalance of parallel window replays, which
+    /// are gone. The name stays because `benchmark/` still reports it; it
+    /// leaves with that (ROADMAP item 6).
     pub fn imbalance_cv(&self) -> f64 {
         0.0
     }
@@ -351,7 +349,6 @@ impl Profiler {
             .str("schema", SCHEMA)
             .str("bin", &meta.bin)
             .str("label", &meta.label)
-            .u64("shards", meta.shards)
             .u64("seed", meta.seed)
             .u64("events_executed", meta.events_executed)
             .u64("host_cores", meta.host_cores)
@@ -403,9 +400,6 @@ pub struct ProfileMeta {
     pub bin: String,
     /// Run label (same derivation as trace-file labels).
     pub label: String,
-    /// Shards the run was partitioned into (the profile is the same at
-    /// every count).
-    pub shards: u64,
     /// RNG seed.
     pub seed: u64,
     /// Calendar events executed.
@@ -453,9 +447,8 @@ impl ProfileDoc {
 
 /// Extracts the deterministic projection of a rendered report: run
 /// identity, phase call counts and the full stats of every histogram. Two
-/// same-seed profiled runs must produce byte-identical projections, at any
-/// shard count — so the shard count, like every `*_ns`, fraction and RSS
-/// field, is left out.
+/// same-seed profiled runs must produce byte-identical projections, so
+/// every `*_ns`, fraction and RSS field is left out.
 pub fn deterministic_projection(text: &str) -> Option<String> {
     let doc = ProfileDoc::parse(text)?;
     let get = |row: &Row, k: &str| -> String {
@@ -587,14 +580,13 @@ mod tests {
         assert_eq!(p.phase_calls(Phase::Pop), 0);
     }
 
-    fn report(p: &Profiler, shards: u64) -> String {
+    fn report(p: &Profiler, host_cores: u64) -> String {
         p.render_report(&ProfileMeta {
             bin: "unit".into(),
             label: "unit.SwitchV2P".into(),
-            shards,
             seed: 7,
             events_executed: 10,
-            host_cores: 4,
+            host_cores,
             peak_rss_bytes: 1 << 20,
         })
     }
@@ -621,7 +613,7 @@ mod tests {
         assert_eq!(
             deterministic_projection(&report(&p, 1)).as_deref(),
             Some(proj.as_str()),
-            "the shard count is not part of the projection"
+            "the host is not part of the projection"
         );
     }
 }

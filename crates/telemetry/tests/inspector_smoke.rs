@@ -44,7 +44,6 @@ fn artifacts(test: &str) -> (PathBuf, PathBuf, PathBuf) {
     let meta = ProfileMeta {
         bin: "smoke".into(),
         label: "smoke.SwitchV2P".into(),
-        shards: 1,
         seed: 1,
         events_executed: 6,
         host_cores: 1,
@@ -93,7 +92,7 @@ fn both_subcommands_read_what_the_library_writes() {
 
     let (code, out, _) = sv2p(&["profile", arg(&profile)]);
     assert_eq!(code, 0);
-    assert!(out.contains("smoke [smoke.SwitchV2P] shards=1"), "{out}");
+    assert!(out.contains("smoke [smoke.SwitchV2P] seed=1"), "{out}");
     assert!(out.contains("link_arrival"), "{out}");
     assert!(out.contains("calendar_len"), "{out}");
 

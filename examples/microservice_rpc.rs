@@ -56,7 +56,7 @@ fn main() {
         } else {
             0
         };
-        let mut sim = Engine::new(SimConfig::default(), &ft, strategy, budget, vms_per_server, 1);
+        let mut sim = Engine::new(SimConfig::default(), &ft, strategy, budget, vms_per_server);
         sim.add_flows(flows.clone());
         sim.run();
         let s = sim.summary();

@@ -55,7 +55,6 @@ fn main() {
                 0
             },
             vms_per_server,
-            1,
         );
         sim.add_flows(flows.clone());
         sim.run();

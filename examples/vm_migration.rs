@@ -20,7 +20,7 @@ use switchv2p_repro::vnet::{Migration, Strategy};
 
 fn run_variant(strategy: &dyn Strategy, cache: usize) -> switchv2p_repro::metrics::RunSummary {
     let ft = FatTreeConfig::ft8_10k();
-    let mut sim = Engine::new(SimConfig::default(), &ft, strategy, cache, 80, 1);
+    let mut sim = Engine::new(SimConfig::default(), &ft, strategy, cache, 80);
 
     // 64 senders on distinct servers (VM i*80 lives on server i), one victim.
     let dst_vm = 0usize;

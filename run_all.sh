@@ -36,8 +36,8 @@ $B/tracegen all "$@" > results/trace_characteristics.txt 2>&1
 $B/failures "$@" > results/failures.txt 2>&1
 $B/churn "$@" > results/churn.txt 2>&1
 # The million-VM FT32 tier only runs on an explicit --full sweep: the
-# scale smoke builds the complete 1 048 576-VM placement three times (shards 1, 2
-# and 4), which is deliberate memory pressure a quick run should skip.
+# scale smoke builds the complete 1 048 576-VM placement, which is
+# deliberate memory pressure a quick run should skip.
 for arg in "$@"; do
   if [ "$arg" = "--full" ]; then
     $B/sv2p-scale-smoke "$@" > results/scale_smoke.txt 2>&1

@@ -33,7 +33,7 @@ fn mini_hadoop(vms: usize, flows: usize) -> Vec<FlowSpec> {
 /// Runs `strategy` over the mini workload and returns the summary.
 fn run(strategy: &dyn Strategy, total_cache: usize) -> RunSummary {
     let ft = FatTreeConfig::scaled_ft8(2);
-    let mut sim = Engine::new(SimConfig::default(), &ft, strategy, total_cache, 4, 1);
+    let mut sim = Engine::new(SimConfig::default(), &ft, strategy, total_cache, 4);
     let vms = sim.placement().len();
     sim.add_flows(mini_hadoop(vms, 1200));
     sim.run();

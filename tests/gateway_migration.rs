@@ -35,7 +35,7 @@ fn workload(vms: usize, flows: usize) -> Vec<FlowSpec> {
 fn role_swap_mid_run_keeps_the_network_correct() {
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = SwitchV2P::default();
-    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4, 1);
+    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4);
     let vms = sim.placement().len();
     sim.add_flows(workload(vms, 500));
 

@@ -37,7 +37,7 @@ fn reboot_storm_does_not_affect_correctness() {
     let strategy = SwitchV2P::default();
 
     let run = |reboots: bool| {
-        let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4, 1);
+        let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4);
         let vms = sim.placement().len();
         sim.add_flows(workload(vms, 600));
         if reboots {
@@ -68,7 +68,7 @@ fn reboot_storm_does_not_affect_correctness() {
 fn single_switch_failure_is_invisible_to_tenants() {
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = SwitchV2P::default();
-    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4, 1);
+    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4);
     let vms = sim.placement().len();
     sim.add_flows(workload(vms, 300));
     sim.run_until(SimTime::from_micros(300));
@@ -88,7 +88,7 @@ fn migration_under_switchv2p_loses_no_packets_with_tcp() {
     // fills any gaps, and every byte lands exactly once.
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = SwitchV2P::default();
-    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4, 1);
+    let mut sim = Engine::new(SimConfig::default(), &ft, &strategy, 256, 4);
     let dst_vm = 3usize;
     let vip = sim.placement().vip_of(dst_vm);
     let target = sim
@@ -126,7 +126,7 @@ fn smaller_caches_mean_more_reordering() {
             seed,
             ..SimConfig::default()
         };
-        let mut sim = Engine::new(cfg, &ft, &strategy, cache, 4, 1);
+        let mut sim = Engine::new(cfg, &ft, &strategy, cache, 4);
         let vms = sim.placement().len();
         sim.add_flows(workload(vms, 800));
         sim.run();
@@ -158,7 +158,7 @@ fn nocache_and_switchv2p_deliver_identical_byte_counts() {
     // Translation schemes must be invisible at the transport layer.
     let ft = FatTreeConfig::scaled_ft8(2);
     let deliver = |strategy: &dyn Strategy, cache: usize| {
-        let mut sim = Engine::new(SimConfig::default(), &ft, strategy, cache, 4, 1);
+        let mut sim = Engine::new(SimConfig::default(), &ft, strategy, cache, 4);
         let vms = sim.placement().len();
         sim.add_flows(workload(vms, 400));
         sim.run();

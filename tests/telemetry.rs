@@ -24,7 +24,7 @@ fn traced_run(seed: u64) -> (String, String) {
         ..SimConfig::default()
     };
     let strategy = SwitchV2P::default();
-    let mut sim = Engine::new(cfg, &ft, &strategy, 256, 4, 1);
+    let mut sim = Engine::new(cfg, &ft, &strategy, 256, 4);
     let vms = sim.placement().len();
     let flows: Vec<FlowSpec> = hadoop(&HadoopConfig {
         vms,
