@@ -107,6 +107,29 @@ fn bluebird_resolves_at_tors_without_gateways() {
     assert!(s.hit_rate <= 1.0);
 }
 
+/// A control-plane detour holds a packet inside its ToR and re-injects it
+/// there: it is no hop. An inter-pod packet crosses five switches, detoured
+/// or not, so with every packet of a short flow detoured (the 2 ms
+/// insertion latency has not passed) the stretch is exactly five.
+#[test]
+fn bluebird_detour_is_not_a_hop() {
+    let ft = FatTreeConfig::scaled_ft8(2);
+    let mut sim = Engine::new(SimConfig::default(), &ft, &Bluebird::default(), 1024, 4);
+    let (src_vm, dst_vm) = (0, sim.placement().len() - 1);
+    let (src, dst) = (sim.placement().node_of(src_vm), sim.placement().node_of(dst_vm));
+    assert_eq!(sim.routing().switch_hops(sim.topology(), src, dst, 0), 5);
+    sim.add_flows([FlowSpec {
+        src_vm,
+        dst_vm,
+        start: SimTime::ZERO,
+        kind: FlowKind::Tcp { bytes: 100_000 },
+    }]);
+    sim.run();
+    let s = sim.summary();
+    assert_eq!((s.flows_completed, s.packets_dropped), (1, 0), "{s:?}");
+    assert_eq!(s.avg_stretch, 5.0, "{s:?}");
+}
+
 #[test]
 fn bluebird_first_packets_are_slower_than_direct() {
     // The SFE detour (8.5 µs + 20 Gb/s queue) must show up in first-packet

@@ -2,7 +2,7 @@
 //!
 //! Handlers mutate the state of the shard they run on directly. What must
 //! happen in *global* `(time, seq)` order — scheduling, packet-id
-//! allocation, the four flow-lifecycle metric operations and trace
+//! allocation, the four flow-lifecycle metric records and trace
 //! records — goes through [`Effects`], and every effect applies on the
 //! spot, to the driver's one calendar and recorders ([`Master`]). The sink
 //! has two implementations that differ in one thing: `Master` itself (one
@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use sv2p_metrics::Metrics;
-use sv2p_packet::{FlowId, Packet, PacketId};
+use sv2p_packet::{Packet, PacketId};
 use sv2p_simcore::{EventQueue, SimDuration, SimTime};
 use sv2p_telemetry::profile::{HistKind, Phase, Profiler};
 use sv2p_telemetry::{TraceEvent, Tracer};
@@ -107,32 +107,6 @@ impl Event {
     }
 }
 
-/// An order-sensitive metric update. Only the four flow-lifecycle
-/// operations are order-sensitive (they push to per-flow latency/FCT
-/// accumulators whose vector order the summary preserves); plain counters
-/// accumulate in the shard's `Counters`, which add up in any order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum MetricOp {
-    FlowStarted(FlowId),
-    FlowCompleted(FlowId),
-    FirstPacketDelivered(FlowId),
-    Delivery { sent_ns: u64, hops: u16 },
-}
-
-impl MetricOp {
-    /// Applies the update to the master recorder at instant `now`.
-    pub fn apply(self, m: &mut Metrics, now: SimTime) {
-        match self {
-            MetricOp::FlowStarted(f) => m.flow_started(f, now),
-            MetricOp::FlowCompleted(f) => m.flow_completed(f, now),
-            MetricOp::FirstPacketDelivered(f) => m.first_packet_delivered(f, now),
-            MetricOp::Delivery { sent_ns, hops } => {
-                m.record_delivery(SimTime::from_nanos(sent_ns), now, hops)
-            }
-        }
-    }
-}
-
 /// The sink for everything a handler does that is order-sensitive. Every
 /// effect lands on the driver's [`Master`] as it happens; the two sinks
 /// differ only in [`Effects::SHARDED`] and [`Effects::schedule_cut`].
@@ -173,9 +147,13 @@ pub(crate) trait Effects {
         id
     }
 
-    fn metric(&mut self, op: MetricOp) {
-        let m = self.master_mut();
-        op.apply(&mut m.metrics, m.events.now());
+    /// The master's order-sensitive recorder. Only the four flow-lifecycle
+    /// records written through it are order-sensitive (they push to
+    /// per-flow latency / FCT accumulators whose vector order the summary
+    /// preserves); plain counters accumulate in the shard's `Counters`,
+    /// which add up in any order.
+    fn metrics(&mut self) -> &mut Metrics {
+        &mut self.master_mut().metrics
     }
 
     /// Whether trace records are wanted at all (one branch per emission

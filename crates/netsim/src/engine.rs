@@ -284,28 +284,21 @@ impl Engine {
     /// order. May be called mid-run; instants already in the past take
     /// effect immediately.
     pub fn add_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
-        let now = self.now();
-        for spec in specs {
-            let idx = Event::index(self.ctl.flows.len());
-            let start = spec.start.max(now);
-            self.ctl.flows.push(spec);
-            for shard in &mut self.shards {
-                shard.flows.push(FlowXport::default());
-            }
-            self.master.events.schedule_at(start, Event::FlowStart(idx));
+        let start = |f: &FlowSpec, i| [(f.start, Event::FlowStart(i))];
+        self.register(|c| &mut c.flows, specs, start);
+        let n = self.ctl.flows.len();
+        for shard in &mut self.shards {
+            shard.flows.resize_with(n, FlowXport::default);
         }
-        self.master.wake_sampler();
     }
 
     /// Registers a VM migration. May be called mid-run; an instant already
     /// in the past takes effect immediately (and is recorded as the instant
     /// the VM moved: stale hits age from it).
     pub fn add_migration(&mut self, m: Migration) {
-        let idx = Event::index(self.ctl.migrations.len());
         let at = m.at.max(self.now());
-        self.master.events.schedule_at(at, Event::Migrate(idx));
-        self.ctl.migrations.push(Migration { at, ..m });
-        self.master.wake_sampler();
+        let moves = |m: &Migration, i| [(m.at, Event::Migrate(i))];
+        self.register(|c| &mut c.migrations, [Migration { at, ..m }], moves);
     }
 
     /// Registers a generated churn plan: its tenant flows, its migration
@@ -317,15 +310,9 @@ impl Engine {
         for &m in &plan.migrations {
             self.add_migration(m);
         }
-        let now = self.now();
-        for &mark in &plan.marks {
-            let idx = Event::index(self.ctl.churn_marks.len());
-            self.master
-                .events
-                .schedule_at(mark.at().max(now), Event::ChurnMark(idx));
-            self.ctl.churn_marks.push(mark);
-        }
-        self.master.wake_sampler();
+        let marks = plan.marks.iter().copied();
+        let mark = |m: &ChurnMark, i| [(m.at(), Event::ChurnMark(i))];
+        self.register(|c| &mut c.churn_marks, marks, mark);
     }
 
     /// Registers a fault plan: every event's start and end are pushed onto
@@ -334,16 +321,33 @@ impl Engine {
     /// times). May be called mid-run; instants already in the past take
     /// effect immediately.
     pub fn apply_fault_plan(&mut self, plan: FaultPlan) {
+        let faults = plan.events().iter().cloned();
+        let window = |f: &FaultEvent, i| {
+            [
+                (f.at(), Event::FaultStart(i)),
+                (f.end(), Event::FaultEnd(i)),
+            ]
+        };
+        self.register(|c| &mut c.fault_plan, faults, window);
+    }
+
+    /// The one registration path. Each entry is filed under the next index
+    /// of the control-state table `table` picks, and the global events
+    /// `events` names for it are scheduled — an instant already past takes
+    /// effect now. Then a sampler that stopped on a drained calendar wakes.
+    fn register<T, const N: usize>(
+        &mut self,
+        table: fn(&mut Control) -> &mut Vec<T>,
+        entries: impl IntoIterator<Item = T>,
+        events: impl Fn(&T, u32) -> [(SimTime, Event); N],
+    ) {
         let now = self.now();
-        for ev in plan.events() {
-            let idx = Event::index(self.ctl.fault_plan.len());
-            self.master
-                .events
-                .schedule_at(ev.at().max(now), Event::FaultStart(idx));
-            self.master
-                .events
-                .schedule_at(ev.end().max(now), Event::FaultEnd(idx));
-            self.ctl.fault_plan.push(ev.clone());
+        for entry in entries {
+            let idx = Event::index(table(&mut self.ctl).len());
+            for (at, ev) in events(&entry, idx) {
+                self.master.events.schedule_at(at.max(now), ev);
+            }
+            table(&mut self.ctl).push(entry);
         }
         self.master.wake_sampler();
     }
@@ -382,6 +386,10 @@ impl Engine {
         }
         if let Some(t0) = run_t0 {
             profiler.add_run_ns(t0.elapsed().as_nanos() as u64);
+        }
+        #[cfg(debug_assertions)]
+        if master.events.is_empty() {
+            assert_drained(ctl, shards);
         }
     }
 
@@ -577,6 +585,32 @@ fn run_direct<P: Probe>(
         let shards = std::slice::from_mut(&mut *shard);
         exec_global(ctl, master, shards, global);
         probe.dispatched(phase, &master.events, shards);
+    }
+}
+
+/// Packet conservation on a drained calendar (debug builds): with no event
+/// pending, no packet is in flight and none waits at a gateway, no gateway
+/// is busy, and every TCP flow has completed — a started flow that had not
+/// would still have its retransmission timer pending.
+#[cfg(debug_assertions)]
+fn assert_drained(ctl: &Control, shards: &[Shard]) {
+    for s in shards {
+        assert_eq!(s.arena.live(), 0, "packets alive on a drained calendar");
+        assert!(
+            s.gw_queue.iter().all(|q| q.is_empty()),
+            "a gateway queue outlived the run"
+        );
+        assert!(
+            !s.gw_busy.contains(&true),
+            "a gateway is busy on a drained calendar"
+        );
+    }
+    for (i, f) in ctl.flows.iter().enumerate() {
+        let done = shards.iter().any(|s| s.flows[i].completed);
+        assert!(
+            !f.is_tcp() || done,
+            "TCP flow {i} unfinished on a drained calendar"
+        );
     }
 }
 

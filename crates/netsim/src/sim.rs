@@ -10,6 +10,12 @@
 //! [`Effects`] sink — so one handler body serves the one-shard engine and
 //! a shard running beside others, where a packet may leave over a cut
 //! link.
+//!
+//! Every packet handler has one shape. A packet enters a node at one
+//! arrival gate ([`Shard::on_link_arrival`]), which reads the node once,
+//! drops the packet if the node is blacked out and, at a switch, counts
+//! the hop. The handler then states only what is particular to its node,
+//! and ends in the one forwarding tail, [`Shard::send_on`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -21,7 +27,7 @@ use sv2p_packet::{
 };
 use sv2p_simcore::{FxHashMap, SimDuration, SimRng, SimTime};
 use sv2p_telemetry::{Cause, EventKind, Layer, Op, TraceEvent};
-use sv2p_topology::{LinkId, NodeId, NodeKind, RoleMap, SwitchRole};
+use sv2p_topology::{LinkId, Node, NodeId, NodeKind, RoleMap, SwitchRole};
 use sv2p_transport::{SenderOps, TcpConfig, TcpSender};
 use sv2p_vnet::{
     AgentOutput, CacheOp, HostAgent, HostResolution, MisdeliveryPolicy, PacketAction, SwitchAgent,
@@ -29,7 +35,7 @@ use sv2p_vnet::{
 };
 
 use crate::arena::{PacketArena, PacketRef};
-use crate::effects::{Effects, Event, Master, MetricOp, Probe};
+use crate::effects::{Effects, Event, Master, Probe};
 use crate::faults::FaultEvent;
 use crate::flows::{src_port, FlowKind, FlowXport};
 use crate::link::{EnqueueOutcome, LinkState};
@@ -126,9 +132,9 @@ pub(crate) struct Shard {
     pub flows: Vec<FlowXport>,
     /// Per-gateway busy flag for the bounded-queue overload model
     /// (`GatewayConfig::queue_cap > 0`; legacy unbounded mode otherwise).
-    gw_busy: Vec<bool>,
+    pub gw_busy: Vec<bool>,
     /// Per-gateway bounded packet queue (overload model only).
-    gw_queue: Vec<VecDeque<PacketRef>>,
+    pub gw_queue: Vec<VecDeque<PacketRef>>,
     /// This shard's share of the order-free ledger; `Engine::counters`
     /// merges the shards' on every read.
     pub counters: Counters,
@@ -218,7 +224,7 @@ impl Shard {
             Event::LinkArrival { link, pkt } => self.on_link_arrival(ctl, fx, link, pkt),
             Event::RtoTimer { flow, gen } => self.on_rto_timer(ctl, fx, flow as usize, gen),
             Event::GatewayDone { node, pkt } => self.on_gateway_done(ctl, fx, node, pkt),
-            Event::ReInject { node, pkt } => self.handle_at_switch(ctl, fx, node, pkt, None, false),
+            Event::ReInject { node, pkt } => self.on_re_inject(ctl, fx, node, pkt),
             Event::HostForward { node, pkt } => self.on_host_forward(ctl, fx, node, pkt),
             Event::Migrate(_)
             | Event::FaultStart(_)
@@ -290,8 +296,27 @@ impl Shard {
     }
 
     // ------------------------------------------------------------------
-    // Packet end of life
+    // Packet trace and end of life
     // ------------------------------------------------------------------
+
+    /// The lifecycle record `kind` of packet `h` at `node`, its flow and
+    /// packet id read off the arena; `None` when tracing is off. Protocol
+    /// packets carry the default `FlowId(0)` and would pollute flow 0's
+    /// trace, so only data packets get one.
+    fn packet_event<F: Effects>(
+        &self,
+        fx: &F,
+        kind: EventKind,
+        h: PacketRef,
+        node: NodeId,
+    ) -> Option<TraceEvent> {
+        fx.tracing().then(|| {
+            let p = self.arena.get(h);
+            TraceEvent::new(fx.now().as_nanos(), kind)
+                .packet(p.flow.0, p.id.0)
+                .at_node(node.0)
+        })
+    }
 
     /// Ends a packet's life as a drop: records the metrics counter and a
     /// trace event (data packets only — protocol packets vanish silently)
@@ -303,16 +328,9 @@ impl Shard {
         node: NodeId,
         cause: DropCause,
     ) {
-        let (is_data, flow, id) = {
-            let p = self.arena.get(h);
-            (matches!(p.kind, PacketKind::Data), p.flow.0, p.id.0)
-        };
-        if is_data {
+        if matches!(self.arena.get(h).kind, PacketKind::Data) {
             self.counters.record_drop(cause);
-            if fx.tracing() {
-                let mut ev = TraceEvent::new(fx.now().as_nanos(), EventKind::Drop)
-                    .packet(flow, id)
-                    .at_node(node.0);
+            if let Some(mut ev) = self.packet_event(fx, EventKind::Drop, h, node) {
                 ev.cause = Some(wire_cause(cause));
                 fx.trace(ev);
             }
@@ -333,7 +351,7 @@ impl Shard {
 
     fn on_flow_start<F: Effects>(&mut self, ctl: &Control, fx: &mut F, idx: usize) {
         let now = fx.now();
-        fx.metric(MetricOp::FlowStarted(FlowId(idx as u64)));
+        fx.metrics().flow_started(FlowId(idx as u64), now);
         match &ctl.flows[idx].kind {
             FlowKind::Tcp { bytes } => {
                 // Every sender runs the reordering-tolerant profile the
@@ -358,16 +376,7 @@ impl Shard {
             FlowKind::Udp { schedule } => schedule.sends[idx].1,
             FlowKind::Tcp { .. } => unreachable!("UdpSend on TCP flow"),
         };
-        self.send_flow_packet(
-            ctl,
-            fx,
-            flow,
-            idx as u32,
-            len,
-            TcpFlags::default(),
-            idx == 0,
-            false,
-        );
+        self.send_flow_packet(ctl, fx, flow, idx as u32, len, idx == 0, false);
     }
 
     fn on_rto_timer<F: Effects>(&mut self, ctl: &Control, fx: &mut F, flow: usize, gen: u32) {
@@ -393,16 +402,7 @@ impl Shard {
     ) {
         for seg in &ops.segments {
             let first = seg.seq == 0 && !seg.retransmit;
-            self.send_flow_packet(
-                ctl,
-                fx,
-                flow,
-                seg.seq as u32,
-                seg.len,
-                TcpFlags::default(),
-                first,
-                false,
-            );
+            self.send_flow_packet(ctl, fx, flow, seg.seq as u32, seg.len, first, false);
         }
         let f = &mut self.flows[flow];
         let complete = f.tcp_tx.as_ref().is_some_and(|tx| tx.is_complete());
@@ -410,7 +410,8 @@ impl Shard {
             f.completed = true;
             // Invalidate any pending retransmission timer.
             f.rto_gen = f.rto_gen.wrapping_add(1);
-            fx.metric(MetricOp::FlowCompleted(FlowId(flow as u64)));
+            let now = fx.now();
+            fx.metrics().flow_completed(FlowId(flow as u64), now);
         } else if let Some(deadline) = ops.arm_rto {
             f.rto_gen = f.rto_gen.wrapping_add(1);
             let gen = f.rto_gen;
@@ -421,7 +422,7 @@ impl Shard {
     }
 
     /// Builds and transmits one tenant packet for `flow`. `reverse` sends
-    /// from the flow's destination back to its source (ACKs).
+    /// a pure ACK of `seq` from the flow's destination back to its source.
     #[allow(clippy::too_many_arguments)]
     fn send_flow_packet<F: Effects>(
         &mut self,
@@ -430,7 +431,6 @@ impl Shard {
         flow: usize,
         seq: u32,
         payload: u32,
-        flags: TcpFlags,
         first_of_flow: bool,
         reverse: bool,
     ) {
@@ -486,8 +486,11 @@ impl Shard {
                 dst_port,
                 protocol: proto,
                 seq,
-                ack: if flags.ack { seq } else { 0 },
-                flags,
+                ack: if reverse { seq } else { 0 },
+                flags: TcpFlags {
+                    ack: reverse,
+                    ..TcpFlags::default()
+                },
             },
             opts: TunnelOptions::default(),
             payload,
@@ -498,14 +501,6 @@ impl Shard {
         };
 
         self.counters.record_data_sent(now);
-        if fx.tracing() {
-            let mut ev = TraceEvent::new(now.as_nanos(), EventKind::PacketSent)
-                .packet(flow_id.0, pkt.id.0)
-                .at_node(src_node.0);
-            ev.resolved = Some(resolved);
-            ev.vip = Some(dst_vip.0);
-            fx.trace(ev);
-        }
         if self.world.cfg.record_traffic_matrix {
             *self
                 .traffic_matrix
@@ -513,31 +508,51 @@ impl Shard {
                 .or_insert(0) += 1;
         }
         let h = self.arena.alloc(pkt);
-        self.transmit_from_host(ctl, fx, src_node, h);
+        if let Some(mut ev) = self.packet_event(fx, EventKind::PacketSent, h, src_node) {
+            ev.resolved = Some(resolved);
+            ev.vip = Some(dst_vip.0);
+            fx.trace(ev);
+        }
+        self.send_on(ctl, fx, src_node, h);
     }
 
     // ------------------------------------------------------------------
-    // Links
+    // The hop: one tail out of a node, one link, one gate into the next
     // ------------------------------------------------------------------
 
-    /// Sends the packet out of host `node`'s NIC.
-    fn transmit_from_host<F: Effects>(
-        &mut self,
-        ctl: &Control,
-        fx: &mut F,
-        node: NodeId,
-        pkt: PacketRef,
-    ) {
-        let uplink = self.world.topo.out_links[node.0 as usize]
-            .first()
-            .copied()
-            .expect("host has an uplink");
-        if !ctl.link_up[uplink.0 as usize] {
-            // The host's only uplink is down: nowhere to go.
-            self.drop_packet(fx, pkt, node, DropCause::Unroutable);
-            return;
+    /// The one forwarding tail: sends `pkt` on from `node`. A server or
+    /// gateway sends it out of its one uplink. A switch routes it by ECMP
+    /// over the links that are up toward the node its outer PIP addresses,
+    /// and frees it if that is the switch itself (the agent chose not to
+    /// consume it). A packet with nowhere to go — its uplink down, no
+    /// usable port, or an address that names nothing (e.g. a Bluebird
+    /// packet no ToR translated) — is dropped `Unroutable`.
+    fn send_on<F: Effects>(&mut self, ctl: &Control, fx: &mut F, node: NodeId, pkt: PacketRef) {
+        let topo = &self.world.topo;
+        let next = if self.world.is_host(node) {
+            let uplink = topo.out_links[node.0 as usize][0];
+            ctl.link_up[uplink.0 as usize].then_some(uplink)
+        } else {
+            match self.arena.dst_node(pkt, topo) {
+                Some(dst) if dst == node => {
+                    self.arena.free(pkt);
+                    return;
+                }
+                Some(dst) => {
+                    let key = self.arena.get(pkt).ecmp_key();
+                    let usable = |l: LinkId| ctl.link_up[l.0 as usize];
+                    let scratch = &mut self.route_scratch;
+                    self.world
+                        .routing
+                        .next_link(topo, node, dst, key, &usable, scratch)
+                }
+                None => None,
+            }
+        };
+        match next {
+            Some(link) => self.enqueue_on_link(ctl, fx, link, pkt),
+            None => self.drop_packet(fx, pkt, node, DropCause::Unroutable),
         }
-        self.enqueue_on_link(ctl, fx, uplink, pkt);
     }
 
     /// Offers `pkt` to `link`'s egress port. An accepted packet's last bit
@@ -586,6 +601,11 @@ impl Shard {
         }
     }
 
+    /// The arrival gate: reads the node `link` ends at once and hands the
+    /// packet to its handler. A blacked-out switch or gateway drops it
+    /// (senders ride their RTO). A switch counts the hop here — the hop
+    /// count, its bytes and the `SwitchIngress` record — so a packet an
+    /// agent held back and re-injects is not counted twice.
     fn on_link_arrival<F: Effects>(
         &mut self,
         ctl: &Control,
@@ -595,16 +615,26 @@ impl Shard {
     ) {
         let topo = &self.world.topo;
         let dl = topo.link(link);
-        let node = dl.to;
-        match topo.node(node).kind {
-            k if k.is_switch() => {
-                let from = topo.node(dl.from);
-                let ingress = from.kind.is_host().then_some(from.pip);
-                self.handle_at_switch(ctl, fx, node, pkt, ingress, true);
+        let (from, here) = (dl.from, *topo.node(dl.to));
+        match here.kind {
+            NodeKind::Server { .. } => self.handle_at_server(ctl, fx, here.id, pkt),
+            _ if ctl.blackout[here.id.0 as usize] => {
+                self.drop_packet(fx, pkt, here.id, DropCause::Blackout)
             }
-            NodeKind::Server { .. } => self.handle_at_server(ctl, fx, node, pkt),
-            NodeKind::Gateway { .. } => self.handle_at_gateway(ctl, fx, node, pkt),
-            _ => unreachable!(),
+            NodeKind::Gateway { .. } => self.handle_at_gateway(fx, here.id, pkt),
+            _ => {
+                let ingress = self.world.is_host(from).then(|| topo.node(from).pip);
+                let p = self.arena.get_mut(pkt);
+                p.switch_hops = p.switch_hops.saturating_add(1);
+                let (wire, is_data) = (p.wire_size(), matches!(p.kind, PacketKind::Data));
+                self.counters
+                    .record_switch_bytes(self.world.tag(here.id), wire);
+                let ev = self.packet_event(fx, EventKind::SwitchIngress, pkt, here.id);
+                if let Some(ev) = ev.filter(|_| is_data) {
+                    fx.trace(ev);
+                }
+                self.handle_at_switch(ctl, fx, here, pkt, ingress);
+            }
         }
     }
 
@@ -612,75 +642,64 @@ impl Shard {
     // Switch logic
     // ------------------------------------------------------------------
 
-    fn handle_at_switch<F: Effects>(
+    /// A packet an agent held back (`PacketAction::Delay`) re-enters its
+    /// switch past the arrival gate: the detour is no hop.
+    fn on_re_inject<F: Effects>(
         &mut self,
         ctl: &Control,
         fx: &mut F,
         node: NodeId,
         pkt: PacketRef,
-        ingress: Option<Pip>,
-        count: bool,
     ) {
-        let idx = node.0 as usize;
-        let now = fx.now();
-        if ctl.blackout[idx] {
-            // A rebooting switch drops everything that traverses it.
+        if ctl.blackout[node.0 as usize] {
+            // The switch began rebooting while it held the packet.
             self.drop_packet(fx, pkt, node, DropCause::Blackout);
             return;
         }
-        let tag = self.world.tag(node);
-        let (is_data, wire, flow_id, pkt_id, was_unresolved, first_of_flow) = {
-            let p = self.arena.get_mut(pkt);
-            if count {
-                p.switch_hops = p.switch_hops.saturating_add(1);
-            }
-            (
-                matches!(p.kind, PacketKind::Data),
-                p.wire_size(),
-                p.flow.0,
-                p.id.0,
-                !p.outer.resolved,
-                p.first_of_flow,
-            )
-        };
-        if count {
-            self.counters.record_switch_bytes(tag, wire);
-        }
-        let trace = fx.tracing();
-        // Protocol packets carry the default FlowId(0); tracing them would
-        // pollute flow 0's packet trace, so lifecycle events are data-only.
-        if trace && count && is_data {
-            fx.trace(
-                TraceEvent::new(now.as_nanos(), EventKind::SwitchIngress)
-                    .packet(flow_id, pkt_id)
-                    .at_node(node.0),
-            );
-        }
-        let was_unresolved = is_data && was_unresolved;
+        let here = *self.world.topo.node(node);
+        self.handle_at_switch(ctl, fx, here, pkt, None);
+    }
+
+    /// The switch's part of a hop: the agent call, the accounting of what
+    /// the agent reports, then the tail for the packet and for each packet
+    /// the agent emits. `here` is the switch as the arrival gate read it;
+    /// `ingress` the PIP of the host the packet came up from, if any.
+    fn handle_at_switch<F: Effects>(
+        &mut self,
+        ctl: &Control,
+        fx: &mut F,
+        here: Node,
+        pkt: PacketRef,
+        ingress: Option<Pip>,
+    ) {
+        let (node, idx, now) = (here.id, here.id.0 as usize, fx.now());
         let role = ctl.roles.role(node).expect("switch role");
+        let trace = fx.tracing();
+        let (is_data, was_unresolved, first_of_flow) = {
+            let p = self.arena.get(pkt);
+            let is_data = matches!(p.kind, PacketKind::Data);
+            (is_data, is_data && !p.outer.resolved, p.first_of_flow)
+        };
         // The arena remembers which node the outer destination resolved to
-        // at an earlier hop; it probes the topology again, here or below,
-        // only when the PIP has been rewritten since.
-        let dst_node = self.arena.dst_node(pkt, &self.world.topo);
-        let dst_attached = dst_node.is_some_and(|dst| {
-            let topo = &self.world.topo;
-            topo.node(dst).kind.is_host() && self.world.routing.tor_of(topo, dst) == node
+        // at an earlier hop; it probes the topology again, here or in the
+        // tail, only when the PIP has been rewritten since.
+        let world = &*self.world;
+        let dst_attached = self.arena.dst_node(pkt, &world.topo).is_some_and(|dst| {
+            world.is_host(dst) && world.routing.tor_of(&world.topo, dst) == node
         });
 
         let output = {
-            let world = &*self.world;
             let topo = &world.topo;
             let pod_of = move |pip: Pip| -> Option<u16> {
                 topo.node_by_pip(pip).and_then(|n| topo.node(n).kind.pod())
             };
             let pip_of_tag = move |t: SwitchTag| world.tag_pips[t.0 as usize];
-            let node_info = topo.node(node);
             let mut ctx = SwitchCtx {
                 now,
-                tag,
-                switch_pip: node_info.pip,
+                tag: world.tag(node),
+                switch_pip: here.pip,
                 role,
-                my_pod: node_info.kind.pod(),
+                my_pod: here.kind.pod(),
                 ingress_host: ingress,
                 dst_attached,
                 placement: &ctl.placement,
@@ -717,10 +736,7 @@ impl Shard {
                 let migration = ctl.last_migration.get(&vip).copied();
                 if migration.is_some() && ctl.placement.lookup(vip) != Some(cur_dst) {
                     let age = self.counters.record_stale_hit(migration, now);
-                    if trace {
-                        let mut ev = TraceEvent::new(now.as_nanos(), EventKind::StaleHit)
-                            .packet(flow_id, pkt_id)
-                            .at_node(node.0);
+                    if let Some(mut ev) = self.packet_event(fx, EventKind::StaleHit, pkt, node) {
                         ev.vip = Some(vip.0);
                         ev.pip = Some(cur_dst.0);
                         ev.layer = Some(wire_layer(&ctl.roles, node));
@@ -730,32 +746,27 @@ impl Shard {
                 }
             }
         }
-        if output.spill_inserted {
-            self.counters.spillover_inserts += 1;
-        }
-        if output.promotion_inserted {
-            self.counters.promotion_inserts += 1;
-        }
+        self.counters.spillover_inserts += u64::from(output.spill_inserted);
+        self.counters.promotion_inserts += u64::from(output.promotion_inserted);
         if trace {
+            let layer = wire_layer(&ctl.roles, node);
             // A data packet that arrived unresolved at a switch holding cache
             // lines probed that cache; the agent reported hit/miss.
             if was_unresolved && self.world.caching[idx] {
-                let mut ev = TraceEvent::new(now.as_nanos(), EventKind::CacheLookup)
-                    .packet(flow_id, pkt_id)
-                    .at_node(node.0);
-                ev.hit = Some(output.cache_hit);
-                ev.layer = Some(wire_layer(&ctl.roles, node));
-                fx.trace(ev);
-            }
-            if !output.cache_ops.is_empty() {
-                let layer = wire_layer(&ctl.roles, node);
-                for &op in &output.cache_ops {
-                    let mut ev = cache_op_event(now.as_nanos(), node, layer, op);
-                    if is_data {
-                        ev = ev.packet(flow_id, pkt_id);
-                    }
+                if let Some(mut ev) = self.packet_event(fx, EventKind::CacheLookup, pkt, node) {
+                    ev.hit = Some(output.cache_hit);
+                    ev.layer = Some(layer);
                     fx.trace(ev);
                 }
+            }
+            let p = self.arena.get(pkt);
+            for &op in &output.cache_ops {
+                let ev = cache_op_event(now.as_nanos(), node, layer, op);
+                fx.trace(if is_data {
+                    ev.packet(p.flow.0, p.id.0)
+                } else {
+                    ev
+                });
             }
         }
         for mut extra in output.emit {
@@ -767,58 +778,13 @@ impl Shard {
                 PacketKind::Data => {}
             }
             let eh = self.arena.alloc(extra);
-            let extra_dst = self.arena.dst_node(eh, &self.world.topo);
-            self.route_from_switch(ctl, fx, node, eh, extra_dst);
+            self.send_on(ctl, fx, node, eh);
         }
         match output.action {
-            PacketAction::Forward => {
-                let dst_node = self.arena.dst_node(pkt, &self.world.topo);
-                self.route_from_switch(ctl, fx, node, pkt, dst_node);
-            }
+            PacketAction::Forward => self.send_on(ctl, fx, node, pkt),
             PacketAction::Delay(d) => fx.schedule_in(d, Event::ReInject { node, pkt }),
-            PacketAction::Drop => {
-                self.drop_packet(fx, pkt, node, DropCause::Queue);
-            }
+            PacketAction::Drop => self.drop_packet(fx, pkt, node, DropCause::Queue),
             PacketAction::Consume => self.arena.free(pkt),
-        }
-    }
-
-    /// Sends `pkt` out of switch `node` toward `dst_node`, the node its
-    /// outer destination PIP resolves to (`None`: it addresses nothing).
-    fn route_from_switch<F: Effects>(
-        &mut self,
-        ctl: &Control,
-        fx: &mut F,
-        node: NodeId,
-        pkt: PacketRef,
-        dst_node: Option<NodeId>,
-    ) {
-        let Some(dst_node) = dst_node else {
-            // Unroutable (e.g. a Bluebird packet no ToR translated): drop.
-            self.drop_packet(fx, pkt, node, DropCause::Unroutable);
-            return;
-        };
-        if dst_node == node {
-            // Addressed to this switch but the agent chose not to consume it.
-            self.arena.free(pkt);
-            return;
-        }
-        let key = self.arena.get(pkt).ecmp_key();
-        let usable = |l: LinkId| ctl.link_up[l.0 as usize];
-        let next = self.world.routing.next_link_filtered_into(
-            &self.world.topo,
-            node,
-            dst_node,
-            key,
-            &usable,
-            &mut self.route_scratch,
-        );
-        match next {
-            Some(link) => self.enqueue_on_link(ctl, fx, link, pkt),
-            None => {
-                // No route, or every candidate port is down.
-                self.drop_packet(fx, pkt, node, DropCause::Unroutable);
-            }
         }
     }
 
@@ -826,41 +792,19 @@ impl Shard {
     // Gateway logic
     // ------------------------------------------------------------------
 
-    fn handle_at_gateway<F: Effects>(
-        &mut self,
-        ctl: &Control,
-        fx: &mut F,
-        node: NodeId,
-        pkt: PacketRef,
-    ) {
+    fn handle_at_gateway<F: Effects>(&mut self, fx: &mut F, node: NodeId, pkt: PacketRef) {
         let now = fx.now();
         let idx = node.0 as usize;
-        if ctl.blackout[idx] {
-            // An out gateway answers nothing; senders ride their RTO.
-            self.drop_packet(fx, pkt, node, DropCause::Blackout);
-            return;
-        }
-        let (translatable, flow, id) = {
-            let p = self.arena.get(pkt);
-            (
-                matches!(p.kind, PacketKind::Data) && !p.outer.resolved,
-                p.flow.0,
-                p.id.0,
-            )
-        };
-        if !translatable {
+        let p = self.arena.get(pkt);
+        if !matches!(p.kind, PacketKind::Data) || p.outer.resolved {
             // Resolved tenant traffic or protocol packets have no business
             // at a gateway.
             self.drop_packet(fx, pkt, node, DropCause::Unroutable);
             return;
         }
         self.counters.record_gateway_packet(now);
-        if fx.tracing() {
-            fx.trace(
-                TraceEvent::new(now.as_nanos(), EventKind::GatewayIngress)
-                    .packet(flow, id)
-                    .at_node(node.0),
-            );
+        if let Some(ev) = self.packet_event(fx, EventKind::GatewayIngress, pkt, node) {
+            fx.trace(ev);
         }
         let cap = self.world.cfg.gateway.queue_cap as usize;
         if cap == 0 {
@@ -899,39 +843,27 @@ impl Shard {
         node: NodeId,
         pkt: PacketRef,
     ) {
+        let dst_vip = self.arena.get(pkt).inner.dst_vip;
         if ctl.blackout[node.0 as usize] {
             // The outage began while this packet was in processing.
             self.drop_packet(fx, pkt, node, DropCause::Blackout);
-            self.gateway_pop_next(fx, node);
-            return;
-        }
-        let dst_vip = self.arena.get(pkt).inner.dst_vip;
-        match ctl.placement.lookup(dst_vip) {
-            Some(pip) => {
-                let (flow, id) = {
-                    let p = self.arena.get_mut(pkt);
-                    p.outer.dst_pip = pip;
-                    p.outer.resolved = true;
-                    p.visited_gateway = true;
-                    // The gateway translated from ground truth; any
-                    // stale-route markings are now moot.
-                    p.opts.misdelivery = None;
-                    p.opts.hit_switch = None;
-                    (p.flow.0, p.id.0)
-                };
-                if fx.tracing() {
-                    let mut ev = TraceEvent::new(fx.now().as_nanos(), EventKind::GatewayDone)
-                        .packet(flow, id)
-                        .at_node(node.0);
-                    ev.vip = Some(dst_vip.0);
-                    ev.pip = Some(pip.0);
-                    fx.trace(ev);
-                }
-                self.transmit_from_host(ctl, fx, node, pkt);
+        } else if let Some(pip) = ctl.placement.lookup(dst_vip) {
+            let p = self.arena.get_mut(pkt);
+            p.outer.dst_pip = pip;
+            p.outer.resolved = true;
+            p.visited_gateway = true;
+            // The gateway translated from ground truth; any stale-route
+            // markings are now moot.
+            p.opts.misdelivery = None;
+            p.opts.hit_switch = None;
+            if let Some(mut ev) = self.packet_event(fx, EventKind::GatewayDone, pkt, node) {
+                ev.vip = Some(dst_vip.0);
+                ev.pip = Some(pip.0);
+                fx.trace(ev);
             }
-            None => {
-                self.drop_packet(fx, pkt, node, DropCause::Unroutable);
-            }
+            self.send_on(ctl, fx, node, pkt);
+        } else {
+            self.drop_packet(fx, pkt, node, DropCause::Unroutable);
         }
         self.gateway_pop_next(fx, node);
     }
@@ -970,28 +902,14 @@ impl Shard {
         // The packet's life ends here: capture everything delivery needs,
         // then release the slot before the transport reacts (its reaction
         // may allocate ACKs or retransmits into the arena).
-        let (flow_id, pkt_id, is_ack, ack_no, seq, payload, sent_ns, hops, first) = {
-            let p = self.arena.get(pkt);
-            (
-                p.flow,
-                p.id.0,
-                p.inner.flags.ack,
-                p.inner.ack,
-                p.inner.seq,
-                p.payload,
-                p.sent_ns,
-                p.switch_hops,
-                p.first_of_flow,
-            )
-        };
-        self.arena.free(pkt);
-
         let now = fx.now();
+        let p = self.arena.get(pkt);
+        let (flow_id, ack_no, seq, payload) = (p.flow, p.inner.ack, p.inner.seq, p.payload);
+        let (sent_ns, hops, first) = (p.sent_ns, p.switch_hops, p.first_of_flow);
         let flow = flow_id.0 as usize;
-        debug_assert!(flow < self.flows.len(), "unknown flow id");
-
-        if is_ack {
+        if p.inner.flags.ack {
             // ACK back at the sender.
+            self.arena.free(pkt);
             let ops = match self.flows[flow].tcp_tx.as_mut() {
                 Some(tx) => tx.on_ack(now, ack_no as u64),
                 None => return,
@@ -1001,32 +919,27 @@ impl Shard {
         }
 
         // Forward-direction data.
-        fx.metric(MetricOp::Delivery { sent_ns, hops });
-        if fx.tracing() {
-            let mut ev = TraceEvent::new(now.as_nanos(), EventKind::Delivery)
-                .packet(flow_id.0, pkt_id)
-                .at_node(node.0);
+        if let Some(mut ev) = self.packet_event(fx, EventKind::Delivery, pkt, node) {
             ev.hops = Some(hops);
             ev.latency_ns = Some(now.as_nanos().saturating_sub(sent_ns));
             fx.trace(ev);
         }
+        self.arena.free(pkt);
+        let m = fx.metrics();
+        m.record_delivery(SimTime::from_nanos(sent_ns), now, hops);
         if first {
-            fx.metric(MetricOp::FirstPacketDelivered(flow_id));
+            m.first_packet_delivered(flow_id, now);
         }
         if ctl.flows[flow].is_tcp() {
             let ack = self.flows[flow].tcp_rx.on_data(seq as u64, payload);
             // Emit a pure ACK back to the sender.
-            let flags = TcpFlags {
-                ack: true,
-                ..TcpFlags::default()
-            };
-            self.send_flow_packet(ctl, fx, flow, ack as u32, 0, flags, false, true);
+            self.send_flow_packet(ctl, fx, flow, ack as u32, 0, false, true);
         } else {
             let f = &mut self.flows[flow];
             f.udp_delivered += 1;
             if f.udp_delivered >= ctl.flows[flow].udp_total() && !f.completed {
                 f.completed = true;
-                fx.metric(MetricOp::FlowCompleted(flow_id));
+                fx.metrics().flow_completed(flow_id, now);
             }
         }
     }
@@ -1081,6 +994,6 @@ impl Shard {
                 p.outer.resolved = false;
             }
         }
-        self.transmit_from_host(ctl, fx, node, pkt);
+        self.send_on(ctl, fx, node, pkt);
     }
 }

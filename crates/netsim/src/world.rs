@@ -43,6 +43,11 @@ impl World {
         self.tags[node.0 as usize].expect("switch tag")
     }
 
+    /// Whether `node` is a host (a server or a gateway): it has no tag.
+    pub fn is_host(&self, node: NodeId) -> bool {
+        self.tags[node.0 as usize].is_none()
+    }
+
     /// The shard owning `node`.
     pub fn shard_of(&self, node: NodeId) -> usize {
         self.partition.shard_of(node) as usize

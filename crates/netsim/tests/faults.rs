@@ -2,12 +2,12 @@
 //! outages, stochastic loss — and the determinism contract for all of them.
 
 use proptest::prelude::*;
-use sv2p_baselines::NoCache;
+use sv2p_baselines::{NoCache, OnDemand};
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use sv2p_simcore::{SimDuration, SimTime};
 use sv2p_topology::{FatTreeConfig, LinkId, NodeId, SwitchRole};
-use sv2p_vnet::{Migration, Strategy};
+use sv2p_vnet::{GatewayConfig, Migration, Strategy};
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
 fn sim_with(strategy: &dyn Strategy, cache_entries: usize) -> Engine {
@@ -99,6 +99,74 @@ fn gateway_outage_rides_the_rto_until_restoration() {
     assert!(
         s.retransmissions > 0,
         "senders must recover via RTO retries: {s:?}"
+    );
+}
+
+/// A bounded gateway whose outage begins while a packet is in service
+/// drops that packet and must still pull its queue on, or go idle: a
+/// gateway left busy would queue and shed every arrival after the outage.
+#[test]
+fn an_outage_mid_service_frees_a_bounded_gateway() {
+    let cfg = SimConfig {
+        gateway: GatewayConfig { queue_cap: 4 },
+        // A guard: behind a wedged gateway the senders retry for ever.
+        end_of_time: Some(SimTime::from_millis(100)),
+        ..SimConfig::default()
+    };
+    let mut sim = Engine::new(cfg, &FatTreeConfig::scaled_ft8(2), &NoCache, 0, 4);
+    let gws: Vec<NodeId> = sim.topology().gateways().map(|n| n.id).collect();
+    let plan = FaultPlan::from_events(gws.iter().map(|&node| FaultEvent::GatewayOutage {
+        node,
+        at: SimTime::from_micros(30),
+        up_at: SimTime::from_micros(300),
+    }))
+    .unwrap();
+    sim.apply_fault_plan(plan);
+    let flows = tcp_flows(&sim, 10, 20_000);
+    let n = flows.len() as u64;
+    sim.add_flows(flows);
+    sim.run();
+    let s = sim.summary();
+    assert_eq!(s.flows_completed, n, "{s:?}");
+    assert!(s.drops_blackout > 0, "the outage must interrupt a service: {s:?}");
+}
+
+/// A ToR reboot restarts the vswitches of its rack: under OnDemand the
+/// sender's host cache is gone, so its next packet asks a gateway again.
+/// A zero-length reboot blacks out nothing, so that one packet is all the
+/// reboot adds.
+#[test]
+fn a_tor_reboot_cold_starts_its_hosts() {
+    let run = |reboot: bool| {
+        let mut sim = sim_with(&OnDemand, 0);
+        let (src_vm, dst_vm) = (0, sim.placement().len() - 1);
+        let src = sim.placement().node_of(src_vm);
+        let tor = sim.routing().tor_of(sim.topology(), src);
+        if reboot {
+            let plan = FaultPlan::from_events([FaultEvent::SwitchReboot {
+                node: tor,
+                at: SimTime::from_micros(50),
+                blackout: SimDuration::ZERO,
+            }])
+            .unwrap();
+            sim.apply_fault_plan(plan);
+        }
+        sim.add_flows([FlowSpec {
+            src_vm,
+            dst_vm,
+            start: SimTime::ZERO,
+            kind: FlowKind::Tcp { bytes: 200_000 },
+        }]);
+        sim.run();
+        sim.summary()
+    };
+    let (warm, rebooted) = (run(false), run(true));
+    assert_eq!(rebooted.flows_completed, 1, "{rebooted:?}");
+    assert_eq!(rebooted.packets_dropped, 0, "{rebooted:?}");
+    assert_eq!(
+        rebooted.gateway_packets,
+        warm.gateway_packets + 1,
+        "the sender resolves once more after the reboot"
     );
 }
 

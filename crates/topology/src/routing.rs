@@ -138,17 +138,10 @@ impl Routing {
     }
 
     /// The equal-cost egress links from `at` toward `dst` (empty iff
-    /// `at == dst`).
-    pub fn candidates(&self, topo: &Topology, at: NodeId, dst: NodeId) -> Vec<LinkId> {
-        let mut out = Vec::new();
-        self.candidates_into(topo, at, dst, &mut out);
-        out
-    }
-
-    /// [`Self::candidates`] into a caller-owned buffer — the hot path's
-    /// variant. Clears `out` first; a reused scratch `Vec` makes per-hop
-    /// routing allocation-free after warm-up. The order of the links is
-    /// part of the contract: ECMP picks by position.
+    /// `at == dst`), into a caller-owned buffer. Clears `out` first; a
+    /// reused scratch `Vec` makes per-hop routing allocation-free after
+    /// warm-up. The order of the links is part of the contract: ECMP picks
+    /// by position.
     pub fn candidates_into(
         &self,
         topo: &Topology,
@@ -222,38 +215,14 @@ impl Routing {
         }
     }
 
-    /// The single ECMP next hop for a packet with flow key `key`.
+    /// The ECMP next hop from `at` toward `dst` for a packet with flow key
+    /// `key`, among the links where `usable` holds — the data plane's view
+    /// after link failures. Unusable members are masked out of the group
+    /// before hashing, so flows rehash onto the surviving ports; `None`
+    /// when every candidate is down (the packet is unroutable) or
+    /// `at == dst`. `scratch` is the caller's candidate buffer, so a hop
+    /// allocates nothing once it has grown to the widest group.
     pub fn next_link(
-        &self,
-        topo: &Topology,
-        at: NodeId,
-        dst: NodeId,
-        key: u64,
-    ) -> Option<LinkId> {
-        self.next_link_filtered(topo, at, dst, key, &|_| true)
-    }
-
-    /// [`Self::next_link`] restricted to links where `usable` holds — the
-    /// data plane's view after link failures. Unusable members are masked
-    /// out of the ECMP group before hashing, so flows rehash onto the
-    /// surviving ports; returns `None` only when every candidate is down
-    /// (the packet is unroutable).
-    pub fn next_link_filtered(
-        &self,
-        topo: &Topology,
-        at: NodeId,
-        dst: NodeId,
-        key: u64,
-        usable: &dyn Fn(LinkId) -> bool,
-    ) -> Option<LinkId> {
-        let mut scratch = Vec::new();
-        self.next_link_filtered_into(topo, at, dst, key, usable, &mut scratch)
-    }
-
-    /// [`Self::next_link_filtered`] using a caller-owned candidate buffer,
-    /// so the per-hop ECMP decision allocates nothing once the scratch has
-    /// grown to the widest group.
-    pub fn next_link_filtered_into(
         &self,
         topo: &Topology,
         at: NodeId,
@@ -271,10 +240,10 @@ impl Routing {
     /// inclusive of both endpoints. Panics on a routing loop (> 64 hops).
     pub fn path(&self, topo: &Topology, from: NodeId, to: NodeId, key: u64) -> Vec<NodeId> {
         let mut path = vec![from];
-        let mut at = from;
+        let (mut at, mut scratch) = (from, Vec::new());
         while at != to {
             let link = self
-                .next_link(topo, at, to, key)
+                .next_link(topo, at, to, key, &|_| true, &mut scratch)
                 .expect("no route");
             at = topo.link(link).to;
             path.push(at);
@@ -639,23 +608,21 @@ mod tests {
         let tor = r.tor_of(&topo, a);
         // From the ToR every pod spine is a candidate; fail the one the
         // hash picks and the flow must rehash onto a different uplink.
-        let picked = r.next_link(&topo, tor, b, 99).expect("route exists");
+        let s = &mut Vec::new();
+        let picked = r.next_link(&topo, tor, b, 99, &|_| true, s).expect("route exists");
         let alt = r
-            .next_link_filtered(&topo, tor, b, 99, &|l| l != picked)
+            .next_link(&topo, tor, b, 99, &|l| l != picked, s)
             .expect("alternate port exists");
         assert_ne!(alt, picked);
         // Same key + same mask is deterministic.
         assert_eq!(
-            r.next_link_filtered(&topo, tor, b, 99, &|l| l != picked),
+            r.next_link(&topo, tor, b, 99, &|l| l != picked, s),
             Some(alt)
         );
         // Masking everything makes the destination unroutable.
-        assert_eq!(r.next_link_filtered(&topo, tor, b, 99, &|_| false), None);
+        assert_eq!(r.next_link(&topo, tor, b, 99, &|_| false, s), None);
         // A host's single uplink down: unroutable at the source.
-        assert_eq!(
-            r.next_link_filtered(&topo, a, b, 1, &|_| false),
-            None
-        );
+        assert_eq!(r.next_link(&topo, a, b, 1, &|_| false, s), None);
     }
 
     #[test]
@@ -694,7 +661,7 @@ mod tests {
                 let key = rng.next_u64_raw();
                 want.retain(|&l| usable(l));
                 assert_eq!(
-                    tables.next_link_filtered_into(&topo, at, dst, key, &usable, &mut got),
+                    tables.next_link(&topo, at, dst, key, &usable, &mut got),
                     ecmp_pick(at, key, &want)
                 );
             }
