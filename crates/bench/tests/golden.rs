@@ -57,6 +57,25 @@
 //! `projection@1` with exactly those six lines removed (computed on the
 //! parent). `events`, `summary` and `telemetry` are the parent's.
 //!
+//! Then every row's `events`, `telemetry` and projection columns once more,
+//! when a flow's retransmission timer came to be filed once per RTO instead
+//! of once per ACK (`netsim::flows::LazyRto`).
+//! * `events` falls in every row (13 444 -> 12 284 on `switchv2p`, 199 873
+//!   -> 186 181 on `profiling-hadoop`): a re-arm for a deadline at or after
+//!   the filed one files nothing, so the no-op pop each such re-arm left
+//!   behind is gone. What still pops is a flow's first filing, superseded
+//!   (an orphan) when the RTO falls from its initial 1 ms towards the
+//!   500 us minimum; its last filing, after it completed; a re-filing
+//!   wherever a filed deadline came due with a later one armed; and the
+//!   timeouts themselves.
+//! * `telemetry` moves in every traced row and the projection in every row:
+//!   samples and profile reports count events executed and pending, and the
+//!   calendar-occupancy histograms no longer see a dormant timer per ACK.
+//! * `summary` is *unchanged* in all thirteen rows, by construction: each
+//!   arm still takes one seq, and a timer is filed, or re-filed, under the
+//!   seq its arm took, so a timer fires at the `(time, seq)` it had with
+//!   one event per arm, and every other event keeps its key.
+//!
 //! To re-record after an intended semantic change, run with
 //! `GOLDEN_PRINT=1 cargo test -p sv2p-bench --test golden -- --nocapture`
 //! and paste the printed rows.
@@ -76,99 +95,99 @@ use switchv2p::{SwitchV2P, SwitchV2PConfig};
 /// `(scenario, events, summary, telemetry, projection)`.
 type Row = (&'static str, u64, u64, u64, u64);
 
-/// Recorded with the analytic link, the projection when the shards came to
-/// interleave; see the module doc for what moved and why.
+/// Recorded when the retransmission timer came to be filed once per RTO;
+/// see the module doc for what moved and why.
 const GOLDEN: &[Row] = &[
     (
         "switchv2p",
-        13444,
+        12284,
         0x6ba0fbb75c118cba,
-        0xc3babea485f45122,
-        0x2960995bf1207cbe,
+        0xdf7af4935efa4a08,
+        0x109500e2dbb255a1,
     ),
     (
         "nocache-untraced",
-        23416,
+        22256,
         0xe47d2ccc4b38f3c0,
         0xcbf29ce484222325,
-        0xba59c087adc522a9,
+        0x55023881ecce79a3,
     ),
     (
         "faulted",
-        13322,
+        12330,
         0x2ea9926491e94bfc,
-        0x88b351fb3b770ff1,
-        0x6c61a48dc07c2bd0,
+        0xf9f3663e99ff7f2a,
+        0xfdb6320e7a40d31b,
     ),
     (
         "migrated",
-        13447,
+        12287,
         0x743db0ed51aaa4ed,
-        0xdb1e6e6c581861e7,
-        0x0490508beb1a2537,
+        0x04af42a7cf7e0d20,
+        0x0fa7bf03a64d506e,
     ),
     (
         "churned",
-        67806,
+        63976,
         0x49574efd2f2740d7,
-        0x47a01803c7a1e5f2,
-        0xe0f937edc8b793c1,
+        0xc3fb2d2ff6600130,
+        0xc347bbd9504e9ccf,
     ),
     (
         "one-shard-mix",
-        6890,
+        6542,
         0x5d56c2b57d218e05,
         0xcbf29ce484222325,
-        0xe1ee6c5e4ab6ca6e,
+        0x85c931112b67ea03,
     ),
     (
         "midrun-storm",
-        10127,
+        9199,
         0x889c7e534c9b42eb,
-        0x8d49f8f2296fe821,
-        0xc11035328e46b98b,
+        0xb92f51c2aad58fd2,
+        0x70086eee0194d7e3,
     ),
     (
         "fixed-fault-plan",
-        23238,
+        22342,
         0xd3834290bb716421,
         0xcbf29ce484222325,
-        0x62c11725ad5b9d53,
+        0x0964e578644117e5,
     ),
     (
         "fixed-migration-plan",
-        23581,
+        22421,
         0x7ffeb9a44bdbcea6,
         0xcbf29ce484222325,
-        0x8dc853374ca6a2fb,
+        0xbb4dc9f664b24151,
     ),
     (
         "observables",
-        4346,
+        3882,
         0x532e5e9f7479d96a,
-        0x45af469bff5ba192,
-        0x3f7075a65e69bb95,
+        0x062bf2b033b242b8,
+        0xddfd477bad1dd8d1,
     ),
     (
         "determinism-steady",
-        33828,
+        31868,
         0x32ee73b49a9fadc2,
-        0x43391908197edd80,
-        0x6abe9ff74279dc93,
+        0x1995c68aadc98002,
+        0x90da86fa5973d51e,
     ),
     (
         "determinism-churned",
-        106934,
+        103344,
         0x0ee1a014621ed1e4,
-        0xc4815bb8770baeac,
-        0x52ff3d898299d054,
+        0xbfbce735e6f9b328,
+        0x09f7ad4286dfa413,
     ),
     (
         "profiling-hadoop",
-        199873,
+        186181,
         0x6c4ac54d9c76d130,
-        0x6c91d59a98ee11c6,
-        0xf3f13e4ab79c01b6,
+        0x7b278a2144414d81,
+        0xa029841b24f12f77,
     ),
 ];
 

@@ -134,6 +134,16 @@ pub(crate) trait Effects {
         self.master_mut().events.schedule_at(at, ev);
     }
 
+    /// See [`EventQueue::reserve_seq`].
+    fn reserve_seq(&mut self) -> u64 {
+        self.master_mut().events.reserve_seq()
+    }
+
+    /// Files an event under a seq [`Effects::reserve_seq`] took.
+    fn schedule_at_seq(&mut self, at: SimTime, seq: u64, ev: Event) {
+        self.master_mut().events.schedule_at_seq(at, seq, ev);
+    }
+
     /// Schedules a follow-up event `d` from now.
     fn schedule_in(&mut self, d: SimDuration, ev: Event) {
         let at = self.now() + d;

@@ -590,8 +590,9 @@ fn run_direct<P: Probe>(
 
 /// Packet conservation on a drained calendar (debug builds): with no event
 /// pending, no packet is in flight and none waits at a gateway, no gateway
-/// is busy, and every TCP flow has completed — a started flow that had not
-/// would still have its retransmission timer pending.
+/// is busy, no retransmission timer is armed or filed, and every TCP flow
+/// has completed — a started flow that had not would still have its timer
+/// pending.
 #[cfg(debug_assertions)]
 fn assert_drained(ctl: &Control, shards: &[Shard]) {
     for s in shards {
@@ -603,6 +604,10 @@ fn assert_drained(ctl: &Control, shards: &[Shard]) {
         assert!(
             !s.gw_busy.contains(&true),
             "a gateway is busy on a drained calendar"
+        );
+        assert!(
+            !s.flows.iter().any(|f| f.rto.is_set()),
+            "a retransmission timer outlived the run"
         );
     }
     for (i, f) in ctl.flows.iter().enumerate() {

@@ -132,7 +132,7 @@ pub(crate) fn move_vm(ctl: &Control, vm: usize, shards: &mut [Shard], from: usiz
         // behind as a double-counted copy.
         if spec.src_vm == vm && spec.is_tcp() {
             new.tcp_tx = old.tcp_tx.take();
-            new.rto_gen = old.rto_gen;
+            new.rto = std::mem::take(&mut old.rto);
             new.completed = old.completed;
         }
         // The receiver side evolves on the destination VM's host.

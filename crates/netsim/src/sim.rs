@@ -37,7 +37,7 @@ use sv2p_vnet::{
 use crate::arena::{PacketArena, PacketRef};
 use crate::effects::{Effects, Event, Master, Probe};
 use crate::faults::FaultEvent;
-use crate::flows::{src_port, FlowKind, FlowXport};
+use crate::flows::{src_port, FlowKind, FlowXport, RtoPop};
 use crate::link::{EnqueueOutcome, LinkState};
 use crate::world::{Control, World};
 
@@ -380,15 +380,14 @@ impl Shard {
     }
 
     fn on_rto_timer<F: Effects>(&mut self, ctl: &Control, fx: &mut F, flow: usize, gen: u32) {
-        // Lazy cancellation: every re-arm bumps the flow's generation, so
-        // a superseded timer event fires as a no-op.
         let f = &mut self.flows[flow];
-        if gen != f.rto_gen || f.completed {
-            return;
-        }
-        let ops = match f.tcp_tx.as_mut() {
-            Some(tx) => tx.on_rto(fx.now()),
-            None => return,
+        let ops = match (f.rto.on_pop(gen), f.tcp_tx.as_mut()) {
+            (RtoPop::Fire, Some(tx)) => tx.on_rto(fx.now()),
+            (RtoPop::Refile { at: (at, seq), gen }, _) => {
+                let flow = flow as u32;
+                return fx.schedule_at_seq(at, seq, Event::RtoTimer { flow, gen });
+            }
+            (RtoPop::Orphan | RtoPop::Idle | RtoPop::Fire, _) => return,
         };
         self.apply_sender_ops(ctl, fx, flow, ops);
     }
@@ -408,16 +407,17 @@ impl Shard {
         let complete = f.tcp_tx.as_ref().is_some_and(|tx| tx.is_complete());
         if complete && !f.completed {
             f.completed = true;
-            // Invalidate any pending retransmission timer.
-            f.rto_gen = f.rto_gen.wrapping_add(1);
+            f.rto.disarm();
             let now = fx.now();
             fx.metrics().flow_completed(FlowId(flow as u64), now);
         } else if let Some(deadline) = ops.arm_rto {
-            f.rto_gen = f.rto_gen.wrapping_add(1);
-            let gen = f.rto_gen;
-            // `add_flows` held every flow index to 32 bits.
-            let flow = flow as u32;
-            fx.schedule(deadline, Event::RtoTimer { flow, gen });
+            // Every arm takes a seq, filed or not: every event keeps its key.
+            let seq = fx.reserve_seq();
+            if let Some(gen) = f.rto.arm((deadline, seq)) {
+                // `add_flows` held every flow index to 32 bits.
+                let flow = flow as u32;
+                fx.schedule_at_seq(deadline, seq, Event::RtoTimer { flow, gen });
+            }
         }
     }
 

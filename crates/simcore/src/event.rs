@@ -34,8 +34,10 @@
 //!   indexed by epoch modulo 512. Scheduling is a push. An epoch's `Vec`
 //!   is taken — allocation and all — and linked into the near level when a
 //!   pop carries `now` into the epoch before it. Far events stay out of
-//!   the slab on purpose: most are timers that lie dormant for their whole
-//!   life, and the slab never shrinks.
+//!   the slab on purpose: they wait epochs for their turn, and the slab
+//!   never shrinks. A flow has one retransmission timer here, not one per
+//!   ACK: a re-arm reserves its seq and files nothing until the filed
+//!   event pops (`netsim::flows::LazyRto`).
 //! * **overflow** — a binary heap for the rare events beyond that
 //!   (long timers, pre-scheduled flow starts). Each moves into the far or
 //!   near level when the clock enters an epoch within range of it.
@@ -278,10 +280,11 @@ impl<E> EventQueue<E> {
 
     /// Consumes and returns the next sequence number without scheduling
     /// anything: the caller files the event later with
-    /// [`Self::schedule_at_seq`], where it sorts as if scheduled now. The
-    /// sharded engine takes a cut-crossing packet's seq this way when the
-    /// link accepts the packet, and files its arrival once the handler has
-    /// returned.
+    /// [`Self::schedule_at_seq`], where it sorts as if scheduled now. A
+    /// re-armed retransmission timer takes its seq this way and is filed
+    /// under it only when its earlier filing pops; the sharded engine
+    /// takes a cut-crossing packet's seq when the link accepts the packet,
+    /// and files its arrival once the handler has returned.
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
