@@ -220,10 +220,7 @@ mod tests {
 
     /// `n` VMs; VM *i* lives on the server with PIP `1000 + i`.
     fn placement(n: u32) -> Placement {
-        Placement {
-            pips: (0..n).map(|i| Pip(1000 + i)).collect(),
-            nodes: (0..n).map(NodeId).collect(),
-        }
+        Placement::from_hosts((0..n).map(|i| (Pip(1000 + i), NodeId(i))).collect(), 1)
     }
 
     fn unresolved(dst_vip: Vip) -> Packet {

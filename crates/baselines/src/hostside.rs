@@ -112,7 +112,7 @@ mod tests {
 
     /// One VM, VM 0, on the server with PIP 10.
     fn placement() -> Placement {
-        Placement { pips: vec![Pip(10)], nodes: vec![NodeId(1)] }
+        Placement::from_hosts(vec![(Pip(10), NodeId(1))], 1)
     }
 
     #[test]

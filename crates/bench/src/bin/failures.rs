@@ -78,7 +78,7 @@ fn plan_for(scenario: &str, sim: &Engine) -> FaultPlan {
                 .find(|n| sim.roles().role(n.id) == Some(SwitchRole::Tor))
                 .map(|n| n.id)
                 .expect("a ToR exists");
-            let up = sim.topology().out_links[tor.0 as usize]
+            let up = sim.topology().out_links(tor)
                 .iter()
                 .copied()
                 .find(|&l| {

@@ -22,11 +22,13 @@ use sv2p_traces::{hadoop, HadoopConfig};
 /// Hard ceiling on peak RSS less the RSS just before set-up, per placed
 /// VM. Subtracting what the process held before the engine existed
 /// (binary, libc, the flow list) leaves what set-up and the run added, so
-/// the gate does not depend on the host's fixed overhead. A run grows
-/// about 38.5 B/VM, 8 of them the placement; 55 fails a second per-VM V2P
-/// table, which the engine kept until it read the placement instead
-/// (60.6 B/VM).
-const PEAK_BYTES_PER_VM_CEILING: f64 = 55.0;
+/// the gate does not depend on the host's fixed overhead. No engine state
+/// grows with the VM count any more — the placement is one entry per
+/// server plus the VMs that moved — so a run grows about 18 B/VM, all of it
+/// fabric, calendar, packets and flows. 25 fails any per-VM column of 8 bytes,
+/// such as the two-column placement the engine kept until it stored the
+/// rule (32.8 B/VM).
+const PEAK_BYTES_PER_VM_CEILING: f64 = 25.0;
 
 /// Trimmed flow count (`Scale::huge_hadoop` asks for the full 20 000).
 const SMOKE_FLOWS: usize = 2_000;
@@ -67,6 +69,18 @@ fn main() {
     println!(
         "  {setup_s:>8.3} {base_rss:>18} {setup_rss:>18} {peak_rss:>14} {per_vm:>13.1} \
          {PEAK_BYTES_PER_VM_CEILING:>9.1}"
+    );
+    // Where the bytes go, against what the process grew by.
+    let growth = peak_rss.saturating_sub(base_rss) as usize;
+    let parts = sim.resident_bytes();
+    let named: usize = parts.iter().map(|&(_, b)| b).sum();
+    let mb = |b: usize| b as f64 / 1e6;
+    println!("  engine parts, MB: {}", parts.map(|(n, b)| format!("{n} {:.2}", mb(b))).join(", "));
+    println!(
+        "  named {:.2} MB of {:.2} MB RSS growth; residual {:.2} MB",
+        mb(named),
+        mb(growth),
+        mb(growth) - mb(named)
     );
     cli::record_run(&spec, &sim, &summary, wall);
     cli::finish();

@@ -1,10 +1,11 @@
 //! Quick vs. paper-scale experiment parameters.
 //!
 //! The paper's simulations replay up to 99 297 flows on an 80-switch
-//! FatTree — hours of single-core CPU per sweep point. The `Quick` profile
-//! shrinks the *flow count* while preserving the properties results depend
-//! on (destination-reuse ratio via `active_vms`, load, topology, cache
-//! fraction semantics); `Full` is the paper's configuration.
+//! FatTree. The `Quick` profile shrinks the *flow count* while preserving
+//! the properties results depend on (destination-reuse ratio via
+//! `active_vms`, load, topology, cache fraction semantics); `Full` is the
+//! paper's configuration, whose cost per figure has not been timed on the
+//! analytic-link engine (a quick figure takes seconds to minutes).
 
 use sv2p_topology::FatTreeConfig;
 use sv2p_traces::{
@@ -17,7 +18,7 @@ pub enum Scale {
     /// Single-core-friendly (minutes per figure).
     #[default]
     Quick,
-    /// The paper's §5 parameters (hours).
+    /// The paper's §5 parameters (untimed on the current engine).
     Full,
 }
 

@@ -318,7 +318,7 @@ fn fixed_fault_plan(ft: &FatTreeConfig, with_outage: bool) -> FaultPlan {
         .next()
         .map(|n| n.id)
         .expect("switches exist");
-    let uplink = topo.out_links[tor.0 as usize][0];
+    let uplink = topo.out_links(tor)[0];
     let mut plan = FaultPlan::from_events([
         FaultEvent::SwitchReboot {
             node: tor,

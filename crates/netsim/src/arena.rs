@@ -130,6 +130,14 @@ impl PacketArena {
     pub fn peak(&self) -> usize {
         self.peak
     }
+
+    /// Resident bytes of the slots ever filled, their resolved
+    /// destinations and the free list (what a packet holds behind a pointer
+    /// of its own is not counted).
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&*self.slots) + size_of_val(&*self.dst) + size_of_val(&*self.free)
+    }
 }
 
 #[cfg(test)]

@@ -69,6 +69,9 @@ pub(crate) enum Event {
 const _: () = assert!(std::mem::size_of::<Event>() == 12);
 const _: () = assert!(EventQueue::<Event>::NODE_BYTES == 32);
 const _: () = assert!(std::mem::size_of::<sv2p_simcore::ScheduledEvent<Event>>() == 32);
+// A link's state is one per directed link, 75 072 on FT32: its constants
+// live in the topology, its queue behind a pointer allocated on first use.
+const _: () = assert!(std::mem::size_of::<crate::link::LinkState>() <= 40);
 
 impl Event {
     /// A flow or plan table index as an event carries it.

@@ -16,6 +16,13 @@
 //! packet bound for another shard therefore leaves its sender's arena when
 //! it is offered.
 //!
+//! **Sized by use.** A fabric has one [`LinkState`] per directed link
+//! (75 072 on FT32-1M), so it holds nothing a link shares with others: the
+//! rate and the buffer come with each call, the caller adds the
+//! propagation delay from the topology, and the waiting queue is a `Box`
+//! allocated at the link's first packet that has to wait. Most links never
+//! queue, and each costs 40 bytes.
+//!
 //! **The same-instant rule.** A packet whose transmission starts at `now`
 //! has left the queue: its bytes are off the buffer and it no longer counts
 //! toward [`LinkState::queue_len`]; a link whose last bit leaves at `now`
@@ -28,31 +35,34 @@ use std::collections::VecDeque;
 
 use sv2p_simcore::{SimDuration, SimTime};
 
-/// Runtime state of one directed link.
-#[derive(Debug)]
+/// Runtime state of one directed link: 40 bytes, none of them the
+/// link's constants. The rate and the buffer come with each call, and the
+/// propagation delay is the caller's to add.
+#[derive(Debug, Default)]
 pub struct LinkState {
-    /// Line rate, bits per second.
-    pub bandwidth_bps: u64,
-    /// Propagation delay.
-    pub delay: SimDuration,
-    /// Buffer limit in bytes (drop-tail beyond it).
-    pub buffer_bytes: u64,
     /// When the last bit of the last accepted packet leaves.
     free_at: SimTime,
+    /// When the front of `waiting` starts transmitting.
+    head_start: SimTime,
+    /// The serialization time of `ser_bytes`, the last wire size worked
+    /// out. A link is one direction of a cable, so it carries runs of one
+    /// size — full data packets one way, ACKs the other — and the division
+    /// repeats. Starts at the one answer known without dividing: 0 bytes,
+    /// 0 ns.
+    ser: SimDuration,
     /// Wire sizes of the accepted packets that had not started
     /// transmitting when the link was last offered one, oldest first.
     /// Four bytes a waiting packet: each one's start is the sum of the
-    /// serializations ahead of it, so only the front's is kept.
-    waiting: VecDeque<u32>,
-    /// When the front of `waiting` starts transmitting.
-    head_start: SimTime,
-    /// Bytes in `waiting`.
-    queued_bytes: u64,
-    /// The last `(wire bytes, serialization time)` worked out. A link is
-    /// one direction of a cable, so it carries runs of one size — full
-    /// data packets one way, ACKs the other — and the division repeats.
-    /// Starts at the one answer known without dividing: 0 bytes, 0 ns.
-    last_ser: (u32, SimDuration),
+    /// serializations ahead of it, so only the front's is kept. Allocated
+    /// at the link's first queued packet; a link that only ever finds its
+    /// wire idle never holds one.
+    // Boxed on purpose: the pointer is 8 bytes, a `VecDeque` header 32.
+    #[allow(clippy::box_collection)]
+    waiting: Option<Box<VecDeque<u32>>>,
+    /// The wire size whose serialization time `ser` holds.
+    ser_bytes: u32,
+    /// Bytes in `waiting` (at most the buffer, so under 4 GiB).
+    queued_bytes: u32,
 }
 
 /// What [`LinkState::enqueue`] decided.
@@ -69,27 +79,13 @@ pub enum EnqueueOutcome {
 }
 
 impl LinkState {
-    /// A link with the given rate, delay and buffer.
-    pub fn new(bandwidth_bps: u64, delay: SimDuration, buffer_bytes: u64) -> Self {
-        LinkState {
-            bandwidth_bps,
-            delay,
-            buffer_bytes,
-            free_at: SimTime::ZERO,
-            waiting: VecDeque::new(),
-            head_start: SimTime::ZERO,
-            queued_bytes: 0,
-            last_ser: (0, SimDuration::ZERO),
+    /// Serialization time of `wire_bytes` at `bandwidth_bps`.
+    fn ser_time(&mut self, wire_bytes: u32, bandwidth_bps: u64) -> SimDuration {
+        if self.ser_bytes != wire_bytes {
+            self.ser = SimDuration::serialization(wire_bytes, bandwidth_bps);
+            self.ser_bytes = wire_bytes;
         }
-    }
-
-    /// Serialization time of `wire_bytes` on this link.
-    fn ser_time(&mut self, wire_bytes: u32) -> SimDuration {
-        if self.last_ser.0 != wire_bytes {
-            let ser = SimDuration::serialization(wire_bytes, self.bandwidth_bps);
-            self.last_ser = (wire_bytes, ser);
-        }
-        self.last_ser.1
+        self.ser
     }
 
     /// Offers a packet to the egress port at `now`, first exposing it to
@@ -102,62 +98,89 @@ impl LinkState {
         &mut self,
         now: SimTime,
         wire_bytes: u32,
+        bandwidth_bps: u64,
+        buffer_bytes: u32,
         loss_rate: f64,
         draw: f64,
     ) -> EnqueueOutcome {
         if draw < loss_rate {
             return EnqueueOutcome::Lost;
         }
-        self.enqueue(now, wire_bytes)
+        self.enqueue(now, wire_bytes, bandwidth_bps, buffer_bytes)
     }
 
-    /// Offers a packet of `wire_bytes` to the egress port at `now` (offers
-    /// come in time order: `now` is the simulation clock).
-    pub fn enqueue(&mut self, now: SimTime, wire_bytes: u32) -> EnqueueOutcome {
+    /// Offers a packet of `wire_bytes` at `now` to an egress port of
+    /// `bandwidth_bps` with `buffer_bytes` of drop-tail buffer (offers come
+    /// in time order: `now` is the simulation clock; a link is always
+    /// offered with the same rate and buffer).
+    pub fn enqueue(
+        &mut self,
+        now: SimTime,
+        wire_bytes: u32,
+        bandwidth_bps: u64,
+        buffer_bytes: u32,
+    ) -> EnqueueOutcome {
         // Packets whose transmission has started are off the buffer.
-        while let Some(&front) = self.waiting.front() {
-            if self.head_start > now {
-                break;
+        if let Some(mut waiting) = self.waiting.take() {
+            while let Some(&front) = waiting.front() {
+                if self.head_start > now {
+                    break;
+                }
+                waiting.pop_front();
+                self.queued_bytes -= front;
+                let ser = self.ser_time(front, bandwidth_bps);
+                self.head_start += ser;
             }
-            self.waiting.pop_front();
-            self.queued_bytes -= u64::from(front);
-            let ser = self.ser_time(front);
-            self.head_start += ser;
+            self.waiting = Some(waiting);
         }
         let start = if self.free_at <= now {
             // Idle: the wire takes the packet at once, past the buffer.
-            debug_assert!(self.waiting.is_empty(), "a waiting packet starts before `free_at`");
+            debug_assert!(
+                self.waiting.as_ref().is_none_or(|w| w.is_empty()),
+                "a waiting packet starts before `free_at`"
+            );
             now
-        } else if self.queued_bytes + u64::from(wire_bytes) <= self.buffer_bytes {
-            if self.waiting.is_empty() {
+        } else if u64::from(self.queued_bytes) + u64::from(wire_bytes) <= u64::from(buffer_bytes) {
+            let waiting = self.waiting.get_or_insert_default();
+            if waiting.is_empty() {
                 self.head_start = self.free_at;
             }
-            self.waiting.push_back(wire_bytes);
-            self.queued_bytes += u64::from(wire_bytes);
+            waiting.push_back(wire_bytes);
+            self.queued_bytes += wire_bytes;
             self.free_at
         } else {
             return EnqueueOutcome::Dropped;
         };
-        self.free_at = start + self.ser_time(wire_bytes);
+        self.free_at = start + self.ser_time(wire_bytes, bandwidth_bps);
         EnqueueOutcome::Departs(self.free_at)
     }
 
-    /// Packets accepted and not yet transmitting at `now` (the one on the
-    /// wire is not in the queue, and by the same-instant rule neither is
-    /// one that starts at `now`). A pure read for any `now` at or after the
-    /// last offer: it walks the waiting packets' start instants from
-    /// `head_start`.
-    pub fn queue_len(&self, now: SimTime) -> usize {
+    /// Heap bytes of the waiting queue, if the link ever queued.
+    pub fn queue_bytes(&self) -> usize {
+        self.waiting.as_ref().map_or(0, |w| {
+            std::mem::size_of::<VecDeque<u32>>() + w.capacity() * std::mem::size_of::<u32>()
+        })
+    }
+
+    /// Packets accepted and not yet transmitting at `now` on a link of
+    /// `bandwidth_bps` (the one on the wire is not in the queue, and by the
+    /// same-instant rule neither is one that starts at `now`). A pure read
+    /// for any `now` at or after the last offer: it walks the waiting
+    /// packets' start instants from `head_start`.
+    pub fn queue_len(&self, now: SimTime, bandwidth_bps: u64) -> usize {
+        let Some(waiting) = self.waiting.as_deref() else {
+            return 0;
+        };
         let mut start = self.head_start;
         let mut started = 0;
-        for &wire in &self.waiting {
+        for &wire in waiting {
             if start > now {
                 break;
             }
             started += 1;
-            start += SimDuration::serialization(wire, self.bandwidth_bps);
+            start += SimDuration::serialization(wire, bandwidth_bps);
         }
-        self.waiting.len() - started
+        waiting.len() - started
     }
 }
 
@@ -259,13 +282,42 @@ mod tests {
     /// (60 bytes of headers).
     const MSS_WIRE: u32 = MSS + 60;
 
-    fn link() -> LinkState {
-        // 100G, 1us, room for exactly two MSS packets in the queue.
-        LinkState::new(
-            100_000_000_000,
-            SimDuration::from_micros(1),
-            2 * MSS_WIRE as u64,
-        )
+    /// A link's state with the constants its caller passes, as a shard
+    /// reads them off the `DirectedLink` and `PORT_BUFFER_BYTES`.
+    struct Port {
+        state: LinkState,
+        bandwidth_bps: u64,
+        buffer_bytes: u32,
+    }
+
+    impl Port {
+        fn enqueue(&mut self, now: SimTime, wire: u32) -> EnqueueOutcome {
+            self.state.enqueue(now, wire, self.bandwidth_bps, self.buffer_bytes)
+        }
+
+        fn enqueue_with_loss(
+            &mut self,
+            now: SimTime,
+            wire: u32,
+            rate: f64,
+            draw: f64,
+        ) -> EnqueueOutcome {
+            let (bw, buf) = (self.bandwidth_bps, self.buffer_bytes);
+            self.state.enqueue_with_loss(now, wire, bw, buf, rate, draw)
+        }
+
+        fn queue_len(&self, now: SimTime) -> usize {
+            self.state.queue_len(now, self.bandwidth_bps)
+        }
+    }
+
+    fn link() -> Port {
+        // 100G, room for exactly two MSS packets in the queue.
+        Port {
+            state: LinkState::default(),
+            bandwidth_bps: 100_000_000_000,
+            buffer_bytes: 2 * MSS_WIRE,
+        }
     }
 
     fn at(ns: u64) -> SimTime {
@@ -326,6 +378,21 @@ mod tests {
     }
 
     #[test]
+    fn a_link_that_finds_its_wire_idle_never_allocates_a_queue() {
+        let mut l = link();
+        for i in 0..100 {
+            // 1 us apart: each packet has left before the next is offered.
+            assert_eq!(l.enqueue(at(i * 1_000), MSS_WIRE), departs(i * 1_000 + 85));
+        }
+        assert!(l.state.waiting.is_none());
+        // An offer that finds the wire busy allocates it.
+        l.enqueue(at(100_000), MSS_WIRE);
+        assert!(l.state.waiting.is_none());
+        l.enqueue(at(100_000), MSS_WIRE);
+        assert!(l.state.waiting.is_some());
+    }
+
+    #[test]
     fn injected_loss_discards_below_rate_only() {
         let mut l = link();
         // Healthy link: the draw is irrelevant.
@@ -360,13 +427,13 @@ mod tests {
     /// tx-done instant]`.
     fn check_against_oracle(
         bw: u64,
-        buffer: u64,
+        buffer: u32,
         loss_rate: f64,
         tape: &[(u16, u8, u8)],
     ) -> [usize; 4] {
         const WIRES: [u32; 4] = [60, 70, 1060, 1500];
-        let mut link = LinkState::new(bw, SimDuration::from_micros(1), buffer);
-        let mut oracle = EventLink::new(bw, buffer);
+        let mut link = LinkState::default();
+        let mut oracle = EventLink::new(bw, u64::from(buffer));
         // The oracle's one pending tx-done instant, and the departure it
         // reported for each packet.
         let mut tx_done_at: Option<SimTime> = None;
@@ -395,7 +462,7 @@ mod tests {
             seen[3] += usize::from(tx_done_at == Some(now));
             run_due(&mut oracle, &mut tx_done_at, &mut left_at, now);
             left_at.push(None);
-            let got = link.enqueue_with_loss(now, wire, loss_rate, draw);
+            let got = link.enqueue_with_loss(now, wire, bw, buffer, loss_rate, draw);
             let want = oracle.enqueue_with_loss(i as u32, wire, loss_rate, draw);
             let (outcome, departs) = match got {
                 EnqueueOutcome::Departs(t) => (0, Some(t)),
@@ -413,17 +480,17 @@ mod tests {
                 Offer::Dropped => assert_eq!(got, EnqueueOutcome::Dropped, "offer {i}"),
                 Offer::Lost => assert_eq!(got, EnqueueOutcome::Lost, "offer {i}"),
             }
-            assert_eq!(link.queue_len(now), oracle.queue_len(), "depth after offer {i}");
+            assert_eq!(link.queue_len(now, bw), oracle.queue_len(), "depth after offer {i}");
         }
         // A later sample reads the depth without another offer.
         if let Some(t) = tx_done_at {
             let mid = now + (t - now) / 2 + SimDuration::from_nanos(100);
             run_due(&mut oracle, &mut tx_done_at, &mut left_at, mid);
-            assert_eq!(link.queue_len(mid), oracle.queue_len(), "depth at a later sample");
+            assert_eq!(link.queue_len(mid, bw), oracle.queue_len(), "depth at a later sample");
         }
         run_due(&mut oracle, &mut tx_done_at, &mut left_at, SimTime::MAX);
         assert_eq!(expect, left_at, "departure instants");
-        assert_eq!(link.queue_len(SimTime::MAX), 0);
+        assert_eq!(link.queue_len(SimTime::MAX, bw), 0);
         seen
     }
 

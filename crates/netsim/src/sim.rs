@@ -27,6 +27,7 @@ use sv2p_packet::{
 };
 use sv2p_simcore::{FxHashMap, SimDuration, SimRng, SimTime};
 use sv2p_telemetry::{Cause, EventKind, Layer, Op, TraceEvent};
+use sv2p_topology::graph::DirectedLink;
 use sv2p_topology::{LinkId, Node, NodeId, NodeKind, RoleMap, SwitchRole};
 use sv2p_transport::{SenderOps, TcpConfig, TcpSender};
 use sv2p_vnet::{
@@ -43,7 +44,7 @@ use crate::world::{Control, World};
 
 /// Drop-tail buffer per egress port: "we set the switch buffer size to
 /// 32 MB" (§5).
-pub(crate) const PORT_BUFFER_BYTES: u64 = 32 * 1024 * 1024;
+pub(crate) const PORT_BUFFER_BYTES: u32 = 32 * 1024 * 1024;
 
 /// Old-host processing per misdelivered packet before it is forwarded on:
 /// 10 µs (§5.2).
@@ -109,10 +110,9 @@ pub(crate) struct Snapshot {
 }
 
 /// The state one shard owns. Vectors are indexed by global node / flow id
-/// and agents exist only for the nodes the shard owns; `links` and
-/// `fault_rngs` hold only the links whose sending end the shard owns (a
-/// link's queue is never used anywhere else), found through
-/// [`Shard::link_index`].
+/// and agents exist only for the nodes the shard owns; `links` holds only
+/// the links whose sending end the shard owns (a link's queue is never used
+/// anywhere else), found through [`Shard::link_index`].
 pub(crate) struct Shard {
     pub id: usize,
     pub world: Arc<World>,
@@ -121,20 +121,22 @@ pub(crate) struct Shard {
     agent_rngs: Vec<SimRng>,
     pub host_agents: Vec<Option<Box<dyn HostAgent>>>,
     /// Per-link RNG streams for stochastic-loss draws, forked off the seed
-    /// so fault draws never perturb agent randomness. One stream per link
-    /// makes the draw sequence a function of that link's enqueue order
-    /// alone, whatever the interleaving across shards.
-    fault_rngs: Vec<SimRng>,
+    /// so fault draws never perturb agent randomness, each at its link's
+    /// first lossy draw (forking does not advance the seed's stream, so a
+    /// late fork is the stream an early one would have been). One stream
+    /// per link makes the draw sequence a function of that link's enqueue
+    /// order alone, whatever the interleaving across shards.
+    fault_rngs: FxHashMap<LinkId, SimRng>,
     /// In-flight packet bodies; events and gateway queues hold handles.
     pub arena: PacketArena,
     /// Reusable ECMP candidate buffer (avoids a per-hop allocation).
     route_scratch: Vec<LinkId>,
     pub flows: Vec<FlowXport>,
-    /// Per-gateway busy flag for the bounded-queue overload model
-    /// (`GatewayConfig::queue_cap > 0`; legacy unbounded mode otherwise).
-    pub gw_busy: Vec<bool>,
-    /// Per-gateway bounded packet queue (overload model only).
-    pub gw_queue: Vec<VecDeque<PacketRef>>,
+    /// The gateways in service under the bounded-queue overload model
+    /// (`GatewayConfig::queue_cap > 0`; legacy unbounded mode otherwise),
+    /// each with the packets waiting behind the one in service. An idle
+    /// gateway has no entry.
+    pub gw_busy: FxHashMap<NodeId, VecDeque<PacketRef>>,
     /// This shard's share of the order-free ledger; `Engine::counters`
     /// merges the shards' on every read.
     pub counters: Counters,
@@ -151,30 +153,17 @@ impl Shard {
         // doubling, and at FT32-1M that re-copies megabytes of link state.
         let owns = |from: NodeId| world.link_slot.is_empty() || world.shard_of(from) == id;
         let n_owned = world.topo.links.iter().filter(|l| owns(l.from)).count();
-        let mut links = Vec::with_capacity(n_owned);
-        let mut fault_rngs = Vec::with_capacity(n_owned);
-        for l in world.topo.links.iter().filter(|l| owns(l.from)) {
-            links.push(LinkState::new(
-                l.bandwidth_bps,
-                SimDuration::from_nanos(l.delay_ns),
-                PORT_BUFFER_BYTES,
-            ));
-            // Labels far outside the node-id space keep the fault streams
-            // disjoint from every per-agent fork.
-            fault_rngs.push(base_rng.fork((1u64 << 32) + u64::from(l.id.0)));
-        }
         Shard {
             id,
-            links,
-            fault_rngs,
+            links: (0..n_owned).map(|_| LinkState::default()).collect(),
+            fault_rngs: FxHashMap::default(),
             agents: (0..n_nodes).map(|_| None).collect(),
             agent_rngs: (0..n_nodes).map(|n| base_rng.fork(n as u64)).collect(),
             host_agents: (0..n_nodes).map(|_| None).collect(),
             arena: PacketArena::new(),
             route_scratch: Vec::new(),
             flows: Vec::new(),
-            gw_busy: vec![false; n_nodes],
-            gw_queue: vec![VecDeque::new(); n_nodes],
+            gw_busy: FxHashMap::default(),
             counters: Counters::new(world.tag_pips.len()),
             traffic_matrix: FxHashMap::default(),
             world,
@@ -264,7 +253,7 @@ impl Shard {
             .role(node)
             .is_some_and(|r| r.layer() == sv2p_topology::Layer::Tor);
         if is_tor {
-            for &link in &self.world.topo.out_links[node.0 as usize] {
+            for &link in self.world.topo.out_links(node) {
                 let peer = self.world.topo.link(link).to;
                 if let Some(host) = self.host_agents[peer.0 as usize].as_mut() {
                     host.reset();
@@ -273,12 +262,32 @@ impl Shard {
         }
     }
 
+    /// Resident bytes of this shard's `(links, nodes)`: its link states
+    /// with their queues and loss streams, and its per-node agents (the
+    /// boxes' inline sizes), RNG streams and gateway queues.
+    pub fn resident_bytes(&self) -> (usize, usize) {
+        use std::mem::{size_of, size_of_val as bytes};
+        let links = bytes(&*self.links)
+            + self.links.iter().map(LinkState::queue_bytes).sum::<usize>()
+            + self.fault_rngs.capacity() * (size_of::<(LinkId, SimRng)>() + 1);
+        let boxes = self.agents.iter().flatten().map(|a| bytes(&**a)).sum::<usize>()
+            + self.host_agents.iter().flatten().map(|a| bytes(&**a)).sum::<usize>();
+        let nodes = bytes(&*self.agents) + bytes(&*self.host_agents) + bytes(&*self.agent_rngs);
+        let gateways = self.gw_busy.capacity() * (size_of::<(NodeId, VecDeque<PacketRef>)>() + 1);
+        (links, nodes + boxes + gateways)
+    }
+
     /// Adds this shard's part to the telemetry sample `s` taken at instant
     /// `now`. Queue depths, occupancy and traffic counters are only
     /// non-zero for state this shard owns.
     pub fn snapshot_into(&self, ctl: &Control, now: SimTime, s: &mut Snapshot) {
-        for l in &self.links {
-            let q = l.queue_len(now) as u64;
+        // `links` holds the owned links in link-id order (with one shard,
+        // all of them), so the topology's owned links name each slot.
+        let owned = self.world.topo.links.iter().filter(|l| {
+            self.world.link_slot.is_empty() || self.world.shard_of(l.from) == self.id
+        });
+        for (l, state) in owned.zip(&self.links) {
+            let q = state.queue_len(now, l.bandwidth_bps) as u64;
             s.q_total += q;
             s.q_max = s.q_max.max(q);
         }
@@ -530,7 +539,7 @@ impl Shard {
     fn send_on<F: Effects>(&mut self, ctl: &Control, fx: &mut F, node: NodeId, pkt: PacketRef) {
         let topo = &self.world.topo;
         let next = if self.world.is_host(node) {
-            let uplink = topo.out_links[node.0 as usize][0];
+            let uplink = topo.out_links(node)[0];
             ctl.link_up[uplink.0 as usize].then_some(uplink)
         } else {
             match self.arena.dst_node(pkt, topo) {
@@ -567,21 +576,26 @@ impl Shard {
     ) {
         let wire = self.arena.get(pkt).wire_size();
         let now = fx.now();
-        let from_node = self.world.topo.link(link).from;
+        let &DirectedLink { from: from_node, bandwidth_bps: bw, delay_ns, .. } =
+            self.world.topo.link(link);
         let slot = self.link_index::<F>(link);
         let l = &mut self.links[slot];
         // Draw from the dedicated fault stream only while loss is active, so
         // a healthy run consumes no fault randomness at all.
         let loss_rate = ctl.loss_rate[link.0 as usize];
         let outcome = if loss_rate > 0.0 {
-            let draw = self.fault_rngs[slot].uniform();
-            l.enqueue_with_loss(now, wire, loss_rate, draw)
+            // Labels far outside the node-id space keep the fault streams
+            // disjoint from every per-agent fork.
+            let label = (1u64 << 32) + u64::from(link.0);
+            let seed = self.world.cfg.seed;
+            let rng = self.fault_rngs.entry(link).or_insert_with(|| SimRng::new(seed).fork(label));
+            l.enqueue_with_loss(now, wire, bw, PORT_BUFFER_BYTES, loss_rate, rng.uniform())
         } else {
-            l.enqueue(now, wire)
+            l.enqueue(now, wire, bw, PORT_BUFFER_BYTES)
         };
         match outcome {
             EnqueueOutcome::Departs(departs) => {
-                let arrives = departs + l.delay;
+                let arrives = departs + SimDuration::from_nanos(delay_ns);
                 // The arrival executes where the link ends. Links are the
                 // only way across the partition's cut, so this is the one
                 // event that can belong to another shard; the packet then
@@ -794,7 +808,6 @@ impl Shard {
 
     fn handle_at_gateway<F: Effects>(&mut self, fx: &mut F, node: NodeId, pkt: PacketRef) {
         let now = fx.now();
-        let idx = node.0 as usize;
         let p = self.arena.get(pkt);
         if !matches!(p.kind, PacketKind::Data) || p.outer.resolved {
             // Resolved tenant traffic or protocol packets have no business
@@ -811,14 +824,16 @@ impl Shard {
             // Legacy unbounded model: every packet is processed
             // concurrently after the fixed service delay.
             fx.schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt });
-        } else if !self.gw_busy[idx] {
-            self.gw_busy[idx] = true;
-            fx.schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt });
-        } else if self.gw_queue[idx].len() < cap {
-            self.gw_queue[idx].push_back(pkt);
+        } else if let Some(waiting) = self.gw_busy.get_mut(&node) {
+            if waiting.len() < cap {
+                waiting.push_back(pkt);
+            } else {
+                // Overloaded: the bounded queue sheds the arrival.
+                self.drop_packet(fx, pkt, node, DropCause::GatewayShed);
+            }
         } else {
-            // Overloaded: the bounded queue sheds the arrival.
-            self.drop_packet(fx, pkt, node, DropCause::GatewayShed);
+            self.gw_busy.insert(node, VecDeque::new());
+            fx.schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt });
         }
     }
 
@@ -829,10 +844,11 @@ impl Shard {
         if self.world.cfg.gateway.queue_cap == 0 {
             return;
         }
-        if let Some(next) = self.gw_queue[node.0 as usize].pop_front() {
+        let waiting = self.gw_busy.get_mut(&node).expect("a gateway in service");
+        if let Some(next) = waiting.pop_front() {
             fx.schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt: next });
         } else {
-            self.gw_busy[node.0 as usize] = false;
+            self.gw_busy.remove(&node);
         }
     }
 

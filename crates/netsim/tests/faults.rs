@@ -181,7 +181,7 @@ fn downed_uplink_rehashes_onto_surviving_port() {
         .find(|n| sim.roles().role(n.id) == Some(SwitchRole::Tor))
         .map(|n| n.id)
         .expect("a plain ToR exists");
-    let uplinks: Vec<LinkId> = sim.topology().out_links[tor.0 as usize]
+    let uplinks: Vec<LinkId> = sim.topology().out_links(tor)
         .iter()
         .copied()
         .filter(|&l| {
@@ -213,7 +213,7 @@ fn downed_uplink_rehashes_onto_surviving_port() {
 fn host_uplink_down_drops_unroutable_then_recovers() {
     let mut sim = sim_with(&NoCache, 0);
     let src = sim.placement().node_of(0);
-    let uplink = sim.topology().out_links[src.0 as usize][0];
+    let uplink = sim.topology().out_links(src)[0];
     let plan = FaultPlan::from_events([FaultEvent::LinkDown {
         link: uplink,
         at: SimTime::ZERO,
@@ -322,7 +322,7 @@ fn fault_runs_are_deterministic() {
             .find(|n| sim.roles().role(n.id) == Some(SwitchRole::Tor))
             .map(|n| n.id)
             .unwrap();
-        let uplink = sim.topology().out_links[tor.0 as usize][0];
+        let uplink = sim.topology().out_links(tor)[0];
         let plan = FaultPlan::from_events([
             FaultEvent::SwitchReboot {
                 node: tor,

@@ -237,7 +237,7 @@ fn reboot_linkdown_loss_plan(probe: &Engine) -> FaultPlan {
         .next()
         .map(|n| n.id)
         .expect("switches exist");
-    let uplink = probe.topology().out_links[tor.0 as usize][0];
+    let uplink = probe.topology().out_links(tor)[0];
     FaultPlan::from_events([
         FaultEvent::SwitchReboot {
             node: tor,

@@ -318,6 +318,7 @@ impl FatTreeConfig {
             }
         }
 
+        topo.index_ports();
         topo
     }
 
@@ -380,7 +381,7 @@ mod tests {
         assert_eq!(topo.gateways().count() as u32, c.gateways);
         // Every VM server has exactly one uplink; ToRs have servers + spines.
         for s in topo.servers() {
-            assert_eq!(topo.out_links[s.id.0 as usize].len(), 1);
+            assert_eq!(topo.out_links(s.id).len(), 1);
         }
     }
 

@@ -120,8 +120,12 @@ pub struct Topology {
     pub nodes: Vec<Node>,
     /// All directed links, indexed by [`LinkId`].
     pub links: Vec<DirectedLink>,
-    /// Egress ports of each node.
-    pub out_links: Vec<Vec<LinkId>>,
+    /// Egress ports of every node in compressed sparse row form, one flat
+    /// list instead of a `Vec` per node: node *n*'s are
+    /// `out[out_start[n]..out_start[n + 1]]`, in link-id order. Built by
+    /// [`Self::index_ports`].
+    out: Vec<LinkId>,
+    out_start: Vec<u32>,
     pip_to_node: FxHashMap<Pip, NodeId>,
 }
 
@@ -130,19 +134,15 @@ impl Topology {
     pub fn add_node(&mut self, kind: NodeKind, pip: Pip) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { id, kind, pip });
-        self.out_links.push(Vec::new());
         let prev = self.pip_to_node.insert(pip, id);
         assert!(prev.is_none(), "duplicate PIP {pip}");
         id
     }
 
-    /// Adds both directions of a cable between `a` and `b`.
+    /// Adds both directions of a cable between `a` and `b`. The port lists
+    /// are indexed once the last cable is in ([`Self::index_ports`]).
     pub fn add_cable(&mut self, a: NodeId, b: NodeId, bandwidth_bps: u64, delay_ns: u64) {
         for (from, to) in [(a, b), (b, a)] {
-            debug_assert!(
-                self.link_between(from, to).is_none(),
-                "duplicate cable {from:?}->{to:?}"
-            );
             let id = LinkId(self.links.len() as u32);
             self.links.push(DirectedLink {
                 id,
@@ -151,8 +151,43 @@ impl Topology {
                 bandwidth_bps,
                 delay_ns,
             });
-            self.out_links[from.0 as usize].push(id);
         }
+    }
+
+    /// Builds the port lists from the links: sorted by sending node, each
+    /// node's stay in link-id order (the sort is stable). Call it after the
+    /// last [`Self::add_cable`]; [`Self::out_links`] reads what it built.
+    pub fn index_ports(&mut self) {
+        let links = &self.links;
+        let mut out: Vec<LinkId> = links.iter().map(|l| l.id).collect();
+        out.sort_by_key(|l| links[l.0 as usize].from);
+        self.out_start = (0..=self.nodes.len() as u32)
+            .map(|n| out.partition_point(|l| links[l.0 as usize].from.0 < n) as u32)
+            .collect();
+        self.out = out;
+        debug_assert!(
+            self.nodes.iter().all(|n| {
+                let to: Vec<_> = self.neighbors(n.id).collect();
+                to.iter().enumerate().all(|(i, t)| !to[..i].contains(t))
+            }),
+            "duplicate cable"
+        );
+    }
+
+    /// The egress ports of `node`.
+    pub fn out_links(&self, node: NodeId) -> &[LinkId] {
+        debug_assert_eq!(self.out.len(), self.links.len(), "cables added since `index_ports`");
+        let n = node.0 as usize;
+        &self.out[self.out_start[n] as usize..self.out_start[n + 1] as usize]
+    }
+
+    /// Resident bytes of the node and link tables, the port lists and the
+    /// PIP index (one control byte per bucket beside each entry). Tables
+    /// are sized by length: capacity never filled is not resident.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of_val as bytes;
+        bytes(&*self.nodes) + bytes(&*self.links) + bytes(&*self.out) + bytes(&*self.out_start)
+            + self.pip_to_node.capacity() * (std::mem::size_of::<(Pip, NodeId)>() + 1)
     }
 
     /// The node a PIP addresses, if any.
@@ -164,7 +199,7 @@ impl Topology {
     /// ports. Forwarding reads [`crate::Routing`]'s port tables, not this;
     /// its callers are the routing oracle and tests.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.out_links[a.0 as usize]
+        self.out_links(a)
             .iter()
             .copied()
             .find(|&l| self.link(l).to == b)
@@ -206,7 +241,7 @@ impl Topology {
 
     /// The neighbors of `id` (one hop over any egress port).
     pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_links[id.0 as usize]
+        self.out_links(id)
             .iter()
             .map(|l| self.link(*l).to)
     }
@@ -237,6 +272,7 @@ mod tests {
         );
         t.add_cable(h1, tor, 100, 1000);
         t.add_cable(h2, tor, 100, 1000);
+        t.index_ports();
         (t, h1, tor, h2)
     }
 
@@ -247,7 +283,7 @@ mod tests {
         assert!(t.link_between(tor, h1).is_some());
         assert_ne!(t.link_between(h1, tor), t.link_between(tor, h1));
         assert!(t.link_between(h1, h2).is_none());
-        assert_eq!(t.out_links[tor.0 as usize].len(), 2);
+        assert_eq!(t.out_links(tor).len(), 2);
     }
 
     #[test]

@@ -52,6 +52,13 @@ struct HostPorts {
 }
 
 impl Routing {
+    /// Resident bytes of the port tables.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of_val as bytes;
+        let ports = [&self.tor_up, &self.spine_down, &self.spine_up, &self.core_down];
+        bytes(&*self.host) + ports.iter().map(|v| bytes(&v[..])).sum::<usize>()
+    }
+
     /// Builds the router for `topo` produced by `config.build()`: one pass
     /// over the links, each filed under its sender by where it leads.
     pub fn new(config: &FatTreeConfig, topo: &Topology) -> Self {
