@@ -23,12 +23,11 @@ use sv2p_traces::{hadoop, HadoopConfig};
 /// VM. Subtracting what the process held before the engine existed
 /// (binary, libc, the flow list) leaves what set-up and the run added, so
 /// the gate does not depend on the host's fixed overhead. No engine state
-/// grows with the VM count any more — the placement is one entry per
-/// server plus the VMs that moved — so a run grows about 18 B/VM, all of it
-/// fabric, calendar, packets and flows. 25 fails any per-VM column of 8 bytes,
-/// such as the two-column placement the engine kept until it stored the
-/// rule (32.8 B/VM).
-const PEAK_BYTES_PER_VM_CEILING: f64 = 25.0;
+/// grows with the VM count — the placement is one entry per server plus
+/// the VMs that moved — so a run grows about 14 B/VM, all of it fabric,
+/// calendar, packets and flows. 17 fails any per-VM column of 4 bytes, and
+/// a link state of 40 bytes where 16 do (18.3 B/VM).
+const PEAK_BYTES_PER_VM_CEILING: f64 = 17.0;
 
 /// Trimmed flow count (`Scale::huge_hadoop` asks for the full 20 000).
 const SMOKE_FLOWS: usize = 2_000;

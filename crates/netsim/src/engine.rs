@@ -39,6 +39,7 @@ use crate::config::SimConfig;
 use crate::effects::{Event, Master, NoProbe, PhaseProbe, Probe};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::flows::{FlowSpec, FlowXport};
+use crate::link::SerTable;
 use crate::sharded::{move_vm, run_interleaved, Turns};
 use crate::sim::{cache_op_event, wire_layer, Shard, Snapshot};
 use crate::world::{Control, World};
@@ -120,14 +121,14 @@ impl Engine {
             ((total_cache_entries as f64 * w / total_weight) as usize).max(1)
         };
         let caching = topo
-            .nodes
-            .iter()
-            .map(|n| roles.role(n.id).is_some_and(|role| lines_for(role) > 0))
+            .switches()
+            .map(|sw| roles.role(sw.id).is_some_and(|role| lines_for(role) > 0))
             .collect();
 
         let world = Arc::new(World {
             link_slot: World::link_slots(&topo, &partition),
             cfg,
+            ser: topo.classes().iter().map(|c| SerTable::new(c.bandwidth_bps)).collect(),
             topo,
             routing,
             dir,
@@ -147,7 +148,7 @@ impl Engine {
             match node.kind {
                 k if k.is_switch() => {
                     let role = roles.role(node.id).expect("switch role");
-                    owner.agents[node.id.0 as usize] =
+                    owner.agents[world.tag(node.id).0 as usize] =
                         Some(strategy.make_switch_agent(role, lines_for(role)));
                 }
                 NodeKind::Server { .. } => {
@@ -178,8 +179,7 @@ impl Engine {
             roles,
             blackout: vec![false; world.topo.nodes.len()],
             link_up: vec![true; world.topo.links.len()],
-            loss_rate: vec![0.0; world.topo.links.len()],
-            loss_windows: vec![0; world.topo.links.len()],
+            loss: FxHashMap::default(),
             flows: Vec::new(),
             migrations: Vec::new(),
             fault_plan: Vec::new(),
@@ -276,14 +276,16 @@ impl Engine {
     /// own is not counted — so a process's RSS growth exceeds the sum by
     /// that and by the allocator's overhead.
     pub fn resident_bytes(&self) -> [(&'static str, usize); 8] {
-        use std::mem::size_of_val as bytes;
+        use std::mem::{size_of, size_of_val as bytes};
         let (ctl, w) = (&self.ctl, &self.world);
         let sum = |f: &dyn Fn(&Shard) -> usize| self.shards.iter().map(f).sum::<usize>();
-        let per_link = bytes(&*ctl.link_up) + bytes(&*ctl.loss_rate) + bytes(&*ctl.loss_windows);
+        let loss = ctl.loss.capacity() * (size_of::<(LinkId, (f64, u32))>() + 1);
+        let per_link = bytes(&*ctl.link_up) + loss;
         let per_node = bytes(&*ctl.blackout) + bytes(&*w.tags) + bytes(&*w.caching);
+        let classes = w.ser.iter().map(SerTable::resident_bytes).sum::<usize>();
         [
             ("placement", ctl.placement.resident_bytes()),
-            ("topology", w.topo.resident_bytes()),
+            ("topology", w.topo.resident_bytes() + classes),
             ("routing", w.routing.resident_bytes()),
             ("links", per_link + sum(&|s| s.resident_bytes().0)),
             ("nodes", per_node + sum(&|s| s.resident_bytes().1)),
@@ -459,14 +461,17 @@ impl Engine {
         self.ctl.flows.len() as u64 - self.master.metrics.flows_completed
     }
 
-    /// The switch agent at `node`, on the shard that owns it.
+    /// The switch agent at `node`, on the shard that owns it; `None` for a
+    /// host.
     fn agent(&self, node: NodeId) -> Option<&dyn SwitchAgent> {
-        self.shards[self.world.shard_of(node)].agents[node.0 as usize].as_deref()
+        let tag = self.world.tags[node.0 as usize]?;
+        self.shards[self.world.shard_of(node)].agents[tag.0 as usize].as_deref()
     }
 
-    /// Mutable slot of the switch agent at `node`.
-    fn agent_slot(&mut self, node: NodeId) -> &mut Option<Box<dyn SwitchAgent>> {
-        &mut self.shards[self.world.shard_of(node)].agents[node.0 as usize]
+    /// The switch agent at `node`, mutably; `None` for a host.
+    fn agent_mut(&mut self, node: NodeId) -> Option<&mut Box<dyn SwitchAgent>> {
+        let tag = self.world.tags[node.0 as usize]?;
+        self.shards[self.world.shard_of(node)].agents[tag.0 as usize].as_mut()
     }
 
     /// Bytes processed by each switch, with its identity (Figures 7-8).
@@ -515,7 +520,7 @@ impl Engine {
     /// Installs `entries` into the switch agent at `node` (Controller
     /// baseline; clears previously installed state first when `clear`).
     pub fn install_cache_entries(&mut self, node: NodeId, clear: bool, entries: &[(Vip, Pip)]) {
-        let Some(agent) = self.agent_slot(node) else {
+        let Some(agent) = self.agent_mut(node) else {
             return;
         };
         if clear {
@@ -544,9 +549,7 @@ impl Engine {
     /// Replaces a switch's agent outright (role migration where the
     /// operator prefers a cold cache "rebuilt at the destination").
     pub fn replace_switch_agent(&mut self, node: NodeId, agent: Box<dyn SwitchAgent>) {
-        let slot = self.agent_slot(node);
-        assert!(slot.is_some(), "node {node:?} is not a switch");
-        *slot = Some(agent);
+        *self.agent_mut(node).unwrap_or_else(|| panic!("node {node:?} is not a switch")) = agent;
     }
 
     /// Injects a switch failure: the switch's volatile state (its cache) is
@@ -639,11 +642,12 @@ fn assert_drained(ctl: &Control, shards: &[Shard]) {
 }
 
 /// The links a `LossRate` fault covers: the one it names, or all `n`.
-fn covered_links(link: Option<LinkId>, n: usize) -> std::ops::Range<usize> {
-    match link {
-        Some(l) => l.0 as usize..l.0 as usize + 1,
-        None => 0..n,
-    }
+fn covered_links(link: Option<LinkId>, n: usize) -> impl Iterator<Item = LinkId> {
+    let ids = match link {
+        Some(l) => l.0..l.0 + 1,
+        None => 0..n as u32,
+    };
+    ids.map(LinkId)
 }
 
 /// Executes the global event the driver just popped from its calendar:
@@ -691,9 +695,9 @@ pub(crate) fn exec_global(ctl: &mut Control, master: &mut Master, shards: &mut [
                 }
                 FaultEvent::LinkDown { link, .. } => ctl.link_up[link.0 as usize] = false,
                 FaultEvent::LossRate { link, rate, .. } => {
-                    for l in covered_links(link, ctl.loss_rate.len()) {
-                        ctl.loss_rate[l] += rate;
-                        ctl.loss_windows[l] += 1;
+                    for l in covered_links(link, ctl.link_up.len()) {
+                        let open = ctl.loss.entry(l).or_default();
+                        *open = (open.0 + rate, open.1 + 1);
                     }
                 }
             }
@@ -715,12 +719,13 @@ pub(crate) fn exec_global(ctl: &mut Control, master: &mut Master, shards: &mut [
                 // 0.1 + 0.2 - 0.1 - 0.2 is 2.8e-17, and any rate above zero
                 // makes every enqueue on the link draw from the fault stream.
                 FaultEvent::LossRate { link, rate, .. } => {
-                    for l in covered_links(link, ctl.loss_rate.len()) {
-                        ctl.loss_windows[l] -= 1;
-                        ctl.loss_rate[l] = match ctl.loss_windows[l] {
-                            0 => 0.0,
-                            _ => (ctl.loss_rate[l] - rate).max(0.0),
-                        };
+                    for l in covered_links(link, ctl.link_up.len()) {
+                        let open = ctl.loss.get_mut(&l).expect("an open loss window");
+                        if open.1 == 1 {
+                            ctl.loss.remove(&l);
+                        } else {
+                            *open = ((open.0 - rate).max(0.0), open.1 - 1);
+                        }
                     }
                 }
             }
@@ -1121,6 +1126,17 @@ mod tests {
     }
 
     #[test]
+    fn every_switch_has_an_agent_and_no_host_does() {
+        let ft = FatTreeConfig::scaled_ft8(2);
+        for shards in [1, 3] {
+            let sim = Engine::sharded(SimConfig::default(), &ft, &TestNoCache, 0, 4, shards);
+            for n in &sim.topology().nodes {
+                assert_eq!(sim.agent(n.id).is_some(), n.kind.is_switch(), "{n:?}");
+            }
+        }
+    }
+
+    #[test]
     fn overlapping_loss_windows_clear_exactly() {
         let us = SimTime::from_micros;
         let loss = |link, rate, from, until| FaultEvent::LossRate {
@@ -1138,10 +1154,9 @@ mod tests {
             let mut sim = small_sim();
             sim.apply_fault_plan(FaultPlan::from_events(plan).unwrap());
             sim.run_until(us(25));
-            assert!(sim.ctl.loss_rate[0] > 0.29, "both windows cover link 0");
+            assert!(sim.ctl.loss[&LinkId(0)].0 > 0.29, "both windows cover link 0");
             sim.run_until(us(50));
-            let residue = sim.ctl.loss_rate.iter().fold(0.0, |m: f64, &r| m.max(r));
-            assert_eq!(residue, 0.0, "a rate above zero outlives its windows");
+            assert!(sim.ctl.loss.is_empty(), "a rate outlives its windows");
         }
     }
 }

@@ -21,9 +21,10 @@
 //!
 //! [`Engine`] is the only engine. It holds
 //!
-//! * the immutable **world** (`world::World`: topology, routing, gateway
-//!   directory, switch tags, caching flags, strategy name and misdelivery
-//!   policy, partition), built once and shared behind an `Arc`;
+//! * the immutable **world** (`world::World`: topology, each link class's
+//!   serialization table, routing, gateway directory, switch tags, caching
+//!   flags, strategy name and misdelivery policy, partition), built once
+//!   and shared behind an `Arc`;
 //! * one copy of the **control state** (`world::Control`: the placement,
 //!   which is the V2P ground truth, follow-me rules, roles, fault flags,
 //!   flow specs and the migration/fault/churn tables), which only global

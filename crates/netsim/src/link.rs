@@ -17,11 +17,13 @@
 //! it is offered.
 //!
 //! **Sized by use.** A fabric has one [`LinkState`] per directed link
-//! (75 072 on FT32-1M), so it holds nothing a link shares with others: the
-//! rate and the buffer come with each call, the caller adds the
-//! propagation delay from the topology, and the waiting queue is a `Box`
-//! allocated at the link's first packet that has to wait. Most links never
-//! queue, and each costs 40 bytes.
+//! (75 072 on FT32-1M) but only a few link classes (two in a FatTree), so
+//! a link holds nothing its class shares: the caller passes the class's
+//! [`SerTable`] and the buffer with each call, and adds the propagation
+//! delay. What a queue needs — the waiting packets' sizes, their bytes and
+//! when the front starts — sits behind a pointer allocated when a packet
+//! first has to wait and dropped when the link falls idle. Most links
+//! never queue, and each costs 16 bytes.
 //!
 //! **The same-instant rule.** A packet whose transmission starts at `now`
 //! has left the queue: its bytes are off the buffer and it no longer counts
@@ -35,34 +37,69 @@ use std::collections::VecDeque;
 
 use sv2p_simcore::{SimDuration, SimTime};
 
-/// Runtime state of one directed link: 40 bytes, none of them the
-/// link's constants. The rate and the buffer come with each call, and the
-/// propagation delay is the caller's to add.
+/// Serialization times of one link class: every wire size under 2 048
+/// bytes read off a table, larger ones divided out. Each entry is
+/// [`SimDuration::serialization`]'s, so a hop looks its time up instead of
+/// dividing.
+#[derive(Debug)]
+pub struct SerTable {
+    bandwidth_bps: u64,
+    exact: Box<[SimDuration]>,
+}
+
+impl SerTable {
+    /// Wire sizes below this many bytes are tabled; every packet the
+    /// simulator builds is (at most 1 500 bytes).
+    const EXACT: u32 = 2_048;
+
+    /// The table of a link class of `bandwidth_bps`.
+    pub fn new(bandwidth_bps: u64) -> Self {
+        let exact = (0..Self::EXACT)
+            .map(|b| SimDuration::serialization(b, bandwidth_bps))
+            .collect();
+        SerTable { bandwidth_bps, exact }
+    }
+
+    /// Serialization time of `wire_bytes`.
+    #[inline]
+    pub fn get(&self, wire_bytes: u32) -> SimDuration {
+        match self.exact.get(wire_bytes as usize) {
+            Some(&ser) => ser,
+            None => SimDuration::serialization(wire_bytes, self.bandwidth_bps),
+        }
+    }
+
+    /// Heap bytes of the table.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.exact)
+    }
+}
+
+/// Runtime state of one directed link: 16 bytes, none of them the link's
+/// constants. The class's serialization table and the buffer come with
+/// each call, and the propagation delay is the caller's to add.
 #[derive(Debug, Default)]
 pub struct LinkState {
     /// When the last bit of the last accepted packet leaves.
     free_at: SimTime,
-    /// When the front of `waiting` starts transmitting.
+    /// The packets that had to wait; `None` while the link has never
+    /// queued since it last fell idle.
+    waiting: Option<Box<Waiting>>,
+}
+
+/// A link's queue, boxed: it exists only from a link's first packet that
+/// has to wait until the link falls idle.
+#[derive(Debug, Default)]
+struct Waiting {
+    /// When the front of `sizes` starts transmitting.
     head_start: SimTime,
-    /// The serialization time of `ser_bytes`, the last wire size worked
-    /// out. A link is one direction of a cable, so it carries runs of one
-    /// size — full data packets one way, ACKs the other — and the division
-    /// repeats. Starts at the one answer known without dividing: 0 bytes,
-    /// 0 ns.
-    ser: SimDuration,
+    /// Bytes in `sizes` (at most the buffer, so under 4 GiB).
+    queued_bytes: u32,
     /// Wire sizes of the accepted packets that had not started
     /// transmitting when the link was last offered one, oldest first.
     /// Four bytes a waiting packet: each one's start is the sum of the
-    /// serializations ahead of it, so only the front's is kept. Allocated
-    /// at the link's first queued packet; a link that only ever finds its
-    /// wire idle never holds one.
-    // Boxed on purpose: the pointer is 8 bytes, a `VecDeque` header 32.
-    #[allow(clippy::box_collection)]
-    waiting: Option<Box<VecDeque<u32>>>,
-    /// The wire size whose serialization time `ser` holds.
-    ser_bytes: u32,
-    /// Bytes in `waiting` (at most the buffer, so under 4 GiB).
-    queued_bytes: u32,
+    /// serializations ahead of it, so only the front's is kept.
+    sizes: VecDeque<u32>,
 }
 
 /// What [`LinkState::enqueue`] decided.
@@ -79,15 +116,6 @@ pub enum EnqueueOutcome {
 }
 
 impl LinkState {
-    /// Serialization time of `wire_bytes` at `bandwidth_bps`.
-    fn ser_time(&mut self, wire_bytes: u32, bandwidth_bps: u64) -> SimDuration {
-        if self.ser_bytes != wire_bytes {
-            self.ser = SimDuration::serialization(wire_bytes, bandwidth_bps);
-            self.ser_bytes = wire_bytes;
-        }
-        self.ser
-    }
-
     /// Offers a packet to the egress port at `now`, first exposing it to
     /// the link's injected loss (`loss_rate`, the sum of the active
     /// `LossRate` faults covering this link). `draw` is a uniform sample in
@@ -98,7 +126,7 @@ impl LinkState {
         &mut self,
         now: SimTime,
         wire_bytes: u32,
-        bandwidth_bps: u64,
+        ser: &SerTable,
         buffer_bytes: u32,
         loss_rate: f64,
         draw: f64,
@@ -106,81 +134,76 @@ impl LinkState {
         if draw < loss_rate {
             return EnqueueOutcome::Lost;
         }
-        self.enqueue(now, wire_bytes, bandwidth_bps, buffer_bytes)
+        self.enqueue(now, wire_bytes, ser, buffer_bytes)
     }
 
-    /// Offers a packet of `wire_bytes` at `now` to an egress port of
-    /// `bandwidth_bps` with `buffer_bytes` of drop-tail buffer (offers come
-    /// in time order: `now` is the simulation clock; a link is always
-    /// offered with the same rate and buffer).
+    /// Offers a packet of `wire_bytes` at `now` to an egress port whose
+    /// class serializes as `ser`, with `buffer_bytes` of drop-tail buffer
+    /// (offers come in time order: `now` is the simulation clock; a link is
+    /// always offered with the same class and buffer).
     pub fn enqueue(
         &mut self,
         now: SimTime,
         wire_bytes: u32,
-        bandwidth_bps: u64,
+        ser: &SerTable,
         buffer_bytes: u32,
     ) -> EnqueueOutcome {
-        // Packets whose transmission has started are off the buffer.
-        if let Some(mut waiting) = self.waiting.take() {
-            while let Some(&front) = waiting.front() {
-                if self.head_start > now {
+        let start = if self.free_at <= now {
+            // Idle: every waiting packet has left, and the wire takes this
+            // one at once, past the buffer.
+            self.waiting = None;
+            now
+        } else {
+            let w = self.waiting.get_or_insert_default();
+            // Packets whose transmission has started are off the buffer.
+            while let Some(&front) = w.sizes.front() {
+                if w.head_start > now {
                     break;
                 }
-                waiting.pop_front();
-                self.queued_bytes -= front;
-                let ser = self.ser_time(front, bandwidth_bps);
-                self.head_start += ser;
+                w.sizes.pop_front();
+                w.queued_bytes -= front;
+                w.head_start += ser.get(front);
             }
-            self.waiting = Some(waiting);
-        }
-        let start = if self.free_at <= now {
-            // Idle: the wire takes the packet at once, past the buffer.
-            debug_assert!(
-                self.waiting.as_ref().is_none_or(|w| w.is_empty()),
-                "a waiting packet starts before `free_at`"
-            );
-            now
-        } else if u64::from(self.queued_bytes) + u64::from(wire_bytes) <= u64::from(buffer_bytes) {
-            let waiting = self.waiting.get_or_insert_default();
-            if waiting.is_empty() {
-                self.head_start = self.free_at;
+            if u64::from(w.queued_bytes) + u64::from(wire_bytes) > u64::from(buffer_bytes) {
+                return EnqueueOutcome::Dropped;
             }
-            waiting.push_back(wire_bytes);
-            self.queued_bytes += wire_bytes;
+            if w.sizes.is_empty() {
+                w.head_start = self.free_at;
+            }
+            w.sizes.push_back(wire_bytes);
+            w.queued_bytes += wire_bytes;
             self.free_at
-        } else {
-            return EnqueueOutcome::Dropped;
         };
-        self.free_at = start + self.ser_time(wire_bytes, bandwidth_bps);
+        self.free_at = start + ser.get(wire_bytes);
         EnqueueOutcome::Departs(self.free_at)
     }
 
-    /// Heap bytes of the waiting queue, if the link ever queued.
+    /// Heap bytes of the waiting queue, if the link is queueing.
     pub fn queue_bytes(&self) -> usize {
         self.waiting.as_ref().map_or(0, |w| {
-            std::mem::size_of::<VecDeque<u32>>() + w.capacity() * std::mem::size_of::<u32>()
+            std::mem::size_of::<Waiting>() + w.sizes.capacity() * std::mem::size_of::<u32>()
         })
     }
 
-    /// Packets accepted and not yet transmitting at `now` on a link of
-    /// `bandwidth_bps` (the one on the wire is not in the queue, and by the
-    /// same-instant rule neither is one that starts at `now`). A pure read
-    /// for any `now` at or after the last offer: it walks the waiting
-    /// packets' start instants from `head_start`.
-    pub fn queue_len(&self, now: SimTime, bandwidth_bps: u64) -> usize {
-        let Some(waiting) = self.waiting.as_deref() else {
+    /// Packets accepted and not yet transmitting at `now` on a link whose
+    /// class serializes as `ser` (the one on the wire is not in the queue,
+    /// and by the same-instant rule neither is one that starts at `now`). A
+    /// pure read for any `now` at or after the last offer: it walks the
+    /// waiting packets' start instants from the front's.
+    pub fn queue_len(&self, now: SimTime, ser: &SerTable) -> usize {
+        let Some(w) = self.waiting.as_deref() else {
             return 0;
         };
-        let mut start = self.head_start;
+        let mut start = w.head_start;
         let mut started = 0;
-        for &wire in waiting {
+        for &wire in &w.sizes {
             if start > now {
                 break;
             }
             started += 1;
-            start += SimDuration::serialization(wire, bandwidth_bps);
+            start += ser.get(wire);
         }
-        waiting.len() - started
+        w.sizes.len() - started
     }
 }
 
@@ -283,16 +306,17 @@ mod tests {
     const MSS_WIRE: u32 = MSS + 60;
 
     /// A link's state with the constants its caller passes, as a shard
-    /// reads them off the `DirectedLink` and `PORT_BUFFER_BYTES`.
+    /// reads them off the link's class and `PORT_BUFFER_BYTES`.
     struct Port {
         state: LinkState,
         bandwidth_bps: u64,
+        ser: SerTable,
         buffer_bytes: u32,
     }
 
     impl Port {
         fn enqueue(&mut self, now: SimTime, wire: u32) -> EnqueueOutcome {
-            self.state.enqueue(now, wire, self.bandwidth_bps, self.buffer_bytes)
+            self.state.enqueue(now, wire, &self.ser, self.buffer_bytes)
         }
 
         fn enqueue_with_loss(
@@ -302,20 +326,22 @@ mod tests {
             rate: f64,
             draw: f64,
         ) -> EnqueueOutcome {
-            let (bw, buf) = (self.bandwidth_bps, self.buffer_bytes);
-            self.state.enqueue_with_loss(now, wire, bw, buf, rate, draw)
+            let buf = self.buffer_bytes;
+            self.state.enqueue_with_loss(now, wire, &self.ser, buf, rate, draw)
         }
 
         fn queue_len(&self, now: SimTime) -> usize {
-            self.state.queue_len(now, self.bandwidth_bps)
+            self.state.queue_len(now, &self.ser)
         }
     }
 
     fn link() -> Port {
         // 100G, room for exactly two MSS packets in the queue.
+        let bandwidth_bps = 100_000_000_000;
         Port {
             state: LinkState::default(),
-            bandwidth_bps: 100_000_000_000,
+            bandwidth_bps,
+            ser: SerTable::new(bandwidth_bps),
             buffer_bytes: 2 * MSS_WIRE,
         }
     }
@@ -390,6 +416,25 @@ mod tests {
         assert!(l.state.waiting.is_none());
         l.enqueue(at(100_000), MSS_WIRE);
         assert!(l.state.waiting.is_some());
+        // It goes when the link falls idle.
+        assert_eq!(l.enqueue(at(200_000), MSS_WIRE), departs(200_085));
+        assert!(l.state.waiting.is_none());
+    }
+
+    /// Asserts that `bw`'s table gives the division's answer for every wire
+    /// size up to past its end, where it divides.
+    fn check_ser_table(bw: u64) {
+        let table = SerTable::new(bw);
+        for wire in 0..=2_100 {
+            let want = SimDuration::serialization(wire, bw);
+            assert_eq!(table.get(wire), want, "{wire} B at {bw} b/s");
+        }
+    }
+
+    #[test]
+    fn ser_table_matches_division_at_the_fabric_rates() {
+        check_ser_table(100_000_000_000);
+        check_ser_table(400_000_000_000);
     }
 
     #[test]
@@ -432,6 +477,7 @@ mod tests {
         tape: &[(u16, u8, u8)],
     ) -> [usize; 4] {
         const WIRES: [u32; 4] = [60, 70, 1060, 1500];
+        let ser = &SerTable::new(bw);
         let mut link = LinkState::default();
         let mut oracle = EventLink::new(bw, u64::from(buffer));
         // The oracle's one pending tx-done instant, and the departure it
@@ -462,7 +508,7 @@ mod tests {
             seen[3] += usize::from(tx_done_at == Some(now));
             run_due(&mut oracle, &mut tx_done_at, &mut left_at, now);
             left_at.push(None);
-            let got = link.enqueue_with_loss(now, wire, bw, buffer, loss_rate, draw);
+            let got = link.enqueue_with_loss(now, wire, ser, buffer, loss_rate, draw);
             let want = oracle.enqueue_with_loss(i as u32, wire, loss_rate, draw);
             let (outcome, departs) = match got {
                 EnqueueOutcome::Departs(t) => (0, Some(t)),
@@ -480,17 +526,17 @@ mod tests {
                 Offer::Dropped => assert_eq!(got, EnqueueOutcome::Dropped, "offer {i}"),
                 Offer::Lost => assert_eq!(got, EnqueueOutcome::Lost, "offer {i}"),
             }
-            assert_eq!(link.queue_len(now, bw), oracle.queue_len(), "depth after offer {i}");
+            assert_eq!(link.queue_len(now, ser), oracle.queue_len(), "depth after offer {i}");
         }
         // A later sample reads the depth without another offer.
         if let Some(t) = tx_done_at {
             let mid = now + (t - now) / 2 + SimDuration::from_nanos(100);
             run_due(&mut oracle, &mut tx_done_at, &mut left_at, mid);
-            assert_eq!(link.queue_len(mid, bw), oracle.queue_len(), "depth at a later sample");
+            assert_eq!(link.queue_len(mid, ser), oracle.queue_len(), "depth at a later sample");
         }
         run_due(&mut oracle, &mut tx_done_at, &mut left_at, SimTime::MAX);
         assert_eq!(expect, left_at, "departure instants");
-        assert_eq!(link.queue_len(SimTime::MAX, bw), 0);
+        assert_eq!(link.queue_len(SimTime::MAX, ser), 0);
         seen
     }
 
@@ -523,6 +569,15 @@ mod tests {
             let buffer = if small { 4_000 } else { 32 * 1024 * 1024 };
             let loss_rate = if lossy { 0.05 } else { 0.0 };
             check_against_oracle(bw, buffer, loss_rate, &tape);
+        }
+
+        #[test]
+        fn ser_table_matches_division_at_any_rate(
+            bw in prop_oneof![1_000_000u64..=10_000_000_000_000, 1u64..=u64::MAX],
+            wire in any::<u32>(),
+        ) {
+            check_ser_table(bw);
+            prop_assert_eq!(SerTable::new(bw).get(wire), SimDuration::serialization(wire, bw));
         }
     }
 }

@@ -109,10 +109,11 @@ pub(crate) struct Snapshot {
     pub window: Traffic,
 }
 
-/// The state one shard owns. Vectors are indexed by global node / flow id
-/// and agents exist only for the nodes the shard owns; `links` holds only
-/// the links whose sending end the shard owns (a link's queue is never used
-/// anywhere else), found through [`Shard::link_index`].
+/// The state one shard owns. Switch agents and their RNG streams are
+/// indexed by switch tag, host agents by node id and transport state by
+/// flow id; agents exist only for the nodes the shard owns. `links` holds
+/// only the links whose sending end the shard owns (a link's queue is never
+/// used anywhere else), found through [`Shard::link_index`].
 pub(crate) struct Shard {
     pub id: usize,
     pub world: Arc<World>,
@@ -157,8 +158,10 @@ impl Shard {
             id,
             links: (0..n_owned).map(|_| LinkState::default()).collect(),
             fault_rngs: FxHashMap::default(),
-            agents: (0..n_nodes).map(|_| None).collect(),
-            agent_rngs: (0..n_nodes).map(|n| base_rng.fork(n as u64)).collect(),
+            agents: world.tag_pips.iter().map(|_| None).collect(),
+            // Forked by node id, not tag, so a switch's stream does not
+            // depend on how the switches are numbered.
+            agent_rngs: world.topo.switches().map(|sw| base_rng.fork(u64::from(sw.id.0))).collect(),
             host_agents: (0..n_nodes).map(|_| None).collect(),
             arena: PacketArena::new(),
             route_scratch: Vec::new(),
@@ -245,7 +248,8 @@ impl Shard {
     /// uplink switch reboots; a rack never straddles shards). Every reboot
     /// path goes through here so per-switch state clears uniformly.
     pub fn cold_reset_switch(&mut self, ctl: &Control, node: NodeId) {
-        if let Some(agent) = self.agents[node.0 as usize].as_mut() {
+        let tag = self.world.tags[node.0 as usize];
+        if let Some(agent) = tag.and_then(|t| self.agents[t.0 as usize].as_mut()) {
             agent.reset();
         }
         let is_tor = ctl
@@ -263,8 +267,8 @@ impl Shard {
     }
 
     /// Resident bytes of this shard's `(links, nodes)`: its link states
-    /// with their queues and loss streams, and its per-node agents (the
-    /// boxes' inline sizes), RNG streams and gateway queues.
+    /// with their queues and loss streams, and its agents (the boxes'
+    /// inline sizes), the switches' RNG streams and gateway queues.
     pub fn resident_bytes(&self) -> (usize, usize) {
         use std::mem::{size_of, size_of_val as bytes};
         let links = bytes(&*self.links)
@@ -287,14 +291,13 @@ impl Shard {
             self.world.link_slot.is_empty() || self.world.shard_of(l.from) == self.id
         });
         for (l, state) in owned.zip(&self.links) {
-            let q = state.queue_len(now, l.bandwidth_bps) as u64;
+            let q = state.queue_len(now, &self.world.ser[l.class as usize]) as u64;
             s.q_total += q;
             s.q_max = s.q_max.max(q);
         }
-        for sw in self.world.topo.switches() {
-            let occ = self.agents[sw.id.0 as usize]
-                .as_ref()
-                .map_or(0, |a| a.occupancy()) as u64;
+        // Tags number the switches in enumeration order.
+        for (sw, agent) in self.world.topo.switches().zip(&self.agents) {
+            let occ = agent.as_ref().map_or(0, |a| a.occupancy()) as u64;
             s.occ[ctl.roles.role(sw.id).expect("switch role").layer() as usize] += occ;
         }
         let widx = (now.as_nanos() / WINDOW_NS) as usize;
@@ -576,26 +579,32 @@ impl Shard {
     ) {
         let wire = self.arena.get(pkt).wire_size();
         let now = fx.now();
-        let &DirectedLink { from: from_node, bandwidth_bps: bw, delay_ns, .. } =
-            self.world.topo.link(link);
+        let world = &*self.world;
+        let &DirectedLink { from: from_node, class, .. } = world.topo.link(link);
+        let ser = &world.ser[class as usize];
         let slot = self.link_index::<F>(link);
         let l = &mut self.links[slot];
         // Draw from the dedicated fault stream only while loss is active, so
         // a healthy run consumes no fault randomness at all.
-        let loss_rate = ctl.loss_rate[link.0 as usize];
+        let loss_rate = if ctl.loss.is_empty() {
+            0.0
+        } else {
+            ctl.loss.get(&link).map_or(0.0, |&(rate, _)| rate)
+        };
         let outcome = if loss_rate > 0.0 {
             // Labels far outside the node-id space keep the fault streams
             // disjoint from every per-agent fork.
             let label = (1u64 << 32) + u64::from(link.0);
-            let seed = self.world.cfg.seed;
+            let seed = world.cfg.seed;
             let rng = self.fault_rngs.entry(link).or_insert_with(|| SimRng::new(seed).fork(label));
-            l.enqueue_with_loss(now, wire, bw, PORT_BUFFER_BYTES, loss_rate, rng.uniform())
+            l.enqueue_with_loss(now, wire, ser, PORT_BUFFER_BYTES, loss_rate, rng.uniform())
         } else {
-            l.enqueue(now, wire, bw, PORT_BUFFER_BYTES)
+            l.enqueue(now, wire, ser, PORT_BUFFER_BYTES)
         };
         match outcome {
             EnqueueOutcome::Departs(departs) => {
-                let arrives = departs + SimDuration::from_nanos(delay_ns);
+                let delay = world.topo.classes()[class as usize].delay_ns;
+                let arrives = departs + SimDuration::from_nanos(delay);
                 // The arrival executes where the link ends. Links are the
                 // only way across the partition's cut, so this is the one
                 // event that can belong to another shard; the packet then
@@ -686,7 +695,7 @@ impl Shard {
         pkt: PacketRef,
         ingress: Option<Pip>,
     ) {
-        let (node, idx, now) = (here.id, here.id.0 as usize, fx.now());
+        let (node, tag, now) = (here.id, self.world.tag(here.id), fx.now());
         let role = ctl.roles.role(node).expect("switch role");
         let trace = fx.tracing();
         let (is_data, was_unresolved, first_of_flow) = {
@@ -710,19 +719,19 @@ impl Shard {
             let pip_of_tag = move |t: SwitchTag| world.tag_pips[t.0 as usize];
             let mut ctx = SwitchCtx {
                 now,
-                tag: world.tag(node),
+                tag,
                 switch_pip: here.pip,
                 role,
                 my_pod: here.kind.pod(),
                 ingress_host: ingress,
                 dst_attached,
                 placement: &ctl.placement,
-                rng: &mut self.agent_rngs[idx],
+                rng: &mut self.agent_rngs[tag.0 as usize],
                 pod_of: &pod_of,
                 pip_of_tag: &pip_of_tag,
                 trace_cache_ops: trace,
             };
-            match self.agents[idx].as_mut() {
+            match self.agents[tag.0 as usize].as_mut() {
                 Some(agent) => agent.on_packet(&mut ctx, self.arena.get_mut(pkt)),
                 None => AgentOutput::forward(),
             }
@@ -766,7 +775,7 @@ impl Shard {
             let layer = wire_layer(&ctl.roles, node);
             // A data packet that arrived unresolved at a switch holding cache
             // lines probed that cache; the agent reported hit/miss.
-            if was_unresolved && self.world.caching[idx] {
+            if was_unresolved && self.world.caching[tag.0 as usize] {
                 if let Some(mut ev) = self.packet_event(fx, EventKind::CacheLookup, pkt, node) {
                     ev.hit = Some(output.cache_hit);
                     ev.layer = Some(layer);

@@ -5,26 +5,32 @@
 use sv2p_metrics::MigrationRef;
 use sv2p_packet::{Pip, SwitchTag, Vip};
 use sv2p_simcore::FxHashMap;
-use sv2p_topology::{NodeId, PodPartition, RoleMap, Routing, Topology};
+use sv2p_topology::{LinkId, NodeId, PodPartition, RoleMap, Routing, Topology};
 use sv2p_vnet::{GatewayDirectory, Migration, MisdeliveryPolicy, Placement};
 
 use crate::churn::ChurnMark;
 use crate::config::SimConfig;
 use crate::faults::FaultEvent;
 use crate::flows::FlowSpec;
+use crate::link::SerTable;
 
 /// Everything fixed at construction, built once per engine and shared by
 /// the driver and every shard behind an `Arc`.
 pub(crate) struct World {
     pub cfg: SimConfig,
     pub topo: Topology,
+    /// The serialization table of each link class, indexed by
+    /// `DirectedLink::class`.
+    pub ser: Vec<SerTable>,
     pub routing: Routing,
     pub dir: GatewayDirectory,
-    /// Dense switch tags; `tags[node] == None` for hosts.
+    /// Dense switch tags, numbered in `Topology::switches` order;
+    /// `tags[node] == None` for hosts. Per-switch state is indexed by tag.
     pub tags: Vec<Option<SwitchTag>>,
     pub tag_pips: Vec<Pip>,
-    /// Per-node flag: a switch that actually holds cache lines (gates
-    /// `CacheLookup` trace events, so non-caching switches stay silent).
+    /// Per-switch flag, by tag: a switch that actually holds cache lines
+    /// (gates `CacheLookup` trace events, so non-caching switches stay
+    /// silent).
     pub caching: Vec<bool>,
     pub misdelivery_policy: MisdeliveryPolicy,
     pub strategy_name: String,
@@ -87,12 +93,12 @@ pub(crate) struct Control {
     pub blackout: Vec<bool>,
     /// Per-link up flag; downed links are masked out of ECMP.
     pub link_up: Vec<bool>,
-    /// Per-link injected loss probability (sum of the active `LossRate`
-    /// faults covering the link; 0 when healthy).
-    pub loss_rate: Vec<f64>,
-    /// Per-link count of the `LossRate` windows now open: when it returns
-    /// to 0 the rate is set to exactly 0.0, not to what subtraction left.
-    pub loss_windows: Vec<u32>,
+    /// The links with a `LossRate` window open: their injected loss
+    /// probability (the sum of the open windows' rates) and how many are
+    /// open. A link leaves the map when its last window closes, so a
+    /// healthy link's rate is exactly 0.0, not what subtraction left, and a
+    /// run without loss faults never probes it.
+    pub loss: FxHashMap<LinkId, (f64, u32)>,
     /// The workload, indexed by flow id.
     pub flows: Vec<FlowSpec>,
     /// Indexed by `Event::Migrate`.

@@ -4,6 +4,8 @@ use serde::{Deserialize, Serialize};
 use sv2p_simcore::FxHashMap;
 use sv2p_packet::Pip;
 
+use crate::fattree::LinkSpec;
+
 /// Index of a node (server, gateway, or switch) in the topology.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -96,7 +98,8 @@ pub struct Node {
     pub pip: Pip,
 }
 
-/// One direction of a physical cable.
+/// One direction of a physical cable: 16 bytes. Its rate and delay are
+/// its class's, shared by every cable of the class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DirectedLink {
     /// Its index.
@@ -105,10 +108,8 @@ pub struct DirectedLink {
     pub from: NodeId,
     /// Receiving node.
     pub to: NodeId,
-    /// Line rate in bits per second.
-    pub bandwidth_bps: u64,
-    /// Propagation delay in nanoseconds.
-    pub delay_ns: u64,
+    /// Index of its `(rate, delay)` class in [`Topology::classes`].
+    pub class: u32,
 }
 
 /// A static network topology: nodes, directed links, port lists, and address
@@ -120,6 +121,9 @@ pub struct Topology {
     pub nodes: Vec<Node>,
     /// All directed links, indexed by [`LinkId`].
     pub links: Vec<DirectedLink>,
+    /// The distinct `(rate, delay)` pairs of the cables, in order of first
+    /// use: a FatTree has two, host and fabric.
+    classes: Vec<LinkSpec>,
     /// Egress ports of every node in compressed sparse row form, one flat
     /// list instead of a `Vec` per node: node *n*'s are
     /// `out[out_start[n]..out_start[n + 1]]`, in link-id order. Built by
@@ -139,19 +143,27 @@ impl Topology {
         id
     }
 
-    /// Adds both directions of a cable between `a` and `b`. The port lists
-    /// are indexed once the last cable is in ([`Self::index_ports`]).
+    /// Adds both directions of a cable between `a` and `b`, interning its
+    /// rate and delay in [`Self::classes`]. The port lists are indexed once
+    /// the last cable is in ([`Self::index_ports`]).
     pub fn add_cable(&mut self, a: NodeId, b: NodeId, bandwidth_bps: u64, delay_ns: u64) {
+        let spec = LinkSpec { bandwidth_bps, delay_ns };
+        let class = match self.classes.iter().position(|&c| c == spec) {
+            Some(c) => c,
+            None => {
+                self.classes.push(spec);
+                self.classes.len() - 1
+            }
+        } as u32;
         for (from, to) in [(a, b), (b, a)] {
             let id = LinkId(self.links.len() as u32);
-            self.links.push(DirectedLink {
-                id,
-                from,
-                to,
-                bandwidth_bps,
-                delay_ns,
-            });
+            self.links.push(DirectedLink { id, from, to, class });
         }
+    }
+
+    /// The link classes, indexed by [`DirectedLink::class`].
+    pub fn classes(&self) -> &[LinkSpec] {
+        &self.classes
     }
 
     /// Builds the port lists from the links: sorted by sending node, each
@@ -186,7 +198,8 @@ impl Topology {
     /// are sized by length: capacity never filled is not resident.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of_val as bytes;
-        bytes(&*self.nodes) + bytes(&*self.links) + bytes(&*self.out) + bytes(&*self.out_start)
+        bytes(&*self.nodes) + bytes(&*self.links) + bytes(&*self.classes) + bytes(&*self.out)
+            + bytes(&*self.out_start)
             + self.pip_to_node.capacity() * (std::mem::size_of::<(Pip, NodeId)>() + 1)
     }
 
@@ -314,6 +327,18 @@ mod tests {
         assert!(NodeKind::Gateway { pod: 0, slot: 0 }.is_host());
         assert_eq!(NodeKind::Core { idx: 3 }.pod(), None);
         assert_eq!(NodeKind::Spine { pod: 5, idx: 0 }.pod(), Some(5));
+    }
+
+    #[test]
+    fn cables_of_one_rate_and_delay_share_a_class() {
+        let (mut t, h1, tor, h2) = tiny();
+        let spine = t.add_node(NodeKind::Spine { pod: 0, idx: 0 }, Pip(200));
+        t.add_cable(tor, spine, 400, 1000);
+        t.index_ports();
+        assert_eq!(t.classes().len(), 2);
+        let up = |a, b| t.classes()[t.link(t.link_between(a, b).unwrap()).class as usize];
+        assert_eq!(up(h1, tor), up(tor, h2));
+        assert_eq!(up(spine, tor), LinkSpec { bandwidth_bps: 400, delay_ns: 1000 });
     }
 
     #[test]
