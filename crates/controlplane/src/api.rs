@@ -48,6 +48,18 @@ pub enum CtlOp {
 }
 
 impl CtlOp {
+    /// The VIP a keyed op touches; `None` for `Snapshot` and `Stats`, which
+    /// read the whole table and act as barriers within a batch.
+    pub fn vip(&self) -> Option<Vip> {
+        match *self {
+            CtlOp::Lookup { vip }
+            | CtlOp::Install { vip, .. }
+            | CtlOp::Invalidate { vip }
+            | CtlOp::Migrate { vip, .. } => Some(vip),
+            CtlOp::Snapshot | CtlOp::Stats => None,
+        }
+    }
+
     /// The mutation this op performs, if it is a write.
     pub fn as_mapping_op(&self) -> Option<MappingOp> {
         match *self {
@@ -61,12 +73,16 @@ impl CtlOp {
     }
 }
 
-/// A batch of operations executed in order.
+/// A batch of operations, answered as if executed in order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestBatch {
     /// Client-chosen correlation id, echoed verbatim in the reply.
     pub id: u64,
-    /// The operations, executed front to back.
+    /// The operations. The replies are those of executing them front to
+    /// back; the server may run ops on different VIPs in another order
+    /// (`StripedControlPlane::execute_shared` says which), but never
+    /// reorders two ops on one VIP, nor an op across a `Snapshot` or
+    /// `Stats`.
     pub ops: Vec<CtlOp>,
 }
 
@@ -169,10 +185,13 @@ pub enum CtlReply {
     },
     /// Cumulative counters.
     Stats {
-        /// The counter values.
-        stats: ServiceStats,
+        /// The counter values, boxed: they are 104 bytes, and every reply of
+        /// a batch would otherwise be sized for them.
+        stats: Box<ServiceStats>,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<CtlReply>() <= 32);
 
 /// A batch of replies.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -206,6 +225,19 @@ mod tests {
         assert_eq!(CtlOp::Lookup { vip: Vip(1) }.as_mapping_op(), None);
         assert_eq!(CtlOp::Snapshot.as_mapping_op(), None);
         assert_eq!(CtlOp::Stats.as_mapping_op(), None);
+    }
+
+    #[test]
+    fn keyed_ops_name_their_vip_and_barriers_none() {
+        assert_eq!(CtlOp::Lookup { vip: Vip(1) }.vip(), Some(Vip(1)));
+        assert_eq!(CtlOp::Install { vip: Vip(2), pip: Pip(0) }.vip(), Some(Vip(2)));
+        assert_eq!(CtlOp::Invalidate { vip: Vip(3) }.vip(), Some(Vip(3)));
+        assert_eq!(
+            CtlOp::Migrate { vip: Vip(4), to_pip: Pip(0), at_ns: None }.vip(),
+            Some(Vip(4))
+        );
+        assert_eq!(CtlOp::Snapshot.vip(), None);
+        assert_eq!(CtlOp::Stats.vip(), None);
     }
 
     #[test]

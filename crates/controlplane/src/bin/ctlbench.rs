@@ -159,7 +159,7 @@ fn fetch_stats(addr: std::net::SocketAddr) -> ServiceStats {
         .call(&req)
         .unwrap_or_else(|e| die(&format!("stats: {e}")));
     match rep.replies.first() {
-        Some(CtlReply::Stats { stats }) => *stats,
+        Some(CtlReply::Stats { stats }) => **stats,
         other => die(&format!("unexpected stats reply: {other:?}")),
     }
 }

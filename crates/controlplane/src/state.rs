@@ -1,18 +1,31 @@
 //! Concurrent control-plane state: `RwLock`-striped mapping shards.
 //!
 //! The servable flavor of the control plane. VIPs are hashed onto a fixed
-//! set of stripes, each an independently locked [`MappingDb`]; reads take a
-//! stripe read lock, writes a stripe write lock, and a global atomic epoch
-//! orders accepted writes across stripes. Many TCP connections execute
-//! batches against one [`StripedControlPlane`] concurrently.
+//! set of stripes, each an independently locked [`MappingDb`], and a global
+//! atomic epoch counts accepted writes across stripes. Many TCP connections
+//! execute batches against one [`StripedControlPlane`] concurrently.
+//!
+//! The table is worked a stripe at a time, so that a lock, an epoch add and
+//! a stripe's cache lines are paid once per burst rather than once per op.
+//! [`StripedControlPlane::preload`] partitions its entries by stripe and
+//! installs each stripe's share under one write lock, after one
+//! [`MappingDb::reserve`]. [`StripedControlPlane::execute_shared`] runs the
+//! keyed ops between two barriers (`Snapshot`, `Stats`) as one group per
+//! stripe touched: the group's lock is taken once — a read lock if it only
+//! looks up —, its VIPs' slots are fetched together ([`MappingDb::warm`]),
+//! and its ops run in batch order.
 //!
 //! Consistency model (documented, tested): per-VIP operations are
-//! linearizable (a VIP always lives on exactly one stripe); the global
-//! epoch is monotonic over accepted writes; [`StripedControlPlane::snapshot`]
-//! holds every stripe's read lock simultaneously, so it observes an
-//! instant where no write is in flight. A lock poisoned by a panicked
-//! handler is recovered (`write` says why that is sound): one bad batch
-//! must not turn the daemon into one that panics on every request.
+//! linearizable (a VIP always lives on exactly one stripe, and a batch never
+//! reorders two ops on one VIP); a batch's replies and reply epoch are those
+//! of executing it front to back; the global epoch is monotonic over
+//! accepted writes. Another connection may see one batch's writes on
+//! different stripes land in stripe order rather than batch order — only
+//! per-VIP order is promised. [`StripedControlPlane::snapshot`] holds every
+//! stripe's read lock simultaneously, so it observes an instant where no
+//! write is in flight. A lock poisoned by a panicked handler is recovered
+//! (`write` says why that is sound): one bad batch must not turn the daemon
+//! into one that panics on every request.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -58,6 +71,74 @@ impl AtomicCounts {
             ..ServiceStats::default()
         }
     }
+
+    /// Publishes a batch's local tally (its counter fields; the rest are
+    /// ignored).
+    fn add(&self, t: &ServiceStats) {
+        self.batches.fetch_add(t.batches, Ordering::Relaxed);
+        self.ops.fetch_add(t.ops, Ordering::Relaxed);
+        self.lookups.fetch_add(t.lookups, Ordering::Relaxed);
+        self.hits.fetch_add(t.hits, Ordering::Relaxed);
+        self.installs.fetch_add(t.installs, Ordering::Relaxed);
+        self.invalidates.fetch_add(t.invalidates, Ordering::Relaxed);
+        self.migrates.fetch_add(t.migrates, Ordering::Relaxed);
+        self.rejected.fetch_add(t.rejected, Ordering::Relaxed);
+        self.snapshots.fetch_add(t.snapshots, Ordering::Relaxed);
+    }
+}
+
+/// A stripe's write lock together with the writes accepted under it, which
+/// are added to the global epoch when this drops — before the lock is
+/// released, and also when a group unwinds, so the epoch counts every write
+/// the table holds.
+struct WriteGroup<'a> {
+    db: RwLockWriteGuard<'a, MappingDb>,
+    epoch: &'a AtomicU64,
+    accepted: u64,
+}
+
+impl Drop for WriteGroup<'_> {
+    fn drop(&mut self) {
+        // Runs before the fields drop, so the lock is still held.
+        self.epoch.fetch_add(self.accepted, Ordering::SeqCst);
+    }
+}
+
+impl WriteGroup<'_> {
+    /// Applies one write and tallies it; `Rejected` leaves state and epoch
+    /// unchanged.
+    fn apply(&mut self, op: MappingOp, tally: &mut ServiceStats) -> CtlReply {
+        match self.db.try_apply(op) {
+            Ok(delta) => {
+                self.accepted += 1;
+                *match op {
+                    MappingOp::Install { .. } => &mut tally.installs,
+                    MappingOp::Invalidate { .. } => &mut tally.invalidates,
+                    MappingOp::Migrate { .. } => &mut tally.migrates,
+                } += 1;
+                CtlReply::Applied {
+                    old: delta.old,
+                    new: delta.new,
+                }
+            }
+            Err(e) => {
+                tally.rejected += 1;
+                CtlReply::Rejected { reason: e.into() }
+            }
+        }
+    }
+}
+
+/// A counted lookup.
+fn lookup(db: &MappingDb, vip: Vip, tally: &mut ServiceStats) -> CtlReply {
+    tally.lookups += 1;
+    match db.lookup(vip) {
+        Some(pip) => {
+            tally.hits += 1;
+            CtlReply::Found { pip }
+        }
+        None => CtlReply::NotFound,
+    }
 }
 
 /// `RwLock`-striped concurrent control-plane state.
@@ -98,16 +179,27 @@ impl StripedControlPlane {
     /// Stripe `i`'s write guard, recovered if a writer panicked.
     ///
     /// Recovery is sound because the table is consistent at every point a
-    /// write under this guard can unwind. The only write is one
+    /// write under this guard can unwind. Each write is one
     /// `MappingDb::try_apply`. It probes for its slot before it stores
     /// anything, and the stores and counter increments after the probe
     /// cannot panic. Its allocating steps (a rehash, the migration-instant
     /// side table growing) abort the process on allocation failure rather
     /// than unwind, and their capacity-overflow panics need a table larger
     /// than the address space. So a guard is poisoned only by a panic
-    /// between whole ops, never in the middle of one.
+    /// between whole ops, never in the middle of one — and a [`WriteGroup`]
+    /// that unwinds still adds the ops it applied to the epoch. (A batch
+    /// that unwinds does lose its unpublished op counters.)
     fn write(&self, i: usize) -> RwLockWriteGuard<'_, MappingDb> {
         self.stripes[i].write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Stripe `i`'s write lock as a [`WriteGroup`].
+    fn write_group(&self, i: usize) -> WriteGroup<'_> {
+        WriteGroup {
+            db: self.write(i),
+            epoch: &self.epoch,
+            accepted: 0,
+        }
     }
 
     /// The service-time histogram, recovered if a recorder panicked (a
@@ -125,13 +217,32 @@ impl StripedControlPlane {
         (h % self.stripes.len() as u64) as usize
     }
 
-    /// Seeds mappings without touching the op counters (each entry still
-    /// advances the epoch, as a `MappingDb` seeded by `apply` would).
+    /// Seeds mappings without touching the op counters; each entry still
+    /// advances the epoch, as a `MappingDb` seeded by `apply` would, and a
+    /// VIP listed twice ends at its last PIP.
+    ///
+    /// The entries are partitioned by stripe, keeping their order, and each
+    /// stripe's share is installed under one write lock after one
+    /// [`MappingDb::reserve`], with one epoch add. One stripe's table is
+    /// filled at a time, so the lines being written stay in cache.
     pub fn preload(&self, entries: impl IntoIterator<Item = (Vip, Pip)>) {
+        let entries = entries.into_iter();
+        let n = self.stripes.len();
+        // An eighth over the even share: a dense range never outgrows it.
+        let share = entries.size_hint().0 / n;
+        let mut parts: Vec<Vec<(Vip, Pip)>> = (0..n)
+            .map(|_| Vec::with_capacity(share + share / 8))
+            .collect();
         for (vip, pip) in entries {
-            self.write(self.stripe_of(vip))
-                .apply(MappingOp::Install { vip, pip });
-            self.epoch.fetch_add(1, Ordering::SeqCst);
+            parts[self.stripe_of(vip)].push((vip, pip));
+        }
+        for (i, part) in parts.into_iter().enumerate() {
+            let mut group = self.write_group(i);
+            group.db.reserve(part.len());
+            for (vip, pip) in part {
+                group.db.apply(MappingOp::Install { vip, pip });
+                group.accepted += 1;
+            }
         }
     }
 
@@ -149,45 +260,6 @@ impl StripedControlPlane {
     /// True when no stripe holds a mapping.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Counted concurrent lookup.
-    pub fn lookup(&self, vip: Vip) -> Option<Pip> {
-        self.counts.lookups.fetch_add(1, Ordering::Relaxed);
-        let hit = self.read(self.stripe_of(vip)).lookup(vip);
-        if hit.is_some() {
-            self.counts.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Applies one write; `Err` means rejected (state and epoch unchanged).
-    pub fn apply(&self, op: MappingOp) -> Result<CtlReply, CtlReply> {
-        let mut db = self.write(self.stripe_of(op.vip()));
-        match db.try_apply(op) {
-            Ok(delta) => {
-                self.epoch.fetch_add(1, Ordering::SeqCst);
-                match op {
-                    MappingOp::Install { .. } => {
-                        self.counts.installs.fetch_add(1, Ordering::Relaxed)
-                    }
-                    MappingOp::Invalidate { .. } => {
-                        self.counts.invalidates.fetch_add(1, Ordering::Relaxed)
-                    }
-                    MappingOp::Migrate { .. } => {
-                        self.counts.migrates.fetch_add(1, Ordering::Relaxed)
-                    }
-                };
-                Ok(CtlReply::Applied {
-                    old: delta.old,
-                    new: delta.new,
-                })
-            }
-            Err(e) => {
-                self.counts.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(CtlReply::Rejected { reason: e.into() })
-            }
-        }
     }
 
     /// Sorted full-table dump under a simultaneous all-stripe read lock.
@@ -216,34 +288,50 @@ impl StripedControlPlane {
         }
     }
 
-    /// Executes every op in order and returns one reply per op; the reply
-    /// batch's `epoch` is the global epoch after the last op. The one batch
-    /// interpreter: every server thread and every in-process caller runs
-    /// this through a shared reference.
+    /// Executes a batch and returns one reply per op: the replies, and the
+    /// reply batch's `epoch` (the global epoch after the batch), are those
+    /// of executing the ops front to back. The one batch interpreter: every
+    /// server thread and every in-process caller runs this through a
+    /// shared reference.
+    ///
+    /// `Snapshot` and `Stats` are barriers. Between two barriers the keyed
+    /// ops run as one group per stripe, stripe by stripe: each group under
+    /// one lock (a read lock if it only looks up), its slots warmed first,
+    /// its ops in batch order. So per-VIP order is kept, and a barrier sees
+    /// every op before it and none after. The op counters are tallied
+    /// locally and published before each barrier and at the end.
     pub fn execute_shared(&self, req: &RequestBatch) -> ReplyBatch {
         let start = Instant::now();
-        self.counts.batches.fetch_add(1, Ordering::Relaxed);
-        self.counts.ops.fetch_add(req.ops.len() as u64, Ordering::Relaxed);
-        let mut replies = Vec::with_capacity(req.ops.len());
-        for op in &req.ops {
-            let reply = match *op {
-                CtlOp::Lookup { vip } => match self.lookup(vip) {
-                    Some(pip) => CtlReply::Found { pip },
-                    None => CtlReply::NotFound,
-                },
+        let ops = &req.ops;
+        let mut replies = vec![CtlReply::NotFound; ops.len()];
+        let mut tally = ServiceStats {
+            batches: 1,
+            ops: ops.len() as u64,
+            ..ServiceStats::default()
+        };
+        // Each keyed op's stripe, for the segment since the last barrier.
+        let mut op_stripes = Vec::with_capacity(ops.len());
+        let mut from = 0;
+        for (at, op) in ops.iter().enumerate() {
+            if let Some(vip) = op.vip() {
+                op_stripes.push(self.stripe_of(vip));
+                continue;
+            }
+            self.run_groups(&ops[from..at], &op_stripes, &mut replies[from..at], &mut tally);
+            self.counts.add(&std::mem::take(&mut tally));
+            op_stripes.clear();
+            replies[at] = match op {
                 CtlOp::Snapshot => CtlReply::Snapshot {
                     entries: self.snapshot(),
                 },
-                CtlOp::Stats => CtlReply::Stats { stats: self.stats() },
-                _ => {
-                    let mop = op.as_mapping_op().expect("write op");
-                    match self.apply(mop) {
-                        Ok(r) | Err(r) => r,
-                    }
-                }
+                _ => CtlReply::Stats {
+                    stats: Box::new(self.stats()),
+                },
             };
-            replies.push(reply);
+            from = at + 1;
         }
+        self.run_groups(&ops[from..], &op_stripes, &mut replies[from..], &mut tally);
+        self.counts.add(&tally);
         let rep = ReplyBatch {
             id: req.id,
             epoch: self.epoch(),
@@ -252,13 +340,76 @@ impl StripedControlPlane {
         self.exec_hist().record(start.elapsed().as_nanos() as u64);
         rep
     }
+
+    /// Runs keyed `ops` (no barrier among them; `op_stripes[k]` is op `k`'s
+    /// stripe) as one group per stripe, writing op `k`'s reply to
+    /// `replies[k]`. The groups come from a stable counting sort of the op
+    /// indices by stripe, so each keeps batch order.
+    fn run_groups(
+        &self,
+        ops: &[CtlOp],
+        op_stripes: &[usize],
+        replies: &mut [CtlReply],
+        tally: &mut ServiceStats,
+    ) {
+        if ops.is_empty() {
+            return;
+        }
+        // ends[s + 1] counts stripe s, then (prefix sums) ends[s] is where
+        // stripe s's group starts; placing an op advances it, so after the
+        // scatter ends[s] is where the group ends.
+        let mut ends = vec![0usize; self.stripes.len() + 1];
+        for &s in op_stripes {
+            ends[s + 1] += 1;
+        }
+        for s in 1..ends.len() {
+            ends[s] += ends[s - 1];
+        }
+        let mut order = vec![0usize; ops.len()];
+        for (k, &s) in op_stripes.iter().enumerate() {
+            order[ends[s]] = k;
+            ends[s] += 1;
+        }
+        let mut begin = 0;
+        for (s, &end) in ends[..self.stripes.len()].iter().enumerate() {
+            let group = &order[begin..end];
+            begin = end;
+            if group.is_empty() {
+                continue;
+            }
+            let vips = group.iter().filter_map(|&k| ops[k].vip());
+            let reads_only = group.iter().all(|&k| matches!(ops[k], CtlOp::Lookup { .. }));
+            if reads_only {
+                let db = self.read(s);
+                db.warm(vips);
+                for &k in group {
+                    if let CtlOp::Lookup { vip } = ops[k] {
+                        replies[k] = lookup(&db, vip, tally);
+                    }
+                }
+            } else {
+                let mut w = self.write_group(s);
+                w.db.warm(vips);
+                for &k in group {
+                    replies[k] = match ops[k] {
+                        CtlOp::Lookup { vip } => lookup(&w.db, vip, tally),
+                        op => w.apply(op.as_mapping_op().expect("a keyed op"), tally),
+                    };
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::RejectReason;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
+
+    fn batch(ops: Vec<CtlOp>) -> RequestBatch {
+        RequestBatch { id: 0, ops }
+    }
 
     #[test]
     fn striped_basic_ops_and_epoch() {
@@ -267,24 +418,28 @@ mod tests {
         cp.preload((0..100u32).map(|i| (Vip(i), Pip(1000 + i))));
         assert_eq!(cp.len(), 100);
         assert_eq!(cp.epoch(), 100);
-        assert_eq!(cp.lookup(Vip(7)), Some(Pip(1007)));
-        assert_eq!(cp.lookup(Vip(500)), None);
-        let rep = cp
-            .apply(MappingOp::Migrate { vip: Vip(7), to_pip: Pip(9), at_ns: None })
-            .unwrap();
-        assert_eq!(rep, CtlReply::Applied { old: Some(Pip(1007)), new: Some(Pip(9)) });
-        assert_eq!(cp.epoch(), 101);
-        // Rejected writes change nothing.
-        let rej = cp
-            .apply(MappingOp::Migrate { vip: Vip(999), to_pip: Pip(1), at_ns: None })
-            .unwrap_err();
-        assert_eq!(rej, CtlReply::Rejected { reason: RejectReason::UnknownVip });
-        assert_eq!(cp.epoch(), 101);
+        let rep = cp.execute_shared(&batch(vec![
+            CtlOp::Lookup { vip: Vip(7) },
+            CtlOp::Lookup { vip: Vip(500) },
+            CtlOp::Migrate { vip: Vip(7), to_pip: Pip(9), at_ns: None },
+            CtlOp::Lookup { vip: Vip(7) },
+            // Rejected writes change nothing.
+            CtlOp::Migrate { vip: Vip(999), to_pip: Pip(1), at_ns: None },
+        ]));
+        assert_eq!(
+            rep.replies,
+            vec![
+                CtlReply::Found { pip: Pip(1007) },
+                CtlReply::NotFound,
+                CtlReply::Applied { old: Some(Pip(1007)), new: Some(Pip(9)) },
+                CtlReply::Found { pip: Pip(9) },
+                CtlReply::Rejected { reason: RejectReason::UnknownVip },
+            ]
+        );
+        assert_eq!((rep.epoch, cp.epoch()), (101, 101));
         let s = cp.stats();
-        assert_eq!(s.lookups, 2);
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.migrates, 1);
-        assert_eq!(s.rejected, 1);
+        assert_eq!((s.batches, s.ops, s.lookups, s.hits), (1, 5, 3, 2));
+        assert_eq!((s.installs, s.migrates, s.rejected), (0, 1, 1));
     }
 
     #[test]
@@ -302,23 +457,68 @@ mod tests {
         );
     }
 
+    /// A bulk preload ends where installing the same entries one batch at a
+    /// time does — same table, length and epoch, a repeated VIP at its last
+    /// PIP — and counts no op, whatever the iterator's size hint.
+    #[test]
+    fn preload_is_installing_one_at_a_time_without_counting() {
+        // 500 entries over 300 VIPs: 200 VIPs listed twice.
+        let entries: Vec<(Vip, Pip)> =
+            (0..500u32).map(|i| (Vip(i * 7 % 300), Pip(10_000 + i))).collect();
+        let mut last = std::collections::BTreeMap::new();
+        for &(vip, pip) in &entries {
+            last.insert(vip, pip);
+        }
+        let want: Vec<(Vip, Pip)> = last.into_iter().collect();
+        for stripes in [1, 3, 16] {
+            let one = StripedControlPlane::new(stripes);
+            for &(vip, pip) in &entries {
+                one.execute_shared(&batch(vec![CtlOp::Install { vip, pip }]));
+            }
+            let exact = StripedControlPlane::new(stripes);
+            exact.preload(entries.iter().copied());
+            // `filter` hints a lower bound of 0; and two preloads in a row.
+            let unhinted = StripedControlPlane::new(stripes);
+            unhinted.preload(entries[..250].iter().copied().filter(|_| true));
+            unhinted.preload(entries[250..].iter().copied().filter(|_| true));
+            for bulk in [&exact, &unhinted] {
+                let s = bulk.stats();
+                assert_eq!(s, ServiceStats { epoch: 500, mappings: 300, ..Default::default() });
+                assert_eq!((bulk.len(), bulk.epoch()), (one.len(), one.epoch()));
+                assert_eq!(bulk.snapshot(), one.snapshot());
+                assert_eq!(bulk.snapshot(), want);
+            }
+        }
+    }
+
+    /// Four threads migrate and look up disjoint VIPs in batches at once:
+    /// each lookup sees its own thread's migration, and every accepted
+    /// write is in the epoch and the counters.
     #[test]
     fn concurrent_writers_account_every_write() {
         let cp = Arc::new(StripedControlPlane::new(8));
         cp.preload((0..64u32).map(|i| (Vip(i), Pip(i))));
+        let start = Arc::new(Barrier::new(4));
         let threads: Vec<_> = (0..4)
             .map(|t| {
-                let cp = Arc::clone(&cp);
+                let (cp, start) = (Arc::clone(&cp), Arc::clone(&start));
                 std::thread::spawn(move || {
-                    for i in 0..250u32 {
-                        let vip = Vip((t * 16 + i % 16) % 64);
-                        cp.apply(MappingOp::Migrate {
-                            vip,
-                            to_pip: Pip(10_000 + t * 1000 + i),
-                            at_ns: Some(i as u64),
-                        })
-                        .unwrap();
-                        cp.lookup(vip);
+                    start.wait();
+                    for b in 0..25u32 {
+                        let mut ops = Vec::new();
+                        for i in b * 10..b * 10 + 10 {
+                            let vip = Vip(t * 16 + i % 16);
+                            let to_pip = Pip(10_000 + t * 1000 + i);
+                            ops.push(CtlOp::Migrate { vip, to_pip, at_ns: Some(i as u64) });
+                            ops.push(CtlOp::Lookup { vip });
+                        }
+                        let rep = cp.execute_shared(&batch(ops));
+                        for pair in rep.replies.chunks(2) {
+                            let CtlReply::Applied { new: Some(pip), .. } = pair[0] else {
+                                panic!("migration not applied: {:?}", pair[0]);
+                            };
+                            assert_eq!(pair[1], CtlReply::Found { pip });
+                        }
                     }
                 })
             })
@@ -328,10 +528,26 @@ mod tests {
         }
         assert_eq!(cp.epoch(), 64 + 4 * 250);
         let s = cp.stats();
-        assert_eq!(s.migrates, 1000);
-        assert_eq!(s.lookups, 1000);
-        assert_eq!(s.hits, 1000);
-        assert_eq!(s.mappings, 64);
+        assert_eq!((s.batches, s.ops), (100, 2000));
+        assert_eq!((s.migrates, s.lookups, s.hits), (1000, 1000, 1000));
+        assert_eq!((s.epoch, s.mappings), (1064, 64));
+    }
+
+    #[test]
+    fn a_write_group_that_unwinds_still_counts_its_writes() {
+        let cp = StripedControlPlane::new(2);
+        let vip = (0..).map(Vip).find(|&v| cp.stripe_of(v) == 0).expect("a VIP on stripe 0");
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut w = cp.write_group(0);
+            let mut tally = ServiceStats::default();
+            w.apply(MappingOp::Install { vip, pip: Pip(1) }, &mut tally);
+            w.apply(MappingOp::Migrate { vip: Vip(u32::MAX), to_pip: Pip(2), at_ns: None }, &mut tally);
+            panic!("handler panics mid-group");
+        }));
+        assert!(died.is_err() && cp.stripes[0].is_poisoned());
+        assert_eq!((cp.epoch(), cp.len()), (1, 1));
+        let rep = cp.execute_shared(&batch(vec![CtlOp::Lookup { vip }]));
+        assert_eq!((rep.replies[0].clone(), rep.epoch), (CtlReply::Found { pip: Pip(1) }, 1));
     }
 
     #[test]
@@ -349,14 +565,20 @@ mod tests {
         assert!(cp.stripes[0].is_poisoned() && cp.exec_ns.is_poisoned());
 
         let vip = (0..64).map(Vip).find(|&v| cp.stripe_of(v) == 0).expect("a VIP on stripe 0");
-        assert_eq!(cp.lookup(vip), Some(Pip(100 + vip.0)));
-        let moved = cp.apply(MappingOp::Migrate { vip, to_pip: Pip(7), at_ns: None });
-        assert_eq!(moved, Ok(CtlReply::Applied { old: Some(Pip(100 + vip.0)), new: Some(Pip(7)) }));
-        let rep = cp.execute_shared(&RequestBatch {
-            id: 1,
-            ops: vec![CtlOp::Lookup { vip }, CtlOp::Install { vip: Vip(64), pip: Pip(1) }],
-        });
-        assert_eq!(rep.replies[0], CtlReply::Found { pip: Pip(7) });
+        let rep = cp.execute_shared(&batch(vec![
+            CtlOp::Lookup { vip },
+            CtlOp::Migrate { vip, to_pip: Pip(7), at_ns: None },
+            CtlOp::Lookup { vip },
+            CtlOp::Install { vip: Vip(64), pip: Pip(1) },
+        ]));
+        assert_eq!(
+            rep.replies[..3],
+            [
+                CtlReply::Found { pip: Pip(100 + vip.0) },
+                CtlReply::Applied { old: Some(Pip(100 + vip.0)), new: Some(Pip(7)) },
+                CtlReply::Found { pip: Pip(7) },
+            ]
+        );
         assert_eq!(rep.epoch, 66);
         assert_eq!(cp.snapshot().len(), 65);
         assert_eq!(cp.len(), 65);

@@ -389,7 +389,7 @@ pub fn decode_reply(buf: &[u8]) -> Result<ReplyBatch, WireError> {
                 CtlReply::Snapshot { entries }
             }
             RTAG_STATS => CtlReply::Stats {
-                stats: get_stats(&mut c)?,
+                stats: Box::new(get_stats(&mut c)?),
             },
             other => return Err(WireError::BadTag(other)),
         };
@@ -519,7 +519,7 @@ mod tests {
                     entries: vec![(Vip(1), Pip(2)), (Vip(3), Pip(4))],
                 },
                 CtlReply::Stats {
-                    stats: ServiceStats {
+                    stats: Box::new(ServiceStats {
                         batches: 1,
                         ops: 7,
                         lookups: 2,
@@ -533,7 +533,7 @@ mod tests {
                         mappings: 2,
                         exec_p50_ns: 100,
                         exec_p99_ns: 900,
-                    },
+                    }),
                 },
             ],
         };

@@ -67,7 +67,7 @@ fn arb_reply() -> impl Strategy<Value = CtlReply> {
                 entries: es.into_iter().map(|(v, p)| (Vip(v), Pip(p))).collect(),
             }
         }),
-        arb_stats().prop_map(|stats| CtlReply::Stats { stats }),
+        arb_stats().prop_map(|stats| CtlReply::Stats { stats: Box::new(stats) }),
     ]
 }
 

@@ -100,19 +100,24 @@ enum Probe {
 
 /// The authoritative virtual-to-physical mapping table.
 ///
-/// Storage is an open-addressed flat table — parallel `Vip`/`Pip` arrays
-/// with per-slot live/tombstone bitmaps and linear probing — rather than a
-/// per-entry HashMap. At million-VM scale this costs ~12 bytes per mapping
-/// (vs ~50 for the former `FxHashMap<Vip, Pip>`), and the layout is fully
-/// deterministic: the same op sequence yields the same slots, so [`Self::iter`]
-/// order is reproducible across runs. The sparse migration instants stay in
-/// a side `FxHashMap` — only migrated VIPs pay for the timestamp.
+/// Storage is an open-addressed flat table — one array of 8-byte
+/// `(Vip, Pip)` slots with per-slot live/tombstone bitmaps and linear
+/// probing — rather than a per-entry HashMap. A slot holds key and value
+/// side by side, so a probe that finds its key reads one cache line for
+/// both. At million-VM scale this costs ~12 bytes per mapping (vs ~50 for
+/// the former `FxHashMap<Vip, Pip>`), and the layout is fully
+/// deterministic: the same op sequence yields the same slots, so
+/// [`Self::iter`] order is reproducible across runs. The sparse migration
+/// instants stay in a side `FxHashMap` — only migrated VIPs pay for the
+/// timestamp.
+///
+/// Two methods serve bulk callers: [`Self::reserve`] sizes the table once
+/// for a known number of inserts, and [`Self::warm`] touches a set of VIPs'
+/// home slots ahead of the probes that will read them.
 #[derive(Debug, Clone, Default)]
 pub struct MappingDb {
-    /// Slot keys; meaningful only where the `live` bit is set.
-    keys: Vec<Vip>,
-    /// Slot values, parallel to `keys`.
-    vals: Vec<Pip>,
+    /// Key and value per slot; meaningful only where the `live` bit is set.
+    slots: Vec<Slot>,
     /// Bit per slot: holds a live entry.
     live: Vec<u64>,
     /// Bit per slot: vacated by an `Invalidate` (probe chains continue
@@ -130,6 +135,11 @@ pub struct MappingDb {
     /// hit exposes is measured against this instant.
     last_migration: FxHashMap<Vip, u64>,
 }
+
+/// One table slot: a mapping's key and value, adjacent.
+type Slot = (Vip, Pip);
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 8);
 
 #[inline]
 fn avalanche(x: u32) -> u64 {
@@ -164,12 +174,12 @@ impl MappingDb {
 
     /// Probes for `vip`. The table must be non-empty.
     fn probe(&self, vip: Vip) -> Probe {
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = (avalanche(vip.0) as usize) & mask;
         let mut first_tombstone = None;
         loop {
             if bit_get(&self.live, i) {
-                if self.keys[i] == vip {
+                if self.slots[i].0 == vip {
                     return Probe::Found(i);
                 }
             } else if bit_get(&self.tombstone, i) {
@@ -186,32 +196,68 @@ impl MappingDb {
     /// pure function of the live key set and the capacity.
     fn rehash(&mut self, cap: usize) {
         debug_assert!(cap.is_power_of_two() && cap >= self.len);
-        let old_keys = std::mem::take(&mut self.keys);
-        let old_vals = std::mem::take(&mut self.vals);
+        let old_slots = std::mem::take(&mut self.slots);
         let old_live = std::mem::take(&mut self.live);
-        self.keys = vec![Vip(0); cap];
-        self.vals = vec![Pip(0); cap];
+        self.slots = vec![(Vip(0), Pip(0)); cap];
         self.live = vec![0u64; cap.div_ceil(64)];
         self.tombstone = vec![0u64; cap.div_ceil(64)];
         self.used = self.len;
         let mask = cap - 1;
-        for (slot, &key) in old_keys.iter().enumerate() {
+        for (slot, &entry) in old_slots.iter().enumerate() {
             if !bit_get(&old_live, slot) {
                 continue;
             }
-            let mut i = (avalanche(key.0) as usize) & mask;
+            let mut i = (avalanche(entry.0 .0) as usize) & mask;
             while bit_get(&self.live, i) {
                 i = (i + 1) & mask;
             }
-            self.keys[i] = key;
-            self.vals[i] = old_vals[slot];
+            self.slots[i] = entry;
             bit_set(&mut self.live, i);
         }
     }
 
+    /// Makes room for `more` inserts beyond the live entries, so that many
+    /// inserts of new VIPs trigger no rehash: at most one rehash happens
+    /// here, straight to the capacity they need. A bulk load calls this
+    /// once instead of paying the doubling chain one insert at a time.
+    ///
+    /// Panics if the capacity needed overflows `usize`.
+    pub fn reserve(&mut self, more: usize) {
+        let fits = |entries: usize, cap: usize| entries as u128 * 8 <= cap as u128 * 7;
+        let overflow = "MappingDb capacity overflow";
+        let cap = self.slots.len();
+        if fits(self.used.checked_add(more).expect(overflow), cap) {
+            return;
+        }
+        // A rehash drops the tombstones, so only the live entries count.
+        let want = self.len + more;
+        let mut target = cap.max(16);
+        while !fits(want, target) {
+            target = target.checked_mul(2).expect(overflow);
+        }
+        self.rehash(target);
+    }
+
+    /// Reads the home slot of every VIP in `vips`, each load independent of
+    /// the others, so the core overlaps their cache misses. A pass of
+    /// probes for the same VIPs that follows finds its lines in cache, so
+    /// on a table larger than the cache the group pays about one miss
+    /// latency rather than one per probe. It changes nothing.
+    pub fn warm(&self, vips: impl IntoIterator<Item = Vip>) {
+        if self.slots.is_empty() {
+            return;
+        }
+        let mask = self.slots.len() - 1;
+        let mut seen = 0u32;
+        for vip in vips {
+            seen ^= self.slots[(avalanche(vip.0) as usize) & mask].0 .0;
+        }
+        std::hint::black_box(seen);
+    }
+
     /// Ensures one more entry fits under the 7/8 load-factor ceiling.
     fn reserve_one(&mut self) {
-        let cap = self.keys.len();
+        let cap = self.slots.len();
         if cap == 0 {
             self.rehash(16);
         } else if (self.used + 1) * 8 > cap * 7 {
@@ -226,15 +272,14 @@ impl MappingDb {
     fn table_insert(&mut self, vip: Vip, pip: Pip) -> Option<Pip> {
         self.reserve_one();
         match self.probe(vip) {
-            Probe::Found(i) => Some(std::mem::replace(&mut self.vals[i], pip)),
+            Probe::Found(i) => Some(std::mem::replace(&mut self.slots[i].1, pip)),
             Probe::Vacant(i) => {
                 if bit_get(&self.tombstone, i) {
                     bit_clear(&mut self.tombstone, i);
                 } else {
                     self.used += 1;
                 }
-                self.keys[i] = vip;
-                self.vals[i] = pip;
+                self.slots[i] = (vip, pip);
                 bit_set(&mut self.live, i);
                 self.len += 1;
                 None
@@ -244,7 +289,7 @@ impl MappingDb {
 
     /// Removes `vip`, returning its value. Leaves a tombstone.
     fn table_remove(&mut self, vip: Vip) -> Option<Pip> {
-        if self.keys.is_empty() {
+        if self.slots.is_empty() {
             return None;
         }
         match self.probe(vip) {
@@ -252,7 +297,7 @@ impl MappingDb {
                 bit_clear(&mut self.live, i);
                 bit_set(&mut self.tombstone, i);
                 self.len -= 1;
-                Some(self.vals[i])
+                Some(self.slots[i].1)
             }
             Probe::Vacant(_) => None,
         }
@@ -261,7 +306,7 @@ impl MappingDb {
     /// The live slot index of `vip`, if mapped.
     #[inline]
     fn slot_of(&self, vip: Vip) -> Option<usize> {
-        if self.keys.is_empty() {
+        if self.slots.is_empty() {
             return None;
         }
         match self.probe(vip) {
@@ -299,7 +344,7 @@ impl MappingDb {
                 let Some(slot) = self.slot_of(vip) else {
                     return Err(ApplyError::UnknownVip(vip));
                 };
-                let old = std::mem::replace(&mut self.vals[slot], to_pip);
+                let old = std::mem::replace(&mut self.slots[slot].1, to_pip);
                 self.epoch += 1;
                 if let Some(at) = at_ns {
                     self.last_migration.insert(vip, at);
@@ -330,7 +375,7 @@ impl MappingDb {
     /// Resolves a VIP (gateway read). `None` means the VIP does not exist —
     /// a tenant misconfiguration the gateway drops.
     pub fn lookup(&self, vip: Vip) -> Option<Pip> {
-        self.slot_of(vip).map(|i| self.vals[i])
+        self.slot_of(vip).map(|i| self.slots[i].1)
     }
 
     /// True if `vip` is currently mapped.
@@ -363,22 +408,21 @@ impl MappingDb {
     /// op sequence; consumers needing a canonical order sort, as the
     /// control-plane snapshot does).
     pub fn iter(&self) -> impl Iterator<Item = (Vip, Pip)> + '_ {
-        self.keys
+        self.slots
             .iter()
             .enumerate()
             .filter(|&(i, _)| bit_get(&self.live, i))
-            .map(|(i, &k)| (k, self.vals[i]))
+            .map(|(_, &slot)| slot)
     }
 
     /// Approximate resident bytes of the mapping state: the flat table
-    /// (keys + values + both bitmaps at current capacity) plus the sparse
+    /// (slots + both bitmaps at current capacity) plus the sparse
     /// migration-instant side table. Feeds the benchmark's
     /// `vnet.v2p_state_mb` metric so table capacity vs resident memory
     /// stays a tracked surface.
     pub fn resident_bytes(&self) -> usize {
-        let cap = self.keys.len();
-        let table = cap * (std::mem::size_of::<Vip>() + std::mem::size_of::<Pip>())
-            + 2 * (cap.div_ceil(64)) * 8;
+        let cap = self.slots.len();
+        let table = cap * std::mem::size_of::<Slot>() + 2 * (cap.div_ceil(64)) * 8;
         // FxHashMap entry: key + value + control byte, at ~8/7 load slack.
         let side = self.last_migration.capacity() * (4 + 8 + 1);
         table + side
@@ -560,6 +604,47 @@ mod tests {
         assert_eq!(seen[0], (Vip(0), Pip(1)));
         assert_eq!(seen[9_999], (Vip(9_999), Pip(10_000)));
         assert!(db.resident_bytes() >= 10_000 * 8);
+    }
+
+    #[test]
+    fn reserve_rehashes_once_and_the_reserved_inserts_never() {
+        let mut db = MappingDb::new();
+        db.reserve(0);
+        assert_eq!(db.resident_bytes(), 0, "reserving nothing allocates nothing");
+        db.reserve(10_000);
+        let sized = db.resident_bytes();
+        assert!(sized >= 10_000 * 8);
+        for i in 0..10_000u32 {
+            db.apply(MappingOp::Install { vip: Vip(i), pip: Pip(i) });
+        }
+        assert_eq!(db.resident_bytes(), sized, "a reserved insert rehashed");
+        // Room already there: no change.
+        db.reserve(1);
+        assert_eq!(db.resident_bytes(), sized);
+        // Tombstones do not count against a reservation's rehash.
+        for i in 0..10_000u32 {
+            db.apply(MappingOp::Invalidate { vip: Vip(i) });
+        }
+        db.reserve(10_000);
+        assert_eq!(db.resident_bytes(), sized);
+        for i in 0..10_000u32 {
+            db.apply(MappingOp::Install { vip: Vip(i + 20_000), pip: Pip(i) });
+        }
+        assert_eq!(db.resident_bytes(), sized);
+        assert_eq!((db.len(), db.epoch()), (10_000, 30_000));
+        assert_eq!(db.lookup(Vip(20_007)), Some(Pip(7)));
+        assert_eq!(db.lookup(Vip(7)), None);
+    }
+
+    #[test]
+    fn warm_changes_nothing() {
+        let mut db = MappingDb::new();
+        db.warm([Vip(1), Vip(2)]);
+        db.apply(MappingOp::Install { vip: Vip(1), pip: Pip(10) });
+        let before: Vec<_> = db.iter().collect();
+        db.warm((0..100).map(Vip));
+        assert_eq!(db.iter().collect::<Vec<_>>(), before);
+        assert_eq!((db.len(), db.epoch()), (1, 1));
     }
 
     #[test]

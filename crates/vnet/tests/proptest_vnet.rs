@@ -60,6 +60,25 @@ fn arb_op() -> impl Strategy<Value = MappingOp> {
     ]
 }
 
+/// One step of the compact table's property: an op, or a bulk
+/// [`MappingDb::reserve`], which must leave every observable unchanged.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Op(MappingOp),
+    Reserve(usize),
+}
+
+/// One step in ten is a reservation.
+fn arb_step() -> impl Strategy<Value = Step> {
+    (0u32..10, arb_op(), 0usize..200).prop_map(|(roll, op, more)| {
+        if roll == 0 {
+            Step::Reserve(more)
+        } else {
+            Step::Op(op)
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -123,12 +142,21 @@ proptest! {
 
     #[test]
     fn compact_db_is_indistinguishable_from_hashmap_oracle(
-        ops in proptest::collection::vec(arb_op(), 0..400),
+        steps in proptest::collection::vec(arb_step(), 0..400),
     ) {
         use sv2p_packet::Vip;
         let mut compact = MappingDb::new();
         let mut oracle = OracleDb::default();
-        for op in ops {
+        for step in steps {
+            let op = match step {
+                Step::Op(op) => op,
+                Step::Reserve(more) => {
+                    compact.reserve(more);
+                    prop_assert_eq!(compact.len(), oracle.map.len());
+                    prop_assert_eq!(compact.epoch(), oracle.epoch);
+                    continue;
+                }
+            };
             let a = compact.try_apply(op);
             let b = oracle.try_apply(op);
             prop_assert_eq!(a, b, "divergent result for {:?}", op);
