@@ -19,19 +19,20 @@
 use serde::Serialize;
 use sv2p_packet::{FlowId, SwitchTag};
 use sv2p_simcore::stats::{Percentiles, Running};
-use sv2p_simcore::{FxHashMap, SimTime};
+use sv2p_simcore::SimTime;
 
 /// Recovery-series window: 100 µs of virtual time.
 pub const WINDOW_NS: u64 = 100_000;
 
 pub use sv2p_topology::Layer;
 
-/// Per-flow in-progress record.
+/// A started flow's record: when it started, and whether its first packet
+/// and its completion have been recorded. 16 bytes, `None` included.
 #[derive(Debug, Clone, Copy)]
 struct FlowRecord {
     started: SimTime,
-    completed: Option<SimTime>,
-    first_pkt_latency: Option<f64>,
+    first_delivered: bool,
+    completed: bool,
 }
 
 /// Why a tenant data packet was dropped (index into [`Counters::drops`]).
@@ -183,8 +184,9 @@ pub struct Counters {
     pub spillover_inserts: u64,
     /// Promotions accepted at core switches.
     pub promotion_inserts: u64,
-    /// Reordered segment observations summed over receivers (read off the
-    /// transport machines when the merged view is built).
+    /// Reordered segment observations summed over receivers: a finished
+    /// receiver's are folded in as it is dropped, a running one's read off
+    /// it when the merged view is built.
     pub reordered_segments: u64,
     /// TCP retransmissions summed over senders (likewise).
     pub retransmissions: u64,
@@ -322,7 +324,10 @@ impl Counters {
 pub struct Metrics {
     /// Pod of each switch by tag (`None` for cores).
     switch_pods: Vec<Option<u16>>,
-    flows: FxHashMap<FlowId, FlowRecord>,
+    /// Per flow, by dense id: its record once it has started.
+    flows: Vec<Option<FlowRecord>>,
+    /// Distinct flows that started.
+    flows_started: u64,
 
     /// Flows that completed.
     pub flows_completed: u64,
@@ -365,34 +370,47 @@ impl Metrics {
         self.switch_pods.push(pod);
     }
 
+    /// Sizes the per-flow table for flow ids below `flows` (the ids are
+    /// dense: a workload registers them in order).
+    pub fn reserve_flows(&mut self, flows: usize) {
+        grow(&mut self.flows, flows);
+    }
+
+    /// Bytes of the per-flow table.
+    pub fn flow_table_bytes(&self) -> usize {
+        self.flows.capacity() * size_of::<Option<FlowRecord>>()
+    }
+
+    fn record_mut(&mut self, flow: FlowId) -> Option<&mut FlowRecord> {
+        self.flows.get_mut(flow.0 as usize)?.as_mut()
+    }
+
     /// A flow's first packet entered the network.
     pub fn flow_started(&mut self, flow: FlowId, now: SimTime) {
-        self.flows.insert(
-            flow,
-            FlowRecord {
-                started: now,
-                completed: None,
-                first_pkt_latency: None,
-            },
-        );
+        let id = flow.0 as usize;
+        grow(&mut self.flows, id + 1);
+        self.flows_started += u64::from(self.flows[id].is_none());
+        self.flows[id] = Some(FlowRecord {
+            started: now,
+            first_delivered: false,
+            completed: false,
+        });
     }
 
     /// A flow's first packet reached its destination.
     pub fn first_packet_delivered(&mut self, flow: FlowId, now: SimTime) {
-        if let Some(rec) = self.flows.get_mut(&flow) {
-            if rec.first_pkt_latency.is_none() {
-                let lat = now.saturating_since(rec.started).as_micros_f64();
-                rec.first_pkt_latency = Some(lat);
-                self.first_packet_latency_us.push(lat);
-            }
+        if let Some(rec) = self.record_mut(flow).filter(|r| !r.first_delivered) {
+            rec.first_delivered = true;
+            let lat = now.saturating_since(rec.started).as_micros_f64();
+            self.first_packet_latency_us.push(lat);
         }
     }
 
     /// A flow finished (all bytes acked / last datagram delivered).
     pub fn flow_completed(&mut self, flow: FlowId, now: SimTime) {
-        let fct = match self.flows.get_mut(&flow) {
-            Some(rec) if rec.completed.is_none() => {
-                rec.completed = Some(now);
+        let fct = match self.record_mut(flow) {
+            Some(rec) if !rec.completed => {
+                rec.completed = true;
                 now.saturating_since(rec.started).as_micros_f64()
             }
             _ => return,
@@ -548,7 +566,7 @@ impl Metrics {
         };
         RunSummary {
             name: name.to_string(),
-            flows: self.flows.len() as u64,
+            flows: self.flows_started,
             flows_completed: self.flows_completed,
             data_packets_sent: c.total.data_sent,
             data_packets_delivered: self.data_packets_delivered,
@@ -686,7 +704,7 @@ pub struct RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sv2p_simcore::SimDuration;
+    use sv2p_simcore::{FxHashMap, SimDuration};
 
     #[test]
     fn hit_rate_is_one_minus_gateway_share() {
@@ -728,6 +746,34 @@ mod tests {
         assert_eq!(s.flows_completed, 1);
         assert!((s.avg_first_packet_latency_us - 15.0).abs() < 1e-9);
         assert!((s.avg_fct_us - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dense_flow_records_keep_each_flow_once() {
+        let (mut m, us) = (Metrics::new(), SimTime::from_micros);
+        m.reserve_flows(4);
+        m.flow_started(FlowId(2), us(10));
+        m.flow_completed(FlowId(2), us(40));
+        // A first packet delivered after its flow completed still counts,
+        // once.
+        m.first_packet_delivered(FlowId(2), us(30));
+        m.first_packet_delivered(FlowId(2), us(35));
+        // A second completion is ignored.
+        m.flow_completed(FlowId(2), us(90));
+        // Unstarted flows, and ids past the table, record nothing.
+        m.first_packet_delivered(FlowId(1), us(50));
+        m.flow_completed(FlowId(3), us(50));
+        m.flow_completed(FlowId(9), us(50));
+        // An id past the reserved table grows it.
+        m.flow_started(FlowId(6), us(20));
+        m.flow_started(FlowId(6), us(20));
+        let s = m.summary(&Counters::default(), "x");
+        assert_eq!(s.flows, 2, "distinct starts");
+        assert_eq!(s.flows_completed, 1);
+        assert_eq!(m.first_packet_latency_us.count(), 1);
+        assert!((s.avg_first_packet_latency_us - 20.0).abs() < 1e-9);
+        assert!((s.avg_fct_us - 30.0).abs() < 1e-9);
+        assert_eq!(m.flow_table_bytes(), m.flows.capacity() * 16);
     }
 
     #[test]

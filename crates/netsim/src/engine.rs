@@ -271,10 +271,11 @@ impl Engine {
     }
 
     /// Where the engine's bytes live, by part: each part's own
-    /// `resident_bytes()`, or the length of its tables. Inline sizes only —
-    /// what a cache, a packet or a TCP machine holds behind a pointer of its
-    /// own is not counted — so a process's RSS growth exceeds the sum by
-    /// that and by the allocator's overhead.
+    /// `resident_bytes()`, or the length of its tables. Inline sizes, plus
+    /// the running flows' TCP machines and the per-flow records of the
+    /// metrics; what a cache or a packet holds behind a pointer of its own
+    /// is not counted, so a process's RSS growth exceeds the sum by that and
+    /// by the allocator's overhead.
     pub fn resident_bytes(&self) -> [(&'static str, usize); 8] {
         use std::mem::{size_of, size_of_val as bytes};
         let (ctl, w) = (&self.ctl, &self.world);
@@ -283,6 +284,7 @@ impl Engine {
         let per_link = bytes(&*ctl.link_up) + loss;
         let per_node = bytes(&*ctl.blackout) + bytes(&*w.tags) + bytes(&*w.caching);
         let classes = w.ser.iter().map(SerTable::resident_bytes).sum::<usize>();
+        let flows = bytes(&*ctl.flows) + self.master.metrics.flow_table_bytes();
         [
             ("placement", ctl.placement.resident_bytes()),
             ("topology", w.topo.resident_bytes() + classes),
@@ -291,7 +293,7 @@ impl Engine {
             ("nodes", per_node + sum(&|s| s.resident_bytes().1)),
             ("calendar", self.master.events.resident_bytes()),
             ("arena", sum(&|s| s.arena.resident_bytes())),
-            ("flows", bytes(&*ctl.flows) + sum(&|s| bytes(&*s.flows))),
+            ("flows", flows + sum(&|s| s.resident_bytes().2)),
         ]
     }
 
@@ -315,6 +317,7 @@ impl Engine {
         for shard in &mut self.shards {
             shard.flows.resize_with(n, FlowXport::default);
         }
+        self.master.metrics.reserve_flows(n);
     }
 
     /// Registers a VM migration. May be called mid-run; an instant already
@@ -419,17 +422,20 @@ impl Engine {
     }
 
     /// The merged ledger as of now: every shard's order-free counters
-    /// added up, plus the receiver / sender statistics read off the flows'
-    /// transport machines. Built afresh on each call, so it and the reads
-    /// below are right at any pause of the run and change nothing.
+    /// added up (a finished TCP machine's statistics among them), plus the
+    /// receiver / sender statistics read off the running ones. Built afresh
+    /// on each call, so it and the reads below are right at any pause of
+    /// the run and change nothing.
     pub fn counters(&self) -> Counters {
         let mut all = Counters::default();
         for shard in &self.shards {
             all.merge(&shard.counters);
             for f in &shard.flows {
-                all.reordered_segments += f.tcp_rx.reordered_segments;
+                if let Some(rx) = &f.tcp_rx {
+                    all.reordered_segments += rx.reordered_segments;
+                }
                 if let Some(tx) = &f.tcp_tx {
-                    all.retransmissions += tx.retransmits;
+                    all.retransmissions += tx.tcp.retransmits;
                 }
             }
         }
@@ -614,11 +620,11 @@ fn run_direct<P: Probe>(
     }
 }
 
-/// Packet conservation on a drained calendar (debug builds): with no event
-/// pending, no packet is in flight and none waits at a gateway, no gateway
-/// is busy, no retransmission timer is armed or filed, and every TCP flow
-/// has completed — a started flow that had not would still have its timer
-/// pending.
+/// Packet and flow-state conservation on a drained calendar (debug
+/// builds): with no event pending, no packet is in flight and none waits at
+/// a gateway, no gateway is busy, every TCP flow has completed — a started
+/// flow that had not would still have its timer pending — and none still
+/// holds a sender or a receiver, so each was freed at its flow's end.
 #[cfg(debug_assertions)]
 fn assert_drained(ctl: &Control, shards: &[Shard]) {
     for s in shards {
@@ -627,9 +633,10 @@ fn assert_drained(ctl: &Control, shards: &[Shard]) {
             s.gw_busy.is_empty(),
             "a gateway is busy on a drained calendar"
         );
+        let running = |f: &FlowXport| f.tcp_tx.is_some() || f.tcp_rx.is_some();
         assert!(
-            !s.flows.iter().any(|f| f.rto.is_set()),
-            "a retransmission timer outlived the run"
+            !s.flows.iter().any(running),
+            "a TCP flow holds a sender or a receiver on a drained calendar"
         );
     }
     for (i, f) in ctl.flows.iter().enumerate() {

@@ -55,18 +55,31 @@ pub(crate) fn src_port(flow: FlowId) -> u16 {
 /// A flow's transport state as one shard holds it. The sender side evolves
 /// where ACKs are delivered (the source VM's host), the receiver side on
 /// the destination VM's host, so a flow is live on at most two shards;
-/// when a migration re-homes an endpoint the state moves with it.
+/// when a migration re-homes an endpoint its side moves with it. Each TCP
+/// machine is boxed only while it runs — the sender from `FlowStart` to the
+/// ACK of the last byte, the receiver from the first segment to the last
+/// byte in order — so a flow at rest is these few words.
 #[derive(Debug, Default)]
 pub(crate) struct FlowXport {
-    /// TCP sender machine (None for UDP flows, and before the flow starts).
-    pub tcp_tx: Option<TcpSender>,
-    /// TCP receiver machine.
-    pub tcp_rx: TcpReceiver,
-    /// Plain data, so it moves with the flow between shards.
-    pub rto: LazyRto,
-    /// Datagrams delivered so far (UDP completion tracking).
-    pub udp_delivered: usize,
+    /// TCP sender machine and its timer while the flow runs (None for UDP
+    /// flows, before the start and after the completion).
+    pub tcp_tx: Option<Box<Sender>>,
+    /// TCP receiver machine, from the first segment until it has every byte.
+    pub tcp_rx: Option<Box<TcpReceiver>>,
+    /// The receiver had every byte: a later segment is a duplicate.
+    pub rx_done: bool,
     pub completed: bool,
+    /// Datagrams delivered so far (UDP completion tracking).
+    pub udp_delivered: u32,
+}
+
+/// A running TCP flow's sender: its machine and its retransmission timer,
+/// which die together when the flow completes (a timer event still filed
+/// then pops into nothing).
+#[derive(Debug)]
+pub(crate) struct Sender {
+    pub tcp: TcpSender,
+    pub rto: LazyRto,
 }
 
 /// A calendar key: `(time, seq)`.
@@ -87,14 +100,13 @@ pub(crate) struct LazyRto {
 }
 
 /// What a popped `RtoTimer` event does: nothing (an `Orphan` of an earlier
-/// deadline's filing, or `Idle`: none armed), time the sender out (`Fire`),
-/// or file generation `gen` at `at` (`Refile`).
+/// deadline's filing), time the sender out (`Fire`), or file generation
+/// `gen` at `at` (`Refile`).
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum RtoPop {
     Orphan,
     Fire,
     Refile { at: Key, gen: u32 },
-    Idle,
 }
 
 impl LazyRto {
@@ -110,29 +122,26 @@ impl LazyRto {
         file.then_some(self.gen)
     }
 
-    pub fn disarm(&mut self) {
-        self.armed = None;
-    }
-
-    #[cfg(any(test, debug_assertions))]
+    #[cfg(test)]
     pub fn is_set(&self) -> bool {
         self.armed.is_some() || self.filed.is_some()
     }
 
+    /// The live filing (of generation `gen`) is the one at or before the
+    /// deadline armed last, which a fire consumes and a sender that times
+    /// out re-arms at once; any other filing is an orphan.
     pub fn on_pop(&mut self, gen: u32) -> RtoPop {
         if gen != self.gen {
             return RtoPop::Orphan;
         }
-        match (self.filed.take(), self.armed) {
-            (_, None) => RtoPop::Idle,
-            (filed, armed) if filed == armed => {
-                self.armed = None;
-                RtoPop::Fire
-            }
-            (_, Some(at)) => RtoPop::Refile {
-                at,
-                gen: self.arm(at).expect("nothing is filed"),
-            },
+        let armed = self.armed.expect("a live filing has a deadline");
+        if self.filed.take() == Some(armed) {
+            self.armed = None;
+            return RtoPop::Fire;
+        }
+        RtoPop::Refile {
+            at: armed,
+            gen: self.arm(armed).expect("nothing is filed"),
         }
     }
 }
@@ -140,14 +149,13 @@ impl LazyRto {
 #[cfg(test)]
 mod oracle {
     //! The timer as it was filed before [`LazyRto`]: one event per arm, and
-    //! a disarm or re-arm leaves every earlier event to pop as a no-op.
+    //! a re-arm leaves every earlier event to pop as a no-op.
     use super::{Key, LazyRto, RtoPop};
 
     /// A retransmission timer as the calendar drives it.
     pub trait Timer {
         /// The generation to file an event under at `key`, if any.
         fn arm(&mut self, key: Key) -> Option<u32>;
-        fn disarm(&mut self);
         fn on_pop(&mut self, gen: u32) -> RtoPop;
         /// Whether an event filed under `gen` can still act.
         fn live(&self, gen: u32) -> bool;
@@ -164,9 +172,6 @@ mod oracle {
             self.gen = self.gen.wrapping_add(1);
             Some(self.gen)
         }
-        fn disarm(&mut self) {
-            self.gen = self.gen.wrapping_add(1);
-        }
         fn on_pop(&mut self, gen: u32) -> RtoPop {
             match gen == self.gen {
                 true => RtoPop::Fire,
@@ -181,9 +186,6 @@ mod oracle {
     impl Timer for LazyRto {
         fn arm(&mut self, key: Key) -> Option<u32> {
             LazyRto::arm(self, key)
-        }
-        fn disarm(&mut self) {
-            LazyRto::disarm(self)
         }
         fn on_pop(&mut self, gen: u32) -> RtoPop {
             LazyRto::on_pop(self, gen)
@@ -263,16 +265,6 @@ mod tests {
         assert_eq!(t.on_pop(gen), RtoPop::Fire);
     }
 
-    #[test]
-    fn a_pop_after_a_disarm_is_idle() {
-        let mut t = LazyRto::default();
-        let gen = t.arm(key(10, 0)).expect("first arm files");
-        t.disarm();
-        assert!(t.is_set(), "the filed event is still pending");
-        assert_eq!(t.on_pop(gen), RtoPop::Idle);
-        assert!(!t.is_set());
-    }
-
     /// What one run of [`drive`] saw.
     #[derive(Default)]
     struct Run {
@@ -304,15 +296,18 @@ mod tests {
 
     /// Drives `timer` through a `(time, seq)` heap as the calendar would.
     /// Each tape step `(gap, op, d)` moves the clock `gap` ns on, pops every
-    /// event due before it, then arms `d` ns ahead (op 0, 1), arms at the
-    /// deadline armed last (op 2: an equal deadline) or disarms (op 3). The
+    /// event due before it, then arms `d` ns ahead (op 0, 1, 3), arms at
+    /// the deadline armed last (op 2: an equal deadline) or, for one op in
+    /// 64, completes the flow: the timer is dropped with its sender, so
+    /// every later arm is skipped and every later pop finds nothing. The
     /// step itself takes a seq, as the handler calling the timer is an
     /// event. A fire re-arms, as a sender's timeout does, until the last
     /// step drains the heap.
-    fn drive<T: Timer>(mut timer: T, tape: &[(u8, u8, u8)]) -> Run {
+    fn drive<T: Timer>(timer: T, tape: &[(u8, u8, u8)]) -> Run {
         let (mut cal, mut run, mut now) = (Cal::default(), Run::default(), 0u64);
+        let mut timer = Some(timer);
         // A last step past every deadline drains the heap.
-        let drain = (u8::MAX, 3, 0);
+        let drain = (u8::MAX, 0, 0);
         for (step, &(gap, op, d)) in tape.iter().chain([drain].iter()).enumerate() {
             now += u64::from(gap);
             let due = match step == tape.len() {
@@ -321,32 +316,36 @@ mod tests {
             };
             while let Some(&Reverse((at, gen))) = cal.heap.peek().filter(|e| e.0 .0 < due) {
                 cal.heap.pop();
-                match timer.on_pop(gen) {
+                let Some(t) = timer.as_mut() else { continue };
+                match t.on_pop(gen) {
                     RtoPop::Fire => {
                         run.fires.push(at);
                         if step < tape.len() {
                             let backoff = 7 + run.fires.len() as u64 % 5;
-                            cal.arm(&mut timer, at.0.as_nanos() + backoff);
+                            cal.arm(t, at.0.as_nanos() + backoff);
                         }
                     }
                     RtoPop::Refile { at: later, gen } => {
                         assert!(later > at, "a re-file moves later");
                         cal.heap.push(Reverse((later, gen)));
                     }
-                    RtoPop::Orphan | RtoPop::Idle => {}
+                    RtoPop::Orphan => {}
                 }
             }
             if step == tape.len() {
                 break;
             }
             cal.next_seq += 1;
-            match op % 4 {
-                0 | 1 => cal.arm(&mut timer, now + u64::from(d % 64)),
-                2 => cal.arm(&mut timer, cal.last.max(now)),
-                _ => timer.disarm(),
+            if let Some(t) = timer.as_mut() {
+                match (op % 4, op % 64) {
+                    (3, 3) => timer = None,
+                    (0 | 1 | 3, _) => cal.arm(t, now + u64::from(d % 64)),
+                    _ => cal.arm(t, cal.last.max(now)),
+                }
             }
-            let live = cal.heap.iter().filter(|e| timer.live(e.0 .1)).count();
-            assert!(live <= 1, "{live} filings can act");
+            let live = |e: &&Reverse<(Key, u32)>| timer.as_ref().is_some_and(|t| t.live(e.0 .1));
+            let acting = cal.heap.iter().filter(live).count();
+            assert!(acting <= 1, "{acting} filings can act");
             run.pending.push(cal.heap.len());
         }
         assert!(cal.heap.is_empty());

@@ -132,12 +132,12 @@ pub(crate) fn move_vm(ctl: &Control, vm: usize, shards: &mut [Shard], from: usiz
         // behind as a double-counted copy.
         if spec.src_vm == vm && spec.is_tcp() {
             new.tcp_tx = old.tcp_tx.take();
-            new.rto = std::mem::take(&mut old.rto);
             new.completed = old.completed;
         }
         // The receiver side evolves on the destination VM's host.
         if spec.dst_vm == vm {
-            new.tcp_rx = std::mem::take(&mut old.tcp_rx);
+            new.tcp_rx = old.tcp_rx.take();
+            new.rx_done = old.rx_done;
             new.udp_delivered = std::mem::take(&mut old.udp_delivered);
             if !spec.is_tcp() {
                 // TCP completion is authoritative on the sender side.

@@ -38,7 +38,7 @@ use sv2p_vnet::{
 use crate::arena::{PacketArena, PacketRef};
 use crate::effects::{Effects, Event, Master, Probe};
 use crate::faults::FaultEvent;
-use crate::flows::{src_port, FlowKind, FlowXport, RtoPop};
+use crate::flows::{src_port, FlowKind, FlowXport, LazyRto, RtoPop, Sender};
 use crate::link::{EnqueueOutcome, LinkState};
 use crate::world::{Control, World};
 
@@ -266,10 +266,12 @@ impl Shard {
         }
     }
 
-    /// Resident bytes of this shard's `(links, nodes)`: its link states
-    /// with their queues and loss streams, and its agents (the boxes'
-    /// inline sizes), the switches' RNG streams and gateway queues.
-    pub fn resident_bytes(&self) -> (usize, usize) {
+    /// Resident bytes of this shard's `(links, nodes, flows)`: its link
+    /// states with their queues and loss streams; its agents (the boxes'
+    /// inline sizes), the switches' RNG streams and the busy gateways'
+    /// queues with their buffers; and its flows' transport state, with the
+    /// running senders (timers included) and receivers behind it.
+    pub fn resident_bytes(&self) -> (usize, usize, usize) {
         use std::mem::{size_of, size_of_val as bytes};
         let links = bytes(&*self.links)
             + self.links.iter().map(LinkState::queue_bytes).sum::<usize>()
@@ -277,8 +279,14 @@ impl Shard {
         let boxes = self.agents.iter().flatten().map(|a| bytes(&**a)).sum::<usize>()
             + self.host_agents.iter().flatten().map(|a| bytes(&**a)).sum::<usize>();
         let nodes = bytes(&*self.agents) + bytes(&*self.host_agents) + bytes(&*self.agent_rngs);
-        let gateways = self.gw_busy.capacity() * (size_of::<(NodeId, VecDeque<PacketRef>)>() + 1);
-        (links, nodes + boxes + gateways)
+        let gateways = self.gw_busy.capacity() * (size_of::<(NodeId, VecDeque<PacketRef>)>() + 1)
+            + self.gw_busy.values().map(|q| q.capacity() * size_of::<PacketRef>()).sum::<usize>();
+        let running = self.flows.iter().map(|f| {
+            let tx = f.tcp_tx.as_ref().map_or(0, |_| size_of::<Sender>());
+            tx + f.tcp_rx.as_ref().map_or(0, |rx| rx.resident_bytes())
+        });
+        let flows = bytes(&*self.flows) + running.sum::<usize>();
+        (links, nodes + boxes + gateways, flows)
     }
 
     /// Adds this shard's part to the telemetry sample `s` taken at instant
@@ -368,9 +376,10 @@ impl Shard {
             FlowKind::Tcp { bytes } => {
                 // Every sender runs the reordering-tolerant profile the
                 // paper assumes of modern stacks (§4).
-                let mut tx = TcpSender::new(TcpConfig::reorder_tolerant(), *bytes);
-                let ops = tx.start(now);
-                self.flows[idx].tcp_tx = Some(tx);
+                let mut tcp = TcpSender::new(TcpConfig::reorder_tolerant(), *bytes);
+                let ops = tcp.start(now);
+                let rto = LazyRto::default();
+                self.flows[idx].tcp_tx = Some(Box::new(Sender { tcp, rto }));
                 self.apply_sender_ops(ctl, fx, idx, ops);
             }
             FlowKind::Udp { schedule } => {
@@ -392,14 +401,17 @@ impl Shard {
     }
 
     fn on_rto_timer<F: Effects>(&mut self, ctl: &Control, fx: &mut F, flow: usize, gen: u32) {
-        let f = &mut self.flows[flow];
-        let ops = match (f.rto.on_pop(gen), f.tcp_tx.as_mut()) {
-            (RtoPop::Fire, Some(tx)) => tx.on_rto(fx.now()),
-            (RtoPop::Refile { at: (at, seq), gen }, _) => {
+        // A completed flow's timer died with its sender.
+        let Some(tx) = self.flows[flow].tcp_tx.as_deref_mut() else {
+            return;
+        };
+        let ops = match tx.rto.on_pop(gen) {
+            RtoPop::Fire => tx.tcp.on_rto(fx.now()),
+            RtoPop::Refile { at: (at, seq), gen } => {
                 let flow = flow as u32;
                 return fx.schedule_at_seq(at, seq, Event::RtoTimer { flow, gen });
             }
-            (RtoPop::Orphan | RtoPop::Idle | RtoPop::Fire, _) => return,
+            RtoPop::Orphan => return,
         };
         self.apply_sender_ops(ctl, fx, flow, ops);
     }
@@ -416,16 +428,19 @@ impl Shard {
             self.send_flow_packet(ctl, fx, flow, seg.seq as u32, seg.len, first, false);
         }
         let f = &mut self.flows[flow];
-        let complete = f.tcp_tx.as_ref().is_some_and(|tx| tx.is_complete());
-        if complete && !f.completed {
-            f.completed = true;
-            f.rto.disarm();
+        let tx = f.tcp_tx.as_deref_mut().expect("ops come from a running sender");
+        if tx.tcp.is_complete() {
+            // The flow is done: its sender and timer go, their statistics
+            // folded into the shard's ledger. A late ACK or timer event
+            // finds no sender, as a complete one would have ignored it.
+            self.counters.retransmissions += tx.tcp.retransmits;
+            (f.tcp_tx, f.completed) = (None, true);
             let now = fx.now();
             fx.metrics().flow_completed(FlowId(flow as u64), now);
         } else if let Some(deadline) = ops.arm_rto {
             // Every arm takes a seq, filed or not: every event keeps its key.
             let seq = fx.reserve_seq();
-            if let Some(gen) = f.rto.arm((deadline, seq)) {
+            if let Some(gen) = tx.rto.arm((deadline, seq)) {
                 // `add_flows` held every flow index to 32 bits.
                 let flow = flow as u32;
                 fx.schedule_at_seq(deadline, seq, Event::RtoTimer { flow, gen });
@@ -935,8 +950,8 @@ impl Shard {
         if p.inner.flags.ack {
             // ACK back at the sender.
             self.arena.free(pkt);
-            let ops = match self.flows[flow].tcp_tx.as_mut() {
-                Some(tx) => tx.on_ack(now, ack_no as u64),
+            let ops = match self.flows[flow].tcp_tx.as_deref_mut() {
+                Some(tx) => tx.tcp.on_ack(now, ack_no as u64),
                 None => return,
             };
             self.apply_sender_ops(ctl, fx, flow, ops);
@@ -955,18 +970,36 @@ impl Shard {
         if first {
             m.first_packet_delivered(flow_id, now);
         }
-        if ctl.flows[flow].is_tcp() {
-            let ack = self.flows[flow].tcp_rx.on_data(seq as u64, payload);
+        if let FlowKind::Tcp { bytes } = ctl.flows[flow].kind {
+            let ack = self.receive_segment(flow, bytes, seq as u64, payload);
             // Emit a pure ACK back to the sender.
             self.send_flow_packet(ctl, fx, flow, ack as u32, 0, false, true);
         } else {
             let f = &mut self.flows[flow];
             f.udp_delivered += 1;
-            if f.udp_delivered >= ctl.flows[flow].udp_total() && !f.completed {
+            if f.udp_delivered as usize >= ctl.flows[flow].udp_total() && !f.completed {
                 f.completed = true;
                 fx.metrics().flow_completed(flow_id, now);
             }
         }
+    }
+
+    /// Hands a segment of a `bytes`-byte flow to its receiver, boxed at the
+    /// first segment and dropped, its statistics folded into the shard's
+    /// ledger, once it holds every byte; returns the ACK to emit. A segment
+    /// after that is a duplicate, ACKed as the complete receiver would.
+    fn receive_segment(&mut self, flow: usize, bytes: u64, seq: u64, len: u32) -> u64 {
+        let f = &mut self.flows[flow];
+        if f.rx_done {
+            return bytes;
+        }
+        let rx = f.tcp_rx.get_or_insert_default();
+        let ack = rx.on_data(seq, len);
+        if ack >= bytes {
+            self.counters.reordered_segments += rx.reordered_segments;
+            (f.tcp_rx, f.rx_done) = (None, true);
+        }
+        ack
     }
 
     fn on_misdelivery<F: Effects>(&mut self, fx: &mut F, node: NodeId, pkt: PacketRef) {

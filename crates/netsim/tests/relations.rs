@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use sv2p_baselines::{Direct, NoCache};
-use sv2p_metrics::RunSummary;
+use sv2p_metrics::{Counters, RunSummary};
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::{SimDuration, SimTime};
@@ -461,6 +461,71 @@ proptest! {
         prop_assert_eq!(&paused.0, &straight.0, "final reads");
         prop_assert!(paused.1 == straight.1, "telemetry JSONL");
     }
+}
+
+/// The scenario under 3 % loss on every link for the whole run: senders
+/// time out and retransmit, receivers see gaps, and a receiver that has
+/// every byte still gets segments whose ACK was lost (dozens of them; and
+/// hundreds of timer events pop after their sender finished).
+fn lossy() -> Engine {
+    let mut sim = engine(false);
+    sim.apply_fault_plan(
+        FaultPlan::from_events([FaultEvent::LossRate {
+            link: None,
+            rate: 0.03,
+            from: SimTime::ZERO,
+            until: SimTime::from_millis(1_000),
+        }])
+        .expect("a well-formed plan"),
+    );
+    sim
+}
+
+/// What a read sees: the summary and the merged ledger.
+fn ledger(sim: &Engine) -> (String, Counters) {
+    (format!("{:?}", sim.summary()), sim.counters())
+}
+
+/// A flow's TCP machines are dropped as each side finishes, their
+/// statistics folded into the ledger, while late duplicates and timer
+/// events of it are still pending: at every pause, with some flows finished
+/// and some running, the reads are those of a run straight to that instant,
+/// and the retransmission and reordering counts never fall.
+#[test]
+fn finished_flows_read_at_every_pause_as_a_straight_run() {
+    // The loss window outlasts the flows: pause between the first start
+    // and the last completion.
+    let first = SimTime::from_micros(FIRST_FLOW_US).as_nanos();
+    let (mut probe, mut end) = (lossy(), first);
+    while probe.flows_outstanding() > 0 {
+        end += 20_000;
+        probe.run_until(SimTime::from_nanos(end));
+    }
+    let mut paused = lossy();
+    let (mut last, mut between) = (Counters::default(), false);
+    for i in 1..=12 {
+        // Denser early, where most flows finish.
+        let t = SimTime::from_nanos(first + (end - first) * i * i / 144);
+        paused.run_until(t);
+        let read = ledger(&paused);
+        let mut to_t = lossy();
+        to_t.run_until(t);
+        assert_eq!(read, ledger(&to_t), "at {t:?}");
+        let c = &read.1;
+        assert!(c.retransmissions >= last.retransmissions, "at {t:?}");
+        assert!(c.reordered_segments >= last.reordered_segments, "at {t:?}");
+        let done = paused.summary().flows_completed;
+        between |= done > 0 && paused.flows_outstanding() > 0 && c.retransmissions > 0;
+        last = read.1;
+    }
+    assert!(between, "no pause fell among finished and running flows");
+    paused.run();
+    let mut straight = lossy();
+    straight.run();
+    let read = ledger(&paused);
+    assert_eq!(read, ledger(&straight), "at the end");
+    assert!(read.1.retransmissions > 0 && read.1.reordered_segments > 0, "{:?}", read.1);
+    assert_eq!(paused.summary().flows_completed, 24);
 }
 
 /// `per_switch_bytes` and `cache_occupancy` rows follow

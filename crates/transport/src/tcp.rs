@@ -319,11 +319,12 @@ impl TcpSender {
     }
 }
 
-/// Receiver-side state: an interval set of received bytes plus reorder
-/// accounting.
-#[derive(Debug, Clone, Default)]
+/// Receiver-side state: the cumulative ACK point, an interval set of the
+/// bytes received beyond it, and reorder accounting.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TcpReceiver {
-    /// Received ranges beyond `rcv_nxt`, as start -> end.
+    /// Received ranges beyond `rcv_nxt`, as start -> end. Empty, and
+    /// holding no node, whenever no gap is pending.
     ooo: BTreeMap<u64, u64>,
     /// Next expected byte (== cumulative ACK value).
     rcv_nxt: u64,
@@ -337,6 +338,11 @@ pub struct TcpReceiver {
     /// Total payload bytes accepted exactly once.
     pub bytes_delivered: u64,
 }
+
+/// Intervals one B-tree leaf of `u64` pairs holds, and its size: std's
+/// node capacity and layout, for [`TcpReceiver::resident_bytes`].
+const OOO_LEAF_INTERVALS: usize = 11;
+const OOO_LEAF_BYTES: usize = 192;
 
 impl TcpReceiver {
     /// A fresh receiver.
@@ -357,12 +363,27 @@ impl TcpReceiver {
             self.reordered_segments += 1;
         }
         self.max_seen = self.max_seen.max(end);
+        if seq <= self.rcv_nxt && self.ooo.is_empty() {
+            // In order with no gap pending: the interval would be stored
+            // and popped straight back out.
+            self.bytes_delivered += end - self.rcv_nxt;
+            self.rcv_nxt = end;
+            return end;
+        }
 
         // Insert [max(seq, rcv_nxt), end) into the interval set.
         let start = seq.max(self.rcv_nxt);
         self.insert_range(start, end);
+        self.advance();
+        if self.ooo.is_empty() {
+            // The last gap closed: free the emptied leaf.
+            self.ooo = BTreeMap::new();
+        }
+        self.rcv_nxt
+    }
 
-        // Advance rcv_nxt over any now-contiguous prefix.
+    /// Advances `rcv_nxt` over any now-contiguous prefix of the set.
+    fn advance(&mut self) {
         while let Some((&s, &e)) = self.ooo.first_key_value() {
             if s <= self.rcv_nxt {
                 if e > self.rcv_nxt {
@@ -374,7 +395,6 @@ impl TcpReceiver {
                 break;
             }
         }
-        self.rcv_nxt
     }
 
     fn insert_range(&mut self, mut start: u64, mut end: u64) {
@@ -398,11 +418,42 @@ impl TcpReceiver {
         }
         self.ooo.insert(start, end);
     }
+
+    /// This receiver's bytes, its out-of-order set's nodes included (one
+    /// leaf per `OOO_LEAF_INTERVALS` pending intervals, an estimate).
+    pub fn resident_bytes(&self) -> usize {
+        size_of::<Self>() + self.ooo.len().div_ceil(OOO_LEAF_INTERVALS) * OOO_LEAF_BYTES
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The receiver as it was before its in-order fast path: every segment
+    //! goes through the interval set, in-order ones popped straight back.
+    use super::TcpReceiver;
+
+    /// [`TcpReceiver::on_data`] through the interval set alone.
+    pub fn on_data_map_only(rx: &mut TcpReceiver, seq: u64, len: u32) -> u64 {
+        let end = seq + len as u64;
+        if end <= rx.rcv_nxt {
+            rx.duplicate_segments += 1;
+            return rx.rcv_nxt;
+        }
+        if seq > rx.rcv_nxt || end <= rx.max_seen {
+            rx.reordered_segments += 1;
+        }
+        rx.max_seen = rx.max_seen.max(end);
+        let start = seq.max(rx.rcv_nxt);
+        rx.insert_range(start, end);
+        rx.advance();
+        rx.rcv_nxt
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const MSS: u64 = sv2p_packet::packet::MSS as u64;
 
@@ -578,5 +629,55 @@ mod tests {
         tx2.start(t0);
         tx2.on_ack(t0 + SimDuration::from_micros(400), MSS);
         assert_eq!(tx2.rto(), SimDuration::from_micros(1200));
+    }
+
+    #[test]
+    fn a_drained_interval_set_holds_no_node() {
+        let mut rx = TcpReceiver::new();
+        let empty = size_of::<TcpReceiver>();
+        assert_eq!(rx.on_data(0, 1000), 1000);
+        assert_eq!(rx.resident_bytes(), empty, "in order: nothing stored");
+        assert_eq!(rx.on_data(2000, 1000), 1000);
+        assert!(rx.resident_bytes() > empty, "a gap is pending");
+        assert_eq!(rx.on_data(1000, 1000), 3000);
+        assert!(rx.ooo.is_empty());
+        assert_eq!(rx.resident_bytes(), empty);
+    }
+
+    /// A segment of a random tape, against the receiver's state: the next
+    /// segment in order (ops 0-3), one past a gap (4), a duplicate or
+    /// retransmission behind the highest byte sent (5), an arbitrary
+    /// overlapping range (6), or the segment that fills the lowest gap (7).
+    /// `sent` is the highest byte any segment so far has ended at.
+    fn segment(rx: &TcpReceiver, sent: &mut u64, (op, a, b): (u8, u16, u16)) -> (u64, u32) {
+        let len = u32::from(b % 1500);
+        let (seq, len) = match op % 8 {
+            0..=3 => (*sent, len + 1),
+            4 => (*sent + u64::from(a) + 1, len + 1),
+            5 => (sent.saturating_sub(u64::from(a)), len),
+            6 => (*sent * u64::from(a) / u64::from(u16::MAX), u32::from(b)),
+            _ => (rx.rcv_nxt, len + 1),
+        };
+        *sent = (*sent).max(seq + u64::from(len));
+        (seq, len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn receiver_acks_as_its_interval_map_oracle_does(
+            tape in proptest::collection::vec((any::<u8>(), 0u16..4000, any::<u16>()), 1..300),
+        ) {
+            let (mut rx, mut oracle, mut sent) = (TcpReceiver::new(), TcpReceiver::new(), 0);
+            for &step in &tape {
+                let (seq, len) = segment(&oracle, &mut sent, step);
+                let ack = rx.on_data(seq, len);
+                prop_assert_eq!(ack, super::oracle::on_data_map_only(&mut oracle, seq, len));
+                // Every stat, the ACK point and the pending intervals agree,
+                // so the map is empty whenever no gap is pending.
+                prop_assert_eq!(&rx, &oracle);
+            }
+        }
     }
 }
