@@ -139,6 +139,11 @@ impl SwitchAgent for BluebirdTorAgent {
         self.cache.occupancy()
     }
 
+    fn resident_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(Vip, (Pip, SimTime))>() + 1;
+        self.cache.resident_bytes() + self.pending.capacity() * entry
+    }
+
     fn entries(&self) -> Vec<(Vip, Pip)> {
         self.cache.entries()
     }

@@ -47,6 +47,10 @@ impl SwitchAgent for InstalledCacheAgent {
         self.entries.len()
     }
 
+    fn resident_bytes(&self) -> usize {
+        self.entries.capacity() * (std::mem::size_of::<(Vip, Pip)>() + 1)
+    }
+
     fn entries(&self) -> Vec<(Vip, Pip)> {
         self.entries.iter().map(|(&v, &p)| (v, p)).collect()
     }

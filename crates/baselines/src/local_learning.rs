@@ -45,6 +45,10 @@ impl SwitchAgent for LocalLearningAgent {
         self.cache.occupancy()
     }
 
+    fn resident_bytes(&self) -> usize {
+        self.cache.resident_bytes()
+    }
+
     fn entries(&self) -> Vec<(Vip, Pip)> {
         self.cache.entries()
     }

@@ -15,7 +15,7 @@ use sv2p_bench::harness::{drop_breakdown, ExperimentSpec, StrategyKind};
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::Engine;
 use sv2p_simcore::{SimDuration, SimTime};
-use sv2p_topology::{FatTreeConfig, LinkId, SwitchRole};
+use sv2p_topology::{FatTreeConfig, SwitchRole};
 use sv2p_traces::{FlowProfile, TraceFlow};
 
 /// Fault window: opens at 1.5 ms, closes at 1.7 ms into the run.
@@ -78,26 +78,12 @@ fn plan_for(scenario: &str, sim: &Engine) -> FaultPlan {
                 .find(|n| sim.roles().role(n.id) == Some(SwitchRole::Tor))
                 .map(|n| n.id)
                 .expect("a ToR exists");
-            let up = sim.topology().out_links(tor)
-                .iter()
-                .copied()
-                .find(|&l| {
-                    let to = sim.topology().link(l).to;
-                    sim.topology().node(to).kind.is_switch()
-                })
+            let topo = sim.topology();
+            let up = topo
+                .out_links(tor)
+                .find(|&l| topo.kind(topo.link_to(l)).is_switch())
                 .expect("ToR has an uplink");
-            let (from, to) = {
-                let l = sim.topology().link(up);
-                (l.from, l.to)
-            };
-            let down = sim
-                .topology()
-                .links
-                .iter()
-                .enumerate()
-                .find(|(_, l)| l.from == to && l.to == from)
-                .map(|(i, _)| LinkId(i as u32))
-                .expect("links are paired");
+            let down = up.twin();
             FaultPlan::from_events([
                 FaultEvent::LinkDown {
                     link: up,

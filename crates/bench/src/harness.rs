@@ -257,20 +257,12 @@ impl ExperimentSpec {
         );
         let n_vms = sim.placement().len();
         sim.add_flows(to_flow_specs(&self.flows, n_vms));
+        // Every migration moves its VM to the last server.
+        let target = sim.topology().servers().last().expect("servers exist");
         for &(vm, at_us) in &self.migrations {
             let vip = sim.placement().vip_of(vm);
-            let target = sim
-                .topology()
-                .servers()
-                .last()
-                .map(|n| (n.id, n.pip))
-                .expect("servers exist");
-            sim.add_migration(Migration::new(
-                SimTime::from_micros(at_us),
-                vip,
-                target.0,
-                target.1,
-            ));
+            let at = SimTime::from_micros(at_us);
+            sim.add_migration(Migration::new(at, vip, target.id, target.pip));
         }
         if let Some(churn) = &self.churn {
             let servers: Vec<_> = sim.topology().servers().map(|n| (n.id, n.pip)).collect();

@@ -318,7 +318,7 @@ fn fixed_fault_plan(ft: &FatTreeConfig, with_outage: bool) -> FaultPlan {
         .next()
         .map(|n| n.id)
         .expect("switches exist");
-    let uplink = topo.out_links(tor)[0];
+    let uplink = topo.out_links(tor).next().unwrap();
     let mut plan = FaultPlan::from_events([
         FaultEvent::SwitchReboot {
             node: tor,
@@ -353,7 +353,7 @@ fn fixed_fault_plan(ft: &FatTreeConfig, with_outage: bool) -> FaultPlan {
         })
         .expect("well-formed");
         plan.push(FaultEvent::LinkDown {
-            link: LinkId((topo.links.len() / 2) as u32),
+            link: LinkId((topo.link_count() / 2) as u32),
             at: SimTime::from_micros(0),
             up_at: SimTime::from_micros(199),
         })

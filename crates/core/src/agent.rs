@@ -351,6 +351,11 @@ impl SwitchAgent for SwitchV2PAgent {
         self.cache.occupancy()
     }
 
+    fn resident_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(SwitchTag, SimTime)>() + 1;
+        self.cache.resident_bytes() + self.ts_vector.capacity() * entry
+    }
+
     fn entries(&self) -> Vec<(Vip, Pip)> {
         self.cache.entries()
     }

@@ -93,7 +93,7 @@ impl PacketArena {
     /// The node `h`'s outer destination PIP addresses, if any. A packet
     /// crosses 5-10 switches and its PIP changes at most twice on the way
     /// (gateway translation, cache hit), so the answer is kept beside the
-    /// packet and the topology's hash map is probed again only when the
+    /// packet and the topology decodes the PIP again only when the
     /// PIP differs from the one it was given for — whoever rewrote it, and
     /// however, needs no protocol.
     #[inline]
@@ -208,29 +208,33 @@ mod tests {
 
     #[test]
     fn dst_node_follows_rewrites_and_slot_reuse() {
-        use sv2p_topology::NodeKind;
-        let mut topo = Topology::default();
-        let core = |idx| NodeKind::Core { idx };
-        let (n1, n2) = (topo.add_node(core(0), Pip(1)), topo.add_node(core(1), Pip(2)));
+        use sv2p_topology::FatTreeConfig;
+        // FT8 and a one-pod fabric, where FT8's last server names nothing.
+        let topo = FatTreeConfig::ft8_10k().build();
+        let other = FatTreeConfig::scaled_ft8(1).build();
+        let (n1, n2) = (topo.servers().next().unwrap(), topo.servers().last().unwrap());
+        assert_eq!(other.node_by_pip(n2.pip), None);
         let mut a = PacketArena::new();
-        let h = a.alloc(pkt(1)); // addressed to Pip(2)
-        assert_eq!(a.dst_node(h, &topo), Some(n2));
+        let mut p = pkt(1);
+        p.outer.dst_pip = n2.pip;
+        let h = a.alloc(p.clone());
+        assert_eq!(a.dst_node(h, &topo), Some(n2.id));
         // Another topology would answer differently: the second call did
         // not ask.
-        assert_eq!(a.dst_node(h, &Topology::default()), Some(n2));
+        assert_eq!(a.dst_node(h, &other), Some(n2.id));
         // A rewrite through `get_mut` is noticed, whoever made it.
-        a.get_mut(h).outer.dst_pip = Pip(1);
-        assert_eq!(a.dst_node(h, &topo), Some(n1));
+        a.get_mut(h).outer.dst_pip = n1.pip;
+        assert_eq!(a.dst_node(h, &topo), Some(n1.id));
         a.get_mut(h).outer.dst_pip = Pip(999);
         assert_eq!(a.dst_node(h, &topo), None);
         // A reused slot remembers nothing of its last packet, not even
-        // "Pip(2) addresses nothing" learned from the empty topology.
-        a.get_mut(h).outer.dst_pip = Pip(2);
-        assert_eq!(a.dst_node(h, &Topology::default()), None);
+        // "n2's PIP addresses nothing" learned from the other topology.
+        a.get_mut(h).outer.dst_pip = n2.pip;
+        assert_eq!(a.dst_node(h, &other), None);
         a.free(h);
-        let h2 = a.alloc(pkt(2));
+        let h2 = a.alloc(p);
         assert_eq!(h2, h);
-        assert_eq!(a.dst_node(h2, &topo), Some(n2));
+        assert_eq!(a.dst_node(h2, &topo), Some(n2.id));
     }
 
     #[test]

@@ -91,15 +91,14 @@ impl Engine {
         let dir = GatewayDirectory::from_topology(&topo);
         let partition = PodPartition::new(&topo, shards);
 
-        // Dense switch tags + the master recorder's switch table.
-        let mut tags = vec![None; topo.nodes.len()];
+        // The switches' PIPs by tag (tags number them in enumeration
+        // order) + the master recorder's switch table.
         let mut tag_pips = Vec::new();
         let mut metrics = Metrics::new();
         let mut caching_switches = 0usize;
         let mut total_weight = 0.0f64;
         for sw in topo.switches() {
             let tag = SwitchTag(tag_pips.len() as u16);
-            tags[sw.id.0 as usize] = Some(tag);
             tag_pips.push(sw.pip);
             metrics.register_switch(tag, sw.kind.pod());
             let role = roles.role(sw.id).expect("switch role");
@@ -132,7 +131,6 @@ impl Engine {
             topo,
             routing,
             dir,
-            tags,
             tag_pips,
             caching,
             misdelivery_policy: strategy.misdelivery_policy(),
@@ -143,7 +141,7 @@ impl Engine {
         let mut shards: Vec<Shard> = (0..n_shards)
             .map(|s| Shard::new(s, world.clone()))
             .collect();
-        for node in &world.topo.nodes {
+        for node in world.topo.nodes() {
             let owner = &mut shards[world.shard_of(node.id)];
             match node.kind {
                 k if k.is_switch() => {
@@ -177,8 +175,8 @@ impl Engine {
             follow_me: FxHashMap::default(),
             last_migration: FxHashMap::default(),
             roles,
-            blackout: vec![false; world.topo.nodes.len()],
-            link_up: vec![true; world.topo.links.len()],
+            blackout: vec![false; world.topo.node_count()],
+            link_up: vec![true; world.topo.link_count()],
             loss: FxHashMap::default(),
             flows: Vec::new(),
             migrations: Vec::new(),
@@ -272,17 +270,18 @@ impl Engine {
 
     /// Where the engine's bytes live, by part: each part's own
     /// `resident_bytes()`, or the length of its tables. Inline sizes, plus
-    /// the running flows' TCP machines and the per-flow records of the
-    /// metrics; what a cache or a packet holds behind a pointer of its own
-    /// is not counted, so a process's RSS growth exceeds the sum by that and
-    /// by the allocator's overhead.
+    /// the running flows' TCP machines, the per-flow records of the metrics
+    /// and what switch agents hold behind their pointers
+    /// ([`SwitchAgent::resident_bytes`]); what a packet or a host agent
+    /// holds behind a pointer of its own is not counted, so a process's RSS
+    /// growth exceeds the sum by that and by the allocator's overhead.
     pub fn resident_bytes(&self) -> [(&'static str, usize); 8] {
         use std::mem::{size_of, size_of_val as bytes};
         let (ctl, w) = (&self.ctl, &self.world);
         let sum = |f: &dyn Fn(&Shard) -> usize| self.shards.iter().map(f).sum::<usize>();
         let loss = ctl.loss.capacity() * (size_of::<(LinkId, (f64, u32))>() + 1);
         let per_link = bytes(&*ctl.link_up) + loss;
-        let per_node = bytes(&*ctl.blackout) + bytes(&*w.tags) + bytes(&*w.caching);
+        let per_node = bytes(&*ctl.blackout) + bytes(&*w.tag_pips) + bytes(&*w.caching);
         let classes = w.ser.iter().map(SerTable::resident_bytes).sum::<usize>();
         let flows = bytes(&*ctl.flows) + self.master.metrics.flow_table_bytes();
         [
@@ -470,13 +469,13 @@ impl Engine {
     /// The switch agent at `node`, on the shard that owns it; `None` for a
     /// host.
     fn agent(&self, node: NodeId) -> Option<&dyn SwitchAgent> {
-        let tag = self.world.tags[node.0 as usize]?;
+        let tag = self.world.tag_of(self.world.topo.kind(node))?;
         self.shards[self.world.shard_of(node)].agents[tag.0 as usize].as_deref()
     }
 
     /// The switch agent at `node`, mutably; `None` for a host.
     fn agent_mut(&mut self, node: NodeId) -> Option<&mut Box<dyn SwitchAgent>> {
-        let tag = self.world.tags[node.0 as usize]?;
+        let tag = self.world.tag_of(self.world.topo.kind(node))?;
         self.shards[self.world.shard_of(node)].agents[tag.0 as usize].as_mut()
     }
 
@@ -1137,7 +1136,7 @@ mod tests {
         let ft = FatTreeConfig::scaled_ft8(2);
         for shards in [1, 3] {
             let sim = Engine::sharded(SimConfig::default(), &ft, &TestNoCache, 0, 4, shards);
-            for n in &sim.topology().nodes {
+            for n in sim.topology().nodes() {
                 assert_eq!(sim.agent(n.id).is_some(), n.kind.is_switch(), "{n:?}");
             }
         }

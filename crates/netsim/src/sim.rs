@@ -27,8 +27,7 @@ use sv2p_packet::{
 };
 use sv2p_simcore::{FxHashMap, SimDuration, SimRng, SimTime};
 use sv2p_telemetry::{Cause, EventKind, Layer, Op, TraceEvent};
-use sv2p_topology::graph::DirectedLink;
-use sv2p_topology::{LinkId, Node, NodeId, NodeKind, RoleMap, SwitchRole};
+use sv2p_topology::{LinkId, NodeId, NodeKind, RoleMap, SwitchRole};
 use sv2p_transport::{SenderOps, TcpConfig, TcpSender};
 use sv2p_vnet::{
     AgentOutput, CacheOp, HostAgent, HostResolution, MisdeliveryPolicy, PacketAction, SwitchAgent,
@@ -148,12 +147,12 @@ impl Shard {
     /// Shard `id` with idle links and no agents yet (the engine installs
     /// an agent on the shard owning its node).
     pub fn new(id: usize, world: Arc<World>) -> Self {
-        let n_nodes = world.topo.nodes.len();
+        let n_nodes = world.topo.node_count();
         let base_rng = SimRng::new(world.cfg.seed);
         // Sized before filling: a `filter().collect()` would grow by
         // doubling, and at FT32-1M that re-copies megabytes of link state.
         let owns = |from: NodeId| world.link_slot.is_empty() || world.shard_of(from) == id;
-        let n_owned = world.topo.links.iter().filter(|l| owns(l.from)).count();
+        let n_owned = world.topo.links().filter(|l| owns(l.from)).count();
         Shard {
             id,
             links: (0..n_owned).map(|_| LinkState::default()).collect(),
@@ -248,7 +247,7 @@ impl Shard {
     /// uplink switch reboots; a rack never straddles shards). Every reboot
     /// path goes through here so per-switch state clears uniformly.
     pub fn cold_reset_switch(&mut self, ctl: &Control, node: NodeId) {
-        let tag = self.world.tags[node.0 as usize];
+        let tag = self.world.tag_of(self.world.topo.kind(node));
         if let Some(agent) = tag.and_then(|t| self.agents[t.0 as usize].as_mut()) {
             agent.reset();
         }
@@ -257,8 +256,8 @@ impl Shard {
             .role(node)
             .is_some_and(|r| r.layer() == sv2p_topology::Layer::Tor);
         if is_tor {
-            for &link in self.world.topo.out_links(node) {
-                let peer = self.world.topo.link(link).to;
+            for link in self.world.topo.out_links(node) {
+                let peer = self.world.topo.link_to(link);
                 if let Some(host) = self.host_agents[peer.0 as usize].as_mut() {
                     host.reset();
                 }
@@ -268,7 +267,8 @@ impl Shard {
 
     /// Resident bytes of this shard's `(links, nodes, flows)`: its link
     /// states with their queues and loss streams; its agents (the boxes'
-    /// inline sizes), the switches' RNG streams and the busy gateways'
+    /// inline sizes, and a switch agent's cache lines behind them), the
+    /// switches' RNG streams and the busy gateways'
     /// queues with their buffers; and its flows' transport state, with the
     /// running senders (timers included) and receivers behind it.
     pub fn resident_bytes(&self) -> (usize, usize, usize) {
@@ -276,7 +276,8 @@ impl Shard {
         let links = bytes(&*self.links)
             + self.links.iter().map(LinkState::queue_bytes).sum::<usize>()
             + self.fault_rngs.capacity() * (size_of::<(LinkId, SimRng)>() + 1);
-        let boxes = self.agents.iter().flatten().map(|a| bytes(&**a)).sum::<usize>()
+        let switch_boxes = self.agents.iter().flatten().map(|a| bytes(&**a) + a.resident_bytes());
+        let boxes = switch_boxes.sum::<usize>()
             + self.host_agents.iter().flatten().map(|a| bytes(&**a)).sum::<usize>();
         let nodes = bytes(&*self.agents) + bytes(&*self.host_agents) + bytes(&*self.agent_rngs);
         let gateways = self.gw_busy.capacity() * (size_of::<(NodeId, VecDeque<PacketRef>)>() + 1)
@@ -295,7 +296,7 @@ impl Shard {
     pub fn snapshot_into(&self, ctl: &Control, now: SimTime, s: &mut Snapshot) {
         // `links` holds the owned links in link-id order (with one shard,
         // all of them), so the topology's owned links name each slot.
-        let owned = self.world.topo.links.iter().filter(|l| {
+        let owned = self.world.topo.links().filter(|l| {
             self.world.link_slot.is_empty() || self.world.shard_of(l.from) == self.id
         });
         for (l, state) in owned.zip(&self.links) {
@@ -556,8 +557,7 @@ impl Shard {
     /// packet no ToR translated) — is dropped `Unroutable`.
     fn send_on<F: Effects>(&mut self, ctl: &Control, fx: &mut F, node: NodeId, pkt: PacketRef) {
         let topo = &self.world.topo;
-        let next = if self.world.is_host(node) {
-            let uplink = topo.out_links(node)[0];
+        let next = if let Some((_, uplink)) = topo.attachment(topo.kind(node)) {
             ctl.link_up[uplink.0 as usize].then_some(uplink)
         } else {
             match self.arena.dst_node(pkt, topo) {
@@ -595,7 +595,7 @@ impl Shard {
         let wire = self.arena.get(pkt).wire_size();
         let now = fx.now();
         let world = &*self.world;
-        let &DirectedLink { from: from_node, class, .. } = world.topo.link(link);
+        let (from_node, class) = (world.topo.link_from(link), world.topo.link_class(link));
         let ser = &world.ser[class as usize];
         let slot = self.link_index::<F>(link);
         let l = &mut self.links[slot];
@@ -625,7 +625,7 @@ impl Shard {
                 // event that can belong to another shard; the packet then
                 // travels by value, and leaves this shard's arena now.
                 if F::SHARDED {
-                    let to = self.world.shard_of(self.world.topo.link(link).to);
+                    let to = self.world.shard_of(self.world.topo.link_to(link));
                     if to != self.id {
                         let pkt = self.take_pkt(pkt);
                         fx.schedule_cut(to, arrives, link, pkt);
@@ -652,26 +652,27 @@ impl Shard {
         pkt: PacketRef,
     ) {
         let topo = &self.world.topo;
-        let dl = topo.link(link);
-        let (from, here) = (dl.from, *topo.node(dl.to));
-        match here.kind {
-            NodeKind::Server { .. } => self.handle_at_server(ctl, fx, here.id, pkt),
-            _ if ctl.blackout[here.id.0 as usize] => {
-                self.drop_packet(fx, pkt, here.id, DropCause::Blackout)
+        let (from, node) = (topo.link_from(link), topo.link_to(link));
+        let kind = topo.kind(node);
+        match kind {
+            NodeKind::Server { .. } => self.handle_at_server(ctl, fx, node, pkt),
+            _ if ctl.blackout[node.0 as usize] => {
+                self.drop_packet(fx, pkt, node, DropCause::Blackout)
             }
-            NodeKind::Gateway { .. } => self.handle_at_gateway(fx, here.id, pkt),
+            NodeKind::Gateway { .. } => self.handle_at_gateway(fx, node, pkt),
             _ => {
-                let ingress = self.world.is_host(from).then(|| topo.node(from).pip);
+                let from_kind = topo.kind(from);
+                let ingress = from_kind.is_host().then(|| from_kind.pip());
                 let p = self.arena.get_mut(pkt);
                 p.switch_hops = p.switch_hops.saturating_add(1);
                 let (wire, is_data) = (p.wire_size(), matches!(p.kind, PacketKind::Data));
-                self.counters
-                    .record_switch_bytes(self.world.tag(here.id), wire);
-                let ev = self.packet_event(fx, EventKind::SwitchIngress, pkt, here.id);
+                let tag = self.world.tag_of(kind).expect("switch tag");
+                self.counters.record_switch_bytes(tag, wire);
+                let ev = self.packet_event(fx, EventKind::SwitchIngress, pkt, node);
                 if let Some(ev) = ev.filter(|_| is_data) {
                     fx.trace(ev);
                 }
-                self.handle_at_switch(ctl, fx, here, pkt, ingress);
+                self.handle_at_switch(ctl, fx, node, kind, pkt, ingress);
             }
         }
     }
@@ -694,23 +695,24 @@ impl Shard {
             self.drop_packet(fx, pkt, node, DropCause::Blackout);
             return;
         }
-        let here = *self.world.topo.node(node);
-        self.handle_at_switch(ctl, fx, here, pkt, None);
+        let kind = self.world.topo.kind(node);
+        self.handle_at_switch(ctl, fx, node, kind, pkt, None);
     }
 
     /// The switch's part of a hop: the agent call, the accounting of what
     /// the agent reports, then the tail for the packet and for each packet
-    /// the agent emits. `here` is the switch as the arrival gate read it;
+    /// the agent emits. `kind` is the switch's as the arrival gate read it;
     /// `ingress` the PIP of the host the packet came up from, if any.
     fn handle_at_switch<F: Effects>(
         &mut self,
         ctl: &Control,
         fx: &mut F,
-        here: Node,
+        node: NodeId,
+        kind: NodeKind,
         pkt: PacketRef,
         ingress: Option<Pip>,
     ) {
-        let (node, tag, now) = (here.id, self.world.tag(here.id), fx.now());
+        let (tag, now) = (self.world.tag_of(kind).expect("switch tag"), fx.now());
         let role = ctl.roles.role(node).expect("switch role");
         let trace = fx.tracing();
         let (is_data, was_unresolved, first_of_flow) = {
@@ -722,22 +724,22 @@ impl Shard {
         // at an earlier hop; it probes the topology again, here or in the
         // tail, only when the PIP has been rewritten since.
         let world = &*self.world;
-        let dst_attached = self.arena.dst_node(pkt, &world.topo).is_some_and(|dst| {
-            world.is_host(dst) && world.routing.tor_of(&world.topo, dst) == node
+        let topo = &world.topo;
+        let dst_attached = self.arena.dst_node(pkt, topo).is_some_and(|dst| {
+            topo.attachment(topo.kind(dst)).is_some_and(|(tor, _)| tor == node)
         });
 
         let output = {
-            let topo = &world.topo;
             let pod_of = move |pip: Pip| -> Option<u16> {
-                topo.node_by_pip(pip).and_then(|n| topo.node(n).kind.pod())
+                topo.node_by_pip(pip).and_then(|n| topo.kind(n).pod())
             };
             let pip_of_tag = move |t: SwitchTag| world.tag_pips[t.0 as usize];
             let mut ctx = SwitchCtx {
                 now,
                 tag,
-                switch_pip: here.pip,
+                switch_pip: kind.pip(),
                 role,
-                my_pod: here.kind.pod(),
+                my_pod: kind.pod(),
                 ingress_host: ingress,
                 dst_attached,
                 placement: &ctl.placement,

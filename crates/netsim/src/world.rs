@@ -5,7 +5,7 @@
 use sv2p_metrics::MigrationRef;
 use sv2p_packet::{Pip, SwitchTag, Vip};
 use sv2p_simcore::FxHashMap;
-use sv2p_topology::{LinkId, NodeId, PodPartition, RoleMap, Routing, Topology};
+use sv2p_topology::{LinkId, NodeId, NodeKind, PodPartition, RoleMap, Routing, Topology};
 use sv2p_vnet::{GatewayDirectory, Migration, MisdeliveryPolicy, Placement};
 
 use crate::churn::ChurnMark;
@@ -20,13 +20,13 @@ pub(crate) struct World {
     pub cfg: SimConfig,
     pub topo: Topology,
     /// The serialization table of each link class, indexed by
-    /// `DirectedLink::class`.
+    /// `Topology::link_class`.
     pub ser: Vec<SerTable>,
     pub routing: Routing,
     pub dir: GatewayDirectory,
-    /// Dense switch tags, numbered in `Topology::switches` order;
-    /// `tags[node] == None` for hosts. Per-switch state is indexed by tag.
-    pub tags: Vec<Option<SwitchTag>>,
+    /// Each switch's PIP, by tag. A switch's tag is its index in
+    /// `Topology::switches` order ([`World::tag`]); per-switch state is
+    /// indexed by it.
     pub tag_pips: Vec<Pip>,
     /// Per-switch flag, by tag: a switch that actually holds cache lines
     /// (gates `CacheLookup` trace events, so non-caching switches stay
@@ -44,14 +44,16 @@ pub(crate) struct World {
 }
 
 impl World {
-    /// The switch tag of `node` (panics for hosts).
-    pub fn tag(&self, node: NodeId) -> SwitchTag {
-        self.tags[node.0 as usize].expect("switch tag")
+    /// The switch tag of a node of kind `kind`, computed from its place;
+    /// `None` for a host.
+    #[inline]
+    pub fn tag_of(&self, kind: NodeKind) -> Option<SwitchTag> {
+        self.topo.switch_index(kind).map(|i| SwitchTag(i as u16))
     }
 
-    /// Whether `node` is a host (a server or a gateway): it has no tag.
-    pub fn is_host(&self, node: NodeId) -> bool {
-        self.tags[node.0 as usize].is_none()
+    /// The switch tag of `node` (panics for hosts).
+    pub fn tag(&self, node: NodeId) -> SwitchTag {
+        self.tag_of(self.topo.kind(node)).expect("switch tag")
     }
 
     /// The shard owning `node`.
@@ -65,8 +67,7 @@ impl World {
             return Vec::new();
         }
         let mut owned = vec![0u32; partition.shards() as usize];
-        topo.links
-            .iter()
+        topo.links()
             .map(|l| {
                 let n = &mut owned[partition.shard_of(l.from) as usize];
                 *n += 1;

@@ -182,8 +182,6 @@ fn downed_uplink_rehashes_onto_surviving_port() {
         .map(|n| n.id)
         .expect("a plain ToR exists");
     let uplinks: Vec<LinkId> = sim.topology().out_links(tor)
-        .iter()
-        .copied()
         .filter(|&l| {
             let to = sim.topology().link(l).to;
             sim.topology().node(to).kind.is_switch()
@@ -213,7 +211,7 @@ fn downed_uplink_rehashes_onto_surviving_port() {
 fn host_uplink_down_drops_unroutable_then_recovers() {
     let mut sim = sim_with(&NoCache, 0);
     let src = sim.placement().node_of(0);
-    let uplink = sim.topology().out_links(src)[0];
+    let uplink = sim.topology().out_links(src).next().unwrap();
     let plan = FaultPlan::from_events([FaultEvent::LinkDown {
         link: uplink,
         at: SimTime::ZERO,
@@ -322,7 +320,7 @@ fn fault_runs_are_deterministic() {
             .find(|n| sim.roles().role(n.id) == Some(SwitchRole::Tor))
             .map(|n| n.id)
             .unwrap();
-        let uplink = sim.topology().out_links(tor)[0];
+        let uplink = sim.topology().out_links(tor).next().unwrap();
         let plan = FaultPlan::from_events([
             FaultEvent::SwitchReboot {
                 node: tor,
@@ -367,7 +365,7 @@ proptest! {
         let mut sim = sim_with(&NoCache, 0);
         let switches: Vec<NodeId> = sim.topology().switches().map(|n| n.id).collect();
         let gateways: Vec<NodeId> = sim.topology().gateways().map(|n| n.id).collect();
-        let n_links = sim.topology().links.len();
+        let n_links = sim.topology().link_count();
         let mut plan = FaultPlan::new();
         for &(kind, idx, start_us, dur_us, rate) in &events {
             let at = SimTime::from_micros(start_us);

@@ -94,10 +94,8 @@ fn closed_plan(sim: &Engine) -> FaultPlan {
     let topo = sim.topology();
     // The first flow's source is VM 0.
     let host = sim.placement().node_of(0);
-    let tor = topo.link(topo.out_links(host)[0]).to;
+    let tor = topo.link(topo.out_links(host).next().unwrap()).to;
     let uplink = topo.out_links(tor)
-        .iter()
-        .copied()
         .find(|&l| matches!(topo.node(topo.link(l).to).kind, NodeKind::Spine { .. }))
         .expect("a ToR has an uplink");
     let gateway = topo.gateways().next().expect("a gateway").id;
@@ -351,7 +349,7 @@ fn reboot_linkdown_loss_plan(probe: &Engine) -> FaultPlan {
         .next()
         .map(|n| n.id)
         .expect("switches exist");
-    let uplink = probe.topology().out_links(tor)[0];
+    let uplink = probe.topology().out_links(tor).next().unwrap();
     FaultPlan::from_events([
         FaultEvent::SwitchReboot {
             node: tor,

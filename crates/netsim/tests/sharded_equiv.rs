@@ -237,7 +237,7 @@ fn reboot_linkdown_loss_plan(probe: &Engine) -> FaultPlan {
         .next()
         .map(|n| n.id)
         .expect("switches exist");
-    let uplink = probe.topology().out_links(tor)[0];
+    let uplink = probe.topology().out_links(tor).next().unwrap();
     FaultPlan::from_events([
         FaultEvent::SwitchReboot {
             node: tor,
@@ -400,7 +400,7 @@ proptest! {
         let probe = Engine::sharded(SimConfig::default(), &ft, &NoCache, 0, 4, 1);
         let switches: Vec<NodeId> = probe.topology().switches().map(|n| n.id).collect();
         let gateways: Vec<NodeId> = probe.topology().gateways().map(|n| n.id).collect();
-        let n_links = probe.topology().links.len();
+        let n_links = probe.topology().link_count();
         let mut plan = FaultPlan::new();
         for &(kind, idx, start_us, dur_us, rate) in &events {
             let at = SimTime::from_micros(start_us);

@@ -8,9 +8,39 @@
 //! — the *gateway ToR* of Figure 8.
 
 use serde::{Deserialize, Serialize};
-use sv2p_packet::Pip;
 
 use crate::graph::{NodeId, NodeKind, Topology};
+
+/// Where [`FatTreeConfig::wire`] sends the fabric: the nodes and cables in
+/// build order.
+trait Wiring {
+    /// Adds a node and returns its id.
+    fn node(&mut self, kind: NodeKind) -> NodeId;
+    /// Adds both directions of a cable of class `spec`.
+    fn cable(&mut self, a: NodeId, b: NodeId, spec: LinkSpec);
+}
+
+impl Wiring for Topology {
+    fn node(&mut self, kind: NodeKind) -> NodeId {
+        self.push_node(kind)
+    }
+
+    fn cable(&mut self, a: NodeId, b: NodeId, _spec: LinkSpec) {
+        // A cable's class follows from its ends (`Topology::link_class`).
+        self.push_cable(a, b);
+    }
+}
+
+#[cfg(test)]
+impl Wiring for crate::graph::oracle::TableTopology {
+    fn node(&mut self, kind: NodeKind) -> NodeId {
+        self.add_node(kind, kind.pip())
+    }
+
+    fn cable(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
+        self.add_cable(a, b, spec);
+    }
+}
 
 /// Bandwidth + propagation of one cable class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -220,7 +250,25 @@ impl FatTreeConfig {
     /// PIP scheme (dotted quads for readability in traces):
     /// servers `10.pod.rack.slot+1`, gateways `172.16.pod.slot`, ToRs
     /// `192.168.pod.rack`, spines `192.169.pod.idx`, cores `192.170.0.idx`.
+    /// Each field must fit its byte, so the shape is bounded: at most 256
+    /// pods, racks, cores and gateways per pod, 254 servers per rack, and a
+    /// pod listed once in `gateway_pods`.
+    ///
+    /// Build order, which fixes every node and link id: the cores; then pod
+    /// by pod its spines (each cabled to its core group), and rack by rack
+    /// its ToR (cabled to every spine of the pod) followed by its servers
+    /// (each cabled to the ToR); then the gateways in `gateway_pods` order,
+    /// each cabled to its pod's gateway ToR. [`Topology`] computes PIPs,
+    /// ports and the PIP decode from this order.
     pub fn build(&self) -> Topology {
+        self.check();
+        let mut topo = Topology::for_config(self);
+        self.wire(&mut topo);
+        topo
+    }
+
+    /// The shape's bounds (see [`Self::build`]).
+    fn check(&self) {
         assert!(self.pods >= 1 && self.racks_per_pod >= 1 && self.servers_per_rack >= 1);
         assert!(
             self.spines_per_pod >= 1 && self.cores >= 1,
@@ -235,91 +283,66 @@ impl FatTreeConfig {
         assert!(self.gateway_pods.iter().all(|&p| p < self.pods));
         assert!(self.pods as u32 <= 256 && self.racks_per_pod as u32 <= 256);
         assert!(self.servers_per_rack < 255 && self.cores as u32 <= 256);
+        assert!(
+            self.gateways_per_pod.iter().all(|&g| g <= 256),
+            "at most 256 gateways per pod: a gateway's slot is one PIP byte"
+        );
+        let mut listed = vec![false; self.pods as usize];
+        for &p in &self.gateway_pods {
+            let twice = std::mem::replace(&mut listed[p as usize], true);
+            assert!(!twice, "pod {p} listed twice in gateway_pods");
+        }
+    }
 
-        let m = self.cores / self.spines_per_pod;
-        let mut topo = Topology::default();
-
-        // Core switches.
-        let cores: Vec<NodeId> = (0..self.cores)
-            .map(|idx| topo.add_node(NodeKind::Core { idx }, Pip(0xC0AA_0000 | idx as u32)))
-            .collect();
-
+    /// Sends the fabric to `out` in build order.
+    fn wire(&self, out: &mut impl Wiring) {
+        let m = self.core_group();
+        let (fabric, host) = (self.fabric_link, self.host_link);
+        let cores: Vec<NodeId> =
+            (0..self.cores).map(|idx| out.node(NodeKind::Core { idx })).collect();
+        let mut gateway_tors = Vec::with_capacity(self.pods as usize);
         for pod in 0..self.pods {
-            // Spines.
             let spines: Vec<NodeId> = (0..self.spines_per_pod)
-                .map(|idx| {
-                    topo.add_node(
-                        NodeKind::Spine { pod, idx },
-                        Pip(0xC0A9_0000 | (pod as u32) << 8 | idx as u32),
-                    )
-                })
+                .map(|idx| out.node(NodeKind::Spine { pod, idx }))
                 .collect();
             // Spine i <-> cores [i*m, (i+1)*m).
             for (i, &sp) in spines.iter().enumerate() {
                 for j in 0..m as usize {
-                    topo.add_cable(
-                        sp,
-                        cores[i * m as usize + j],
-                        self.fabric_link.bandwidth_bps,
-                        self.fabric_link.delay_ns,
-                    );
+                    out.cable(sp, cores[i * m as usize + j], fabric);
                 }
             }
-            // Racks.
             for rack in 0..self.racks_per_pod {
-                let tor = topo.add_node(
-                    NodeKind::Tor { pod, rack },
-                    Pip(0xC0A8_0000 | (pod as u32) << 8 | rack as u32),
-                );
+                let tor = out.node(NodeKind::Tor { pod, rack });
                 for &sp in &spines {
-                    topo.add_cable(
-                        tor,
-                        sp,
-                        self.fabric_link.bandwidth_bps,
-                        self.fabric_link.delay_ns,
-                    );
+                    out.cable(tor, sp, fabric);
                 }
                 for slot in 0..self.servers_per_rack {
-                    let server = topo.add_node(
-                        NodeKind::Server { pod, rack, slot },
-                        Pip(0x0A00_0000
-                            | (pod as u32) << 16
-                            | (rack as u32) << 8
-                            | (slot as u32 + 1)),
-                    );
-                    topo.add_cable(
-                        server,
-                        tor,
-                        self.host_link.bandwidth_bps,
-                        self.host_link.delay_ns,
-                    );
+                    let server = out.node(NodeKind::Server { pod, rack, slot });
+                    out.cable(server, tor, host);
+                }
+                if rack == self.gateway_rack() {
+                    gateway_tors.push(tor);
                 }
             }
         }
-
         // Gateways, attached to the gateway ToR of their pod.
         for (&pod, &count) in self.gateway_pods.iter().zip(&self.gateways_per_pod) {
-            let gw_rack = self.gateway_rack();
-            let tor_pip = Pip(0xC0A8_0000 | (pod as u32) << 8 | gw_rack as u32);
-            let tor = topo
-                .node_by_pip(tor_pip)
-                .expect("gateway ToR must exist");
             for slot in 0..count {
-                let gw = topo.add_node(
-                    NodeKind::Gateway { pod, slot },
-                    Pip(0xAC10_0000 | (pod as u32) << 8 | slot as u32),
-                );
-                topo.add_cable(
-                    gw,
-                    tor,
-                    self.host_link.bandwidth_bps,
-                    self.host_link.delay_ns,
-                );
+                let gw = out.node(NodeKind::Gateway { pod, slot });
+                out.cable(gw, gateway_tors[pod as usize], host);
             }
         }
+    }
 
-        topo.index_ports();
-        topo
+    /// The table-built topology of the same fabric, the oracle
+    /// [`Topology`]'s arithmetic is tested against.
+    #[cfg(test)]
+    pub(crate) fn build_tables(&self) -> crate::graph::oracle::TableTopology {
+        self.check();
+        let mut tables = crate::graph::oracle::TableTopology::default();
+        self.wire(&mut tables);
+        tables.index_ports();
+        tables
     }
 
     /// Core group width: the number of cores each spine connects to.
@@ -391,7 +414,7 @@ mod tests {
         let topo = cfg.build();
         let m = cfg.core_group() as usize;
         assert_eq!(m, 4);
-        for sp in topo.nodes.iter() {
+        for sp in topo.nodes() {
             if let NodeKind::Spine { idx, .. } = sp.kind {
                 let mut core_neighbors: Vec<u16> = topo
                     .neighbors(sp.id)
@@ -449,6 +472,29 @@ mod tests {
     fn bad_core_count_panics() {
         let mut cfg = FatTreeConfig::ft8_10k();
         cfg.cores = 15;
+        cfg.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 gateways per pod")]
+    fn a_pod_of_257_gateways_panics() {
+        // Slot 256 would spell 172.16.1.0, pod 1's first gateway PIP.
+        let cfg = FatTreeConfig {
+            gateway_pods: vec![0],
+            gateways_per_pod: vec![257],
+            ..FatTreeConfig::ft8_10k()
+        };
+        cfg.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "pod 2 listed twice in gateway_pods")]
+    fn a_gateway_pod_listed_twice_panics() {
+        let cfg = FatTreeConfig {
+            gateway_pods: vec![2, 5, 2],
+            gateways_per_pod: vec![1, 1, 1],
+            ..FatTreeConfig::ft8_10k()
+        };
         cfg.build();
     }
 }

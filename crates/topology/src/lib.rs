@@ -4,7 +4,9 @@
 //! FT16-400K) plus the scaled variants of §5.3, and provides ECMP up-down
 //! routing over them:
 //!
-//! * [`graph`] — nodes, directed links, port lists;
+//! * [`graph`] — nodes, directed links, and the [`Topology`] that stores a
+//!   kind per node and a far end per link and computes PIPs, port lists
+//!   and the PIP decode from the build order;
 //! * [`fattree`] — the [`FatTreeConfig`] builder (pods × racks × servers,
 //!   spines, cores, gateway placement);
 //! * [`routing`] — structural ECMP next-hop computation (host → ToR → spine →

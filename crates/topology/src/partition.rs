@@ -28,16 +28,14 @@ impl PodPartition {
     /// yields the trivial single-shard partition.
     pub fn new(topo: &Topology, shards: u16) -> PodPartition {
         let max_pod = topo
-            .nodes
-            .iter()
+            .nodes()
             .filter_map(|n| n.kind.pod())
             .max()
             .map(|p| p as u32 + 1)
             .unwrap_or(0);
         let shards = shards.max(1).min((max_pod + 1).min(u16::MAX as u32) as u16);
         let shard_of_node = topo
-            .nodes
-            .iter()
+            .nodes()
             .map(|n| match n.kind.pod() {
                 Some(pod) if shards > 1 => 1 + (pod % (shards - 1)),
                 _ => 0,
@@ -70,7 +68,7 @@ mod tests {
         let topo = FatTreeConfig::scaled_ft8(2).build();
         let p = PodPartition::new(&topo, 1);
         assert_eq!(p.shards(), 1);
-        assert!(topo.nodes.iter().all(|n| p.shard_of(n.id) == 0));
+        assert!(topo.nodes().all(|n| p.shard_of(n.id) == 0));
     }
 
     #[test]
@@ -81,8 +79,7 @@ mod tests {
         for shards in [2u16, 3, 4, 5, 9] {
             let p = PodPartition::new(&topo, shards);
             for l in topo
-                .links
-                .iter()
+                .links()
                 .filter(|l| p.shard_of(l.from) != p.shard_of(l.to))
             {
                 let podless =
@@ -98,7 +95,7 @@ mod tests {
         let p = PodPartition::new(&topo, 5);
         assert_eq!(p.shards(), 5);
         let mut sizes = [0usize; 5];
-        for n in &topo.nodes {
+        for n in topo.nodes() {
             match n.kind.pod() {
                 None => assert_eq!(p.shard_of(n.id), 0, "core/podless in shard 0"),
                 Some(pod) => assert_eq!(p.shard_of(n.id), 1 + pod % 4),
@@ -112,8 +109,7 @@ mod tests {
     fn shard_count_clamps_to_pods_plus_one() {
         let topo = FatTreeConfig::scaled_ft8(2).build();
         let pods = topo
-            .nodes
-            .iter()
+            .nodes()
             .filter_map(|n| n.kind.pod())
             .max()
             .unwrap()

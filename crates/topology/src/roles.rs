@@ -70,11 +70,10 @@ pub struct RoleMap {
 impl RoleMap {
     /// Classifies every switch in `topo`.
     pub fn classify(topo: &Topology) -> Self {
-        let n = topo.nodes.len();
-        let mut roles: Vec<Option<SwitchRole>> = vec![None; n];
+        let mut roles: Vec<Option<SwitchRole>> = vec![None; topo.node_count()];
 
         // Pass 1: base layers + gateway ToRs.
-        for node in &topo.nodes {
+        for node in topo.nodes() {
             roles[node.id.0 as usize] = match node.kind {
                 NodeKind::Tor { .. } => {
                     let has_gw = topo
@@ -92,7 +91,7 @@ impl RoleMap {
             };
         }
         // Pass 2: spines adjacent to a gateway ToR become gateway spines.
-        for node in &topo.nodes {
+        for node in topo.nodes() {
             if roles[node.id.0 as usize] == Some(SwitchRole::GatewayTor) {
                 for nb in topo.neighbors(node.id) {
                     if roles[nb.0 as usize] == Some(SwitchRole::Spine) {

@@ -1,14 +1,15 @@
 //! Structural ECMP up-down routing.
 //!
-//! Routing is decided from node locations and per-node port tables, not
-//! from an all-pairs next-hop matrix — FT16-400K has ~14 000 nodes and a
-//! dense matrix would dwarf the caches being studied. The port tables are
-//! O(links): each node's egress ports, filed by where they lead (a ToR's
-//! uplinks by spine index, a spine's downlinks by rack, ...), so a hop is
-//! a match on two node kinds and an array index. The rules are the
-//! standard FatTree up-down ones; among equal-cost choices the flow key
-//! picks one deterministically ("Flows are balanced among multiple paths
-//! using ECMP routing", §5).
+//! Routing is decided from node locations and per-switch port tables,
+//! not from an all-pairs next-hop matrix — FT16-400K has ~14 000 nodes and
+//! a dense matrix would dwarf the caches being studied. The tables are
+//! O(switch ports): each switch's egress ports, filed by where they lead
+//! (a ToR's uplinks by spine index, a spine's downlinks by rack, ...),
+//! and a host's one port is computed from its place
+//! ([`Topology::attachment`]), so a hop is a match on two node kinds and
+//! an array index. The rules are the standard FatTree up-down ones; among
+//! equal-cost choices the flow key picks one deterministically ("Flows are
+//! balanced among multiple paths using ECMP routing", §5).
 //!
 //! Switches are also routable destinations (invalidation packets are
 //! addressed to a switch, §3.3), which adds a few down-then-up cases that
@@ -17,16 +18,12 @@
 use crate::fattree::FatTreeConfig;
 use crate::graph::{LinkId, NodeId, NodeKind, Topology};
 
-/// Table entries no cable filled (a switch's row in the host table).
+/// Table entries no cable filled.
 const NO_LINK: LinkId = LinkId(u32::MAX);
-const NO_NODE: NodeId = NodeId(u32::MAX);
 
 /// ECMP router over a built FatTree.
 #[derive(Debug, Clone)]
 pub struct Routing {
-    /// Per node id, for hosts (servers and gateways): the ToR it hangs
-    /// off, its uplink to that ToR and the ToR's downlink to it.
-    host: Vec<HostPorts>,
     /// ToR uplinks: `[(pod * racks + rack) * spines + spine idx]`.
     tor_up: Vec<LinkId>,
     /// Spine downlinks: `[(pod * spines + idx) * racks + rack]`.
@@ -44,37 +41,22 @@ pub struct Routing {
     gateway_rack: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct HostPorts {
-    tor: NodeId,
-    up: LinkId,
-    down: LinkId,
-}
-
 impl Routing {
     /// Resident bytes of the port tables.
     pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of_val as bytes;
         let ports = [&self.tor_up, &self.spine_down, &self.spine_up, &self.core_down];
-        bytes(&*self.host) + ports.iter().map(|v| bytes(&v[..])).sum::<usize>()
+        ports.iter().map(|v| std::mem::size_of_val(&v[..])).sum()
     }
 
     /// Builds the router for `topo` produced by `config.build()`: one pass
-    /// over the links, each filed under its sender by where it leads.
+    /// over the switch-to-switch links, each filed under its sender by
+    /// where it leads.
     pub fn new(config: &FatTreeConfig, topo: &Topology) -> Self {
         let pods = config.pods as usize;
         let racks = config.racks_per_pod as usize;
         let spines = config.spines_per_pod as usize;
         let m = config.core_group() as usize;
         let mut r = Routing {
-            host: vec![
-                HostPorts {
-                    tor: NO_NODE,
-                    up: NO_LINK,
-                    down: NO_LINK,
-                };
-                topo.nodes.len()
-            ],
             tor_up: vec![NO_LINK; pods * racks * spines],
             spine_down: vec![NO_LINK; pods * spines * racks],
             spine_up: vec![NO_LINK; pods * spines * m],
@@ -85,15 +67,9 @@ impl Routing {
             spines_per_pod: spines,
             gateway_rack: config.gateway_rack() as usize,
         };
-        for l in &topo.links {
-            match (topo.node(l.from).kind, topo.node(l.to).kind) {
-                (from, NodeKind::Tor { .. }) if from.is_host() => {
-                    let h = &mut r.host[l.from.0 as usize];
-                    (h.tor, h.up) = (l.to, l.id);
-                }
-                (NodeKind::Tor { .. }, to) if to.is_host() => {
-                    r.host[l.to.0 as usize].down = l.id;
-                }
+        for l in topo.links() {
+            match (topo.kind(l.from), topo.kind(l.to)) {
+                (from, to) if from.is_host() || to.is_host() => {}
                 (NodeKind::Tor { pod, rack }, NodeKind::Spine { idx, .. }) => {
                     let t = r.tor_row(pod, rack);
                     r.tor_up[t * spines + idx as usize] = l.id;
@@ -139,9 +115,8 @@ impl Routing {
 
     /// The ToR a host (server or gateway) is attached to.
     pub fn tor_of(&self, topo: &Topology, host: NodeId) -> NodeId {
-        let tor = self.host[host.0 as usize].tor;
-        assert!(tor != NO_NODE, "tor_of on non-host {:?}", topo.node(host).kind);
-        tor
+        let kind = topo.kind(host);
+        topo.attachment(kind).unwrap_or_else(|| panic!("tor_of on non-host {kind:?}")).0
     }
 
     /// The equal-cost egress links from `at` toward `dst` (empty iff
@@ -160,25 +135,24 @@ impl Routing {
         if at == dst {
             return;
         }
-        let dst_kind = topo.node(dst).kind;
-        match topo.node(at).kind {
+        let dst_kind = topo.kind(dst);
+        let at_kind = topo.kind(at);
+        match at_kind {
             NodeKind::Server { .. } | NodeKind::Gateway { .. } => {
-                out.push(self.host[at.0 as usize].up);
+                out.extend(topo.attachment(at_kind).map(|(_, up)| up));
             }
             NodeKind::Tor { pod, rack } => {
                 let t = self.tor_row(pod, rack);
-                match dst_kind {
-                    // A host directly attached below me.
-                    NodeKind::Server { .. } | NodeKind::Gateway { .. }
-                        if self.host[dst.0 as usize].tor == at =>
-                    {
-                        out.push(self.host[dst.0 as usize].down);
-                    }
-                    NodeKind::Spine { pod: dp, idx } if dp == pod => {
+                match (dst_kind, topo.attachment(dst_kind)) {
+                    // A host directly attached below me: its uplink's twin.
+                    (_, Some((tor, up))) if tor == at => out.push(up.twin()),
+                    (NodeKind::Spine { pod: dp, idx }, _) if dp == pod => {
                         out.push(self.tor_ups(t)[idx as usize]);
                     }
                     // Only the spine of group idx/m reaches that core.
-                    NodeKind::Core { idx } => out.push(self.tor_ups(t)[idx as usize / self.m]),
+                    (NodeKind::Core { idx }, _) => {
+                        out.push(self.tor_ups(t)[idx as usize / self.m]);
+                    }
                     // Anywhere else: up to any spine of the pod.
                     _ => out.extend_from_slice(self.tor_ups(t)),
                 }
@@ -252,7 +226,7 @@ impl Routing {
             let link = self
                 .next_link(topo, at, to, key, &|_| true, &mut scratch)
                 .expect("no route");
-            at = topo.link(link).to;
+            at = topo.link_to(link);
             path.push(at);
             assert!(path.len() <= 64, "routing loop: {path:?}");
         }
@@ -263,7 +237,7 @@ impl Routing {
     pub fn switch_hops(&self, topo: &Topology, from: NodeId, to: NodeId, key: u64) -> usize {
         self.path(topo, from, to, key)
             .iter()
-            .filter(|&&n| topo.node(n).kind.is_switch())
+            .filter(|&&n| topo.kind(n).is_switch())
             .count()
     }
 }
@@ -315,7 +289,7 @@ mod oracle {
             let mut tor = FxHashMap::default();
             let mut spines = vec![Vec::new(); config.pods as usize];
             let mut cores = vec![NodeId(0); config.cores as usize];
-            for n in &topo.nodes {
+            for n in topo.nodes() {
                 match n.kind {
                     NodeKind::Tor { pod, rack } => {
                         tor.insert((pod, rack), n.id);
@@ -342,7 +316,7 @@ mod oracle {
 
         /// The ToR a host (server or gateway) is attached to.
         pub fn tor_of(&self, topo: &Topology, host: NodeId) -> NodeId {
-            match topo.node(host).kind {
+            match topo.kind(host) {
                 NodeKind::Server { pod, rack, .. } => self.tor[&(pod, rack)],
                 NodeKind::Gateway { pod, .. } => {
                     self.tor[&(pod, self.racks_per_pod - 1)]
@@ -363,8 +337,8 @@ mod oracle {
             if at == dst {
                 return;
             }
-            let at_kind = topo.node(at).kind;
-            let dst_kind = topo.node(dst).kind;
+            let at_kind = topo.kind(at);
+            let dst_kind = topo.kind(dst);
             match at_kind {
                 NodeKind::Server { .. } | NodeKind::Gateway { .. } => {
                     let tor = self.tor_of(topo, at);
@@ -486,8 +460,7 @@ mod tests {
     }
 
     fn server(topo: &Topology, pod: u16, rack: u16, slot: u16) -> NodeId {
-        topo.nodes
-            .iter()
+        topo.nodes()
             .find(|n| {
                 n.kind
                     == NodeKind::Server {
@@ -539,7 +512,7 @@ mod tests {
         for key in 0..64u64 {
             let p = r.path(&topo, a, b, key);
             for n in p {
-                if let NodeKind::Core { idx } = topo.node(n).kind {
+                if let NodeKind::Core { idx } = topo.kind(n) {
                     distinct_cores.insert(idx);
                 }
             }
@@ -555,8 +528,7 @@ mod tests {
         // Sampled all-kinds reachability: every node can reach every other.
         let (_, topo, r) = setup();
         let sample: Vec<NodeId> = topo
-            .nodes
-            .iter()
+            .nodes()
             .step_by(17)
             .map(|n| n.id)
             .collect();
@@ -582,14 +554,12 @@ mod tests {
         }
         // ToR to a sibling spine's core and spine-to-spine bounces.
         let tor = topo
-            .nodes
-            .iter()
+            .nodes()
             .find(|n| n.kind == NodeKind::Tor { pod: 0, rack: 0 })
             .unwrap()
             .id;
         let spine_far = topo
-            .nodes
-            .iter()
+            .nodes()
             .find(|n| n.kind == NodeKind::Spine { pod: 4, idx: 2 })
             .unwrap()
             .id;
@@ -654,17 +624,17 @@ mod tests {
         let tables = Routing::new(cfg, &topo);
         let rules = oracle::RuleRouting::new(cfg, &topo);
         let mut rng = sv2p_simcore::SimRng::new(7);
-        let up: Vec<bool> = topo.links.iter().map(|_| rng.chance(0.7)).collect();
+        let up: Vec<bool> = topo.links().map(|_| rng.chance(0.7)).collect();
         let usable = |l: LinkId| up[l.0 as usize];
         let (mut got, mut want) = (Vec::new(), Vec::new());
-        for at in topo.nodes.iter().map(|n| n.id) {
-            if topo.node(at).kind.is_host() {
+        for at in topo.nodes().map(|n| n.id) {
+            if topo.kind(at).is_host() {
                 assert_eq!(tables.tor_of(&topo, at), rules.tor_of(&topo, at));
             }
-            for dst in topo.nodes.iter().map(|n| n.id) {
+            for dst in topo.nodes().map(|n| n.id) {
                 rules.candidates_into(&topo, at, dst, &mut want);
                 tables.candidates_into(&topo, at, dst, &mut got);
-                assert_eq!(got, want, "{:?} -> {:?}", topo.node(at).kind, topo.node(dst).kind);
+                assert_eq!(got, want, "{:?} -> {:?}", topo.kind(at), topo.kind(dst));
                 let key = rng.next_u64_raw();
                 want.retain(|&l| usable(l));
                 assert_eq!(

@@ -37,7 +37,7 @@ proptest! {
     ) {
         let topo = cfg.build();
         let p = PodPartition::new(&topo, shards);
-        for l in topo.links.iter().filter(|l| p.shard_of(l.from) != p.shard_of(l.to)) {
+        for l in topo.links().filter(|l| p.shard_of(l.from) != p.shard_of(l.to)) {
             prop_assert!(
                 topo.node(l.from).kind.pod().is_none() || topo.node(l.to).kind.pod().is_none(),
                 "cut link {:?} joins two pods",
@@ -54,8 +54,7 @@ proptest! {
         let topo = cfg.build();
         let p = PodPartition::new(&topo, shards);
         let pods = topo
-            .nodes
-            .iter()
+            .nodes()
             .filter_map(|n| n.kind.pod())
             .max()
             .map(|p| p + 1)
@@ -66,14 +65,14 @@ proptest! {
         // Total: every node belongs to exactly one in-range shard, and no
         // shard is empty.
         let mut sizes = vec![0usize; p.shards() as usize];
-        for n in &topo.nodes {
+        for n in topo.nodes() {
             prop_assert!(p.shard_of(n.id) < p.shards());
             sizes[p.shard_of(n.id) as usize] += 1;
         }
         prop_assert!(sizes.iter().all(|&s| s > 0), "empty shard in {:?}", sizes);
         // Pod atomicity: a pod never straddles shards.
         let mut pod_shard = std::collections::HashMap::new();
-        for n in &topo.nodes {
+        for n in topo.nodes() {
             if let Some(pod) = n.kind.pod() {
                 let s = pod_shard.entry(pod).or_insert_with(|| p.shard_of(n.id));
                 prop_assert_eq!(*s, p.shard_of(n.id), "pod {} split", pod);

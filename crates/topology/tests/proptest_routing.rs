@@ -32,7 +32,7 @@ proptest! {
     fn every_sampled_pair_routes(cfg in arb_config(), key in any::<u64>()) {
         let topo = cfg.build();
         let routing = Routing::new(&cfg, &topo);
-        let nodes: Vec<_> = topo.nodes.iter().map(|n| n.id).collect();
+        let nodes: Vec<_> = topo.nodes().map(|n| n.id).collect();
         // Sample pairs (full quadratic would be slow for larger shapes).
         for i in (0..nodes.len()).step_by(5) {
             for j in (0..nodes.len()).step_by(7) {
@@ -58,8 +58,7 @@ proptest! {
         let topo = cfg.build();
         let routing = Routing::new(&cfg, &topo);
         let hosts: Vec<_> = topo
-            .nodes
-            .iter()
+            .nodes()
             .filter(|n| n.kind.is_host())
             .map(|n| n.id)
             .collect();
@@ -97,8 +96,7 @@ proptest! {
         let topo = cfg.build();
         let routing = Routing::new(&cfg, &topo);
         let hosts: Vec<_> = topo
-            .nodes
-            .iter()
+            .nodes()
             .filter(|n| n.kind.is_host())
             .map(|n| n.id)
             .collect();

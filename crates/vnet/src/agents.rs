@@ -227,6 +227,13 @@ pub trait SwitchAgent {
         0
     }
 
+    /// Bytes the agent holds behind its own pointers — its cache lines
+    /// and tables — beyond the box's inline size (the "nodes" part of the
+    /// engine's resident bytes).
+    fn resident_bytes(&self) -> usize {
+        0
+    }
+
     /// Entries currently cached, as (vip, pip) pairs (diagnostics only).
     fn entries(&self) -> Vec<(Vip, Pip)> {
         Vec::new()

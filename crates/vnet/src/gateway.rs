@@ -41,8 +41,7 @@ impl GatewayDirectory {
     /// Collects all gateway nodes from the topology.
     pub fn from_topology(topo: &Topology) -> Self {
         let gateways = topo
-            .nodes
-            .iter()
+            .nodes()
             .filter(|n| matches!(n.kind, NodeKind::Gateway { .. }))
             .map(|n| (n.id, n.pip))
             .collect();

@@ -46,8 +46,7 @@ fn main() {
         let dir = GatewayDirectory::from_topology(&topo);
         let src = topo.servers().next().unwrap().id;
         let dst = topo
-            .nodes
-            .iter()
+            .nodes()
             .find(|n| matches!(n.kind, NodeKind::Server { pod, .. } if pod == c.pods - 1))
             .unwrap()
             .id;
