@@ -135,9 +135,6 @@ fn switchv2p_variant(cfg: &SwitchV2PConfig) -> String {
             .into(),
         );
     }
-    if cfg.tor_only != d.tor_only {
-        parts.push("tor-only".into());
-    }
     if cfg.layer_weights != d.layer_weights {
         let (t, s, c) = cfg.layer_weights;
         parts.push(format!("weights={t}-{s}-{c}"));

@@ -33,11 +33,10 @@ pub struct SwitchV2PConfig {
     pub promotion: bool,
     /// Invalidation machinery (§3.3).
     pub invalidation: InvalidationMode,
-    /// Ablation (§4 "Heterogeneous memory allocation"): cache only at ToRs.
-    pub tor_only: bool,
     /// Relative memory shares per layer (ToR, spine, core); the paper's
     /// default is homogeneous (1, 1, 1). §4 leaves layer-aware allocation
-    /// to future work — these weights implement the mechanism.
+    /// to future work — these weights implement the mechanism. A layer of
+    /// weight 0 gets no cache lines ([`Self::tor_only`]).
     pub layer_weights: (f64, f64, f64),
 }
 
@@ -50,7 +49,6 @@ impl Default for SwitchV2PConfig {
             spill_only_active: false,
             promotion: true,
             invalidation: InvalidationMode::TimestampVector,
-            tor_only: false,
             layer_weights: (1.0, 1.0, 1.0),
         }
     }
@@ -97,10 +95,10 @@ impl SwitchV2PConfig {
         }
     }
 
-    /// §4's ToR-only memory allocation.
+    /// §4's ToR-only memory allocation: every line at the ToRs.
     pub fn tor_only() -> Self {
         SwitchV2PConfig {
-            tor_only: true,
+            layer_weights: (1.0, 0.0, 0.0),
             ..Default::default()
         }
     }
@@ -134,7 +132,6 @@ mod tests {
         assert_eq!(c.p_learn, 0.005);
         assert!(c.learning_packets && c.spillover && c.promotion);
         assert_eq!(c.invalidation, InvalidationMode::TimestampVector);
-        assert!(!c.tor_only);
     }
 
     #[test]
@@ -150,7 +147,7 @@ mod tests {
             SwitchV2PConfig::without_timestamp_vector().invalidation,
             InvalidationMode::NoTimestampVector
         );
-        assert!(SwitchV2PConfig::tor_only().tor_only);
+        assert_eq!(SwitchV2PConfig::tor_only().layer_weights, (1.0, 0.0, 0.0));
         assert_eq!(SwitchV2PConfig::tor_heavy().layer_weights, (4.0, 1.0, 1.0));
         assert_eq!(SwitchV2PConfig::core_heavy().layer_weights, (1.0, 1.0, 4.0));
     }

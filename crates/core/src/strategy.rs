@@ -25,12 +25,8 @@ impl Strategy for SwitchV2P {
         "SwitchV2P"
     }
 
-    fn caches_at(&self, role: SwitchRole) -> bool {
-        if self.config.tor_only {
-            matches!(role, SwitchRole::Tor | SwitchRole::GatewayTor)
-        } else {
-            true
-        }
+    fn caches_at(&self, _role: SwitchRole) -> bool {
+        true
     }
 
     fn make_switch_agent(&self, _role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
@@ -72,13 +68,43 @@ mod tests {
         assert_eq!(s.misdelivery_policy(), MisdeliveryPolicy::ToGateway);
     }
 
+    /// Entries held per layer (ToR, spine, core) after a short run.
+    fn entries_by_layer(config: SwitchV2PConfig) -> [usize; 3] {
+        use sv2p_netsim::{Engine, FlowKind, FlowSpec, SimConfig};
+        use sv2p_simcore::SimTime;
+        use sv2p_topology::{FatTreeConfig, NodeKind};
+
+        let s = SwitchV2P::new(config);
+        let mut sim = Engine::new(SimConfig::default(), &FatTreeConfig::scaled_ft8(2), &s, 512, 4);
+        let vms = sim.placement().len();
+        sim.add_flows((0..48).map(|i| FlowSpec {
+            src_vm: (i * 7) % vms,
+            dst_vm: (i * 13 + 29) % vms,
+            start: SimTime::from_micros(10 + 3 * i as u64),
+            kind: FlowKind::Tcp { bytes: 20_000 },
+        }));
+        sim.run();
+        let mut held = [0; 3];
+        for (sw, (_, entries)) in sim.topology().switches().zip(sim.cache_occupancy()) {
+            let layer = match sw.kind {
+                NodeKind::Tor { .. } => 0,
+                NodeKind::Spine { .. } => 1,
+                _ => 2,
+            };
+            held[layer] += entries;
+        }
+        held
+    }
+
     #[test]
     fn tor_only_restricts_caching() {
-        let s = SwitchV2P::new(SwitchV2PConfig::tor_only());
-        assert!(s.caches_at(SwitchRole::Tor));
-        assert!(s.caches_at(SwitchRole::GatewayTor));
-        assert!(!s.caches_at(SwitchRole::Spine));
-        assert!(!s.caches_at(SwitchRole::Core));
+        // A layer of weight 0 gets no lines, so its switches hold nothing
+        // where the default deployment caches at every layer.
+        let [tors, spines, cores] = entries_by_layer(SwitchV2PConfig::tor_only());
+        assert!(tors > 0);
+        assert_eq!((spines, cores), (0, 0));
+        let [_, spines, cores] = entries_by_layer(SwitchV2PConfig::default());
+        assert!(spines > 0 && cores > 0, "{spines} {cores}");
     }
 
     #[test]

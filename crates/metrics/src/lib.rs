@@ -322,8 +322,6 @@ impl Counters {
 /// executes.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Pod of each switch by tag (`None` for cores).
-    switch_pods: Vec<Option<u16>>,
     /// Per flow, by dense id: its record once it has started.
     flows: Vec<Option<FlowRecord>>,
     /// Distinct flows that started.
@@ -358,16 +356,9 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Creates the recorder; switches must be registered before use.
+    /// Creates the recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Registers switch `tag` (tags must be dense, registered in order) as
-    /// a switch of `pod` (`None` for cores).
-    pub fn register_switch(&mut self, tag: SwitchTag, pod: Option<u16>) {
-        assert_eq!(tag.0 as usize, self.switch_pods.len(), "tags must be dense");
-        self.switch_pods.push(pod);
     }
 
     /// Sizes the per-flow table for flow ids below `flows` (the ids are
@@ -517,16 +508,6 @@ impl Metrics {
             fct_degradation,
             time_to_recover_us,
         }
-    }
-
-    /// Total bytes processed by all switches in `pod`.
-    pub fn pod_bytes(&self, c: &Counters, pod: u16) -> u64 {
-        self.switch_pods
-            .iter()
-            .zip(&c.bytes_by_switch)
-            .filter(|(&p, _)| p == Some(pod))
-            .map(|(_, &b)| b)
-            .sum()
     }
 
     /// Derives the serializable summary from this recorder and the merged
@@ -718,17 +699,12 @@ mod tests {
     }
 
     #[test]
-    fn pod_bytes_filters_by_pod() {
-        let (mut m, mut c) = (Metrics::new(), Counters::new(3));
-        m.register_switch(SwitchTag(0), Some(0));
-        m.register_switch(SwitchTag(1), Some(0));
-        m.register_switch(SwitchTag(2), None);
+    fn total_switch_bytes_sums_every_switch() {
+        let mut c = Counters::new(3);
         c.record_switch_bytes(SwitchTag(0), 100);
         c.record_switch_bytes(SwitchTag(1), 200);
         c.record_switch_bytes(SwitchTag(2), 400);
-        assert_eq!(m.pod_bytes(&c, 0), 300);
-        assert_eq!(m.pod_bytes(&c, 1), 0);
-        assert_eq!(m.summary(&c, "x").total_switch_bytes, 700);
+        assert_eq!(Metrics::new().summary(&c, "x").total_switch_bytes, 700);
     }
 
     #[test]
@@ -951,11 +927,5 @@ mod tests {
         assert!((r.pre_fault_avg_fct_us - 50.0).abs() < 1e-9);
         assert!((r.during_fault_avg_fct_us - 150.0).abs() < 1e-9);
         assert!((r.fct_degradation - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "dense")]
-    fn sparse_switch_tags_panic() {
-        Metrics::new().register_switch(SwitchTag(3), None);
     }
 }

@@ -21,8 +21,7 @@
 //! (delivery, drop, or consumption). Debug builds verify both directions
 //! with a liveness bitmap.
 
-use sv2p_packet::{Packet, Pip};
-use sv2p_topology::{NodeId, Topology};
+use sv2p_packet::Packet;
 
 /// Handle to a live packet in the [`PacketArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,9 +31,6 @@ pub struct PacketRef(pub(crate) u32);
 #[derive(Debug, Default)]
 pub struct PacketArena {
     slots: Vec<Packet>,
-    /// Beside each slot: the outer destination PIP last resolved for its
-    /// packet and the node it addresses (`None` until the first resolve).
-    dst: Vec<Option<(Pip, Option<NodeId>)>>,
     free: Vec<u32>,
     live: usize,
     peak: usize,
@@ -55,7 +51,6 @@ impl PacketArena {
         match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = pkt;
-                self.dst[i as usize] = None;
                 #[cfg(debug_assertions)]
                 {
                     debug_assert!(!self.alive[i as usize], "reusing a live slot");
@@ -66,7 +61,6 @@ impl PacketArena {
             None => {
                 let i = u32::try_from(self.slots.len()).expect("arena overflow");
                 self.slots.push(pkt);
-                self.dst.push(None);
                 #[cfg(debug_assertions)]
                 self.alive.push(true);
                 PacketRef(i)
@@ -88,25 +82,6 @@ impl PacketArena {
         #[cfg(debug_assertions)]
         debug_assert!(self.alive[h.0 as usize], "write to a freed packet");
         &mut self.slots[h.0 as usize]
-    }
-
-    /// The node `h`'s outer destination PIP addresses, if any. A packet
-    /// crosses 5-10 switches and its PIP changes at most twice on the way
-    /// (gateway translation, cache hit), so the answer is kept beside the
-    /// packet and the topology decodes the PIP again only when the
-    /// PIP differs from the one it was given for — whoever rewrote it, and
-    /// however, needs no protocol.
-    #[inline]
-    pub fn dst_node(&mut self, h: PacketRef, topo: &Topology) -> Option<NodeId> {
-        let pip = self.get(h).outer.dst_pip;
-        match self.dst[h.0 as usize] {
-            Some((known, node)) if known == pip => node,
-            _ => {
-                let node = topo.node_by_pip(pip);
-                self.dst[h.0 as usize] = Some((pip, node));
-                node
-            }
-        }
     }
 
     /// Releases a packet at its end of life (delivered, dropped, consumed).
@@ -131,12 +106,11 @@ impl PacketArena {
         self.peak
     }
 
-    /// Resident bytes of the slots ever filled, their resolved
-    /// destinations and the free list (what a packet holds behind a pointer
-    /// of its own is not counted).
+    /// Resident bytes of the slots ever filled and the free list (what a
+    /// packet holds behind a pointer of its own is not counted).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of_val;
-        size_of_val(&*self.slots) + size_of_val(&*self.dst) + size_of_val(&*self.free)
+        size_of_val(&*self.slots) + size_of_val(&*self.free)
     }
 }
 
@@ -204,37 +178,6 @@ mod tests {
         assert_eq!(h3, h2);
         assert_eq!(a.peak(), 2, "peak must not drop");
         assert_eq!(a.live(), 1);
-    }
-
-    #[test]
-    fn dst_node_follows_rewrites_and_slot_reuse() {
-        use sv2p_topology::FatTreeConfig;
-        // FT8 and a one-pod fabric, where FT8's last server names nothing.
-        let topo = FatTreeConfig::ft8_10k().build();
-        let other = FatTreeConfig::scaled_ft8(1).build();
-        let (n1, n2) = (topo.servers().next().unwrap(), topo.servers().last().unwrap());
-        assert_eq!(other.node_by_pip(n2.pip), None);
-        let mut a = PacketArena::new();
-        let mut p = pkt(1);
-        p.outer.dst_pip = n2.pip;
-        let h = a.alloc(p.clone());
-        assert_eq!(a.dst_node(h, &topo), Some(n2.id));
-        // Another topology would answer differently: the second call did
-        // not ask.
-        assert_eq!(a.dst_node(h, &other), Some(n2.id));
-        // A rewrite through `get_mut` is noticed, whoever made it.
-        a.get_mut(h).outer.dst_pip = n1.pip;
-        assert_eq!(a.dst_node(h, &topo), Some(n1.id));
-        a.get_mut(h).outer.dst_pip = Pip(999);
-        assert_eq!(a.dst_node(h, &topo), None);
-        // A reused slot remembers nothing of its last packet, not even
-        // "n2's PIP addresses nothing" learned from the other topology.
-        a.get_mut(h).outer.dst_pip = n2.pip;
-        assert_eq!(a.dst_node(h, &other), None);
-        a.free(h);
-        let h2 = a.alloc(p);
-        assert_eq!(h2, h);
-        assert_eq!(a.dst_node(h2, &topo), Some(n2.id));
     }
 
     #[test]

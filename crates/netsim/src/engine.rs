@@ -91,16 +91,9 @@ impl Engine {
         let dir = GatewayDirectory::from_topology(&topo);
         let partition = PodPartition::new(&topo, shards);
 
-        // The switches' PIPs by tag (tags number them in enumeration
-        // order) + the master recorder's switch table.
-        let mut tag_pips = Vec::new();
-        let mut metrics = Metrics::new();
         let mut caching_switches = 0usize;
         let mut total_weight = 0.0f64;
         for sw in topo.switches() {
-            let tag = SwitchTag(tag_pips.len() as u16);
-            tag_pips.push(sw.pip);
-            metrics.register_switch(tag, sw.kind.pod());
             let role = roles.role(sw.id).expect("switch role");
             if strategy.caches_at(role) {
                 caching_switches += 1;
@@ -131,7 +124,6 @@ impl Engine {
             topo,
             routing,
             dir,
-            tag_pips,
             caching,
             misdelivery_policy: strategy.misdelivery_policy(),
             strategy_name: strategy.name().to_string(),
@@ -157,7 +149,7 @@ impl Engine {
         }
         let mut master = Master {
             events: EventQueue::new(),
-            metrics,
+            metrics: Metrics::new(),
             tracer: Tracer::new(cfg.telemetry),
             next_pkt_id: 0,
             cuts: Vec::new(),
@@ -275,19 +267,18 @@ impl Engine {
     /// ([`SwitchAgent::resident_bytes`]); what a packet or a host agent
     /// holds behind a pointer of its own is not counted, so a process's RSS
     /// growth exceeds the sum by that and by the allocator's overhead.
-    pub fn resident_bytes(&self) -> [(&'static str, usize); 8] {
+    pub fn resident_bytes(&self) -> [(&'static str, usize); 7] {
         use std::mem::{size_of, size_of_val as bytes};
         let (ctl, w) = (&self.ctl, &self.world);
         let sum = |f: &dyn Fn(&Shard) -> usize| self.shards.iter().map(f).sum::<usize>();
         let loss = ctl.loss.capacity() * (size_of::<(LinkId, (f64, u32))>() + 1);
         let per_link = bytes(&*ctl.link_up) + loss;
-        let per_node = bytes(&*ctl.blackout) + bytes(&*w.tag_pips) + bytes(&*w.caching);
+        let per_node = bytes(&*ctl.blackout) + bytes(&*w.caching);
         let classes = w.ser.iter().map(SerTable::resident_bytes).sum::<usize>();
         let flows = bytes(&*ctl.flows) + self.master.metrics.flow_table_bytes();
         [
             ("placement", ctl.placement.resident_bytes()),
             ("topology", w.topo.resident_bytes() + classes),
-            ("routing", w.routing.resident_bytes()),
             ("links", per_link + sum(&|s| s.resident_bytes().0)),
             ("nodes", per_node + sum(&|s| s.resident_bytes().1)),
             ("calendar", self.master.events.resident_bytes()),
@@ -450,7 +441,13 @@ impl Engine {
 
     /// Total bytes processed by all switches in `pod` (Figure 7).
     pub fn pod_bytes(&self, pod: u16) -> u64 {
-        self.master.metrics.pod_bytes(&self.counters(), pod)
+        let bytes = self.counters().bytes_by_switch;
+        self.world
+            .topo
+            .switches()
+            .filter(|sw| sw.kind.pod() == Some(pod))
+            .map(|sw| bytes[self.world.tag(sw.id).0 as usize])
+            .sum()
     }
 
     /// Recovery analysis of the windowed series around the fault window
@@ -918,6 +915,13 @@ mod tests {
         assert_eq!(s.flows_completed, n, "{s:?}");
         assert_eq!(s.hit_rate, 0.0);
         assert!(s.avg_stretch > 1.0);
+        // The pods' bytes and the cores' (in no pod) make up the total.
+        let pods = sim.topology().switches().filter_map(|sw| sw.kind.pod()).max().unwrap() + 1;
+        let in_pods: u64 = (0..pods).map(|p| sim.pod_bytes(p)).sum();
+        let per_switch = sim.per_switch_bytes();
+        let cores: u64 = per_switch.iter().filter(|r| r.1.pod().is_none()).map(|r| r.2).sum();
+        assert!(in_pods > 0 && cores > 0, "{in_pods} {cores}");
+        assert_eq!(in_pods + cores, s.total_switch_bytes);
     }
 
     #[test]

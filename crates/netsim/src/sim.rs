@@ -157,7 +157,7 @@ impl Shard {
             id,
             links: (0..n_owned).map(|_| LinkState::default()).collect(),
             fault_rngs: FxHashMap::default(),
-            agents: world.tag_pips.iter().map(|_| None).collect(),
+            agents: (0..world.topo.switch_count()).map(|_| None).collect(),
             // Forked by node id, not tag, so a switch's stream does not
             // depend on how the switches are numbered.
             agent_rngs: world.topo.switches().map(|sw| base_rng.fork(u64::from(sw.id.0))).collect(),
@@ -166,7 +166,7 @@ impl Shard {
             route_scratch: Vec::new(),
             flows: Vec::new(),
             gw_busy: FxHashMap::default(),
-            counters: Counters::new(world.tag_pips.len()),
+            counters: Counters::new(world.topo.switch_count()),
             traffic_matrix: FxHashMap::default(),
             world,
         }
@@ -560,7 +560,7 @@ impl Shard {
         let next = if let Some((_, uplink)) = topo.attachment(topo.kind(node)) {
             ctl.link_up[uplink.0 as usize].then_some(uplink)
         } else {
-            match self.arena.dst_node(pkt, topo) {
+            match topo.node_by_pip(self.arena.get(pkt).outer.dst_pip) {
                 Some(dst) if dst == node => {
                     self.arena.free(pkt);
                     return;
@@ -720,12 +720,10 @@ impl Shard {
             let is_data = matches!(p.kind, PacketKind::Data);
             (is_data, is_data && !p.outer.resolved, p.first_of_flow)
         };
-        // The arena remembers which node the outer destination resolved to
-        // at an earlier hop; it probes the topology again, here or in the
-        // tail, only when the PIP has been rewritten since.
         let world = &*self.world;
         let topo = &world.topo;
-        let dst_attached = self.arena.dst_node(pkt, topo).is_some_and(|dst| {
+        let dst_pip = self.arena.get(pkt).outer.dst_pip;
+        let dst_attached = topo.node_by_pip(dst_pip).is_some_and(|dst| {
             topo.attachment(topo.kind(dst)).is_some_and(|(tor, _)| tor == node)
         });
 
@@ -733,7 +731,8 @@ impl Shard {
             let pod_of = move |pip: Pip| -> Option<u16> {
                 topo.node_by_pip(pip).and_then(|n| topo.kind(n).pod())
             };
-            let pip_of_tag = move |t: SwitchTag| world.tag_pips[t.0 as usize];
+            let pip_of_tag =
+                move |t: SwitchTag| topo.switch_kind(u32::from(t.0)).expect("a switch tag").pip();
             let mut ctx = SwitchCtx {
                 now,
                 tag,

@@ -24,13 +24,10 @@ pub(crate) struct World {
     pub ser: Vec<SerTable>,
     pub routing: Routing,
     pub dir: GatewayDirectory,
-    /// Each switch's PIP, by tag. A switch's tag is its index in
-    /// `Topology::switches` order ([`World::tag`]); per-switch state is
-    /// indexed by it.
-    pub tag_pips: Vec<Pip>,
     /// Per-switch flag, by tag: a switch that actually holds cache lines
     /// (gates `CacheLookup` trace events, so non-caching switches stay
-    /// silent).
+    /// silent). A switch's tag is its index in `Topology::switches` order
+    /// ([`World::tag`]); per-switch state is indexed by it.
     pub caching: Vec<bool>,
     pub misdelivery_policy: MisdeliveryPolicy,
     pub strategy_name: String,

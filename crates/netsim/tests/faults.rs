@@ -141,7 +141,7 @@ fn a_tor_reboot_cold_starts_its_hosts() {
         let mut sim = sim_with(&OnDemand, 0);
         let (src_vm, dst_vm) = (0, sim.placement().len() - 1);
         let src = sim.placement().node_of(src_vm);
-        let tor = sim.routing().tor_of(sim.topology(), src);
+        let (tor, _) = sim.topology().attachment(sim.topology().kind(src)).unwrap();
         if reboot {
             let plan = FaultPlan::from_events([FaultEvent::SwitchReboot {
                 node: tor,

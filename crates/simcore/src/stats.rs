@@ -1,97 +1,22 @@
 //! Small statistics accumulators shared by the metrics layer and tests.
 
-/// Streaming mean/min/max/variance accumulator (Welford's algorithm).
+/// Streaming mean accumulator (Welford's update).
 #[derive(Debug, Clone, Default)]
 pub struct Running {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Running {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Running {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Adds one observation.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
+        self.mean += (x - self.mean) / self.n as f64;
     }
 
     /// Sample mean (0 if empty).
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Smallest observation (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sample standard deviation (0 if fewer than two observations).
-    pub fn stddev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Running) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n as f64;
-        let m2 =
-            self.m2 + other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.mean
     }
 }
 
@@ -154,77 +79,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn running_mean_min_max() {
-        let mut r = Running::new();
+    fn running_mean() {
+        let mut r = Running::default();
+        assert_eq!(r.mean(), 0.0);
+        r.push(7.5);
+        assert_eq!(r.mean(), 7.5);
         for x in [2.0, 4.0, 6.0] {
             r.push(x);
         }
-        assert_eq!(r.count(), 3);
-        assert!((r.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(r.min(), 2.0);
-        assert_eq!(r.max(), 6.0);
-        assert!((r.stddev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_empty_is_zero() {
-        let r = Running::new();
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.min(), 0.0);
-        assert_eq!(r.max(), 0.0);
-        assert_eq!(r.stddev(), 0.0);
-    }
-
-    #[test]
-    fn running_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i * 7 % 13) as f64).collect();
-        let mut whole = Running::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut left = Running::new();
-        let mut right = Running::new();
-        for &x in &data[..40] {
-            left.push(x);
-        }
-        for &x in &data[40..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.stddev() - whole.stddev()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn running_single_sample() {
-        let mut r = Running::new();
-        r.push(7.5);
-        assert_eq!(r.count(), 1);
-        assert_eq!(r.mean(), 7.5);
-        assert_eq!(r.min(), 7.5);
-        assert_eq!(r.max(), 7.5);
-        assert_eq!(r.stddev(), 0.0, "one sample has no spread");
-    }
-
-    #[test]
-    fn running_min_max_are_nan_free() {
-        // Empty: the sentinel infinities must never leak out.
-        let empty = Running::new();
-        for v in [empty.mean(), empty.min(), empty.max(), empty.stddev()] {
-            assert!(v.is_finite(), "empty accumulator leaked {v}");
-        }
-        // Negative-only data: min/max stay finite and ordered.
-        let mut r = Running::new();
-        r.push(-3.0);
-        r.push(-1.0);
-        assert_eq!(r.min(), -3.0);
-        assert_eq!(r.max(), -1.0);
-        assert!(r.min().is_finite() && r.max().is_finite());
-        // Merging an empty accumulator changes nothing.
-        r.merge(&Running::new());
-        assert_eq!(r.count(), 2);
-        assert_eq!(r.min(), -3.0);
+        assert!((r.mean() - 4.875).abs() < 1e-12);
     }
 
     #[test]

@@ -216,16 +216,35 @@ impl Shape {
 }
 
 /// The egress ports of one node in link-id order ([`Topology::out_links`]):
-/// at most three runs of link ids, each an arithmetic progression.
+/// at most three runs of link ids, each an arithmetic progression. Routing
+/// reads a run, or one port of it, without iterating ([`Ports::port`]).
 #[derive(Debug, Clone)]
 pub struct Ports {
-    /// `(next id, step, ids left)` of each run.
+    /// `(first id, step, count)` of each run.
     runs: [(u32, u32, u32); 3],
+    /// The iterator's place: its run, and the ports of that run it has
+    /// yielded.
     at: usize,
+    done: u32,
 }
 
 impl Ports {
     const NONE: (u32, u32, u32) = (0, 0, 0);
+
+    /// Port `i` of run `k`, as `first + step * i`, wherever the iterator is.
+    #[inline]
+    pub fn port(&self, k: usize, i: u32) -> LinkId {
+        let (first, step, count) = self.runs[k];
+        debug_assert!(i < count, "port {i} of a run of {count}");
+        LinkId(first + step * i)
+    }
+
+    /// Every port of run `k`, in order, wherever the iterator is.
+    #[inline]
+    pub fn run(&self, k: usize) -> impl ExactSizeIterator<Item = LinkId> {
+        let (first, step, count) = self.runs[k];
+        (0..count).map(move |i| LinkId(first + step * i))
+    }
 }
 
 impl Iterator for Ports {
@@ -233,19 +252,19 @@ impl Iterator for Ports {
 
     #[inline]
     fn next(&mut self) -> Option<LinkId> {
-        while let Some((next, step, left)) = self.runs.get_mut(self.at) {
-            if *left > 0 {
-                let l = *next;
-                (*next, *left) = (next.wrapping_add(*step), *left - 1);
-                return Some(LinkId(l));
+        while let Some(&(_, _, count)) = self.runs.get(self.at) {
+            if self.done < count {
+                self.done += 1;
+                return Some(self.port(self.at, self.done - 1));
             }
-            self.at += 1;
+            (self.at, self.done) = (self.at + 1, 0);
         }
         None
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.runs[self.at..].iter().map(|r| r.2 as usize).sum();
+        let left = self.runs[self.at..].iter().map(|r| r.2 as usize).sum::<usize>();
+        let n = left - self.done as usize;
         (n, Some(n))
     }
 }
@@ -388,10 +407,11 @@ impl Topology {
         (0..self.to.len() as u32).map(|i| self.link(LinkId(i)))
     }
 
-    /// The egress ports of `node`, in link-id order: a core's down to each
-    /// pod; a spine's up to its core group, then down to each rack; a
-    /// ToR's up to each spine, down to each server, then to the pod's
-    /// gateways if it is the gateway ToR; a host's one uplink.
+    /// The egress ports of `node`, in link-id order, as runs
+    /// ([`Ports::run`]): a core's down to each pod (run 0); a spine's up to
+    /// its core group (0), then down to each rack (1); a ToR's up to each
+    /// spine (0), down to each server (1), then to the pod's gateways if it
+    /// is the gateway ToR (2); a host's one uplink (0).
     pub fn out_links(&self, node: NodeId) -> Ports {
         let s = &self.shape;
         let none = Ports::NONE;
@@ -417,7 +437,7 @@ impl Topology {
                 [(up.0, 0, 1), none, none]
             }
         };
-        Ports { runs, at: 0 }
+        Ports { runs, at: 0, done: 0 }
     }
 
     /// Where a host hangs: the ToR it is attached to and its uplink to it
@@ -442,7 +462,8 @@ impl Topology {
     }
 
     /// A switch's index in [`Self::switches`] order — the cores, then pod
-    /// by pod its spines and ToRs; `None` for a host.
+    /// by pod its spines and ToRs; `None` for a host. [`Self::switch_kind`]
+    /// is its inverse.
     #[inline]
     pub fn switch_index(&self, kind: NodeKind) -> Option<u32> {
         let s = &self.shape;
@@ -453,6 +474,20 @@ impl Topology {
             NodeKind::Tor { pod, rack } => Some(pod_first(pod) + s.spines + u32::from(rack)),
             NodeKind::Server { .. } | NodeKind::Gateway { .. } => None,
         }
+    }
+
+    /// The switch at `index` in [`Self::switches`] order; `None` past the
+    /// last switch.
+    pub fn switch_kind(&self, index: u32) -> Option<NodeKind> {
+        let s = &self.shape;
+        let Some(i) = index.checked_sub(s.cores) else {
+            return Some(NodeKind::Core { idx: index as u16 });
+        };
+        let (pod, i) = (i / (s.spines + s.racks), i % (s.spines + s.racks));
+        (pod < s.pods).then(|| match i.checked_sub(s.spines) {
+            None => NodeKind::Spine { pod: pod as u16, idx: i as u16 },
+            Some(rack) => NodeKind::Tor { pod: pod as u16, rack: rack as u16 },
+        })
     }
 
     /// The node a PIP addresses, if any: the prefix names the kind, the
@@ -490,7 +525,7 @@ impl Topology {
     }
 
     /// The directed link from `a` to `b`, if adjacent: a scan of `a`'s
-    /// ports. Forwarding reads [`crate::Routing`]'s port tables, not this.
+    /// ports. Forwarding picks a port of a run ([`Ports::port`]), not this.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
         self.out_links(a).find(|&l| self.link_to(l) == b)
     }
@@ -528,6 +563,7 @@ impl Topology {
 /// [`Topology`] must equal what these tables say.
 #[cfg(test)]
 pub(crate) mod oracle {
+    use proptest::prelude::*;
     use sv2p_simcore::FxHashMap;
 
     use super::*;
@@ -597,18 +633,50 @@ pub(crate) mod oracle {
             self.out_links(a).iter().copied().find(|&l| self.links[l.0 as usize].to == b)
         }
     }
+
+    /// Any valid shape: gateway pods listed out of order, a gateway ToR
+    /// with many gateways, core groups wider than one.
+    pub fn arb_config() -> impl Strategy<Value = FatTreeConfig> {
+        (1u16..7, 1u16..6, 1u16..5, 1u16..4, 1u16..4, any::<u64>()).prop_map(
+            |(pods, racks, servers, spines, group, seed)| {
+                let mut rng = sv2p_simcore::SimRng::new(seed);
+                let mut gateway_pods: Vec<u16> = (0..pods).filter(|_| rng.chance(0.5)).collect();
+                if gateway_pods.is_empty() {
+                    gateway_pods.push(pods - 1);
+                }
+                // Shuffle, so the gateways' build order is not pod order.
+                for i in (1..gateway_pods.len()).rev() {
+                    gateway_pods.swap(i, rng.next_u64_raw() as usize % (i + 1));
+                }
+                let gateways_per_pod =
+                    gateway_pods.iter().map(|_| 1 + (rng.next_u64_raw() % 12) as u16).collect();
+                FatTreeConfig {
+                    pods,
+                    racks_per_pod: racks,
+                    servers_per_rack: servers,
+                    spines_per_pod: spines,
+                    cores: spines * group,
+                    gateway_pods,
+                    gateways_per_pod,
+                    host_link: LinkSpec::HOST_100G,
+                    fabric_link: LinkSpec::FABRIC_400G,
+                }
+            },
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
 
-    use super::oracle::TableTopology;
+    use super::oracle::{arb_config, TableTopology};
     use super::*;
 
     /// Every answer the arithmetic gives equals the tables': kinds, PIPs
-    /// and the PIP decode, links with their classes, port lists in order,
-    /// each host's ToR, uplink and downlink, and each switch's index.
+    /// and the PIP decode, links with their classes, port lists in order
+    /// and run by run, each host's ToR, uplink and downlink, and each
+    /// switch's index and its inverse.
     fn assert_matches_oracle(cfg: &FatTreeConfig) {
         let topo = cfg.build();
         let tables: TableTopology = cfg.build_tables();
@@ -623,6 +691,15 @@ mod tests {
             let ports: Vec<LinkId> = topo.out_links(n.id).collect();
             assert_eq!(ports, tables.out_links(n.id), "{n:?}");
             assert_eq!(topo.out_links(n.id).len(), ports.len());
+            let mut runs = topo.out_links(n.id);
+            runs.next(); // the accessors read the runs as built
+            let by_run: Vec<LinkId> = (0..3).flat_map(|k| runs.run(k)).collect();
+            assert_eq!(by_run, ports, "{n:?}");
+            for k in 0..3 {
+                for (i, l) in runs.run(k).enumerate() {
+                    assert_eq!(runs.port(k, i as u32), l, "{n:?} run {k}");
+                }
+            }
             if n.kind.is_host() {
                 let (tor, up) = topo.attachment(n.kind).expect("host attachment");
                 let want_tor = tables.links[tables.out_links(n.id)[0].0 as usize].to;
@@ -633,10 +710,14 @@ mod tests {
             } else {
                 assert_eq!(topo.attachment(n.kind), None);
                 assert_eq!(topo.switch_index(n.kind), Some(switches), "{n:?}");
+                assert_eq!(topo.switch_kind(switches), Some(n.kind));
                 switches += 1;
             }
         }
         assert_eq!(topo.switch_count(), switches as usize);
+        assert_eq!(topo.switch_kind(switches), None);
+        let past_the_pods = switches + u32::from(cfg.spines_per_pod) + u32::from(cfg.racks_per_pod);
+        assert_eq!(topo.switch_kind(past_the_pods), None);
         assert_names_nothing_else(cfg, &topo, &tables);
     }
 
@@ -701,37 +782,6 @@ mod tests {
         };
         assert_matches_oracle(&cfg);
         assert_eq!(cfg.build().classes().len(), 1);
-    }
-
-    /// Any valid shape: gateway pods listed out of order, a gateway ToR
-    /// with many gateways, core groups wider than one.
-    fn arb_config() -> impl Strategy<Value = FatTreeConfig> {
-        (1u16..7, 1u16..6, 1u16..5, 1u16..4, 1u16..4, any::<u64>()).prop_map(
-            |(pods, racks, servers, spines, group, seed)| {
-                let mut rng = sv2p_simcore::SimRng::new(seed);
-                let mut gateway_pods: Vec<u16> = (0..pods).filter(|_| rng.chance(0.5)).collect();
-                if gateway_pods.is_empty() {
-                    gateway_pods.push(pods - 1);
-                }
-                // Shuffle, so the gateways' build order is not pod order.
-                for i in (1..gateway_pods.len()).rev() {
-                    gateway_pods.swap(i, rng.next_u64_raw() as usize % (i + 1));
-                }
-                let gateways_per_pod =
-                    gateway_pods.iter().map(|_| 1 + (rng.next_u64_raw() % 12) as u16).collect();
-                FatTreeConfig {
-                    pods,
-                    racks_per_pod: racks,
-                    servers_per_rack: servers,
-                    spines_per_pod: spines,
-                    cores: spines * group,
-                    gateway_pods,
-                    gateways_per_pod,
-                    host_link: LinkSpec::HOST_100G,
-                    fabric_link: LinkSpec::FABRIC_400G,
-                }
-            },
-        )
     }
 
     proptest! {

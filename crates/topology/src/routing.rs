@@ -1,15 +1,16 @@
 //! Structural ECMP up-down routing.
 //!
-//! Routing is decided from node locations and per-switch port tables,
+//! Routing is decided from node locations and the topology's port runs,
 //! not from an all-pairs next-hop matrix — FT16-400K has ~14 000 nodes and
-//! a dense matrix would dwarf the caches being studied. The tables are
-//! O(switch ports): each switch's egress ports, filed by where they lead
-//! (a ToR's uplinks by spine index, a spine's downlinks by rack, ...),
-//! and a host's one port is computed from its place
-//! ([`Topology::attachment`]), so a hop is a match on two node kinds and
-//! an array index. The rules are the standard FatTree up-down ones; among
-//! equal-cost choices the flow key picks one deterministically ("Flows are
-//! balanced among multiple paths using ECMP routing", §5).
+//! a dense matrix would dwarf the caches being studied. A switch's egress
+//! ports are runs of link ids in a documented order
+//! ([`Topology::out_links`]: a ToR's uplinks by spine, a spine's core-group
+//! uplinks and then its downlinks by rack, a core's downlinks by pod), and
+//! a host's one port is computed from its place ([`Topology::attachment`]),
+//! so a hop is a match on two node kinds and a multiply-add. The rules are
+//! the standard FatTree up-down ones; among equal-cost choices the flow key
+//! picks one deterministically ("Flows are balanced among multiple paths
+//! using ECMP routing", §5).
 //!
 //! Switches are also routable destinations (invalidation packets are
 //! addressed to a switch, §3.3), which adds a few down-then-up cases that
@@ -18,105 +19,27 @@
 use crate::fattree::FatTreeConfig;
 use crate::graph::{LinkId, NodeId, NodeKind, Topology};
 
-/// Table entries no cable filled.
-const NO_LINK: LinkId = LinkId(u32::MAX);
+/// Which run of a switch's ports ([`Topology::out_links`]) holds what: a
+/// ToR's or a spine's uplinks, a spine's downlinks, a core's downlinks.
+const UP: usize = 0;
+const SPINE_DOWN: usize = 1;
+const CORE_DOWN: usize = 0;
 
-/// ECMP router over a built FatTree.
+/// ECMP router over a built FatTree: the two numbers of its shape that a
+/// port run does not carry.
 #[derive(Debug, Clone)]
 pub struct Routing {
-    /// ToR uplinks: `[(pod * racks + rack) * spines + spine idx]`.
-    tor_up: Vec<LinkId>,
-    /// Spine downlinks: `[(pod * spines + idx) * racks + rack]`.
-    spine_down: Vec<LinkId>,
-    /// Spine uplinks: `[(pod * spines + idx) * m + offset in core group]`.
-    spine_up: Vec<LinkId>,
-    /// Core downlinks: `[core idx * pods + pod]`, to its group's spine.
-    core_down: Vec<LinkId>,
     /// Cores per spine group.
-    m: usize,
-    pods: usize,
-    racks_per_pod: usize,
-    spines_per_pod: usize,
+    m: u16,
     /// The rack whose ToR a pod's gateways hang off.
-    gateway_rack: usize,
+    gateway_rack: u16,
 }
 
 impl Routing {
-    /// Resident bytes of the port tables.
-    pub fn resident_bytes(&self) -> usize {
-        let ports = [&self.tor_up, &self.spine_down, &self.spine_up, &self.core_down];
-        ports.iter().map(|v| std::mem::size_of_val(&v[..])).sum()
-    }
-
-    /// Builds the router for `topo` produced by `config.build()`: one pass
-    /// over the switch-to-switch links, each filed under its sender by
-    /// where it leads.
-    pub fn new(config: &FatTreeConfig, topo: &Topology) -> Self {
-        let pods = config.pods as usize;
-        let racks = config.racks_per_pod as usize;
-        let spines = config.spines_per_pod as usize;
-        let m = config.core_group() as usize;
-        let mut r = Routing {
-            tor_up: vec![NO_LINK; pods * racks * spines],
-            spine_down: vec![NO_LINK; pods * spines * racks],
-            spine_up: vec![NO_LINK; pods * spines * m],
-            core_down: vec![NO_LINK; config.cores as usize * pods],
-            m,
-            pods,
-            racks_per_pod: racks,
-            spines_per_pod: spines,
-            gateway_rack: config.gateway_rack() as usize,
-        };
-        for l in topo.links() {
-            match (topo.kind(l.from), topo.kind(l.to)) {
-                (from, to) if from.is_host() || to.is_host() => {}
-                (NodeKind::Tor { pod, rack }, NodeKind::Spine { idx, .. }) => {
-                    let t = r.tor_row(pod, rack);
-                    r.tor_up[t * spines + idx as usize] = l.id;
-                }
-                (NodeKind::Spine { pod, idx }, NodeKind::Tor { rack, .. }) => {
-                    let s = r.spine_row(pod, idx);
-                    r.spine_down[s * racks + rack as usize] = l.id;
-                }
-                (NodeKind::Spine { pod, idx }, NodeKind::Core { idx: c }) => {
-                    let s = r.spine_row(pod, idx);
-                    r.spine_up[s * m + c as usize % m] = l.id;
-                }
-                (NodeKind::Core { idx: c }, NodeKind::Spine { pod, .. }) => {
-                    r.core_down[c as usize * pods + pod as usize] = l.id;
-                }
-                (from, to) => panic!("not a FatTree cable: {from:?} -> {to:?}"),
-            }
-        }
-        r
-    }
-
-    #[inline]
-    fn tor_row(&self, pod: u16, rack: u16) -> usize {
-        pod as usize * self.racks_per_pod + rack as usize
-    }
-
-    #[inline]
-    fn spine_row(&self, pod: u16, idx: u16) -> usize {
-        pod as usize * self.spines_per_pod + idx as usize
-    }
-
-    /// Every uplink of ToR row `t`, by spine index.
-    #[inline]
-    fn tor_ups(&self, t: usize) -> &[LinkId] {
-        &self.tor_up[t * self.spines_per_pod..][..self.spines_per_pod]
-    }
-
-    /// Every downlink of spine row `s`, by rack.
-    #[inline]
-    fn spine_downs(&self, s: usize) -> &[LinkId] {
-        &self.spine_down[s * self.racks_per_pod..][..self.racks_per_pod]
-    }
-
-    /// The ToR a host (server or gateway) is attached to.
-    pub fn tor_of(&self, topo: &Topology, host: NodeId) -> NodeId {
-        let kind = topo.kind(host);
-        topo.attachment(kind).unwrap_or_else(|| panic!("tor_of on non-host {kind:?}")).0
+    /// The router for topologies built by `config.build()`. It reads ports
+    /// off the topology each query is given, so it keeps nothing of `_topo`.
+    pub fn new(config: &FatTreeConfig, _topo: &Topology) -> Self {
+        Routing { m: config.core_group(), gateway_rack: config.gateway_rack() }
     }
 
     /// The equal-cost egress links from `at` toward `dst` (empty iff
@@ -137,60 +60,58 @@ impl Routing {
         }
         let dst_kind = topo.kind(dst);
         let at_kind = topo.kind(at);
+        let m = u32::from(self.m);
         match at_kind {
             NodeKind::Server { .. } | NodeKind::Gateway { .. } => {
                 out.extend(topo.attachment(at_kind).map(|(_, up)| up));
             }
-            NodeKind::Tor { pod, rack } => {
-                let t = self.tor_row(pod, rack);
-                match (dst_kind, topo.attachment(dst_kind)) {
-                    // A host directly attached below me: its uplink's twin.
-                    (_, Some((tor, up))) if tor == at => out.push(up.twin()),
-                    (NodeKind::Spine { pod: dp, idx }, _) if dp == pod => {
-                        out.push(self.tor_ups(t)[idx as usize]);
-                    }
-                    // Only the spine of group idx/m reaches that core.
-                    (NodeKind::Core { idx }, _) => {
-                        out.push(self.tor_ups(t)[idx as usize / self.m]);
-                    }
-                    // Anywhere else: up to any spine of the pod.
-                    _ => out.extend_from_slice(self.tor_ups(t)),
+            NodeKind::Tor { pod, .. } => match (dst_kind, topo.attachment(dst_kind)) {
+                // A host directly attached below me: its uplink's twin.
+                (_, Some((tor, up))) if tor == at => out.push(up.twin()),
+                (NodeKind::Spine { pod: dp, idx }, _) if dp == pod => {
+                    out.push(topo.out_links(at).port(UP, u32::from(idx)));
                 }
-            }
+                // Only the spine of group idx/m reaches that core.
+                (NodeKind::Core { idx }, _) => {
+                    out.push(topo.out_links(at).port(UP, u32::from(idx) / m));
+                }
+                // Anywhere else: up to any spine of the pod.
+                _ => out.extend(topo.out_links(at).run(UP)),
+            },
             NodeKind::Spine { pod, idx } => {
-                let s = self.spine_row(pod, idx);
+                let ports = topo.out_links(at);
                 match dst_kind {
                     // Down into my pod: to the ToR, or to the host's ToR.
                     NodeKind::Server { pod: dp, rack, .. } | NodeKind::Tor { pod: dp, rack }
                         if dp == pod =>
                     {
-                        out.push(self.spine_downs(s)[rack as usize]);
+                        out.push(ports.port(SPINE_DOWN, u32::from(rack)));
                     }
                     NodeKind::Gateway { pod: dp, .. } if dp == pod => {
-                        out.push(self.spine_downs(s)[self.gateway_rack]);
+                        out.push(ports.port(SPINE_DOWN, u32::from(self.gateway_rack)));
                     }
                     // A sibling spine: bounce through any ToR below.
                     NodeKind::Spine { pod: dp, .. } if dp == pod => {
-                        out.extend_from_slice(self.spine_downs(s));
+                        out.extend(ports.run(SPINE_DOWN));
                     }
                     // A core I connect to directly; otherwise bounce down.
-                    NodeKind::Core { idx: c } if c as usize / self.m == idx as usize => {
-                        out.push(self.spine_up[s * self.m + c as usize % self.m]);
+                    NodeKind::Core { idx: c } if c / self.m == idx => {
+                        out.push(ports.port(UP, u32::from(c) % m));
                     }
-                    NodeKind::Core { .. } => out.extend_from_slice(self.spine_downs(s)),
+                    NodeKind::Core { .. } => out.extend(ports.run(SPINE_DOWN)),
                     // Another pod: up to my core group.
-                    _ => out.extend_from_slice(&self.spine_up[s * self.m..][..self.m]),
+                    _ => out.extend(ports.run(UP)),
                 }
             }
-            NodeKind::Core { idx } => {
-                let downs = &self.core_down[idx as usize * self.pods..][..self.pods];
+            NodeKind::Core { .. } => {
+                let ports = topo.out_links(at);
                 match dst_kind.pod() {
                     // Down to the dst pod through my group's spine there.
-                    Some(p) => out.push(downs[p as usize]),
+                    Some(p) => out.push(ports.port(CORE_DOWN, u32::from(p))),
                     // Core-to-core: descend into some pod and re-ascend.
                     // Rare (only mis-addressed control traffic); every
                     // pod's group spine is a candidate.
-                    None => out.extend_from_slice(downs),
+                    None => out.extend(ports.run(CORE_DOWN)),
                 }
             }
         }
@@ -259,10 +180,9 @@ fn ecmp_pick(at: NodeId, key: u64, group: &[LinkId]) -> Option<LinkId> {
     Some(group[(h % group.len() as u64) as usize])
 }
 
-/// The router as it was before the port tables: every rule resolves its
-/// next hop through `Topology::link_between`, a scan of the sender's ports.
-/// Kept as the test oracle — the tables must emit the same links in the
-/// same order.
+/// The router as it was before port runs: every rule resolves its next hop
+/// through `Topology::link_between`, a scan of the sender's ports. Kept as
+/// the test oracle — the runs must yield the same links in the same order.
 #[cfg(test)]
 mod oracle {
     use sv2p_simcore::FxHashMap;
@@ -451,6 +371,7 @@ mod oracle {
 mod tests {
     use super::*;
     use crate::fattree::FatTreeConfig;
+    use crate::graph::oracle::arb_config;
 
     fn setup() -> (FatTreeConfig, Topology, Routing) {
         let cfg = FatTreeConfig::ft8_10k();
@@ -582,7 +503,7 @@ mod tests {
         let (_, topo, r) = setup();
         let a = server(&topo, 0, 0, 0);
         let b = server(&topo, 5, 1, 0);
-        let tor = r.tor_of(&topo, a);
+        let (tor, _) = topo.attachment(topo.kind(a)).unwrap();
         // From the ToR every pod spine is a candidate; fail the one the
         // hash picks and the flow must rehash onto a different uplink.
         let s = &mut Vec::new();
@@ -616,29 +537,30 @@ mod tests {
         }
     }
 
-    /// Every ordered node pair: the tables and the `link_between` rules
-    /// name the same candidates in the same order and the same ToRs, and
-    /// the filtered ECMP pick agrees under a random link-down mask.
-    fn assert_tables_match_rules(cfg: &FatTreeConfig) {
+    /// Every ordered node pair: the port runs and the `link_between` rules
+    /// name the same candidates in the same order, a host's attachment is
+    /// the rules' ToR, and the filtered ECMP pick agrees under a random
+    /// link-down mask.
+    fn assert_runs_match_rules(cfg: &FatTreeConfig) {
         let topo = cfg.build();
-        let tables = Routing::new(cfg, &topo);
+        let runs = Routing::new(cfg, &topo);
         let rules = oracle::RuleRouting::new(cfg, &topo);
         let mut rng = sv2p_simcore::SimRng::new(7);
         let up: Vec<bool> = topo.links().map(|_| rng.chance(0.7)).collect();
         let usable = |l: LinkId| up[l.0 as usize];
         let (mut got, mut want) = (Vec::new(), Vec::new());
         for at in topo.nodes().map(|n| n.id) {
-            if topo.kind(at).is_host() {
-                assert_eq!(tables.tor_of(&topo, at), rules.tor_of(&topo, at));
+            if let Some((tor, _)) = topo.attachment(topo.kind(at)) {
+                assert_eq!(tor, rules.tor_of(&topo, at));
             }
             for dst in topo.nodes().map(|n| n.id) {
                 rules.candidates_into(&topo, at, dst, &mut want);
-                tables.candidates_into(&topo, at, dst, &mut got);
+                runs.candidates_into(&topo, at, dst, &mut got);
                 assert_eq!(got, want, "{:?} -> {:?}", topo.kind(at), topo.kind(dst));
                 let key = rng.next_u64_raw();
                 want.retain(|&l| usable(l));
                 assert_eq!(
-                    tables.next_link(&topo, at, dst, key, &usable, &mut got),
+                    runs.next_link(&topo, at, dst, key, &usable, &mut got),
                     ecmp_pick(at, key, &want)
                 );
             }
@@ -646,14 +568,14 @@ mod tests {
     }
 
     #[test]
-    fn tables_match_link_between_rules_on_scaled_ft8() {
-        assert_tables_match_rules(&FatTreeConfig::scaled_ft8(2));
+    fn runs_match_link_between_rules_on_scaled_ft8() {
+        assert_runs_match_rules(&FatTreeConfig::scaled_ft8(2));
     }
 
     #[test]
-    fn tables_match_link_between_rules_on_a_lopsided_fabric() {
+    fn runs_match_link_between_rules_on_a_lopsided_fabric() {
         // Gateways in one pod only, more racks than spines per pod, and a
-        // core group wider than one: no two table strides coincide.
+        // core group wider than one: no two run strides coincide.
         let cfg = FatTreeConfig {
             pods: 3,
             racks_per_pod: 5,
@@ -664,6 +586,17 @@ mod tests {
             gateways_per_pod: vec![3],
             ..FatTreeConfig::ft8_10k()
         };
-        assert_tables_match_rules(&cfg);
+        assert_runs_match_rules(&cfg);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Any valid shape: shuffled gateway pods, up to 12 gateways per
+        /// pod, core groups wider than one.
+        #[test]
+        fn runs_match_link_between_rules_on_random_fabrics(cfg in arb_config()) {
+            assert_runs_match_rules(&cfg);
+        }
     }
 }
