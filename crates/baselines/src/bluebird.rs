@@ -19,8 +19,8 @@ use sv2p_simcore::{FxHashMap, SimDuration, SimTime};
 use sv2p_topology::SwitchRole;
 use sv2p_vnet::agents::NoopSwitchAgent;
 use sv2p_vnet::{
-    AgentOutput, CacheOp, HostAgent, HostResolution, MisdeliveryPolicy, PacketAction, Placement,
-    Strategy, SwitchAgent, SwitchCtx,
+    AgentOutput, CacheOp, HostAgent, HostResolution, PacketAction, Placement, Strategy,
+    SwitchAgent, SwitchCtx,
 };
 use switchv2p::cache::{push_insert_ops, Admission, DirectMappedCache};
 
@@ -31,33 +31,17 @@ const CONTROL_LATENCY: SimDuration = SimDuration::from_nanos(8_500);
 /// Delay until a control-plane-resolved mapping appears in the route cache:
 /// 2 ms (§5).
 const INSERTION_LATENCY: SimDuration = SimDuration::from_millis(2);
-
-/// Bluebird model parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BluebirdConfig {
-    /// Control-link backlog limit; packets beyond it are dropped.
-    pub control_buffer_bytes: u64,
-}
-
-impl Default for BluebirdConfig {
-    fn default() -> Self {
-        BluebirdConfig {
-            control_buffer_bytes: 1024 * 1024,
-        }
-    }
-}
+/// Control-link backlog limit, 1 MiB: a miss that finds more than this
+/// queued ahead of it on the control link is dropped.
+const CONTROL_BUFFER_BYTES: u64 = 1024 * 1024;
 
 /// The Bluebird baseline.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Bluebird {
-    /// Model parameters.
-    pub config: BluebirdConfig,
-}
+pub struct Bluebird;
 
 /// ToR agent: route cache + modeled SFE.
 #[derive(Debug)]
 struct BluebirdTorAgent {
-    cfg: BluebirdConfig,
     cache: DirectMappedCache,
     /// Mappings resolved by the SFE, visible in the cache after the
     /// insertion latency.
@@ -111,7 +95,7 @@ impl SwitchAgent for BluebirdTorAgent {
         let backlog = self.control_busy_until.saturating_since(ctx.now);
         let backlog_bytes = (backlog.as_secs_f64() * CONTROL_BANDWIDTH_BPS as f64
             / 8.0) as u64;
-        if backlog_bytes > self.cfg.control_buffer_bytes {
+        if backlog_bytes > CONTROL_BUFFER_BYTES {
             out.action = PacketAction::Drop;
             return out;
         }
@@ -170,14 +154,17 @@ impl Strategy for Bluebird {
         "Bluebird"
     }
 
-    fn caches_at(&self, role: SwitchRole) -> bool {
-        matches!(role, SwitchRole::Tor | SwitchRole::GatewayTor)
+    fn cache_weight(&self, role: SwitchRole) -> f64 {
+        if matches!(role, SwitchRole::Tor | SwitchRole::GatewayTor) {
+            1.0
+        } else {
+            0.0
+        }
     }
 
     fn make_switch_agent(&self, role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
         if matches!(role, SwitchRole::Tor | SwitchRole::GatewayTor) {
             Box::new(BluebirdTorAgent {
-                cfg: self.config,
                 cache: DirectMappedCache::new(lines),
                 pending: FxHashMap::default(),
                 control_busy_until: SimTime::ZERO,
@@ -189,10 +176,6 @@ impl Strategy for Bluebird {
 
     fn make_host_agent(&self) -> Box<dyn HostAgent> {
         Box::new(BluebirdHostAgent)
-    }
-
-    fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-        MisdeliveryPolicy::FollowMe
     }
 }
 
@@ -258,7 +241,7 @@ mod tests {
     }
 
     fn agent_and_placement() -> (Box<dyn SwitchAgent>, Placement) {
-        let agent = Bluebird::default().make_switch_agent(SwitchRole::Tor, 64);
+        let agent = Bluebird.make_switch_agent(SwitchRole::Tor, 64);
         (agent, placement(6))
     }
 
@@ -299,21 +282,27 @@ mod tests {
 
     #[test]
     fn control_link_backlog_drops() {
-        let cfg = BluebirdConfig { control_buffer_bytes: 3000 };
-        let mut agent = Bluebird { config: cfg }.make_switch_agent(SwitchRole::Tor, 64);
-        let placement = placement(100);
+        let mut agent = Bluebird.make_switch_agent(SwitchRole::Tor, 64);
+        let n = 2_000;
+        let placement = placement(n);
         let mut rng = SimRng::new(1);
-        let mut dropped = 0;
-        // A burst of misses at the same instant overruns the 20G link.
-        for vm in 0..100 {
+        let wire = u64::from(unresolved(placement.vip_of(0)).wire_size());
+        let mut accepted = 0u32;
+        // A burst of misses at the same instant overruns the 20G link: about
+        // 1 MiB of them are queued, the rest dropped.
+        for vm in 0..n as usize {
             let mut p = unresolved(placement.vip_of(vm));
             let out = agent.on_packet(&mut mk_ctx(&placement, &mut rng, SimTime::ZERO), &mut p);
-            if out.action == PacketAction::Drop {
-                dropped += 1;
+            if out.action != PacketAction::Drop {
+                accepted += 1;
             }
         }
-        assert!(dropped > 0, "burst must overflow the control link");
-        assert!(dropped < 100, "early packets must survive");
+        assert!(accepted < n, "burst must overflow the control link");
+        let queued = u64::from(accepted) * wire;
+        assert!(
+            queued.abs_diff(CONTROL_BUFFER_BYTES) <= 2 * wire,
+            "{accepted} packets of {wire} B queued against a {CONTROL_BUFFER_BYTES} B buffer"
+        );
     }
 
     #[test]

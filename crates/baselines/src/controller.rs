@@ -13,8 +13,7 @@ use sv2p_simcore::FxHashMap;
 use sv2p_packet::{Packet, PacketKind, Pip, Vip};
 use sv2p_topology::{NodeId, Routing, SwitchRole, Topology};
 use sv2p_vnet::{
-    AgentOutput, GatewayDirectory, MisdeliveryPolicy, Placement as VmPlacement, Strategy,
-    SwitchAgent, SwitchCtx,
+    AgentOutput, GatewayDirectory, Placement as VmPlacement, Strategy, SwitchAgent, SwitchCtx,
 };
 
 /// The Controller baseline strategy.
@@ -77,8 +76,8 @@ impl Strategy for Controller {
         "Controller"
     }
 
-    fn caches_at(&self, _role: SwitchRole) -> bool {
-        true
+    fn cache_weight(&self, _role: SwitchRole) -> f64 {
+        1.0
     }
 
     fn make_switch_agent(&self, _role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
@@ -86,10 +85,6 @@ impl Strategy for Controller {
             capacity: lines,
             ..Default::default()
         })
-    }
-
-    fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-        MisdeliveryPolicy::FollowMe
     }
 }
 

@@ -7,7 +7,7 @@
 use sv2p_packet::{Packet, PacketKind, Pip, Vip};
 use sv2p_topology::SwitchRole;
 use sv2p_vnet::agents::NoopSwitchAgent;
-use sv2p_vnet::{AgentOutput, CacheOp, MisdeliveryPolicy, Strategy, SwitchAgent, SwitchCtx};
+use sv2p_vnet::{AgentOutput, CacheOp, Strategy, SwitchAgent, SwitchCtx};
 use switchv2p::cache::{push_insert_ops, Admission, DirectMappedCache};
 
 /// The GwCache baseline.
@@ -65,8 +65,12 @@ impl Strategy for GwCache {
         "GwCache"
     }
 
-    fn caches_at(&self, role: SwitchRole) -> bool {
-        role == SwitchRole::GatewayTor
+    fn cache_weight(&self, role: SwitchRole) -> f64 {
+        if role == SwitchRole::GatewayTor {
+            1.0
+        } else {
+            0.0
+        }
     }
 
     fn make_switch_agent(&self, role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
@@ -78,10 +82,6 @@ impl Strategy for GwCache {
             Box::new(NoopSwitchAgent)
         }
     }
-
-    fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-        MisdeliveryPolicy::FollowMe
-    }
 }
 
 #[cfg(test)]
@@ -91,14 +91,9 @@ mod tests {
     #[test]
     fn only_gateway_tors_cache() {
         let s = GwCache;
-        assert!(s.caches_at(SwitchRole::GatewayTor));
-        for role in [
-            SwitchRole::GatewaySpine,
-            SwitchRole::Tor,
-            SwitchRole::Spine,
-            SwitchRole::Core,
-        ] {
-            assert!(!s.caches_at(role), "{role:?}");
+        for role in SwitchRole::ALL {
+            let caches = role == SwitchRole::GatewayTor;
+            assert_eq!(s.cache_weight(role) > 0.0, caches, "{role:?}");
         }
     }
 

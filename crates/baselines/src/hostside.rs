@@ -3,9 +3,8 @@
 
 use sv2p_packet::{Pip, Vip};
 use sv2p_simcore::FxHashMap;
-use sv2p_topology::SwitchRole;
-use sv2p_vnet::agents::NoopSwitchAgent;
-use sv2p_vnet::{HostAgent, HostResolution, MisdeliveryPolicy, Placement, Strategy, SwitchAgent};
+use sv2p_vnet::{HostAgent, HostResolution, Placement, Strategy};
+
 /// Direct — pure host-driven: every host is preprogrammed with all mappings
 /// (the paper's best-network-performance reference; it "ignores the
 /// overheads of mapping updates", §5).
@@ -31,20 +30,8 @@ impl Strategy for Direct {
         "Direct"
     }
 
-    fn caches_at(&self, _role: SwitchRole) -> bool {
-        false
-    }
-
-    fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
-        Box::new(NoopSwitchAgent)
-    }
-
     fn make_host_agent(&self) -> Box<dyn HostAgent> {
         Box::new(DirectHostAgent)
-    }
-
-    fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-        MisdeliveryPolicy::FollowMe
     }
 }
 
@@ -88,20 +75,8 @@ impl Strategy for OnDemand {
         "OnDemand"
     }
 
-    fn caches_at(&self, _role: SwitchRole) -> bool {
-        false
-    }
-
-    fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
-        Box::new(NoopSwitchAgent)
-    }
-
     fn make_host_agent(&self) -> Box<dyn HostAgent> {
         Box::new(OnDemandHostAgent::default())
-    }
-
-    fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-        MisdeliveryPolicy::FollowMe
     }
 }
 
@@ -109,6 +84,7 @@ impl Strategy for OnDemand {
 mod tests {
     use super::*;
     use sv2p_topology::NodeId;
+    use sv2p_vnet::MisdeliveryPolicy;
 
     /// One VM, VM 0, on the server with PIP 10.
     fn placement() -> Placement {

@@ -11,7 +11,8 @@
 //! | [`controller`] | Appendix A.1/A.2 ILP | switches, centrally installed |
 //!
 //! Each implements `sv2p_vnet::Strategy` and plugs into the same simulator
-//! as SwitchV2P itself.
+//! as SwitchV2P itself. The trait's defaults are NoCache, so each states
+//! only where it caches (`cache_weight`) and which agents it runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +24,7 @@ pub mod hostside;
 pub mod local_learning;
 pub mod nocache;
 
-pub use bluebird::{Bluebird, BluebirdConfig};
+pub use bluebird::Bluebird;
 pub use controller::{Controller, ControllerDriver};
 pub use gwcache::GwCache;
 pub use hostside::{Direct, OnDemand};

@@ -4,7 +4,7 @@
 
 use sv2p_packet::{Packet, PacketKind, Pip, Vip};
 use sv2p_topology::SwitchRole;
-use sv2p_vnet::{AgentOutput, CacheOp, MisdeliveryPolicy, Strategy, SwitchAgent, SwitchCtx};
+use sv2p_vnet::{AgentOutput, CacheOp, Strategy, SwitchAgent, SwitchCtx};
 use switchv2p::cache::{push_insert_ops, Admission, DirectMappedCache};
 
 /// The LocalLearning baseline.
@@ -63,18 +63,14 @@ impl Strategy for LocalLearning {
         "LocalLearning"
     }
 
-    fn caches_at(&self, _role: SwitchRole) -> bool {
-        true
+    fn cache_weight(&self, _role: SwitchRole) -> f64 {
+        1.0
     }
 
     fn make_switch_agent(&self, _role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
         Box::new(LocalLearningAgent {
             cache: DirectMappedCache::new(lines),
         })
-    }
-
-    fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-        MisdeliveryPolicy::FollowMe
     }
 }
 

@@ -1,9 +1,10 @@
 //! NoCache — the pure gateway design (Andromeda's Hoverboard model without
-//! host offloading): every packet detours through a translation gateway.
+//! host offloading): every packet detours through a translation gateway,
+//! and the old host forwards a misdelivered packet by the follow-me rule
+//! installed before the move (§3.3/§5.2). These are the defaults of
+//! [`Strategy`], so the scheme is its name.
 
-use sv2p_topology::SwitchRole;
-use sv2p_vnet::agents::NoopSwitchAgent;
-use sv2p_vnet::{MisdeliveryPolicy, Strategy, SwitchAgent};
+use sv2p_vnet::Strategy;
 
 /// The NoCache baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -13,36 +14,20 @@ impl Strategy for NoCache {
     fn name(&self) -> &'static str {
         "NoCache"
     }
-
-    fn caches_at(&self, _role: SwitchRole) -> bool {
-        false
-    }
-
-    fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
-        Box::new(NoopSwitchAgent)
-    }
-
-    fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-        // Andromeda installs a follow-me rule before migrating (§3.3/§5.2).
-        MisdeliveryPolicy::FollowMe
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sv2p_topology::SwitchRole;
+    use sv2p_vnet::MisdeliveryPolicy;
 
     #[test]
     fn caches_nowhere() {
         let s = NoCache;
-        for role in [
-            SwitchRole::GatewayTor,
-            SwitchRole::GatewaySpine,
-            SwitchRole::Tor,
-            SwitchRole::Spine,
-            SwitchRole::Core,
-        ] {
-            assert!(!s.caches_at(role));
+        for role in SwitchRole::ALL {
+            assert_eq!(s.cache_weight(role), 0.0, "{role:?}");
+            assert_eq!(s.make_switch_agent(role, 64).occupancy(), 0);
         }
         assert_eq!(s.misdelivery_policy(), MisdeliveryPolicy::FollowMe);
     }

@@ -99,7 +99,7 @@ fn local_learning_hits_everywhere_but_less_effectively() {
 
 #[test]
 fn bluebird_resolves_at_tors_without_gateways() {
-    let s = run(&Bluebird::default(), 1024, 150);
+    let s = run(&Bluebird, 1024, 150);
     assert_eq!(s.gateway_packets, 0, "Bluebird has no gateways");
     assert_eq!(s.flows, s.flows_completed, "{s:?}");
     // Control-plane detours are not cache hits; hits only appear once the
@@ -114,7 +114,7 @@ fn bluebird_resolves_at_tors_without_gateways() {
 #[test]
 fn bluebird_detour_is_not_a_hop() {
     let ft = FatTreeConfig::scaled_ft8(2);
-    let mut sim = Engine::new(SimConfig::default(), &ft, &Bluebird::default(), 1024, 4);
+    let mut sim = Engine::new(SimConfig::default(), &ft, &Bluebird, 1024, 4);
     let (src_vm, dst_vm) = (0, sim.placement().len() - 1);
     let (src, dst) = (sim.placement().node_of(src_vm), sim.placement().node_of(dst_vm));
     assert_eq!(sim.routing().switch_hops(sim.topology(), src, dst, 0), 5);
@@ -134,7 +134,7 @@ fn bluebird_detour_is_not_a_hop() {
 fn bluebird_first_packets_are_slower_than_direct() {
     // The SFE detour (8.5 µs + 20 Gb/s queue) must show up in first-packet
     // latency relative to Direct, which resolves at the host for free.
-    let bb = run(&Bluebird::default(), 1024, 150);
+    let bb = run(&Bluebird, 1024, 150);
     let d = run(&Direct, 0, 150);
     assert!(
         bb.avg_first_packet_latency_us > d.avg_first_packet_latency_us,

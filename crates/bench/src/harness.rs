@@ -3,7 +3,7 @@
 use sv2p_metrics::RunSummary;
 use sv2p_netsim::{ChurnPlan, ChurnSpec, Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::{FxHashMap, SimDuration, SimTime};
-use sv2p_topology::FatTreeConfig;
+use sv2p_topology::{FatTreeConfig, SwitchRole};
 use sv2p_traces::{FlowProfile, TraceFlow};
 use sv2p_transport::UdpSchedule;
 use sv2p_vnet::{Migration, Strategy};
@@ -43,7 +43,7 @@ impl StrategyKind {
             StrategyKind::NoCache => Box::new(NoCache),
             StrategyKind::LocalLearning => Box::new(LocalLearning),
             StrategyKind::GwCache => Box::new(GwCache),
-            StrategyKind::Bluebird => Box::new(Bluebird::default()),
+            StrategyKind::Bluebird => Box::new(Bluebird),
             StrategyKind::OnDemand => Box::new(OnDemand),
             StrategyKind::Direct => Box::new(Direct),
             StrategyKind::Controller => Box::new(Controller),
@@ -52,27 +52,17 @@ impl StrategyKind {
         }
     }
 
-    /// Display name.
+    /// Display name: the built scheme's [`Strategy::name`].
     pub fn name(self) -> &'static str {
-        match self {
-            StrategyKind::NoCache => "NoCache",
-            StrategyKind::LocalLearning => "LocalLearning",
-            StrategyKind::GwCache => "GwCache",
-            StrategyKind::Bluebird => "Bluebird",
-            StrategyKind::OnDemand => "OnDemand",
-            StrategyKind::Direct => "Direct",
-            StrategyKind::Controller => "Controller",
-            StrategyKind::SwitchV2P | StrategyKind::SwitchV2PWith(_) => "SwitchV2P",
-        }
+        self.build().name()
     }
 
-    /// True if the scheme's behavior depends on the cache-size axis
-    /// (cache-free baselines are run once per sweep).
+    /// True if the scheme's behavior depends on the cache-size axis: some
+    /// switch role has a [`Strategy::cache_weight`] above 0 (cache-free
+    /// baselines are run once per sweep).
     pub fn cache_sensitive(self) -> bool {
-        !matches!(
-            self,
-            StrategyKind::NoCache | StrategyKind::OnDemand | StrategyKind::Direct
-        )
+        let s = self.build();
+        SwitchRole::ALL.into_iter().any(|role| s.cache_weight(role) > 0.0)
     }
 
     /// The §5.1 comparison set (Figures 5–6).
@@ -110,9 +100,6 @@ impl StrategyKind {
 fn switchv2p_variant(cfg: &SwitchV2PConfig) -> String {
     let d = SwitchV2PConfig::default();
     let mut parts: Vec<String> = Vec::new();
-    if cfg.p_learn != d.p_learn {
-        parts.push(format!("p-learn={}", cfg.p_learn));
-    }
     if cfg.learning_packets != d.learning_packets {
         parts.push("no-learning".into());
     }
@@ -716,6 +703,75 @@ mod tests {
         // Two pods: the partitioner clamps four to the pods plus the
         // core's shard.
         assert_eq!(spec(4).build().shards(), 3);
+    }
+
+    /// Where a scheme caches is stated once, by `Strategy::cache_weight`:
+    /// the sweep's cache axis follows it, a switch whose role weighs 0
+    /// holds nothing after a run with a budget, and every data-plane
+    /// learner fills some switch. Covers Figure 5's set, Controller, and
+    /// the SwitchV2P variants that `ablations` and `table4` run.
+    #[test]
+    fn cache_weight_alone_says_where_a_scheme_caches() {
+        let variants = [
+            SwitchV2PConfig::without_learning_packets(),
+            SwitchV2PConfig::without_spillover(),
+            SwitchV2PConfig::without_promotion(),
+            SwitchV2PConfig::tor_only(),
+            SwitchV2PConfig {
+                spill_only_active: true,
+                ..Default::default()
+            },
+            SwitchV2PConfig::tor_heavy(),
+            SwitchV2PConfig::core_heavy(),
+            SwitchV2PConfig::without_invalidations(),
+            SwitchV2PConfig::without_timestamp_vector(),
+        ];
+        let kinds = StrategyKind::figure5_set()
+            .into_iter()
+            .chain([StrategyKind::Controller])
+            .chain(variants.map(StrategyKind::SwitchV2PWith));
+        // Hadoop's endpoints and arrivals, each flow cut to 20 KB, in two
+        // waves 3 ms apart: the second finds Bluebird's insertions, 2 ms
+        // after the first wave's misses, in its caches.
+        let wave: Vec<TraceFlow> = hadoop(&HadoopConfig {
+            vms: 256,
+            flows: 48,
+            hosts: 128,
+            ..Default::default()
+        })
+        .into_iter()
+        .map(|f| TraceFlow {
+            profile: FlowProfile::Tcp {
+                bytes: f.bytes().min(20_000),
+            },
+            ..f
+        })
+        .collect();
+        let later = wave.iter().map(|f| TraceFlow {
+            start_ns: f.start_ns + 3_000_000,
+            ..*f
+        });
+        let flows: Vec<TraceFlow> = wave.iter().copied().chain(later).collect();
+        for kind in kinds {
+            let (s, id) = (kind.build(), kind.id());
+            let weighs = |role: SwitchRole| s.cache_weight(role) > 0.0;
+            assert_eq!(kind.cache_sensitive(), SwitchRole::ALL.into_iter().any(weighs), "{id}");
+            let spec = ExperimentSpec {
+                flows: flows.clone(),
+                ..tiny_spec(kind, 128)
+            };
+            let mut sim = spec.build();
+            sim.run();
+            let mut held = 0;
+            for (sw, (_, entries)) in sim.topology().switches().zip(sim.cache_occupancy()) {
+                let role = sim.roles().role(sw.id).expect("switch role");
+                assert!(weighs(role) || entries == 0, "{id}: {entries} at a {role:?}");
+                held += entries;
+            }
+            // Controller's lines are filled only by its driver.
+            let learns = kind.cache_sensitive() && kind != StrategyKind::Controller;
+            assert_eq!(held > 0, learns, "{id} holds {held} entries");
+        }
     }
 
     #[test]

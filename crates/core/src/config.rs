@@ -17,11 +17,8 @@ pub enum InvalidationMode {
 /// Protocol knobs. Defaults are the paper's evaluation configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchV2PConfig {
-    /// Probability that a gateway ToR turns a processed packet into a
-    /// learning packet ("0.5% of all the traffic passing through the gateway
-    /// switch", §5).
-    pub p_learn: f64,
-    /// Generate learning packets at gateway ToRs.
+    /// Generate learning packets at gateway ToRs (at rate
+    /// [`crate::agent::P_LEARN`]).
     pub learning_packets: bool,
     /// Piggyback evicted entries for downstream reinsertion (§3.2.2).
     pub spillover: bool,
@@ -43,7 +40,6 @@ pub struct SwitchV2PConfig {
 impl Default for SwitchV2PConfig {
     fn default() -> Self {
         SwitchV2PConfig {
-            p_learn: 0.005,
             learning_packets: true,
             spillover: true,
             spill_only_active: false,
@@ -129,7 +125,6 @@ mod tests {
     #[test]
     fn default_matches_paper_setup() {
         let c = SwitchV2PConfig::default();
-        assert_eq!(c.p_learn, 0.005);
         assert!(c.learning_packets && c.spillover && c.promotion);
         assert_eq!(c.invalidation, InvalidationMode::TimestampVector);
     }

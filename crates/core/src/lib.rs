@@ -39,7 +39,7 @@ pub mod cache;
 pub mod config;
 pub mod strategy;
 
-pub use agent::{SwitchV2PAgent, BASE_RTT};
+pub use agent::{SwitchV2PAgent, BASE_RTT, P_LEARN};
 pub use cache::{Admission, DirectMappedCache, InsertOutcome};
 pub use config::{InvalidationMode, SwitchV2PConfig};
 pub use strategy::SwitchV2P;

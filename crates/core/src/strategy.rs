@@ -25,10 +25,6 @@ impl Strategy for SwitchV2P {
         "SwitchV2P"
     }
 
-    fn caches_at(&self, _role: SwitchRole) -> bool {
-        true
-    }
-
     fn make_switch_agent(&self, _role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
         Box::new(SwitchV2PAgent::new(lines, self.config))
     }
@@ -43,8 +39,9 @@ impl Strategy for SwitchV2P {
     }
 
     fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-        // Old hosts re-forward to the gateway; the in-network caches repair
-        // themselves via tags and invalidation packets (§5.2).
+        // The one scheme without a follow-me rule: old hosts re-forward to
+        // the gateway, and the in-network caches repair themselves via tags
+        // and invalidation packets (§5.2).
         MisdeliveryPolicy::ToGateway
     }
 }
@@ -56,14 +53,8 @@ mod tests {
     #[test]
     fn default_caches_everywhere() {
         let s = SwitchV2P::default();
-        for role in [
-            SwitchRole::GatewayTor,
-            SwitchRole::GatewaySpine,
-            SwitchRole::Tor,
-            SwitchRole::Spine,
-            SwitchRole::Core,
-        ] {
-            assert!(s.caches_at(role), "{role:?}");
+        for role in SwitchRole::ALL {
+            assert_eq!(s.cache_weight(role), 1.0, "{role:?}");
         }
         assert_eq!(s.misdelivery_policy(), MisdeliveryPolicy::ToGateway);
     }

@@ -91,23 +91,16 @@ impl Engine {
         let dir = GatewayDirectory::from_topology(&topo);
         let partition = PodPartition::new(&topo, shards);
 
-        let mut caching_switches = 0usize;
-        let mut total_weight = 0.0f64;
-        for sw in topo.switches() {
-            let role = roles.role(sw.id).expect("switch role");
-            if strategy.caches_at(role) {
-                caching_switches += 1;
-                total_weight += strategy.cache_weight(role);
-            }
-        }
+        let total_weight: f64 = topo
+            .switches()
+            .map(|sw| strategy.cache_weight(roles.role(sw.id).expect("switch role")))
+            .sum();
         // Budget split: switch i gets total * w_i / sum(w) lines (the
-        // homogeneous default reduces to total / #switches, §5).
+        // homogeneous default reduces to total / #switches, §5); a weight
+        // of 0 gets none.
         let lines_for = |role: SwitchRole| -> usize {
-            if total_cache_entries == 0 || caching_switches == 0 || !strategy.caches_at(role) {
-                return 0;
-            }
             let w = strategy.cache_weight(role);
-            if total_weight <= 0.0 || w <= 0.0 {
+            if total_cache_entries == 0 || total_weight <= 0.0 || w <= 0.0 {
                 return 0;
             }
             ((total_cache_entries as f64 * w / total_weight) as usize).max(1)
@@ -792,26 +785,16 @@ mod tests {
     use crate::flows::FlowKind;
     use sv2p_packet::Packet;
     use sv2p_transport::UdpSchedule;
-    use sv2p_vnet::agents::NoopSwitchAgent;
-    use sv2p_vnet::{AgentOutput, MisdeliveryPolicy, SwitchCtx};
+    use sv2p_vnet::{AgentOutput, SwitchCtx};
 
-    /// The plain gateway design: no caching anywhere (the NoCache baseline
-    /// lives in `sv2p-baselines`; this local twin keeps netsim's tests
-    /// self-contained).
+    /// The plain gateway design, which is `Strategy`'s defaults (the
+    /// NoCache baseline lives in `sv2p-baselines`; this local twin keeps
+    /// netsim's tests self-contained).
     struct TestNoCache;
 
     impl Strategy for TestNoCache {
         fn name(&self) -> &'static str {
             "TestNoCache"
-        }
-        fn caches_at(&self, _role: SwitchRole) -> bool {
-            false
-        }
-        fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
-            Box::new(NoopSwitchAgent)
-        }
-        fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-            MisdeliveryPolicy::FollowMe
         }
     }
 
@@ -1019,9 +1002,6 @@ mod tests {
         impl Strategy for Weighted {
             fn name(&self) -> &'static str {
                 "Weighted"
-            }
-            fn caches_at(&self, _role: SwitchRole) -> bool {
-                true
             }
             fn cache_weight(&self, role: SwitchRole) -> f64 {
                 match role {

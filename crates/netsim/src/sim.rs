@@ -554,8 +554,11 @@ impl Shard {
     /// and frees it if that is the switch itself (the agent chose not to
     /// consume it). A packet with nowhere to go — its uplink down, no
     /// usable port, or an address that names nothing (e.g. a Bluebird
-    /// packet no ToR translated) — is dropped `Unroutable`.
+    /// packet no ToR translated) — is dropped `Unroutable`. Debug builds
+    /// first check the packet against its byte-level wire format.
     fn send_on<F: Effects>(&mut self, ctl: &Control, fx: &mut F, node: NodeId, pkt: PacketRef) {
+        #[cfg(debug_assertions)]
+        certify_wire(self.arena.get(pkt));
         let topo = &self.world.topo;
         let next = if let Some((_, uplink)) = topo.attachment(topo.kind(node)) {
             ctl.link_up[uplink.0 as usize].then_some(uplink)
@@ -715,15 +718,22 @@ impl Shard {
         let (tag, now) = (self.world.tag_of(kind).expect("switch tag"), fx.now());
         let role = ctl.roles.role(node).expect("switch role");
         let trace = fx.tracing();
-        let (is_data, was_unresolved, first_of_flow) = {
+        let (is_data, was_unresolved, first_of_flow, learning_dst) = {
             let p = self.arena.get(pkt);
             let is_data = matches!(p.kind, PacketKind::Data);
-            (is_data, is_data && !p.outer.resolved, p.first_of_flow)
+            let learning = matches!(p.kind, PacketKind::Learning(_));
+            (
+                is_data,
+                is_data && !p.outer.resolved,
+                p.first_of_flow,
+                learning.then_some(p.outer.dst_pip),
+            )
         };
         let world = &*self.world;
         let topo = &world.topo;
-        let dst_pip = self.arena.get(pkt).outer.dst_pip;
-        let dst_attached = topo.node_by_pip(dst_pip).is_some_and(|dst| {
+        // Only a learning packet's consumer reads this, so a data packet's
+        // hop decodes its destination once, in `send_on`.
+        let dst_attached = learning_dst.and_then(|pip| topo.node_by_pip(pip)).is_some_and(|dst| {
             topo.attachment(topo.kind(dst)).is_some_and(|(tor, _)| tor == node)
         });
 
@@ -1055,4 +1065,16 @@ impl Shard {
         }
         self.send_on(ctl, fx, node, pkt);
     }
+}
+
+/// The wire certification of every forwarded packet: its encoding is
+/// exactly as long as the `wire_size` the links serialize, and decoding it
+/// gives back every wire-visible field (`sv2p_packet::wire`).
+#[cfg(debug_assertions)]
+fn certify_wire(p: &Packet) {
+    use sv2p_packet::wire;
+    let bytes = wire::encode(p);
+    assert_eq!(bytes.len(), p.wire_size() as usize, "encoded length of {p:?}");
+    let back = wire::decode(bytes).unwrap_or_else(|e| panic!("{p:?} does not decode: {e}"));
+    assert!(wire::wire_eq(p, &back), "{p:?} decodes as {back:?}");
 }

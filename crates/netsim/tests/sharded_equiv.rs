@@ -16,7 +16,7 @@ use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::{FatTreeConfig, LinkId, NodeId, SwitchRole};
 use sv2p_transport::UdpSchedule;
 use sv2p_vnet::agents::NoopSwitchAgent;
-use sv2p_vnet::{AgentOutput, Migration, MisdeliveryPolicy, Strategy, SwitchAgent, SwitchCtx};
+use sv2p_vnet::{AgentOutput, Migration, Strategy, SwitchAgent, SwitchCtx};
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
 fn cfg_with_telemetry() -> SimConfig {
@@ -177,9 +177,6 @@ impl Strategy for CopyingSpines {
     fn name(&self) -> &'static str {
         "CopyingSpines"
     }
-    fn caches_at(&self, _role: SwitchRole) -> bool {
-        false
-    }
     fn make_switch_agent(&self, role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
         match role {
             SwitchRole::Spine | SwitchRole::GatewaySpine => Box::new(CopyUp {
@@ -187,9 +184,6 @@ impl Strategy for CopyingSpines {
             }),
             _ => Box::new(NoopSwitchAgent),
         }
-    }
-    fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-        MisdeliveryPolicy::FollowMe
     }
 }
 

@@ -126,8 +126,7 @@ fn get_ipv4(buf: &mut Bytes) -> Result<Ipv4, WireError> {
     if buf.remaining() < 20 {
         return Err(WireError::Truncated);
     }
-    let header: Vec<u8> = buf[..20].to_vec();
-    if internet_checksum(&header) != 0 {
+    if internet_checksum(&buf[..20]) != 0 {
         return Err(WireError::BadChecksum);
     }
     let ver_ihl = buf.get_u8();

@@ -40,6 +40,15 @@ pub enum Layer {
 }
 
 impl SwitchRole {
+    /// Every role, in Table 1's order.
+    pub const ALL: [SwitchRole; 5] = [
+        SwitchRole::GatewayTor,
+        SwitchRole::GatewaySpine,
+        SwitchRole::Tor,
+        SwitchRole::Spine,
+        SwitchRole::Core,
+    ];
+
     /// Human-readable name as used in the paper's tables.
     pub fn name(self) -> &'static str {
         match self {

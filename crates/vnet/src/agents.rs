@@ -3,8 +3,11 @@
 //! The simulator (`sv2p-netsim`) is translation-scheme agnostic: every
 //! scheme — SwitchV2P itself and each baseline of §5 — is a [`Strategy`]
 //! that fabricates per-switch [`SwitchAgent`]s and per-server
-//! [`HostAgent`]s. Agents are sans-IO state machines: they mutate the packet
-//! in place (translate, tag, attach/strip options) and return an
+//! [`HostAgent`]s. The trait's defaults are the NoCache baseline, so a
+//! scheme overrides only what differs from it: where it caches
+//! ([`Strategy::cache_weight`] above 0), its agents, and — SwitchV2P alone —
+//! its misdelivery policy. Agents are sans-IO state machines: they mutate
+//! the packet in place (translate, tag, attach/strip options) and return an
 //! [`AgentOutput`] describing what the data plane should do next; the
 //! simulator owns queues, links, and the clock.
 //!
@@ -45,8 +48,10 @@ pub struct SwitchCtx<'a> {
     /// If the packet entered from a directly-attached host port, that host's
     /// PIP (the front-panel port-to-PIP mapping of §3.3).
     pub ingress_host: Option<Pip>,
-    /// True if the packet's current outer destination is a host attached to
-    /// this switch (used by ToRs to consume learning packets).
+    /// True if the packet is a learning packet whose outer destination is a
+    /// host attached to this switch (ToRs consume it there); false for every
+    /// other packet, so the simulator decodes the address only when it
+    /// matters.
     pub dst_attached: bool,
     /// Control-plane ground truth: [`Placement::lookup`] is what a VIP
     /// resolves to now (see struct docs).
@@ -295,30 +300,31 @@ pub enum MisdeliveryPolicy {
     ToGateway,
 }
 
-/// A complete translation scheme.
+/// A complete translation scheme. Every default is the NoCache baseline —
+/// no cache lines, switches that only forward, hosts that send through a
+/// gateway, a follow-me rule for misdelivered packets — so a scheme states
+/// only how it differs.
 pub trait Strategy {
     /// Scheme name as used in the paper's figures ("SwitchV2P", "NoCache"…).
     fn name(&self) -> &'static str;
 
-    /// True if switches with this role hold a cache. The harness divides
-    /// the experiment's aggregate cache budget equally among caching
-    /// switches ("the cache size per switch is 1/#switches of the total
-    /// cache", §5).
-    fn caches_at(&self, role: SwitchRole) -> bool;
-
     /// Relative share of the aggregate cache budget a switch of this role
-    /// receives (§4 "Heterogeneous memory allocation"). The default is the
-    /// paper's homogeneous split; schemes may weight layers differently.
-    /// Ignored for roles where `caches_at` is false.
+    /// receives: switch *i* gets `total * w_i / sum(w)` lines, so equal
+    /// weights are the paper's homogeneous split ("the cache size per
+    /// switch is 1/#switches of the total cache", §5) and unequal ones §4's
+    /// heterogeneous allocation. A weight of 0, the default, means no cache
+    /// lines: a weight above 0 is what marks where a scheme caches.
     fn cache_weight(&self, _role: SwitchRole) -> f64 {
-        1.0
+        0.0
     }
 
     /// Builds the agent for one switch. `role` is the switch's role at
     /// construction and only selects the agent type; `lines` is the
-    /// per-switch direct-mapped cache capacity in entries (0 for non-caching
-    /// switches).
-    fn make_switch_agent(&self, role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent>;
+    /// per-switch direct-mapped cache capacity in entries (0 where the
+    /// role's weight is 0). Defaults to a switch that only forwards.
+    fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
+        Box::new(NoopSwitchAgent)
+    }
 
     /// Builds the agent for one sending server. Defaults to the plain
     /// gateway-driven host.
@@ -326,9 +332,10 @@ pub trait Strategy {
         Box::new(GatewayHostAgent)
     }
 
-    /// Misdelivery handling after VM migration.
+    /// Misdelivery handling after VM migration. Defaults to the follow-me
+    /// rule installed before the move (§3.3, §5.2).
     fn misdelivery_policy(&self) -> MisdeliveryPolicy {
-        MisdeliveryPolicy::ToGateway
+        MisdeliveryPolicy::FollowMe
     }
 }
 
@@ -343,8 +350,8 @@ impl HostAgent for GatewayHostAgent {
     }
 }
 
-/// A switch that does nothing (NoCache, and non-ToR switches in GwCache /
-/// Bluebird).
+/// A switch that does nothing: every switch of a scheme that does not say
+/// otherwise (NoCache, and non-ToR switches in GwCache / Bluebird).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopSwitchAgent;
 

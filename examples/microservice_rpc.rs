@@ -49,14 +49,7 @@ fn main() {
         "scheme", "hit rate", "avg FCT", "first packet", "hits by layer (C/S/T)"
     );
     for strategy in [&NoCache as &dyn Strategy, &GwCache, &SwitchV2P::default()] {
-        let budget = if strategy.caches_at(switchv2p_repro::topology::SwitchRole::Tor)
-            || strategy.caches_at(switchv2p_repro::topology::SwitchRole::GatewayTor)
-        {
-            cache
-        } else {
-            0
-        };
-        let mut sim = Engine::new(SimConfig::default(), &ft, strategy, budget, vms_per_server);
+        let mut sim = Engine::new(SimConfig::default(), &ft, strategy, cache, vms_per_server);
         sim.add_flows(flows.clone());
         sim.run();
         let s = sim.summary();

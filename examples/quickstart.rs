@@ -35,8 +35,8 @@ fn main() {
         })
         .collect();
 
-    // Aggregate cache budget: 50% of the address space, split over all
-    // switches.
+    // Aggregate cache budget: 50% of the address space, split over the
+    // switches where a scheme caches (NoCache caches nowhere).
     let cache_entries = 256;
 
     println!("SwitchV2P quickstart — {} flows over {} VMs\n", flows.len(), 512);
@@ -45,17 +45,8 @@ fn main() {
         "scheme", "hit rate", "avg FCT", "first packet", "gw packets", "stretch"
     );
     for strategy in [&NoCache as &dyn Strategy, &SwitchV2P::default()] {
-        let mut sim = Engine::new(
-            SimConfig::default(),
-            &ft,
-            strategy,
-            if strategy.caches_at(switchv2p_repro::topology::SwitchRole::Tor) {
-                cache_entries
-            } else {
-                0
-            },
-            vms_per_server,
-        );
+        let mut sim =
+            Engine::new(SimConfig::default(), &ft, strategy, cache_entries, vms_per_server);
         sim.add_flows(flows.clone());
         sim.run();
         let s = sim.summary();

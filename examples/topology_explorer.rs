@@ -29,13 +29,7 @@ fn main() {
         let roles = RoleMap::classify(&topo);
         let counts = roles.counts();
         print!("  roles:");
-        for role in [
-            SwitchRole::GatewayTor,
-            SwitchRole::GatewaySpine,
-            SwitchRole::Tor,
-            SwitchRole::Spine,
-            SwitchRole::Core,
-        ] {
+        for role in SwitchRole::ALL {
             print!(" {}={}", role.name(), counts.get(&role).copied().unwrap_or(0));
         }
         println!();
