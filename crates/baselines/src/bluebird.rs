@@ -17,7 +17,6 @@
 use sv2p_packet::{Packet, PacketKind, Pip, Vip};
 use sv2p_simcore::{FxHashMap, SimDuration, SimTime};
 use sv2p_topology::SwitchRole;
-use sv2p_vnet::agents::NoopSwitchAgent;
 use sv2p_vnet::{
     AgentOutput, CacheOp, HostAgent, HostResolution, PacketAction, Placement, Strategy,
     SwitchAgent, SwitchCtx,
@@ -162,16 +161,12 @@ impl Strategy for Bluebird {
         }
     }
 
-    fn make_switch_agent(&self, role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
-        if matches!(role, SwitchRole::Tor | SwitchRole::GatewayTor) {
-            Box::new(BluebirdTorAgent {
-                cache: DirectMappedCache::new(lines),
-                pending: FxHashMap::default(),
-                control_busy_until: SimTime::ZERO,
-            })
-        } else {
-            Box::new(NoopSwitchAgent)
-        }
+    fn make_switch_agent(&self, _role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
+        Box::new(BluebirdTorAgent {
+            cache: DirectMappedCache::new(lines),
+            pending: FxHashMap::default(),
+            control_busy_until: SimTime::ZERO,
+        })
     }
 
     fn make_host_agent(&self) -> Box<dyn HostAgent> {

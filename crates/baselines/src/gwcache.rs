@@ -6,7 +6,6 @@
 
 use sv2p_packet::{Packet, PacketKind, Pip, Vip};
 use sv2p_topology::SwitchRole;
-use sv2p_vnet::agents::NoopSwitchAgent;
 use sv2p_vnet::{AgentOutput, CacheOp, Strategy, SwitchAgent, SwitchCtx};
 use switchv2p::cache::{push_insert_ops, Admission, DirectMappedCache};
 
@@ -73,14 +72,10 @@ impl Strategy for GwCache {
         }
     }
 
-    fn make_switch_agent(&self, role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
-        if role == SwitchRole::GatewayTor {
-            Box::new(GwCacheAgent {
-                cache: DirectMappedCache::new(lines),
-            })
-        } else {
-            Box::new(NoopSwitchAgent)
-        }
+    fn make_switch_agent(&self, _role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
+        Box::new(GwCacheAgent {
+            cache: DirectMappedCache::new(lines),
+        })
     }
 }
 
@@ -95,13 +90,5 @@ mod tests {
             let caches = role == SwitchRole::GatewayTor;
             assert_eq!(s.cache_weight(role) > 0.0, caches, "{role:?}");
         }
-    }
-
-    #[test]
-    fn non_gateway_agents_are_noops() {
-        let s = GwCache;
-        let agent = s.make_switch_agent(SwitchRole::Spine, 100);
-        assert_eq!(agent.occupancy(), 0);
-        assert!(agent.entries().is_empty());
     }
 }

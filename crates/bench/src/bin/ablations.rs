@@ -32,7 +32,7 @@ fn main() {
 
     for (dataset, flows) in [
         ("Hadoop", hadoop(&scale.hadoop())),
-        ("Video", video(&scale.video())),
+        ("Video", video(scale.video_ns())),
     ] {
         println!("Ablations on {dataset} (cache 50%)\n");
         println!(

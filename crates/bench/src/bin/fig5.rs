@@ -19,7 +19,7 @@ fn run_dataset(name: &str, scale: Scale, seed: u64) {
         "hadoop" => hadoop(&scale.hadoop()),
         "websearch" => websearch(&scale.websearch()),
         "microbursts" => microbursts(&scale.microbursts()),
-        "video" => video(&scale.video()),
+        "video" => video(scale.video_ns()),
         other => {
             eprintln!("unknown dataset {other}");
             std::process::exit(2);

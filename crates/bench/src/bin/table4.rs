@@ -17,7 +17,7 @@ fn main() {
     // server on FT8-10K).
     let dst_vm = 0usize;
     let senders: Vec<usize> = (1..=64).map(|i| i * 80).collect();
-    let flows = incast(&scale.incast(), &senders, dst_vm);
+    let flows = incast(&senders, dst_vm);
     let cache = scale.analysis_cache_entries();
 
     let variants: Vec<(&str, StrategyKind, usize)> = vec![

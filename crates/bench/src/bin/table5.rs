@@ -22,7 +22,7 @@ fn main() {
         ("Hadoop", hadoop(&scale.hadoop())),
         ("WebSearch", websearch(&scale.websearch())),
         ("Microbursts", microbursts(&scale.microbursts())),
-        ("Video", video(&scale.video())),
+        ("Video", video(scale.video_ns())),
     ] {
         let spec = ExperimentSpec::builder(scale.ft8(), StrategyKind::SwitchV2P)
             .flows(flows)

@@ -50,7 +50,7 @@ fn main() {
             describe("Alibaba", &alibaba(&cfg), dump)
         }
         "microbursts" => describe("Microbursts", &microbursts(&scale.microbursts()), dump),
-        "video" => describe("Video", &video(&scale.video()), dump),
+        "video" => describe("Video", &video(scale.video_ns()), dump),
         other => {
             eprintln!("unknown dataset {other}");
             std::process::exit(2);

@@ -170,16 +170,6 @@ pub fn profile_dir() -> Option<&'static Path> {
     args().output.profile.as_deref()
 }
 
-/// The telemetry configuration implied by the CLI: tracing on exactly when
-/// `--telemetry DIR` was given.
-pub fn telemetry_cfg() -> sv2p_telemetry::TelemetryConfig {
-    if telemetry_dir().is_some() {
-        sv2p_telemetry::TelemetryConfig::enabled()
-    } else {
-        sv2p_telemetry::TelemetryConfig::disabled()
-    }
-}
-
 /// "quick" or "full", for manifest rows.
 pub fn scale_str() -> &'static str {
     match args().scale {

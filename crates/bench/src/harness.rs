@@ -222,15 +222,14 @@ impl ExperimentSpec {
     /// with `--telemetry DIR` (see [`crate::cli`]).
     pub fn build(&self) -> Engine {
         let strategy = self.strategy.build();
-        let mut cfg = SimConfig {
+        let cfg = SimConfig {
             seed: self.seed,
-            end_of_time: self.end_of_time_us.map(SimTime::from_micros),
-            telemetry: crate::cli::telemetry_cfg(),
-            profile: self.profile,
+            gateway_queue_cap: self.gateway_queue_cap,
             record_traffic_matrix: self.strategy == StrategyKind::Controller,
-            ..SimConfig::default()
+            end_of_time: self.end_of_time_us.map(SimTime::from_micros),
+            telemetry: crate::cli::telemetry_dir().is_some(),
+            profile: self.profile,
         };
-        cfg.gateway.queue_cap = self.gateway_queue_cap;
         let mut sim = Engine::sharded(
             cfg,
             &self.topology,
@@ -658,7 +657,10 @@ pub fn drop_breakdown(s: &RunSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sv2p_telemetry::EventKind;
+    use sv2p_topology::NodeId;
     use sv2p_traces::{hadoop, HadoopConfig};
+    use sv2p_vnet::{HostAgent, MisdeliveryPolicy, SwitchAgent};
 
     fn tiny_spec(strategy: StrategyKind, cache: usize) -> ExperimentSpec {
         ExperimentSpec::builder(FatTreeConfig::scaled_ft8(2), strategy)
@@ -705,13 +707,9 @@ mod tests {
         assert_eq!(spec(4).build().shards(), 3);
     }
 
-    /// Where a scheme caches is stated once, by `Strategy::cache_weight`:
-    /// the sweep's cache axis follows it, a switch whose role weighs 0
-    /// holds nothing after a run with a budget, and every data-plane
-    /// learner fills some switch. Covers Figure 5's set, Controller, and
-    /// the SwitchV2P variants that `ablations` and `table4` run.
-    #[test]
-    fn cache_weight_alone_says_where_a_scheme_caches() {
+    /// Figure 5's set, Controller, and the SwitchV2P variants that
+    /// `ablations` and `table4` run.
+    fn every_kind() -> impl Iterator<Item = StrategyKind> {
         let variants = [
             SwitchV2PConfig::without_learning_packets(),
             SwitchV2PConfig::without_spillover(),
@@ -726,13 +724,16 @@ mod tests {
             SwitchV2PConfig::without_invalidations(),
             SwitchV2PConfig::without_timestamp_vector(),
         ];
-        let kinds = StrategyKind::figure5_set()
+        StrategyKind::figure5_set()
             .into_iter()
             .chain([StrategyKind::Controller])
-            .chain(variants.map(StrategyKind::SwitchV2PWith));
-        // Hadoop's endpoints and arrivals, each flow cut to 20 KB, in two
-        // waves 3 ms apart: the second finds Bluebird's insertions, 2 ms
-        // after the first wave's misses, in its caches.
+            .chain(variants.map(StrategyKind::SwitchV2PWith))
+    }
+
+    /// Hadoop's endpoints and arrivals, each flow cut to 20 KB, in two
+    /// waves 3 ms apart: the second finds Bluebird's insertions, 2 ms after
+    /// the first wave's misses, in its caches.
+    fn two_waves() -> Vec<TraceFlow> {
         let wave: Vec<TraceFlow> = hadoop(&HadoopConfig {
             vms: 256,
             flows: 48,
@@ -751,8 +752,17 @@ mod tests {
             start_ns: f.start_ns + 3_000_000,
             ..*f
         });
-        let flows: Vec<TraceFlow> = wave.iter().copied().chain(later).collect();
-        for kind in kinds {
+        wave.iter().copied().chain(later).collect()
+    }
+
+    /// Where a scheme caches is stated once, by `Strategy::cache_weight`:
+    /// the sweep's cache axis follows it, a switch whose role weighs 0
+    /// holds nothing after a run with a budget, and every data-plane
+    /// learner fills some switch.
+    #[test]
+    fn cache_weight_alone_says_where_a_scheme_caches() {
+        let flows = two_waves();
+        for kind in every_kind() {
             let (s, id) = (kind.build(), kind.id());
             let weighs = |role: SwitchRole| s.cache_weight(role) > 0.0;
             assert_eq!(kind.cache_sensitive(), SwitchRole::ALL.into_iter().any(weighs), "{id}");
@@ -771,6 +781,65 @@ mod tests {
             // Controller's lines are filled only by its driver.
             let learns = kind.cache_sensitive() && kind != StrategyKind::Controller;
             assert_eq!(held > 0, learns, "{id} holds {held} entries");
+        }
+    }
+
+    /// A scheme, recording every role the engine asks it for an agent.
+    struct Asked {
+        inner: Box<dyn Strategy>,
+        roles: std::cell::RefCell<Vec<SwitchRole>>,
+    }
+
+    impl Strategy for Asked {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn cache_weight(&self, role: SwitchRole) -> f64 {
+            self.inner.cache_weight(role)
+        }
+        fn make_switch_agent(&self, role: SwitchRole, lines: usize) -> Box<dyn SwitchAgent> {
+            self.roles.borrow_mut().push(role);
+            self.inner.make_switch_agent(role, lines)
+        }
+        fn make_host_agent(&self) -> Box<dyn HostAgent> {
+            self.inner.make_host_agent()
+        }
+        fn misdelivery_policy(&self) -> MisdeliveryPolicy {
+            self.inner.misdelivery_policy()
+        }
+    }
+
+    /// The engine places agents, not the schemes: it asks a scheme for one
+    /// only where the role weighs above 0, and a switch anywhere else just
+    /// forwards — over a traced run it holds nothing and looks up, learns,
+    /// invalidates and serves nothing.
+    #[test]
+    fn a_switch_whose_role_weighs_0_leaves_packets_untouched() {
+        let flows = two_waves();
+        for kind in every_kind() {
+            let asked = Asked {
+                inner: kind.build(),
+                roles: Default::default(),
+            };
+            let weighs = |role: SwitchRole| asked.cache_weight(role) > 0.0;
+            let cfg = SimConfig {
+                telemetry: true,
+                ..SimConfig::default()
+            };
+            let mut sim = Engine::new(cfg, &FatTreeConfig::scaled_ft8(2), &asked, 128, 2);
+            let id = kind.id();
+            assert!(asked.roles.borrow().iter().all(|&r| weighs(r)), "{id}: {:?}", asked.roles);
+            sim.add_flows(to_flow_specs(&flows, sim.placement().len()));
+            sim.run();
+            let idle = |node: u32| sim.roles().role(NodeId(node)).is_some_and(|r| !weighs(r));
+            for (sw, (_, entries)) in sim.topology().switches().zip(sim.cache_occupancy()) {
+                assert!(!idle(sw.id.0) || entries == 0, "{id}: {entries} at {sw:?}");
+            }
+            let touched = sim.tracer().events().find(|e| {
+                e.node.is_some_and(idle)
+                    && !matches!(e.kind, EventKind::SwitchIngress | EventKind::Drop)
+            });
+            assert!(touched.is_none(), "{id}: {touched:?}");
         }
     }
 

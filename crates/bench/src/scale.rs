@@ -8,9 +8,7 @@
 //! analytic-link engine (a quick figure takes seconds to minutes).
 
 use sv2p_topology::FatTreeConfig;
-use sv2p_traces::{
-    AlibabaConfig, HadoopConfig, IncastConfig, MicroburstsConfig, VideoConfig, WebSearchConfig,
-};
+use sv2p_traces::{AlibabaConfig, HadoopConfig, MicroburstsConfig, WebSearchConfig};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,7 +65,6 @@ impl Scale {
             Scale::Quick => WebSearchConfig {
                 active_vms: Some(512),
                 flows: 400,
-                ..Default::default()
             },
             Scale::Full => WebSearchConfig::default(),
         }
@@ -82,20 +79,16 @@ impl Scale {
                 vms: 1_024,
                 bursts: 1_500,
                 mean_burst_ns: 12_000,
-                ..Default::default()
             },
             Scale::Full => MicroburstsConfig::default(),
         }
     }
 
-    /// Video trace parameters.
-    pub fn video(self) -> VideoConfig {
+    /// How long the video streams run (ns): 20 ms quick, 100 ms full.
+    pub fn video_ns(self) -> u64 {
         match self {
-            Scale::Quick => VideoConfig {
-                duration_ns: 20_000_000,
-                ..Default::default()
-            },
-            Scale::Full => VideoConfig::default(),
+            Scale::Quick => 20_000_000,
+            Scale::Full => 100_000_000,
         }
     }
 
@@ -122,11 +115,6 @@ impl Scale {
                 32,
             ),
         }
-    }
-
-    /// Incast parameters for the migration study.
-    pub fn incast(self) -> IncastConfig {
-        IncastConfig::default()
     }
 
     /// The active address count the cache fraction is measured against.

@@ -12,7 +12,6 @@
 use sv2p_bench::harness::{to_flow_specs, StrategyKind};
 use sv2p_netsim::{ChurnPlan, ChurnSpec, SimConfig, Engine};
 use sv2p_simcore::SimTime;
-use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::FatTreeConfig;
 use sv2p_traces::{FlowProfile, TraceFlow};
 
@@ -35,7 +34,7 @@ fn run_once(seed: u64) -> (u64, String, String) {
     let cfg = SimConfig {
         seed,
         end_of_time: Some(SimTime::from_micros(50_000)),
-        telemetry: TelemetryConfig::enabled(),
+        telemetry: true,
         ..SimConfig::default()
     };
     let ft = FatTreeConfig::scaled_ft8(2);
@@ -85,10 +84,10 @@ fn run_once_churned(seed: u64) -> (u64, String, String) {
     let mut cfg = SimConfig {
         seed,
         end_of_time: Some(SimTime::from_micros(40_000)),
-        telemetry: TelemetryConfig::enabled(),
+        telemetry: true,
         ..SimConfig::default()
     };
-    cfg.gateway.queue_cap = 32;
+    cfg.gateway_queue_cap = 32;
     let ft = FatTreeConfig::scaled_ft8(2);
     let strategy = StrategyKind::SwitchV2P.build();
     let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), 128, 8);

@@ -85,7 +85,7 @@ use sv2p_bench::harness::{to_flow_specs, StrategyKind};
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::{ChurnPlan, ChurnSpec, Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::{SimDuration, SimTime};
-use sv2p_telemetry::{deterministic_projection, ProfileMeta, TelemetryConfig};
+use sv2p_telemetry::{deterministic_projection, ProfileMeta};
 use sv2p_topology::{FatTreeConfig, LinkId};
 use sv2p_traces::{hadoop, FlowProfile, HadoopConfig, TraceFlow};
 use sv2p_transport::UdpSchedule;
@@ -253,7 +253,7 @@ fn tcp_udp_mix(vms: usize, n: usize) -> Vec<FlowSpec> {
 
 fn telemetry_cfg() -> SimConfig {
     SimConfig {
-        telemetry: TelemetryConfig::enabled(),
+        telemetry: true,
         ..SimConfig::default()
     }
 }
@@ -421,11 +421,11 @@ fn bench_scenario(
             let mut cfg = SimConfig {
                 seed,
                 end_of_time: Some(SimTime::from_micros(end_us)),
-                telemetry: TelemetryConfig::enabled(),
+                telemetry: true,
                 profile: true,
                 ..SimConfig::default()
             };
-            cfg.gateway.queue_cap = queue_cap;
+            cfg.gateway_queue_cap = queue_cap;
             let ft = FatTreeConfig::scaled_ft8(2);
             let strategy = StrategyKind::SwitchV2P.build();
             let mut sim = Engine::new(cfg, &ft, strategy.as_ref(), cache, vms_per_server);
@@ -446,7 +446,7 @@ fn scenarios() -> Vec<Scenario> {
     let ft = FatTreeConfig::scaled_ft8(2);
     let n_servers = ft.build().servers().count();
     let mut churn_cfg = telemetry_cfg();
-    churn_cfg.gateway.queue_cap = 16;
+    churn_cfg.gateway_queue_cap = 16;
     vec![
         equiv_scenario(
             "switchv2p",

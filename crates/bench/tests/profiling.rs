@@ -15,7 +15,7 @@ use sv2p_bench::harness::to_flow_specs;
 use sv2p_bench::harness::StrategyKind;
 use sv2p_netsim::{Engine, SimConfig};
 use sv2p_simcore::SimTime;
-use sv2p_telemetry::{deterministic_projection, Phase, ProfileMeta, TelemetryConfig};
+use sv2p_telemetry::{deterministic_projection, Phase, ProfileMeta};
 use sv2p_topology::FatTreeConfig;
 use sv2p_traces::{hadoop, HadoopConfig};
 
@@ -26,7 +26,7 @@ fn engine(profile: bool) -> Engine {
     let cfg = SimConfig {
         seed: 1,
         end_of_time: Some(SimTime::from_micros(50_000)),
-        telemetry: TelemetryConfig::enabled(),
+        telemetry: true,
         profile,
         ..SimConfig::default()
     };

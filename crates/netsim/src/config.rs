@@ -4,23 +4,26 @@
 //! `sv2p_vnet::GATEWAY_PROCESSING`, `switchv2p::BASE_RTT`).
 
 use sv2p_simcore::SimTime;
-use sv2p_telemetry::TelemetryConfig;
-use sv2p_vnet::GatewayConfig;
 
 /// Parameters an experiment sets.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// Experiment seed; forked into independent per-component streams.
     pub seed: u64,
-    /// Gateway overload model (the ingress-queue cap).
-    pub gateway: GatewayConfig,
+    /// Gateway overload model: how many packets may wait for translation
+    /// while one is in service. `0` (the default, and every figure but
+    /// `churn`) models an infinitely parallel gateway — every packet is
+    /// translated after exactly `GATEWAY_PROCESSING`. A non-zero cap turns
+    /// each gateway into a single-server queue that sheds arrivals (drop
+    /// cause `gateway-shed`) once the queue is full.
+    pub gateway_queue_cap: u32,
     /// Record the per-(src,dst) packet matrix (Controller baseline input).
     pub record_traffic_matrix: bool,
     /// Hard stop; events after this instant are not executed.
     pub end_of_time: Option<SimTime>,
     /// Structured tracing and time-series sampling (off by default; when
     /// off the layer costs one branch per emission point).
-    pub telemetry: TelemetryConfig,
+    pub telemetry: bool,
     /// Engine self-profiling: wall-clock phase timers + occupancy
     /// histograms (off by default; when off the profiler costs one branch
     /// per phase boundary and the engines never read the host clock).
@@ -33,10 +36,10 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 1,
-            gateway: GatewayConfig::default(),
+            gateway_queue_cap: 0,
             record_traffic_matrix: false,
             end_of_time: None,
-            telemetry: TelemetryConfig::disabled(),
+            telemetry: false,
             profile: false,
         }
     }
@@ -56,6 +59,6 @@ mod tests {
         assert_eq!(switchv2p::BASE_RTT, SimDuration::from_micros(12));
         assert_eq!(MISDELIVERY_PENALTY, SimDuration::from_micros(10));
         assert_eq!(TcpConfig::reorder_tolerant().dupack_threshold, 300);
-        assert_eq!(SimConfig::default().gateway.queue_cap, 0);
+        assert_eq!(SimConfig::default().gateway_queue_cap, 0);
     }
 }

@@ -17,7 +17,7 @@ use sv2p_metrics::Metrics;
 use sv2p_packet::{Packet, PacketId};
 use sv2p_simcore::{EventQueue, SimDuration, SimTime};
 use sv2p_telemetry::profile::{HistKind, Phase, Profiler};
-use sv2p_telemetry::{TraceEvent, Tracer};
+use sv2p_telemetry::{TraceEvent, Tracer, SAMPLE_EVERY_NS};
 use sv2p_topology::{LinkId, NodeId};
 
 use crate::arena::PacketRef;
@@ -210,10 +210,9 @@ impl Master {
         if !std::mem::take(&mut self.sampler_idle) {
             return;
         }
-        let period = self.tracer.config().sample_every_ns;
-        let next = self.tracer.samples.last().map_or(0, |s| s.t_ns + period);
+        let next = self.tracer.samples.last().map_or(0, |s| s.t_ns + SAMPLE_EVERY_NS);
         let now = self.events.now().as_nanos();
-        let at = SimTime::from_nanos(now.next_multiple_of(period).max(next));
+        let at = SimTime::from_nanos(now.next_multiple_of(SAMPLE_EVERY_NS).max(next));
         self.events.schedule_at(at, Event::TelemetrySample);
     }
 }

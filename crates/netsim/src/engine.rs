@@ -27,11 +27,12 @@ use sv2p_metrics::{Counters, Metrics, RecoveryReport, RunSummary};
 use sv2p_packet::{Pip, SwitchTag, Vip};
 use sv2p_simcore::{EventQueue, FxHashMap, SimDuration, SimTime};
 use sv2p_telemetry::profile::Profiler;
-use sv2p_telemetry::{EventKind, Sample, TraceEvent, Tracer};
+use sv2p_telemetry::{EventKind, Sample, TraceEvent, Tracer, SAMPLE_EVERY_NS};
 use sv2p_topology::{
     FatTreeConfig, Layer, LinkId, NodeId, NodeKind, PodPartition, RoleMap, Routing, SwitchRole,
     Topology,
 };
+use sv2p_vnet::agents::NoopSwitchAgent;
 use sv2p_vnet::{CacheOp, GatewayDirectory, Migration, Placement, Strategy, SwitchAgent};
 
 use crate::churn::{ChurnMark, ChurnPlan};
@@ -130,9 +131,16 @@ impl Engine {
             let owner = &mut shards[world.shard_of(node.id)];
             match node.kind {
                 k if k.is_switch() => {
+                    // A scheme is asked for an agent only where it caches;
+                    // every other switch just forwards. The choice is made
+                    // here, once: a later role change keeps the agent.
                     let role = roles.role(node.id).expect("switch role");
-                    owner.agents[world.tag(node.id).0 as usize] =
-                        Some(strategy.make_switch_agent(role, lines_for(role)));
+                    let agent: Box<dyn SwitchAgent> = if strategy.cache_weight(role) > 0.0 {
+                        strategy.make_switch_agent(role, lines_for(role))
+                    } else {
+                        Box::new(NoopSwitchAgent)
+                    };
+                    owner.agents[world.tag(node.id).0 as usize] = Some(agent);
                 }
                 NodeKind::Server { .. } => {
                     owner.host_agents[node.id.0 as usize] = Some(strategy.make_host_agent());
@@ -148,7 +156,7 @@ impl Engine {
             cuts: Vec::new(),
             sampler_idle: false,
         };
-        if master.tracer.enabled() && master.tracer.config().sample_every_ns > 0 {
+        if master.tracer.enabled() {
             // First snapshot at t = 0; workload events scheduled later at the
             // same instant run after it (the calendar is FIFO at equal times).
             master
@@ -675,7 +683,7 @@ pub(crate) fn exec_global(ctl: &mut Control, master: &mut Master, shards: &mut [
             // keeps an otherwise-finished run alive; a registration wakes
             // it (`Master::wake_sampler`).
             if pending_events > 0 {
-                let period = SimDuration::from_nanos(master.tracer.config().sample_every_ns);
+                let period = SimDuration::from_nanos(SAMPLE_EVERY_NS);
                 master.events.schedule_in(period, Event::TelemetrySample);
             } else {
                 master.sampler_idle = true;
@@ -1049,7 +1057,7 @@ mod tests {
     #[test]
     fn telemetry_traces_lifecycle_and_samples() {
         let mut sim = sim_with(SimConfig {
-            telemetry: sv2p_telemetry::TelemetryConfig::enabled(),
+            telemetry: true,
             ..SimConfig::default()
         });
         sim.add_flows([FlowSpec {

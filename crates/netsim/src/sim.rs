@@ -133,7 +133,7 @@ pub(crate) struct Shard {
     route_scratch: Vec<LinkId>,
     pub flows: Vec<FlowXport>,
     /// The gateways in service under the bounded-queue overload model
-    /// (`GatewayConfig::queue_cap > 0`; legacy unbounded mode otherwise),
+    /// (`SimConfig::gateway_queue_cap > 0`; legacy unbounded mode otherwise),
     /// each with the packets waiting behind the one in service. An idle
     /// gateway has no entry.
     pub gw_busy: FxHashMap<NodeId, VecDeque<PacketRef>>,
@@ -854,7 +854,7 @@ impl Shard {
         if let Some(ev) = self.packet_event(fx, EventKind::GatewayIngress, pkt, node) {
             fx.trace(ev);
         }
-        let cap = self.world.cfg.gateway.queue_cap as usize;
+        let cap = self.world.cfg.gateway_queue_cap as usize;
         if cap == 0 {
             // Legacy unbounded model: every packet is processed
             // concurrently after the fixed service delay.
@@ -876,7 +876,7 @@ impl Shard {
     /// the next queued packet into processing (or clears the busy flag).
     /// No-op in the legacy unbounded model.
     fn gateway_pop_next<F: Effects>(&mut self, fx: &mut F, node: NodeId) {
-        if self.world.cfg.gateway.queue_cap == 0 {
+        if self.world.cfg.gateway_queue_cap == 0 {
             return;
         }
         let waiting = self.gw_busy.get_mut(&node).expect("a gateway in service");

@@ -4,7 +4,6 @@
 
 use sv2p_netsim::{ChurnPlan, ChurnSpec, FlowKind, FlowSpec, SimConfig, Engine};
 use sv2p_simcore::SimTime;
-use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::FatTreeConfig;
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
@@ -80,7 +79,7 @@ fn churn_marks_hit_metrics_and_telemetry() {
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
     let ft = FatTreeConfig::scaled_ft8(2);
     let cfg = SimConfig {
-        telemetry: TelemetryConfig::enabled(),
+        telemetry: true,
         ..SimConfig::default()
     };
     let mut sim = Engine::new(cfg, &ft, &strategy, 1024, 4);

@@ -7,7 +7,7 @@ use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use sv2p_simcore::{SimDuration, SimTime};
 use sv2p_topology::{FatTreeConfig, LinkId, NodeId, SwitchRole};
-use sv2p_vnet::{GatewayConfig, Migration, Strategy};
+use sv2p_vnet::{Migration, Strategy};
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
 fn sim_with(strategy: &dyn Strategy, cache_entries: usize) -> Engine {
@@ -108,7 +108,7 @@ fn gateway_outage_rides_the_rto_until_restoration() {
 #[test]
 fn an_outage_mid_service_frees_a_bounded_gateway() {
     let cfg = SimConfig {
-        gateway: GatewayConfig { queue_cap: 4 },
+        gateway_queue_cap: 4,
         // A guard: behind a wedged gateway the senders retry for ever.
         end_of_time: Some(SimTime::from_millis(100)),
         ..SimConfig::default()

@@ -9,7 +9,6 @@ use sv2p_metrics::{Counters, RunSummary};
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::{SimDuration, SimTime};
-use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::{FatTreeConfig, NodeId, NodeKind};
 use sv2p_transport::UdpSchedule;
 use sv2p_vnet::{Migration, Strategy};
@@ -20,7 +19,7 @@ const FIRST_FLOW_US: u64 = 500;
 
 fn cfg_with_telemetry() -> SimConfig {
     SimConfig {
-        telemetry: TelemetryConfig::enabled(),
+        telemetry: true,
         ..SimConfig::default()
     }
 }

@@ -12,16 +12,14 @@ use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::{ChurnPlan, ChurnSpec, Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_packet::{Packet, PacketKind, Pip, Vip};
 use sv2p_simcore::{SimDuration, SimTime};
-use sv2p_telemetry::TelemetryConfig;
 use sv2p_topology::{FatTreeConfig, LinkId, NodeId, SwitchRole};
 use sv2p_transport::UdpSchedule;
-use sv2p_vnet::agents::NoopSwitchAgent;
 use sv2p_vnet::{AgentOutput, Migration, Strategy, SwitchAgent, SwitchCtx};
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
 fn cfg_with_telemetry() -> SimConfig {
     SimConfig {
-        telemetry: TelemetryConfig::enabled(),
+        telemetry: true,
         ..SimConfig::default()
     }
 }
@@ -170,20 +168,26 @@ impl SwitchAgent for CopyUp {
 }
 
 /// NoCache with copying spines; a copy dies at the server it reaches (no
-/// VM there has its VIP, and no follow-me rule knows it).
+/// VM there has its VIP, and no follow-me rule knows it). The spines weigh
+/// above 0 so that the engine asks for their agent; run with no budget,
+/// they hold no lines.
 struct CopyingSpines(CopyUp);
 
 impl Strategy for CopyingSpines {
     fn name(&self) -> &'static str {
         "CopyingSpines"
     }
-    fn make_switch_agent(&self, role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
-        match role {
-            SwitchRole::Spine | SwitchRole::GatewaySpine => Box::new(CopyUp {
-                servers: self.0.servers,
-            }),
-            _ => Box::new(NoopSwitchAgent),
+    fn cache_weight(&self, role: SwitchRole) -> f64 {
+        if matches!(role, SwitchRole::Spine | SwitchRole::GatewaySpine) {
+            1.0
+        } else {
+            0.0
         }
+    }
+    fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
+        Box::new(CopyUp {
+            servers: self.0.servers,
+        })
     }
 }
 
@@ -316,7 +320,7 @@ fn churned_run_matches_oracle() {
     let strategy = SwitchV2P::new(SwitchV2PConfig::default());
     let ft = FatTreeConfig::scaled_ft8(2);
     let mut cfg = cfg_with_telemetry();
-    cfg.gateway.queue_cap = 16;
+    cfg.gateway_queue_cap = 16;
     let probe = Engine::sharded(cfg, &ft, &strategy, 1024, 4, 1);
     let servers: Vec<_> = probe.topology().servers().map(|n| (n.id, n.pip)).collect();
     let spec = ChurnSpec::medium(7, 2_000);

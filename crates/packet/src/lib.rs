@@ -10,12 +10,16 @@
 //! * [`options`] — the typed tunnel options ([`TunnelOptions`]);
 //! * [`wire`] — a byte-level encode/decode of the full outer + shim + inner
 //!   layout, round-trip property-tested, so every piggybacked field provably
-//!   fits an on-wire representation. Only its own property test calls it:
+//!   fits an on-wire representation. In a debug build the simulator also
+//!   runs every packet it forwards through it (`certify_wire` in
+//!   `sv2p-netsim`'s `sim.rs`): the encoding must be exactly
+//!   [`Packet::wire_size`] bytes and decode to a wire-equal packet.
 //!   `sv2p-p4model` sizes its PHV from [`TunnelOptions`] and
 //!   [`packet::HEADER_OVERHEAD`], not from this module.
 //!
-//! The simulator itself passes structured packets (parsing per hop would only
-//! burn cycles), but the wire module keeps the protocol honest.
+//! The simulator itself forwards structured packets (parsing per hop would
+//! only burn cycles, so a release build never encodes one), but the wire
+//! module keeps the protocol honest.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

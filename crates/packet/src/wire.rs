@@ -1,8 +1,10 @@
 //! Byte-level wire format: outer IPv4, tunnel shim with option TLVs, inner
 //! IPv4, inner transport header.
 //!
-//! The simulator never serializes packets on the hot path, but this module
-//! proves that the protocol state SwitchV2P piggybacks has a concrete,
+//! A release build of the simulator never serializes packets on the hot
+//! path; a debug build encodes and decodes every packet it forwards, to
+//! certify the length links serialize and the round trip. Either way this
+//! module proves that the protocol state SwitchV2P piggybacks has a concrete,
 //! bounded on-wire representation, and it gives the property tests something
 //! sharp to bite on: `decode(encode(p))` must preserve every wire-visible
 //! field, and corrupted inputs must be rejected, never mis-parsed.

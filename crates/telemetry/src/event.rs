@@ -254,46 +254,17 @@ impl Sample {
     }
 }
 
-/// Telemetry knobs, embedded in the simulator's `SimConfig`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryConfig {
-    /// Master gate. When false the tracer records nothing, the sampler
-    /// schedules no events, and agents skip cache-op bookkeeping — the
-    /// entire layer costs one predictable branch per emission point.
-    pub enabled: bool,
-    /// Ring-buffer capacity in events; the oldest events are overwritten
-    /// once full (the dropped count is kept).
-    pub event_capacity: usize,
-    /// Sampler period in virtual nanoseconds (0 disables sampling even
-    /// when tracing is on).
-    pub sample_every_ns: u64,
-}
+/// Ring-buffer capacity of an enabled [`Tracer`]: 1 Mi events, after which
+/// the oldest are overwritten and counted in [`Tracer::dropped`]. Not a §5
+/// figure but this reproduction's choice (a quick `table4` run records
+/// some 0.6-0.9 M events per scheme and fits whole).
+const EVENT_CAPACITY: usize = 1 << 20;
 
-impl TelemetryConfig {
-    /// Tracing off (the default for every experiment).
-    pub fn disabled() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            event_capacity: 0,
-            sample_every_ns: 0,
-        }
-    }
-
-    /// Tracing on with a 1 Mi-event ring and 100 µs sampling.
-    pub fn enabled() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            event_capacity: 1 << 20,
-            sample_every_ns: 100_000,
-        }
-    }
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
+/// Period of the virtual-time sampler (100 µs): an enabled run takes a
+/// [`Sample`] at every multiple of it. Fine enough to resolve §5.2's 1 ms
+/// migration incast, coarse enough that sampling stays a small share of a
+/// traced run's events.
+pub const SAMPLE_EVERY_NS: u64 = 100_000;
 
 /// The event sink: a boolean gate plus a bounded ring buffer.
 ///
@@ -302,7 +273,12 @@ impl Default for TelemetryConfig {
 /// events are overwritten; [`Tracer::dropped`] reports how many.
 #[derive(Debug)]
 pub struct Tracer {
-    cfg: TelemetryConfig,
+    /// Master gate. When false the tracer records nothing, the sampler
+    /// schedules no events, and agents skip cache-op bookkeeping — the
+    /// entire layer costs one predictable branch per emission point.
+    enabled: bool,
+    /// Ring capacity: [`EVENT_CAPACITY`] outside this module's tests.
+    capacity: usize,
     /// Ring storage; chronological order is `buf[start..] ++ buf[..start]`.
     buf: Vec<TraceEvent>,
     start: usize,
@@ -312,10 +288,11 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer for `cfg` (records nothing unless `cfg.enabled`).
-    pub fn new(cfg: TelemetryConfig) -> Self {
+    /// A tracer that records events and samples exactly when `enabled`.
+    pub fn new(enabled: bool) -> Self {
         Tracer {
-            cfg,
+            enabled,
+            capacity: EVENT_CAPACITY,
             buf: Vec::new(),
             start: 0,
             total: 0,
@@ -325,28 +302,23 @@ impl Tracer {
 
     /// A disabled tracer.
     pub fn off() -> Self {
-        Self::new(TelemetryConfig::disabled())
+        Self::new(false)
     }
 
     /// True if events should be recorded. `#[inline]` so the guard at each
     /// emission point compiles to one load+branch.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// The configuration this tracer was built with.
-    pub fn config(&self) -> TelemetryConfig {
-        self.cfg
+        self.enabled
     }
 
     /// Records one event (call only when [`Self::enabled`]).
     pub fn record(&mut self, ev: TraceEvent) {
-        if !self.cfg.enabled || self.cfg.event_capacity == 0 {
+        if !self.enabled {
             return;
         }
         self.total += 1;
-        if self.buf.len() < self.cfg.event_capacity {
+        if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
             self.buf[self.start] = ev;
@@ -414,6 +386,15 @@ mod tests {
         TraceEvent::new(t, EventKind::Delivery).packet(1, t)
     }
 
+    /// Neither figure is §5's; both are what every traced run was
+    /// recorded with.
+    #[test]
+    fn ring_and_sampler_keep_their_sizes() {
+        assert_eq!(EVENT_CAPACITY, 1 << 20);
+        assert_eq!(Tracer::new(true).capacity, EVENT_CAPACITY);
+        assert_eq!(SAMPLE_EVERY_NS, 100_000);
+    }
+
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::off();
@@ -426,11 +407,10 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest() {
-        let mut t = Tracer::new(TelemetryConfig {
-            enabled: true,
-            event_capacity: 3,
-            sample_every_ns: 0,
-        });
+        let mut t = Tracer {
+            capacity: 3,
+            ..Tracer::new(true)
+        };
         for i in 0..5 {
             t.record(ev(i));
         }

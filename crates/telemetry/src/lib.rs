@@ -73,7 +73,7 @@ pub mod json;
 pub mod manifest;
 pub mod profile;
 
-pub use event::{Cause, EventKind, Layer, Op, Sample, TelemetryConfig, TraceEvent, Tracer};
+pub use event::{Cause, EventKind, Layer, Op, Sample, TraceEvent, Tracer, SAMPLE_EVERY_NS};
 pub use inspect::{parse_events, reconstruct_path, Hop, PathReport};
 pub use manifest::RunManifest;
 pub use profile::{

@@ -10,8 +10,7 @@ use std::process::Command;
 
 use sv2p_telemetry::profile::SCHEMA;
 use sv2p_telemetry::{
-    Cause, EventKind, HistKind, Layer, Phase, ProfileMeta, Profiler, TelemetryConfig, TraceEvent,
-    Tracer,
+    Cause, EventKind, HistKind, Layer, Phase, ProfileMeta, Profiler, TraceEvent, Tracer,
 };
 
 /// Writes a small run's `events.jsonl` and `profile.jsonl` into a fresh
@@ -19,7 +18,7 @@ use sv2p_telemetry::{
 /// gateway and is delivered; flow 8's packet is shed.
 fn artifacts(test: &str) -> (PathBuf, PathBuf, PathBuf) {
     let dir = std::env::temp_dir().join(format!("sv2p_inspector_{test}_{}", std::process::id()));
-    let mut tracer = Tracer::new(TelemetryConfig::enabled());
+    let mut tracer = Tracer::new(true);
     let at = |t, kind, node| TraceEvent::new(t, kind).packet(7, 100).at_node(node);
     tracer.record(at(0, EventKind::PacketSent, 0));
     tracer.record(TraceEvent {

@@ -84,20 +84,44 @@ fn poisson_starts(n: usize, mean_gap: f64, rng: &mut SimRng) -> Vec<u64> {
         .collect()
 }
 
-/// The TCP traces (Hadoop, WebSearch): uniform endpoint pairs, flow sizes
-/// from `cdf`, Poisson arrivals at the rate that offers `load`.
-#[allow(clippy::too_many_arguments)]
-fn tcp_trace(
-    vms: usize,
-    active_vms: Option<usize>,
-    flows: usize,
-    load: f64,
-    hosts: usize,
-    nic_bps: u64,
-    cdf: &EmpiricalCdf,
-    seed: u64,
-) -> Vec<TraceFlow> {
-    assert!(vms >= 2 && flows > 0 && load > 0.0 && hosts > 0);
+/// Offered load of the TCP traces as a fraction of aggregate host NIC
+/// capacity (§5: "network load of 30%").
+const NETWORK_LOAD: f64 = 0.3;
+
+/// Host NIC rate (§5: "100 Gbps links"); the TCP traces' load and a
+/// microburst's line rate are fractions and multiples of it.
+const NIC_BPS: u64 = 100_000_000_000;
+
+/// The FT8-10K fabric's VM pool (§5, Table 3: 10 240 VMs), from which the
+/// WebSearch, Microbursts and Video traces draw their endpoints.
+const FT8_VMS: usize = 10_240;
+
+/// The FT8-10K fabric's physical servers (§5, Table 3: 128), whose NICs
+/// the WebSearch trace loads.
+const FT8_SERVERS: usize = 128;
+
+/// The seed of the traces that take none (WebSearch, Microbursts, Video),
+/// and the default of those that do. The paper gives none (its traces are
+/// fixed files); every results file was drawn with 1.
+const TRACE_SEED: u64 = 1;
+
+/// Datagram payload of §5's two UDP datasets, Microbursts and 8K-Video. The
+/// paper states rates and burst lengths, not packet sizes; 1000 B is this
+/// reproduction's choice.
+const DATAGRAM_PAYLOAD: u32 = 1000;
+
+/// The TCP traces (Hadoop, WebSearch): uniform endpoint pairs over `cfg`'s
+/// pool, flow sizes from `cdf`, Poisson arrivals at the rate that offers
+/// [`NETWORK_LOAD`] of `cfg.hosts` NICs.
+fn tcp_trace(cfg: &HadoopConfig, cdf: &EmpiricalCdf) -> Vec<TraceFlow> {
+    let HadoopConfig {
+        vms,
+        active_vms,
+        flows,
+        hosts,
+        seed,
+    } = *cfg;
+    assert!(vms >= 2 && flows > 0 && hosts > 0);
     let mut rng = SimRng::new(seed);
     // Optionally restrict the endpoints to a random subset of the pool so a
     // scaled-down flow count keeps the paper's flows-per-destination reuse
@@ -113,7 +137,7 @@ fn tcp_trace(
     let n = pool.as_ref().map_or(vms, Vec::len);
     // Offered load = load × aggregate host capacity; flow arrival rate
     // follows from the mean flow size (the HPCC-style load model).
-    let agg_bps = load * hosts as f64 * nic_bps as f64;
+    let agg_bps = NETWORK_LOAD * hosts as f64 * NIC_BPS as f64;
     let mean_bits = cdf.mean() * 8.0;
     let rate = agg_bps / mean_bits;
     poisson_starts(flows, 1.0 / rate, &mut rng)
@@ -167,8 +191,8 @@ impl Iterator for FlowSource {
     }
 }
 
-/// Hadoop trace parameters (defaults: FT8-10K at 30% load; the paper's full
-/// trace has 99 297 flows — scale `flows` down for quick runs).
+/// Hadoop trace parameters (defaults: FT8-10K; the paper's full trace has
+/// 99 297 flows — scale `flows` down for quick runs).
 #[derive(Debug, Clone)]
 pub struct HadoopConfig {
     /// VM pool size.
@@ -178,12 +202,8 @@ pub struct HadoopConfig {
     pub active_vms: Option<usize>,
     /// Number of flows.
     pub flows: usize,
-    /// Network load as a fraction of aggregate host bandwidth.
-    pub load: f64,
-    /// Physical host count.
+    /// Physical host count whose NICs the trace loads.
     pub hosts: usize,
-    /// Host NIC rate.
-    pub nic_bps: u64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -191,13 +211,11 @@ pub struct HadoopConfig {
 impl Default for HadoopConfig {
     fn default() -> Self {
         HadoopConfig {
-            vms: 10_240,
+            vms: FT8_VMS,
             active_vms: None,
             flows: 99_297,
-            load: 0.3,
-            hosts: 128,
-            nic_bps: 100_000_000_000,
-            seed: 1,
+            hosts: FT8_SERVERS,
+            seed: TRACE_SEED,
         }
     }
 }
@@ -205,64 +223,41 @@ impl Default for HadoopConfig {
 /// Generates the Hadoop trace: short TCP flows, uniform src/dst, heavy
 /// cross-flow destination reuse at paper scale.
 pub fn hadoop(cfg: &HadoopConfig) -> Vec<TraceFlow> {
-    tcp_trace(
-        cfg.vms,
-        cfg.active_vms,
-        cfg.flows,
-        cfg.load,
-        cfg.hosts,
-        cfg.nic_bps,
-        &EmpiricalCdf::facebook_hadoop(),
-        cfg.seed,
-    )
+    tcp_trace(cfg, &EmpiricalCdf::facebook_hadoop())
 }
 
-/// WebSearch trace parameters.
+/// WebSearch trace parameters (the pool is FT8-10K's).
 #[derive(Debug, Clone)]
 pub struct WebSearchConfig {
-    /// VM pool size.
-    pub vms: usize,
     /// Optional active-subset restriction (see [`HadoopConfig::active_vms`]).
     pub active_vms: Option<usize>,
     /// Number of flows (heavy flows: far fewer than Hadoop at equal load).
     pub flows: usize,
-    /// Network load fraction.
-    pub load: f64,
-    /// Physical host count.
-    pub hosts: usize,
-    /// Host NIC rate.
-    pub nic_bps: u64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for WebSearchConfig {
     fn default() -> Self {
         WebSearchConfig {
-            vms: 10_240,
             active_vms: None,
             flows: 5_000,
-            load: 0.3,
-            hosts: 128,
-            nic_bps: 100_000_000_000,
-            seed: 1,
         }
     }
 }
 
 /// Generates the WebSearch trace: DCTCP flow sizes, minimal reuse.
 pub fn websearch(cfg: &WebSearchConfig) -> Vec<TraceFlow> {
-    tcp_trace(
-        cfg.vms,
-        cfg.active_vms,
-        cfg.flows,
-        cfg.load,
-        cfg.hosts,
-        cfg.nic_bps,
-        &EmpiricalCdf::dctcp_websearch(),
-        cfg.seed,
-    )
+    let pool = HadoopConfig {
+        active_vms: cfg.active_vms,
+        flows: cfg.flows,
+        ..HadoopConfig::default()
+    };
+    tcp_trace(&pool, &EmpiricalCdf::dctcp_websearch())
 }
+
+/// Zipf exponent over the Alibaba trace's callee services: 1.32 reproduces
+/// §5's "over 95% of the total requests are processed by just 5% of the
+/// microservices".
+const ALIBABA_ZIPF_S: f64 = 1.32;
 
 /// Alibaba microservice trace parameters.
 #[derive(Debug, Clone)]
@@ -276,9 +271,6 @@ pub struct AlibabaConfig {
     /// a byte-load target — RPCs are tiny, so a load-derived arrival rate
     /// would collapse the trace into a burst).
     pub duration_ns: u64,
-    /// Zipf exponent over callee services (1.32 reproduces "95% of requests
-    /// to 5% of the microservices").
-    pub zipf_s: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -289,8 +281,7 @@ impl Default for AlibabaConfig {
             vms: 410_865,
             rpcs: 200_000,
             duration_ns: 20_000_000,
-            zipf_s: 1.32,
-            seed: 1,
+            seed: TRACE_SEED,
         }
     }
 }
@@ -299,7 +290,7 @@ impl Default for AlibabaConfig {
 /// arriving as a Poisson process over the configured replay window.
 pub fn alibaba(cfg: &AlibabaConfig) -> Vec<TraceFlow> {
     assert!(cfg.vms >= 2 && cfg.rpcs > 0 && cfg.duration_ns > 0);
-    let zipf = Zipf::new(cfg.vms, cfg.zipf_s);
+    let zipf = Zipf::new(cfg.vms, ALIBABA_ZIPF_S);
     // Permute ranks over VM ids so popular services are spread across
     // racks.
     let perm = shuffled_ids(cfg.vms, &mut SimRng::new(cfg.seed ^ 0xA11BABA));
@@ -322,6 +313,15 @@ pub fn alibaba(cfg: &AlibabaConfig) -> Vec<TraceFlow> {
         .collect()
 }
 
+/// Microburst arrival rate across the cluster (§5's Microbursts dataset,
+/// Poisson arrivals at 2 M bursts/s). The paper states the burst lengths;
+/// this rate and [`MICROBURST_ZIPF_S`] are the generator's calibration.
+const BURSTS_PER_SEC: f64 = 2_000_000.0;
+
+/// Zipf exponent of microburst destination popularity (§5's Microbursts
+/// dataset: Zipf 0.9, calibrated for cross-burst destination reuse).
+const MICROBURST_ZIPF_S: f64 = 0.9;
+
 /// Microbursts trace parameters.
 #[derive(Debug, Clone)]
 pub struct MicroburstsConfig {
@@ -332,143 +332,89 @@ pub struct MicroburstsConfig {
     /// Mean burst duration (ns); exponential durations give the paper's
     /// "99th percentile burst duration of 158 µs" at a 34.3 µs mean.
     pub mean_burst_ns: u64,
-    /// Burst rate at the source NIC (bursts transmit at line rate).
-    pub nic_bps: u64,
-    /// Datagram payload bytes (mice packets).
-    pub payload: u32,
-    /// Burst arrival rate (bursts/s across the cluster).
-    pub bursts_per_sec: f64,
-    /// Zipf exponent of destination popularity.
-    pub zipf_s: f64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for MicroburstsConfig {
     fn default() -> Self {
         MicroburstsConfig {
-            vms: 10_240,
+            vms: FT8_VMS,
             bursts: 20_000,
             mean_burst_ns: 34_300,
-            nic_bps: 100_000_000_000,
-            payload: 1000,
-            bursts_per_sec: 2_000_000.0,
-            zipf_s: 0.9,
-            seed: 1,
         }
     }
 }
 
-/// Generates the Microbursts trace: UDP bursts to Zipf-popular destinations.
+/// Generates the Microbursts trace: UDP bursts to Zipf-popular
+/// destinations, each sent at `NIC_BPS` line rate.
 pub fn microbursts(cfg: &MicroburstsConfig) -> Vec<TraceFlow> {
-    let mut rng = SimRng::new(cfg.seed);
-    let zipf = Zipf::new(cfg.vms, cfg.zipf_s);
+    let mut rng = SimRng::new(TRACE_SEED);
+    let zipf = Zipf::new(cfg.vms, MICROBURST_ZIPF_S);
     let perm = shuffled_ids(cfg.vms, &mut rng);
-    poisson_starts(cfg.bursts, 1.0 / cfg.bursts_per_sec, &mut rng)
+    poisson_starts(cfg.bursts, 1.0 / BURSTS_PER_SEC, &mut rng)
         .into_iter()
         .map(|start_ns| {
             let dst_vm = perm[zipf.sample(&mut rng)] as usize;
             let src_vm = uniform_other(cfg.vms, dst_vm, &mut rng);
             let duration = rng.exponential(cfg.mean_burst_ns as f64).max(1.0);
-            let bytes = duration * cfg.nic_bps as f64 / 8.0 / 1e9;
-            let count = (bytes / cfg.payload as f64).ceil().max(1.0) as u32;
+            let bytes = duration * NIC_BPS as f64 / 8.0 / 1e9;
+            let count = (bytes / DATAGRAM_PAYLOAD as f64).ceil().max(1.0) as u32;
             TraceFlow {
                 src_vm,
                 dst_vm,
                 start_ns,
                 profile: FlowProfile::UdpBurst {
                     count,
-                    payload: cfg.payload,
+                    payload: DATAGRAM_PAYLOAD,
                 },
             }
         })
         .collect()
 }
 
-/// Video trace parameters ("64 senders at 48 Mbps", no destination reuse).
-#[derive(Debug, Clone)]
-pub struct VideoConfig {
-    /// VM pool size (senders and receivers are drawn from it).
-    pub vms: usize,
-    /// Number of streams.
-    pub senders: usize,
-    /// Per-stream rate.
-    pub rate_bps: u64,
-    /// Stream duration (ns).
-    pub duration_ns: u64,
-    /// Datagram payload.
-    pub payload: u32,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Streams of the 8K-Video trace (§5: "64 senders").
+const VIDEO_STREAMS: usize = 64;
 
-impl Default for VideoConfig {
-    fn default() -> Self {
-        VideoConfig {
-            vms: 10_240,
-            senders: 64,
-            rate_bps: 48_000_000,
-            duration_ns: 100_000_000, // 100 ms
-            payload: 1000,
-            seed: 1,
-        }
-    }
-}
+/// Per-stream rate of the 8K-Video trace (§5: "at 48 Mbps").
+const VIDEO_RATE_BPS: u64 = 48_000_000;
 
-/// Generates the 8K-Video trace: disjoint sender → receiver CBR streams.
-pub fn video(cfg: &VideoConfig) -> Vec<TraceFlow> {
-    assert!(cfg.vms >= 2 * cfg.senders, "need disjoint endpoints");
-    let ids = shuffled_ids(cfg.vms, &mut SimRng::new(cfg.seed));
+/// Generates the 8K-Video trace: `VIDEO_STREAMS` disjoint sender →
+/// receiver CBR streams over the FT8-10K pool, each lasting `duration_ns`
+/// (no destination reuse).
+pub fn video(duration_ns: u64) -> Vec<TraceFlow> {
+    let ids = shuffled_ids(FT8_VMS, &mut SimRng::new(TRACE_SEED));
     ids.chunks_exact(2)
-        .take(cfg.senders)
+        .take(VIDEO_STREAMS)
         .map(|pair| TraceFlow {
             src_vm: pair[0] as usize,
             dst_vm: pair[1] as usize,
             start_ns: 0,
             profile: FlowProfile::UdpCbr {
-                rate_bps: cfg.rate_bps,
-                duration_ns: cfg.duration_ns,
-                payload: cfg.payload,
+                rate_bps: VIDEO_RATE_BPS,
+                duration_ns,
+                payload: DATAGRAM_PAYLOAD,
             },
         })
         .collect()
 }
 
-/// Migration incast parameters (§5.2: "64 UDP senders, each running on a
-/// distinct physical server... The entire trace lasts 1 msec, totaling 64K
-/// packets").
-#[derive(Debug, Clone)]
-pub struct IncastConfig {
-    /// Senders (each from a distinct server — the harness maps VM indices to
-    /// distinct servers).
-    pub senders: usize,
-    /// Total packets across all senders.
-    pub total_packets: u32,
-    /// Trace duration (ns).
-    pub duration_ns: u64,
-    /// Datagram payload; small packets keep the 64 Kpkt/ms aggregate within
-    /// the destination NIC rate.
-    pub payload: u32,
-}
+/// Packets of the migration incast, across all senders (§5.2: "The entire
+/// trace lasts 1 msec, totaling 64K packets").
+const INCAST_PACKETS: u32 = 65_536;
 
-impl Default for IncastConfig {
-    fn default() -> Self {
-        IncastConfig {
-            senders: 64,
-            total_packets: 65_536,
-            duration_ns: 1_000_000,
-            payload: 100,
-        }
-    }
-}
+/// Length of the migration incast (§5.2: 1 ms).
+const INCAST_DURATION_NS: u64 = 1_000_000;
 
-/// Generates the incast trace toward `dst_vm`; `sender_vms` must hold
-/// `senders` distinct VM indices on distinct servers.
-pub fn incast(cfg: &IncastConfig, sender_vms: &[usize], dst_vm: usize) -> Vec<TraceFlow> {
-    assert_eq!(sender_vms.len(), cfg.senders);
-    let per_sender = cfg.total_packets / cfg.senders as u32;
+/// Datagram payload of the migration incast: small packets keep §5.2's
+/// 64 Kpkt/ms aggregate within the destination NIC rate.
+const INCAST_PAYLOAD: u32 = 100;
+
+/// Generates the §5.2 migration incast toward `dst_vm`: one CBR stream from
+/// each of `sender_vms` (the paper's 64, each on a distinct server), together
+/// sending `INCAST_PACKETS` over `INCAST_DURATION_NS`.
+pub fn incast(sender_vms: &[usize], dst_vm: usize) -> Vec<TraceFlow> {
+    let per_sender = INCAST_PACKETS / sender_vms.len() as u32;
     let rate_bps =
-        (per_sender as u64 * cfg.payload as u64 * 8) * 1_000_000_000 / cfg.duration_ns;
+        (per_sender as u64 * INCAST_PAYLOAD as u64 * 8) * 1_000_000_000 / INCAST_DURATION_NS;
     sender_vms
         .iter()
         .map(|&src_vm| {
@@ -479,8 +425,8 @@ pub fn incast(cfg: &IncastConfig, sender_vms: &[usize], dst_vm: usize) -> Vec<Tr
                 start_ns: 0,
                 profile: FlowProfile::UdpCbr {
                     rate_bps,
-                    duration_ns: cfg.duration_ns,
-                    payload: cfg.payload,
+                    duration_ns: INCAST_DURATION_NS,
+                    payload: INCAST_PAYLOAD,
                 },
             }
         })
@@ -490,6 +436,20 @@ pub fn incast(cfg: &IncastConfig, sender_vms: &[usize], dst_vm: usize) -> Vec<Tr
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each constant is the §5 (or §5.2) figure its doc comment cites.
+    #[test]
+    fn constants_match_paper_setup() {
+        assert_eq!(NETWORK_LOAD, 0.3);
+        assert_eq!(NIC_BPS, 100_000_000_000);
+        assert_eq!((FT8_VMS, FT8_SERVERS), (10_240, 128));
+        assert_eq!(ALIBABA_ZIPF_S, 1.32);
+        assert_eq!((MICROBURST_ZIPF_S, BURSTS_PER_SEC), (0.9, 2_000_000.0));
+        assert_eq!((VIDEO_STREAMS, VIDEO_RATE_BPS), (64, 48_000_000));
+        assert_eq!(INCAST_PACKETS, 64 * 1024);
+        assert_eq!(INCAST_PAYLOAD, 100);
+        assert_eq!(INCAST_DURATION_NS, 1_000_000);
+    }
 
     #[test]
     fn hadoop_is_deterministic_and_sorted() {
@@ -623,7 +583,7 @@ mod tests {
 
     #[test]
     fn video_streams_are_disjoint() {
-        let t = video(&VideoConfig::default());
+        let t = video(100_000_000);
         assert_eq!(t.len(), 64);
         let mut endpoints: Vec<usize> = t
             .iter()
@@ -638,9 +598,8 @@ mod tests {
 
     #[test]
     fn incast_totals_match() {
-        let cfg = IncastConfig::default();
         let senders: Vec<usize> = (1..=64).collect();
-        let t = incast(&cfg, &senders, 0);
+        let t = incast(&senders, 0);
         assert_eq!(t.len(), 64);
         let total: u64 = t.iter().map(|f| f.bytes()).sum();
         let expect = 65_536 / 64 * 64 * 100;

@@ -18,8 +18,11 @@
 //!
 //! Each dataset is one plain function in [`datasets`] that returns the whole
 //! trace as a `Vec<TraceFlow>` in start order. Every generator is
-//! deterministic in its seed and emits flows at a Poisson arrival rate matched
-//! to the requested network load ("network load of 30% with 100 Gbps links").
+//! deterministic in its seed, and the TCP traces arrive at a Poisson rate
+//! matched to the paper's load ("network load of 30% with 100 Gbps links").
+//! What §5 fixes — load, NIC rate, Zipf skews, the video and incast shapes —
+//! is a constant beside the generator that reads it; a config struct holds
+//! only what some run varies (pool, flow count, duration, seed).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,8 +32,8 @@ pub mod dist;
 pub mod spec;
 
 pub use datasets::{
-    alibaba, hadoop, incast, microbursts, video, AlibabaConfig, FlowSource, HadoopConfig,
-    IncastConfig, MicroburstsConfig, TraceStats, VideoConfig, WebSearchConfig, websearch,
+    alibaba, hadoop, incast, microbursts, video, websearch, AlibabaConfig, FlowSource,
+    HadoopConfig, MicroburstsConfig, TraceStats, WebSearchConfig,
 };
 pub use dist::{EmpiricalCdf, Zipf};
 pub use spec::{FlowProfile, TraceFlow};

@@ -318,10 +318,11 @@ pub trait Strategy {
         0.0
     }
 
-    /// Builds the agent for one switch. `role` is the switch's role at
-    /// construction and only selects the agent type; `lines` is the
-    /// per-switch direct-mapped cache capacity in entries (0 where the
-    /// role's weight is 0). Defaults to a switch that only forwards.
+    /// Builds the agent for one switch whose role weighs above 0; every
+    /// other switch gets a [`NoopSwitchAgent`] without asking. `role` is the
+    /// switch's role at construction and only selects the agent type;
+    /// `lines` is its direct-mapped cache capacity in entries (0 only when
+    /// the whole budget is). Defaults to a switch that only forwards.
     fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
         Box::new(NoopSwitchAgent)
     }

@@ -8,7 +8,6 @@
 //! performed by each server on a per-flow basis", §5); the pick is sticky
 //! for the flow's lifetime so a flow's packets share fate.
 
-use serde::{Deserialize, Serialize};
 use sv2p_simcore::SimDuration;
 use sv2p_packet::Pip;
 use sv2p_topology::{NodeId, NodeKind, Topology};
@@ -16,19 +15,6 @@ use sv2p_topology::{NodeId, NodeKind, Topology};
 /// Per-packet translation latency: 40 µs, following Sailfish (paper §5, the
 /// evaluation set-up every figure runs).
 pub const GATEWAY_PROCESSING: SimDuration = SimDuration::from_micros(40);
-
-/// Gateway behavior parameters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GatewayConfig {
-    /// Bounded ingress queue: how many packets may wait for translation
-    /// while one is in service. `0` (the default) models an infinitely
-    /// parallel gateway — every packet is translated after exactly
-    /// [`GATEWAY_PROCESSING`], the behaviour all the static sweeps assume. A
-    /// non-zero cap turns the gateway into a single-server queue that
-    /// sheds load (drops with cause `gateway-shed`) once the queue fills,
-    /// which is what makes invalidation storms under churn costly.
-    pub queue_cap: u32,
-}
 
 /// The gateway fleet and the per-flow balancing rule.
 #[derive(Debug, Clone)]

@@ -30,7 +30,7 @@ pub use agents::{
     AgentOutput, CacheOp, HostAgent, HostResolution, MisdeliveryPolicy, PacketAction,
     Strategy, SwitchAgent, SwitchCtx,
 };
-pub use gateway::{GatewayConfig, GatewayDirectory, GATEWAY_PROCESSING};
+pub use gateway::{GatewayDirectory, GATEWAY_PROCESSING};
 pub use mapping::{ApplyError, MappingDb, MappingDelta, MappingOp};
 pub use migration::Migration;
 pub use placement::Placement;

@@ -14,7 +14,7 @@ use switchv2p_repro::core::{SwitchV2P, SwitchV2PConfig};
 use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::FatTreeConfig;
-use switchv2p_repro::traces::{incast, IncastConfig};
+use switchv2p_repro::traces::incast;
 use switchv2p_repro::transport::UdpSchedule;
 use switchv2p_repro::vnet::{Migration, Strategy};
 
@@ -25,8 +25,7 @@ fn run_variant(strategy: &dyn Strategy, cache: usize) -> switchv2p_repro::metric
     // 64 senders on distinct servers (VM i*80 lives on server i), one victim.
     let dst_vm = 0usize;
     let senders: Vec<usize> = (1..=64).map(|i| i * 80).collect();
-    let cfg = IncastConfig::default();
-    let trace = incast(&cfg, &senders, dst_vm);
+    let trace = incast(&senders, dst_vm);
     let flows: Vec<FlowSpec> = trace
         .iter()
         .map(|f| {

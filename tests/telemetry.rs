@@ -9,7 +9,7 @@ use switchv2p_repro::core::SwitchV2P;
 use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::telemetry::inspect::{kind_counts, parse_events, reconstruct_path};
-use switchv2p_repro::telemetry::{EventKind, TelemetryConfig, TraceEvent};
+use switchv2p_repro::telemetry::{EventKind, TraceEvent};
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{hadoop, HadoopConfig};
 
@@ -20,7 +20,7 @@ fn traced_run(seed: u64) -> (String, String) {
     let ft = FatTreeConfig::scaled_ft8(2);
     let cfg = SimConfig {
         seed,
-        telemetry: TelemetryConfig::enabled(),
+        telemetry: true,
         ..SimConfig::default()
     };
     let strategy = SwitchV2P::default();
