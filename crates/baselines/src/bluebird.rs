@@ -92,8 +92,7 @@ impl SwitchAgent for BluebirdTorAgent {
         // single-server queue with a finite backlog.
         let ser = SimDuration::serialization(pkt.wire_size(), CONTROL_BANDWIDTH_BPS);
         let backlog = self.control_busy_until.saturating_since(ctx.now);
-        let backlog_bytes = (backlog.as_secs_f64() * CONTROL_BANDWIDTH_BPS as f64
-            / 8.0) as u64;
+        let backlog_bytes = (backlog.as_secs_f64() * CONTROL_BANDWIDTH_BPS as f64 / 8.0) as u64;
         if backlog_bytes > CONTROL_BUFFER_BYTES {
             out.action = PacketAction::Drop;
             return out;

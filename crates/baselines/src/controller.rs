@@ -9,8 +9,8 @@
 //! `sv2p-ilp` placement problem.
 
 use sv2p_ilp::{Demand, PlacementProblem};
-use sv2p_simcore::FxHashMap;
 use sv2p_packet::{Packet, PacketKind, Pip, Vip};
+use sv2p_simcore::FxHashMap;
 use sv2p_topology::{NodeId, Routing, SwitchRole, Topology};
 use sv2p_vnet::{
     AgentOutput, GatewayDirectory, Placement as VmPlacement, Strategy, SwitchAgent, SwitchCtx,
@@ -124,7 +124,10 @@ impl ControllerDriver {
 
         // The greedy solver breaks ties by first appearance, so the demands
         // go in (src, dst) order, not in the map's iteration order.
-        let mut pairs: Vec<_> = traffic.iter().map(|(&pair, &weight)| (pair, weight)).collect();
+        let mut pairs: Vec<_> = traffic
+            .iter()
+            .map(|(&pair, &weight)| (pair, weight))
+            .collect();
         pairs.sort_unstable();
         let mut demands = Vec::new();
         for ((src, dst), weight) in pairs {

@@ -102,10 +102,7 @@ mod tests {
                 HostResolution::Direct(Pip(10))
             );
         }
-        assert_eq!(
-            agent.resolve(&placement, Vip(99)),
-            HostResolution::Gateway
-        );
+        assert_eq!(agent.resolve(&placement, Vip(99)), HostResolution::Gateway);
     }
 
     #[test]

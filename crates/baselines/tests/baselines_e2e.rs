@@ -3,7 +3,7 @@
 //! FatTree.
 
 use sv2p_baselines::{Bluebird, Direct, GwCache, LocalLearning, NoCache, OnDemand};
-use sv2p_netsim::{FlowKind, FlowSpec, SimConfig, Engine};
+use sv2p_netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::SimTime;
 use sv2p_topology::FatTreeConfig;
 use sv2p_traces::{hadoop, HadoopConfig};
@@ -116,7 +116,10 @@ fn bluebird_detour_is_not_a_hop() {
     let ft = FatTreeConfig::scaled_ft8(2);
     let mut sim = Engine::new(SimConfig::default(), &ft, &Bluebird, 1024, 4);
     let (src_vm, dst_vm) = (0, sim.placement().len() - 1);
-    let (src, dst) = (sim.placement().node_of(src_vm), sim.placement().node_of(dst_vm));
+    let (src, dst) = (
+        sim.placement().node_of(src_vm),
+        sim.placement().node_of(dst_vm),
+    );
     assert_eq!(sim.routing().switch_hops(sim.topology(), src, dst, 0), 5);
     sim.add_flows([FlowSpec {
         src_vm,

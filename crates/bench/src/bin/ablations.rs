@@ -5,8 +5,8 @@
 //! cargo run --release -p sv2p-bench --bin ablations [-- --full]
 //! ```
 
-use sv2p_bench::harness::{run_spec, ExperimentSpec, StrategyKind};
 use sv2p_bench::cli;
+use sv2p_bench::harness::{run_spec, ExperimentSpec, StrategyKind};
 use sv2p_traces::{hadoop, video};
 use switchv2p::SwitchV2PConfig;
 
@@ -15,7 +15,10 @@ fn main() {
     let scale = args.scale;
     let variants: Vec<(&str, SwitchV2PConfig)> = vec![
         ("full design", SwitchV2PConfig::default()),
-        ("w/o learning packets", SwitchV2PConfig::without_learning_packets()),
+        (
+            "w/o learning packets",
+            SwitchV2PConfig::without_learning_packets(),
+        ),
         ("w/o spillover", SwitchV2PConfig::without_spillover()),
         ("w/o promotion", SwitchV2PConfig::without_promotion()),
         ("ToR-only caching", SwitchV2PConfig::tor_only()),

@@ -150,10 +150,12 @@ fn main() {
         StrategyKind::GwCache,
         StrategyKind::LocalLearning,
     ];
-    for scenario in ["tor-reboot-storm", "spine-link-failure", "random-loss-0.1pct"] {
-        println!(
-            "\nFailure recovery — {scenario} (fault window {FAULT_AT_US}-{FAULT_END_US} us)"
-        );
+    for scenario in [
+        "tor-reboot-storm",
+        "spine-link-failure",
+        "random-loss-0.1pct",
+    ] {
+        println!("\nFailure recovery — {scenario} (fault window {FAULT_AT_US}-{FAULT_END_US} us)");
         for &strategy in &strategies {
             run_scenario(scenario, strategy);
         }

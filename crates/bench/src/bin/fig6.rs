@@ -5,8 +5,8 @@
 //! cargo run --release -p sv2p-bench --bin fig6 [-- --full]
 //! ```
 
-use sv2p_bench::harness::{print_figure5_panels, sweep, ExperimentSpec, StrategyKind};
 use sv2p_bench::cli;
+use sv2p_bench::harness::{print_figure5_panels, sweep, ExperimentSpec, StrategyKind};
 use sv2p_traces::alibaba;
 
 fn main() {

@@ -10,8 +10,8 @@
 //! cargo run --release -p sv2p-bench --bin fig7 [-- --full]
 //! ```
 
-use sv2p_bench::harness::{ExperimentSpec, StrategyKind};
 use sv2p_bench::cli;
+use sv2p_bench::harness::{ExperimentSpec, StrategyKind};
 use sv2p_topology::NodeKind;
 use sv2p_traces::hadoop;
 
@@ -51,7 +51,9 @@ fn main() {
         let mut gw_tor = Vec::new();
         for (_, kind, bytes) in sim.per_switch_bytes() {
             match kind {
-                NodeKind::Spine { pod: 7, idx } => spines.push((format!("spine{}", idx + 1), bytes)),
+                NodeKind::Spine { pod: 7, idx } => {
+                    spines.push((format!("spine{}", idx + 1), bytes))
+                }
                 NodeKind::Tor { pod: 7, rack } => {
                     if rack == 3 {
                         gw_tor.push(("gw-ToR".to_string(), bytes));

@@ -4,8 +4,8 @@
 //! cargo run --release -p sv2p-bench --bin fig9 [-- --full]
 //! ```
 
-use sv2p_bench::harness::{run_spec, ExperimentSpec, StrategyKind};
 use sv2p_bench::cli;
+use sv2p_bench::harness::{run_spec, ExperimentSpec, StrategyKind};
 use sv2p_traces::hadoop;
 
 fn main() {

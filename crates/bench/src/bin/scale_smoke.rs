@@ -76,7 +76,10 @@ fn main() {
     let parts = sim.resident_bytes();
     let named: usize = parts.iter().map(|&(_, b)| b).sum();
     let mb = |b: usize| b as f64 / 1e6;
-    println!("  engine parts, MB: {}", parts.map(|(n, b)| format!("{n} {:.2}", mb(b))).join(", "));
+    println!(
+        "  engine parts, MB: {}",
+        parts.map(|(n, b)| format!("{n} {:.2}", mb(b))).join(", ")
+    );
     println!(
         "  named {:.2} MB of {:.2} MB RSS growth; residual {:.2} MB",
         mb(named),

@@ -21,12 +21,12 @@ fn main() {
     row("#ToR switches", c8.tor_switches, c16.tor_switches);
     row("#Core switches", c8.core_switches, c16.core_switches);
     row("#Gateways", c8.gateways, c16.gateways);
+    row("#VMs", c8.physical_servers * 80, c16.physical_servers * 32);
     row(
-        "#VMs",
-        c8.physical_servers * 80,
-        c16.physical_servers * 32,
+        "#Physical servers",
+        c8.physical_servers,
+        c16.physical_servers,
     );
-    row("#Physical servers", c8.physical_servers, c16.physical_servers);
     println!(
         "\n(total switches: FT8-10K = {}, FT16-400K = {})",
         c8.total_switches, c16.total_switches

@@ -5,8 +5,8 @@
 //! cargo run --release -p sv2p-bench --bin table4
 //! ```
 
-use sv2p_bench::harness::{run_spec, ExperimentSpec, StrategyKind};
 use sv2p_bench::cli;
+use sv2p_bench::harness::{run_spec, ExperimentSpec, StrategyKind};
 use sv2p_traces::incast;
 use switchv2p::SwitchV2PConfig;
 

@@ -14,8 +14,14 @@ fn describe(name: &str, flows: &[TraceFlow], dump: bool) {
     let s = stats(flows);
     println!("== {name} ==");
     println!("  flows:                {}", s.flows);
-    println!("  total payload:        {:.1} MB", s.total_bytes as f64 / 1e6);
-    println!("  duration:             {:.3} ms", s.duration_ns as f64 / 1e6);
+    println!(
+        "  total payload:        {:.1} MB",
+        s.total_bytes as f64 / 1e6
+    );
+    println!(
+        "  duration:             {:.3} ms",
+        s.duration_ns as f64 / 1e6
+    );
     println!(
         "  offered load:         {:.1} Gb/s",
         s.total_bytes as f64 * 8.0 / (s.duration_ns.max(1) as f64 / 1e9) / 1e9

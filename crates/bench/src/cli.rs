@@ -186,7 +186,10 @@ pub fn record_manifest(m: RunManifest) {
 /// A short machine-readable topology label ("ft8p4r4s" = 8 pods × 4 racks
 /// × 4 servers).
 pub fn topology_label(ft: &FatTreeConfig) -> String {
-    format!("ft{}p{}r{}s", ft.pods, ft.racks_per_pod, ft.servers_per_rack)
+    format!(
+        "ft{}p{}r{}s",
+        ft.pods, ft.racks_per_pod, ft.servers_per_rack
+    )
 }
 
 /// Logical cores on this host (manifest context).
@@ -216,7 +219,13 @@ fn proc_status_bytes(field: &str) -> u64 {
     status
         .lines()
         .find_map(|line| line.strip_prefix(field))
-        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .and_then(|rest| {
+            rest.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<u64>()
+                .ok()
+        })
         .map_or(0, |kb| kb * 1024)
 }
 
@@ -287,12 +296,7 @@ pub fn write_traces(sim: &Engine, label: &str) {
 /// Records a completed simulation: one manifest line, plus trace files when
 /// `--telemetry DIR` was given. Called by `run_spec`; call it directly for
 /// bins that drive an [`Engine`] by hand.
-pub fn record_run(
-    spec: &ExperimentSpec,
-    sim: &Engine,
-    summary: &RunSummary,
-    wall_clock_s: f64,
-) {
+pub fn record_run(spec: &ExperimentSpec, sim: &Engine, summary: &RunSummary, wall_clock_s: f64) {
     record_manifest(manifest_for_sim(
         spec.strategy.name(),
         &spec.topology,

@@ -62,7 +62,9 @@ impl StrategyKind {
     /// baselines are run once per sweep).
     pub fn cache_sensitive(self) -> bool {
         let s = self.build();
-        SwitchRole::ALL.into_iter().any(|role| s.cache_weight(role) > 0.0)
+        SwitchRole::ALL
+            .into_iter()
+            .any(|role| s.cache_weight(role) > 0.0)
     }
 
     /// The §5.1 comparison set (Figures 5–6).
@@ -526,8 +528,9 @@ pub fn sweep(
         .unwrap_or(1)
         .min(jobs.len().max(1));
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<std::sync::Mutex<Option<Row>>> =
-        (0..jobs.len()).map(|_| std::sync::Mutex::new(None)).collect();
+    let results: Vec<std::sync::Mutex<Option<Row>>> = (0..jobs.len())
+        .map(|_| std::sync::Mutex::new(None))
+        .collect();
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -590,8 +593,7 @@ pub fn print_figure5_panels(title: &str, table: &FigureTable, cache_fracs: &[f64
     for (panel, f) in [
         (
             "hit rate (fraction of packets not reaching gateways)",
-            Box::new(|r: &Row| format!("{:.3}", r.summary.hit_rate))
-                as Box<dyn Fn(&Row) -> String>,
+            Box::new(|r: &Row| format!("{:.3}", r.summary.hit_rate)) as Box<dyn Fn(&Row) -> String>,
         ),
         (
             "avg FCT improvement over NoCache (x)",
@@ -678,8 +680,8 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_historical_spec() {
-        let s = ExperimentSpec::builder(FatTreeConfig::scaled_ft8(2), StrategyKind::NoCache)
-            .build();
+        let s =
+            ExperimentSpec::builder(FatTreeConfig::scaled_ft8(2), StrategyKind::NoCache).build();
         assert_eq!(s.vms_per_server, 80);
         assert!(s.flows.is_empty() && s.migrations.is_empty());
         assert_eq!(s.cache_entries, 0);
@@ -765,7 +767,11 @@ mod tests {
         for kind in every_kind() {
             let (s, id) = (kind.build(), kind.id());
             let weighs = |role: SwitchRole| s.cache_weight(role) > 0.0;
-            assert_eq!(kind.cache_sensitive(), SwitchRole::ALL.into_iter().any(weighs), "{id}");
+            assert_eq!(
+                kind.cache_sensitive(),
+                SwitchRole::ALL.into_iter().any(weighs),
+                "{id}"
+            );
             let spec = ExperimentSpec {
                 flows: flows.clone(),
                 ..tiny_spec(kind, 128)
@@ -775,7 +781,10 @@ mod tests {
             let mut held = 0;
             for (sw, (_, entries)) in sim.topology().switches().zip(sim.cache_occupancy()) {
                 let role = sim.roles().role(sw.id).expect("switch role");
-                assert!(weighs(role) || entries == 0, "{id}: {entries} at a {role:?}");
+                assert!(
+                    weighs(role) || entries == 0,
+                    "{id}: {entries} at a {role:?}"
+                );
                 held += entries;
             }
             // Controller's lines are filled only by its driver.
@@ -828,7 +837,11 @@ mod tests {
             };
             let mut sim = Engine::new(cfg, &FatTreeConfig::scaled_ft8(2), &asked, 128, 2);
             let id = kind.id();
-            assert!(asked.roles.borrow().iter().all(|&r| weighs(r)), "{id}: {:?}", asked.roles);
+            assert!(
+                asked.roles.borrow().iter().all(|&r| weighs(r)),
+                "{id}: {:?}",
+                asked.roles
+            );
             sim.add_flows(to_flow_specs(&flows, sim.placement().len()));
             sim.run();
             let idle = |node: u32| sim.roles().role(NodeId(node)).is_some_and(|r| !weighs(r));
@@ -895,18 +908,15 @@ mod tests {
         let base = tiny_spec(StrategyKind::NoCache, 0);
         let variant = StrategyKind::SwitchV2PWith(SwitchV2PConfig::without_spillover());
         let fracs = [0.25];
-        let table = sweep(
-            &base,
-            &[StrategyKind::SwitchV2P, variant],
-            &fracs,
-            256,
-        );
+        let table = sweep(&base, &[StrategyKind::SwitchV2P, variant], &fracs, 256);
         assert_eq!(table.rows().len(), 2);
         let ids = table.strategies();
         assert_eq!(ids.len(), 2, "variants must not alias: {ids:?}");
         assert_eq!(ids[0].to_string(), "SwitchV2P");
         assert_eq!(ids[1].to_string(), "SwitchV2P[no-spillover]");
-        let a = table.cell(&StrategyKind::SwitchV2P.id(), 0.25).expect("default cell");
+        let a = table
+            .cell(&StrategyKind::SwitchV2P.id(), 0.25)
+            .expect("default cell");
         let b = table.cell(&variant.id(), 0.25).expect("variant cell");
         assert_eq!(a.strategy.variant, "");
         assert_eq!(b.strategy.variant, "no-spillover");

@@ -10,7 +10,7 @@
 //! show up here as a diff in the serialized stream.
 
 use sv2p_bench::harness::{to_flow_specs, StrategyKind};
-use sv2p_netsim::{ChurnPlan, ChurnSpec, SimConfig, Engine};
+use sv2p_netsim::{ChurnPlan, ChurnSpec, Engine, SimConfig};
 use sv2p_simcore::SimTime;
 use sv2p_topology::FatTreeConfig;
 use sv2p_traces::{FlowProfile, TraceFlow};
@@ -61,7 +61,10 @@ fn run_once(seed: u64) -> (u64, String, String) {
 fn same_seed_runs_are_byte_identical() {
     let (events_a, summary_a, jsonl_a) = run_once(7);
     let (events_b, summary_b, jsonl_b) = run_once(7);
-    assert!(events_a > 10_000, "workload too small to be a meaningful guard");
+    assert!(
+        events_a > 10_000,
+        "workload too small to be a meaningful guard"
+    );
     assert!(!jsonl_a.is_empty(), "telemetry stream is empty");
     assert_eq!(events_a, events_b, "event counts diverged");
     assert_eq!(summary_a, summary_b, "summaries diverged");
@@ -74,7 +77,10 @@ fn different_seeds_actually_diverge() {
     // vacuously for the wrong reason.
     let (_, _, jsonl_a) = run_once(7);
     let (_, _, jsonl_b) = run_once(8);
-    assert_ne!(jsonl_a, jsonl_b, "different seeds produced identical streams");
+    assert_ne!(
+        jsonl_a, jsonl_b,
+        "different seeds produced identical streams"
+    );
 }
 
 /// A churn-bin-style run: background flows plus a full churn timeline
@@ -115,7 +121,10 @@ fn run_once_churned(seed: u64) -> (u64, String, String) {
 fn same_seed_churn_runs_are_byte_identical() {
     let (events_a, summary_a, jsonl_a) = run_once_churned(7);
     let (events_b, summary_b, jsonl_b) = run_once_churned(7);
-    assert!(events_a > 10_000, "churn workload too small to be a meaningful guard");
+    assert!(
+        events_a > 10_000,
+        "churn workload too small to be a meaningful guard"
+    );
     assert!(
         !summary_a.contains("churn_arrivals: 0"),
         "churn timeline produced no arrivals"
@@ -131,6 +140,12 @@ fn different_seed_churn_runs_diverge() {
     // tenant sizes, wave victims), not just the traffic RNG.
     let (_, summary_a, jsonl_a) = run_once_churned(7);
     let (_, summary_b, jsonl_b) = run_once_churned(9);
-    assert_ne!(summary_a, summary_b, "different seeds produced identical summaries");
-    assert_ne!(jsonl_a, jsonl_b, "different seeds produced identical streams");
+    assert_ne!(
+        summary_a, summary_b,
+        "different seeds produced identical summaries"
+    );
+    assert_ne!(
+        jsonl_a, jsonl_b,
+        "different seeds produced identical streams"
+    );
 }

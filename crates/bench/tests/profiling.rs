@@ -106,7 +106,10 @@ fn single_loop_report_covers_dispatch_phases() {
     );
     // Dispatch time is attributed per event class; the workload above
     // certainly sends UDP/TCP traffic over links.
-    assert!(prof.phase_calls(Phase::LinkArrival) > 0, "no arrivals timed");
+    assert!(
+        prof.phase_calls(Phase::LinkArrival) > 0,
+        "no arrivals timed"
+    );
     let mut total = prof.frac(Phase::Pop);
     for p in [
         Phase::FlowStart,
@@ -126,5 +129,8 @@ fn single_loop_report_covers_dispatch_phases() {
         assert!((0.0..=1.0).contains(&f), "{p:?} frac {f} outside [0,1]");
         total += f;
     }
-    assert!(total <= 1.05, "single-loop phase fractions sum to {total} > 1.05");
+    assert!(
+        total <= 1.05,
+        "single-loop phase fractions sum to {total} > 1.05"
+    );
 }

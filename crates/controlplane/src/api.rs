@@ -89,7 +89,10 @@ pub struct RequestBatch {
 impl RequestBatch {
     /// A batch with the given correlation id and no ops yet.
     pub fn new(id: u64) -> Self {
-        RequestBatch { id, ops: Vec::new() }
+        RequestBatch {
+            id,
+            ops: Vec::new(),
+        }
     }
 }
 
@@ -211,16 +214,32 @@ mod tests {
     #[test]
     fn writes_map_onto_mapping_ops_and_reads_do_not() {
         assert_eq!(
-            CtlOp::Install { vip: Vip(1), pip: Pip(2) }.as_mapping_op(),
-            Some(MappingOp::Install { vip: Vip(1), pip: Pip(2) })
+            CtlOp::Install {
+                vip: Vip(1),
+                pip: Pip(2)
+            }
+            .as_mapping_op(),
+            Some(MappingOp::Install {
+                vip: Vip(1),
+                pip: Pip(2)
+            })
         );
         assert_eq!(
             CtlOp::Invalidate { vip: Vip(3) }.as_mapping_op(),
             Some(MappingOp::Invalidate { vip: Vip(3) })
         );
         assert_eq!(
-            CtlOp::Migrate { vip: Vip(4), to_pip: Pip(5), at_ns: Some(6) }.as_mapping_op(),
-            Some(MappingOp::Migrate { vip: Vip(4), to_pip: Pip(5), at_ns: Some(6) })
+            CtlOp::Migrate {
+                vip: Vip(4),
+                to_pip: Pip(5),
+                at_ns: Some(6)
+            }
+            .as_mapping_op(),
+            Some(MappingOp::Migrate {
+                vip: Vip(4),
+                to_pip: Pip(5),
+                at_ns: Some(6)
+            })
         );
         assert_eq!(CtlOp::Lookup { vip: Vip(1) }.as_mapping_op(), None);
         assert_eq!(CtlOp::Snapshot.as_mapping_op(), None);
@@ -230,10 +249,22 @@ mod tests {
     #[test]
     fn keyed_ops_name_their_vip_and_barriers_none() {
         assert_eq!(CtlOp::Lookup { vip: Vip(1) }.vip(), Some(Vip(1)));
-        assert_eq!(CtlOp::Install { vip: Vip(2), pip: Pip(0) }.vip(), Some(Vip(2)));
+        assert_eq!(
+            CtlOp::Install {
+                vip: Vip(2),
+                pip: Pip(0)
+            }
+            .vip(),
+            Some(Vip(2))
+        );
         assert_eq!(CtlOp::Invalidate { vip: Vip(3) }.vip(), Some(Vip(3)));
         assert_eq!(
-            CtlOp::Migrate { vip: Vip(4), to_pip: Pip(0), at_ns: None }.vip(),
+            CtlOp::Migrate {
+                vip: Vip(4),
+                to_pip: Pip(0),
+                at_ns: None
+            }
+            .vip(),
             Some(Vip(4))
         );
         assert_eq!(CtlOp::Snapshot.vip(), None);

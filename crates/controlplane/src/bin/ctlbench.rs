@@ -39,11 +39,7 @@ fn die(msg: &str) -> ! {
 }
 
 /// The value after `flag`, parsed; `what` names it in the error.
-fn value<T: std::str::FromStr>(
-    it: &mut impl Iterator<Item = String>,
-    flag: &str,
-    what: &str,
-) -> T {
+fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T {
     it.next()
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
@@ -123,7 +119,9 @@ fn run_conn(
             // Invalidations travel as invalidate+reinstall pairs so the
             // table's size holds steady across the run.
             if req.ops.len() + 1 < batch && rng.chance(p_inv) {
-                req.ops.push(CtlOp::Invalidate { vip: seed_vip(vip_idx) });
+                req.ops.push(CtlOp::Invalidate {
+                    vip: seed_vip(vip_idx),
+                });
                 req.ops.push(CtlOp::Install {
                     vip: seed_vip(vip_idx),
                     pip: seed_pip(vip_idx),
@@ -131,7 +129,9 @@ fn run_conn(
                 tally.invalidates += 1;
                 tally.installs += 1;
             } else {
-                req.ops.push(CtlOp::Lookup { vip: seed_vip(vip_idx) });
+                req.ops.push(CtlOp::Lookup {
+                    vip: seed_vip(vip_idx),
+                });
                 tally.lookups += 1;
             }
         }
@@ -172,7 +172,10 @@ fn preload_remote(addr: std::net::SocketAddr, mappings: u32, batch: usize) -> u6
     while i < mappings {
         let mut req = RequestBatch::new(u64::from(i));
         while req.ops.len() < batch && i < mappings {
-            req.ops.push(CtlOp::Install { vip: seed_vip(i), pip: seed_pip(i) });
+            req.ops.push(CtlOp::Install {
+                vip: seed_vip(i),
+                pip: seed_pip(i),
+            });
             i += 1;
         }
         installed += req.ops.len() as u64;
@@ -208,11 +211,21 @@ fn main() {
             .map(|c| {
                 let rng = master.fork(c as u64 + 1);
                 scope.spawn(move || {
-                    run_conn(addr, rng, args.mappings, per_conn, args.batch, args.invalidate_pct)
+                    run_conn(
+                        addr,
+                        rng,
+                        args.mappings,
+                        per_conn,
+                        args.batch,
+                        args.invalidate_pct,
+                    )
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("conn thread")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("conn thread"))
+            .collect()
     });
     let wall_s = wall.elapsed().as_secs_f64();
 
@@ -239,8 +252,14 @@ fn main() {
             "server counters disagree with client tallies: \
              server lookups={} hits={} invalidates={} installs={}, \
              client lookups={} hits={} invalidates={} installs={}",
-            stats.lookups, stats.hits, stats.invalidates, stats.installs,
-            total.lookups, total.hits, total.invalidates, client_installs,
+            stats.lookups,
+            stats.hits,
+            stats.invalidates,
+            stats.installs,
+            total.lookups,
+            total.hits,
+            total.invalidates,
+            client_installs,
         ));
     }
     if stats.rejected != 0 {

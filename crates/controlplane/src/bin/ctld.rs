@@ -31,11 +31,7 @@ fn die(msg: &str) -> ! {
 }
 
 /// The value after `flag`, parsed; `what` names it in the error.
-fn value<T: std::str::FromStr>(
-    it: &mut impl Iterator<Item = String>,
-    flag: &str,
-    what: &str,
-) -> T {
+fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T {
     it.next()
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| die(&format!("{flag} needs {what}")))

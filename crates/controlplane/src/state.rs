@@ -173,7 +173,9 @@ impl StripedControlPlane {
 
     /// Stripe `i`'s read guard, recovered if a writer panicked.
     fn read(&self, i: usize) -> RwLockReadGuard<'_, MappingDb> {
-        self.stripes[i].read().unwrap_or_else(PoisonError::into_inner)
+        self.stripes[i]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stripe `i`'s write guard, recovered if a writer panicked.
@@ -190,7 +192,9 @@ impl StripedControlPlane {
     /// that unwinds still adds the ops it applied to the epoch. (A batch
     /// that unwinds does lose its unpublished op counters.)
     fn write(&self, i: usize) -> RwLockWriteGuard<'_, MappingDb> {
-        self.stripes[i].write().unwrap_or_else(PoisonError::into_inner)
+        self.stripes[i]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stripe `i`'s write lock as a [`WriteGroup`].
@@ -317,7 +321,12 @@ impl StripedControlPlane {
                 op_stripes.push(self.stripe_of(vip));
                 continue;
             }
-            self.run_groups(&ops[from..at], &op_stripes, &mut replies[from..at], &mut tally);
+            self.run_groups(
+                &ops[from..at],
+                &op_stripes,
+                &mut replies[from..at],
+                &mut tally,
+            );
             self.counts.add(&std::mem::take(&mut tally));
             op_stripes.clear();
             replies[at] = match op {
@@ -378,7 +387,9 @@ impl StripedControlPlane {
                 continue;
             }
             let vips = group.iter().filter_map(|&k| ops[k].vip());
-            let reads_only = group.iter().all(|&k| matches!(ops[k], CtlOp::Lookup { .. }));
+            let reads_only = group
+                .iter()
+                .all(|&k| matches!(ops[k], CtlOp::Lookup { .. }));
             if reads_only {
                 let db = self.read(s);
                 db.warm(vips);
@@ -421,19 +432,32 @@ mod tests {
         let rep = cp.execute_shared(&batch(vec![
             CtlOp::Lookup { vip: Vip(7) },
             CtlOp::Lookup { vip: Vip(500) },
-            CtlOp::Migrate { vip: Vip(7), to_pip: Pip(9), at_ns: None },
+            CtlOp::Migrate {
+                vip: Vip(7),
+                to_pip: Pip(9),
+                at_ns: None,
+            },
             CtlOp::Lookup { vip: Vip(7) },
             // Rejected writes change nothing.
-            CtlOp::Migrate { vip: Vip(999), to_pip: Pip(1), at_ns: None },
+            CtlOp::Migrate {
+                vip: Vip(999),
+                to_pip: Pip(1),
+                at_ns: None,
+            },
         ]));
         assert_eq!(
             rep.replies,
             vec![
                 CtlReply::Found { pip: Pip(1007) },
                 CtlReply::NotFound,
-                CtlReply::Applied { old: Some(Pip(1007)), new: Some(Pip(9)) },
+                CtlReply::Applied {
+                    old: Some(Pip(1007)),
+                    new: Some(Pip(9))
+                },
                 CtlReply::Found { pip: Pip(9) },
-                CtlReply::Rejected { reason: RejectReason::UnknownVip },
+                CtlReply::Rejected {
+                    reason: RejectReason::UnknownVip
+                },
             ]
         );
         assert_eq!((rep.epoch, cp.epoch()), (101, 101));
@@ -463,8 +487,9 @@ mod tests {
     #[test]
     fn preload_is_installing_one_at_a_time_without_counting() {
         // 500 entries over 300 VIPs: 200 VIPs listed twice.
-        let entries: Vec<(Vip, Pip)> =
-            (0..500u32).map(|i| (Vip(i * 7 % 300), Pip(10_000 + i))).collect();
+        let entries: Vec<(Vip, Pip)> = (0..500u32)
+            .map(|i| (Vip(i * 7 % 300), Pip(10_000 + i)))
+            .collect();
         let mut last = std::collections::BTreeMap::new();
         for &(vip, pip) in &entries {
             last.insert(vip, pip);
@@ -483,7 +508,14 @@ mod tests {
             unhinted.preload(entries[250..].iter().copied().filter(|_| true));
             for bulk in [&exact, &unhinted] {
                 let s = bulk.stats();
-                assert_eq!(s, ServiceStats { epoch: 500, mappings: 300, ..Default::default() });
+                assert_eq!(
+                    s,
+                    ServiceStats {
+                        epoch: 500,
+                        mappings: 300,
+                        ..Default::default()
+                    }
+                );
                 assert_eq!((bulk.len(), bulk.epoch()), (one.len(), one.epoch()));
                 assert_eq!(bulk.snapshot(), one.snapshot());
                 assert_eq!(bulk.snapshot(), want);
@@ -509,7 +541,11 @@ mod tests {
                         for i in b * 10..b * 10 + 10 {
                             let vip = Vip(t * 16 + i % 16);
                             let to_pip = Pip(10_000 + t * 1000 + i);
-                            ops.push(CtlOp::Migrate { vip, to_pip, at_ns: Some(i as u64) });
+                            ops.push(CtlOp::Migrate {
+                                vip,
+                                to_pip,
+                                at_ns: Some(i as u64),
+                            });
                             ops.push(CtlOp::Lookup { vip });
                         }
                         let rep = cp.execute_shared(&batch(ops));
@@ -536,18 +572,31 @@ mod tests {
     #[test]
     fn a_write_group_that_unwinds_still_counts_its_writes() {
         let cp = StripedControlPlane::new(2);
-        let vip = (0..).map(Vip).find(|&v| cp.stripe_of(v) == 0).expect("a VIP on stripe 0");
+        let vip = (0..)
+            .map(Vip)
+            .find(|&v| cp.stripe_of(v) == 0)
+            .expect("a VIP on stripe 0");
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut w = cp.write_group(0);
             let mut tally = ServiceStats::default();
             w.apply(MappingOp::Install { vip, pip: Pip(1) }, &mut tally);
-            w.apply(MappingOp::Migrate { vip: Vip(u32::MAX), to_pip: Pip(2), at_ns: None }, &mut tally);
+            w.apply(
+                MappingOp::Migrate {
+                    vip: Vip(u32::MAX),
+                    to_pip: Pip(2),
+                    at_ns: None,
+                },
+                &mut tally,
+            );
             panic!("handler panics mid-group");
         }));
         assert!(died.is_err() && cp.stripes[0].is_poisoned());
         assert_eq!((cp.epoch(), cp.len()), (1, 1));
         let rep = cp.execute_shared(&batch(vec![CtlOp::Lookup { vip }]));
-        assert_eq!((rep.replies[0].clone(), rep.epoch), (CtlReply::Found { pip: Pip(1) }, 1));
+        assert_eq!(
+            (rep.replies[0].clone(), rep.epoch),
+            (CtlReply::Found { pip: Pip(1) }, 1)
+        );
     }
 
     #[test]
@@ -564,18 +613,33 @@ mod tests {
         assert!(died.is_err());
         assert!(cp.stripes[0].is_poisoned() && cp.exec_ns.is_poisoned());
 
-        let vip = (0..64).map(Vip).find(|&v| cp.stripe_of(v) == 0).expect("a VIP on stripe 0");
+        let vip = (0..64)
+            .map(Vip)
+            .find(|&v| cp.stripe_of(v) == 0)
+            .expect("a VIP on stripe 0");
         let rep = cp.execute_shared(&batch(vec![
             CtlOp::Lookup { vip },
-            CtlOp::Migrate { vip, to_pip: Pip(7), at_ns: None },
+            CtlOp::Migrate {
+                vip,
+                to_pip: Pip(7),
+                at_ns: None,
+            },
             CtlOp::Lookup { vip },
-            CtlOp::Install { vip: Vip(64), pip: Pip(1) },
+            CtlOp::Install {
+                vip: Vip(64),
+                pip: Pip(1),
+            },
         ]));
         assert_eq!(
             rep.replies[..3],
             [
-                CtlReply::Found { pip: Pip(100 + vip.0) },
-                CtlReply::Applied { old: Some(Pip(100 + vip.0)), new: Some(Pip(7)) },
+                CtlReply::Found {
+                    pip: Pip(100 + vip.0)
+                },
+                CtlReply::Applied {
+                    old: Some(Pip(100 + vip.0)),
+                    new: Some(Pip(7))
+                },
                 CtlReply::Found { pip: Pip(7) },
             ]
         );

@@ -94,10 +94,7 @@ impl CtlServer {
     ///
     /// Pass port 0 to bind an ephemeral port; the bound address is
     /// available from [`Self::addr`].
-    pub fn spawn(
-        addr: impl ToSocketAddrs,
-        state: Arc<StripedControlPlane>,
-    ) -> io::Result<Self> {
+    pub fn spawn(addr: impl ToSocketAddrs, state: Arc<StripedControlPlane>) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         // Nonblocking accept so the loop can observe the stop flag.
@@ -135,11 +132,7 @@ impl Drop for CtlServer {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    state: Arc<StripedControlPlane>,
-    stop: Arc<AtomicBool>,
-) {
+fn accept_loop(listener: TcpListener, state: Arc<StripedControlPlane>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -165,10 +158,7 @@ fn accept_loop(
 /// frames out. Returns when the client closes, on the first error, or when
 /// the peer leaves a begun frame or an unread reply waiting for
 /// `PEER_TIMEOUT`.
-pub fn serve_connection(
-    stream: TcpStream,
-    state: &StripedControlPlane,
-) -> Result<(), FrameError> {
+pub fn serve_connection(stream: TcpStream, state: &StripedControlPlane) -> Result<(), FrameError> {
     stream.set_nodelay(true)?;
     // Handler threads block in read; blocking mode is inherited per-stream,
     // not from the nonblocking listener on all platforms, so set it
@@ -220,13 +210,16 @@ mod tests {
     fn client_server_round_trip_on_loopback() {
         let state = Arc::new(StripedControlPlane::new(4));
         state.preload((0..32u32).map(|i| (Vip(i), Pip(100 + i))));
-        let mut server =
-            CtlServer::spawn("127.0.0.1:0", Arc::clone(&state)).expect("bind");
+        let mut server = CtlServer::spawn("127.0.0.1:0", Arc::clone(&state)).expect("bind");
         let mut client = CtlClient::connect(server.addr()).expect("connect");
 
         let mut req = RequestBatch::new(7);
         req.ops.push(CtlOp::Lookup { vip: Vip(3) });
-        req.ops.push(CtlOp::Migrate { vip: Vip(3), to_pip: Pip(900), at_ns: Some(11) });
+        req.ops.push(CtlOp::Migrate {
+            vip: Vip(3),
+            to_pip: Pip(900),
+            at_ns: Some(11),
+        });
         req.ops.push(CtlOp::Lookup { vip: Vip(3) });
         req.ops.push(CtlOp::Lookup { vip: Vip(77) });
         let rep = client.call(&req).expect("call");
@@ -236,7 +229,10 @@ mod tests {
             rep.replies,
             vec![
                 CtlReply::Found { pip: Pip(103) },
-                CtlReply::Applied { old: Some(Pip(103)), new: Some(Pip(900)) },
+                CtlReply::Applied {
+                    old: Some(Pip(103)),
+                    new: Some(Pip(900))
+                },
                 CtlReply::Found { pip: Pip(900) },
                 CtlReply::NotFound,
             ]

@@ -373,8 +373,7 @@ pub fn decode_reply(buf: &[u8]) -> Result<ReplyBatch, WireError> {
             },
             RTAG_REJECTED => {
                 let code = c.u8()?;
-                let reason =
-                    RejectReason::from_code(code).ok_or(WireError::BadValue(code))?;
+                let reason = RejectReason::from_code(code).ok_or(WireError::BadValue(code))?;
                 CtlReply::Rejected { reason }
             }
             RTAG_SNAPSHOT => {
@@ -415,11 +414,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Returns `Ok(false)` on clean EOF at a frame boundary; frames larger than
 /// `max` are refused without reading their body. The announced length is
 /// the peer's claim, so the buffer grows only as the body arrives.
-pub fn read_frame(
-    r: &mut impl Read,
-    buf: &mut Vec<u8>,
-    max: usize,
-) -> Result<bool, FrameError> {
+pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>, max: usize) -> Result<bool, FrameError> {
     let mut len_bytes = [0u8; 4];
     // EOF before any length byte is a clean close; EOF inside is not.
     match r.read(&mut len_bytes) {
@@ -437,7 +432,10 @@ pub fn read_frame(
     }
     buf.clear();
     buf.reserve(len.min(FRAME_RESERVE));
-    let got = r.take(len as u64).read_to_end(buf).map_err(FrameError::Io)?;
+    let got = r
+        .take(len as u64)
+        .read_to_end(buf)
+        .map_err(FrameError::Io)?;
     if got < len {
         let eof = io::Error::new(io::ErrorKind::UnexpectedEof, "frame ends early");
         return Err(FrameError::Io(eof));
@@ -486,10 +484,21 @@ mod tests {
             id: 42,
             ops: vec![
                 CtlOp::Lookup { vip: Vip(7) },
-                CtlOp::Install { vip: Vip(8), pip: Pip(9) },
+                CtlOp::Install {
+                    vip: Vip(8),
+                    pip: Pip(9),
+                },
                 CtlOp::Invalidate { vip: Vip(10) },
-                CtlOp::Migrate { vip: Vip(11), to_pip: Pip(12), at_ns: Some(13) },
-                CtlOp::Migrate { vip: Vip(14), to_pip: Pip(15), at_ns: None },
+                CtlOp::Migrate {
+                    vip: Vip(11),
+                    to_pip: Pip(12),
+                    at_ns: Some(13),
+                },
+                CtlOp::Migrate {
+                    vip: Vip(14),
+                    to_pip: Pip(15),
+                    at_ns: None,
+                },
                 CtlOp::Snapshot,
                 CtlOp::Stats,
             ],
@@ -512,9 +521,17 @@ mod tests {
             replies: vec![
                 CtlReply::Found { pip: Pip(9) },
                 CtlReply::NotFound,
-                CtlReply::Applied { old: Some(Pip(1)), new: None },
-                CtlReply::Applied { old: None, new: Some(Pip(2)) },
-                CtlReply::Rejected { reason: RejectReason::UnknownVip },
+                CtlReply::Applied {
+                    old: Some(Pip(1)),
+                    new: None,
+                },
+                CtlReply::Applied {
+                    old: None,
+                    new: Some(Pip(2)),
+                },
+                CtlReply::Rejected {
+                    reason: RejectReason::UnknownVip,
+                },
                 CtlReply::Snapshot {
                     entries: vec![(Vip(1), Pip(2)), (Vip(3), Pip(4))],
                 },

@@ -14,10 +14,16 @@ use v2p_controlplane::wire::{
 fn arb_op() -> impl Strategy<Value = CtlOp> {
     prop_oneof![
         any::<u32>().prop_map(|v| CtlOp::Lookup { vip: Vip(v) }),
-        (any::<u32>(), any::<u32>())
-            .prop_map(|(v, p)| CtlOp::Install { vip: Vip(v), pip: Pip(p) }),
+        (any::<u32>(), any::<u32>()).prop_map(|(v, p)| CtlOp::Install {
+            vip: Vip(v),
+            pip: Pip(p)
+        }),
         any::<u32>().prop_map(|v| CtlOp::Invalidate { vip: Vip(v) }),
-        (any::<u32>(), any::<u32>(), proptest::option::of(any::<u64>()))
+        (
+            any::<u32>(),
+            any::<u32>(),
+            proptest::option::of(any::<u64>())
+        )
             .prop_map(|(v, p, at)| CtlOp::Migrate {
                 vip: Vip(v),
                 to_pip: Pip(p),
@@ -31,43 +37,64 @@ fn arb_op() -> impl Strategy<Value = CtlOp> {
 fn arb_stats() -> impl Strategy<Value = ServiceStats> {
     // 13 fields; tuple strategies cap at 10, so split.
     (
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        ),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        ),
         (any::<u64>(), any::<u64>(), any::<u64>()),
     )
-        .prop_map(|((a, b, c, d, e), (f, g, h, i, j), (k, l, m))| ServiceStats {
-            batches: a,
-            ops: b,
-            lookups: c,
-            hits: d,
-            installs: e,
-            invalidates: f,
-            migrates: g,
-            rejected: h,
-            snapshots: i,
-            epoch: j,
-            mappings: k,
-            exec_p50_ns: l,
-            exec_p99_ns: m,
-        })
+        .prop_map(
+            |((a, b, c, d, e), (f, g, h, i, j), (k, l, m))| ServiceStats {
+                batches: a,
+                ops: b,
+                lookups: c,
+                hits: d,
+                installs: e,
+                invalidates: f,
+                migrates: g,
+                rejected: h,
+                snapshots: i,
+                epoch: j,
+                mappings: k,
+                exec_p50_ns: l,
+                exec_p99_ns: m,
+            },
+        )
 }
 
 fn arb_reply() -> impl Strategy<Value = CtlReply> {
     prop_oneof![
         any::<u32>().prop_map(|p| CtlReply::Found { pip: Pip(p) }),
         Just(CtlReply::NotFound),
-        (proptest::option::of(any::<u32>()), proptest::option::of(any::<u32>()))
+        (
+            proptest::option::of(any::<u32>()),
+            proptest::option::of(any::<u32>())
+        )
             .prop_map(|(old, new)| CtlReply::Applied {
                 old: old.map(Pip),
                 new: new.map(Pip),
             }),
-        Just(CtlReply::Rejected { reason: RejectReason::UnknownVip }),
+        Just(CtlReply::Rejected {
+            reason: RejectReason::UnknownVip
+        }),
         proptest::collection::vec((any::<u32>(), any::<u32>()), 0..20).prop_map(|es| {
             CtlReply::Snapshot {
                 entries: es.into_iter().map(|(v, p)| (Vip(v), Pip(p))).collect(),
             }
         }),
-        arb_stats().prop_map(|stats| CtlReply::Stats { stats: Box::new(stats) }),
+        arb_stats().prop_map(|stats| CtlReply::Stats {
+            stats: Box::new(stats)
+        }),
     ]
 }
 

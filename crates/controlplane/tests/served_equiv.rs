@@ -17,8 +17,8 @@ use sv2p_packet::{Pip, Vip};
 use sv2p_simcore::SimRng;
 use sv2p_vnet::{ApplyError, MappingDb, MappingOp};
 use v2p_controlplane::{
-    CtlClient, CtlOp, CtlReply, CtlServer, RejectReason, ReplyBatch, RequestBatch,
-    ServiceStats, StripedControlPlane,
+    CtlClient, CtlOp, CtlReply, CtlServer, RejectReason, ReplyBatch, RequestBatch, ServiceStats,
+    StripedControlPlane,
 };
 
 /// The stripe counts every suite runs at.
@@ -33,12 +33,19 @@ fn synth_ops(seed: u64, n: usize, vip_base: u32) -> Vec<CtlOp> {
     let mut ops = Vec::with_capacity(n);
     for _ in 0..n {
         if rng.chance(0.02) {
-            ops.push(if rng.chance(0.5) { CtlOp::Snapshot } else { CtlOp::Stats });
+            ops.push(if rng.chance(0.5) {
+                CtlOp::Snapshot
+            } else {
+                CtlOp::Stats
+            });
             continue;
         }
         let vip = Vip(vip_base + rng.gen_range(0u32..200));
         ops.push(match rng.gen_range(0u32..10) {
-            0..=2 => CtlOp::Install { vip, pip: Pip(rng.gen_range(0u32..1000)) },
+            0..=2 => CtlOp::Install {
+                vip,
+                pip: Pip(rng.gen_range(0u32..1000)),
+            },
             3..=5 => CtlOp::Lookup { vip },
             6 => CtlOp::Invalidate { vip },
             7 => CtlOp::Migrate {
@@ -231,7 +238,11 @@ fn served_end_state_matches_for_multiple_seeds_and_batch_sizes() {
 
             let case = format!("seed {seed} batch {batch} at {stripes} stripes");
             assert_eq!(fold_reps, served_reps, "replies diverged for {case}");
-            assert_eq!(fold.snapshot(), state.snapshot(), "end states diverged for {case}");
+            assert_eq!(
+                fold.snapshot(),
+                state.snapshot(),
+                "end states diverged for {case}"
+            );
             assert_eq!(fold.db.epoch(), state.epoch());
             server.shutdown();
         }
@@ -282,7 +293,10 @@ fn concurrent_clients_on_disjoint_vips_match_the_fold_of_the_union() {
                     })
                 })
                 .collect();
-            clients.into_iter().map(|c| c.join().expect("client")).collect()
+            clients
+                .into_iter()
+                .map(|c| c.join().expect("client"))
+                .collect()
         });
 
         for (reqs, served_reps) in logs.iter().zip(&served) {

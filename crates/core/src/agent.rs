@@ -141,11 +141,7 @@ impl SwitchV2PAgent {
                                 InvalidationMode::TimestampVector => {
                                     let last = self.ts_vector.get(&culprit).copied();
                                     match last {
-                                        Some(t)
-                                            if ctx.now.saturating_since(t) < BASE_RTT =>
-                                        {
-                                            false
-                                        }
+                                        Some(t) if ctx.now.saturating_since(t) < BASE_RTT => false,
                                         _ => {
                                             self.ts_vector.insert(culprit, ctx.now);
                                             true
@@ -286,8 +282,7 @@ impl SwitchV2PAgent {
             SwitchRole::Spine | SwitchRole::GatewaySpine => {
                 if pkt.outer.resolved {
                     let pip = pkt.outer.dst_pip;
-                    let outcome =
-                        self.insert_with_spill(dst_vip, pip, Admission::AbitClear, pkt);
+                    let outcome = self.insert_with_spill(dst_vip, pip, Admission::AbitClear, pkt);
                     if ctx.trace_cache_ops {
                         let accepted = CacheOp::Insert { vip: dst_vip, pip };
                         push_insert_ops(&mut out.cache_ops, outcome, accepted);
@@ -446,7 +441,13 @@ mod tests {
         }
     }
 
-    fn data_packet(src_vip: u32, dst_vip: u32, src_pip: u32, dst_pip: u32, resolved: bool) -> Packet {
+    fn data_packet(
+        src_vip: u32,
+        dst_vip: u32,
+        src_pip: u32,
+        dst_pip: u32,
+        resolved: bool,
+    ) -> Packet {
         Packet {
             id: PacketId(1),
             flow: Default::default(),
@@ -511,12 +512,24 @@ mod tests {
         let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
         let mut down = data_packet(1, 2, 11, 22, true);
         agent.on_packet(&mut fx.ctx(SwitchRole::GatewayTor, None, false), &mut down);
-        assert_eq!(agent.cache.peek(Vip(2)), Some(Pip(22)), "gateway ToR dest-learns");
+        assert_eq!(
+            agent.cache.peek(Vip(2)),
+            Some(Pip(22)),
+            "gateway ToR dest-learns"
+        );
         let mut up = data_packet(3, 4, 33, 44, true);
         agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(33)), false), &mut up);
-        assert_eq!(agent.cache.peek(Vip(3)), Some(Pip(33)), "a ToR source-learns");
+        assert_eq!(
+            agent.cache.peek(Vip(3)),
+            Some(Pip(33)),
+            "a ToR source-learns"
+        );
         assert_eq!(agent.cache.peek(Vip(4)), None, "and no longer dest-learns");
-        assert_eq!(agent.cache.peek(Vip(2)), Some(Pip(22)), "the cache did not migrate");
+        assert_eq!(
+            agent.cache.peek(Vip(2)),
+            Some(Pip(22)),
+            "the cache did not migrate"
+        );
     }
 
     #[test]
@@ -724,14 +737,17 @@ mod tests {
         let mk = |fx: &mut Fixture, agent: &mut SwitchV2PAgent| {
             let mut pkt = data_packet(1, 2, 11, 999, false);
             pkt.opts.hit_switch = Some(SwitchTag(3));
-            let out =
-                agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(55)), false), &mut pkt);
+            let out = agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(55)), false), &mut pkt);
             out.emit.len()
         };
         assert_eq!(mk(&mut fx, &mut agent), 1, "first fires");
         assert_eq!(mk(&mut fx, &mut agent), 0, "suppressed within base RTT");
         fx.now += SimDuration::from_micros(11);
-        assert_eq!(mk(&mut fx, &mut agent), 0, "still suppressed just inside it");
+        assert_eq!(
+            mk(&mut fx, &mut agent),
+            0,
+            "still suppressed just inside it"
+        );
         // After one base RTT it may fire again (retransmission).
         fx.now += SimDuration::from_micros(2);
         assert_eq!(mk(&mut fx, &mut agent), 1, "re-armed after base RTT");
@@ -745,8 +761,7 @@ mod tests {
         for _ in 0..5 {
             let mut pkt = data_packet(1, 2, 11, 999, false);
             pkt.opts.hit_switch = Some(SwitchTag(3));
-            let out =
-                agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(55)), false), &mut pkt);
+            let out = agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(55)), false), &mut pkt);
             assert_eq!(out.emit.len(), 1);
         }
     }

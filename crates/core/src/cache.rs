@@ -243,7 +243,10 @@ mod tests {
     fn empty_cache_misses_and_rejects() {
         let mut c = DirectMappedCache::new(0);
         assert_eq!(c.lookup(Vip(1)), None);
-        assert_eq!(c.insert(Vip(1), Pip(2), Admission::All), InsertOutcome::Rejected);
+        assert_eq!(
+            c.insert(Vip(1), Pip(2), Admission::All),
+            InsertOutcome::Rejected
+        );
         assert!(!c.invalidate(Vip(1), None));
         assert_eq!(c.occupancy(), 0);
     }
@@ -251,7 +254,10 @@ mod tests {
     #[test]
     fn insert_then_hit_sets_abit() {
         let mut c = DirectMappedCache::new(8);
-        assert_eq!(c.insert(Vip(1), Pip(10), Admission::All), InsertOutcome::Inserted);
+        assert_eq!(
+            c.insert(Vip(1), Pip(10), Admission::All),
+            InsertOutcome::Inserted
+        );
         // First hit reports the abit as it was before (clear).
         assert_eq!(c.lookup(Vip(1)), Some((Pip(10), false)));
         // Second hit sees it set.
@@ -279,7 +285,7 @@ mod tests {
         let (a, b) = colliding_pair(&c);
         c.insert(a, Pip(10), Admission::All);
         c.lookup(a); // abit set
-        // A lookup of the colliding key is a miss and clears the abit.
+                     // A lookup of the colliding key is a miss and clears the abit.
         assert_eq!(c.lookup(b), None);
         assert_eq!(c.lookup(a), Some((Pip(10), false)), "abit was cleared");
         // Admission::All replaces regardless.
@@ -300,7 +306,10 @@ mod tests {
         let (a, b) = colliding_pair(&c);
         c.insert(a, Pip(10), Admission::All);
         c.lookup(a); // live
-        assert_eq!(c.insert(b, Pip(20), Admission::AbitClear), InsertOutcome::Rejected);
+        assert_eq!(
+            c.insert(b, Pip(20), Admission::AbitClear),
+            InsertOutcome::Rejected
+        );
         assert_eq!(c.peek(a), Some(Pip(10)));
         // After a conflicting miss clears the bit, admission succeeds.
         c.lookup(b);
@@ -314,7 +323,10 @@ mod tests {
     fn update_refreshes_value_keeps_occupancy() {
         let mut c = DirectMappedCache::new(4);
         c.insert(Vip(1), Pip(10), Admission::All);
-        assert_eq!(c.insert(Vip(1), Pip(11), Admission::AbitClear), InsertOutcome::Updated);
+        assert_eq!(
+            c.insert(Vip(1), Pip(11), Admission::AbitClear),
+            InsertOutcome::Updated
+        );
         assert_eq!(c.peek(Vip(1)), Some(Pip(11)));
         assert_eq!(c.occupancy(), 1);
     }

@@ -66,7 +66,13 @@ mod tests {
         use sv2p_topology::{FatTreeConfig, NodeKind};
 
         let s = SwitchV2P::new(config);
-        let mut sim = Engine::new(SimConfig::default(), &FatTreeConfig::scaled_ft8(2), &s, 512, 4);
+        let mut sim = Engine::new(
+            SimConfig::default(),
+            &FatTreeConfig::scaled_ft8(2),
+            &s,
+            512,
+            4,
+        );
         let vms = sim.placement().len();
         sim.add_flows((0..48).map(|i| FlowSpec {
             src_vm: (i * 7) % vms,

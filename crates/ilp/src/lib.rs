@@ -314,7 +314,12 @@ mod tests {
                     let mapping = (next() % 3) as u32;
                     let n_opt = 1 + (next() % 2) as usize;
                     let options: Vec<(usize, f64)> = (0..n_opt)
-                        .map(|_| ((next() % num_switches as u64) as usize, (2 + next() % 5) as f64))
+                        .map(|_| {
+                            (
+                                (next() % num_switches as u64) as usize,
+                                (2 + next() % 5) as f64,
+                            )
+                        })
                         .collect();
                     Demand {
                         weight: 1 + next() % 9,

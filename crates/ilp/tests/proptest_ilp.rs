@@ -6,15 +6,19 @@ use proptest::prelude::*;
 use sv2p_ilp::{Demand, Placement, PlacementProblem};
 
 fn arb_problem(max_candidates: usize) -> impl Strategy<Value = PlacementProblem> {
-    (2usize..4, 1usize..3, proptest::collection::vec(
-        (
-            1u64..10,
-            0u32..4,
-            proptest::collection::vec((0usize..3, 1.0f64..9.0), 1..3),
-            10.0f64..30.0,
+    (
+        2usize..4,
+        1usize..3,
+        proptest::collection::vec(
+            (
+                1u64..10,
+                0u32..4,
+                proptest::collection::vec((0usize..3, 1.0f64..9.0), 1..3),
+                10.0f64..30.0,
+            ),
+            1..5,
         ),
-        1..5,
-    ))
+    )
         .prop_map(move |(num_switches, capacity, raw)| {
             let demands = raw
                 .into_iter()

@@ -118,8 +118,7 @@ impl PacketArena {
 mod tests {
     use super::*;
     use sv2p_packet::{
-        FlowId, InnerHeader, OuterHeader, PacketId, PacketKind, Pip, TcpFlags, TunnelOptions,
-        Vip,
+        FlowId, InnerHeader, OuterHeader, PacketId, PacketKind, Pip, TcpFlags, TunnelOptions, Vip,
     };
 
     fn pkt(id: u64) -> Packet {

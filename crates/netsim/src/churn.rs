@@ -251,8 +251,7 @@ impl ChurnPlan {
                     let tid = tenants.len() as u32;
                     let mut rng = root.fork(1_000 + tid as u64);
                     let want = rng.gen_range(VMS_MIN..=spec.vms_max) as usize;
-                    let claimed: Vec<usize> =
-                        (0..want).map_while(|_| free.pop()).collect();
+                    let claimed: Vec<usize> = (0..want).map_while(|_| free.pop()).collect();
                     let life_ns =
                         (rng.exponential(spec.lifetime_mean_us).max(1.0) * 1_000.0) as u64;
                     let depart_ns = at_ns + life_ns;
@@ -271,7 +270,13 @@ impl ChurnPlan {
                         vms: claimed.len() as u32,
                     });
                     gen_tenant_flows(
-                        placement, &mut rng, &claimed, &claimed, at_ns, depart_ns, horizon_ns,
+                        placement,
+                        &mut rng,
+                        &claimed,
+                        &claimed,
+                        at_ns,
+                        depart_ns,
+                        horizon_ns,
                         &mut plan.flows,
                     );
                     tenants.push(Tenant {
@@ -283,8 +288,7 @@ impl ChurnPlan {
                 K_SCALE => {
                     let tid = payload as usize;
                     let extra_want = (tenants[tid].vms.len() / 2).max(1);
-                    let extra: Vec<usize> =
-                        (0..extra_want).map_while(|_| free.pop()).collect();
+                    let extra: Vec<usize> = (0..extra_want).map_while(|_| free.pop()).collect();
                     if extra.is_empty() {
                         continue;
                     }
@@ -299,7 +303,13 @@ impl ChurnPlan {
                     tn.vms.extend_from_slice(&extra);
                     let all = tn.vms.clone();
                     gen_tenant_flows(
-                        placement, &mut rng, &extra, &all, at_ns, depart_ns, horizon_ns,
+                        placement,
+                        &mut rng,
+                        &extra,
+                        &all,
+                        at_ns,
+                        depart_ns,
+                        horizon_ns,
                         &mut plan.flows,
                     );
                 }
@@ -320,10 +330,8 @@ impl ChurnPlan {
                     // K_WAVE: migrate a slice of everything currently
                     // claimed, rolling with a fixed stagger.
                     let mut rng = root.fork((1 << 32) + payload as u64);
-                    let mut claimed: Vec<usize> = tenants
-                        .iter()
-                        .flat_map(|t| t.vms.iter().copied())
-                        .collect();
+                    let mut claimed: Vec<usize> =
+                        tenants.iter().flat_map(|t| t.vms.iter().copied()).collect();
                     rng.shuffle(&mut claimed);
                     let count = ((claimed.len() as f64 * spec.wave_fraction).ceil() as usize)
                         .min(claimed.len());
@@ -408,8 +416,7 @@ mod tests {
     fn setup() -> (Topology, Placement, Vec<(NodeId, Pip)>) {
         let topo = FatTreeConfig::scaled_ft8(2).build();
         let placement = Placement::uniform(&topo, 4);
-        let servers: Vec<(NodeId, Pip)> =
-            topo.servers().map(|s| (s.id, s.pip)).collect();
+        let servers: Vec<(NodeId, Pip)> = topo.servers().map(|s| (s.id, s.pip)).collect();
         (topo, placement, servers)
     }
 
@@ -471,8 +478,7 @@ mod tests {
     #[test]
     fn marks_are_time_ordered() {
         let (_t, placement, servers) = setup();
-        let plan =
-            ChurnPlan::generate(&ChurnSpec::medium(9, 25_000), &placement, &servers);
+        let plan = ChurnPlan::generate(&ChurnSpec::medium(9, 25_000), &placement, &servers);
         for w in plan.marks.windows(2) {
             assert!(w[0].at() <= w[1].at());
         }

@@ -210,7 +210,11 @@ impl Master {
         if !std::mem::take(&mut self.sampler_idle) {
             return;
         }
-        let next = self.tracer.samples.last().map_or(0, |s| s.t_ns + SAMPLE_EVERY_NS);
+        let next = self
+            .tracer
+            .samples
+            .last()
+            .map_or(0, |s| s.t_ns + SAMPLE_EVERY_NS);
         let now = self.events.now().as_nanos();
         let at = SimTime::from_nanos(now.next_multiple_of(SAMPLE_EVERY_NS).max(next));
         self.events.schedule_at(at, Event::TelemetrySample);

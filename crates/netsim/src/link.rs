@@ -57,7 +57,10 @@ impl SerTable {
         let exact = (0..Self::EXACT)
             .map(|b| SimDuration::serialization(b, bandwidth_bps))
             .collect();
-        SerTable { bandwidth_bps, exact }
+        SerTable {
+            bandwidth_bps,
+            exact,
+        }
     }
 
     /// Serialization time of `wire_bytes`.
@@ -253,7 +256,13 @@ mod oracle {
             SimDuration::serialization(wire_bytes, self.bandwidth_bps)
         }
 
-        pub fn enqueue_with_loss(&mut self, pkt: u32, wire: u32, loss_rate: f64, draw: f64) -> Offer {
+        pub fn enqueue_with_loss(
+            &mut self,
+            pkt: u32,
+            wire: u32,
+            loss_rate: f64,
+            draw: f64,
+        ) -> Offer {
             if draw < loss_rate {
                 return Offer::Lost;
             }
@@ -327,7 +336,8 @@ mod tests {
             draw: f64,
         ) -> EnqueueOutcome {
             let buf = self.buffer_bytes;
-            self.state.enqueue_with_loss(now, wire, &self.ser, buf, rate, draw)
+            self.state
+                .enqueue_with_loss(now, wire, &self.ser, buf, rate, draw)
         }
 
         fn queue_len(&self, now: SimTime) -> usize {
@@ -397,7 +407,10 @@ mod tests {
         for wire in [MSS_WIRE, MSS_WIRE, 60, 60, MSS_WIRE, 0, 61, 60] {
             let ser = SimDuration::serialization(wire, l.bandwidth_bps);
             assert_eq!(l.enqueue(now, wire), EnqueueOutcome::Departs(now + ser));
-            assert_eq!(l.enqueue(now, 70), EnqueueOutcome::Departs(now + ser + ser_70));
+            assert_eq!(
+                l.enqueue(now, 70),
+                EnqueueOutcome::Departs(now + ser + ser_70)
+            );
             now = now + ser + ser_70 + ser;
             assert_eq!(l.enqueue(now - ser, wire), EnqueueOutcome::Departs(now));
         }
@@ -448,7 +461,10 @@ mod tests {
         );
         // The lost packet took no wire time and no buffer space.
         assert_eq!(l.queue_len(at(1)), 0);
-        assert_eq!(l.enqueue_with_loss(at(2), MSS_WIRE, 0.01, 0.5), departs(170));
+        assert_eq!(
+            l.enqueue_with_loss(at(2), MSS_WIRE, 0.01, 0.5),
+            departs(170)
+        );
     }
 
     #[test]
@@ -488,9 +504,9 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut seen = [0; 4];
         let run_due = |oracle: &mut EventLink,
-                           tx_done_at: &mut Option<SimTime>,
-                           left_at: &mut Vec<Option<SimTime>>,
-                           until: SimTime| {
+                       tx_done_at: &mut Option<SimTime>,
+                       left_at: &mut Vec<Option<SimTime>>,
+                       until: SimTime| {
             while let Some(t) = tx_done_at.filter(|&t| t <= until) {
                 let (sent, next) = oracle.tx_done();
                 left_at[sent as usize] = Some(t);
@@ -522,17 +538,28 @@ mod tests {
                     assert_eq!(got, EnqueueOutcome::Departs(now + ser), "offer {i}");
                     tx_done_at = Some(now + ser);
                 }
-                Offer::Queued => assert!(matches!(got, EnqueueOutcome::Departs(_)), "offer {i}: {got:?}"),
+                Offer::Queued => assert!(
+                    matches!(got, EnqueueOutcome::Departs(_)),
+                    "offer {i}: {got:?}"
+                ),
                 Offer::Dropped => assert_eq!(got, EnqueueOutcome::Dropped, "offer {i}"),
                 Offer::Lost => assert_eq!(got, EnqueueOutcome::Lost, "offer {i}"),
             }
-            assert_eq!(link.queue_len(now, ser), oracle.queue_len(), "depth after offer {i}");
+            assert_eq!(
+                link.queue_len(now, ser),
+                oracle.queue_len(),
+                "depth after offer {i}"
+            );
         }
         // A later sample reads the depth without another offer.
         if let Some(t) = tx_done_at {
             let mid = now + (t - now) / 2 + SimDuration::from_nanos(100);
             run_due(&mut oracle, &mut tx_done_at, &mut left_at, mid);
-            assert_eq!(link.queue_len(mid, ser), oracle.queue_len(), "depth at a later sample");
+            assert_eq!(
+                link.queue_len(mid, ser),
+                oracle.queue_len(),
+                "depth at a later sample"
+            );
         }
         run_due(&mut oracle, &mut tx_done_at, &mut left_at, SimTime::MAX);
         assert_eq!(expect, left_at, "departure instants");

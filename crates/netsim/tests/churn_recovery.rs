@@ -2,14 +2,20 @@
 //! entries behind, and SwitchV2P's misdelivery-driven invalidation must
 //! correct every one of them while traffic keeps flowing.
 
-use sv2p_netsim::{ChurnPlan, ChurnSpec, FlowKind, FlowSpec, SimConfig, Engine};
+use sv2p_netsim::{ChurnPlan, ChurnSpec, Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::SimTime;
 use sv2p_topology::FatTreeConfig;
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
 /// TCP flows all aimed at a handful of destination VMs, starting at
 /// `base_us + 5·i`, so their mappings are cached fleet-wide.
-fn convergent_flows(vms: usize, dsts: &[usize], n: usize, base_us: u64, bytes: u64) -> Vec<FlowSpec> {
+fn convergent_flows(
+    vms: usize,
+    dsts: &[usize],
+    n: usize,
+    base_us: u64,
+    bytes: u64,
+) -> Vec<FlowSpec> {
     (0..n)
         .map(|i| FlowSpec {
             src_vm: (i * 7 + 1) % vms,
@@ -38,14 +44,30 @@ fn no_stale_entry_survives_a_migration_wave() {
     // unresolved, hit the now-stale switch entries, and trigger the
     // misdelivery → invalidation machinery. The wide post-wave fan-in keeps
     // correcting until every switch the earlier traffic touched is clean.
-    sim.add_flows(convergent_flows(sim.placement().len(), &dsts, 24, 0, 120_000));
-    sim.add_flows(convergent_flows(sim.placement().len(), &dsts, 96, 600, 60_000));
+    sim.add_flows(convergent_flows(
+        sim.placement().len(),
+        &dsts,
+        24,
+        0,
+        120_000,
+    ));
+    sim.add_flows(convergent_flows(
+        sim.placement().len(),
+        &dsts,
+        96,
+        600,
+        60_000,
+    ));
 
     // The wave: every hot destination moves to the far end of the fabric at
     // 400 µs, while its flows are mid-transfer.
     for (i, &vm) in dsts.iter().enumerate() {
         let target = servers[(n_servers - 1 - i) % n_servers];
-        assert_ne!(target.0, sim.placement().node_of(vm), "wave must move the VM");
+        assert_ne!(
+            target.0,
+            sim.placement().node_of(vm),
+            "wave must move the VM"
+        );
         sim.add_migration(sv2p_vnet::Migration::new(
             SimTime::from_micros(400 + 5 * i as u64),
             sim.placement().vip_of(vm),
@@ -96,7 +118,10 @@ fn churn_marks_hit_metrics_and_telemetry() {
         .iter()
         .filter(|m| matches!(m, sv2p_netsim::ChurnMark::Wave { .. }))
         .count() as u64;
-    assert!(arrivals > 0 && waves > 0, "medium churn must mark arrivals and waves");
+    assert!(
+        arrivals > 0 && waves > 0,
+        "medium churn must mark arrivals and waves"
+    );
     sim.apply_churn_plan(&plan);
     sim.run();
 
@@ -105,6 +130,12 @@ fn churn_marks_hit_metrics_and_telemetry() {
     assert_eq!(s.migration_waves, waves);
     assert_eq!(s.migrations, plan.migrations.len() as u64);
     let jsonl = sim.tracer().render_events_jsonl();
-    assert!(jsonl.contains("\"churn_arrival\""), "arrival marks must be traced");
-    assert!(jsonl.contains("\"migration_wave\""), "wave marks must be traced");
+    assert!(
+        jsonl.contains("\"churn_arrival\""),
+        "arrival marks must be traced"
+    );
+    assert!(
+        jsonl.contains("\"migration_wave\""),
+        "wave marks must be traced"
+    );
 }

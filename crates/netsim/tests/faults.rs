@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use sv2p_baselines::{NoCache, OnDemand};
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
-use sv2p_netsim::{FlowKind, FlowSpec, SimConfig, Engine};
+use sv2p_netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::{SimDuration, SimTime};
 use sv2p_topology::{FatTreeConfig, LinkId, NodeId, SwitchRole};
 use sv2p_vnet::{Migration, Strategy};
@@ -70,7 +70,10 @@ fn stochastic_loss_is_absorbed_by_retransmission() {
     sim.run();
     let s = sim.summary();
     assert_eq!(s.flows_completed, n, "{s:?}");
-    assert!(s.drops_loss > 0, "0.1% fabric loss must hit something: {s:?}");
+    assert!(
+        s.drops_loss > 0,
+        "0.1% fabric loss must hit something: {s:?}"
+    );
     assert!(
         s.retransmissions > 0,
         "losses must be repaired by TCP retransmission: {s:?}"
@@ -95,7 +98,10 @@ fn gateway_outage_rides_the_rto_until_restoration() {
     sim.run();
     let s = sim.summary();
     assert_eq!(s.flows_completed, n, "{s:?}");
-    assert!(s.drops_blackout > 0, "the outage must eat resolutions: {s:?}");
+    assert!(
+        s.drops_blackout > 0,
+        "the outage must eat resolutions: {s:?}"
+    );
     assert!(
         s.retransmissions > 0,
         "senders must recover via RTO retries: {s:?}"
@@ -128,7 +134,10 @@ fn an_outage_mid_service_frees_a_bounded_gateway() {
     sim.run();
     let s = sim.summary();
     assert_eq!(s.flows_completed, n, "{s:?}");
-    assert!(s.drops_blackout > 0, "the outage must interrupt a service: {s:?}");
+    assert!(
+        s.drops_blackout > 0,
+        "the outage must interrupt a service: {s:?}"
+    );
 }
 
 /// A ToR reboot restarts the vswitches of its rack: under OnDemand the
@@ -181,7 +190,9 @@ fn downed_uplink_rehashes_onto_surviving_port() {
         .find(|n| sim.roles().role(n.id) == Some(SwitchRole::Tor))
         .map(|n| n.id)
         .expect("a plain ToR exists");
-    let uplinks: Vec<LinkId> = sim.topology().out_links(tor)
+    let uplinks: Vec<LinkId> = sim
+        .topology()
+        .out_links(tor)
         .filter(|&l| {
             let to = sim.topology().link(l).to;
             sim.topology().node(to).kind.is_switch()
@@ -259,7 +270,11 @@ fn interventions_behind_a_parked_run_take_effect_on_time() {
     sim.add_flows(flows);
 
     sim.run_until(SimTime::from_nanos(10_010));
-    assert_eq!(sim.events_executed(), 0, "nothing is due before the flows start");
+    assert_eq!(
+        sim.events_executed(),
+        0,
+        "nothing is due before the flows start"
+    );
     let gws: Vec<NodeId> = sim.topology().gateways().map(|g| g.id).collect();
     let outage = FaultPlan::from_events(gws.iter().map(|&node| FaultEvent::GatewayOutage {
         node,
@@ -272,14 +287,22 @@ fn interventions_behind_a_parked_run_take_effect_on_time() {
 
     // The two interventions are the next two events, in time order.
     sim.run_until(SimTime::from_micros(5));
-    assert_eq!(sim.now(), SimTime::from_micros(5), "the outage starts first");
+    assert_eq!(
+        sim.now(),
+        SimTime::from_micros(5),
+        "the outage starts first"
+    );
     sim.run_until(SimTime::from_micros(6));
     assert_eq!(sim.now(), SimTime::from_micros(6), "then the added flow");
 
     let mut last = sim.now();
     for step in 1..=150 {
         sim.run_until(SimTime::from_micros(10 * step));
-        assert!(sim.now() >= last, "clock ran backwards: {:?} after {last:?}", sim.now());
+        assert!(
+            sim.now() >= last,
+            "clock ran backwards: {:?} after {last:?}",
+            sim.now()
+        );
         last = sim.now();
         if step == 100 {
             // Interventions dated before `now` (a debug-build panic once,
@@ -289,7 +312,12 @@ fn interventions_behind_a_parked_run_take_effect_on_time() {
             let (before, vip) = (sim.events_executed(), sim.placement().vip_of(3));
             let to = sim.topology().servers().last().expect("servers exist");
             let (to_node, to_pip) = (to.id, to.pip);
-            sim.add_migration(Migration::new(SimTime::from_micros(20), vip, to_node, to_pip));
+            sim.add_migration(Migration::new(
+                SimTime::from_micros(20),
+                vip,
+                to_node,
+                to_pip,
+            ));
             sim.add_flows([past.clone()]);
             sim.run_until(last);
             assert_eq!((sim.now(), sim.events_executed()), (last, before + 2));

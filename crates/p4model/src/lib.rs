@@ -152,8 +152,7 @@ impl SwitchV2PProgram {
         let hash_used = self.fixed_hash_bits() + self.variable_hash_bits();
 
         // PHV: both header stacks plus worst-case options and metadata.
-        let phv_used =
-            (HEADER_OVERHEAD + TunnelOptions::MAX_WIRE_LEN) as f64 * 8.0 + 256.0;
+        let phv_used = (HEADER_OVERHEAD + TunnelOptions::MAX_WIRE_LEN) as f64 * 8.0 + 256.0;
 
         Utilization {
             match_crossbar: pct(crossbar_used, total(b.match_crossbar_bits)),
@@ -211,7 +210,11 @@ mod tests {
     fn reproduces_table6_at_paper_config() {
         let u = SwitchV2PProgram::new(PAPER_LINES).utilization();
         let close = |got: f64, want: f64| (got - want).abs() < 0.5;
-        assert!(close(u.match_crossbar, 7.2), "crossbar {}", u.match_crossbar);
+        assert!(
+            close(u.match_crossbar, 7.2),
+            "crossbar {}",
+            u.match_crossbar
+        );
         assert!(close(u.meter_alu, 17.5), "meter {}", u.meter_alu);
         assert!(close(u.gateway, 25.0), "gateway {}", u.gateway);
         assert!(close(u.sram, 3.9), "sram {}", u.sram);

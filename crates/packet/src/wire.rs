@@ -309,7 +309,11 @@ pub fn decode(mut buf: Bytes) -> Result<Packet, WireError> {
                 }
             }
             (TLV_HIT_SWITCH, 2) => {
-                if opts.hit_switch.replace(SwitchTag(opt_buf.get_u16())).is_some() {
+                if opts
+                    .hit_switch
+                    .replace(SwitchTag(opt_buf.get_u16()))
+                    .is_some()
+                {
                     return Err(WireError::BadOption(t));
                 }
             }
@@ -369,7 +373,7 @@ pub fn decode(mut buf: Bytes) -> Result<Packet, WireError> {
         opts,
         payload,
         switch_hops: 0,
-            sent_ns: 0,
+        sent_ns: 0,
         first_of_flow: false,
         visited_gateway: false,
     })
@@ -499,7 +503,7 @@ mod tests {
         let p = sample();
         let mut raw = BytesMut::from(&encode(&p)[..]);
         raw[9] = 6; // outer proto = TCP, not our shim
-        // Fix the checksum so the proto check is what fires.
+                    // Fix the checksum so the proto check is what fires.
         raw[10] = 0;
         raw[11] = 0;
         let csum = internet_checksum(&raw[..20]);

@@ -48,7 +48,15 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
         0u32..1200,
     )
         .prop_map(
-            |(kind, (spip, dpip, resolved), (svip, dvip, sport, dport), (seq, ack, fl), proto, (spill, promo, misd, hit), payload)| {
+            |(
+                kind,
+                (spip, dpip, resolved),
+                (svip, dvip, sport, dport),
+                (seq, ack, fl),
+                proto,
+                (spill, promo, misd, hit),
+                payload,
+            )| {
                 Packet {
                     id: PacketId(0),
                     flow: FlowId(0),

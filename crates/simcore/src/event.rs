@@ -247,7 +247,11 @@ impl<E> EventQueue<E> {
     /// level no longer spans the workload's timer spread.
     pub fn occupancy_breakdown(&self) -> (usize, usize, usize) {
         let overflow = self.overflow.len();
-        (self.near_len, self.pending - self.near_len - overflow, overflow)
+        (
+            self.near_len,
+            self.pending - self.near_len - overflow,
+            overflow,
+        )
     }
 
     /// Bytes of event storage the calendar holds right now, counted by
@@ -435,7 +439,10 @@ impl<E> EventQueue<E> {
         if next == NIL {
             self.near_bits[s / 64] &= !(1 << (s % 64));
         }
-        debug_assert!(ev.time >= self.now, "calendar produced an out-of-order event");
+        debug_assert!(
+            ev.time >= self.now,
+            "calendar produced an out-of-order event"
+        );
         self.pending -= 1;
         let entered = epoch_of(ev.time) != epoch_of(self.now);
         self.now = ev.time;
@@ -836,7 +843,11 @@ mod tests {
         let mut last = q.now();
         let mut order = Vec::new();
         while let Some(e) = q.pop() {
-            assert!(e.time >= last, "clock ran backwards: {:?} after {last:?}", e.time);
+            assert!(
+                e.time >= last,
+                "clock ran backwards: {:?} after {last:?}",
+                e.time
+            );
             last = e.time;
             order.push(e.payload);
         }
@@ -852,7 +863,10 @@ mod tests {
         q.schedule_at(SimTime::from_nanos(1000), 1u32);
         assert!(q.pop_before(SimTime::from_nanos(1000)).is_none());
         assert!(q.pop_before(SimTime::from_nanos(990)).is_none());
-        assert_eq!((q.occupancy_breakdown(), q.now()), ((1, 0, 0), SimTime::ZERO));
+        assert_eq!(
+            (q.occupancy_breakdown(), q.now()),
+            ((1, 0, 0), SimTime::ZERO)
+        );
         q.schedule_at(SimTime::from_nanos(300), 0);
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, vec![0, 1]);
@@ -884,7 +898,11 @@ mod tests {
         run_to(&mut q, 2 * FAR_SPAN);
         assert!(q.events_executed() > 1_000_000);
         assert_eq!(q.peak_len() as u64, PENDING);
-        assert_eq!(q.resident_bytes(), after_one, "storage moved at a constant population");
+        assert_eq!(
+            q.resident_bytes(),
+            after_one,
+            "storage moved at a constant population"
+        );
         let per_event = std::mem::size_of::<ScheduledEvent<u64>>();
         let bound = 4 * q.peak_len() * per_event;
         let held = q.resident_bytes() - fixed;
@@ -898,13 +916,19 @@ mod tests {
         // storage is gone again once they have fired.
         let t0 = q.now().as_nanos();
         for i in 0..4 * PENDING {
-            q.schedule_at(SimTime::from_nanos(t0 + FAR_SPAN / 2 + i * 100), PENDING + i);
+            q.schedule_at(
+                SimTime::from_nanos(t0 + FAR_SPAN / 2 + i * 100),
+                PENDING + i,
+            );
         }
         assert!(q.resident_bytes() - fixed <= 4 * q.peak_len() * per_event);
         assert_eq!(q.occupancy_breakdown().2, 0);
         run_to(&mut q, t0 + 2 * FAR_SPAN);
         assert_eq!(q.len() as u64, PENDING);
-        assert!(q.resident_bytes() - fixed <= bound, "fired timers kept their storage");
+        assert!(
+            q.resident_bytes() - fixed <= bound,
+            "fired timers kept their storage"
+        );
         // ... and an idle calendar holds no more than a busy one.
         while q.pop().is_some() {}
         assert!(q.resident_bytes() - fixed <= bound);
@@ -1014,7 +1038,12 @@ mod tests {
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
         let far = (FAR_EPOCHS + 100) * EPOCH + 7;
-        for (at, p) in [(0, 0u32), (far, 1), (far + 3 * EPOCH, 4), (far + FAR_SPAN, 5)] {
+        for (at, p) in [
+            (0, 0u32),
+            (far, 1),
+            (far + 3 * EPOCH, 4),
+            (far + FAR_SPAN, 5),
+        ] {
             wheel.schedule_at(SimTime::from_nanos(at), p);
             heap.schedule_at(SimTime::from_nanos(at), p);
         }
@@ -1156,9 +1185,7 @@ mod tests {
     #[test]
     fn equivalence_on_dense_ties() {
         // Many zero and tiny offsets: every tie-breaking path.
-        let ops: Vec<(u16, u8)> = (0..400)
-            .map(|i| ((i % 3) as u16, (i % 7) as u8))
-            .collect();
+        let ops: Vec<(u16, u8)> = (0..400).map(|i| ((i % 3) as u16, (i % 7) as u8)).collect();
         check_equivalence(&ops);
     }
 

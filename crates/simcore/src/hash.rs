@@ -112,8 +112,7 @@ mod tests {
     fn different_keys_disperse() {
         // Not a collision-resistance claim — just a sanity check that
         // nearby integers do not collapse onto one value.
-        let hashes: std::collections::HashSet<u64> =
-            (0u32..1000).map(|i| hash_of(&i)).collect();
+        let hashes: std::collections::HashSet<u64> = (0u32..1000).map(|i| hash_of(&i)).collect();
         assert_eq!(hashes.len(), 1000);
     }
 

@@ -292,11 +292,27 @@ mod tests {
     #[test]
     fn serialization_is_exact_on_both_sides_of_the_64_bit_limit() {
         // bits × 10⁹ leaves 64 bits just above 2 305 843 009 B.
-        let wide = |bytes: u32, bps: u64| {
-            (bytes as u128 * 8 * 1_000_000_000).div_ceil(bps as u128) as u64
-        };
-        for bytes in [0, 1, 61, 1060, 1500, 65_535, 2_305_843_009, 2_305_843_010, u32::MAX] {
-            for bps in [1, 3, 7_000_000_007, 100_000_000_000, 400_000_000_000, u64::MAX] {
+        let wide =
+            |bytes: u32, bps: u64| (bytes as u128 * 8 * 1_000_000_000).div_ceil(bps as u128) as u64;
+        for bytes in [
+            0,
+            1,
+            61,
+            1060,
+            1500,
+            65_535,
+            2_305_843_009,
+            2_305_843_010,
+            u32::MAX,
+        ] {
+            for bps in [
+                1,
+                3,
+                7_000_000_007,
+                100_000_000_000,
+                400_000_000_000,
+                u64::MAX,
+            ] {
                 assert_eq!(
                     SimDuration::serialization(bytes, bps).as_nanos(),
                     wide(bytes, bps),

@@ -242,7 +242,10 @@ fn check(args: &Args, doc: &ProfileDoc, out: &mut impl Write) -> std::io::Result
     for p in &doc.phases {
         let f = get_f64(p, "frac");
         if !(0.0..=1.0).contains(&f) {
-            bad.push(format!("phase {} frac {f} outside [0,1]", get_str(p, "name")));
+            bad.push(format!(
+                "phase {} frac {f} outside [0,1]",
+                get_str(p, "name")
+            ));
         }
         frac_sum += f;
     }
@@ -273,10 +276,18 @@ fn render(doc: &ProfileDoc, top: usize, out: &mut impl Write) -> std::io::Result
         get_u64(m, "peak_rss_bytes") as f64 / (1024.0 * 1024.0),
     )?;
     let run_ns = get_u64(m, "run_wall_ns");
-    writeln!(out, "run wall-clock: {} (timings are non-deterministic)", fmt_ns(run_ns))?;
+    writeln!(
+        out,
+        "run wall-clock: {} (timings are non-deterministic)",
+        fmt_ns(run_ns)
+    )?;
 
     // Phase table, sorted by wall-clock share descending.
-    writeln!(out, "\n  {:<18} {:>12} {:>12} {:>7}", "phase", "calls", "total", "frac")?;
+    writeln!(
+        out,
+        "\n  {:<18} {:>12} {:>12} {:>7}",
+        "phase", "calls", "total", "frac"
+    )?;
     let mut phases: Vec<&Row> = doc.phases.iter().collect();
     phases.sort_by(|a, b| {
         get_f64(b, "frac")

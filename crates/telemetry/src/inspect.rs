@@ -155,7 +155,8 @@ pub fn format_path(r: &PathReport) -> String {
         r.pkt,
         r.hops.len(),
         r.visited_gateway,
-        r.hit_node.map_or("none".to_string(), |n| format!("node {n}")),
+        r.hit_node
+            .map_or("none".to_string(), |n| format!("node {n}")),
         r.delivered,
     ));
     if let Some(lat) = r.total_latency_ns {
@@ -200,25 +201,53 @@ mod tests {
 
     fn trace() -> Vec<TraceEvent> {
         let mut v = Vec::new();
-        let mut e = TraceEvent::new(0, EventKind::PacketSent).packet(7, 100).at_node(0);
+        let mut e = TraceEvent::new(0, EventKind::PacketSent)
+            .packet(7, 100)
+            .at_node(0);
         e.resolved = Some(false);
         v.push(e);
-        v.push(TraceEvent::new(10, EventKind::SwitchIngress).packet(7, 100).at_node(1));
-        let mut e = TraceEvent::new(10, EventKind::CacheLookup).packet(7, 100).at_node(1);
+        v.push(
+            TraceEvent::new(10, EventKind::SwitchIngress)
+                .packet(7, 100)
+                .at_node(1),
+        );
+        let mut e = TraceEvent::new(10, EventKind::CacheLookup)
+            .packet(7, 100)
+            .at_node(1);
         e.hit = Some(false);
         v.push(e);
-        v.push(TraceEvent::new(30, EventKind::GatewayIngress).packet(7, 100).at_node(9));
-        v.push(TraceEvent::new(70, EventKind::GatewayDone).packet(7, 100).at_node(9));
-        v.push(TraceEvent::new(90, EventKind::SwitchIngress).packet(7, 100).at_node(2));
-        let mut e = TraceEvent::new(90, EventKind::CacheLookup).packet(7, 100).at_node(2);
+        v.push(
+            TraceEvent::new(30, EventKind::GatewayIngress)
+                .packet(7, 100)
+                .at_node(9),
+        );
+        v.push(
+            TraceEvent::new(70, EventKind::GatewayDone)
+                .packet(7, 100)
+                .at_node(9),
+        );
+        v.push(
+            TraceEvent::new(90, EventKind::SwitchIngress)
+                .packet(7, 100)
+                .at_node(2),
+        );
+        let mut e = TraceEvent::new(90, EventKind::CacheLookup)
+            .packet(7, 100)
+            .at_node(2);
         e.hit = Some(true);
         v.push(e);
-        let mut e = TraceEvent::new(120, EventKind::Delivery).packet(7, 100).at_node(5);
+        let mut e = TraceEvent::new(120, EventKind::Delivery)
+            .packet(7, 100)
+            .at_node(5);
         e.hops = Some(4);
         e.latency_ns = Some(120);
         v.push(e);
         // Another flow's packet, to be filtered out.
-        v.push(TraceEvent::new(15, EventKind::SwitchIngress).packet(8, 200).at_node(1));
+        v.push(
+            TraceEvent::new(15, EventKind::SwitchIngress)
+                .packet(8, 200)
+                .at_node(1),
+        );
         v
     }
 
@@ -279,7 +308,14 @@ mod tests {
         let names: Vec<&str> = counts.iter().map(|(n, _)| *n).collect();
         assert_eq!(
             names,
-            vec!["send", "switch_ingress", "cache_lookup", "gateway_ingress", "gateway_done", "delivery"]
+            vec![
+                "send",
+                "switch_ingress",
+                "cache_lookup",
+                "gateway_ingress",
+                "gateway_done",
+                "delivery"
+            ]
         );
         assert_eq!(counts[1].1, 3, "three switch_ingress events");
     }

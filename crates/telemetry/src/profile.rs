@@ -463,7 +463,11 @@ pub fn deterministic_projection(text: &str) -> Option<String> {
         out.push_str(&format!("meta {k}={}\n", get(&doc.meta, k)));
     }
     for p in &doc.phases {
-        out.push_str(&format!("phase {} calls={}\n", get(p, "name"), get(p, "calls")));
+        out.push_str(&format!(
+            "phase {} calls={}\n",
+            get(p, "name"),
+            get(p, "calls")
+        ));
     }
     for h in &doc.hists {
         out.push_str(&format!(

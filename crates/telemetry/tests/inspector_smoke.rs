@@ -31,7 +31,9 @@ fn artifacts(test: &str) -> (PathBuf, PathBuf, PathBuf) {
     tracer.record(at(120, EventKind::Delivery, 5));
     tracer.record(TraceEvent {
         cause: Some(Cause::GatewayShed),
-        ..TraceEvent::new(130, EventKind::Drop).packet(8, 200).at_node(9)
+        ..TraceEvent::new(130, EventKind::Drop)
+            .packet(8, 200)
+            .at_node(9)
     });
     let (events, _) = tracer.write_to_dir(&dir, "smoke").expect("write the trace");
 
@@ -81,8 +83,14 @@ fn both_subcommands_read_what_the_library_writes() {
 
     let (code, out, _) = sv2p(&["trace", arg(&events), "--path", "7"]);
     assert_eq!(code, 0);
-    assert!(out.contains("flow 7 pkt 100: 5 events, gateway_detour=true"), "{out}");
-    assert!(out.contains("total send->delivery latency: 120 ns"), "{out}");
+    assert!(
+        out.contains("flow 7 pkt 100: 5 events, gateway_detour=true"),
+        "{out}"
+    );
+    assert!(
+        out.contains("total send->delivery latency: 120 ns"),
+        "{out}"
+    );
 
     // A filtered event is re-emitted whole, cause included.
     let (code, out, _) = sv2p(&["trace", arg(&events), "--kind", "drop"]);
@@ -134,8 +142,11 @@ fn a_truncated_or_foreign_file_exits_1() {
     // and so does one that lost a row above it.
     let text = std::fs::read_to_string(&profile).expect("read the profile");
     let cut = dir.join("cut.profile.jsonl");
-    std::fs::write(&cut, &text[..text.rfind("{\"row\":\"summary\"").expect("summary row")])
-        .expect("write the cut profile");
+    std::fs::write(
+        &cut,
+        &text[..text.rfind("{\"row\":\"summary\"").expect("summary row")],
+    )
+    .expect("write the cut profile");
     let (code, _, err) = sv2p(&["profile", arg(&cut), "--check"]);
     assert_eq!(code, 1);
     assert!(err.contains("missing summary row"), "{err}");

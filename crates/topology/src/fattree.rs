@@ -298,8 +298,9 @@ impl FatTreeConfig {
     fn wire(&self, out: &mut impl Wiring) {
         let m = self.core_group();
         let (fabric, host) = (self.fabric_link, self.host_link);
-        let cores: Vec<NodeId> =
-            (0..self.cores).map(|idx| out.node(NodeKind::Core { idx })).collect();
+        let cores: Vec<NodeId> = (0..self.cores)
+            .map(|idx| out.node(NodeKind::Core { idx }))
+            .collect();
         let mut gateway_tors = Vec::with_capacity(self.pods as usize);
         for pod in 0..self.pods {
             let spines: Vec<NodeId> = (0..self.spines_per_pod)
@@ -424,8 +425,7 @@ mod tests {
                     })
                     .collect();
                 core_neighbors.sort_unstable();
-                let expect: Vec<u16> =
-                    (idx * m as u16..(idx + 1) * m as u16).collect();
+                let expect: Vec<u16> = (idx * m as u16..(idx + 1) * m as u16).collect();
                 assert_eq!(core_neighbors, expect, "spine {:?}", sp.kind);
             }
         }

@@ -15,17 +15,13 @@ use sv2p_packet::Pip;
 use crate::fattree::{FatTreeConfig, LinkSpec};
 
 /// Index of a node (server, gateway, or switch) in the topology.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
 /// Index of a *directed* link. Every physical cable appears twice, once per
 /// direction, because each direction has its own egress queue in the
 /// simulator. The two directions are adjacent ids, `2k` and `2k + 1`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -175,8 +171,11 @@ struct Shape {
 
 impl Shape {
     fn new(c: &FatTreeConfig) -> Self {
-        let (pods, racks, servers) =
-            (u32::from(c.pods), u32::from(c.racks_per_pod), u32::from(c.servers_per_rack));
+        let (pods, racks, servers) = (
+            u32::from(c.pods),
+            u32::from(c.racks_per_pod),
+            u32::from(c.servers_per_rack),
+        );
         let (spines, cores) = (u32::from(c.spines_per_pod), u32::from(c.cores));
         let m = cores / spines;
         let rack_links = 2 * (spines + servers);
@@ -263,7 +262,10 @@ impl Iterator for Ports {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.runs[self.at..].iter().map(|r| r.2 as usize).sum::<usize>();
+        let left = self.runs[self.at..]
+            .iter()
+            .map(|r| r.2 as usize)
+            .sum::<usize>();
         let n = left - self.done as usize;
         (n, Some(n))
     }
@@ -350,7 +352,11 @@ impl Topology {
     /// Node accessor; its PIP is computed from its kind.
     pub fn node(&self, id: NodeId) -> Node {
         let kind = self.kind(id);
-        Node { id, kind, pip: kind.pip() }
+        Node {
+            id,
+            kind,
+            pip: kind.pip(),
+        }
     }
 
     /// The node `link` ends at.
@@ -380,7 +386,12 @@ impl Topology {
     /// Link accessor.
     pub fn link(&self, id: LinkId) -> DirectedLink {
         let (from, to) = (self.link_from(id), self.link_to(id));
-        DirectedLink { id, from, to, class: self.link_class(id) }
+        DirectedLink {
+            id,
+            from,
+            to,
+            class: self.link_class(id),
+        }
     }
 
     /// The link classes, indexed by [`DirectedLink::class`].
@@ -399,7 +410,11 @@ impl Topology {
         let ids = (0..).map(NodeId);
         ids.zip(&self.kinds)
             .filter(move |&(_, &kind)| keep(kind))
-            .map(|(id, &kind)| Node { id, kind, pip: kind.pip() })
+            .map(|(id, &kind)| Node {
+                id,
+                kind,
+                pip: kind.pip(),
+            })
     }
 
     /// Every directed link, in id order.
@@ -420,7 +435,11 @@ impl Topology {
             NodeKind::Spine { pod, idx } => {
                 let (base, idx) = (u32::from(pod) * s.pod_links, u32::from(idx));
                 let down = base + 2 * s.spines * s.m + 2 * idx + 1;
-                [(base + 2 * idx * s.m, 2, s.m), (down, s.rack_links, s.racks), none]
+                [
+                    (base + 2 * idx * s.m, 2, s.m),
+                    (down, s.rack_links, s.racks),
+                    none,
+                ]
             }
             NodeKind::Tor { pod, rack } => {
                 let first = s.rack_link(u32::from(pod), u32::from(rack));
@@ -430,14 +449,22 @@ impl Topology {
                 };
                 let servers = first + 2 * s.spines + 1;
                 let gateways = s.first_gateway_link + 2 * gw + 1;
-                [(first, 2, s.spines), (servers, 2, s.servers), (gateways, 2, count)]
+                [
+                    (first, 2, s.spines),
+                    (servers, 2, s.servers),
+                    (gateways, 2, count),
+                ]
             }
             host => {
                 let (_, up) = self.attachment(host).expect("a host");
                 [(up.0, 0, 1), none, none]
             }
         };
-        Ports { runs, at: 0, done: 0 }
+        Ports {
+            runs,
+            at: 0,
+            done: 0,
+        }
     }
 
     /// Where a host hangs: the ToR it is attached to and its uplink to it
@@ -454,7 +481,10 @@ impl Topology {
             }
             NodeKind::Gateway { pod, slot } => {
                 let g = self.gateways[pod as usize].0 + u32::from(slot);
-                (s.tor(u32::from(pod), s.racks - 1), s.first_gateway_link + 2 * g)
+                (
+                    s.tor(u32::from(pod), s.racks - 1),
+                    s.first_gateway_link + 2 * g,
+                )
             }
             _ => return None,
         };
@@ -485,8 +515,14 @@ impl Topology {
         };
         let (pod, i) = (i / (s.spines + s.racks), i % (s.spines + s.racks));
         (pod < s.pods).then(|| match i.checked_sub(s.spines) {
-            None => NodeKind::Spine { pod: pod as u16, idx: i as u16 },
-            Some(rack) => NodeKind::Tor { pod: pod as u16, rack: rack as u16 },
+            None => NodeKind::Spine {
+                pod: pod as u16,
+                idx: i as u16,
+            },
+            Some(rack) => NodeKind::Tor {
+                pod: pod as u16,
+                rack: rack as u16,
+            },
         })
     }
 
@@ -601,7 +637,12 @@ pub(crate) mod oracle {
             } as u32;
             for (from, to) in [(a, b), (b, a)] {
                 let id = LinkId(self.links.len() as u32);
-                self.links.push(DirectedLink { id, from, to, class });
+                self.links.push(DirectedLink {
+                    id,
+                    from,
+                    to,
+                    class,
+                });
             }
         }
 
@@ -630,7 +671,10 @@ pub(crate) mod oracle {
 
         /// The directed link from `a` to `b`, if adjacent.
         pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-            self.out_links(a).iter().copied().find(|&l| self.links[l.0 as usize].to == b)
+            self.out_links(a)
+                .iter()
+                .copied()
+                .find(|&l| self.links[l.0 as usize].to == b)
         }
     }
 
@@ -648,8 +692,10 @@ pub(crate) mod oracle {
                 for i in (1..gateway_pods.len()).rev() {
                     gateway_pods.swap(i, rng.next_u64_raw() as usize % (i + 1));
                 }
-                let gateways_per_pod =
-                    gateway_pods.iter().map(|_| 1 + (rng.next_u64_raw() % 12) as u16).collect();
+                let gateways_per_pod = gateway_pods
+                    .iter()
+                    .map(|_| 1 + (rng.next_u64_raw() % 12) as u16)
+                    .collect();
                 FatTreeConfig {
                     pods,
                     racks_per_pod: racks,
@@ -726,7 +772,10 @@ mod tests {
     /// in a pod without gateways, and random addresses.
     fn assert_names_nothing_else(cfg: &FatTreeConfig, topo: &Topology, tables: &TableTopology) {
         let (pods, racks) = (u32::from(cfg.pods), u32::from(cfg.racks_per_pod));
-        let (servers, spines) = (u32::from(cfg.servers_per_rack), u32::from(cfg.spines_per_pod));
+        let (servers, spines) = (
+            u32::from(cfg.servers_per_rack),
+            u32::from(cfg.spines_per_pod),
+        );
         let quad = |a: u32, b: u32, c: u32, d: u32| Pip(a << 24 | b << 16 | c << 8 | d);
         let mut probes = vec![
             quad(10, pods, 0, 1),
@@ -847,7 +896,14 @@ mod tests {
     #[test]
     fn pips_spell_out_the_place() {
         let pip = |k: NodeKind| k.pip().to_string();
-        assert_eq!(pip(NodeKind::Server { pod: 3, rack: 2, slot: 0 }), "p:10.3.2.1");
+        assert_eq!(
+            pip(NodeKind::Server {
+                pod: 3,
+                rack: 2,
+                slot: 0
+            }),
+            "p:10.3.2.1"
+        );
         assert_eq!(pip(NodeKind::Gateway { pod: 5, slot: 9 }), "p:172.16.5.9");
         assert_eq!(pip(NodeKind::Tor { pod: 1, rack: 7 }), "p:192.168.1.7");
         assert_eq!(pip(NodeKind::Spine { pod: 4, idx: 2 }), "p:192.169.4.2");

@@ -108,12 +108,7 @@ mod tests {
     #[test]
     fn shard_count_clamps_to_pods_plus_one() {
         let topo = FatTreeConfig::scaled_ft8(2).build();
-        let pods = topo
-            .nodes()
-            .filter_map(|n| n.kind.pod())
-            .max()
-            .unwrap()
-            + 1;
+        let pods = topo.nodes().filter_map(|n| n.kind.pod()).max().unwrap() + 1;
         let p = PodPartition::new(&topo, 64);
         assert_eq!(p.shards(), pods + 1);
         let p1 = PodPartition::new(&topo, 0);

@@ -39,7 +39,10 @@ impl Routing {
     /// The router for topologies built by `config.build()`. It reads ports
     /// off the topology each query is given, so it keeps nothing of `_topo`.
     pub fn new(config: &FatTreeConfig, _topo: &Topology) -> Self {
-        Routing { m: config.core_group(), gateway_rack: config.gateway_rack() }
+        Routing {
+            m: config.core_group(),
+            gateway_rack: config.gateway_rack(),
+        }
     }
 
     /// The equal-cost egress links from `at` toward `dst` (empty iff
@@ -47,13 +50,7 @@ impl Routing {
     /// reused scratch `Vec` makes per-hop routing allocation-free after
     /// warm-up. The order of the links is part of the contract: ECMP picks
     /// by position.
-    pub fn candidates_into(
-        &self,
-        topo: &Topology,
-        at: NodeId,
-        dst: NodeId,
-        out: &mut Vec<LinkId>,
-    ) {
+    pub fn candidates_into(&self, topo: &Topology, at: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         out.clear();
         if at == dst {
             return;
@@ -238,9 +235,7 @@ mod oracle {
         pub fn tor_of(&self, topo: &Topology, host: NodeId) -> NodeId {
             match topo.kind(host) {
                 NodeKind::Server { pod, rack, .. } => self.tor[&(pod, rack)],
-                NodeKind::Gateway { pod, .. } => {
-                    self.tor[&(pod, self.racks_per_pod - 1)]
-                }
+                NodeKind::Gateway { pod, .. } => self.tor[&(pod, self.racks_per_pod - 1)],
                 k => panic!("tor_of on non-host {k:?}"),
             }
         }
@@ -313,15 +308,17 @@ mod oracle {
                         }
                         NodeKind::Tor { pod: dp, rack: dr } if dp == pod => {
                             out.push(
-                                topo.link_between(at, self.tor[&(dp, dr)]).expect("tor link"),
+                                topo.link_between(at, self.tor[&(dp, dr)])
+                                    .expect("tor link"),
                             );
                         }
                         // A sibling spine: bounce through any ToR below.
-                        NodeKind::Spine { pod: dp, .. } if dp == pod => out.extend(
-                            (0..self.racks_per_pod).map(|r| {
-                                topo.link_between(at, self.tor[&(pod, r)]).expect("tor link")
-                            }),
-                        ),
+                        NodeKind::Spine { pod: dp, .. } if dp == pod => {
+                            out.extend((0..self.racks_per_pod).map(|r| {
+                                topo.link_between(at, self.tor[&(pod, r)])
+                                    .expect("tor link")
+                            }))
+                        }
                         // A core I connect to directly; otherwise bounce down.
                         NodeKind::Core { idx: c } => {
                             if c / self.m == idx {
@@ -382,14 +379,7 @@ mod tests {
 
     fn server(topo: &Topology, pod: u16, rack: u16, slot: u16) -> NodeId {
         topo.nodes()
-            .find(|n| {
-                n.kind
-                    == NodeKind::Server {
-                        pod,
-                        rack,
-                        slot,
-                    }
-            })
+            .find(|n| n.kind == NodeKind::Server { pod, rack, slot })
             .unwrap()
             .id
     }
@@ -448,11 +438,7 @@ mod tests {
     fn all_pairs_route_without_loops() {
         // Sampled all-kinds reachability: every node can reach every other.
         let (_, topo, r) = setup();
-        let sample: Vec<NodeId> = topo
-            .nodes()
-            .step_by(17)
-            .map(|n| n.id)
-            .collect();
+        let sample: Vec<NodeId> = topo.nodes().step_by(17).map(|n| n.id).collect();
         for &a in &sample {
             for &b in &sample {
                 if a != b {
@@ -507,7 +493,9 @@ mod tests {
         // From the ToR every pod spine is a candidate; fail the one the
         // hash picks and the flow must rehash onto a different uplink.
         let s = &mut Vec::new();
-        let picked = r.next_link(&topo, tor, b, 99, &|_| true, s).expect("route exists");
+        let picked = r
+            .next_link(&topo, tor, b, 99, &|_| true, s)
+            .expect("route exists");
         let alt = r
             .next_link(&topo, tor, b, 99, &|l| l != picked, s)
             .expect("alternate port exists");

@@ -533,10 +533,7 @@ mod tests {
         // High cross-flow reuse: thousands of VMs with >= 10 RPCs.
         assert!(s.dsts_with_10plus > 300, "{s:?}");
         // Only a minority of the pool receives anything (24% in the paper).
-        assert!(
-            (s.distinct_dsts as f64) < 0.5 * cfg.vms as f64,
-            "{s:?}"
-        );
+        assert!((s.distinct_dsts as f64) < 0.5 * cfg.vms as f64, "{s:?}");
     }
 
     #[test]
@@ -585,10 +582,7 @@ mod tests {
     fn video_streams_are_disjoint() {
         let t = video(100_000_000);
         assert_eq!(t.len(), 64);
-        let mut endpoints: Vec<usize> = t
-            .iter()
-            .flat_map(|f| [f.src_vm, f.dst_vm])
-            .collect();
+        let mut endpoints: Vec<usize> = t.iter().flat_map(|f| [f.src_vm, f.dst_vm]).collect();
         endpoints.sort_unstable();
         endpoints.dedup();
         assert_eq!(endpoints.len(), 128, "no endpoint reuse allowed");

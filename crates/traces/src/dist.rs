@@ -141,8 +141,8 @@ impl Zipf {
 
     /// Fraction of probability mass held by the top `frac` of ranks.
     pub fn top_mass(&self, frac: f64) -> f64 {
-        let k = ((self.cumulative.len() as f64 * frac).ceil() as usize)
-            .clamp(1, self.cumulative.len());
+        let k =
+            ((self.cumulative.len() as f64 * frac).ceil() as usize).clamp(1, self.cumulative.len());
         self.cumulative[k - 1]
     }
 }
@@ -172,7 +172,9 @@ mod tests {
 
     #[test]
     fn websearch_is_heavier_than_hadoop() {
-        assert!(EmpiricalCdf::dctcp_websearch().mean() > 10.0 * EmpiricalCdf::facebook_hadoop().mean());
+        assert!(
+            EmpiricalCdf::dctcp_websearch().mean() > 10.0 * EmpiricalCdf::facebook_hadoop().mean()
+        );
     }
 
     #[test]

@@ -192,8 +192,8 @@ impl TcpSender {
                     // Partial ACK: retransmit the next hole (NewReno).
                     self.retransmit_una(now, &mut ops);
                     // Deflate by the amount acked, inflate by one MSS.
-                    self.cwnd =
-                        (self.cwnd - newly_acked as f64 + self.cfg.mss as f64).max(self.cfg.mss as f64);
+                    self.cwnd = (self.cwnd - newly_acked as f64 + self.cfg.mss as f64)
+                        .max(self.cfg.mss as f64);
                 }
             } else if self.cwnd < self.ssthresh {
                 // Slow start.
@@ -220,8 +220,7 @@ impl TcpSender {
                 self.fast_retransmits += 1;
                 self.in_recovery = true;
                 self.recover = self.next_seq;
-                self.ssthresh =
-                    (self.in_flight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
+                self.ssthresh = (self.in_flight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
                 self.cwnd = self.ssthresh + 3.0 * self.cfg.mss as f64;
                 self.retransmit_una(now, &mut ops);
                 ops.arm_rto = Some(now + self.rto);
@@ -275,10 +274,7 @@ impl TcpSender {
     }
 
     fn retransmit_una(&mut self, _now: SimTime, ops: &mut SenderOps) {
-        let len = self
-            .cfg
-            .mss
-            .min((self.flow_bytes - self.una) as u32);
+        let len = self.cfg.mss.min((self.flow_bytes - self.una) as u32);
         ops.segments.push(Segment {
             seq: self.una,
             len,
@@ -294,16 +290,12 @@ impl TcpSender {
     }
 
     fn fill_window(&mut self, now: SimTime, ops: &mut SenderOps) {
-        let limit = self
-            .flow_bytes
-            .min(self.una + self.cwnd as u64);
+        let limit = self.flow_bytes.min(self.una + self.cwnd as u64);
         while self.next_seq < limit {
             let len = self.cfg.mss.min((limit - self.next_seq) as u32);
             // Don't emit a runt if a full MSS doesn't fit but more data
             // remains — wait for more window, unless it's the flow tail.
-            if (len as u64) < self.cfg.mss as u64
-                && self.next_seq + len as u64 != self.flow_bytes
-            {
+            if (len as u64) < self.cfg.mss as u64 && self.next_seq + len as u64 != self.flow_bytes {
                 break;
             }
             ops.segments.push(Segment {

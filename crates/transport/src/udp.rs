@@ -19,8 +19,8 @@ impl UdpSchedule {
     /// in `payload`-byte datagrams (the last one may be short).
     pub fn cbr(start: SimTime, duration: SimDuration, rate_bps: u64, payload: u32) -> Self {
         assert!(payload > 0 && rate_bps > 0);
-        let total_bytes = (rate_bps as u128 * duration.as_nanos() as u128 / 8 / 1_000_000_000)
-            as u64;
+        let total_bytes =
+            (rate_bps as u128 * duration.as_nanos() as u128 / 8 / 1_000_000_000) as u64;
         let interval = SimDuration::from_secs_f64(payload as f64 * 8.0 / rate_bps as f64);
         let mut sends = Vec::new();
         let mut sent = 0u64;
@@ -37,7 +37,8 @@ impl UdpSchedule {
     /// A burst of `count` back-to-back datagrams at `at`, spaced by the
     /// sender NIC's serialization time.
     pub fn burst(at: SimTime, count: u32, payload: u32, nic_bps: u64) -> Self {
-        let gap = SimDuration::serialization(payload + sv2p_packet::packet::HEADER_OVERHEAD, nic_bps);
+        let gap =
+            SimDuration::serialization(payload + sv2p_packet::packet::HEADER_OVERHEAD, nic_bps);
         let sends = (0..count)
             .map(|i| (at + gap.saturating_mul(i as u64), payload))
             .collect();

@@ -8,8 +8,8 @@
 //! performed by each server on a per-flow basis", §5); the pick is sticky
 //! for the flow's lifetime so a flow's packets share fate.
 
-use sv2p_simcore::SimDuration;
 use sv2p_packet::Pip;
+use sv2p_simcore::SimDuration;
 use sv2p_topology::{NodeId, NodeKind, Topology};
 
 /// Per-packet translation latency: 40 µs, following Sailfish (paper §5, the

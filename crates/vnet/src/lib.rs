@@ -27,8 +27,8 @@ pub mod migration;
 pub mod placement;
 
 pub use agents::{
-    AgentOutput, CacheOp, HostAgent, HostResolution, MisdeliveryPolicy, PacketAction,
-    Strategy, SwitchAgent, SwitchCtx,
+    AgentOutput, CacheOp, HostAgent, HostResolution, MisdeliveryPolicy, PacketAction, Strategy,
+    SwitchAgent, SwitchCtx,
 };
 pub use gateway::{GatewayDirectory, GATEWAY_PROCESSING};
 pub use mapping::{ApplyError, MappingDb, MappingDelta, MappingOp};

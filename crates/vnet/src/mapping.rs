@@ -610,12 +610,19 @@ mod tests {
     fn reserve_rehashes_once_and_the_reserved_inserts_never() {
         let mut db = MappingDb::new();
         db.reserve(0);
-        assert_eq!(db.resident_bytes(), 0, "reserving nothing allocates nothing");
+        assert_eq!(
+            db.resident_bytes(),
+            0,
+            "reserving nothing allocates nothing"
+        );
         db.reserve(10_000);
         let sized = db.resident_bytes();
         assert!(sized >= 10_000 * 8);
         for i in 0..10_000u32 {
-            db.apply(MappingOp::Install { vip: Vip(i), pip: Pip(i) });
+            db.apply(MappingOp::Install {
+                vip: Vip(i),
+                pip: Pip(i),
+            });
         }
         assert_eq!(db.resident_bytes(), sized, "a reserved insert rehashed");
         // Room already there: no change.
@@ -628,7 +635,10 @@ mod tests {
         db.reserve(10_000);
         assert_eq!(db.resident_bytes(), sized);
         for i in 0..10_000u32 {
-            db.apply(MappingOp::Install { vip: Vip(i + 20_000), pip: Pip(i) });
+            db.apply(MappingOp::Install {
+                vip: Vip(i + 20_000),
+                pip: Pip(i),
+            });
         }
         assert_eq!(db.resident_bytes(), sized);
         assert_eq!((db.len(), db.epoch()), (10_000, 30_000));
@@ -640,7 +650,10 @@ mod tests {
     fn warm_changes_nothing() {
         let mut db = MappingDb::new();
         db.warm([Vip(1), Vip(2)]);
-        db.apply(MappingOp::Install { vip: Vip(1), pip: Pip(10) });
+        db.apply(MappingOp::Install {
+            vip: Vip(1),
+            pip: Pip(10),
+        });
         let before: Vec<_> = db.iter().collect();
         db.warm((0..100).map(Vip));
         assert_eq!(db.iter().collect::<Vec<_>>(), before);
@@ -654,7 +667,10 @@ mod tests {
         // invalidates of a small working set must not grow the table.
         for round in 0..5_000u32 {
             let vip = Vip(round % 7);
-            db.apply(MappingOp::Install { vip, pip: Pip(round) });
+            db.apply(MappingOp::Install {
+                vip,
+                pip: Pip(round),
+            });
             db.apply(MappingOp::Invalidate { vip });
         }
         assert!(db.is_empty());
@@ -679,7 +695,10 @@ mod tests {
         let mut db = MappingDb::new();
         let vips: Vec<Vip> = (0..12u32).map(|i| Vip(i * 1_000_003)).collect();
         for &v in &vips {
-            db.apply(MappingOp::Install { vip: v, pip: Pip(v.0 ^ 1) });
+            db.apply(MappingOp::Install {
+                vip: v,
+                pip: Pip(v.0 ^ 1),
+            });
         }
         for &v in vips.iter().step_by(2) {
             db.apply(MappingOp::Invalidate { vip: v });

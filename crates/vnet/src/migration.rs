@@ -47,12 +47,7 @@ mod tests {
 
     #[test]
     fn default_penalty_is_10us() {
-        let m = Migration::new(
-            SimTime::from_micros(500),
-            Vip(1),
-            NodeId(3),
-            Pip(7),
-        );
+        let m = Migration::new(SimTime::from_micros(500), Vip(1), NodeId(3), Pip(7));
         assert_eq!(m.old_host_penalty, SimDuration::from_micros(10));
         assert_eq!(m.at, SimTime::from_micros(500));
     }

@@ -48,7 +48,10 @@ impl Placement {
     /// Places `vms_per_server` VMs on every server of `topo`, in server
     /// iteration order.
     pub fn uniform(topo: &Topology, vms_per_server: u32) -> Self {
-        Self::from_hosts(topo.servers().map(|s| (s.pip, s.id)).collect(), vms_per_server)
+        Self::from_hosts(
+            topo.servers().map(|s| (s.pip, s.id)).collect(),
+            vms_per_server,
+        )
     }
 
     /// Places `vms_per_server` VMs on each of `hosts`, in order: VM *i*
@@ -196,7 +199,9 @@ mod oracle {
         }
 
         pub fn vms_on(&self, node: NodeId) -> Vec<usize> {
-            (0..self.nodes.len()).filter(|&i| self.nodes[i] == node).collect()
+            (0..self.nodes.len())
+                .filter(|&i| self.nodes[i] == node)
+                .collect()
         }
     }
 }

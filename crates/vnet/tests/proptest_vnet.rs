@@ -23,13 +23,23 @@ impl OracleDb {
             MappingOp::Install { vip, pip } => {
                 let old = self.map.insert(vip.0, pip.0).map(Pip);
                 self.epoch += 1;
-                MappingDelta { vip, old, new: Some(pip), epoch: self.epoch }
+                MappingDelta {
+                    vip,
+                    old,
+                    new: Some(pip),
+                    epoch: self.epoch,
+                }
             }
             MappingOp::Invalidate { vip } => {
                 let old = self.map.remove(&vip.0).map(Pip);
                 self.last_migration.remove(&vip.0);
                 self.epoch += 1;
-                MappingDelta { vip, old, new: None, epoch: self.epoch }
+                MappingDelta {
+                    vip,
+                    old,
+                    new: None,
+                    epoch: self.epoch,
+                }
             }
             MappingOp::Migrate { vip, to_pip, at_ns } => {
                 if !self.map.contains_key(&vip.0) {
@@ -40,7 +50,12 @@ impl OracleDb {
                 if let Some(at) = at_ns {
                     self.last_migration.insert(vip.0, at);
                 }
-                MappingDelta { vip, old, new: Some(to_pip), epoch: self.epoch }
+                MappingDelta {
+                    vip,
+                    old,
+                    new: Some(to_pip),
+                    epoch: self.epoch,
+                }
             }
         };
         Ok(delta)
@@ -52,11 +67,18 @@ impl OracleDb {
 fn arb_op() -> impl Strategy<Value = MappingOp> {
     use sv2p_packet::{Pip, Vip};
     prop_oneof![
-        (0u32..48, 1u32..1_000).prop_map(|(v, p)| MappingOp::Install { vip: Vip(v), pip: Pip(p) }),
+        (0u32..48, 1u32..1_000).prop_map(|(v, p)| MappingOp::Install {
+            vip: Vip(v),
+            pip: Pip(p)
+        }),
         (0u32..48).prop_map(|v| MappingOp::Invalidate { vip: Vip(v) }),
-        (0u32..48, 1u32..1_000, proptest::option::of(0u64..1_000_000)).prop_map(
-            |(v, p, at)| MappingOp::Migrate { vip: Vip(v), to_pip: Pip(p), at_ns: at }
-        ),
+        (0u32..48, 1u32..1_000, proptest::option::of(0u64..1_000_000)).prop_map(|(v, p, at)| {
+            MappingOp::Migrate {
+                vip: Vip(v),
+                to_pip: Pip(p),
+                at_ns: at,
+            }
+        }),
     ]
 }
 

@@ -11,7 +11,7 @@
 
 use switchv2p_repro::baselines::{GwCache, NoCache};
 use switchv2p_repro::core::SwitchV2P;
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
+use switchv2p_repro::netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{alibaba, AlibabaConfig};

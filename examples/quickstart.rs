@@ -7,7 +7,7 @@
 
 use switchv2p_repro::baselines::NoCache;
 use switchv2p_repro::core::SwitchV2P;
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
+use switchv2p_repro::netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{hadoop, HadoopConfig};
@@ -39,14 +39,23 @@ fn main() {
     // switches where a scheme caches (NoCache caches nowhere).
     let cache_entries = 256;
 
-    println!("SwitchV2P quickstart — {} flows over {} VMs\n", flows.len(), 512);
+    println!(
+        "SwitchV2P quickstart — {} flows over {} VMs\n",
+        flows.len(),
+        512
+    );
     println!(
         "{:<12} {:>9} {:>12} {:>14} {:>12} {:>10}",
         "scheme", "hit rate", "avg FCT", "first packet", "gw packets", "stretch"
     );
     for strategy in [&NoCache as &dyn Strategy, &SwitchV2P::default()] {
-        let mut sim =
-            Engine::new(SimConfig::default(), &ft, strategy, cache_entries, vms_per_server);
+        let mut sim = Engine::new(
+            SimConfig::default(),
+            &ft,
+            strategy,
+            cache_entries,
+            vms_per_server,
+        );
         sim.add_flows(flows.clone());
         sim.run();
         let s = sim.summary();

@@ -17,20 +17,25 @@ fn main() {
         println!("== {name} ==");
         println!(
             "  pods {}  racks/pod {}  ToRs {}  spines {}  cores {}  switches {}",
-            c.pods, c.racks_per_pod, c.tor_switches, c.spine_switches, c.core_switches,
+            c.pods,
+            c.racks_per_pod,
+            c.tor_switches,
+            c.spine_switches,
+            c.core_switches,
             c.total_switches
         );
-        println!(
-            "  servers {}  gateways {}",
-            c.physical_servers, c.gateways
-        );
+        println!("  servers {}  gateways {}", c.physical_servers, c.gateways);
 
         let topo = cfg.build();
         let roles = RoleMap::classify(&topo);
         let counts = roles.counts();
         print!("  roles:");
         for role in SwitchRole::ALL {
-            print!(" {}={}", role.name(), counts.get(&role).copied().unwrap_or(0));
+            print!(
+                " {}={}",
+                role.name(),
+                counts.get(&role).copied().unwrap_or(0)
+            );
         }
         println!();
 

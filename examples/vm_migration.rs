@@ -11,7 +11,7 @@
 
 use switchv2p_repro::baselines::{NoCache, OnDemand};
 use switchv2p_repro::core::{SwitchV2P, SwitchV2PConfig};
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
+use switchv2p_repro::netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::incast;
@@ -56,7 +56,12 @@ fn run_variant(strategy: &dyn Strategy, cache: usize) -> switchv2p_repro::metric
 
     // Migrate the victim to the last server at t = 500 µs.
     let vip = sim.placement().vip_of(dst_vm);
-    let target = sim.topology().servers().last().map(|n| (n.id, n.pip)).unwrap();
+    let target = sim
+        .topology()
+        .servers()
+        .last()
+        .map(|n| (n.id, n.pip))
+        .unwrap();
     sim.add_migration(Migration::new(
         SimTime::from_micros(500),
         vip,

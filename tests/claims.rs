@@ -35,7 +35,9 @@ fn parse_row(line: &str) -> Option<Row> {
 /// down to the next `Figure` / `Section` / `Ablations` heading or the
 /// manifest note.
 fn section(file: &str, heading: &str) -> Vec<Row> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results").join(file);
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("results")
+        .join(file);
     let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let next = ["Figure", "Section", "Ablations", "[manifest]"];
     let rows: Vec<Row> = text
@@ -69,21 +71,36 @@ fn hadoop_fct_switchv2p_leads_the_switch_caches() {
     let t = hadoop_fct();
     let (sv, gw) = (cells(&t, "SwitchV2P"), cells(&t, "GwCache"));
     let ll = cells(&t, "LocalLearning");
-    assert!(sv.iter().zip(ll).all(|(s, l)| s >= l), "{sv:?} vs LocalLearning {ll:?}");
+    assert!(
+        sv.iter().zip(ll).all(|(s, l)| s >= l),
+        "{sv:?} vs LocalLearning {ll:?}"
+    );
     let last = sv.len() - 1;
-    assert!(sv[0] > gw[0] && sv[last] > gw[last], "{sv:?} vs GwCache {gw:?}");
+    assert!(
+        sv[0] > gw[0] && sv[last] > gw[last],
+        "{sv:?} vs GwCache {gw:?}"
+    );
     // In between GwCache ties or edges ahead, by a rounding step or two.
-    assert!(sv.iter().zip(gw).all(|(s, g)| *s >= g - 0.05), "{sv:?} vs GwCache {gw:?}");
+    assert!(
+        sv.iter().zip(gw).all(|(s, g)| *s >= g - 0.05),
+        "{sv:?} vs GwCache {gw:?}"
+    );
 }
 
 #[test]
 fn hadoop_fct_direct_is_the_flat_ceiling() {
     let t = hadoop_fct();
     let direct = cells(&t, "Direct");
-    assert!(direct.iter().all(|&d| d == direct[0]), "Direct has no cache: {direct:?}");
+    assert!(
+        direct.iter().all(|&d| d == direct[0]),
+        "Direct has no cache: {direct:?}"
+    );
     for scheme in SCHEMES {
         let row = cells(&t, scheme);
-        assert!(row.iter().zip(direct).all(|(v, d)| v <= d), "{scheme} {row:?} tops Direct");
+        assert!(
+            row.iter().zip(direct).all(|(v, d)| v <= d),
+            "{scheme} {row:?} tops Direct"
+        );
     }
 }
 
@@ -105,11 +122,21 @@ fn hadoop_fct_switchv2p_passes_ondemand_at_the_largest_cache() {
 fn alibaba_hit_rate_switchv2p_leads_and_crosses_ondemand() {
     let t = section("fig6_alibaba.txt", "hit rate");
     let sv = cells(&t, "SwitchV2P");
-    assert!(above(sv, cells(&t, "GwCache")) && above(sv, cells(&t, "LocalLearning")), "{sv:?}");
+    assert!(
+        above(sv, cells(&t, "GwCache")) && above(sv, cells(&t, "LocalLearning")),
+        "{sv:?}"
+    );
     let od = cells(&t, "OnDemand");
     let crossover = sv.iter().zip(od).position(|(s, o)| s > o);
-    assert_eq!(crossover, Some(3), "SwitchV2P passes OnDemand at the 100 % point: {sv:?}");
-    assert!(above(&sv[3..], &od[3..]), "and stays ahead: {sv:?} vs {od:?}");
+    assert_eq!(
+        crossover,
+        Some(3),
+        "SwitchV2P passes OnDemand at the 100 % point: {sv:?}"
+    );
+    assert!(
+        above(&sv[3..], &od[3..]),
+        "and stays ahead: {sv:?} vs {od:?}"
+    );
 }
 
 #[test]
@@ -119,9 +146,15 @@ fn stretch_orders_the_schemes_and_nocache_moves_nearly_twice_the_bytes() {
     let row = |scheme: &str| cells(&t, &format!("{scheme} total switch bytes"));
     let order = ["NoCache", "GwCache", "LocalLearning", "SwitchV2P", "Direct"];
     let stretch: Vec<f64> = order.iter().map(|s| row(s)[3]).collect();
-    assert!(stretch.windows(2).all(|w| w[0] > w[1]), "{order:?}: {stretch:?}");
+    assert!(
+        stretch.windows(2).all(|w| w[0] > w[1]),
+        "{order:?}: {stretch:?}"
+    );
     let ratio = row("NoCache")[0] / row("SwitchV2P")[0];
-    assert!((1.7..=2.0).contains(&ratio), "NoCache / SwitchV2P bytes {ratio:.2}");
+    assert!(
+        (1.7..=2.0).contains(&ratio),
+        "NoCache / SwitchV2P bytes {ratio:.2}"
+    );
 }
 
 #[test]
@@ -133,11 +166,25 @@ fn timestamp_vector_cuts_invalidations_tenfold_without_delaying_convergence() {
         cells(&t, "SwitchV2P w/ timestamp vector"),
         cells(&t, "SwitchV2P w/o timestamp vector"),
     );
-    assert!(without[4] >= 10.0 * with[4], "invalidations {} vs {}", without[4], with[4]);
-    assert!(with[2] <= without[2], "last misdelivery {} us vs {} us", with[2], without[2]);
+    assert!(
+        without[4] >= 10.0 * with[4],
+        "invalidations {} vs {}",
+        without[4],
+        with[4]
+    );
+    assert!(
+        with[2] <= without[2],
+        "last misdelivery {} us vs {} us",
+        with[2],
+        without[2]
+    );
     let ondemand = cells(&t, "OnDemand")[3];
     for (label, row) in t.iter().filter(|(l, _)| l.starts_with("SwitchV2P")) {
-        assert!(ondemand > row[3], "OnDemand misdelivers {ondemand}x, {label} {}x", row[3]);
+        assert!(
+            ondemand > row[3],
+            "OnDemand misdelivers {ondemand}x, {label} {}x",
+            row[3]
+        );
     }
 }
 
@@ -150,9 +197,15 @@ fn switchv2p_fct_is_flat_in_the_gateway_count_while_nocache_quadruples() {
         cells(&at_gws, scheme)[1]
     };
     let (few, many) = (fct("SwitchV2P", 4.0), fct("SwitchV2P", 40.0));
-    assert!((few / many - 1.0).abs() <= 0.03, "SwitchV2P {few} us at 4, {many} us at 40");
+    assert!(
+        (few / many - 1.0).abs() <= 0.03,
+        "SwitchV2P {few} us at 4, {many} us at 40"
+    );
     let growth = fct("NoCache", 4.0) / fct("NoCache", 40.0);
-    assert!(growth >= 4.0, "NoCache grows only {growth:.2}x from 40 to 4 gateways");
+    assert!(
+        growth >= 4.0,
+        "NoCache grows only {growth:.2}x from 40 to 4 gateways"
+    );
 }
 
 #[test]
@@ -161,12 +214,23 @@ fn hits_concentrate_at_the_tors_and_first_packets_are_served_higher_up() {
     // Cells: core, spine, ToR share of all hits %, then of first-packet hits.
     for dataset in ["Hadoop", "WebSearch"] {
         let tor = cells(&t, dataset)[2];
-        assert!(tor >= 85.0, "{dataset}: ToRs serve only {tor} % of the hits");
+        assert!(
+            tor >= 85.0,
+            "{dataset}: ToRs serve only {tor} % of the hits"
+        );
     }
     let bursts = cells(&t, "Microbursts");
-    assert!(bursts[1] > bursts[2], "Microbursts spine {} % vs ToR {} %", bursts[1], bursts[2]);
+    assert!(
+        bursts[1] > bursts[2],
+        "Microbursts spine {} % vs ToR {} %",
+        bursts[1],
+        bursts[2]
+    );
     let hadoop = cells(&t, "Hadoop");
-    assert!(hadoop[3] + hadoop[4] > 50.0, "Hadoop first packets above the ToR: {hadoop:?}");
+    assert!(
+        hadoop[3] + hadoop[4] > 50.0,
+        "Hadoop first packets above the ToR: {hadoop:?}"
+    );
     // The one exact value here: the paper's Video row is 0 / 0 / 0 too.
     assert_eq!(cells(&t, "Video")[3..], [0.0, 0.0, 0.0]);
 }
@@ -176,17 +240,29 @@ fn switchv2p_scales_with_the_fabric_while_local_learning_decays() {
     let t = section("fig10.txt", "Figure 10");
     // Cells: pods, switches, average FCT us, first packet us, hit rate %.
     let column = |scheme: &str, i: usize| -> Vec<f64> {
-        t.iter().filter(|(l, _)| l == scheme).map(|(_, c)| c[i]).collect()
+        t.iter()
+            .filter(|(l, _)| l == scheme)
+            .map(|(_, c)| c[i])
+            .collect()
     };
     let sv = column("SwitchV2P", 2);
     for other in ["LocalLearning", "GwCache"] {
-        assert!(above(&column(other, 2), &sv), "FCT: {other} vs SwitchV2P {sv:?}");
+        assert!(
+            above(&column(other, 2), &sv),
+            "FCT: {other} vs SwitchV2P {sv:?}"
+        );
     }
     let ll = column("LocalLearning", 4);
-    assert!(ll.windows(2).all(|w| w[0] > w[1]), "LocalLearning hit rate {ll:?}");
+    assert!(
+        ll.windows(2).all(|w| w[0] > w[1]),
+        "LocalLearning hit rate {ll:?}"
+    );
     let hit = column("SwitchV2P", 4);
     let max = hit.iter().copied().fold(0.0, f64::max);
-    assert!(hit.iter().all(|h| max - h <= 10.0), "SwitchV2P hit rate {hit:?}");
+    assert!(
+        hit.iter().all(|h| max - h <= 10.0),
+        "SwitchV2P hit rate {hit:?}"
+    );
 }
 
 #[test]
@@ -197,11 +273,18 @@ fn every_mechanism_earns_its_hit_rate_and_spillover_earns_the_most() {
     let hit = |variant: &str| cells(&t, variant)[0];
     let full = hit("full design");
     for (variant, row) in &t {
-        assert!(row[0] <= full + 0.5, "{variant} {} % vs full design {full} %", row[0]);
+        assert!(
+            row[0] <= full + 0.5,
+            "{variant} {} % vs full design {full} %",
+            row[0]
+        );
     }
     let lost = |variant: &str| full - hit(variant);
     let spill = lost("w/o spillover");
-    assert!(spill > lost("w/o promotion") && spill > lost("w/o learning packets"), "{t:?}");
+    assert!(
+        spill > lost("w/o promotion") && spill > lost("w/o learning packets"),
+        "{t:?}"
+    );
     let lowest = t.iter().map(|(_, c)| c[0]).fold(f64::MAX, f64::min);
     assert_eq!(hit("core-heavy memory (1:1:4)"), lowest, "{t:?}");
 }

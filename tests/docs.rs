@@ -25,8 +25,16 @@ const OUTPUTS: [&str; 4] = [
 
 /// Names the documents use that no file in the tree declares: `std` types
 /// and traits, a field of Linux's `/proc/<pid>/status`, a socket option.
-const FOREIGN: [&str; 8] =
-    ["Arc", "AtomicU64", "Box", "BuildHasher", "RwLock", "Vec", "VmHWM", "TCP_NODELAY"];
+const FOREIGN: [&str; 8] = [
+    "Arc",
+    "AtomicU64",
+    "Box",
+    "BuildHasher",
+    "RwLock",
+    "Vec",
+    "VmHWM",
+    "TCP_NODELAY",
+];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -162,7 +170,9 @@ fn documents_name_only_what_exists() {
     );
     let declared = declared_names();
     assert!(
-        ["MappingDb", "UnknownVip", "CacheLookup", "BASE_RTT"].iter().all(|n| declared.contains(*n)),
+        ["MappingDb", "UnknownVip", "CacheLookup", "BASE_RTT"]
+            .iter()
+            .all(|n| declared.contains(*n)),
         "a struct, an enum variant, a wire_names! variant and a const must all be seen"
     );
     let mut missing = Vec::new();
@@ -210,7 +220,10 @@ fn the_scan_sees_a_stale_reference() {
     let found: Vec<&str> = words(stale).collect();
     assert!(found.windows(2).any(|w| w == ["--bin", "sv2p-nope"]));
     assert!(found.contains(&"scripts/gone.py") && found.contains(&"OLD.json"));
-    assert_eq!(code_names(stale), ["GoneService", "RequestBatch", "GONE_KNOB_US"]);
+    assert_eq!(
+        code_names(stale),
+        ["GoneService", "RequestBatch", "GONE_KNOB_US"]
+    );
     let declared = declared_names();
     assert!(declared.contains("RequestBatch") && !declared.contains("GoneService"));
     assert!(!declared.contains("GONE_KNOB_US"));

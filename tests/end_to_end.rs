@@ -5,7 +5,7 @@
 use switchv2p_repro::baselines::{Direct, GwCache, LocalLearning, NoCache, OnDemand};
 use switchv2p_repro::core::{SwitchV2P, SwitchV2PConfig};
 use switchv2p_repro::metrics::RunSummary;
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
+use switchv2p_repro::netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{hadoop, HadoopConfig};
@@ -53,7 +53,8 @@ fn all_strategies_complete_the_workload() {
     ] {
         let s = run(strategy, cache);
         assert_eq!(
-            s.flows, s.flows_completed,
+            s.flows,
+            s.flows_completed,
             "{}: {}/{} flows completed ({s:?})",
             strategy.name(),
             s.flows_completed,

@@ -8,7 +8,7 @@
 //! simulator and check the behavioral switch-over.
 
 use switchv2p_repro::core::{SwitchV2P, SwitchV2PConfig};
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
+use switchv2p_repro::netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::topology::{FatTreeConfig, SwitchRole};
 use switchv2p_repro::traces::{hadoop, HadoopConfig};
@@ -57,7 +57,10 @@ fn role_swap_mid_run_keeps_the_network_correct() {
     sim.run_until(SimTime::from_micros(400));
     sim.reassign_switch_role(gw_tor, SwitchRole::Tor);
     sim.reassign_switch_role(plain_tor, SwitchRole::GatewayTor);
-    sim.replace_switch_agent(plain_tor, strategy.make_switch_agent(SwitchRole::GatewayTor, 8));
+    sim.replace_switch_agent(
+        plain_tor,
+        strategy.make_switch_agent(SwitchRole::GatewayTor, 8),
+    );
     sim.run();
     let s = sim.summary();
     assert_eq!(s.flows, s.flows_completed, "{s:?}");
@@ -72,8 +75,8 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
     use switchv2p_repro::core::SwitchV2PAgent;
     use switchv2p_repro::packet::packet::Protocol;
     use switchv2p_repro::packet::{
-        FlowId, InnerHeader, OuterHeader, Packet, PacketId, PacketKind, Pip, SwitchTag,
-        TcpFlags, TunnelOptions, Vip,
+        FlowId, InnerHeader, OuterHeader, Packet, PacketId, PacketKind, Pip, SwitchTag, TcpFlags,
+        TunnelOptions, Vip,
     };
     use switchv2p_repro::simcore::SimRng;
     use switchv2p_repro::vnet::{Placement, SwitchAgent, SwitchCtx};
@@ -143,7 +146,13 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
     // the DESTINATION mapping.
     let mut gw = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
     assert_eq!(gw.occupancy(), 0, "cache starts cold at the destination");
-    let mut c = make_ctx(SwitchRole::GatewayTor, &placement, &mut rng, &pod_of, &pip_of_tag);
+    let mut c = make_ctx(
+        SwitchRole::GatewayTor,
+        &placement,
+        &mut rng,
+        &pod_of,
+        &pip_of_tag,
+    );
     gw.on_packet(&mut c, &mut resolved_pkt());
     assert_eq!(gw.cache.peek(Vip(2)), Some(Pip(22)));
     assert_eq!(gw.cache.peek(Vip(1)), None);

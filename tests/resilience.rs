@@ -5,7 +5,7 @@
 
 use switchv2p_repro::baselines::NoCache;
 use switchv2p_repro::core::SwitchV2P;
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
+use switchv2p_repro::netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use switchv2p_repro::simcore::{SimDuration, SimTime};
 use switchv2p_repro::topology::FatTreeConfig;
 use switchv2p_repro::traces::{hadoop, HadoopConfig};
@@ -112,7 +112,10 @@ fn migration_under_switchv2p_loses_no_packets_with_tcp() {
     sim.run();
     let s = sim.summary();
     assert_eq!(s.flows_completed, 1, "{s:?}");
-    assert!(s.misdelivered_packets > 0, "migration mid-flow must misdeliver");
+    assert!(
+        s.misdelivered_packets > 0,
+        "migration mid-flow must misdeliver"
+    );
 }
 
 #[test]

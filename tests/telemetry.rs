@@ -6,7 +6,7 @@
 use std::collections::HashSet;
 
 use switchv2p_repro::core::SwitchV2P;
-use switchv2p_repro::netsim::{FlowKind, FlowSpec, SimConfig, Engine};
+use switchv2p_repro::netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use switchv2p_repro::simcore::SimTime;
 use switchv2p_repro::telemetry::inspect::{kind_counts, parse_events, reconstruct_path};
 use switchv2p_repro::telemetry::{EventKind, TraceEvent};
@@ -76,7 +76,10 @@ fn inspector_reconstructs_detour_and_cache_hit_paths() {
         of_kind.filter_map(|e| e.pkt).collect()
     };
     let (sent, delivered) = (pkts_of(EventKind::PacketSent), pkts_of(EventKind::Delivery));
-    let whole = |e: &&TraceEvent| e.pkt.is_some_and(|p| sent.contains(&p) && delivered.contains(&p));
+    let whole = |e: &&TraceEvent| {
+        e.pkt
+            .is_some_and(|p| sent.contains(&p) && delivered.contains(&p))
+    };
 
     // A first-sighting packet that detoured through a translation gateway.
     let gw = events
