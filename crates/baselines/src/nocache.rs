@@ -27,7 +27,6 @@ mod tests {
         let s = NoCache;
         for role in SwitchRole::ALL {
             assert_eq!(s.cache_weight(role), 0.0, "{role:?}");
-            assert_eq!(s.make_switch_agent(role, 64).occupancy(), 0);
         }
         assert_eq!(s.misdelivery_policy(), MisdeliveryPolicy::FollowMe);
     }

@@ -215,6 +215,13 @@ impl Counters {
         }
     }
 
+    /// Bytes of the ledger's growing records: the stale-hit ages, the
+    /// per-migration recovery times and the windowed traffic series.
+    pub fn record_bytes(&self) -> usize {
+        (self.stale_age_ns.capacity() + self.recovery_ns.capacity()) * size_of::<u64>()
+            + self.windows.capacity() * size_of::<Traffic>()
+    }
+
     /// Adds `other` into this ledger. The argument is destructured without
     /// `..`: a field added to [`Counters`] does not compile until it is
     /// merged here.
@@ -370,6 +377,14 @@ impl Metrics {
     /// Bytes of the per-flow table.
     pub fn flow_table_bytes(&self) -> usize {
         self.flows.capacity() * size_of::<Option<FlowRecord>>()
+    }
+
+    /// Bytes of the exact-percentile samples (first-packet latency, FCT)
+    /// and the per-window FCT sums: one sample per flow each, O(flows).
+    pub fn sample_bytes(&self) -> usize {
+        self.first_packet_latency_us.resident_bytes()
+            + self.fct_us.resident_bytes()
+            + self.fct_windows.capacity() * size_of::<(f64, u64)>()
     }
 
     fn record_mut(&mut self, flow: FlowId) -> Option<&mut FlowRecord> {

@@ -6,7 +6,9 @@
 //! * store-and-forward links with per-egress-port drop-tail queues
 //!   ([`link`]);
 //! * switches that run a per-switch [`sv2p_vnet::SwitchAgent`] fabricated by
-//!   the experiment's [`sv2p_vnet::Strategy`] (SwitchV2P or any baseline);
+//!   the experiment's [`sv2p_vnet::Strategy`] (SwitchV2P or any baseline)
+//!   where the scheme's cache weight for their role is above 0, and only
+//!   forward everywhere else;
 //! * servers that drive TCP/UDP flows ([`flows`]) through per-server
 //!   [`sv2p_vnet::HostAgent`]s, deliver to hosted VMs, and re-forward
 //!   misdeliveries;

@@ -47,6 +47,11 @@ impl Percentiles {
         self.samples.len()
     }
 
+    /// Bytes the kept observations occupy.
+    pub fn resident_bytes(&self) -> usize {
+        self.samples.capacity() * size_of::<f64>()
+    }
+
     /// The q-quantile (q in [0, 1]) by nearest-rank; 0 if empty. A pure
     /// read: the samples keep their arrival order, so [`Self::mean`] adds
     /// them in the same order — to the same bits — before and after.

@@ -6,10 +6,12 @@
 //! [`HostAgent`]s. The trait's defaults are the NoCache baseline, so a
 //! scheme overrides only what differs from it: where it caches
 //! ([`Strategy::cache_weight`] above 0), its agents, and — SwitchV2P alone —
-//! its misdelivery policy. Agents are sans-IO state machines: they mutate
-//! the packet in place (translate, tag, attach/strip options) and return an
-//! [`AgentOutput`] describing what the data plane should do next; the
-//! simulator owns queues, links, and the clock.
+//! its misdelivery policy. A switch whose role weighs 0 holds no agent at
+//! all: the simulator forwards its packets without a call. Agents are
+//! sans-IO state machines: they mutate the packet in place (translate, tag,
+//! attach/strip options) and return an [`AgentOutput`] describing what the
+//! data plane should do next; the simulator owns queues, links, and the
+//! clock.
 //!
 //! The contract carries what an agent reads and nothing else. A factory is
 //! told a switch's role (to pick the agent type) and its cache lines; the
@@ -319,12 +321,17 @@ pub trait Strategy {
     }
 
     /// Builds the agent for one switch whose role weighs above 0; every
-    /// other switch gets a [`NoopSwitchAgent`] without asking. `role` is the
+    /// other switch holds no agent and is never asked for. `role` is the
     /// switch's role at construction and only selects the agent type;
     /// `lines` is its direct-mapped cache capacity in entries (0 only when
-    /// the whole budget is). Defaults to a switch that only forwards.
-    fn make_switch_agent(&self, _role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
-        Box::new(NoopSwitchAgent)
+    /// the whole budget is). A scheme that gives any role a weight above 0
+    /// overrides this; the default, NoCache's, is never called.
+    fn make_switch_agent(&self, role: SwitchRole, _lines: usize) -> Box<dyn SwitchAgent> {
+        unreachable!(
+            "{} weighs {role:?} above 0 but builds no switch agent: a scheme that \
+             caches must override make_switch_agent",
+            self.name()
+        )
     }
 
     /// Builds the agent for one sending server. Defaults to the plain
@@ -351,17 +358,6 @@ impl HostAgent for GatewayHostAgent {
     }
 }
 
-/// A switch that does nothing: every switch of a scheme that does not say
-/// otherwise (NoCache, and non-ToR switches in GwCache / Bluebird).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSwitchAgent;
-
-impl SwitchAgent for NoopSwitchAgent {
-    fn on_packet(&mut self, _ctx: &mut SwitchCtx<'_>, _pkt: &mut Packet) -> AgentOutput {
-        AgentOutput::forward()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,12 +377,5 @@ mod tests {
         assert!(!AgentOutput::forward().cache_hit);
         assert!(AgentOutput::forward_hit().cache_hit);
         assert_eq!(AgentOutput::consume().action, PacketAction::Consume);
-    }
-
-    #[test]
-    fn noop_agent_reports_empty_cache() {
-        let agent = NoopSwitchAgent;
-        assert_eq!(agent.occupancy(), 0);
-        assert!(agent.entries().is_empty());
     }
 }
