@@ -31,14 +31,14 @@ pub enum CtlOp {
         /// The virtual address being withdrawn.
         vip: Vip,
     },
-    /// Move an existing mapping, optionally stamping the migration instant
-    /// (virtual ns) for staleness accounting.
+    /// Move an existing mapping.
     Migrate {
         /// The migrating virtual address.
         vip: Vip,
         /// Destination physical address.
         to_pip: Pip,
-        /// Migration instant, if tracked.
+        /// Migration instant (virtual ns), if the client tracks it. Carried
+        /// on the wire, accepted and not stored.
         at_ns: Option<u64>,
     },
     /// Dump the full table (sorted by VIP — deterministic).

@@ -11,9 +11,12 @@
 //! installs each stripe's share under one write lock, after one
 //! [`MappingDb::reserve`]. [`StripedControlPlane::execute_shared`] runs the
 //! keyed ops between two barriers (`Snapshot`, `Stats`) as one group per
-//! stripe touched: the group's lock is taken once — a read lock if it only
-//! looks up —, its VIPs' slots are fetched together ([`MappingDb::warm`]),
-//! and its ops run in batch order.
+//! stripe touched. One pass over the batch bins each keyed op under its
+//! stripe (a multiply-shift range reduction, no division) and marks which
+//! groups write, so no group is rescanned to choose its lock. Then each
+//! group takes its lock once — a read lock if it only looks up —, its
+//! VIPs' slots are fetched together ([`MappingDb::warm`]), and its ops run
+//! in batch order, each reply stored straight into its slot.
 //!
 //! Consistency model (documented, tested): per-VIP operations are
 //! linearizable (a VIP always lives on exactly one stripe, and a batch never
@@ -184,10 +187,9 @@ impl StripedControlPlane {
     /// write under this guard can unwind. Each write is one
     /// `MappingDb::try_apply`. It probes for its slot before it stores
     /// anything, and the stores and counter increments after the probe
-    /// cannot panic. Its allocating steps (a rehash, the migration-instant
-    /// side table growing) abort the process on allocation failure rather
-    /// than unwind, and their capacity-overflow panics need a table larger
-    /// than the address space. So a guard is poisoned only by a panic
+    /// cannot panic. Its one allocating step, a rehash, aborts the process
+    /// on allocation failure rather than unwind, and its capacity-overflow
+    /// panic needs a table larger than the address space. So a guard is poisoned only by a panic
     /// between whole ops, never in the middle of one — and a [`WriteGroup`]
     /// that unwinds still adds the ops it applied to the epoch. (A batch
     /// that unwinds does lose its unpublished op counters.)
@@ -212,13 +214,13 @@ impl StripedControlPlane {
         self.exec_ns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The stripe `vip` lives on: Fibonacci hashing, then a multiply-shift
+    /// range reduction. The product's high bits spread a dense VIP range
+    /// evenly over the stripes, and the high word of `h x stripes` maps
+    /// them onto `0..stripes` without a division.
     fn stripe_of(&self, vip: Vip) -> usize {
-        // Avalanche so dense VIP ranges spread across stripes.
-        let mut h = (vip.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 29;
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 32;
-        (h % self.stripes.len() as u64) as usize
+        let h = u64::from(vip.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((u128::from(h) * self.stripes.len() as u128) >> 64) as usize
     }
 
     /// Seeds mappings without touching the op counters; each entry still
@@ -302,33 +304,35 @@ impl StripedControlPlane {
     /// ops run as one group per stripe, stripe by stripe: each group under
     /// one lock (a read lock if it only looks up), its slots warmed first,
     /// its ops in batch order. So per-VIP order is kept, and a barrier sees
-    /// every op before it and none after. The op counters are tallied
-    /// locally and published before each barrier and at the end.
+    /// every op before it and none after. One pass over the batch bins each
+    /// keyed op by stripe and marks the groups that write; the op counters
+    /// are tallied locally and published before each barrier and at the
+    /// end.
     pub fn execute_shared(&self, req: &RequestBatch) -> ReplyBatch {
         let start = Instant::now();
         let ops = &req.ops;
-        let mut replies = vec![CtlReply::NotFound; ops.len()];
+        let mut replies = Vec::with_capacity(ops.len());
+        replies.resize_with(ops.len(), || CtlReply::NotFound);
         let mut tally = ServiceStats {
             batches: 1,
             ops: ops.len() as u64,
             ..ServiceStats::default()
         };
-        // Each keyed op's stripe, for the segment since the last barrier.
-        let mut op_stripes = Vec::with_capacity(ops.len());
+        let mut groups = Groups::new(self.stripes.len(), ops.len());
         let mut from = 0;
         for (at, op) in ops.iter().enumerate() {
             if let Some(vip) = op.vip() {
-                op_stripes.push(self.stripe_of(vip));
+                let write = !matches!(op, CtlOp::Lookup { .. });
+                groups.push(self.stripe_of(vip), vip, write);
                 continue;
             }
             self.run_groups(
                 &ops[from..at],
-                &op_stripes,
+                &mut groups,
                 &mut replies[from..at],
                 &mut tally,
             );
             self.counts.add(&std::mem::take(&mut tally));
-            op_stripes.clear();
             replies[at] = match op {
                 CtlOp::Snapshot => CtlReply::Snapshot {
                     entries: self.snapshot(),
@@ -339,7 +343,7 @@ impl StripedControlPlane {
             };
             from = at + 1;
         }
-        self.run_groups(&ops[from..], &op_stripes, &mut replies[from..], &mut tally);
+        self.run_groups(&ops[from..], &mut groups, &mut replies[from..], &mut tally);
         self.counts.add(&tally);
         let rep = ReplyBatch {
             id: req.id,
@@ -350,65 +354,115 @@ impl StripedControlPlane {
         rep
     }
 
-    /// Runs keyed `ops` (no barrier among them; `op_stripes[k]` is op `k`'s
-    /// stripe) as one group per stripe, writing op `k`'s reply to
-    /// `replies[k]`. The groups come from a stable counting sort of the op
-    /// indices by stripe, so each keeps batch order.
+    /// Runs the keyed `ops` binned in `groups` (no barrier among them) as
+    /// one group per stripe, writing op `k`'s reply to `replies[k]`, and
+    /// empties `groups` for the next segment. The groups come from a stable
+    /// counting sort of the op indices by stripe, so each keeps batch order.
     fn run_groups(
         &self,
         ops: &[CtlOp],
-        op_stripes: &[usize],
+        groups: &mut Groups,
         replies: &mut [CtlReply],
         tally: &mut ServiceStats,
     ) {
         if ops.is_empty() {
             return;
         }
-        // ends[s + 1] counts stripe s, then (prefix sums) ends[s] is where
-        // stripe s's group starts; placing an op advances it, so after the
-        // scatter ends[s] is where the group ends.
-        let mut ends = vec![0usize; self.stripes.len() + 1];
-        for &s in op_stripes {
-            ends[s + 1] += 1;
-        }
-        for s in 1..ends.len() {
-            ends[s] += ends[s - 1];
-        }
-        let mut order = vec![0usize; ops.len()];
-        for (k, &s) in op_stripes.iter().enumerate() {
-            order[ends[s]] = k;
-            ends[s] += 1;
-        }
+        groups.sort();
+        let order = &groups.order;
         let mut begin = 0;
-        for (s, &end) in ends[..self.stripes.len()].iter().enumerate() {
+        for s in 0..self.stripes.len() {
+            let end = groups.ends[s] as usize;
             let group = &order[begin..end];
             begin = end;
             if group.is_empty() {
                 continue;
             }
-            let vips = group.iter().filter_map(|&k| ops[k].vip());
-            let reads_only = group
-                .iter()
-                .all(|&k| matches!(ops[k], CtlOp::Lookup { .. }));
-            if reads_only {
+            let vips = group.iter().map(|&(_, vip)| vip);
+            if !groups.writes[s] {
                 let db = self.read(s);
                 db.warm(vips);
-                for &k in group {
-                    if let CtlOp::Lookup { vip } = ops[k] {
-                        replies[k] = lookup(&db, vip, tally);
-                    }
+                for &(k, vip) in group {
+                    replies[k as usize] = lookup(&db, vip, tally);
                 }
             } else {
                 let mut w = self.write_group(s);
                 w.db.warm(vips);
-                for &k in group {
+                for &(k, _) in group {
+                    let k = k as usize;
                     replies[k] = match ops[k] {
                         CtlOp::Lookup { vip } => lookup(&w.db, vip, tally),
-                        op => w.apply(op.as_mapping_op().expect("a keyed op"), tally),
+                        CtlOp::Install { vip, pip } => {
+                            w.apply(MappingOp::Install { vip, pip }, tally)
+                        }
+                        CtlOp::Invalidate { vip } => w.apply(MappingOp::Invalidate { vip }, tally),
+                        CtlOp::Migrate { vip, to_pip, at_ns } => {
+                            w.apply(MappingOp::Migrate { vip, to_pip, at_ns }, tally)
+                        }
+                        CtlOp::Snapshot | CtlOp::Stats => unreachable!("a barrier in a group"),
                     };
                 }
             }
         }
+        groups.clear();
+    }
+}
+
+/// The keyed ops of one segment (between two barriers), binned by stripe as
+/// the batch pass meets them.
+struct Groups {
+    /// Each op's stripe and VIP, in batch order from the segment's first
+    /// op.
+    keys: Vec<(u32, Vip)>,
+    /// Before [`Groups::sort`], `ends[s + 1]` counts stripe `s`'s ops;
+    /// after it, `ends[s]` is where stripe `s`'s group ends in the order.
+    ends: Vec<u32>,
+    /// Whether stripe `s`'s group holds a write.
+    writes: Vec<bool>,
+    /// The op indices (from the segment's first op) and VIPs, grouped by
+    /// stripe ([`Groups::sort`]'s output).
+    order: Vec<(u32, Vip)>,
+}
+
+impl Groups {
+    fn new(stripes: usize, ops: usize) -> Self {
+        Groups {
+            keys: Vec::with_capacity(ops),
+            ends: vec![0; stripes + 1],
+            writes: vec![false; stripes],
+            order: Vec::with_capacity(ops),
+        }
+    }
+
+    /// Bins the segment's next op.
+    fn push(&mut self, stripe: usize, vip: Vip, write: bool) {
+        self.keys.push((stripe as u32, vip));
+        self.ends[stripe + 1] += 1;
+        self.writes[stripe] |= write;
+    }
+
+    /// Puts the segment's op indices in `order` by stripe, batch order
+    /// within a stripe: prefix sums turn the counts into group starts, and
+    /// placing an op advances its group's start, so each ends at its
+    /// group's end.
+    fn sort(&mut self) {
+        for s in 1..self.ends.len() {
+            self.ends[s] += self.ends[s - 1];
+        }
+        self.order.clear();
+        self.order.resize(self.keys.len(), (0, Vip(0)));
+        for (k, &(s, vip)) in self.keys.iter().enumerate() {
+            let at = &mut self.ends[s as usize];
+            self.order[*at as usize] = (k as u32, vip);
+            *at += 1;
+        }
+    }
+
+    /// Empties the bins for the next segment.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.ends.fill(0);
+        self.writes.fill(false);
     }
 }
 

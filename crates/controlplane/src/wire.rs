@@ -6,10 +6,18 @@
 //! first frame instead of being misparsed.
 //!
 //! The encoding is *canonical*: a given [`RequestBatch`]/[`ReplyBatch`]
-//! always serializes to the same bytes, and decode(encode(x)) == x
-//! (locked by `tests/proptest_wire.rs`). There is no serde involvement —
-//! the workspace's vendored serde is a stub — and no self-describing
-//! metadata: both ends speak exactly [`VERSION`].
+//! always serializes to the same bytes, and decode(encode(x)) == x; the
+//! decoders accept nothing else, so every payload they accept is the
+//! encoding of what they return (locked by `tests/proptest_wire.rs`, under
+//! byte mutation too). There is no serde involvement — the workspace's
+//! vendored serde is a stub — and no self-describing metadata: both ends
+//! speak exactly [`VERSION`].
+//!
+//! Both codecs are on the served path twice per batch, so they cost about
+//! what the bytes do: the encoders write each op and each keyed reply with
+//! one `extend`, and the decoders walk the payload as a slice, checking the
+//! length of each element's tag and of its fixed-size body once rather
+//! than of each field.
 
 use std::io::{self, Read, Write};
 
@@ -62,8 +70,8 @@ pub enum WireError {
     BadKind(u8),
     /// Unknown op/reply tag.
     BadTag(u8),
-    /// A flag byte held something other than 0/1, or a reject code was
-    /// unknown.
+    /// A flag byte held something other than 0/1, a header's pad byte was
+    /// not 0, or a reject code was unknown.
     BadValue(u8),
     /// Payload had bytes left over after the declared contents.
     TrailingBytes(usize),
@@ -92,191 +100,209 @@ impl std::error::Error for WireError {}
 // Primitive writers/readers
 // ---------------------------------------------------------------------
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// `tag` and `word`, little-endian: a keyed op or a one-word reply.
+fn tagged(tag: u8, word: u32) -> [u8; 5] {
+    let [a, b, c, d] = word.to_le_bytes();
+    [tag, a, b, c, d]
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A cursor over a received payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
+/// An optional PIP's bytes: flag 0, or flag 1 and the PIP, in `buf`'s
+/// first 1 or 5 bytes; returns how many.
+fn opt_pip_bytes(buf: &mut [u8], p: Option<Pip>) -> usize {
+    match p {
+        Some(p) => {
+            buf[..5].copy_from_slice(&tagged(1, p.0));
+            5
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        let left = self.buf.len() - self.pos;
-        if left != 0 {
-            return Err(WireError::TrailingBytes(left));
+        None => {
+            buf[0] = 0;
+            1
         }
-        Ok(())
+    }
+}
+
+/// Splits `N` bytes off the front of `buf`: the one length check a
+/// fixed-size field or op body pays.
+fn take<const N: usize>(buf: &[u8]) -> Result<(&[u8; N], &[u8]), WireError> {
+    buf.split_first_chunk().ok_or(WireError::Truncated)
+}
+
+/// The little-endian `u32` at `at` in a fixed-size chunk (no run-time check
+/// once `at` is a constant).
+fn u32_at<const N: usize>(b: &[u8; N], at: usize) -> u32 {
+    u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
+
+/// The little-endian `u64` at `at` in a fixed-size chunk.
+fn u64_at<const N: usize>(b: &[u8; N], at: usize) -> u64 {
+    u64::from_le_bytes(std::array::from_fn(|i| b[at + i]))
+}
+
+/// The payload's trailing bytes, if any, as an error.
+fn finish(rest: &[u8]) -> Result<(), WireError> {
+    match rest.len() {
+        0 => Ok(()),
+        left => Err(WireError::TrailingBytes(left)),
     }
 }
 
 fn put_header(out: &mut Vec<u8>, kind: u8) {
-    put_u8(out, MAGIC);
-    put_u8(out, VERSION);
-    put_u8(out, kind);
-    put_u8(out, 0); // pad — keeps the id field 4-aligned in the payload
+    // The pad keeps the id field 4-aligned in the payload.
+    out.extend_from_slice(&[MAGIC, VERSION, kind, 0]);
 }
 
-fn check_header(c: &mut Cursor<'_>, want_kind: u8) -> Result<(), WireError> {
-    let magic = c.u8()?;
+/// Checks the header and returns the payload after it. Byte by byte, so a
+/// stray peer is named by its first byte even in a short frame.
+fn check_header(buf: &[u8], want_kind: u8) -> Result<&[u8], WireError> {
+    let byte = |i: usize| buf.get(i).copied().ok_or(WireError::Truncated);
+    let magic = byte(0)?;
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let version = c.u8()?;
+    let version = byte(1)?;
     if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let kind = c.u8()?;
+    let kind = byte(2)?;
     if kind != want_kind {
         return Err(WireError::BadKind(kind));
     }
-    let _pad = c.u8()?;
-    Ok(())
+    // Only the canonical pad is accepted, so every accepted payload is the
+    // encoding of what it decodes to.
+    let pad = byte(3)?;
+    if pad != 0 {
+        return Err(WireError::BadValue(pad));
+    }
+    Ok(&buf[4..])
 }
 
-fn put_opt_pip(out: &mut Vec<u8>, p: Option<Pip>) {
-    match p {
-        Some(p) => {
-            put_u8(out, 1);
-            put_u32(out, p.0);
+/// Splits an optional PIP (a flag byte 0, or 1 and the PIP) off `buf`.
+fn get_opt_pip(buf: &[u8]) -> Result<(Option<Pip>, &[u8]), WireError> {
+    match buf.split_first() {
+        Some((0, rest)) => Ok((None, rest)),
+        Some((1, rest)) => {
+            let (b, rest) = take::<4>(rest)?;
+            Ok((Some(Pip(u32::from_le_bytes(*b))), rest))
         }
-        None => put_u8(out, 0),
+        Some((&other, _)) => Err(WireError::BadValue(other)),
+        None => Err(WireError::Truncated),
     }
 }
 
-fn get_opt_pip(c: &mut Cursor<'_>) -> Result<Option<Pip>, WireError> {
-    match c.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(Pip(c.u32()?))),
-        other => Err(WireError::BadValue(other)),
+/// A batch's element count, checked against the bytes left: every element
+/// is at least one byte, so a larger count is corrupt, and refusing it caps
+/// the pre-allocation.
+fn count(buf: &[u8]) -> Result<(usize, &[u8]), WireError> {
+    let (b, rest) = take::<4>(buf)?;
+    let n = u32::from_le_bytes(*b) as usize;
+    if n > rest.len() {
+        return Err(WireError::Truncated);
     }
+    Ok((n, rest))
 }
 
 // ---------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------
 
-/// Serializes a request batch into `out` (cleared first).
+/// Serializes a request batch into `out` (cleared first), one `extend` per
+/// op.
 pub fn encode_request(req: &RequestBatch, out: &mut Vec<u8>) {
     out.clear();
     put_header(out, KIND_REQUEST);
-    put_u64(out, req.id);
-    put_u32(out, req.ops.len() as u32);
+    out.extend_from_slice(&req.id.to_le_bytes());
+    out.extend_from_slice(&(req.ops.len() as u32).to_le_bytes());
     for op in &req.ops {
         match *op {
-            CtlOp::Lookup { vip } => {
-                put_u8(out, TAG_LOOKUP);
-                put_u32(out, vip.0);
-            }
+            CtlOp::Lookup { vip } => out.extend_from_slice(&tagged(TAG_LOOKUP, vip.0)),
             CtlOp::Install { vip, pip } => {
-                put_u8(out, TAG_INSTALL);
-                put_u32(out, vip.0);
-                put_u32(out, pip.0);
+                let mut b = [0u8; 9];
+                b[..5].copy_from_slice(&tagged(TAG_INSTALL, vip.0));
+                b[5..].copy_from_slice(&pip.0.to_le_bytes());
+                out.extend_from_slice(&b);
             }
-            CtlOp::Invalidate { vip } => {
-                put_u8(out, TAG_INVALIDATE);
-                put_u32(out, vip.0);
-            }
+            CtlOp::Invalidate { vip } => out.extend_from_slice(&tagged(TAG_INVALIDATE, vip.0)),
             CtlOp::Migrate { vip, to_pip, at_ns } => {
-                put_u8(out, TAG_MIGRATE);
-                put_u32(out, vip.0);
-                put_u32(out, to_pip.0);
-                match at_ns {
+                let mut b = [0u8; 18];
+                b[..5].copy_from_slice(&tagged(TAG_MIGRATE, vip.0));
+                b[5..9].copy_from_slice(&to_pip.0.to_le_bytes());
+                let len = match at_ns {
                     Some(ns) => {
-                        put_u8(out, 1);
-                        put_u64(out, ns);
+                        b[9] = 1;
+                        b[10..].copy_from_slice(&ns.to_le_bytes());
+                        18
                     }
-                    None => put_u8(out, 0),
-                }
+                    None => 10,
+                };
+                out.extend_from_slice(&b[..len]);
             }
-            CtlOp::Snapshot => put_u8(out, TAG_SNAPSHOT),
-            CtlOp::Stats => put_u8(out, TAG_STATS),
+            CtlOp::Snapshot => out.push(TAG_SNAPSHOT),
+            CtlOp::Stats => out.push(TAG_STATS),
         }
     }
 }
 
-/// Parses a request payload.
+/// Parses a request payload, walking it as a slice: each op checks the
+/// length of its tag and of its fixed-size body, not of each field.
 pub fn decode_request(buf: &[u8]) -> Result<RequestBatch, WireError> {
-    let mut c = Cursor::new(buf);
-    check_header(&mut c, KIND_REQUEST)?;
-    let id = c.u64()?;
-    let n = c.u32()? as usize;
-    // Every op is at least 1 byte; a count beyond the remaining bytes is
-    // corrupt, and refusing it caps the pre-allocation.
-    if n > buf.len() {
-        return Err(WireError::Truncated);
-    }
+    let rest = check_header(buf, KIND_REQUEST)?;
+    let (id, rest) = take::<8>(rest)?;
+    let (n, mut rest) = count(rest)?;
     let mut ops = Vec::with_capacity(n);
     for _ in 0..n {
-        let op = match c.u8()? {
-            TAG_LOOKUP => CtlOp::Lookup { vip: Vip(c.u32()?) },
-            TAG_INSTALL => CtlOp::Install {
-                vip: Vip(c.u32()?),
-                pip: Pip(c.u32()?),
-            },
-            TAG_INVALIDATE => CtlOp::Invalidate { vip: Vip(c.u32()?) },
+        let (&tag, tail) = rest.split_first().ok_or(WireError::Truncated)?;
+        let (op, tail) = match tag {
+            TAG_LOOKUP | TAG_INVALIDATE => {
+                let (b, tail) = take::<4>(tail)?;
+                let vip = Vip(u32::from_le_bytes(*b));
+                let op = if tag == TAG_LOOKUP {
+                    CtlOp::Lookup { vip }
+                } else {
+                    CtlOp::Invalidate { vip }
+                };
+                (op, tail)
+            }
+            TAG_INSTALL => {
+                let (b, tail) = take::<8>(tail)?;
+                let (vip, pip) = (Vip(u32_at(b, 0)), Pip(u32_at(b, 4)));
+                (CtlOp::Install { vip, pip }, tail)
+            }
             TAG_MIGRATE => {
-                let vip = Vip(c.u32()?);
-                let to_pip = Pip(c.u32()?);
-                let at_ns = match c.u8()? {
-                    0 => None,
-                    1 => Some(c.u64()?),
+                let (b, tail) = take::<9>(tail)?;
+                let (vip, to_pip) = (Vip(u32_at(b, 0)), Pip(u32_at(b, 4)));
+                let (at_ns, tail) = match b[8] {
+                    0 => (None, tail),
+                    1 => {
+                        let (ns, tail) = take::<8>(tail)?;
+                        (Some(u64::from_le_bytes(*ns)), tail)
+                    }
                     other => return Err(WireError::BadValue(other)),
                 };
-                CtlOp::Migrate { vip, to_pip, at_ns }
+                (CtlOp::Migrate { vip, to_pip, at_ns }, tail)
             }
-            TAG_SNAPSHOT => CtlOp::Snapshot,
-            TAG_STATS => CtlOp::Stats,
+            TAG_SNAPSHOT => (CtlOp::Snapshot, tail),
+            TAG_STATS => (CtlOp::Stats, tail),
             other => return Err(WireError::BadTag(other)),
         };
         ops.push(op);
+        rest = tail;
     }
-    c.finish()?;
-    Ok(RequestBatch { id, ops })
+    finish(rest)?;
+    Ok(RequestBatch {
+        id: u64::from_le_bytes(*id),
+        ops,
+    })
 }
 
 // ---------------------------------------------------------------------
 // Replies
 // ---------------------------------------------------------------------
 
-fn put_stats(out: &mut Vec<u8>, s: &ServiceStats) {
-    for v in [
+/// The bytes of a [`ServiceStats`]: its 13 counters in field order.
+const STATS_BYTES: usize = 13 * 8;
+
+fn stats_bytes(s: &ServiceStats) -> [u8; STATS_BYTES] {
+    let fields = [
         s.batches,
         s.ops,
         s.lookups,
@@ -290,112 +316,122 @@ fn put_stats(out: &mut Vec<u8>, s: &ServiceStats) {
         s.mappings,
         s.exec_p50_ns,
         s.exec_p99_ns,
-    ] {
-        put_u64(out, v);
+    ];
+    std::array::from_fn(|i| fields[i / 8].to_le_bytes()[i % 8])
+}
+
+fn get_stats(b: &[u8; STATS_BYTES]) -> ServiceStats {
+    let f = |i: usize| u64_at(b, 8 * i);
+    ServiceStats {
+        batches: f(0),
+        ops: f(1),
+        lookups: f(2),
+        hits: f(3),
+        installs: f(4),
+        invalidates: f(5),
+        migrates: f(6),
+        rejected: f(7),
+        snapshots: f(8),
+        epoch: f(9),
+        mappings: f(10),
+        exec_p50_ns: f(11),
+        exec_p99_ns: f(12),
     }
 }
 
-fn get_stats(c: &mut Cursor<'_>) -> Result<ServiceStats, WireError> {
-    Ok(ServiceStats {
-        batches: c.u64()?,
-        ops: c.u64()?,
-        lookups: c.u64()?,
-        hits: c.u64()?,
-        installs: c.u64()?,
-        invalidates: c.u64()?,
-        migrates: c.u64()?,
-        rejected: c.u64()?,
-        snapshots: c.u64()?,
-        epoch: c.u64()?,
-        mappings: c.u64()?,
-        exec_p50_ns: c.u64()?,
-        exec_p99_ns: c.u64()?,
-    })
-}
-
-/// Serializes a reply batch into `out` (cleared first).
+/// Serializes a reply batch into `out` (cleared first), one `extend` per
+/// keyed reply.
 pub fn encode_reply(rep: &ReplyBatch, out: &mut Vec<u8>) {
     out.clear();
     put_header(out, KIND_REPLY);
-    put_u64(out, rep.id);
-    put_u64(out, rep.epoch);
-    put_u32(out, rep.replies.len() as u32);
+    out.extend_from_slice(&rep.id.to_le_bytes());
+    out.extend_from_slice(&rep.epoch.to_le_bytes());
+    out.extend_from_slice(&(rep.replies.len() as u32).to_le_bytes());
     for r in &rep.replies {
         match r {
-            CtlReply::Found { pip } => {
-                put_u8(out, RTAG_FOUND);
-                put_u32(out, pip.0);
-            }
-            CtlReply::NotFound => put_u8(out, RTAG_NOT_FOUND),
+            CtlReply::Found { pip } => out.extend_from_slice(&tagged(RTAG_FOUND, pip.0)),
+            CtlReply::NotFound => out.push(RTAG_NOT_FOUND),
             CtlReply::Applied { old, new } => {
-                put_u8(out, RTAG_APPLIED);
-                put_opt_pip(out, *old);
-                put_opt_pip(out, *new);
+                let mut b = [RTAG_APPLIED; 11];
+                let mut len = 1;
+                len += opt_pip_bytes(&mut b[len..], *old);
+                len += opt_pip_bytes(&mut b[len..], *new);
+                out.extend_from_slice(&b[..len]);
             }
-            CtlReply::Rejected { reason } => {
-                put_u8(out, RTAG_REJECTED);
-                put_u8(out, reason.code());
-            }
+            CtlReply::Rejected { reason } => out.extend_from_slice(&[RTAG_REJECTED, reason.code()]),
             CtlReply::Snapshot { entries } => {
-                put_u8(out, RTAG_SNAPSHOT);
-                put_u32(out, entries.len() as u32);
+                out.extend_from_slice(&tagged(RTAG_SNAPSHOT, entries.len() as u32));
                 for &(v, p) in entries {
-                    put_u32(out, v.0);
-                    put_u32(out, p.0);
+                    let [a, b, c, d] = v.0.to_le_bytes();
+                    let [e, f, g, h] = p.0.to_le_bytes();
+                    out.extend_from_slice(&[a, b, c, d, e, f, g, h]);
                 }
             }
             CtlReply::Stats { stats } => {
-                put_u8(out, RTAG_STATS);
-                put_stats(out, stats);
+                out.push(RTAG_STATS);
+                out.extend_from_slice(&stats_bytes(stats));
             }
         }
     }
 }
 
-/// Parses a reply payload.
+/// Parses a reply payload, walking it as a slice as [`decode_request`]
+/// does.
 pub fn decode_reply(buf: &[u8]) -> Result<ReplyBatch, WireError> {
-    let mut c = Cursor::new(buf);
-    check_header(&mut c, KIND_REPLY)?;
-    let id = c.u64()?;
-    let epoch = c.u64()?;
-    let n = c.u32()? as usize;
-    if n > buf.len() {
-        return Err(WireError::Truncated);
-    }
+    let rest = check_header(buf, KIND_REPLY)?;
+    let (head, rest) = take::<16>(rest)?;
+    let (n, mut rest) = count(rest)?;
     let mut replies = Vec::with_capacity(n);
     for _ in 0..n {
-        let r = match c.u8()? {
-            RTAG_FOUND => CtlReply::Found { pip: Pip(c.u32()?) },
-            RTAG_NOT_FOUND => CtlReply::NotFound,
-            RTAG_APPLIED => CtlReply::Applied {
-                old: get_opt_pip(&mut c)?,
-                new: get_opt_pip(&mut c)?,
-            },
+        let (&tag, tail) = rest.split_first().ok_or(WireError::Truncated)?;
+        let (r, tail) = match tag {
+            RTAG_FOUND => {
+                let (b, tail) = take::<4>(tail)?;
+                let pip = Pip(u32::from_le_bytes(*b));
+                (CtlReply::Found { pip }, tail)
+            }
+            RTAG_NOT_FOUND => (CtlReply::NotFound, tail),
+            RTAG_APPLIED => {
+                let (old, tail) = get_opt_pip(tail)?;
+                let (new, tail) = get_opt_pip(tail)?;
+                (CtlReply::Applied { old, new }, tail)
+            }
             RTAG_REJECTED => {
-                let code = c.u8()?;
+                let (&code, tail) = tail.split_first().ok_or(WireError::Truncated)?;
                 let reason = RejectReason::from_code(code).ok_or(WireError::BadValue(code))?;
-                CtlReply::Rejected { reason }
+                (CtlReply::Rejected { reason }, tail)
             }
             RTAG_SNAPSHOT => {
-                let m = c.u32()? as usize;
-                if m.saturating_mul(8) > buf.len() {
-                    return Err(WireError::Truncated);
-                }
-                let mut entries = Vec::with_capacity(m);
-                for _ in 0..m {
-                    entries.push((Vip(c.u32()?), Pip(c.u32()?)));
-                }
-                CtlReply::Snapshot { entries }
+                let (b, tail) = take::<4>(tail)?;
+                let m = u32::from_le_bytes(*b) as usize;
+                let body = tail
+                    .get(..m.saturating_mul(8))
+                    .ok_or(WireError::Truncated)?;
+                let entries = body
+                    .chunks_exact(8)
+                    .map(|e| {
+                        let e: &[u8; 8] = e.try_into().expect("an 8-byte chunk");
+                        (Vip(u32_at(e, 0)), Pip(u32_at(e, 4)))
+                    })
+                    .collect();
+                (CtlReply::Snapshot { entries }, &tail[body.len()..])
             }
-            RTAG_STATS => CtlReply::Stats {
-                stats: Box::new(get_stats(&mut c)?),
-            },
+            RTAG_STATS => {
+                let (b, tail) = take::<STATS_BYTES>(tail)?;
+                let stats = Box::new(get_stats(b));
+                (CtlReply::Stats { stats }, tail)
+            }
             other => return Err(WireError::BadTag(other)),
         };
         replies.push(r);
+        rest = tail;
     }
-    c.finish()?;
-    Ok(ReplyBatch { id, epoch, replies })
+    finish(rest)?;
+    Ok(ReplyBatch {
+        id: u64_at(head, 0),
+        epoch: u64_at(head, 8),
+        replies,
+    })
 }
 
 // ---------------------------------------------------------------------

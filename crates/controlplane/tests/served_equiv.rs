@@ -9,10 +9,14 @@
 //! The server runs a batch's keyed ops as per-stripe groups between the
 //! barriers `Snapshot` and `Stats`, so the logs carry barriers mid-batch,
 //! and every suite runs at [`STRIPES`] — one stripe (one group), and
-//! counts that do and do not divide the VIP range evenly.
+//! counts that do and do not divide the VIP range evenly. The `interpreter_`
+//! property holds [`StripedControlPlane::execute_shared`] itself to the fold
+//! in process, over arbitrary logs and batch sizes rather than a few fixed
+//! seeds over TCP.
 
 use std::sync::{Arc, Barrier};
 
+use proptest::prelude::*;
 use sv2p_packet::{Pip, Vip};
 use sv2p_simcore::SimRng;
 use sv2p_vnet::{ApplyError, MappingDb, MappingOp};
@@ -323,5 +327,56 @@ fn concurrent_clients_on_disjoint_vips_match_the_fold_of_the_union() {
         assert!(want.rejected > 0, "logs must exercise the rejection path");
         assert_eq!(union.snapshot(), state.snapshot());
         server.shutdown();
+    }
+}
+
+/// An arbitrary op over 24 VIPs, so a batch holds several ops per VIP and
+/// per stripe: every keyed kind, `Migrate` with and without an instant
+/// (of VIPs never placed too, which are rejected), and one op in ten a
+/// `Snapshot` or `Stats` barrier.
+fn arb_op() -> impl Strategy<Value = CtlOp> {
+    (
+        0u32..10,
+        0u32..24,
+        0u32..1000,
+        proptest::option::of(any::<u64>()),
+    )
+        .prop_map(|(roll, vip, pip, at_ns)| {
+            let (vip, pip) = (Vip(vip), Pip(pip));
+            match roll {
+                0..=2 => CtlOp::Install { vip, pip },
+                3..=5 => CtlOp::Lookup { vip },
+                6 => CtlOp::Invalidate { vip },
+                7 | 8 => CtlOp::Migrate {
+                    vip,
+                    to_pip: pip,
+                    at_ns,
+                },
+                _ if pip.0 % 2 == 0 => CtlOp::Snapshot,
+                _ => CtlOp::Stats,
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The batch interpreter, called in process, gives the fold's replies,
+    /// reply epochs, end table and counters, at every batch size and
+    /// stripe count.
+    #[test]
+    fn interpreter_matches_the_fold(
+        ops in proptest::collection::vec(arb_op(), 0..600),
+        batch in 1usize..300,
+        stripes in prop_oneof![Just(1usize), Just(3), Just(16)],
+    ) {
+        let reqs = batches(&ops, batch);
+        let (fold, fold_reps) = Fold::over(&reqs);
+        let state = StripedControlPlane::new(stripes);
+        let reps = untimed_replies(reqs.iter().map(|r| state.execute_shared(r)).collect());
+        prop_assert_eq!(fold_reps, reps);
+        // Stats first: a snapshot of the served state counts itself.
+        prop_assert_eq!(fold.stats(), served_stats(&state));
+        prop_assert_eq!(fold.snapshot(), state.snapshot());
     }
 }

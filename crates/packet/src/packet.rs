@@ -131,6 +131,10 @@ pub struct Packet {
     pub visited_gateway: bool,
 }
 
+// The simulator's arena slot is one `Packet`, and slot bytes set its speed:
+// a change that grows it must say so here.
+const _: () = assert!(std::mem::size_of::<Packet>() == 120);
+
 /// Fixed header overhead: outer IPv4 (20) + tunnel shim base (4) + inner
 /// IPv4 (20) + inner transport (16).
 pub const HEADER_OVERHEAD: u32 = 20 + 4 + 20 + 16;

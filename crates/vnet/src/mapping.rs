@@ -11,7 +11,6 @@
 //! and observing the returned [`MappingDelta`]. There is no other mutator.
 
 use sv2p_packet::{Pip, Vip};
-use sv2p_simcore::FxHashMap;
 
 /// One control-plane mutation against the V2P table.
 ///
@@ -33,15 +32,15 @@ pub enum MappingOp {
         /// The virtual address being withdrawn.
         vip: Vip,
     },
-    /// Move an existing mapping to a new physical location (VM migration),
-    /// optionally recording *when* (virtual ns) so stale-cache hits can be
-    /// aged against the instant.
+    /// Move an existing mapping to a new physical location (VM migration).
     Migrate {
         /// The migrating virtual address.
         vip: Vip,
         /// Destination physical address.
         to_pip: Pip,
-        /// Migration instant in virtual nanoseconds, if tracked.
+        /// Migration instant in virtual nanoseconds, if the client tracks
+        /// it. Accepted and not stored: no reader of the table asks when a
+        /// VIP moved.
         at_ns: Option<u64>,
     },
 }
@@ -107,9 +106,7 @@ enum Probe {
 /// both. At million-VM scale this costs ~12 bytes per mapping (vs ~50 for
 /// the former `FxHashMap<Vip, Pip>`), and the layout is fully
 /// deterministic: the same op sequence yields the same slots, so
-/// [`Self::iter`] order is reproducible across runs. The sparse migration
-/// instants stay in a side `FxHashMap` — only migrated VIPs pay for the
-/// timestamp.
+/// [`Self::iter`] order is reproducible across runs.
 ///
 /// Two methods serve bulk callers: [`Self::reserve`] sizes the table once
 /// for a known number of inserts, and [`Self::warm`] touches a set of VIPs'
@@ -130,10 +127,6 @@ pub struct MappingDb {
     /// Bumped on every update; lets tests and metrics distinguish
     /// reads-after-write from stale cache serving.
     epoch: u64,
-    /// When each VIP last migrated, virtual nanoseconds. Only written by
-    /// a timestamped [`MappingOp::Migrate`]; the stale-entry age a cache
-    /// hit exposes is measured against this instant.
-    last_migration: FxHashMap<Vip, u64>,
 }
 
 /// One table slot: a mapping's key and value, adjacent.
@@ -331,7 +324,6 @@ impl MappingDb {
             }
             MappingOp::Invalidate { vip } => {
                 let old = self.table_remove(vip);
-                self.last_migration.remove(&vip);
                 self.epoch += 1;
                 MappingDelta {
                     vip,
@@ -340,15 +332,12 @@ impl MappingDb {
                     epoch: self.epoch,
                 }
             }
-            MappingOp::Migrate { vip, to_pip, at_ns } => {
+            MappingOp::Migrate { vip, to_pip, .. } => {
                 let Some(slot) = self.slot_of(vip) else {
                     return Err(ApplyError::UnknownVip(vip));
                 };
                 let old = std::mem::replace(&mut self.slots[slot].1, to_pip);
                 self.epoch += 1;
-                if let Some(at) = at_ns {
-                    self.last_migration.insert(vip, at);
-                }
                 MappingDelta {
                     vip,
                     old: Some(old),
@@ -374,19 +363,32 @@ impl MappingDb {
 
     /// Resolves a VIP (gateway read). `None` means the VIP does not exist —
     /// a tenant misconfiguration the gateway drops.
+    ///
+    /// The read-only probe: it keeps no first tombstone, so it is small
+    /// enough to inline into a caller's loop.
+    #[inline]
     pub fn lookup(&self, vip: Vip) -> Option<Pip> {
-        self.slot_of(vip).map(|i| self.slots[i].1)
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = (avalanche(vip.0) as usize) & mask;
+        loop {
+            if bit_get(&self.live, i) {
+                let (key, pip) = self.slots[i];
+                if key == vip {
+                    return Some(pip);
+                }
+            } else if !bit_get(&self.tombstone, i) {
+                return None;
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// True if `vip` is currently mapped.
     pub fn contains(&self, vip: Vip) -> bool {
         self.slot_of(vip).is_some()
-    }
-
-    /// When `vip` last migrated (virtual ns), if it ever did via a
-    /// timestamped [`MappingOp::Migrate`].
-    pub fn last_migration_ns(&self, vip: Vip) -> Option<u64> {
-        self.last_migration.get(&vip).copied()
     }
 
     /// Number of mappings.
@@ -415,17 +417,13 @@ impl MappingDb {
             .map(|(_, &slot)| slot)
     }
 
-    /// Approximate resident bytes of the mapping state: the flat table
-    /// (slots + both bitmaps at current capacity) plus the sparse
-    /// migration-instant side table. Feeds the benchmark's
+    /// Resident bytes of the mapping state: the flat table's slots and
+    /// both bitmaps at current capacity. Feeds the benchmark's
     /// `vnet.v2p_state_mb` metric so table capacity vs resident memory
     /// stays a tracked surface.
     pub fn resident_bytes(&self) -> usize {
         let cap = self.slots.len();
-        let table = cap * std::mem::size_of::<Slot>() + 2 * (cap.div_ceil(64)) * 8;
-        // FxHashMap entry: key + value + control byte, at ~8/7 load slack.
-        let side = self.last_migration.capacity() * (4 + 8 + 1);
-        table + side
+        cap * std::mem::size_of::<Slot>() + 2 * (cap.div_ceil(64)) * 8
     }
 }
 
@@ -496,29 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn migrate_at_records_instant() {
-        let mut db = MappingDb::new();
-        db.apply(MappingOp::Install {
-            vip: Vip(1),
-            pip: Pip(10),
-        });
-        assert_eq!(db.last_migration_ns(Vip(1)), None);
-        let d = db.apply(MappingOp::Migrate {
-            vip: Vip(1),
-            to_pip: Pip(20),
-            at_ns: Some(5_000),
-        });
-        assert_eq!(d.old, Some(Pip(10)));
-        assert_eq!(db.last_migration_ns(Vip(1)), Some(5_000));
-        db.apply(MappingOp::Migrate {
-            vip: Vip(1),
-            to_pip: Pip(30),
-            at_ns: Some(9_000),
-        });
-        assert_eq!(db.last_migration_ns(Vip(1)), Some(9_000));
-    }
-
-    #[test]
     fn reinstall_overwrites() {
         let mut db = MappingDb::new();
         db.apply(MappingOp::Install {
@@ -552,8 +527,6 @@ mod tests {
         assert_eq!(d.new, None);
         assert_eq!(d.epoch, e + 1);
         assert_eq!(db.lookup(Vip(1)), None);
-        // Migration history is withdrawn with the mapping.
-        assert_eq!(db.last_migration_ns(Vip(1)), None);
         // Invalidating an absent VIP is accepted and still versioned.
         let d2 = db.apply(MappingOp::Invalidate { vip: Vip(1) });
         assert_eq!(d2.old, None);
@@ -580,7 +553,7 @@ mod tests {
             at_ns: Some(7_000),
         });
         assert_eq!(d.old, Some(Pip(20)));
-        assert_eq!(db.last_migration_ns(Vip(1)), Some(7_000));
+        assert_eq!(db.lookup(Vip(1)), Some(Pip(30)));
         assert_eq!(db.epoch(), 3);
     }
 

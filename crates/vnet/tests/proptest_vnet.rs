@@ -8,11 +8,10 @@ use sv2p_vnet::{ApplyError, GatewayDirectory, MappingDb, MappingDelta, MappingOp
 
 /// The pre-compaction `MappingDb`: plain HashMaps, the behavioral oracle
 /// the open-addressed layout must be indistinguishable from (lookups,
-/// deltas, epochs, errors, and migration instants alike).
+/// deltas, epochs and errors alike).
 #[derive(Default)]
 struct OracleDb {
     map: std::collections::HashMap<u32, u32>,
-    last_migration: std::collections::HashMap<u32, u64>,
     epoch: u64,
 }
 
@@ -32,7 +31,6 @@ impl OracleDb {
             }
             MappingOp::Invalidate { vip } => {
                 let old = self.map.remove(&vip.0).map(Pip);
-                self.last_migration.remove(&vip.0);
                 self.epoch += 1;
                 MappingDelta {
                     vip,
@@ -41,15 +39,12 @@ impl OracleDb {
                     epoch: self.epoch,
                 }
             }
-            MappingOp::Migrate { vip, to_pip, at_ns } => {
+            MappingOp::Migrate { vip, to_pip, .. } => {
                 if !self.map.contains_key(&vip.0) {
                     return Err(ApplyError::UnknownVip(Vip(vip.0)));
                 }
                 let old = self.map.insert(vip.0, to_pip.0).map(Pip);
                 self.epoch += 1;
-                if let Some(at) = at_ns {
-                    self.last_migration.insert(vip.0, at);
-                }
                 MappingDelta {
                     vip,
                     old,
@@ -184,7 +179,7 @@ proptest! {
             prop_assert_eq!(a, b, "divergent result for {:?}", op);
         }
         // End states agree on every observable: lookups (present and
-        // absent), membership, len, epoch, and migration instants.
+        // absent), membership, len and epoch.
         prop_assert_eq!(compact.len(), oracle.map.len());
         prop_assert_eq!(compact.epoch(), oracle.epoch);
         for v in 0u32..48 {
@@ -193,10 +188,6 @@ proptest! {
                 oracle.map.get(&v).copied()
             );
             prop_assert_eq!(compact.contains(Vip(v)), oracle.map.contains_key(&v));
-            prop_assert_eq!(
-                compact.last_migration_ns(Vip(v)),
-                oracle.last_migration.get(&v).copied()
-            );
         }
         // iter() yields exactly the oracle's entry set (order is the
         // compact table's own, so compare as sorted sets).
