@@ -311,7 +311,7 @@ impl StripedControlPlane {
     pub fn execute_shared(&self, req: &RequestBatch) -> ReplyBatch {
         let start = Instant::now();
         let ops = &req.ops;
-        let mut replies = Vec::with_capacity(ops.len());
+        let mut replies = Vec::new();
         replies.resize_with(ops.len(), || CtlReply::NotFound);
         let mut tally = ServiceStats {
             batches: 1,
@@ -388,18 +388,11 @@ impl StripedControlPlane {
             } else {
                 let mut w = self.write_group(s);
                 w.db.warm(vips);
-                for &(k, _) in group {
+                for &(k, vip) in group {
                     let k = k as usize;
-                    replies[k] = match ops[k] {
-                        CtlOp::Lookup { vip } => lookup(&w.db, vip, tally),
-                        CtlOp::Install { vip, pip } => {
-                            w.apply(MappingOp::Install { vip, pip }, tally)
-                        }
-                        CtlOp::Invalidate { vip } => w.apply(MappingOp::Invalidate { vip }, tally),
-                        CtlOp::Migrate { vip, to_pip, at_ns } => {
-                            w.apply(MappingOp::Migrate { vip, to_pip, at_ns }, tally)
-                        }
-                        CtlOp::Snapshot | CtlOp::Stats => unreachable!("a barrier in a group"),
+                    replies[k] = match ops[k].as_mapping_op() {
+                        Some(op) => w.apply(op, tally),
+                        None => lookup(&w.db, vip, tally),
                     };
                 }
             }

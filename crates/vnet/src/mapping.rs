@@ -165,7 +165,8 @@ impl MappingDb {
         Self::default()
     }
 
-    /// Probes for `vip`. The table must be non-empty.
+    /// The insert probe for `vip`: it also finds the slot an absent VIP
+    /// should claim. The table must be non-empty.
     fn probe(&self, vip: Vip) -> Probe {
         let mask = self.slots.len() - 1;
         let mut i = (avalanche(vip.0) as usize) & mask;
@@ -282,29 +283,32 @@ impl MappingDb {
 
     /// Removes `vip`, returning its value. Leaves a tombstone.
     fn table_remove(&mut self, vip: Vip) -> Option<Pip> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        match self.probe(vip) {
-            Probe::Found(i) => {
-                bit_clear(&mut self.live, i);
-                bit_set(&mut self.tombstone, i);
-                self.len -= 1;
-                Some(self.slots[i].1)
-            }
-            Probe::Vacant(_) => None,
-        }
+        let i = self.slot_of(vip)?;
+        bit_clear(&mut self.live, i);
+        bit_set(&mut self.tombstone, i);
+        self.len -= 1;
+        Some(self.slots[i].1)
     }
 
-    /// The live slot index of `vip`, if mapped.
+    /// The live slot index of `vip`, if mapped. The read-only probe: it
+    /// keeps no first tombstone, so it is small enough to inline into a
+    /// caller's loop.
     #[inline]
     fn slot_of(&self, vip: Vip) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
         }
-        match self.probe(vip) {
-            Probe::Found(i) => Some(i),
-            Probe::Vacant(_) => None,
+        let mask = self.slots.len() - 1;
+        let mut i = (avalanche(vip.0) as usize) & mask;
+        loop {
+            if bit_get(&self.live, i) {
+                if self.slots[i].0 == vip {
+                    return Some(i);
+                }
+            } else if !bit_get(&self.tombstone, i) {
+                return None;
+            }
+            i = (i + 1) & mask;
         }
     }
 
@@ -363,27 +367,9 @@ impl MappingDb {
 
     /// Resolves a VIP (gateway read). `None` means the VIP does not exist —
     /// a tenant misconfiguration the gateway drops.
-    ///
-    /// The read-only probe: it keeps no first tombstone, so it is small
-    /// enough to inline into a caller's loop.
     #[inline]
     pub fn lookup(&self, vip: Vip) -> Option<Pip> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (avalanche(vip.0) as usize) & mask;
-        loop {
-            if bit_get(&self.live, i) {
-                let (key, pip) = self.slots[i];
-                if key == vip {
-                    return Some(pip);
-                }
-            } else if !bit_get(&self.tombstone, i) {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
+        self.slot_of(vip).map(|i| self.slots[i].1)
     }
 
     /// True if `vip` is currently mapped.
