@@ -177,9 +177,7 @@ impl Strategy for Bluebird {
 mod tests {
     use super::*;
     use sv2p_packet::packet::Protocol;
-    use sv2p_packet::{
-        FlowId, InnerHeader, OuterHeader, PacketId, SwitchTag, TcpFlags, TunnelOptions,
-    };
+    use sv2p_packet::{InnerHeader, OuterHeader, SwitchTag};
     use sv2p_simcore::SimRng;
     use sv2p_topology::NodeId;
 
@@ -207,9 +205,6 @@ mod tests {
 
     fn unresolved(dst_vip: Vip) -> Packet {
         Packet {
-            id: PacketId(0),
-            flow: FlowId(0),
-            kind: PacketKind::Data,
             outer: OuterHeader {
                 src_pip: Pip(1),
                 dst_pip: Pip(0),
@@ -221,16 +216,10 @@ mod tests {
                 src_port: 1,
                 dst_port: 2,
                 protocol: Protocol::Udp,
-                seq: 0,
-                ack: 0,
-                flags: TcpFlags::default(),
+                ..InnerHeader::default()
             },
-            opts: TunnelOptions::default(),
             payload: 1000,
-            switch_hops: 0,
-            sent_ns: 0,
-            first_of_flow: false,
-            visited_gateway: false,
+            ..Packet::default()
         }
     }
 

@@ -195,10 +195,7 @@ impl ControllerDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sv2p_packet::packet::Protocol;
-    use sv2p_packet::{
-        FlowId, InnerHeader, OuterHeader, PacketId, SwitchTag, TcpFlags, TunnelOptions,
-    };
+    use sv2p_packet::{InnerHeader, OuterHeader, SwitchTag};
     use sv2p_simcore::{SimRng, SimTime};
     use sv2p_topology::FatTreeConfig;
 
@@ -230,9 +227,6 @@ mod tests {
             trace_cache_ops: false,
         };
         let mut pkt = Packet {
-            id: PacketId(0),
-            flow: FlowId(0),
-            kind: PacketKind::Data,
             outer: OuterHeader {
                 src_pip: Pip(1),
                 dst_pip: Pip(99),
@@ -241,19 +235,9 @@ mod tests {
             inner: InnerHeader {
                 src_vip: Vip(9),
                 dst_vip: Vip(1),
-                src_port: 0,
-                dst_port: 0,
-                protocol: Protocol::Tcp,
-                seq: 0,
-                ack: 0,
-                flags: TcpFlags::default(),
+                ..InnerHeader::default()
             },
-            opts: TunnelOptions::default(),
-            payload: 0,
-            switch_hops: 0,
-            sent_ns: 0,
-            first_of_flow: false,
-            visited_gateway: false,
+            ..Packet::default()
         };
         let out = agent.on_packet(&mut ctx, &mut pkt);
         assert!(out.cache_hit);

@@ -77,10 +77,7 @@ impl Strategy for LocalLearning {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sv2p_packet::packet::Protocol;
-    use sv2p_packet::{
-        FlowId, InnerHeader, OuterHeader, PacketId, SwitchTag, TcpFlags, TunnelOptions,
-    };
+    use sv2p_packet::{InnerHeader, OuterHeader, SwitchTag};
     use sv2p_simcore::{SimRng, SimTime};
     use sv2p_vnet::Placement;
 
@@ -103,9 +100,6 @@ mod tests {
 
     fn pkt(dst_vip: u32, dst_pip: u32, resolved: bool) -> Packet {
         Packet {
-            id: PacketId(0),
-            flow: FlowId(0),
-            kind: PacketKind::Data,
             outer: OuterHeader {
                 src_pip: Pip(1),
                 dst_pip: Pip(dst_pip),
@@ -116,17 +110,10 @@ mod tests {
                 dst_vip: Vip(dst_vip),
                 src_port: 1,
                 dst_port: 2,
-                protocol: Protocol::Tcp,
-                seq: 0,
-                ack: 0,
-                flags: TcpFlags::default(),
+                ..InnerHeader::default()
             },
-            opts: TunnelOptions::default(),
             payload: 10,
-            switch_hops: 0,
-            sent_ns: 0,
-            first_of_flow: false,
-            visited_gateway: false,
+            ..Packet::default()
         }
     }
 

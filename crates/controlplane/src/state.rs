@@ -268,9 +268,9 @@ impl StripedControlPlane {
         self.len() == 0
     }
 
-    /// Sorted full-table dump under a simultaneous all-stripe read lock.
+    /// Sorted full-table dump under a simultaneous all-stripe read lock. A
+    /// pure read: only a `Snapshot` op counts in [`Self::stats`].
     pub fn snapshot(&self) -> Vec<(Vip, Pip)> {
-        self.counts.snapshots.fetch_add(1, Ordering::Relaxed);
         // Lock in index order (the only order anyone takes multiple
         // stripes) — no deadlock possible.
         let guards: Vec<_> = (0..self.stripes.len()).map(|i| self.read(i)).collect();
@@ -334,9 +334,12 @@ impl StripedControlPlane {
             );
             self.counts.add(&std::mem::take(&mut tally));
             replies[at] = match op {
-                CtlOp::Snapshot => CtlReply::Snapshot {
-                    entries: self.snapshot(),
-                },
+                CtlOp::Snapshot => {
+                    self.counts.snapshots.fetch_add(1, Ordering::Relaxed);
+                    CtlReply::Snapshot {
+                        entries: self.snapshot(),
+                    }
+                }
                 _ => CtlReply::Stats {
                     stats: Box::new(self.stats()),
                 },
@@ -511,6 +514,19 @@ mod tests {
         let s = cp.stats();
         assert_eq!((s.batches, s.ops, s.lookups, s.hits), (1, 5, 3, 2));
         assert_eq!((s.installs, s.migrates, s.rejected), (0, 1, 1));
+    }
+
+    /// Reading the table in process counts nothing; a `Snapshot` op counts
+    /// once.
+    #[test]
+    fn snapshot_is_a_pure_read_and_the_op_counts_once() {
+        let cp = StripedControlPlane::new(4);
+        cp.preload((0..10u32).map(|i| (Vip(i), Pip(100 + i))));
+        let before = cp.stats();
+        assert_eq!(cp.snapshot().len(), 10);
+        assert_eq!(cp.stats(), before);
+        cp.execute_shared(&batch(vec![CtlOp::Snapshot]));
+        assert_eq!(cp.stats().snapshots, 1);
     }
 
     #[test]

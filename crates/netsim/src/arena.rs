@@ -117,15 +117,11 @@ impl PacketArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sv2p_packet::{
-        FlowId, InnerHeader, OuterHeader, PacketId, PacketKind, Pip, TcpFlags, TunnelOptions, Vip,
-    };
+    use sv2p_packet::{InnerHeader, OuterHeader, PacketId, Pip, Vip};
 
     fn pkt(id: u64) -> Packet {
         Packet {
             id: PacketId(id),
-            flow: FlowId(0),
-            kind: PacketKind::Data,
             outer: OuterHeader {
                 src_pip: Pip(1),
                 dst_pip: Pip(2),
@@ -137,16 +133,9 @@ mod tests {
                 src_port: 1,
                 dst_port: 2,
                 protocol: sv2p_packet::packet::Protocol::Udp,
-                seq: 0,
-                ack: 0,
-                flags: TcpFlags::default(),
+                ..InnerHeader::default()
             },
-            opts: TunnelOptions::default(),
-            payload: 0,
-            switch_hops: 0,
-            sent_ns: 0,
-            first_of_flow: false,
-            visited_gateway: false,
+            ..Packet::default()
         }
     }
 

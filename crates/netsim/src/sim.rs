@@ -23,7 +23,7 @@ use std::sync::Arc;
 use sv2p_metrics::{Counters, DropCause, Traffic, WINDOW_NS};
 use sv2p_packet::packet::Protocol;
 use sv2p_packet::{
-    FlowId, InnerHeader, OuterHeader, Packet, PacketKind, Pip, SwitchTag, TcpFlags, TunnelOptions,
+    FlowId, InnerHeader, MisdeliveryTag, OuterHeader, Packet, PacketKind, Pip, SwitchTag, TcpFlags,
 };
 use sv2p_simcore::{FxHashMap, SimDuration, SimRng, SimTime};
 use sv2p_telemetry::{Cause, EventKind, Layer, Op, TraceEvent};
@@ -523,7 +523,6 @@ impl Shard {
         let pkt = Packet {
             id: fx.alloc_pkt_id(),
             flow: flow_id,
-            kind: PacketKind::Data,
             outer: OuterHeader {
                 src_pip,
                 dst_pip,
@@ -542,12 +541,10 @@ impl Shard {
                     ..TcpFlags::default()
                 },
             },
-            opts: TunnelOptions::default(),
             payload,
-            switch_hops: 0,
             sent_ns: now.as_nanos(),
             first_of_flow,
-            visited_gateway: false,
+            ..Packet::default()
         };
 
         self.counters.record_data_sent(now);
@@ -1092,10 +1089,19 @@ impl Shard {
                 let gw = self.world.dir.pick(self.arena.get(pkt).flow.0 * 2);
                 // Keep the original outer source so the ToR can recognize
                 // the forward as a misdelivery and tag it (§3.3), and keep
-                // the hit-switch option so it can target invalidations.
+                // the hit-switch option so it can target invalidations. A
+                // host that is itself the outer source tags the packet: its
+                // ToR cannot tell the forward from the sender's own traffic.
+                let host_pip = self.world.topo.kind(node).pip();
                 let p = self.arena.get_mut(pkt);
                 p.outer.dst_pip = gw;
                 p.outer.resolved = false;
+                if p.outer.src_pip == host_pip {
+                    p.opts.misdelivery = Some(MisdeliveryTag {
+                        vip,
+                        stale_pip: host_pip,
+                    });
+                }
             }
         }
         self.send_on(ctl, fx, node, pkt);
@@ -1104,16 +1110,22 @@ impl Shard {
 
 /// The wire certification of every forwarded packet: its encoding is
 /// exactly as long as the `wire_size` the links serialize, and decoding it
-/// gives back every wire-visible field (`sv2p_packet::wire`).
+/// gives back every wire-visible field (`sv2p_packet::wire`). Every packet
+/// is encoded into the same buffer, so a check allocates nothing.
 #[cfg(debug_assertions)]
 fn certify_wire(p: &Packet) {
     use sv2p_packet::wire;
-    let bytes = wire::encode(p);
-    assert_eq!(
-        bytes.len(),
-        p.wire_size() as usize,
-        "encoded length of {p:?}"
-    );
-    let back = wire::decode(bytes).unwrap_or_else(|e| panic!("{p:?} does not decode: {e}"));
-    assert!(wire::wire_eq(p, &back), "{p:?} decodes as {back:?}");
+    thread_local! {
+        static FRAME: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+    FRAME.with_borrow_mut(|frame| {
+        wire::encode(p, frame);
+        assert_eq!(
+            frame.len(),
+            p.wire_size() as usize,
+            "encoded length of {p:?}"
+        );
+        let back = wire::decode(frame).unwrap_or_else(|e| panic!("{p:?} does not decode: {e}"));
+        assert!(wire::wire_eq(p, &back), "{p:?} decodes as {back:?}");
+    });
 }

@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 
 use sv2p_packet::options::TunnelOptions;
-use sv2p_packet::packet::HEADER_OVERHEAD;
+use sv2p_packet::wire::HEADER_OVERHEAD;
 
 /// Per-stage resource budgets of a Tofino-class pipeline (figures as cited
 /// by public P4 papers; 12 match-action stages).

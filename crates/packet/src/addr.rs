@@ -30,20 +30,7 @@ pub struct Pip(pub u32);
 )]
 pub struct SwitchTag(pub u16);
 
-impl Vip {
-    /// Formats as dotted quad (for traces and debugging).
-    pub fn dotted(self) -> String {
-        dotted(self.0)
-    }
-}
-
-impl Pip {
-    /// Formats as dotted quad (for traces and debugging).
-    pub fn dotted(self) -> String {
-        dotted(self.0)
-    }
-}
-
+/// `v` as a dotted quad.
 fn dotted(v: u32) -> String {
     format!(
         "{}.{}.{}.{}",
@@ -56,13 +43,13 @@ fn dotted(v: u32) -> String {
 
 impl fmt::Display for Vip {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "v:{}", self.dotted())
+        write!(f, "v:{}", dotted(self.0))
     }
 }
 
 impl fmt::Display for Pip {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "p:{}", self.dotted())
+        write!(f, "p:{}", dotted(self.0))
     }
 }
 
@@ -78,10 +65,10 @@ mod tests {
 
     #[test]
     fn dotted_quad_formatting() {
-        assert_eq!(Vip(0x0A00_0001).dotted(), "10.0.0.1");
-        assert_eq!(Pip(0xC0A8_0102).dotted(), "192.168.1.2");
-        assert_eq!(Vip(0).dotted(), "0.0.0.0");
-        assert_eq!(Pip(u32::MAX).dotted(), "255.255.255.255");
+        assert_eq!(dotted(0x0A00_0001), "10.0.0.1");
+        assert_eq!(dotted(0xC0A8_0102), "192.168.1.2");
+        assert_eq!(dotted(0), "0.0.0.0");
+        assert_eq!(dotted(u32::MAX), "255.255.255.255");
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! * [`packet`] — the structured [`Packet`] the simulator moves around;
 //! * [`options`] — the typed tunnel options ([`TunnelOptions`]);
 //! * [`wire`] — a byte-level encode/decode of the full outer + shim + inner
-//!   layout, round-trip property-tested, so every piggybacked field provably
-//!   fits an on-wire representation. In a debug build the simulator also
-//!   runs every packet it forwards through it (`certify_wire` in
-//!   `sv2p-netsim`'s `sim.rs`): the encoding must be exactly
-//!   [`Packet::wire_size`] bytes and decode to a wire-equal packet.
-//!   `sv2p-p4model` sizes its PHV from [`TunnelOptions`] and
-//!   [`packet::HEADER_OVERHEAD`], not from this module.
+//!   layout over plain slices, round-trip property-tested, so every
+//!   piggybacked field provably fits an on-wire representation. It owns the
+//!   layout's sizes: [`Packet::wire_size`], [`TunnelOptions::wire_len`] and
+//!   `sv2p-p4model`'s PHV read its constants ([`wire::HEADER_OVERHEAD`]).
+//!   In a debug build the simulator also runs every packet it forwards
+//!   through it (`certify_wire` in `sv2p-netsim`'s `sim.rs`): the encoding
+//!   must be exactly [`Packet::wire_size`] bytes and decode to a wire-equal
+//!   packet.
 //!
 //! The simulator itself forwards structured packets (parsing per hop would
 //! only burn cycles, so a release build never encodes one), but the wire

@@ -18,6 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{Pip, SwitchTag, Vip};
+use crate::wire::{HIT_SWITCH_TLV_LEN, PAIR_TLV_LEN};
 
 /// A V2P mapping carried in an option (spillover, promotion, learning).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -67,35 +68,18 @@ impl TunnelOptions {
         hit_switch: None,
     };
 
-    /// True if no options are present.
-    pub fn is_empty(&self) -> bool {
-        self.spillover.is_none()
-            && self.promotion.is_none()
-            && self.misdelivery.is_none()
-            && self.hit_switch.is_none()
-    }
-
     /// Total encoded length of the present options in bytes
-    /// (type + length byte plus the value, per option).
+    /// (type + length byte plus the value, per option; `sv2p_packet::wire`
+    /// owns the sizes).
     pub fn wire_len(&self) -> u32 {
-        let mut len = 0;
-        if self.spillover.is_some() {
-            len += 2 + 8;
-        }
-        if self.promotion.is_some() {
-            len += 2 + 8;
-        }
-        if self.misdelivery.is_some() {
-            len += 2 + 8;
-        }
-        if self.hit_switch.is_some() {
-            len += 2 + 2;
-        }
-        len
+        let pairs = u32::from(self.spillover.is_some())
+            + u32::from(self.promotion.is_some())
+            + u32::from(self.misdelivery.is_some());
+        pairs * PAIR_TLV_LEN + u32::from(self.hit_switch.is_some()) * HIT_SWITCH_TLV_LEN
     }
 
     /// The worst-case encoded length (all options present).
-    pub const MAX_WIRE_LEN: u32 = (2 + 8) * 3 + (2 + 2);
+    pub const MAX_WIRE_LEN: u32 = 3 * PAIR_TLV_LEN + HIT_SWITCH_TLV_LEN;
 }
 
 #[cfg(test)]
@@ -104,9 +88,7 @@ mod tests {
 
     #[test]
     fn empty_options_have_zero_length() {
-        let o = TunnelOptions::default();
-        assert!(o.is_empty());
-        assert_eq!(o.wire_len(), 0);
+        assert_eq!(TunnelOptions::default().wire_len(), 0);
     }
 
     #[test]
@@ -130,6 +112,5 @@ mod tests {
             stale_pip: Pip(7),
         });
         assert_eq!(o.wire_len(), TunnelOptions::MAX_WIRE_LEN);
-        assert!(!o.is_empty());
     }
 }

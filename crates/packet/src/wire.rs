@@ -17,33 +17,59 @@
 //! option TLVs (0..34 B) spillover / promotion / misdelivery / hit-switch /
 //!                       learning payload / invalidation payload
 //! inner IPv4 (20 B)     src/dst = virtual addresses, proto = 6 or 17
-//! inner transport (16 B) ports, seq, ack, flags
+//! inner transport (16 B) ports, seq, ack, flags, 3 pad bytes
 //! payload (N B)         zeros (content is irrelevant to the simulation)
 //! ```
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//!
+//! This module owns the layout: [`TunnelOptions::wire_len`] and
+//! [`Packet::wire_size`] add up its constants. The codec walks plain
+//! slices, as the control plane's does: the encoder appends to a caller's
+//! buffer and the decoder splits fixed-size chunks off the front. Decoding
+//! is canonical up to the payload: every header byte the encoder never
+//! writes (a non-zero reserved or pad byte, an unknown flag bit, an IPv4
+//! fixed field other than the encoder's, options out of order) is refused,
+//! so every frame `decode` accepts is the encoding of what it returns, with
+//! the payload's content left opaque.
 
 use crate::addr::{Pip, SwitchTag, Vip};
 use crate::options::{MappingOption, MisdeliveryTag, TunnelOptions};
-use crate::packet::{
-    FlowId, InnerHeader, OuterHeader, Packet, PacketId, PacketKind, Protocol, TcpFlags,
-};
+use crate::packet::{InnerHeader, OuterHeader, Packet, PacketKind, Protocol, TcpFlags};
 
 /// IP protocol number of the tunnel shim in the outer header
 /// (253 and 254 are reserved for experimentation; we use 250 to make clear
 /// this is a private encapsulation).
 pub const SHIM_PROTO: u8 = 250;
 
+/// An IPv4 header without options, outer and inner alike.
+const IPV4_LEN: usize = 20;
+/// The tunnel shim before its options: kind, flags, option length, reserved.
+const SHIM_LEN: usize = 4;
+/// The inner transport header: ports, seq, ack, flags and three pad bytes.
+const TRANSPORT_LEN: usize = 16;
+/// A TLV's type and length bytes.
+const TLV_HEAD: usize = 2;
+/// The value of a TLV carrying a (VIP, PIP) pair: a mapping or a tag.
+const PAIR_LEN: usize = 8;
+/// The value of the hit-switch TLV: a switch tag.
+const TAG_LEN: usize = 2;
+
+/// Fixed header bytes of every packet: outer IPv4, tunnel shim, inner IPv4
+/// and inner transport.
+pub const HEADER_OVERHEAD: u32 = (IPV4_LEN + SHIM_LEN + IPV4_LEN + TRANSPORT_LEN) as u32;
+/// Bytes of a TLV carrying a (VIP, PIP) pair: spillover, promotion,
+/// misdelivery, and a learning or invalidation packet's payload.
+pub(crate) const PAIR_TLV_LEN: u32 = (TLV_HEAD + PAIR_LEN) as u32;
+/// Bytes of the hit-switch TLV.
+pub(crate) const HIT_SWITCH_TLV_LEN: u32 = (TLV_HEAD + TAG_LEN) as u32;
+
+// Option types, in the order the encoder writes them: a packet's options,
+// then its kind's payload.
 const TLV_SPILLOVER: u8 = 1;
 const TLV_PROMOTION: u8 = 2;
 const TLV_MISDELIVERY: u8 = 3;
 const TLV_HIT_SWITCH: u8 = 4;
 const TLV_LEARNING: u8 = 5;
 const TLV_INVALIDATION: u8 = 6;
-
-const KIND_DATA: u8 = 0;
-const KIND_LEARNING: u8 = 1;
-const KIND_INVALIDATION: u8 = 2;
 
 const FLAG_RESOLVED: u8 = 0x01;
 
@@ -58,14 +84,18 @@ pub enum WireError {
     BadVersion,
     /// Outer protocol is not the tunnel shim.
     NotTunnel,
-    /// Unknown shim kind byte.
+    /// Unknown shim kind byte, or one its option TLVs disagree with.
     BadKind(u8),
-    /// Malformed or duplicate option TLV.
+    /// Malformed, duplicate or out-of-order option TLV.
     BadOption(u8),
     /// Inner protocol number is neither TCP nor UDP.
     BadProtocol(u8),
     /// total_len fields disagree with the buffer.
     LengthMismatch,
+    /// A header byte the encoder never writes: a non-zero reserved or pad
+    /// byte, an unknown flag bit, or an IPv4 fixed field (TOS, id,
+    /// fragment, TTL) other than the encoder's.
+    NonCanonical,
 }
 
 impl std::fmt::Display for WireError {
@@ -79,6 +109,7 @@ impl std::fmt::Display for WireError {
             WireError::BadOption(t) => write!(f, "malformed option TLV type {t}"),
             WireError::BadProtocol(p) => write!(f, "unsupported inner protocol {p}"),
             WireError::LengthMismatch => write!(f, "length fields disagree with buffer"),
+            WireError::NonCanonical => write!(f, "header byte the encoder never writes"),
         }
     }
 }
@@ -101,281 +132,220 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-fn put_ipv4(buf: &mut BytesMut, total_len: u16, proto: u8, src: u32, dst: u32) {
-    let start = buf.len();
-    buf.put_u8(0x45); // version 4, IHL 5
-    buf.put_u8(0); // TOS
-    buf.put_u16(total_len);
-    buf.put_u16(0); // identification
-    buf.put_u16(0x4000); // DF
-    buf.put_u8(64); // TTL
-    buf.put_u8(proto);
-    buf.put_u16(0); // checksum placeholder
-    buf.put_u32(src);
-    buf.put_u32(dst);
-    let csum = internet_checksum(&buf[start..start + 20]);
-    buf[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
-}
-
-struct Ipv4 {
-    total_len: u16,
-    proto: u8,
-    src: u32,
-    dst: u32,
-}
-
-fn get_ipv4(buf: &mut Bytes) -> Result<Ipv4, WireError> {
-    if buf.remaining() < 20 {
-        return Err(WireError::Truncated);
+/// The shim's kind byte of `kind`.
+fn kind_byte(kind: PacketKind) -> u8 {
+    match kind {
+        PacketKind::Data => 0,
+        PacketKind::Learning(_) => 1,
+        PacketKind::Invalidation(_) => 2,
     }
-    if internet_checksum(&buf[..20]) != 0 {
-        return Err(WireError::BadChecksum);
-    }
-    let ver_ihl = buf.get_u8();
-    if ver_ihl != 0x45 {
-        return Err(WireError::BadVersion);
-    }
-    buf.advance(1); // TOS
-    let total_len = buf.get_u16();
-    buf.advance(5); // id, flags/frag, TTL
-    let proto = buf.get_u8();
-    buf.advance(2); // checksum (verified above)
-    let src = buf.get_u32();
-    let dst = buf.get_u32();
-    Ok(Ipv4 {
-        total_len,
-        proto,
-        src,
-        dst,
-    })
 }
 
-fn put_mapping_tlv(buf: &mut BytesMut, tlv: u8, m: MappingOption) {
-    buf.put_u8(tlv);
-    buf.put_u8(8);
-    buf.put_u32(m.vip.0);
-    buf.put_u32(m.pip.0);
+/// The IPv4 header the encoder writes: version 4, IHL 5, TOS 0, id 0, DF,
+/// TTL 64 and the checksum over the rest.
+fn ipv4_header(total_len: u16, proto: u8, src: u32, dst: u32) -> [u8; IPV4_LEN] {
+    let [l0, l1] = total_len.to_be_bytes();
+    let [s0, s1, s2, s3] = src.to_be_bytes();
+    let [d0, d1, d2, d3] = dst.to_be_bytes();
+    let mut h = [
+        0x45, 0, l0, l1, 0, 0, 0x40, 0, 64, proto, 0, 0, s0, s1, s2, s3, d0, d1, d2, d3,
+    ];
+    let [c0, c1] = internet_checksum(&h).to_be_bytes();
+    (h[10], h[11]) = (c0, c1);
+    h
 }
 
-/// Encodes `pkt` into its full wire representation.
+fn put_pair(out: &mut Vec<u8>, tlv: u8, vip: Vip, pip: Pip) {
+    out.extend_from_slice(&[tlv, PAIR_LEN as u8]);
+    out.extend_from_slice(&vip.0.to_be_bytes());
+    out.extend_from_slice(&pip.0.to_be_bytes());
+}
+
+/// Encodes `pkt` into `out`, replacing its contents: exactly
+/// [`Packet::wire_size`] bytes.
 ///
 /// The payload is emitted as zeros — simulation payloads carry no content.
-pub fn encode(pkt: &Packet) -> Bytes {
-    let opt_len = pkt.opts.wire_len()
-        + match pkt.kind {
-            PacketKind::Data => 0,
-            PacketKind::Learning(_) | PacketKind::Invalidation(_) => 10,
-        };
-    let inner_total = 20 + 16 + pkt.payload;
-    let outer_total = 20 + 4 + opt_len + inner_total;
-    let mut buf = BytesMut::with_capacity(outer_total as usize);
+pub fn encode(pkt: &Packet, out: &mut Vec<u8>) {
+    let outer_total = pkt.wire_size();
+    let inner_total = (IPV4_LEN + TRANSPORT_LEN) as u32 + pkt.payload;
+    let opt_len = outer_total - inner_total - (IPV4_LEN + SHIM_LEN) as u32;
+    out.clear();
+    out.reserve(outer_total as usize);
 
-    put_ipv4(
-        &mut buf,
+    let (o, i) = (&pkt.outer, &pkt.inner);
+    out.extend_from_slice(&ipv4_header(
         outer_total as u16,
         SHIM_PROTO,
-        pkt.outer.src_pip.0,
-        pkt.outer.dst_pip.0,
-    );
+        o.src_pip.0,
+        o.dst_pip.0,
+    ));
+    let flags = if o.resolved { FLAG_RESOLVED } else { 0 };
+    out.extend_from_slice(&[kind_byte(pkt.kind), flags, opt_len as u8, 0]);
 
-    // Shim.
-    let kind = match pkt.kind {
-        PacketKind::Data => KIND_DATA,
-        PacketKind::Learning(_) => KIND_LEARNING,
-        PacketKind::Invalidation(_) => KIND_INVALIDATION,
-    };
-    buf.put_u8(kind);
-    buf.put_u8(if pkt.outer.resolved { FLAG_RESOLVED } else { 0 });
-    buf.put_u8(opt_len as u8);
-    buf.put_u8(0);
-
-    // Options.
     if let Some(m) = pkt.opts.spillover {
-        put_mapping_tlv(&mut buf, TLV_SPILLOVER, m);
+        put_pair(out, TLV_SPILLOVER, m.vip, m.pip);
     }
     if let Some(m) = pkt.opts.promotion {
-        put_mapping_tlv(&mut buf, TLV_PROMOTION, m);
+        put_pair(out, TLV_PROMOTION, m.vip, m.pip);
     }
     if let Some(t) = pkt.opts.misdelivery {
-        buf.put_u8(TLV_MISDELIVERY);
-        buf.put_u8(8);
-        buf.put_u32(t.vip.0);
-        buf.put_u32(t.stale_pip.0);
+        put_pair(out, TLV_MISDELIVERY, t.vip, t.stale_pip);
     }
     if let Some(s) = pkt.opts.hit_switch {
-        buf.put_u8(TLV_HIT_SWITCH);
-        buf.put_u8(2);
-        buf.put_u16(s.0);
+        out.extend_from_slice(&[TLV_HIT_SWITCH, TAG_LEN as u8]);
+        out.extend_from_slice(&s.0.to_be_bytes());
     }
     match pkt.kind {
-        PacketKind::Learning(m) => put_mapping_tlv(&mut buf, TLV_LEARNING, m),
-        PacketKind::Invalidation(t) => {
-            buf.put_u8(TLV_INVALIDATION);
-            buf.put_u8(8);
-            buf.put_u32(t.vip.0);
-            buf.put_u32(t.stale_pip.0);
-        }
         PacketKind::Data => {}
+        PacketKind::Learning(m) => put_pair(out, TLV_LEARNING, m.vip, m.pip),
+        PacketKind::Invalidation(t) => put_pair(out, TLV_INVALIDATION, t.vip, t.stale_pip),
     }
 
-    // Inner IPv4 + transport.
-    let inner_proto = match pkt.inner.protocol {
-        Protocol::Tcp => 6,
-        Protocol::Udp => 17,
-    };
-    put_ipv4(
-        &mut buf,
+    out.extend_from_slice(&ipv4_header(
         inner_total as u16,
-        inner_proto,
-        pkt.inner.src_vip.0,
-        pkt.inner.dst_vip.0,
-    );
-    buf.put_u16(pkt.inner.src_port);
-    buf.put_u16(pkt.inner.dst_port);
-    buf.put_u32(pkt.inner.seq);
-    buf.put_u32(pkt.inner.ack);
-    buf.put_u8(pkt.inner.flags.to_byte());
-    buf.put_bytes(0, 3);
+        i.protocol.number(),
+        i.src_vip.0,
+        i.dst_vip.0,
+    ));
+    out.extend_from_slice(&i.src_port.to_be_bytes());
+    out.extend_from_slice(&i.dst_port.to_be_bytes());
+    out.extend_from_slice(&i.seq.to_be_bytes());
+    out.extend_from_slice(&i.ack.to_be_bytes());
+    out.extend_from_slice(&[i.flags.to_byte(), 0, 0, 0]);
 
-    buf.put_bytes(0, pkt.payload as usize);
-    buf.freeze()
+    out.resize(outer_total as usize, 0);
 }
 
-/// Decodes a wire buffer back into a structured packet.
+/// Splits `N` bytes off the front of `buf`: the one length check a
+/// fixed-size header or option value pays.
+fn take<const N: usize>(buf: &[u8]) -> Result<(&[u8; N], &[u8]), WireError> {
+    buf.split_first_chunk().ok_or(WireError::Truncated)
+}
+
+/// The big-endian `u16` at `at` in a fixed-size chunk.
+fn u16_at<const N: usize>(b: &[u8; N], at: usize) -> u16 {
+    u16::from_be_bytes([b[at], b[at + 1]])
+}
+
+/// The big-endian `u32` at `at` in a fixed-size chunk.
+fn u32_at<const N: usize>(b: &[u8; N], at: usize) -> u32 {
+    u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
+
+/// Splits an IPv4 header off `buf`, refusing any the encoder would not
+/// have written. Its fields are read at their offsets: total length at 2,
+/// protocol at 9, source at 12, destination at 16.
+fn get_ipv4(buf: &[u8]) -> Result<(&[u8; IPV4_LEN], &[u8]), WireError> {
+    let (h, rest) = take::<IPV4_LEN>(buf)?;
+    if internet_checksum(h) != 0 {
+        return Err(WireError::BadChecksum);
+    }
+    if h[0] != 0x45 {
+        return Err(WireError::BadVersion);
+    }
+    // The fixed fields, and the one checksum of the two a header can verify
+    // under (0 and 0xffff) that the encoder writes.
+    if *h != ipv4_header(u16_at(h, 2), h[9], u32_at(h, 12), u32_at(h, 16)) {
+        return Err(WireError::NonCanonical);
+    }
+    Ok((h, rest))
+}
+
+/// Decodes a wire frame back into a structured packet.
 ///
 /// Simulation-only metadata (`id`, `flow`, hop counters, …) is not on the
 /// wire and comes back zeroed; compare wire-visible fields only.
-pub fn decode(mut buf: Bytes) -> Result<Packet, WireError> {
-    let total_avail = buf.remaining();
-    let outer = get_ipv4(&mut buf)?;
-    if outer.proto != SHIM_PROTO {
+pub fn decode(frame: &[u8]) -> Result<Packet, WireError> {
+    let (outer, rest) = get_ipv4(frame)?;
+    if outer[9] != SHIM_PROTO {
         return Err(WireError::NotTunnel);
     }
-    if outer.total_len as usize != total_avail {
+    if usize::from(u16_at(outer, 2)) != frame.len() {
         return Err(WireError::LengthMismatch);
     }
 
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
+    let (&[kind_code, flags, opt_len, reserved], rest) = take::<SHIM_LEN>(rest)?;
+    if flags & !FLAG_RESOLVED != 0 || reserved != 0 {
+        return Err(WireError::NonCanonical);
     }
-    let kind_byte = buf.get_u8();
-    let flags = buf.get_u8();
-    let opt_len = buf.get_u8() as usize;
-    buf.advance(1);
-
-    if buf.remaining() < opt_len {
-        return Err(WireError::Truncated);
-    }
-    let mut opts = TunnelOptions::default();
-    let mut learning = None;
-    let mut invalidation = None;
-    let mut opt_buf = buf.split_to(opt_len);
-    while opt_buf.has_remaining() {
-        if opt_buf.remaining() < 2 {
-            return Err(WireError::BadOption(0));
-        }
-        let t = opt_buf.get_u8();
-        let l = opt_buf.get_u8() as usize;
-        if opt_buf.remaining() < l {
+    let (mut tlvs, rest) = rest
+        .split_at_checked(usize::from(opt_len))
+        .ok_or(WireError::Truncated)?;
+    let mut opts = TunnelOptions::EMPTY;
+    let mut kind = PacketKind::Data;
+    let mut last = 0;
+    while !tlvs.is_empty() {
+        let (&[t, len], value) = take::<TLV_HEAD>(tlvs).map_err(|_| WireError::BadOption(0))?;
+        // The encoder's order, each type once, the kind's payload last.
+        if t <= last || last >= TLV_LEARNING {
             return Err(WireError::BadOption(t));
         }
-        match (t, l) {
-            (TLV_SPILLOVER, 8) | (TLV_PROMOTION, 8) | (TLV_LEARNING, 8) => {
-                let m = MappingOption {
-                    vip: Vip(opt_buf.get_u32()),
-                    pip: Pip(opt_buf.get_u32()),
-                };
-                let slot = match t {
-                    TLV_SPILLOVER => &mut opts.spillover,
-                    TLV_PROMOTION => &mut opts.promotion,
-                    _ => &mut learning,
-                };
-                if slot.replace(m).is_some() {
-                    return Err(WireError::BadOption(t));
-                }
+        last = t;
+        tlvs = match (t, usize::from(len)) {
+            (TLV_HIT_SWITCH, TAG_LEN) => {
+                let (b, rest) = take::<TAG_LEN>(value).map_err(|_| WireError::BadOption(t))?;
+                opts.hit_switch = Some(SwitchTag(u16::from_be_bytes(*b)));
+                rest
             }
-            (TLV_MISDELIVERY, 8) | (TLV_INVALIDATION, 8) => {
+            (TLV_SPILLOVER..=TLV_MISDELIVERY | TLV_LEARNING | TLV_INVALIDATION, PAIR_LEN) => {
+                let (b, rest) = take::<PAIR_LEN>(value).map_err(|_| WireError::BadOption(t))?;
+                let (vip, pip) = (Vip(u32_at(b, 0)), Pip(u32_at(b, 4)));
+                let m = MappingOption { vip, pip };
                 let tag = MisdeliveryTag {
-                    vip: Vip(opt_buf.get_u32()),
-                    stale_pip: Pip(opt_buf.get_u32()),
+                    vip,
+                    stale_pip: pip,
                 };
-                let slot = if t == TLV_MISDELIVERY {
-                    &mut opts.misdelivery
-                } else {
-                    &mut invalidation
-                };
-                if slot.replace(tag).is_some() {
-                    return Err(WireError::BadOption(t));
+                match t {
+                    TLV_SPILLOVER => opts.spillover = Some(m),
+                    TLV_PROMOTION => opts.promotion = Some(m),
+                    TLV_MISDELIVERY => opts.misdelivery = Some(tag),
+                    TLV_LEARNING => kind = PacketKind::Learning(m),
+                    _ => kind = PacketKind::Invalidation(tag),
                 }
-            }
-            (TLV_HIT_SWITCH, 2) => {
-                if opts
-                    .hit_switch
-                    .replace(SwitchTag(opt_buf.get_u16()))
-                    .is_some()
-                {
-                    return Err(WireError::BadOption(t));
-                }
+                rest
             }
             _ => return Err(WireError::BadOption(t)),
-        }
+        };
+    }
+    if kind_code != kind_byte(kind) {
+        return Err(WireError::BadKind(kind_code));
     }
 
-    let kind = match kind_byte {
-        KIND_DATA => PacketKind::Data,
-        KIND_LEARNING => PacketKind::Learning(learning.ok_or(WireError::BadKind(kind_byte))?),
-        KIND_INVALIDATION => {
-            PacketKind::Invalidation(invalidation.ok_or(WireError::BadKind(kind_byte))?)
-        }
-        k => return Err(WireError::BadKind(k)),
-    };
-
-    let inner = get_ipv4(&mut buf)?;
-    let protocol = match inner.proto {
-        6 => Protocol::Tcp,
-        17 => Protocol::Udp,
-        p => return Err(WireError::BadProtocol(p)),
-    };
-    if buf.remaining() < 16 {
-        return Err(WireError::Truncated);
+    let (inner, rest) = get_ipv4(rest)?;
+    let protocol = [Protocol::Tcp, Protocol::Udp]
+        .into_iter()
+        .find(|p| p.number() == inner[9])
+        .ok_or(WireError::BadProtocol(inner[9]))?;
+    let (t, payload) = take::<TRANSPORT_LEN>(rest)?;
+    let tcp_flags = TcpFlags::from_byte(t[12]);
+    if tcp_flags.to_byte() != t[12] || t[13..] != [0, 0, 0] {
+        return Err(WireError::NonCanonical);
     }
-    let src_port = buf.get_u16();
-    let dst_port = buf.get_u16();
-    let seq = buf.get_u32();
-    let ack = buf.get_u32();
-    let tcp_flags = TcpFlags::from_byte(buf.get_u8());
-    buf.advance(3);
-
-    let payload = buf.remaining() as u32;
-    if inner.total_len as u32 != 20 + 16 + payload {
+    let payload = payload.len() as u32;
+    if u32::from(u16_at(inner, 2)) != (IPV4_LEN + TRANSPORT_LEN) as u32 + payload {
         return Err(WireError::LengthMismatch);
     }
 
     Ok(Packet {
-        id: PacketId(0),
-        flow: FlowId(0),
         kind,
         outer: OuterHeader {
-            src_pip: Pip(outer.src),
-            dst_pip: Pip(outer.dst),
-            resolved: flags & FLAG_RESOLVED != 0,
+            src_pip: Pip(u32_at(outer, 12)),
+            dst_pip: Pip(u32_at(outer, 16)),
+            resolved: flags == FLAG_RESOLVED,
         },
         inner: InnerHeader {
-            src_vip: Vip(inner.src),
-            dst_vip: Vip(inner.dst),
-            src_port,
-            dst_port,
+            src_vip: Vip(u32_at(inner, 12)),
+            dst_vip: Vip(u32_at(inner, 16)),
+            src_port: u16_at(t, 0),
+            dst_port: u16_at(t, 2),
             protocol,
-            seq,
-            ack,
+            seq: u32_at(t, 4),
+            ack: u32_at(t, 8),
             flags: tcp_flags,
         },
         opts,
         payload,
-        switch_hops: 0,
-        sent_ns: 0,
-        first_of_flow: false,
-        visited_gateway: false,
+        ..Packet::default()
     })
 }
 
@@ -391,53 +361,29 @@ pub fn wire_eq(a: &Packet, b: &Packet) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{HEADER_OVERHEAD, MSS};
+    use crate::packet::tests::sample;
+    use crate::packet::MSS;
 
-    fn sample() -> Packet {
-        Packet {
-            id: PacketId(42),
-            flow: FlowId(7),
-            kind: PacketKind::Data,
-            outer: OuterHeader {
-                src_pip: Pip(0x0a00_0001),
-                dst_pip: Pip(0x0a00_0102),
-                resolved: false,
-            },
-            inner: InnerHeader {
-                src_vip: Vip(0xc0a8_0001),
-                dst_vip: Vip(0xc0a8_0002),
-                src_port: 40000,
-                dst_port: 80,
-                protocol: Protocol::Tcp,
-                seq: 123456,
-                ack: 654321,
-                flags: TcpFlags {
-                    syn: true,
-                    ack: false,
-                    fin: false,
-                },
-            },
-            opts: TunnelOptions::default(),
-            payload: MSS,
-            switch_hops: 3,
-            sent_ns: 0,
-            first_of_flow: true,
-            visited_gateway: false,
-        }
+    fn encoded(p: &Packet) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode(p, &mut frame);
+        frame
+    }
+
+    fn round_trips(p: &Packet) -> bool {
+        wire_eq(p, &decode(&encoded(p)).unwrap())
     }
 
     #[test]
     fn encode_length_matches_wire_size() {
         let p = sample();
-        assert_eq!(encode(&p).len() as u32, p.wire_size());
+        assert_eq!(encoded(&p).len() as u32, p.wire_size());
         assert_eq!(p.wire_size(), HEADER_OVERHEAD + MSS);
     }
 
     #[test]
     fn round_trip_plain_data() {
-        let p = sample();
-        let d = decode(encode(&p)).unwrap();
-        assert!(wire_eq(&p, &d));
+        assert!(round_trips(&sample()));
     }
 
     #[test]
@@ -457,8 +403,7 @@ mod tests {
             stale_pip: Pip(16),
         });
         p.opts.hit_switch = Some(SwitchTag(17));
-        let d = decode(encode(&p)).unwrap();
-        assert!(wire_eq(&p, &d));
+        assert!(round_trips(&p));
     }
 
     #[test]
@@ -469,53 +414,67 @@ mod tests {
             vip: Vip(1),
             pip: Pip(2),
         });
-        let d = decode(encode(&p)).unwrap();
-        assert!(wire_eq(&p, &d));
+        assert!(round_trips(&p));
 
         p.kind = PacketKind::Invalidation(MisdeliveryTag {
             vip: Vip(3),
             stale_pip: Pip(4),
         });
-        let d = decode(encode(&p)).unwrap();
-        assert!(wire_eq(&p, &d));
+        assert!(round_trips(&p));
     }
 
     #[test]
     fn truncated_input_is_rejected() {
-        let p = sample();
-        let full = encode(&p);
+        let full = encoded(&sample());
         for cut in [0, 10, 19, 21, 45, full.len() - 1] {
-            let r = decode(full.slice(..cut));
+            let r = decode(&full[..cut]);
             assert!(r.is_err(), "decode accepted a {cut}-byte prefix");
         }
     }
 
     #[test]
     fn corrupted_checksum_is_rejected() {
-        let p = sample();
-        let mut raw = BytesMut::from(&encode(&p)[..]);
+        let mut raw = encoded(&sample());
         raw[12] ^= 0xff; // outer src byte
-        assert_eq!(decode(raw.freeze()), Err(WireError::BadChecksum));
+        assert_eq!(decode(&raw), Err(WireError::BadChecksum));
+    }
+
+    /// `raw` with its outer header's checksum recomputed, so the check
+    /// after it is the one that fires.
+    fn rechecksummed(mut raw: Vec<u8>) -> Vec<u8> {
+        raw[10..12].fill(0);
+        let csum = internet_checksum(&raw[..IPV4_LEN]);
+        raw[10..12].copy_from_slice(&csum.to_be_bytes());
+        raw
     }
 
     #[test]
     fn non_tunnel_protocol_is_rejected() {
-        let p = sample();
-        let mut raw = BytesMut::from(&encode(&p)[..]);
+        let mut raw = encoded(&sample());
         raw[9] = 6; // outer proto = TCP, not our shim
-                    // Fix the checksum so the proto check is what fires.
-        raw[10] = 0;
-        raw[11] = 0;
-        let csum = internet_checksum(&raw[..20]);
-        raw[10..12].copy_from_slice(&csum.to_be_bytes());
-        assert_eq!(decode(raw.freeze()), Err(WireError::NotTunnel));
+        assert_eq!(decode(&rechecksummed(raw)), Err(WireError::NotTunnel));
+    }
+
+    #[test]
+    fn bytes_the_encoder_never_writes_are_rejected() {
+        let mut p = sample();
+        p.opts.hit_switch = Some(SwitchTag(9));
+        let shim = IPV4_LEN;
+        let transport = shim + SHIM_LEN + HIT_SWITCH_TLV_LEN as usize + IPV4_LEN;
+        // Outer TTL 63, with a checksum that verifies.
+        let mut ttl = encoded(&p);
+        ttl[8] = 63;
+        assert_eq!(decode(&rechecksummed(ttl)), Err(WireError::NonCanonical));
+        for at in [shim + 1, shim + 3, transport + 12, transport + 15] {
+            let mut raw = encoded(&p);
+            raw[at] |= 0x40; // an unknown flag bit, or a reserved or pad byte
+            assert_eq!(decode(&raw), Err(WireError::NonCanonical), "byte {at}");
+        }
     }
 
     #[test]
     fn checksum_of_valid_header_is_zero() {
-        let mut buf = BytesMut::new();
-        put_ipv4(&mut buf, 20, SHIM_PROTO, 1, 2);
-        assert_eq!(internet_checksum(&buf), 0);
+        assert_eq!(internet_checksum(&ipv4_header(20, SHIM_PROTO, 1, 2)), 0);
     }
 
     #[test]

@@ -37,8 +37,7 @@ impl UdpSchedule {
     /// A burst of `count` back-to-back datagrams at `at`, spaced by the
     /// sender NIC's serialization time.
     pub fn burst(at: SimTime, count: u32, payload: u32, nic_bps: u64) -> Self {
-        let gap =
-            SimDuration::serialization(payload + sv2p_packet::packet::HEADER_OVERHEAD, nic_bps);
+        let gap = SimDuration::serialization(payload + sv2p_packet::wire::HEADER_OVERHEAD, nic_bps);
         let sends = (0..count)
             .map(|i| (at + gap.saturating_mul(i as u64), payload))
             .collect();

@@ -73,11 +73,7 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
     // same switch stops source learning and starts destination learning —
     // Table 1's defining difference between ToR and gateway ToR.
     use switchv2p_repro::core::SwitchV2PAgent;
-    use switchv2p_repro::packet::packet::Protocol;
-    use switchv2p_repro::packet::{
-        FlowId, InnerHeader, OuterHeader, Packet, PacketId, PacketKind, Pip, SwitchTag, TcpFlags,
-        TunnelOptions, Vip,
-    };
+    use switchv2p_repro::packet::{InnerHeader, OuterHeader, Packet, Pip, SwitchTag, Vip};
     use switchv2p_repro::simcore::SimRng;
     use switchv2p_repro::vnet::{Placement, SwitchAgent, SwitchCtx};
 
@@ -107,9 +103,6 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
         }
     }
     let resolved_pkt = || Packet {
-        id: PacketId(0),
-        flow: FlowId(0),
-        kind: PacketKind::Data,
         outer: OuterHeader {
             src_pip: Pip(11),
             dst_pip: Pip(22),
@@ -120,17 +113,11 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
             dst_vip: Vip(2),
             src_port: 5,
             dst_port: 80,
-            protocol: Protocol::Tcp,
-            seq: 0,
-            ack: 0,
-            flags: TcpFlags::default(),
+            ..InnerHeader::default()
         },
-        opts: TunnelOptions::default(),
         payload: 100,
-        switch_hops: 0,
-        sent_ns: 0,
-        first_of_flow: false,
         visited_gateway: true,
+        ..Packet::default()
     };
 
     // As a plain ToR: learns the SOURCE mapping.
