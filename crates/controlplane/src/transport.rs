@@ -139,7 +139,7 @@ fn accept_loop(listener: TcpListener, state: Arc<StripedControlPlane>, stop: Arc
                 let state = Arc::clone(&state);
                 std::thread::spawn(move || {
                     // A poisoned connection only loses that client.
-                    let _ = serve_connection(stream, &state);
+                    let _ = serve_connection(stream, &state, PEER_TIMEOUT);
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -156,16 +156,20 @@ fn accept_loop(listener: TcpListener, state: Arc<StripedControlPlane>, stop: Arc
 
 /// Serves one connection to completion: frames in, batches executed,
 /// frames out. Returns when the client closes, on the first error, or when
-/// the peer leaves a begun frame or an unread reply waiting for
-/// `PEER_TIMEOUT`.
-pub fn serve_connection(stream: TcpStream, state: &StripedControlPlane) -> Result<(), FrameError> {
+/// the peer leaves a begun frame or an unread reply waiting for `timeout`
+/// ([`CtlServer`] passes `PEER_TIMEOUT`).
+pub fn serve_connection(
+    stream: TcpStream,
+    state: &StripedControlPlane,
+    timeout: Duration,
+) -> Result<(), FrameError> {
     stream.set_nodelay(true)?;
     // Handler threads block in read; blocking mode is inherited per-stream,
     // not from the nonblocking listener on all platforms, so set it
     // explicitly.
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(PEER_TIMEOUT))?;
-    stream.set_write_timeout(Some(PEER_TIMEOUT))?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
     let mut reader = BufReader::new(stream.try_clone().map_err(FrameError::Io)?);
     let mut writer = BufWriter::new(stream);
     let mut in_buf = Vec::new();
@@ -246,6 +250,51 @@ mod tests {
         assert_eq!(rep2.replies, vec![CtlReply::Found { pip: Pip(900) }]);
 
         server.shutdown();
+    }
+
+    /// A handler with a 100 ms peer timeout, serving the server side of a
+    /// loopback connection on its own thread, and the client side.
+    fn handler_and_peer() -> (JoinHandle<Result<(), FrameError>>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let state = StripedControlPlane::new(1);
+        state.preload([(Vip(1), Pip(10))]);
+        let handler = std::thread::spawn(move || {
+            serve_connection(stream, &state, Duration::from_millis(100))
+        });
+        (handler, peer)
+    }
+
+    #[test]
+    fn a_peer_that_stalls_inside_a_frame_header_loses_its_connection() {
+        let (handler, mut peer) = handler_and_peer();
+        let start = std::time::Instant::now();
+        peer.write_all(&[8, 0]).expect("two bytes of a length");
+        while !handler.is_finished() {
+            assert!(start.elapsed() < Duration::from_secs(1), "still waiting");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(handler.join().expect("handler").is_err());
+    }
+
+    #[test]
+    fn a_peer_that_idles_between_frames_is_still_served() {
+        let (handler, peer) = handler_and_peer();
+        let mut client = CtlClient {
+            reader: BufReader::new(peer.try_clone().expect("clone")),
+            writer: BufWriter::new(peer),
+            scratch: Vec::new(),
+        };
+        for id in 0..2 {
+            std::thread::sleep(Duration::from_millis(300));
+            let mut req = RequestBatch::new(id);
+            req.ops.push(CtlOp::Lookup { vip: Vip(1) });
+            let rep = client.call(&req).expect("served after idling");
+            assert_eq!(rep.replies, vec![CtlReply::Found { pip: Pip(10) }]);
+        }
+        drop(client);
+        assert!(handler.join().expect("handler").is_ok(), "a clean close");
     }
 
     #[test]

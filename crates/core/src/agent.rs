@@ -127,8 +127,12 @@ impl SwitchV2PAgent {
                     if self.cache.invalidate(dst_vip, Some(host_pip)) && ctx.trace_cache_ops {
                         out.cache_ops.push(CacheOp::Invalidate { vip: dst_vip });
                     }
+                    // A ToR that served the stale entry itself has just
+                    // invalidated it above; a packet to its own tag would
+                    // never leave.
                     if self.cfg.invalidation != InvalidationMode::None {
-                        if let Some(culprit) = pkt.opts.hit_switch.take() {
+                        let hit_switch = pkt.opts.hit_switch.take();
+                        if let Some(culprit) = hit_switch.filter(|&c| c != ctx.tag) {
                             let allowed = match self.cfg.invalidation {
                                 InvalidationMode::NoTimestampVector => true,
                                 InvalidationMode::TimestampVector => {
@@ -734,6 +738,26 @@ mod tests {
         assert_eq!(pkt.opts.misdelivery, Some(tag));
         assert_eq!(out.emit.len(), 1, "the culprit is told");
         assert_eq!(out.emit[0].outer.dst_pip, pip_of_tag(SwitchTag(3)));
+    }
+
+    #[test]
+    fn a_tor_that_served_the_stale_entry_sends_itself_nothing() {
+        let mut fx = Fixture::new();
+        let mut agent = SwitchV2PAgent::new(16, SwitchV2PConfig::default());
+        // The fixture's ToR is tag 9, and it resolved VIP 2 to host 55,
+        // which no longer holds it: host 55 sends the packet back up.
+        agent.cache.insert(Vip(2), Pip(55), Admission::All);
+        let mut pkt = data_packet(1, 2, 11, 999, false);
+        pkt.opts.hit_switch = Some(SwitchTag(9));
+        let out = agent.on_packet(&mut fx.ctx(SwitchRole::Tor, Some(Pip(55)), false), &mut pkt);
+        assert_eq!(
+            agent.cache.peek(Vip(2)),
+            None,
+            "its own line is invalidated"
+        );
+        assert!(pkt.opts.misdelivery.is_some(), "the misdelivery is tagged");
+        assert_eq!(pkt.opts.hit_switch, None, "culprit tag consumed");
+        assert!(out.emit.is_empty(), "no invalidation packet to itself");
     }
 
     #[test]

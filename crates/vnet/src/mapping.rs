@@ -88,23 +88,26 @@ impl std::fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
-/// Outcome of a slot probe: the VIP's live slot, or where it would go.
-enum Probe {
-    /// The VIP is resident at this slot.
-    Found(usize),
-    /// The VIP is absent; this is the slot an insert should claim (the
-    /// first tombstone on the probe path, else the terminating empty slot).
-    Vacant(usize),
-}
-
 /// The authoritative virtual-to-physical mapping table.
 ///
 /// Storage is an open-addressed flat table — one array of 8-byte
-/// `(Vip, Pip)` slots with per-slot live/tombstone bitmaps and linear
-/// probing — rather than a per-entry HashMap. A slot holds key and value
-/// side by side, so a probe that finds its key reads one cache line for
-/// both. At million-VM scale this costs ~12 bytes per mapping (vs ~50 for
-/// the former `FxHashMap<Vip, Pip>`), and the layout is fully
+/// `(Vip, Pip)` slots with linear probing and one `live` bit per slot —
+/// rather than a per-entry HashMap. A slot holds key and value side by
+/// side, so a probe that finds its key reads one cache line for both.
+///
+/// A capacity is any multiple of 64 slots (one `live` word each), not a
+/// power of two: a VIP's home slot is its hash scaled to the capacity
+/// (multiply-shift), and a probe wraps at the end by comparison. An
+/// `Invalidate` shifts the rest of its probe run back into the hole
+/// (Knuth's Algorithm R), so there are no tombstones and a chain ends at
+/// the first empty slot. At most 3/4 of the slots are live: a miss on a
+/// linear-probed table walks ½·(1 + 1/(1−α)²) slots, 8.5 at α = 3/4
+/// against 32 at 7/8, and a 7/8 ceiling read about 5 % slower on
+/// `ctl-mixed`'s `run_ns_per_unit` over 4 pairs. [`Self::reserve`] on an empty table sizes it exactly
+/// (8.125 bytes a slot, so 10.8-10.9 bytes a mapping: 677 560 B for a
+/// 62 500-mapping stripe, against 1 081 344 B at the next power of two);
+/// growth of a non-empty table at least doubles it, so a table grown
+/// insert by insert costs 10.8-21.7 bytes a mapping. The layout is fully
 /// deterministic: the same op sequence yields the same slots, so
 /// [`Self::iter`] order is reproducible across runs.
 ///
@@ -117,13 +120,8 @@ pub struct MappingDb {
     slots: Vec<Slot>,
     /// Bit per slot: holds a live entry.
     live: Vec<u64>,
-    /// Bit per slot: vacated by an `Invalidate` (probe chains continue
-    /// through tombstones; they are reclaimed on rehash).
-    tombstone: Vec<u64>,
     /// Live entries.
     len: usize,
-    /// Live entries + tombstones (table pressure for the grow policy).
-    used: usize,
     /// Bumped on every update; lets tests and metrics distinguish
     /// reads-after-write from stale cache serving.
     epoch: u64,
@@ -159,76 +157,122 @@ fn bit_clear(bits: &mut [u64], i: usize) {
     bits[i >> 6] &= !(1u64 << (i & 63));
 }
 
+/// Whether `entries` fit in `cap` slots under the 3/4 load ceiling.
+fn fits(entries: usize, cap: usize) -> bool {
+    entries as u128 * 4 <= cap as u128 * 3
+}
+
 impl MappingDb {
     /// An empty database.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The insert probe for `vip`: it also finds the slot an absent VIP
-    /// should claim. The table must be non-empty.
-    fn probe(&self, vip: Vip) -> Probe {
-        let mask = self.slots.len() - 1;
-        let mut i = (avalanche(vip.0) as usize) & mask;
-        let mut first_tombstone = None;
-        loop {
-            if bit_get(&self.live, i) {
-                if self.slots[i].0 == vip {
-                    return Probe::Found(i);
-                }
-            } else if bit_get(&self.tombstone, i) {
-                first_tombstone.get_or_insert(i);
-            } else {
-                return Probe::Vacant(first_tombstone.unwrap_or(i));
-            }
-            i = (i + 1) & mask;
+    /// The slot `vip`'s probe starts at: its hash scaled to the capacity,
+    /// as the control plane picks a stripe.
+    #[inline]
+    fn home(&self, vip: Vip) -> usize {
+        ((u128::from(avalanche(vip.0)) * self.slots.len() as u128) >> 64) as usize
+    }
+
+    /// The slot after `i`, wrapping at the end of the table.
+    #[inline]
+    fn next(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
         }
     }
 
-    /// Rehashes into a table of `cap` slots (power of two), dropping
-    /// tombstones. Slot order — and thus [`Self::iter`] order — stays a
-    /// pure function of the live key set and the capacity.
+    /// The one probe: `Ok` with `vip`'s live slot, or `Err` with the empty
+    /// slot that ends its chain, where an install puts it. The table must
+    /// have a slot; the load ceiling keeps one empty.
+    #[inline]
+    fn probe(&self, vip: Vip) -> Result<usize, usize> {
+        let mut i = self.home(vip);
+        while bit_get(&self.live, i) {
+            if self.slots[i].0 == vip {
+                return Ok(i);
+            }
+            i = self.next(i);
+        }
+        Err(i)
+    }
+
+    /// The live slot of `vip`, if mapped.
+    #[inline]
+    fn find(&self, vip: Vip) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(vip).ok()
+    }
+
+    /// Empties slot `hole` without a tombstone (Knuth's Algorithm R): each
+    /// later entry of the run that sits at least as far from its home as
+    /// from the hole — its home is not cyclically in (hole, j] — moves
+    /// back into the hole, which moves on to where it was.
+    fn remove_at(&mut self, mut hole: usize) {
+        let cap = self.slots.len();
+        let ahead = |from: usize, to: usize| {
+            if to >= from {
+                to - from
+            } else {
+                to + cap - from
+            }
+        };
+        let mut j = self.next(hole);
+        while bit_get(&self.live, j) {
+            if ahead(self.home(self.slots[j].0), j) >= ahead(hole, j) {
+                self.slots[hole] = self.slots[j];
+                hole = j;
+            }
+            j = self.next(j);
+        }
+        bit_clear(&mut self.live, hole);
+        self.len -= 1;
+    }
+
+    /// Rehashes into a table of `cap` slots (a multiple of 64). Slot order
+    /// — and thus [`Self::iter`] order — stays a pure function of the op
+    /// sequence.
     fn rehash(&mut self, cap: usize) {
-        debug_assert!(cap.is_power_of_two() && cap >= self.len);
-        let old_slots = std::mem::take(&mut self.slots);
-        let old_live = std::mem::take(&mut self.live);
-        self.slots = vec![(Vip(0), Pip(0)); cap];
-        self.live = vec![0u64; cap.div_ceil(64)];
-        self.tombstone = vec![0u64; cap.div_ceil(64)];
-        self.used = self.len;
-        let mask = cap - 1;
-        for (slot, &entry) in old_slots.iter().enumerate() {
-            if !bit_get(&old_live, slot) {
-                continue;
+        debug_assert!(cap.is_multiple_of(64) && fits(self.len, cap));
+        let old_slots = std::mem::replace(&mut self.slots, vec![(Vip(0), Pip(0)); cap]);
+        let old_live = std::mem::replace(&mut self.live, vec![0u64; cap / 64]);
+        for (i, &entry) in old_slots.iter().enumerate() {
+            if bit_get(&old_live, i) {
+                let (Ok(at) | Err(at)) = self.probe(entry.0);
+                self.slots[at] = entry;
+                bit_set(&mut self.live, at);
             }
-            let mut i = (avalanche(entry.0 .0) as usize) & mask;
-            while bit_get(&self.live, i) {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = entry;
-            bit_set(&mut self.live, i);
         }
     }
 
     /// Makes room for `more` inserts beyond the live entries, so that many
     /// inserts of new VIPs trigger no rehash: at most one rehash happens
-    /// here, straight to the capacity they need. A bulk load calls this
-    /// once instead of paying the doubling chain one insert at a time.
+    /// here. On an empty table it allocates exactly the multiple of 64
+    /// slots that holds `more` under the 3/4 ceiling; a non-empty table
+    /// that must grow at least doubles, so one `reserve(1)` per insert
+    /// stays amortised O(1). A bulk load calls this once instead of paying
+    /// the doubling chain one insert at a time.
     ///
     /// Panics if the capacity needed overflows `usize`.
     pub fn reserve(&mut self, more: usize) {
-        let fits = |entries: usize, cap: usize| entries as u128 * 8 <= cap as u128 * 7;
         let overflow = "MappingDb capacity overflow";
+        let want = self.len.checked_add(more).expect(overflow);
         let cap = self.slots.len();
-        if fits(self.used.checked_add(more).expect(overflow), cap) {
+        if fits(want, cap) {
             return;
         }
-        // A rehash drops the tombstones, so only the live entries count.
-        let want = self.len + more;
-        let mut target = cap.max(16);
-        while !fits(want, target) {
-            target = target.checked_mul(2).expect(overflow);
-        }
+        let exact = (want as u128 * 4).div_ceil(3).next_multiple_of(64);
+        let exact = usize::try_from(exact).expect(overflow);
+        let target = if self.is_empty() {
+            exact
+        } else {
+            exact.max(cap.checked_mul(2).expect(overflow))
+        };
         self.rehash(target);
     }
 
@@ -241,116 +285,55 @@ impl MappingDb {
         if self.slots.is_empty() {
             return;
         }
-        let mask = self.slots.len() - 1;
         let mut seen = 0u32;
         for vip in vips {
-            seen ^= self.slots[(avalanche(vip.0) as usize) & mask].0 .0;
+            seen ^= self.slots[self.home(vip)].0 .0;
         }
         std::hint::black_box(seen);
-    }
-
-    /// Ensures one more entry fits under the 7/8 load-factor ceiling.
-    fn reserve_one(&mut self) {
-        let cap = self.slots.len();
-        if cap == 0 {
-            self.rehash(16);
-        } else if (self.used + 1) * 8 > cap * 7 {
-            // Doubling also reclaims tombstones; a table that is mostly
-            // tombstones rehashes at the same capacity instead of growing.
-            let target = if self.len * 4 > cap { cap * 2 } else { cap };
-            self.rehash(target.max(16));
-        }
-    }
-
-    /// Inserts or overwrites `vip → pip`, returning the previous value.
-    fn table_insert(&mut self, vip: Vip, pip: Pip) -> Option<Pip> {
-        self.reserve_one();
-        match self.probe(vip) {
-            Probe::Found(i) => Some(std::mem::replace(&mut self.slots[i].1, pip)),
-            Probe::Vacant(i) => {
-                if bit_get(&self.tombstone, i) {
-                    bit_clear(&mut self.tombstone, i);
-                } else {
-                    self.used += 1;
-                }
-                self.slots[i] = (vip, pip);
-                bit_set(&mut self.live, i);
-                self.len += 1;
-                None
-            }
-        }
-    }
-
-    /// Removes `vip`, returning its value. Leaves a tombstone.
-    fn table_remove(&mut self, vip: Vip) -> Option<Pip> {
-        let i = self.slot_of(vip)?;
-        bit_clear(&mut self.live, i);
-        bit_set(&mut self.tombstone, i);
-        self.len -= 1;
-        Some(self.slots[i].1)
-    }
-
-    /// The live slot index of `vip`, if mapped. The read-only probe: it
-    /// keeps no first tombstone, so it is small enough to inline into a
-    /// caller's loop.
-    #[inline]
-    fn slot_of(&self, vip: Vip) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (avalanche(vip.0) as usize) & mask;
-        loop {
-            if bit_get(&self.live, i) {
-                if self.slots[i].0 == vip {
-                    return Some(i);
-                }
-            } else if !bit_get(&self.tombstone, i) {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
     }
 
     /// Applies one control-plane op; every accepted write advances the
     /// epoch by exactly one. `Err` leaves the database untouched.
     pub fn try_apply(&mut self, op: MappingOp) -> Result<MappingDelta, ApplyError> {
-        let delta = match op {
+        let (old, new) = match op {
             MappingOp::Install { vip, pip } => {
-                let old = self.table_insert(vip, pip);
-                self.epoch += 1;
-                MappingDelta {
-                    vip,
-                    old,
-                    new: Some(pip),
-                    epoch: self.epoch,
+                // An overwrite adds no entry, so at the ceiling it must
+                // not grow the table.
+                if !fits(self.len + 1, self.slots.len()) && !self.contains(vip) {
+                    self.reserve(1);
                 }
+                let old = match self.probe(vip) {
+                    Ok(i) => Some(std::mem::replace(&mut self.slots[i].1, pip)),
+                    Err(i) => {
+                        self.slots[i] = (vip, pip);
+                        bit_set(&mut self.live, i);
+                        self.len += 1;
+                        None
+                    }
+                };
+                (old, Some(pip))
             }
             MappingOp::Invalidate { vip } => {
-                let old = self.table_remove(vip);
-                self.epoch += 1;
-                MappingDelta {
-                    vip,
-                    old,
-                    new: None,
-                    epoch: self.epoch,
-                }
+                let old = self.find(vip).map(|i| {
+                    let pip = self.slots[i].1;
+                    self.remove_at(i);
+                    pip
+                });
+                (old, None)
             }
             MappingOp::Migrate { vip, to_pip, .. } => {
-                let Some(slot) = self.slot_of(vip) else {
-                    return Err(ApplyError::UnknownVip(vip));
-                };
-                let old = std::mem::replace(&mut self.slots[slot].1, to_pip);
-                self.epoch += 1;
-                MappingDelta {
-                    vip,
-                    old: Some(old),
-                    new: Some(to_pip),
-                    epoch: self.epoch,
-                }
+                let i = self.find(vip).ok_or(ApplyError::UnknownVip(vip))?;
+                let old = std::mem::replace(&mut self.slots[i].1, to_pip);
+                (Some(old), Some(to_pip))
             }
         };
-        Ok(delta)
+        self.epoch += 1;
+        Ok(MappingDelta {
+            vip: op.vip(),
+            old,
+            new,
+            epoch: self.epoch,
+        })
     }
 
     /// [`Self::try_apply`] for callers where a rejected op is a harness
@@ -369,12 +352,12 @@ impl MappingDb {
     /// a tenant misconfiguration the gateway drops.
     #[inline]
     pub fn lookup(&self, vip: Vip) -> Option<Pip> {
-        self.slot_of(vip).map(|i| self.slots[i].1)
+        self.find(vip).map(|i| self.slots[i].1)
     }
 
     /// True if `vip` is currently mapped.
     pub fn contains(&self, vip: Vip) -> bool {
-        self.slot_of(vip).is_some()
+        self.find(vip).is_some()
     }
 
     /// Number of mappings.
@@ -403,13 +386,12 @@ impl MappingDb {
             .map(|(_, &slot)| slot)
     }
 
-    /// Resident bytes of the mapping state: the flat table's slots and
-    /// both bitmaps at current capacity. Feeds the benchmark's
+    /// Resident bytes of the mapping state: the flat table's slots and its
+    /// `live` bitmap at current capacity. Feeds the benchmark's
     /// `vnet.v2p_state_mb` metric so table capacity vs resident memory
     /// stays a tracked surface.
     pub fn resident_bytes(&self) -> usize {
-        let cap = self.slots.len();
-        cap * std::mem::size_of::<Slot>() + 2 * (cap.div_ceil(64)) * 8
+        self.slots.len() * std::mem::size_of::<Slot>() + self.live.len() * 8
     }
 }
 
@@ -587,7 +569,23 @@ mod tests {
         // Room already there: no change.
         db.reserve(1);
         assert_eq!(db.resident_bytes(), sized);
-        // Tombstones do not count against a reservation's rehash.
+        // A full table overwrites in place.
+        let mut full = MappingDb::new();
+        full.reserve(48);
+        let one_word = full.resident_bytes();
+        for i in 0..48u32 {
+            full.apply(MappingOp::Install {
+                vip: Vip(i),
+                pip: Pip(i),
+            });
+        }
+        full.apply(MappingOp::Install {
+            vip: Vip(3),
+            pip: Pip(99),
+        });
+        assert_eq!((full.resident_bytes(), full.len()), (one_word, 48));
+        assert_eq!(full.lookup(Vip(3)), Some(Pip(99)));
+        // Invalidated slots are free again: no rehash to reuse them.
         for i in 0..10_000u32 {
             db.apply(MappingOp::Invalidate { vip: Vip(i) });
         }
@@ -605,6 +603,31 @@ mod tests {
         assert_eq!(db.lookup(Vip(7)), None);
     }
 
+    /// A reserved table costs about 11 bytes a mapping at every size, where
+    /// a power-of-two capacity swung between about 9 and 19 with where
+    /// `n` fell against the next power of two.
+    #[test]
+    fn a_reserved_table_costs_its_entries_at_every_size() {
+        for n in [1_000u32, 7_169, 57_344, 62_500, 131_072] {
+            let mut db = MappingDb::new();
+            db.reserve(n as usize);
+            let sized = db.resident_bytes();
+            for i in 0..n {
+                db.apply(MappingOp::Install {
+                    vip: Vip(i.wrapping_mul(2_654_435_761)),
+                    pip: Pip(i),
+                });
+            }
+            assert_eq!(db.len(), n as usize);
+            assert_eq!(db.resident_bytes(), sized, "n = {n}: an install rehashed");
+            assert!(
+                sized <= 11 * n as usize + 1024,
+                "n = {n}: {sized} bytes, {:.2} a mapping",
+                sized as f64 / f64::from(n)
+            );
+        }
+    }
+
     #[test]
     fn warm_changes_nothing() {
         let mut db = MappingDb::new();
@@ -620,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_are_reused_without_unbounded_growth() {
+    fn churn_on_a_small_working_set_does_not_grow_the_table() {
         let mut db = MappingDb::new();
         // Churn far more ops than the table has slots: installs and
         // invalidates of a small working set must not grow the table.
@@ -649,10 +672,16 @@ mod tests {
 
     #[test]
     fn colliding_keys_survive_interleaved_removal() {
-        // All multiples of 16 in a 16-slot table collide heavily; removing
-        // the middle of a probe chain must not orphan later entries.
+        // Twelve VIPs whose home is one of the last two of 64 slots, so
+        // their run wraps past the end; removing from its middle must not
+        // orphan later entries, on either side of the wrap.
         let mut db = MappingDb::new();
-        let vips: Vec<Vip> = (0..12u32).map(|i| Vip(i * 1_000_003)).collect();
+        db.reserve(1);
+        let vips: Vec<Vip> = (0..)
+            .map(Vip)
+            .filter(|&v| db.home(v) >= 62)
+            .take(12)
+            .collect();
         for &v in &vips {
             db.apply(MappingOp::Install {
                 vip: v,
@@ -667,6 +696,12 @@ mod tests {
             assert_eq!(db.lookup(v), expect, "vip {v:?}");
         }
         assert_eq!(db.len(), 6);
+        for &v in vips.iter().skip(1).step_by(2).rev() {
+            assert_eq!(db.lookup(v), Some(Pip(v.0 ^ 1)), "vip {v:?}");
+            db.apply(MappingOp::Invalidate { vip: v });
+        }
+        assert!(db.is_empty());
+        assert_eq!(db.resident_bytes(), 64 * 8 + 8, "no install rehashed");
     }
 
     #[test]

@@ -57,23 +57,28 @@ impl OracleDb {
     }
 }
 
-/// Arbitrary op over a small VIP universe so sequences collide, migrate
-/// absent VIPs, and churn the same keys repeatedly.
-fn arb_op() -> impl Strategy<Value = MappingOp> {
+/// Arbitrary op over a small VIP universe `0..universe` so sequences
+/// collide, migrate absent VIPs, and churn the same keys repeatedly.
+fn arb_op(universe: u32) -> impl Strategy<Value = MappingOp> {
     use sv2p_packet::{Pip, Vip};
     prop_oneof![
-        (0u32..48, 1u32..1_000).prop_map(|(v, p)| MappingOp::Install {
+        (0..universe, 1u32..1_000).prop_map(|(v, p)| MappingOp::Install {
             vip: Vip(v),
             pip: Pip(p)
         }),
-        (0u32..48).prop_map(|v| MappingOp::Invalidate { vip: Vip(v) }),
-        (0u32..48, 1u32..1_000, proptest::option::of(0u64..1_000_000)).prop_map(|(v, p, at)| {
-            MappingOp::Migrate {
-                vip: Vip(v),
-                to_pip: Pip(p),
-                at_ns: at,
-            }
-        }),
+        (0..universe).prop_map(|v| MappingOp::Invalidate { vip: Vip(v) }),
+        (
+            0..universe,
+            1u32..1_000,
+            proptest::option::of(0u64..1_000_000)
+        )
+            .prop_map(|(v, p, at)| {
+                MappingOp::Migrate {
+                    vip: Vip(v),
+                    to_pip: Pip(p),
+                    at_ns: at,
+                }
+            }),
     ]
 }
 
@@ -86,14 +91,66 @@ enum Step {
 }
 
 /// One step in ten is a reservation.
-fn arb_step() -> impl Strategy<Value = Step> {
-    (0u32..10, arb_op(), 0usize..200).prop_map(|(roll, op, more)| {
+fn arb_step(universe: u32) -> impl Strategy<Value = Step> {
+    (0u32..10, arb_op(universe), 0usize..200).prop_map(|(roll, op, more)| {
         if roll == 0 {
             Step::Reserve(more)
         } else {
             Step::Op(op)
         }
     })
+}
+
+/// Runs `steps` on the compact table and the oracle side by side: every
+/// op's result agrees, and after every `Invalidate` — whose backward shift
+/// moves the entries after the hole — so does every lookup in the
+/// universe. At the end, so do len, epoch, membership and the entry set.
+fn compact_db_agrees_with_the_oracle(steps: Vec<Step>, universe: u32) -> Result<(), TestCaseError> {
+    use sv2p_packet::Vip;
+    let mut compact = MappingDb::new();
+    let mut oracle = OracleDb::default();
+    for step in steps {
+        let op = match step {
+            Step::Op(op) => op,
+            Step::Reserve(more) => {
+                compact.reserve(more);
+                prop_assert_eq!(compact.len(), oracle.map.len());
+                prop_assert_eq!(compact.epoch(), oracle.epoch);
+                continue;
+            }
+        };
+        let a = compact.try_apply(op);
+        let b = oracle.try_apply(op);
+        prop_assert_eq!(a, b, "divergent result for {:?}", op);
+        if let MappingOp::Invalidate { .. } = op {
+            for v in 0..universe {
+                prop_assert_eq!(
+                    compact.lookup(Vip(v)).map(|p| p.0),
+                    oracle.map.get(&v).copied(),
+                    "vip {} after {:?}",
+                    v,
+                    op
+                );
+            }
+        }
+    }
+    prop_assert_eq!(compact.len(), oracle.map.len());
+    prop_assert_eq!(compact.epoch(), oracle.epoch);
+    for v in 0..universe {
+        prop_assert_eq!(
+            compact.lookup(Vip(v)).map(|p| p.0),
+            oracle.map.get(&v).copied()
+        );
+        prop_assert_eq!(compact.contains(Vip(v)), oracle.map.contains_key(&v));
+    }
+    // iter() yields exactly the oracle's entry set (order is the compact
+    // table's own, so compare as sorted sets).
+    let mut got: Vec<(u32, u32)> = compact.iter().map(|(v, p)| (v.0, p.0)).collect();
+    got.sort_unstable();
+    let mut want: Vec<(u32, u32)> = oracle.map.iter().map(|(&v, &p)| (v, p)).collect();
+    want.sort_unstable();
+    prop_assert_eq!(got, want);
+    Ok(())
 }
 
 proptest! {
@@ -157,45 +214,22 @@ proptest! {
         prop_assert_eq!(total, placement.len());
     }
 
+    /// 48 VIPs fit a 64-slot table under its 3/4 ceiling, so most cases
+    /// churn one table whose runs wrap past its last slot.
     #[test]
     fn compact_db_is_indistinguishable_from_hashmap_oracle(
-        steps in proptest::collection::vec(arb_step(), 0..400),
+        steps in proptest::collection::vec(arb_step(48), 0..400),
     ) {
-        use sv2p_packet::Vip;
-        let mut compact = MappingDb::new();
-        let mut oracle = OracleDb::default();
-        for step in steps {
-            let op = match step {
-                Step::Op(op) => op,
-                Step::Reserve(more) => {
-                    compact.reserve(more);
-                    prop_assert_eq!(compact.len(), oracle.map.len());
-                    prop_assert_eq!(compact.epoch(), oracle.epoch);
-                    continue;
-                }
-            };
-            let a = compact.try_apply(op);
-            let b = oracle.try_apply(op);
-            prop_assert_eq!(a, b, "divergent result for {:?}", op);
-        }
-        // End states agree on every observable: lookups (present and
-        // absent), membership, len and epoch.
-        prop_assert_eq!(compact.len(), oracle.map.len());
-        prop_assert_eq!(compact.epoch(), oracle.epoch);
-        for v in 0u32..48 {
-            prop_assert_eq!(
-                compact.lookup(Vip(v)).map(|p| p.0),
-                oracle.map.get(&v).copied()
-            );
-            prop_assert_eq!(compact.contains(Vip(v)), oracle.map.contains_key(&v));
-        }
-        // iter() yields exactly the oracle's entry set (order is the
-        // compact table's own, so compare as sorted sets).
-        let mut got: Vec<(u32, u32)> = compact.iter().map(|(v, p)| (v.0, p.0)).collect();
-        got.sort_unstable();
-        let mut want: Vec<(u32, u32)> = oracle.map.iter().map(|(&v, &p)| (v, p)).collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        compact_db_agrees_with_the_oracle(steps, 48)?;
+    }
+
+    /// 160 VIPs, about half of them live once most are touched, outgrow the 64-slot
+    /// table: the same agreement across a growth.
+    #[test]
+    fn compact_db_is_indistinguishable_from_hashmap_oracle_through_growth(
+        steps in proptest::collection::vec(arb_step(160), 0..600),
+    ) {
+        compact_db_agrees_with_the_oracle(steps, 160)?;
     }
 
     #[test]
