@@ -16,7 +16,7 @@
 
 use sv2p_packet::{Packet, PacketKind, Pip, Vip};
 use sv2p_simcore::{FxHashMap, SimDuration, SimTime};
-use sv2p_topology::SwitchRole;
+use sv2p_topology::{NodeId, SwitchRole};
 use sv2p_vnet::{
     AgentOutput, CacheOp, HostAgent, HostResolution, PacketAction, Placement, Strategy,
     SwitchAgent, SwitchCtx,
@@ -142,7 +142,7 @@ impl SwitchAgent for BluebirdTorAgent {
 struct BluebirdHostAgent;
 
 impl HostAgent for BluebirdHostAgent {
-    fn resolve(&mut self, _placement: &Placement, _dst_vip: Vip) -> HostResolution {
+    fn resolve(&mut self, _host: NodeId, _placement: &Placement, _dst_vip: Vip) -> HostResolution {
         HostResolution::FirstHopTor
     }
 }
@@ -179,7 +179,6 @@ mod tests {
     use sv2p_packet::packet::Protocol;
     use sv2p_packet::{InnerHeader, OuterHeader, SwitchTag};
     use sv2p_simcore::SimRng;
-    use sv2p_topology::NodeId;
 
     fn mk_ctx<'a>(placement: &'a Placement, rng: &'a mut SimRng, now: SimTime) -> SwitchCtx<'a> {
         SwitchCtx {
@@ -301,7 +300,7 @@ mod tests {
     fn hosts_defer_to_tor_and_no_gateways() {
         let mut h = BluebirdHostAgent;
         assert_eq!(
-            h.resolve(&Placement::default(), Vip(1)),
+            h.resolve(NodeId(1), &Placement::default(), Vip(1)),
             HostResolution::FirstHopTor
         );
     }

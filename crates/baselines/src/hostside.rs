@@ -3,6 +3,7 @@
 
 use sv2p_packet::{Pip, Vip};
 use sv2p_simcore::FxHashMap;
+use sv2p_topology::NodeId;
 use sv2p_vnet::{HostAgent, HostResolution, Placement, Strategy};
 
 /// Direct — pure host-driven: every host is preprogrammed with all mappings
@@ -16,7 +17,7 @@ pub struct Direct;
 struct DirectHostAgent;
 
 impl HostAgent for DirectHostAgent {
-    fn resolve(&mut self, placement: &Placement, dst_vip: Vip) -> HostResolution {
+    fn resolve(&mut self, _host: NodeId, placement: &Placement, dst_vip: Vip) -> HostResolution {
         match placement.lookup(dst_vip) {
             Some(pip) => HostResolution::Direct(pip),
             // An unplaced VIP: fall back to the gateway, which will drop it.
@@ -46,27 +47,29 @@ impl Strategy for Direct {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OnDemand;
 
-/// Host agent with an unbounded first-miss-filled cache.
+/// Host agent with an unbounded first-miss-filled cache per host; a host
+/// that never sent holds none.
 #[derive(Debug, Default)]
 struct OnDemandHostAgent {
-    cache: FxHashMap<Vip, Pip>,
+    caches: FxHashMap<NodeId, FxHashMap<Vip, Pip>>,
 }
 
 impl HostAgent for OnDemandHostAgent {
-    fn resolve(&mut self, placement: &Placement, dst_vip: Vip) -> HostResolution {
-        if let Some(&pip) = self.cache.get(&dst_vip) {
+    fn resolve(&mut self, host: NodeId, placement: &Placement, dst_vip: Vip) -> HostResolution {
+        let cache = self.caches.entry(host).or_default();
+        if let Some(&pip) = cache.get(&dst_vip) {
             return HostResolution::Direct(pip);
         }
         // Miss: this packet pays the gateway detour; the rule is installed
         // for everything after it.
         if let Some(pip) = placement.lookup(dst_vip) {
-            self.cache.insert(dst_vip, pip);
+            cache.insert(dst_vip, pip);
         }
         HostResolution::Gateway
     }
 
-    fn reset(&mut self) {
-        self.cache.clear();
+    fn reset(&mut self, host: NodeId) {
+        self.caches.remove(&host);
     }
 }
 
@@ -83,7 +86,6 @@ impl Strategy for OnDemand {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sv2p_topology::NodeId;
     use sv2p_vnet::MisdeliveryPolicy;
 
     /// One VM, VM 0, on the server with PIP 10.
@@ -98,34 +100,54 @@ mod tests {
         let mut agent = DirectHostAgent;
         for _ in 0..3 {
             assert_eq!(
-                agent.resolve(&placement, vm0),
+                agent.resolve(NodeId(3), &placement, vm0),
                 HostResolution::Direct(Pip(10))
             );
         }
-        assert_eq!(agent.resolve(&placement, Vip(99)), HostResolution::Gateway);
+        assert_eq!(
+            agent.resolve(NodeId(3), &placement, Vip(99)),
+            HostResolution::Gateway
+        );
     }
 
     #[test]
     fn ondemand_first_miss_then_direct() {
         let mut placement = placement();
         let vm0 = placement.vip_of(0);
+        let (host, other) = (NodeId(3), NodeId(4));
         let mut agent = OnDemandHostAgent::default();
         assert_eq!(
-            agent.resolve(&placement, vm0),
+            agent.resolve(host, &placement, vm0),
             HostResolution::Gateway,
             "first packet detours"
         );
         assert_eq!(
-            agent.resolve(&placement, vm0),
+            agent.resolve(host, &placement, vm0),
             HostResolution::Direct(Pip(10)),
             "subsequent packets go direct"
+        );
+        // Each host learns for itself.
+        assert_eq!(
+            agent.resolve(other, &placement, vm0),
+            HostResolution::Gateway,
+            "another host's first packet detours too"
         );
         // The rule is NOT refreshed on migration: stays stale.
         placement.relocate(0, NodeId(2), Pip(20));
         assert_eq!(
-            agent.resolve(&placement, vm0),
+            agent.resolve(host, &placement, vm0),
             HostResolution::Direct(Pip(10)),
             "stale rule after migration"
+        );
+        // A reset forgets one host's rules only.
+        agent.reset(other);
+        assert_eq!(
+            agent.resolve(host, &placement, vm0),
+            HostResolution::Direct(Pip(10))
+        );
+        assert_eq!(
+            agent.resolve(other, &placement, vm0),
+            HostResolution::Gateway
         );
     }
 

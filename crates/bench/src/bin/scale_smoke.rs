@@ -24,12 +24,13 @@ use sv2p_traces::{hadoop, HadoopConfig};
 /// (binary, libc, the flow list) leaves what set-up and the run added, so
 /// the gate does not depend on the host's fixed overhead. No engine state
 /// grows with the VM count — the placement is one entry per server plus
-/// the VMs that moved — so a run grows about 10.8 B/VM, all of it fabric,
-/// calendar, packets and flows. 13.5 (25 % headroom) fails any per-VM
-/// column of 3 bytes or more (13.8 B/VM); the table-built topology this
-/// fabric had before it became arithmetic (+2.7 MB, 13.4-13.5 B/VM) sits
-/// at the line.
-const PEAK_BYTES_PER_VM_CEILING: f64 = 13.5;
+/// the VMs that moved — so a run grows about 9.3 B/VM, all of it fabric,
+/// calendar, packets and flows (10.8 while a link's state was 16 bytes and
+/// every server held a host-agent slot). 11.6 (25 % headroom) fails any
+/// per-VM column of 2.4 bytes or more (11.7 B/VM), and the table-built
+/// topology this fabric had before it became arithmetic (+2.7 MB,
+/// 11.9 B/VM).
+const PEAK_BYTES_PER_VM_CEILING: f64 = 11.6;
 
 /// Trimmed flow count (`Scale::huge_hadoop` asks for the full 20 000).
 const SMOKE_FLOWS: usize = 2_000;

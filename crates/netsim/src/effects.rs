@@ -71,8 +71,8 @@ const _: () = assert!(EventQueue::<Event>::NODE_BYTES == 32);
 const _: () = assert!(std::mem::size_of::<sv2p_simcore::ScheduledEvent<Event>>() == 32);
 // A link's state and its topology entry (its far end) are one per
 // directed link, 75 072 on FT32: its constants live in its class, its
-// queue behind a pointer that exists while packets wait.
-const _: () = assert!(std::mem::size_of::<crate::link::LinkState>() <= 16);
+// queue in a slab slot it holds while packets wait.
+const _: () = assert!(std::mem::size_of::<crate::link::LinkState>() == 8);
 const _: () = assert!(std::mem::size_of::<sv2p_topology::NodeId>() == 4);
 
 impl Event {

@@ -59,7 +59,7 @@ pub struct Engine {
 impl Engine {
     /// Builds an experiment: topology, placement, an agent at every switch
     /// whose role weighs above 0 with the aggregate `total_cache_entries`
-    /// split among them by weight, and per-server host agents.
+    /// split among them by weight, and a host agent per shard.
     pub fn new(
         cfg: SimConfig,
         ft: &FatTreeConfig,
@@ -128,26 +128,18 @@ impl Engine {
         });
         let n_shards = world.partition.shards() as usize;
         let mut shards: Vec<Shard> = (0..n_shards)
-            .map(|s| Shard::new(s, world.clone()))
+            .map(|s| Shard::new(s, world.clone(), strategy.make_host_agent()))
             .collect();
-        for node in world.topo.nodes() {
-            let owner = &mut shards[world.shard_of(node.id)];
-            match node.kind {
-                k if k.is_switch() => {
-                    // A scheme is asked for an agent only where it caches;
-                    // every other switch holds none and just forwards. The
-                    // choice is made here, once: a later role change keeps
-                    // the agent, or the lack of one.
-                    let role = roles.role(node.id).expect("switch role");
-                    if strategy.cache_weight(role) > 0.0 {
-                        let agent = strategy.make_switch_agent(role, lines_for(role));
-                        owner.agents[world.tag(node.id).0 as usize] = Some(agent);
-                    }
-                }
-                NodeKind::Server { .. } => {
-                    owner.host_agents[node.id.0 as usize] = Some(strategy.make_host_agent());
-                }
-                _ => {}
+        for sw in world.topo.switches() {
+            // A scheme is asked for an agent only where it caches; every
+            // other switch holds none and just forwards. The choice is made
+            // here, once: a later role change keeps the agent, or the lack
+            // of one.
+            let role = roles.role(sw.id).expect("switch role");
+            if strategy.cache_weight(role) > 0.0 {
+                let agent = strategy.make_switch_agent(role, lines_for(role));
+                let owner = &mut shards[world.shard_of(sw.id)];
+                owner.agents[world.tag(sw.id).0 as usize] = Some(agent);
             }
         }
         let mut master = Master {
@@ -170,8 +162,9 @@ impl Engine {
             follow_me: FxHashMap::default(),
             last_migration: FxHashMap::default(),
             roles,
-            blackout: vec![false; world.topo.node_count()],
-            link_up: vec![true; world.topo.link_count()],
+            blackout: vec![0; world.topo.node_count()],
+            link_down: vec![0; world.topo.link_count()],
+            links_down: 0,
             loss: FxHashMap::default(),
             flows: Vec::new(),
             migrations: Vec::new(),
@@ -267,9 +260,11 @@ impl Engine {
     /// `resident_bytes()`, or the length of its tables. Inline sizes, plus
     /// the running flows' TCP machines, the per-flow records of the metrics
     /// and what switch agents hold behind their pointers
-    /// ([`SwitchAgent::resident_bytes`]); what a packet or a host agent
-    /// holds behind a pointer of its own is not counted, so a process's RSS
-    /// growth exceeds the sum by that and by the allocator's overhead. The
+    /// ([`SwitchAgent::resident_bytes`]); `links` counts the shards' queue
+    /// slabs and `nodes` each shard's one host agent. What a packet or a
+    /// host agent holds behind a pointer of its own is not counted, so a
+    /// process's RSS growth exceeds the sum by that and by the allocator's
+    /// overhead. The
     /// `records` part is what the run writes down as it goes: the metrics'
     /// exact-percentile samples, the ledgers' stale-hit ages, recovery
     /// times and windowed series, and the tracer's ring and samples.
@@ -278,7 +273,7 @@ impl Engine {
         let (ctl, w) = (&self.ctl, &self.world);
         let sum = |f: &dyn Fn(&Shard) -> usize| self.shards.iter().map(f).sum::<usize>();
         let loss = ctl.loss.capacity() * (size_of::<(LinkId, (f64, u32))>() + 1);
-        let per_link = bytes(&*ctl.link_up) + loss;
+        let per_link = bytes(&*ctl.link_down) + loss;
         let per_node = bytes(&*ctl.blackout) + bytes(&*w.caching);
         let classes = w.ser.iter().map(SerTable::resident_bytes).sum::<usize>();
         let flows = bytes(&*ctl.flows) + self.master.metrics.flow_table_bytes();
@@ -670,6 +665,22 @@ fn covered_links(link: Option<LinkId>, n: usize) -> impl Iterator<Item = LinkId>
     ids.map(LinkId)
 }
 
+/// Opens one more fault window on a link or node whose open windows
+/// `count` holds; true if it was the first.
+fn open_window(count: &mut u8) -> bool {
+    *count = count
+        .checked_add(1)
+        .expect("at most 255 fault windows open on one link or node");
+    *count == 1
+}
+
+/// Closes one of the fault windows `count` holds open; true if it was the
+/// last.
+fn close_window(count: &mut u8) -> bool {
+    *count = count.checked_sub(1).expect("an open fault window");
+    *count == 0
+}
+
 /// Executes the global event the driver just popped from its calendar:
 /// writes the control state once, then lets every shard apply the part
 /// that concerns state it owns.
@@ -711,11 +722,15 @@ pub(crate) fn exec_global(ctl: &mut Control, master: &mut Master, shards: &mut [
             master.metrics.record_fault(now, fault.label());
             match *fault {
                 FaultEvent::SwitchReboot { node, .. } | FaultEvent::GatewayOutage { node, .. } => {
-                    ctl.blackout[node.0 as usize] = true;
+                    open_window(&mut ctl.blackout[node.0 as usize]);
                 }
-                FaultEvent::LinkDown { link, .. } => ctl.link_up[link.0 as usize] = false,
+                FaultEvent::LinkDown { link, .. } => {
+                    if open_window(&mut ctl.link_down[link.0 as usize]) {
+                        ctl.links_down += 1;
+                    }
+                }
                 FaultEvent::LossRate { link, rate, .. } => {
-                    for l in covered_links(link, ctl.link_up.len()) {
+                    for l in covered_links(link, ctl.link_down.len()) {
                         let open = ctl.loss.entry(l).or_default();
                         *open = (open.0 + rate, open.1 + 1);
                     }
@@ -728,18 +743,23 @@ pub(crate) fn exec_global(ctl: &mut Control, master: &mut Master, shards: &mut [
                 .metrics
                 .record_fault(now, format!("{} cleared", fault.label()));
             match *fault {
-                // A rebooted switch is back up, but cold: the owning shard
-                // drops its volatile state below.
+                // A rebooted switch is back up when its last window closes,
+                // but cold at each: the owning shard drops its volatile
+                // state below.
                 FaultEvent::SwitchReboot { node, .. } | FaultEvent::GatewayOutage { node, .. } => {
-                    ctl.blackout[node.0 as usize] = false;
+                    close_window(&mut ctl.blackout[node.0 as usize]);
                 }
-                FaultEvent::LinkDown { link, .. } => ctl.link_up[link.0 as usize] = true,
+                FaultEvent::LinkDown { link, .. } => {
+                    if close_window(&mut ctl.link_down[link.0 as usize]) {
+                        ctl.links_down -= 1;
+                    }
+                }
                 // Subtract rather than zero so overlapping windows compose,
                 // but clear exactly when the last one closes: in f64
                 // 0.1 + 0.2 - 0.1 - 0.2 is 2.8e-17, and any rate above zero
                 // makes every enqueue on the link draw from the fault stream.
                 FaultEvent::LossRate { link, rate, .. } => {
-                    for l in covered_links(link, ctl.link_up.len()) {
+                    for l in covered_links(link, ctl.link_down.len()) {
                         let open = ctl.loss.get_mut(&l).expect("an open loss window");
                         if open.1 == 1 {
                             ctl.loss.remove(&l);

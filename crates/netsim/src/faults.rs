@@ -14,7 +14,7 @@
 //!   every packet traversing it during the window is dropped
 //!   ([`sv2p_metrics::DropCause::Blackout`]). When it comes back it is
 //!   cold: its [`sv2p_vnet::SwitchAgent`] is reset, and if it is a ToR the
-//!   [`sv2p_vnet::HostAgent`]s of its attached servers are reset too (their
+//!   [`sv2p_vnet::HostAgent`] forgets what its attached servers held (their
 //!   vswitches restarted with the rack). This generalizes the instantaneous
 //!   [`crate::Engine::fail_switch`] into a scheduled, windowed event.
 //! * [`FaultEvent::LinkDown`] — the directed link is excluded from ECMP
@@ -27,6 +27,11 @@
 //! * [`FaultEvent::LossRate`] — uniform random loss on one link (or all
 //!   links) at the given rate, drawn from the simulation's dedicated fault
 //!   RNG stream so packet-level determinism is preserved.
+//!
+//! Windows on the same link or node compose: a link is down, or a node
+//! blacked out, while any of its windows is open, and overlapping loss
+//! windows add their rates. (A switch still comes back cold at the end of
+//! each of its reboot windows.)
 
 use sv2p_simcore::{SimDuration, SimTime};
 use sv2p_topology::{LinkId, NodeId};

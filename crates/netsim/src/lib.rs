@@ -9,8 +9,8 @@
 //!   the experiment's [`sv2p_vnet::Strategy`] (SwitchV2P or any baseline)
 //!   where the scheme's cache weight for their role is above 0, and only
 //!   forward everywhere else;
-//! * servers that drive TCP/UDP flows ([`flows`]) through per-server
-//!   [`sv2p_vnet::HostAgent`]s, deliver to hosted VMs, and re-forward
+//! * servers that drive TCP/UDP flows ([`flows`]) through the shard's one
+//!   [`sv2p_vnet::HostAgent`], deliver to hosted VMs, and re-forward
 //!   misdeliveries;
 //! * translation gateways with the paper's 40 µs processing delay;
 //! * VM migrations with follow-me rules (§5.2);

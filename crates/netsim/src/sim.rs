@@ -38,7 +38,7 @@ use crate::arena::{PacketArena, PacketRef};
 use crate::effects::{Effects, Event, Master, Probe};
 use crate::faults::FaultEvent;
 use crate::flows::{src_port, FlowKind, FlowXport, LazyRto, RtoPop, Sender};
-use crate::link::{EnqueueOutcome, LinkState};
+use crate::link::{EnqueueOutcome, Links};
 use crate::world::{Control, World};
 
 /// Drop-tail buffer per egress port: "we set the switch buffer size to
@@ -109,18 +109,19 @@ pub(crate) struct Snapshot {
 }
 
 /// The state one shard owns. Switch agents and their RNG streams are
-/// indexed by switch tag, host agents by node id and transport state by
-/// flow id; agents exist only for the nodes the shard owns, and a switch
-/// has one only where its role weighs above 0. `links` holds
-/// only the links whose sending end the shard owns (a link's queue is never
-/// used anywhere else), found through [`Shard::link_index`].
+/// indexed by switch tag and transport state by flow id; switch agents
+/// exist only for the switches the shard owns, and only where their role
+/// weighs above 0. One host agent sends for every server the shard owns.
+/// `links` holds only the links whose sending end the shard owns (a link's
+/// queue is never used anywhere else), found through
+/// [`Shard::link_index`].
 pub(crate) struct Shard {
     pub id: usize,
     pub world: Arc<World>,
-    links: Vec<LinkState>,
+    links: Links,
     pub agents: Vec<Option<Box<dyn SwitchAgent>>>,
     agent_rngs: Vec<SimRng>,
-    pub host_agents: Vec<Option<Box<dyn HostAgent>>>,
+    host_agent: Box<dyn HostAgent>,
     /// Per-link RNG streams for stochastic-loss draws, forked off the seed
     /// so fault draws never perturb agent randomness, each at its link's
     /// first lossy draw (forking does not advance the seed's stream, so a
@@ -145,10 +146,10 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Shard `id` with idle links and no agents yet (the engine installs
-    /// an agent on the shard owning its node).
-    pub fn new(id: usize, world: Arc<World>) -> Self {
-        let n_nodes = world.topo.node_count();
+    /// Shard `id` with idle links, `host_agent` sending for its servers and
+    /// no switch agents yet (the engine installs one on the shard owning
+    /// its switch).
+    pub fn new(id: usize, world: Arc<World>, host_agent: Box<dyn HostAgent>) -> Self {
         let base_rng = SimRng::new(world.cfg.seed);
         // Sized before filling: a `filter().collect()` would grow by
         // doubling, and at FT32-1M that re-copies megabytes of link state.
@@ -156,7 +157,7 @@ impl Shard {
         let n_owned = world.topo.links().filter(|l| owns(l.from)).count();
         Shard {
             id,
-            links: (0..n_owned).map(|_| LinkState::default()).collect(),
+            links: Links::new(n_owned),
             fault_rngs: FxHashMap::default(),
             agents: (0..world.topo.switch_count()).map(|_| None).collect(),
             // Forked by node id, not tag, so a switch's stream does not
@@ -166,7 +167,7 @@ impl Shard {
                 .switches()
                 .map(|sw| base_rng.fork(u64::from(sw.id.0)))
                 .collect(),
-            host_agents: (0..n_nodes).map(|_| None).collect(),
+            host_agent,
             arena: PacketArena::new(),
             route_scratch: Vec::new(),
             flows: Vec::new(),
@@ -261,39 +262,33 @@ impl Shard {
             .role(node)
             .is_some_and(|r| r.layer() == sv2p_topology::Layer::Tor);
         if is_tor {
-            for link in self.world.topo.out_links(node) {
-                let peer = self.world.topo.link_to(link);
-                if let Some(host) = self.host_agents[peer.0 as usize].as_mut() {
-                    host.reset();
+            let topo = &self.world.topo;
+            for link in topo.out_links(node) {
+                let peer = topo.link_to(link);
+                if matches!(topo.kind(peer), NodeKind::Server { .. }) {
+                    self.host_agent.reset(peer);
                 }
             }
         }
     }
 
     /// Resident bytes of this shard's `(links, nodes, flows)`: its link
-    /// states with their queues and loss streams; its agents (the boxes'
-    /// inline sizes, and a switch agent's cache lines behind them), the
-    /// switches' RNG streams and the busy gateways'
+    /// states with the queue slab and loss streams; its agents (the boxes'
+    /// inline sizes, a switch agent's cache lines behind them, and the one
+    /// host agent's box), the switches' RNG streams and the busy gateways'
     /// queues with their buffers; and its flows' transport state, with the
     /// running senders (timers included) and receivers behind it.
     pub fn resident_bytes(&self) -> (usize, usize, usize) {
         use std::mem::{size_of, size_of_val as bytes};
-        let links = bytes(&*self.links)
-            + self.links.iter().map(LinkState::queue_bytes).sum::<usize>()
+        let links = self.links.resident_bytes()
             + self.fault_rngs.capacity() * (size_of::<(LinkId, SimRng)>() + 1);
         let switch_boxes = self
             .agents
             .iter()
             .flatten()
             .map(|a| bytes(&**a) + a.resident_bytes());
-        let boxes = switch_boxes.sum::<usize>()
-            + self
-                .host_agents
-                .iter()
-                .flatten()
-                .map(|a| bytes(&**a))
-                .sum::<usize>();
-        let nodes = bytes(&*self.agents) + bytes(&*self.host_agents) + bytes(&*self.agent_rngs);
+        let boxes = switch_boxes.sum::<usize>() + bytes(&*self.host_agent);
+        let nodes = bytes(&*self.agents) + bytes(&*self.agent_rngs);
         let gateways = self.gw_busy.capacity() * (size_of::<(NodeId, VecDeque<PacketRef>)>() + 1)
             + self
                 .gw_busy
@@ -318,8 +313,10 @@ impl Shard {
             self.world.topo.links().filter(|l| {
                 self.world.link_slot.is_empty() || self.world.shard_of(l.from) == self.id
             });
-        for (l, state) in owned.zip(&self.links) {
-            let q = state.queue_len(now, &self.world.ser[l.class as usize]) as u64;
+        for (i, l) in owned.enumerate() {
+            let q = self
+                .links
+                .queue_len(i, now, &self.world.ser[l.class as usize]) as u64;
             s.q_total += q;
             s.q_max = s.q_max.max(q);
         }
@@ -510,10 +507,7 @@ impl Shard {
         // Per-flow, per-direction gateway stickiness.
         let gw_key = flow_id.0 * 2 + reverse as u64;
 
-        let resolution = self.host_agents[src_node.0 as usize]
-            .as_mut()
-            .expect("sending node has a host agent")
-            .resolve(placement, dst_vip);
+        let resolution = self.host_agent.resolve(src_node, placement, dst_vip);
         let (dst_pip, resolved) = match resolution {
             HostResolution::Direct(pip) => (pip, true),
             HostResolution::Gateway => (self.world.dir.pick(gw_key), false),
@@ -579,8 +573,9 @@ impl Shard {
         #[cfg(debug_assertions)]
         certify_wire(self.arena.get(pkt));
         let topo = &self.world.topo;
-        let next = if let Some((_, uplink)) = topo.attachment(topo.kind(node)) {
-            ctl.link_up[uplink.0 as usize].then_some(uplink)
+        let kind = topo.kind(node);
+        let next = if let Some((_, uplink)) = topo.attachment(kind) {
+            (ctl.link_down[uplink.0 as usize] == 0).then_some(uplink)
         } else {
             match topo.node_by_pip(self.arena.get(pkt).outer.dst_pip) {
                 Some(dst) if dst == node => {
@@ -589,38 +584,44 @@ impl Shard {
                 }
                 Some(dst) => {
                     let key = self.arena.get(pkt).ecmp_key();
-                    let usable = |l: LinkId| ctl.link_up[l.0 as usize];
+                    // With every link up, every candidate is usable.
+                    let up = |l: LinkId| ctl.link_down[l.0 as usize] == 0;
+                    let usable = (ctl.links_down != 0).then_some(&up as &dyn Fn(LinkId) -> bool);
                     let scratch = &mut self.route_scratch;
                     self.world
                         .routing
-                        .next_link(topo, node, dst, key, &usable, scratch)
+                        .next_link(topo, node, dst, key, usable, scratch)
                 }
                 None => None,
             }
         };
         match next {
-            Some(link) => self.enqueue_on_link(ctl, fx, link, pkt),
+            Some(link) => {
+                let class = topo.link_class_from(kind, link);
+                self.enqueue_on_link(ctl, fx, node, class, link, pkt);
+            }
             None => self.drop_packet(fx, pkt, node, DropCause::Unroutable),
         }
     }
 
-    /// Offers `pkt` to `link`'s egress port. An accepted packet's last bit
-    /// leaves at an instant the link already knows, so its arrival — the
-    /// one event of the hop — is scheduled here.
+    /// Offers `pkt` to `link`'s egress port at `from`, a link of class
+    /// `class`. An accepted packet's last bit leaves at an instant the link
+    /// already knows, so its arrival — the one event of the hop — is
+    /// scheduled here.
     fn enqueue_on_link<F: Effects>(
         &mut self,
         ctl: &Control,
         fx: &mut F,
+        from: NodeId,
+        class: u32,
         link: LinkId,
         pkt: PacketRef,
     ) {
         let wire = self.arena.get(pkt).wire_size();
         let now = fx.now();
         let world = &*self.world;
-        let (from_node, class) = (world.topo.link_from(link), world.topo.link_class(link));
         let ser = &world.ser[class as usize];
         let slot = self.link_index::<F>(link);
-        let l = &mut self.links[slot];
         // Draw from the dedicated fault stream only while loss is active, so
         // a healthy run consumes no fault randomness at all.
         let loss_rate = if ctl.loss.is_empty() {
@@ -637,9 +638,11 @@ impl Shard {
                 .fault_rngs
                 .entry(link)
                 .or_insert_with(|| SimRng::new(seed).fork(label));
-            l.enqueue_with_loss(now, wire, ser, PORT_BUFFER_BYTES, loss_rate, rng.uniform())
+            let draw = rng.uniform();
+            self.links
+                .enqueue_with_loss(slot, now, wire, ser, PORT_BUFFER_BYTES, loss_rate, draw)
         } else {
-            l.enqueue(now, wire, ser, PORT_BUFFER_BYTES)
+            self.links.enqueue(slot, now, wire, ser, PORT_BUFFER_BYTES)
         };
         match outcome {
             EnqueueOutcome::Departs(departs) => {
@@ -659,8 +662,8 @@ impl Shard {
                 }
                 fx.schedule(arrives, Event::LinkArrival { link, pkt });
             }
-            EnqueueOutcome::Dropped => self.drop_packet(fx, pkt, from_node, DropCause::Queue),
-            EnqueueOutcome::Lost => self.drop_packet(fx, pkt, from_node, DropCause::Loss),
+            EnqueueOutcome::Dropped => self.drop_packet(fx, pkt, from, DropCause::Queue),
+            EnqueueOutcome::Lost => self.drop_packet(fx, pkt, from, DropCause::Loss),
         }
     }
 
@@ -677,17 +680,15 @@ impl Shard {
         pkt: PacketRef,
     ) {
         let topo = &self.world.topo;
-        let (from, node) = (topo.link_from(link), topo.link_to(link));
+        let node = topo.link_to(link);
         let kind = topo.kind(node);
         match kind {
             NodeKind::Server { .. } => self.handle_at_server(ctl, fx, node, pkt),
-            _ if ctl.blackout[node.0 as usize] => {
+            _ if ctl.blackout[node.0 as usize] != 0 => {
                 self.drop_packet(fx, pkt, node, DropCause::Blackout)
             }
             NodeKind::Gateway { .. } => self.handle_at_gateway(fx, node, pkt),
             _ => {
-                let from_kind = topo.kind(from);
-                let ingress = from_kind.is_host().then(|| from_kind.pip());
                 let p = self.arena.get_mut(pkt);
                 p.switch_hops = p.switch_hops.saturating_add(1);
                 let (wire, is_data) = (p.wire_size(), matches!(p.kind, PacketKind::Data));
@@ -697,7 +698,7 @@ impl Shard {
                 if let Some(ev) = ev.filter(|_| is_data) {
                     fx.trace(ev);
                 }
-                self.handle_at_switch(ctl, fx, node, kind, pkt, ingress);
+                self.handle_at_switch(ctl, fx, node, kind, pkt, Some(link));
             }
         }
     }
@@ -715,7 +716,7 @@ impl Shard {
         node: NodeId,
         pkt: PacketRef,
     ) {
-        if ctl.blackout[node.0 as usize] {
+        if ctl.blackout[node.0 as usize] != 0 {
             // The switch began rebooting while it held the packet.
             self.drop_packet(fx, pkt, node, DropCause::Blackout);
             return;
@@ -728,8 +729,9 @@ impl Shard {
     /// the agent reports, then the tail for the packet and for each packet
     /// the agent emits. A switch with no agent (its role weighs 0) goes
     /// straight to the tail: the arrival gate has already counted the hop.
-    /// `kind` is the switch's as the arrival gate read it; `ingress` the
-    /// PIP of the host the packet came up from, if any.
+    /// `kind` is the switch's as the arrival gate read it; `came_over` the
+    /// link the packet arrived on (`None` for a re-injected one), whose
+    /// sender the agent is told of if it is a host.
     fn handle_at_switch<F: Effects>(
         &mut self,
         ctl: &Control,
@@ -737,7 +739,7 @@ impl Shard {
         node: NodeId,
         kind: NodeKind,
         pkt: PacketRef,
-        ingress: Option<Pip>,
+        came_over: Option<LinkId>,
     ) {
         let tag = self.world.tag_of(kind).expect("switch tag");
         let Some(agent) = self.agents[tag.0 as usize].as_mut() else {
@@ -760,6 +762,11 @@ impl Shard {
         };
         let world = &*self.world;
         let topo = &world.topo;
+        // The front-panel port's host, if the packet came up from one.
+        let ingress = came_over
+            .map(|l| topo.kind(topo.link_from(l)))
+            .filter(|from| from.is_host())
+            .map(|from| from.pip());
         // Only a learning packet's consumer reads this, so a data packet's
         // hop decodes its destination once, in `send_on`.
         let dst_attached = learning_dst
@@ -927,7 +934,7 @@ impl Shard {
         pkt: PacketRef,
     ) {
         let dst_vip = self.arena.get(pkt).inner.dst_vip;
-        if ctl.blackout[node.0 as usize] {
+        if ctl.blackout[node.0 as usize] != 0 {
             // The outage began while this packet was in processing.
             self.drop_packet(fx, pkt, node, DropCause::Blackout);
         } else if let Some(pip) = ctl.placement.lookup(dst_vip) {

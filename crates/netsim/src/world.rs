@@ -87,10 +87,16 @@ pub(crate) struct Control {
     /// `follow_me`: a stale cache hit on the VIP attributes to it.
     pub last_migration: FxHashMap<Vip, MigrationRef>,
     pub roles: RoleMap,
-    /// Per-node blackout flag (rebooting switches, out gateways).
-    pub blackout: Vec<bool>,
-    /// Per-link up flag; downed links are masked out of ECMP.
-    pub link_up: Vec<bool>,
+    /// Per node, the `SwitchReboot` and `GatewayOutage` windows open on
+    /// it: a node is blacked out while any is, so overlapping windows
+    /// compose.
+    pub blackout: Vec<u8>,
+    /// Per link, the `LinkDown` windows open on it: a link is down, and
+    /// masked out of ECMP, while any is.
+    pub link_down: Vec<u8>,
+    /// The links with a `LinkDown` window open; while there are none, a
+    /// hop skips the per-link test.
+    pub links_down: u32,
     /// The links with a `LossRate` window open: their injected loss
     /// probability (the sum of the open windows' rates) and how many are
     /// open. A link leaves the map when its last window closes, so a

@@ -6,7 +6,7 @@ use sv2p_baselines::{NoCache, OnDemand};
 use sv2p_netsim::faults::{FaultEvent, FaultPlan};
 use sv2p_netsim::{Engine, FlowKind, FlowSpec, SimConfig};
 use sv2p_simcore::{SimDuration, SimTime};
-use sv2p_topology::{FatTreeConfig, LinkId, NodeId, SwitchRole};
+use sv2p_topology::{FatTreeConfig, LinkId, NodeId, NodeKind, SwitchRole};
 use sv2p_vnet::{Migration, Strategy};
 use switchv2p::{SwitchV2P, SwitchV2PConfig};
 
@@ -215,6 +215,87 @@ fn downed_uplink_rehashes_onto_surviving_port() {
     assert_eq!(
         s.drops_unroutable, 0,
         "a surviving port must absorb all rerouted traffic: {s:?}"
+    );
+}
+
+/// Runs NoCache on `scaled_ft8(2)` under `plan`, with flows that start
+/// from 120 µs on, after the first window of the overlap tests below has
+/// closed; returns the summary and every switch's bytes.
+fn run_after_120us(plan: FaultPlan) -> (sv2p_metrics::RunSummary, Vec<(NodeId, NodeKind, u64)>) {
+    let mut sim = sim_with(&NoCache, 0);
+    sim.apply_fault_plan(plan);
+    let mut flows = tcp_flows(&sim, 40, 30_000);
+    for f in &mut flows {
+        f.start += SimDuration::from_micros(120);
+    }
+    let n = flows.len() as u64;
+    sim.add_flows(flows);
+    sim.run();
+    let s = sim.summary();
+    assert_eq!(s.flows_completed, n, "{s:?}");
+    (s, sim.per_switch_bytes())
+}
+
+/// Fault windows on one link compose: two overlapping `LinkDown` windows
+/// keep a ToR uplink out of ECMP until the second closes, so every switch
+/// carries what it carries under one window over their union — and not
+/// what it carries once the first window alone has closed.
+#[test]
+fn overlapping_link_down_windows_keep_the_link_down_until_the_last_closes() {
+    let probe = sim_with(&NoCache, 0);
+    let tor = probe
+        .topology()
+        .switches()
+        .find(|n| probe.roles().role(n.id) == Some(SwitchRole::Tor))
+        .map(|n| n.id)
+        .expect("a plain ToR exists");
+    let uplink = probe.topology().out_links(tor).next().expect("an uplink");
+    assert!(probe
+        .topology()
+        .kind(probe.topology().link_to(uplink))
+        .is_switch());
+    let windows = |spans: &[(u64, u64)]| {
+        let down = spans.iter().map(|&(at, up)| FaultEvent::LinkDown {
+            link: uplink,
+            at: SimTime::from_micros(at),
+            up_at: SimTime::from_micros(up),
+        });
+        FaultPlan::from_events(down).unwrap()
+    };
+    let (_, union) = run_after_120us(windows(&[(0, 400)]));
+    let (_, overlapping) = run_after_120us(windows(&[(0, 100), (50, 400)]));
+    let (_, first_only) = run_after_120us(windows(&[(0, 100)]));
+    assert_ne!(first_only, union, "the link must carry traffic once up");
+    assert_eq!(overlapping, union, "a link went up with a window open");
+}
+
+/// Likewise a node: two overlapping `GatewayOutage` windows black every
+/// gateway out until the second closes.
+#[test]
+fn overlapping_outage_windows_black_a_gateway_out_until_the_last_closes() {
+    let probe = sim_with(&NoCache, 0);
+    let gws: Vec<NodeId> = probe.topology().gateways().map(|n| n.id).collect();
+    let windows = |spans: &[(u64, u64)]| {
+        let out = gws.iter().flat_map(|&node| {
+            spans
+                .iter()
+                .map(move |&(at, up)| FaultEvent::GatewayOutage {
+                    node,
+                    at: SimTime::from_micros(at),
+                    up_at: SimTime::from_micros(up),
+                })
+        });
+        FaultPlan::from_events(out).unwrap()
+    };
+    let (union, _) = run_after_120us(windows(&[(0, 400)]));
+    let (overlapping, _) = run_after_120us(windows(&[(0, 100), (50, 400)]));
+    let (first_only, _) = run_after_120us(windows(&[(0, 100)]));
+    assert_eq!(first_only.drops_blackout, 0, "{first_only:?}");
+    assert!(union.drops_blackout > 0, "{union:?}");
+    assert_eq!(
+        (overlapping.drops_blackout, overlapping.retransmissions),
+        (union.drops_blackout, union.retransmissions),
+        "a gateway came back with a window open"
     );
 }
 

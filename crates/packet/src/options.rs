@@ -71,6 +71,7 @@ impl TunnelOptions {
     /// Total encoded length of the present options in bytes
     /// (type + length byte plus the value, per option; `sv2p_packet::wire`
     /// owns the sizes).
+    #[inline]
     pub fn wire_len(&self) -> u32 {
         let pairs = u32::from(self.spillover.is_some())
             + u32::from(self.promotion.is_some())

@@ -269,11 +269,13 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at absolute time `at`.
     ///
     /// Returns the sequence number, which uniquely identifies the scheduling
-    /// (timers use it for lazy cancellation).
+    /// (timers use it for lazy cancellation). The seq is larger than every
+    /// one this calendar has handed out, so a near-level event goes behind
+    /// its slot's tail without a look at it.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.schedule_at_seq(at, seq, payload);
+        self.schedule(at, seq, payload, true);
         seq
     }
 
@@ -300,16 +302,24 @@ impl<E> EventQueue<E> {
     /// be smaller than ones already filed for the same instant (a reserved
     /// seq filed late); the event still pops in `seq` order among them.
     pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, payload: E) {
+        self.schedule(at, seq, payload, false);
+    }
+
+    /// Files `payload` at `at` under `seq`; `newest` says the seq exceeds
+    /// every seq filed (see [`Self::link`]).
+    #[inline]
+    fn schedule(&mut self, at: SimTime, seq: u64, payload: E, newest: bool) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < now {:?}",
             self.now
         );
-        self.file(ScheduledEvent {
+        let ev = ScheduledEvent {
             time: at.max(self.now),
             seq,
             payload,
-        });
+        };
+        self.file(ev, newest);
         self.pending += 1;
         self.peak_len = self.peak_len.max(self.pending);
     }
@@ -317,11 +327,11 @@ impl<E> EventQueue<E> {
     /// Files an event in the level its distance from `now` selects.
     /// `time >= now`, so its epoch is never behind the near level.
     #[inline]
-    fn file(&mut self, ev: ScheduledEvent<E>) {
+    fn file(&mut self, ev: ScheduledEvent<E>, newest: bool) {
         let epoch = epoch_of(ev.time);
         let ahead = epoch - epoch_of(self.now);
         if ahead < 2 {
-            self.link(ev);
+            self.link(ev, newest);
         } else if ahead < 2 + FAR_EPOCHS {
             let i = (epoch % FAR_EPOCHS) as usize;
             self.far[i].push(ev);
@@ -332,9 +342,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Links a near-level event into its nanosecond's chain, behind every
-    /// event with a smaller seq.
+    /// event with a smaller seq: `newest`, its seq exceeds every seq
+    /// filed, so it goes behind the tail without a look at it.
     #[inline]
-    fn link(&mut self, ev: ScheduledEvent<E>) {
+    fn link(&mut self, ev: ScheduledEvent<E>, newest: bool) {
         let s = (ev.time.as_nanos() & NEAR_MASK) as usize;
         let seq = ev.seq;
         let node = Node {
@@ -359,7 +370,8 @@ impl<E> EventQueue<E> {
         if head == NIL {
             self.slots[s] = (i, i);
             self.near_bits[s / 64] |= 1 << (s % 64);
-        } else if self.nodes[tail as usize].seq <= seq {
+        } else if newest || self.nodes[tail as usize].seq <= seq {
+            debug_assert!(self.nodes[tail as usize].seq < seq || !newest);
             self.nodes[tail as usize].next = i;
             self.slots[s].1 = i;
         } else {
@@ -467,7 +479,7 @@ impl<E> EventQueue<E> {
                 break;
             }
             let ev = self.overflow.pop().expect("peeked");
-            self.file(ev);
+            self.file(ev, false);
         }
     }
 
@@ -491,7 +503,7 @@ impl<E> EventQueue<E> {
         // would stay as large as its busiest visit.
         for ev in std::mem::take(&mut self.far[i]) {
             debug_assert_eq!(epoch_of(ev.time), epoch, "far epoch aliased");
-            self.link(ev);
+            self.link(ev, false);
         }
     }
 

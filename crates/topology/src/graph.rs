@@ -375,11 +375,18 @@ impl Topology {
     /// the fabric's.
     #[inline]
     pub fn link_class(&self, link: LinkId) -> u32 {
-        let to_host = self.kind(self.link_to(link)).is_host();
-        if to_host || self.kind(self.link_from(link)).is_host() {
-            self.host_class
-        } else {
-            0
+        self.link_class_from(self.kind(self.link_from(link)), link)
+    }
+
+    /// [`Self::link_class`] of `link`, sent on by a node of kind `from`.
+    /// Only a host or a ToR has a host at one end of a port, so only a
+    /// ToR's far end is read.
+    #[inline]
+    pub fn link_class_from(&self, from: NodeKind, link: LinkId) -> u32 {
+        match from {
+            NodeKind::Server { .. } | NodeKind::Gateway { .. } => self.host_class,
+            NodeKind::Tor { .. } if self.kind(self.link_to(link)).is_host() => self.host_class,
+            NodeKind::Tor { .. } | NodeKind::Spine { .. } | NodeKind::Core { .. } => 0,
         }
     }
 
@@ -427,6 +434,7 @@ impl Topology {
     /// its core group (0), then down to each rack (1); a ToR's up to each
     /// spine (0), down to each server (1), then to the pod's gateways if it
     /// is the gateway ToR (2); a host's one uplink (0).
+    #[inline]
     pub fn out_links(&self, node: NodeId) -> Ports {
         let s = &self.shape;
         let none = Ports::NONE;
@@ -528,6 +536,7 @@ impl Topology {
 
     /// The node a PIP addresses, if any: the prefix names the kind, the
     /// low bytes its place, and a place out of range names nothing.
+    #[inline]
     pub fn node_by_pip(&self, pip: Pip) -> Option<NodeId> {
         let s = &self.shape;
         let [a, b, c, d] = pip.0.to_be_bytes();

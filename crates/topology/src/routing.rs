@@ -50,6 +50,7 @@ impl Routing {
     /// reused scratch `Vec` makes per-hop routing allocation-free after
     /// warm-up. The order of the links is part of the contract: ECMP picks
     /// by position.
+    #[inline]
     pub fn candidates_into(&self, topo: &Topology, at: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         out.clear();
         if at == dst {
@@ -116,22 +117,26 @@ impl Routing {
 
     /// The ECMP next hop from `at` toward `dst` for a packet with flow key
     /// `key`, among the links where `usable` holds — the data plane's view
-    /// after link failures. Unusable members are masked out of the group
+    /// after link failures; `None` for `usable` means every link is up, and
+    /// skips the test. Unusable members are masked out of the group
     /// before hashing, so flows rehash onto the surviving ports; `None`
     /// when every candidate is down (the packet is unroutable) or
     /// `at == dst`. `scratch` is the caller's candidate buffer, so a hop
     /// allocates nothing once it has grown to the widest group.
+    #[inline]
     pub fn next_link(
         &self,
         topo: &Topology,
         at: NodeId,
         dst: NodeId,
         key: u64,
-        usable: &dyn Fn(LinkId) -> bool,
+        usable: Option<&dyn Fn(LinkId) -> bool>,
         scratch: &mut Vec<LinkId>,
     ) -> Option<LinkId> {
         self.candidates_into(topo, at, dst, scratch);
-        scratch.retain(|&l| usable(l));
+        if let Some(usable) = usable {
+            scratch.retain(|&l| usable(l));
+        }
         ecmp_pick(at, key, scratch)
     }
 
@@ -142,7 +147,7 @@ impl Routing {
         let (mut at, mut scratch) = (from, Vec::new());
         while at != to {
             let link = self
-                .next_link(topo, at, to, key, &|_| true, &mut scratch)
+                .next_link(topo, at, to, key, None, &mut scratch)
                 .expect("no route");
             at = topo.link_to(link);
             path.push(at);
@@ -161,10 +166,13 @@ impl Routing {
 }
 
 /// The member of `group` the flow key selects at switch `at` (`None` for
-/// an empty group).
+/// an empty group). A one-member group is its member: any hash picks it.
+#[inline]
 fn ecmp_pick(at: NodeId, key: u64, group: &[LinkId]) -> Option<LinkId> {
-    if group.is_empty() {
-        return None;
+    match *group {
+        [] => return None,
+        [only] => return Some(only),
+        _ => {}
     }
     // Mix the switch id into the hash, as real ASICs seed their ECMP
     // hash per switch — otherwise the same low bits would pick
@@ -494,21 +502,21 @@ mod tests {
         // hash picks and the flow must rehash onto a different uplink.
         let s = &mut Vec::new();
         let picked = r
-            .next_link(&topo, tor, b, 99, &|_| true, s)
+            .next_link(&topo, tor, b, 99, None, s)
             .expect("route exists");
         let alt = r
-            .next_link(&topo, tor, b, 99, &|l| l != picked, s)
+            .next_link(&topo, tor, b, 99, Some(&|l| l != picked), s)
             .expect("alternate port exists");
         assert_ne!(alt, picked);
         // Same key + same mask is deterministic.
         assert_eq!(
-            r.next_link(&topo, tor, b, 99, &|l| l != picked, s),
+            r.next_link(&topo, tor, b, 99, Some(&|l| l != picked), s),
             Some(alt)
         );
         // Masking everything makes the destination unroutable.
-        assert_eq!(r.next_link(&topo, tor, b, 99, &|_| false, s), None);
+        assert_eq!(r.next_link(&topo, tor, b, 99, Some(&|_| false), s), None);
         // A host's single uplink down: unroutable at the source.
-        assert_eq!(r.next_link(&topo, a, b, 1, &|_| false, s), None);
+        assert_eq!(r.next_link(&topo, a, b, 1, Some(&|_| false), s), None);
     }
 
     #[test]
@@ -548,7 +556,7 @@ mod tests {
                 let key = rng.next_u64_raw();
                 want.retain(|&l| usable(l));
                 assert_eq!(
-                    runs.next_link(&topo, at, dst, key, &usable, &mut got),
+                    runs.next_link(&topo, at, dst, key, Some(&usable), &mut got),
                     ecmp_pick(at, key, &want)
                 );
             }
@@ -575,6 +583,51 @@ mod tests {
             ..FatTreeConfig::ft8_10k()
         };
         assert_runs_match_rules(&cfg);
+    }
+
+    /// Every switch of `cfg` toward every node, under keys drawn from
+    /// `seed`: the pick with every link up (no usable test) is the pick
+    /// with a test that passes every link, and a one-member group's pick
+    /// is its member, whatever the switch and key.
+    fn assert_all_up_pick_skips_nothing(cfg: &FatTreeConfig, seed: u64) {
+        let topo = cfg.build();
+        let r = Routing::new(cfg, &topo);
+        let mut rng = sv2p_simcore::SimRng::new(seed);
+        let (mut fast, mut tested) = (Vec::new(), Vec::new());
+        let mut singles = 0;
+        for at in topo.switches().map(|n| n.id) {
+            for dst in topo.nodes().map(|n| n.id) {
+                let key = rng.next_u64_raw();
+                let pick = r.next_link(&topo, at, dst, key, None, &mut fast);
+                let want = r.next_link(&topo, at, dst, key, Some(&|_| true), &mut tested);
+                assert_eq!(pick, want, "{:?} -> {:?}", topo.kind(at), topo.kind(dst));
+                if let [only] = *tested {
+                    assert_eq!(pick, Some(only));
+                    singles += 1;
+                }
+            }
+        }
+        assert!(singles > 0, "no one-member group on {cfg:?}");
+    }
+
+    /// Over every pair of the two fabrics, so a fixed key stream rather
+    /// than a proptest: `PROPTEST_CASES` would multiply a pass over
+    /// FT16's 8.4 M pairs.
+    #[test]
+    fn the_all_links_up_pick_is_the_filtered_pick_on_ft8_and_ft16() {
+        assert_all_up_pick_skips_nothing(&FatTreeConfig::ft8_10k(), 8);
+        assert_all_up_pick_skips_nothing(&FatTreeConfig::ft16_400k(), 16);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn a_one_member_group_picks_its_member(
+            at in proptest::prelude::any::<u32>(),
+            key in proptest::prelude::any::<u64>(),
+            link in proptest::prelude::any::<u32>(),
+        ) {
+            proptest::prop_assert_eq!(ecmp_pick(NodeId(at), key, &[LinkId(link)]), Some(LinkId(link)));
+        }
     }
 
     proptest::proptest! {

@@ -2,11 +2,11 @@
 //!
 //! The simulator (`sv2p-netsim`) is translation-scheme agnostic: every
 //! scheme — SwitchV2P itself and each baseline of §5 — is a [`Strategy`]
-//! that fabricates per-switch [`SwitchAgent`]s and per-server
-//! [`HostAgent`]s. The trait's defaults are the NoCache baseline, so a
-//! scheme overrides only what differs from it: where it caches
-//! ([`Strategy::cache_weight`] above 0), its agents, and — SwitchV2P alone —
-//! its misdelivery policy. A switch whose role weighs 0 holds no agent at
+//! that fabricates per-switch [`SwitchAgent`]s and the one [`HostAgent`]
+//! that sends for every server of a shard. The trait's defaults are the
+//! NoCache baseline, so a scheme overrides only what differs from it:
+//! where it caches ([`Strategy::cache_weight`] above 0), its agents, and —
+//! SwitchV2P alone — its misdelivery policy. A switch whose role weighs 0 holds no agent at
 //! all: the simulator forwards its packets without a call. Agents are
 //! sans-IO state machines: they mutate the packet in place (translate, tag,
 //! attach/strip options) and return an [`AgentOutput`] describing what the
@@ -23,7 +23,7 @@
 
 use sv2p_packet::{Packet, Pip, SwitchTag, Vip};
 use sv2p_simcore::{SimDuration, SimRng, SimTime};
-use sv2p_topology::SwitchRole;
+use sv2p_topology::{NodeId, SwitchRole};
 
 use crate::placement::Placement;
 
@@ -274,20 +274,22 @@ pub enum HostResolution {
     FirstHopTor,
 }
 
-/// Per-server sending behavior.
+/// The sending behavior of servers: one agent serves every server of a
+/// shard, told with each call which one is asking. A scheme whose hosts
+/// keep state keys it by host, so a host that never sends holds nothing.
 pub trait HostAgent {
-    /// Decides how to address a packet for `dst_vip`. Called for every
-    /// outgoing packet (agents cache internally if they want per-flow
-    /// behavior). `placement` is the ground truth a host that is
+    /// Decides how `host` addresses a packet for `dst_vip`. Called for
+    /// every outgoing packet (agents cache internally if they want
+    /// per-flow behavior). `placement` is the ground truth a host that is
     /// programmed with mappings resolves against.
-    fn resolve(&mut self, placement: &Placement, dst_vip: Vip) -> HostResolution;
+    fn resolve(&mut self, host: NodeId, placement: &Placement, dst_vip: Vip) -> HostResolution;
 
-    /// Models losing the host's volatile resolution state (e.g. its vswitch
+    /// Models `host` losing its volatile resolution state (e.g. its vswitch
     /// restarting when the rack's ToR reboots). Stateless agents keep the
-    /// no-op default; caching agents must drop their cached mappings so a
-    /// reboot leaves the whole rack cold, mirroring
+    /// no-op default; caching agents must drop the host's cached mappings
+    /// so a reboot leaves the whole rack cold, mirroring
     /// [`SwitchAgent::reset`].
-    fn reset(&mut self) {}
+    fn reset(&mut self, _host: NodeId) {}
 }
 
 /// What the old host does with a packet that arrived for a VM that moved
@@ -334,8 +336,8 @@ pub trait Strategy {
         )
     }
 
-    /// Builds the agent for one sending server. Defaults to the plain
-    /// gateway-driven host.
+    /// Builds the agent that sends for every server of a shard. Defaults
+    /// to the plain gateway-driven host.
     fn make_host_agent(&self) -> Box<dyn HostAgent> {
         Box::new(GatewayHostAgent)
     }
@@ -353,7 +355,7 @@ pub trait Strategy {
 pub struct GatewayHostAgent;
 
 impl HostAgent for GatewayHostAgent {
-    fn resolve(&mut self, _placement: &Placement, _dst_vip: Vip) -> HostResolution {
+    fn resolve(&mut self, _host: NodeId, _placement: &Placement, _dst_vip: Vip) -> HostResolution {
         HostResolution::Gateway
     }
 }
@@ -367,7 +369,10 @@ mod tests {
         let mut agent = GatewayHostAgent;
         let placement = Placement::default();
         for vip in 0..5 {
-            assert_eq!(agent.resolve(&placement, Vip(vip)), HostResolution::Gateway);
+            assert_eq!(
+                agent.resolve(NodeId(1), &placement, Vip(vip)),
+                HostResolution::Gateway
+            );
         }
     }
 

@@ -99,6 +99,7 @@ impl Placement {
 
     /// The PIP `vip` resolves to now — the gateway's translation. `None`
     /// for a VIP that was never placed, which the gateway drops.
+    #[inline]
     pub fn lookup(&self, vip: Vip) -> Option<Pip> {
         self.index_of(vip).map(|i| self.host(i).0)
     }
