@@ -71,6 +71,16 @@ impl HostAgent for OnDemandHostAgent {
     fn reset(&mut self, host: NodeId) {
         self.caches.remove(&host);
     }
+
+    /// The per-host maps and the mappings in them, each bucket with its
+    /// control byte.
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let host = size_of::<(NodeId, FxHashMap<Vip, Pip>)>() + 1;
+        let rule = size_of::<(Vip, Pip)>() + 1;
+        let rules = self.caches.values().map(|c| c.capacity() * rule);
+        self.caches.capacity() * host + rules.sum::<usize>()
+    }
 }
 
 impl Strategy for OnDemand {
@@ -149,6 +159,25 @@ mod tests {
             agent.resolve(other, &placement, vm0),
             HostResolution::Gateway
         );
+    }
+
+    #[test]
+    fn ondemand_counts_the_rules_it_learnt() {
+        let placement = Placement::from_hosts(vec![(Pip(10), NodeId(1))], 64);
+        let mut agent = OnDemandHostAgent::default();
+        assert_eq!(agent.resident_bytes(), 0);
+        let rule = std::mem::size_of::<(Vip, Pip)>();
+        for (host, learnt) in [(NodeId(3), 40), (NodeId(4), 64)] {
+            let before = agent.resident_bytes();
+            for i in 0..learnt {
+                agent.resolve(host, &placement, placement.vip_of(i));
+            }
+            assert!(agent.resident_bytes() >= before + learnt * rule);
+        }
+        let both = agent.resident_bytes();
+        agent.reset(NodeId(4));
+        assert!(agent.resident_bytes() < both - 64 * rule);
+        assert_eq!(DirectHostAgent.resident_bytes(), 0);
     }
 
     #[test]

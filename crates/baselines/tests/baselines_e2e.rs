@@ -69,6 +69,27 @@ fn ondemand_pays_the_detour_once_per_destination() {
 }
 
 #[test]
+fn ondemand_nodes_part_grows_with_the_rules_its_hosts_learnt() {
+    let nodes = |sim: &Engine| sim.resident_bytes()[3];
+    let ft = FatTreeConfig::scaled_ft8(2);
+    let mut sim = Engine::new(SimConfig::default(), &ft, &OnDemand, 0, 4);
+    let vms = sim.placement().len();
+    sim.add_flows(workload(vms, 300));
+    let before = nodes(&sim);
+    assert_eq!(before.0, "nodes");
+    sim.run();
+    // Each gateway detour is a host's first packet to a destination, and
+    // the host keeps that destination's rule from then on.
+    let learnt = sim.summary().gateway_packets as usize;
+    let grown = nodes(&sim).1 - before.1;
+    let rule = std::mem::size_of::<(sv2p_packet::Vip, sv2p_packet::Pip)>();
+    assert!(
+        grown >= learnt * rule,
+        "nodes grew {grown} B for {learnt} learnt rules"
+    );
+}
+
+#[test]
 fn gwcache_hits_only_at_gateway_tors() {
     let s = run(&GwCache, 512, 500);
     assert_eq!(s.flows, s.flows_completed);

@@ -7,6 +7,7 @@
 //! bit-for-bit the same state machine.
 
 use sv2p_packet::{Pip, Vip};
+use sv2p_simcore::Divisor;
 use sv2p_vnet::CacheOp;
 
 /// Admission policy for conflicting inserts (paper Table 1).
@@ -77,10 +78,23 @@ pub struct DirectMappedCache {
     valid: Vec<u64>,
     /// Bit per line: the access (A) bit.
     abit: Vec<u64>,
+    /// The line count, which [`Self::index`] reduces a hash by (1 for a
+    /// zero-line cache, which never indexes).
+    lines: Divisor,
     /// Lookup attempts (hit-ratio diagnostics).
     pub lookups: u64,
     /// Successful lookups.
     pub hits: u64,
+}
+
+/// The same avalanche the ASIC's hash unit would provide; a VIP's line is
+/// this modulo the line count.
+#[inline]
+fn line_hash(vip: Vip) -> u64 {
+    let mut h = vip.0 as u64;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ h >> 29
 }
 
 #[inline]
@@ -106,6 +120,7 @@ impl DirectMappedCache {
             vals: vec![0; lines],
             valid: vec![0; lines.div_ceil(64)],
             abit: vec![0; lines.div_ceil(64)],
+            lines: Divisor::new(lines.max(1) as u64),
             lookups: 0,
             hits: 0,
         }
@@ -123,12 +138,7 @@ impl DirectMappedCache {
 
     #[inline]
     fn index(&self, vip: Vip) -> usize {
-        // The same avalanche the ASIC's hash unit would provide.
-        let mut h = vip.0 as u64;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 29;
-        (h % self.keys.len() as u64) as usize
+        (line_hash(vip) % self.lines) as usize
     }
 
     /// Looks up `vip`. On a hit returns `(pip, abit_before_hit)` and sets the
@@ -249,6 +259,18 @@ mod tests {
         );
         assert!(!c.invalidate(Vip(1), None));
         assert_eq!(c.occupancy(), 0);
+    }
+
+    #[test]
+    fn every_vip_keeps_the_line_the_hardware_remainder_gives_it() {
+        for lines in [1, 2, 3, 7, 64, 100, 1_000, 1_024, 4_095, 40_960, 65_537] {
+            let c = DirectMappedCache::new(lines);
+            let vips = (0..20_000).chain([u32::MAX - 1, u32::MAX]);
+            for vip in vips.chain((0..20_000).map(|i: u32| i.wrapping_mul(0x9E37_79B9))) {
+                let want = (line_hash(Vip(vip)) % lines as u64) as usize;
+                assert_eq!(c.index(Vip(vip)), want, "VIP {vip} of {lines} lines");
+            }
+        }
     }
 
     #[test]

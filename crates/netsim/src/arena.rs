@@ -15,6 +15,10 @@
 //! maximum-in-flight packet count, reported by run manifests as an
 //! allocations proxy (`peak_arena`).
 //!
+//! A run loop that knows which packet comes next can start loading its slot
+//! early with [`PacketArena::warm`], a read that leaves every value as it
+//! was.
+//!
 //! Discipline: every allocated handle has exactly one owner (an event in
 //! the calendar or a slot in a gateway's queue) and must be passed to
 //! [`PacketArena::free`] exactly once, at the packet's end of life
@@ -82,6 +86,17 @@ impl PacketArena {
         #[cfg(debug_assertions)]
         debug_assert!(self.alive[h.0 as usize], "write to a freed packet");
         &mut self.slots[h.0 as usize]
+    }
+
+    /// Reads what an arriving packet's handler reads first — its hop count
+    /// and the fields its wire size is computed from — so the loads are
+    /// under way before the handler runs. The one-shard run loop calls it
+    /// for the next event's packet while the current event runs. It
+    /// changes nothing.
+    #[inline]
+    pub fn warm(&self, h: PacketRef) {
+        let p = &self.slots[h.0 as usize];
+        std::hint::black_box((p.switch_hops, p.wire_size()));
     }
 
     /// Releases a packet at its end of life (delivered, dropped, consumed).

@@ -27,7 +27,8 @@ use crate::sim::Shard;
 /// Simulator events. Packet-carrying events hold an arena handle and
 /// flow / plan events a `u32` index, so an event is twelve bytes — a tag and
 /// two words — no matter how fat `TunnelOptions` get, and the calendar's
-/// slab node around it is 32.
+/// slab node around it is 24: a seq, a chain link and the event, with no
+/// time, since a near slot stands for one instant.
 #[derive(Debug)]
 pub(crate) enum Event {
     FlowStart(u32),
@@ -67,7 +68,7 @@ pub(crate) enum Event {
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() == 12);
-const _: () = assert!(EventQueue::<Event>::NODE_BYTES == 32);
+const _: () = assert!(EventQueue::<Event>::NODE_BYTES == 24);
 const _: () = assert!(std::mem::size_of::<sv2p_simcore::ScheduledEvent<Event>>() == 32);
 // A link's state and its topology entry (its far end) are one per
 // directed link, 75 072 on FT32: its constants live in its class, its

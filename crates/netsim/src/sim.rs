@@ -193,6 +193,14 @@ impl Shard {
     /// The one-shard run loop: pops and dispatches every event due before
     /// `bt`. Returns early with a global event when one comes up — the
     /// driver executes those — and `None` once the bound is reached.
+    ///
+    /// Before it dispatches an event it looks at the one due next: nearly
+    /// every event is a link arrival, whose handler begins with loads that
+    /// miss the cache (the packet's arena slot, the link's far end and that
+    /// node's kind), so it reads them, discarding the values, to start the
+    /// loads while this event runs. That is only reads: the next event may
+    /// not even be the one that pops next (this event may schedule an
+    /// earlier one), and no result can differ.
     pub fn drain<P: Probe>(
         &mut self,
         ctl: &Control,
@@ -206,6 +214,11 @@ impl Shard {
             probe.popped();
             if se.payload.is_global() {
                 return Some(se.payload);
+            }
+            if let Some(&Event::LinkArrival { link, pkt }) = master.events.peek_near() {
+                self.arena.warm(pkt);
+                let topo = &self.world.topo;
+                std::hint::black_box(topo.kind(topo.link_to(link)));
             }
             let phase = se.payload.phase();
             self.dispatch(ctl, master, se.payload);
@@ -275,9 +288,10 @@ impl Shard {
     /// Resident bytes of this shard's `(links, nodes, flows)`: its link
     /// states with the queue slab and loss streams; its agents (the boxes'
     /// inline sizes, a switch agent's cache lines behind them, and the one
-    /// host agent's box), the switches' RNG streams and the busy gateways'
-    /// queues with their buffers; and its flows' transport state, with the
-    /// running senders (timers included) and receivers behind it.
+    /// host agent's box with the per-host state behind it), the switches'
+    /// RNG streams and the busy gateways' queues with their buffers; and
+    /// its flows' transport state, with the running senders (timers
+    /// included) and receivers behind it.
     pub fn resident_bytes(&self) -> (usize, usize, usize) {
         use std::mem::{size_of, size_of_val as bytes};
         let links = self.links.resident_bytes()
@@ -287,7 +301,8 @@ impl Shard {
             .iter()
             .flatten()
             .map(|a| bytes(&**a) + a.resident_bytes());
-        let boxes = switch_boxes.sum::<usize>() + bytes(&*self.host_agent);
+        let host = bytes(&*self.host_agent) + self.host_agent.resident_bytes();
+        let boxes = switch_boxes.sum::<usize>() + host;
         let nodes = bytes(&*self.agents) + bytes(&*self.agent_rngs);
         let gateways = self.gw_busy.capacity() * (size_of::<(NodeId, VecDeque<PacketRef>)>() + 1)
             + self
@@ -440,7 +455,7 @@ impl Shard {
         flow: usize,
         ops: SenderOps,
     ) {
-        for seg in &ops.segments {
+        for seg in ops.segments {
             let first = seg.seq == 0 && !seg.retransmit;
             self.send_flow_packet(ctl, fx, flow, seg.seq as u32, seg.len, first, false);
         }

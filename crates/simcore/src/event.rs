@@ -28,7 +28,10 @@
 //!   and a sorted walk from the head otherwise. Pop unlinks the head of
 //!   the first occupied slot at or after `now`, circularly; no two events
 //!   are compared, none is copied, and the slab stops growing once the
-//!   near population has peaked.
+//!   near population has peaked. A node holds no time: the level spans
+//!   exactly the 8192 ns from the start of `now`'s epoch, so a slot
+//!   stands for one instant, recomputed from its index and the clock, and
+//!   a node is a seq, a chain link and the payload.
 //! * **far** — the 512 epochs after those (≈2.1 ms: gateway service
 //!   times, retransmission timers), one plain *unsorted* `Vec` per epoch,
 //!   indexed by epoch modulo 512. Scheduling is a push. An epoch's `Vec`
@@ -48,6 +51,11 @@
 //! far or overflow event; a bounded pop ([`EventQueue::pop_before`]) whose
 //! bound that event is not below leaves everything where it is, so a
 //! legal schedule (`at >= now`) can never land behind the near level.
+//!
+//! [`EventQueue::peek_near`] hands a run loop the next event's payload
+//! without popping it, so the loop can start loading what that event will
+//! touch while the current one runs. It is a read: nothing it returns can
+//! change what pops, or when.
 //!
 //! The old single-heap implementation survives as a `#[cfg(test)]` oracle;
 //! equivalence proptests check the two produce identical `(time, seq,
@@ -117,10 +125,11 @@ fn epoch_of(t: SimTime) -> u64 {
 }
 
 /// One slab entry: a pending near-level event in its slot's chain, or a
-/// free entry in the free list (`payload` is `None`).
+/// free entry in the free list (`payload` is `None`). It holds no time:
+/// every event of a near slot is due at the one instant the slot stands
+/// for ([`EventQueue::slot_time`]).
 #[derive(Debug)]
 struct Node<E> {
-    time: SimTime,
     seq: u64,
     /// The next node of the chain (or of the free list), or [`NIL`].
     next: u32,
@@ -187,8 +196,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Bytes one near-level event takes in the node slab: key, link and
-    /// payload. A user whose speed rests on it asserts it at compile time.
+    /// Bytes one near-level event takes in the node slab: seq, link and
+    /// payload (its time is its slot's). A user whose speed rests on it
+    /// asserts it at compile time.
     pub const NODE_BYTES: usize = std::mem::size_of::<Node<E>>();
 
     /// Creates an empty calendar positioned at t = 0.
@@ -349,7 +359,6 @@ impl<E> EventQueue<E> {
         let s = (ev.time.as_nanos() & NEAR_MASK) as usize;
         let seq = ev.seq;
         let node = Node {
-            time: ev.time,
             seq,
             next: NIL,
             payload: Some(ev.payload),
@@ -390,13 +399,23 @@ impl<E> EventQueue<E> {
         self.near_len += 1;
     }
 
-    /// Moves node `i`'s event out of the slab and puts the node on the
-    /// free list; returns the event and the node that followed it.
+    /// The instant near slot `s` stands for. The near level spans exactly
+    /// the `NEAR_SLOTS` nanoseconds from the start of `now`'s epoch, so a
+    /// slot's offset from that start, modulo the ring, is its instant's.
     #[inline]
-    fn release(&mut self, i: u32) -> (ScheduledEvent<E>, u32) {
+    fn slot_time(&self, s: usize) -> SimTime {
+        let start = self.now.as_nanos() >> EPOCH_SHIFT << EPOCH_SHIFT;
+        SimTime::from_nanos(start + ((s as u64).wrapping_sub(start) & NEAR_MASK))
+    }
+
+    /// Moves node `i`'s event, due at `time`, out of the slab and puts the
+    /// node on the free list; returns the event and the node that followed
+    /// it.
+    #[inline]
+    fn release(&mut self, i: u32, time: SimTime) -> (ScheduledEvent<E>, u32) {
         let node = &mut self.nodes[i as usize];
         let ev = ScheduledEvent {
-            time: node.time,
+            time,
             seq: node.seq,
             payload: node.payload.take().expect("a linked node holds an event"),
         };
@@ -412,7 +431,8 @@ impl<E> EventQueue<E> {
             let (t, _) = self.peek_key()?;
             self.jump(epoch_of(t));
         }
-        Some(self.take(self.front_slot()))
+        let s = self.front_slot();
+        Some(self.take(s, self.slot_time(s)))
     }
 
     /// Pops the next event only if it is due strictly before `bt`;
@@ -430,7 +450,8 @@ impl<E> EventQueue<E> {
             self.jump(epoch_of(t));
         }
         let s = self.front_slot();
-        (self.nodes[self.slots[s].0 as usize].time < bt).then(|| self.take(s))
+        let t = self.slot_time(s);
+        (t < bt).then(|| self.take(s, t))
     }
 
     /// The slot of the earliest near-level event: the first occupied one
@@ -442,11 +463,11 @@ impl<E> EventQueue<E> {
             .expect("near_len > 0 with no slot occupied")
     }
 
-    /// Unlinks the head of slot `s` — the earliest pending event — and
-    /// moves the clock to it.
+    /// Unlinks the head of slot `s` — the earliest pending event, due at
+    /// `time` — and moves the clock to it.
     #[inline]
-    fn take(&mut self, s: usize) -> ScheduledEvent<E> {
-        let (ev, next) = self.release(self.slots[s].0);
+    fn take(&mut self, s: usize, time: SimTime) -> ScheduledEvent<E> {
+        let (ev, next) = self.release(self.slots[s].0, time);
         self.slots[s].0 = next;
         if next == NIL {
             self.near_bits[s / 64] &= !(1 << (s % 64));
@@ -514,6 +535,19 @@ impl<E> EventQueue<E> {
         Some(start + (i + FAR_EPOCHS - start % FAR_EPOCHS) % FAR_EPOCHS)
     }
 
+    /// The payload of the next event, if the near level holds it (it
+    /// does whenever the near level is not empty); `None` otherwise. A
+    /// read: a caller may look at it to start loading what the event will
+    /// touch before it pops.
+    pub fn peek_near(&self) -> Option<&E> {
+        if self.near_len == 0 {
+            return None;
+        }
+        self.nodes[self.slots[self.front_slot()].0 as usize]
+            .payload
+            .as_ref()
+    }
+
     /// The timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.peek_key().map(|(t, _)| t)
@@ -522,8 +556,8 @@ impl<E> EventQueue<E> {
     /// The `(time, seq)` key of the next pending event without popping it.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         if self.near_len != 0 {
-            let head = &self.nodes[self.slots[self.front_slot()].0 as usize];
-            return Some((head.time, head.seq));
+            let s = self.front_slot();
+            return Some((self.slot_time(s), self.nodes[self.slots[s].0 as usize].seq));
         }
         // Earliest of the next far epoch (unsorted: scan it) and the
         // overflow heap's top, which may be due before it.
@@ -1072,6 +1106,64 @@ mod tests {
             heap.schedule_at(SimTime::from_nanos(at), p);
         }
         assert_eq!(drain_both(&mut wheel, &mut heap), vec![2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_slot_stands_for_its_instant_in_the_next_epoch_across_a_boundary_and_after_a_jump() {
+        // Nodes hold no time: a pop reads its instant off the slot and the
+        // clock. The events below sit either side of epoch boundaries, and
+        // some share a near slot index (8192 ns apart).
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapQueue::new();
+        let file = |wheel: &mut EventQueue<u32>, heap: &mut HeapQueue<u32>, at: u64, p: u32| {
+            wheel.schedule_at(SimTime::from_nanos(at), p);
+            heap.schedule_at(SimTime::from_nanos(at), p);
+        };
+        file(&mut wheel, &mut heap, 3 * EPOCH + 100, 0);
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![0]);
+        // Filed in the next epoch (one 4096 ns ahead of the clock, one in
+        // its last nanosecond), in the current one's last nanosecond, at the
+        // boundary, and in the far level: the epoch after next, in the
+        // clock's slot.
+        for (at, p) in [
+            (4 * EPOCH + 100, 1),
+            (4 * EPOCH - 1, 2),
+            (4 * EPOCH, 3),
+            (5 * EPOCH + 100, 4),
+            (5 * EPOCH - 1, 5),
+        ] {
+            file(&mut wheel, &mut heap, at, p);
+        }
+        assert_eq!(wheel.occupancy_breakdown(), (4, 1, 0));
+        assert_eq!(wheel.peek_near(), Some(&2));
+        let mut seen = Vec::new();
+        while let Some(e) = wheel.pop() {
+            let o = heap.pop().expect("the oracle holds as many");
+            assert_eq!((e.time, e.seq, e.payload), (o.time, o.seq, o.payload));
+            seen.push((e.time.as_nanos(), e.payload));
+        }
+        assert_eq!(
+            seen,
+            [
+                (4 * EPOCH - 1, 2),
+                (4 * EPOCH, 3),
+                (4 * EPOCH + 100, 1),
+                (5 * EPOCH - 1, 5),
+                (5 * EPOCH + 100, 4),
+            ]
+        );
+        // The near level is empty: the next pop jumps over the empty epochs
+        // to the start of its event's, and reads its instant from there.
+        let far = (FAR_EPOCHS + 40) * EPOCH + EPOCH - 1;
+        for (at, p) in [(far, 6), (far + 1, 7), (far + EPOCH, 8)] {
+            file(&mut wheel, &mut heap, at, p);
+        }
+        assert_eq!(wheel.peek_near(), None, "nothing is near before the jump");
+        let e = wheel.pop().expect("three pending");
+        assert_eq!((e.time.as_nanos(), e.payload), (far, 6));
+        heap.pop();
+        assert_eq!(wheel.peek_near(), Some(&7));
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![7, 8]);
     }
 
     /// Replays one op tape against both calendars and compares every

@@ -9,6 +9,8 @@
 //! * [`FxHashMap`] / [`FxHashSet`] — seedless deterministic fast hashing
 //!   for hot per-packet maps (std's SipHash + random seed is the wrong
 //!   trade inside a simulator).
+//! * [`Divisor`] — an exact `%` by a divisor fixed at construction, by a
+//!   multiply instead of a hardware divide.
 //! * [`SimRng`] — a seedable, splittable pseudo-random stream so that every
 //!   component draws from an independent, reproducible sequence.
 //!
@@ -31,12 +33,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod div;
 pub mod event;
 pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use div::Divisor;
 pub use event::{EventQueue, ScheduledEvent};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::SimRng;

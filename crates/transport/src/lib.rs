@@ -25,7 +25,7 @@
 //! // The initial window covers the whole 2.5 kB flow (3 segments).
 //! let ops = tx.start(now);
 //! assert_eq!(ops.segments.len(), 3);
-//! for seg in &ops.segments {
+//! for seg in ops.segments {
 //!     let ack = rx.on_data(seg.seq, seg.len);
 //!     tx.on_ack(now, ack);
 //! }

@@ -67,11 +67,61 @@ pub struct Segment {
     pub retransmit: bool,
 }
 
+/// The segments one call of the sender asks for, in order: at most one
+/// retransmission, then a run of new segments. New data is sent in whole
+/// segments but for the flow's tail, so the run is a byte range cut every
+/// `mss` bytes, and a call allocates nothing however many it asks for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Segments {
+    /// The retransmission, sent first.
+    rtx: Option<Segment>,
+    /// First byte of the new segments not yet yielded.
+    next: u64,
+    /// One past the last new byte.
+    end: u64,
+    /// Length of every new segment but a shorter last one.
+    mss: u32,
+}
+
+impl Segments {
+    /// True if there is nothing to send.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Iterator for Segments {
+    type Item = Segment;
+
+    fn next(&mut self) -> Option<Segment> {
+        if let Some(seg) = self.rtx.take() {
+            return Some(seg);
+        }
+        (self.next < self.end).then(|| {
+            let (seq, len) = (self.next, u64::from(self.mss).min(self.end - self.next));
+            self.next += len;
+            Segment {
+                seq,
+                len: len as u32,
+                retransmit: false,
+            }
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let new = (self.end - self.next).div_ceil(u64::from(self.mss.max(1))) as usize;
+        let n = usize::from(self.rtx.is_some()) + new;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Segments {}
+
 /// What the host should do after driving the sender.
 #[derive(Debug, Default)]
 pub struct SenderOps {
     /// Segments to transmit, in order.
-    pub segments: Vec<Segment>,
+    pub segments: Segments,
     /// If set, (re)arm the retransmission timer for this deadline; `None`
     /// leaves the timer alone. The sender asks to disarm by completing.
     pub arm_rto: Option<SimTime>,
@@ -275,7 +325,8 @@ impl TcpSender {
 
     fn retransmit_una(&mut self, _now: SimTime, ops: &mut SenderOps) {
         let len = self.cfg.mss.min((self.flow_bytes - self.una) as u32);
-        ops.segments.push(Segment {
+        debug_assert!(ops.segments.is_empty(), "a retransmission goes first");
+        ops.segments.rtx = Some(Segment {
             seq: self.una,
             len,
             retransmit: true,
@@ -291,6 +342,7 @@ impl TcpSender {
 
     fn fill_window(&mut self, now: SimTime, ops: &mut SenderOps) {
         let limit = self.flow_bytes.min(self.una + self.cwnd as u64);
+        let start = self.next_seq;
         while self.next_seq < limit {
             let len = self.cfg.mss.min((limit - self.next_seq) as u32);
             // Don't emit a runt if a full MSS doesn't fit but more data
@@ -298,15 +350,15 @@ impl TcpSender {
             if (len as u64) < self.cfg.mss as u64 && self.next_seq + len as u64 != self.flow_bytes {
                 break;
             }
-            ops.segments.push(Segment {
-                seq: self.next_seq,
-                len,
-                retransmit: false,
-            });
-            if self.rtt_probe.is_none() {
-                self.rtt_probe = Some((self.next_seq, now));
-            }
             self.next_seq += len as u64;
+        }
+        if self.next_seq > start {
+            if self.rtt_probe.is_none() {
+                self.rtt_probe = Some((start, now));
+            }
+            let segs = &mut ops.segments;
+            debug_assert!(segs.next == segs.end, "one run of new segments a call");
+            (segs.next, segs.end, segs.mss) = (start, self.next_seq, self.cfg.mss);
         }
     }
 }
@@ -461,7 +513,7 @@ mod tests {
         let mut rx = TcpReceiver::new();
         let rtt = SimDuration::from_micros(12);
         let mut now = SimTime::ZERO;
-        let mut pending = tx.start(now).segments;
+        let mut pending: Vec<Segment> = tx.start(now).segments.collect();
         let mut rounds = 0;
         while !tx.is_complete() {
             now += rtt;
@@ -516,8 +568,8 @@ mod tests {
     fn dupacks_trigger_fast_retransmit() {
         let mut tx = TcpSender::new(cfg(), 100 * MSS);
         let now = SimTime::ZERO;
-        let segs = tx.start(now).segments;
-        assert_eq!(segs[0].seq, 0);
+        let mut segs = tx.start(now).segments;
+        assert_eq!(segs.next().map(|s| s.seq), Some(0));
         // Segment 0 lost; receiver dupacks at 0 for segments 1..=3.
         let mut rtx = Vec::new();
         for _ in 0..3 {
@@ -547,9 +599,10 @@ mod tests {
         for i in 0..4 {
             now += tx.rto();
             let ops = tx.on_rto(now);
-            assert_eq!(ops.segments.len(), 1);
-            assert!(ops.segments[0].retransmit);
-            assert_eq!(ops.segments[0].seq, 0);
+            let segs: Vec<Segment> = ops.segments.collect();
+            assert_eq!(segs.len(), 1);
+            assert!(segs[0].retransmit);
+            assert_eq!(segs[0].seq, 0);
             if i > 0 {
                 assert!(tx.rto() >= last, "RTO shrank during backoff");
             }
@@ -568,7 +621,7 @@ mod tests {
         let now = SimTime::ZERO;
         let segs = tx.start(now).segments;
         let mut pending: Vec<Segment> = Vec::new();
-        for (i, seg) in segs.iter().enumerate() {
+        for (i, seg) in segs.enumerate() {
             if i == 0 {
                 continue; // lost
             }

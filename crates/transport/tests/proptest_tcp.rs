@@ -76,8 +76,8 @@ fn drive(flow: u64, seed: u64, loss: f64, dup: f64, jitter_ns: u64) -> (TcpSende
     let mut now = SimTime::ZERO;
     let mut rto_deadline: Option<SimTime> = None;
     let ops = tx.start(now);
-    for seg in &ops.segments {
-        data_pipe.send(now, *seg);
+    for seg in ops.segments {
+        data_pipe.send(now, seg);
     }
     rto_deadline = ops.arm_rto.or(rto_deadline);
 
@@ -110,8 +110,8 @@ fn drive(flow: u64, seed: u64, loss: f64, dup: f64, jitter_ns: u64) -> (TcpSende
         while ack_pipe.front().is_some_and(|&(t, _)| t <= now) {
             let (_, ack) = ack_pipe.pop_front().unwrap();
             let ops = tx.on_ack(now, ack);
-            for seg in &ops.segments {
-                data_pipe.send(now, *seg);
+            for seg in ops.segments {
+                data_pipe.send(now, seg);
             }
             if let Some(t) = ops.arm_rto {
                 rto_deadline = Some(t);
@@ -120,8 +120,8 @@ fn drive(flow: u64, seed: u64, loss: f64, dup: f64, jitter_ns: u64) -> (TcpSende
         // Fire RTO if due.
         if rto_deadline.is_some_and(|t| t <= now) {
             let ops = tx.on_rto(now);
-            for seg in &ops.segments {
-                data_pipe.send(now, *seg);
+            for seg in ops.segments {
+                data_pipe.send(now, seg);
             }
             rto_deadline = ops.arm_rto;
         }
@@ -168,7 +168,7 @@ proptest! {
         let mut rx = TcpReceiver::new();
         let mut rng = SimRng::new(seed);
         let mut now = SimTime::ZERO;
-        let mut pending: Vec<Segment> = tx.start(now).segments;
+        let mut pending: Vec<Segment> = tx.start(now).segments.collect();
         let mut guard = 0;
         while !tx.is_complete() {
             now += SimDuration::from_micros(12);

@@ -24,7 +24,7 @@ fn total_blackout_recovers_via_backed_off_rtos() {
     for round in 0..8 {
         let ops = tx.on_rto(now);
         assert_eq!(ops.segments.len(), 1, "round {round}");
-        let seg = ops.segments[0];
+        let seg = ops.segments.into_iter().next().expect("one segment");
         assert_eq!(seg.seq, 0, "una is what gets retransmitted");
         assert!(seg.retransmit);
         let deadline = ops.arm_rto.expect("timer must be re-armed");
@@ -58,14 +58,15 @@ fn partial_loss_window_resumes_where_it_left_off() {
     let cfg = TcpConfig::reorder_tolerant();
     let mut tx = TcpSender::new(cfg, 20 * cfg.mss as u64);
     let ops = tx.start(SimTime::ZERO);
-    let sent: u64 = ops.segments.iter().map(|s| s.len as u64).sum();
+    let sent: u64 = ops.segments.map(|s| s.len as u64).sum();
     assert!(sent > 0);
 
     // One MSS got through before the loss window; the rest vanished.
     let _ = tx.on_ack(us(100), cfg.mss as u64);
     let ops = tx.on_rto(us(1_500));
-    assert_eq!(ops.segments[0].seq, cfg.mss as u64, "resumes at new una");
-    assert!(ops.segments[0].retransmit);
+    let seg = ops.segments.into_iter().next().expect("a retransmission");
+    assert_eq!(seg.seq, cfg.mss as u64, "resumes at new una");
+    assert!(seg.retransmit);
 
     // Post-fault acks drain the flow to completion.
     let mut now = us(2_000);

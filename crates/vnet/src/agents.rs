@@ -290,6 +290,13 @@ pub trait HostAgent {
     /// so a reboot leaves the whole rack cold, mirroring
     /// [`SwitchAgent::reset`].
     fn reset(&mut self, _host: NodeId) {}
+
+    /// Bytes the agent holds behind its own pointers, for every host it
+    /// serves (the "nodes" part of the engine's resident bytes). Stateless
+    /// agents hold none.
+    fn resident_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// What the old host does with a packet that arrived for a VM that moved
