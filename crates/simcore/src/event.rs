@@ -26,12 +26,14 @@
 //!   behind every event with a smaller `seq`, which is an append whenever
 //!   seqs arrive in order (always, on a calendar that assigns them itself)
 //!   and a sorted walk from the head otherwise. Pop unlinks the head of
-//!   the first occupied slot at or after `now`, circularly; no two events
-//!   are compared, none is copied, and the slab stops growing once the
-//!   near population has peaked. A node holds no time: the level spans
-//!   exactly the 8192 ns from the start of `now`'s epoch, so a slot
-//!   stands for one instant, recomputed from its index and the clock, and
-//!   a node is a seq, a chain link and the payload.
+//!   the *front* slot, the first occupied one at or after `now`,
+//!   circularly, which the calendar remembers: filing into an empty slot
+//!   nearer `now` moves it, and a bitmap scan runs only when a pop empties
+//!   it. No two events are compared, none is copied, and the slab stops
+//!   growing once the near population has peaked. A node holds no time:
+//!   the level spans exactly the 8192 ns from the start of `now`'s epoch,
+//!   so a slot stands for one instant, recomputed from its index and the
+//!   clock, and a node is a seq, a chain link and the payload.
 //! * **far** — the 512 epochs after those (≈2.1 ms: gateway service
 //!   times, retransmission timers), one plain *unsorted* `Vec` per epoch,
 //!   indexed by epoch modulo 512. Scheduling is a push. An epoch's `Vec`
@@ -45,17 +47,20 @@
 //!   (long timers, pre-scheduled flow starts). Each moves into the far or
 //!   near level when the clock enters an epoch within range of it.
 //!
-//! The clock is the only cursor: the near level always covers the epoch
-//! `now` is in and the next, and `now` moves only when an event pops. When
-//! the near level is empty the next pop jumps to the epoch of the earliest
-//! far or overflow event; a bounded pop ([`EventQueue::pop_before`]) whose
-//! bound that event is not below leaves everything where it is, so a
-//! legal schedule (`at >= now`) can never land behind the near level.
+//! The clock places the levels: the near level always covers the epoch
+//! `now` is in and the next, and `now` moves only when an event pops (the
+//! front slot is a function of the clock and the bitmap, kept rather than
+//! recomputed). When the near level is empty the next pop jumps to the
+//! epoch of the earliest far or overflow event, and the first event that
+//! jump links sets the front; a bounded pop ([`EventQueue::pop_before`])
+//! whose bound that event is not below leaves everything where it is, the
+//! front too, so a legal schedule (`at >= now`) can never land behind the
+//! near level.
 //!
 //! [`EventQueue::peek_near`] hands a run loop the next event's payload
 //! without popping it, so the loop can start loading what that event will
-//! touch while the current one runs. It is a read: nothing it returns can
-//! change what pops, or when.
+//! touch while the current one runs. It is a read of the front slot's
+//! head, with no scan: nothing it returns can change what pops, or when.
 //!
 //! The old single-heap implementation survives as a `#[cfg(test)]` oracle;
 //! equivalence proptests check the two produce identical `(time, seq,
@@ -158,6 +163,9 @@ fn first_set_from(bits: &[u64], from: usize) -> Option<usize> {
 /// Invariants:
 /// * events pop in nondecreasing time order;
 /// * among equal times, in push (FIFO) order;
+/// * while the near level holds events, `front` is its first occupied slot
+///   at or after `now`'s, circularly: a pop takes its head without a scan,
+///   and scans the bitmap from there only when the slot empties;
 /// * scheduling in the past is a logic error and panics in debug builds
 ///   (in release it clamps to "now", which keeps long batch sweeps alive).
 #[derive(Debug)]
@@ -174,6 +182,11 @@ pub struct EventQueue<E> {
     free: u32,
     /// Events in the near level.
     near_len: usize,
+    /// The front slot: while `near_len > 0`, the first occupied near slot
+    /// at or after `now`'s, circularly — the slot the next pop takes from.
+    /// A link closer to `now` in ring distance moves it; a scan runs only
+    /// when a pop empties it.
+    front: usize,
     /// Far level: the unsorted events of epochs `epoch(now) + 2 ..
     /// epoch(now) + 2 + FAR_EPOCHS`; index = epoch mod `FAR_EPOCHS`.
     far: Vec<Vec<ScheduledEvent<E>>>,
@@ -212,6 +225,7 @@ impl<E> EventQueue<E> {
             nodes: Vec::new(),
             free: NIL,
             near_len: 0,
+            front: 0,
             far: (0..FAR_EPOCHS).map(|_| Vec::new()).collect(),
             far_bits: [0; FAR_EPOCHS as usize / 64],
             overflow: BinaryHeap::new(),
@@ -379,6 +393,11 @@ impl<E> EventQueue<E> {
         if head == NIL {
             self.slots[s] = (i, i);
             self.near_bits[s / 64] |= 1 << (s % 64);
+            // A newly occupied slot nearer `now` than the front becomes it
+            // (on an empty near level, whatever the front said).
+            if self.near_len == 0 || self.ahead(s) < self.ahead(self.front) {
+                self.front = s;
+            }
         } else if newest || self.nodes[tail as usize].seq <= seq {
             debug_assert!(self.nodes[tail as usize].seq < seq || !newest);
             self.nodes[tail as usize].next = i;
@@ -397,6 +416,14 @@ impl<E> EventQueue<E> {
             }
         }
         self.near_len += 1;
+    }
+
+    /// How many nanoseconds after `now` near slot `s` is due: its ring
+    /// distance from `now`'s slot. Every near event is due within the ring
+    /// from `now`, so this orders slots as their instants.
+    #[inline]
+    fn ahead(&self, s: usize) -> u64 {
+        (s as u64).wrapping_sub(self.now.as_nanos()) & NEAR_MASK
     }
 
     /// The instant near slot `s` stands for. The near level spans exactly
@@ -454,23 +481,35 @@ impl<E> EventQueue<E> {
         (t < bt).then(|| self.take(s, t))
     }
 
-    /// The slot of the earliest near-level event: the first occupied one
-    /// at or after `now`, circularly (the half of the ring behind `now`'s
-    /// epoch holds the next epoch). Precondition: near level not empty.
+    /// The slot of the earliest near-level event: the remembered front, the
+    /// first occupied one at or after `now`, circularly (the half of the
+    /// ring behind `now`'s epoch holds the next epoch). Precondition: near
+    /// level not empty.
     #[inline]
     fn front_slot(&self) -> usize {
-        first_set_from(&self.near_bits, (self.now.as_nanos() & NEAR_MASK) as usize)
-            .expect("near_len > 0 with no slot occupied")
+        debug_assert!(self.near_len > 0, "front of an empty near level");
+        debug_assert_eq!(
+            Some(self.front),
+            first_set_from(&self.near_bits, (self.now.as_nanos() & NEAR_MASK) as usize),
+            "the remembered front is not the first occupied slot"
+        );
+        self.front
     }
 
-    /// Unlinks the head of slot `s` — the earliest pending event, due at
-    /// `time` — and moves the clock to it.
+    /// Unlinks the head of slot `s` — the front, whose head is the earliest
+    /// pending event, due at `time` — and moves the clock to it. Only a
+    /// slot that empties sends the front looking for the next one, from
+    /// `s`, which is `now`'s slot from here on.
     #[inline]
     fn take(&mut self, s: usize, time: SimTime) -> ScheduledEvent<E> {
         let (ev, next) = self.release(self.slots[s].0, time);
         self.slots[s].0 = next;
         if next == NIL {
             self.near_bits[s / 64] &= !(1 << (s % 64));
+            if self.near_len > 0 {
+                self.front =
+                    first_set_from(&self.near_bits, s).expect("near_len > 0 with no slot occupied");
+            }
         }
         debug_assert!(
             ev.time >= self.now,
@@ -626,6 +665,10 @@ pub(crate) mod oracle {
 
         pub fn peek_key(&self) -> Option<(SimTime, u64)> {
             self.heap.peek().map(|e| (e.time, e.seq))
+        }
+
+        pub fn peek_payload(&self) -> Option<&E> {
+            self.heap.peek().map(|e| &e.payload)
         }
 
         pub fn peek_time(&self) -> Option<SimTime> {
@@ -990,6 +1033,7 @@ mod tests {
         let mut order = Vec::new();
         loop {
             assert_eq!(wheel.peek_key(), heap.peek_key());
+            assert_peek_near_matches(wheel, heap);
             match (wheel.pop(), heap.pop()) {
                 (None, None) => return order,
                 (Some(x), Some(y)) => {
@@ -1090,8 +1134,7 @@ mod tests {
             (far + 3 * EPOCH, 4),
             (far + FAR_SPAN, 5),
         ] {
-            wheel.schedule_at(SimTime::from_nanos(at), p);
-            heap.schedule_at(SimTime::from_nanos(at), p);
+            file_both(&mut wheel, &mut heap, at, p);
         }
         assert_eq!(wheel.occupancy_breakdown(), (1, 0, 3));
         for expect in [0, 1] {
@@ -1102,8 +1145,7 @@ mod tests {
         // The overflow events came within the far span on the way.
         assert_eq!(wheel.occupancy_breakdown(), (0, 2, 0));
         for (at, p) in [(far + 1, 2u32), (far + EPOCH, 3)] {
-            wheel.schedule_at(SimTime::from_nanos(at), p);
-            heap.schedule_at(SimTime::from_nanos(at), p);
+            file_both(&mut wheel, &mut heap, at, p);
         }
         assert_eq!(drain_both(&mut wheel, &mut heap), vec![2, 3, 4, 5]);
     }
@@ -1115,11 +1157,7 @@ mod tests {
         // some share a near slot index (8192 ns apart).
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
-        let file = |wheel: &mut EventQueue<u32>, heap: &mut HeapQueue<u32>, at: u64, p: u32| {
-            wheel.schedule_at(SimTime::from_nanos(at), p);
-            heap.schedule_at(SimTime::from_nanos(at), p);
-        };
-        file(&mut wheel, &mut heap, 3 * EPOCH + 100, 0);
+        file_both(&mut wheel, &mut heap, 3 * EPOCH + 100, 0);
         assert_eq!(drain_both(&mut wheel, &mut heap), vec![0]);
         // Filed in the next epoch (one 4096 ns ahead of the clock, one in
         // its last nanosecond), in the current one's last nanosecond, at the
@@ -1132,7 +1170,7 @@ mod tests {
             (5 * EPOCH + 100, 4),
             (5 * EPOCH - 1, 5),
         ] {
-            file(&mut wheel, &mut heap, at, p);
+            file_both(&mut wheel, &mut heap, at, p);
         }
         assert_eq!(wheel.occupancy_breakdown(), (4, 1, 0));
         assert_eq!(wheel.peek_near(), Some(&2));
@@ -1156,7 +1194,7 @@ mod tests {
         // to the start of its event's, and reads its instant from there.
         let far = (FAR_EPOCHS + 40) * EPOCH + EPOCH - 1;
         for (at, p) in [(far, 6), (far + 1, 7), (far + EPOCH, 8)] {
-            file(&mut wheel, &mut heap, at, p);
+            file_both(&mut wheel, &mut heap, at, p);
         }
         assert_eq!(wheel.peek_near(), None, "nothing is near before the jump");
         let e = wheel.pop().expect("three pending");
@@ -1166,8 +1204,125 @@ mod tests {
         assert_eq!(drain_both(&mut wheel, &mut heap), vec![7, 8]);
     }
 
+    /// Files `p` at `at` in both calendars.
+    fn file_both(wheel: &mut EventQueue<u32>, heap: &mut HeapQueue<u32>, at: u64, p: u32) {
+        wheel.schedule_at(SimTime::from_nanos(at), p);
+        heap.schedule_at(SimTime::from_nanos(at), p);
+    }
+
+    #[test]
+    fn a_slot_filed_ahead_of_the_front_in_its_epoch_becomes_the_front() {
+        let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
+        file_both(&mut wheel, &mut heap, 200, 9);
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![9]);
+        file_both(&mut wheel, &mut heap, 700, 0);
+        assert_eq!(wheel.peek_near(), Some(&0));
+        file_both(&mut wheel, &mut heap, 300, 1);
+        assert_eq!(wheel.peek_near(), Some(&1), "a nearer slot is the front");
+        // Into the front slot, and into a slot between it and the old one:
+        // neither moves it.
+        file_both(&mut wheel, &mut heap, 300, 2);
+        file_both(&mut wheel, &mut heap, 500, 3);
+        assert_eq!(wheel.peek_near(), Some(&1));
+        // The clock's own slot is the nearest there is.
+        file_both(&mut wheel, &mut heap, 200, 4);
+        assert_eq!(wheel.peek_near(), Some(&4));
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![4, 1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn the_front_is_nearest_by_ring_distance_not_by_slot_index() {
+        // The clock in epoch 1 (slot 4196): the next epoch's slots wrap to
+        // the bottom of the ring, numerically below the clock's.
+        let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
+        file_both(&mut wheel, &mut heap, EPOCH + 100, 9);
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![9]);
+        file_both(&mut wheel, &mut heap, EPOCH + 3000, 0);
+        file_both(&mut wheel, &mut heap, 2 * EPOCH + 50, 1);
+        assert_eq!(
+            wheel.peek_near(),
+            Some(&0),
+            "slot 50 is next epoch's, behind slot 7096"
+        );
+        // Once 0 pops, the scan wraps to slot 50; a slot later in the
+        // current epoch, numerically above it, is still nearer.
+        assert_eq!(wheel.pop().map(|e| e.payload), Some(0));
+        heap.pop();
+        assert_eq!(wheel.peek_near(), Some(&1));
+        file_both(&mut wheel, &mut heap, EPOCH + 4000, 2);
+        assert_eq!(wheel.peek_near(), Some(&2));
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![2, 1]);
+    }
+
+    #[test]
+    fn a_schedule_before_a_parked_front_becomes_the_front() {
+        let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
+        file_both(&mut wheel, &mut heap, 10, 0);
+        file_both(&mut wheel, &mut heap, 1000, 1);
+        let bt = SimTime::from_nanos(900);
+        assert_eq!(wheel.pop_before(bt).map(|e| e.payload), Some(0));
+        heap.pop();
+        // Parked: the front stays at 1000, the clock at 10.
+        assert!(wheel.pop_before(bt).is_none());
+        assert_eq!(wheel.peek_near(), Some(&1));
+        file_both(&mut wheel, &mut heap, 500, 2);
+        assert_eq!(wheel.peek_near(), Some(&2));
+        file_both(&mut wheel, &mut heap, 10, 3);
+        assert_eq!(wheel.peek_near(), Some(&3));
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![3, 2, 1]);
+    }
+
+    #[test]
+    fn an_out_of_order_seq_filed_into_the_front_slot_is_peeked_first() {
+        let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
+        let mut both = |at: u64, seq: u64, p: u32| {
+            wheel.schedule_at_seq(SimTime::from_nanos(at), seq, p);
+            heap.schedule_at_seq(SimTime::from_nanos(at), seq, p);
+        };
+        both(40, 5, 0);
+        both(60, 1, 1);
+        both(40, 2, 2); // the front slot's new head
+        both(40, 3, 3); // between its head and tail
+        assert_eq!(wheel.peek_near(), Some(&2));
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![2, 3, 0, 1]);
+    }
+
+    #[test]
+    fn a_jump_over_empty_epochs_finds_the_front_among_what_it_links() {
+        // Two events of one far epoch, the later filed (and so linked)
+        // first, and an overflow event that a second jump files straight
+        // into an empty near level.
+        let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
+        let far = 40 * EPOCH;
+        let over = (FAR_EPOCHS + 300) * EPOCH + 7;
+        for (at, p) in [
+            (far + 20, 1),
+            (far + 10, 0),
+            (far + EPOCH + 5, 2),
+            (over, 3),
+        ] {
+            file_both(&mut wheel, &mut heap, at, p);
+        }
+        assert_eq!(wheel.occupancy_breakdown(), (0, 3, 1));
+        assert_eq!(wheel.peek_near(), None, "nothing is near before the jump");
+        assert_eq!(wheel.pop().map(|e| e.payload), Some(0));
+        heap.pop();
+        assert_eq!(wheel.peek_near(), Some(&1));
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![1, 2, 3]);
+        assert_eq!(wheel.now(), SimTime::from_nanos(over));
+    }
+
+    /// `peek_near` is the oracle's next payload whenever the near level
+    /// holds events (the next one is then among them), and `None` only when
+    /// it holds none.
+    fn assert_peek_near_matches(wheel: &EventQueue<u32>, heap: &HeapQueue<u32>) {
+        let (near, _, _) = wheel.occupancy_breakdown();
+        let want = if near > 0 { heap.peek_payload() } else { None };
+        assert_eq!(wheel.peek_near(), want, "{near} near events");
+    }
+
     /// Replays one op tape against both calendars and compares every
-    /// observable: peek, pop sequence (time, seq, payload), now.
+    /// observable: peek, near peek, pop sequence (time, seq, payload), now.
     fn check_equivalence(ops: &[(u16, u8)]) {
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
@@ -1196,9 +1351,11 @@ mod tests {
                 next_payload += 1;
             }
             assert_eq!(wheel.peek_time(), heap.peek_time());
+            assert_peek_near_matches(&wheel, &heap);
         }
         // Drain both to the end.
         loop {
+            assert_peek_near_matches(&wheel, &heap);
             match (wheel.pop(), heap.pop()) {
                 (None, None) => break,
                 (Some(x), Some(y)) => {
@@ -1260,12 +1417,14 @@ mod tests {
                 }
             }
             assert_eq!(wheel.peek_key(), heap.peek_key());
+            assert_peek_near_matches(&wheel, &heap);
             assert_eq!(wheel.len(), heap.len());
             assert_eq!(wheel.now(), heap.now());
             let (ready, parked, overflow) = wheel.occupancy_breakdown();
             assert_eq!(ready + parked + overflow, wheel.len());
         }
         loop {
+            assert_peek_near_matches(&wheel, &heap);
             match (wheel.pop(), heap.pop()) {
                 (None, None) => break,
                 (Some(x), Some(y)) => {

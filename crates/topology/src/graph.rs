@@ -216,7 +216,8 @@ impl Shape {
 
 /// The egress ports of one node in link-id order ([`Topology::out_links`]):
 /// at most three runs of link ids, each an arithmetic progression. Routing
-/// reads a run, or one port of it, without iterating ([`Ports::port`]).
+/// reads a run, or one port of it, without iterating ([`Ports::span`],
+/// [`Ports::port`]).
 #[derive(Debug, Clone)]
 pub struct Ports {
     /// `(first id, step, count)` of each run.
@@ -238,11 +239,10 @@ impl Ports {
         LinkId(first + step * i)
     }
 
-    /// Every port of run `k`, in order, wherever the iterator is.
+    /// Run `k` as `(first id, step, count)`: port `i` is `first + step * i`.
     #[inline]
-    pub fn run(&self, k: usize) -> impl ExactSizeIterator<Item = LinkId> {
-        let (first, step, count) = self.runs[k];
-        (0..count).map(move |i| LinkId(first + step * i))
+    pub fn span(&self, k: usize) -> (u32, u32, u32) {
+        self.runs[k]
     }
 }
 
@@ -430,7 +430,7 @@ impl Topology {
     }
 
     /// The egress ports of `node`, in link-id order, as runs
-    /// ([`Ports::run`]): a core's down to each pod (run 0); a spine's up to
+    /// ([`Ports::span`]): a core's down to each pod (run 0); a spine's up to
     /// its core group (0), then down to each rack (1); a ToR's up to each
     /// spine (0), down to each server (1), then to the pod's gateways if it
     /// is the gateway ToR (2); a host's one uplink (0).
@@ -570,7 +570,8 @@ impl Topology {
     }
 
     /// The directed link from `a` to `b`, if adjacent: a scan of `a`'s
-    /// ports. Forwarding picks a port of a run ([`Ports::port`]), not this.
+    /// ports. Forwarding picks a member of a run ([`Ports::span`],
+    /// [`Ports::port`]), not this.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
         self.out_links(a).find(|&l| self.link_to(l) == b)
     }
@@ -748,10 +749,14 @@ mod tests {
             assert_eq!(topo.out_links(n.id).len(), ports.len());
             let mut runs = topo.out_links(n.id);
             runs.next(); // the accessors read the runs as built
-            let by_run: Vec<LinkId> = (0..3).flat_map(|k| runs.run(k)).collect();
+            let run = |k| {
+                let (first, step, count) = runs.span(k);
+                (0..count).map(move |i| LinkId(first + step * i))
+            };
+            let by_run: Vec<LinkId> = (0..3).flat_map(run).collect();
             assert_eq!(by_run, ports, "{n:?}");
             for k in 0..3 {
-                for (i, l) in runs.run(k).enumerate() {
+                for (i, l) in run(k).enumerate() {
                     assert_eq!(runs.port(k, i as u32), l, "{n:?} run {k}");
                 }
             }

@@ -25,6 +25,10 @@ const UP: usize = 0;
 const SPINE_DOWN: usize = 1;
 const CORE_DOWN: usize = 0;
 
+/// A group of equal-cost links as `(first id, step, count)`, the shape of
+/// a port run ([`crate::graph::Ports::span`]).
+type Run = (u32, u32, u32);
+
 /// ECMP router over a built FatTree: the two numbers of its shape that a
 /// port run does not carry.
 #[derive(Debug, Clone)]
@@ -53,28 +57,38 @@ impl Routing {
     #[inline]
     pub fn candidates_into(&self, topo: &Topology, at: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         out.clear();
+        let (first, step, count) = self.group(topo, at, dst);
+        out.extend((0..count).map(|i| LinkId(first + step * i)));
+    }
+
+    /// The equal-cost egress links from `at` toward `dst` as one run
+    /// `(first id, step, count)`: member `i` is `first + step * i`, and
+    /// a single port is a run of one (`count` 0 iff `at == dst`). Every
+    /// group is a whole port run of `at` or one port of it.
+    #[inline]
+    fn group(&self, topo: &Topology, at: NodeId, dst: NodeId) -> Run {
+        const EMPTY: Run = (0, 0, 0);
+        let one = |l: LinkId| (l.0, 0, 1);
         if at == dst {
-            return;
+            return EMPTY;
         }
         let dst_kind = topo.kind(dst);
         let at_kind = topo.kind(at);
         let m = u32::from(self.m);
         match at_kind {
             NodeKind::Server { .. } | NodeKind::Gateway { .. } => {
-                out.extend(topo.attachment(at_kind).map(|(_, up)| up));
+                topo.attachment(at_kind).map_or(EMPTY, |(_, up)| one(up))
             }
             NodeKind::Tor { pod, .. } => match (dst_kind, topo.attachment(dst_kind)) {
                 // A host directly attached below me: its uplink's twin.
-                (_, Some((tor, up))) if tor == at => out.push(up.twin()),
+                (_, Some((tor, up))) if tor == at => one(up.twin()),
                 (NodeKind::Spine { pod: dp, idx }, _) if dp == pod => {
-                    out.push(topo.out_links(at).port(UP, u32::from(idx)));
+                    one(topo.out_links(at).port(UP, u32::from(idx)))
                 }
                 // Only the spine of group idx/m reaches that core.
-                (NodeKind::Core { idx }, _) => {
-                    out.push(topo.out_links(at).port(UP, u32::from(idx) / m));
-                }
+                (NodeKind::Core { idx }, _) => one(topo.out_links(at).port(UP, u32::from(idx) / m)),
                 // Anywhere else: up to any spine of the pod.
-                _ => out.extend(topo.out_links(at).run(UP)),
+                _ => topo.out_links(at).span(UP),
             },
             NodeKind::Spine { pod, idx } => {
                 let ports = topo.out_links(at);
@@ -83,33 +97,31 @@ impl Routing {
                     NodeKind::Server { pod: dp, rack, .. } | NodeKind::Tor { pod: dp, rack }
                         if dp == pod =>
                     {
-                        out.push(ports.port(SPINE_DOWN, u32::from(rack)));
+                        one(ports.port(SPINE_DOWN, u32::from(rack)))
                     }
                     NodeKind::Gateway { pod: dp, .. } if dp == pod => {
-                        out.push(ports.port(SPINE_DOWN, u32::from(self.gateway_rack)));
+                        one(ports.port(SPINE_DOWN, u32::from(self.gateway_rack)))
                     }
                     // A sibling spine: bounce through any ToR below.
-                    NodeKind::Spine { pod: dp, .. } if dp == pod => {
-                        out.extend(ports.run(SPINE_DOWN));
-                    }
+                    NodeKind::Spine { pod: dp, .. } if dp == pod => ports.span(SPINE_DOWN),
                     // A core I connect to directly; otherwise bounce down.
                     NodeKind::Core { idx: c } if c / self.m == idx => {
-                        out.push(ports.port(UP, u32::from(c) % m));
+                        one(ports.port(UP, u32::from(c) % m))
                     }
-                    NodeKind::Core { .. } => out.extend(ports.run(SPINE_DOWN)),
+                    NodeKind::Core { .. } => ports.span(SPINE_DOWN),
                     // Another pod: up to my core group.
-                    _ => out.extend(ports.run(UP)),
+                    _ => ports.span(UP),
                 }
             }
             NodeKind::Core { .. } => {
                 let ports = topo.out_links(at);
                 match dst_kind.pod() {
                     // Down to the dst pod through my group's spine there.
-                    Some(p) => out.push(ports.port(CORE_DOWN, u32::from(p))),
+                    Some(p) => one(ports.port(CORE_DOWN, u32::from(p))),
                     // Core-to-core: descend into some pod and re-ascend.
                     // Rare (only mis-addressed control traffic); every
                     // pod's group spine is a candidate.
-                    None => out.extend(ports.run(CORE_DOWN)),
+                    None => ports.span(CORE_DOWN),
                 }
             }
         }
@@ -121,8 +133,10 @@ impl Routing {
     /// skips the test. Unusable members are masked out of the group
     /// before hashing, so flows rehash onto the surviving ports; `None`
     /// when every candidate is down (the packet is unroutable) or
-    /// `at == dst`. `scratch` is the caller's candidate buffer, so a hop
-    /// allocates nothing once it has grown to the widest group.
+    /// `at == dst`. With every link up the pick is computed from the
+    /// group's run and `scratch` is left alone; otherwise `scratch` is the
+    /// caller's candidate buffer, so a hop allocates nothing once it has
+    /// grown to the widest group.
     #[inline]
     pub fn next_link(
         &self,
@@ -133,10 +147,17 @@ impl Routing {
         usable: Option<&dyn Fn(LinkId) -> bool>,
         scratch: &mut Vec<LinkId>,
     ) -> Option<LinkId> {
+        let Some(usable) = usable else {
+            return match self.group(topo, at, dst) {
+                (_, _, 0) => None,
+                (only, _, 1) => Some(LinkId(only)),
+                (first, step, count) => Some(LinkId(
+                    first + step * (ecmp_hash(at, key) % u64::from(count)) as u32,
+                )),
+            };
+        };
         self.candidates_into(topo, at, dst, scratch);
-        if let Some(usable) = usable {
-            scratch.retain(|&l| usable(l));
-        }
+        scratch.retain(|&l| usable(l));
         ecmp_pick(at, key, scratch)
     }
 
@@ -170,10 +191,16 @@ impl Routing {
 #[inline]
 fn ecmp_pick(at: NodeId, key: u64, group: &[LinkId]) -> Option<LinkId> {
     match *group {
-        [] => return None,
-        [only] => return Some(only),
-        _ => {}
+        [] => None,
+        [only] => Some(only),
+        _ => Some(group[(ecmp_hash(at, key) % group.len() as u64) as usize]),
     }
+}
+
+/// The flow key's ECMP hash at switch `at`; a group of `n` members picks
+/// member `hash % n`.
+#[inline]
+fn ecmp_hash(at: NodeId, key: u64) -> u64 {
     // Mix the switch id into the hash, as real ASICs seed their ECMP
     // hash per switch — otherwise the same low bits would pick
     // correlated members at every layer and only a fraction of the
@@ -182,7 +209,7 @@ fn ecmp_pick(at: NodeId, key: u64, group: &[LinkId]) -> Option<LinkId> {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
-    Some(group[(h % group.len() as u64) as usize])
+    h
 }
 
 /// The router as it was before port runs: every rule resolves its next hop
@@ -585,38 +612,51 @@ mod tests {
         assert_runs_match_rules(&cfg);
     }
 
-    /// Every switch of `cfg` toward every node, under keys drawn from
-    /// `seed`: the pick with every link up (no usable test) is the pick
-    /// with a test that passes every link, and a one-member group's pick
-    /// is its member, whatever the switch and key.
-    fn assert_all_up_pick_skips_nothing(cfg: &FatTreeConfig, seed: u64) {
+    /// Every sender of `cfg` (every node, or its switches alone) toward
+    /// every node, under keys drawn from `seed`: the pick with every link
+    /// up (no usable test) is the ECMP pick over the group
+    /// `candidates_into` writes and the pick with a test that passes every
+    /// link, it leaves the scratch buffer as it found it, and a one-member
+    /// group's pick is its member, whatever the switch and key.
+    fn assert_run_pick_is_the_group_pick(cfg: &FatTreeConfig, seed: u64, hosts_too: bool) {
         let topo = cfg.build();
         let r = Routing::new(cfg, &topo);
         let mut rng = sv2p_simcore::SimRng::new(seed);
-        let (mut fast, mut tested) = (Vec::new(), Vec::new());
+        let (mut group, mut tested) = (Vec::new(), Vec::new());
+        let mut untouched = vec![LinkId(u32::MAX)];
         let mut singles = 0;
-        for at in topo.switches().map(|n| n.id) {
+        for at in topo.nodes().filter(|n| hosts_too || n.kind.is_switch()) {
+            let at = at.id;
             for dst in topo.nodes().map(|n| n.id) {
                 let key = rng.next_u64_raw();
-                let pick = r.next_link(&topo, at, dst, key, None, &mut fast);
+                let pick = r.next_link(&topo, at, dst, key, None, &mut untouched);
+                r.candidates_into(&topo, at, dst, &mut group);
                 let want = r.next_link(&topo, at, dst, key, Some(&|_| true), &mut tested);
-                assert_eq!(pick, want, "{:?} -> {:?}", topo.kind(at), topo.kind(dst));
-                if let [only] = *tested {
+                let pair = (topo.kind(at), topo.kind(dst));
+                assert_eq!(pick, ecmp_pick(at, key, &group), "{pair:?}");
+                assert_eq!(pick, want, "{pair:?}");
+                if let [only] = *group {
                     assert_eq!(pick, Some(only));
                     singles += 1;
                 }
             }
         }
+        assert_eq!(
+            untouched,
+            [LinkId(u32::MAX)],
+            "the all-up pick wrote its scratch"
+        );
+        assert_eq!(untouched.capacity(), 1, "the all-up pick grew its scratch");
         assert!(singles > 0, "no one-member group on {cfg:?}");
     }
 
-    /// Over every pair of the two fabrics, so a fixed key stream rather
-    /// than a proptest: `PROPTEST_CASES` would multiply a pass over
-    /// FT16's 8.4 M pairs.
+    /// Over every pair of FT8 and every switch's of FT16, so a fixed key
+    /// stream rather than a proptest: `PROPTEST_CASES` would multiply a
+    /// pass over FT16's 8.4 M pairs.
     #[test]
     fn the_all_links_up_pick_is_the_filtered_pick_on_ft8_and_ft16() {
-        assert_all_up_pick_skips_nothing(&FatTreeConfig::ft8_10k(), 8);
-        assert_all_up_pick_skips_nothing(&FatTreeConfig::ft16_400k(), 16);
+        assert_run_pick_is_the_group_pick(&FatTreeConfig::ft8_10k(), 8, true);
+        assert_run_pick_is_the_group_pick(&FatTreeConfig::ft16_400k(), 16, false);
     }
 
     proptest::proptest! {
@@ -638,6 +678,15 @@ mod tests {
         #[test]
         fn runs_match_link_between_rules_on_random_fabrics(cfg in arb_config()) {
             assert_runs_match_rules(&cfg);
+        }
+
+        /// The same shapes, every ordered pair, under random keys.
+        #[test]
+        fn the_all_links_up_pick_is_the_group_pick_on_random_fabrics(
+            cfg in arb_config(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            assert_run_pick_is_the_group_pick(&cfg, seed, true);
         }
     }
 }
