@@ -68,7 +68,7 @@ pub(crate) enum Event {
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() == 12);
-const _: () = assert!(EventQueue::<Event>::NODE_BYTES == 24);
+const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES == 24);
 const _: () = assert!(std::mem::size_of::<sv2p_simcore::ScheduledEvent<Event>>() == 32);
 // A link's state and its topology entry (its far end) are one per
 // directed link, 75 072 on FT32: its constants live in its class, its

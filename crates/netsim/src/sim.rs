@@ -506,8 +506,7 @@ impl Shard {
         let placement = &ctl.placement;
         let src_vip = placement.vip_of(src_vm);
         let dst_vip = placement.vip_of(dst_vm);
-        let src_node = placement.node_of(src_vm);
-        let src_pip = placement.pip_of(src_vm);
+        let (src_pip, src_node) = placement.host(src_vm);
         let proto = if spec.is_tcp() {
             Protocol::Tcp
         } else {

@@ -11,62 +11,68 @@
 //!
 //! A binary heap pays `O(log n)` comparisons per operation, each moving a
 //! full event payload. Simulation events are overwhelmingly near-future
-//! (link serializations, per-hop delays: nine in ten fire within 1.1 µs)
-//! and dense — the fat-tree runs execute about two events per simulated
-//! nanosecond — so the calendar files an event once, where it will be
-//! popped from, and compares almost nothing. Time is cut into *epochs* of
-//! 4096 ns and an event goes to one of three levels by how many epochs
-//! ahead of the clock it is due:
+//! (link serializations, per-hop delays: nine in ten fire within 1.1 µs,
+//! and almost none less than 1 µs ahead) and dense — the fat-tree runs
+//! execute about two events per simulated nanosecond — so the calendar
+//! files an event once, near where it will be popped from, and compares
+//! almost nothing. Time is cut into *epochs* of 4096 ns and an event goes
+//! to one of three levels by how many epochs ahead of the clock it is due:
 //!
-//! * **near** — the epoch `now` is in and the next one: one slot per
-//!   nanosecond (8192 slots, indexed by time modulo the slot count, with
-//!   an occupancy bitmap), each an intrusive FIFO threaded through one
-//!   node slab with a LIFO free list. Every event of a slot fires at the
-//!   same instant, so a slot is ordered by `seq` alone: an event is linked
-//!   behind every event with a smaller `seq`, which is an append whenever
-//!   seqs arrive in order (always, on a calendar that assigns them itself)
-//!   and a sorted walk from the head otherwise. Pop unlinks the head of
-//!   the *front* slot, the first occupied one at or after `now`,
-//!   circularly, which the calendar remembers: filing into an empty slot
-//!   nearer `now` moves it, and a bitmap scan runs only when a pop empties
-//!   it. No two events are compared, none is copied, and the slab stops
-//!   growing once the near population has peaked. A node holds no time:
-//!   the level spans exactly the 8192 ns from the start of `now`'s epoch,
-//!   so a slot stands for one instant, recomputed from its index and the
-//!   clock, and a node is a seq, a chain link and the payload.
+//! * **near** — the epoch `now` is in and the next: a ring of 16 *buckets*
+//!   of 512 ns (`BUCKET_SHIFT`), indexed by time modulo the ring. A
+//!   schedule appends a 24-byte entry — seq, payload and the event's
+//!   nanosecond in the ring — to its bucket, in filing order. A bucket is
+//!   *settled* once, by the pop that empties the run before it (or, when
+//!   the near level was empty, by the pop that reaches it): a stable
+//!   counting sort on the nanosecond moves its entries into the *run*,
+//!   latest first, so a pop is a `Vec::pop` and the next events lie side
+//!   by side behind it.
+//!   Entries filed in seq order stay in seq order within their nanosecond;
+//!   a bucket that was handed a seq below one filed before it (by
+//!   [`EventQueue::schedule_at_seq`] or a far-level pull) is marked
+//!   *mixed*, and its settle also sorts each nanosecond by seq. The rare
+//!   schedule due before the run's bucket ends goes into the run in
+//!   `(time, seq)` order. A bucket grows in chunks of `CHUNK` entries,
+//!   which a settle hands back for the next schedules (up to
+//!   `SPARE_CHUNKS` of them), so the level holds about as many entries
+//!   as are pending, plus one bucket's worth in the run. An entry holds no
+//!   time: the level spans exactly the 8192 ns from the start of `now`'s
+//!   epoch, so its nanosecond in the ring and the clock give its instant.
 //! * **far** — the 512 epochs after those (≈2.1 ms: gateway service
 //!   times, retransmission timers), one plain *unsorted* `Vec` per epoch,
 //!   indexed by epoch modulo 512. Scheduling is a push. An epoch's `Vec`
-//!   is taken — allocation and all — and linked into the near level when a
-//!   pop carries `now` into the epoch before it. Far events stay out of
-//!   the slab on purpose: they wait epochs for their turn, and the slab
-//!   never shrinks. A flow has one retransmission timer here, not one per
-//!   ACK: a re-arm reserves its seq and files nothing until the filed
-//!   event pops (`netsim::flows::LazyRto`).
+//!   is taken — allocation and all — and appended to the near level's
+//!   buckets when a pop carries `now` into the epoch before it. A flow has
+//!   one retransmission timer here, not one per ACK: a re-arm reserves its
+//!   seq and files nothing until the filed event pops
+//!   (`netsim::flows::LazyRto`).
 //! * **overflow** — a binary heap for the rare events beyond that
 //!   (long timers, pre-scheduled flow starts). Each moves into the far or
 //!   near level when the clock enters an epoch within range of it.
 //!
 //! The clock places the levels: the near level always covers the epoch
-//! `now` is in and the next, and `now` moves only when an event pops (the
-//! front slot is a function of the clock and the bitmap, kept rather than
-//! recomputed). When the near level is empty the next pop jumps to the
-//! epoch of the earliest far or overflow event, and the first event that
-//! jump links sets the front; a bounded pop ([`EventQueue::pop_before`])
-//! whose bound that event is not below leaves everything where it is, the
-//! front too, so a legal schedule (`at >= now`) can never land behind the
-//! near level.
+//! `now` is in and the next, and `now` moves only when an event pops. When
+//! the near level is empty the next pop jumps to the epoch of the earliest
+//! far or overflow event; a bounded pop ([`EventQueue::pop_before`]) whose
+//! bound that event is not below leaves everything where it is, so a legal
+//! schedule (`at >= now`) can never land behind the near level. The run
+//! is often ahead of the clock — settled by the pop before its first
+//! event, or by a bounded pop that then parks — and a schedule between the
+//! two goes into the run, in order, like any other schedule before the
+//! run's end.
 //!
 //! [`EventQueue::peek_near`] hands a run loop the next event's payload
 //! without popping it, so the loop can start loading what that event will
-//! touch while the current one runs. It is a read of the front slot's
-//! head, with no scan: nothing it returns can change what pops, or when.
+//! touch while the current one runs. After a pop it reads the run's last
+//! entry; only after a schedule into an empty near level, before the pop
+//! that settles it, does it scan the bucket, as [`EventQueue::peek_key`]
+//! does. Nothing it returns can change what pops, or when.
 //!
 //! The old single-heap implementation survives as a `#[cfg(test)]` oracle;
 //! equivalence proptests check the two produce identical `(time, seq,
-//! payload)` pop sequences on random schedules, including same-timestamp
-//! ties, far-future overflow events, externally assigned seqs arriving out
-//! of order and bounded pops.
+//! payload)` pop sequences and look-aheads on random schedules, including
+//! same-timestamp ties, far-future overflow events, externally assigned
+//! seqs arriving out of order and bounded pops.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -112,16 +118,36 @@ impl<E> Ord for ScheduledEvent<E> {
 /// serialization plus the 1 µs propagation) stays within the two epochs of
 /// the near level and is filed exactly once.
 const EPOCH_SHIFT: u32 = 12;
-/// Near-level slots: one per nanosecond of two epochs (a power of two, so
-/// the ring index is a mask).
-const NEAR_SLOTS: usize = 2 << EPOCH_SHIFT;
-/// Ring-index mask of the near level.
-const NEAR_MASK: u64 = NEAR_SLOTS as u64 - 1;
+/// Ring-index mask of the near level's nanoseconds: it spans two epochs
+/// (a power of two, so the ring index is a mask).
+const NEAR_MASK: u64 = (2 << EPOCH_SHIFT) - 1;
+/// log2 of a near bucket's width: 512 ns, about half a link delay, so a
+/// schedule lands two or three buckets ahead of the one being popped and
+/// a settle sorts a few hundred entries.
+const BUCKET_SHIFT: u32 = 9;
+/// A near bucket's width in nanoseconds: the counting sort's key range.
+const BUCKET_NS: usize = 1 << BUCKET_SHIFT;
+/// Buckets in the near ring.
+const NEAR_BUCKETS: usize = 2 << (EPOCH_SHIFT - BUCKET_SHIFT);
+const _: () = assert!(NEAR_BUCKETS <= 64, "the near bitmap is one word");
 /// Epochs of the far level: 512 × 4096 ns ≈ 2.1 ms, wide enough that only
 /// long timers and pre-scheduled flow starts overflow.
 const FAR_EPOCHS: u64 = 512;
-/// "No node": an empty slot's head, the end of a chain or of the free list.
-const NIL: u32 = u32::MAX;
+/// Entries per chunk of a near bucket: a bucket grows a chunk at a time,
+/// so it holds at most one chunk more than its entries need, and every
+/// chunk fits every bucket. 3 KB: half the size read 0.1 MB more peak RSS
+/// on `ft8-hadoop`.
+const CHUNK: usize = 128;
+/// Spent chunks kept for the next schedules: more than a settle frees at
+/// once on any benchmarked fabric (the largest settled bucket holds 969
+/// entries on `ft16-alibaba-gw`, 1 299 on `ft8-churn`, 2 497 on
+/// `ft8-hadoop` and 2 882 on `ft32-hadoop`: 23 chunks). Beyond these, a
+/// spent chunk goes back to the allocator.
+const SPARE_CHUNKS: usize = 32;
+/// The largest run buffer, in entries, kept once its run is popped: a
+/// burst's goes back to the allocator. Above every benchmarked fabric's
+/// largest bucket (see [`SPARE_CHUNKS`]), so only a burst ever regrows it.
+const RUN_ENTRIES: usize = 4096;
 
 /// The epoch an instant falls in.
 #[inline]
@@ -129,18 +155,26 @@ fn epoch_of(t: SimTime) -> u64 {
     t.as_nanos() >> EPOCH_SHIFT
 }
 
-/// One slab entry: a pending near-level event in its slot's chain, or a
-/// free entry in the free list (`payload` is `None`). It holds no time:
-/// every event of a near slot is due at the one instant the slot stands
-/// for ([`EventQueue::slot_time`]).
+/// A pending near-level event: its seq, its nanosecond in the near ring
+/// (`time & NEAR_MASK`) and the payload. It holds no time: the ring
+/// position and the clock give it ([`EventQueue::ring_time`]).
 #[derive(Debug)]
-struct Node<E> {
+struct Entry<E> {
     seq: u64,
-    /// The next node of the chain (or of the free list), or [`NIL`].
-    next: u32,
-    /// `Option` so a pop can move the payload out of a slab that keeps the
-    /// entry; for an enum payload with a spare tag value it costs no bytes.
+    ns: u32,
+    /// `Option` so a settle can scatter entries into a buffer of vacant
+    /// ones; for an enum payload with a spare tag value it costs no bytes.
     payload: Option<E>,
+}
+
+impl<E> Entry<E> {
+    fn vacant() -> Self {
+        Entry {
+            seq: 0,
+            ns: 0,
+            payload: None,
+        }
+    }
 }
 
 /// The first set bit at or after bit `from`, circularly, of a bitmap of
@@ -163,30 +197,35 @@ fn first_set_from(bits: &[u64], from: usize) -> Option<usize> {
 /// Invariants:
 /// * events pop in nondecreasing time order;
 /// * among equal times, in push (FIFO) order;
-/// * while the near level holds events, `front` is its first occupied slot
-///   at or after `now`'s, circularly: a pop takes its head without a scan,
-///   and scans the bitmap from there only when the slot empties;
+/// * the run — the settled bucket's unpopped entries — is in `(time, seq)`
+///   order, latest first, and every event in it is due before every event
+///   in the near buckets: a pop takes its last entry without a look at
+///   anything else;
+/// * after a pop the run is empty only if the near level is;
 /// * scheduling in the past is a logic error and panics in debug builds
 ///   (in release it clamps to "now", which keeps long batch sweeps alive).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Near level: `(head, tail)` node of each nanosecond's FIFO, sorted by
-    /// `seq`; index = time & `NEAR_MASK`; head [`NIL`] when empty (the tail
-    /// is then stale).
-    slots: Box<[(u32, u32); NEAR_SLOTS]>,
-    /// One bit per near slot: chain non-empty.
-    near_bits: [u64; NEAR_SLOTS / 64],
-    /// The slab the near level's chains and the free list run through.
-    nodes: Vec<Node<E>>,
-    /// Head of the LIFO free list.
-    free: u32,
-    /// Events in the near level.
+    /// The settled bucket's unpopped entries, latest first.
+    run: Vec<Entry<E>>,
+    /// The end of the settled bucket while `run` holds entries (`ZERO`
+    /// otherwise): an event due before it is filed into `run`.
+    run_end: SimTime,
+    /// Near level: each bucket's unsettled entries in filing order, in
+    /// chunks of [`CHUNK`] (none empty); index = (time & `NEAR_MASK`) >>
+    /// `BUCKET_SHIFT`.
+    buckets: [Vec<Vec<Entry<E>>>; NEAR_BUCKETS],
+    /// One bit per near bucket: non-empty.
+    near_bits: u64,
+    /// One bit per near bucket: filed a seq below one filed before it.
+    mixed_bits: u64,
+    /// Empty chunks kept for the next schedules, at most [`SPARE_CHUNKS`].
+    spare: Vec<Vec<Entry<E>>>,
+    /// The settle's counting-sort table, one counter per nanosecond of a
+    /// bucket.
+    counts: [u32; BUCKET_NS],
+    /// Events in the near level, the run included.
     near_len: usize,
-    /// The front slot: while `near_len > 0`, the first occupied near slot
-    /// at or after `now`'s, circularly — the slot the next pop takes from.
-    /// A link closer to `now` in ring distance moves it; a scan runs only
-    /// when a pop empties it.
-    front: usize,
     /// Far level: the unsorted events of epochs `epoch(now) + 2 ..
     /// epoch(now) + 2 + FAR_EPOCHS`; index = epoch mod `FAR_EPOCHS`.
     far: Vec<Vec<ScheduledEvent<E>>>,
@@ -209,23 +248,22 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Bytes one near-level event takes in the node slab: seq, link and
-    /// payload (its time is its slot's). A user whose speed rests on it
-    /// asserts it at compile time.
-    pub const NODE_BYTES: usize = std::mem::size_of::<Node<E>>();
+    /// Bytes one near-level event takes in a bucket: seq, ring nanosecond
+    /// and payload (its time is the ring's and the clock's). A user whose
+    /// speed rests on it asserts it at compile time.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
 
     /// Creates an empty calendar positioned at t = 0.
     pub fn new() -> Self {
         EventQueue {
-            slots: vec![(NIL, NIL); NEAR_SLOTS]
-                .into_boxed_slice()
-                .try_into()
-                .expect("NEAR_SLOTS entries"),
-            near_bits: [0; NEAR_SLOTS / 64],
-            nodes: Vec::new(),
-            free: NIL,
+            run: Vec::new(),
+            run_end: SimTime::ZERO,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            near_bits: 0,
+            mixed_bits: 0,
+            spare: Vec::new(),
+            counts: [0; BUCKET_NS],
             near_len: 0,
-            front: 0,
             far: (0..FAR_EPOCHS).map(|_| Vec::new()).collect(),
             far_bits: [0; FAR_EPOCHS as usize / 64],
             overflow: BinaryHeap::new(),
@@ -264,8 +302,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Where the pending events currently sit: `(near, far, overflow)`.
-    /// `near` is linked into its final per-nanosecond slot, `far` parked
-    /// in an unsorted per-epoch `Vec`, `overflow` in the one heap (the only
+    /// `near` is in a 512 ns bucket or the run, `far` parked in an
+    /// unsorted per-epoch `Vec`, `overflow` in the one heap (the only
     /// `O(log n)` structure). The profiler samples this to histogram
     /// calendar occupancy — a growing overflow share would mean the far
     /// level no longer spans the workload's timer spread.
@@ -279,13 +317,17 @@ impl<E> EventQueue<E> {
     }
 
     /// Bytes of event storage the calendar holds right now, counted by
-    /// capacity: the node slab, every far `Vec` and the overflow heap, plus
-    /// the fixed tables that index them.
+    /// capacity: the run buffer, the near buckets' chunks and the spare
+    /// ones, every far `Vec` and the overflow heap, plus the tables that
+    /// index them.
     pub fn resident_bytes(&self) -> usize {
+        let chunks = self.buckets.iter().chain([&self.spare]);
+        let near = self.run.capacity() + chunks.clone().flatten().map(Vec::capacity).sum::<usize>();
+        let chunk_lists = chunks.map(Vec::capacity).sum::<usize>();
         let parked = self.far.iter().map(Vec::capacity).sum::<usize>() + self.overflow.capacity();
-        self.nodes.capacity() * Self::NODE_BYTES
+        near * Self::ENTRY_BYTES
             + parked * std::mem::size_of::<ScheduledEvent<E>>()
-            + std::mem::size_of_val(&*self.slots)
+            + chunk_lists * std::mem::size_of::<Vec<Entry<E>>>()
             + self.far.capacity() * std::mem::size_of::<Vec<ScheduledEvent<E>>>()
             + std::mem::size_of::<Self>()
     }
@@ -294,8 +336,8 @@ impl<E> EventQueue<E> {
     ///
     /// Returns the sequence number, which uniquely identifies the scheduling
     /// (timers use it for lazy cancellation). The seq is larger than every
-    /// one this calendar has handed out, so a near-level event goes behind
-    /// its slot's tail without a look at it.
+    /// one this calendar has handed out, so a near-level event is appended
+    /// to its bucket without a look at what the bucket holds.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -365,91 +407,82 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Links a near-level event into its nanosecond's chain, behind every
-    /// event with a smaller seq: `newest`, its seq exceeds every seq
-    /// filed, so it goes behind the tail without a look at it.
+    /// Files a near-level event: into the run, in order, if it is due
+    /// before the run's bucket ends, else at the end of its bucket. With
+    /// `newest` its seq exceeds every seq filed, so it cannot make the
+    /// bucket mixed; otherwise it does if the bucket's last seq is larger.
     #[inline]
     fn link(&mut self, ev: ScheduledEvent<E>, newest: bool) {
-        let s = (ev.time.as_nanos() & NEAR_MASK) as usize;
-        let seq = ev.seq;
-        let node = Node {
-            seq,
-            next: NIL,
+        let ns = (ev.time.as_nanos() & NEAR_MASK) as u32;
+        let entry = Entry {
+            seq: ev.seq,
+            ns,
             payload: Some(ev.payload),
         };
-        let i = match self.free {
-            NIL => {
-                assert!(self.nodes.len() < NIL as usize, "calendar slab overflow");
-                self.nodes.push(node);
-                self.nodes.len() as u32 - 1
-            }
-            i => {
-                self.free = self.nodes[i as usize].next;
-                self.nodes[i as usize] = node;
-                i
-            }
-        };
-        let (head, tail) = self.slots[s];
-        if head == NIL {
-            self.slots[s] = (i, i);
-            self.near_bits[s / 64] |= 1 << (s % 64);
-            // A newly occupied slot nearer `now` than the front becomes it
-            // (on an empty near level, whatever the front said).
-            if self.near_len == 0 || self.ahead(s) < self.ahead(self.front) {
-                self.front = s;
-            }
-        } else if newest || self.nodes[tail as usize].seq <= seq {
-            debug_assert!(self.nodes[tail as usize].seq < seq || !newest);
-            self.nodes[tail as usize].next = i;
-            self.slots[s].1 = i;
-        } else {
-            // An externally assigned seq arriving out of order: walk to the
-            // first node with a larger one (the tail, at the latest).
-            let (mut prev, mut cur) = (NIL, head);
-            while self.nodes[cur as usize].seq < seq {
-                (prev, cur) = (cur, self.nodes[cur as usize].next);
-            }
-            self.nodes[i as usize].next = cur;
-            match prev {
-                NIL => self.slots[s].0 = i,
-                _ => self.nodes[prev as usize].next = i,
-            }
-        }
         self.near_len += 1;
+        if ev.time < self.run_end {
+            return self.insert_into_run(entry);
+        }
+        let b = (ns >> BUCKET_SHIFT) as usize;
+        let bucket = &mut self.buckets[b];
+        match bucket.last_mut() {
+            Some(chunk) => {
+                if !newest && chunk.last().is_some_and(|last| last.seq > entry.seq) {
+                    self.mixed_bits |= 1 << b;
+                }
+                if chunk.len() < CHUNK {
+                    return chunk.push(entry);
+                }
+            }
+            None => self.near_bits |= 1 << b,
+        }
+        let mut chunk = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(CHUNK));
+        chunk.push(entry);
+        bucket.push(chunk);
     }
 
-    /// How many nanoseconds after `now` near slot `s` is due: its ring
-    /// distance from `now`'s slot. Every near event is due within the ring
-    /// from `now`, so this orders slots as their instants.
-    #[inline]
-    fn ahead(&self, s: usize) -> u64 {
-        (s as u64).wrapping_sub(self.now.as_nanos()) & NEAR_MASK
+    /// Files an entry due before the run's end into the run, behind every
+    /// entry that pops after it (the run is latest first). A zero-delay
+    /// schedule lands behind the other events due at `now`: a push only
+    /// when none is pending at that instant.
+    #[cold]
+    fn insert_into_run(&mut self, entry: Entry<E>) {
+        let k = self.key(&entry);
+        let i = self.run.partition_point(|e| self.key(e) > k);
+        self.run.insert(i, entry);
+        debug_assert!(self.run_in_order(), "the run is out of (time, seq) order");
     }
 
-    /// The instant near slot `s` stands for. The near level spans exactly
-    /// the `NEAR_SLOTS` nanoseconds from the start of `now`'s epoch, so a
-    /// slot's offset from that start, modulo the ring, is its instant's.
-    #[inline]
-    fn slot_time(&self, s: usize) -> SimTime {
-        let start = self.now.as_nanos() >> EPOCH_SHIFT << EPOCH_SHIFT;
-        SimTime::from_nanos(start + ((s as u64).wrapping_sub(start) & NEAR_MASK))
+    /// The run is in `(time, seq)` order, latest first: a debug builds'
+    /// check on every settle and every schedule into the run.
+    fn run_in_order(&self) -> bool {
+        self.run
+            .windows(2)
+            .all(|w| self.key(&w[0]) > self.key(&w[1]))
     }
 
-    /// Moves node `i`'s event, due at `time`, out of the slab and puts the
-    /// node on the free list; returns the event and the node that followed
-    /// it.
+    /// A near entry's pop order: its `(time, seq)`, with the time as
+    /// nanoseconds after `now`.
     #[inline]
-    fn release(&mut self, i: u32, time: SimTime) -> (ScheduledEvent<E>, u32) {
-        let node = &mut self.nodes[i as usize];
-        let ev = ScheduledEvent {
-            time,
-            seq: node.seq,
-            payload: node.payload.take().expect("a linked node holds an event"),
-        };
-        let next = std::mem::replace(&mut node.next, self.free);
-        self.free = i;
-        self.near_len -= 1;
-        (ev, next)
+    fn key(&self, e: &Entry<E>) -> (u64, u64) {
+        (self.ahead(e.ns), e.seq)
+    }
+
+    /// How many nanoseconds after `now` an event at ring nanosecond `ns`
+    /// is due. Every near event is due within the ring from `now`, so this
+    /// orders near events as their instants.
+    #[inline]
+    fn ahead(&self, ns: u32) -> u64 {
+        u64::from(ns).wrapping_sub(self.now.as_nanos()) & NEAR_MASK
+    }
+
+    /// The instant of a near event at ring nanosecond `ns`.
+    #[inline]
+    fn ring_time(&self, ns: u32) -> SimTime {
+        SimTime::from_nanos(self.now.as_nanos() + self.ahead(ns))
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -458,13 +491,15 @@ impl<E> EventQueue<E> {
             let (t, _) = self.peek_key()?;
             self.jump(epoch_of(t));
         }
-        let s = self.front_slot();
-        Some(self.take(s, self.slot_time(s)))
+        if self.run.is_empty() {
+            self.settle();
+        }
+        Some(self.take())
     }
 
     /// Pops the next event only if it is due strictly before `bt`;
-    /// otherwise leaves the calendar untouched and returns `None`. A run
-    /// to a horizon drains through this and parks, resumable.
+    /// otherwise leaves the calendar's order untouched and returns `None`.
+    /// A run to a horizon drains through this and parks, resumable.
     pub fn pop_before(&mut self, bt: SimTime) -> Option<ScheduledEvent<E>> {
         if self.near_len == 0 {
             // Jump only if an event pops right now: parking with the near
@@ -476,51 +511,119 @@ impl<E> EventQueue<E> {
             }
             self.jump(epoch_of(t));
         }
-        let s = self.front_slot();
-        let t = self.slot_time(s);
-        (t < bt).then(|| self.take(s, t))
+        if self.run.is_empty() {
+            self.settle();
+        }
+        let last = self.run.last().expect("settled");
+        (self.ring_time(last.ns) < bt).then(|| self.take())
     }
 
-    /// The slot of the earliest near-level event: the remembered front, the
-    /// first occupied one at or after `now`, circularly (the half of the
-    /// ring behind `now`'s epoch holds the next epoch). Precondition: near
-    /// level not empty.
-    #[inline]
-    fn front_slot(&self) -> usize {
-        debug_assert!(self.near_len > 0, "front of an empty near level");
-        debug_assert_eq!(
-            Some(self.front),
-            first_set_from(&self.near_bits, (self.now.as_nanos() & NEAR_MASK) as usize),
-            "the remembered front is not the first occupied slot"
-        );
-        self.front
-    }
+    /// Settles the first non-empty near bucket at or after `now`'s,
+    /// circularly, into the run: a stable counting sort on the nanosecond,
+    /// latest first, then — if the bucket is mixed — each nanosecond's
+    /// entries by seq. Precondition: the run is empty and the near level
+    /// is not.
+    fn settle(&mut self) {
+        debug_assert!(self.run.is_empty());
+        let b = self.first_bucket();
+        self.near_bits &= !(1 << b);
+        let mixed = self.mixed_bits & (1 << b) != 0;
+        self.mixed_bits &= !(1 << b);
+        let Self {
+            buckets,
+            run,
+            counts,
+            spare,
+            ..
+        } = self;
+        let chunks = &mut buckets[b];
 
-    /// Unlinks the head of slot `s` — the front, whose head is the earliest
-    /// pending event, due at `time` — and moves the clock to it. Only a
-    /// slot that empties sends the front looking for the next one, from
-    /// `s`, which is `now`'s slot from here on.
-    #[inline]
-    fn take(&mut self, s: usize, time: SimTime) -> ScheduledEvent<E> {
-        let (ev, next) = self.release(self.slots[s].0, time);
-        self.slots[s].0 = next;
-        if next == NIL {
-            self.near_bits[s / 64] &= !(1 << (s % 64));
-            if self.near_len > 0 {
-                self.front =
-                    first_set_from(&self.near_bits, s).expect("near_len > 0 with no slot occupied");
+        // Each nanosecond's entries go below those of every later one.
+        counts.fill(0);
+        let lane = |ns: u32| ns as usize & (BUCKET_NS - 1);
+        for e in chunks.iter().flatten() {
+            counts[lane(e.ns)] += 1;
+        }
+        let mut end = 0;
+        for c in counts.iter_mut().rev() {
+            end += *c;
+            *c = end;
+        }
+        run.resize_with(end as usize, Entry::vacant);
+        // In filing order, each from the top of its nanosecond's range
+        // down: the first filed pops first.
+        for mut chunk in chunks.drain(..) {
+            for e in chunk.drain(..) {
+                let c = &mut counts[lane(e.ns)];
+                *c -= 1;
+                run[*c as usize] = e;
+            }
+            if spare.len() < SPARE_CHUNKS {
+                spare.push(chunk);
             }
         }
+        // A burst's list of chunks goes with them.
+        if chunks.capacity() > SPARE_CHUNKS {
+            *chunks = Vec::new();
+        }
+        if mixed {
+            for same_ns in run.chunk_by_mut(|a, b| a.ns == b.ns) {
+                same_ns.sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
+            }
+        }
+        // The bucket's last nanosecond is not behind the clock; its first
+        // may be.
+        let last = self.ring_time(((b + 1) * BUCKET_NS - 1) as u32);
+        self.run_end = SimTime::from_nanos(last.as_nanos() + 1);
         debug_assert!(
-            ev.time >= self.now,
-            "calendar produced an out-of-order event"
+            self.run_in_order(),
+            "a settled bucket is out of (time, seq) order"
         );
+    }
+
+    /// The first non-empty near bucket at or after `now`'s, circularly.
+    /// Precondition: a near bucket holds events.
+    #[inline]
+    fn first_bucket(&self) -> usize {
+        debug_assert!(self.near_bits != 0, "every near bucket is empty");
+        let from = ((self.now.as_nanos() & NEAR_MASK) >> BUCKET_SHIFT) as u32;
+        let hi = self.near_bits >> from;
+        (if hi != 0 {
+            from + hi.trailing_zeros()
+        } else {
+            self.near_bits.trailing_zeros()
+        }) as usize
+    }
+
+    /// Pops the run's last entry — the earliest pending event — and moves
+    /// the clock to it. A burst's run buffer is dropped once popped. A pop
+    /// that empties the run settles the next bucket at once, so the run
+    /// holds the next event whenever the near level does, and the look-ahead
+    /// reads it without a scan.
+    #[inline]
+    fn take(&mut self) -> ScheduledEvent<E> {
+        let e = self.run.pop().expect("a settled run");
+        let ev = ScheduledEvent {
+            time: self.ring_time(e.ns),
+            seq: e.seq,
+            payload: e.payload.expect("a settled entry holds an event"),
+        };
+        if self.run.is_empty() {
+            if self.run.capacity() > RUN_ENTRIES {
+                self.run = Vec::new();
+            }
+            self.run_end = SimTime::ZERO;
+        }
+        self.near_len -= 1;
         self.pending -= 1;
         let entered = epoch_of(ev.time) != epoch_of(self.now);
         self.now = ev.time;
         self.popped += 1;
         if entered {
             self.enter();
+        }
+        if self.run.is_empty() && self.near_len != 0 {
+            self.settle();
         }
         ev
     }
@@ -554,7 +657,7 @@ impl<E> EventQueue<E> {
         self.enter();
     }
 
-    /// Links far epoch `epoch`'s events into the near level.
+    /// Appends far epoch `epoch`'s events to the near buckets.
     fn pull(&mut self, epoch: u64) {
         let i = (epoch % FAR_EPOCHS) as usize;
         self.far_bits[i / 64] &= !(1 << (i % 64));
@@ -574,17 +677,36 @@ impl<E> EventQueue<E> {
         Some(start + (i + FAR_EPOCHS - start % FAR_EPOCHS) % FAR_EPOCHS)
     }
 
-    /// The payload of the next event, if the near level holds it (it
-    /// does whenever the near level is not empty); `None` otherwise. A
-    /// read: a caller may look at it to start loading what the event will
-    /// touch before it pops.
+    /// The payload of the next event if it is in the near level, `None`
+    /// if the near level is empty. A read: a caller may look at it to
+    /// start loading what the event will touch before it pops.
+    #[inline]
     pub fn peek_near(&self) -> Option<&E> {
-        if self.near_len == 0 {
-            return None;
+        self.near_front()?.payload.as_ref()
+    }
+
+    /// The near level's earliest entry: the run's last, or — when the run
+    /// is empty (a schedule into an empty near level, not yet popped) —
+    /// the least `(time, seq)` of the first non-empty bucket.
+    #[inline]
+    fn near_front(&self) -> Option<&Entry<E>> {
+        match self.run.last() {
+            Some(e) => Some(e),
+            None if self.near_len != 0 => Some(self.unsettled_front()),
+            None => None,
         }
-        self.nodes[self.slots[self.front_slot()].0 as usize]
-            .payload
-            .as_ref()
+    }
+
+    /// The earliest entry of the first non-empty bucket, which is not
+    /// settled yet: a scan (the next pop settles it). Precondition: the
+    /// run is empty and the near level is not.
+    #[cold]
+    fn unsettled_front(&self) -> &Entry<E> {
+        self.buckets[self.first_bucket()]
+            .iter()
+            .flatten()
+            .min_by_key(|e| self.key(e))
+            .expect("a bucket marked non-empty holds an entry")
     }
 
     /// The timestamp of the next pending event without popping it.
@@ -594,9 +716,8 @@ impl<E> EventQueue<E> {
 
     /// The `(time, seq)` key of the next pending event without popping it.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        if self.near_len != 0 {
-            let s = self.front_slot();
-            return Some((self.slot_time(s), self.nodes[self.slots[s].0 as usize].seq));
+        if let Some(e) = self.near_front() {
+            return Some((self.ring_time(e.ns), e.seq));
         }
         // Earliest of the next far epoch (unsorted: scan it) and the
         // overflow heap's top, which may be due before it.
@@ -667,8 +788,11 @@ pub(crate) mod oracle {
             self.heap.peek().map(|e| (e.time, e.seq))
         }
 
-        pub fn peek_payload(&self) -> Option<&E> {
-            self.heap.peek().map(|e| &e.payload)
+        /// The payload of the `k`-th pending event in pop order.
+        pub fn peek_nth(&self, k: usize) -> Option<&E> {
+            let mut pending: Vec<_> = self.heap.iter().collect();
+            pending.sort_unstable_by_key(|e| (e.time, e.seq));
+            pending.get(k).map(|e| &e.payload)
         }
 
         pub fn peek_time(&self) -> Option<SimTime> {
@@ -767,7 +891,7 @@ mod tests {
     fn occupancy_breakdown_partitions_pending() {
         let mut q = EventQueue::new();
         assert_eq!(q.occupancy_breakdown(), (0, 0, 0));
-        q.schedule_at(SimTime::from_nanos(10), 1); // epoch 0: straight to its slot
+        q.schedule_at(SimTime::from_nanos(10), 1); // epoch 0: straight to its bucket
         q.schedule_at(SimTime::from_nanos(500_000), 2); // within the far span
         q.schedule_at(SimTime::from_millis(50), 3); // beyond it: overflow
         let (near, far, overflow) = q.occupancy_breakdown();
@@ -945,9 +1069,10 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_parks_inside_the_boundary_slot_without_opening_it() {
-        // Bound and next event share a slot, the event at or past the
-        // bound: the slot stays closed, so a schedule below it is fine.
+    fn pop_before_parks_before_the_boundary_bucket_and_a_schedule_below_it_pops_first() {
+        // Bound and next event share a bucket, the event at or past the
+        // bound: the bucket settles but the clock stays, so a schedule
+        // below it is fine.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_nanos(1000), 1u32);
         assert!(q.pop_before(SimTime::from_nanos(1000)).is_none());
@@ -965,8 +1090,8 @@ mod tests {
     fn storage_follows_the_events_pending_and_is_flat_at_steady_state() {
         // An ft8-shaped load — 2 000 pending events, each pop scheduling a
         // successor about one link delay ahead — run over two rotations of
-        // the far level: every near slot is linked and unlinked a thousand
-        // times. The slab must stop growing once the population has peaked.
+        // the far level: every near bucket is filled and settled hundreds of
+        // times. Storage must stop growing once the population has peaked.
         const PENDING: u64 = 2_000;
         let mut q = EventQueue::new();
         let fixed = q.resident_bytes();
@@ -1001,8 +1126,8 @@ mod tests {
             q.peak_len()
         );
         // Four times as many dormant timers, forty per epoch, park in the
-        // far level — not in the slab, which never shrinks — and their
-        // storage is gone again once they have fired.
+        // far level — not in the near buckets' chunks — and their storage
+        // is gone again once they have fired.
         let t0 = q.now().as_nanos();
         for i in 0..4 * PENDING {
             q.schedule_at(
@@ -1034,7 +1159,9 @@ mod tests {
         loop {
             assert_eq!(wheel.peek_key(), heap.peek_key());
             assert_peek_near_matches(wheel, heap);
-            match (wheel.pop(), heap.pop()) {
+            let popped = (wheel.pop(), heap.pop());
+            assert_run_is_settled(wheel);
+            match popped {
                 (None, None) => return order,
                 (Some(x), Some(y)) => {
                     assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
@@ -1151,10 +1278,11 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_stands_for_its_instant_in_the_next_epoch_across_a_boundary_and_after_a_jump() {
-        // Nodes hold no time: a pop reads its instant off the slot and the
-        // clock. The events below sit either side of epoch boundaries, and
-        // some share a near slot index (8192 ns apart).
+    fn an_entry_stands_for_its_instant_in_the_next_epoch_across_a_boundary_and_after_a_jump() {
+        // Entries hold no time: a pop reads its instant off the entry's
+        // nanosecond in the ring and the clock. The events below sit either
+        // side of epoch boundaries, and some share a ring bucket (8192 ns
+        // apart).
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
         file_both(&mut wheel, &mut heap, 3 * EPOCH + 100, 0);
@@ -1162,7 +1290,7 @@ mod tests {
         // Filed in the next epoch (one 4096 ns ahead of the clock, one in
         // its last nanosecond), in the current one's last nanosecond, at the
         // boundary, and in the far level: the epoch after next, in the
-        // clock's slot.
+        // clock's bucket.
         for (at, p) in [
             (4 * EPOCH + 100, 1),
             (4 * EPOCH - 1, 2),
@@ -1173,7 +1301,11 @@ mod tests {
             file_both(&mut wheel, &mut heap, at, p);
         }
         assert_eq!(wheel.occupancy_breakdown(), (4, 1, 0));
-        assert_eq!(wheel.peek_near(), Some(&2));
+        assert_eq!(wheel.peek_near(), Some(&2), "read off its bucket");
+        assert_eq!(
+            wheel.peek_key().map(|(t, _)| t.as_nanos()),
+            Some(4 * EPOCH - 1)
+        );
         let mut seen = Vec::new();
         while let Some(e) = wheel.pop() {
             let o = heap.pop().expect("the oracle holds as many");
@@ -1193,15 +1325,19 @@ mod tests {
         // The near level is empty: the next pop jumps over the empty epochs
         // to the start of its event's, and reads its instant from there.
         let far = (FAR_EPOCHS + 40) * EPOCH + EPOCH - 1;
-        for (at, p) in [(far, 6), (far + 1, 7), (far + EPOCH, 8)] {
+        for (at, p) in [(far, 6), (far + 1, 7), (far + 2, 8), (far + EPOCH, 9)] {
             file_both(&mut wheel, &mut heap, at, p);
         }
         assert_eq!(wheel.peek_near(), None, "nothing is near before the jump");
-        let e = wheel.pop().expect("three pending");
+        let e = wheel.pop().expect("four pending");
         assert_eq!((e.time.as_nanos(), e.payload), (far, 6));
         heap.pop();
-        assert_eq!(wheel.peek_near(), Some(&7));
-        assert_eq!(drain_both(&mut wheel, &mut heap), vec![7, 8]);
+        assert_eq!(wheel.peek_near(), Some(&7), "read off its bucket");
+        let e = wheel.pop().expect("three pending");
+        assert_eq!((e.time.as_nanos(), e.payload), (far + 1, 7));
+        heap.pop();
+        assert_eq!(wheel.peek_near(), Some(&8));
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![8, 9]);
     }
 
     /// Files `p` at `at` in both calendars.
@@ -1210,70 +1346,130 @@ mod tests {
         heap.schedule_at(SimTime::from_nanos(at), p);
     }
 
-    #[test]
-    fn a_slot_filed_ahead_of_the_front_in_its_epoch_becomes_the_front() {
-        let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
-        file_both(&mut wheel, &mut heap, 200, 9);
-        assert_eq!(drain_both(&mut wheel, &mut heap), vec![9]);
-        file_both(&mut wheel, &mut heap, 700, 0);
-        assert_eq!(wheel.peek_near(), Some(&0));
-        file_both(&mut wheel, &mut heap, 300, 1);
-        assert_eq!(wheel.peek_near(), Some(&1), "a nearer slot is the front");
-        // Into the front slot, and into a slot between it and the old one:
-        // neither moves it.
-        file_both(&mut wheel, &mut heap, 300, 2);
-        file_both(&mut wheel, &mut heap, 500, 3);
-        assert_eq!(wheel.peek_near(), Some(&1));
-        // The clock's own slot is the nearest there is.
-        file_both(&mut wheel, &mut heap, 200, 4);
-        assert_eq!(wheel.peek_near(), Some(&4));
-        assert_eq!(drain_both(&mut wheel, &mut heap), vec![4, 1, 2, 3, 0]);
+    /// The `k`-th next near event's payload (`k = 0` is the next): the
+    /// run loop's look-ahead for `k = 0`, and beyond it the run as stored,
+    /// latest last, then the unsettled buckets' entries in `(time, seq)`
+    /// order — so the run must hold the earliest near events, in order.
+    fn peek_near_nth(wheel: &EventQueue<u32>, k: usize) -> Option<u32> {
+        if k == 0 {
+            return wheel.peek_near().copied();
+        }
+        let mut unsettled: Vec<_> = wheel.buckets.iter().flatten().flatten().collect();
+        unsettled.sort_unstable_by_key(|e| wheel.key(e));
+        wheel.run.iter().rev().chain(unsettled).nth(k)?.payload
+    }
+
+    /// The next `n` payloads as the calendar's look-ahead reads them.
+    fn look_ahead(wheel: &EventQueue<u32>, n: usize) -> Vec<Option<u32>> {
+        (0..n).map(|k| peek_near_nth(wheel, k)).collect()
     }
 
     #[test]
-    fn the_front_is_nearest_by_ring_distance_not_by_slot_index() {
-        // The clock in epoch 1 (slot 4196): the next epoch's slots wrap to
-        // the bottom of the ring, numerically below the clock's.
+    fn zero_delay_and_sub_bucket_schedules_into_the_settled_bucket_pop_in_order() {
         let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
-        file_both(&mut wheel, &mut heap, EPOCH + 100, 9);
-        assert_eq!(drain_both(&mut wheel, &mut heap), vec![9]);
-        file_both(&mut wheel, &mut heap, EPOCH + 3000, 0);
-        file_both(&mut wheel, &mut heap, 2 * EPOCH + 50, 1);
-        assert_eq!(
-            wheel.peek_near(),
-            Some(&0),
-            "slot 50 is next epoch's, behind slot 7096"
-        );
-        // Once 0 pops, the scan wraps to slot 50; a slot later in the
-        // current epoch, numerically above it, is still nearer.
+        // One bucket, 512..1024 ns; the first pop settles it.
+        for (at, p) in [(600, 0), (700, 1), (700, 2), (900, 3), (1023, 4)] {
+            file_both(&mut wheel, &mut heap, at, p);
+        }
         assert_eq!(wheel.pop().map(|e| e.payload), Some(0));
         heap.pop();
-        assert_eq!(wheel.peek_near(), Some(&1));
-        file_both(&mut wheel, &mut heap, EPOCH + 4000, 2);
-        assert_eq!(wheel.peek_near(), Some(&2));
-        assert_eq!(drain_both(&mut wheel, &mut heap), vec![2, 1]);
+        assert_eq!(
+            look_ahead(&wheel, 5),
+            [Some(1), Some(2), Some(3), Some(4), None]
+        );
+        // Zero delay: due before everything the run holds.
+        file_both(&mut wheel, &mut heap, 600, 5);
+        // Within the bucket: behind the ties at 700, between 700 and 900,
+        // and in its last nanosecond. 1024 opens the next bucket.
+        for (at, p) in [(700, 6), (800, 7), (1023, 8), (1024, 9)] {
+            file_both(&mut wheel, &mut heap, at, p);
+        }
+        assert_eq!(
+            look_ahead(&wheel, 10),
+            [5, 1, 2, 6, 7, 3, 4, 8, 9]
+                .map(Some)
+                .into_iter()
+                .chain([None])
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            drain_both(&mut wheel, &mut heap),
+            [5, 1, 2, 6, 7, 3, 4, 8, 9]
+        );
     }
 
     #[test]
-    fn a_schedule_before_a_parked_front_becomes_the_front() {
+    fn a_reserved_seq_filed_late_into_a_settled_and_a_future_bucket_pops_where_it_was_taken() {
+        let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
+        let (early, late) = (wheel.reserve_seq(), wheel.reserve_seq());
+        heap.schedule_at(SimTime::ZERO, u32::MAX); // keeps the oracle's seqs in step
+        heap.schedule_at(SimTime::ZERO, u32::MAX);
+        heap.pop();
+        heap.pop();
+        for (at, p) in [
+            (600, 0),
+            (700, 1),
+            (700, 2),
+            (2000, 4),
+            (2000, 5),
+            (2100, 6),
+        ] {
+            file_both(&mut wheel, &mut heap, at, p);
+        }
+        assert_eq!(wheel.pop().map(|e| e.payload), Some(0));
+        heap.pop();
+        // Into the settled bucket: ahead of the later seqs due with it.
+        let both = |wheel: &mut EventQueue<u32>, heap: &mut HeapQueue<u32>, at, seq, p| {
+            wheel.schedule_at_seq(SimTime::from_nanos(at), seq, p);
+            heap.schedule_at_seq(SimTime::from_nanos(at), seq, p);
+        };
+        both(&mut wheel, &mut heap, 700, early, 10);
+        assert_eq!(look_ahead(&wheel, 4), [Some(10), Some(1), Some(2), Some(4)]);
+        // Into a future bucket behind larger seqs: the bucket is mixed, and
+        // its settle sorts the nanosecond by seq.
+        both(&mut wheel, &mut heap, 2000, late, 3);
+        assert_eq!(drain_both(&mut wheel, &mut heap), [10, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn pop_before_parks_mid_bucket_and_a_schedule_before_the_parked_front_pops_first() {
+        let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
+        for (at, p) in [(600, 0), (800, 1), (900, 2), (1500, 3)] {
+            file_both(&mut wheel, &mut heap, at, p);
+        }
+        let bt = SimTime::from_nanos(700);
+        assert_eq!(wheel.pop_before(bt).map(|e| e.payload), Some(0));
+        heap.pop();
+        // Parked at 600 with 800 and 900 settled in the run.
+        assert!(wheel.pop_before(bt).is_none());
+        assert_eq!(look_ahead(&wheel, 4), [Some(1), Some(2), Some(3), None]);
+        file_both(&mut wheel, &mut heap, 650, 4);
+        file_both(&mut wheel, &mut heap, 600, 5);
+        assert_eq!(look_ahead(&wheel, 4), [Some(5), Some(4), Some(1), Some(2)]);
+        assert_eq!(drain_both(&mut wheel, &mut heap), [5, 4, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_schedule_before_a_run_settled_ahead_of_the_clock_pops_first() {
         let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
         file_both(&mut wheel, &mut heap, 10, 0);
         file_both(&mut wheel, &mut heap, 1000, 1);
         let bt = SimTime::from_nanos(900);
         assert_eq!(wheel.pop_before(bt).map(|e| e.payload), Some(0));
         heap.pop();
-        // Parked: the front stays at 1000, the clock at 10.
+        // Parked: 1000's bucket is settled, the clock still at 10.
         assert!(wheel.pop_before(bt).is_none());
         assert_eq!(wheel.peek_near(), Some(&1));
+        // Both in buckets before the run's: filed into it, in order.
         file_both(&mut wheel, &mut heap, 500, 2);
         assert_eq!(wheel.peek_near(), Some(&2));
         file_both(&mut wheel, &mut heap, 10, 3);
-        assert_eq!(wheel.peek_near(), Some(&3));
+        assert_eq!(look_ahead(&wheel, 3), [Some(3), Some(2), Some(1)]);
         assert_eq!(drain_both(&mut wheel, &mut heap), vec![3, 2, 1]);
     }
 
     #[test]
-    fn an_out_of_order_seq_filed_into_the_front_slot_is_peeked_first() {
+    fn an_out_of_order_seq_filed_into_the_next_bucket_pops_in_seq_order() {
         let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
         let mut both = |at: u64, seq: u64, p: u32| {
             wheel.schedule_at_seq(SimTime::from_nanos(at), seq, p);
@@ -1281,44 +1477,89 @@ mod tests {
         };
         both(40, 5, 0);
         both(60, 1, 1);
-        both(40, 2, 2); // the front slot's new head
-        both(40, 3, 3); // between its head and tail
-        assert_eq!(wheel.peek_near(), Some(&2));
+        both(40, 2, 2); // below every seq filed for 40
+        both(40, 3, 3); // between them
+        assert_eq!(wheel.peek_key(), Some((SimTime::from_nanos(40), 2)));
         assert_eq!(drain_both(&mut wheel, &mut heap), vec![2, 3, 0, 1]);
     }
 
     #[test]
-    fn a_jump_over_empty_epochs_finds_the_front_among_what_it_links() {
-        // Two events of one far epoch, the later filed (and so linked)
-        // first, and an overflow event that a second jump files straight
-        // into an empty near level.
+    fn a_jump_over_empty_epochs_into_a_far_epoch_settles_its_first_bucket() {
+        // An odd epoch: the near level's first half is the ring's upper
+        // half, and the next epoch wraps to buckets numbered below it. Two
+        // events of its first bucket, the later filed first; one of a later
+        // bucket of it, one of the next epoch; and an overflow event that a
+        // second jump files straight into an empty near level.
         let (mut wheel, mut heap) = (EventQueue::new(), HeapQueue::new());
-        let far = 40 * EPOCH;
+        let far = 41 * EPOCH;
         let over = (FAR_EPOCHS + 300) * EPOCH + 7;
         for (at, p) in [
             (far + 20, 1),
             (far + 10, 0),
-            (far + EPOCH + 5, 2),
-            (over, 3),
+            (far + EPOCH + 5, 3),
+            (far + 600, 2),
+            (over, 4),
         ] {
             file_both(&mut wheel, &mut heap, at, p);
         }
-        assert_eq!(wheel.occupancy_breakdown(), (0, 3, 1));
+        assert_eq!(wheel.occupancy_breakdown(), (0, 4, 1));
         assert_eq!(wheel.peek_near(), None, "nothing is near before the jump");
+        assert_eq!(wheel.peek_key().map(|(t, _)| t.as_nanos()), Some(far + 10));
         assert_eq!(wheel.pop().map(|e| e.payload), Some(0));
         heap.pop();
-        assert_eq!(wheel.peek_near(), Some(&1));
-        assert_eq!(drain_both(&mut wheel, &mut heap), vec![1, 2, 3]);
+        assert_eq!(wheel.now(), SimTime::from_nanos(far + 10));
+        assert_eq!(look_ahead(&wheel, 4), [Some(1), Some(2), Some(3), None]);
+        assert_eq!(drain_both(&mut wheel, &mut heap), vec![1, 2, 3, 4]);
         assert_eq!(wheel.now(), SimTime::from_nanos(over));
     }
 
-    /// `peek_near` is the oracle's next payload whenever the near level
-    /// holds events (the next one is then among them), and `None` only when
-    /// it holds none.
+    #[test]
+    fn a_drained_burst_leaves_at_most_the_spare_chunks() {
+        // 100 000 events in one bucket: its chunks, the bucket's list of
+        // them and the run it settles into all grow to the burst's size.
+        const BURST: u64 = 100_000;
+        let mut q = EventQueue::new();
+        let fixed = q.resident_bytes();
+        for i in 0..BURST {
+            q.schedule_at(SimTime::from_nanos(512 + i % 512), i as u32);
+        }
+        let entry = EventQueue::<u32>::ENTRY_BYTES;
+        assert!(q.resident_bytes() - fixed >= BURST as usize * entry);
+        // Settled, the run holds them; the chunks beyond the spares are gone.
+        assert_eq!(q.pop().map(|e| e.payload), Some(0));
+        assert!(q.resident_bytes() - fixed >= (BURST as usize - 1) * entry);
+        while q.pop().is_some() {}
+        // Drained, the calendar keeps only spare chunks and their list.
+        let spare_bytes = q.resident_bytes() - fixed;
+        let bound = SPARE_CHUNKS * (CHUNK * entry + std::mem::size_of::<Vec<Entry<u32>>>());
+        assert!(
+            spare_bytes <= bound,
+            "{spare_bytes} B held after the burst, over {bound} B of spare chunks"
+        );
+    }
+
+    /// Look-ahead depths the properties check: the run loop's and beyond.
+    const LOOK_AHEAD: usize = 4;
+
+    /// The `k`-th look-ahead is the oracle's `k`-th pending event's payload
+    /// whenever the near level holds more than `k` events, and `None` only
+    /// when it does not.
     fn assert_peek_near_matches(wheel: &EventQueue<u32>, heap: &HeapQueue<u32>) {
         let (near, _, _) = wheel.occupancy_breakdown();
-        let want = if near > 0 { heap.peek_payload() } else { None };
-        assert_eq!(wheel.peek_near(), want, "{near} near events");
+        for k in 0..LOOK_AHEAD {
+            let want = heap.peek_nth(k).copied().filter(|_| near > k);
+            assert_eq!(peek_near_nth(wheel, k), want, "look-ahead {k} of {near}");
+        }
+    }
+
+    /// After a pop (or a bounded pop that parks) the run holds the next
+    /// near event if there is one, so the look-ahead reads it without a
+    /// scan.
+    fn assert_run_is_settled(wheel: &EventQueue<u32>) {
+        assert!(
+            wheel.near_len == 0 || !wheel.run.is_empty(),
+            "a pop left the next bucket unsettled"
+        );
     }
 
     /// Replays one op tape against both calendars and compares every
@@ -1332,6 +1573,7 @@ mod tests {
                 // Pop from both; compare the full event identity.
                 let a = wheel.pop();
                 let b = heap.pop();
+                assert_run_is_settled(&wheel);
                 match (a, b) {
                     (None, None) => {}
                     (Some(x), Some(y)) => {
@@ -1369,7 +1611,7 @@ mod tests {
     /// The external-seq tape: both calendars are fed through
     /// `schedule_at_seq` with seqs in shuffled order — as a reserved seq
     /// filed behind later ones is — and drained through `pop_before`
-    /// bounds that park mid-slot: what the append fast path of `link`
+    /// bounds that park mid-bucket: what the append fast path of `link`
     /// must not assume.
     fn check_external_seq_equivalence(ops: &[(u16, u8, u16)]) {
         let mut wheel = EventQueue::new();
@@ -1390,6 +1632,7 @@ mod tests {
             match op % 8 {
                 0 => {
                     let (a, b) = (wheel.pop(), heap.pop());
+                    assert_run_is_settled(&wheel);
                     assert_eq!(a.is_some(), b.is_some());
                     if let (Some(x), Some(y)) = (a, b) {
                         assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
@@ -1400,6 +1643,7 @@ mod tests {
                 1 => loop {
                     // Everything due before `at`.
                     let (a, b) = (wheel.pop_before(at), heap.pop_before(at));
+                    assert_run_is_settled(&wheel);
                     assert_eq!(a.is_some(), b.is_some());
                     let (Some(x), Some(y)) = (a, b) else { break };
                     assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
@@ -1438,7 +1682,7 @@ mod tests {
     #[test]
     fn external_seq_equivalence_on_dense_ties() {
         // Every op kind in rotation on 0..4 ns deltas: sorted inserts into
-        // occupied slots, bounded pops parking mid-slot.
+        // occupied buckets, bounded pops parking mid-bucket.
         let ops: Vec<(u16, u8, u16)> = (0..600u16)
             .map(|i| (i % 7, (i % 8 + i / 8 % 3) as u8, (i % 5) * 3))
             .collect();

@@ -88,7 +88,9 @@ impl Placement {
     }
 
     /// The `(PIP, node)` VM `i` lives on: where it moved, or else its home.
-    fn host(&self, i: usize) -> (Pip, NodeId) {
+    /// One host lookup for a caller that needs both halves.
+    #[inline]
+    pub fn host(&self, i: usize) -> (Pip, NodeId) {
         if !self.moved.is_empty() {
             if let Some(&at) = self.moved.get(&(i as u32)) {
                 return at;

@@ -16,11 +16,12 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 const PATH_ROOTS: [&str; 5] = ["results/", "scripts/", "crates/", "benchmark/", "vendor/"];
 /// What a run writes and `.gitignore` lists: named in the documents, absent
 /// from a fresh checkout.
-const OUTPUTS: [&str; 4] = [
+const OUTPUTS: [&str; 5] = [
     "results/telemetry",
     "results/profile",
     "results/scale_smoke.txt",
     "benchmark/out",
+    "benchmark/target",
 ];
 
 /// Names the documents use that no file in the tree declares: `std` types
