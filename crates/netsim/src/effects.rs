@@ -1,34 +1,31 @@
-//! The effects sink: where a handler's order-sensitive side effects go.
+//! The driver's state, where a handler's order-sensitive side effects go.
 //!
 //! Handlers mutate the state of the shard they run on directly. What must
 //! happen in *global* `(time, seq)` order — scheduling, packet-id
 //! allocation, the four flow-lifecycle metric records and trace
-//! records — goes through [`Effects`], and every effect applies on the
-//! spot, to the driver's one calendar and recorders ([`Master`]). The sink
-//! has two implementations that differ in one thing: `Master` itself (one
-//! shard) never sees a packet leave its shard, and `sharded::Crossing`
-//! (several) hands a packet whose link ends on another shard to the
-//! driver. The sink is a type parameter of every handler, so the one-shard
-//! build has no ownership test in it.
+//! records — and the packet bodies themselves go to the driver's one
+//! [`Master`], on the spot: its calendar holds every pending event and its
+//! arena every in-flight packet. A handler talks to that one concrete sink
+//! and never learns how many shards there are: a packet whose link ends on
+//! another shard is an arrival on the calendar like any other.
 
 use std::time::Instant;
 
 use sv2p_metrics::Metrics;
-use sv2p_packet::{Packet, PacketId};
-use sv2p_simcore::{EventQueue, SimDuration, SimTime};
+use sv2p_packet::PacketId;
+use sv2p_simcore::{EventQueue, SimTime};
 use sv2p_telemetry::profile::{HistKind, Phase, Profiler};
-use sv2p_telemetry::{TraceEvent, Tracer, SAMPLE_EVERY_NS};
+use sv2p_telemetry::{EventKind, TraceEvent, Tracer, SAMPLE_EVERY_NS};
 use sv2p_topology::{LinkId, NodeId};
 
-use crate::arena::PacketRef;
-use crate::sharded::Cut;
-use crate::sim::Shard;
+use crate::arena::{PacketArena, PacketRef};
 
 /// Simulator events. Packet-carrying events hold an arena handle and
 /// flow / plan events a `u32` index, so an event is twelve bytes — a tag and
 /// two words — no matter how fat `TunnelOptions` get, and the calendar's
-/// slab node around it is 24: a seq, a chain link and the event, with no
-/// time, since a near slot stands for one instant.
+/// near entry around it (`Entry { seq, ns, payload }`) is 24: a seq, the
+/// nanosecond in the ring and the event, with no time, since the ring
+/// position and the clock give it.
 #[derive(Debug)]
 pub(crate) enum Event {
     FlowStart(u32),
@@ -113,96 +110,55 @@ impl Event {
     }
 }
 
-/// The sink for everything a handler does that is order-sensitive. Every
-/// effect lands on the driver's [`Master`] as it happens; the two sinks
-/// differ only in [`Effects::SHARDED`] and [`Effects::schedule_cut`].
-pub(crate) trait Effects {
-    /// True when other shards run beside this one, so a packet may have to
-    /// leave it. A constant: the one-shard build of every handler has no
-    /// ownership test in it.
-    const SHARDED: bool;
-
-    fn master(&self) -> &Master;
-
-    fn master_mut(&mut self) -> &mut Master;
-
-    /// Hands a packet arriving over a cut link to the shard owning the far
-    /// end, by value.
-    fn schedule_cut(&mut self, to: usize, at: SimTime, link: LinkId, pkt: Packet);
-
-    /// Current virtual time: the instant of the event being executed.
-    fn now(&self) -> SimTime {
-        self.master().events.now()
-    }
-
-    /// Schedules a follow-up event.
-    fn schedule(&mut self, at: SimTime, ev: Event) {
-        self.master_mut().events.schedule_at(at, ev);
-    }
-
-    /// See [`EventQueue::reserve_seq`].
-    fn reserve_seq(&mut self) -> u64 {
-        self.master_mut().events.reserve_seq()
-    }
-
-    /// Files an event under a seq [`Effects::reserve_seq`] took.
-    fn schedule_at_seq(&mut self, at: SimTime, seq: u64, ev: Event) {
-        self.master_mut().events.schedule_at_seq(at, seq, ev);
-    }
-
-    /// Schedules a follow-up event `d` from now.
-    fn schedule_in(&mut self, d: SimDuration, ev: Event) {
-        let at = self.now() + d;
-        self.schedule(at, ev);
-    }
-
-    fn alloc_pkt_id(&mut self) -> PacketId {
-        let m = self.master_mut();
-        let id = PacketId(m.next_pkt_id);
-        m.next_pkt_id += 1;
-        id
-    }
-
-    /// The master's order-sensitive recorder. Only the four flow-lifecycle
-    /// records written through it are order-sensitive (they push to
-    /// per-flow latency / FCT accumulators whose vector order the summary
-    /// preserves); plain counters accumulate in the shard's `Counters`,
-    /// which add up in any order.
-    fn metrics(&mut self) -> &mut Metrics {
-        &mut self.master_mut().metrics
-    }
-
-    /// Whether trace records are wanted at all (one branch per emission
-    /// point when they are not).
-    fn tracing(&self) -> bool {
-        self.master().tracer.enabled()
-    }
-
-    fn trace(&mut self, ev: TraceEvent) {
-        self.master_mut().tracer.record(ev);
-    }
-}
-
 /// The driver's own state: the one calendar every event of the run sits on,
-/// and the recorders whose content depends on global event order. It is
-/// also the sink of one shard.
+/// the one arena every in-flight packet sits in, and the recorders whose
+/// content depends on global event order. Every handler, on whatever shard
+/// it runs, writes its order-sensitive effects here, on the spot.
 pub(crate) struct Master {
     /// Every pending event, under its global `(time, seq)` key.
     pub events: EventQueue<Event>,
-    /// Order-sensitive streams and driver-only counters. The order-free
-    /// ledger is not here: each shard owns its `Counters`.
+    /// Every in-flight packet body; events and gateway queues hold handles.
+    pub arena: PacketArena,
+    /// Order-sensitive streams and driver-only counters: only the four
+    /// flow-lifecycle records are order-sensitive (they push to per-flow
+    /// latency / FCT accumulators whose vector order the summary
+    /// preserves). The order-free ledger is not here: each shard owns its
+    /// `Counters`, which add up in any order.
     pub metrics: Metrics,
     pub tracer: Tracer,
     pub next_pkt_id: u64,
-    /// Packets that crossed the cut during the handler now running, on
-    /// their way to the far shard's arena (several shards only).
-    pub cuts: Vec<Cut>,
     /// The telemetry sampler found nothing else pending and stopped
     /// re-arming itself; [`Master::wake_sampler`] starts it again.
     pub sampler_idle: bool,
 }
 
 impl Master {
+    /// Current virtual time: the instant of the event being executed.
+    #[inline]
+    pub fn now(&self) -> SimTime {
+        self.events.now()
+    }
+
+    /// The next packet id: ids are handed out in global event order.
+    pub fn alloc_pkt_id(&mut self) -> PacketId {
+        let id = PacketId(self.next_pkt_id);
+        self.next_pkt_id += 1;
+        id
+    }
+
+    /// The lifecycle record `kind` of packet `h` at `node`, its flow and
+    /// packet id read off the arena; `None` when tracing is off. Protocol
+    /// packets carry the default `FlowId(0)` and would pollute flow 0's
+    /// trace, so only data packets get one.
+    pub fn packet_event(&self, kind: EventKind, h: PacketRef, node: NodeId) -> Option<TraceEvent> {
+        self.tracer.enabled().then(|| {
+            let p = self.arena.get(h);
+            TraceEvent::new(self.now().as_nanos(), kind)
+                .packet(p.flow.0, p.id.0)
+                .at_node(node.0)
+        })
+    }
+
     /// Restarts a sampler that stopped when the calendar drained, on its
     /// grid: at the first period boundary at or after now that it has not
     /// sampled yet. A run that registers work mid-run is then sampled at
@@ -222,22 +178,6 @@ impl Master {
     }
 }
 
-impl Effects for Master {
-    const SHARDED: bool = false;
-
-    fn master(&self) -> &Master {
-        self
-    }
-
-    fn master_mut(&mut self) -> &mut Master {
-        self
-    }
-
-    fn schedule_cut(&mut self, _to: usize, _at: SimTime, _link: LinkId, _pkt: Packet) {
-        unreachable!("one shard has no cut links")
-    }
-}
-
 /// What the run loop tells about each event it executes. [`NoProbe`] is
 /// empty, so the unprofiled loop compiles to the bare pop-and-dispatch.
 pub(crate) trait Probe {
@@ -245,8 +185,8 @@ pub(crate) trait Probe {
     fn begin(&mut self);
     /// Popped; dispatch starts.
     fn popped(&mut self);
-    /// The handler charged to `phase` returned; `shards` are all of them.
-    fn dispatched(&mut self, phase: Phase, cal: &EventQueue<Event>, shards: &[Shard]);
+    /// The handler charged to `phase` returned.
+    fn dispatched(&mut self, phase: Phase, master: &Master);
 }
 
 /// The probe of an unprofiled run.
@@ -258,7 +198,7 @@ impl Probe for NoProbe {
     #[inline(always)]
     fn popped(&mut self) {}
     #[inline(always)]
-    fn dispatched(&mut self, _: Phase, _: &EventQueue<Event>, _: &[Shard]) {}
+    fn dispatched(&mut self, _: Phase, _: &Master) {}
 }
 
 /// Wall-clock attribution per event class, plus deterministic occupancy
@@ -293,17 +233,17 @@ impl Probe for PhaseProbe<'_> {
             .phase_add(Phase::Pop, (self.t1 - self.t0).as_nanos() as u64);
     }
 
-    fn dispatched(&mut self, phase: Phase, cal: &EventQueue<Event>, shards: &[Shard]) {
+    fn dispatched(&mut self, phase: Phase, master: &Master) {
         self.prof
             .phase_add(phase, self.t1.elapsed().as_nanos() as u64);
-        if cal.events_executed() & 1023 == 0 {
-            let (near, far, overflow) = cal.occupancy_breakdown();
+        if master.events.events_executed() & 1023 == 0 {
+            let (near, far, overflow) = master.events.occupancy_breakdown();
             self.prof
                 .record(HistKind::CalendarLen, (near + far + overflow) as u64);
             self.prof
                 .record(HistKind::CalendarOverflow, overflow as u64);
-            let live: usize = shards.iter().map(|s| s.arena.live()).sum();
-            self.prof.record(HistKind::ArenaLive, live as u64);
+            let live = master.arena.live() as u64;
+            self.prof.record(HistKind::ArenaLive, live);
         }
     }
 }

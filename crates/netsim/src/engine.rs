@@ -1,16 +1,16 @@
-//! The engine: one shared world, one copy of the control state, and a
-//! `Vec` of shard-owned state.
+//! The engine: one shared world, one copy of the control state, a `Vec`
+//! of shard-owned state and the driver's master.
 //!
 //! `shards` is the only selector. Every pending event of the run sits on
-//! the driver's one calendar, under the same `(time, seq)` key at every
-//! shard count, and every effect applies on the spot; the partition
-//! decides only which shard's state an event's handler runs on, always on
-//! the caller's thread. One shard runs every event through `Shard::drain`;
-//! several interleave event by event (see `sharded`). Both produce
-//! byte-identical results (`tests/sharded_equiv.rs`): more than one shard
-//! is an equivalence oracle that costs wall-clock, built only by
-//! [`Engine::sharded`], which nothing but that suite and `benchmark/`'s
-//! two-shard cell calls.
+//! the master's one calendar, under the same `(time, seq)` key at every
+//! shard count, every in-flight packet in its one arena, and every effect
+//! applies on the spot; the partition decides only which shard's state an
+//! event's handler runs on, always on the caller's thread. One shard runs
+//! every event through `Shard::drain`; several interleave event by event
+//! (see `sharded`). Both produce byte-identical results
+//! (`tests/sharded_equiv.rs`): more than one shard is an equivalence
+//! oracle that costs wall-clock, built only by [`Engine::sharded`], which
+//! nothing but that suite and `benchmark/`'s two-shard cell calls.
 //!
 //! Global events — migrations, faults, churn marks, telemetry samples —
 //! write control state, so at every shard count the driver executes them
@@ -34,6 +34,7 @@ use sv2p_topology::{
 };
 use sv2p_vnet::{CacheOp, GatewayDirectory, Migration, Placement, Strategy, SwitchAgent};
 
+use crate::arena::PacketArena;
 use crate::churn::{ChurnMark, ChurnPlan};
 use crate::config::SimConfig;
 use crate::effects::{Event, Master, NoProbe, PhaseProbe, Probe};
@@ -75,7 +76,7 @@ impl Engine {
     /// with byte-identical results at a wall-clock cost. Topology and
     /// placement are built once whatever the count. Nothing but its own
     /// suite and `benchmark/`'s two-shard cell (through
-    /// `ExperimentSpec::shards`) asks for more than one (ROADMAP item 6).
+    /// `ExperimentSpec::shards`) asks for more than one (ROADMAP N1).
     pub fn sharded(
         cfg: SimConfig,
         ft: &FatTreeConfig,
@@ -111,7 +112,6 @@ impl Engine {
             .collect();
 
         let world = Arc::new(World {
-            link_slot: World::link_slots(&topo, &partition),
             cfg,
             ser: topo
                 .classes()
@@ -144,10 +144,10 @@ impl Engine {
         }
         let mut master = Master {
             events: EventQueue::new(),
+            arena: PacketArena::new(),
             metrics: Metrics::new(),
             tracer: Tracer::new(cfg.telemetry),
             next_pkt_id: 0,
-            cuts: Vec::new(),
             sampler_idle: false,
         };
         if master.tracer.enabled() {
@@ -213,11 +213,11 @@ impl Engine {
         self.master.events.peak_len()
     }
 
-    /// In-flight packet high-water mark, summed over the shard arenas — a
-    /// proxy for what the run would have allocated per-packet without the
-    /// arena (run manifests).
+    /// In-flight packet high-water mark (identical at every shard count) —
+    /// a proxy for what the run would have allocated per-packet without
+    /// the arena (run manifests).
     pub fn peak_arena(&self) -> usize {
-        self.shards.iter().map(|s| s.arena.peak()).sum()
+        self.master.arena.peak()
     }
 
     /// The telemetry tracer (read events/samples after a run).
@@ -284,7 +284,7 @@ impl Engine {
             ("links", per_link + sum(&|s| s.resident_bytes().0)),
             ("nodes", per_node + sum(&|s| s.resident_bytes().1)),
             ("calendar", self.master.events.resident_bytes()),
-            ("arena", sum(&|s| s.arena.resident_bytes())),
+            ("arena", self.master.arena.resident_bytes()),
             ("flows", flows + sum(&|s| s.resident_bytes().2)),
             ("records", records + sum(&|s| s.counters.record_bytes())),
         ]
@@ -410,7 +410,7 @@ impl Engine {
         }
         #[cfg(debug_assertions)]
         if master.events.is_empty() {
-            assert_drained(ctl, shards);
+            assert_drained(ctl, master, shards);
         }
     }
 
@@ -624,7 +624,7 @@ fn run_direct<P: Probe>(
         let phase = global.phase();
         let shards = std::slice::from_mut(&mut *shard);
         exec_global(ctl, master, shards, global);
-        probe.dispatched(phase, &master.events, shards);
+        probe.dispatched(phase, master);
     }
 }
 
@@ -634,9 +634,13 @@ fn run_direct<P: Probe>(
 /// flow that had not would still have its timer pending — and none still
 /// holds a sender or a receiver, so each was freed at its flow's end.
 #[cfg(debug_assertions)]
-fn assert_drained(ctl: &Control, shards: &[Shard]) {
+fn assert_drained(ctl: &Control, master: &Master, shards: &[Shard]) {
+    assert_eq!(
+        master.arena.live(),
+        0,
+        "packets alive on a drained calendar"
+    );
     for s in shards {
-        assert_eq!(s.arena.live(), 0, "packets alive on a drained calendar");
         assert!(
             s.gw_busy.is_empty(),
             "a gateway is busy on a drained calendar"

@@ -32,17 +32,19 @@
 //!   flow specs and the migration/fault/churn tables), which only global
 //!   events and between-run interventions write;
 //! * a `Vec` of shard-owned **state** (`sim::Shard`: links, agents, RNG
-//!   streams, arena, transport machines, gateway queues, and the shard's
+//!   streams, transport machines, gateway queues, and the shard's
 //!   `sv2p_metrics::Counters` — its share of the order-free ledger), one
-//!   per shard of the pod partition.
+//!   per shard of the pod partition;
+//! * the driver's **master** (`effects::Master`: the one calendar, the one
+//!   packet arena and the order-sensitive recorders).
 //!
 //! Handlers (`sim`) take the world and the control state by reference and
-//! send every order-sensitive side effect through one **effects sink**
-//! (`effects::Effects`), which applies it on the spot. Every event sits on
-//! one calendar under the same `(time, seq)` key at every shard count;
-//! with several shards (`sharded`, an equivalence oracle) they interleave
-//! event by event, each event running on the shard that owns it, and a
-//! packet crossing between shards moves from one arena to the other.
+//! write every order-sensitive side effect, and every packet body, to the
+//! master, on the spot. Every event sits on its calendar under the same
+//! `(time, seq)` key at every shard count; with several shards (`sharded`,
+//! an equivalence oracle) they interleave event by event, each event
+//! running on the shard that owns it, and a packet whose link ends on
+//! another shard stays in the one arena, its arrival on the one calendar.
 //! Everything runs on the caller's thread. `shards` is the only selector.
 //!
 //! [`Engine::counters`] merges the shards' ledgers afresh on each call and

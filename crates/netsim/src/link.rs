@@ -13,8 +13,8 @@
 //! arrival event. There is no transmission-complete event and the link
 //! holds no packet handles — only when it next falls idle and the wire
 //! sizes of the packets still waiting, which is all the buffer accounting
-//! needs. A packet bound for another shard therefore leaves its sender's
-//! arena when it is offered.
+//! needs. A packet bound for another shard is therefore an arrival filed
+//! when it is offered, like any other.
 //!
 //! **Sized by use.** A fabric has one link state per directed link
 //! (75 072 on FT32-1M) but only a few link classes (two in a FatTree), so
@@ -143,15 +143,15 @@ struct Waiting {
     sizes: VecDeque<u32>,
 }
 
-/// The links one shard sends on: a `LinkState` word per link, indexed by
-/// the caller, and a slab of the queues of the links that have packets
-/// waiting. A queue's slot goes back on the free list at the first offer
-/// that finds its link idle, and keeps a small buffer for the next link to
-/// queue. Until that offer a drained link still holds its slot and
-/// buffer, and [`Links::resident_bytes`] counts them: at the end of a run
-/// most of the slab can be held by links with nothing waiting. Reclaiming
-/// them earlier (a sweep of drained slots before the slab grows) measured
-/// no smaller peak and no faster run, so the release stays lazy.
+/// A shard's links: a `LinkState` word per link, indexed by link id, and
+/// a slab of the queues of the links that have packets waiting. A queue's
+/// slot goes back on the free list at the first offer that finds its link
+/// idle, and keeps a small buffer for the next link to queue. Until that
+/// offer a drained link still holds its slot and buffer, and
+/// [`Links::resident_bytes`] counts them: at the end of a run most of the
+/// slab can be held by links with nothing waiting. Reclaiming them earlier
+/// (a sweep of drained slots before the slab grows) measured no smaller
+/// peak and no faster run, so the release stays lazy.
 #[derive(Debug)]
 pub struct Links {
     states: Vec<LinkState>,

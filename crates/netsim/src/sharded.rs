@@ -2,56 +2,27 @@
 //! the shard that owns it.
 //!
 //! Sharding is an *equivalence oracle*, not a speed path: it re-executes a
-//! run with the fabric cut into pods — each shard owning its nodes' links,
-//! agents, RNG streams, packet arena and transport machines — and must
-//! arrive at the same bytes. An order dependence (a tie-break on hash-map
-//! order, a planner reading shards in the wrong order) shows as a diff.
+//! run with the fabric cut into pods — each shard owning its nodes' link
+//! queues, agents, RNG streams and transport machines — and must arrive at
+//! the same bytes. An order dependence (a tie-break on hash-map order, a
+//! planner reading shards in the wrong order) shows as a diff.
 //!
 //! Every event sits on the driver's one calendar under the key the
-//! one-shard engine gives it, so the shards interleave event by event: pop
-//! the next event, hand it to the shard that owns it ([`owner`]), repeat
-//! (DESIGN.md, "Why the shards interleave"). Through [`Crossing`], a packet
-//! offered to a link whose far end another shard owns leaves its sender's
-//! arena and takes its seq at once — as the one-shard engine's arrival
-//! does — and enters the receiver's arena and the calendar as soon as the
-//! handler returns. A flow's events run where its source VM is hosted, so
-//! a migration re-homes them by moving the VM, and [`move_vm`] moves
-//! the flows' transport state after it.
+//! one-shard engine gives it, and every packet in its one arena, so the
+//! shards interleave event by event: pop the next event, hand it to the
+//! shard that owns it ([`owner`]), repeat (DESIGN.md, "Why the shards
+//! interleave"). A packet offered to a link whose far end another shard
+//! owns is an arrival filed when the link accepts it, as on one shard; it
+//! runs on the far shard when it comes up. A flow's events run where its
+//! source VM is hosted, so a migration re-homes them by moving the VM, and
+//! [`move_vm`] moves the flows' transport state after it.
 
-use sv2p_packet::Packet;
 use sv2p_simcore::SimTime;
-use sv2p_topology::LinkId;
 
-use crate::effects::{Effects, Event, Master, Probe};
+use crate::effects::{Event, Master, Probe};
 use crate::engine::exec_global;
 use crate::sim::Shard;
 use crate::world::{Control, World};
-
-/// A packet crossing the cut, `(to, at, seq, link, packet)`: it arrives at
-/// `at` over `link` on shard `to`, under the seq it took when the link
-/// accepted it.
-pub(crate) type Cut = (usize, SimTime, u64, LinkId, Packet);
-
-/// The sink of a shard running beside others: [`Master`]'s, but a packet
-/// may cross the cut, and waits in `Master::cuts` for its handler to return.
-struct Crossing<'a>(&'a mut Master);
-
-impl Effects for Crossing<'_> {
-    const SHARDED: bool = true;
-
-    fn master(&self) -> &Master {
-        self.0
-    }
-
-    fn master_mut(&mut self) -> &mut Master {
-        self.0
-    }
-
-    fn schedule_cut(&mut self, to: usize, at: SimTime, link: LinkId, pkt: Packet) {
-        let seq = self.0.events.reserve_seq();
-        self.0.cuts.push((to, at, seq, link, pkt));
-    }
-}
 
 /// The shard an event runs on, read off the event; `None` for a global
 /// event, which the driver runs.
@@ -70,8 +41,9 @@ fn owner(world: &World, ctl: &Control, ev: &Event) -> Option<usize> {
 }
 
 /// What the interleaved loop counts across `run_until`s: turns (maximal
-/// runs of consecutive events on one shard) and packets that crossed the
-/// cut, and the shard the last event ran on.
+/// runs of consecutive events on one shard) and link arrivals that ran on
+/// a shard other than the one owning the link's sending end, and the shard
+/// the last event ran on.
 #[derive(Default)]
 pub(crate) struct Turns {
     pub turns: u64,
@@ -105,17 +77,14 @@ pub(crate) fn run_interleaved<P: Probe>(
                 if turns.last != Some(s) {
                     (turns.turns, turns.last) = (turns.turns + 1, Some(s));
                 }
-                shards[s].dispatch(ctl, &mut Crossing(master), se.payload);
-                for (to, at, seq, link, pkt) in master.cuts.drain(..) {
-                    turns.cut_events += 1;
-                    let pkt = shards[to].arena.alloc(pkt);
-                    master
-                        .events
-                        .schedule_at_seq(at, seq, Event::LinkArrival { link, pkt });
+                if let Event::LinkArrival { link, .. } = se.payload {
+                    let from = world.topo.link_from(link);
+                    turns.cut_events += u64::from(world.shard_of(from) != s);
                 }
+                shards[s].dispatch(ctl, master, se.payload);
             }
         }
-        probe.dispatched(phase, &master.events, shards);
+        probe.dispatched(phase, master);
     }
 }
 

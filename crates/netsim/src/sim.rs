@@ -2,14 +2,13 @@
 //!
 //! A [`Shard`] owns what evolves as packets move through its part of the
 //! fabric: link states, switch and host agents with their RNG streams, the
-//! packet arena, the transport machines of its flows, gateway queues and
-//! its [`Counters`] — the order-free counts of what happened here, and the
-//! only part of the recorder a shard holds. Handlers read the shared
-//! [`World`] and the [`Control`] state by reference, mutate only the shard
-//! they run on, and send every order-sensitive side effect through the
-//! [`Effects`] sink — so one handler body serves the one-shard engine and
-//! a shard running beside others, where a packet may leave over a cut
-//! link.
+//! transport machines of its flows, gateway queues and its [`Counters`] —
+//! the order-free counts of what happened here, and the only part of the
+//! recorder a shard holds. Handlers read the shared [`World`] and the
+//! [`Control`] state by reference, mutate only the shard they run on, and
+//! write every order-sensitive side effect, and every packet body, to the
+//! driver's one [`Master`] — so a handler is the same code, and sees the
+//! same calendar and arena, at every shard count.
 //!
 //! Every packet handler has one shape. A packet enters a node at one
 //! arrival gate ([`Shard::on_link_arrival`]), which reads the node once,
@@ -34,8 +33,8 @@ use sv2p_vnet::{
     GATEWAY_PROCESSING,
 };
 
-use crate::arena::{PacketArena, PacketRef};
-use crate::effects::{Effects, Event, Master, Probe};
+use crate::arena::PacketRef;
+use crate::effects::{Event, Master, Probe};
 use crate::faults::FaultEvent;
 use crate::flows::{src_port, FlowKind, FlowXport, LazyRto, RtoPop, Sender};
 use crate::link::{EnqueueOutcome, Links};
@@ -112,9 +111,8 @@ pub(crate) struct Snapshot {
 /// indexed by switch tag and transport state by flow id; switch agents
 /// exist only for the switches the shard owns, and only where their role
 /// weighs above 0. One host agent sends for every server the shard owns.
-/// `links` holds only the links whose sending end the shard owns (a link's
-/// queue is never used anywhere else), found through
-/// [`Shard::link_index`].
+/// `links` covers every link id, but a shard only ever offers packets to
+/// the links whose sending end it owns, so every other one stays idle.
 pub(crate) struct Shard {
     pub id: usize,
     pub world: Arc<World>,
@@ -129,8 +127,6 @@ pub(crate) struct Shard {
     /// per link makes the draw sequence a function of that link's enqueue
     /// order alone, whatever the interleaving across shards.
     fault_rngs: FxHashMap<LinkId, SimRng>,
-    /// In-flight packet bodies; events and gateway queues hold handles.
-    pub arena: PacketArena,
     /// Reusable ECMP candidate buffer (avoids a per-hop allocation).
     route_scratch: Vec<LinkId>,
     pub flows: Vec<FlowXport>,
@@ -151,13 +147,9 @@ impl Shard {
     /// its switch).
     pub fn new(id: usize, world: Arc<World>, host_agent: Box<dyn HostAgent>) -> Self {
         let base_rng = SimRng::new(world.cfg.seed);
-        // Sized before filling: a `filter().collect()` would grow by
-        // doubling, and at FT32-1M that re-copies megabytes of link state.
-        let owns = |from: NodeId| world.link_slot.is_empty() || world.shard_of(from) == id;
-        let n_owned = world.topo.links().filter(|l| owns(l.from)).count();
         Shard {
             id,
-            links: Links::new(n_owned),
+            links: Links::new(world.topo.link_count()),
             fault_rngs: FxHashMap::default(),
             agents: (0..world.topo.switch_count()).map(|_| None).collect(),
             // Forked by node id, not tag, so a switch's stream does not
@@ -168,25 +160,12 @@ impl Shard {
                 .map(|sw| base_rng.fork(u64::from(sw.id.0)))
                 .collect(),
             host_agent,
-            arena: PacketArena::new(),
             route_scratch: Vec::new(),
             flows: Vec::new(),
             gw_busy: FxHashMap::default(),
             counters: Counters::new(world.topo.switch_count()),
             traffic_matrix: FxHashMap::default(),
             world,
-        }
-    }
-
-    /// Where `link`'s state sits in `links` / `fault_rngs`. The table is
-    /// read only where shards run side by side, so the one-shard build of
-    /// every handler indexes by link id as it always did.
-    #[inline]
-    fn link_index<F: Effects>(&self, link: LinkId) -> usize {
-        if F::SHARDED {
-            self.world.link_slot[link.0 as usize] as usize
-        } else {
-            link.0 as usize
         }
     }
 
@@ -216,18 +195,18 @@ impl Shard {
                 return Some(se.payload);
             }
             if let Some(&Event::LinkArrival { link, pkt }) = master.events.peek_near() {
-                self.arena.warm(pkt);
+                master.arena.warm(pkt);
                 let topo = &self.world.topo;
                 std::hint::black_box(topo.kind(topo.link_to(link)));
             }
             let phase = se.payload.phase();
             self.dispatch(ctl, master, se.payload);
-            probe.dispatched(phase, &master.events, std::slice::from_ref(&*self));
+            probe.dispatched(phase, master);
         }
     }
 
     /// Runs one (non-global) event's handler.
-    pub fn dispatch<F: Effects>(&mut self, ctl: &Control, fx: &mut F, ev: Event) {
+    pub fn dispatch(&mut self, ctl: &Control, fx: &mut Master, ev: Event) {
         match ev {
             Event::FlowStart(idx) => self.on_flow_start(ctl, fx, idx as usize),
             Event::UdpSend { flow, idx } => self.on_udp_send(ctl, fx, flow as usize, idx as usize),
@@ -322,13 +301,7 @@ impl Shard {
     /// `now`. Queue depths, occupancy and traffic counters are only
     /// non-zero for state this shard owns.
     pub fn snapshot_into(&self, ctl: &Control, now: SimTime, s: &mut Snapshot) {
-        // `links` holds the owned links in link-id order (with one shard,
-        // all of them), so the topology's owned links name each slot.
-        let owned =
-            self.world.topo.links().filter(|l| {
-                self.world.link_slot.is_empty() || self.world.shard_of(l.from) == self.id
-            });
-        for (i, l) in owned.enumerate() {
+        for (i, l) in self.world.topo.links().enumerate() {
             let q = self
                 .links
                 .queue_len(i, now, &self.world.ser[l.class as usize]) as u64;
@@ -351,59 +324,27 @@ impl Shard {
     // Packet trace and end of life
     // ------------------------------------------------------------------
 
-    /// The lifecycle record `kind` of packet `h` at `node`, its flow and
-    /// packet id read off the arena; `None` when tracing is off. Protocol
-    /// packets carry the default `FlowId(0)` and would pollute flow 0's
-    /// trace, so only data packets get one.
-    fn packet_event<F: Effects>(
-        &self,
-        fx: &F,
-        kind: EventKind,
-        h: PacketRef,
-        node: NodeId,
-    ) -> Option<TraceEvent> {
-        fx.tracing().then(|| {
-            let p = self.arena.get(h);
-            TraceEvent::new(fx.now().as_nanos(), kind)
-                .packet(p.flow.0, p.id.0)
-                .at_node(node.0)
-        })
-    }
-
     /// Ends a packet's life as a drop: records the metrics counter and a
     /// trace event (data packets only — protocol packets vanish silently)
     /// and frees the arena slot.
-    fn drop_packet<F: Effects>(
-        &mut self,
-        fx: &mut F,
-        h: PacketRef,
-        node: NodeId,
-        cause: DropCause,
-    ) {
-        if matches!(self.arena.get(h).kind, PacketKind::Data) {
+    fn drop_packet(&mut self, fx: &mut Master, h: PacketRef, node: NodeId, cause: DropCause) {
+        if matches!(fx.arena.get(h).kind, PacketKind::Data) {
             self.counters.record_drop(cause);
-            if let Some(mut ev) = self.packet_event(fx, EventKind::Drop, h, node) {
+            if let Some(mut ev) = fx.packet_event(EventKind::Drop, h, node) {
                 ev.cause = Some(wire_cause(cause));
-                fx.trace(ev);
+                fx.tracer.record(ev);
             }
         }
-        self.arena.free(h);
-    }
-
-    /// Removes a packet from the arena to ship it by value.
-    fn take_pkt(&mut self, h: PacketRef) -> Packet {
-        let p = self.arena.get(h).clone();
-        self.arena.free(h);
-        p
+        fx.arena.free(h);
     }
 
     // ------------------------------------------------------------------
     // Flow driving
     // ------------------------------------------------------------------
 
-    fn on_flow_start<F: Effects>(&mut self, ctl: &Control, fx: &mut F, idx: usize) {
+    fn on_flow_start(&mut self, ctl: &Control, fx: &mut Master, idx: usize) {
         let now = fx.now();
-        fx.metrics().flow_started(FlowId(idx as u64), now);
+        fx.metrics.flow_started(FlowId(idx as u64), now);
         match &ctl.flows[idx].kind {
             FlowKind::Tcp { bytes } => {
                 // Every sender runs the reordering-tolerant profile the
@@ -418,13 +359,14 @@ impl Shard {
                 let flow = Event::index(idx);
                 for (i, &(t, _)) in schedule.sends.iter().enumerate() {
                     let idx = Event::index(i);
-                    fx.schedule(t.max(now), Event::UdpSend { flow, idx });
+                    fx.events
+                        .schedule_at(t.max(now), Event::UdpSend { flow, idx });
                 }
             }
         }
     }
 
-    fn on_udp_send<F: Effects>(&mut self, ctl: &Control, fx: &mut F, flow: usize, idx: usize) {
+    fn on_udp_send(&mut self, ctl: &Control, fx: &mut Master, flow: usize, idx: usize) {
         let len = match &ctl.flows[flow].kind {
             FlowKind::Udp { schedule } => schedule.sends[idx].1,
             FlowKind::Tcp { .. } => unreachable!("UdpSend on TCP flow"),
@@ -432,7 +374,7 @@ impl Shard {
         self.send_flow_packet(ctl, fx, flow, idx as u32, len, idx == 0, false);
     }
 
-    fn on_rto_timer<F: Effects>(&mut self, ctl: &Control, fx: &mut F, flow: usize, gen: u32) {
+    fn on_rto_timer(&mut self, ctl: &Control, fx: &mut Master, flow: usize, gen: u32) {
         // A completed flow's timer died with its sender.
         let Some(tx) = self.flows[flow].tcp_tx.as_deref_mut() else {
             return;
@@ -441,20 +383,16 @@ impl Shard {
             RtoPop::Fire => tx.tcp.on_rto(fx.now()),
             RtoPop::Refile { at: (at, seq), gen } => {
                 let flow = flow as u32;
-                return fx.schedule_at_seq(at, seq, Event::RtoTimer { flow, gen });
+                return fx
+                    .events
+                    .schedule_at_seq(at, seq, Event::RtoTimer { flow, gen });
             }
             RtoPop::Orphan => return,
         };
         self.apply_sender_ops(ctl, fx, flow, ops);
     }
 
-    fn apply_sender_ops<F: Effects>(
-        &mut self,
-        ctl: &Control,
-        fx: &mut F,
-        flow: usize,
-        ops: SenderOps,
-    ) {
+    fn apply_sender_ops(&mut self, ctl: &Control, fx: &mut Master, flow: usize, ops: SenderOps) {
         for seg in ops.segments {
             let first = seg.seq == 0 && !seg.retransmit;
             self.send_flow_packet(ctl, fx, flow, seg.seq as u32, seg.len, first, false);
@@ -471,14 +409,15 @@ impl Shard {
             self.counters.retransmissions += tx.tcp.retransmits;
             (f.tcp_tx, f.completed) = (None, true);
             let now = fx.now();
-            fx.metrics().flow_completed(FlowId(flow as u64), now);
+            fx.metrics.flow_completed(FlowId(flow as u64), now);
         } else if let Some(deadline) = ops.arm_rto {
             // Every arm takes a seq, filed or not: every event keeps its key.
-            let seq = fx.reserve_seq();
+            let seq = fx.events.reserve_seq();
             if let Some(gen) = tx.rto.arm((deadline, seq)) {
                 // `add_flows` held every flow index to 32 bits.
                 let flow = flow as u32;
-                fx.schedule_at_seq(deadline, seq, Event::RtoTimer { flow, gen });
+                fx.events
+                    .schedule_at_seq(deadline, seq, Event::RtoTimer { flow, gen });
             }
         }
     }
@@ -486,10 +425,10 @@ impl Shard {
     /// Builds and transmits one tenant packet for `flow`. `reverse` sends
     /// a pure ACK of `seq` from the flow's destination back to its source.
     #[allow(clippy::too_many_arguments)]
-    fn send_flow_packet<F: Effects>(
+    fn send_flow_packet(
         &mut self,
         ctl: &Control,
-        fx: &mut F,
+        fx: &mut Master,
         flow: usize,
         seq: u32,
         payload: u32,
@@ -562,11 +501,11 @@ impl Shard {
                 .entry((src_vm as u32, dst_vm as u32))
                 .or_insert(0) += 1;
         }
-        let h = self.arena.alloc(pkt);
-        if let Some(mut ev) = self.packet_event(fx, EventKind::PacketSent, h, src_node) {
+        let h = fx.arena.alloc(pkt);
+        if let Some(mut ev) = fx.packet_event(EventKind::PacketSent, h, src_node) {
             ev.resolved = Some(resolved);
             ev.vip = Some(dst_vip.0);
-            fx.trace(ev);
+            fx.tracer.record(ev);
         }
         self.send_on(ctl, fx, src_node, h);
     }
@@ -583,21 +522,21 @@ impl Shard {
     /// usable port, or an address that names nothing (e.g. a Bluebird
     /// packet no ToR translated) — is dropped `Unroutable`. Debug builds
     /// first check the packet against its byte-level wire format.
-    fn send_on<F: Effects>(&mut self, ctl: &Control, fx: &mut F, node: NodeId, pkt: PacketRef) {
+    fn send_on(&mut self, ctl: &Control, fx: &mut Master, node: NodeId, pkt: PacketRef) {
         #[cfg(debug_assertions)]
-        certify_wire(self.arena.get(pkt));
+        certify_wire(fx.arena.get(pkt));
         let topo = &self.world.topo;
         let kind = topo.kind(node);
         let next = if let Some((_, uplink)) = topo.attachment(kind) {
             (ctl.link_down[uplink.0 as usize] == 0).then_some(uplink)
         } else {
-            match topo.node_by_pip(self.arena.get(pkt).outer.dst_pip) {
+            match topo.node_by_pip(fx.arena.get(pkt).outer.dst_pip) {
                 Some(dst) if dst == node => {
-                    self.arena.free(pkt);
+                    fx.arena.free(pkt);
                     return;
                 }
                 Some(dst) => {
-                    let key = self.arena.get(pkt).ecmp_key();
+                    let key = fx.arena.get(pkt).ecmp_key();
                     // With every link up, every candidate is usable.
                     let up = |l: LinkId| ctl.link_down[l.0 as usize] == 0;
                     let usable = (ctl.links_down != 0).then_some(&up as &dyn Fn(LinkId) -> bool);
@@ -622,20 +561,19 @@ impl Shard {
     /// `class`. An accepted packet's last bit leaves at an instant the link
     /// already knows, so its arrival — the one event of the hop — is
     /// scheduled here.
-    fn enqueue_on_link<F: Effects>(
+    fn enqueue_on_link(
         &mut self,
         ctl: &Control,
-        fx: &mut F,
+        fx: &mut Master,
         from: NodeId,
         class: u32,
         link: LinkId,
         pkt: PacketRef,
     ) {
-        let wire = self.arena.get(pkt).wire_size();
+        let wire = fx.arena.get(pkt).wire_size();
         let now = fx.now();
         let world = &*self.world;
         let ser = &world.ser[class as usize];
-        let slot = self.link_index::<F>(link);
         // Draw from the dedicated fault stream only while loss is active, so
         // a healthy run consumes no fault randomness at all.
         let loss_rate = if ctl.loss.is_empty() {
@@ -653,28 +591,25 @@ impl Shard {
                 .entry(link)
                 .or_insert_with(|| SimRng::new(seed).fork(label));
             let draw = rng.uniform();
-            self.links
-                .enqueue_with_loss(slot, now, wire, ser, PORT_BUFFER_BYTES, loss_rate, draw)
+            self.links.enqueue_with_loss(
+                link.0 as usize,
+                now,
+                wire,
+                ser,
+                PORT_BUFFER_BYTES,
+                loss_rate,
+                draw,
+            )
         } else {
-            self.links.enqueue(slot, now, wire, ser, PORT_BUFFER_BYTES)
+            self.links
+                .enqueue(link.0 as usize, now, wire, ser, PORT_BUFFER_BYTES)
         };
         match outcome {
             EnqueueOutcome::Departs(departs) => {
                 let delay = world.topo.classes()[class as usize].delay_ns;
                 let arrives = departs + SimDuration::from_nanos(delay);
-                // The arrival executes where the link ends. Links are the
-                // only way across the partition's cut, so this is the one
-                // event that can belong to another shard; the packet then
-                // travels by value, and leaves this shard's arena now.
-                if F::SHARDED {
-                    let to = self.world.shard_of(self.world.topo.link_to(link));
-                    if to != self.id {
-                        let pkt = self.take_pkt(pkt);
-                        fx.schedule_cut(to, arrives, link, pkt);
-                        return;
-                    }
-                }
-                fx.schedule(arrives, Event::LinkArrival { link, pkt });
+                fx.events
+                    .schedule_at(arrives, Event::LinkArrival { link, pkt });
             }
             EnqueueOutcome::Dropped => self.drop_packet(fx, pkt, from, DropCause::Queue),
             EnqueueOutcome::Lost => self.drop_packet(fx, pkt, from, DropCause::Loss),
@@ -686,13 +621,7 @@ impl Shard {
     /// (senders ride their RTO). A switch counts the hop here — the hop
     /// count, its bytes and the `SwitchIngress` record — so a packet an
     /// agent held back and re-injects is not counted twice.
-    fn on_link_arrival<F: Effects>(
-        &mut self,
-        ctl: &Control,
-        fx: &mut F,
-        link: LinkId,
-        pkt: PacketRef,
-    ) {
+    fn on_link_arrival(&mut self, ctl: &Control, fx: &mut Master, link: LinkId, pkt: PacketRef) {
         let topo = &self.world.topo;
         let node = topo.link_to(link);
         let kind = topo.kind(node);
@@ -703,14 +632,14 @@ impl Shard {
             }
             NodeKind::Gateway { .. } => self.handle_at_gateway(fx, node, pkt),
             _ => {
-                let p = self.arena.get_mut(pkt);
+                let p = fx.arena.get_mut(pkt);
                 p.switch_hops = p.switch_hops.saturating_add(1);
                 let (wire, is_data) = (p.wire_size(), matches!(p.kind, PacketKind::Data));
                 let tag = self.world.tag_of(kind).expect("switch tag");
                 self.counters.record_switch_bytes(tag, wire);
-                let ev = self.packet_event(fx, EventKind::SwitchIngress, pkt, node);
+                let ev = fx.packet_event(EventKind::SwitchIngress, pkt, node);
                 if let Some(ev) = ev.filter(|_| is_data) {
-                    fx.trace(ev);
+                    fx.tracer.record(ev);
                 }
                 self.handle_at_switch(ctl, fx, node, kind, pkt, Some(link));
             }
@@ -723,13 +652,7 @@ impl Shard {
 
     /// A packet an agent held back (`PacketAction::Delay`) re-enters its
     /// switch past the arrival gate: the detour is no hop.
-    fn on_re_inject<F: Effects>(
-        &mut self,
-        ctl: &Control,
-        fx: &mut F,
-        node: NodeId,
-        pkt: PacketRef,
-    ) {
+    fn on_re_inject(&mut self, ctl: &Control, fx: &mut Master, node: NodeId, pkt: PacketRef) {
         if ctl.blackout[node.0 as usize] != 0 {
             // The switch began rebooting while it held the packet.
             self.drop_packet(fx, pkt, node, DropCause::Blackout);
@@ -746,10 +669,10 @@ impl Shard {
     /// `kind` is the switch's as the arrival gate read it; `came_over` the
     /// link the packet arrived on (`None` for a re-injected one), whose
     /// sender the agent is told of if it is a host.
-    fn handle_at_switch<F: Effects>(
+    fn handle_at_switch(
         &mut self,
         ctl: &Control,
-        fx: &mut F,
+        fx: &mut Master,
         node: NodeId,
         kind: NodeKind,
         pkt: PacketRef,
@@ -762,9 +685,9 @@ impl Shard {
         };
         let now = fx.now();
         let role = ctl.roles.role(node).expect("switch role");
-        let trace = fx.tracing();
+        let trace = fx.tracer.enabled();
         let (is_data, was_unresolved, first_of_flow, learning_dst) = {
-            let p = self.arena.get(pkt);
+            let p = fx.arena.get(pkt);
             let is_data = matches!(p.kind, PacketKind::Data);
             let learning = matches!(p.kind, PacketKind::Learning(_));
             (
@@ -813,7 +736,7 @@ impl Shard {
                 pip_of_tag: &pip_of_tag,
                 trace_cache_ops: trace,
             };
-            agent.on_packet(&mut ctx, self.arena.get_mut(pkt))
+            agent.on_packet(&mut ctx, fx.arena.get_mut(pkt))
         };
 
         if output.cache_hit {
@@ -824,7 +747,7 @@ impl Shard {
                 // is headed for a misdelivery. The gap between the migration
                 // and the last stale hit is the strategy's recovery time.
                 let (vip, cur_dst) = {
-                    let p = self.arena.get(pkt);
+                    let p = fx.arena.get(pkt);
                     (p.inner.dst_vip, p.outer.dst_pip)
                 };
                 // The migration ledger first: it ages the hit, and it is
@@ -838,12 +761,12 @@ impl Shard {
                 let migration = ctl.last_migration.get(&vip).copied();
                 if migration.is_some() && ctl.placement.lookup(vip) != Some(cur_dst) {
                     let age = self.counters.record_stale_hit(migration, now);
-                    if let Some(mut ev) = self.packet_event(fx, EventKind::StaleHit, pkt, node) {
+                    if let Some(mut ev) = fx.packet_event(EventKind::StaleHit, pkt, node) {
                         ev.vip = Some(vip.0);
                         ev.pip = Some(cur_dst.0);
                         ev.layer = Some(wire_layer(&ctl.roles, node));
                         ev.latency_ns = age;
-                        fx.trace(ev);
+                        fx.tracer.record(ev);
                     }
                 }
             }
@@ -855,16 +778,16 @@ impl Shard {
             // A data packet that arrived unresolved at a switch holding cache
             // lines probed that cache; the agent reported hit/miss.
             if was_unresolved && self.world.caching[tag.0 as usize] {
-                if let Some(mut ev) = self.packet_event(fx, EventKind::CacheLookup, pkt, node) {
+                if let Some(mut ev) = fx.packet_event(EventKind::CacheLookup, pkt, node) {
                     ev.hit = Some(output.cache_hit);
                     ev.layer = Some(layer);
-                    fx.trace(ev);
+                    fx.tracer.record(ev);
                 }
             }
-            let p = self.arena.get(pkt);
+            let p = fx.arena.get(pkt);
             for &op in &output.cache_ops {
                 let ev = cache_op_event(now.as_nanos(), node, layer, op);
-                fx.trace(if is_data {
+                fx.tracer.record(if is_data {
                     ev.packet(p.flow.0, p.id.0)
                 } else {
                     ev
@@ -879,14 +802,16 @@ impl Shard {
                 PacketKind::Invalidation(_) => self.counters.invalidation_packets += 1,
                 PacketKind::Data => {}
             }
-            let eh = self.arena.alloc(extra);
+            let eh = fx.arena.alloc(extra);
             self.send_on(ctl, fx, node, eh);
         }
         match output.action {
             PacketAction::Forward => self.send_on(ctl, fx, node, pkt),
-            PacketAction::Delay(d) => fx.schedule_in(d, Event::ReInject { node, pkt }),
+            PacketAction::Delay(d) => {
+                fx.events.schedule_in(d, Event::ReInject { node, pkt });
+            }
             PacketAction::Drop => self.drop_packet(fx, pkt, node, DropCause::Queue),
-            PacketAction::Consume => self.arena.free(pkt),
+            PacketAction::Consume => fx.arena.free(pkt),
         }
     }
 
@@ -894,9 +819,9 @@ impl Shard {
     // Gateway logic
     // ------------------------------------------------------------------
 
-    fn handle_at_gateway<F: Effects>(&mut self, fx: &mut F, node: NodeId, pkt: PacketRef) {
+    fn handle_at_gateway(&mut self, fx: &mut Master, node: NodeId, pkt: PacketRef) {
         let now = fx.now();
-        let p = self.arena.get(pkt);
+        let p = fx.arena.get(pkt);
         if !matches!(p.kind, PacketKind::Data) || p.outer.resolved {
             // Resolved tenant traffic or protocol packets have no business
             // at a gateway.
@@ -904,14 +829,15 @@ impl Shard {
             return;
         }
         self.counters.record_gateway_packet(now);
-        if let Some(ev) = self.packet_event(fx, EventKind::GatewayIngress, pkt, node) {
-            fx.trace(ev);
+        if let Some(ev) = fx.packet_event(EventKind::GatewayIngress, pkt, node) {
+            fx.tracer.record(ev);
         }
         let cap = self.world.cfg.gateway_queue_cap as usize;
         if cap == 0 {
             // Legacy unbounded model: every packet is processed
             // concurrently after the fixed service delay.
-            fx.schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt });
+            fx.events
+                .schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt });
         } else if let Some(waiting) = self.gw_busy.get_mut(&node) {
             if waiting.len() < cap {
                 waiting.push_back(pkt);
@@ -921,38 +847,34 @@ impl Shard {
             }
         } else {
             self.gw_busy.insert(node, VecDeque::new());
-            fx.schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt });
+            fx.events
+                .schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt });
         }
     }
 
     /// Bounded-queue service discipline: each completed translation pulls
     /// the next queued packet into processing (or clears the busy flag).
     /// No-op in the legacy unbounded model.
-    fn gateway_pop_next<F: Effects>(&mut self, fx: &mut F, node: NodeId) {
+    fn gateway_pop_next(&mut self, fx: &mut Master, node: NodeId) {
         if self.world.cfg.gateway_queue_cap == 0 {
             return;
         }
         let waiting = self.gw_busy.get_mut(&node).expect("a gateway in service");
         if let Some(next) = waiting.pop_front() {
-            fx.schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt: next });
+            fx.events
+                .schedule_in(GATEWAY_PROCESSING, Event::GatewayDone { node, pkt: next });
         } else {
             self.gw_busy.remove(&node);
         }
     }
 
-    fn on_gateway_done<F: Effects>(
-        &mut self,
-        ctl: &Control,
-        fx: &mut F,
-        node: NodeId,
-        pkt: PacketRef,
-    ) {
-        let dst_vip = self.arena.get(pkt).inner.dst_vip;
+    fn on_gateway_done(&mut self, ctl: &Control, fx: &mut Master, node: NodeId, pkt: PacketRef) {
+        let dst_vip = fx.arena.get(pkt).inner.dst_vip;
         if ctl.blackout[node.0 as usize] != 0 {
             // The outage began while this packet was in processing.
             self.drop_packet(fx, pkt, node, DropCause::Blackout);
         } else if let Some(pip) = ctl.placement.lookup(dst_vip) {
-            let p = self.arena.get_mut(pkt);
+            let p = fx.arena.get_mut(pkt);
             p.outer.dst_pip = pip;
             p.outer.resolved = true;
             p.visited_gateway = true;
@@ -960,10 +882,10 @@ impl Shard {
             // markings are now moot.
             p.opts.misdelivery = None;
             p.opts.hit_switch = None;
-            if let Some(mut ev) = self.packet_event(fx, EventKind::GatewayDone, pkt, node) {
+            if let Some(mut ev) = fx.packet_event(EventKind::GatewayDone, pkt, node) {
                 ev.vip = Some(dst_vip.0);
                 ev.pip = Some(pip.0);
-                fx.trace(ev);
+                fx.tracer.record(ev);
             }
             self.send_on(ctl, fx, node, pkt);
         } else {
@@ -976,23 +898,17 @@ impl Shard {
     // Server logic
     // ------------------------------------------------------------------
 
-    fn handle_at_server<F: Effects>(
-        &mut self,
-        ctl: &Control,
-        fx: &mut F,
-        node: NodeId,
-        pkt: PacketRef,
-    ) {
-        if !matches!(self.arena.get(pkt).kind, PacketKind::Data) {
+    fn handle_at_server(&mut self, ctl: &Control, fx: &mut Master, node: NodeId, pkt: PacketRef) {
+        if !matches!(fx.arena.get(pkt).kind, PacketKind::Data) {
             // A learning packet that no ToR consumed: harmlessly absorbed.
-            self.arena.free(pkt);
+            fx.arena.free(pkt);
             return;
         }
         // A data packet is addressed to one of its flow's two endpoints, so
         // "hosted here" is read off the flow and the placement (which
         // `relocate` keeps current) without searching the VIP column.
         let (vip, spec) = {
-            let p = self.arena.get(pkt);
+            let p = fx.arena.get(pkt);
             (p.inner.dst_vip, &ctl.flows[p.flow.0 as usize])
         };
         let is_hosted = [spec.src_vm, spec.dst_vm]
@@ -1007,13 +923,13 @@ impl Shard {
         // then release the slot before the transport reacts (its reaction
         // may allocate ACKs or retransmits into the arena).
         let now = fx.now();
-        let p = self.arena.get(pkt);
+        let p = fx.arena.get(pkt);
         let (flow_id, ack_no, seq, payload) = (p.flow, p.inner.ack, p.inner.seq, p.payload);
         let (sent_ns, hops, first) = (p.sent_ns, p.switch_hops, p.first_of_flow);
         let flow = flow_id.0 as usize;
         if p.inner.flags.ack {
             // ACK back at the sender.
-            self.arena.free(pkt);
+            fx.arena.free(pkt);
             let ops = match self.flows[flow].tcp_tx.as_deref_mut() {
                 Some(tx) => tx.tcp.on_ack(now, ack_no as u64),
                 None => return,
@@ -1023,13 +939,13 @@ impl Shard {
         }
 
         // Forward-direction data.
-        if let Some(mut ev) = self.packet_event(fx, EventKind::Delivery, pkt, node) {
+        if let Some(mut ev) = fx.packet_event(EventKind::Delivery, pkt, node) {
             ev.hops = Some(hops);
             ev.latency_ns = Some(now.as_nanos().saturating_sub(sent_ns));
-            fx.trace(ev);
+            fx.tracer.record(ev);
         }
-        self.arena.free(pkt);
-        let m = fx.metrics();
+        fx.arena.free(pkt);
+        let m = &mut fx.metrics;
         m.record_delivery(SimTime::from_nanos(sent_ns), now, hops);
         if first {
             m.first_packet_delivered(flow_id, now);
@@ -1043,7 +959,7 @@ impl Shard {
             f.udp_delivered += 1;
             if f.udp_delivered as usize >= ctl.flows[flow].udp_total() && !f.completed {
                 f.completed = true;
-                fx.metrics().flow_completed(flow_id, now);
+                fx.metrics.flow_completed(flow_id, now);
             }
         }
     }
@@ -1066,36 +982,23 @@ impl Shard {
         ack
     }
 
-    fn on_misdelivery<F: Effects>(&mut self, fx: &mut F, node: NodeId, pkt: PacketRef) {
+    fn on_misdelivery(&mut self, fx: &mut Master, node: NodeId, pkt: PacketRef) {
         let now = fx.now();
         self.counters.record_misdelivery(now);
-        if fx.tracing() {
-            let (flow, id) = {
-                let p = self.arena.get(pkt);
-                (p.flow.0, p.id.0)
-            };
-            fx.trace(
-                TraceEvent::new(now.as_nanos(), EventKind::Misdelivery)
-                    .packet(flow, id)
-                    .at_node(node.0),
-            );
+        if let Some(ev) = fx.packet_event(EventKind::Misdelivery, pkt, node) {
+            fx.tracer.record(ev);
         }
-        fx.schedule_in(MISDELIVERY_PENALTY, Event::HostForward { node, pkt });
+        fx.events
+            .schedule_in(MISDELIVERY_PENALTY, Event::HostForward { node, pkt });
     }
 
-    fn on_host_forward<F: Effects>(
-        &mut self,
-        ctl: &Control,
-        fx: &mut F,
-        node: NodeId,
-        pkt: PacketRef,
-    ) {
-        let vip = self.arena.get(pkt).inner.dst_vip;
+    fn on_host_forward(&mut self, ctl: &Control, fx: &mut Master, node: NodeId, pkt: PacketRef) {
+        let vip = fx.arena.get(pkt).inner.dst_vip;
         match self.world.misdelivery_policy {
             MisdeliveryPolicy::FollowMe => {
                 match ctl.follow_me.get(&(node, vip)) {
                     Some(&new_pip) => {
-                        let p = self.arena.get_mut(pkt);
+                        let p = fx.arena.get_mut(pkt);
                         p.outer.dst_pip = new_pip;
                         p.outer.resolved = true;
                     }
@@ -1107,14 +1010,14 @@ impl Shard {
                 }
             }
             MisdeliveryPolicy::ToGateway => {
-                let gw = self.world.dir.pick(self.arena.get(pkt).flow.0 * 2);
+                let gw = self.world.dir.pick(fx.arena.get(pkt).flow.0 * 2);
                 // Keep the original outer source so the ToR can recognize
                 // the forward as a misdelivery and tag it (§3.3), and keep
                 // the hit-switch option so it can target invalidations. A
                 // host that is itself the outer source tags the packet: its
                 // ToR cannot tell the forward from the sender's own traffic.
                 let host_pip = self.world.topo.kind(node).pip();
-                let p = self.arena.get_mut(pkt);
+                let p = fx.arena.get_mut(pkt);
                 p.outer.dst_pip = gw;
                 p.outer.resolved = false;
                 if p.outer.src_pip == host_pip {

@@ -34,10 +34,6 @@ pub(crate) struct World {
     /// Which shard owns each node (one shard when the topology has a
     /// single pod group).
     pub partition: PodPartition,
-    /// With several shards, each link's index in the `links` of the shard
-    /// owning its sending end; empty with one shard, whose `links` are
-    /// indexed by link id.
-    pub link_slot: Vec<u32>,
 }
 
 impl World {
@@ -56,21 +52,6 @@ impl World {
     /// The shard owning `node`.
     pub fn shard_of(&self, node: NodeId) -> usize {
         self.partition.shard_of(node) as usize
-    }
-
-    /// [`World::link_slot`] for `topo` under `partition`.
-    pub fn link_slots(topo: &Topology, partition: &PodPartition) -> Vec<u32> {
-        if partition.shards() == 1 {
-            return Vec::new();
-        }
-        let mut owned = vec![0u32; partition.shards() as usize];
-        topo.links()
-            .map(|l| {
-                let n = &mut owned[partition.shard_of(l.from) as usize];
-                *n += 1;
-                *n - 1
-            })
-            .collect()
     }
 }
 

@@ -4,7 +4,7 @@
 //! shards 1 itself computes is pinned across commits by
 //! `crates/bench/tests/golden.rs`.) This file is the oracle's whole suite:
 //! nothing else runs more than one shard but `benchmark/`'s two-shard cell,
-//! and the oracle goes with that cell (ROADMAP item 6).
+//! and the oracle goes with that cell (ROADMAP N1).
 
 use proptest::prelude::*;
 use sv2p_baselines::NoCache;
@@ -121,6 +121,10 @@ fn assert_equivalent_full(
     assert_eq!(oracle.per_switch_bytes(), sharded.per_switch_bytes());
     assert_eq!(oracle.cache_occupancy(), sharded.cache_occupancy());
     assert!(sharded.window_count() > 0 && oracle.window_count() == 0);
+    // One arena holds every in-flight packet, whatever the shard count.
+    assert_eq!(oracle.peak_arena(), sharded.peak_arena());
+    let arena = |e: &Engine| e.resident_bytes().into_iter().find(|p| p.0 == "arena");
+    assert_eq!(arena(&oracle), arena(&sharded), "arena bytes");
 }
 
 #[test]
@@ -191,10 +195,11 @@ impl Strategy for CopyingSpines {
     }
 }
 
-/// The one ordering interleaved shards add: a packet crossing the cut is
-/// keyed when its link accepts it, not when it reaches the far shard's
-/// calendar after the handler — or the copy's arrival at the core would
-/// run after the original's at the ToR, in the same nanosecond.
+/// A copy crossing the cut keeps its place beside the original: its
+/// arrival is filed when its link accepts it, like every arrival, so at
+/// the core it runs before the original's at the ToR in the same
+/// nanosecond, as on one shard. Filed any later — after the handler, say —
+/// it would run after it.
 #[test]
 fn a_copy_crossing_the_cut_keeps_its_place_beside_the_original() {
     let ft = FatTreeConfig::scaled_ft8(2);

@@ -354,9 +354,7 @@ impl<E> EventQueue<E> {
     /// anything: the caller files the event later with
     /// [`Self::schedule_at_seq`], where it sorts as if scheduled now. A
     /// re-armed retransmission timer takes its seq this way and is filed
-    /// under it only when its earlier filing pops; the sharded engine
-    /// takes a cut-crossing packet's seq when the link accepts the packet,
-    /// and files its arrival once the handler has returned.
+    /// under it only when its earlier filing pops.
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -167,7 +167,7 @@ wire_names! {
     /// `TelemetrySample` class and per-packet work is split by event kind.
     /// The second block is retired and reads 0: it timed the lookahead
     /// windows of a parallel engine that is gone. The names stay because
-    /// `benchmark/` declares them; they leave with it (ROADMAP item 6).
+    /// `benchmark/` declares them; they leave with it (ROADMAP N1).
     Phase {
         /// Calendar pop (single-threaded loop).
         Pop => "pop",
@@ -178,7 +178,7 @@ wire_names! {
         /// Retired, reads 0: the transmission-complete event it timed is
         /// gone (a link knows at offer time when its packet leaves). The
         /// name stays because `benchmark/` and `BENCHMARK.json` declare
-        /// `netsim.link_free_ns`; it leaves with them (ROADMAP item 6).
+        /// `netsim.link_free_ns`; it leaves with them (ROADMAP N1).
         LinkFree => "link_free",
         /// `LinkArrival` handler dispatch (the per-hop hot path).
         LinkArrival => "link_arrival",
@@ -224,7 +224,7 @@ wire_names! {
         /// Events parked in the calendar's overflow heap — the only `O(log n)`
         /// part of the timing wheel — at each sample point.
         CalendarOverflow => "calendar_overflow",
-        /// Live packets in the arenas at each sample point — the arena
+        /// Live packets in the arena at each sample point — the arena
         /// high-water trajectory, not just its peak.
         ArenaLive => "arena_live",
     }
@@ -330,7 +330,7 @@ impl Profiler {
 
     /// Retired, reads 0: the imbalance of parallel window replays, which
     /// are gone. The name stays because `benchmark/` still reports it; it
-    /// leaves with that (ROADMAP item 6).
+    /// leaves with that (ROADMAP N1).
     pub fn imbalance_cv(&self) -> f64 {
         0.0
     }
