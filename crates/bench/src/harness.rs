@@ -423,7 +423,7 @@ pub fn run_controller_spec(spec: &ExperimentSpec, period: SimDuration) -> RunSum
             sim.routing(),
             sim.gateway_directory(),
             sim.placement(),
-            &sim.traffic_matrix(),
+            sim.traffic_matrix(),
             &switch_nodes,
         );
         sim.clear_traffic_matrix();

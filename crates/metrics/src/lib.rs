@@ -8,10 +8,9 @@
 //! reordering (§4).
 //!
 //! The recorder is split by how its fields combine. [`Counters`] is
-//! everything order-free: each shard of a run owns one, and they add up
-//! through [`Counters::merge`]. [`Metrics`] is what depends on global event
-//! order and so exists once, on the master. [`RunSummary`] and
-//! [`RecoveryReport`] are pure functions of one of each.
+//! everything order-free: sums, maxima and multisets. [`Metrics`] is what
+//! depends on global event order. A run keeps one of each, and
+//! [`RunSummary`] and [`RecoveryReport`] are pure functions of the pair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -140,24 +139,8 @@ fn span<T>(v: &[T], from: usize, to: usize) -> &[T] {
     &v[from.min(v.len())..to.min(v.len())]
 }
 
-/// Merges `from[i]` into `into[i]` with `f` for every `i`, growing `into`
-/// to `from`'s length first.
-fn merge_each<T: Clone + Default>(into: &mut Vec<T>, from: &[T], f: impl Fn(&mut T, &T)) {
-    grow(into, from.len());
-    for (a, b) in into.iter_mut().zip(from) {
-        f(a, b);
-    }
-}
-
-fn add_each(into: &mut [u64], from: &[u64]) {
-    for (a, b) in into.iter_mut().zip(from) {
-        *a += b;
-    }
-}
-
 /// The order-free ledger: every field is a sum, a maximum or a multiset,
-/// so recording an event into any one of several `Counters` and merging
-/// them gives what recording everything into one would have.
+/// so what it reads does not depend on the order events are recorded in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Bytes processed per switch tag (a packet counts at every switch it
@@ -186,7 +169,7 @@ pub struct Counters {
     pub promotion_inserts: u64,
     /// Reordered segment observations summed over receivers: a finished
     /// receiver's are folded in as it is dropped, a running one's read off
-    /// it when the merged view is built.
+    /// it when the ledger is read.
     pub reordered_segments: u64,
     /// TCP retransmissions summed over senders (likewise).
     pub retransmissions: u64,
@@ -194,7 +177,7 @@ pub struct Counters {
     /// (misdelivery exposure).
     pub stale_cache_hits: u64,
     /// Age of the stale entry at each attributable stale hit, nanoseconds
-    /// since the migration that invalidated it, in no particular order.
+    /// since the migration that invalidated it, in the order recorded.
     pub stale_age_ns: Vec<u64>,
     /// Per migration, by [`MigrationRef::idx`]: the age of the oldest stale
     /// entry hit after it (and before any later migration of the same VIP)
@@ -220,48 +203,6 @@ impl Counters {
     pub fn record_bytes(&self) -> usize {
         (self.stale_age_ns.capacity() + self.recovery_ns.capacity()) * size_of::<u64>()
             + self.windows.capacity() * size_of::<Traffic>()
-    }
-
-    /// Adds `other` into this ledger. The argument is destructured without
-    /// `..`: a field added to [`Counters`] does not compile until it is
-    /// merged here.
-    pub fn merge(&mut self, other: &Counters) {
-        let Counters {
-            bytes_by_switch,
-            total,
-            drops,
-            hits_by_layer,
-            first_hits_by_layer,
-            misdelivered_packets,
-            last_misdelivery,
-            invalidation_packets,
-            learning_packets,
-            spillover_inserts,
-            promotion_inserts,
-            reordered_segments,
-            retransmissions,
-            stale_cache_hits,
-            stale_age_ns,
-            recovery_ns,
-            windows,
-        } = other;
-        merge_each(&mut self.bytes_by_switch, bytes_by_switch, |a, b| *a += b);
-        self.total.add(total);
-        add_each(&mut self.drops, drops);
-        add_each(&mut self.hits_by_layer, hits_by_layer);
-        add_each(&mut self.first_hits_by_layer, first_hits_by_layer);
-        self.misdelivered_packets += misdelivered_packets;
-        self.last_misdelivery = self.last_misdelivery.max(*last_misdelivery);
-        self.invalidation_packets += invalidation_packets;
-        self.learning_packets += learning_packets;
-        self.spillover_inserts += spillover_inserts;
-        self.promotion_inserts += promotion_inserts;
-        self.reordered_segments += reordered_segments;
-        self.retransmissions += retransmissions;
-        self.stale_cache_hits += stale_cache_hits;
-        self.stale_age_ns.extend_from_slice(stale_age_ns);
-        merge_each(&mut self.recovery_ns, recovery_ns, |a, b| *a = (*a).max(*b));
-        merge_each(&mut self.windows, windows, Traffic::add);
     }
 
     /// A packet of `bytes` traversed switch `tag`.
@@ -525,8 +466,8 @@ impl Metrics {
         }
     }
 
-    /// Derives the serializable summary from this recorder and the merged
-    /// ledger `c`. A pure read: calling it changes nothing, so calling it
+    /// Derives the serializable summary from this recorder and the ledger
+    /// `c`. A pure read: calling it changes nothing, so calling it
     /// again — now or after more of the run — is always sound.
     pub fn summary(&self, c: &Counters, name: &str) -> RunSummary {
         let layer_share = |hits: &[u64; 3]| {

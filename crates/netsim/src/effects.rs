@@ -1,19 +1,20 @@
-//! The driver's state, where a handler's order-sensitive side effects go.
+//! The driver's state, where everything a handler records goes.
 //!
-//! Handlers mutate the state of the shard they run on directly. What must
-//! happen in *global* `(time, seq)` order — scheduling, packet-id
-//! allocation, the four flow-lifecycle metric records and trace
-//! records — and the packet bodies themselves go to the driver's one
-//! [`Master`], on the spot: its calendar holds every pending event and its
-//! arena every in-flight packet. A handler talks to that one concrete sink
-//! and never learns how many shards there are: a packet whose link ends on
-//! another shard is an arrival on the calendar like any other.
+//! Handlers mutate the model state of the shard they run on directly.
+//! Everything else goes to the driver's one [`Master`], on the spot: what
+//! must happen in *global* `(time, seq)` order — scheduling, packet-id
+//! allocation, the four flow-lifecycle metric records and trace records —
+//! the order-free ledger and traffic matrix, and the packet bodies
+//! themselves: its calendar holds every pending event and its arena every
+//! in-flight packet. A handler talks to that one concrete sink and never
+//! learns how many shards there are: a packet whose link ends on another
+//! shard is an arrival on the calendar like any other.
 
 use std::time::Instant;
 
-use sv2p_metrics::Metrics;
+use sv2p_metrics::{Counters, Metrics};
 use sv2p_packet::PacketId;
-use sv2p_simcore::{EventQueue, SimTime};
+use sv2p_simcore::{EventQueue, FxHashMap, SimTime};
 use sv2p_telemetry::profile::{HistKind, Phase, Profiler};
 use sv2p_telemetry::{EventKind, TraceEvent, Tracer, SAMPLE_EVERY_NS};
 use sv2p_topology::{LinkId, NodeId};
@@ -111,19 +112,23 @@ impl Event {
 }
 
 /// The driver's own state: the one calendar every event of the run sits on,
-/// the one arena every in-flight packet sits in, and the recorders whose
-/// content depends on global event order. Every handler, on whatever shard
-/// it runs, writes its order-sensitive effects here, on the spot.
+/// the one arena every in-flight packet sits in, and the run's one set of
+/// recorders. Every handler, on whatever shard it runs, writes here, on the
+/// spot.
 pub(crate) struct Master {
     /// Every pending event, under its global `(time, seq)` key.
     pub events: EventQueue<Event>,
     /// Every in-flight packet body; events and gateway queues hold handles.
     pub arena: PacketArena,
+    /// The order-free ledger: sums, maxima and multisets of what happened.
+    pub counters: Counters,
+    /// Data packets sent per `(src_vm, dst_vm)`, while
+    /// `SimConfig::record_traffic_matrix` is set.
+    pub traffic_matrix: FxHashMap<(u32, u32), u64>,
     /// Order-sensitive streams and driver-only counters: only the four
     /// flow-lifecycle records are order-sensitive (they push to per-flow
     /// latency / FCT accumulators whose vector order the summary
-    /// preserves). The order-free ledger is not here: each shard owns its
-    /// `Counters`, which add up in any order.
+    /// preserves).
     pub metrics: Metrics,
     pub tracer: Tracer,
     pub next_pkt_id: u64,

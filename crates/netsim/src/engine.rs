@@ -16,14 +16,15 @@
 //! write control state, so at every shard count the driver executes them
 //! itself, with every shard in reach: `exec_global`.
 //!
-//! Results are read through [`Engine::counters`], which merges the shards'
-//! ledgers anew on every call: nothing is folded into the master, so
-//! every read is a `&self` function of the state as it stands.
+//! Results are read through [`Engine::counters`]: the master's one ledger,
+//! plus what the still-running TCP machines have counted, read anew on
+//! every call, so every read is a `&self` function of the state as it
+//! stands.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use sv2p_metrics::{Counters, Metrics, RecoveryReport, RunSummary};
+use sv2p_metrics::{Counters, Metrics, RecoveryReport, RunSummary, WINDOW_NS};
 use sv2p_packet::{Pip, SwitchTag, Vip};
 use sv2p_simcore::{EventQueue, FxHashMap, SimDuration, SimTime};
 use sv2p_telemetry::profile::Profiler;
@@ -145,6 +146,8 @@ impl Engine {
         let mut master = Master {
             events: EventQueue::new(),
             arena: PacketArena::new(),
+            counters: Counters::new(world.topo.switch_count()),
+            traffic_matrix: FxHashMap::default(),
             metrics: Metrics::new(),
             tracer: Tracer::new(cfg.telemetry),
             next_pkt_id: 0,
@@ -266,27 +269,28 @@ impl Engine {
     /// process's RSS growth exceeds the sum by that and by the allocator's
     /// overhead. The
     /// `records` part is what the run writes down as it goes: the metrics'
-    /// exact-percentile samples, the ledgers' stale-hit ages, recovery
+    /// exact-percentile samples, the ledger's stale-hit ages, recovery
     /// times and windowed series, and the tracer's ring and samples.
     pub fn resident_bytes(&self) -> [(&'static str, usize); 8] {
         use std::mem::{size_of, size_of_val as bytes};
-        let (ctl, w) = (&self.ctl, &self.world);
+        let (ctl, w, m) = (&self.ctl, &self.world, &self.master);
         let sum = |f: &dyn Fn(&Shard) -> usize| self.shards.iter().map(f).sum::<usize>();
         let loss = ctl.loss.capacity() * (size_of::<(LinkId, (f64, u32))>() + 1);
         let per_link = bytes(&*ctl.link_down) + loss;
         let per_node = bytes(&*ctl.blackout) + bytes(&*w.caching);
         let classes = w.ser.iter().map(SerTable::resident_bytes).sum::<usize>();
-        let flows = bytes(&*ctl.flows) + self.master.metrics.flow_table_bytes();
-        let records = self.master.metrics.sample_bytes() + self.master.tracer.resident_bytes();
+        let flows = bytes(&*ctl.flows) + m.metrics.flow_table_bytes();
+        let records =
+            m.metrics.sample_bytes() + m.counters.record_bytes() + m.tracer.resident_bytes();
         [
             ("placement", ctl.placement.resident_bytes()),
             ("topology", w.topo.resident_bytes() + classes),
             ("links", per_link + sum(&|s| s.resident_bytes().0)),
             ("nodes", per_node + sum(&|s| s.resident_bytes().1)),
-            ("calendar", self.master.events.resident_bytes()),
-            ("arena", self.master.arena.resident_bytes()),
+            ("calendar", m.events.resident_bytes()),
+            ("arena", m.arena.resident_bytes()),
             ("flows", flows + sum(&|s| s.resident_bytes().2)),
-            ("records", records + sum(&|s| s.counters.record_bytes())),
+            ("records", records),
         ]
     }
 
@@ -414,22 +418,19 @@ impl Engine {
         }
     }
 
-    /// The merged ledger as of now: every shard's order-free counters
-    /// added up (a finished TCP machine's statistics among them), plus the
-    /// receiver / sender statistics read off the running ones. Built afresh
+    /// The ledger as of now: the master's order-free counters (a finished
+    /// TCP machine's statistics among them), plus the receiver / sender
+    /// statistics read off the running ones on every shard. Built afresh
     /// on each call, so it and the reads below are right at any pause of
     /// the run and change nothing.
     pub fn counters(&self) -> Counters {
-        let mut all = Counters::default();
-        for shard in &self.shards {
-            all.merge(&shard.counters);
-            for f in &shard.flows {
-                if let Some(rx) = &f.tcp_rx {
-                    all.reordered_segments += rx.reordered_segments;
-                }
-                if let Some(tx) = &f.tcp_tx {
-                    all.retransmissions += tx.tcp.retransmits;
-                }
+        let mut all = self.master.counters.clone();
+        for f in self.shards.iter().flat_map(|s| &s.flows) {
+            if let Some(rx) = &f.tcp_rx {
+                all.reordered_segments += rx.reordered_segments;
+            }
+            if let Some(tx) = &f.tcp_tx {
+                all.retransmissions += tx.tcp.retransmits;
             }
         }
         all
@@ -444,7 +445,7 @@ impl Engine {
 
     /// Total bytes processed by all switches in `pod` (Figure 7).
     pub fn pod_bytes(&self, pod: u16) -> u64 {
-        let bytes = self.counters().bytes_by_switch;
+        let bytes = &self.master.counters.bytes_by_switch;
         self.world
             .topo
             .switches()
@@ -484,7 +485,7 @@ impl Engine {
     /// Rows follow `topology().switches()` enumeration order — ascending
     /// `NodeId` — at every shard count.
     pub fn per_switch_bytes(&self) -> Vec<(NodeId, NodeKind, u64)> {
-        let bytes = self.counters().bytes_by_switch;
+        let bytes = &self.master.counters.bytes_by_switch;
         self.world
             .topo
             .switches()
@@ -589,24 +590,15 @@ impl Engine {
     }
 
     /// Per-(src_vm, dst_vm) data-packet counts since the last
-    /// [`Self::clear_traffic_matrix`], summed over the shards (sends are
-    /// counted where they execute; requires
+    /// [`Self::clear_traffic_matrix`] (requires
     /// `SimConfig::record_traffic_matrix`).
-    pub fn traffic_matrix(&self) -> FxHashMap<(u32, u32), u64> {
-        let mut out = FxHashMap::default();
-        for shard in &self.shards {
-            for (&k, &v) in &shard.traffic_matrix {
-                *out.entry(k).or_insert(0) += v;
-            }
-        }
-        out
+    pub fn traffic_matrix(&self) -> &FxHashMap<(u32, u32), u64> {
+        &self.master.traffic_matrix
     }
 
     /// Resets traffic-matrix counters (Controller epochs).
     pub fn clear_traffic_matrix(&mut self) {
-        for shard in &mut self.shards {
-            shard.traffic_matrix.clear();
-        }
+        self.master.traffic_matrix.clear();
     }
 }
 
@@ -697,6 +689,8 @@ pub(crate) fn exec_global(ctl: &mut Control, master: &mut Master, shards: &mut [
                 shard.snapshot_into(ctl, now, &mut s);
             }
             let pending_events = master.events.len() as u64;
+            let c = &master.counters;
+            let window = c.windows.get((now.as_nanos() / WINDOW_NS) as usize);
             master.tracer.samples.push(Sample {
                 t_ns: now.as_nanos(),
                 events_executed: master.events.events_executed(),
@@ -706,9 +700,9 @@ pub(crate) fn exec_global(ctl: &mut Control, master: &mut Master, shards: &mut [
                 occ_tor: s.occ[Layer::Tor as usize],
                 occ_spine: s.occ[Layer::Spine as usize],
                 occ_core: s.occ[Layer::Core as usize],
-                hit_rate_window: s.window.hit_rate(),
-                hit_rate_cum: s.cum.hit_rate().unwrap_or(0.0),
-                gateway_pkts_cum: s.cum.gateway,
+                hit_rate_window: window.and_then(|w| w.hit_rate()),
+                hit_rate_cum: c.total.hit_rate().unwrap_or(0.0),
+                gateway_pkts_cum: c.total.gateway,
             });
             // Re-arm while anything else is pending, so the sampler never
             // keeps an otherwise-finished run alive; a registration wakes

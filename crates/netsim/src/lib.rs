@@ -31,26 +31,28 @@
 //!   which is the V2P ground truth, follow-me rules, roles, fault flags,
 //!   flow specs and the migration/fault/churn tables), which only global
 //!   events and between-run interventions write;
-//! * a `Vec` of shard-owned **state** (`sim::Shard`: links, agents, RNG
-//!   streams, transport machines, gateway queues, and the shard's
-//!   `sv2p_metrics::Counters` — its share of the order-free ledger), one
-//!   per shard of the pod partition;
+//! * a `Vec` of shard-owned **model state** (`sim::Shard`: links, agents,
+//!   RNG streams, transport machines and gateway queues), one per shard of
+//!   the pod partition;
 //! * the driver's **master** (`effects::Master`: the one calendar, the one
-//!   packet arena and the order-sensitive recorders).
+//!   packet arena and the run's one set of recorders — the order-free
+//!   `sv2p_metrics::Counters` ledger, the traffic matrix, the
+//!   order-sensitive `sv2p_metrics::Metrics` and the tracer).
 //!
 //! Handlers (`sim`) take the world and the control state by reference and
-//! write every order-sensitive side effect, and every packet body, to the
-//! master, on the spot. Every event sits on its calendar under the same
+//! write everything they record, and every packet body, to the master, on
+//! the spot. Every event sits on its calendar under the same
 //! `(time, seq)` key at every shard count; with several shards (`sharded`,
 //! an equivalence oracle) they interleave event by event, each event
 //! running on the shard that owns it, and a packet whose link ends on
 //! another shard stays in the one arena, its arrival on the one calendar.
 //! Everything runs on the caller's thread. `shards` is the only selector.
 //!
-//! [`Engine::counters`] merges the shards' ledgers afresh on each call and
-//! [`Engine::summary`] derives from that and the master's order-sensitive
-//! `sv2p_metrics::Metrics`: reads take `&self`, are valid at any pause of
-//! the run, and never depend on another read having been made first.
+//! [`Engine::counters`] reads the master's ledger afresh on each call, with
+//! the running TCP machines' statistics added, and [`Engine::summary`]
+//! derives from that and the master's `sv2p_metrics::Metrics`: reads take
+//! `&self`, are valid at any pause of the run, and never depend on another
+//! read having been made first.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

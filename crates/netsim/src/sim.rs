@@ -1,14 +1,14 @@
 //! One shard's state and the event handlers that run on it.
 //!
-//! A [`Shard`] owns what evolves as packets move through its part of the
-//! fabric: link states, switch and host agents with their RNG streams, the
-//! transport machines of its flows, gateway queues and its [`Counters`] —
-//! the order-free counts of what happened here, and the only part of the
-//! recorder a shard holds. Handlers read the shared [`World`] and the
-//! [`Control`] state by reference, mutate only the shard they run on, and
-//! write every order-sensitive side effect, and every packet body, to the
-//! driver's one [`Master`] — so a handler is the same code, and sees the
-//! same calendar and arena, at every shard count.
+//! A [`Shard`] owns only model state, what evolves as packets move through
+//! its part of the fabric: link states, switch and host agents with their
+//! RNG streams, the transport machines of its flows and gateway queues.
+//! Handlers read the shared [`World`] and the [`Control`] state by
+//! reference, mutate only the shard they run on, and write everything they
+//! record — the ledger, the traffic matrix, metrics and trace — every
+//! scheduled event and every packet body to the driver's one [`Master`],
+//! so a handler is the same code, and sees the same calendar, arena and
+//! recorders, at every shard count.
 //!
 //! Every packet handler has one shape. A packet enters a node at one
 //! arrival gate ([`Shard::on_link_arrival`]), which reads the node once,
@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sv2p_metrics::{Counters, DropCause, Traffic, WINDOW_NS};
+use sv2p_metrics::DropCause;
 use sv2p_packet::packet::Protocol;
 use sv2p_packet::{
     FlowId, InnerHeader, MisdeliveryTag, OuterHeader, Packet, PacketKind, Pip, SwitchTag, TcpFlags,
@@ -101,10 +101,6 @@ pub(crate) struct Snapshot {
     pub q_max: u64,
     /// Valid cache entries, by `sv2p_topology::Layer`.
     pub occ: [u64; 3],
-    /// Traffic since t = 0.
-    pub cum: Traffic,
-    /// Traffic of the recovery window being sampled.
-    pub window: Traffic,
 }
 
 /// The state one shard owns. Switch agents and their RNG streams are
@@ -135,10 +131,6 @@ pub(crate) struct Shard {
     /// each with the packets waiting behind the one in service. An idle
     /// gateway has no entry.
     pub gw_busy: FxHashMap<NodeId, VecDeque<PacketRef>>,
-    /// This shard's share of the order-free ledger; `Engine::counters`
-    /// merges the shards' on every read.
-    pub counters: Counters,
-    pub traffic_matrix: FxHashMap<(u32, u32), u64>,
 }
 
 impl Shard {
@@ -163,8 +155,6 @@ impl Shard {
             route_scratch: Vec::new(),
             flows: Vec::new(),
             gw_busy: FxHashMap::default(),
-            counters: Counters::new(world.topo.switch_count()),
-            traffic_matrix: FxHashMap::default(),
             world,
         }
     }
@@ -298,8 +288,8 @@ impl Shard {
     }
 
     /// Adds this shard's part to the telemetry sample `s` taken at instant
-    /// `now`. Queue depths, occupancy and traffic counters are only
-    /// non-zero for state this shard owns.
+    /// `now`. Queue depths and occupancy are only non-zero for state this
+    /// shard owns.
     pub fn snapshot_into(&self, ctl: &Control, now: SimTime, s: &mut Snapshot) {
         for (i, l) in self.world.topo.links().enumerate() {
             let q = self
@@ -313,11 +303,6 @@ impl Shard {
             let occ = agent.as_ref().map_or(0, |a| a.occupancy()) as u64;
             s.occ[ctl.roles.role(sw.id).expect("switch role").layer() as usize] += occ;
         }
-        let widx = (now.as_nanos() / WINDOW_NS) as usize;
-        if let Some(w) = self.counters.windows.get(widx) {
-            s.window.add(w);
-        }
-        s.cum.add(&self.counters.total);
     }
 
     // ------------------------------------------------------------------
@@ -329,7 +314,7 @@ impl Shard {
     /// and frees the arena slot.
     fn drop_packet(&mut self, fx: &mut Master, h: PacketRef, node: NodeId, cause: DropCause) {
         if matches!(fx.arena.get(h).kind, PacketKind::Data) {
-            self.counters.record_drop(cause);
+            fx.counters.record_drop(cause);
             if let Some(mut ev) = fx.packet_event(EventKind::Drop, h, node) {
                 ev.cause = Some(wire_cause(cause));
                 fx.tracer.record(ev);
@@ -404,9 +389,9 @@ impl Shard {
             .expect("ops come from a running sender");
         if tx.tcp.is_complete() {
             // The flow is done: its sender and timer go, their statistics
-            // folded into the shard's ledger. A late ACK or timer event
-            // finds no sender, as a complete one would have ignored it.
-            self.counters.retransmissions += tx.tcp.retransmits;
+            // folded into the ledger. A late ACK or timer event finds no
+            // sender, as a complete one would have ignored it.
+            fx.counters.retransmissions += tx.tcp.retransmits;
             (f.tcp_tx, f.completed) = (None, true);
             let now = fx.now();
             fx.metrics.flow_completed(FlowId(flow as u64), now);
@@ -494,10 +479,9 @@ impl Shard {
             ..Packet::default()
         };
 
-        self.counters.record_data_sent(now);
+        fx.counters.record_data_sent(now);
         if self.world.cfg.record_traffic_matrix {
-            *self
-                .traffic_matrix
+            *fx.traffic_matrix
                 .entry((src_vm as u32, dst_vm as u32))
                 .or_insert(0) += 1;
         }
@@ -636,7 +620,7 @@ impl Shard {
                 p.switch_hops = p.switch_hops.saturating_add(1);
                 let (wire, is_data) = (p.wire_size(), matches!(p.kind, PacketKind::Data));
                 let tag = self.world.tag_of(kind).expect("switch tag");
-                self.counters.record_switch_bytes(tag, wire);
+                fx.counters.record_switch_bytes(tag, wire);
                 let ev = fx.packet_event(EventKind::SwitchIngress, pkt, node);
                 if let Some(ev) = ev.filter(|_| is_data) {
                     fx.tracer.record(ev);
@@ -740,7 +724,7 @@ impl Shard {
         };
 
         if output.cache_hit {
-            self.counters.record_cache_hit(role.layer(), first_of_flow);
+            fx.counters.record_cache_hit(role.layer(), first_of_flow);
             if is_data {
                 // A hit that rewrote the packet to a PIP the control plane
                 // has since migrated away from is a *stale* hit: this packet
@@ -760,7 +744,7 @@ impl Shard {
                 // cached stale.
                 let migration = ctl.last_migration.get(&vip).copied();
                 if migration.is_some() && ctl.placement.lookup(vip) != Some(cur_dst) {
-                    let age = self.counters.record_stale_hit(migration, now);
+                    let age = fx.counters.record_stale_hit(migration, now);
                     if let Some(mut ev) = fx.packet_event(EventKind::StaleHit, pkt, node) {
                         ev.vip = Some(vip.0);
                         ev.pip = Some(cur_dst.0);
@@ -771,8 +755,8 @@ impl Shard {
                 }
             }
         }
-        self.counters.spillover_inserts += u64::from(output.spill_inserted);
-        self.counters.promotion_inserts += u64::from(output.promotion_inserted);
+        fx.counters.spillover_inserts += u64::from(output.spill_inserted);
+        fx.counters.promotion_inserts += u64::from(output.promotion_inserted);
         if trace {
             let layer = wire_layer(&ctl.roles, node);
             // A data packet that arrived unresolved at a switch holding cache
@@ -798,8 +782,8 @@ impl Shard {
             extra.id = fx.alloc_pkt_id();
             extra.sent_ns = now.as_nanos();
             match extra.kind {
-                PacketKind::Learning(_) => self.counters.learning_packets += 1,
-                PacketKind::Invalidation(_) => self.counters.invalidation_packets += 1,
+                PacketKind::Learning(_) => fx.counters.learning_packets += 1,
+                PacketKind::Invalidation(_) => fx.counters.invalidation_packets += 1,
                 PacketKind::Data => {}
             }
             let eh = fx.arena.alloc(extra);
@@ -828,7 +812,7 @@ impl Shard {
             self.drop_packet(fx, pkt, node, DropCause::Unroutable);
             return;
         }
-        self.counters.record_gateway_packet(now);
+        fx.counters.record_gateway_packet(now);
         if let Some(ev) = fx.packet_event(EventKind::GatewayIngress, pkt, node) {
             fx.tracer.record(ev);
         }
@@ -951,7 +935,7 @@ impl Shard {
             m.first_packet_delivered(flow_id, now);
         }
         if let FlowKind::Tcp { bytes } = ctl.flows[flow].kind {
-            let ack = self.receive_segment(flow, bytes, seq as u64, payload);
+            let ack = self.receive_segment(fx, flow, bytes, seq as u64, payload);
             // Emit a pure ACK back to the sender.
             self.send_flow_packet(ctl, fx, flow, ack as u32, 0, false, true);
         } else {
@@ -965,10 +949,17 @@ impl Shard {
     }
 
     /// Hands a segment of a `bytes`-byte flow to its receiver, boxed at the
-    /// first segment and dropped, its statistics folded into the shard's
-    /// ledger, once it holds every byte; returns the ACK to emit. A segment
-    /// after that is a duplicate, ACKed as the complete receiver would.
-    fn receive_segment(&mut self, flow: usize, bytes: u64, seq: u64, len: u32) -> u64 {
+    /// first segment and dropped, its statistics folded into the ledger,
+    /// once it holds every byte; returns the ACK to emit. A segment after
+    /// that is a duplicate, ACKed as the complete receiver would.
+    fn receive_segment(
+        &mut self,
+        fx: &mut Master,
+        flow: usize,
+        bytes: u64,
+        seq: u64,
+        len: u32,
+    ) -> u64 {
         let f = &mut self.flows[flow];
         if f.rx_done {
             return bytes;
@@ -976,7 +967,7 @@ impl Shard {
         let rx = f.tcp_rx.get_or_insert_default();
         let ack = rx.on_data(seq, len);
         if ack >= bytes {
-            self.counters.reordered_segments += rx.reordered_segments;
+            fx.counters.reordered_segments += rx.reordered_segments;
             (f.tcp_rx, f.rx_done) = (None, true);
         }
         ack
@@ -984,7 +975,7 @@ impl Shard {
 
     fn on_misdelivery(&mut self, fx: &mut Master, node: NodeId, pkt: PacketRef) {
         let now = fx.now();
-        self.counters.record_misdelivery(now);
+        fx.counters.record_misdelivery(now);
         if let Some(ev) = fx.packet_event(EventKind::Misdelivery, pkt, node) {
             fx.tracer.record(ev);
         }

@@ -575,7 +575,7 @@ fn lossy() -> Engine {
     sim
 }
 
-/// What a read sees: the summary and the merged ledger.
+/// What a read sees: the summary and the ledger.
 fn ledger(sim: &Engine) -> (String, Counters) {
     (format!("{:?}", sim.summary()), sim.counters())
 }
